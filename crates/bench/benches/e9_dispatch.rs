@@ -4,6 +4,13 @@
 //! matching set (~10), plus resolver demand-satisfaction scaling against
 //! distractor CE count via the type-keyed profile index.
 //!
+//! The `publish` rows' distractors never share a source with the probe
+//! event, so they say nothing about the table composition builds: one
+//! `objLocationCE` instance per followed subject, each wired to every
+//! door (Figure 3) — many topics on one source, differing by subject.
+//! The `composed` rows are that shape: S subjects × 16 doors, one badge
+//! read published, cost required flat in S.
+//!
 //! Besides the Criterion timings, the harness writes the shape rows to
 //! `BENCH_dispatch.json` at the repo root — the machine-readable perf
 //! trajectory documented in `EXPERIMENTS.md` (§E9). The indexed bus is
@@ -26,6 +33,9 @@ use sci_types::{ContextEvent, ContextType, ContextValue, Guid, VirtualTime};
 const MATCHING: usize = 10;
 
 const TABLE_SIZES: [usize; 4] = [100, 1_000, 10_000, 100_000];
+/// Followed subjects in the `composed` rows, each wired to [`DOORS`] doors.
+const SUBJECT_COUNTS: [usize; 4] = [10, 100, 1_000, 10_000];
+const DOORS: usize = 16;
 const DISTRACTOR_COUNTS: [usize; 4] = [10, 100, 1_000, 10_000];
 
 fn probe_event() -> ContextEvent {
@@ -56,17 +66,54 @@ fn topic_for_slot(i: usize, total: usize) -> Topic {
     }
 }
 
-fn build_buses(total: usize, registry: &Registry) -> (EventBus, LinearBus) {
+/// Both buses holding `topics`, one subscriber each, in order.
+fn buses_of(topics: impl Iterator<Item = Topic>, registry: &Registry) -> (EventBus, LinearBus) {
     let mut indexed = EventBus::new();
     indexed.attach_telemetry(registry);
     let mut linear = LinearBus::new();
-    for i in 0..total {
+    for (i, topic) in topics.enumerate() {
         let subscriber = Guid::from_u128(i as u128 + 1);
-        let topic = topic_for_slot(i, total);
         indexed.subscribe(subscriber, topic.clone(), false);
         linear.subscribe(subscriber, topic, false);
     }
     (indexed, linear)
+}
+
+fn build_buses(total: usize, registry: &Registry) -> (EventBus, LinearBus) {
+    buses_of((0..total).map(|i| topic_for_slot(i, total)), registry)
+}
+
+fn door(d: usize) -> Guid {
+    Guid::from_u128(0xd000 + d as u128)
+}
+
+fn subject(s: usize) -> Guid {
+    Guid::from_u128(0xb0b0_0000 + s as u128)
+}
+
+/// The Figure-3 table: per subject, one presence topic per door.
+fn build_composed(subjects: usize, registry: &Registry) -> (EventBus, LinearBus) {
+    let topics = (0..subjects).flat_map(|s| {
+        (0..DOORS).map(move |d| {
+            Topic::of_type(ContextType::Presence)
+                .from(door(d))
+                .about(subject(s))
+        })
+    });
+    buses_of(topics, registry)
+}
+
+/// One badge read of a mid-table subject at one door.
+fn badge_read(subjects: usize) -> ContextEvent {
+    ContextEvent::new(
+        door(DOORS / 2),
+        ContextType::Presence,
+        ContextValue::record([
+            ("subject", ContextValue::Id(subject(subjects / 2))),
+            ("to", ContextValue::place("L10.01")),
+        ]),
+        VirtualTime::from_secs(1),
+    )
 }
 
 /// Mean microseconds per call of `f`, with a calibration pass sizing the
@@ -85,9 +132,36 @@ fn mean_us(mut f: impl FnMut()) -> f64 {
 }
 
 struct PublishRow {
+    /// `publish` or `composed`.
+    group: &'static str,
     total: usize,
+    matching: usize,
     indexed_us: f64,
     linear_us: f64,
+}
+
+/// Checks index against oracle on `ev`, then times both.
+fn publish_row(
+    group: &'static str,
+    (mut indexed, mut linear): (EventBus, LinearBus),
+    ev: &ContextEvent,
+    matching: usize,
+) -> PublishRow {
+    let a = indexed.publish(ev);
+    let b = linear.publish(ev);
+    assert_eq!(a, b, "index and oracle must agree before timing");
+    assert_eq!(a.len(), matching);
+    PublishRow {
+        group,
+        total: linear.len(),
+        matching,
+        indexed_us: mean_us(|| {
+            indexed.publish(ev);
+        }),
+        linear_us: mean_us(|| {
+            linear.publish(ev);
+        }),
+    }
 }
 
 struct ResolverRow {
@@ -97,25 +171,14 @@ struct ResolverRow {
 
 fn measure_publish_rows(registry: &Registry) -> Vec<PublishRow> {
     let ev = probe_event();
-    TABLE_SIZES
+    let publish = TABLE_SIZES
         .iter()
-        .map(|&total| {
-            let (mut indexed, mut linear) = build_buses(total, registry);
-            let a = indexed.publish(&ev);
-            let b = linear.publish(&ev);
-            assert_eq!(a, b, "index and oracle must agree before timing");
-            assert_eq!(a.len(), MATCHING);
-            PublishRow {
-                total,
-                indexed_us: mean_us(|| {
-                    indexed.publish(&ev);
-                }),
-                linear_us: mean_us(|| {
-                    linear.publish(&ev);
-                }),
-            }
-        })
-        .collect()
+        .map(|&total| publish_row("publish", build_buses(total, registry), &ev, MATCHING));
+    let composed = SUBJECT_COUNTS.iter().map(|&subjects| {
+        let buses = build_composed(subjects, registry);
+        publish_row("composed", buses, &badge_read(subjects), 1)
+    });
+    publish.chain(composed).collect()
 }
 
 fn measure_resolver_rows() -> Vec<ResolverRow> {
@@ -142,11 +205,16 @@ fn write_json(publish: &[PublishRow], resolver: &[ResolverRow], registry: &Regis
     let mut rows: Vec<String> = publish
         .iter()
         .map(|r| {
+            let shape = match r.group {
+                "composed" => format!("\"subjects\": {}, \"doors\": {DOORS}, ", r.total / DOORS),
+                _ => String::new(),
+            };
             format!(
-                "    {{\"group\": \"publish\", \"total_subs\": {}, \"matching\": {}, \
+                "    {{\"group\": \"{}\", {shape}\"total_subs\": {}, \"matching\": {}, \
                  \"indexed_us\": {:.3}, \"linear_us\": {:.3}, \"speedup\": {:.1}}}",
+                r.group,
                 r.total,
-                MATCHING,
+                r.matching,
                 r.indexed_us,
                 r.linear_us,
                 r.linear_us / r.indexed_us
@@ -173,14 +241,17 @@ fn write_json(publish: &[PublishRow], resolver: &[ResolverRow], registry: &Regis
 }
 
 fn print_shape_table(publish: &[PublishRow], resolver: &[ResolverRow]) {
-    println!("\nE9: publish cost, indexed bus vs linear oracle ({MATCHING} matching subs)");
+    println!("\nE9: publish cost, indexed bus vs linear oracle");
+    println!("  publish:  mixed distractors on other sources, {MATCHING} matching");
+    println!("  composed: S subjects x {DOORS} doors (Figure 3), one badge read, 1 matching");
     println!(
-        "{:>10} | {:>12} {:>12} {:>9}",
-        "total subs", "indexed (us)", "linear (us)", "speedup"
+        "{:>9} {:>10} | {:>12} {:>12} {:>9}",
+        "group", "total subs", "indexed (us)", "linear (us)", "speedup"
     );
     for r in publish {
         println!(
-            "{:>10} | {:>12.2} {:>12.2} {:>8.1}x",
+            "{:>9} {:>10} | {:>12.2} {:>12.2} {:>8.1}x",
+            r.group,
             r.total,
             r.indexed_us,
             r.linear_us,
@@ -211,6 +282,16 @@ fn bench_dispatch(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("linear", total), &ev, |b, ev| {
             b.iter(|| linear.publish(ev));
+        });
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("e9_composed");
+    for subjects in SUBJECT_COUNTS {
+        let (mut indexed, _) = build_composed(subjects, &registry);
+        let ev = badge_read(subjects);
+        group.bench_with_input(BenchmarkId::new("indexed", subjects), &ev, |b, ev| {
+            b.iter(|| indexed.publish(ev));
         });
     }
     group.finish();

@@ -1154,10 +1154,9 @@ impl ContextServer {
             for delivery in self.mediator.publish(&ev) {
                 let target = delivery.subscriber;
                 if let Some(instance) = self.instances.get_mut(target) {
-                    let outputs = {
-                        let binding = instance.binding.clone();
-                        instance.logic.on_event(&delivery.event, &binding, now)
-                    };
+                    let outputs = instance
+                        .logic
+                        .on_event(&delivery.event, &instance.binding, now);
                     for (ty, payload) in outputs {
                         let seq = instance.seq;
                         instance.seq = seq.next();

@@ -44,7 +44,7 @@
 //! duplication faults) into exactly-once delivery, counted by
 //! `federation.retry.attempts` and `federation.relay.dedup_hits`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use bytes::Bytes;
 
@@ -62,6 +62,7 @@ use sci_types::{
 };
 
 use crate::context_server::{AppDelivery, ContextServer, QueryAnswer};
+use crate::seen::SeenEnvelopes;
 
 /// In-call retransmissions attempted for a failed relay before it is
 /// parked for the next pump.
@@ -111,7 +112,7 @@ pub struct Federation<T: Transport = SimNetwork> {
     relay_seq: HashMap<Guid, u64>,
     /// Envelopes already absorbed, keyed `(origin, seq)` — the
     /// receiver-side half of exactly-once relay.
-    seen_relays: HashSet<(Guid, u64)>,
+    seen_relays: SeenEnvelopes,
     /// Relays that exhausted their in-call retries; retried first on
     /// every subsequent pump, so eventual connectivity means eventual
     /// delivery.
@@ -168,7 +169,7 @@ impl<T: Transport> Federation<T> {
             relay_stale_drops: 0,
             names: HashMap::new(),
             relay_seq: HashMap::new(),
-            seen_relays: HashSet::new(),
+            seen_relays: SeenEnvelopes::default(),
             pending_relays: Vec::new(),
             relay_dedup_hits: 0,
             retry_attempts: 0,

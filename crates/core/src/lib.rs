@@ -82,6 +82,7 @@ pub mod range_service;
 pub mod registrar;
 pub mod resolver;
 pub mod runtime;
+mod seen;
 pub mod telemetry;
 
 pub use configuration::Configuration;

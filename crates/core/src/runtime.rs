@@ -24,7 +24,7 @@
 //! per-planet operator placement and the Context Toolkit's distributed
 //! widgets both argue for.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -55,6 +55,7 @@ use crate::federation::{
 };
 use crate::logic::LogicFactory;
 use crate::migration::MigrationPacket;
+use crate::seen::{SeenEnvelopes, SEQ_NS_SHIFT};
 use crate::telemetry::{elapsed_us, fold_load_stats, FedMetrics, RuntimeMetrics};
 use sci_location::floorplan::FloorPlan;
 
@@ -351,12 +352,12 @@ impl MailboxPolicy {
 /// `(origin, seq)` set, so each class gets a disjoint high-bit
 /// namespace to keep a delivery from shadowing an answer with the
 /// same count.
-const ANSWER_SEQ_NS: u64 = 1 << 62;
+const ANSWER_SEQ_NS: u64 = 1 << SEQ_NS_SHIFT;
 
 /// Envelope-sequence namespace bit for migration relays, which remain
 /// coordinator-minted (a migration is a coordinator-driven range-pair
 /// operation, not worker stream traffic).
-const MIGRATE_SEQ_NS: u64 = 1 << 63;
+const MIGRATE_SEQ_NS: u64 = 2 << SEQ_NS_SHIFT;
 
 /// One unit of cross-range traffic drained from a range worker *as it
 /// executes*: the continuously-streamed replacement for the old
@@ -1184,7 +1185,7 @@ pub struct ParallelFederation<T: Transport = SimNetwork> {
     relay_seq: HashMap<Guid, u64>,
     /// Envelopes already absorbed (`(origin, seq)`): the receiver-side
     /// half of exactly-once relay.
-    seen_relays: HashSet<(Guid, u64)>,
+    seen_relays: SeenEnvelopes,
     /// Relays that exhausted their in-call retries, retried each sync.
     pending_relays: Vec<Message>,
     /// Wall-clock start of each in-flight migration, keyed by its
@@ -1228,7 +1229,7 @@ impl<T: Transport> ParallelFederation<T> {
             restart_policy: RestartPolicy::NONE,
             mailbox_policy: MailboxPolicy::Unbounded,
             relay_seq: HashMap::new(),
-            seen_relays: HashSet::new(),
+            seen_relays: SeenEnvelopes::default(),
             pending_relays: Vec::new(),
             migrate_started: HashMap::new(),
             ids: GuidGenerator::seeded(seed),

@@ -78,9 +78,10 @@ impl EventBus {
 
     /// Starts recording publish/deliver counters and the fan-out
     /// distribution into `registry` (`bus.publish.count`,
-    /// `bus.deliver.count`, `bus.fanout`). Deliberately counters-only:
-    /// this bus is the E9 hot path, so no clocks are read here —
-    /// publish latency is measured by the callers that wrap it.
+    /// `bus.candidates.count`, `bus.deliver.count`, `bus.fanout`).
+    /// Deliberately counters-only: this bus is the E9 hot path, so no
+    /// clocks are read here — publish latency is measured by the callers
+    /// that wrap it.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
         self.telemetry = Some(BusTelemetry::register(registry));
     }
@@ -114,7 +115,7 @@ impl EventBus {
     /// in subscription order.
     pub fn publish(&mut self, event: &ContextEvent) -> Vec<Delivery> {
         let mut deliveries = Vec::new();
-        self.index.publish_with(event, |view| {
+        let outcome = self.index.publish_with(event, |view| {
             deliveries.push(Delivery {
                 sub: view.id,
                 subscriber: view.subscriber,
@@ -124,7 +125,7 @@ impl EventBus {
             true
         });
         if let Some(t) = &self.telemetry {
-            t.record_publish(deliveries.len());
+            t.record_publish(&outcome);
         }
         deliveries
     }

@@ -16,9 +16,9 @@
 //!   paper's hybrid communication model in real concurrency.
 //!
 //! Both buses dispatch through [`index::TopicIndex`], which keys
-//! candidate subscriptions by context type, source and subject so publish
-//! cost scales with matching subscriptions rather than total
-//! subscriptions. The pre-index linear table is preserved as
+//! candidate subscriptions by context type, source, subject and the
+//! `(source, subject)` pair so publish cost scales with matching
+//! subscriptions rather than total subscriptions. The pre-index linear table is preserved as
 //! [`linear::LinearBus`] — a test oracle the index is property-tested
 //! against (see `docs/performance.md`).
 //!

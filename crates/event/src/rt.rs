@@ -139,7 +139,7 @@ impl ThreadedBus {
             // reaps the subscription.
             .publish_with(event, |view| view.extra.send(event.clone()).is_ok());
         if let (Some(t), Some(start)) = (&telemetry, start) {
-            t.bus.record_publish(outcome.fanout);
+            t.bus.record_publish(&outcome);
             t.latency
                 .record(u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
         }

@@ -9,11 +9,17 @@
 
 use sci_telemetry::{Counter, Histogram, Registry};
 
+use crate::index::PublishOutcome;
+
 /// Counter-only bundle recorded by `EventBus::publish`.
 #[derive(Clone, Debug)]
 pub(crate) struct BusTelemetry {
     /// `bus.publish.count` — events offered to the subscription table.
     pub(crate) published: Counter,
+    /// `bus.candidates.count` — subscriptions examined (full filter
+    /// run); `bus.deliver.count` ÷ this is the index's useful-to-attempted
+    /// ratio.
+    pub(crate) candidates: Counter,
     /// `bus.deliver.count` — deliveries fanned out (sum of fan-outs).
     pub(crate) delivered: Counter,
     /// `bus.fanout` — fan-out size distribution, one sample per publish.
@@ -24,15 +30,17 @@ impl BusTelemetry {
     pub(crate) fn register(registry: &Registry) -> Self {
         BusTelemetry {
             published: registry.counter("bus.publish.count"),
+            candidates: registry.counter("bus.candidates.count"),
             delivered: registry.counter("bus.deliver.count"),
             fanout: registry.histogram("bus.fanout"),
         }
     }
 
     #[inline]
-    pub(crate) fn record_publish(&self, fanout: usize) {
+    pub(crate) fn record_publish(&self, outcome: &PublishOutcome) {
         self.published.inc();
-        self.delivered.add(fanout as u64);
-        self.fanout.record(fanout as u64);
+        self.candidates.add(outcome.candidates as u64);
+        self.delivered.add(outcome.fanout as u64);
+        self.fanout.record(outcome.fanout as u64);
     }
 }

@@ -88,22 +88,24 @@ impl Topic {
 
     /// Returns `true` if the event passes every constraint.
     pub fn matches(&self, event: &ContextEvent) -> bool {
-        if let Some(ty) = &self.ty {
-            if event.topic != *ty {
-                return false;
-            }
-        }
-        if let Some(source) = self.source {
-            if event.source != source {
-                return false;
-            }
-        }
-        if let Some(subject) = self.subject {
-            if event.subject() != Some(subject) {
-                return false;
-            }
-        }
-        true
+        self.matches_envelope(event)
+            && self
+                .subject
+                .is_none_or(|subject| event.subject() == Some(subject))
+    }
+
+    /// [`Topic::matches`] for a caller that has already extracted the
+    /// event's subject (the index does so once per publish rather than
+    /// once per candidate).
+    pub(crate) fn matches_with_subject(&self, event: &ContextEvent, subject: Option<Guid>) -> bool {
+        self.matches_envelope(event) && self.subject.is_none_or(|s| subject == Some(s))
+    }
+
+    /// The type and source constraints — everything readable without
+    /// walking the payload.
+    fn matches_envelope(&self, event: &ContextEvent) -> bool {
+        self.ty.as_ref().is_none_or(|ty| event.topic == *ty)
+            && self.source.is_none_or(|source| event.source == source)
     }
 
     /// Returns `true` if the topic has no constraints.

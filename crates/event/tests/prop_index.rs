@@ -3,8 +3,11 @@
 //! subscription ids, same subscribers, same events, same `last` flags,
 //! in the same order — for arbitrary interleavings of subscribe,
 //! targeted unsubscribe, subscriber purge and publish, over topics that
-//! exercise every index key family (wildcard, type, source, subject and
-//! conjunctions).
+//! exercise every index key family (wildcard, type, source, subject,
+//! the `(source, subject)` pair and the other conjunctions). A second
+//! property crowds one source with the shape composition produces —
+//! scores of topics differing only by subject — before running the same
+//! kind of schedule over it.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -36,13 +39,15 @@ enum Op {
     },
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
+/// Operations over `sources` sources and `subjects` subjects (and the
+/// four types).
+fn arb_op(sources: u8, subjects: u8) -> impl Strategy<Value = Op> {
     prop_oneof![
         (
             any::<u8>(),
             prop::option::of(0u8..4),
-            prop::option::of(0u8..4),
-            prop::option::of(0u8..4),
+            prop::option::of(0..sources),
+            prop::option::of(0..subjects),
             any::<bool>(),
         )
             .prop_map(
@@ -56,10 +61,12 @@ fn arb_op() -> impl Strategy<Value = Op> {
             ),
         any::<u8>().prop_map(|nth| Op::Unsubscribe { nth }),
         any::<u8>().prop_map(|subscriber| Op::UnsubscribeAll { subscriber }),
-        (0u8..4, 0u8..4, prop::option::of(0u8..4)).prop_map(|(source, ty, subject)| Op::Publish {
-            source,
-            ty,
-            subject
+        (0..sources, 0u8..4, prop::option::of(0..subjects)).prop_map(|(source, ty, subject)| {
+            Op::Publish {
+                source,
+                ty,
+                subject,
+            }
         }),
     ]
 }
@@ -74,11 +81,11 @@ fn ty_of(i: u8) -> ContextType {
 }
 
 fn source_of(i: u8) -> Guid {
-    Guid::from_u128(1000 + (i % 4) as u128)
+    Guid::from_u128(1000 + i as u128)
 }
 
 fn subject_of(i: u8) -> Guid {
-    Guid::from_u128(2000 + (i % 4) as u128)
+    Guid::from_u128(2000 + i as u128)
 }
 
 fn topic_of(ty: Option<u8>, source: Option<u8>, subject: Option<u8>) -> Topic {
@@ -95,70 +102,145 @@ fn topic_of(ty: Option<u8>, source: Option<u8>, subject: Option<u8>) -> Topic {
     t
 }
 
+/// Both buses plus every id issued so far; [`Buses::apply`] runs one
+/// operation on both and requires them to stay observably identical.
+#[derive(Default)]
+struct Buses {
+    indexed: EventBus,
+    oracle: LinearBus,
+    issued: Vec<SubId>,
+    t: u64,
+}
+
+impl Buses {
+    fn apply(&mut self, op: Op) -> Result<(), TestCaseError> {
+        match op {
+            Op::Subscribe {
+                subscriber,
+                ty,
+                source,
+                subject,
+                one_time,
+            } => {
+                let subscriber = Guid::from_u128(subscriber as u128 + 1);
+                let topic = topic_of(ty, source, subject);
+                let a = self.indexed.subscribe(subscriber, topic.clone(), one_time);
+                let b = self.oracle.subscribe(subscriber, topic, one_time);
+                prop_assert_eq!(a, b, "id allocation agrees");
+                self.issued.push(a);
+            }
+            Op::Unsubscribe { nth } => {
+                if self.issued.is_empty() {
+                    return Ok(());
+                }
+                let id = self.issued[nth as usize % self.issued.len()];
+                let a = self.indexed.unsubscribe(id);
+                let b = self.oracle.unsubscribe(id);
+                prop_assert_eq!(a.is_ok(), b.is_ok(), "unsubscribe outcome agrees");
+            }
+            Op::UnsubscribeAll { subscriber } => {
+                let subscriber = Guid::from_u128(subscriber as u128 + 1);
+                prop_assert_eq!(
+                    self.indexed.unsubscribe_all(subscriber),
+                    self.oracle.unsubscribe_all(subscriber)
+                );
+            }
+            Op::Publish {
+                source,
+                ty,
+                subject,
+            } => {
+                self.t += 1;
+                let payload = match subject {
+                    Some(s) => ContextValue::record([
+                        ("subject", ContextValue::Id(subject_of(s))),
+                        ("n", ContextValue::Int(self.t as i64)),
+                    ]),
+                    None => ContextValue::Int(self.t as i64),
+                };
+                let event = ContextEvent::new(
+                    source_of(source),
+                    ty_of(ty),
+                    payload,
+                    VirtualTime::from_micros(self.t),
+                );
+                prop_assert_eq!(
+                    self.indexed.publish(&event),
+                    self.oracle.publish(&event),
+                    "delivery sequences agree"
+                );
+            }
+        }
+        prop_assert_eq!(self.indexed.len(), self.oracle.len(), "live counts agree");
+        for &id in &self.issued {
+            prop_assert_eq!(self.indexed.is_live(id), self.oracle.is_live(id));
+            prop_assert_eq!(self.indexed.topic_of(id), self.oracle.topic_of(id));
+        }
+        Ok(())
+    }
+}
+
+/// Subjects the crowded property files on source 0 before its schedule.
+const CROWD: u8 = 72;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// Index and oracle stay observably identical across any schedule.
     #[test]
-    fn indexed_bus_equals_linear_oracle(ops in prop::collection::vec(arb_op(), 0..80)) {
-        let mut indexed = EventBus::new();
-        let mut oracle = LinearBus::new();
-        let mut issued: Vec<SubId> = Vec::new();
-        let mut t = 0u64;
-
+    fn indexed_bus_equals_linear_oracle(ops in prop::collection::vec(arb_op(4, 4), 0..80)) {
+        let mut buses = Buses::default();
         for op in ops {
-            match op {
-                Op::Subscribe { subscriber, ty, source, subject, one_time } => {
-                    let subscriber = Guid::from_u128(subscriber as u128 + 1);
-                    let topic = topic_of(ty, source, subject);
-                    let a = indexed.subscribe(subscriber, topic.clone(), one_time);
-                    let b = oracle.subscribe(subscriber, topic, one_time);
-                    prop_assert_eq!(a, b, "id allocation agrees");
-                    issued.push(a);
-                }
-                Op::Unsubscribe { nth } => {
-                    if issued.is_empty() {
-                        continue;
-                    }
-                    let id = issued[nth as usize % issued.len()];
-                    let a = indexed.unsubscribe(id);
-                    let b = oracle.unsubscribe(id);
-                    prop_assert_eq!(a.is_ok(), b.is_ok(), "unsubscribe outcome agrees");
-                }
-                Op::UnsubscribeAll { subscriber } => {
-                    let subscriber = Guid::from_u128(subscriber as u128 + 1);
-                    prop_assert_eq!(
-                        indexed.unsubscribe_all(subscriber),
-                        oracle.unsubscribe_all(subscriber)
-                    );
-                }
-                Op::Publish { source, ty, subject } => {
-                    t += 1;
-                    let payload = match subject {
-                        Some(s) => ContextValue::record([
-                            ("subject", ContextValue::Id(subject_of(s))),
-                            ("n", ContextValue::Int(t as i64)),
-                        ]),
-                        None => ContextValue::Int(t as i64),
-                    };
-                    let event = ContextEvent::new(
-                        source_of(source),
-                        ty_of(ty),
-                        payload,
-                        VirtualTime::from_micros(t),
-                    );
-                    prop_assert_eq!(
-                        indexed.publish(&event),
-                        oracle.publish(&event),
-                        "delivery sequences agree"
-                    );
-                }
-            }
-            prop_assert_eq!(indexed.len(), oracle.len(), "live counts agree");
-            for &id in &issued {
-                prop_assert_eq!(indexed.is_live(id), oracle.is_live(id));
-                prop_assert_eq!(indexed.topic_of(id), oracle.topic_of(id));
-            }
+            buses.apply(op)?;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The composed shape: source 0 carries one `(source, subject)`
+    /// topic for each of [`CROWD`] subjects, with a source-only,
+    /// subject-only, typed or wildcard topic slipped in between them, so
+    /// a publish there must merge the pair slice with every other family
+    /// in id order. Then an arbitrary schedule over the same subjects
+    /// (two sources, so half of it lands on the crowded one).
+    #[test]
+    fn crowded_source_equals_linear_oracle(
+        crowd in prop::collection::vec((0u8..5, any::<u8>(), any::<bool>()), CROWD as usize),
+        ops in prop::collection::vec(arb_op(2, CROWD), 0..120),
+    ) {
+        let mut buses = Buses::default();
+        for (subject, (between, subscriber, one_time)) in (0..CROWD).zip(crowd) {
+            buses.apply(Op::Subscribe {
+                subscriber,
+                ty: Some(0),
+                source: Some(0),
+                subject: Some(subject),
+                one_time,
+            })?;
+            let (ty, source, about) = match between {
+                0 => (None, Some(0), None),
+                1 => (None, None, Some(subject)),
+                2 => (Some(0), None, None),
+                3 => (None, None, None),
+                _ => continue,
+            };
+            buses.apply(Op::Subscribe {
+                subscriber: subscriber.wrapping_add(1),
+                ty,
+                source,
+                subject: about,
+                one_time: false,
+            })?;
+        }
+        // One read per crowded subject, so every pair slice is exercised
+        // (and every one-time pair consumed) whatever `ops` drew.
+        for subject in 0..CROWD {
+            buses.apply(Op::Publish { source: 0, ty: 0, subject: Some(subject) })?;
+        }
+        for op in ops {
+            buses.apply(op)?;
         }
     }
 }

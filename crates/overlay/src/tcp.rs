@@ -20,8 +20,11 @@
 //!   gossip list of known peers) or `REJECT` on version mismatch.
 //!   When the two registration digests differ, a three-step
 //!   anti-entropy exchange (`OFFER` → `DELTA` → `DELTA`) runs before
-//!   either side trusts the link, so late joiners converge on the
-//!   federation's replicated registration state during `join`.
+//!   either side trusts the link, and the acceptor closes it with
+//!   `SYNC_DONE` once it has merged the dialer's delta: the dialer
+//!   waits for that, so a returned dial means both stores converged
+//!   and late joiners hold the federation's replicated registration
+//!   state when `join` returns.
 //! * **Acked sends**: [`Transport::send`] writes the frame and blocks
 //!   until the receiver acknowledges *enqueue* into its inbox. The
 //!   inbox observed by any [`Transport::drain`] is therefore a pure
@@ -52,8 +55,9 @@ use crate::stats::LoadStats;
 use crate::transport::Transport;
 
 /// Protocol version spoken by this build; a handshake between
-/// different versions is rejected.
-pub const TCP_PROTOCOL_VERSION: u32 = 1;
+/// different versions is rejected. Version 2 added the `SYNC_DONE`
+/// frame a dialer waits for, which a version-1 acceptor never sends.
+pub const TCP_PROTOCOL_VERSION: u32 = 2;
 
 // Control-frame tags sit above the 0–8 range MessageKind occupies, so
 // a frame's role is readable from its tag alone.
@@ -63,6 +67,7 @@ const TAG_REJECT: u8 = 0xE2;
 const TAG_SYNC_OFFER: u8 = 0xE3;
 const TAG_SYNC_DELTA: u8 = 0xE4;
 const TAG_ACK: u8 = 0xE5;
+const TAG_SYNC_DONE: u8 = 0xE6;
 
 /// Socket read timeout: the granularity at which reader and acceptor
 /// threads notice shutdown.
@@ -659,7 +664,7 @@ fn handle_frame(
         }
         // Handshake frames never arrive after a connection is live;
         // drop them rather than corrupting connection state.
-        TAG_HELLO | TAG_WELCOME | TAG_REJECT | TAG_SYNC_OFFER => true,
+        TAG_HELLO | TAG_WELCOME | TAG_REJECT | TAG_SYNC_OFFER | TAG_SYNC_DONE => true,
         tag if tag <= 8 => {
             let mut r = wire::Reader::new(&frame.payload);
             let parsed = r.u64().ok().and_then(|seq| {
@@ -786,6 +791,13 @@ fn handle_accept(shared: &Arc<NodeShared>, mut stream: TcpStream) -> SciResult<(
         }
         drop(store);
         shared.counters.sync_rounds.inc();
+        // The dialer blocks on this: "connected" implies "converged".
+        write_frame_direct(
+            &mut stream,
+            &Frame::new(TAG_SYNC_DONE, Vec::new()),
+            &shared.counters,
+        )
+        .map_err(|e| SciError::Codec(format!("sync-done write: {e}")))?;
     }
 
     finish_conn(shared, stream, dec, hello.guid);
@@ -866,6 +878,15 @@ fn dial(local: &Arc<NodeShared>, addr: SocketAddr) -> SciResult<Guid> {
         // state machine sees a fixed three-message exchange.
         write_frame_direct(&mut stream, &delta_frame(&wanted, &[]), &local.counters)
             .map_err(io_err)?;
+        // The acceptor merges that delta on its own thread; wait for its
+        // word that it has, or the caller could read a stale digest.
+        let done = read_frame_sync(&mut stream, &mut dec, local)?;
+        if done.tag != TAG_SYNC_DONE {
+            return Err(SciError::Codec(format!(
+                "expected SYNC_DONE, got tag {:#04x}",
+                done.tag
+            )));
+        }
         local.counters.sync_rounds.inc();
     }
 

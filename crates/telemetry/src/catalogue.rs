@@ -10,6 +10,7 @@
 
 /// Every statically-named metric the workspace registers.
 pub const METRICS: &[&str] = &[
+    "bus.candidates.count",
     "bus.deliver.count",
     "bus.fanout",
     "bus.publish.count",

@@ -17,6 +17,7 @@
 //! structure ready to be split across worker threads later.
 
 use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash};
 
@@ -136,11 +137,13 @@ impl<K: Hash + Eq, V> ShardMap<K, V> {
     /// produced by `default` first if absent.
     pub fn get_or_insert_with(&mut self, key: K, default: impl FnOnce() -> V) -> &mut V {
         let idx = self.shard_of(&key);
-        let shard = &mut self.shards[idx];
-        if !shard.contains_key(&key) {
-            self.len += 1;
+        match self.shards[idx].entry(key) {
+            Entry::Occupied(slot) => slot.into_mut(),
+            Entry::Vacant(slot) => {
+                self.len += 1;
+                slot.insert(default())
+            }
         }
-        shard.entry(key).or_insert_with(default)
     }
 
     /// Retains only the entries for which `keep` returns `true`.

@@ -19,9 +19,9 @@ ratio, overriding the global threshold), or a dict
 metrics, where a regression is a *drop*: the run fails when
 ``current/baseline < 1/limit`` instead of ``> limit``. Gated today:
 the indexed-dispatch latency of e9 (``indexed_us`` at the global
-threshold), the federation phase timings of e10 (``barrier_us`` /
-``relay_us`` at 3.0x — noisier multi-thread paths get the wider band),
-e10's streaming throughput (``sustained_kevents_s``, direction-aware
+threshold, on its ``publish`` and ``composed`` row groups alike), the
+federation phase timings of e10 (``barrier_us`` / ``relay_us`` at
+3.0x — noisier multi-thread paths get the wider band), e10's streaming throughput (``sustained_kevents_s``, direction-aware
 at 3.0x), and e11's mobility row (``handoff_p99_us`` at 3.0x plus its
 own direction-aware ``sustained_kevents_s``). Everything else — the
 linear oracle, resolver plans, serial sweeps, footprint figures — is
@@ -47,9 +47,14 @@ import sys
 # gated at that per-metric ratio.
 SCHEMAS = {
     "e9_dispatch": {
-        "key": ("group", "total_subs", "distractors"),
+        # `subjects` appears on `composed` rows only.
+        "key": ("group", "subjects", "total_subs", "distractors"),
         "metrics": {
-            "indexed_us": True,  # the regression gate
+            # The regression gate, on both row groups: mixed tables
+            # (`publish`) and the Figure-3 shared-source shape
+            # (`composed`), where a lost pair key shows as a cost
+            # linear in subjects.
+            "indexed_us": True,
             "linear_us": False,
             "plan_us": False,
         },
