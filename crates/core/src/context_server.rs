@@ -800,13 +800,8 @@ impl ContextServer {
                 .iter()
                 .find(|c| c.attr == "subject")
                 .and_then(|c| c.value.as_id());
-            config.max_age = constraints
-                .iter()
-                .find(|c| c.attr == "qoc-max-age-us")
-                .and_then(|c| c.value.as_int())
-                .filter(|&us| us >= 0)
-                .map(|us| VirtualDuration::from_micros(us as u64));
         }
+        config.max_age = query.max_age();
 
         // Subscribe the CAA to each root producer, using the producer's
         // concrete output type (which may be a semantic equivalent of

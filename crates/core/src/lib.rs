@@ -80,6 +80,7 @@ pub mod migration;
 pub mod profile_manager;
 pub mod range_service;
 pub mod registrar;
+pub mod relay;
 pub mod resolver;
 pub mod runtime;
 mod seen;

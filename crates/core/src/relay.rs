@@ -1,0 +1,1299 @@
+//! The relay core: the one inter-range protocol both federation
+//! drivers speak.
+//!
+//! The paper joins Ranges through a single overlay, the SCINET, with a
+//! Context Server per Range behind it (Section 3). [`RelayCore`] is
+//! that protocol and all of its state: the transport, the place
+//! directories, application home ranges and their inboxes, the
+//! exactly-once `(origin, seq)` filter, parked relays and the
+//! `federation.*` instruments. It owns the only copy of query
+//! forwarding, event/answer relay, entity migration, retry/backoff,
+//! park-and-re-fire and receiver-side dedup.
+//!
+//! What the two drivers differ in is *how a range executes*: inline in
+//! the caller's thread ([`crate::federation::Federation`], whose hosts
+//! are bare [`ContextServer`]s) or on a worker thread behind a mailbox
+//! ([`crate::runtime::ParallelFederation`], whose hosts are
+//! [`crate::runtime::RangeRuntime`]s). That difference is the
+//! `RangeHost` seam — send a command, collect the traffic it produced —
+//! and nothing else: the core contains no threads, talks to the
+//! [`Transport`] directly, and reads no clock except to time its own
+//! telemetry.
+//!
+//! # Reliable relay protocol
+//!
+//! Cross-range relays ride an *envelope*: every relayed delivery,
+//! deferred answer or migration packet carries the producing node's
+//! GUID (`origin`) and a per-origin monotonic sequence number (`seq`).
+//! Deliveries and answers take theirs from the producing server's
+//! durable stream counters, so a WAL-recovered range re-offers its
+//! unrelayed traffic under the *same* envelopes; each traffic class
+//! counts in its own high-bit namespace. The sender retries a failed
+//! relay up to [`RELAY_RETRIES`] times with exponential backoff
+//! accounted in virtual time, then parks it for the next pump — so a
+//! relay survives any outage that eventually heals. The receiver
+//! discards envelopes it has already seen (local-home traffic passes
+//! the same filter). Together that turns the transport's at-least-once
+//! behaviour (retransmissions, ack loss, duplication faults) into
+//! exactly-once delivery, counted by `federation.retry.attempts` and
+//! `federation.relay.dedup_hits`.
+//!
+//! A migration packet is marked seen only once its target has applied
+//! it: a packet that finds no live host is parked like an unroutable
+//! one and re-fired every pump until the range is back.
+
+use std::collections::HashMap;
+use std::time::Instant;
+
+use bytes::Bytes;
+
+use sci_location::floorplan::FloorPlan;
+use sci_overlay::message::{Message, MessageKind};
+use sci_overlay::stats::LoadStats;
+use sci_overlay::transport::Transport;
+use sci_query::codec as qcodec;
+use sci_query::xml::{parse, Element};
+use sci_query::Query;
+use sci_telemetry::{Registry, TelemetrySnapshot, Tracer};
+use sci_types::guid::GuidGenerator;
+use sci_types::{
+    FederationModel, FreshnessBound, Guid, MessageClassModel, RangeModel, RetryModel, RouteClaim,
+    SciError, SciResult, VirtualDuration, VirtualTime,
+};
+
+use crate::context_server::{AppDelivery, ContextServer, DeferredAnswer, QueryAnswer, RangeReply};
+use crate::federation::{answer_element, answer_from_element, answer_to_xml};
+use crate::migration::MigrationPacket;
+use crate::runtime::{blueprint_model, RangeCommand};
+use crate::seen::{SeenEnvelopes, SEQ_NS_SHIFT};
+use crate::telemetry::{elapsed_us, fold_load_stats, FedMetrics};
+
+pub(crate) use host::RangeHost;
+
+/// In-call retransmissions attempted for a failed relay before it is
+/// parked for the next pump.
+pub const RELAY_RETRIES: u32 = 4;
+
+/// Base of the exponential retry backoff, accounted in virtual time
+/// (the arrival time of a retried relay is pushed back by
+/// `base * (2^attempt - 1)`).
+pub const RETRY_BACKOFF_BASE_US: u64 = 500;
+
+/// Envelope-sequence namespace bit for deferred-answer relays. Servers
+/// mint delivery and answer sequences from *separate* durable
+/// counters; the exactly-once filter keys on a single `(origin, seq)`
+/// set, so each class gets a disjoint high-bit namespace to keep a
+/// delivery from shadowing an answer with the same count.
+const ANSWER_SEQ_NS: u64 = 1 << SEQ_NS_SHIFT;
+
+/// Envelope-sequence namespace bit for migration relays, the one class
+/// the core mints itself (a migration is a range-pair operation, not
+/// stream traffic).
+const MIGRATE_SEQ_NS: u64 = 2 << SEQ_NS_SHIFT;
+
+/// Drained items paired with the envelope sequence their server minted.
+pub(crate) type Sequenced<T> = Vec<(u64, T)>;
+
+/// Everything a range has produced for the relay since it was last
+/// asked: application deliveries, then deferred answers, each in
+/// production order.
+pub(crate) type Stream = (Sequenced<AppDelivery>, Sequenced<DeferredAnswer>);
+
+// Public so it can bound the public core; declared in a private module
+// so nothing outside the crate can name or implement it.
+mod host {
+    use super::*;
+
+    /// How the relay core reaches one range, whichever thread the
+    /// range's Context Server runs on. Implemented by [`ContextServer`]
+    /// (inline) and [`crate::runtime::RangeRuntime`] (mailbox); a test
+    /// can script one.
+    pub trait RangeHost {
+        /// The range's SCINET GUID.
+        fn id(&self) -> Guid;
+        /// The range's name.
+        fn name(&self) -> &str;
+        /// The floor plan the range covers.
+        fn plan(&self) -> &FloorPlan;
+        /// The range's telemetry registry.
+        fn registry(&self) -> &Registry;
+        /// Executes one command at `now` and returns its reply;
+        /// [`SciError::RangeDown`] when nobody is serving the range.
+        fn call(&mut self, cmd: RangeCommand, now: VirtualTime) -> SciResult<RangeReply>;
+        /// Takes what the range has produced for the relay so far.
+        fn drain_stream(&mut self) -> Stream;
+    }
+}
+
+impl RangeHost for ContextServer {
+    fn id(&self) -> Guid {
+        ContextServer::id(self)
+    }
+
+    fn name(&self) -> &str {
+        ContextServer::name(self)
+    }
+
+    fn plan(&self) -> &FloorPlan {
+        self.location().plan()
+    }
+
+    fn registry(&self) -> &Registry {
+        self.telemetry()
+    }
+
+    fn call(&mut self, cmd: RangeCommand, now: VirtualTime) -> SciResult<RangeReply> {
+        self.handle(cmd, now)
+    }
+
+    /// Moves the outbox and the deferred answers out of the server,
+    /// minting each item's envelope sequence from the server's durable
+    /// stream counters. Minting here (rather than in the core) is what
+    /// makes post-crash redelivery idempotent: replaying the same
+    /// commands against the same restored counters reproduces the same
+    /// sequences.
+    fn drain_stream(&mut self) -> Stream {
+        let mut stream = Stream::default();
+        for d in self.drain_outbox_impl() {
+            stream.0.push((self.next_stream_delivery_seq(), d));
+        }
+        for a in self.drain_answers_impl() {
+            stream.1.push((self.next_stream_answer_seq(), a));
+        }
+        stream
+    }
+}
+
+/// The result of a federated query submission.
+#[derive(Clone, Debug)]
+pub struct FederatedAnswer {
+    /// The answer (from the local or the remote Context Server).
+    pub answer: QueryAnswer,
+    /// Hops travelled (query forward + response), 0 for local answers.
+    pub hops: u32,
+    /// Network latency incurred, zero for local answers.
+    pub latency: VirtualDuration,
+}
+
+/// The inter-range protocol and its state, generic over the wire (`T`)
+/// and over how a range executes (`H`). Both federation drivers wrap
+/// one and dereference to it, so everything public here is part of
+/// both drivers' API.
+pub struct RelayCore<T: Transport, H: RangeHost> {
+    pub(crate) net: T,
+    /// The ranges currently being served, by node GUID.
+    pub(crate) hosts: HashMap<Guid, H>,
+    app_home: HashMap<Guid, Guid>,
+    inbox: HashMap<Guid, Vec<AppDelivery>>,
+    answers: HashMap<Guid, Vec<(Guid, QueryAnswer)>>,
+    /// Bootstrap place directory: place name → covering range node
+    /// (first range to advertise a place keeps it).
+    pub(crate) places: HashMap<String, Guid>,
+    /// Per-node place directories learned from `RangeAdvert` messages,
+    /// consulted before the bootstrap directory.
+    pub(crate) directories: HashMap<Guid, HashMap<String, Guid>>,
+    /// Freshness bounds per query, recorded at submission so relay
+    /// staleness can be judged without asking the producing range.
+    relay_max_age: HashMap<Guid, VirtualDuration>,
+    /// Envelopes already absorbed: the receiver-side half of
+    /// exactly-once relay.
+    seen_relays: SeenEnvelopes,
+    /// Relays that exhausted their in-call retries (or found no live
+    /// host); re-fired first on every pump, so eventual connectivity
+    /// means eventual delivery.
+    pending_relays: Vec<Message>,
+    /// Per-origin migration envelope counters.
+    migrate_seq: HashMap<Guid, u64>,
+    /// Wall-clock start of each in-flight migration, keyed by its
+    /// envelope: timed into `range.migrate.inflight_us` when the packet
+    /// is applied at its target.
+    migrate_started: HashMap<(Guid, u64), Instant>,
+    /// The supervision budget the driver declares in the protocol
+    /// model, if it restarts ranges at all.
+    pub(crate) restart_budget: Option<u32>,
+    pub(crate) ids: GuidGenerator,
+    pub(crate) metrics: FedMetrics,
+}
+
+impl<T: Transport, H: RangeHost> RelayCore<T, H> {
+    /// Creates an empty core over `net`; `seed` drives message-id
+    /// minting.
+    pub fn with_transport(net: T, seed: u64) -> Self {
+        RelayCore {
+            net,
+            hosts: HashMap::new(),
+            app_home: HashMap::new(),
+            inbox: HashMap::new(),
+            answers: HashMap::new(),
+            places: HashMap::new(),
+            directories: HashMap::new(),
+            relay_max_age: HashMap::new(),
+            seen_relays: SeenEnvelopes::default(),
+            pending_relays: Vec::new(),
+            migrate_seq: HashMap::new(),
+            migrate_started: HashMap::new(),
+            restart_budget: None,
+            ids: GuidGenerator::seeded(seed),
+            metrics: FedMetrics::new(),
+        }
+    }
+
+    /// Adds a range: it becomes an overlay node and the rooms of its
+    /// floor plan join the place directory (the first range to
+    /// advertise a place keeps it).
+    ///
+    /// # Errors
+    ///
+    /// Rejects duplicate node GUIDs or range names.
+    pub fn add_range(&mut self, host: H) -> SciResult<Guid> {
+        let id = host.id();
+        self.net.add_node(id, host.name())?;
+        // Replicate the range's registrations through the transport's
+        // anti-entropy store (a no-op on in-process transports), so a
+        // socket federation's late joiners converge on coverage during
+        // the peering handshake.
+        self.net
+            .publish_registration(id, &format!("range/{}", host.name()), &id.to_string())?;
+        for room in host.plan().rooms() {
+            self.places.entry(room.name.clone()).or_insert(id);
+            self.net
+                .publish_registration(id, &format!("place/{}", room.name), &id.to_string())?;
+        }
+        self.hosts.insert(id, host);
+        Ok(id)
+    }
+
+    /// Number of ranges being served.
+    pub fn len(&self) -> usize {
+        self.hosts.len()
+    }
+
+    /// Returns `true` when no ranges have been added.
+    pub fn is_empty(&self) -> bool {
+        self.hosts.is_empty()
+    }
+
+    /// The ranges being served, in GUID order. Sorted iteration keeps
+    /// the fault layer's PRNG draw sequence — and with it a whole chaos
+    /// schedule — a pure function of the seed (`HashMap` order is
+    /// randomised per process).
+    pub(crate) fn node_ids(&self) -> Vec<Guid> {
+        let mut ids: Vec<Guid> = self.hosts.keys().copied().collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Looks up a range's host by name.
+    pub fn host(&self, range: &str) -> Option<&H> {
+        self.hosts.get(&self.net.find_by_name(range)?)
+    }
+
+    /// Mutable access to a range's host by name.
+    ///
+    /// # Errors
+    ///
+    /// [`SciError::UnknownLocation`] for unknown range names;
+    /// [`SciError::Internal`] for a known range nobody is serving.
+    pub fn host_mut(&mut self, range: &str) -> SciResult<&mut H> {
+        let id = self.node_named(range)?;
+        self.host_at(id)
+    }
+
+    /// Stops serving a range and hands back its host. The overlay node,
+    /// the place directory and application homes stay registered, so a
+    /// replacement host can rejoin under the same identity.
+    ///
+    /// # Errors
+    ///
+    /// As for [`RelayCore::host_mut`].
+    pub(crate) fn retire(&mut self, range: &str) -> SciResult<H> {
+        let id = self.node_named(range)?;
+        self.hosts
+            .remove(&id)
+            .ok_or_else(|| SciError::Internal(format!("node {id} has no live host")))
+    }
+
+    fn node_named(&self, range: &str) -> SciResult<Guid> {
+        self.net
+            .find_by_name(range)
+            .ok_or_else(|| SciError::UnknownLocation(range.to_owned()))
+    }
+
+    fn host_at(&mut self, node: Guid) -> SciResult<&mut H> {
+        self.hosts
+            .get_mut(&node)
+            .ok_or_else(|| SciError::Internal(format!("node {node} has no live host")))
+    }
+
+    /// The range node advertising coverage of `place`, if any —
+    /// consulted at `at_node`'s local directory first (what that node
+    /// learned from `RangeAdvert` messages), falling back to the
+    /// bootstrap directory.
+    pub fn range_covering_from(&self, at_node: Guid, place: &str) -> Option<Guid> {
+        self.directories
+            .get(&at_node)
+            .and_then(|d| d.get(place).copied())
+            .or_else(|| self.range_covering(place))
+    }
+
+    /// The range node advertising coverage of `place`, if any (bootstrap
+    /// directory view).
+    pub fn range_covering(&self, place: &str) -> Option<Guid> {
+        self.places.get(place).copied()
+    }
+
+    /// Gives every node full overlay knowledge.
+    pub fn connect_full(&mut self) {
+        self.net.connect_full();
+    }
+
+    /// Cumulative overlay routing statistics.
+    pub fn network_stats(&self) -> &LoadStats {
+        self.net.stats()
+    }
+
+    /// Read access to the transport.
+    pub fn transport(&self) -> &T {
+        &self.net
+    }
+
+    /// Mutable access to the transport, for fault injection through a
+    /// [`sci_overlay::fault::FaultyTransport`] wrapper.
+    pub fn transport_mut(&mut self) -> &mut T {
+        &mut self.net
+    }
+
+    /// Installs a tracer on the relay path (unknown-app homing
+    /// decisions emit spans through it). Defaults to a no-op.
+    pub fn set_tracer(&mut self, tracer: Tracer) {
+        self.metrics.tracer = tracer;
+    }
+
+    /// Exports the pure protocol model of this federation: ranges,
+    /// links, the transport's declared fault schedule, retry/backoff
+    /// constants, the supervision budget, the freshness bounds recorded
+    /// at submission and every place-directory belief.
+    /// `sci_analysis::federation::verify_federation` checks the model
+    /// (SCI-A201..A207) before the runtime is trusted with traffic.
+    pub fn protocol_model(&self) -> FederationModel {
+        let mut ranges: Vec<RangeModel> = self
+            .hosts
+            .iter()
+            .map(|(&id, host)| RangeModel {
+                id,
+                name: host.name().to_owned(),
+            })
+            .collect();
+        ranges.sort_by_key(|r| r.id);
+
+        // The pump relays any-to-any, so the declared topology is the
+        // full mesh over ranges; partitions narrow it.
+        let mut links = Vec::new();
+        for a in &ranges {
+            for b in &ranges {
+                if a.id != b.id {
+                    links.push((a.id, b.id));
+                }
+            }
+        }
+
+        let mut freshness: Vec<FreshnessBound> = self
+            .relay_max_age
+            .iter()
+            .map(|(&query, &age)| FreshnessBound {
+                query,
+                max_age_us: age.as_micros(),
+            })
+            .collect();
+        freshness.sort_by_key(|f| f.query);
+
+        let mut routes = Vec::new();
+        for r in &ranges {
+            for place in self.places.keys() {
+                if let Some(coverer) = self.range_covering_from(r.id, place) {
+                    routes.push(RouteClaim {
+                        at: r.id,
+                        place: place.clone(),
+                        coverer,
+                    });
+                }
+            }
+        }
+        routes.sort_by(|a, b| (a.at, &a.place).cmp(&(b.at, &b.place)));
+
+        FederationModel {
+            ranges,
+            links,
+            faults: self.net.fault_model(),
+            transport_links: self.net.link_model(),
+            retry: RetryModel {
+                retries: RELAY_RETRIES,
+                backoff_base_us: RETRY_BACKOFF_BASE_US,
+            },
+            restart_budget: self.restart_budget,
+            freshness,
+            routes,
+            messages: relay_message_classes(),
+            blueprint: blueprint_model(),
+        }
+    }
+
+    /// Moves an entity between ranges as one first-class operation:
+    /// `migrate-out` packages its profile, advertisements, standing
+    /// queries, queued deliveries and deferred answers at the source;
+    /// the packet crosses the overlay as a [`MessageKind::Migrate`]
+    /// message inside the exactly-once `(origin, seq)` envelope (a
+    /// duplicated packet replays once, a dropped one is retransmitted
+    /// and eventually parked for the next pump, as is one whose target
+    /// has no live host); `migrate-in` replays it at the target. The
+    /// entity's home-range record moves *before* the packet ships, so
+    /// deliveries produced for it mid-move relay toward the new home.
+    /// Wall time from packaging to replay is recorded in
+    /// `range.migrate.inflight_us`.
+    ///
+    /// # Errors
+    ///
+    /// * [`SciError::UnknownLocation`] for unknown range names;
+    /// * [`SciError::UnknownEntity`] if the source range does not know
+    ///   the entity;
+    /// * [`SciError::RangeDown`] if the source range is not serving;
+    /// * codec/replay failures from the target range.
+    pub fn migrate_entity(
+        &mut self,
+        entity: Guid,
+        from: &str,
+        to: &str,
+        now: VirtualTime,
+    ) -> SciResult<()> {
+        let src = self.node_named(from)?;
+        let dst = self.node_named(to)?;
+        if src == dst {
+            return Ok(());
+        }
+        let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
+        let reply = self
+            .host_at(src)?
+            .call(RangeCommand::MigrateOut(entity), now)?;
+        let RangeReply::Migrated(xml) = reply else {
+            return Err(SciError::Internal(format!(
+                "migrate-out expected `migrated` reply, got `{}`",
+                reply.kind()
+            )));
+        };
+        // Re-home before the send: anything the mover's subscriptions
+        // produce while the packet is in flight must chase the new
+        // home, not pile up at the abandoned one.
+        self.app_home.insert(entity, dst);
+        let counter = self.migrate_seq.entry(src).or_insert(0);
+        *counter += 1;
+        let seq = *counter | MIGRATE_SEQ_NS;
+        let payload = Element::new("migrate")
+            .with_attr("entity", entity.to_string())
+            .with_attr("origin", src.to_string())
+            .with_attr("seq", seq.to_string())
+            .with_child(parse(&xml)?)
+            .to_xml();
+        self.migrate_started.insert((src, seq), started);
+        self.relay(src, dst, MessageKind::Migrate, payload, now)
+    }
+
+    /// Builds the degraded answer for a query whose target range could
+    /// not be consulted, counting it in `federation.answers.partial`.
+    fn degraded(&mut self, missing: Guid, reason: &str) -> FederatedAnswer {
+        self.metrics.partial_answers.inc();
+        let missing_range = self
+            .hosts
+            .get(&missing)
+            .map(|h| h.name().to_owned())
+            .unwrap_or_else(|| missing.to_string());
+        FederatedAnswer {
+            answer: QueryAnswer::Partial {
+                answer: Box::new(QueryAnswer::Forward {
+                    range: missing_range.clone(),
+                }),
+                missing_range,
+                reason: reason.to_owned(),
+            },
+            hops: 0,
+            latency: VirtualDuration::ZERO,
+        }
+    }
+
+    /// Submits a query at the application's current range, forwarding
+    /// over the SCINET if the Where clause targets another range.
+    ///
+    /// Graceful degradation: if the target range is known but cannot
+    /// currently be consulted — the overlay cannot reach it
+    /// (`unroutable`) or nobody is serving it (`range-down`) — the
+    /// submission does **not** error. It returns a
+    /// [`QueryAnswer::Partial`] naming the missing range, so the caller
+    /// can distinguish "nothing matched" from "somebody could not be
+    /// asked". Unknown range names still error.
+    ///
+    /// # Errors
+    ///
+    /// * [`SciError::UnknownLocation`] for unknown range names.
+    /// * [`SciError::RangeDown`] if the *home* range is not serving.
+    /// * Whatever the answering Context Server returns.
+    pub fn submit_from(
+        &mut self,
+        range: &str,
+        query: &Query,
+        now: VirtualTime,
+    ) -> SciResult<FederatedAnswer> {
+        let home = self.node_named(range)?;
+        self.app_home.insert(query.owner, home);
+        if let Some(max_age) = query.max_age() {
+            self.relay_max_age.insert(query.id, max_age);
+        }
+
+        let local = self
+            .host_at(home)?
+            .call(RangeCommand::Submit(Box::new(query.clone())), now)
+            .and_then(expect_answer);
+
+        // Decide where the query must go: an explicit Forward answer, or
+        // an UnknownLocation error resolved through the place directory
+        // (the lobby CS does not cover L10.01; the directory says
+        // level-ten does).
+        let dst = match local {
+            Ok(QueryAnswer::Forward { range: target }) => self
+                .net
+                .find_by_name(&target)
+                .ok_or(SciError::UnknownLocation(target))?,
+            Ok(answer) => {
+                return Ok(FederatedAnswer {
+                    answer,
+                    hops: 0,
+                    latency: VirtualDuration::ZERO,
+                });
+            }
+            Err(SciError::UnknownLocation(place)) => {
+                let covering = self
+                    .range_covering_from(home, &place)
+                    .ok_or(SciError::UnknownLocation(place))?;
+                if covering == home {
+                    return Err(SciError::Internal(format!(
+                        "range {home} rejected a place it advertises"
+                    )));
+                }
+                covering
+            }
+            Err(e) => return Err(e),
+        };
+
+        // Forward the query over the overlay (real codec, real routing).
+        let fwd = Message::new(
+            self.ids.next_guid(),
+            home,
+            dst,
+            MessageKind::QueryForward,
+            Bytes::from(qcodec::to_xml(query).into_bytes()),
+        );
+        let out_fwd = match self.net.send(fwd) {
+            Ok(o) => o,
+            Err(SciError::Unroutable { .. }) => return Ok(self.degraded(dst, "unroutable")),
+            Err(e) => return Err(e),
+        };
+        let arrival = now.saturating_add(out_fwd.latency);
+
+        // The destination processes its inbox. Unrelated traffic (late
+        // relay envelopes released by a fault layer) is absorbed rather
+        // than discarded.
+        let mut answer = None;
+        for msg in self.net.drain(dst) {
+            if msg.kind != MessageKind::QueryForward {
+                self.absorb(msg, arrival)?;
+                continue;
+            }
+            let xml = std::str::from_utf8(&msg.payload)
+                .map_err(|_| SciError::Codec("query payload is not UTF-8".into()))?;
+            let remote_query = qcodec::from_xml(xml)?;
+            answer = Some(
+                match self
+                    .host_at(dst)?
+                    .call(RangeCommand::Submit(Box::new(remote_query)), arrival)
+                    .and_then(expect_answer)
+                {
+                    Ok(a) => a,
+                    // Nobody is serving the target: degrade rather than
+                    // fail the whole submission.
+                    Err(SciError::RangeDown(_)) => return Ok(self.degraded(dst, "range-down")),
+                    Err(e) => return Err(e),
+                },
+            );
+        }
+        let answer = answer.ok_or_else(|| SciError::Internal("forwarded query vanished".into()))?;
+
+        // Route the response back.
+        let resp = Message::new(
+            self.ids.next_guid(),
+            dst,
+            home,
+            MessageKind::QueryResponse,
+            Bytes::from(answer_to_xml(&answer).into_bytes()),
+        );
+        let out_resp = match self.net.send(resp) {
+            Ok(o) => o,
+            // The remote range answered (a subscription it created stays
+            // live) but the answer could not travel home: degrade.
+            Err(SciError::Unroutable { .. }) => return Ok(self.degraded(dst, "unroutable")),
+            Err(e) => return Err(e),
+        };
+        let latency = out_fwd.latency + out_resp.latency;
+        let resp_arrival = now.saturating_add(latency);
+        let mut decoded = None;
+        for msg in self.net.drain(home) {
+            if msg.kind == MessageKind::QueryResponse {
+                let text = std::str::from_utf8(&msg.payload)
+                    .map_err(|_| SciError::Codec("answer payload is not UTF-8".into()))?;
+                let doc = parse(text)?;
+                if doc.name == "answer" {
+                    decoded = Some(answer_from_element(&doc)?);
+                    continue;
+                }
+            }
+            self.absorb(msg, resp_arrival)?;
+        }
+        let decoded = decoded.ok_or_else(|| SciError::Internal("response vanished".into()))?;
+
+        Ok(FederatedAnswer {
+            answer: decoded,
+            hops: out_fwd.hops + out_resp.hops,
+            latency,
+        })
+    }
+
+    /// Moves what every range has produced to its owners' home ranges,
+    /// relaying across the overlay where needed: release traffic a
+    /// fault layer held back, re-fire parked relays, route each range's
+    /// stream, then sweep every inbox.
+    ///
+    /// `now` is the logical time of the pump: a relayed delivery
+    /// arrives at `now` + route latency, and if that arrival violates
+    /// its query's freshness bound (`qoc-max-age-us`) it is dropped and
+    /// counted in [`RelayCore::relay_stale_drops`] — the cross-range
+    /// counterpart of the Context Server's local stale-drop accounting.
+    ///
+    /// # Errors
+    ///
+    /// Propagates non-routing failures (codec errors, dead inner
+    /// transports). Routing failures are retried, not propagated.
+    pub fn pump(&mut self, now: VirtualTime) -> SciResult<()> {
+        self.pump_settling(now, |_| {})
+    }
+
+    /// [`RelayCore::pump`] with a per-range hook that runs right before
+    /// that range's stream is taken — where the threaded driver waits
+    /// out its pipelined commands, one range at a time, so the other
+    /// workers keep running while this one's traffic is relayed.
+    pub(crate) fn pump_settling(
+        &mut self,
+        now: VirtualTime,
+        mut settle: impl FnMut(&mut H),
+    ) -> SciResult<()> {
+        self.net.flush();
+        self.retry_pending(now)?;
+        for node in self.node_ids() {
+            let Some(host) = self.hosts.get_mut(&node) else {
+                continue;
+            };
+            settle(host);
+            let (deliveries, answers) = host.drain_stream();
+            let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
+            for (seq, d) in deliveries {
+                self.metrics.stream_events.inc();
+                self.route_delivery(node, seq, d, now)?;
+            }
+            for (seq, a) in answers {
+                self.metrics.stream_answers.inc();
+                self.route_answer(node, seq, a, now)?;
+            }
+            self.metrics.relay_us.record(elapsed_us(started));
+        }
+        self.sweep(now)
+    }
+
+    /// The home range of `app`. An app with no recorded home is *not*
+    /// silently homed: the decision is counted in
+    /// `federation.relay.unknown_app` and traced, then its traffic is
+    /// kept at the producing range (the only safe default — it is where
+    /// the subscription lives).
+    fn home_of(&mut self, app: Guid, producer: Guid) -> Guid {
+        match self.app_home.get(&app) {
+            Some(&home) => home,
+            None => {
+                self.metrics.relay_unknown_app.inc();
+                let mut span = self.metrics.tracer.span("federation.relay.unknown-app");
+                span.field("app", app);
+                span.field("origin", producer);
+                producer
+            }
+        }
+    }
+
+    /// Routes one application delivery produced at `node` under its
+    /// server-minted envelope sequence: local-home traffic lands in the
+    /// inbox, cross-range traffic travels the overlay in an
+    /// exactly-once `(origin, seq)` envelope. Local traffic passes the
+    /// same `seen_relays` filter the overlay path uses, so a
+    /// WAL-recovered range re-streaming traffic it already handed over
+    /// before the crash deduplicates to exactly-once on both paths.
+    fn route_delivery(
+        &mut self,
+        node: Guid,
+        seq: u64,
+        d: AppDelivery,
+        now: VirtualTime,
+    ) -> SciResult<()> {
+        let home = self.home_of(d.app, node);
+        if home == node {
+            if self.seen_relays.insert((node, seq)) {
+                self.inbox.entry(d.app).or_default().push(d);
+            } else {
+                self.metrics.relay_dedup_hits.inc();
+            }
+            return Ok(());
+        }
+        let payload = Element::new("relay")
+            .with_attr("app", d.app.to_string())
+            .with_attr("query", d.query.to_string())
+            .with_attr("origin", node.to_string())
+            .with_attr("seq", seq.to_string())
+            .with_child(qcodec::event_to_element(&d.event))
+            .to_xml();
+        self.metrics.relay_events.inc();
+        self.relay(node, home, MessageKind::EventRelay, payload, now)
+    }
+
+    /// Routes one deferred answer produced at `node` — the
+    /// `route_delivery` twin for the `answer-relay` envelope (the CAPA
+    /// lobby→Level-Ten pattern in reverse). The server-minted sequence
+    /// is shifted into the answer namespace so answer and delivery
+    /// counters cannot collide in the shared `(origin, seq)` filter.
+    fn route_answer(
+        &mut self,
+        node: Guid,
+        seq: u64,
+        (query, owner, answer): DeferredAnswer,
+        now: VirtualTime,
+    ) -> SciResult<()> {
+        let seq = seq | ANSWER_SEQ_NS;
+        let home = self.home_of(owner, node);
+        if home == node {
+            if self.seen_relays.insert((node, seq)) {
+                self.answers.entry(owner).or_default().push((query, answer));
+            } else {
+                self.metrics.relay_dedup_hits.inc();
+            }
+            return Ok(());
+        }
+        let payload = Element::new("answer-relay")
+            .with_attr("app", owner.to_string())
+            .with_attr("query", query.to_string())
+            .with_attr("origin", node.to_string())
+            .with_attr("seq", seq.to_string())
+            .with_child(answer_element(&answer))
+            .to_xml();
+        self.metrics.relay_answers.inc();
+        self.relay(node, home, MessageKind::QueryResponse, payload, now)
+    }
+
+    /// Wraps a serialised envelope document in a fresh overlay message
+    /// and sends it reliably.
+    fn relay(
+        &mut self,
+        src: Guid,
+        dst: Guid,
+        kind: MessageKind,
+        payload: String,
+        now: VirtualTime,
+    ) -> SciResult<()> {
+        let payload = Bytes::from(payload.into_bytes());
+        let msg = Message::new(self.ids.next_guid(), src, dst, kind, payload);
+        self.send_reliable(msg, now)
+    }
+
+    /// Sends a relay envelope with up to [`RELAY_RETRIES`]
+    /// retransmissions under exponential backoff (accounted in virtual
+    /// time: each retry pushes the arrival stamp back by the
+    /// accumulated wait). An envelope that exhausts its retries is
+    /// parked in `pending_relays` for the next pump, so any outage that
+    /// eventually heals cannot lose it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates non-routing transport failures.
+    fn send_reliable(&mut self, msg: Message, now: VirtualTime) -> SciResult<()> {
+        let mut backoff = VirtualDuration::ZERO;
+        let mut wait = RETRY_BACKOFF_BASE_US;
+        for attempt in 0..=RELAY_RETRIES {
+            if attempt > 0 {
+                self.metrics.retry_attempts.inc();
+                backoff += VirtualDuration::from_micros(wait);
+                wait = wait.saturating_mul(2);
+            }
+            match self.net.send(msg.clone()) {
+                Ok(outcome) => {
+                    let arrival = now.saturating_add(outcome.latency).saturating_add(backoff);
+                    return self.absorb_landed(msg.dst, arrival);
+                }
+                Err(SciError::Unroutable { .. }) => continue,
+                Err(e) => return Err(e),
+            }
+        }
+        self.park(msg);
+        Ok(())
+    }
+
+    /// Parks an envelope for the next pump's re-fire.
+    fn park(&mut self, msg: Message) {
+        self.metrics.retry_parked.inc();
+        self.pending_relays.push(msg);
+    }
+
+    /// Retransmits every parked relay once. Still-unroutable envelopes
+    /// go back in the park; a success is absorbed immediately.
+    fn retry_pending(&mut self, now: VirtualTime) -> SciResult<()> {
+        if self.pending_relays.is_empty() {
+            return Ok(());
+        }
+        let mut parked = std::mem::take(&mut self.pending_relays);
+        // Canonical re-fire order — the same discipline as the sorted
+        // node iteration in `pump`/`sweep`: message ids are minted
+        // monotonically from the seed, so `(dst, id)` preserves each
+        // destination's send order while making the fault layer's PRNG
+        // draw sequence independent of park insertion history.
+        parked.sort_unstable_by_key(|m| (m.dst, m.id));
+        for msg in parked {
+            self.metrics.retry_attempts.inc();
+            match self.net.send(msg.clone()) {
+                Ok(outcome) => self.absorb_landed(msg.dst, now.saturating_add(outcome.latency))?,
+                Err(SciError::Unroutable { .. }) => self.pending_relays.push(msg),
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Drains every node's inbox and absorbs what landed: late
+    /// arrivals from ack-lost sends, duplicates, and traffic released
+    /// by [`Transport::flush`] all reach their applications here.
+    fn sweep(&mut self, now: VirtualTime) -> SciResult<()> {
+        for node in self.node_ids() {
+            self.absorb_landed(node, now)?;
+        }
+        Ok(())
+    }
+
+    /// Absorbs everything in `node`'s overlay inbox. Every message is
+    /// attempted — one undecodable payload must not strand the
+    /// well-formed traffic drained beside it — and the first failure is
+    /// returned afterwards.
+    fn absorb_landed(&mut self, node: Guid, arrival: VirtualTime) -> SciResult<()> {
+        let mut first_error = None;
+        for m in self.net.drain(node) {
+            if let Err(e) = self.absorb(m, arrival) {
+                first_error.get_or_insert(e);
+            }
+        }
+        first_error.map_or(Ok(()), Err)
+    }
+
+    /// Delivers one overlay message to its application behind the
+    /// exactly-once filter: an envelope `(origin, seq)` already seen is
+    /// counted in `federation.relay.dedup_hits` and discarded. Event
+    /// relays are additionally checked against their query's freshness
+    /// bound at `arrival`. Non-relay traffic (stray query forwards and
+    /// answers from degraded submissions) is dropped.
+    ///
+    /// An envelope is recorded only once its payload has decoded, so a
+    /// mangled copy cannot mask the well-formed retransmission; a
+    /// migration only once its target has applied it.
+    ///
+    /// # Errors
+    ///
+    /// [`SciError::Codec`] for an undecodable relay; migration replay
+    /// failures from the target range.
+    fn absorb(&mut self, m: Message, arrival: VirtualTime) -> SciResult<()> {
+        // `doc` deliberately lives until the relay has been handed
+        // over: freeing its many small strings before the inbox
+        // allocates fragments the heap, measurably (control_churn +4 %).
+        let Some(doc) = relay_document(&m).map_err(as_codec)? else {
+            return Ok(());
+        };
+        let (envelope, relayed) = decode_relay(m.kind, &doc).map_err(as_codec)?;
+        if self.seen_relays.contains(envelope) {
+            self.metrics.relay_dedup_hits.inc();
+            return Ok(());
+        }
+        match relayed {
+            Relayed::Delivery(d) => {
+                self.seen_relays.insert(envelope);
+                let stale = self
+                    .relay_max_age
+                    .get(&d.query)
+                    .is_some_and(|&max| arrival.saturating_since(d.event.timestamp) > max);
+                if stale {
+                    self.metrics.relay_stale_drops.inc();
+                } else {
+                    self.inbox.entry(d.app).or_default().push(d);
+                }
+                Ok(())
+            }
+            Relayed::Answer { app, query, answer } => {
+                self.seen_relays.insert(envelope);
+                self.answers.entry(app).or_default().push((query, answer));
+                Ok(())
+            }
+            Relayed::Migration(packet) => {
+                // A request/response call, never a pipelined cast: a
+                // shedding mailbox may drop casts, and a shed migration
+                // packet is a vanished entity.
+                let replayed = self
+                    .hosts
+                    .get_mut(&m.dst)
+                    .map(|host| host.call(RangeCommand::MigrateIn(Box::new(packet)), arrival));
+                let replayed = match replayed {
+                    // Nobody is serving the target. The entity has
+                    // already left its source, so the packet must
+                    // outlive the outage: park it, unseen, until a pump
+                    // finds the range back.
+                    None | Some(Err(SciError::RangeDown(_))) => {
+                        self.park(m);
+                        return Ok(());
+                    }
+                    Some(replayed) => replayed,
+                };
+                self.seen_relays.insert(envelope);
+                if let Some(started) = self.migrate_started.remove(&envelope) {
+                    self.metrics.migrate_inflight.record(elapsed_us(started));
+                }
+                replayed.map(drop)
+            }
+        }
+    }
+
+    /// Relayed deliveries dropped for violating their query's
+    /// freshness bound after crossing the overlay.
+    pub fn relay_stale_drops(&self) -> u64 {
+        self.metrics.relay_stale_drops.get()
+    }
+
+    /// Duplicate relay envelopes discarded by the receiver-side
+    /// exactly-once filter.
+    pub fn relay_dedup_hits(&self) -> u64 {
+        self.metrics.relay_dedup_hits.get()
+    }
+
+    /// Relay retransmissions attempted (in-call retries plus
+    /// parked-envelope retries; first attempts are not counted).
+    pub fn retry_attempts(&self) -> u64 {
+        self.metrics.retry_attempts.get()
+    }
+
+    /// Deliveries and answers whose application had no recorded home
+    /// range (counted, traced, and kept at the producing range instead
+    /// of being silently homed).
+    pub fn relay_unknown_app(&self) -> u64 {
+        self.metrics.relay_unknown_app.get()
+    }
+
+    /// Relays that exhausted their in-call retries (or found no live
+    /// host) and were parked for later pumps.
+    pub fn retry_parked(&self) -> u64 {
+        self.metrics.retry_parked.get()
+    }
+
+    /// Degraded (partial) query answers returned by
+    /// [`RelayCore::submit_from`].
+    pub fn partial_answers(&self) -> u64 {
+        self.metrics.partial_answers.get()
+    }
+
+    /// Relays currently parked awaiting connectivity.
+    pub fn pending_relay_count(&self) -> usize {
+        self.pending_relays.len()
+    }
+
+    /// Freezes a federation-wide telemetry view: the relay's own
+    /// `federation.*` instruments, every served range's registry (bus,
+    /// command, resolver and runtime instruments — readable while
+    /// workers run, since all counters are atomics), the overlay's
+    /// routing stats folded in under the `net.*` names, and the
+    /// transport's own registry if it keeps one (fault injection
+    /// counters).
+    pub fn snapshot(&self) -> TelemetrySnapshot {
+        let mut snap = self.metrics.registry.snapshot();
+        for host in self.hosts.values() {
+            snap.merge(&host.registry().snapshot());
+        }
+        snap.merge(&fold_load_stats(self.net.stats()));
+        if let Some(faults) = self.net.telemetry() {
+            snap.merge(&faults.snapshot());
+        }
+        snap
+    }
+
+    /// Removes and returns the deliveries waiting for an application.
+    pub fn deliveries_for(&mut self, app: Guid) -> Vec<AppDelivery> {
+        self.inbox.remove(&app).unwrap_or_default()
+    }
+
+    /// Removes and returns deferred answers waiting for an application.
+    pub fn answers_for(&mut self, app: Guid) -> Vec<(Guid, QueryAnswer)> {
+        self.answers.remove(&app).unwrap_or_default()
+    }
+}
+
+fn expect_answer(reply: RangeReply) -> SciResult<QueryAnswer> {
+    match reply {
+        RangeReply::Answer(answer) => Ok(answer),
+        other => Err(SciError::Internal(format!(
+            "submit expected `answer` reply, got `{}`",
+            other.kind()
+        ))),
+    }
+}
+
+/// The decoded body of one enveloped relay message.
+enum Relayed {
+    Delivery(AppDelivery),
+    Answer {
+        app: Guid,
+        query: Guid,
+        answer: QueryAnswer,
+    },
+    Migration(MigrationPacket),
+}
+
+/// Parses the payload of an overlay message that may be a relay and
+/// checks its root element. Total: any payload yields a value or an
+/// error, never a panic. `Ok(None)` is traffic that is not a relay at
+/// all — other message kinds, and the bare `<answer>` of a query
+/// round-trip whose submission already degraded.
+fn relay_document(m: &Message) -> SciResult<Option<Element>> {
+    let root = match m.kind {
+        MessageKind::EventRelay => "relay",
+        MessageKind::QueryResponse => "answer-relay",
+        MessageKind::Migrate => "migrate",
+        _ => return Ok(None),
+    };
+    let text = std::str::from_utf8(&m.payload)
+        .map_err(|_| SciError::Codec(format!("{root} payload is not UTF-8")))?;
+    let doc = parse(text)?;
+    if doc.name == root {
+        Ok(Some(doc))
+    } else if m.kind == MessageKind::QueryResponse && doc.name == "answer" {
+        Ok(None)
+    } else {
+        Err(SciError::Codec(format!(
+            "expected <{root}>, found <{}>",
+            doc.name
+        )))
+    }
+}
+
+/// Decodes a relay document of the given kind into its envelope and
+/// body (total, like [`relay_document`]).
+fn decode_relay(kind: MessageKind, doc: &Element) -> SciResult<((Guid, u64), Relayed)> {
+    let seq = required_attr(doc, "seq")?;
+    let envelope = (
+        required_attr(doc, "origin")?.parse()?,
+        seq.parse()
+            .map_err(|_| SciError::Codec(format!("bad relay seq {seq:?}")))?,
+    );
+    let relayed = match kind {
+        MessageKind::EventRelay => Relayed::Delivery(AppDelivery {
+            app: required_attr(doc, "app")?.parse()?,
+            query: required_attr(doc, "query")?.parse()?,
+            event: qcodec::event_from_element(doc.require_child("event")?)?,
+        }),
+        MessageKind::QueryResponse => Relayed::Answer {
+            app: required_attr(doc, "app")?.parse()?,
+            query: required_attr(doc, "query")?.parse()?,
+            answer: answer_from_element(doc.require_child("answer")?)?,
+        },
+        _ => Relayed::Migration(MigrationPacket::from_element(
+            doc.require_child("migration")?,
+        )?),
+    };
+    Ok((envelope, relayed))
+}
+
+fn required_attr<'a>(doc: &'a Element, key: &str) -> SciResult<&'a str> {
+    doc.attr(key)
+        .ok_or_else(|| SciError::Codec(format!("<{}> missing `{key}`", doc.name)))
+}
+
+/// Every way a relay payload can fail to decode is a wire codec error.
+fn as_codec(e: SciError) -> SciError {
+    match e {
+        SciError::Codec(_) => e,
+        other => SciError::Codec(other.to_string()),
+    }
+}
+
+/// The cross-range message classes the relay exchanges, with their
+/// delivery discipline: the retried classes (event and answer relays,
+/// migration packets) carry the `(origin, seq)` dedup envelope; the
+/// synchronous query round-trip and the idempotent advert broadcast
+/// are fire-once and travel bare. SCI-A205 holds every retried class
+/// to the envelope.
+fn relay_message_classes() -> Vec<MessageClassModel> {
+    let class = |name: &str, retried: bool, enveloped: bool| MessageClassModel {
+        name: name.to_owned(),
+        crosses_ranges: true,
+        retried,
+        enveloped,
+    };
+    vec![
+        class("query-forward", false, false),
+        class("query-response", false, false),
+        class("range-advert", false, false),
+        class("event-relay", true, true),
+        class("answer-relay", true, true),
+        class("migrate", true, true),
+    ]
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use super::*;
+    use sci_location::floorplan::capa_level10;
+    use sci_overlay::net::SimNetwork;
+    use sci_types::{ContextEvent, ContextType, ContextValue};
+    use std::collections::VecDeque;
+
+    /// A range that answers from a script instead of running a Context
+    /// Server: what the `RangeHost` seam exists to allow.
+    struct Scripted {
+        id: Guid,
+        name: &'static str,
+        plan: FloorPlan,
+        registry: Registry,
+        replies: VecDeque<SciResult<RangeReply>>,
+        streams: VecDeque<Stream>,
+        calls: Vec<&'static str>,
+    }
+
+    impl Scripted {
+        fn new(id: u128, name: &'static str) -> Self {
+            Scripted {
+                id: Guid::from_u128(id),
+                name,
+                plan: capa_level10(),
+                registry: Registry::new(),
+                replies: VecDeque::new(),
+                streams: VecDeque::new(),
+                calls: Vec::new(),
+            }
+        }
+    }
+
+    impl RangeHost for Scripted {
+        fn id(&self) -> Guid {
+            self.id
+        }
+        fn name(&self) -> &str {
+            self.name
+        }
+        fn plan(&self) -> &FloorPlan {
+            &self.plan
+        }
+        fn registry(&self) -> &Registry {
+            &self.registry
+        }
+        fn call(&mut self, cmd: RangeCommand, _now: VirtualTime) -> SciResult<RangeReply> {
+            self.calls.push(cmd.kind());
+            self.replies.pop_front().unwrap_or(Ok(RangeReply::Ack))
+        }
+        fn drain_stream(&mut self) -> Stream {
+            self.streams.pop_front().unwrap_or_default()
+        }
+    }
+
+    fn core_of(hosts: [Scripted; 2]) -> RelayCore<SimNetwork, Scripted> {
+        let mut core = RelayCore::with_transport(SimNetwork::new(), 7);
+        for host in hosts {
+            core.add_range(host).unwrap();
+        }
+        core.connect_full();
+        core
+    }
+
+    #[test]
+    fn a_migration_outlives_a_target_that_is_down() {
+        let entity = Guid::from_u128(0xe);
+        let mut source = Scripted::new(1, "a");
+        let packet = MigrationPacket::new(entity).to_xml();
+        source.replies.push_back(Ok(RangeReply::Migrated(packet)));
+        let mut target = Scripted::new(2, "b");
+        for _ in 0..2 {
+            target
+                .replies
+                .push_back(Err(SciError::RangeDown("b".into())));
+        }
+        let mut core = core_of([source, target]);
+        let now = VirtualTime::from_secs(1);
+
+        // Down at the first attempt and at the first re-fire: the
+        // packet stays parked, unseen.
+        core.migrate_entity(entity, "a", "b", now).unwrap();
+        assert_eq!(core.pending_relay_count(), 1);
+        core.pump(now).unwrap();
+        assert_eq!(core.pending_relay_count(), 1);
+        // Back up: applied, and nothing left to re-fire.
+        core.pump(now).unwrap();
+        core.pump(now).unwrap();
+        assert_eq!(core.pending_relay_count(), 0);
+        assert_eq!(core.host("b").unwrap().calls, ["migrate-in"; 3]);
+        assert_eq!((core.retry_parked(), core.relay_dedup_hits()), (2, 0));
+    }
+
+    #[test]
+    fn a_range_re_offering_its_stream_is_squashed_to_exactly_once() {
+        let app = Guid::from_u128(0xa);
+        let delivery = |k: u64| AppDelivery {
+            app,
+            query: Guid::from_u128(0x9),
+            event: ContextEvent::new(
+                Guid::from_u128(0x5),
+                ContextType::Presence,
+                ContextValue::Int(k as i64),
+                VirtualTime::from_secs(k),
+            ),
+        };
+        // What a WAL-recovered range does: the same envelopes again,
+        // then fresh traffic under the next one.
+        let mut producer = Scripted::new(1, "a");
+        let first = vec![(0, delivery(0)), (1, delivery(1))];
+        producer.streams.push_back((first.clone(), Vec::new()));
+        let mut again = first;
+        again.push((2, delivery(2)));
+        producer.streams.push_back((again, Vec::new()));
+
+        // Once homed where it is produced, once homed across the overlay.
+        for home in ["a", "b"] {
+            let mut core = core_of([
+                Scripted {
+                    streams: producer.streams.clone(),
+                    ..Scripted::new(1, "a")
+                },
+                Scripted::new(2, "b"),
+            ]);
+            let home = core.node_named(home).unwrap();
+            core.app_home.insert(app, home);
+            core.pump(VirtualTime::from_secs(3)).unwrap();
+            core.pump(VirtualTime::from_secs(3)).unwrap();
+            let got: Vec<i64> = core
+                .deliveries_for(app)
+                .iter()
+                .filter_map(|d| d.event.payload.as_int())
+                .collect();
+            assert_eq!(got, [0, 1, 2]);
+            assert_eq!(core.relay_dedup_hits(), 2);
+        }
+    }
+}

@@ -24,39 +24,28 @@
 //! per-planet operator placement and the Context Toolkit's distributed
 //! widgets both argue for.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use bytes::Bytes;
-
 use sci_event::rt::{bounded_mailbox, mailbox, Receiver, Sender, TrySendError};
-use sci_overlay::message::{Message, MessageKind};
 use sci_overlay::net::SimNetwork;
-use sci_overlay::stats::LoadStats;
 use sci_overlay::transport::Transport;
-use sci_query::codec as qcodec;
-use sci_query::xml::{parse, Element};
-use sci_query::{Mode, Query, What};
-use sci_types::guid::GuidGenerator;
+use sci_query::{Mode, Query};
 use sci_types::{
-    Advertisement, BlueprintKindModel, ContextEvent, ContextType, FederationModel, FreshnessBound,
-    Guid, Profile, RangeModel, RetryModel, RouteClaim, SciError, SciResult, VirtualDuration,
-    VirtualTime,
+    Advertisement, BlueprintKindModel, ContextEvent, ContextType, Guid, Profile, SciError,
+    SciResult, VirtualTime,
 };
 
-use sci_telemetry::{Registry, TelemetrySnapshot, Tracer};
+use sci_telemetry::Registry;
 
-use crate::context_server::{AppDelivery, ContextServer, DeferredAnswer, QueryAnswer, RangeReply};
-use crate::federation::{
-    answer_element, answer_from_element, answer_to_xml, envelope_of as relay_envelope,
-    relay_message_classes, FederatedAnswer, RELAY_RETRIES, RETRY_BACKOFF_BASE_US,
-};
+use crate::context_server::{ContextServer, RangeReply};
 use crate::logic::LogicFactory;
 use crate::migration::MigrationPacket;
-use crate::seen::{SeenEnvelopes, SEQ_NS_SHIFT};
-use crate::telemetry::{elapsed_us, fold_load_stats, FedMetrics, RuntimeMetrics};
+use crate::relay::{RangeHost, RelayCore, Stream};
+use crate::telemetry::{elapsed_us, RuntimeMetrics};
 use sci_location::floorplan::FloorPlan;
 
 /// One mutating operation on a range.
@@ -346,51 +335,17 @@ impl MailboxPolicy {
     }
 }
 
-/// Envelope-sequence namespace bit for deferred-answer relays. Worker
-/// servers mint delivery and answer sequences from *separate* durable
-/// counters; the receiver-side exactly-once filter keys on a single
-/// `(origin, seq)` set, so each class gets a disjoint high-bit
-/// namespace to keep a delivery from shadowing an answer with the
-/// same count.
-const ANSWER_SEQ_NS: u64 = 1 << SEQ_NS_SHIFT;
-
-/// Envelope-sequence namespace bit for migration relays, which remain
-/// coordinator-minted (a migration is a coordinator-driven range-pair
-/// operation, not worker stream traffic).
-const MIGRATE_SEQ_NS: u64 = 2 << SEQ_NS_SHIFT;
-
-/// One unit of cross-range traffic drained from a range worker *as it
-/// executes*: the continuously-streamed replacement for the old
-/// per-sync `DrainOutbox`/`DrainAnswers` round-trips. Each item carries
-/// the envelope sequence its server minted for it — durable state, so
-/// a WAL-recovered range re-streams its unrelayed traffic under the
-/// *same* `(origin, seq)` envelopes and the receiver-side filter
-/// squashes redelivery to exactly-once.
-enum StreamItem {
-    Delivery(u64, AppDelivery),
-    Answer(u64, DeferredAnswer),
-}
-
-/// A drained item paired with its worker-minted envelope sequence.
-type Sequenced<T> = Vec<(u64, T)>;
-
 /// Moves everything the last command produced out of the server and
-/// into the range's relay stream, minting each item's envelope
-/// sequence from the server's durable stream counters. Runs on the
-/// worker thread, *before* the command's reply is sent, so a
-/// coordinator that has observed a barrier reply is guaranteed to find
-/// the barrier's traffic in the stream. Minting worker-side (rather
-/// than at the coordinator) is what makes post-crash redelivery
-/// idempotent: replaying the same commands against the same restored
-/// counters reproduces the same sequences.
-fn drain_into_stream(cs: &mut ContextServer, stream: &Sender<StreamItem>) {
-    for d in cs.drain_outbox_impl() {
-        let seq = cs.next_stream_delivery_seq();
-        let _ = stream.send(StreamItem::Delivery(seq, d));
-    }
-    for a in cs.drain_answers_impl() {
-        let seq = cs.next_stream_answer_seq();
-        let _ = stream.send(StreamItem::Answer(seq, a));
+/// into the range's relay stream, as one batch carrying the envelope
+/// sequences the server minted (see `RangeHost::drain_stream` for
+/// [`ContextServer`]). Runs on the worker thread, *before* the
+/// command's reply is sent, so a coordinator that has observed a
+/// barrier reply is guaranteed to find the barrier's traffic in the
+/// stream.
+fn drain_into_stream(cs: &mut ContextServer, stream: &Sender<Stream>) {
+    let batch = cs.drain_stream();
+    if !(batch.0.is_empty() && batch.1.is_empty()) {
+        let _ = stream.send(batch);
     }
 }
 
@@ -501,7 +456,7 @@ fn worker_loop(
     rx: Receiver<ToWorker>,
     tx: Sender<SciResult<RangeReply>>,
     metrics: RuntimeMetrics,
-    stream: Option<Sender<StreamItem>>,
+    stream: Option<Sender<Stream>>,
 ) -> Option<ContextServer> {
     // A WAL-recovered server starts with its unrelayed outbox already
     // restored; flush it into the stream before serving commands so
@@ -581,11 +536,11 @@ pub struct RangeRuntime {
     /// The relay stream, when streaming is enabled: the coordinator
     /// holds both ends so the channel survives worker restarts; each
     /// worker gets a sender clone.
-    stream: Option<(Sender<StreamItem>, Receiver<StreamItem>)>,
-    /// Stream items pulled off the channel but not yet handed to the
+    stream: Option<(Sender<Stream>, Receiver<Stream>)>,
+    /// Stream traffic pulled off the channel but not yet handed to the
     /// coordinator — buffered so a restart can inspect sequences
     /// without losing the traffic they ride on.
-    parked_stream: Vec<StreamItem>,
+    parked_stream: Stream,
     /// One past the highest delivery-stream sequence observed from any
     /// incarnation of the worker: the floor a rebuilt (non-durable)
     /// server's counter is fast-forwarded to, so replacement traffic
@@ -646,9 +601,8 @@ impl RangeRuntime {
     /// discipline and `streaming` wires a relay stream the worker
     /// drains its outbox into after every command (the continuous
     /// alternative to `DrainOutbox`/`DrainAnswers` barrier calls,
-    /// consumed by `RangeRuntime::drain_stream`). With streaming
-    /// enabled,
-    /// explicit drain commands observe an already-empty outbox.
+    /// consumed by the relay core). With streaming enabled, explicit
+    /// drain commands observe an already-empty outbox.
     pub fn spawn_with(
         cs: ContextServer,
         policy: RestartPolicy,
@@ -666,7 +620,7 @@ impl RangeRuntime {
         // The coordinator owns both stream ends: the channel survives
         // worker restarts, and every (re)spawned worker just gets a
         // fresh sender clone.
-        let stream = streaming.then(mailbox::<StreamItem>);
+        let stream = streaming.then(mailbox::<Stream>);
         let stream_tx = stream.as_ref().map(|(tx, _)| tx.clone());
         let worker = std::thread::Builder::new()
             .name(format!("range-{name}"))
@@ -687,7 +641,7 @@ impl RangeRuntime {
             policy,
             mailbox_policy,
             stream,
-            parked_stream: Vec::new(),
+            parked_stream: Stream::default(),
             stream_delivery_floor: 0,
             stream_answer_floor: 0,
             restarts_used: 0,
@@ -1064,40 +1018,19 @@ impl RangeRuntime {
     /// buffer, tracking one-past-the-highest sequence seen per class
     /// (the floor a rebuilt server is fast-forwarded to).
     fn pull_stream_items(&mut self) {
-        if let Some((_, rx)) = &self.stream {
-            for item in rx.try_iter() {
-                match &item {
-                    StreamItem::Delivery(seq, _) => {
-                        self.stream_delivery_floor = self.stream_delivery_floor.max(seq + 1);
-                    }
-                    StreamItem::Answer(seq, _) => {
-                        self.stream_answer_floor = self.stream_answer_floor.max(seq + 1);
-                    }
-                }
-                self.parked_stream.push(item);
+        let Some((_, rx)) = &self.stream else {
+            return;
+        };
+        for (deliveries, answers) in rx.try_iter() {
+            if let Some((seq, _)) = deliveries.last() {
+                self.stream_delivery_floor = self.stream_delivery_floor.max(seq + 1);
             }
-        }
-    }
-
-    /// Collects everything the worker has streamed so far, without
-    /// blocking and without a command round-trip. Items are partitioned
-    /// by class — all application deliveries, then all deferred
-    /// answers, each in production order with its worker-minted
-    /// envelope sequence — which reproduces the exact send order of
-    /// the historical `DrainOutbox`-then-`DrainAnswers` barrier, so
-    /// seeded fault-injection schedules replay unchanged. Always empty
-    /// when the runtime was spawned without streaming.
-    fn drain_stream(&mut self) -> (Sequenced<AppDelivery>, Sequenced<DeferredAnswer>) {
-        self.pull_stream_items();
-        let mut deliveries = Vec::new();
-        let mut answers = Vec::new();
-        for item in self.parked_stream.drain(..) {
-            match item {
-                StreamItem::Delivery(seq, d) => deliveries.push((seq, d)),
-                StreamItem::Answer(seq, a) => answers.push((seq, a)),
+            if let Some((seq, _)) = answers.last() {
+                self.stream_answer_floor = self.stream_answer_floor.max(seq + 1);
             }
+            self.parked_stream.0.extend(deliveries);
+            self.parked_stream.1.extend(answers);
         }
-        (deliveries, answers)
     }
 
     /// Stops the worker and returns the server it owned; `None` if the
@@ -1129,22 +1062,53 @@ impl RangeRuntime {
     }
 }
 
+impl RangeHost for RangeRuntime {
+    fn id(&self) -> Guid {
+        self.id
+    }
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn plan(&self) -> &FloorPlan {
+        &self.plan
+    }
+
+    fn registry(&self) -> &Registry {
+        &self.registry
+    }
+
+    fn call(&mut self, cmd: RangeCommand, now: VirtualTime) -> SciResult<RangeReply> {
+        RangeRuntime::call(self, cmd, now)
+    }
+
+    /// Collects everything the worker has streamed so far, without
+    /// blocking and without a command round-trip: all application
+    /// deliveries, then all deferred answers, each in production order
+    /// with its worker-minted envelope sequence. Always empty when the
+    /// runtime was spawned without streaming.
+    fn drain_stream(&mut self) -> Stream {
+        self.pull_stream_items();
+        std::mem::take(&mut self.parked_stream)
+    }
+}
+
 /// A federation whose ranges each run on their own [`RangeRuntime`]
-/// worker thread.
+/// worker thread: the threaded driver of the [`RelayCore`].
 ///
-/// The coordinator keeps what must be globally consistent — the SCINET
+/// The core keeps what must be globally consistent — the SCINET
 /// routing fabric, the place directory, application home ranges and
-/// their inboxes — and everything per-range lives behind a mailbox.
-/// Sensor ingest is pipelined ([`RangeRuntime::cast`]):
-/// [`ParallelFederation::ingest_at`] (or, one send for N events,
-/// [`ParallelFederation::ingest_batch_at`]) returns as soon as the
-/// event is enqueued, so N ranges chew their streams concurrently.
-/// Cross-range traffic **streams**: each worker drains its outbox into
-/// a per-range relay stream as commands execute, and the coordinator
-/// moves it over the fabric either continuously
+/// their inboxes, the relay protocol — and everything per-range lives
+/// behind a mailbox. Sensor ingest is pipelined
+/// ([`RangeRuntime::cast`]): [`ParallelFederation::ingest_at`] (or, one
+/// send for N events, [`ParallelFederation::ingest_batch_at`]) returns
+/// as soon as the event is enqueued, so N ranges chew their streams
+/// concurrently. Cross-range traffic **streams**: each worker drains
+/// its outbox into a per-range relay stream as commands execute, and
+/// the core moves it over the fabric either continuously
 /// ([`ParallelFederation::pump_streams`], free-running mode) or at the
-/// [`ParallelFederation::sync`] barrier (deterministic mode) — there is
-/// no per-sync `DrainOutbox`/`DrainAnswers` round-trip any more.
+/// [`ParallelFederation::sync`] barrier (deterministic mode).
 /// Backpressure is a [`MailboxPolicy`]: unbounded, blocking, or
 /// shedding with accounted drops.
 ///
@@ -1160,47 +1124,33 @@ impl RangeRuntime {
 ///
 /// [`sync`]: ParallelFederation::sync
 pub struct ParallelFederation<T: Transport = SimNetwork> {
-    fabric: T,
-    workers: HashMap<Guid, RangeRuntime>,
-    app_home: HashMap<Guid, Guid>,
-    inbox: HashMap<Guid, Vec<AppDelivery>>,
-    answers: HashMap<Guid, Vec<(Guid, QueryAnswer)>>,
-    places: HashMap<String, Guid>,
-    /// Freshness bounds (`qoc-max-age-us`) per query, recorded at
-    /// submission so relay staleness can be judged without asking the
-    /// producing range.
-    relay_max_age: HashMap<Guid, VirtualDuration>,
-    relay_stale_drops: u64,
-    /// Supervision policy applied to every worker spawned by
-    /// [`ParallelFederation::add_range`].
-    restart_policy: RestartPolicy,
+    /// Also holds the supervision budget applied to every worker
+    /// spawned by [`ParallelFederation::add_range`] (it is declared in
+    /// the protocol model).
+    core: RelayCore<T, RangeRuntime>,
     /// Mailbox backpressure discipline applied to every worker spawned
     /// by [`ParallelFederation::add_range`].
     mailbox_policy: MailboxPolicy,
-    /// Per-origin monotonic sequence numbers for *coordinator-minted*
-    /// envelopes (migrations, in the [`MIGRATE_SEQ_NS`] namespace).
-    /// Delivery and answer relays mint their sequences worker-side
-    /// from the server's durable stream counters instead — see
-    /// [`StreamItem`].
-    relay_seq: HashMap<Guid, u64>,
-    /// Envelopes already absorbed (`(origin, seq)`): the receiver-side
-    /// half of exactly-once relay.
-    seen_relays: SeenEnvelopes,
-    /// Relays that exhausted their in-call retries, retried each sync.
-    pending_relays: Vec<Message>,
-    /// Wall-clock start of each in-flight migration, keyed by its
-    /// relay envelope: cleared (and timed into
-    /// `range.migrate.inflight_us`) when the packet is first absorbed
-    /// at its target.
-    migrate_started: HashMap<(Guid, u64), Instant>,
-    ids: GuidGenerator,
-    metrics: FedMetrics,
+}
+
+impl<T: Transport> Deref for ParallelFederation<T> {
+    type Target = RelayCore<T, RangeRuntime>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.core
+    }
+}
+
+impl<T: Transport> DerefMut for ParallelFederation<T> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.core
+    }
 }
 
 impl<T: Transport> std::fmt::Debug for ParallelFederation<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ParallelFederation")
-            .field("ranges", &self.workers.len())
+            .field("ranges", &self.core.len())
             .finish()
     }
 }
@@ -1218,32 +1168,19 @@ impl<T: Transport> ParallelFederation<T> {
     /// transport; `seed` drives message-id minting.
     pub fn with_transport(fabric: T, seed: u64) -> Self {
         ParallelFederation {
-            fabric,
-            workers: HashMap::new(),
-            app_home: HashMap::new(),
-            inbox: HashMap::new(),
-            answers: HashMap::new(),
-            places: HashMap::new(),
-            relay_max_age: HashMap::new(),
-            relay_stale_drops: 0,
-            restart_policy: RestartPolicy::NONE,
+            core: RelayCore::with_transport(fabric, seed),
             mailbox_policy: MailboxPolicy::Unbounded,
-            relay_seq: HashMap::new(),
-            seen_relays: SeenEnvelopes::default(),
-            pending_relays: Vec::new(),
-            migrate_started: HashMap::new(),
-            ids: GuidGenerator::seeded(seed),
-            metrics: FedMetrics::new(),
         }
     }
 
     /// Sets the supervision policy applied to ranges added *after*
-    /// this call (builder style: chain before [`add_range`]).
+    /// this call (builder style: chain before [`add_range`]); the
+    /// budget is declared in the protocol model.
     ///
     /// [`add_range`]: ParallelFederation::add_range
     #[must_use]
     pub fn with_restart_policy(mut self, policy: RestartPolicy) -> Self {
-        self.restart_policy = policy;
+        self.core.restart_budget = (policy.max_restarts > 0).then_some(policy.max_restarts);
         self
     }
 
@@ -1262,10 +1199,9 @@ impl<T: Transport> ParallelFederation<T> {
         self
     }
 
-    /// Installs a tracer on the coordinator's relay path (unknown-app
-    /// homing decisions emit spans through it). Defaults to a no-op.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.metrics.tracer = tracer;
+    fn spawn(&self, cs: ContextServer) -> RangeRuntime {
+        let restarts = RestartPolicy::bounded(self.core.restart_budget.unwrap_or(0));
+        RangeRuntime::spawn_with(cs, restarts, self.mailbox_policy, true)
     }
 
     /// Adds a range: its rooms join the place directory, its Context
@@ -1276,196 +1212,24 @@ impl<T: Transport> ParallelFederation<T> {
     ///
     /// Rejects duplicate node GUIDs or range names.
     pub fn add_range(&mut self, cs: ContextServer) -> SciResult<Guid> {
-        let id = cs.id();
-        self.fabric.add_node(id, cs.name())?;
-        // Mirror Federation::add_range: replicate coverage through the
-        // transport's anti-entropy store (no-op in-process).
-        self.fabric
-            .publish_registration(id, &format!("range/{}", cs.name()), &id.to_string())?;
-        for room in cs.location().plan().rooms() {
-            self.places.entry(room.name.clone()).or_insert(id);
-            self.fabric.publish_registration(
-                id,
-                &format!("place/{}", room.name),
-                &id.to_string(),
-            )?;
-        }
-        self.workers.insert(
-            id,
-            RangeRuntime::spawn_with(cs, self.restart_policy, self.mailbox_policy, true),
-        );
-        Ok(id)
-    }
-
-    /// Exports the pure protocol model of this federation — the
-    /// parallel counterpart of
-    /// [`Federation::protocol_model`](crate::federation::Federation::protocol_model):
-    /// same retry constants and message
-    /// classes, plus the supervision budget, with freshness bounds
-    /// taken from the relay-side `qoc-max-age-us` registry (the
-    /// servers themselves live on worker threads).
-    pub fn protocol_model(&self) -> FederationModel {
-        let mut ranges: Vec<RangeModel> = self
-            .workers
-            .iter()
-            .map(|(&id, w)| RangeModel {
-                id,
-                name: w.name().to_owned(),
-            })
-            .collect();
-        ranges.sort_by_key(|r| r.id);
-
-        let mut links = Vec::new();
-        for a in &ranges {
-            for b in &ranges {
-                if a.id != b.id {
-                    links.push((a.id, b.id));
-                }
-            }
-        }
-
-        let mut freshness: Vec<FreshnessBound> = self
-            .relay_max_age
-            .iter()
-            .map(|(&query, &age)| FreshnessBound {
-                query,
-                max_age_us: age.as_micros(),
-            })
-            .collect();
-        freshness.sort_by_key(|f| f.query);
-
-        let mut routes = Vec::new();
-        for r in &ranges {
-            for (place, &coverer) in &self.places {
-                routes.push(RouteClaim {
-                    at: r.id,
-                    place: place.clone(),
-                    coverer,
-                });
-            }
-        }
-        routes.sort_by(|a, b| (a.at, &a.place).cmp(&(b.at, &b.place)));
-
-        FederationModel {
-            ranges,
-            links,
-            faults: self.fabric.fault_model(),
-            transport_links: self.fabric.link_model(),
-            retry: RetryModel {
-                retries: RELAY_RETRIES,
-                backoff_base_us: RETRY_BACKOFF_BASE_US,
-            },
-            restart_budget: (self.restart_policy.max_restarts > 0)
-                .then_some(self.restart_policy.max_restarts),
-            freshness,
-            routes,
-            messages: relay_message_classes(),
-            blueprint: blueprint_model(),
-        }
+        let worker = self.spawn(cs);
+        self.core.add_range(worker)
     }
 
     /// Restarts performed by the named range's supervised runtime.
     pub fn restarts_of(&self, range: &str) -> Option<u32> {
-        let id = self.fabric.find_by_name(range)?;
-        self.workers.get(&id).map(RangeRuntime::restarts)
-    }
-
-    /// Gives every node full overlay knowledge.
-    pub fn connect_full(&mut self) {
-        self.fabric.connect_full();
+        self.core.host(range).map(RangeRuntime::restarts)
     }
 
     /// Read access to the transport fabric.
     pub fn fabric(&self) -> &T {
-        &self.fabric
+        self.core.transport()
     }
 
     /// Mutable access to the transport fabric, for fault injection
     /// through a [`sci_overlay::fault::FaultyTransport`] wrapper.
     pub fn fabric_mut(&mut self) -> &mut T {
-        &mut self.fabric
-    }
-
-    /// Number of ranges (including downed ones).
-    pub fn len(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Returns `true` when no ranges have been added.
-    pub fn is_empty(&self) -> bool {
-        self.workers.is_empty()
-    }
-
-    /// Cumulative overlay routing statistics.
-    pub fn network_stats(&self) -> &LoadStats {
-        self.fabric.stats()
-    }
-
-    /// Relayed deliveries dropped for violating their query's
-    /// freshness bound.
-    pub fn relay_stale_drops(&self) -> u64 {
-        self.relay_stale_drops
-    }
-
-    /// Duplicate relay envelopes discarded by the receiver-side
-    /// exactly-once filter.
-    pub fn relay_dedup_hits(&self) -> u64 {
-        self.metrics.relay_dedup_hits.get()
-    }
-
-    /// Deliveries and answers whose application had no recorded home
-    /// range (counted, traced, and kept at the producing range instead
-    /// of being silently homed).
-    pub fn relay_unknown_app(&self) -> u64 {
-        self.metrics.relay_unknown_app.get()
-    }
-
-    /// Relay retransmissions attempted (first attempts not counted).
-    pub fn retry_attempts(&self) -> u64 {
-        self.metrics.retry_attempts.get()
-    }
-
-    /// Relays that exhausted their in-call retries and were parked.
-    pub fn retry_parked(&self) -> u64 {
-        self.metrics.retry_parked.get()
-    }
-
-    /// Degraded (partial) query answers returned by
-    /// [`ParallelFederation::submit_from`].
-    pub fn partial_answers(&self) -> u64 {
-        self.metrics.partial_answers.get()
-    }
-
-    /// Relays currently parked awaiting connectivity.
-    pub fn pending_relay_count(&self) -> usize {
-        self.pending_relays.len()
-    }
-
-    /// Freezes a federation-wide telemetry view: every range's registry
-    /// (bus, command, resolver and runtime instruments — readable while
-    /// the workers run, since all counters are atomics), the
-    /// coordinator's phase/relay instruments, and the overlay's routing
-    /// stats folded in under the `net.*` names.
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        let mut snap = self.metrics.registry.snapshot();
-        for worker in self.workers.values() {
-            snap.merge(&worker.registry().snapshot());
-        }
-        snap.merge(&fold_load_stats(self.fabric.stats()));
-        if let Some(faults) = self.fabric.telemetry() {
-            snap.merge(&faults.snapshot());
-        }
-        snap
-    }
-
-    fn worker_by_name(&mut self, range: &str) -> SciResult<&mut RangeRuntime> {
-        let id = self
-            .fabric
-            .find_by_name(range)
-            .ok_or_else(|| SciError::UnknownLocation(range.to_owned()))?;
-        self.workers
-            .get_mut(&id)
-            .ok_or_else(|| SciError::Internal(format!("node {id} has no runtime")))
+        self.core.transport_mut()
     }
 
     /// Sends an arbitrary command to the named range and waits for the
@@ -1482,7 +1246,16 @@ impl<T: Transport> ParallelFederation<T> {
         cmd: RangeCommand,
         now: VirtualTime,
     ) -> SciResult<RangeReply> {
-        self.worker_by_name(range)?.call(cmd, now)
+        self.core.host_mut(range)?.call(cmd, now)
+    }
+
+    /// Pipelines one command into the named range, timing the enqueue
+    /// in `federation.cast_us`.
+    fn cast(&mut self, range: &str, cmd: RangeCommand, now: VirtualTime) -> SciResult<()> {
+        let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
+        let result = self.core.host_mut(range)?.cast(cmd, now);
+        self.core.metrics.cast_us.record(elapsed_us(started));
+        result
     }
 
     /// Feeds a sensor event into the named range — pipelined: the event
@@ -1499,12 +1272,7 @@ impl<T: Transport> ParallelFederation<T> {
         event: &ContextEvent,
         now: VirtualTime,
     ) -> SciResult<()> {
-        let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
-        let result = self
-            .worker_by_name(range)?
-            .cast(RangeCommand::Ingest(event.clone()), now);
-        self.metrics.cast_us.record(elapsed_us(started));
-        result
+        self.cast(range, RangeCommand::Ingest(event.clone()), now)
     }
 
     /// Feeds a batch of sensor events into the named range with **one**
@@ -1528,84 +1296,7 @@ impl<T: Transport> ParallelFederation<T> {
         if events.is_empty() {
             return Ok(());
         }
-        let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
-        let result = self
-            .worker_by_name(range)?
-            .cast(RangeCommand::IngestBatch(events.to_vec()), now);
-        self.metrics.cast_us.record(elapsed_us(started));
-        result
-    }
-
-    /// Moves an entity between ranges as one first-class operation:
-    /// `migrate-out` packages its profile, advertisements, standing
-    /// queries, queued deliveries and deferred answers at the source;
-    /// the packet travels the fabric as a [`MessageKind::Migrate`]
-    /// relay inside the exactly-once `(origin, seq)` envelope (so a
-    /// duplicated packet replays once and a dropped one is
-    /// retransmitted); `migrate-in` replays it at the target. The
-    /// entity's home-range record moves *before* the packet ships, so
-    /// deliveries produced while the packet is in flight relay toward
-    /// the new home instead of the abandoned one. Coordinator wall
-    /// time from packaging to replay is recorded in
-    /// `range.migrate.inflight_us`.
-    ///
-    /// # Errors
-    ///
-    /// * [`SciError::UnknownLocation`] for unknown ranges;
-    /// * [`SciError::UnknownEntity`] if the source range does not know
-    ///   the entity;
-    /// * [`SciError::RangeDown`] if either worker died;
-    /// * codec/replay failures from the target range.
-    pub fn migrate_entity(
-        &mut self,
-        entity: Guid,
-        from: &str,
-        to: &str,
-        now: VirtualTime,
-    ) -> SciResult<()> {
-        let src = self
-            .fabric
-            .find_by_name(from)
-            .ok_or_else(|| SciError::UnknownLocation(from.to_owned()))?;
-        let dst = self
-            .fabric
-            .find_by_name(to)
-            .ok_or_else(|| SciError::UnknownLocation(to.to_owned()))?;
-        if src == dst {
-            return Ok(());
-        }
-        let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
-        let reply = self
-            .workers
-            .get_mut(&src)
-            .ok_or_else(|| SciError::Internal(format!("node {src} has no runtime")))?
-            .call(RangeCommand::MigrateOut(entity), now)?;
-        let RangeReply::Migrated(xml) = reply else {
-            return Err(SciError::Internal(format!(
-                "migrate-out expected `migrated` reply, got `{}`",
-                reply.kind()
-            )));
-        };
-        // Re-home before the send: anything the mover's subscriptions
-        // produce while the packet is in flight must chase the new
-        // home, not pile up at the abandoned one.
-        self.app_home.insert(entity, dst);
-        let seq = self.next_seq(src) | MIGRATE_SEQ_NS;
-        let payload = Element::new("migrate")
-            .with_attr("entity", entity.to_string())
-            .with_attr("origin", src.to_string())
-            .with_attr("seq", seq.to_string())
-            .with_child(parse(&xml)?)
-            .to_xml();
-        let msg = Message::new(
-            self.ids.next_guid(),
-            src,
-            dst,
-            MessageKind::Migrate,
-            Bytes::from(payload.into_bytes()),
-        );
-        self.migrate_started.insert((src, seq), started);
-        self.send_reliable(msg, now)
+        self.cast(range, RangeCommand::IngestBatch(events.to_vec()), now)
     }
 
     /// Simulates a whole-process crash of the named range: the worker
@@ -1615,7 +1306,8 @@ impl<T: Transport> ParallelFederation<T> {
     /// and application homes stay registered so a durably recovered
     /// replacement ([`crate::durability::recover`]) can rejoin under
     /// the same identity via
-    /// [`ParallelFederation::recover_range`]. Returns the dead range's
+    /// [`ParallelFederation::recover_range`]; a migration packet that
+    /// arrives meanwhile is parked for it. Returns the dead range's
     /// telemetry registry so the recovered server can keep its
     /// counters continuous.
     ///
@@ -1625,14 +1317,7 @@ impl<T: Transport> ParallelFederation<T> {
     /// * [`SciError::Internal`] if the range has no live runtime (e.g.
     ///   killed twice).
     pub fn kill_range(&mut self, range: &str) -> SciResult<Registry> {
-        let id = self
-            .fabric
-            .find_by_name(range)
-            .ok_or_else(|| SciError::UnknownLocation(range.to_owned()))?;
-        let worker = self
-            .workers
-            .remove(&id)
-            .ok_or_else(|| SciError::Internal(format!("node {id} has no runtime")))?;
+        let worker = self.core.retire(range)?;
         let registry = worker.registry().clone();
         worker.kill();
         Ok(registry)
@@ -1654,12 +1339,12 @@ impl<T: Transport> ParallelFederation<T> {
     /// * fabric registration failures for brand-new nodes.
     pub fn recover_range(&mut self, cs: ContextServer) -> SciResult<Guid> {
         let id = cs.id();
-        if self.workers.contains_key(&id) {
+        if self.core.hosts.contains_key(&id) {
             return Err(SciError::Internal(format!(
                 "range {id} is still running; kill it before recovering"
             )));
         }
-        match self.fabric.find_by_name(cs.name()) {
+        match self.core.net.find_by_name(cs.name()) {
             Some(existing) if existing == id => {}
             Some(existing) => {
                 return Err(SciError::Internal(format!(
@@ -1668,198 +1353,27 @@ impl<T: Transport> ParallelFederation<T> {
                 )));
             }
             None => {
-                self.fabric.add_node(id, cs.name())?;
+                self.core.net.add_node(id, cs.name())?;
             }
         }
         for room in cs.location().plan().rooms() {
-            self.places.entry(room.name.clone()).or_insert(id);
+            self.core.places.entry(room.name.clone()).or_insert(id);
         }
-        self.workers.insert(
-            id,
-            RangeRuntime::spawn_with(cs, self.restart_policy, self.mailbox_policy, true),
-        );
+        let worker = self.spawn(cs);
+        self.core.hosts.insert(id, worker);
         Ok(id)
     }
 
-    /// Builds the degraded answer for a query whose target range could
-    /// not be consulted, counting it in `federation.answers.partial`.
-    fn degraded(&mut self, missing: Guid, reason: &str) -> FederatedAnswer {
-        self.metrics.partial_answers.inc();
-        let missing_range = self
-            .workers
-            .get(&missing)
-            .map(|w| w.name().to_owned())
-            .unwrap_or_else(|| missing.to_string());
-        FederatedAnswer {
-            answer: QueryAnswer::Partial {
-                answer: Box::new(QueryAnswer::Forward {
-                    range: missing_range.clone(),
-                }),
-                missing_range,
-                reason: reason.to_owned(),
-            },
-            hops: 0,
-            latency: VirtualDuration::ZERO,
-        }
-    }
-
-    /// Submits a query at the application's current range, forwarding
-    /// over the SCINET if needed. Blocks for the answer (and thereby
-    /// for every event previously pipelined into that range).
-    ///
-    /// Graceful degradation: a target range whose worker has died
-    /// (`range-down`) or that the fabric cannot currently reach
-    /// (`unroutable`) yields a [`QueryAnswer::Partial`] naming the
-    /// missing range instead of an error.
-    ///
-    /// # Errors
-    ///
-    /// As for [`crate::federation::Federation::submit_from`], plus
-    /// [`SciError::RangeDown`] if the *home* range's worker died.
-    pub fn submit_from(
-        &mut self,
-        range: &str,
-        query: &Query,
-        now: VirtualTime,
-    ) -> SciResult<FederatedAnswer> {
-        let home = self
-            .fabric
-            .find_by_name(range)
-            .ok_or_else(|| SciError::UnknownLocation(range.to_owned()))?;
-        self.app_home.insert(query.owner, home);
-        if let Some(max_age) = query_max_age(query) {
-            self.relay_max_age.insert(query.id, max_age);
-        }
-
-        let local = self
-            .workers
-            .get_mut(&home)
-            .ok_or_else(|| SciError::Internal(format!("node {home} has no runtime")))?
-            .call(RangeCommand::Submit(Box::new(query.clone())), now);
-
-        let dst = match local.and_then(expect_answer) {
-            Ok(QueryAnswer::Forward { range: target }) => self
-                .fabric
-                .find_by_name(&target)
-                .ok_or(SciError::UnknownLocation(target))?,
-            Ok(answer) => {
-                return Ok(FederatedAnswer {
-                    answer,
-                    hops: 0,
-                    latency: VirtualDuration::ZERO,
-                });
-            }
-            Err(SciError::UnknownLocation(place)) => {
-                let covering = self
-                    .places
-                    .get(place.as_str())
-                    .copied()
-                    .ok_or(SciError::UnknownLocation(place))?;
-                if covering == home {
-                    return Err(SciError::Internal(format!(
-                        "range {home} rejected a place it advertises"
-                    )));
-                }
-                covering
-            }
-            Err(e) => return Err(e),
-        };
-
-        // Forward over the fabric (real codec, real routing), then hand
-        // the decoded query to the target's worker.
-        let fwd = Message::new(
-            self.ids.next_guid(),
-            home,
-            dst,
-            MessageKind::QueryForward,
-            Bytes::from(qcodec::to_xml(query).into_bytes()),
-        );
-        let out_fwd = match self.fabric.send(fwd) {
-            Ok(o) => o,
-            Err(SciError::Unroutable { .. }) => return Ok(self.degraded(dst, "unroutable")),
-            Err(e) => return Err(e),
-        };
-        let arrival = now.saturating_add(out_fwd.latency);
-
-        let messages = self.fabric.drain(dst);
-        let mut answer = None;
-        for msg in messages {
-            if msg.kind != MessageKind::QueryForward {
-                self.absorb(msg, arrival)?;
-                continue;
-            }
-            let xml = String::from_utf8(msg.payload.to_vec())
-                .map_err(|_| SciError::Codec("query payload is not UTF-8".into()))?;
-            let remote_query = qcodec::from_xml(&xml)?;
-            let remote_answer = match self
-                .workers
-                .get_mut(&dst)
-                .ok_or_else(|| SciError::Internal(format!("node {dst} has no runtime")))?
-                .call(RangeCommand::Submit(Box::new(remote_query)), arrival)
-                .and_then(expect_answer)
-            {
-                Ok(a) => a,
-                // The target range's worker is dead: degrade rather
-                // than fail the whole submission.
-                Err(SciError::RangeDown(_)) => return Ok(self.degraded(dst, "range-down")),
-                Err(e) => return Err(e),
-            };
-            answer = Some(remote_answer);
-        }
-        let answer = answer.ok_or_else(|| SciError::Internal("forwarded query vanished".into()))?;
-
-        // Route the response back through the fabric.
-        let resp = Message::new(
-            self.ids.next_guid(),
-            dst,
-            home,
-            MessageKind::QueryResponse,
-            Bytes::from(answer_to_xml(&answer).into_bytes()),
-        );
-        let out_resp = match self.fabric.send(resp) {
-            Ok(o) => o,
-            Err(SciError::Unroutable { .. }) => return Ok(self.degraded(dst, "unroutable")),
-            Err(e) => return Err(e),
-        };
-        let resp_arrival = now.saturating_add(out_fwd.latency + out_resp.latency);
-        let mut decoded = None;
-        let messages = self.fabric.drain(home);
-        for msg in messages {
-            if msg.kind == MessageKind::QueryResponse {
-                let text = std::str::from_utf8(&msg.payload)
-                    .map_err(|_| SciError::Codec("answer payload is not UTF-8".into()))?;
-                let doc = parse(text)?;
-                if doc.name == "answer" {
-                    decoded = Some(answer_from_element(&doc)?);
-                    continue;
-                }
-            }
-            self.absorb(msg, resp_arrival)?;
-        }
-        let decoded = decoded.ok_or_else(|| SciError::Internal("response vanished".into()))?;
-
-        Ok(FederatedAnswer {
-            answer: decoded,
-            hops: out_fwd.hops + out_resp.hops,
-            latency: out_fwd.latency + out_resp.latency,
-        })
-    }
-
-    /// The deterministic barrier: waits for every pipelined command,
-    /// collects what each range *streamed while executing* (workers
-    /// drain their outboxes into their relay stream after every
-    /// command — there is no `DrainOutbox`/`DrainAnswers` round-trip
-    /// any more), and relays cross-range traffic over the fabric — the
-    /// parallel counterpart of the serial `pump`.
+    /// The deterministic barrier: [`RelayCore::pump`], but each range's
+    /// pipelined commands are waited out right before its stream is
+    /// taken (workers stream *before* replying, so once every reply is
+    /// in, everything those commands produced is in the relay stream
+    /// too) — the parallel counterpart of the serial `pump`.
     ///
     /// In free-running mode, [`ParallelFederation::pump_streams`] moves
     /// the same traffic continuously *without* waiting on in-flight
     /// commands; `sync` remains the happens-before edge that seeded
     /// replay and the equivalence oracles are pinned to.
-    ///
-    /// Relayed deliveries whose arrival time (`now` + route latency)
-    /// exceeds their query's `qoc-max-age-us` bound are dropped and
-    /// counted in [`ParallelFederation::relay_stale_drops`].
     ///
     /// # Errors
     ///
@@ -1870,56 +1384,26 @@ impl<T: Transport> ParallelFederation<T> {
     /// * codec failures for cross-range relays (routing failures are
     ///   retried, not propagated).
     pub fn sync(&mut self, now: VirtualTime) -> SciResult<()> {
-        // Release fault-delayed traffic, then give parked relays their
-        // once-per-sync retransmission.
-        self.fabric.flush();
-        self.retry_pending(now)?;
-
-        let mut node_ids: Vec<Guid> = self.workers.keys().copied().collect();
-        node_ids.sort_unstable();
         let mut first_error: Option<SciError> = None;
-
-        for node in node_ids {
-            let Some(worker) = self.workers.get_mut(&node) else {
-                continue;
-            };
-            // Barrier: once every reply is in, everything those
-            // commands streamed is in the relay stream too (workers
-            // stream *before* replying).
-            let barrier_started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
+        let barrier_us = self.core.metrics.barrier_us.clone();
+        self.core.pump_settling(now, |worker| {
+            let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
             if let Err(e) = worker.drain_pending() {
                 first_error.get_or_insert(e);
             }
-            self.metrics.barrier_us.record(elapsed_us(barrier_started));
+            barrier_us.record(elapsed_us(started));
             for e in worker.take_errors() {
                 first_error.get_or_insert(e);
             }
-            let (deliveries, answers) = worker.drain_stream();
-            let relay_started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
-            for (seq, d) in deliveries {
-                self.metrics.stream_events.inc();
-                self.route_delivery(node, seq, d, now)?;
-            }
-            for (seq, a) in answers {
-                self.metrics.stream_answers.inc();
-                self.route_answer(node, seq, a, now)?;
-            }
-            self.metrics.relay_us.record(elapsed_us(relay_started));
-        }
-        self.sweep(now)?;
-
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        })?;
+        first_error.map_or(Ok(()), Err)
     }
 
-    /// The streaming pump: relays whatever every range has streamed *so
-    /// far*, without waiting for in-flight commands — the free-running
-    /// counterpart of the [`sync`] barrier. Call it as often as you
-    /// like between ingest batches; traffic moves as it appears instead
-    /// of piling up for one big drain. Pump passes are timed in
-    /// `federation.stream.pump_us`.
+    /// The streaming pump: [`RelayCore::pump`] timed in
+    /// `federation.stream.pump_us` — relays whatever every range has
+    /// streamed *so far*, without waiting for in-flight commands. Call
+    /// it as often as you like between ingest batches; traffic moves as
+    /// it appears instead of piling up for one big drain.
     ///
     /// Determinism note: a pump observes each worker mid-stream, so
     /// *which* sync a given delivery is relayed in depends on thread
@@ -1935,327 +1419,10 @@ impl<T: Transport> ParallelFederation<T> {
     /// Codec failures for cross-range relays (routing failures are
     /// retried, not propagated).
     pub fn pump_streams(&mut self, now: VirtualTime) -> SciResult<()> {
-        let pump_started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
-        self.fabric.flush();
-        self.retry_pending(now)?;
-        let mut node_ids: Vec<Guid> = self.workers.keys().copied().collect();
-        node_ids.sort_unstable();
-        for node in node_ids {
-            let Some(worker) = self.workers.get_mut(&node) else {
-                continue;
-            };
-            let (deliveries, answers) = worker.drain_stream();
-            for (seq, d) in deliveries {
-                self.metrics.stream_events.inc();
-                self.route_delivery(node, seq, d, now)?;
-            }
-            for (seq, a) in answers {
-                self.metrics.stream_answers.inc();
-                self.route_answer(node, seq, a, now)?;
-            }
-        }
-        self.sweep(now)?;
-        self.metrics.stream_pump_us.record(elapsed_us(pump_started));
-        Ok(())
-    }
-
-    /// Routes one application delivery produced at `node` under its
-    /// worker-minted envelope sequence: local-home traffic lands in the
-    /// coordinator inbox, cross-range traffic travels the fabric in an
-    /// exactly-once `(origin, seq)` envelope. Local traffic passes the
-    /// same `seen_relays` filter the fabric path uses, so a
-    /// WAL-recovered range re-streaming traffic it already handed over
-    /// before the crash deduplicates to exactly-once on both paths.
-    ///
-    /// An app with no recorded home is *not* silently homed any more:
-    /// the decision is counted in `federation.relay.unknown_app` and
-    /// traced, then the delivery is kept at its producing range (the
-    /// only safe default — it is where the subscription lives).
-    fn route_delivery(
-        &mut self,
-        node: Guid,
-        seq: u64,
-        d: AppDelivery,
-        now: VirtualTime,
-    ) -> SciResult<()> {
-        let home = match self.app_home.get(&d.app) {
-            Some(&home) => home,
-            None => {
-                self.metrics.relay_unknown_app.inc();
-                let mut span = self.metrics.tracer.span("federation.relay.unknown-app");
-                span.field("app", d.app);
-                span.field("origin", node);
-                node
-            }
-        };
-        if home == node {
-            if self.seen_relays.insert((node, seq)) {
-                self.inbox.entry(d.app).or_default().push(d);
-            } else {
-                self.metrics.relay_dedup_hits.inc();
-            }
-            return Ok(());
-        }
-        let payload = Element::new("relay")
-            .with_attr("app", d.app.to_string())
-            .with_attr("query", d.query.to_string())
-            .with_attr("origin", node.to_string())
-            .with_attr("seq", seq.to_string())
-            .with_child(qcodec::event_to_element(&d.event))
-            .to_xml();
-        let msg = Message::new(
-            self.ids.next_guid(),
-            node,
-            home,
-            MessageKind::EventRelay,
-            Bytes::from(payload.into_bytes()),
-        );
-        self.metrics.relay_events.inc();
-        self.send_reliable(msg, now)
-    }
-
-    /// Routes one deferred answer produced at `node` — the
-    /// [`route_delivery`](ParallelFederation::route_delivery) twin for
-    /// the `answer-relay` envelope, with the same unknown-app
-    /// accounting and local-path dedup. The worker-minted sequence is
-    /// shifted into the [`ANSWER_SEQ_NS`] namespace so answer and
-    /// delivery counters cannot collide in the shared `(origin, seq)`
-    /// filter.
-    fn route_answer(
-        &mut self,
-        node: Guid,
-        seq: u64,
-        a: DeferredAnswer,
-        now: VirtualTime,
-    ) -> SciResult<()> {
-        let seq = seq | ANSWER_SEQ_NS;
-        let (query, owner, answer) = a;
-        let home = match self.app_home.get(&owner) {
-            Some(&home) => home,
-            None => {
-                self.metrics.relay_unknown_app.inc();
-                let mut span = self.metrics.tracer.span("federation.relay.unknown-app");
-                span.field("app", owner);
-                span.field("origin", node);
-                node
-            }
-        };
-        if home == node {
-            if self.seen_relays.insert((node, seq)) {
-                self.answers.entry(owner).or_default().push((query, answer));
-            } else {
-                self.metrics.relay_dedup_hits.inc();
-            }
-            return Ok(());
-        }
-        let payload = Element::new("answer-relay")
-            .with_attr("app", owner.to_string())
-            .with_attr("query", query.to_string())
-            .with_attr("origin", node.to_string())
-            .with_attr("seq", seq.to_string())
-            .with_child(answer_element(&answer))
-            .to_xml();
-        let msg = Message::new(
-            self.ids.next_guid(),
-            node,
-            home,
-            MessageKind::QueryResponse,
-            Bytes::from(payload.into_bytes()),
-        );
-        self.metrics.relay_answers.inc();
-        self.send_reliable(msg, now)
-    }
-
-    /// Mints the next coordinator-side envelope sequence number for
-    /// `origin` (migration relays only; stream traffic carries
-    /// worker-minted sequences).
-    fn next_seq(&mut self, origin: Guid) -> u64 {
-        let seq = self.relay_seq.entry(origin).or_insert(0);
-        *seq += 1;
-        *seq
-    }
-
-    /// Sends a relay envelope with up to [`RELAY_RETRIES`]
-    /// retransmissions under exponential backoff (accounted in virtual
-    /// time), parking it for the next sync if all attempts fail.
-    ///
-    /// # Errors
-    ///
-    /// Propagates non-routing transport failures.
-    fn send_reliable(&mut self, msg: Message, now: VirtualTime) -> SciResult<()> {
-        let dst = msg.dst;
-        let mut backoff = VirtualDuration::ZERO;
-        let mut wait = RETRY_BACKOFF_BASE_US;
-        for attempt in 0..=RELAY_RETRIES {
-            if attempt > 0 {
-                self.metrics.retry_attempts.inc();
-                backoff += VirtualDuration::from_micros(wait);
-                wait = wait.saturating_mul(2);
-            }
-            match self.fabric.send(msg.clone()) {
-                Ok(outcome) => {
-                    let arrival = now.saturating_add(outcome.latency).saturating_add(backoff);
-                    let landed = self.fabric.drain(dst);
-                    for m in landed {
-                        self.absorb(m, arrival)?;
-                    }
-                    return Ok(());
-                }
-                Err(SciError::Unroutable { .. }) => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        self.metrics.retry_parked.inc();
-        self.pending_relays.push(msg);
-        Ok(())
-    }
-
-    /// Retransmits every parked relay once; still-unroutable envelopes
-    /// go back in the park.
-    fn retry_pending(&mut self, now: VirtualTime) -> SciResult<()> {
-        if self.pending_relays.is_empty() {
-            return Ok(());
-        }
-        let mut parked = std::mem::take(&mut self.pending_relays);
-        // Canonical re-fire order, mirroring the sorted node iteration
-        // in `sync`/`sweep`: `(dst, id)` keeps per-destination send
-        // order (ids are seed-minted monotonically) while decoupling
-        // the fault layer's PRNG draw sequence from park insertion
-        // history.
-        parked.sort_unstable_by_key(|m| (m.dst, m.id));
-        for msg in parked {
-            self.metrics.retry_attempts.inc();
-            let dst = msg.dst;
-            match self.fabric.send(msg.clone()) {
-                Ok(outcome) => {
-                    let arrival = now.saturating_add(outcome.latency);
-                    let landed = self.fabric.drain(dst);
-                    for m in landed {
-                        self.absorb(m, arrival)?;
-                    }
-                }
-                Err(SciError::Unroutable { .. }) => self.pending_relays.push(msg),
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
-
-    /// Drains every node's inbox and absorbs what landed (late
-    /// arrivals from ack-lost sends, duplicates, flushed delays).
-    fn sweep(&mut self, now: VirtualTime) -> SciResult<()> {
-        let mut node_ids: Vec<Guid> = self.workers.keys().copied().collect();
-        node_ids.sort_unstable();
-        for node in node_ids {
-            let landed = self.fabric.drain(node);
-            for m in landed {
-                self.absorb(m, now)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Delivers one fabric message to its application behind the
-    /// exactly-once filter: a `(origin, seq)` envelope already seen is
-    /// counted in `federation.relay.dedup_hits` and dropped. Event
-    /// relays are checked against their query's freshness bound at
-    /// `arrival`; non-relay traffic is dropped.
-    fn absorb(&mut self, m: Message, arrival: VirtualTime) -> SciResult<()> {
-        match m.kind {
-            MessageKind::EventRelay => {
-                let doc = parse(
-                    std::str::from_utf8(&m.payload)
-                        .map_err(|_| SciError::Codec("relay not UTF-8".into()))?,
-                )?;
-                if doc.name != "relay" {
-                    return Ok(());
-                }
-                let Some(envelope) = relay_envelope(&doc)? else {
-                    return Ok(());
-                };
-                if !self.seen_relays.insert(envelope) {
-                    self.metrics.relay_dedup_hits.inc();
-                    return Ok(());
-                }
-                let app: Guid = doc
-                    .attr("app")
-                    .ok_or_else(|| SciError::Codec("relay missing app".into()))?
-                    .parse()?;
-                let query: Guid = doc
-                    .attr("query")
-                    .ok_or_else(|| SciError::Codec("relay missing query".into()))?
-                    .parse()?;
-                let event = qcodec::event_from_element(doc.require_child("event")?)?;
-                let stale = self
-                    .relay_max_age
-                    .get(&query)
-                    .map(|&max| arrival.saturating_since(event.timestamp) > max)
-                    .unwrap_or(false);
-                if stale {
-                    self.relay_stale_drops += 1;
-                    self.metrics.relay_stale_drops.inc();
-                    return Ok(());
-                }
-                self.inbox
-                    .entry(app)
-                    .or_default()
-                    .push(AppDelivery { app, query, event });
-            }
-            MessageKind::QueryResponse => {
-                let doc = parse(
-                    std::str::from_utf8(&m.payload)
-                        .map_err(|_| SciError::Codec("answer relay not UTF-8".into()))?,
-                )?;
-                if doc.name != "answer-relay" {
-                    return Ok(());
-                }
-                let Some(envelope) = relay_envelope(&doc)? else {
-                    return Ok(());
-                };
-                if !self.seen_relays.insert(envelope) {
-                    self.metrics.relay_dedup_hits.inc();
-                    return Ok(());
-                }
-                let app: Guid = doc
-                    .attr("app")
-                    .ok_or_else(|| SciError::Codec("relay missing app".into()))?
-                    .parse()?;
-                let q: Guid = doc
-                    .attr("query")
-                    .ok_or_else(|| SciError::Codec("relay missing query".into()))?
-                    .parse()?;
-                let decoded = answer_from_element(doc.require_child("answer")?)?;
-                self.answers.entry(app).or_default().push((q, decoded));
-            }
-            MessageKind::Migrate => {
-                let doc = parse(
-                    std::str::from_utf8(&m.payload)
-                        .map_err(|_| SciError::Codec("migration relay not UTF-8".into()))?,
-                )?;
-                if doc.name != "migrate" {
-                    return Ok(());
-                }
-                let Some(envelope) = relay_envelope(&doc)? else {
-                    return Ok(());
-                };
-                if !self.seen_relays.insert(envelope) {
-                    self.metrics.relay_dedup_hits.inc();
-                    return Ok(());
-                }
-                if let Some(started) = self.migrate_started.remove(&envelope) {
-                    self.metrics.migrate_inflight.record(elapsed_us(started));
-                }
-                let packet = MigrationPacket::from_element(doc.require_child("migration")?)?;
-                if let Some(worker) = self.workers.get_mut(&m.dst) {
-                    // `call`, not `cast`: a shedding mailbox may drop
-                    // pipelined casts, and a migration packet must
-                    // never be shed — the entity would vanish mid-move.
-                    worker.call(RangeCommand::MigrateIn(Box::new(packet)), arrival)?;
-                }
-            }
-            _ => {}
-        }
-        Ok(())
+        let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
+        let pumped = self.core.pump(now);
+        self.core.metrics.stream_pump_us.record(elapsed_us(started));
+        pumped
     }
 
     /// Fires due timers in every range, then syncs.
@@ -2264,30 +1431,18 @@ impl<T: Transport> ParallelFederation<T> {
     ///
     /// As for [`ParallelFederation::sync`].
     pub fn poll_timers(&mut self, now: VirtualTime) -> SciResult<()> {
-        let mut node_ids: Vec<Guid> = self.workers.keys().copied().collect();
-        node_ids.sort_unstable();
-        for node in node_ids {
-            if let Some(worker) = self.workers.get_mut(&node) {
+        for node in self.core.node_ids() {
+            if let Some(worker) = self.core.hosts.get_mut(&node) {
                 let _ = worker.cast(RangeCommand::PollTimers, now);
             }
         }
         self.sync(now)
     }
 
-    /// Removes and returns the deliveries waiting for an application.
-    pub fn deliveries_for(&mut self, app: Guid) -> Vec<AppDelivery> {
-        self.inbox.remove(&app).unwrap_or_default()
-    }
-
-    /// Removes and returns deferred answers waiting for an application.
-    pub fn answers_for(&mut self, app: Guid) -> Vec<(Guid, QueryAnswer)> {
-        self.answers.remove(&app).unwrap_or_default()
-    }
-
     /// Stops every worker and returns the surviving Context Servers in
     /// range-id order (panicked workers' servers are lost with them).
     pub fn shutdown(self) -> Vec<ContextServer> {
-        let mut workers: Vec<(Guid, RangeRuntime)> = self.workers.into_iter().collect();
+        let mut workers: Vec<(Guid, RangeRuntime)> = self.core.hosts.into_iter().collect();
         workers.sort_unstable_by_key(|(id, _)| *id);
         workers
             .into_iter()
@@ -2296,35 +1451,13 @@ impl<T: Transport> ParallelFederation<T> {
     }
 }
 
-fn expect_answer(reply: RangeReply) -> SciResult<QueryAnswer> {
-    match reply {
-        RangeReply::Answer(answer) => Ok(answer),
-        other => Err(SciError::Internal(format!(
-            "submit expected `answer` reply, got `{}`",
-            other.kind()
-        ))),
-    }
-}
-
-/// The `qoc-max-age-us` freshness bound a query demands, if any.
-fn query_max_age(query: &Query) -> Option<VirtualDuration> {
-    if let What::Information { constraints, .. } = &query.what {
-        constraints
-            .iter()
-            .find(|c| c.attr == "qoc-max-age-us")
-            .and_then(|c| c.value.as_int())
-            .filter(|&us| us >= 0)
-            .map(|us| VirtualDuration::from_micros(us as u64))
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::context_server::QueryAnswer;
     use sci_location::floorplan::capa_level10;
+    use sci_types::guid::GuidGenerator;
     use sci_types::{ContextValue, EntityKind, PortSpec};
 
     fn server(seed: u64, name: &str) -> (ContextServer, GuidGenerator) {

@@ -29,11 +29,24 @@ pub(crate) struct SeenEnvelopes {
     runs: HashMap<(Guid, u8), BTreeMap<u64, u64>>,
 }
 
+/// Splits an envelope sequence into its namespace and masked count.
+fn split(seq: u64) -> (u8, u64) {
+    ((seq >> SEQ_NS_SHIFT) as u8, seq & ((1 << SEQ_NS_SHIFT) - 1))
+}
+
 impl SeenEnvelopes {
+    /// Has the envelope been recorded?
+    pub(crate) fn contains(&self, (origin, seq): (Guid, u64)) -> bool {
+        let (ns, seq) = split(seq);
+        self.runs
+            .get(&(origin, ns))
+            .and_then(|runs| runs.range(..=seq).next_back())
+            .is_some_and(|(_, &end)| seq < end)
+    }
+
     /// Records the envelope; returns `true` if it was not seen before.
     pub(crate) fn insert(&mut self, (origin, seq): (Guid, u64)) -> bool {
-        let ns = (seq >> SEQ_NS_SHIFT) as u8;
-        let seq = seq & ((1 << SEQ_NS_SHIFT) - 1);
+        let (ns, seq) = split(seq);
         let runs = self.runs.entry((origin, ns)).or_default();
         // The run starting at or below `seq` either holds it already,
         // ends exactly at it (and grows), or is unrelated.
@@ -116,6 +129,7 @@ mod tests {
             let mut oracle: HashSet<(Guid, u64)> = HashSet::new();
             for (o, seq) in ops {
                 let envelope = (origin(o), seq);
+                prop_assert_eq!(seen.contains(envelope), oracle.contains(&envelope), "{:?}", envelope);
                 prop_assert_eq!(seen.insert(envelope), oracle.insert(envelope), "{:?}", envelope);
             }
             // Runs stay disjoint and non-adjacent, so the representation

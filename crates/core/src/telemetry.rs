@@ -197,7 +197,8 @@ impl CsMetrics {
     }
 }
 
-/// The coordinator-side instruments of a federation driver.
+/// The instruments of the relay core ([`crate::relay::RelayCore`]),
+/// shared by both federation drivers.
 pub(crate) struct FedMetrics {
     pub(crate) registry: Registry,
     pub(crate) tracer: Tracer,

@@ -1,0 +1,429 @@
+//! Protocol tests against the relay core itself, not a driver: a
+//! `RelayCore` over `FaultyTransport<SimNetwork>` whose hosts are bare
+//! `ContextServer`s.
+//!
+//! * **Decoder totality.** Every way an `EventRelay`, `QueryResponse`
+//!   or `Migrate` payload can be mangled — not UTF-8, not XML, wrong
+//!   root element, a missing `app`/`query`/`origin`/`seq`, a
+//!   non-numeric `seq`, a missing body — yields `SciError::Codec`:
+//!   never a panic, and never a poisoned exactly-once entry that would
+//!   mask the well-formed retransmission of the same envelope.
+//! * **Exactly-once under faults.** Under drop, duplicate and ack-loss
+//!   schedules over 32 pinned seeds, the delivered multiset equals the
+//!   unfaulted one, duplicates are caught by the `(origin, seq)`
+//!   filter, and parked relays drain to zero once the faults clear.
+//!
+//! The serial-vs-parallel parity tests in `tests/parallel_federation.rs`
+//! then isolate what they were written for: inline vs threaded
+//! execution of this one protocol.
+
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
+use bytes::Bytes;
+use sci_core::context_server::{ContextServer, QueryAnswer};
+use sci_core::federation::answer_element;
+use sci_core::relay::RelayCore;
+use sci_core::MigrationPacket;
+use sci_location::floorplan::FloorPlan;
+use sci_location::Rect;
+use sci_overlay::message::{Message, MessageKind};
+use sci_overlay::{FaultProbs, FaultyTransport, SimNetwork, Transport};
+use sci_query::codec::event_to_element;
+use sci_query::xml::Element;
+use sci_query::{Mode, Query};
+use sci_types::guid::GuidGenerator;
+use sci_types::{
+    ContextEvent, ContextType, ContextValue, Coord, EntityKind, Guid, PortSpec, Profile, SciError,
+    VirtualTime,
+};
+
+type Core = RelayCore<FaultyTransport<SimNetwork>, ContextServer>;
+
+fn range_plan(i: usize) -> FloorPlan {
+    FloorPlan::builder("campus")
+        .zone(format!("wing-{i}"))
+        .room(
+            format!("hall-{i}"),
+            Rect::with_size(Coord::new(0.0, 0.0), 20.0, 10.0),
+        )
+        .build()
+        .unwrap()
+}
+
+fn presence(sensor: Guid, k: u64) -> ContextEvent {
+    ContextEvent::new(
+        sensor,
+        ContextType::Presence,
+        ContextValue::record([(
+            "subject",
+            ContextValue::Id(Guid::from_u128(1_000 + u128::from(k))),
+        )]),
+        VirtualTime::from_secs(k + 1),
+    )
+}
+
+/// `n` ranges, each with one presence sensor, fully connected over a
+/// (so far fault-free) faulty transport. Returns the core, the node
+/// GUIDs and the sensors.
+fn core_of(n: usize, seed: u64) -> (Core, Vec<Guid>, Vec<Guid>) {
+    let mut ids = GuidGenerator::seeded(0xc0de);
+    let mut core: Core =
+        RelayCore::with_transport(FaultyTransport::new(SimNetwork::new(), seed), 7);
+    let (mut nodes, mut sensors) = (Vec::new(), Vec::new());
+    for i in 0..n {
+        let mut cs = ContextServer::new(ids.next_guid(), format!("range-{i}"), range_plan(i));
+        let sensor = ids.next_guid();
+        cs.register(
+            Profile::builder(sensor, EntityKind::Device, format!("sensor-{i}"))
+                .output(PortSpec::new("presence", ContextType::Presence))
+                .build(),
+            VirtualTime::ZERO,
+        )
+        .unwrap();
+        sensors.push(sensor);
+        nodes.push(core.add_range(cs).unwrap());
+    }
+    core.connect_full();
+    (core, nodes, sensors)
+}
+
+// ---------------------------------------------------------------------
+// (a) Decoder totality
+// ---------------------------------------------------------------------
+
+const APP: Guid = Guid::from_u128(0xA99);
+const QUERY: Guid = Guid::from_u128(0x200);
+
+/// One relay class: its message kind, a well-formed envelope document
+/// for `(origin, seq)`, and how many times its effect has been observed
+/// at the receiving end.
+struct Class {
+    kind: MessageKind,
+    body: &'static str,
+    /// `app`/`query` ride on the envelope (not on a migration's).
+    addressed: bool,
+    doc: fn(Guid, u64) -> Element,
+    landed: fn(&mut Core, u64) -> usize,
+}
+
+fn enveloped(root: &str, origin: Guid, seq: u64) -> Element {
+    Element::new(root)
+        .with_attr("app", APP.to_string())
+        .with_attr("query", QUERY.to_string())
+        .with_attr("origin", origin.to_string())
+        .with_attr("seq", seq.to_string())
+}
+
+/// The entity a scripted migration with envelope `seq` carries.
+fn migrant(seq: u64) -> Guid {
+    Guid::from_u128(0x3000 + u128::from(seq))
+}
+
+const CLASSES: [Class; 3] = [
+    Class {
+        kind: MessageKind::EventRelay,
+        body: "event",
+        addressed: true,
+        doc: |origin, seq| {
+            enveloped("relay", origin, seq).with_child(event_to_element(&presence(origin, seq)))
+        },
+        landed: |core, _| core.deliveries_for(APP).len(),
+    },
+    Class {
+        kind: MessageKind::QueryResponse,
+        body: "answer",
+        addressed: true,
+        doc: |origin, seq| {
+            enveloped("answer-relay", origin, seq)
+                .with_child(answer_element(&QueryAnswer::Deferred))
+        },
+        landed: |core, _| core.answers_for(APP).len(),
+    },
+    Class {
+        kind: MessageKind::Migrate,
+        body: "migration",
+        addressed: false,
+        doc: |origin, seq| {
+            let mut packet = MigrationPacket::new(migrant(seq));
+            packet.profile =
+                Some(Profile::builder(migrant(seq), EntityKind::Person, "migrant").build());
+            Element::new("migrate")
+                .with_attr("entity", migrant(seq).to_string())
+                .with_attr("origin", origin.to_string())
+                .with_attr("seq", seq.to_string())
+                .with_child(packet.to_element())
+        },
+        landed: |core, seq| {
+            let target = core.host("range-1").unwrap();
+            usize::from(target.registrar().is_registered(migrant(seq)))
+        },
+    },
+];
+
+/// Every mangling of a well-formed document, as payload bytes.
+fn manglings(class: &Class, good: &Element) -> Vec<(&'static str, Vec<u8>)> {
+    let without = |key: &str| {
+        let mut doc = good.clone();
+        doc.attrs.retain(|(k, _)| k != key);
+        doc.to_xml().into_bytes()
+    };
+    let mut wrong_root = good.clone();
+    wrong_root.name = "bogus".into();
+    let mut bad_seq = good.clone();
+    for (k, v) in &mut bad_seq.attrs {
+        if k == "seq" {
+            *v = "seven".into();
+        }
+    }
+    let mut bad_origin = good.clone();
+    for (k, v) in &mut bad_origin.attrs {
+        if k == "origin" {
+            *v = "not-a-guid".into();
+        }
+    }
+    let mut no_body = good.clone();
+    no_body.children.retain(|c| c.name != class.body);
+    let xml = good.to_xml();
+    let mut cases = vec![
+        ("not UTF-8", vec![0xff, 0xfe, 0x00, 0xc3]),
+        ("empty", Vec::new()),
+        ("truncated XML", xml.as_bytes()[..xml.len() / 2].to_vec()),
+        ("wrong root", wrong_root.to_xml().into_bytes()),
+        ("missing origin", without("origin")),
+        ("missing seq", without("seq")),
+        ("non-numeric seq", bad_seq.to_xml().into_bytes()),
+        ("malformed origin", bad_origin.to_xml().into_bytes()),
+        ("missing body", no_body.to_xml().into_bytes()),
+    ];
+    if class.addressed {
+        cases.push(("missing app", without("app")));
+        cases.push(("missing query", without("query")));
+    }
+    cases
+}
+
+#[test]
+fn hostile_payloads_are_codec_errors_and_never_mask_the_retransmission() {
+    let (mut core, nodes, _) = core_of(2, 1);
+    let (src, dst) = (nodes[0], nodes[1]);
+    let mut msg_ids = GuidGenerator::seeded(0xbad);
+    let mut inject = |core: &mut Core, kind: MessageKind, payload: Vec<u8>| {
+        let msg = Message::new(msg_ids.next_guid(), src, dst, kind, Bytes::from(payload));
+        core.transport_mut().send(msg).unwrap();
+    };
+    let now = VirtualTime::from_secs(1);
+    let mut seq = 0u64;
+
+    for class in &CLASSES {
+        for (what, payload) in manglings(class, &(class.doc)(src, seq + 1)) {
+            seq += 1;
+            let good = (class.doc)(src, seq).to_xml().into_bytes();
+            let label = format!("{:?} / {what}", class.kind);
+
+            // The mangled copy is refused, delivers nothing …
+            inject(&mut core, class.kind, payload);
+            let refused = core.pump(now);
+            assert!(
+                matches!(refused, Err(SciError::Codec(_))),
+                "{label}: expected a codec error, got {refused:?}"
+            );
+            assert_eq!((class.landed)(&mut core, seq), 0, "{label}: delivered");
+
+            // … and the well-formed retransmission of the very same
+            // envelope still gets through, exactly once.
+            let dedup = core.relay_dedup_hits();
+            inject(&mut core, class.kind, good.clone());
+            core.pump(now).unwrap();
+            assert_eq!((class.landed)(&mut core, seq), 1, "{label}: masked");
+            assert_eq!(core.relay_dedup_hits(), dedup, "{label}");
+            inject(&mut core, class.kind, good);
+            core.pump(now).unwrap();
+            assert_eq!(core.relay_dedup_hits(), dedup + 1, "{label}: replayed");
+        }
+    }
+    assert_eq!(core.pending_relay_count(), 0);
+    assert_eq!(
+        core.snapshot().counter("range.migrate.in"),
+        manglings(&CLASSES[2], &(CLASSES[2].doc)(src, 0)).len() as u64,
+        "each migration replayed exactly once"
+    );
+}
+
+#[test]
+fn a_hostile_payload_does_not_strand_the_traffic_drained_beside_it() {
+    let (mut core, nodes, _) = core_of(2, 1);
+    let (src, dst) = (nodes[0], nodes[1]);
+    let class = &CLASSES[0];
+    for (i, payload) in [
+        (class.doc)(src, 1).to_xml().into_bytes(),
+        vec![0xff],
+        (class.doc)(src, 2).to_xml().into_bytes(),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let id = Guid::from_u128(0x900 + i as u128);
+        let msg = Message::new(id, src, dst, class.kind, Bytes::from(payload));
+        core.transport_mut().send(msg).unwrap();
+    }
+    let refused = core.pump(VirtualTime::from_secs(1));
+    assert!(matches!(refused, Err(SciError::Codec(_))), "{refused:?}");
+    assert_eq!(core.deliveries_for(APP).len(), 2);
+}
+
+#[test]
+fn strangers_are_dropped_without_a_trace() {
+    // Other message kinds, and the bare `<answer>` of a query
+    // round-trip whose submission already degraded, are not relays.
+    let (mut core, nodes, _) = core_of(2, 1);
+    let (src, dst) = (nodes[0], nodes[1]);
+    let stray = answer_element(&QueryAnswer::Deferred).to_xml().into_bytes();
+    for (i, (kind, payload)) in [
+        (MessageKind::QueryResponse, stray),
+        (MessageKind::QueryForward, vec![0xff]),
+        (MessageKind::Ping, Vec::new()),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let id = Guid::from_u128(0x900 + i as u128);
+        let msg = Message::new(id, src, dst, kind, Bytes::from(payload));
+        core.transport_mut().send(msg).unwrap();
+    }
+    core.pump(VirtualTime::from_secs(1)).unwrap();
+    assert!(core.answers_for(APP).is_empty());
+    assert_eq!(core.relay_dedup_hits(), 0);
+}
+
+// ---------------------------------------------------------------------
+// (b) Exactly-once under fault schedules
+// ---------------------------------------------------------------------
+
+const EVENTS: u64 = 10;
+
+struct Outcome {
+    deliveries: Vec<String>,
+    dedup_hits: u64,
+    retry_attempts: u64,
+}
+
+/// An app homed in `range-0` subscribed to presence in `range-1` and
+/// `range-2`; `EVENTS` rounds of one event per producer under `probs`,
+/// then the transport heals and the core pumps to quiescence.
+fn run(seed: u64, probs: FaultProbs) -> Outcome {
+    let (mut core, _, sensors) = core_of(3, seed);
+    let mut ids = GuidGenerator::seeded(0xface);
+    let app = ids.next_guid();
+    for target in ["range-1", "range-2"] {
+        let q = Query::builder(ids.next_guid(), app)
+            .info(ContextType::Presence)
+            .in_range(target)
+            .mode(Mode::Subscribe)
+            .build();
+        let fa = core.submit_from("range-0", &q, VirtualTime::ZERO).unwrap();
+        assert!(matches!(fa.answer, QueryAnswer::Subscribed { .. }));
+    }
+
+    core.transport_mut().set_default_probs(probs);
+    let mut deliveries = Vec::new();
+    let mut collect = |core: &mut Core| {
+        for d in core.deliveries_for(app) {
+            deliveries.push(format!(
+                "{}|{}|{:?}",
+                d.query, d.event.timestamp, d.event.payload
+            ));
+        }
+    };
+    for k in 0..EVENTS {
+        let now = VirtualTime::from_secs(k + 1);
+        for (i, target) in ["range-1", "range-2"].into_iter().enumerate() {
+            let host = core.host_mut(target).unwrap();
+            host.ingest(&presence(sensors[i + 1], k), now).unwrap();
+            core.pump(now).unwrap();
+        }
+        collect(&mut core);
+    }
+
+    core.transport_mut().heal();
+    for step in 0..64u64 {
+        if core.pending_relay_count() == 0 && core.transport().delayed_len() == 0 {
+            break;
+        }
+        core.pump(VirtualTime::from_secs(100 + step)).unwrap();
+        collect(&mut core);
+    }
+    assert_eq!(
+        core.pending_relay_count(),
+        0,
+        "seed {seed}: relays still parked after the faults cleared"
+    );
+    core.pump(VirtualTime::from_secs(200)).unwrap();
+    collect(&mut core);
+
+    deliveries.sort_unstable();
+    Outcome {
+        deliveries,
+        dedup_hits: core.relay_dedup_hits(),
+        retry_attempts: core.retry_attempts(),
+    }
+}
+
+#[test]
+fn delivered_multiset_survives_drop_duplicate_and_ack_loss_schedules() {
+    let schedules = [
+        (
+            "drop",
+            FaultProbs {
+                drop: 0.4,
+                ..FaultProbs::NONE
+            },
+        ),
+        (
+            "duplicate",
+            FaultProbs {
+                duplicate: 0.5,
+                ..FaultProbs::NONE
+            },
+        ),
+        (
+            "ack-loss",
+            FaultProbs {
+                drop: 0.4,
+                ack_loss: 1.0,
+                ..FaultProbs::NONE
+            },
+        ),
+        (
+            "everything",
+            FaultProbs {
+                drop: 0.3,
+                delay: 0.2,
+                duplicate: 0.3,
+                reorder: 0.5,
+                ack_loss: 0.5,
+            },
+        ),
+    ];
+    let oracle = run(0, FaultProbs::NONE);
+    assert_eq!(oracle.deliveries.len() as u64, 2 * EVENTS);
+    assert_eq!((oracle.dedup_hits, oracle.retry_attempts), (0, 0));
+
+    for (name, probs) in schedules {
+        let (mut deduped, mut retried) = (false, false);
+        for seed in 1..=32u64 {
+            let faulted = run(seed, probs);
+            assert_eq!(
+                faulted.deliveries, oracle.deliveries,
+                "{name}, seed {seed}: delivery multiset diverged"
+            );
+            deduped |= faulted.dedup_hits > 0;
+            retried |= faulted.retry_attempts > 0;
+        }
+        if probs.duplicate > 0.0 || probs.ack_loss > 0.0 {
+            assert!(deduped, "{name}: no seed ever produced a duplicate");
+        }
+        if probs.drop > 0.0 {
+            assert!(retried, "{name}: no seed ever retried");
+        }
+    }
+}

@@ -50,4 +50,4 @@ pub use net::{RouteOutcome, SimNetwork};
 pub use routing::RoutingTable;
 pub use stats::LoadStats;
 pub use tcp::{SyncEntry, SyncStore, TcpTransport, TCP_PROTOCOL_VERSION};
-pub use transport::{ThreadedTransport, Transport};
+pub use transport::Transport;

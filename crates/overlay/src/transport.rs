@@ -8,14 +8,10 @@
 //!
 //! * [`crate::net::SimNetwork`] — the deterministic single-threaded
 //!   simulation every experiment runs on;
-//! * [`ThreadedTransport`] — the same Kademlia routing fabric, but with
-//!   channel-backed mailboxes whose sending halves are `Clone + Send`,
-//!   so concurrent producers (one runtime thread per range) can deliver
-//!   into a node's inbox without sharing the router.
-
-use std::collections::HashMap;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
+//! * [`crate::tcp::TcpTransport`] — real loopback sockets with an
+//!   acked, framed stream per peer;
+//! * [`crate::fault::FaultyTransport`] — a seeded fault-injecting
+//!   decorator over either.
 
 use sci_types::{Guid, SciResult};
 
@@ -154,120 +150,6 @@ impl Transport for SimNetwork {
     }
 }
 
-/// A transport whose mailboxes are channels instead of in-router
-/// inboxes.
-///
-/// Routing (path computation, hop/latency accounting, failure
-/// injection) still runs through an owned [`SimNetwork`] — the fabric —
-/// but a delivered message lands in a per-node channel. The sending
-/// half of each mailbox can be cloned out with
-/// [`ThreadedTransport::sender_for`] and shipped to another thread, and
-/// the receiving half handed off wholesale with
-/// [`ThreadedTransport::take_receiver`] so a range's runtime thread can
-/// block on its own inbox.
-pub struct ThreadedTransport {
-    router: SimNetwork,
-    senders: HashMap<Guid, Sender<Message>>,
-    receivers: HashMap<Guid, Receiver<Message>>,
-}
-
-impl ThreadedTransport {
-    /// Creates an empty transport.
-    pub fn new() -> Self {
-        ThreadedTransport {
-            router: SimNetwork::new(),
-            senders: HashMap::new(),
-            receivers: HashMap::new(),
-        }
-    }
-
-    /// Read access to the routing fabric.
-    pub fn router(&self) -> &SimNetwork {
-        &self.router
-    }
-
-    /// Mutable access to the routing fabric, for failure injection.
-    pub fn router_mut(&mut self) -> &mut SimNetwork {
-        &mut self.router
-    }
-
-    /// A clonable producer handle for `node`'s mailbox; any thread
-    /// holding one can deliver into the node without the router.
-    pub fn sender_for(&self, node: Guid) -> Option<Sender<Message>> {
-        self.senders.get(&node).cloned()
-    }
-
-    /// Hands the consuming half of `node`'s mailbox to the caller
-    /// (typically a per-range worker thread). After this,
-    /// [`Transport::drain`] on that node returns nothing — the new
-    /// owner drains instead.
-    pub fn take_receiver(&mut self, node: Guid) -> Option<Receiver<Message>> {
-        self.receivers.remove(&node)
-    }
-}
-
-impl Default for ThreadedTransport {
-    fn default() -> Self {
-        ThreadedTransport::new()
-    }
-}
-
-impl std::fmt::Debug for ThreadedTransport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadedTransport")
-            .field("nodes", &self.senders.len())
-            .finish()
-    }
-}
-
-impl Transport for ThreadedTransport {
-    fn add_node(&mut self, guid: Guid, name: &str) -> SciResult<()> {
-        self.router.add_node(guid, name)?;
-        let (tx, rx) = unbounded();
-        self.senders.insert(guid, tx);
-        self.receivers.insert(guid, rx);
-        Ok(())
-    }
-
-    fn find_by_name(&self, name: &str) -> Option<Guid> {
-        self.router.find_by_name(name)
-    }
-
-    fn connect_full(&mut self) {
-        self.router.populate_full();
-    }
-
-    fn join(&mut self, node: Guid, bootstrap: Guid, seed: u64) -> SciResult<()> {
-        crate::discovery::join(&mut self.router, node, bootstrap, seed)
-    }
-
-    fn send(&mut self, message: Message) -> SciResult<RouteOutcome> {
-        // The fabric computes the path and accounts load; delivery goes
-        // through the destination's channel so the inbox is shareable
-        // across threads.
-        let dst = message.dst;
-        let outcome = self.router.route(message.src, dst)?;
-        if let Some(tx) = self.senders.get(&dst) {
-            // A send can only fail if the receiving half was taken and
-            // dropped — the node is gone; routing already vouched for
-            // its liveness, so treat it as delivered to a dead letter.
-            let _ = tx.send(message);
-        }
-        Ok(outcome)
-    }
-
-    fn drain(&mut self, node: Guid) -> Vec<Message> {
-        self.receivers
-            .get(&node)
-            .map(|rx| rx.try_iter().collect())
-            .unwrap_or_default()
-    }
-
-    fn stats(&self) -> &LoadStats {
-        self.router.stats()
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -304,48 +186,5 @@ mod tests {
         assert_eq!(delivered.len(), 1);
         assert_eq!(delivered[0].id, Guid::from_u128(1));
         assert!(t.drain(b).is_empty(), "drain consumes");
-    }
-
-    #[test]
-    fn threaded_transport_delivers_through_channels() {
-        let mut t = ThreadedTransport::new();
-        let (a, b) = two_nodes(&mut t);
-        t.send(msg(2, a, b)).unwrap();
-        let delivered = t.drain(b);
-        assert_eq!(delivered.len(), 1);
-        assert_eq!(Transport::stats(&t).delivered(), 1);
-    }
-
-    #[test]
-    fn threaded_transport_mailbox_crosses_threads() {
-        let mut t = ThreadedTransport::new();
-        let (a, b) = two_nodes(&mut t);
-        let rx = t.take_receiver(b).unwrap();
-        let consumer = std::thread::spawn(move || rx.recv().unwrap().id);
-        t.send(msg(3, a, b)).unwrap();
-        assert_eq!(consumer.join().unwrap(), Guid::from_u128(3));
-        assert!(t.drain(b).is_empty(), "receiver was handed off");
-    }
-
-    #[test]
-    fn threaded_transport_direct_sender_bypasses_router() {
-        let mut t = ThreadedTransport::new();
-        let (a, b) = two_nodes(&mut t);
-        let tx = t.sender_for(b).unwrap();
-        let producer = std::thread::spawn(move || {
-            tx.send(msg(4, a, b)).unwrap();
-        });
-        producer.join().unwrap();
-        assert_eq!(t.drain(b).len(), 1);
-        assert_eq!(Transport::stats(&t).delivered(), 0, "no route taken");
-    }
-
-    #[test]
-    fn threaded_transport_respects_partitions() {
-        let mut t = ThreadedTransport::new();
-        let (a, b) = two_nodes(&mut t);
-        t.router_mut().set_partition(b, 1).unwrap();
-        assert!(t.send(msg(5, a, b)).is_err());
-        assert!(t.drain(b).is_empty());
     }
 }

@@ -325,6 +325,22 @@ impl Query {
     pub fn is_deferred(&self) -> bool {
         !matches!(self.when, When::Immediate)
     }
+
+    /// The freshness bound this query demands, if any: the reserved
+    /// `qoc-max-age-us` constraint written by
+    /// [`QueryBuilder::fresh_within`]. Absent, negative or non-integer
+    /// values mean "no bound".
+    pub fn max_age(&self) -> Option<VirtualDuration> {
+        let What::Information { constraints, .. } = &self.what else {
+            return None;
+        };
+        constraints
+            .iter()
+            .find(|c| c.attr == "qoc-max-age-us")
+            .and_then(|c| c.value.as_int())
+            .and_then(|us| u64::try_from(us).ok())
+            .map(VirtualDuration::from_micros)
+    }
 }
 
 impl fmt::Display for Query {
@@ -385,6 +401,34 @@ mod tests {
             })
             .build();
         assert!(later.is_deferred());
+    }
+
+    #[test]
+    fn max_age_reads_only_a_well_formed_bound() {
+        use sci_types::ContextValue;
+        let with = |constraints: Vec<Predicate>| {
+            Query::builder(Guid::from_u128(1), Guid::from_u128(2))
+                .info_matching(ContextType::Location, constraints)
+                .build()
+        };
+        let bound = |v| vec![Predicate::eq("qoc-max-age-us", v)];
+        assert_eq!(with(Vec::new()).max_age(), None, "absent");
+        assert_eq!(with(bound(ContextValue::Int(-1))).max_age(), None);
+        assert_eq!(with(bound(ContextValue::text("soon"))).max_age(), None);
+        assert_eq!(
+            with(bound(ContextValue::Int(250))).max_age(),
+            Some(VirtualDuration::from_micros(250))
+        );
+        // What the builder writes, `max_age` reads back.
+        let fresh = Query::builder(Guid::from_u128(1), Guid::from_u128(2))
+            .info(ContextType::Location)
+            .fresh_within(VirtualDuration::from_secs(5));
+        assert_eq!(fresh.build().max_age(), Some(VirtualDuration::from_secs(5)));
+        // The contract only lives on information patterns.
+        let kind = Query::builder(Guid::from_u128(1), Guid::from_u128(2))
+            .kind(EntityKind::Device)
+            .fresh_within(VirtualDuration::from_secs(5));
+        assert_eq!(kind.build().max_age(), None);
     }
 
     #[test]

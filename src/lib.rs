@@ -103,8 +103,7 @@ pub mod prelude {
     pub use sci_location::floorplan::{capa_level10, FloorPlan};
     pub use sci_location::{LocationExpr, Rect, Route};
     pub use sci_overlay::{
-        FaultProbs, FaultyTransport, HierarchicalNetwork, SimNetwork, TcpTransport,
-        ThreadedTransport, Transport,
+        FaultProbs, FaultyTransport, HierarchicalNetwork, SimNetwork, TcpTransport, Transport,
     };
     pub use sci_query::{CmpOp, Mode, Predicate, Query, Subject, What, When, Where, Which};
     pub use sci_sensors::{BaseStation, DoorSensor, Printer, SimPerson, TemperatureSensor, World};

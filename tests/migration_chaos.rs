@@ -367,3 +367,121 @@ fn migrating_an_unknown_entity_is_a_clean_error() {
         "the refused departure is accounted"
     );
 }
+
+/// Regression: a migration packet whose target range has no live host
+/// used to be marked seen and dropped — the entity, already packaged
+/// out of its source, vanished. Now the packet is parked (every copy
+/// of it, when the link duplicates) and re-fired each sync until the
+/// range is back, where it replays exactly once.
+#[test]
+fn migration_into_a_killed_range_lands_once_it_recovers() {
+    use sci::core::durability;
+    use std::collections::HashMap;
+
+    let dir = std::env::temp_dir().join(format!("sci-migrate-dead-{}", std::process::id()));
+    let config = DurabilityConfig {
+        dir: dir.clone(),
+        fsync: FsyncPolicy::Always,
+        segment_bytes: 64 * 1024,
+        snapshot_every: 1 << 20,
+    };
+
+    let mut ids = GuidGenerator::seeded(0xbadcab);
+    let mut fed = ParallelFederation::with_transport(FaultyTransport::new(SimNetwork::new(), 5), 7);
+    let mover = ids.next_guid();
+    let mut sensors = Vec::new();
+    let mut target_id = Guid::NIL;
+    for i in 0..2usize {
+        let mut cs = ContextServer::new(ids.next_guid(), format!("range-{i}"), range_plan(i));
+        let sensor = ids.next_guid();
+        cs.register(
+            Profile::builder(sensor, EntityKind::Device, format!("sensor-{i}"))
+                .output(PortSpec::new("presence", ContextType::Presence))
+                .build(),
+            VirtualTime::ZERO,
+        )
+        .unwrap();
+        sensors.push(sensor);
+        if i == 0 {
+            cs.register(
+                Profile::builder(mover, EntityKind::Person, "mover").build(),
+                VirtualTime::ZERO,
+            )
+            .unwrap();
+        } else {
+            // The target is durable: it will be killed and recovered.
+            target_id = cs.id();
+            durability::attach(&mut cs, &config, VirtualTime::ZERO).unwrap();
+        }
+        fed.add_range(cs).unwrap();
+    }
+    fed.connect_full();
+    let q = Query::builder(ids.next_guid(), mover)
+        .info(ContextType::Presence)
+        .mode(Mode::Subscribe)
+        .build();
+    fed.submit_from("range-0", &q, VirtualTime::ZERO).unwrap();
+
+    // The target dies; the move happens anyway, over a link that
+    // delivers every packet twice.
+    let registry = fed.kill_range("range-1").unwrap();
+    fed.fabric_mut().set_default_probs(FaultProbs {
+        duplicate: 1.0,
+        ..FaultProbs::NONE
+    });
+    let now = VirtualTime::from_secs(1);
+    fed.migrate_entity(mover, "range-0", "range-1", now)
+        .unwrap();
+    assert_eq!(
+        fed.pending_relay_count(),
+        2,
+        "both copies of the packet wait for the dead range"
+    );
+    assert_eq!(fed.retry_parked(), 2);
+    fed.fabric_mut().heal();
+    fed.sync(now).unwrap();
+    assert_eq!(
+        fed.pending_relay_count(),
+        2,
+        "re-fired at a range that is still dead, the copies park again"
+    );
+    assert_eq!(registry.snapshot().counter("range.migrate.in"), 0);
+
+    // The range comes back from its WAL; the first sync delivers.
+    let (recovered, report) = durability::recover(
+        target_id,
+        "range-1",
+        range_plan(1),
+        registry,
+        &config,
+        &HashMap::new(),
+    )
+    .unwrap();
+    assert_eq!(report.replay_errors, 0, "{report:?}");
+    fed.recover_range(recovered).unwrap();
+    let dedup_before = fed.relay_dedup_hits();
+    fed.sync(VirtualTime::from_secs(2)).unwrap();
+    assert_eq!(fed.pending_relay_count(), 0);
+    assert_eq!(
+        fed.relay_dedup_hits(),
+        dedup_before + 1,
+        "the duplicate is squashed once the original has applied"
+    );
+    let snap = fed.snapshot();
+    assert_eq!(snap.counter("range.migrate.out"), 1);
+    assert_eq!(snap.counter("range.migrate.in"), 1);
+
+    // The standing subscription followed the mover.
+    for k in 0..3u64 {
+        let now = VirtualTime::from_secs(3 + k);
+        fed.ingest_at("range-1", &presence_event(sensors[1], k), now)
+            .unwrap();
+    }
+    fed.sync(VirtualTime::from_secs(10)).unwrap();
+    assert_eq!(fed.deliveries_for(mover).len(), 3);
+
+    let servers = fed.shutdown();
+    assert!(!servers[0].registrar().is_registered(mover));
+    assert!(servers[1].registrar().is_registered(mover));
+    let _ = std::fs::remove_dir_all(&dir);
+}
