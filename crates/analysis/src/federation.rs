@@ -3,8 +3,8 @@
 //! A live federation exports a pure
 //! [`FederationModel`] — ranges, links,
 //! declared partitions, retry/backoff constants, restart budgets,
-//! freshness bounds, place-directory beliefs, message classes and the
-//! restart blueprint's command taxonomy. [`verify_federation`] checks
+//! freshness bounds, place-directory beliefs, message classes and
+//! which command kinds a range's log records. [`verify_federation`] checks
 //! the model *before* the runtime is trusted with traffic:
 //!
 //! * **SCI-A201** — every relay route the place directories imply must
@@ -18,14 +18,16 @@
 //!   (`base * (2^retries - 1)`, accounted in virtual time) must fit
 //!   inside every `qoc-max-age-us` bound; a tighter bound makes every
 //!   fully-retried relay *guaranteed* stale.
-//! * **SCI-A204** — every graph-shaping `RangeCommand` kind must have
-//!   an erasing counterpart, or supervised restart replays state that
-//!   should have died with its entity.
+//! * **SCI-A204** — a crashed range is rebuilt by replaying its
+//!   command log, so every graph-shaping `RangeCommand` kind *and* the
+//!   kind that erases what it built must be logged: an unlogged
+//!   builder is state the rebuild drops, an unlogged eraser is state
+//!   it resurrects.
 //! * **SCI-A205** — every retried cross-range message class must
 //!   carry the `(origin, seq)` dedup envelope, or retransmission
 //!   duplicates deliveries.
-//! * **SCI-A206** — a federation whose blueprint taxonomy accepts
-//!   `migrate-in` must declare a cross-range `migrate` message class
+//! * **SCI-A206** — a federation whose ranges log `migrate-in` must
+//!   declare a cross-range `migrate` message class
 //!   that is retried *and* enveloped; anything less and a mid-move
 //!   entity can lose its packaged state (no retry), double-replay it
 //!   (no envelope), or never receive it at all (no class).
@@ -41,7 +43,7 @@ use sci_types::{AnalysisReport, DiagCode, Diagnostic, FederationModel, Guid};
 
 /// Verifies a federation protocol model, returning one diagnostic per
 /// defect (codes SCI-A201..A207). A clean report means the declared
-/// topology, retry discipline, blueprint taxonomy and envelope
+/// topology, retry discipline, command-log coverage and envelope
 /// discipline are consistent — it does not prove liveness under
 /// faults, only the absence of statically-visible protocol defects.
 pub fn verify_federation(model: &FederationModel) -> AnalysisReport {
@@ -49,7 +51,7 @@ pub fn verify_federation(model: &FederationModel) -> AnalysisReport {
     check_routability(model, &mut report);
     check_relay_cycles(model, &mut report);
     check_freshness(model, &mut report);
-    check_blueprint(model, &mut report);
+    check_command_log(model, &mut report);
     check_envelopes(model, &mut report);
     check_migration(model, &mut report);
     check_transport_links(model, &mut report);
@@ -174,44 +176,43 @@ fn check_freshness(model: &FederationModel, report: &mut AnalysisReport) {
     }
 }
 
-/// SCI-A204: shaping kinds need erasers, and erasers must be kinds.
-fn check_blueprint(model: &FederationModel, report: &mut AnalysisReport) {
-    let kinds: HashSet<&str> = model.blueprint.iter().map(|b| b.kind.as_str()).collect();
-    for entry in &model.blueprint {
-        if !entry.shaping {
-            continue;
+/// The `RangeCommand` kinds that build per-entity graph state, each
+/// with the kind that erases what it built.
+const ERASED_BY: [(&str, &str); 5] = [
+    ("register", "deregister"),
+    ("register-logic", "deregister"),
+    ("advertise", "deregister"),
+    ("submit", "cancel"),
+    ("migrate-in", "migrate-out"),
+];
+
+/// SCI-A204: shaping kinds and their erasers must both be logged.
+fn check_command_log(model: &FederationModel, report: &mut AnalysisReport) {
+    let logged: HashMap<&str, bool> = model
+        .logged_kinds
+        .iter()
+        .map(|(kind, logged)| (kind.as_str(), *logged))
+        .collect();
+    for (kind, eraser) in ERASED_BY {
+        if !logged.contains_key(kind) {
+            continue; // the modelled ranges have no such command
         }
-        match &entry.eraser {
-            None => report.push(Diagnostic::new(
-                DiagCode::BlueprintLeak,
-                format!(
-                    "graph-shaping command kind `{}` has no erasing counterpart: \
-                     supervised restart would replay state its entity's departure \
-                     should have removed",
-                    entry.kind,
+        for (name, loss) in [
+            (kind, "silently drop the state it builds"),
+            (eraser, "resurrect the state it erases"),
+        ] {
+            let defect = match logged.get(name) {
+                Some(true) => continue,
+                Some(false) => format!(
+                    "command kind `{name}` is not logged: a range rebuilt from its \
+                     log would {loss}"
                 ),
-            )),
-            Some(eraser) if !kinds.contains(eraser.as_str()) => {
-                report.push(Diagnostic::new(
-                    DiagCode::BlueprintLeak,
-                    format!(
-                        "command kind `{}` names eraser `{eraser}`, which is not a \
-                         known command kind",
-                        entry.kind,
-                    ),
-                ));
-            }
-            Some(_) => {}
-        }
-        if !entry.recorded {
-            report.push(Diagnostic::new(
-                DiagCode::BlueprintLeak,
-                format!(
-                    "command kind `{}` shapes the graph but is not recorded: a \
-                     restart would silently drop its state",
-                    entry.kind,
+                None => format!(
+                    "command kind `{kind}` is erased by `{name}`, which is not a \
+                     known command kind"
                 ),
-            ));
+            };
+            report.push(Diagnostic::new(DiagCode::ReplayLeak, defect));
         }
     }
 }
@@ -238,9 +239,9 @@ fn check_envelopes(model: &FederationModel, report: &mut AnalysisReport) {
 /// packets.
 fn check_migration(model: &FederationModel, report: &mut AnalysisReport) {
     let accepts_migration = model
-        .blueprint
+        .logged_kinds
         .iter()
-        .any(|b| b.kind == "migrate-in" && b.recorded);
+        .any(|(kind, logged)| kind == "migrate-in" && *logged);
     if !accepts_migration {
         return;
     }
@@ -314,8 +315,7 @@ fn check_transport_links(model: &FederationModel, report: &mut AnalysisReport) {
 mod tests {
     use super::*;
     use sci_types::{
-        BlueprintKindModel, FaultSchedule, FreshnessBound, MessageClassModel, RangeModel,
-        RetryModel, RouteClaim,
+        FaultSchedule, FreshnessBound, MessageClassModel, RangeModel, RetryModel, RouteClaim,
     };
 
     fn g(raw: u128) -> Guid {
@@ -323,7 +323,7 @@ mod tests {
     }
 
     /// A two-range model with consistent directories, feasible
-    /// freshness, a well-formed blueprint and enveloped relays — the
+    /// freshness, a fully logged command pair and enveloped relays — the
     /// passing fixture every check accepts.
     fn healthy() -> FederationModel {
         let (a, b) = (g(1), g(2));
@@ -376,20 +376,7 @@ mod tests {
                     enveloped: false,
                 },
             ],
-            blueprint: vec![
-                BlueprintKindModel {
-                    kind: "register".into(),
-                    recorded: true,
-                    shaping: true,
-                    eraser: Some("deregister".into()),
-                },
-                BlueprintKindModel {
-                    kind: "deregister".into(),
-                    recorded: false,
-                    shaping: false,
-                    eraser: None,
-                },
-            ],
+            logged_kinds: vec![("register".into(), true), ("deregister".into(), true)],
         }
     }
 
@@ -473,45 +460,38 @@ mod tests {
     }
 
     #[test]
-    fn a204_shaping_kind_without_eraser_leaks() {
+    fn a204_unlogged_eraser_resurrects_state() {
         let mut model = healthy();
-        model.blueprint[0].eraser = None;
+        model.logged_kinds[1].1 = false;
         let report = verify_federation(&model);
-        assert!(report.has_code(DiagCode::BlueprintLeak), "{report}");
+        assert!(report.has_code(DiagCode::ReplayLeak), "{report}");
+        assert!(report.to_string().contains("resurrect"), "{report}");
     }
 
     #[test]
     fn a204_unknown_eraser_is_drift() {
         let mut model = healthy();
-        model.blueprint[0].eraser = Some("evaporate".into());
+        model.logged_kinds.truncate(1);
         let report = verify_federation(&model);
-        assert!(report.has_code(DiagCode::BlueprintLeak), "{report}");
+        assert!(report.has_code(DiagCode::ReplayLeak), "{report}");
+        assert!(report.to_string().contains("not a known"), "{report}");
     }
 
     #[test]
-    fn a204_unrecorded_shaping_kind_is_dropped_state() {
+    fn a204_unlogged_shaping_kind_is_dropped_state() {
         let mut model = healthy();
-        model.blueprint[0].recorded = false;
+        model.logged_kinds[0].1 = false;
         let report = verify_federation(&model);
-        assert!(report.has_code(DiagCode::BlueprintLeak), "{report}");
+        assert!(report.has_code(DiagCode::ReplayLeak), "{report}");
+        assert!(report.to_string().contains("drop"), "{report}");
     }
 
-    /// The healthy fixture, extended with a recorded `migrate-in`
-    /// blueprint kind and a well-formed `migrate` message class.
+    /// The healthy fixture, extended with logged `migrate-in` /
+    /// `migrate-out` kinds and a well-formed `migrate` message class.
     fn migratory() -> FederationModel {
         let mut model = healthy();
-        model.blueprint.push(BlueprintKindModel {
-            kind: "migrate-in".into(),
-            recorded: true,
-            shaping: true,
-            eraser: Some("migrate-out".into()),
-        });
-        model.blueprint.push(BlueprintKindModel {
-            kind: "migrate-out".into(),
-            recorded: false,
-            shaping: false,
-            eraser: None,
-        });
+        model.logged_kinds.push(("migrate-in".into(), true));
+        model.logged_kinds.push(("migrate-out".into(), true));
         model.messages.push(MessageClassModel {
             name: "migrate".into(),
             crosses_ranges: true,

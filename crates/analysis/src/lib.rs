@@ -24,7 +24,7 @@
 //! * [`federation::verify_federation`] — protocol-model checking of an
 //!   exported [`FederationModel`](sci_types::FederationModel)
 //!   (`SCI-A2xx`: routability under partitions, relay cycles,
-//!   freshness feasibility, blueprint replayability, envelope
+//!   freshness feasibility, command-log coverage, envelope
 //!   coverage);
 //! * [`lint`] — the dependency-free `sci-lint` source pass
 //!   (`SCI-A3xx`: nondeterminism in seeded paths, metric-name drift,

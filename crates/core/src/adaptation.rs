@@ -68,10 +68,17 @@ pub fn repair_source(cs: &mut ContextServer, failed: Guid, now: VirtualTime) -> 
             .collect()
     };
 
+    // Repairs subscribe, and subscription order is delivery order:
+    // walk configurations in query-id order, not in the map's, so a
+    // replay of the same commands rewires (and later delivers)
+    // identically.
+    let mut configurations: Vec<_> = configurations.values_mut().collect();
+    configurations.sort_unstable_by_key(|c| c.query_id);
+
     // --- Repair hosted instances (each exactly once, even if shared). ---
     let mut repaired_instances: Vec<Guid> = Vec::new();
     let affected: Vec<Guid> = configurations
-        .values()
+        .iter()
         .filter(|c| c.sources.contains(&failed) || c.root_producers.contains(&failed))
         .flat_map(|c| c.instances.iter().copied())
         .collect();
@@ -131,7 +138,7 @@ pub fn repair_source(cs: &mut ContextServer, failed: Guid, now: VirtualTime) -> 
     }
 
     // --- Repair direct CAA subscriptions and per-config bookkeeping. ---
-    for config in configurations.values_mut() {
+    for config in configurations {
         if !(config.sources.contains(&failed) || config.root_producers.contains(&failed)) {
             continue;
         }
@@ -223,7 +230,12 @@ pub fn wire_new_source(cs: &mut ContextServer, source: Guid, outputs: &[ContextT
     let mut wired = 0;
     let mut wired_instances: Vec<Guid> = Vec::new();
 
-    for state in instances.iter_mut() {
+    // Subscription order is delivery order: wire instances and
+    // configurations in GUID order, not in their maps', so a replay of
+    // the same commands delivers identically.
+    let mut states: Vec<_> = instances.iter_mut().collect();
+    states.sort_unstable_by_key(|state| state.instance);
+    for state in states {
         for (ty, subject) in state.needs.clone() {
             // A compatible output (same type or semantic equivalent).
             let Some(concrete_ty) = outputs.iter().find(|t| profiles.compatible(t, &ty)) else {
@@ -251,7 +263,9 @@ pub fn wire_new_source(cs: &mut ContextServer, source: Guid, outputs: &[ContextT
         }
     }
 
-    for config in configurations.values_mut() {
+    let mut configurations: Vec<_> = configurations.values_mut().collect();
+    configurations.sort_unstable_by_key(|c| c.query_id);
+    for config in configurations {
         // Instance-level wiring: record the new dependency.
         if config.instances.iter().any(|i| wired_instances.contains(i))
             && !config.sources.contains(&source)

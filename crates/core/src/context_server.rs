@@ -41,6 +41,7 @@ use sci_types::{
 use sci_analysis::fleet::{diff_subscriptions, SubscriptionRecord};
 
 use crate::configuration::{Configuration, InstanceStore};
+use crate::durability::RangeWal;
 use crate::history::ContextStore;
 use crate::location_service::LocationService;
 use crate::logic::LogicFactory;
@@ -92,10 +93,10 @@ pub struct ContextServer {
     verify_plans: bool,
     rejected_plans: u64,
     metrics: CsMetrics,
-    /// Durable write-ahead log, when this range is durability-enabled
-    /// (see [`crate::durability`]). `handle` takes it out for the span
-    /// of a command so appends and snapshots can borrow the server.
-    wal: Option<crate::durability::RangeWal>,
+    /// The range's command log, when one is attached (see
+    /// [`crate::durability`]): on disk for a durable range, in memory
+    /// for a supervised one.
+    wal: Option<RangeWal>,
     /// Next relay-stream envelope sequence for application deliveries,
     /// minted on the worker as traffic leaves the range. Durable state:
     /// it is snapshotted together with the outbox, so a recovered range
@@ -402,8 +403,8 @@ impl ContextServer {
             return Err(SciError::UnknownEntity(ad.provider()));
         }
         let ads = self.advertisements.entry(ad.provider()).or_default();
-        // Re-advertising the identical service is a no-op: restart
-        // blueprint replay must be idempotent, not accumulate copies.
+        // Re-advertising the identical service is a no-op, not a
+        // second copy.
         if !ads.contains(&ad) {
             ads.push(ad);
         }
@@ -1293,17 +1294,25 @@ impl ContextServer {
     // Durability surface (crate::durability, crate::runtime)
     // ------------------------------------------------------------------
 
-    /// Whether a write-ahead log is attached to this range.
+    /// Whether a command log is attached to this range: on disk
+    /// ([`crate::durability::attach`]), or the in-memory one a
+    /// supervised range restarts from.
     pub fn is_durable(&self) -> bool {
         self.wal.is_some()
     }
 
-    pub(crate) fn take_wal(&mut self) -> Option<crate::durability::RangeWal> {
-        self.wal.take()
+    pub(crate) fn wal_mut(&mut self) -> Option<&mut RangeWal> {
+        self.wal.as_mut()
     }
 
-    pub(crate) fn put_wal(&mut self, wal: Option<crate::durability::RangeWal>) {
-        self.wal = wal;
+    pub(crate) fn put_wal(&mut self, wal: RangeWal) {
+        self.wal = Some(wal);
+    }
+
+    /// What a rebuild may still trust of a server whose command
+    /// panicked: its log (if any) and the logic factories it was given.
+    pub(crate) fn into_log(self) -> Option<(RangeWal, HashMap<Guid, LogicFactory>)> {
+        Some((self.wal?, self.factories))
     }
 
     /// Flushes and fsyncs any buffered write-ahead-log appends — the
@@ -1343,9 +1352,9 @@ impl ContextServer {
     }
 
     /// Fast-forwards the stream sequence counters to at least the given
-    /// values (never rewinds): snapshot restore and supervised restarts
-    /// both use this so a rebuilt server cannot re-mint envelope seqs
-    /// the federation has already recorded for *different* traffic.
+    /// values (never rewinds): snapshot restore uses this so a rebuilt
+    /// server cannot re-mint envelope seqs the federation has already
+    /// recorded for *different* traffic.
     pub(crate) fn bump_stream_seqs(&mut self, delivery: u64, answer: u64) {
         self.stream_delivery_seq = self.stream_delivery_seq.max(delivery);
         self.stream_answer_seq = self.stream_answer_seq.max(answer);

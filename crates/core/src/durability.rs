@@ -36,6 +36,19 @@
 //!   recovered range re-streams regenerated deliveries under the *same*
 //!   `(origin, seq)` envelopes the federation may already have seen —
 //!   receiver-side dedup then collapses redelivery to exactly-once.
+//! * **One log per range, one rebuild.** The records and the snapshot
+//!   live in a directory ([`attach`]: survives the process) or in
+//!   memory ([`attach_memory`]: survives a worker panic — what a
+//!   supervised range without a directory is given at spawn). The
+//!   hook in `handle`, the snapshot schedule and the rebuild are the
+//!   same code over either; [`recover`] rebuilds from a directory,
+//!   [`restart`] from whichever store a dead worker's server was
+//!   attached to.
+//! * **The poison rule.** A record whose apply *panicked* was appended
+//!   but never took effect, and would panic again: whoever catches the
+//!   panic has a retirement marker appended behind it, and the rebuild
+//!   skips both. A record whose fate is merely unknown — the tail
+//!   after a process crash — is replayed.
 //!
 //! # What is deliberately not durable
 //!
@@ -68,8 +81,10 @@ use sci_types::{
     SciResult, VirtualTime,
 };
 use sci_wal::codec::wire;
+use sci_wal::log::LatestSnapshot;
 use sci_wal::{
-    prune_snapshots, read_latest_snapshot, CodecError, Frame, FsyncPolicy, SegmentLog, WalError,
+    prune_snapshots, read_latest_snapshot, CodecError, Frame, FsyncPolicy, Recovered, SegmentLog,
+    WalError,
 };
 
 use crate::context_server::ContextServer;
@@ -116,13 +131,24 @@ pub const TAGS: [&str; 21] = [
 /// items had safely left the range when the crash may have eaten them
 /// in transit (see the module docs).
 pub fn is_durable(cmd: &RangeCommand) -> bool {
+    kind_is_logged(cmd.kind())
+}
+
+fn kind_is_logged(kind: &str) -> bool {
     !matches!(
-        cmd,
-        RangeCommand::DrainOutbox
-            | RangeCommand::DrainOutboxFor(_)
-            | RangeCommand::DrainAnswers
-            | RangeCommand::Audit
+        kind,
+        "drain-outbox" | "drain-outbox-for" | "drain-answers" | "audit"
     )
+}
+
+/// Every [`RangeCommand`] kind with whether the range's command log
+/// records it — [`is_durable`] as a table, for the protocol model
+/// (SCI-A204 / SCI-A206 read it).
+pub fn logged_kinds() -> Vec<(String, bool)> {
+    RangeCommand::KINDS
+        .iter()
+        .map(|kind| ((*kind).to_owned(), kind_is_logged(kind)))
+        .collect()
 }
 
 fn wal_err(e: WalError) -> SciError {
@@ -376,6 +402,11 @@ pub fn decode_command(
 // Configuration and metrics
 // ---------------------------------------------------------------------
 
+/// Logged commands between snapshots unless a [`DurabilityConfig`]
+/// says otherwise — and always for the in-memory store, whose
+/// snapshots are its compaction.
+const SNAPSHOT_EVERY: u64 = 256;
+
 /// How a range's write-ahead log behaves.
 #[derive(Clone, Debug)]
 pub struct DurabilityConfig {
@@ -398,7 +429,7 @@ impl DurabilityConfig {
             dir: dir.into(),
             fsync: FsyncPolicy::EveryN(32),
             segment_bytes: 1 << 20,
-            snapshot_every: 256,
+            snapshot_every: SNAPSHOT_EVERY,
         }
     }
 }
@@ -432,61 +463,216 @@ impl WalMetrics {
 // The per-range WAL handle
 // ---------------------------------------------------------------------
 
-/// A range's attached write-ahead log: the segmented log plus snapshot
-/// scheduling state. Lives inside the [`ContextServer`] and is driven
-/// exclusively by [`ContextServer::handle`]; construct one via
-/// [`attach`] (fresh range) or [`recover`] (restart).
+/// Frame tag of a retirement marker: the record before it was appended
+/// but its apply panicked, and must not be replayed. Outside the
+/// command tag space ([`TAGS`]).
+const RETIRED: u8 = 0xFF;
+
+/// Where a range's records and snapshot are kept. Everything above
+/// this enum — the append-before-apply hook, snapshot scheduling,
+/// recovery — is the same code for both.
+enum Store {
+    /// Segment and snapshot files under `config.dir`: survives the
+    /// process.
+    Dir {
+        log: SegmentLog,
+        config: DurabilityConfig,
+    },
+    /// The same in memory: survives a worker panic, which is all a
+    /// supervised restart needs.
+    Mem(MemLog),
+}
+
+/// What a log directory holds, held in memory: the newest snapshot and
+/// every record since (a snapshot is this store's compaction).
+#[derive(Default)]
+struct MemLog {
+    frames: Vec<(u64, Frame)>,
+    next_index: u64,
+    snapshot: LatestSnapshot,
+}
+
+/// What a store holds when it is opened for recovery.
+struct Held {
+    snapshot: LatestSnapshot,
+    snapshots_skipped: usize,
+    log: Recovered,
+}
+
+impl Store {
+    fn open_dir(config: &DurabilityConfig) -> SciResult<(Store, Held)> {
+        let (log, recovered) =
+            SegmentLog::open(&config.dir, config.fsync, config.segment_bytes).map_err(wal_err)?;
+        let (snapshot, snapshots_skipped) = read_latest_snapshot(&config.dir).map_err(wal_err)?;
+        let held = Held {
+            snapshot,
+            snapshots_skipped,
+            log: recovered,
+        };
+        let config = config.clone();
+        Ok((Store::Dir { log, config }, held))
+    }
+
+    /// Reads back what the store holds, ready to append again: a
+    /// directory is closed (flushing it) and opened like any other.
+    fn reopen(self) -> SciResult<(Store, Held)> {
+        match self {
+            Store::Dir { log, config } => {
+                drop(log);
+                Store::open_dir(&config)
+            }
+            Store::Mem(mem) => {
+                let held = Held {
+                    snapshot: mem.snapshot.clone(),
+                    snapshots_skipped: 0,
+                    log: Recovered {
+                        frames: mem.frames.clone(),
+                        torn_bytes: 0,
+                        torn_detail: None,
+                    },
+                };
+                Ok((Store::Mem(mem), held))
+            }
+        }
+    }
+
+    fn snapshot_every(&self) -> u64 {
+        match self {
+            Store::Dir { config, .. } => config.snapshot_every,
+            Store::Mem(_) => SNAPSHOT_EVERY,
+        }
+    }
+
+    fn segment_count(&self) -> usize {
+        match self {
+            Store::Dir { log, .. } => log.segment_count(),
+            Store::Mem(_) => 0,
+        }
+    }
+
+    /// Appends one frame; returns whether the append ran an fsync.
+    fn append(&mut self, frame: Frame) -> SciResult<bool> {
+        match self {
+            Store::Dir { log, .. } => Ok(log.append(&frame).map_err(wal_err)?.synced),
+            Store::Mem(mem) => {
+                mem.frames.push((mem.next_index, frame));
+                mem.next_index += 1;
+                Ok(false)
+            }
+        }
+    }
+
+    /// Stores a snapshot covering every record so far and drops what
+    /// it supersedes: covered records and older snapshots.
+    fn write_snapshot(&mut self, payload: &[u8]) -> SciResult<()> {
+        match self {
+            Store::Dir { log, config } => {
+                let applied = log.next_index();
+                sci_wal::write_snapshot(&config.dir, applied, payload).map_err(wal_err)?;
+                log.prune_below(applied).map_err(wal_err)?;
+                prune_snapshots(&config.dir).map_err(wal_err)?;
+            }
+            Store::Mem(mem) => {
+                mem.frames.clear();
+                mem.snapshot = Some((mem.next_index, payload.to_vec()));
+            }
+        }
+        Ok(())
+    }
+
+    fn sync(&mut self) -> SciResult<()> {
+        match self {
+            Store::Dir { log, .. } => log.sync().map_err(wal_err),
+            Store::Mem(_) => Ok(()),
+        }
+    }
+}
+
+/// A range's attached write-ahead log: the stored records plus
+/// snapshot scheduling state. Lives inside the [`ContextServer`] and is
+/// driven exclusively by [`ContextServer::handle`]; construct one via
+/// [`attach`] / [`attach_memory`] (fresh range) or [`recover`] /
+/// [`restart`] (rebuilt range).
 pub struct RangeWal {
-    log: SegmentLog,
-    dir: PathBuf,
-    snapshot_every: u64,
+    store: Store,
     since_snapshot: u64,
+    /// The newest record's command has not come back from its apply.
+    /// Set by [`RangeWal::append`], cleared by [`RangeWal::applied`];
+    /// still set after a panic, it marks the record that must not be
+    /// replayed.
+    unapplied: bool,
     metrics: WalMetrics,
 }
 
 impl RangeWal {
+    fn new(store: Store, registry: &Registry, since_snapshot: u64) -> Self {
+        RangeWal {
+            store,
+            since_snapshot,
+            unapplied: false,
+            metrics: WalMetrics::new(registry),
+        }
+    }
+
     /// Appends one durable command, recording append/fsync latency.
     /// `fsync_us` samples the full append when the policy synced it —
     /// an upper bound on the sync itself, which is the component that
     /// matters for policy comparison.
     pub(crate) fn append(&mut self, cmd: &RangeCommand, now: VirtualTime) -> SciResult<()> {
         let frame = encode_command(cmd, now);
+        let bytes = frame.encoded_len() as u64;
         let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
-        let appended = self.log.append(&frame).map_err(wal_err)?;
+        let synced = self.store.append(frame)?;
         let us = elapsed_us(started);
         self.metrics.append_us.record(us);
-        if appended.synced {
+        if synced {
             self.metrics.fsync_us.record(us);
         }
-        self.metrics.bytes.add(appended.bytes);
-        self.metrics.segments.set(self.log.segment_count() as i64);
+        self.metrics.bytes.add(bytes);
+        self.metrics.segments.set(self.store.segment_count() as i64);
         self.since_snapshot += 1;
+        self.unapplied = true;
         Ok(())
     }
 
-    /// Whether enough commands accumulated to warrant a snapshot.
-    pub(crate) fn snapshot_due(&self) -> bool {
-        self.snapshot_every > 0 && self.since_snapshot >= self.snapshot_every
+    /// The newest record's command came back from its apply, with a
+    /// reply or an error (replay reproduces either). Returns whether
+    /// enough commands accumulated to warrant a snapshot.
+    pub(crate) fn applied(&mut self) -> bool {
+        self.unapplied = false;
+        let every = self.store.snapshot_every();
+        every > 0 && self.since_snapshot >= every
+    }
+
+    /// The poison rule: the record whose apply panicked was appended,
+    /// never took effect, and would panic again. A [`RETIRED`] marker
+    /// behind it keeps a supervised restart and any later [`recover`]
+    /// from replaying it. Retires nothing when no apply was in flight:
+    /// a panic inside an unlogged command, like a plain crash, leaves
+    /// the tail record to be replayed.
+    pub(crate) fn retire_unapplied(&mut self) -> SciResult<()> {
+        if std::mem::take(&mut self.unapplied) {
+            self.store.append(Frame::new(RETIRED, Vec::new()))?;
+            self.store.sync()?;
+        }
+        Ok(())
     }
 
     /// Writes `snapshot_xml` covering everything logged so far, prunes
-    /// covered segments and older snapshots. On failure
-    /// `since_snapshot` is left alone, so the next command retries.
+    /// what it supersedes. On failure `since_snapshot` is left alone,
+    /// so the next logged command retries.
     pub(crate) fn write_snapshot(&mut self, snapshot_xml: &str) -> SciResult<()> {
         let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
-        let applied = self.log.next_index();
-        sci_wal::write_snapshot(&self.dir, applied, snapshot_xml.as_bytes()).map_err(wal_err)?;
-        self.log.prune_below(applied).map_err(wal_err)?;
-        prune_snapshots(&self.dir).map_err(wal_err)?;
+        self.store.write_snapshot(snapshot_xml.as_bytes())?;
         self.since_snapshot = 0;
         self.metrics.snapshot_us.record(elapsed_us(started));
-        self.metrics.segments.set(self.log.segment_count() as i64);
+        self.metrics.segments.set(self.store.segment_count() as i64);
         Ok(())
     }
 
     /// Flushes and fsyncs buffered appends (shutdown path).
     pub(crate) fn sync(&mut self) -> SciResult<()> {
-        self.log.sync().map_err(wal_err)
+        self.store.sync()
     }
 }
 
@@ -596,7 +782,8 @@ fn bool_attr(e: &Element, key: &str) -> SciResult<bool> {
 }
 
 /// Replays a `<range-snapshot>` into a freshly built server and
-/// returns the snapshot's `now`.
+/// returns the snapshot's `now` and how many standing queries it had
+/// to drop.
 ///
 /// Restore order matters and mirrors how the state was built the first
 /// time: settings, logic factories and equivalences first (the
@@ -613,11 +800,16 @@ fn bool_attr(e: &Element, key: &str) -> SciResult<bool> {
 /// Propagates codec errors and the first command-replay failure — a
 /// snapshot was written from consistent state, so any failure here
 /// means the document (or the restore path) is broken, not the data.
+/// The one exception: a standing query that no longer resolves. Its
+/// providers had all left when the snapshot was taken (a degraded
+/// configuration, waiting for a new source), and the snapshot does not
+/// carry the plan it was degraded from; it is dropped and counted
+/// rather than failing the whole recovery.
 pub(crate) fn restore_snapshot(
     cs: &mut ContextServer,
     root: &Element,
     logic: &HashMap<Guid, LogicFactory>,
-) -> SciResult<VirtualTime> {
+) -> SciResult<(VirtualTime, usize)> {
     if root.name != "range-snapshot" {
         return Err(SciError::Codec(format!(
             "expected <range-snapshot>, got <{}>",
@@ -670,9 +862,13 @@ pub(crate) fn restore_snapshot(
         let ad = qcodec::advertisement_from_element(ad)?;
         cs.handle(RangeCommand::Advertise(Box::new(ad)), now)?;
     }
+    let mut unresolved = 0;
     for q in root.children_named("query") {
         let query = qcodec::query_from_element(q)?;
-        cs.restore_standing_query(&query, now)?;
+        match cs.restore_standing_query(&query, now) {
+            Err(SciError::Unresolvable(_)) => unresolved += 1,
+            restored => restored?,
+        }
     }
     for d in root.children_named("deferred") {
         let stored_at = VirtualTime::from_micros(
@@ -727,14 +923,14 @@ pub(crate) fn restore_snapshot(
         .parse::<u64>()
         .map_err(|e| SciError::Codec(format!("bad answer-seq: {e}")))?;
     cs.bump_stream_seqs(delivery_seq, answer_seq);
-    Ok(now)
+    Ok((now, unresolved))
 }
 
 // ---------------------------------------------------------------------
 // Attach / recover
 // ---------------------------------------------------------------------
 
-/// What [`recover`] found on disk.
+/// What [`recover`] (or [`restart`]) found in the log.
 #[derive(Debug)]
 pub struct RecoveryReport {
     /// Applied index of the snapshot that seeded recovery, if any.
@@ -743,7 +939,8 @@ pub struct RecoveryReport {
     pub replayed: usize,
     /// Replayed commands that returned an error — they failed
     /// identically in the original timeline, so this is continuity,
-    /// not damage.
+    /// not damage — plus standing queries the snapshot held that no
+    /// longer resolve (every provider had left; they are dropped).
     pub replay_errors: usize,
     /// Bytes truncated from the active segment's torn tail.
     pub torn_bytes: u64,
@@ -754,6 +951,13 @@ pub struct RecoveryReport {
     /// Virtual time of the last restored command (or snapshot): the
     /// clock value the range had durably reached.
     pub last_now: VirtualTime,
+}
+
+fn attach_store(cs: &mut ContextServer, store: Store, now: VirtualTime) -> SciResult<()> {
+    let mut wal = RangeWal::new(store, cs.telemetry(), 0);
+    wal.write_snapshot(&snapshot_element(cs, now).to_xml())?;
+    cs.put_wal(wal);
+    Ok(())
 }
 
 /// Attaches a fresh write-ahead log to a server, seeding it with a
@@ -770,26 +974,24 @@ pub fn attach(
     config: &DurabilityConfig,
     now: VirtualTime,
 ) -> SciResult<()> {
-    let (log, recovered) =
-        SegmentLog::open(&config.dir, config.fsync, config.segment_bytes).map_err(wal_err)?;
-    let (snap, _) = read_latest_snapshot(&config.dir).map_err(wal_err)?;
-    if !recovered.frames.is_empty() || snap.is_some() {
+    let (store, held) = Store::open_dir(config)?;
+    if !held.log.frames.is_empty() || held.snapshot.is_some() {
         return Err(SciError::Internal(format!(
             "durability dir {} already holds a log; use recover()",
             config.dir.display()
         )));
     }
-    let metrics = WalMetrics::new(cs.telemetry());
-    let mut wal = RangeWal {
-        log,
-        dir: config.dir.clone(),
-        snapshot_every: config.snapshot_every,
-        since_snapshot: 0,
-        metrics,
-    };
-    wal.write_snapshot(&snapshot_element(cs, now).to_xml())?;
-    cs.put_wal(Some(wal));
-    Ok(())
+    attach_store(cs, store, now)
+}
+
+/// [`attach`], keeping the log in memory instead of a directory: the
+/// same records, the same seeding snapshot, a snapshot (which is the
+/// store's compaction) every 256 logged commands. It does not survive
+/// the process; it is what a supervised range
+/// ([`crate::runtime::RestartPolicy`]) with no disk log restarts from.
+pub fn attach_memory(cs: &mut ContextServer, now: VirtualTime) {
+    // No I/O: the only fallible step of `attach_store` is a directory's.
+    let _ = attach_store(cs, Store::Mem(MemLog::default()), now);
 }
 
 /// Rebuilds a range from its durability directory: opens the log
@@ -818,24 +1020,66 @@ pub fn recover(
     config: &DurabilityConfig,
     logic: &HashMap<Guid, LogicFactory>,
 ) -> SciResult<(ContextServer, RecoveryReport)> {
+    let fresh = (id, name.into(), plan, registry);
+    rebuild(fresh, || Store::open_dir(config), logic)
+}
+
+/// Rebuilds a range from the log attached to `wreck` — what a
+/// supervised restart ([`crate::runtime::RestartPolicy`]) does with
+/// the server a panicked worker leaves behind. Only the wreck's
+/// identity, telemetry registry, logic factories and log are read; its
+/// other state is suspect and is dropped. A record whose apply never
+/// returned (the command that panicked) is marked retired first, so it
+/// is replayed neither here nor by a later [`recover`] of the same
+/// directory. The rebuilt server stays attached to the same log.
+///
+/// # Errors
+///
+/// [`SciError::Internal`] when `wreck` has no log attached; otherwise
+/// as for [`recover`].
+pub fn restart(wreck: ContextServer) -> SciResult<(ContextServer, RecoveryReport)> {
+    let fresh = (
+        wreck.id(),
+        wreck.name().to_owned(),
+        wreck.location().plan().clone(),
+        wreck.telemetry().clone(),
+    );
+    let (mut wal, logic) = wreck.into_log().ok_or_else(|| {
+        SciError::Internal("restart needs an attached log; see attach / attach_memory".into())
+    })?;
+    wal.retire_unapplied()?;
+    rebuild(fresh, || wal.store.reopen(), &logic)
+}
+
+/// The one function that turns (snapshot, records) into a server:
+/// restores the newest intact snapshot `open` finds into a fresh
+/// server of the given identity, replays every record past it through
+/// [`ContextServer::handle`], and attaches the opened store.
+fn rebuild(
+    (id, name, plan, registry): (Guid, String, FloorPlan, Registry),
+    open: impl FnOnce() -> SciResult<(Store, Held)>,
+    logic: &HashMap<Guid, LogicFactory>,
+) -> SciResult<(ContextServer, RecoveryReport)> {
     let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
-    let (log, recovered) =
-        SegmentLog::open(&config.dir, config.fsync, config.segment_bytes).map_err(wal_err)?;
-    let (snap, snapshots_skipped) = read_latest_snapshot(&config.dir).map_err(wal_err)?;
+                                  // Store first, server second: the server's many small allocations
+                                  // then sit together, after the log's one large read.
+    let (store, held) = open()?;
     let mut cs = ContextServer::with_registry(id, name, plan, registry);
     let mut last_now = VirtualTime::ZERO;
     let mut snapshot_applied = None;
-    if let Some((applied, payload)) = snap {
+    let mut replay_errors = 0usize;
+    if let Some((applied, payload)) = held.snapshot {
         let xml = String::from_utf8(payload)
             .map_err(|e| SciError::Codec(format!("snapshot is not UTF-8: {e}")))?;
-        last_now = restore_snapshot(&mut cs, &parse(&xml)?, logic)?;
+        (last_now, replay_errors) = restore_snapshot(&mut cs, &parse(&xml)?, logic)?;
         snapshot_applied = Some(applied);
     }
     let floor = snapshot_applied.unwrap_or(0);
     let mut replayed = 0usize;
-    let mut replay_errors = 0usize;
-    for (idx, frame) in &recovered.frames {
-        if *idx < floor {
+    let frames = &held.log.frames;
+    for (i, (idx, frame)) in frames.iter().enumerate() {
+        let retired = matches!(frames.get(i + 1), Some((_, next)) if next.tag == RETIRED);
+        if *idx < floor || retired || frame.tag == RETIRED {
             continue;
         }
         let (cmd, now) = decode_command(frame, logic)?;
@@ -845,27 +1089,20 @@ pub fn recover(
         }
         replayed += 1;
     }
-    let metrics = WalMetrics::new(cs.telemetry());
-    metrics.recover_us.record(elapsed_us(started));
-    metrics.torn_tail.add(recovered.torn_bytes);
-    metrics.segments.set(log.segment_count() as i64);
-    let wal = RangeWal {
-        log,
-        dir: config.dir.clone(),
-        snapshot_every: config.snapshot_every,
-        since_snapshot: replayed as u64,
-        metrics,
-    };
-    cs.put_wal(Some(wal));
+    let wal = RangeWal::new(store, cs.telemetry(), replayed as u64);
+    wal.metrics.recover_us.record(elapsed_us(started));
+    wal.metrics.torn_tail.add(held.log.torn_bytes);
+    wal.metrics.segments.set(wal.store.segment_count() as i64);
+    cs.put_wal(wal);
     Ok((
         cs,
         RecoveryReport {
             snapshot_applied,
             replayed,
             replay_errors,
-            torn_bytes: recovered.torn_bytes,
-            torn_detail: recovered.torn_detail,
-            snapshots_skipped,
+            torn_bytes: held.log.torn_bytes,
+            torn_detail: held.log.torn_detail,
+            snapshots_skipped: held.snapshots_skipped,
             last_now,
         },
     ))

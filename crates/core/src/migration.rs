@@ -155,22 +155,6 @@ impl MigrationPacket {
         }
         Ok(packet)
     }
-
-    /// The packet with its transient payloads (deliveries, answers)
-    /// stripped: what the restart blueprint records, so a replayed
-    /// `migrate-in` re-establishes the entity's composition without
-    /// double-delivering events that already reached the outbox.
-    #[must_use]
-    pub fn shape_only(&self) -> MigrationPacket {
-        MigrationPacket {
-            entity: self.entity,
-            profile: self.profile.clone(),
-            advertisements: self.advertisements.clone(),
-            queries: self.queries.clone(),
-            deliveries: Vec::new(),
-            answers: Vec::new(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -233,15 +217,6 @@ mod tests {
         assert!(back.profile.is_none());
         assert!(back.advertisements.is_empty() && back.queries.is_empty());
         assert!(back.deliveries.is_empty() && back.answers.is_empty());
-    }
-
-    #[test]
-    fn shape_only_strips_transients() {
-        let shape = sample().shape_only();
-        assert!(shape.profile.is_some());
-        assert_eq!(shape.queries.len(), 1);
-        assert!(shape.deliveries.is_empty());
-        assert!(shape.answers.is_empty());
     }
 
     #[test]

@@ -64,7 +64,7 @@ use sci_types::{
 use crate::context_server::{AppDelivery, ContextServer, DeferredAnswer, QueryAnswer, RangeReply};
 use crate::federation::{answer_element, answer_from_element, answer_to_xml};
 use crate::migration::MigrationPacket;
-use crate::runtime::{blueprint_model, RangeCommand};
+use crate::runtime::RangeCommand;
 use crate::seen::{SeenEnvelopes, SEQ_NS_SHIFT};
 use crate::telemetry::{elapsed_us, fold_load_stats, FedMetrics};
 
@@ -434,7 +434,7 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
             freshness,
             routes,
             messages: relay_message_classes(),
-            blueprint: blueprint_model(),
+            logged_kinds: crate::durability::logged_kinds(),
         }
     }
 

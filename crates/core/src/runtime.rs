@@ -24,7 +24,6 @@
 //! per-planet operator placement and the Context Toolkit's distributed
 //! widgets both argue for.
 
-use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread::JoinHandle;
@@ -33,10 +32,9 @@ use std::time::Instant;
 use sci_event::rt::{bounded_mailbox, mailbox, Receiver, Sender, TrySendError};
 use sci_overlay::net::SimNetwork;
 use sci_overlay::transport::Transport;
-use sci_query::{Mode, Query};
+use sci_query::Query;
 use sci_types::{
-    Advertisement, BlueprintKindModel, ContextEvent, ContextType, Guid, Profile, SciError,
-    SciResult, VirtualTime,
+    Advertisement, ContextEvent, ContextType, Guid, Profile, SciError, SciResult, VirtualTime,
 };
 
 use sci_telemetry::Registry;
@@ -193,32 +191,31 @@ impl ContextServer {
         let _span = tracer.span(cmd.kind());
         let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
 
-        // Durability: append-before-apply. The WAL is moved out for the
-        // duration of the dispatch so replay (which runs through this
-        // same method on a server whose WAL is detached) cannot re-log.
-        let mut wal = self.take_wal();
-        if let Some(w) = wal.as_mut() {
-            if crate::durability::is_durable(&cmd) {
-                if let Err(e) = w.append(&cmd, now) {
-                    self.put_wal(wal);
+        // Durability: append-before-apply. The log stays inside the
+        // server for the whole dispatch: if the apply panics, whoever
+        // catches it finds the record still marked unapplied and
+        // retires it (see `RangeWal::retire_unapplied`).
+        let logged = match self.wal_mut() {
+            Some(wal) if crate::durability::is_durable(&cmd) => {
+                if let Err(e) = wal.append(&cmd, now) {
                     self.metrics().record_command(idx, elapsed_us(started));
                     return Err(e);
                 }
+                true
             }
-        }
+            _ => false,
+        };
         let reply = self.handle_inner(cmd, now);
-        if let Some(w) = wal.as_mut() {
-            // Snapshot *after* applying: the document captures the
-            // command's effects (outbox included), and its applied
-            // index covers the command's own record. A failed write
-            // leaves the due-counter alone, so the next command
-            // retries.
-            if w.snapshot_due() {
-                let doc = crate::durability::snapshot_element(self, now).to_xml();
-                let _ = w.write_snapshot(&doc);
+        // Snapshot *after* applying: the document captures the
+        // command's effects (outbox included), and its applied index
+        // covers the command's own record. A failed write leaves the
+        // due-counter alone, so the next logged command retries.
+        if logged && self.wal_mut().is_some_and(|wal| wal.applied()) {
+            let doc = crate::durability::snapshot_element(self, now).to_xml();
+            if let Some(wal) = self.wal_mut() {
+                let _ = wal.write_snapshot(&doc);
             }
         }
-        self.put_wal(wal);
         self.metrics().record_command(idx, elapsed_us(started));
         reply
     }
@@ -354,14 +351,13 @@ fn drain_into_stream(cs: &mut ContextServer, stream: &Sender<Stream>) {
 ///
 /// The default is **no restarts** — a panic retires the range and the
 /// coordinator reports [`SciError::RangeDown`], preserving the original
-/// fail-stop semantics. With a bounded budget the runtime rebuilds the
-/// Context Server on a fresh worker thread (same GUID, name, floor plan
-/// and telemetry registry) and replays the range's *blueprint*: the
-/// replayable composition commands (registrations, logic factories,
-/// equivalences, advertisements, live subscriptions and settings
-/// toggles) recorded since spawn. In-flight events and command history
-/// are lost — supervision restores the composition graph, not the
-/// event stream.
+/// fail-stop semantics. With a bounded budget a restart is
+/// [`crate::durability::restart`]: the Context Server is rebuilt on a
+/// fresh worker thread (same GUID, name, floor plan and telemetry
+/// registry) from the range's own command log — the disk log if one is
+/// attached, otherwise an in-memory log the runtime attaches at spawn
+/// — minus the record of the command that panicked. Commands queued
+/// behind that one in the mailbox were never logged and are lost.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RestartPolicy {
     /// Restarts allowed over the runtime's lifetime; `0` disables
@@ -379,89 +375,28 @@ impl RestartPolicy {
     }
 }
 
-/// A replayable composition command, recorded for restart supervision.
-/// Everything here can be cloned back into a [`RangeCommand`] any
-/// number of times (`LogicFactory` is an `Arc`).
-enum BlueprintCmd {
-    Register(Box<Profile>),
-    RegisterLogic(Guid, LogicFactory),
-    DeclareEquivalence(ContextType, ContextType),
-    Advertise(Box<Advertisement>),
-    Subscribe(Box<Query>),
-    SetReuse(bool),
-    SetAutoRegisterPeople(bool),
-    SetPlanVerification(bool),
-    MigrateIn(Box<MigrationPacket>),
+/// How a worker's life ended.
+enum Exit {
+    /// Graceful stop: the server, intact.
+    Stopped(ContextServer),
+    /// A command panicked. The server's state is suspect; a supervised
+    /// restart reads its log and logic factories, nothing else.
+    Panicked(ContextServer),
 }
 
-impl BlueprintCmd {
-    fn to_command(&self) -> RangeCommand {
-        match self {
-            BlueprintCmd::Register(p) => RangeCommand::Register(p.clone()),
-            BlueprintCmd::RegisterLogic(ce, f) => RangeCommand::RegisterLogic(*ce, f.clone()),
-            BlueprintCmd::DeclareEquivalence(a, b) => {
-                RangeCommand::DeclareEquivalence(a.clone(), b.clone())
-            }
-            BlueprintCmd::Advertise(ad) => RangeCommand::Advertise(ad.clone()),
-            BlueprintCmd::Subscribe(q) => RangeCommand::Submit(q.clone()),
-            BlueprintCmd::SetReuse(v) => RangeCommand::SetReuse(*v),
-            BlueprintCmd::SetAutoRegisterPeople(v) => RangeCommand::SetAutoRegisterPeople(*v),
-            BlueprintCmd::SetPlanVerification(v) => RangeCommand::SetPlanVerification(*v),
-            BlueprintCmd::MigrateIn(p) => RangeCommand::MigrateIn(p.clone()),
-        }
-    }
-}
-
-/// The restart blueprint's view of every [`RangeCommand`] kind, for
-/// static verification (SCI-A204): which kinds the recorder replays,
-/// which of those accumulate per-entity graph state, and which kind
-/// erases each. Must stay in lockstep with [`RangeRuntime`]'s
-/// `record`; `crates/core/tests/prop_blueprint.rs` holds the two
-/// together behaviourally.
-pub fn blueprint_model() -> Vec<BlueprintKindModel> {
-    RangeCommand::KINDS
-        .iter()
-        .map(|&kind| {
-            let (recorded, shaping, eraser) = match kind {
-                // Per-entity graph state: replayed on restart, erased
-                // when the entity departs or the subscription dies.
-                "register" | "register-logic" | "advertise" => (true, true, Some("deregister")),
-                "submit" => (true, true, Some("cancel")),
-                // A migrated-in entity is per-entity graph state too:
-                // erased when the entity departs again, by deregister
-                // or the next hop's migrate-out.
-                "migrate-in" => (true, true, Some("migrate-out")),
-                // Monotonic or last-write-wins configuration: replayed
-                // verbatim, nothing to erase.
-                "declare-equivalence"
-                | "set-reuse"
-                | "set-auto-register-people"
-                | "set-plan-verification" => (true, false, None),
-                _ => (false, false, None),
-            };
-            BlueprintKindModel {
-                kind: kind.to_owned(),
-                recorded,
-                shaping,
-                eraser: eraser.map(str::to_owned),
-            }
-        })
-        .collect()
-}
-
-/// One worker thread's life: drain the mailbox, execute commands,
-/// return the server on graceful stop, `None` if a command panicked.
+/// One worker thread's life: drain the mailbox, execute commands, hand
+/// the server back when it ends.
 fn worker_loop(
     mut cs: ContextServer,
     rx: Receiver<ToWorker>,
     tx: Sender<SciResult<RangeReply>>,
     metrics: RuntimeMetrics,
     stream: Option<Sender<Stream>>,
-) -> Option<ContextServer> {
-    // A WAL-recovered server starts with its unrelayed outbox already
-    // restored; flush it into the stream before serving commands so
-    // redelivery does not wait for the next mutation. No-op for fresh
-    // servers (empty outbox).
+) -> Exit {
+    // A server rebuilt from its log starts with its unrelayed outbox
+    // already restored; flush it into the stream before serving
+    // commands so redelivery does not wait for the next mutation.
+    // No-op for fresh servers (empty outbox).
     if let Some(stream) = &stream {
         drain_into_stream(&mut cs, stream);
     }
@@ -485,18 +420,44 @@ fn worker_loop(
                         }
                         if tx.send(reply).is_err() {
                             // Coordinator went away; stop serving.
-                            return Some(cs);
+                            return Exit::Stopped(cs);
                         }
                     }
                     Err(_) => {
                         metrics.panics.inc();
-                        return None;
+                        // Supervised or not, the panicking command's
+                        // record leaves the log here, so a disk log
+                        // read by a later `recover` is clean too.
+                        if let Some(wal) = cs.wal_mut() {
+                            let _ = wal.retire_unapplied();
+                        }
+                        return Exit::Panicked(cs);
                     }
                 }
             }
-            Ok(ToWorker::Stop) | Err(_) => return Some(cs),
+            Ok(ToWorker::Stop) | Err(_) => return Exit::Stopped(cs),
         }
     }
+}
+
+/// Starts a worker thread serving `cs` behind a fresh mailbox.
+fn start_worker(
+    cs: ContextServer,
+    mailbox_policy: MailboxPolicy,
+    metrics: RuntimeMetrics,
+    stream: Option<Sender<Stream>>,
+) -> (
+    Sender<ToWorker>,
+    Receiver<SciResult<RangeReply>>,
+    Option<JoinHandle<Exit>>,
+) {
+    let (cmd_tx, cmd_rx) = mailbox_policy.make_mailbox();
+    let (reply_tx, reply_rx) = mailbox::<SciResult<RangeReply>>();
+    let worker = std::thread::Builder::new()
+        .name(format!("range-{}", cs.name()))
+        .spawn(move || worker_loop(cs, cmd_rx, reply_tx, metrics, stream))
+        .ok();
+    (cmd_tx, reply_rx, worker)
 }
 
 /// A [`ContextServer`] running as an actor on its own thread.
@@ -519,15 +480,15 @@ pub struct RangeRuntime {
     pending: usize,
     /// Errors from pipelined commands, in arrival order.
     errors: Vec<SciError>,
-    worker: Option<JoinHandle<Option<ContextServer>>>,
+    worker: Option<JoinHandle<Exit>>,
     down: bool,
     /// The server's registry, cloned before the server moved onto its
     /// worker thread — snapshots need no round-trip command, and the
     /// registry outlives a panicked worker.
     registry: Registry,
     metrics: RuntimeMetrics,
-    /// The range's floor plan, kept so a supervised restart can rebuild
-    /// the Context Server.
+    /// The range's floor plan (the relay core's place directory reads
+    /// it without a round trip).
     plan: FloorPlan,
     policy: RestartPolicy,
     /// Mailbox discipline, kept so a supervised restart rebuilds the
@@ -537,32 +498,7 @@ pub struct RangeRuntime {
     /// holds both ends so the channel survives worker restarts; each
     /// worker gets a sender clone.
     stream: Option<(Sender<Stream>, Receiver<Stream>)>,
-    /// Stream traffic pulled off the channel but not yet handed to the
-    /// coordinator — buffered so a restart can inspect sequences
-    /// without losing the traffic they ride on.
-    parked_stream: Stream,
-    /// One past the highest delivery-stream sequence observed from any
-    /// incarnation of the worker: the floor a rebuilt (non-durable)
-    /// server's counter is fast-forwarded to, so replacement traffic
-    /// never re-mints an envelope the federation may already have seen
-    /// for *different* traffic.
-    stream_delivery_floor: u64,
-    /// The answer-stream twin of `stream_delivery_floor`.
-    stream_answer_floor: u64,
     restarts_used: u32,
-    /// Replayable composition commands recorded since spawn (only when
-    /// supervision is enabled), each tagged with the serial that ties
-    /// it to its in-flight reply.
-    blueprint: Vec<(u64, BlueprintCmd)>,
-    /// Serial source for blueprint entries.
-    bp_serial: u64,
-    /// One slot per pipelined command awaiting its reply, FIFO:
-    /// `Some(serial)` when the command was provisionally recorded in
-    /// the blueprint, so an error reply can un-record it (a refused
-    /// Register/Subscribe must not resurrect on restart replay).
-    inflight: VecDeque<Option<u64>>,
-    /// The latest logical time seen, used as the replay clock.
-    last_now: VirtualTime,
 }
 
 impl std::fmt::Debug for RangeRuntime {
@@ -587,11 +523,11 @@ impl RangeRuntime {
     /// Moves `cs` onto a dedicated worker thread under a supervision
     /// `policy`: after a worker panic, up to
     /// [`RestartPolicy::max_restarts`] restarts rebuild the server
-    /// (same registry, so counters stay continuous) and replay its
-    /// composition blueprint. The command that observed the crash still
-    /// fails with [`SciError::RangeDown`]; subsequent commands reach
-    /// the restarted worker. Each restart increments `range.restarts`;
-    /// blueprint commands that fail on replay increment
+    /// (same registry, so counters stay continuous) from its own
+    /// command log. The command that observed the crash still fails
+    /// with [`SciError::RangeDown`]; subsequent commands reach the
+    /// restarted worker. Each restart increments `range.restarts`;
+    /// logged commands that return an error when replayed increment
     /// `range.restart.replay_errors`.
     pub fn spawn_supervised(cs: ContextServer, policy: RestartPolicy) -> Self {
         RangeRuntime::spawn_with(cs, policy, MailboxPolicy::Unbounded, false)
@@ -604,33 +540,33 @@ impl RangeRuntime {
     /// consumed by the relay core). With streaming enabled, explicit
     /// drain commands observe an already-empty outbox.
     pub fn spawn_with(
-        cs: ContextServer,
+        mut cs: ContextServer,
         policy: RestartPolicy,
         mailbox_policy: MailboxPolicy,
         streaming: bool,
     ) -> Self {
+        if policy.max_restarts > 0 && cs.wal_mut().is_none() {
+            // A restart rebuilds the range from its command log. With
+            // no disk log attached, keep one in memory, seeded with
+            // everything composed before the spawn.
+            crate::durability::attach_memory(&mut cs, VirtualTime::ZERO);
+        }
         let id = cs.id();
         let name = cs.name().to_owned();
         let registry = cs.telemetry().clone();
         let plan = cs.location().plan().clone();
         let metrics = RuntimeMetrics::register(&registry);
-        let worker_metrics = metrics.clone();
-        let (cmd_tx, cmd_rx) = mailbox_policy.make_mailbox();
-        let (reply_tx, reply_rx) = mailbox::<SciResult<RangeReply>>();
         // The coordinator owns both stream ends: the channel survives
         // worker restarts, and every (re)spawned worker just gets a
         // fresh sender clone.
         let stream = streaming.then(mailbox::<Stream>);
         let stream_tx = stream.as_ref().map(|(tx, _)| tx.clone());
-        let worker = std::thread::Builder::new()
-            .name(format!("range-{name}"))
-            .spawn(move || worker_loop(cs, cmd_rx, reply_tx, worker_metrics, stream_tx))
-            .ok();
+        let (tx, rx, worker) = start_worker(cs, mailbox_policy, metrics.clone(), stream_tx);
         RangeRuntime {
             id,
             name,
-            tx: cmd_tx,
-            rx: reply_rx,
+            tx,
+            rx,
             pending: 0,
             errors: Vec::new(),
             worker,
@@ -641,14 +577,7 @@ impl RangeRuntime {
             policy,
             mailbox_policy,
             stream,
-            parked_stream: Stream::default(),
-            stream_delivery_floor: 0,
-            stream_answer_floor: 0,
             restarts_used: 0,
-            blueprint: Vec::new(),
-            bp_serial: 0,
-            inflight: VecDeque::new(),
-            last_now: VirtualTime::ZERO,
         }
     }
 
@@ -657,190 +586,42 @@ impl RangeRuntime {
         self.restarts_used
     }
 
-    /// The kebab-case kinds currently held in the restart blueprint,
-    /// in record order (test and analysis surface: lets contract
-    /// tests pin what the recorder handles without replaying).
-    pub fn blueprint_kinds(&self) -> Vec<&'static str> {
-        self.blueprint
-            .iter()
-            .map(|(_, b)| b.to_command().kind())
-            .collect()
-    }
-
-    /// Clones the restart blueprint as replayable commands — exactly
-    /// what a supervised restart would feed the rebuilt server.
-    pub fn blueprint_commands(&self) -> Vec<RangeCommand> {
-        // Canonical replay order: providers, logic, services and
-        // toggles before subscriptions (each class in record order).
-        // A subscription recorded before a provider it now depends on
-        // would otherwise fail on the first replay and silently
-        // succeed on a repeat — replay must be idempotent.
-        let mut entries: Vec<&(u64, BlueprintCmd)> = self.blueprint.iter().collect();
-        entries.sort_by_key(|(serial, b)| (matches!(b, BlueprintCmd::Subscribe(_)), *serial));
-        entries.iter().map(|(_, b)| b.to_command()).collect()
-    }
-
-    /// Records `cmd` in the restart blueprint if it shapes the range's
-    /// composition graph. Deregistrations and cancellations erase their
-    /// counterparts so the blueprint tracks the *live* graph, not the
-    /// command history. Returns the serial of the provisional entry,
-    /// if one was pushed — [`RangeRuntime::settle_reply`] un-records
-    /// it should the command come back refused.
-    fn record(&mut self, cmd: &RangeCommand) -> Option<u64> {
-        if self.policy.max_restarts == 0 {
-            return None;
-        }
-        let entry = match cmd {
-            RangeCommand::Register(p) => Some(BlueprintCmd::Register(p.clone())),
-            RangeCommand::RegisterLogic(ce, f) => Some(BlueprintCmd::RegisterLogic(*ce, f.clone())),
-            RangeCommand::DeclareEquivalence(a, b) => {
-                Some(BlueprintCmd::DeclareEquivalence(a.clone(), b.clone()))
-            }
-            RangeCommand::Advertise(ad) => Some(BlueprintCmd::Advertise(ad.clone())),
-            RangeCommand::Submit(q) if q.mode == Mode::Subscribe => {
-                Some(BlueprintCmd::Subscribe(q.clone()))
-            }
-            RangeCommand::Deregister(id) => {
-                self.blueprint.retain(|(_, b)| match b {
-                    BlueprintCmd::Register(p) => p.id() != *id,
-                    BlueprintCmd::RegisterLogic(ce, _) => ce != id,
-                    BlueprintCmd::Advertise(ad) => ad.provider() != *id,
-                    BlueprintCmd::MigrateIn(packet) => packet.entity != *id,
-                    _ => true,
-                });
-                None
-            }
-            RangeCommand::MigrateOut(id) => {
-                // Migration is departure: erase everything the entity
-                // contributed to this range's composition graph —
-                // including a prior migrate-in and the subscriptions it
-                // owns, which travel in the packet and will be recorded
-                // again at the target. A restarted source range must
-                // not resurrect an entity that has already moved on.
-                self.blueprint.retain(|(_, b)| match b {
-                    BlueprintCmd::Register(p) => p.id() != *id,
-                    BlueprintCmd::RegisterLogic(ce, _) => ce != id,
-                    BlueprintCmd::Advertise(ad) => ad.provider() != *id,
-                    BlueprintCmd::Subscribe(q) => q.owner != *id,
-                    BlueprintCmd::MigrateIn(packet) => packet.entity != *id,
-                    _ => true,
-                });
-                None
-            }
-            RangeCommand::MigrateIn(packet) => {
-                // Shape only: deliveries and deferred answers already
-                // sitting in the packet are applied once by the live
-                // command; a restart replay must re-establish the
-                // entity's composition without double-delivering them.
-                Some(BlueprintCmd::MigrateIn(Box::new(packet.shape_only())))
-            }
-            RangeCommand::Cancel(query_id) => {
-                self.blueprint.retain(|(_, b)| match b {
-                    BlueprintCmd::Subscribe(q) => q.id != *query_id,
-                    _ => true,
-                });
-                None
-            }
-            RangeCommand::SetReuse(v) => Some(BlueprintCmd::SetReuse(*v)),
-            RangeCommand::SetAutoRegisterPeople(v) => Some(BlueprintCmd::SetAutoRegisterPeople(*v)),
-            RangeCommand::SetPlanVerification(v) => Some(BlueprintCmd::SetPlanVerification(*v)),
-            _ => None,
-        };
-        let entry = entry?;
-        let serial = self.bp_serial;
-        self.bp_serial += 1;
-        self.blueprint.push((serial, entry));
-        Some(serial)
-    }
-
-    /// Settles the oldest in-flight reply slot: a refused command's
-    /// provisional blueprint entry is removed, so restart replay only
-    /// rebuilds state the live server actually accepted.
-    fn settle_reply(&mut self, errored: bool) {
-        if let Some(Some(serial)) = self.inflight.pop_front() {
-            if errored {
-                self.blueprint.retain(|(s, _)| *s != serial);
-            }
-        }
-    }
-
-    /// Attempts a supervised restart after a worker death. Rebuilds the
-    /// server on a fresh worker and replays the blueprint at the last
-    /// seen logical time. Returns `false` when the restart budget is
-    /// exhausted (or the replacement itself died).
-    fn try_restart(&mut self) -> bool {
+    /// Attempts a supervised restart after a worker death: reaps the
+    /// dead worker and, if a command panicked under it, puts the
+    /// server [`crate::durability::restart`] rebuilds from its log on
+    /// a fresh one. The range stays down when the restart budget is
+    /// exhausted or the rebuild fails.
+    fn try_restart(&mut self) {
         if self.restarts_used >= self.policy.max_restarts {
-            return false;
+            return;
         }
         self.restarts_used += 1;
-        // The dead worker's server state is gone; join to reap the
-        // thread.
-        if let Some(handle) = self.worker.take() {
-            let _ = handle.join();
-        }
-        // Same GUID, name, plan and registry: the rebuilt server keeps
-        // incrementing the counters its predecessor registered.
-        let mut cs = ContextServer::with_registry(
-            self.id,
-            self.name.clone(),
-            self.plan.clone(),
-            self.registry.clone(),
-        );
-        // The dead worker minted stream sequences the rebuilt server
-        // knows nothing about. Pull whatever it streamed (preserving
-        // the traffic) and fast-forward the replacement's counters past
-        // every sequence observed, so its fresh traffic can never be
-        // mistaken for a redelivery and deduplicated away.
-        self.pull_stream_items();
-        cs.bump_stream_seqs(self.stream_delivery_floor, self.stream_answer_floor);
-        let (cmd_tx, cmd_rx) = self.mailbox_policy.make_mailbox();
-        let (reply_tx, reply_rx) = mailbox::<SciResult<RangeReply>>();
-        let worker_metrics = self.metrics.clone();
+        let Some(Ok(Exit::Panicked(wreck))) = self.worker.take().map(JoinHandle::join) else {
+            return;
+        };
+        // The rebuild replays commands through user logic, on this
+        // (the coordinator's) thread: a panic there must stay this
+        // range's problem too.
+        let rebuilt = catch_unwind(AssertUnwindSafe(|| crate::durability::restart(wreck)));
+        let Ok(Ok((cs, report))) = rebuilt else {
+            return;
+        };
+        self.registry.counter("range.restarts").inc();
+        self.registry
+            .counter("range.restart.replay_errors")
+            .add(report.replay_errors as u64);
         // The replacement worker feeds the same stream channel, so
-        // traffic already drained by the dead worker stays collectable.
+        // traffic already drained by the dead worker stays collectable;
+        // what the rebuild regenerates re-streams under the envelope
+        // sequences it had the first time.
         let stream_tx = self.stream.as_ref().map(|(tx, _)| tx.clone());
-        self.worker = std::thread::Builder::new()
-            .name(format!("range-{}", self.name))
-            .spawn(move || worker_loop(cs, cmd_rx, reply_tx, worker_metrics, stream_tx))
-            .ok();
-        self.tx = cmd_tx;
-        self.rx = reply_rx;
-        // Commands queued for the dead worker are lost with it; their
-        // provisional blueprint entries stay — the replay below is
-        // what executes them on the rebuilt server.
+        let (tx, rx, worker) =
+            start_worker(cs, self.mailbox_policy, self.metrics.clone(), stream_tx);
+        (self.tx, self.rx, self.worker) = (tx, rx, worker);
+        // Commands queued for the dead worker are lost with it.
         self.pending = 0;
-        self.inflight.clear();
         self.metrics.mailbox_depth.set(0);
         self.down = false;
-        self.registry.counter("range.restarts").inc();
-
-        // Replay the composition graph.
-        let now = self.last_now;
-        let replay: Vec<RangeCommand> = self.blueprint_commands();
-        for cmd in replay {
-            if self.tx.send(ToWorker::Cmd { cmd, now }).is_err() {
-                self.down = true;
-                return false;
-            }
-            self.metrics.mailbox_depth.inc();
-            self.metrics.note_depth();
-            self.pending += 1;
-        }
-        while self.pending > 0 {
-            match self.rx.recv() {
-                Ok(reply) => {
-                    self.pending -= 1;
-                    if reply.is_err() {
-                        self.registry.counter("range.restart.replay_errors").inc();
-                    }
-                }
-                Err(_) => {
-                    self.down = true;
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     /// The underlying server's telemetry registry (shared with the
@@ -867,13 +648,10 @@ impl RangeRuntime {
 
     fn down_error(&mut self) -> SciError {
         self.down = true;
-        let name = self.name.clone();
         // Supervised runtimes come back up for the *next* command; the
         // one that observed the crash still fails.
-        if self.policy.max_restarts > 0 {
-            self.try_restart();
-        }
-        SciError::RangeDown(name)
+        self.try_restart();
+        SciError::RangeDown(self.name.clone())
     }
 
     /// Pipelined submission: enqueue `cmd` and return without waiting.
@@ -906,17 +684,12 @@ impl RangeRuntime {
         if self.down {
             return Err(SciError::RangeDown(self.name.clone()));
         }
-        if now > self.last_now {
-            self.last_now = now;
-        }
-        let ticket = self.record(&cmd);
         let shed = matches!(self.mailbox_policy, MailboxPolicy::Shed(_)) && allow_shed;
         let send_result = if shed {
             match self.tx.try_send(ToWorker::Cmd { cmd, now }) {
                 Ok(()) => Ok(()),
                 Err(TrySendError::Full(rejected)) => {
-                    // Accounted drop: the command never ran, so its
-                    // provisional blueprint entry must go too. A shed
+                    // Accounted drop: the command never ran. A shed
                     // batch sheds every event it carried — weighting
                     // the counter by batch length keeps the
                     // delivered + shed == sent ledger balanced.
@@ -927,9 +700,6 @@ impl RangeRuntime {
                         } => self.metrics.mailbox_shed.add(events.len() as u64),
                         _ => self.metrics.mailbox_shed.inc(),
                     }
-                    if let Some(serial) = ticket {
-                        self.blueprint.retain(|(s, _)| *s != serial);
-                    }
                     return Ok(());
                 }
                 Err(TrySendError::Disconnected(_)) => Err(()),
@@ -938,13 +708,8 @@ impl RangeRuntime {
             self.tx.send(ToWorker::Cmd { cmd, now }).map_err(|_| ())
         };
         if send_result.is_err() {
-            // The command never reached a worker; drop its entry.
-            if let Some(serial) = ticket {
-                self.blueprint.retain(|(s, _)| *s != serial);
-            }
             return Err(self.down_error());
         }
-        self.inflight.push_back(ticket);
         self.metrics.mailbox_depth.inc();
         self.metrics.note_depth();
         self.pending += 1;
@@ -962,7 +727,6 @@ impl RangeRuntime {
             match self.rx.recv() {
                 Ok(reply) => {
                     self.pending -= 1;
-                    self.settle_reply(reply.is_err());
                     if let Err(e) = reply {
                         self.errors.push(e);
                     }
@@ -990,7 +754,6 @@ impl RangeRuntime {
             match self.rx.recv() {
                 Ok(reply) => {
                     self.pending -= 1;
-                    self.settle_reply(reply.is_err());
                     if let Err(e) = reply {
                         self.errors.push(e);
                     }
@@ -1001,7 +764,6 @@ impl RangeRuntime {
         match self.rx.recv() {
             Ok(reply) => {
                 self.pending -= 1;
-                self.settle_reply(reply.is_err());
                 self.metrics.call_wait.record(elapsed_us(started));
                 reply
             }
@@ -1014,50 +776,13 @@ impl RangeRuntime {
         std::mem::take(&mut self.errors)
     }
 
-    /// Pulls everything the worker has streamed so far into the parked
-    /// buffer, tracking one-past-the-highest sequence seen per class
-    /// (the floor a rebuilt server is fast-forwarded to).
-    fn pull_stream_items(&mut self) {
-        let Some((_, rx)) = &self.stream else {
-            return;
-        };
-        for (deliveries, answers) in rx.try_iter() {
-            if let Some((seq, _)) = deliveries.last() {
-                self.stream_delivery_floor = self.stream_delivery_floor.max(seq + 1);
-            }
-            if let Some((seq, _)) = answers.last() {
-                self.stream_answer_floor = self.stream_answer_floor.max(seq + 1);
-            }
-            self.parked_stream.0.extend(deliveries);
-            self.parked_stream.1.extend(answers);
-        }
-    }
-
     /// Stops the worker and returns the server it owned; `None` if the
     /// worker panicked (its state is gone with it).
     pub fn shutdown(mut self) -> Option<ContextServer> {
         let _ = self.tx.send(ToWorker::Stop);
-        self.worker
-            .take()
-            .and_then(|h| h.join().unwrap_or_default())
-    }
-
-    /// Stops the worker *without* retrieving its server — the
-    /// crash-simulation counterpart of [`RangeRuntime::shutdown`]. The
-    /// mailbox is severed and the thread reaped, so any in-flight WAL
-    /// append has finished by the time this returns; the in-memory
-    /// server state is then discarded, leaving only what reached disk —
-    /// exactly the view a recovery sees after a process kill.
-    fn kill(mut self) {
-        let (dead_tx, dead_rx) = mailbox::<ToWorker>();
-        drop(dead_rx);
-        // Replacing the sender drops the worker's only mailbox handle;
-        // its recv disconnects once the queue drains.
-        self.tx = dead_tx;
-        if let Some(handle) = self.worker.take() {
-            // The returned server (if the worker didn't panic) is
-            // dropped right here, unexamined.
-            let _ = handle.join();
+        match self.worker.take().map(JoinHandle::join) {
+            Some(Ok(Exit::Stopped(cs))) => Some(cs),
+            _ => None,
         }
     }
 }
@@ -1089,8 +814,14 @@ impl RangeHost for RangeRuntime {
     /// with its worker-minted envelope sequence. Always empty when the
     /// runtime was spawned without streaming.
     fn drain_stream(&mut self) -> Stream {
-        self.pull_stream_items();
-        std::mem::take(&mut self.parked_stream)
+        let mut stream = Stream::default();
+        if let Some((_, rx)) = &self.stream {
+            for (deliveries, answers) in rx.try_iter() {
+                stream.0.extend(deliveries);
+                stream.1.extend(answers);
+            }
+        }
+        stream
     }
 }
 
@@ -1319,7 +1050,10 @@ impl<T: Transport> ParallelFederation<T> {
     pub fn kill_range(&mut self, range: &str) -> SciResult<Registry> {
         let worker = self.core.retire(range)?;
         let registry = worker.registry().clone();
-        worker.kill();
+        // Commands already in the mailbox run (and log) first; then
+        // the server is dropped unexamined, its buffered appends
+        // flushed: what a recovery sees after a process kill.
+        drop(worker.shutdown());
         Ok(registry)
     }
 

@@ -52,7 +52,7 @@
 //! | `federation.stream.answers` | counter | deferred answers drained from per-range relay streams |
 //! | `federation.stream.pump_us` | histogram | time per free-running `pump_streams` pass |
 //! | `range.restarts` | counter | supervised worker restarts after a panic |
-//! | `range.restart.replay_errors` | counter | blueprint commands that failed during restart replay |
+//! | `range.restart.replay_errors` | counter | logged commands that returned an error when a supervised restart replayed them |
 //! | `fault.drops` / `fault.delays` / `fault.dups` / `fault.reorders` / `fault.partition_blocks` | counter | faults injected by `sci_overlay::fault::FaultyTransport` |
 //! | `net.delivered` / `net.failed` / `net.recoveries` | counter | overlay routing outcomes |
 //! | `net.hops` | histogram | hops per delivered overlay message |

@@ -76,10 +76,11 @@ pub enum DiagCode {
     /// time) exceeds a configuration's `qoc-max-age-us` bound, so a
     /// retried relay is guaranteed stale on arrival.
     FreshnessInfeasible,
-    /// `SCI-A204`: a graph-shaping `RangeCommand` kind has no erasing
-    /// counterpart in the restart blueprint, so supervised restart
-    /// would leak replayed state.
-    BlueprintLeak,
+    /// `SCI-A204`: a graph-shaping `RangeCommand` kind, or the kind
+    /// that erases what it built, is missing from the range's command
+    /// log, so a range rebuilt from the log would drop or resurrect
+    /// state.
+    ReplayLeak,
     /// `SCI-A205`: a retried cross-range message class does not carry
     /// the `(origin, seq)` dedup envelope — retransmission would
     /// duplicate deliveries.
@@ -125,7 +126,7 @@ impl DiagCode {
             DiagCode::PartitionUnroutable => "SCI-A201",
             DiagCode::RelayCycle => "SCI-A202",
             DiagCode::FreshnessInfeasible => "SCI-A203",
-            DiagCode::BlueprintLeak => "SCI-A204",
+            DiagCode::ReplayLeak => "SCI-A204",
             DiagCode::EnvelopeMissing => "SCI-A205",
             DiagCode::MigrationUnenveloped => "SCI-A206",
             DiagCode::TransportLinkMissing => "SCI-A207",
@@ -148,7 +149,7 @@ impl DiagCode {
             | DiagCode::PartitionUnroutable
             | DiagCode::RelayCycle
             | DiagCode::FreshnessInfeasible
-            | DiagCode::BlueprintLeak
+            | DiagCode::ReplayLeak
             | DiagCode::EnvelopeMissing
             | DiagCode::MigrationUnenveloped
             | DiagCode::TransportLinkMissing
@@ -324,7 +325,7 @@ mod tests {
             DiagCode::PartitionUnroutable,
             DiagCode::RelayCycle,
             DiagCode::FreshnessInfeasible,
-            DiagCode::BlueprintLeak,
+            DiagCode::ReplayLeak,
             DiagCode::EnvelopeMissing,
             DiagCode::MigrationUnenveloped,
             DiagCode::TransportLinkMissing,

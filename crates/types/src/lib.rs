@@ -64,8 +64,8 @@ pub use guid::Guid;
 pub use metadata::Metadata;
 pub use profile::{PortSpec, Profile, ProfileBuilder};
 pub use protocol::{
-    BlueprintKindModel, FaultModel, FaultSchedule, FederationModel, FreshnessBound, LinkFaultModel,
-    MessageClassModel, RangeModel, RetryModel, RouteClaim, TransportLinkModel,
+    FaultModel, FaultSchedule, FederationModel, FreshnessBound, LinkFaultModel, MessageClassModel,
+    RangeModel, RetryModel, RouteClaim, TransportLinkModel,
 };
 pub use shard::ShardMap;
 pub use time::{VirtualDuration, VirtualTime};

@@ -8,8 +8,7 @@
 //! about to operate under. `sci-analysis::federation` checks the
 //! model *before* runtime: routability under partitions (SCI-A201),
 //! relay-path cycles (SCI-A202), freshness feasibility (SCI-A203),
-//! blueprint replayability (SCI-A204) and envelope coverage
-//! (SCI-A205).
+//! command-log coverage (SCI-A204) and envelope coverage (SCI-A205).
 //!
 //! The model lives in `sci-types` so the exporters (core, overlay)
 //! and the verifier (analysis) share it without depending on each
@@ -153,20 +152,6 @@ pub struct MessageClassModel {
     pub enveloped: bool,
 }
 
-/// One `RangeCommand` kind as the restart blueprint sees it.
-#[derive(Clone, PartialEq, Debug)]
-pub struct BlueprintKindModel {
-    /// The command kind's kebab-case name.
-    pub kind: String,
-    /// Whether the blueprint recorder replays this kind on restart.
-    pub recorded: bool,
-    /// Whether the kind accumulates per-entity state a departure must
-    /// remove (graph-shaping, as opposed to last-write-wins toggles).
-    pub shaping: bool,
-    /// The kind that erases this kind's recorded state, when shaping.
-    pub eraser: Option<String>,
-}
-
 /// The pure, checkable model of a federation's protocol configuration.
 ///
 /// Built by `Federation::protocol_model()` /
@@ -200,8 +185,10 @@ pub struct FederationModel {
     pub routes: Vec<RouteClaim>,
     /// The cross-range message classes the protocol exchanges.
     pub messages: Vec<MessageClassModel>,
-    /// Every `RangeCommand` kind, as seen by the restart blueprint.
-    pub blueprint: Vec<BlueprintKindModel>,
+    /// Every `RangeCommand` kind (kebab-case) with whether a range's
+    /// command log records it — the log a crashed range is rebuilt
+    /// from, by supervised restart and by disk recovery alike.
+    pub logged_kinds: Vec<(String, bool)>,
 }
 
 impl FederationModel {

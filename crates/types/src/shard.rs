@@ -7,7 +7,7 @@
 //! power-of-two array of independent `HashMap` shards, routed by a
 //! *deterministic* hash (`BuildHasherDefault<DefaultHasher>`), so
 //! shard assignment is stable across processes and replays — a
-//! property the chaos suite and blueprint restarts rely on. Each shard
+//! property the chaos suite and log replay rely on. Each shard
 //! stays small enough that rehashing is incremental in practice and
 //! iteration never walks one giant table.
 //!

@@ -1,6 +1,7 @@
-//! Crash-matrix durability tests (ISSUE 9 centrepiece).
+//! Crash-matrix durability tests (ISSUE 9 centrepiece) and the one
+//! replay path they share with supervised restarts.
 //!
-//! Two scenarios:
+//! Three scenarios:
 //!
 //! 1. **Kill-at-any-byte-prefix.** A Context Server records a rich
 //!    command history through its write-ahead log, then we simulate a
@@ -21,16 +22,28 @@
 //!    so each application sees each event exactly once across the
 //!    crash — including deliveries that were already relayed
 //!    cross-range before the range died.
+//!
+//! 3. **One replay path.** A supervised restart is the same rebuild
+//!    from the range's own log, whether that log is a directory or the
+//!    in-memory store a supervised range gets at spawn: the record of
+//!    the command whose apply panicked is replayed by neither (the
+//!    poison rule), a panic outside a logged apply retires nothing,
+//!    and the two stores recover any generated history to the same
+//!    state, in which nothing a deregister, cancel or migrate-out
+//!    removed has come back.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
+use proptest::prelude::*;
 use sci::core::durability;
 use sci::core::logic::LogicFactory;
 use sci::prelude::*;
+use sci::telemetry::{Subscriber, TraceRecord};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -497,4 +510,408 @@ fn killed_range_recovers_from_wal_and_redelivers_exactly_once() {
 
     fed.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// Scenario 3: one replay path — supervised restart is recovery from the
+// range's own log, on disk or in memory.
+// ---------------------------------------------------------------------------
+
+/// Logic that panics on the first event it ever sees (across all
+/// instances sharing the fuse) and computes normally afterwards: one
+/// poisoned input, not a persistent defect. Replaying the poisoned
+/// event later would *succeed* — and show up as an extra delivery.
+struct PanicOnce {
+    fuse: Arc<AtomicUsize>,
+}
+
+impl EntityLogic for PanicOnce {
+    fn on_event(
+        &mut self,
+        _event: &ContextEvent,
+        _binding: &Metadata,
+        _now: VirtualTime,
+    ) -> Vec<(ContextType, ContextValue)> {
+        if self.fuse.fetch_add(1, Ordering::SeqCst) == 0 {
+            panic!("poisoned first event")
+        }
+        vec![(ContextType::Temperature, ContextValue::text("21.5C"))]
+    }
+}
+
+const SENSOR: u128 = 0x5E01;
+const LATE_SENSOR: u128 = 0x5E02;
+
+/// A range under `policy` — durably attached to `config.dir`, or left
+/// to whatever log the runtime gives it — takes a subscription and then
+/// one poisoned ingest, which panics its worker. Returns the runtime
+/// and the logic resolver a later recovery needs.
+fn poisoned(
+    config: Option<&DurabilityConfig>,
+    policy: RestartPolicy,
+) -> (RangeRuntime, HashMap<Guid, LogicFactory>) {
+    let fuse = Arc::new(AtomicUsize::new(0));
+    let panic_once = factory(move || PanicOnce {
+        fuse: Arc::clone(&fuse),
+    });
+    let sensor = Guid::from_u128(SENSOR);
+    let deriver = Guid::from_u128(DERIVER);
+    let mut cs = ContextServer::new(Guid::from_u128(RANGE_ID), "supervised", capa_level10());
+    cs.register(
+        Profile::builder(sensor, EntityKind::Device, "sensor")
+            .output(PortSpec::new("presence", ContextType::Presence))
+            .build(),
+        t(0),
+    )
+    .unwrap();
+    cs.register(
+        Profile::builder(deriver, EntityKind::Software, "deriver")
+            .input(PortSpec::new("in", ContextType::Presence))
+            .output(PortSpec::new("out", ContextType::Temperature))
+            .build(),
+        t(0),
+    )
+    .unwrap();
+    cs.register_logic(deriver, panic_once.clone());
+    if let Some(config) = config {
+        durability::attach(&mut cs, config, t(0)).unwrap();
+    }
+
+    let mut rt = RangeRuntime::spawn_supervised(cs, policy);
+    let subscribe = Query::builder(Guid::from_u128(0x300), Guid::from_u128(APP_A))
+        .info(ContextType::Temperature)
+        .mode(Mode::Subscribe)
+        .build();
+    rt.call(RangeCommand::Submit(Box::new(subscribe)), t(1))
+        .unwrap();
+    let poisoned = rt.call(RangeCommand::Ingest(presence(sensor, 0x666, t(2))), t(2));
+    assert!(
+        matches!(poisoned, Err(SciError::RangeDown(_))),
+        "{poisoned:?}"
+    );
+    (rt, HashMap::from([(deriver, panic_once)]))
+}
+
+/// [`poisoned`] under a one-restart budget, then a registration and a
+/// healthy ingest on the restarted worker. Returns the live server
+/// after a graceful shutdown.
+fn poisoned_then_restarted(
+    config: Option<&DurabilityConfig>,
+) -> (ContextServer, HashMap<Guid, LogicFactory>) {
+    let (mut rt, logic) = poisoned(config, RestartPolicy::bounded(1));
+    assert_eq!(rt.restarts(), 1);
+    rt.call(
+        RangeCommand::Register(Box::new(
+            Profile::builder(
+                Guid::from_u128(LATE_SENSOR),
+                EntityKind::Device,
+                "late-sensor",
+            )
+            .output(PortSpec::new("presence", ContextType::Presence))
+            .build(),
+        )),
+        t(3),
+    )
+    .unwrap();
+    let healthy = presence(Guid::from_u128(SENSOR), 0x777, t(4));
+    rt.call(RangeCommand::Ingest(healthy), t(4)).unwrap();
+    let live = rt
+        .shutdown()
+        .expect("the restarted worker stops gracefully");
+    (live, logic)
+}
+
+/// The Temperature deliveries waiting in a server's outbox. Exactly
+/// one is right: the healthy ingest's. Two means the poisoned ingest
+/// was replayed (the fuse has blown, so the replay would not panic).
+fn waiting_deliveries(mut cs: ContextServer) -> usize {
+    cs.drain_outbox().len()
+}
+
+#[test]
+fn supervised_durable_range_restarts_from_its_own_disk_log() {
+    let dir = tmpdir("supervised");
+    let config = DurabilityConfig {
+        fsync: FsyncPolicy::Always,
+        ..DurabilityConfig::new(&dir)
+    };
+    let (mut live, logic) = poisoned_then_restarted(Some(&config));
+
+    assert!(live.is_durable(), "the restart kept the range on its log");
+    assert!(live.registrar().is_registered(Guid::from_u128(SENSOR)));
+    assert!(live.registrar().is_registered(Guid::from_u128(LATE_SENSOR)));
+    let telemetry = live.snapshot();
+    assert_eq!(telemetry.counter("range.restarts"), 1);
+    assert_eq!(telemetry.counter("range.restart.replay_errors"), 0);
+
+    // The directory the range leaves behind rebuilds the *same* state.
+    let live_digest = durable_digest(&live);
+    live.sync_wal().unwrap();
+    assert_eq!(waiting_deliveries(live), 1, "poisoned ingest delivered");
+    let (recovered, report) = durability::recover(
+        Guid::from_u128(RANGE_ID),
+        "supervised",
+        capa_level10(),
+        Registry::new(),
+        &config,
+        &logic,
+    )
+    .unwrap();
+    assert_eq!(report.replay_errors, 0, "{report:?}");
+    assert_eq!(report.torn_bytes, 0, "a retired record is not a torn tail");
+    assert_eq!(durable_digest(&recovered), live_digest);
+    assert_eq!(waiting_deliveries(recovered), 1, "recover replayed poison");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// No supervision: the range stays down, but the log it leaves behind
+/// must not re-run the poisoned command in whoever recovers it.
+#[test]
+fn an_unsupervised_durable_range_leaves_a_clean_log_behind() {
+    let dir = tmpdir("unsupervised");
+    let config = DurabilityConfig::new(&dir);
+    let (rt, logic) = poisoned(Some(&config), RestartPolicy::NONE);
+    assert_eq!(rt.restarts(), 0);
+    assert!(
+        rt.shutdown().is_none(),
+        "the panicked worker's state is gone"
+    );
+    let (recovered, report) = durability::recover(
+        Guid::from_u128(RANGE_ID),
+        "supervised",
+        capa_level10(),
+        Registry::new(),
+        &config,
+        &logic,
+    )
+    .unwrap();
+    assert_eq!(report.replayed, 1, "the subscription: {report:?}");
+    assert_eq!(report.replay_errors, 0, "{report:?}");
+    assert_eq!(waiting_deliveries(recovered), 0, "recover replayed poison");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn supervised_range_without_a_disk_log_restarts_from_memory() {
+    let (live, _logic) = poisoned_then_restarted(None);
+    assert!(live.registrar().is_registered(Guid::from_u128(SENSOR)));
+    assert!(live.registrar().is_registered(Guid::from_u128(LATE_SENSOR)));
+    assert_eq!(live.snapshot().counter("range.restart.replay_errors"), 0);
+
+    // Rebuilding once more from the same in-memory log: the poisoned
+    // record is still gone, everything else is still there.
+    let live_digest = durable_digest(&live);
+    let (rebuilt, report) = durability::restart(live).unwrap();
+    assert_eq!(report.replay_errors, 0, "{report:?}");
+    assert_eq!(durable_digest(&rebuilt), live_digest);
+    assert_eq!(waiting_deliveries(rebuilt), 1, "restart replayed poison");
+}
+
+/// Panics when the `audit` command's span closes: a panic *inside*
+/// `handle`, in a command the log never records.
+struct PanicOnAudit;
+
+impl Subscriber for PanicOnAudit {
+    fn record(&self, rec: TraceRecord) {
+        if rec.name() == "audit" {
+            panic!("audit tracing exploded")
+        }
+    }
+}
+
+#[test]
+fn a_panic_outside_a_logged_apply_retires_nothing() {
+    let dir = tmpdir("audit");
+    let config = DurabilityConfig::new(&dir);
+    for config in [None, Some(&config)] {
+        let mut cs = ContextServer::new(Guid::from_u128(RANGE_ID), "audited", capa_level10());
+        cs.set_tracer(Tracer::new(Arc::new(PanicOnAudit)));
+        if let Some(config) = config {
+            durability::attach(&mut cs, config, t(0)).unwrap();
+        }
+        let mut rt = RangeRuntime::spawn_supervised(cs, RestartPolicy::bounded(1));
+        // The log's tail record: appended *and* applied.
+        rt.call(
+            RangeCommand::Register(Box::new(
+                Profile::builder(Guid::from_u128(SENSOR), EntityKind::Device, "sensor")
+                    .output(PortSpec::new("presence", ContextType::Presence))
+                    .build(),
+            )),
+            t(1),
+        )
+        .unwrap();
+        let audit = rt.call(RangeCommand::Audit, t(2));
+        assert!(matches!(audit, Err(SciError::RangeDown(_))), "{audit:?}");
+        assert_eq!(rt.restarts(), 1);
+        let live = rt.shutdown().unwrap();
+        assert!(
+            live.registrar().is_registered(Guid::from_u128(SENSOR)),
+            "the tail record was applied and must survive (disk log: {})",
+            config.is_some()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// --- store parity ----------------------------------------------------------
+
+const POOL: usize = 4;
+
+fn pool_entity(i: usize) -> Guid {
+    Guid::from_u128(0x1000 + i as u128)
+}
+
+fn pool_query(i: usize) -> Guid {
+    Guid::from_u128(0x2000 + i as u128)
+}
+
+/// One abstract operation of a generated history. Subscriptions are
+/// owned by pool entities, so a migrate-out carries them away.
+#[derive(Clone, Debug)]
+enum Op {
+    Register(usize),
+    Advertise(usize),
+    Subscribe(usize),
+    Ingest(usize),
+    Deregister(usize),
+    Cancel(usize),
+    MigrateOut(usize),
+    SetReuse(bool),
+    PollTimers,
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0..POOL).prop_map(Op::Register),
+        (0..POOL).prop_map(Op::Advertise),
+        (0..POOL).prop_map(Op::Subscribe),
+        (0..POOL).prop_map(Op::Ingest),
+        (0..POOL).prop_map(Op::Ingest),
+        (0..POOL).prop_map(Op::Deregister),
+        (0..POOL).prop_map(Op::Cancel),
+        (0..POOL).prop_map(Op::MigrateOut),
+        any::<bool>().prop_map(Op::SetReuse),
+        Just(Op::PollTimers),
+    ]
+}
+
+fn command_of(op: &Op, step: u64) -> RangeCommand {
+    match op {
+        Op::Register(i) => RangeCommand::Register(Box::new(
+            Profile::builder(pool_entity(*i), EntityKind::Device, format!("sensor-{i}"))
+                .output(PortSpec::new("presence", ContextType::Presence))
+                .build(),
+        )),
+        Op::Advertise(i) => RangeCommand::Advertise(Box::new(Advertisement::new(
+            pool_entity(*i),
+            format!("service-{i}"),
+        ))),
+        Op::Subscribe(i) => RangeCommand::Submit(Box::new(
+            Query::builder(pool_query(*i), pool_entity(*i))
+                .info(ContextType::Presence)
+                .mode(Mode::Subscribe)
+                .build(),
+        )),
+        Op::Ingest(i) => RangeCommand::Ingest(presence(
+            pool_entity(*i),
+            0x9000 + u128::from(step),
+            t(step),
+        )),
+        Op::Deregister(i) => RangeCommand::Deregister(pool_entity(*i)),
+        Op::Cancel(i) => RangeCommand::Cancel(pool_query(*i)),
+        Op::MigrateOut(i) => RangeCommand::MigrateOut(pool_entity(*i)),
+        Op::SetReuse(v) => RangeCommand::SetReuse(*v),
+        Op::PollTimers => RangeCommand::PollTimers,
+    }
+}
+
+fn parity_server() -> ContextServer {
+    ContextServer::new(Guid::from_u128(RANGE_ID), "parity", capa_level10())
+}
+
+/// Applies `ops` (errors and all — a refused command is logged and
+/// refused again on replay) and returns the server.
+fn apply(mut cs: ContextServer, ops: &[Op]) -> ContextServer {
+    for (step, op) in ops.iter().enumerate() {
+        let step = step as u64;
+        let _ = cs.handle(command_of(op, step), t(step));
+    }
+    cs
+}
+
+/// The same history through the in-memory log and through a directory
+/// recovers to one state with one report. Returns that state beside
+/// the uninterrupted (never logged, never rebuilt) server's.
+fn check_store_parity(ops: &[Op]) -> Result<(ContextServer, ContextServer), TestCaseError> {
+    let mut cs = parity_server();
+    durability::attach_memory(&mut cs, t(0));
+    let (from_memory, memory_report) = durability::restart(apply(cs, ops)).unwrap();
+
+    let dir = tmpdir("parity");
+    let config = DurabilityConfig::new(&dir);
+    let mut cs = parity_server();
+    durability::attach(&mut cs, &config, t(0)).unwrap();
+    let mut cs = apply(cs, ops);
+    cs.sync_wal().unwrap();
+    drop(cs);
+    let (from_dir, dir_report) = durability::recover(
+        Guid::from_u128(RANGE_ID),
+        "parity",
+        capa_level10(),
+        Registry::new(),
+        &config,
+        &HashMap::new(),
+    )
+    .unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    prop_assert_eq!(memory_report.snapshot_applied, dir_report.snapshot_applied);
+    prop_assert_eq!(memory_report.replayed, dir_report.replayed);
+    prop_assert_eq!(memory_report.replay_errors, dir_report.replay_errors);
+    prop_assert_eq!(durable_digest(&from_memory), durable_digest(&from_dir));
+    Ok((apply(parity_server(), ops), from_dir))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Short histories: recovery is the (empty) seeding snapshot plus a
+    /// replay of every record, and lands on exactly the uninterrupted
+    /// state — what a deregister, cancel or migrate-out removed has not
+    /// come back.
+    #[test]
+    fn stores_recover_the_same_state_by_replay(
+        ops in proptest::collection::vec(op_strategy(), 1..48),
+    ) {
+        let (uninterrupted, recovered) = check_store_parity(&ops)?;
+        prop_assert_eq!(durable_digest(&recovered), durable_digest(&uninterrupted));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Histories longer than the snapshot cadence (256): recovery
+    /// starts from a snapshot taken in the middle. A snapshot drops a
+    /// subscription that had lost every provider (see
+    /// `RecoveryReport::replay_errors`), so the comparison with the
+    /// uninterrupted server is one-sided: nothing it lacks comes back.
+    #[test]
+    fn stores_recover_the_same_state_across_a_snapshot(
+        ops in proptest::collection::vec(op_strategy(), 260..330),
+    ) {
+        let (uninterrupted, recovered) = check_store_parity(&ops)?;
+        for i in 0..POOL {
+            prop_assert_eq!(
+                recovered.registrar().is_registered(pool_entity(i)),
+                uninterrupted.registrar().is_registered(pool_entity(i)),
+                "entity {}", i
+            );
+            prop_assert!(
+                recovered.configuration(pool_query(i)).is_none()
+                    || uninterrupted.configuration(pool_query(i)).is_some(),
+                "query {} was resurrected", i
+            );
+        }
+    }
 }

@@ -7,7 +7,7 @@
 //!   SCI-A201 (`PartitionUnroutable`);
 //! * a `qoc-max-age-us` bound tighter than the worst-case relay
 //!   backoff is SCI-A203 (`FreshnessInfeasible`);
-//! * the live blueprint taxonomy and relay message classes satisfy
+//! * the live logged-command table and relay message classes satisfy
 //!   SCI-A204/SCI-A205 by construction.
 //!
 //! Also the parked-relay determinism regression: two same-seed chaos
@@ -87,7 +87,7 @@ fn healthy_serial_federation_verifies_clean() {
         .iter()
         .any(|r| r.place == "hall-1" && r.coverer == nodes[1]));
     assert!(!model.messages.is_empty());
-    assert!(!model.blueprint.is_empty());
+    assert!(!model.logged_kinds.is_empty());
 
     let report = verify_federation(&model);
     assert!(report.is_clean(), "{report}");

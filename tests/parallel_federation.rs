@@ -555,56 +555,30 @@ impl sci::core::logic::EntityLogic for PanicOnceLogic {
     }
 }
 
-/// Builds a supervised federation whose `range-0` composition graph is
-/// assembled *through* range commands (so the restart blueprint records
-/// it), wired to the given logic factory.
+/// Builds a supervised federation whose `range-0` is composed before
+/// it is spawned — sensor, derived CE and its logic factory — the way
+/// every other test here builds a range.
 fn supervised_rig(
     policy: RestartPolicy,
     logic: sci::core::logic::LogicFactory,
 ) -> (ParallelFederation, GuidGenerator, Guid, Guid) {
     let mut ids = GuidGenerator::seeded(71);
     let mut fed = ParallelFederation::new(3).with_restart_policy(policy);
-    fed.add_range(ContextServer::new(
-        ids.next_guid(),
-        "range-0",
-        range_plan(0),
-    ))
+    let (mut cs0, sensor) = server(0, &mut ids);
+    let ce = ids.next_guid();
+    cs0.register(
+        Profile::builder(ce, EntityKind::Software, "deriver")
+            .input(PortSpec::new("in", ContextType::Presence))
+            .output(PortSpec::new("out", ContextType::Temperature))
+            .build(),
+        VirtualTime::ZERO,
+    )
     .unwrap();
+    cs0.register_logic(ce, logic);
+    fed.add_range(cs0).unwrap();
     let (cs1, _) = server(1, &mut ids);
     fed.add_range(cs1).unwrap();
     fed.connect_full();
-
-    // The composition graph arrives as commands: sensor, derived CE,
-    // its logic. All of it lands in the blueprint.
-    let sensor = ids.next_guid();
-    fed.command(
-        "range-0",
-        RangeCommand::Register(Box::new(
-            Profile::builder(sensor, EntityKind::Device, "sensor-0")
-                .output(PortSpec::new("presence", ContextType::Presence))
-                .build(),
-        )),
-        VirtualTime::ZERO,
-    )
-    .unwrap();
-    let ce = ids.next_guid();
-    fed.command(
-        "range-0",
-        RangeCommand::Register(Box::new(
-            Profile::builder(ce, EntityKind::Software, "deriver")
-                .input(PortSpec::new("in", ContextType::Presence))
-                .output(PortSpec::new("out", ContextType::Temperature))
-                .build(),
-        )),
-        VirtualTime::ZERO,
-    )
-    .unwrap();
-    fed.command(
-        "range-0",
-        RangeCommand::RegisterLogic(ce, logic),
-        VirtualTime::ZERO,
-    )
-    .unwrap();
     (fed, ids, sensor, ce)
 }
 
@@ -618,7 +592,7 @@ fn presence(sensor: Guid, subject: u128, at: VirtualTime) -> ContextEvent {
 }
 
 #[test]
-fn supervised_restart_revives_range_and_resubscribes_blueprint() {
+fn supervised_restart_revives_range_and_resubscribes() {
     let fuse = Arc::new(AtomicUsize::new(0));
     let fuse2 = Arc::clone(&fuse);
     let (mut fed, mut ids, sensor, _ce) = supervised_rig(
@@ -628,8 +602,8 @@ fn supervised_restart_revives_range_and_resubscribes_blueprint() {
         }),
     );
 
-    // The subscription is a range command too, so the blueprint
-    // replays it after a restart.
+    // The subscription is a logged range command: a restart replays
+    // it.
     let app = ids.next_guid();
     let q = Query::builder(ids.next_guid(), app)
         .info(ContextType::Temperature)
@@ -640,7 +614,7 @@ fn supervised_restart_revives_range_and_resubscribes_blueprint() {
 
     // First event: the logic panics, the worker dies, the barrier that
     // observes the crash reports RangeDown — then the supervisor
-    // restarts the range and replays the blueprint.
+    // rebuilds the range from its log.
     fed.ingest_at(
         "range-0",
         &presence(sensor, 1, VirtualTime::from_secs(1)),
@@ -664,7 +638,7 @@ fn supervised_restart_revives_range_and_resubscribes_blueprint() {
         .unwrap();
     match fa.answer {
         QueryAnswer::Profiles(ps) => {
-            assert_eq!(ps.len(), 1, "registrations were replayed");
+            assert_eq!(ps.len(), 1, "registrations were restored");
         }
         other => panic!("unexpected {other:?}"),
     }
