@@ -1,4 +1,4 @@
-//! E9 — indexed dispatch. Publish cost of the `TopicIndex`-backed
+//! E9 — indexed dispatch. Publish cost of the indexed
 //! [`EventBus`] against the linear-scan oracle [`LinearBus`] as the
 //! subscription table grows from 10² to 10⁵ entries with a fixed
 //! matching set (~10), plus resolver demand-satisfaction scaling against

@@ -2,19 +2,57 @@
 //!
 //! [`EventBus`] is pure: `publish` computes and returns the deliveries an
 //! event implies instead of performing I/O, so the middleware built on
-//! top of it is exactly replayable. Dispatch runs through
-//! [`crate::index::TopicIndex`], so publish cost scales with the number
-//! of *matching* subscriptions rather than the number of live ones; the
-//! original linear table survives as [`crate::linear::LinearBus`], the
-//! oracle the index is property-tested against. The threaded runtime in
-//! [`crate::rt`] wraps the same index with channels.
+//! top of it is exactly replayable — on the caller's thread or on a
+//! range worker's (`sci-core`'s `RangeRuntime` ships commands to one
+//! bus over a [`crate::rt::mailbox`]; it never runs a second bus).
+//!
+//! # The topic index
+//!
+//! A publish does not scan every subscription. The bus keeps candidate
+//! sets keyed by the things a [`Topic`] can constrain: context
+//! type, source GUID and subject GUID, plus a wildcard list for
+//! unconstrained subscriptions. Each subscription is indexed under
+//! **exactly one** key — the most selective constraint it carries:
+//! the `(source, subject)` pair when it names both, then source alone,
+//! then subject alone, then type, then wildcard. A publish gathers the
+//! union of at most five disjoint candidate families, sorts the
+//! candidates by [`SubId`] and verifies the full topic filter on each,
+//! so its cost scales with the number of *matching* subscriptions
+//! rather than the number of live ones. The original linear table
+//! survives as [`crate::linear::LinearBus`], the oracle the index is
+//! property-tested against.
+//!
+//! The pair family exists because composition produces it: one
+//! `objLocationCE` instance per followed person is wired to *every*
+//! door sensor (paper §3.2, Figure 3), so a Range holds many topics
+//! sharing one source and differing only by subject. Filed under the
+//! source alone, every badge read would examine all of them to find the
+//! one or two that match. Each source instead keeps an ordered map from
+//! subject to that pair's list, so a publish reads one list and a
+//! subscribe pays one small-map lookup on top of what the other
+//! families pay.
+//!
+//! # Invariants
+//!
+//! * **Order preservation.** `SubId`s are allocated monotonically and
+//!   the per-key candidate lists are append-only (removals keep relative
+//!   order), so sorting candidates by id reproduces exactly the delivery
+//!   order of the append-only linear table
+//!   ([`crate::linear::LinearBus`]): subscription order. The determinism
+//!   suite depends on this.
+//! * **Single-key membership.** A live subscription appears in exactly one
+//!   candidate family; the union needs no deduplication.
+//! * **One-time cancellation.** A one-time subscription is removed
+//!   immediately after its first delivery, before `publish`
+//!   returns — identical to the linear bus.
 
+use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::Hash;
 
 use sci_telemetry::Registry;
-use sci_types::{ContextEvent, Guid, SciResult};
+use sci_types::{ContextEvent, ContextType, Guid, SciError, SciResult, ShardMap};
 
-use crate::index::TopicIndex;
 use crate::telemetry::BusTelemetry;
 use crate::topic::Topic;
 
@@ -44,7 +82,41 @@ pub struct Delivery {
     pub last: bool,
 }
 
-/// A deterministic pub/sub subscription table.
+/// The single key a subscription is filed under, chosen by selectivity:
+/// the `(source, subject)` pair beats source beats subject beats type
+/// beats wildcard.
+///
+/// A function of the topic alone, so entries do not store it: it is
+/// derived again when a subscription is unlinked.
+#[derive(PartialEq, Eq, Debug)]
+enum IndexKey<'a> {
+    Pair(Guid, Guid),
+    Source(Guid),
+    Subject(Guid),
+    Type(&'a ContextType),
+    Wildcard,
+}
+
+impl IndexKey<'_> {
+    fn for_topic(topic: &Topic) -> IndexKey<'_> {
+        match (topic.source(), topic.subject(), topic.ty()) {
+            (Some(source), Some(subject), _) => IndexKey::Pair(source, subject),
+            (Some(source), None, _) => IndexKey::Source(source),
+            (None, Some(subject), _) => IndexKey::Subject(subject),
+            (None, None, Some(ty)) => IndexKey::Type(ty),
+            (None, None, None) => IndexKey::Wildcard,
+        }
+    }
+}
+
+#[derive(Clone, Debug)]
+struct Entry {
+    subscriber: Guid,
+    topic: Topic,
+    one_time: bool,
+}
+
+/// A deterministic, indexed pub/sub subscription table.
 ///
 /// # Example
 ///
@@ -66,7 +138,21 @@ pub struct Delivery {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct EventBus {
-    index: TopicIndex<()>,
+    /// All live entries, ordered by id — doubles as the `SubId → slot`
+    /// map that makes `unsubscribe`/`is_live`/`topic_of` O(log n).
+    entries: BTreeMap<SubId, Entry>,
+    /// Candidate families, sharded by entity GUID (and by type for the
+    /// type family) so a city-scale Range's subscription tables never
+    /// live in one giant `HashMap` with stop-the-world rehashes.
+    by_type: ShardMap<ContextType, Vec<SubId>>,
+    by_source: ShardMap<Guid, Vec<SubId>>,
+    by_subject: ShardMap<Guid, Vec<SubId>>,
+    /// Topics naming both a source and a subject: per source, the lists
+    /// of its subjects.
+    by_pair: ShardMap<Guid, BTreeMap<Guid, Vec<SubId>>>,
+    wildcard: Vec<SubId>,
+    by_subscriber: ShardMap<Guid, Vec<SubId>>,
+    next_id: u64,
     telemetry: Option<BusTelemetry>,
 }
 
@@ -91,80 +177,222 @@ impl EventBus {
     /// `one_time` subscriptions are cancelled automatically after their
     /// first delivery — the paper's "one-time subscription" query mode.
     pub fn subscribe(&mut self, subscriber: Guid, topic: Topic, one_time: bool) -> SubId {
-        self.index.subscribe(subscriber, topic, one_time, ())
+        let id = SubId(self.next_id);
+        self.next_id += 1;
+        match IndexKey::for_topic(&topic) {
+            IndexKey::Pair(source, subject) => self
+                .by_pair
+                .get_or_insert_with(source, BTreeMap::new)
+                .entry(subject)
+                .or_default()
+                .push(id),
+            IndexKey::Source(source) => {
+                self.by_source.get_or_insert_with(source, Vec::new).push(id)
+            }
+            IndexKey::Subject(subject) => self
+                .by_subject
+                .get_or_insert_with(subject, Vec::new)
+                .push(id),
+            IndexKey::Type(ty) => self
+                .by_type
+                .get_or_insert_with(ty.clone(), Vec::new)
+                .push(id),
+            IndexKey::Wildcard => self.wildcard.push(id),
+        }
+        self.by_subscriber
+            .get_or_insert_with(subscriber, Vec::new)
+            .push(id);
+        self.entries.insert(
+            id,
+            Entry {
+                subscriber,
+                topic,
+                one_time,
+            },
+        );
+        id
     }
 
     /// Cancels a subscription.
     ///
     /// # Errors
     ///
-    /// Returns [`sci_types::SciError::UnknownSubscription`] if the id is
-    /// not live.
+    /// Returns [`SciError::UnknownSubscription`] if the id is not live.
     pub fn unsubscribe(&mut self, id: SubId) -> SciResult<()> {
-        self.index.unsubscribe(id)
+        if self.remove(id) {
+            Ok(())
+        } else {
+            Err(SciError::UnknownSubscription(id.0))
+        }
     }
 
     /// Cancels all subscriptions held by a subscriber (used when an
     /// entity deregisters from the range). Returns how many were removed.
     pub fn unsubscribe_all(&mut self, subscriber: Guid) -> usize {
-        self.index.unsubscribe_all(subscriber)
+        let ids = self.by_subscriber.remove(&subscriber).unwrap_or_default();
+        for id in &ids {
+            if let Some(entry) = self.entries.remove(id) {
+                self.unlink_key(*id, IndexKey::for_topic(&entry.topic));
+            }
+        }
+        ids.len()
+    }
+
+    /// Collects the candidate ids for an event — the union of the
+    /// wildcard list, the lists keyed by the event's type, source and
+    /// (when present) subject, and the `(source, subject)` pair's list —
+    /// sorted into subscription order.
+    fn candidates(&self, event: &ContextEvent, subject: Option<Guid>) -> Vec<SubId> {
+        let mut out = Vec::with_capacity(
+            self.wildcard.len()
+                + self.by_type.get(&event.topic).map_or(0, Vec::len)
+                + self.by_source.get(&event.source).map_or(0, Vec::len),
+        );
+        out.extend_from_slice(&self.wildcard);
+        if let Some(ids) = self.by_type.get(&event.topic) {
+            out.extend_from_slice(ids);
+        }
+        if let Some(ids) = self.by_source.get(&event.source) {
+            out.extend_from_slice(ids);
+        }
+        if let Some(subject) = subject {
+            if let Some(ids) = self.by_subject.get(&subject) {
+                out.extend_from_slice(ids);
+            }
+            let pairs = self.by_pair.get(&event.source);
+            if let Some(ids) = pairs.and_then(|subjects| subjects.get(&subject)) {
+                out.extend_from_slice(ids);
+            }
+        }
+        // Single-key membership makes the families disjoint; sorting by
+        // id restores subscription order without deduplication.
+        out.sort_unstable();
+        out
     }
 
     /// Matches an event against the live subscriptions it can reach,
     /// removing one-time subscriptions that fire. Deliveries are returned
     /// in subscription order.
     pub fn publish(&mut self, event: &ContextEvent) -> Vec<Delivery> {
+        // The payload is walked for its subject once per publish, not
+        // once per candidate.
+        let subject = event.subject();
+        let candidates = self.candidates(event, subject);
         let mut deliveries = Vec::new();
-        let outcome = self.index.publish_with(event, |view| {
-            deliveries.push(Delivery {
-                sub: view.id,
-                subscriber: view.subscriber,
-                event: event.clone(),
-                last: view.last,
-            });
-            true
-        });
+        for &id in &candidates {
+            let Some(entry) = self.entries.get(&id) else {
+                continue;
+            };
+            if entry.topic.matches_with_subject(event, subject) {
+                deliveries.push(Delivery {
+                    sub: id,
+                    subscriber: entry.subscriber,
+                    event: event.clone(),
+                    last: entry.one_time,
+                });
+            }
+        }
+        for done in deliveries.iter().filter(|d| d.last) {
+            self.remove(done.sub);
+        }
         if let Some(t) = &self.telemetry {
-            t.record_publish(&outcome);
+            t.record_publish(candidates.len(), deliveries.len());
         }
         deliveries
     }
 
     /// Number of live subscriptions.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.entries.len()
     }
 
     /// Returns `true` if there are no live subscriptions.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.entries.is_empty()
     }
 
     /// Returns `true` if the subscription id is live.
     pub fn is_live(&self, id: SubId) -> bool {
-        self.index.is_live(id)
+        self.entries.contains_key(&id)
     }
 
-    /// Live subscriptions held by a subscriber.
+    /// Live subscriptions held by a subscriber, in subscription order.
     pub fn subscriptions_of(&self, subscriber: Guid) -> Vec<SubId> {
-        self.index.subscriptions_of(subscriber)
+        self.by_subscriber
+            .get(&subscriber)
+            .cloned()
+            .unwrap_or_default()
     }
 
     /// The topic of a live subscription.
     pub fn topic_of(&self, id: SubId) -> Option<&Topic> {
-        self.index.topic_of(id)
+        self.entries.get(&id).map(|e| &e.topic)
     }
 
     /// Iterates over every live subscription, in subscription order.
     /// Static fleet analysis walks this to compare the actual wiring
     /// against what analyzed plans require.
     pub fn iter(&self) -> impl Iterator<Item = SubscriptionView<'_>> {
-        self.index.iter().map(|v| SubscriptionView {
-            id: v.id,
-            subscriber: v.subscriber,
-            topic: v.topic,
-            one_time: v.last,
+        self.entries.iter().map(|(id, e)| SubscriptionView {
+            id: *id,
+            subscriber: e.subscriber,
+            topic: &e.topic,
+            one_time: e.one_time,
         })
+    }
+
+    /// Unfiles a live subscription; `false` if `id` was not live.
+    fn remove(&mut self, id: SubId) -> bool {
+        let Some(entry) = self.entries.remove(&id) else {
+            return false;
+        };
+        self.unlink_key(id, IndexKey::for_topic(&entry.topic));
+        drop_from(&mut self.by_subscriber, &entry.subscriber, id);
+        true
+    }
+
+    /// Removes `id` from the one candidate list its key names, dropping
+    /// the list (and the per-source pair map) it empties.
+    fn unlink_key(&mut self, id: SubId, key: IndexKey<'_>) {
+        match key {
+            IndexKey::Pair(source, subject) => {
+                if let Some(subjects) = self.by_pair.get_mut(&source) {
+                    if subjects
+                        .get_mut(&subject)
+                        .is_some_and(|ids| drop_id(ids, id))
+                    {
+                        subjects.remove(&subject);
+                    }
+                    if subjects.is_empty() {
+                        self.by_pair.remove(&source);
+                    }
+                }
+            }
+            IndexKey::Source(source) => drop_from(&mut self.by_source, &source, id),
+            IndexKey::Subject(subject) => drop_from(&mut self.by_subject, &subject, id),
+            IndexKey::Type(ty) => drop_from(&mut self.by_type, ty, id),
+            IndexKey::Wildcard => {
+                drop_id(&mut self.wildcard, id);
+            }
+        }
+    }
+}
+
+/// Removes `id` from a candidate list; returns `true` if that emptied
+/// it. The lists are append-only in id order, so a binary search finds
+/// the slot.
+fn drop_id(ids: &mut Vec<SubId>, id: SubId) -> bool {
+    if let Ok(pos) = ids.binary_search(&id) {
+        ids.remove(pos);
+    }
+    ids.is_empty()
+}
+
+/// Removes `id` from the list filed under `key`, and the list with it
+/// if that was its last.
+fn drop_from<K: Hash + Eq>(lists: &mut ShardMap<K, Vec<SubId>>, key: &K, id: SubId) {
+    if lists.get_mut(key).is_some_and(|ids| drop_id(ids, id)) {
+        lists.remove(key);
     }
 }
 
@@ -185,7 +413,7 @@ pub struct SubscriptionView<'a> {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use sci_types::{ContextType, ContextValue, SciError, VirtualTime};
+    use sci_types::{ContextValue, VirtualTime};
 
     fn temp_event(value: f64) -> ContextEvent {
         ContextEvent::new(
@@ -316,5 +544,155 @@ mod tests {
             assert_eq!(bus.publish(&ev), oracle.publish(&ev));
             assert_eq!(bus.len(), oracle.len());
         }
+    }
+
+    fn presence(source: u128, subject: u128) -> ContextEvent {
+        ContextEvent::new(
+            Guid::from_u128(source),
+            ContextType::Presence,
+            ContextValue::record([("subject", ContextValue::Id(Guid::from_u128(subject)))]),
+            VirtualTime::ZERO,
+        )
+    }
+
+    /// Subscriptions examined (full filter run) for `ev`.
+    fn examined(bus: &EventBus, ev: &ContextEvent) -> usize {
+        bus.candidates(ev, ev.subject()).len()
+    }
+
+    fn fired(bus: &mut EventBus, ev: &ContextEvent) -> Vec<SubId> {
+        bus.publish(ev).iter().map(|d| d.sub).collect()
+    }
+
+    #[test]
+    fn single_key_selection_by_selectivity() {
+        let (door, bob) = (Guid::from_u128(7), Guid::from_u128(8));
+        assert_eq!(
+            IndexKey::for_topic(&Topic::of_type(ContextType::Presence).from(door).about(bob)),
+            IndexKey::Pair(door, bob)
+        );
+        assert_eq!(
+            IndexKey::for_topic(&Topic::of_type(ContextType::Presence).from(door)),
+            IndexKey::Source(door)
+        );
+        assert_eq!(
+            IndexKey::for_topic(&Topic::of_type(ContextType::Presence).about(bob)),
+            IndexKey::Subject(bob)
+        );
+        assert_eq!(
+            IndexKey::for_topic(&Topic::of_type(ContextType::Presence)),
+            IndexKey::Type(&ContextType::Presence)
+        );
+        assert_eq!(IndexKey::for_topic(&Topic::any()), IndexKey::Wildcard);
+    }
+
+    #[test]
+    fn candidates_cover_every_key_family_in_subscription_order() {
+        let mut bus = EventBus::new();
+        let app = Guid::from_u128(1);
+        let (door, bob) = (Guid::from_u128(10), Guid::from_u128(20));
+        let s_pair = bus.subscribe(app, Topic::from_source(door).about(bob), false);
+        let s_wild = bus.subscribe(app, Topic::any(), false);
+        let s_type = bus.subscribe(app, Topic::of_type(ContextType::Presence), false);
+        let s_src = bus.subscribe(app, Topic::from_source(door), false);
+        let s_subj = bus.subscribe(app, Topic::any().about(bob), false);
+        let _miss = bus.subscribe(app, Topic::of_type(ContextType::Temperature), false);
+        let s_pair2 = bus.subscribe(app, Topic::from_source(door).about(bob), false);
+        let order = fired(&mut bus, &presence(10, 20));
+        assert_eq!(order, [s_pair, s_wild, s_type, s_src, s_subj, s_pair2]);
+    }
+
+    #[test]
+    fn publish_examines_only_the_pairs_naming_the_events_subject() {
+        // The Figure-3 shape: one topic per followed person on one door.
+        let mut bus = EventBus::new();
+        let door = Guid::from_u128(10);
+        let subs: Vec<SubId> = (0..500u128)
+            .map(|p| {
+                let topic = Topic::of_type(ContextType::Presence)
+                    .from(door)
+                    .about(Guid::from_u128(1000 + p));
+                bus.subscribe(Guid::from_u128(5000 + p), topic, false)
+            })
+            .collect();
+        let watcher = bus.subscribe(Guid::from_u128(2), Topic::from_source(door), false);
+        assert_eq!(examined(&bus, &presence(10, 1007)), 2);
+        assert_eq!(fired(&mut bus, &presence(10, 1007)), [subs[7], watcher]);
+        // Another door, or a subject nobody follows: the pairs are not touched.
+        assert_eq!(examined(&bus, &presence(11, 1007)), 0);
+        assert_eq!(examined(&bus, &presence(10, 9)), 1);
+    }
+
+    #[test]
+    fn full_filter_still_verified_on_candidates() {
+        let mut bus = EventBus::new();
+        // Filed under (source, subject), but also constrains the type.
+        let picky = bus.subscribe(
+            Guid::from_u128(1),
+            Topic::of_type(ContextType::Temperature)
+                .from(Guid::from_u128(10))
+                .about(Guid::from_u128(99)),
+            false,
+        );
+        assert_eq!(examined(&bus, &presence(10, 99)), 1);
+        assert!(fired(&mut bus, &presence(10, 99)).is_empty());
+        assert!(fired(&mut bus, &presence(10, 20)).is_empty());
+        let mut hot = presence(10, 99);
+        hot.topic = ContextType::Temperature;
+        assert_eq!(fired(&mut bus, &hot), [picky]);
+    }
+
+    #[test]
+    fn unsubscribe_cleans_candidate_lists() {
+        let mut bus = EventBus::new();
+        let app = Guid::from_u128(1);
+        let a = bus.subscribe(app, Topic::of_type(ContextType::Presence), false);
+        let b = bus.subscribe(app, Topic::of_type(ContextType::Presence), false);
+        bus.unsubscribe(a).unwrap();
+        assert!(bus.unsubscribe(a).is_err());
+        assert_eq!(fired(&mut bus, &presence(10, 20)), [b]);
+        assert_eq!(bus.subscriptions_of(app), [b]);
+        assert_eq!(bus.unsubscribe_all(app), 1);
+        assert!(bus.is_empty());
+        assert!(bus.by_type.is_empty(), "emptied key lists are dropped");
+    }
+
+    #[test]
+    fn pair_keyed_removal_cleans_the_per_source_map() {
+        let mut bus = EventBus::new();
+        let (door, other_door) = (Guid::from_u128(10), Guid::from_u128(11));
+        let pair = |door: Guid, subject: u128| {
+            Topic::of_type(ContextType::Presence)
+                .from(door)
+                .about(Guid::from_u128(subject))
+        };
+        let (app, leaver) = (Guid::from_u128(1), Guid::from_u128(2));
+        let a = bus.subscribe(app, pair(door, 20), false);
+        let b = bus.subscribe(app, pair(door, 20), false);
+        let once = bus.subscribe(app, pair(door, 21), true);
+        let l1 = bus.subscribe(leaver, pair(door, 20), false);
+        let l2 = bus.subscribe(leaver, pair(other_door, 20), false);
+        assert_eq!(bus.by_pair.len(), 2);
+
+        // unsubscribe: the rest of the slice keeps its order.
+        bus.unsubscribe(a).unwrap();
+        assert!(bus.unsubscribe(a).is_err());
+        assert_eq!(fired(&mut bus, &presence(10, 20)), [b, l1]);
+
+        // unsubscribe_all: leaves both doors; the second door's map empties.
+        assert_eq!(bus.unsubscribe_all(leaver), 2);
+        assert!(!bus.is_live(l1) && !bus.is_live(l2));
+        assert!(bus.by_pair.get(&other_door).is_none());
+        assert_eq!(fired(&mut bus, &presence(10, 20)), [b]);
+
+        // one-time completion unlinks the pair.
+        assert_eq!(fired(&mut bus, &presence(10, 21)), [once]);
+        assert!(fired(&mut bus, &presence(10, 21)).is_empty());
+        assert_eq!(bus.by_pair.get(&door).map(BTreeMap::len), Some(1));
+
+        bus.unsubscribe(b).unwrap();
+        assert!(bus.is_empty());
+        assert!(bus.by_pair.is_empty(), "emptied pair maps are dropped");
+        assert!(bus.by_subscriber.is_empty());
     }
 }

@@ -3,7 +3,7 @@
 //! [`LinearBus`] is the pre-index implementation of the deterministic
 //! bus: a `Vec` of subscriptions scanned in full on every publish. It is
 //! **not** used by the middleware — [`crate::bus::EventBus`] dispatches
-//! through [`crate::index::TopicIndex`] — but its behaviour defines the
+//! through its topic index — but its behaviour defines the
 //! semantics the index must reproduce. The property tests
 //! (`crates/event/tests/prop_index.rs`) drive both buses through
 //! arbitrary interleavings and require identical [`Delivery`] sequences,

@@ -3,15 +3,15 @@
 //! One of the paper's core Context Utilities: it "manages the
 //! establishment, maintenance and removal of event subscriptions between
 //! Context Entities and Context Aware Applications" (Section 3.1).
-//! Beyond the raw [`EventBus`] table it adds:
-//!
-//! * delivery statistics ([`DeliveryStats`]);
-//! * publisher liveness tracking — every registered publisher is expected
-//!   to produce an event (or heartbeat) within its declared interval, and
-//!   [`EventMediator::silent_publishers`] reports the ones that have gone
-//!   quiet. The adaptation manager in `sci-core` uses this to detect
-//!   failed Context Entities and trigger reconfiguration, the paper's
-//!   "adaptivity to environmental changes (e.g. component failure)".
+//! Beyond the raw [`EventBus`] table it adds publisher liveness
+//! tracking — every registered publisher is expected to produce an event
+//! (or heartbeat) within its declared interval, and
+//! [`EventMediator::silent_publishers`] reports the ones that have gone
+//! quiet. The adaptation manager in `sci-core` uses this to detect
+//! failed Context Entities and trigger reconfiguration, the paper's
+//! "adaptivity to environmental changes (e.g. component failure)".
+//! Traffic counts live in the telemetry registry (`bus.*`, see
+//! [`EventMediator::attach_telemetry`]), not in the mediator.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -20,7 +20,6 @@ use sci_telemetry::{Histogram, Registry};
 use sci_types::{ContextEvent, Guid, SciError, SciResult, VirtualDuration, VirtualTime};
 
 use crate::bus::{Delivery, EventBus, SubId};
-use crate::stats::DeliveryStats;
 use crate::topic::Topic;
 
 #[derive(Clone, Debug)]
@@ -33,7 +32,6 @@ struct PublisherState {
 #[derive(Clone, Debug, Default)]
 pub struct EventMediator {
     bus: EventBus,
-    stats: DeliveryStats,
     publishers: HashMap<Guid, PublisherState>,
     publish_latency: Option<Histogram>,
 }
@@ -99,20 +97,19 @@ impl EventMediator {
         self.publish_latency = Some(registry.histogram("bus.publish.latency_us"));
     }
 
-    /// Publishes an event: matches subscriptions, updates stats and the
-    /// publisher's liveness.
+    /// Publishes an event: matches subscriptions and advances the
+    /// publisher's liveness stamp.
     pub fn publish(&mut self, event: &ContextEvent) -> Vec<Delivery> {
         if let Some(state) = self.publishers.get_mut(&event.source) {
-            state.last_seen = event.timestamp;
+            // Late or out-of-order events (an unsorted batch, a relayed
+            // reading) must not make a live publisher look silent.
+            state.last_seen = state.last_seen.max(event.timestamp);
         }
         let start = self.publish_latency.as_ref().map(|_| Instant::now()); // sci-lint: allow(wall-clock): telemetry timing
         let deliveries = self.bus.publish(event);
         if let (Some(h), Some(start)) = (&self.publish_latency, start) {
             h.record(u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
         }
-        let one_time = deliveries.iter().filter(|d| d.last).count();
-        self.stats
-            .record_publish(&event.topic, deliveries.len(), one_time);
         deliveries
     }
 
@@ -127,7 +124,7 @@ impl EventMediator {
             .publishers
             .get_mut(&publisher)
             .ok_or(SciError::UnknownEntity(publisher))?;
-        state.last_seen = now;
+        state.last_seen = state.last_seen.max(now);
         Ok(())
     }
 
@@ -151,11 +148,6 @@ impl EventMediator {
         &self.bus
     }
 
-    /// Cumulative delivery statistics.
-    pub fn stats(&self) -> &DeliveryStats {
-        &self.stats
-    }
-
     /// Number of publishers under liveness tracking.
     pub fn tracked_publishers(&self) -> usize {
         self.publishers.len()
@@ -173,7 +165,7 @@ mod tests {
     }
 
     #[test]
-    fn publish_updates_stats_and_liveness() {
+    fn publish_updates_liveness() {
         let mut m = EventMediator::new();
         let sensor = Guid::from_u128(1);
         let app = Guid::from_u128(2);
@@ -182,7 +174,6 @@ mod tests {
 
         let d = m.publish(&event_from(sensor, VirtualTime::from_secs(5)));
         assert_eq!(d.len(), 1);
-        assert_eq!(m.stats().published, 1);
         assert!(m.silent_publishers(VirtualTime::from_secs(14)).is_empty());
         assert_eq!(
             m.silent_publishers(VirtualTime::from_secs(16)),
@@ -199,6 +190,21 @@ mod tests {
         assert!(m.silent_publishers(VirtualTime::from_secs(39)).is_empty());
         assert_eq!(m.silent_publishers(VirtualTime::from_secs(41)).len(), 1);
         assert!(m.heartbeat(Guid::from_u128(9), VirtualTime::ZERO).is_err());
+    }
+
+    #[test]
+    fn liveness_never_runs_backwards() {
+        let mut m = EventMediator::new();
+        let sensor = Guid::from_u128(1);
+        m.track_publisher(sensor, VirtualDuration::from_secs(10), VirtualTime::ZERO);
+        m.heartbeat(sensor, VirtualTime::from_secs(30)).unwrap();
+        // A reading stamped before the heartbeat arrives after it...
+        m.publish(&event_from(sensor, VirtualTime::from_secs(5)));
+        assert!(m.silent_publishers(VirtualTime::from_secs(39)).is_empty());
+        // ...and so does a stale heartbeat.
+        m.heartbeat(sensor, VirtualTime::from_secs(7)).unwrap();
+        assert!(m.silent_publishers(VirtualTime::from_secs(39)).is_empty());
+        assert_eq!(m.silent_publishers(VirtualTime::from_secs(41)).len(), 1);
     }
 
     #[test]

@@ -1,52 +1,15 @@
 //! Deterministic virtual-time scheduling.
 //!
-//! SCI's experiments run on a logical clock: a [`VirtualClock`] that only
-//! advances when the simulation driver says so, and a [`Scheduler`] —
-//! a priority queue of timestamped actions with stable FIFO ordering for
-//! equal timestamps. Sensors, mobility models, failure injectors and
-//! deferred queries all schedule through this module.
+//! SCI's experiments run on a logical clock that only advances when the
+//! driver says so (every entry point takes the current `VirtualTime`).
+//! The [`Scheduler`] is a priority queue of timestamped actions with
+//! stable FIFO ordering for equal timestamps; the Context Server's
+//! deferred (`when`-timed) queries wait in one.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use sci_types::{VirtualDuration, VirtualTime};
-
-/// A monotonically advancing logical clock.
-#[derive(Clone, Debug, Default)]
-pub struct VirtualClock {
-    now: VirtualTime,
-}
-
-impl VirtualClock {
-    /// Creates a clock at [`VirtualTime::ZERO`].
-    pub fn new() -> Self {
-        VirtualClock::default()
-    }
-
-    /// The current instant.
-    pub fn now(&self) -> VirtualTime {
-        self.now
-    }
-
-    /// Advances the clock by a duration.
-    pub fn advance(&mut self, d: VirtualDuration) {
-        self.now += d;
-    }
-
-    /// Advances the clock to an absolute instant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is in the past — virtual time never goes backwards.
-    pub fn advance_to(&mut self, t: VirtualTime) {
-        assert!(
-            t >= self.now,
-            "clock cannot go backwards: {t:?} < {:?}",
-            self.now
-        );
-        self.now = t;
-    }
-}
+use sci_types::VirtualTime;
 
 struct Scheduled<T> {
     at: VirtualTime,
@@ -159,56 +122,10 @@ impl<T> std::fmt::Debug for Scheduler<T> {
     }
 }
 
-/// Runs a scheduler to exhaustion (or until `deadline`), advancing the
-/// clock to each action's timestamp and invoking `handle`. The handler
-/// may schedule further actions.
-///
-/// Returns the number of actions executed.
-pub fn run_until<T>(
-    clock: &mut VirtualClock,
-    scheduler: &mut Scheduler<T>,
-    deadline: VirtualTime,
-    mut handle: impl FnMut(&mut VirtualClock, &mut Scheduler<T>, VirtualTime, T),
-) -> usize {
-    let mut executed = 0;
-    loop {
-        match scheduler.peek_time() {
-            Some(at) if at <= deadline => {}
-            _ => break,
-        }
-        let Some((at, item)) = scheduler.pop() else {
-            break;
-        };
-        clock.advance_to(at.max(clock.now()));
-        handle(clock, scheduler, at, item);
-        executed += 1;
-    }
-    if clock.now() < deadline {
-        clock.advance_to(deadline);
-    }
-    executed
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn clock_monotonicity() {
-        let mut c = VirtualClock::new();
-        c.advance(VirtualDuration::from_secs(1));
-        c.advance_to(VirtualTime::from_secs(2));
-        assert_eq!(c.now(), VirtualTime::from_secs(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "backwards")]
-    fn clock_rejects_time_travel() {
-        let mut c = VirtualClock::new();
-        c.advance_to(VirtualTime::from_secs(2));
-        c.advance_to(VirtualTime::from_secs(1));
-    }
 
     #[test]
     fn fifo_for_equal_timestamps() {
@@ -228,58 +145,5 @@ mod tests {
         assert!(s.pop_due(VirtualTime::from_secs(4)).is_none());
         assert!(s.pop_due(VirtualTime::from_secs(5)).is_some());
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn run_until_executes_cascading_actions() {
-        let mut clock = VirtualClock::new();
-        let mut sched: Scheduler<u32> = Scheduler::new();
-        sched.schedule(VirtualTime::from_secs(1), 3);
-        let mut fired = Vec::new();
-        let n = run_until(
-            &mut clock,
-            &mut sched,
-            VirtualTime::from_secs(10),
-            |clock, sched, at, remaining| {
-                fired.push((at, remaining));
-                if remaining > 0 {
-                    sched.schedule(clock.now() + VirtualDuration::from_secs(1), remaining - 1);
-                }
-            },
-        );
-        assert_eq!(n, 4);
-        assert_eq!(
-            fired,
-            vec![
-                (VirtualTime::from_secs(1), 3),
-                (VirtualTime::from_secs(2), 2),
-                (VirtualTime::from_secs(3), 1),
-                (VirtualTime::from_secs(4), 0),
-            ]
-        );
-        assert_eq!(
-            clock.now(),
-            VirtualTime::from_secs(10),
-            "clock reaches deadline"
-        );
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let mut clock = VirtualClock::new();
-        let mut sched: Scheduler<&str> = Scheduler::new();
-        sched.schedule(VirtualTime::from_secs(1), "in");
-        sched.schedule(VirtualTime::from_secs(100), "out");
-        let mut seen = Vec::new();
-        run_until(
-            &mut clock,
-            &mut sched,
-            VirtualTime::from_secs(10),
-            |_, _, _, item| {
-                seen.push(item);
-            },
-        );
-        assert_eq!(seen, ["in"]);
-        assert_eq!(sched.len(), 1, "future action stays queued");
     }
 }

@@ -1,15 +1,12 @@
-//! Shared instrument bundles for the two buses.
+//! The bus's instrument bundle.
 //!
-//! The deterministic [`crate::bus::EventBus`] sits on the Range hot
-//! path (E9 measures it in the hundreds of nanoseconds), so its bundle
-//! is counters-only — no clock reads. Publish→deliver *latency* is
-//! recorded one level up, by [`crate::mediator::EventMediator`] and
-//! [`crate::rt::ThreadedBus`], where a publish already costs enough
-//! that two `Instant::now` calls disappear into the noise.
+//! [`crate::bus::EventBus`] sits on the Range hot path (E9 measures it
+//! in the hundreds of nanoseconds), so its bundle is counters-only — no
+//! clock reads. Publish→deliver *latency* is recorded one level up, by
+//! [`crate::mediator::EventMediator`], where a publish already costs
+//! enough that two `Instant::now` calls disappear into the noise.
 
 use sci_telemetry::{Counter, Histogram, Registry};
-
-use crate::index::PublishOutcome;
 
 /// Counter-only bundle recorded by `EventBus::publish`.
 #[derive(Clone, Debug)]
@@ -37,10 +34,10 @@ impl BusTelemetry {
     }
 
     #[inline]
-    pub(crate) fn record_publish(&self, outcome: &PublishOutcome) {
+    pub(crate) fn record_publish(&self, candidates: usize, fanout: usize) {
         self.published.inc();
-        self.candidates.add(outcome.candidates as u64);
-        self.delivered.add(outcome.fanout as u64);
-        self.fanout.record(outcome.fanout as u64);
+        self.candidates.add(candidates as u64);
+        self.delivered.add(fanout as u64);
+        self.fanout.record(fanout as u64);
     }
 }

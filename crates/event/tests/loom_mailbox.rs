@@ -5,14 +5,14 @@
 //! offline build stress-executes them through the vendored shim. The
 //! properties under test are the ones `RangeRuntime` leans on: no
 //! message loss across producer threads, per-producer FIFO, and
-//! request/response pairing on the point-to-point channel.
+//! request/response pairing across a command and a reply mailbox.
 #![cfg(loom)]
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use loom::sync::atomic::{AtomicUsize, Ordering};
 use loom::sync::Arc;
 
-use sci_event::rt::{bounded_mailbox, mailbox, point_to_point, TrySendError};
+use sci_event::rt::{bounded_mailbox, mailbox, TrySendError};
 
 #[test]
 fn mailbox_loses_nothing_across_producers() {
@@ -117,19 +117,33 @@ fn bounded_mailbox_sheds_cleanly_when_full() {
 }
 
 #[test]
-fn point_to_point_pairs_request_with_response() {
+fn call_pairs_request_with_response_after_pipelined_casts() {
     loom::model(|| {
-        let (client, server) = point_to_point::<u32, u32>();
+        // The shape of `RangeRuntime::call`: commands go down one
+        // mailbox, every command's reply comes back up a second one in
+        // command order, so the caller finds its own reply behind those
+        // of the casts it pipelined first.
+        let (cmd_tx, cmd_rx) = mailbox::<u32>();
+        let (reply_tx, reply_rx) = mailbox::<u32>();
         let served = Arc::new(AtomicUsize::new(0));
         let tally = served.clone();
         let worker = loom::thread::spawn(move || {
-            let q = server.next_request().unwrap();
-            tally.fetch_add(1, Ordering::SeqCst);
-            server.respond(q + 1).unwrap();
+            while let Ok(q) = cmd_rx.recv() {
+                tally.fetch_add(1, Ordering::SeqCst);
+                reply_tx.send(q + 1).unwrap();
+            }
         });
-        let answer = client.call(41).unwrap();
+        // Two casts, then the call.
+        for q in [1, 2, 41] {
+            cmd_tx.send(q).unwrap();
+        }
+        let flushed: Vec<u32> = (0..2).map(|_| reply_rx.recv().unwrap()).collect();
+        let answer = reply_rx.recv().unwrap();
+        drop(cmd_tx);
         worker.join().unwrap();
-        assert_eq!(answer, 42);
-        assert_eq!(served.load(Ordering::SeqCst), 1);
+        assert_eq!(flushed, vec![2, 3], "earlier casts are flushed first");
+        assert_eq!(answer, 42, "the call gets its own reply");
+        assert_eq!(served.load(Ordering::SeqCst), 3);
+        assert!(reply_rx.try_recv().is_err(), "one reply per command");
     });
 }

@@ -100,10 +100,12 @@ fn main() -> SciResult<()> {
         caa.poll(&mut cs, &mut dash);
     }
 
+    let snap = cs.snapshot();
     println!(
-        "received {} readings; mediator stats: {}",
+        "received {} readings; mediator: published={} delivered={}",
         dash.readings.len(),
-        cs.mediator().stats()
+        snap.counter("bus.publish.count"),
+        snap.counter("bus.deliver.count")
     );
     assert!(!dash.readings.is_empty());
     Ok(())

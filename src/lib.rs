@@ -99,7 +99,7 @@ pub mod prelude {
     pub use sci_core::runtime::{
         MailboxPolicy, ParallelFederation, RangeCommand, RangeRuntime, RestartPolicy,
     };
-    pub use sci_event::{EventBus, EventMediator, Scheduler, Topic, VirtualClock};
+    pub use sci_event::{EventBus, EventMediator, Scheduler, Topic};
     pub use sci_location::floorplan::{capa_level10, FloorPlan};
     pub use sci_location::{LocationExpr, Rect, Route};
     pub use sci_overlay::{

@@ -51,7 +51,7 @@ fn figure5_registration_handshake() {
             VirtualTime::from_secs(1),
         )
         .unwrap();
-    assert_eq!(cs.mediator().stats().published, 1);
+    assert_eq!(cs.snapshot().counter("bus.publish.count"), 1);
 
     // Departure cleans everything up. (The published presence event
     // also auto-registered its subject — that is the Range Service doing

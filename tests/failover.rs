@@ -170,6 +170,32 @@ fn repair_latency_is_bounded_by_detection_poll() {
 }
 
 #[test]
+fn a_late_event_does_not_make_a_live_sensor_look_silent() {
+    // doors[0] heartbeats at t=30, then a reading it stamped at t=5
+    // arrives (a relayed or batched event, out of order). The sensor
+    // was heard from 8 s ago, not 33 s ago: nothing is repaired.
+    let mut r = sci_rig(2);
+    let t_alive = VirtualTime::from_secs(30);
+    for d in &r.doors {
+        r.cs.heartbeat(*d, t_alive).unwrap();
+    }
+    let late = presence(r.doors[0], r.bob, "L10.01", VirtualTime::from_secs(5));
+    r.cs.ingest(&late, t_alive).unwrap();
+    assert_eq!(r.cs.drain_outbox().len(), 1, "late, but still delivered");
+
+    let wiring = |cs: &ContextServer| -> Vec<String> {
+        let bus = cs.mediator().bus();
+        bus.iter()
+            .map(|s| format!("{} {}", s.id, s.topic))
+            .collect()
+    };
+    let before = wiring(&r.cs);
+    let reports = adaptation::detect_and_repair(&mut r.cs, VirtualTime::from_secs(38));
+    assert!(reports.is_empty(), "no live source is torn down");
+    assert_eq!(wiring(&r.cs), before, "subscriptions untouched");
+}
+
+#[test]
 fn graceful_deregistration_also_repairs() {
     let mut r = sci_rig(2);
     // The sensor leaves cleanly (maintenance); the configuration is

@@ -1,138 +1,182 @@
 //! Integration test: the hybrid communication model (paper §4) under
 //! real concurrency — "a combination of distributed events and point to
-//! point communication". World-simulator events fan out through the
-//! threaded bus to consumer threads, while a service invocation runs
-//! over a point-to-point channel pair.
+//! point communication". A Range has one Event Mediator whatever the
+//! execution mode: here it lives on a `RangeRuntime` worker thread,
+//! world-simulator events are `cast` into it from the test thread
+//! (distributed events), and a service lookup is a `call` — command in,
+//! typed reply back (point to point).
 
-use std::thread;
-
-use sci::event::rt::{point_to_point, ThreadedBus};
 use sci::prelude::*;
 use sci::sensors::mobility::{Leg, MovementPlan};
+
+/// A range over the level-ten plan with the world's door sensors and
+/// one thermometer registered; every call builds the same server.
+fn level_ten(world_sensors: &[(Guid, String)], thermometer: Guid) -> ContextServer {
+    let mut cs = ContextServer::new(Guid::from_u128(0x10), "level-ten", capa_level10());
+    for (guid, door) in world_sensors {
+        cs.register(
+            Profile::builder(*guid, EntityKind::Device, format!("doorSensor-{door}"))
+                .output(PortSpec::new("presence", ContextType::Presence))
+                .build(),
+            VirtualTime::ZERO,
+        )
+        .unwrap();
+    }
+    cs.register(
+        Profile::builder(thermometer, EntityKind::Device, "thermometer")
+            .output(PortSpec::new("temperature", ContextType::Temperature))
+            .build(),
+        VirtualTime::ZERO,
+    )
+    .unwrap();
+    cs
+}
+
+fn deliveries(reply: RangeReply) -> Vec<(Guid, Guid, ContextEvent)> {
+    match reply {
+        RangeReply::Deliveries(ds) => ds.into_iter().map(|d| (d.app, d.query, d.event)).collect(),
+        other => panic!("expected deliveries, got {other:?}"),
+    }
+}
 
 #[test]
 fn world_events_fan_out_across_threads() {
     let mut ids = GuidGenerator::seeded(101);
-    let plan = capa_level10();
-    let mut world = World::new(plan);
-    world.auto_door_sensors(&mut ids);
-    let bob = ids.next_guid();
-    world
-        .spawn_person(SimPerson::new(bob, "Bob", Coord::new(4.0, 1.0)).with_plan(
-            MovementPlan::scripted([
-                Leg::new("L10.01", VirtualDuration::from_secs(10)),
-                Leg::new("L10.02", VirtualDuration::from_secs(10)),
-                Leg::new("bay", VirtualDuration::from_secs(10)),
-            ]),
-        ))
-        .unwrap();
-
-    let bus = ThreadedBus::new();
-    // Consumer 1: all presence events.
-    let (_, presence_rx) = bus.subscribe(
-        ids.next_guid(),
-        Topic::of_type(ContextType::Presence),
-        false,
-    );
-    // Consumer 2: only events about Bob.
-    let (_, bob_rx) = bus.subscribe(ids.next_guid(), Topic::any().about(bob), false);
-
-    let presence_counter = thread::spawn(move || presence_rx.iter().count());
-    let bob_counter = thread::spawn(move || bob_rx.iter().count());
-
-    // Drive the world on this thread, publishing into the bus.
-    let dt = VirtualDuration::from_secs(2);
-    let mut now = VirtualTime::ZERO;
-    let mut produced = 0usize;
-    for _ in 0..120 {
-        now += dt;
-        for event in world.tick(now, dt).unwrap() {
-            bus.publish(&event);
-            produced += 1;
-        }
+    let mut world = World::new(capa_level10());
+    let sensors = world.auto_door_sensors(&mut ids);
+    let (bob, john) = (ids.next_guid(), ids.next_guid());
+    for (who, name, rooms) in [
+        (bob, "Bob", ["L10.01", "L10.02", "bay"]),
+        (john, "John", ["L10.03", "L10.01", "L10.02"]),
+    ] {
+        let legs = rooms.map(|room| Leg::new(room, VirtualDuration::from_secs(10)));
+        let person = SimPerson::new(who, name, Coord::new(4.0, 1.0));
+        world
+            .spawn_person(person.with_plan(MovementPlan::scripted(legs)))
+            .unwrap();
     }
-    assert!(produced >= 4, "bob crossed several sensed doors");
-    drop(bus); // disconnect: consumer threads drain and exit
+    let mut thermometer = TemperatureSensor::new(ids.next_guid(), "L10.01");
 
-    let presence_seen = presence_counter.join().unwrap();
-    let bob_seen = bob_counter.join().unwrap();
-    assert_eq!(presence_seen, produced, "all events were presence events");
-    assert_eq!(bob_seen, produced, "every event was about Bob");
-}
-
-#[test]
-fn point_to_point_service_invocation_across_threads() {
-    // A printer "service" thread answers submit-job requests — the
-    // point-to-point half of the hybrid model used by Advertisement
-    // interactions.
-    let (client, server) = point_to_point::<(String, u32), Guid>();
-    let service = thread::spawn(move || {
-        let mut ids = GuidGenerator::seeded(7);
-        let mut jobs = Vec::new();
-        while let Ok((document, pages)) = server.next_request() {
-            let ticket = ids.next_guid();
-            jobs.push((document, pages, ticket));
-            if server.respond(ticket).is_err() {
-                break;
-            }
-        }
-        jobs
-    });
-
-    let t1 = client.call(("paper.pdf".to_owned(), 12)).unwrap();
-    let t2 = client.call(("slides.pdf".to_owned(), 30)).unwrap();
-    assert_ne!(t1, t2, "each job gets its own ticket");
-    drop(client);
-    let jobs = service.join().unwrap();
-    assert_eq!(jobs.len(), 2);
-    assert_eq!(jobs[0].0, "paper.pdf");
-}
-
-#[test]
-fn threaded_and_deterministic_buses_agree_on_filtering() {
-    // The same subscription set over the same event sequence produces
-    // identical fanout counts on both runtimes.
-    let mut ids = GuidGenerator::seeded(5);
-    let source = ids.next_guid();
-    let subject = ids.next_guid();
-    let events: Vec<ContextEvent> = (0..50)
-        .map(|i| {
-            let ty = if i % 3 == 0 {
-                ContextType::Presence
-            } else {
-                ContextType::Temperature
-            };
-            let payload = if i % 2 == 0 {
-                ContextValue::record([("subject", ContextValue::Id(subject))])
-            } else {
-                ContextValue::Int(i)
-            };
-            ContextEvent::new(source, ty, payload, VirtualTime::from_micros(i as u64))
-        })
-        .collect();
-
-    let topics = [
-        Topic::any(),
-        Topic::of_type(ContextType::Presence),
-        Topic::any().about(subject),
-        Topic::of_type(ContextType::Temperature).from(source),
+    // Consumer 1: all presence events. Consumer 2: only those about Bob.
+    let (presence_app, bob_app) = (ids.next_guid(), ids.next_guid());
+    let queries = [
+        Query::builder(ids.next_guid(), presence_app)
+            .info(ContextType::Presence)
+            .mode(Mode::Subscribe)
+            .build(),
+        Query::builder(ids.next_guid(), bob_app)
+            .info_matching(
+                ContextType::Presence,
+                vec![Predicate::eq("subject", ContextValue::Id(bob))],
+            )
+            .mode(Mode::Subscribe)
+            .build(),
     ];
 
-    let mut sync_bus = sci::event::EventBus::new();
-    let threaded = ThreadedBus::new();
-    let mut receivers = Vec::new();
-    for topic in &topics {
-        sync_bus.subscribe(ids.next_guid(), topic.clone(), false);
-        receivers.push(threaded.subscribe(ids.next_guid(), topic.clone(), false).1);
+    // The same commands go to a range worker on its own thread and,
+    // inline on this thread, to an identical server.
+    let mut inline = level_ten(&sensors, thermometer.id());
+    let mut range = RangeRuntime::spawn(level_ten(&sensors, thermometer.id()));
+    for q in queries {
+        inline
+            .handle(RangeCommand::Submit(Box::new(q.clone())), VirtualTime::ZERO)
+            .unwrap();
+        range
+            .cast(RangeCommand::Submit(Box::new(q)), VirtualTime::ZERO)
+            .unwrap();
     }
 
-    let mut sync_total = 0usize;
-    let mut threaded_total = 0usize;
-    for ev in &events {
-        sync_total += sync_bus.publish(ev).len();
-        threaded_total += threaded.publish(ev);
+    // Drive the world on this thread, casting into the worker.
+    let dt = VirtualDuration::from_secs(2);
+    let mut now = VirtualTime::ZERO;
+    let (mut produced, mut about_bob) = (0usize, 0usize);
+    for _ in 0..120 {
+        now += dt;
+        let mut events = world.tick(now, dt).unwrap();
+        produced += events.len();
+        about_bob += events.iter().filter(|e| e.subject() == Some(bob)).count();
+        events.extend(thermometer.tick(now));
+        for event in events {
+            inline
+                .handle(RangeCommand::Ingest(event.clone()), now)
+                .unwrap();
+            range.cast(RangeCommand::Ingest(event), now).unwrap();
+        }
     }
-    assert_eq!(sync_total, threaded_total);
-    let received: usize = receivers.iter().map(|r| r.try_iter().count()).sum();
-    assert_eq!(received, threaded_total);
+    assert!(about_bob >= 4, "bob crossed several sensed doors");
+    assert!(produced > about_bob, "john moved too");
+
+    // Each application drains exactly what the inline run delivered to
+    // it, in the same order; the call is the barrier behind the casts.
+    for (app, expected) in [(presence_app, produced), (bob_app, about_bob)] {
+        let drain = || RangeCommand::DrainOutboxFor(app);
+        let threaded = deliveries(range.call(drain(), now).unwrap());
+        assert_eq!(threaded, deliveries(inline.handle(drain(), now).unwrap()));
+        assert_eq!(threaded.len(), expected);
+        assert!(threaded.iter().all(|(to, ..)| *to == app));
+    }
+    assert!(range.take_errors().is_empty());
+    let worker = range.shutdown().expect("worker stopped cleanly");
+    assert_eq!(
+        worker.snapshot().counter("bus.deliver.count"),
+        inline.snapshot().counter("bus.deliver.count")
+    );
+}
+
+#[test]
+fn service_lookup_is_request_response_across_threads() {
+    // A printer registers and advertises its service with pipelined
+    // casts; an application then looks the service up with a call — the
+    // point-to-point half of the hybrid model used by Advertisement
+    // interactions. The reply is typed, and it can only name the
+    // printer if the worker applied the casts first.
+    let mut ids = GuidGenerator::seeded(7);
+    let mut range = RangeRuntime::spawn(ContextServer::new(
+        ids.next_guid(),
+        "level-ten",
+        capa_level10(),
+    ));
+    let printer = ids.next_guid();
+    let profile = Profile::builder(printer, EntityKind::Device, "P1")
+        .output(PortSpec::new("status", ContextType::PrinterStatus))
+        .attribute("service", ContextValue::text("printing"))
+        .build();
+    let ad = Advertisement::new(printer, "printing").with_operation(sci::types::Operation::new(
+        "submit-job",
+        [ContextType::custom("document")],
+        Some(ContextType::custom("ticket")),
+    ));
+    range
+        .cast(RangeCommand::Register(Box::new(profile)), VirtualTime::ZERO)
+        .unwrap();
+    range
+        .cast(RangeCommand::Advertise(Box::new(ad)), VirtualTime::ZERO)
+        .unwrap();
+
+    let lookup = Query::builder(ids.next_guid(), ids.next_guid())
+        .kind(EntityKind::Device)
+        .attr_eq("service", "printing")
+        .mode(Mode::Advertisement)
+        .build();
+    match range.call(RangeCommand::Submit(Box::new(lookup)), VirtualTime::ZERO) {
+        Ok(RangeReply::Answer(QueryAnswer::Advertisements(ads))) => {
+            assert_eq!(ads.len(), 1);
+            assert_eq!(ads[0].provider(), printer);
+        }
+        other => panic!("expected the printer's advertisement, got {other:?}"),
+    }
+    assert!(range.take_errors().is_empty(), "both casts were applied");
+
+    // A request the service cannot satisfy comes back as that call's
+    // own error, not as a pipelined one.
+    let nobody = Query::builder(ids.next_guid(), ids.next_guid())
+        .named(ids.next_guid())
+        .mode(Mode::Advertisement)
+        .build();
+    assert!(matches!(
+        range.call(RangeCommand::Submit(Box::new(nobody)), VirtualTime::ZERO),
+        Err(SciError::Unresolvable(_))
+    ));
+    assert!(range.take_errors().is_empty());
+    assert!(range.shutdown().is_some());
 }
