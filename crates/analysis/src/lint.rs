@@ -17,11 +17,6 @@
 //!   names (`format!`) are out of scope by construction.
 //! * **SCI-A303** — drift between the `RangeCommand` enum's variants
 //!   and its `KINDS` name table (count, order, or kebab-case naming).
-//! * **SCI-A304** — drift between `RangeCommand::KINDS` and the
-//!   write-ahead log codec's `TAGS` table (count or order). A frame's
-//!   tag byte is its index in `TAGS`, so the table is the on-disk
-//!   format: a silent reorder corrupts every durable log written
-//!   after it.
 //!
 //! The pass is deliberately textual, not syntactic: it runs from the
 //! `sci-lint` binary in CI with zero dependencies beyond `std`, and
@@ -522,61 +517,6 @@ pub fn check_command_kinds(file: &str, source: &str) -> Vec<Diagnostic> {
 }
 
 // ---------------------------------------------------------------------
-// SCI-A304 — WAL codec tag drift
-// ---------------------------------------------------------------------
-
-/// SCI-A304: verifies that the durability codec's `TAGS` table (in
-/// `tags_source`, normally `crates/core/src/durability.rs`) matches
-/// `RangeCommand::KINDS` (in `kinds_source`, normally
-/// `crates/core/src/runtime.rs`) entry for entry. A frame's tag byte
-/// is its index in `TAGS`, so count or order drift silently corrupts
-/// every log written after it — this is a wire-format invariant, not a
-/// style check.
-pub fn check_codec_tags(
-    kinds_file: &str,
-    kinds_source: &str,
-    tags_file: &str,
-    tags_source: &str,
-) -> Vec<Diagnostic> {
-    let kinds = const_table_strings(kinds_source, "const KINDS");
-    let tags = const_table_strings(tags_source, "const TAGS");
-    let mut findings = Vec::new();
-    if kinds.is_empty() || tags.is_empty() {
-        findings.push(Diagnostic::new(
-            DiagCode::CodecTagDrift,
-            format!(
-                "could not locate `KINDS` in {kinds_file} and `TAGS` in {tags_file} — \
-                 the codec registry cannot be audited"
-            ),
-        ));
-        return findings;
-    }
-    if kinds.len() != tags.len() {
-        findings.push(Diagnostic::new(
-            DiagCode::CodecTagDrift,
-            format!(
-                "{tags_file}: codec `TAGS` lists {} entries but `RangeCommand::KINDS` \
-                 ({kinds_file}) lists {} — append-only drift broke the frame format",
-                tags.len(),
-                kinds.len(),
-            ),
-        ));
-    }
-    for (i, (kind, tag)) in kinds.iter().zip(tags.iter()).enumerate() {
-        if kind != tag {
-            findings.push(Diagnostic::new(
-                DiagCode::CodecTagDrift,
-                format!(
-                    "{tags_file}: TAGS[{i}] is `{tag}` but KINDS[{i}] ({kinds_file}) is \
-                     `{kind}` — frame tag {i} no longer names the command it encodes",
-                ),
-            ));
-        }
-    }
-    findings
-}
-
-// ---------------------------------------------------------------------
 // Workspace walk
 // ---------------------------------------------------------------------
 
@@ -633,26 +573,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<AnalysisReport> {
         Ok(source) => {
             for finding in check_command_kinds("crates/core/src/runtime.rs", &source) {
                 report.push(finding);
-            }
-            let durability_path = root.join("crates/core/src/durability.rs");
-            match fs::read_to_string(&durability_path) {
-                Ok(tags_source) => {
-                    for finding in check_codec_tags(
-                        "crates/core/src/runtime.rs",
-                        &source,
-                        "crates/core/src/durability.rs",
-                        &tags_source,
-                    ) {
-                        report.push(finding);
-                    }
-                }
-                Err(_) => report.push(Diagnostic::new(
-                    DiagCode::CodecTagDrift,
-                    format!(
-                        "{}: unreadable — cannot audit the codec TAGS table",
-                        durability_path.display()
-                    ),
-                )),
             }
         }
         Err(_) => report.push(Diagnostic::new(

@@ -6,7 +6,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use sci_analysis::lint::{
-    check_codec_tags, check_command_kinds, check_metric_names, check_nondeterminism, Catalogue,
+    check_command_kinds, check_metric_names, check_nondeterminism, Catalogue,
 };
 use sci_types::DiagCode;
 
@@ -87,38 +87,5 @@ fn live_runtime_source_is_drift_free() {
     let path = format!("{}/../core/src/runtime.rs", env!("CARGO_MANIFEST_DIR"));
     let source = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
     let findings = check_command_kinds("crates/core/src/runtime.rs", &source);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn tag_drift_fixture_is_rejected() {
-    let src = fixture("tag_drift.rs");
-    let findings = check_codec_tags("tag_drift.rs", &src, "tag_drift.rs", &src);
-    assert_eq!(findings.len(), 3, "{findings:?}");
-    assert!(findings.iter().all(|d| d.code == DiagCode::CodecTagDrift));
-    assert!(findings.iter().all(|d| d.is_error()));
-    let rendered = format!("{findings:?}");
-    assert!(
-        rendered.contains("3 entries but `RangeCommand::KINDS`"),
-        "{rendered}"
-    );
-    assert!(rendered.contains("TAGS[1]"), "{rendered}");
-    assert!(rendered.contains("TAGS[2]"), "{rendered}");
-}
-
-#[test]
-fn live_codec_tags_are_drift_free() {
-    let kinds_path = format!("{}/../core/src/runtime.rs", env!("CARGO_MANIFEST_DIR"));
-    let tags_path = format!("{}/../core/src/durability.rs", env!("CARGO_MANIFEST_DIR"));
-    let kinds =
-        std::fs::read_to_string(&kinds_path).unwrap_or_else(|e| panic!("read {kinds_path}: {e}"));
-    let tags =
-        std::fs::read_to_string(&tags_path).unwrap_or_else(|e| panic!("read {tags_path}: {e}"));
-    let findings = check_codec_tags(
-        "crates/core/src/runtime.rs",
-        &kinds,
-        "crates/core/src/durability.rs",
-        &tags,
-    );
     assert!(findings.is_empty(), "{findings:?}");
 }

@@ -45,6 +45,7 @@ use crate::durability::RangeWal;
 use crate::history::ContextStore;
 use crate::location_service::LocationService;
 use crate::logic::LogicFactory;
+use crate::migration::MigrationPacket;
 use crate::profile_manager::ProfileManager;
 use crate::registrar::Registrar;
 use sci_telemetry::{Registry, TelemetrySnapshot, Tracer};
@@ -432,6 +433,70 @@ impl ContextServer {
         id: Guid,
         now: VirtualTime,
     ) -> SciResult<EntityDescriptor> {
+        let (descriptor, held) = self.evict(id, now)?;
+        // Departure behaves like failure for dependent configurations.
+        self.excluded.insert(id);
+        // Its registrations and queries go with it; what was already
+        // produced for it stays queued until somebody drains it.
+        self.outbox.extend(held.deliveries);
+        self.answers.extend(held.answers);
+        Ok(descriptor)
+    }
+
+    // ------------------------------------------------------------------
+    // What the range holds on behalf of an entity
+    // ------------------------------------------------------------------
+
+    /// What this range holds on behalf of `who` — of everyone it
+    /// serves, for `None` — cloned, every section in a deterministic
+    /// order. `deregister`, `migrate-out` and the durability snapshot
+    /// share this one definition.
+    pub(crate) fn held(&self, who: Option<Guid>) -> MigrationPacket {
+        fn pick<'a, T: Clone + 'a>(
+            items: impl IntoIterator<Item = &'a T>,
+            mine: impl Fn(&T) -> bool,
+        ) -> Vec<T> {
+            items.into_iter().filter(|t| mine(t)).cloned().collect()
+        }
+        let mine = |owner: Guid| who.is_none_or(|who| who == owner);
+        let mut held = MigrationPacket {
+            entity: who.unwrap_or(self.id),
+            profiles: pick(self.profiles.iter(), |p| mine(p.id())),
+            advertisements: pick(self.advertisements.values().flatten(), |ad| {
+                mine(ad.provider())
+            }),
+            standing: pick(self.origin_queries.values(), |q| mine(q.owner)),
+            deferred: self
+                .deferred
+                .iter()
+                .filter(|d| mine(d.query.owner))
+                .map(|d| (d.query.clone(), d.stored_at))
+                .collect(),
+            deliveries: pick(&self.outbox, |d| mine(d.app)),
+            answers: pick(&self.answers, |a| mine(a.1)),
+        };
+        // The maps iterate in no order; a provider's own advertisements
+        // stay in theirs (the sort is stable).
+        held.profiles.sort_by_key(Profile::id);
+        held.advertisements.sort_by_key(Advertisement::provider);
+        held.standing.sort_by_key(|q| q.id);
+        held
+    }
+
+    /// The taker: removes everything this range holds on behalf of
+    /// `id` and hands it back. Dependent configurations repair as for
+    /// any departure, but leaving is not failing: the entity is *not*
+    /// excluded from future plans.
+    ///
+    /// # Errors
+    ///
+    /// [`SciError::UnknownEntity`] (counted) if the entity is not
+    /// registered here; nothing is taken.
+    fn evict(
+        &mut self,
+        id: Guid,
+        now: VirtualTime,
+    ) -> SciResult<(EntityDescriptor, MigrationPacket)> {
         let descriptor = match self.registrar.deregister(id, now) {
             Ok(descriptor) => descriptor,
             Err(e) => {
@@ -439,18 +504,105 @@ impl ContextServer {
                 return Err(e);
             }
         };
+        let held = self.held(Some(id));
         if self.profiles.remove(id).is_err() {
-            // Registered but profile-less: the removal failure used to
-            // be swallowed silently; now it is at least counted.
+            // Registered but profile-less: at least counted.
             self.metrics.record_deregister_unknown();
         }
         self.mediator.purge_entity(id);
         self.location.forget(id);
         self.advertisements.remove(&id);
-        // Departure behaves like failure for dependent configurations.
-        self.excluded.insert(id);
+        for query in held
+            .standing
+            .iter()
+            .chain(held.deferred.iter().map(|d| &d.0))
+        {
+            let _ = self.cancel_query_impl(query.id);
+        }
+        self.outbox.retain(|d| d.app != id);
+        self.answers.retain(|a| a.1 != id);
         let _ = crate::adaptation::repair_source(self, id, now);
-        Ok(descriptor)
+        self.excluded.remove(&id);
+        Ok((descriptor, held))
+    }
+
+    /// The applier: makes this range hold `held`, in the order the
+    /// state was first built. Registrations, then the `excluded` marks
+    /// (`register` clears an entity's exclusion, so not earlier), then
+    /// queries, then the verbatim transients. A standing query goes
+    /// straight to execution — its trigger fired before it was taken,
+    /// and `Submit` would park it as deferred again; a deferred one is
+    /// submitted at the instant it was first stored, re-arming the same
+    /// absolute timer. Returns how many standing queries were dropped
+    /// because no provider here resolves them.
+    ///
+    /// # Errors
+    ///
+    /// The first other failure; the rest is still applied, so a
+    /// partially applicable packet loses as little as possible.
+    fn adopt(
+        &mut self,
+        held: MigrationPacket,
+        excluded: Vec<Guid>,
+        now: VirtualTime,
+    ) -> SciResult<usize> {
+        let mut first_error = None;
+        let mut note = |outcome: SciResult<()>| {
+            if let Err(e) = outcome {
+                first_error.get_or_insert(e);
+            }
+        };
+        for profile in held.profiles {
+            note(self.register_impl(profile, now));
+        }
+        self.excluded.extend(excluded);
+        for ad in held.advertisements {
+            note(self.advertise_impl(ad));
+        }
+        let mut unresolved = 0;
+        for query in &held.standing {
+            match self.execute_query(query, now) {
+                Err(SciError::Unresolvable(_)) => unresolved += 1,
+                outcome => note(outcome.map(drop)),
+            }
+        }
+        for (query, stored_at) in &held.deferred {
+            note(self.submit_query_impl(query, *stored_at).map(drop));
+        }
+        self.outbox.extend(held.deliveries);
+        self.answers.extend(held.answers);
+        first_error.map_or(Ok(unresolved), Err)
+    }
+
+    /// Snapshot restore: [`ContextServer::adopt`] for everyone, then
+    /// the range-only tables — history in export order, last known
+    /// positions (over whatever the registrations seeded) and the
+    /// stream sequence counters, fast-forwarded and never rewound so a
+    /// rebuilt server cannot re-mint envelope seqs the federation has
+    /// already recorded for *different* traffic.
+    ///
+    /// # Errors
+    ///
+    /// [`ContextServer::adopt`]'s, or a history event's own.
+    pub(crate) fn import(
+        &mut self,
+        held: MigrationPacket,
+        excluded: Vec<Guid>,
+        history: impl Iterator<Item = SciResult<ContextEvent>>,
+        positions: Vec<(Guid, Coord)>,
+        (delivery_seq, answer_seq): (u64, u64),
+        now: VirtualTime,
+    ) -> SciResult<usize> {
+        let unresolved = self.adopt(held, excluded, now)?;
+        for event in history {
+            self.history.record(&event?);
+        }
+        for (entity, at) in positions {
+            self.location.set_position(entity, at);
+        }
+        self.stream_delivery_seq = self.stream_delivery_seq.max(delivery_seq);
+        self.stream_answer_seq = self.stream_answer_seq.max(answer_seq);
+        Ok(unresolved)
     }
 
     // ------------------------------------------------------------------
@@ -467,13 +619,9 @@ impl ContextServer {
     ///
     /// Returns [`SciError::UnknownEntity`] if the entity is not
     /// registered here.
-    pub fn migrate_out(
-        &mut self,
-        id: Guid,
-        now: VirtualTime,
-    ) -> SciResult<crate::migration::MigrationPacket> {
+    pub fn migrate_out(&mut self, id: Guid, now: VirtualTime) -> SciResult<MigrationPacket> {
         match self.handle(RangeCommand::MigrateOut(id), now)? {
-            RangeReply::Migrated(xml) => crate::migration::MigrationPacket::from_xml(&xml),
+            RangeReply::Migrated(xml) => MigrationPacket::from_xml(&xml),
             other => Err(SciError::Internal(format!(
                 "migrate-out expected `migrated` reply, got `{}`",
                 other.kind()
@@ -485,62 +633,10 @@ impl ContextServer {
         &mut self,
         id: Guid,
         now: VirtualTime,
-    ) -> SciResult<crate::migration::MigrationPacket> {
-        let profile = self.profiles.get(id).cloned();
-        if let Err(e) = self.registrar.deregister(id, now) {
-            self.metrics.record_deregister_unknown();
-            return Err(e);
-        }
-        let mut packet = crate::migration::MigrationPacket::new(id);
-        packet.profile = profile;
-        let _ = self.profiles.remove(id);
-        self.mediator.purge_entity(id);
-        self.location.forget(id);
-        packet.advertisements = self.advertisements.remove(&id).unwrap_or_default();
-
-        // Standing subscriptions the mover owns travel with it: the
-        // original query goes into the packet, the local configuration
-        // is torn down.
-        let owned: Vec<Guid> = self
-            .configurations
-            .values()
-            .filter(|c| c.owner == id)
-            .map(|c| c.query_id)
-            .collect();
-        for query_id in owned {
-            if let Some(q) = self.origin_queries.get(&query_id).cloned() {
-                packet.queries.push(q);
-            }
-            let _ = self.cancel_query_impl(query_id);
-        }
-        // Deferred queries the mover owns travel too.
-        let mut kept = Vec::new();
-        for d in self.deferred.drain(..) {
-            if d.query.owner == id {
-                packet.queries.push(d.query);
-            } else {
-                kept.push(d);
-            }
-        }
-        self.deferred = kept;
-        // Pending deliveries and deferred answers follow the mover so
-        // nothing queued for it is stranded at the old home.
-        packet.deliveries = self.drain_outbox_for_impl(id);
-        let mut kept_answers = Vec::new();
-        for entry in std::mem::take(&mut self.answers) {
-            if entry.1 == id {
-                packet.answers.push(entry);
-            } else {
-                kept_answers.push(entry);
-            }
-        }
-        self.answers = kept_answers;
-        // Dependent configurations repair as for any departure, but
-        // the mover stays plannable: it has a new home, not a fault.
-        let _ = crate::adaptation::repair_source(self, id, now);
-        self.excluded.remove(&id);
+    ) -> SciResult<MigrationPacket> {
+        let (_, held) = self.evict(id, now)?;
         self.metrics.record_migrate_out();
-        Ok(packet)
+        Ok(held)
     }
 
     /// Replays a migration packet, making this range the entity's new
@@ -552,18 +648,14 @@ impl ContextServer {
     ///
     /// Returns the first replay error; later parts are still applied
     /// so a partially-resolvable packet loses as little as possible.
-    pub fn migrate_in(
-        &mut self,
-        packet: crate::migration::MigrationPacket,
-        now: VirtualTime,
-    ) -> SciResult<()> {
+    pub fn migrate_in(&mut self, packet: MigrationPacket, now: VirtualTime) -> SciResult<()> {
         self.handle(RangeCommand::MigrateIn(Box::new(packet)), now)
             .map(drop)
     }
 
     pub(crate) fn migrate_in_impl(
         &mut self,
-        packet: crate::migration::MigrationPacket,
+        packet: MigrationPacket,
         now: VirtualTime,
     ) -> SciResult<()> {
         let entity = packet.entity;
@@ -573,28 +665,14 @@ impl ContextServer {
             let _ = self.deregister_impl(entity, now);
         }
         self.excluded.remove(&entity);
-        let mut first_error: Option<SciError> = None;
-        if let Some(profile) = packet.profile {
-            if let Err(e) = self.register_impl(profile, now) {
-                first_error.get_or_insert(e);
-            }
-        }
-        for ad in packet.advertisements {
-            if let Err(e) = self.advertise_impl(ad) {
-                first_error.get_or_insert(e);
-            }
-        }
-        for q in packet.queries {
-            if let Err(e) = self.submit_query_impl(&q, now) {
-                first_error.get_or_insert(e);
-            }
-        }
-        self.outbox.extend(packet.deliveries);
-        self.answers.extend(packet.answers);
+        let adopted = self.adopt(packet, Vec::new(), now);
         self.metrics.record_migrate_in();
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(()),
+        match adopted? {
+            0 => Ok(()),
+            n => Err(SciError::Unresolvable(format!(
+                "{n} standing queries of {entity} found no provider in {}",
+                self.name
+            ))),
         }
     }
 
@@ -1351,15 +1429,6 @@ impl ContextServer {
         (self.stream_delivery_seq, self.stream_answer_seq)
     }
 
-    /// Fast-forwards the stream sequence counters to at least the given
-    /// values (never rewinds): snapshot restore uses this so a rebuilt
-    /// server cannot re-mint envelope seqs the federation has already
-    /// recorded for *different* traffic.
-    pub(crate) fn bump_stream_seqs(&mut self, delivery: u64, answer: u64) {
-        self.stream_delivery_seq = self.stream_delivery_seq.max(delivery);
-        self.stream_answer_seq = self.stream_answer_seq.max(answer);
-    }
-
     pub(crate) fn origin_queries(&self) -> &HashMap<Guid, Query> {
         &self.origin_queries
     }
@@ -1394,51 +1463,6 @@ impl ContextServer {
 
     pub(crate) fn answers_ref(&self) -> &[(Guid, Guid, QueryAnswer)] {
         &self.answers
-    }
-
-    /// Re-instantiates a snapshot-restored *standing* query, bypassing
-    /// the deferral gate: a standing query with a non-`Immediate`
-    /// trigger already fired before the snapshot was written, so
-    /// re-submission through [`RangeCommand::Submit`] would wrongly
-    /// re-arm its timer and park it as deferred again.
-    pub(crate) fn restore_standing_query(
-        &mut self,
-        query: &Query,
-        now: VirtualTime,
-    ) -> SciResult<()> {
-        self.execute_query(query, now).map(drop)
-    }
-
-    /// Re-queues snapshot-restored deliveries and deferred answers.
-    pub(crate) fn restore_transients(
-        &mut self,
-        deliveries: Vec<AppDelivery>,
-        answers: Vec<(Guid, Guid, QueryAnswer)>,
-    ) {
-        self.outbox.extend(deliveries);
-        self.answers.extend(answers);
-    }
-
-    /// Re-marks snapshot-restored failure exclusions. Must run *after*
-    /// profile restoration: `register` clears an entity's exclusion.
-    pub(crate) fn restore_excluded(&mut self, excluded: impl IntoIterator<Item = Guid>) {
-        self.excluded.extend(excluded);
-    }
-
-    /// Re-records snapshot-restored history events, in export order.
-    pub(crate) fn restore_history(&mut self, events: &[ContextEvent]) {
-        for event in events {
-            self.history.record(event);
-        }
-    }
-
-    /// Re-seeds snapshot-restored entity positions. Must run *after*
-    /// profile restoration so `register`'s own position seeding (when
-    /// the profile carries one) is overwritten by the last known fix.
-    pub(crate) fn restore_positions(&mut self, positions: impl IntoIterator<Item = (Guid, Coord)>) {
-        for (entity, at) in positions {
-            self.location.set_position(entity, at);
-        }
     }
 
     /// The configuration of a live query, if any.
@@ -2095,5 +2119,133 @@ mod tests {
         r.cs.cancel_query(q.id).unwrap();
         assert_eq!(r.cs.instance_count(), 0);
         assert!(r.cs.cancel_query(q.id).is_err(), "second cancel errors");
+    }
+
+    /// An application registered in `r`'s range, ready to move.
+    fn resident_app(r: &mut Rig) -> Guid {
+        let app = r.ids.next_guid();
+        r.cs.register(
+            Profile::builder(app, EntityKind::Software, "app").build(),
+            VirtualTime::ZERO,
+        )
+        .unwrap();
+        app
+    }
+
+    /// Regression: a standing subscription whose `OnEnter` trigger had
+    /// already fired was re-submitted through the deferral gate at the
+    /// migration target and parked as deferred again — the mover
+    /// silently stopped receiving events.
+    #[test]
+    fn a_triggered_subscription_stays_live_across_a_move() {
+        let (mut home, mut away) = (rig(), rig());
+        let app = resident_app(&mut home);
+        let bob = home.ids.next_guid();
+        let q = Query::builder(home.ids.next_guid(), app)
+            .info_matching(
+                ContextType::Location,
+                vec![Predicate::eq("subject", ContextValue::Id(bob))],
+            )
+            .when(When::OnEnter {
+                entity: Subject::Entity(bob),
+                place: "L10.01".into(),
+            })
+            .mode(Mode::Subscribe)
+            .build();
+        home.cs.submit_query(&q, VirtualTime::ZERO).unwrap();
+        let t1 = VirtualTime::from_secs(1);
+        home.cs
+            .ingest(&presence(home.doors[0], bob, "corridor", "L10.01", t1), t1)
+            .unwrap();
+        assert_eq!(
+            (home.cs.configuration_count(), home.cs.deferred_count()),
+            (1, 0),
+            "the trigger fired: the subscription is standing"
+        );
+        home.cs.drain_outbox();
+
+        let t2 = VirtualTime::from_secs(2);
+        let packet = home.cs.migrate_out(app, t2).unwrap();
+        assert_eq!(home.cs.configuration_count(), 0);
+        away.cs.migrate_in(packet, t2).unwrap();
+        assert_eq!(
+            (away.cs.configuration_count(), away.cs.deferred_count()),
+            (1, 0),
+            "standing at the source, standing at the target"
+        );
+        let t3 = VirtualTime::from_secs(3);
+        away.cs
+            .ingest(&presence(away.doors[1], bob, "L10.01", "L10.02", t3), t3)
+            .unwrap();
+        let deliveries = away.cs.drain_outbox();
+        assert_eq!(deliveries.len(), 1, "deliveries continue at the new home");
+        assert_eq!((deliveries[0].app, deliveries[0].query), (app, q.id));
+    }
+
+    /// Regression: the packet dropped `stored_at`, so an `After(30 s)`
+    /// query stored at t=0 whose owner moved at t=20 fired at t=50.
+    #[test]
+    fn a_deferred_timer_keeps_its_deadline_across_a_move() {
+        let (mut home, mut away) = (rig(), rig());
+        let app = resident_app(&mut home);
+        let q = Query::builder(home.ids.next_guid(), app)
+            .kind(EntityKind::Device)
+            .all()
+            .after(VirtualDuration::from_secs(30))
+            .mode(Mode::Profile)
+            .build();
+        home.cs.submit_query(&q, VirtualTime::ZERO).unwrap();
+        let t20 = VirtualTime::from_secs(20);
+        let packet = home.cs.migrate_out(app, t20).unwrap();
+        away.cs.migrate_in(packet, t20).unwrap();
+        assert_eq!(
+            away.cs.oldest_deferred_age(t20),
+            Some(VirtualDuration::from_secs(20)),
+            "stored at t=0, wherever it is stored now"
+        );
+        assert_eq!(away.cs.poll_timers(VirtualTime::from_secs(29)).unwrap(), 0);
+        assert_eq!(away.cs.poll_timers(VirtualTime::from_secs(30)).unwrap(), 1);
+        assert_eq!(home.cs.poll_timers(VirtualTime::from_secs(60)).unwrap(), 0);
+        assert_eq!(away.cs.drain_answers().len(), 1);
+    }
+
+    /// Regression: `Deregister` of an application purged its CAA
+    /// subscriptions but left its configuration and its hosted CE
+    /// instances alive for ever, and the range's own audit then
+    /// reported the subscriptions missing.
+    #[test]
+    fn a_departed_owner_leaves_nothing_behind() {
+        let mut r = rig();
+        let app = resident_app(&mut r);
+        let instances_before = r.cs.instance_count();
+        let (bob, john) = (r.ids.next_guid(), r.ids.next_guid());
+        let path = Query::builder(r.ids.next_guid(), app)
+            .info_matching(
+                ContextType::Path,
+                vec![
+                    Predicate::eq("from", ContextValue::Id(bob)),
+                    Predicate::eq("to", ContextValue::Id(john)),
+                ],
+            )
+            .mode(Mode::Subscribe)
+            .build();
+        r.cs.submit_query(&path, VirtualTime::ZERO).unwrap();
+        let later = Query::builder(r.ids.next_guid(), app)
+            .kind(EntityKind::Device)
+            .all()
+            .after(VirtualDuration::from_secs(30))
+            .mode(Mode::Profile)
+            .build();
+        r.cs.submit_query(&later, VirtualTime::ZERO).unwrap();
+        assert_eq!(r.cs.instance_count(), instances_before + 3);
+
+        r.cs.deregister(app, VirtualTime::from_secs(1)).unwrap();
+        assert!(r.cs.configurations().all(|c| c.owner != app));
+        assert_eq!(r.cs.deferred_count(), 0);
+        assert_eq!(r.cs.poll_timers(VirtualTime::from_secs(60)).unwrap(), 0);
+        assert_eq!(r.cs.instance_count(), instances_before);
+        let audit = r.cs.audit_configurations();
+        assert!(audit.is_clean(), "{audit}");
+        assert!(r.cs.excluded().contains(&app), "departure reads as failure");
     }
 }

@@ -77,8 +77,8 @@ use sci_query::xml::{parse, Element};
 use sci_query::Query;
 use sci_telemetry::{Counter, Gauge, Histogram, Registry};
 use sci_types::{
-    AppDelivery, ContextEvent, ContextType, ContextValue, Coord, EventSeq, Guid, SciError,
-    SciResult, VirtualTime,
+    ContextEvent, ContextType, ContextValue, Coord, EventSeq, Guid, SciError, SciResult,
+    VirtualTime,
 };
 use sci_wal::codec::wire;
 use sci_wal::log::LatestSnapshot;
@@ -88,41 +88,11 @@ use sci_wal::{
 };
 
 use crate::context_server::ContextServer;
-use crate::federation::{answer_element, answer_from_element, answer_to_xml};
 use crate::logic::LogicFactory;
 use crate::migration::MigrationPacket;
+use crate::records::{answer_to_xml, parsed_attr};
 use crate::runtime::RangeCommand;
 use crate::telemetry::elapsed_us;
-
-/// Frame tag registry: the wire name of every [`RangeCommand`] kind, in
-/// [`RangeCommand::KINDS`] order. A record's frame tag is its index in
-/// this table, so the table *is* the on-disk (and future on-wire)
-/// format: entries must never be reordered or removed, only appended.
-/// The `SCI-A304` source lint cross-checks this table against
-/// `RangeCommand::KINDS` so the two cannot drift apart silently.
-pub const TAGS: [&str; 21] = [
-    "register",
-    "register-logic",
-    "declare-equivalence",
-    "heartbeat",
-    "advertise",
-    "deregister",
-    "submit",
-    "cancel",
-    "ingest",
-    "ingest-batch",
-    "poll-timers",
-    "expire-history",
-    "drain-outbox",
-    "drain-outbox-for",
-    "drain-answers",
-    "set-reuse",
-    "set-auto-register-people",
-    "set-plan-verification",
-    "audit",
-    "migrate-out",
-    "migrate-in",
-];
 
 /// Whether a command belongs in the write-ahead log.
 ///
@@ -165,7 +135,7 @@ fn frame_err(e: CodecError) -> SciError {
 //
 // Events are the hot path (ingest dominates a range's command volume),
 // so they get a compact binary form instead of XML. Value tags are part
-// of the on-disk format: append-only, like `TAGS`.
+// of the on-disk format: append-only, like `RangeCommand::KINDS`.
 
 fn put_value(out: &mut Vec<u8>, v: &ContextValue) {
     match v {
@@ -465,7 +435,7 @@ impl WalMetrics {
 
 /// Frame tag of a retirement marker: the record before it was appended
 /// but its apply panicked, and must not be replayed. Outside the
-/// command tag space ([`TAGS`]).
+/// command tag space ([`RangeCommand::KINDS`]).
 const RETIRED: u8 = 0xFF;
 
 /// Where a range's records and snapshot are kept. Everything above
@@ -680,15 +650,12 @@ impl RangeWal {
 // Snapshot codec
 // ---------------------------------------------------------------------
 
-fn delivery_element(d: &AppDelivery) -> Element {
-    Element::new("delivery")
-        .with_attr("app", d.app.to_string())
-        .with_attr("query", d.query.to_string())
-        .with_child(qcodec::event_to_element(&d.event))
-}
-
 /// Serialises the durable state of a server at `now` into a
-/// `<range-snapshot>` element. Every collection is emitted in a
+/// `<range-snapshot>` element: a header of settings, what the range
+/// holds on behalf of everyone (the sections a [`MigrationPacket`]
+/// carries for one entity) and the range-only tables — logic keys,
+/// equivalences, exclusions, history, positions and, on the root, the
+/// stream sequence counters. Every collection is emitted in a
 /// deterministic order so identical states produce identical bytes.
 pub(crate) fn snapshot_element(cs: &ContextServer, now: VirtualTime) -> Element {
     let (delivery_seq, answer_seq) = cs.stream_seqs();
@@ -710,47 +677,11 @@ pub(crate) fn snapshot_element(cs: &ContextServer, now: VirtualTime) -> Element 
         }
         e = e.with_child(eq);
     }
-    let mut profiles: Vec<_> = cs.profiles().iter().collect();
-    profiles.sort_by_key(|p| p.id());
-    for p in profiles {
-        e = e.with_child(qcodec::profile_to_element(p));
-    }
+    e = cs.held(None).write_sections(e);
     let mut excluded: Vec<Guid> = cs.excluded().iter().copied().collect();
     excluded.sort_unstable();
     for id in excluded {
         e = e.with_child(Element::new("excluded").with_attr("id", id.to_string()));
-    }
-    let mut providers: Vec<&Guid> = cs.advertisements_all().keys().collect();
-    providers.sort_unstable();
-    for provider in providers {
-        if let Some(ads) = cs.advertisements_all().get(provider) {
-            for ad in ads {
-                e = e.with_child(qcodec::advertisement_to_element(ad));
-            }
-        }
-    }
-    let mut standing: Vec<(&Guid, &Query)> = cs.origin_queries().iter().collect();
-    standing.sort_by_key(|(id, _)| **id);
-    for (_, q) in standing {
-        e = e.with_child(qcodec::query_to_element(q));
-    }
-    for (q, stored_at) in cs.deferred_entries() {
-        e = e.with_child(
-            Element::new("deferred")
-                .with_attr("stored-at-us", stored_at.as_micros().to_string())
-                .with_child(qcodec::query_to_element(&q)),
-        );
-    }
-    for d in cs.outbox_ref() {
-        e = e.with_child(delivery_element(d));
-    }
-    for (query, owner, answer) in cs.answers_ref() {
-        e = e.with_child(
-            Element::new("deferred-answer")
-                .with_attr("query", query.to_string())
-                .with_attr("owner", owner.to_string())
-                .with_child(answer_element(answer)),
-        );
     }
     let mut history = Element::new("history");
     for event in cs.history().export() {
@@ -768,32 +699,15 @@ pub(crate) fn snapshot_element(cs: &ContextServer, now: VirtualTime) -> Element 
     e
 }
 
-fn req_attr<'a>(e: &'a Element, key: &str) -> SciResult<&'a str> {
-    e.attr(key)
-        .ok_or_else(|| SciError::Codec(format!("<{}> missing `{key}`", e.name)))
-}
-
-fn bool_attr(e: &Element, key: &str) -> SciResult<bool> {
-    match req_attr(e, key)? {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        other => Err(SciError::Codec(format!("bad boolean `{other}` in `{key}`"))),
-    }
-}
-
 /// Replays a `<range-snapshot>` into a freshly built server and
 /// returns the snapshot's `now` and how many standing queries it had
 /// to drop.
 ///
 /// Restore order matters and mirrors how the state was built the first
 /// time: settings, logic factories and equivalences first (the
-/// resolver consults them), then profiles, then exclusions (`register`
-/// clears an entity's exclusion, so they must come after), then
-/// advertisements and query re-submission (standing queries re-resolve
-/// their configurations at snapshot time; deferred queries re-submit
-/// at their original `stored_at`, re-arming the same absolute timers),
-/// and finally the verbatim transients: outbox, deferred answers,
-/// history, entity positions and stream sequence counters.
+/// resolver consults them), then one [`ContextServer::import`], which
+/// states the rest of the rule once: registrations → exclusions →
+/// queries → transients, then the range-only tables.
 ///
 /// # Errors
 ///
@@ -816,22 +730,18 @@ pub(crate) fn restore_snapshot(
             root.name
         )));
     }
-    let now = VirtualTime::from_micros(
-        req_attr(root, "now-us")?
-            .parse::<u64>()
-            .map_err(|e| SciError::Codec(format!("bad now-us: {e}")))?,
-    );
-    cs.handle(RangeCommand::SetReuse(bool_attr(root, "reuse")?), now)?;
+    let now = VirtualTime::from_micros(parsed_attr(root, "now-us")?);
+    cs.handle(RangeCommand::SetReuse(parsed_attr(root, "reuse")?), now)?;
     cs.handle(
-        RangeCommand::SetAutoRegisterPeople(bool_attr(root, "auto-register")?),
+        RangeCommand::SetAutoRegisterPeople(parsed_attr(root, "auto-register")?),
         now,
     )?;
     cs.handle(
-        RangeCommand::SetPlanVerification(bool_attr(root, "verify-plans")?),
+        RangeCommand::SetPlanVerification(parsed_attr(root, "verify-plans")?),
         now,
     )?;
     for l in root.children_named("logic") {
-        let ce: Guid = req_attr(l, "ce")?.parse()?;
+        let ce: Guid = l.require_attr("ce")?.parse()?;
         let factory = logic.get(&ce).cloned().ok_or_else(|| {
             SciError::Internal(format!("no logic resolver for CE class {ce} in snapshot"))
         })?;
@@ -840,7 +750,7 @@ pub(crate) fn restore_snapshot(
     for eq in root.children_named("equivalence") {
         let members: Vec<ContextType> = eq
             .children_named("member")
-            .map(|m| Ok(ContextType::from_name(req_attr(m, "name")?)))
+            .map(|m| Ok(ContextType::from_name(m.require_attr("name")?)))
             .collect::<SciResult<_>>()?;
         for pair in members.windows(2) {
             cs.handle(
@@ -849,80 +759,29 @@ pub(crate) fn restore_snapshot(
             )?;
         }
     }
-    for p in root.children_named("profile") {
-        let profile = qcodec::profile_from_element(p)?;
-        cs.handle(RangeCommand::Register(Box::new(profile)), now)?;
-    }
-    cs.restore_excluded(
-        root.children_named("excluded")
-            .map(|x| req_attr(x, "id")?.parse::<Guid>())
-            .collect::<SciResult<Vec<_>>>()?,
+    let excluded = root
+        .children_named("excluded")
+        .map(|x| x.require_attr("id")?.parse())
+        .collect::<SciResult<Vec<Guid>>>()?;
+    // Decoded one at a time, as `import` records them: history is the
+    // bulk of a snapshot and is never held twice.
+    let history = root
+        .children_named("history")
+        .flat_map(|history| history.children_named("event"))
+        .map(qcodec::event_from_element);
+    let positions = root
+        .children_named("position")
+        .map(|p| {
+            let at = Coord::new(parsed_attr(p, "x")?, parsed_attr(p, "y")?);
+            Ok((p.require_attr("entity")?.parse()?, at))
+        })
+        .collect::<SciResult<Vec<(Guid, Coord)>>>()?;
+    let stream_seqs = (
+        parsed_attr(root, "delivery-seq")?,
+        parsed_attr(root, "answer-seq")?,
     );
-    for ad in root.children_named("advertisement") {
-        let ad = qcodec::advertisement_from_element(ad)?;
-        cs.handle(RangeCommand::Advertise(Box::new(ad)), now)?;
-    }
-    let mut unresolved = 0;
-    for q in root.children_named("query") {
-        let query = qcodec::query_from_element(q)?;
-        match cs.restore_standing_query(&query, now) {
-            Err(SciError::Unresolvable(_)) => unresolved += 1,
-            restored => restored?,
-        }
-    }
-    for d in root.children_named("deferred") {
-        let stored_at = VirtualTime::from_micros(
-            req_attr(d, "stored-at-us")?
-                .parse::<u64>()
-                .map_err(|e| SciError::Codec(format!("bad stored-at-us: {e}")))?,
-        );
-        let query = qcodec::query_from_element(d.require_child("query")?)?;
-        cs.handle(RangeCommand::Submit(Box::new(query)), stored_at)?;
-    }
-    let mut deliveries = Vec::new();
-    for d in root.children_named("delivery") {
-        let app: Guid = req_attr(d, "app")?.parse()?;
-        let query: Guid = req_attr(d, "query")?.parse()?;
-        let event = qcodec::event_from_element(d.require_child("event")?)?;
-        deliveries.push(AppDelivery { app, query, event });
-    }
-    let mut answers = Vec::new();
-    for a in root.children_named("deferred-answer") {
-        let query: Guid = req_attr(a, "query")?.parse()?;
-        let owner: Guid = req_attr(a, "owner")?.parse()?;
-        answers.push((
-            query,
-            owner,
-            answer_from_element(a.require_child("answer")?)?,
-        ));
-    }
-    cs.restore_transients(deliveries, answers);
-    if let Some(history) = root.child("history") {
-        let events: Vec<ContextEvent> = history
-            .children_named("event")
-            .map(qcodec::event_from_element)
-            .collect::<SciResult<_>>()?;
-        cs.restore_history(&events);
-    }
-    let mut positions = Vec::new();
-    for p in root.children_named("position") {
-        let entity: Guid = req_attr(p, "entity")?.parse()?;
-        let x: f64 = req_attr(p, "x")?
-            .parse()
-            .map_err(|e| SciError::Codec(format!("bad position x: {e}")))?;
-        let y: f64 = req_attr(p, "y")?
-            .parse()
-            .map_err(|e| SciError::Codec(format!("bad position y: {e}")))?;
-        positions.push((entity, Coord::new(x, y)));
-    }
-    cs.restore_positions(positions);
-    let delivery_seq = req_attr(root, "delivery-seq")?
-        .parse::<u64>()
-        .map_err(|e| SciError::Codec(format!("bad delivery-seq: {e}")))?;
-    let answer_seq = req_attr(root, "answer-seq")?
-        .parse::<u64>()
-        .map_err(|e| SciError::Codec(format!("bad answer-seq: {e}")))?;
-    cs.bump_stream_seqs(delivery_seq, answer_seq);
+    let held = MigrationPacket::read_sections(cs.id(), root)?;
+    let unresolved = cs.import(held, excluded, history, positions, stream_seqs, now)?;
     Ok((now, unresolved))
 }
 
@@ -1235,12 +1094,6 @@ mod tests {
     }
 
     #[test]
-    fn tags_mirror_kinds() {
-        assert_eq!(TAGS.len(), RangeCommand::KINDS.len());
-        assert_eq!(TAGS, RangeCommand::KINDS);
-    }
-
-    #[test]
     fn value_codec_round_trips_every_variant() {
         let values = [
             ContextValue::Empty,
@@ -1264,35 +1117,57 @@ mod tests {
         }
     }
 
+    /// The frame tag is `kind_index()` on the way out and an integer
+    /// match arm on the way back: every kind must survive the trip, or
+    /// the two have drifted.
     #[test]
     fn command_codec_round_trips() {
         let now = VirtualTime::from_secs(3);
-        let logic: HashMap<Guid, LogicFactory> = HashMap::new();
+        let ce = Guid::from_u128(0xCE);
+        let occupancy = || crate::logic::factory(crate::logic::OccupancyLogic::new);
+        let logic = HashMap::from([(ce, occupancy())]);
         let profile = Profile::builder(Guid::from_u128(1), EntityKind::Device, "thermo")
             .output(PortSpec::new("t", ContextType::Temperature))
             .build();
+        let query = Query::builder(Guid::from_u128(10), Guid::from_u128(11))
+            .info(ContextType::Temperature)
+            .build();
         let cmds = [
             RangeCommand::Register(Box::new(profile)),
+            RangeCommand::RegisterLogic(ce, occupancy()),
             RangeCommand::DeclareEquivalence(ContextType::Temperature, ContextType::custom("temp")),
             RangeCommand::Heartbeat(Guid::from_u128(2)),
+            RangeCommand::Advertise(Box::new(sci_types::Advertisement::new(
+                Guid::from_u128(1),
+                "heat",
+            ))),
             RangeCommand::Deregister(Guid::from_u128(3)),
+            RangeCommand::Submit(Box::new(query)),
             RangeCommand::Cancel(Guid::from_u128(4)),
             RangeCommand::Ingest(ev(5, 1)),
             RangeCommand::IngestBatch(vec![ev(6, 2), ev(7, 3)]),
             RangeCommand::PollTimers,
             RangeCommand::ExpireHistory,
+            RangeCommand::DrainOutbox,
+            RangeCommand::DrainOutboxFor(Guid::from_u128(12)),
+            RangeCommand::DrainAnswers,
             RangeCommand::SetReuse(false),
             RangeCommand::SetAutoRegisterPeople(true),
             RangeCommand::SetPlanVerification(false),
+            RangeCommand::Audit,
             RangeCommand::MigrateOut(Guid::from_u128(8)),
             RangeCommand::MigrateIn(Box::new(MigrationPacket::new(Guid::from_u128(9)))),
         ];
+        let mut visited = Vec::new();
         for cmd in cmds {
             let frame = encode_command(&cmd, now);
             let (back, back_now) = decode_command(&frame, &logic).unwrap();
             assert_eq!(back.kind_index(), cmd.kind_index());
             assert_eq!(back_now, now);
+            visited.push(cmd.kind_index());
         }
+        let every_kind: Vec<usize> = (0..RangeCommand::KINDS.len()).collect();
+        assert_eq!(visited, every_kind, "a command kind is not round-tripped");
     }
 
     #[test]
@@ -1320,5 +1195,71 @@ mod tests {
         assert!(!is_durable(&RangeCommand::Audit));
         assert!(is_durable(&RangeCommand::PollTimers));
         assert!(is_durable(&RangeCommand::Ingest(ev(1, 1))));
+    }
+
+    /// Pins the `<range-snapshot>` vocabulary — element names,
+    /// attribute names and section order — so it cannot drift
+    /// unnoticed (the `<migration>` twin is in `migration.rs`).
+    #[test]
+    fn snapshot_document_is_pinned() {
+        let (thermo, app, query) = (
+            Guid::from_u128(1),
+            Guid::from_u128(0xA),
+            Guid::from_u128(0x10),
+        );
+        let mut cs = ContextServer::new(
+            Guid::from_u128(0xC5),
+            "r",
+            sci_location::floorplan::capa_level10(),
+        );
+        let profile = Profile::builder(thermo, EntityKind::Device, "thermo")
+            .output(PortSpec::new("t", ContextType::Temperature))
+            .build();
+        cs.register(profile.clone(), VirtualTime::ZERO).unwrap();
+        cs.declare_equivalence(ContextType::Temperature, ContextType::custom("temp"));
+        let gone = Profile::builder(Guid::from_u128(2), EntityKind::Device, "gone").build();
+        cs.register(gone, VirtualTime::ZERO).unwrap();
+        cs.deregister(Guid::from_u128(2), VirtualTime::ZERO)
+            .unwrap();
+        let standing = Query::builder(query, app)
+            .info(ContextType::Temperature)
+            .mode(sci_query::Mode::Subscribe)
+            .build();
+        cs.submit_query(&standing, VirtualTime::ZERO).unwrap();
+        let parked = Query::builder(Guid::from_u128(0x11), app)
+            .kind(EntityKind::Device)
+            .after(sci_types::VirtualDuration::from_secs(30))
+            .mode(sci_query::Mode::Profile)
+            .build();
+        cs.submit_query(&parked, VirtualTime::from_secs(1)).unwrap();
+        let reading = ev(1, 2);
+        cs.ingest(&reading, VirtualTime::from_secs(2)).unwrap();
+
+        let (profile, standing, parked, reading) = (
+            qcodec::profile_to_element(&profile),
+            qcodec::query_to_element(&standing),
+            qcodec::query_to_element(&parked),
+            qcodec::event_to_element(&reading),
+        );
+        let expected = format!(
+            "<range-snapshot now-us=\"3000000\" reuse=\"true\" auto-register=\"true\" \
+             verify-plans=\"true\" delivery-seq=\"0\" answer-seq=\"0\">\
+             <equivalence><member name=\"temp\"/><member name=\"temperature\"/></equivalence>\
+             {profile}{standing}\
+             <deferred stored-at-us=\"1000000\">{parked}</deferred>\
+             <delivery app=\"{app}\" query=\"{query}\">{reading}</delivery>\
+             <excluded id=\"{}\"/>\
+             <history>{reading}</history></range-snapshot>",
+            Guid::from_u128(2)
+        );
+        let snapshot = snapshot_element(&cs, VirtualTime::from_secs(3));
+        assert_eq!(snapshot.to_xml(), expected);
+
+        // And it restores: same durable state, timer included.
+        let mut back = ContextServer::new(cs.id(), "r", sci_location::floorplan::capa_level10());
+        let restored = restore_snapshot(&mut back, &snapshot, &HashMap::new()).unwrap();
+        assert_eq!(restored, (VirtualTime::from_secs(3), 0));
+        assert_eq!(durable_digest(&back), durable_digest(&cs));
+        assert_eq!(back.poll_timers(VirtualTime::from_secs(31)).unwrap(), 1);
     }
 }

@@ -33,13 +33,13 @@ use bytes::Bytes;
 use sci_overlay::message::{Message, MessageKind};
 use sci_overlay::net::SimNetwork;
 use sci_overlay::transport::Transport;
-use sci_query::codec as qcodec;
 use sci_query::xml::{parse, Element};
 use sci_types::{ContextEvent, Guid, SciError, SciResult, VirtualTime};
 
-use crate::context_server::{ContextServer, QueryAnswer};
+use crate::context_server::ContextServer;
 use crate::relay::RelayCore;
 
+pub use crate::records::{answer_element, answer_from_element, answer_from_xml, answer_to_xml};
 pub use crate::relay::{FederatedAnswer, RELAY_RETRIES, RETRY_BACKOFF_BASE_US};
 
 /// A set of ranges joined through a simulated SCINET, each executed
@@ -148,10 +148,7 @@ impl<T: Transport> Federation<T> {
                         std::str::from_utf8(&m.payload)
                             .map_err(|_| SciError::Codec("advert not UTF-8".into()))?,
                     )?;
-                    let origin: Guid = doc
-                        .attr("node")
-                        .ok_or_else(|| SciError::Codec("advert missing node".into()))?
-                        .parse()?;
+                    let origin: Guid = doc.require_attr("node")?.parse()?;
                     let directory = core.directories.entry(dst).or_default();
                     for room in doc.children_named("room") {
                         if let Some(name) = room.attr("name") {
@@ -262,127 +259,11 @@ impl<T: Transport> Federation<T> {
     }
 }
 
-/// Serialises a [`QueryAnswer`] to its `<answer>` document.
-pub fn answer_to_xml(answer: &QueryAnswer) -> String {
-    answer_element(answer).to_xml()
-}
-
-/// Builds the `<answer>` element for a [`QueryAnswer`] (recursive, so
-/// a partial answer nests the answer it degrades).
-pub fn answer_element(answer: &QueryAnswer) -> Element {
-    match answer {
-        QueryAnswer::Profiles(ps) => {
-            let mut e = Element::new("answer").with_attr("kind", "profiles");
-            for p in ps {
-                e = e.with_child(qcodec::profile_to_element(p));
-            }
-            e
-        }
-        QueryAnswer::Advertisements(ads) => {
-            let mut e = Element::new("answer").with_attr("kind", "advertisements");
-            for ad in ads {
-                e = e.with_child(qcodec::advertisement_to_element(ad));
-            }
-            e
-        }
-        QueryAnswer::Subscribed {
-            configuration,
-            producers,
-        } => {
-            let mut e = Element::new("answer")
-                .with_attr("kind", "subscribed")
-                .with_attr("configuration", configuration.to_string());
-            for p in producers {
-                e = e.with_child(Element::new("producer").with_attr("id", p.to_string()));
-            }
-            e
-        }
-        QueryAnswer::Deferred => Element::new("answer").with_attr("kind", "deferred"),
-        QueryAnswer::Forward { range } => Element::new("answer")
-            .with_attr("kind", "forward")
-            .with_attr("range", range.clone()),
-        QueryAnswer::Partial {
-            answer,
-            missing_range,
-            reason,
-        } => Element::new("answer")
-            .with_attr("kind", "partial")
-            .with_attr("missing-range", missing_range.clone())
-            .with_attr("reason", reason.clone())
-            .with_child(answer_element(answer)),
-    }
-}
-
-/// Parses an `<answer>` document.
-///
-/// # Errors
-///
-/// Returns [`SciError::Parse`] for malformed documents.
-pub fn answer_from_xml(xml: &str) -> SciResult<QueryAnswer> {
-    answer_from_element(&parse(xml)?)
-}
-
-/// Parses an `<answer>` element (recursive counterpart of
-/// [`answer_element`]).
-///
-/// # Errors
-///
-/// Returns [`SciError::Parse`] for malformed documents.
-pub fn answer_from_element(e: &Element) -> SciResult<QueryAnswer> {
-    if e.name != "answer" {
-        return Err(SciError::Parse(format!(
-            "expected <answer>, found <{}>",
-            e.name
-        )));
-    }
-    match e.attr("kind") {
-        Some("profiles") => Ok(QueryAnswer::Profiles(
-            e.children_named("profile")
-                .map(qcodec::profile_from_element)
-                .collect::<SciResult<Vec<_>>>()?,
-        )),
-        Some("advertisements") => Ok(QueryAnswer::Advertisements(
-            e.children_named("advertisement")
-                .map(qcodec::advertisement_from_element)
-                .collect::<SciResult<Vec<_>>>()?,
-        )),
-        Some("subscribed") => Ok(QueryAnswer::Subscribed {
-            configuration: e
-                .attr("configuration")
-                .ok_or_else(|| SciError::Parse("subscribed answer missing configuration".into()))?
-                .parse()?,
-            producers: e
-                .children_named("producer")
-                .filter_map(|p| p.attr("id"))
-                .map(|id| id.parse())
-                .collect::<SciResult<Vec<_>>>()?,
-        }),
-        Some("deferred") => Ok(QueryAnswer::Deferred),
-        Some("forward") => Ok(QueryAnswer::Forward {
-            range: e
-                .attr("range")
-                .ok_or_else(|| SciError::Parse("forward answer missing range".into()))?
-                .to_owned(),
-        }),
-        Some("partial") => Ok(QueryAnswer::Partial {
-            answer: Box::new(answer_from_element(e.require_child("answer")?)?),
-            missing_range: e
-                .attr("missing-range")
-                .ok_or_else(|| SciError::Parse("partial answer missing missing-range".into()))?
-                .to_owned(),
-            reason: e
-                .attr("reason")
-                .ok_or_else(|| SciError::Parse("partial answer missing reason".into()))?
-                .to_owned(),
-        }),
-        other => Err(SciError::Parse(format!("unknown answer kind {other:?}"))),
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::context_server::QueryAnswer;
     use sci_location::floorplan::capa_level10;
     use sci_query::{Mode, Query};
     use sci_types::guid::GuidGenerator;
@@ -507,44 +388,5 @@ mod tests {
         assert_eq!(deliveries.len(), 1);
         assert_eq!(deliveries[0].event.topic, ContextType::Presence);
         assert_eq!(deliveries[0].query, q.id);
-    }
-
-    #[test]
-    fn answer_xml_roundtrip_all_kinds() {
-        let answers = vec![
-            QueryAnswer::Profiles(vec![Profile::builder(
-                Guid::from_u128(1),
-                EntityKind::Device,
-                "x",
-            )
-            .build()]),
-            QueryAnswer::Advertisements(vec![sci_types::Advertisement::new(
-                Guid::from_u128(2),
-                "printing",
-            )]),
-            QueryAnswer::Subscribed {
-                configuration: Guid::from_u128(3),
-                producers: vec![Guid::from_u128(4), Guid::from_u128(5)],
-            },
-            QueryAnswer::Deferred,
-            QueryAnswer::Forward {
-                range: "level-ten".into(),
-            },
-            QueryAnswer::Partial {
-                answer: Box::new(QueryAnswer::Forward {
-                    range: "level-ten".into(),
-                }),
-                missing_range: "level-ten".into(),
-                reason: "unroutable".into(),
-            },
-        ];
-        for a in answers {
-            let xml = answer_to_xml(&a);
-            let back = answer_from_xml(&xml).unwrap();
-            // QueryAnswer lacks PartialEq (contains no need); compare via
-            // serialisation.
-            assert_eq!(answer_to_xml(&back), xml);
-        }
-        assert!(answer_from_xml("<weird/>").is_err());
     }
 }

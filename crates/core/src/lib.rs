@@ -79,6 +79,7 @@ pub mod logic;
 pub mod migration;
 pub mod profile_manager;
 pub mod range_service;
+mod records;
 pub mod registrar;
 pub mod relay;
 pub mod resolver;

@@ -5,44 +5,56 @@
 //! profile, advertised services, standing subscriptions and any
 //! not-yet-drained deliveries must follow them. A [`MigrationPacket`]
 //! is the self-contained unit of that move — everything the source
-//! range knew about the entity, packaged at `migrate-out`, shipped
-//! over the federation's exactly-once relay envelope, and replayed at
-//! the target by `migrate-in`.
+//! range held on the entity's behalf, taken at `migrate-out`, shipped
+//! over the federation's exactly-once relay envelope (the packet
+//! itself carries no envelope state), and adopted at the target by
+//! `migrate-in`.
 //!
-//! The packet serialises with the same `Element` conventions as every
-//! other SCI wire document, reusing the query-crate codecs for its
-//! constituent parts, so a packet survives the overlay's byte
-//! transport and the chaos layer's duplication faults (the `(origin,
-//! seq)` envelope added by the federation dedups replays; the packet
-//! itself carries no envelope state).
+//! It is also the *one* definition of what a range holds on behalf of
+//! an entity. `deregister` takes the same record and drops it, and a
+//! durability snapshot is a header, the range-only tables and the
+//! packet of *everyone* the range serves — recovery is a migration
+//! through time, applied by the same code.
 
 use sci_query::codec as qcodec;
 use sci_query::xml::{parse, Element};
 use sci_query::Query;
-use sci_types::{Advertisement, AppDelivery, Guid, Profile, QueryAnswer, SciError, SciResult};
+use sci_types::{
+    Advertisement, AppDelivery, DeferredAnswer, Guid, Profile, SciError, SciResult, VirtualTime,
+};
 
-use crate::federation::{answer_element, answer_from_element};
+use crate::records::{
+    deferred_answer_element, deferred_answer_from_element, delivery_element, delivery_from_element,
+    parsed_attr,
+};
 
-/// Everything one range knows about a departing entity, packaged for
-/// replay at its new home range.
+/// What a range holds on behalf of an entity, packaged to be adopted
+/// by another range — or, in a snapshot, by the same range later.
+///
+/// A query is *standing* once it has a configuration: whatever trigger
+/// it carried has fired, so it is re-instantiated as is. A *deferred*
+/// query is still waiting for its trigger and is re-submitted at the
+/// instant it was first stored, which re-arms the same absolute timer.
 #[derive(Clone, Debug, Default)]
 pub struct MigrationPacket {
-    /// The moving entity.
+    /// Whose state this is: the moving entity (a snapshot's packet
+    /// names the range itself).
     pub entity: Guid,
-    /// Its registered profile, when the source range held one (an
-    /// auto-registered skeleton may have departed without a profile).
-    pub profile: Option<Profile>,
-    /// Services the entity advertised.
+    /// Registered profiles: the mover's own, when the source range held
+    /// one (an auto-registered skeleton may depart without).
+    pub profiles: Vec<Profile>,
+    /// Services advertised.
     pub advertisements: Vec<Advertisement>,
-    /// Standing queries the entity owns, replayed as fresh submissions
-    /// at the target so their configurations re-resolve there.
-    pub queries: Vec<Query>,
-    /// Deliveries queued for the entity but not yet drained when the
-    /// move was packaged.
+    /// Queries with a live configuration, `<query>`.
+    pub standing: Vec<Query>,
+    /// Parked queries with the instant each was first stored,
+    /// `<deferred stored-at-us=…>`.
+    pub deferred: Vec<(Query, VirtualTime)>,
+    /// Deliveries queued but not yet drained, `<delivery>`.
     pub deliveries: Vec<AppDelivery>,
-    /// Deferred answers produced for the entity's queries but not yet
-    /// drained: `(query, owner, answer)`.
-    pub answers: Vec<(Guid, Guid, QueryAnswer)>,
+    /// Deferred answers produced but not yet drained,
+    /// `<deferred-answer>`: `(query, owner, answer)`.
+    pub answers: Vec<DeferredAnswer>,
 }
 
 impl MigrationPacket {
@@ -61,32 +73,34 @@ impl MigrationPacket {
 
     /// Builds the `<migration>` element.
     pub fn to_element(&self) -> Element {
-        let mut e = Element::new("migration").with_attr("entity", self.entity.to_string());
-        if let Some(p) = &self.profile {
-            e = e.with_child(qcodec::profile_to_element(p));
-        }
-        for ad in &self.advertisements {
-            e = e.with_child(qcodec::advertisement_to_element(ad));
-        }
-        for q in &self.queries {
-            e = e.with_child(qcodec::query_to_element(q));
-        }
-        for d in &self.deliveries {
-            e = e.with_child(
-                Element::new("delivery")
-                    .with_attr("app", d.app.to_string())
-                    .with_attr("query", d.query.to_string())
-                    .with_child(qcodec::event_to_element(&d.event)),
-            );
-        }
-        for (query, owner, answer) in &self.answers {
-            e = e.with_child(
-                Element::new("deferred-answer")
-                    .with_attr("query", query.to_string())
-                    .with_attr("owner", owner.to_string())
-                    .with_child(answer_element(answer)),
-            );
-        }
+        self.write_sections(Element::new("migration").with_attr("entity", self.entity.to_string()))
+    }
+
+    /// Appends the six sections to `e` as children, in field order.
+    pub(crate) fn write_sections(&self, mut e: Element) -> Element {
+        let out = &mut e.children;
+        out.extend(self.profiles.iter().map(qcodec::profile_to_element));
+        out.extend(
+            self.advertisements
+                .iter()
+                .map(qcodec::advertisement_to_element),
+        );
+        out.extend(self.standing.iter().map(qcodec::query_to_element));
+        out.extend(self.deferred.iter().map(|(query, stored_at)| {
+            Element::new("deferred")
+                .with_attr("stored-at-us", stored_at.as_micros().to_string())
+                .with_child(qcodec::query_to_element(query))
+        }));
+        out.extend(
+            self.deliveries
+                .iter()
+                .map(|d| delivery_element("delivery", d)),
+        );
+        out.extend(
+            self.answers
+                .iter()
+                .map(|a| deferred_answer_element("deferred-answer", "owner", a)),
+        );
         e
     }
 
@@ -113,47 +127,34 @@ impl MigrationPacket {
                 e.name
             )));
         }
-        let entity: Guid = e
-            .attr("entity")
-            .ok_or_else(|| SciError::Codec("<migration> missing `entity`".into()))?
-            .parse()?;
-        let mut packet = MigrationPacket::new(entity);
-        for p in e.children_named("profile") {
-            packet.profile = Some(qcodec::profile_from_element(p)?);
+        MigrationPacket::read_sections(e.require_attr("entity")?.parse()?, e)
+    }
+
+    /// Reads the six sections back from the children of `e`, by name.
+    pub(crate) fn read_sections(entity: Guid, e: &Element) -> SciResult<MigrationPacket> {
+        fn all<T>(
+            e: &Element,
+            name: &str,
+            read: impl Fn(&Element) -> SciResult<T>,
+        ) -> SciResult<Vec<T>> {
+            e.children_named(name).map(read).collect()
         }
-        for ad in e.children_named("advertisement") {
-            packet
-                .advertisements
-                .push(qcodec::advertisement_from_element(ad)?);
-        }
-        for q in e.children_named("query") {
-            packet.queries.push(qcodec::query_from_element(q)?);
-        }
-        for d in e.children_named("delivery") {
-            let app: Guid = d
-                .attr("app")
-                .ok_or_else(|| SciError::Codec("<delivery> missing `app`".into()))?
-                .parse()?;
-            let query: Guid = d
-                .attr("query")
-                .ok_or_else(|| SciError::Codec("<delivery> missing `query`".into()))?
-                .parse()?;
-            let event = qcodec::event_from_element(d.require_child("event")?)?;
-            packet.deliveries.push(AppDelivery { app, query, event });
-        }
-        for a in e.children_named("deferred-answer") {
-            let query: Guid = a
-                .attr("query")
-                .ok_or_else(|| SciError::Codec("<deferred-answer> missing `query`".into()))?
-                .parse()?;
-            let owner: Guid = a
-                .attr("owner")
-                .ok_or_else(|| SciError::Codec("<deferred-answer> missing `owner`".into()))?
-                .parse()?;
-            let answer = answer_from_element(a.require_child("answer")?)?;
-            packet.answers.push((query, owner, answer));
-        }
-        Ok(packet)
+        Ok(MigrationPacket {
+            entity,
+            profiles: all(e, "profile", qcodec::profile_from_element)?,
+            advertisements: all(e, "advertisement", qcodec::advertisement_from_element)?,
+            standing: all(e, "query", qcodec::query_from_element)?,
+            deferred: all(e, "deferred", |d| {
+                Ok((
+                    qcodec::query_from_element(d.require_child("query")?)?,
+                    VirtualTime::from_micros(parsed_attr(d, "stored-at-us")?),
+                ))
+            })?,
+            deliveries: all(e, "delivery", delivery_from_element)?,
+            answers: all(e, "deferred-answer", |a| {
+                deferred_answer_from_element(a, "owner")
+            })?,
+        })
     }
 }
 
@@ -162,12 +163,14 @@ impl MigrationPacket {
 mod tests {
     use super::*;
     use sci_query::Mode;
-    use sci_types::{ContextEvent, ContextType, ContextValue, EntityKind, PortSpec, VirtualTime};
+    use sci_types::{
+        ContextEvent, ContextType, ContextValue, EntityKind, PortSpec, QueryAnswer, VirtualDuration,
+    };
 
     fn sample() -> MigrationPacket {
         let entity = Guid::from_u128(0xA11CE);
         let mut packet = MigrationPacket::new(entity);
-        packet.profile = Some(
+        packet.profiles.push(
             Profile::builder(entity, EntityKind::Person, "alice")
                 .output(PortSpec::new("presence", ContextType::Presence))
                 .attribute("badge", ContextValue::text("blue"))
@@ -176,12 +179,20 @@ mod tests {
         packet
             .advertisements
             .push(Advertisement::new(entity, "alice-calendar"));
-        packet.queries.push(
+        packet.standing.push(
             Query::builder(Guid::from_u128(0xDEED), entity)
                 .info(ContextType::Presence)
                 .mode(Mode::Subscribe)
                 .build(),
         );
+        packet.deferred.push((
+            Query::builder(Guid::from_u128(0xDEFE), entity)
+                .kind(EntityKind::Device)
+                .after(VirtualDuration::from_secs(30))
+                .mode(Mode::Profile)
+                .build(),
+            VirtualTime::from_secs(2),
+        ));
         packet.deliveries.push(AppDelivery {
             app: entity,
             query: Guid::from_u128(0xDEED),
@@ -214,9 +225,10 @@ mod tests {
         let packet = MigrationPacket::new(Guid::from_u128(5));
         let back = MigrationPacket::from_xml(&packet.to_xml()).unwrap();
         assert_eq!(back.entity, packet.entity);
-        assert!(back.profile.is_none());
-        assert!(back.advertisements.is_empty() && back.queries.is_empty());
-        assert!(back.deliveries.is_empty() && back.answers.is_empty());
+        assert!(back.profiles.is_empty());
+        assert!(back.advertisements.is_empty() && back.deliveries.is_empty());
+        assert!(back.standing.is_empty() && back.deferred.is_empty());
+        assert!(back.answers.is_empty());
     }
 
     #[test]
@@ -235,5 +247,75 @@ mod tests {
             .is_err(),
             "delivery missing app"
         );
+        let deferred = sample().deferred[0].clone();
+        let parked = |stored_at: Option<&str>, query: bool| {
+            let mut d = Element::new("deferred");
+            if let Some(at) = stored_at {
+                d = d.with_attr("stored-at-us", at);
+            }
+            if query {
+                d = d.with_child(qcodec::query_to_element(&deferred.0));
+            }
+            Element::new("migration")
+                .with_attr("entity", deferred.0.owner.to_string())
+                .with_child(d)
+        };
+        assert!(MigrationPacket::from_element(&parked(Some("2000000"), true)).is_ok());
+        for (doc, why) in [
+            (parked(None, true), "deferred missing stored-at-us"),
+            (
+                parked(Some("soon"), true),
+                "deferred with a bad stored-at-us",
+            ),
+            (parked(Some("2000000"), false), "deferred missing its query"),
+        ] {
+            assert!(MigrationPacket::from_element(&doc).is_err(), "{why}");
+        }
+    }
+
+    /// Pins the `<migration>` vocabulary — element names, attribute
+    /// names and section order — so it cannot drift unnoticed (the
+    /// `<range-snapshot>` twin is in `durability.rs`).
+    #[test]
+    fn migration_document_is_pinned() {
+        let entity = Guid::from_u128(0xA11CE);
+        let query = Guid::from_u128(0xDEED);
+        let mut packet = MigrationPacket::new(entity);
+        packet
+            .profiles
+            .push(Profile::builder(entity, EntityKind::Person, "alice").build());
+        packet
+            .advertisements
+            .push(Advertisement::new(entity, "calendar"));
+        let q = Query::builder(query, entity)
+            .kind(EntityKind::Device)
+            .mode(Mode::Profile)
+            .build();
+        packet.standing.push(q.clone());
+        packet.deferred.push((q, VirtualTime::from_secs(2)));
+        packet.deliveries.push(AppDelivery {
+            app: entity,
+            query,
+            event: ContextEvent::new(
+                Guid::from_u128(7),
+                ContextType::Presence,
+                ContextValue::Int(1),
+                VirtualTime::from_secs(3),
+            ),
+        });
+        packet.answers.push((query, entity, QueryAnswer::Deferred));
+
+        let q = qcodec::query_to_element(&packet.standing[0]);
+        let profile = qcodec::profile_to_element(&packet.profiles[0]);
+        let ad = qcodec::advertisement_to_element(&packet.advertisements[0]);
+        let event = qcodec::event_to_element(&packet.deliveries[0].event);
+        let expected = format!(
+            "<migration entity=\"{entity}\">{profile}{ad}{q}\
+             <deferred stored-at-us=\"2000000\">{q}</deferred>\
+             <delivery app=\"{entity}\" query=\"{query}\">{event}</delivery>\
+             <deferred-answer owner=\"{entity}\" query=\"{query}\">\
+             <answer kind=\"deferred\"/></deferred-answer></migration>"
+        );
+        assert_eq!(packet.to_xml(), expected);
     }
 }

@@ -62,8 +62,11 @@ use sci_types::{
 };
 
 use crate::context_server::{AppDelivery, ContextServer, DeferredAnswer, QueryAnswer, RangeReply};
-use crate::federation::{answer_element, answer_from_element, answer_to_xml};
 use crate::migration::MigrationPacket;
+use crate::records::{
+    answer_from_element, answer_to_xml, deferred_answer_element, deferred_answer_from_element,
+    delivery_element, delivery_from_element, parsed_attr,
+};
 use crate::runtime::RangeCommand;
 use crate::seen::{SeenEnvelopes, SEQ_NS_SHIFT};
 use crate::telemetry::{elapsed_us, fold_load_stats, FedMetrics};
@@ -755,12 +758,9 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
             }
             return Ok(());
         }
-        let payload = Element::new("relay")
-            .with_attr("app", d.app.to_string())
-            .with_attr("query", d.query.to_string())
+        let payload = delivery_element("relay", &d)
             .with_attr("origin", node.to_string())
             .with_attr("seq", seq.to_string())
-            .with_child(qcodec::event_to_element(&d.event))
             .to_xml();
         self.metrics.relay_events.inc();
         self.relay(node, home, MessageKind::EventRelay, payload, now)
@@ -775,25 +775,23 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
         &mut self,
         node: Guid,
         seq: u64,
-        (query, owner, answer): DeferredAnswer,
+        deferred: DeferredAnswer,
         now: VirtualTime,
     ) -> SciResult<()> {
         let seq = seq | ANSWER_SEQ_NS;
-        let home = self.home_of(owner, node);
+        let home = self.home_of(deferred.1, node);
         if home == node {
             if self.seen_relays.insert((node, seq)) {
+                let (query, owner, answer) = deferred;
                 self.answers.entry(owner).or_default().push((query, answer));
             } else {
                 self.metrics.relay_dedup_hits.inc();
             }
             return Ok(());
         }
-        let payload = Element::new("answer-relay")
-            .with_attr("app", owner.to_string())
-            .with_attr("query", query.to_string())
+        let payload = deferred_answer_element("answer-relay", "app", &deferred)
             .with_attr("origin", node.to_string())
             .with_attr("seq", seq.to_string())
-            .with_child(answer_element(&answer))
             .to_xml();
         self.metrics.relay_answers.inc();
         self.relay(node, home, MessageKind::QueryResponse, payload, now)
@@ -941,7 +939,7 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
                 }
                 Ok(())
             }
-            Relayed::Answer { app, query, answer } => {
+            Relayed::Answer((query, app, answer)) => {
                 self.seen_relays.insert(envelope);
                 self.answers.entry(app).or_default().push((query, answer));
                 Ok(())
@@ -1059,11 +1057,7 @@ fn expect_answer(reply: RangeReply) -> SciResult<QueryAnswer> {
 /// The decoded body of one enveloped relay message.
 enum Relayed {
     Delivery(AppDelivery),
-    Answer {
-        app: Guid,
-        query: Guid,
-        answer: QueryAnswer,
-    },
+    Answer(DeferredAnswer),
     Migration(MigrationPacket),
 }
 
@@ -1097,33 +1091,18 @@ fn relay_document(m: &Message) -> SciResult<Option<Element>> {
 /// Decodes a relay document of the given kind into its envelope and
 /// body (total, like [`relay_document`]).
 fn decode_relay(kind: MessageKind, doc: &Element) -> SciResult<((Guid, u64), Relayed)> {
-    let seq = required_attr(doc, "seq")?;
     let envelope = (
-        required_attr(doc, "origin")?.parse()?,
-        seq.parse()
-            .map_err(|_| SciError::Codec(format!("bad relay seq {seq:?}")))?,
+        doc.require_attr("origin")?.parse()?,
+        parsed_attr(doc, "seq")?,
     );
     let relayed = match kind {
-        MessageKind::EventRelay => Relayed::Delivery(AppDelivery {
-            app: required_attr(doc, "app")?.parse()?,
-            query: required_attr(doc, "query")?.parse()?,
-            event: qcodec::event_from_element(doc.require_child("event")?)?,
-        }),
-        MessageKind::QueryResponse => Relayed::Answer {
-            app: required_attr(doc, "app")?.parse()?,
-            query: required_attr(doc, "query")?.parse()?,
-            answer: answer_from_element(doc.require_child("answer")?)?,
-        },
+        MessageKind::EventRelay => Relayed::Delivery(delivery_from_element(doc)?),
+        MessageKind::QueryResponse => Relayed::Answer(deferred_answer_from_element(doc, "app")?),
         _ => Relayed::Migration(MigrationPacket::from_element(
             doc.require_child("migration")?,
         )?),
     };
     Ok((envelope, relayed))
-}
-
-fn required_attr<'a>(doc: &'a Element, key: &str) -> SciResult<&'a str> {
-    doc.attr(key)
-        .ok_or_else(|| SciError::Codec(format!("<{}> missing `{key}`", doc.name)))
 }
 
 /// Every way a relay payload can fail to decode is a wire codec error.

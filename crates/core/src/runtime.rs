@@ -97,8 +97,9 @@ pub enum RangeCommand {
     /// Run the fleet drift audit.
     Audit,
     /// Package a departing entity's full range state for migration:
-    /// profile, advertisements, standing queries, queued deliveries and
-    /// deferred answers leave the range in one [`MigrationPacket`].
+    /// profile, advertisements, standing and deferred queries, queued
+    /// deliveries and deferred answers leave the range in one
+    /// [`MigrationPacket`].
     MigrateOut(Guid),
     /// Replay a migrated entity's packaged state at its new home range.
     MigrateIn(Box<MigrationPacket>),
@@ -109,6 +110,10 @@ impl RangeCommand {
     /// [`RangeCommand::kind_index`]. The telemetry layer pre-registers
     /// one counter and one latency histogram per entry
     /// (`range.cmd.<kind>.count` / `range.cmd.<kind>.latency_us`).
+    ///
+    /// Append-only, never reorder: a command's index here is its frame
+    /// tag in the write-ahead log ([`crate::durability::encode_command`]),
+    /// so the table is the on-disk format.
     pub const KINDS: [&'static str; 21] = [
         "register",
         "register-logic",

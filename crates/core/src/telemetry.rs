@@ -71,6 +71,7 @@ use sci_telemetry::{
 };
 use sci_types::{SciError, SciResult};
 
+use crate::records::parsed_attr;
 use crate::runtime::RangeCommand;
 
 /// The instruments a [`crate::context_server::ContextServer`] records
@@ -340,16 +341,6 @@ pub fn snapshot_to_xml(snap: &TelemetrySnapshot) -> String {
     root.to_xml()
 }
 
-fn require_attr<'a>(el: &'a Element, key: &str) -> SciResult<&'a str> {
-    el.attr(key)
-        .ok_or_else(|| SciError::Codec(format!("<{}> missing `{key}`", el.name)))
-}
-
-fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> SciResult<T> {
-    s.parse()
-        .map_err(|_| SciError::Codec(format!("bad {what}: `{s}`")))
-}
-
 /// Parses a snapshot serialised by [`snapshot_to_xml`].
 ///
 /// # Errors
@@ -366,30 +357,30 @@ pub fn snapshot_from_xml(xml: &str) -> SciResult<TelemetrySnapshot> {
     let mut snap = TelemetrySnapshot::default();
     for el in doc.children_named("counter") {
         snap.counters.push((
-            require_attr(el, "name")?.to_owned(),
-            parse_num(require_attr(el, "value")?, "counter value")?,
+            el.require_attr("name")?.to_owned(),
+            parsed_attr(el, "value")?,
         ));
     }
     for el in doc.children_named("gauge") {
         snap.gauges.push((
-            require_attr(el, "name")?.to_owned(),
-            parse_num(require_attr(el, "value")?, "gauge value")?,
+            el.require_attr("name")?.to_owned(),
+            parsed_attr(el, "value")?,
         ));
     }
     for el in doc.children_named("histogram") {
-        let len: usize = parse_num(require_attr(el, "buckets")?, "bucket count")?;
+        let len: usize = parsed_attr(el, "buckets")?;
         let mut buckets = vec![0u64; len];
         for b in el.children_named("bucket") {
-            let i: usize = parse_num(require_attr(b, "i")?, "bucket index")?;
-            let n: u64 = parse_num(require_attr(b, "n")?, "bucket value")?;
+            let i: usize = parsed_attr(b, "i")?;
+            let n: u64 = parsed_attr(b, "n")?;
             *buckets
                 .get_mut(i)
                 .ok_or_else(|| SciError::Codec(format!("bucket index {i} out of range")))? = n;
         }
         snap.histograms.push(HistogramSnapshot {
-            name: require_attr(el, "name")?.to_owned(),
-            count: parse_num(require_attr(el, "count")?, "histogram count")?,
-            sum: parse_num(require_attr(el, "sum")?, "histogram sum")?,
+            name: el.require_attr("name")?.to_owned(),
+            count: parsed_attr(el, "count")?,
+            sum: parsed_attr(el, "sum")?,
             buckets,
         });
     }

@@ -145,8 +145,9 @@ const CLASSES: [Class; 3] = [
         addressed: false,
         doc: |origin, seq| {
             let mut packet = MigrationPacket::new(migrant(seq));
-            packet.profile =
-                Some(Profile::builder(migrant(seq), EntityKind::Person, "migrant").build());
+            packet
+                .profiles
+                .push(Profile::builder(migrant(seq), EntityKind::Person, "migrant").build());
             Element::new("migrate")
                 .with_attr("entity", migrant(seq).to_string())
                 .with_attr("origin", origin.to_string())

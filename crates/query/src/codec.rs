@@ -36,7 +36,8 @@ pub fn to_xml(query: &Query) -> String {
 /// # Errors
 ///
 /// Returns [`SciError::Parse`] if the document is not well-formed XML or
-/// does not encode a valid query.
+/// does not encode a valid query ([`SciError::Codec`] for a missing
+/// attribute).
 pub fn from_xml(xml: &str) -> SciResult<Query> {
     let root = parse(xml)?;
     query_from_element(&root)
@@ -113,9 +114,7 @@ fn what_from_element(e: &Element) -> SciResult<What> {
         "kind" => Ok(What::Kind(inner.trimmed_text().parse::<EntityKind>()?)),
         "named" => Ok(What::Named(inner.trimmed_text().parse()?)),
         "info" => {
-            let ty = inner
-                .attr("type")
-                .ok_or_else(|| SciError::Parse("<info> missing type attribute".into()))?;
+            let ty = inner.require_attr("type")?;
             let constraints = inner
                 .children_named("pred")
                 .map(predicate_from_element)
@@ -166,9 +165,7 @@ fn where_from_element(e: &Element) -> SciResult<Where> {
         "range" => Ok(Where::Range(inner.trimmed_text().to_owned())),
         "closest-to" => Ok(Where::ClosestTo(subject_from_str(inner.trimmed_text())?)),
         "within" => {
-            let radius = inner
-                .attr("radius")
-                .ok_or_else(|| SciError::Parse("<within> missing radius".into()))?;
+            let radius = inner.require_attr("radius")?;
             Ok(Where::Within {
                 center: subject_from_str(inner.trimmed_text())?,
                 radius_m: parse_f64(radius)?,
@@ -196,8 +193,7 @@ fn when_to_element(when: &When) -> Element {
 fn when_from_element(e: &Element) -> SciResult<When> {
     let inner = single_child(e)?;
     let us = |elem: &Element| -> SciResult<u64> {
-        elem.attr("us")
-            .ok_or_else(|| SciError::Parse(format!("<{}> missing us attribute", elem.name)))?
+        elem.require_attr("us")?
             .parse()
             .map_err(|_| SciError::Parse("invalid microsecond count".into()))
     };
@@ -206,11 +202,7 @@ fn when_from_element(e: &Element) -> SciResult<When> {
         "at" => Ok(When::At(VirtualTime::from_micros(us(inner)?))),
         "after" => Ok(When::After(VirtualDuration::from_micros(us(inner)?))),
         "on-enter" | "on-leave" => {
-            let entity = subject_from_str(
-                inner
-                    .attr("entity")
-                    .ok_or_else(|| SciError::Parse("missing entity attribute".into()))?,
-            )?;
+            let entity = subject_from_str(inner.require_attr("entity")?)?;
             let place = inner.require_child("place")?.trimmed_text().to_owned();
             if inner.name == "on-enter" {
                 Ok(When::OnEnter { entity, place })
@@ -248,11 +240,7 @@ fn which_from_element(e: &Element) -> SciResult<Which> {
 }
 
 fn which_from_variant(inner: &Element) -> SciResult<Which> {
-    let attr_of = |elem: &Element| -> SciResult<String> {
-        elem.attr("attr")
-            .map(str::to_owned)
-            .ok_or_else(|| SciError::Parse(format!("<{}> missing attr attribute", elem.name)))
-    };
+    let attr_of = |elem: &Element| elem.require_attr("attr").map(str::to_owned);
     match inner.name.as_str() {
         "any" => Ok(Which::Any),
         "all" => Ok(Which::All),
@@ -288,13 +276,8 @@ pub fn predicate_to_element(p: &Predicate) -> Element {
 
 /// Decodes a `<pred>` element.
 pub fn predicate_from_element(e: &Element) -> SciResult<Predicate> {
-    let attr = e
-        .attr("attr")
-        .ok_or_else(|| SciError::Parse("<pred> missing attr".into()))?
-        .to_owned();
-    let op_name = e
-        .attr("op")
-        .ok_or_else(|| SciError::Parse("<pred> missing op".into()))?;
+    let attr = e.require_attr("attr")?.to_owned();
+    let op_name = e.require_attr("op")?;
     let op = CmpOp::from_name(op_name)
         .ok_or_else(|| SciError::Parse(format!("unknown operator `{op_name}`")))?;
     let value = if op == CmpOp::Exists {
@@ -357,9 +340,7 @@ pub fn value_from_element(e: &Element) -> SciResult<ContextValue> {
             e.name
         )));
     }
-    let kind = e
-        .attr("kind")
-        .ok_or_else(|| SciError::Parse("<value> missing kind".into()))?;
+    let kind = e.require_attr("kind")?;
     let text = e.trimmed_text();
     match kind {
         "empty" => Ok(ContextValue::Empty),
@@ -376,14 +357,8 @@ pub fn value_from_element(e: &Element) -> SciResult<ContextValue> {
         "text" => Ok(ContextValue::Text(e.text.clone())),
         "id" => Ok(ContextValue::Id(text.parse()?)),
         "coord" => {
-            let x = parse_f64(
-                e.attr("x")
-                    .ok_or_else(|| SciError::Parse("coord missing x".into()))?,
-            )?;
-            let y = parse_f64(
-                e.attr("y")
-                    .ok_or_else(|| SciError::Parse("coord missing y".into()))?,
-            )?;
+            let x = parse_f64(e.require_attr("x")?)?;
+            let y = parse_f64(e.require_attr("y")?)?;
             Ok(ContextValue::Coord(Coord::new(x, y)))
         }
         "place" => Ok(ContextValue::Place(e.text.clone())),
@@ -400,10 +375,7 @@ pub fn value_from_element(e: &Element) -> SciResult<ContextValue> {
         "record" => {
             let mut fields = Vec::with_capacity(e.children.len());
             for field in e.children_named("field") {
-                let name = field
-                    .attr("name")
-                    .ok_or_else(|| SciError::Parse("<field> missing name".into()))?
-                    .to_owned();
+                let name = field.require_attr("name")?.to_owned();
                 let value = value_from_element(single_child(field)?)?;
                 fields.push((name, value));
             }
@@ -432,10 +404,7 @@ fn metadata_to_elements(meta: &Metadata) -> Vec<Element> {
 fn metadata_from_children(e: &Element) -> SciResult<Vec<(String, ContextValue)>> {
     e.children_named("attr")
         .map(|attr| {
-            let name = attr
-                .attr("name")
-                .ok_or_else(|| SciError::Parse("<attr> missing name".into()))?
-                .to_owned();
+            let name = attr.require_attr("name")?.to_owned();
             let value = value_from_element(single_child(attr)?)?;
             Ok((name, value))
         })
@@ -477,25 +446,13 @@ pub fn profile_from_element(e: &Element) -> SciResult<Profile> {
             e.name
         )));
     }
-    let id: Guid = e
-        .attr("id")
-        .ok_or_else(|| SciError::Parse("<profile> missing id".into()))?
-        .parse()?;
-    let kind: EntityKind = e
-        .attr("kind")
-        .ok_or_else(|| SciError::Parse("<profile> missing kind".into()))?
-        .parse()?;
-    let name = e
-        .attr("name")
-        .ok_or_else(|| SciError::Parse("<profile> missing name".into()))?;
+    let id: Guid = e.require_attr("id")?.parse()?;
+    let kind: EntityKind = e.require_attr("kind")?.parse()?;
+    let name = e.require_attr("name")?;
     let mut builder = Profile::builder(id, kind, name);
     let port_of = |el: &Element| -> SciResult<PortSpec> {
-        let name = el
-            .attr("name")
-            .ok_or_else(|| SciError::Parse("port missing name".into()))?;
-        let ty = el
-            .attr("type")
-            .ok_or_else(|| SciError::Parse("port missing type".into()))?;
+        let name = el.require_attr("name")?;
+        let ty = el.require_attr("type")?;
         Ok(PortSpec::new(name, ContextType::from_name(ty)))
     };
     for input in e.children_named("input") {
@@ -539,18 +496,11 @@ pub fn advertisement_from_element(e: &Element) -> SciResult<Advertisement> {
             e.name
         )));
     }
-    let provider: Guid = e
-        .attr("provider")
-        .ok_or_else(|| SciError::Parse("<advertisement> missing provider".into()))?
-        .parse()?;
-    let interface = e
-        .attr("interface")
-        .ok_or_else(|| SciError::Parse("<advertisement> missing interface".into()))?;
+    let provider: Guid = e.require_attr("provider")?.parse()?;
+    let interface = e.require_attr("interface")?;
     let mut ad = Advertisement::new(provider, interface);
     for op in e.children_named("operation") {
-        let name = op
-            .attr("name")
-            .ok_or_else(|| SciError::Parse("<operation> missing name".into()))?;
+        let name = op.require_attr("name")?;
         let params: Vec<ContextType> = op
             .children_named("param")
             .filter_map(|p| p.attr("type"))
@@ -587,21 +537,14 @@ pub fn event_from_element(e: &Element) -> SciResult<ContextEvent> {
             e.name
         )));
     }
-    let source: Guid = e
-        .attr("source")
-        .ok_or_else(|| SciError::Parse("<event> missing source".into()))?
-        .parse()?;
-    let ty = e
-        .attr("type")
-        .ok_or_else(|| SciError::Parse("<event> missing type".into()))?;
+    let source: Guid = e.require_attr("source")?.parse()?;
+    let ty = e.require_attr("type")?;
     let us: u64 = e
-        .attr("us")
-        .ok_or_else(|| SciError::Parse("<event> missing us".into()))?
+        .require_attr("us")?
         .parse()
         .map_err(|_| SciError::Parse("invalid event timestamp".into()))?;
     let seq: u64 = e
-        .attr("seq")
-        .ok_or_else(|| SciError::Parse("<event> missing seq".into()))?
+        .require_attr("seq")?
         .parse()
         .map_err(|_| SciError::Parse("invalid event seq".into()))?;
     let payload = value_from_element(single_child(e)?)?;

@@ -67,6 +67,12 @@ impl Element {
             .map(|(_, v)| v.as_str())
     }
 
+    /// Looks up an attribute by name or errors.
+    pub fn require_attr(&self, key: &str) -> SciResult<&str> {
+        self.attr(key)
+            .ok_or_else(|| SciError::Codec(format!("<{}> missing `{key}`", self.name)))
+    }
+
     /// Finds the first child with the given tag name.
     pub fn child(&self, name: &str) -> Option<&Element> {
         self.children.iter().find(|c| c.name == name)
@@ -465,5 +471,9 @@ mod tests {
         assert_eq!(place.trimmed_text(), "L10.01");
         assert!(e.require_child("missing").is_err());
         assert_eq!(e.children_named("where").count(), 1);
+        let q = parse("<q id=\"7\"/>").unwrap();
+        assert_eq!(q.require_attr("id").unwrap(), "7");
+        let err = q.require_attr("owner").unwrap_err();
+        assert_eq!(err, SciError::Codec("<q> missing `owner`".into()));
     }
 }

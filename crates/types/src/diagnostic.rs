@@ -104,11 +104,6 @@ pub enum DiagCode {
     /// `SCI-A303`: `RangeCommand::KINDS` and the enum's variants have
     /// drifted apart (count, order, or kebab-case naming).
     CommandKindDrift,
-    /// `SCI-A304`: the write-ahead log's codec `TAGS` table and
-    /// `RangeCommand::KINDS` have drifted apart (count or order) — a
-    /// frame tag is its index in the table, so drift silently corrupts
-    /// every durable log written after it.
-    CodecTagDrift,
 }
 
 impl DiagCode {
@@ -133,7 +128,6 @@ impl DiagCode {
             DiagCode::NondeterministicCall => "SCI-A301",
             DiagCode::MetricNameDrift => "SCI-A302",
             DiagCode::CommandKindDrift => "SCI-A303",
-            DiagCode::CodecTagDrift => "SCI-A304",
         }
     }
 
@@ -155,8 +149,7 @@ impl DiagCode {
             | DiagCode::TransportLinkMissing
             | DiagCode::NondeterministicCall
             | DiagCode::MetricNameDrift
-            | DiagCode::CommandKindDrift
-            | DiagCode::CodecTagDrift => Severity::Error,
+            | DiagCode::CommandKindDrift => Severity::Error,
             DiagCode::UnreachableNode | DiagCode::OrphanSubscription => Severity::Warning,
         }
     }
@@ -332,7 +325,6 @@ mod tests {
             DiagCode::NondeterministicCall,
             DiagCode::MetricNameDrift,
             DiagCode::CommandKindDrift,
-            DiagCode::CodecTagDrift,
         ];
         let mut codes: Vec<&str> = all.iter().map(DiagCode::code).collect();
         codes.sort_unstable();

@@ -15,7 +15,9 @@
 //!   stream too, so in-flight event relays crossing the chaotic link
 //!   alongside the packet are covered;
 //! * however often the packet is retransmitted or duplicated, the
-//!   target replays it exactly once (`range.migrate.in == 1`).
+//!   target replays it exactly once (`range.migrate.in == 1`);
+//! * a query arrives in the state it left in: a subscription whose
+//!   trigger has fired keeps delivering, a timer keeps its deadline.
 //!
 //! Delivery keys deliberately exclude the producing sensor and the
 //! capturing query: city-scale mobility means the same logical reading
@@ -62,20 +64,13 @@ fn presence_event(sensor: Guid, k: u64) -> ContextEvent {
     )
 }
 
-/// Two ranges, each with its own presence sensor. A mover app homed in
-/// `range-0` holds a local presence subscription; a stationary app
-/// homed in `range-1` subscribes to presence in *both* ranges. The
-/// logical event stream follows the mover: events before `MOVE_AT`
-/// fire in `range-0`, and — when `migrate` is set — the mover is
-/// migrated and the rest fire in `range-1` (without migration the
-/// whole stream stays in `range-0`). Faults per `probs`; afterwards
-/// the transport heals and the federation pumps to quiescence.
-fn run(seed: u64, probs: FaultProbs, migrate: bool) -> Outcome {
+/// The suite's cast: `range-0` and `range-1`, a presence sensor in
+/// each, and a mover living in `range-0` until it moves. Returns the
+/// GUID source (for queries), the mover, the servers and the sensors.
+fn two_ranges() -> (GuidGenerator, Guid, Vec<ContextServer>, Vec<Guid>) {
     let mut ids = GuidGenerator::seeded(0xbadcab);
-    let mut fed: ChaosFed =
-        Federation::with_transport(FaultyTransport::new(SimNetwork::new(), seed), 7);
     let mover = ids.next_guid();
-    let mut sensors = Vec::new();
+    let (mut servers, mut sensors) = (Vec::new(), Vec::new());
     for i in 0..2usize {
         let mut cs = ContextServer::new(ids.next_guid(), format!("range-{i}"), range_plan(i));
         let sensor = ids.next_guid();
@@ -88,13 +83,30 @@ fn run(seed: u64, probs: FaultProbs, migrate: bool) -> Outcome {
         .unwrap();
         sensors.push(sensor);
         if i == 0 {
-            // The mover lives in range-0 until the move.
             cs.register(
                 Profile::builder(mover, EntityKind::Person, "mover").build(),
                 VirtualTime::ZERO,
             )
             .unwrap();
         }
+        servers.push(cs);
+    }
+    (ids, mover, servers, sensors)
+}
+
+/// Two ranges, each with its own presence sensor. A mover app homed in
+/// `range-0` holds a local presence subscription; a stationary app
+/// homed in `range-1` subscribes to presence in *both* ranges. The
+/// logical event stream follows the mover: events before `MOVE_AT`
+/// fire in `range-0`, and — when `migrate` is set — the mover is
+/// migrated and the rest fire in `range-1` (without migration the
+/// whole stream stays in `range-0`). Faults per `probs`; afterwards
+/// the transport heals and the federation pumps to quiescence.
+fn run(seed: u64, probs: FaultProbs, migrate: bool) -> Outcome {
+    let mut fed: ChaosFed =
+        Federation::with_transport(FaultyTransport::new(SimNetwork::new(), seed), 7);
+    let (mut ids, mover, servers, sensors) = two_ranges();
+    for cs in servers {
         fed.add_range(cs).unwrap();
     }
     fed.connect_full();
@@ -282,28 +294,9 @@ fn duplicated_migrate_packets_replay_exactly_once() {
 /// the coordinator times the packet's flight.
 #[test]
 fn parallel_migration_is_first_class_and_counted() {
-    let mut ids = GuidGenerator::seeded(0xbadcab);
     let mut fed = ParallelFederation::new(7);
-    let mover = ids.next_guid();
-    let mut sensors = Vec::new();
-    for i in 0..2usize {
-        let mut cs = ContextServer::new(ids.next_guid(), format!("range-{i}"), range_plan(i));
-        let sensor = ids.next_guid();
-        cs.register(
-            Profile::builder(sensor, EntityKind::Device, format!("sensor-{i}"))
-                .output(PortSpec::new("presence", ContextType::Presence))
-                .build(),
-            VirtualTime::ZERO,
-        )
-        .unwrap();
-        sensors.push(sensor);
-        if i == 0 {
-            cs.register(
-                Profile::builder(mover, EntityKind::Person, "mover").build(),
-                VirtualTime::ZERO,
-            )
-            .unwrap();
-        }
+    let (mut ids, mover, servers, sensors) = two_ranges();
+    for cs in servers {
         fed.add_range(cs).unwrap();
     }
     fed.connect_full();
@@ -386,33 +379,12 @@ fn migration_into_a_killed_range_lands_once_it_recovers() {
         snapshot_every: 1 << 20,
     };
 
-    let mut ids = GuidGenerator::seeded(0xbadcab);
     let mut fed = ParallelFederation::with_transport(FaultyTransport::new(SimNetwork::new(), 5), 7);
-    let mover = ids.next_guid();
-    let mut sensors = Vec::new();
-    let mut target_id = Guid::NIL;
-    for i in 0..2usize {
-        let mut cs = ContextServer::new(ids.next_guid(), format!("range-{i}"), range_plan(i));
-        let sensor = ids.next_guid();
-        cs.register(
-            Profile::builder(sensor, EntityKind::Device, format!("sensor-{i}"))
-                .output(PortSpec::new("presence", ContextType::Presence))
-                .build(),
-            VirtualTime::ZERO,
-        )
-        .unwrap();
-        sensors.push(sensor);
-        if i == 0 {
-            cs.register(
-                Profile::builder(mover, EntityKind::Person, "mover").build(),
-                VirtualTime::ZERO,
-            )
-            .unwrap();
-        } else {
-            // The target is durable: it will be killed and recovered.
-            target_id = cs.id();
-            durability::attach(&mut cs, &config, VirtualTime::ZERO).unwrap();
-        }
+    let (mut ids, mover, mut servers, sensors) = two_ranges();
+    // The target is durable: it will be killed and recovered.
+    let target_id = servers[1].id();
+    durability::attach(&mut servers[1], &config, VirtualTime::ZERO).unwrap();
+    for cs in servers {
         fed.add_range(cs).unwrap();
     }
     fed.connect_full();
@@ -484,4 +456,105 @@ fn migration_into_a_killed_range_lands_once_it_recovers() {
     assert!(!servers[0].registrar().is_registered(mover));
     assert!(servers[1].registrar().is_registered(mover));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Regression: a standing subscription whose `OnEnter` trigger had
+/// already fired was re-submitted through the deferral gate at the
+/// migration target and parked as deferred again — after the move the
+/// mover silently received nothing.
+#[test]
+fn a_triggered_subscription_keeps_delivering_at_the_new_home() {
+    let (mut ids, mover, servers, sensors) = two_ranges();
+    let mut fed = Federation::new(7);
+    for cs in servers {
+        fed.add_range(cs).unwrap();
+    }
+    fed.connect_full();
+    let walker = Guid::from_u128(1_000);
+    let q = Query::builder(ids.next_guid(), mover)
+        .info(ContextType::Presence)
+        .when(When::OnEnter {
+            entity: Subject::Entity(walker),
+            place: "hall-0".into(),
+        })
+        .mode(Mode::Subscribe)
+        .build();
+    let parked = fed.submit_from("range-0", &q, VirtualTime::ZERO).unwrap();
+    assert!(matches!(parked.answer, QueryAnswer::Deferred));
+
+    // The walker enters the hall: the trigger fires, the subscription
+    // goes live and delivers — first of all the event that fired it.
+    let t1 = VirtualTime::from_secs(1);
+    let entering = ContextEvent::new(
+        sensors[0],
+        ContextType::Presence,
+        ContextValue::record([
+            ("subject", ContextValue::Id(walker)),
+            ("to", ContextValue::place("hall-0")),
+        ]),
+        t1,
+    );
+    fed.ingest_at("range-0", &entering, t1).unwrap();
+    assert!(matches!(
+        fed.answers_for(mover)[..],
+        [(id, QueryAnswer::Subscribed { .. })] if id == q.id
+    ));
+    fed.ingest_at("range-0", &presence_event(sensors[0], 1), t1)
+        .unwrap();
+    assert_eq!(fed.deliveries_for(mover).len(), 2);
+
+    let t2 = VirtualTime::from_secs(2);
+    fed.migrate_entity(mover, "range-0", "range-1", t2).unwrap();
+    let (old, new) = (
+        fed.server("range-0").unwrap(),
+        fed.server("range-1").unwrap(),
+    );
+    assert_eq!((old.configuration_count(), old.deferred_count()), (0, 0));
+    assert_eq!(
+        (new.configuration_count(), new.deferred_count()),
+        (1, 0),
+        "live when it left, live where it landed"
+    );
+    for k in 2..5u64 {
+        let now = VirtualTime::from_secs(k + 1);
+        fed.ingest_at("range-1", &presence_event(sensors[1], k), now)
+            .unwrap();
+    }
+    assert_eq!(
+        fed.deliveries_for(mover).len(),
+        3,
+        "deliveries continue at the new home"
+    );
+}
+
+/// Regression: the packet dropped the instant a deferred query was
+/// stored, so an `After(30 s)` query submitted at t=0 whose owner moved
+/// at t=20 answered at t=50.
+#[test]
+fn a_timer_keeps_its_deadline_across_a_real_move() {
+    let (mut ids, mover, servers, _) = two_ranges();
+    let mut fed = Federation::new(7);
+    for cs in servers {
+        fed.add_range(cs).unwrap();
+    }
+    fed.connect_full();
+    let q = Query::builder(ids.next_guid(), mover)
+        .kind(EntityKind::Device)
+        .all()
+        .after(VirtualDuration::from_secs(30))
+        .mode(Mode::Profile)
+        .build();
+    fed.submit_from("range-0", &q, VirtualTime::ZERO).unwrap();
+    fed.migrate_entity(mover, "range-0", "range-1", VirtualTime::from_secs(20))
+        .unwrap();
+    fed.poll_timers(VirtualTime::from_secs(29)).unwrap();
+    assert!(fed.answers_for(mover).is_empty());
+    fed.poll_timers(VirtualTime::from_secs(30)).unwrap();
+    match &fed.answers_for(mover)[..] {
+        [(id, QueryAnswer::Profiles(devices))] => {
+            assert_eq!(*id, q.id);
+            assert_eq!(devices[0].name(), "sensor-1", "answered by its new range");
+        }
+        other => panic!("expected the timer's answer at t=30, got {other:?}"),
+    }
 }

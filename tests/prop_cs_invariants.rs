@@ -1,6 +1,7 @@
 //! Property test: Context Server bookkeeping invariants hold under
 //! arbitrary interleavings of query submission, cancellation, sensor
-//! failure, re-registration and event traffic.
+//! failure, re-registration, event traffic and the owning applications
+//! leaving the range (deregistering, or migrating away).
 //!
 //! Invariants checked after every operation:
 //!
@@ -22,6 +23,8 @@ enum Op {
     FailDoor { which: u8 },
     Ingest { door: u8, subject: u8, room: u8 },
     RegisterDoor,
+    AppDeparts { app: u8 },
+    AppMovesAway { app: u8 },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -36,6 +39,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
             room
         }),
         Just(Op::RegisterDoor),
+        any::<u8>().prop_map(|app| Op::AppDeparts { app }),
+        any::<u8>().prop_map(|app| Op::AppMovesAway { app }),
     ]
 }
 
@@ -43,8 +48,37 @@ struct Rig {
     cs: ContextServer,
     ids: GuidGenerator,
     doors: Vec<Guid>,
-    queries: Vec<Guid>,
+    /// Live queries with their owners.
+    queries: Vec<(Guid, Guid)>,
     now: VirtualTime,
+}
+
+/// A small pool, so departures hit applications that own something.
+const APPS: u8 = 4;
+
+fn app_guid(app: u8) -> Guid {
+    Guid::from_u128(0xA00 + (app % APPS) as u128)
+}
+
+impl Rig {
+    /// The application behind `app`, registered (again) if it had left.
+    fn resident(&mut self, app: u8) -> Guid {
+        let id = app_guid(app);
+        if !self.cs.registrar().is_registered(id) {
+            self.cs
+                .register(
+                    Profile::builder(id, EntityKind::Software, format!("app-{id}")).build(),
+                    self.now,
+                )
+                .unwrap();
+        }
+        id
+    }
+
+    /// `owner` has left the range: its queries left with it.
+    fn departed(&mut self, owner: Guid) {
+        self.queries.retain(|&(_, o)| o != owner);
+    }
 }
 
 fn rig() -> Rig {
@@ -136,7 +170,8 @@ proptest! {
             r.now = r.now.saturating_add(VirtualDuration::from_secs(1));
             match op {
                 Op::SubmitLocation { subject, app } => {
-                    let q = Query::builder(r.ids.next_guid(), Guid::from_u128(0xA00 + app as u128))
+                    let app = r.resident(app);
+                    let q = Query::builder(r.ids.next_guid(), app)
                         .info_matching(
                             ContextType::Location,
                             vec![Predicate::eq("subject", ContextValue::Id(subject_guid(subject)))],
@@ -144,11 +179,12 @@ proptest! {
                         .mode(Mode::Subscribe)
                         .build();
                     if r.cs.submit_query(&q, r.now).is_ok() {
-                        r.queries.push(q.id);
+                        r.queries.push((q.id, app));
                     }
                 }
                 Op::SubmitPath { from, to, app } => {
-                    let q = Query::builder(r.ids.next_guid(), Guid::from_u128(0xA00 + app as u128))
+                    let app = r.resident(app);
+                    let q = Query::builder(r.ids.next_guid(), app)
                         .info_matching(
                             ContextType::Path,
                             vec![
@@ -159,13 +195,13 @@ proptest! {
                         .mode(Mode::Subscribe)
                         .build();
                     if r.cs.submit_query(&q, r.now).is_ok() {
-                        r.queries.push(q.id);
+                        r.queries.push((q.id, app));
                     }
                 }
                 Op::Cancel { which } => {
                     if !r.queries.is_empty() {
                         let idx = which as usize % r.queries.len();
-                        let qid = r.queries.remove(idx);
+                        let (qid, _) = r.queries.remove(idx);
                         r.cs.cancel_query(qid).unwrap();
                     }
                 }
@@ -202,11 +238,21 @@ proptest! {
                     .unwrap();
                     r.doors.push(id);
                 }
+                Op::AppDeparts { app } => {
+                    if r.cs.deregister(app_guid(app), r.now).is_ok() {
+                        r.departed(app_guid(app));
+                    }
+                }
+                Op::AppMovesAway { app } => {
+                    if r.cs.migrate_out(app_guid(app), r.now).is_ok() {
+                        r.departed(app_guid(app));
+                    }
+                }
             }
             check_invariants(&r);
         }
         // 3: full teardown reclaims everything.
-        for qid in r.queries.drain(..) {
+        for (qid, _) in r.queries.drain(..) {
             r.cs.cancel_query(qid).unwrap();
         }
         assert_eq!(r.cs.instance_count(), 0);
