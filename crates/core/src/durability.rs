@@ -26,11 +26,13 @@
 //!   the federation dedups to exactly-once via stream sequences (see
 //!   below).
 //! * **Snapshots bound replay.** Every [`DurabilityConfig::snapshot_every`]
-//!   logged commands, the post-command state is serialised to a
+//!   logged commands, the post-command state is serialised — a
 //!   `<range-snapshot>` document (the same `Element` conventions as
-//!   [`crate::migration::MigrationPacket`]) and written atomically via
-//!   [`sci_wal::write_snapshot`]; fully covered closed segments and
-//!   older snapshots are pruned.
+//!   [`crate::migration::MigrationPacket`]) for what the paper
+//!   exchanges as documents, then the position and history tables in
+//!   the binary record form of `records.rs` — and written
+//!   atomically via [`sci_wal::write_snapshot`]; fully covered closed
+//!   segments and older snapshots are pruned.
 //! * **Exactly-once across restarts.** Stream envelope sequences are
 //!   durable counters on the server (snapshotted, never rewound), so a
 //!   recovered range re-streams regenerated deliveries under the *same*
@@ -76,21 +78,20 @@ use sci_query::codec as qcodec;
 use sci_query::xml::{parse, Element};
 use sci_query::Query;
 use sci_telemetry::{Counter, Gauge, Histogram, Registry};
-use sci_types::{
-    ContextEvent, ContextType, ContextValue, Coord, EventSeq, Guid, SciError, SciResult,
-    VirtualTime,
-};
+use sci_types::{ContextEvent, ContextType, EventSeq, Guid, SciError, SciResult, VirtualTime};
 use sci_wal::codec::wire;
 use sci_wal::log::LatestSnapshot;
 use sci_wal::{
-    prune_snapshots, read_latest_snapshot, CodecError, Frame, FsyncPolicy, Recovered, SegmentLog,
-    WalError,
+    prune_snapshots, read_latest_snapshot, Frame, FsyncPolicy, Recovered, SegmentLog, WalError,
 };
 
 use crate::context_server::ContextServer;
 use crate::logic::LogicFactory;
 use crate::migration::MigrationPacket;
-use crate::records::{answer_to_xml, parsed_attr};
+use crate::records::{
+    answer_to_xml, expect_end, frame_err, get_coord, get_count, get_event, get_guid, get_rows,
+    parsed_attr, put_coord, put_event, MIN_EVENT_LEN,
+};
 use crate::runtime::RangeCommand;
 use crate::telemetry::elapsed_us;
 
@@ -125,125 +126,6 @@ fn wal_err(e: WalError) -> SciError {
     SciError::Internal(format!("wal: {e}"))
 }
 
-fn frame_err(e: CodecError) -> SciError {
-    SciError::Codec(format!("wal frame payload: {e}"))
-}
-
-// ---------------------------------------------------------------------
-// Binary value / event codec
-// ---------------------------------------------------------------------
-//
-// Events are the hot path (ingest dominates a range's command volume),
-// so they get a compact binary form instead of XML. Value tags are part
-// of the on-disk format: append-only, like `RangeCommand::KINDS`.
-
-fn put_value(out: &mut Vec<u8>, v: &ContextValue) {
-    match v {
-        ContextValue::Empty => wire::put_u8(out, 0),
-        ContextValue::Bool(b) => {
-            wire::put_u8(out, 1);
-            wire::put_u8(out, u8::from(*b));
-        }
-        ContextValue::Int(i) => {
-            wire::put_u8(out, 2);
-            wire::put_u64(out, *i as u64);
-        }
-        ContextValue::Float(f) => {
-            wire::put_u8(out, 3);
-            wire::put_u64(out, f.to_bits());
-        }
-        ContextValue::Text(s) => {
-            wire::put_u8(out, 4);
-            wire::put_str(out, s);
-        }
-        ContextValue::Id(g) => {
-            wire::put_u8(out, 5);
-            wire::put_u128(out, g.as_u128());
-        }
-        ContextValue::Coord(c) => {
-            wire::put_u8(out, 6);
-            wire::put_u64(out, c.x.to_bits());
-            wire::put_u64(out, c.y.to_bits());
-        }
-        ContextValue::Place(s) => {
-            wire::put_u8(out, 7);
-            wire::put_str(out, s);
-        }
-        ContextValue::Time(t) => {
-            wire::put_u8(out, 8);
-            wire::put_u64(out, t.as_micros());
-        }
-        ContextValue::List(items) => {
-            wire::put_u8(out, 9);
-            wire::put_u32(out, items.len() as u32);
-            for item in items {
-                put_value(out, item);
-            }
-        }
-        ContextValue::Record(fields) => {
-            wire::put_u8(out, 10);
-            wire::put_u32(out, fields.len() as u32);
-            for (key, value) in fields {
-                wire::put_str(out, key);
-                put_value(out, value);
-            }
-        }
-    }
-}
-
-fn get_value(r: &mut wire::Reader<'_>) -> SciResult<ContextValue> {
-    let tag = r.u8().map_err(frame_err)?;
-    Ok(match tag {
-        0 => ContextValue::Empty,
-        1 => ContextValue::Bool(r.u8().map_err(frame_err)? != 0),
-        2 => ContextValue::Int(r.u64().map_err(frame_err)? as i64),
-        3 => ContextValue::Float(f64::from_bits(r.u64().map_err(frame_err)?)),
-        4 => ContextValue::Text(r.str().map_err(frame_err)?.to_owned()),
-        5 => ContextValue::Id(Guid::from_u128(r.u128().map_err(frame_err)?)),
-        6 => ContextValue::Coord(Coord::new(
-            f64::from_bits(r.u64().map_err(frame_err)?),
-            f64::from_bits(r.u64().map_err(frame_err)?),
-        )),
-        7 => ContextValue::Place(r.str().map_err(frame_err)?.to_owned()),
-        8 => ContextValue::Time(VirtualTime::from_micros(r.u64().map_err(frame_err)?)),
-        9 => {
-            let n = r.u32().map_err(frame_err)?;
-            let mut items = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                items.push(get_value(r)?);
-            }
-            ContextValue::List(items)
-        }
-        10 => {
-            let n = r.u32().map_err(frame_err)?;
-            let mut fields = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                let key = r.str().map_err(frame_err)?.to_owned();
-                fields.push((key, get_value(r)?));
-            }
-            ContextValue::Record(fields)
-        }
-        other => return Err(SciError::Codec(format!("unknown value tag {other}"))),
-    })
-}
-
-fn put_event(out: &mut Vec<u8>, ev: &ContextEvent) {
-    wire::put_u128(out, ev.source.as_u128());
-    wire::put_str(out, ev.topic.name());
-    wire::put_u64(out, ev.timestamp.as_micros());
-    wire::put_u64(out, ev.seq.0);
-    put_value(out, &ev.payload);
-}
-
-fn get_event(r: &mut wire::Reader<'_>) -> SciResult<ContextEvent> {
-    let source = Guid::from_u128(r.u128().map_err(frame_err)?);
-    let topic = ContextType::from_name(r.str().map_err(frame_err)?);
-    let timestamp = VirtualTime::from_micros(r.u64().map_err(frame_err)?);
-    let seq = EventSeq(r.u64().map_err(frame_err)?);
-    let payload = get_value(r)?;
-    Ok(ContextEvent::new(source, topic, payload, timestamp).with_seq(seq))
-}
-
 // ---------------------------------------------------------------------
 // Command <-> frame codec
 // ---------------------------------------------------------------------
@@ -252,7 +134,7 @@ fn get_event(r: &mut wire::Reader<'_>) -> SciResult<ContextEvent> {
 /// [`RangeCommand::kind_index`], payload = `[u64 now-us]` followed by
 /// the variant body. Structured bodies (profiles, advertisements,
 /// queries, migration packets) reuse the existing XML wire codecs;
-/// GUIDs, flags and events are binary.
+/// GUIDs, flags and events are binary (`records.rs`).
 pub fn encode_command(cmd: &RangeCommand, now: VirtualTime) -> Frame {
     let mut p = Vec::new();
     wire::put_u64(&mut p, now.as_micros());
@@ -318,7 +200,7 @@ pub fn decode_command(
             RangeCommand::Register(Box::new(qcodec::profile_from_element(&parse(xml)?)?))
         }
         1 => {
-            let ce = Guid::from_u128(r.u128().map_err(frame_err)?);
+            let ce = get_guid(&mut r)?;
             let factory = logic.get(&ce).cloned().ok_or_else(|| {
                 SciError::Internal(format!("no logic resolver for CE class {ce} during replay"))
             })?;
@@ -329,33 +211,26 @@ pub fn decode_command(
             let b = ContextType::from_name(r.str().map_err(frame_err)?);
             RangeCommand::DeclareEquivalence(a, b)
         }
-        3 => RangeCommand::Heartbeat(Guid::from_u128(r.u128().map_err(frame_err)?)),
+        3 => RangeCommand::Heartbeat(get_guid(&mut r)?),
         4 => {
             let xml = r.str().map_err(frame_err)?;
             RangeCommand::Advertise(Box::new(qcodec::advertisement_from_element(&parse(xml)?)?))
         }
-        5 => RangeCommand::Deregister(Guid::from_u128(r.u128().map_err(frame_err)?)),
+        5 => RangeCommand::Deregister(get_guid(&mut r)?),
         6 => RangeCommand::Submit(Box::new(qcodec::from_xml(r.str().map_err(frame_err)?)?)),
-        7 => RangeCommand::Cancel(Guid::from_u128(r.u128().map_err(frame_err)?)),
+        7 => RangeCommand::Cancel(get_guid(&mut r)?),
         8 => RangeCommand::Ingest(get_event(&mut r)?),
-        9 => {
-            let n = r.u32().map_err(frame_err)?;
-            let mut events = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                events.push(get_event(&mut r)?);
-            }
-            RangeCommand::IngestBatch(events)
-        }
+        9 => RangeCommand::IngestBatch(get_rows(&mut r, MIN_EVENT_LEN, get_event)?),
         10 => RangeCommand::PollTimers,
         11 => RangeCommand::ExpireHistory,
         12 => RangeCommand::DrainOutbox,
-        13 => RangeCommand::DrainOutboxFor(Guid::from_u128(r.u128().map_err(frame_err)?)),
+        13 => RangeCommand::DrainOutboxFor(get_guid(&mut r)?),
         14 => RangeCommand::DrainAnswers,
         15 => RangeCommand::SetReuse(r.u8().map_err(frame_err)? != 0),
         16 => RangeCommand::SetAutoRegisterPeople(r.u8().map_err(frame_err)? != 0),
         17 => RangeCommand::SetPlanVerification(r.u8().map_err(frame_err)? != 0),
         18 => RangeCommand::Audit,
-        19 => RangeCommand::MigrateOut(Guid::from_u128(r.u128().map_err(frame_err)?)),
+        19 => RangeCommand::MigrateOut(get_guid(&mut r)?),
         20 => RangeCommand::MigrateIn(Box::new(MigrationPacket::from_xml(
             r.str().map_err(frame_err)?,
         )?)),
@@ -409,6 +284,7 @@ struct WalMetrics {
     append_us: Histogram,
     fsync_us: Histogram,
     snapshot_us: Histogram,
+    snapshot_encode_us: Histogram,
     recover_us: Histogram,
     bytes: Counter,
     torn_tail: Counter,
@@ -421,6 +297,7 @@ impl WalMetrics {
             append_us: registry.histogram("wal.append_us"),
             fsync_us: registry.histogram("wal.fsync_us"),
             snapshot_us: registry.histogram("wal.snapshot_us"),
+            snapshot_encode_us: registry.histogram("wal.snapshot.encode_us"),
             recover_us: registry.histogram("wal.recover_us"),
             bytes: registry.counter("wal.bytes"),
             torn_tail: registry.counter("wal.torn_tail"),
@@ -534,17 +411,17 @@ impl Store {
 
     /// Stores a snapshot covering every record so far and drops what
     /// it supersedes: covered records and older snapshots.
-    fn write_snapshot(&mut self, payload: &[u8]) -> SciResult<()> {
+    fn write_snapshot(&mut self, payload: Vec<u8>) -> SciResult<()> {
         match self {
             Store::Dir { log, config } => {
                 let applied = log.next_index();
-                sci_wal::write_snapshot(&config.dir, applied, payload).map_err(wal_err)?;
+                sci_wal::write_snapshot(&config.dir, applied, &payload).map_err(wal_err)?;
                 log.prune_below(applied).map_err(wal_err)?;
-                prune_snapshots(&config.dir).map_err(wal_err)?;
+                prune_snapshots(&config.dir, applied).map_err(wal_err)?;
             }
             Store::Mem(mem) => {
                 mem.frames.clear();
-                mem.snapshot = Some((mem.next_index, payload.to_vec()));
+                mem.snapshot = Some((mem.next_index, payload));
             }
         }
         Ok(())
@@ -628,12 +505,16 @@ impl RangeWal {
         Ok(())
     }
 
-    /// Writes `snapshot_xml` covering everything logged so far, prunes
-    /// what it supersedes. On failure `since_snapshot` is left alone,
-    /// so the next logged command retries.
-    pub(crate) fn write_snapshot(&mut self, snapshot_xml: &str) -> SciResult<()> {
+    /// Stores what [`encode_snapshot`] returned as covering everything
+    /// logged so far and prunes what it supersedes. The two halves of a
+    /// snapshot are timed apart: `wal.snapshot.encode_us` is the
+    /// serialisation, `wal.snapshot_us` the store write. On failure
+    /// `since_snapshot` is left alone, so the next logged command
+    /// retries.
+    pub(crate) fn write_snapshot(&mut self, (payload, encode_us): (Vec<u8>, u64)) -> SciResult<()> {
+        self.metrics.snapshot_encode_us.record(encode_us);
         let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
-        self.store.write_snapshot(snapshot_xml.as_bytes())?;
+        self.store.write_snapshot(payload)?;
         self.since_snapshot = 0;
         self.metrics.snapshot_us.record(elapsed_us(started));
         self.metrics.segments.set(self.store.segment_count() as i64);
@@ -650,13 +531,13 @@ impl RangeWal {
 // Snapshot codec
 // ---------------------------------------------------------------------
 
-/// Serialises the durable state of a server at `now` into a
-/// `<range-snapshot>` element: a header of settings, what the range
-/// holds on behalf of everyone (the sections a [`MigrationPacket`]
-/// carries for one entity) and the range-only tables — logic keys,
-/// equivalences, exclusions, history, positions and, on the root, the
-/// stream sequence counters. Every collection is emitted in a
-/// deterministic order so identical states produce identical bytes.
+/// The document half of a snapshot: a `<range-snapshot>` element with
+/// a header of settings, what the range holds on behalf of everyone
+/// (the sections a [`MigrationPacket`] carries for one entity) and the
+/// small range-only tables — logic keys, equivalences, exclusions and,
+/// on the root, the stream sequence counters. Every collection is
+/// emitted in a deterministic order so identical states produce
+/// identical bytes.
 pub(crate) fn snapshot_element(cs: &ContextServer, now: VirtualTime) -> Element {
     let (delivery_seq, answer_seq) = cs.stream_seqs();
     let mut e = Element::new("range-snapshot")
@@ -683,25 +564,40 @@ pub(crate) fn snapshot_element(cs: &ContextServer, now: VirtualTime) -> Element 
     for id in excluded {
         e = e.with_child(Element::new("excluded").with_attr("id", id.to_string()));
     }
-    let mut history = Element::new("history");
-    for event in cs.history().export() {
-        history = history.with_child(qcodec::event_to_element(&event));
-    }
-    e = e.with_child(history);
-    for (entity, at) in cs.location().export_positions() {
-        e = e.with_child(
-            Element::new("position")
-                .with_attr("entity", entity.to_string())
-                .with_attr("x", at.x.to_string())
-                .with_attr("y", at.y.to_string()),
-        );
-    }
     e
 }
 
-/// Replays a `<range-snapshot>` into a freshly built server and
-/// returns the snapshot's `now` and how many standing queries it had
-/// to drop.
+/// Serialises the durable state of a server at `now` into a snapshot
+/// payload, and times it: `(payload, microseconds spent encoding)`.
+///
+/// The payload is the [`snapshot_element`] document as one
+/// length-prefixed string, then two counted tables of binary records:
+/// last known positions (`entity`, `x`, `y`) and the history in export
+/// order. The history is the bulk of a range's state and goes last, so
+/// a restore can stream it; nothing follows it.
+pub(crate) fn encode_snapshot(cs: &ContextServer, now: VirtualTime) -> (Vec<u8>, u64) {
+    let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
+    let mut p = Vec::new();
+    wire::put_str(&mut p, &snapshot_element(cs, now).to_xml());
+    let positions = cs.location().export_positions();
+    wire::put_u32(&mut p, positions.len() as u32);
+    for (entity, at) in positions {
+        wire::put_u128(&mut p, entity.as_u128());
+        put_coord(&mut p, at);
+    }
+    let history = cs.history().export();
+    wire::put_u32(&mut p, history.len() as u32);
+    for event in &history {
+        put_event(&mut p, event);
+    }
+    (p, elapsed_us(started))
+}
+
+/// Bytes of one position row: entity GUID and two coordinates.
+const POSITION_LEN: usize = 16 + 8 + 8;
+
+/// Replays a snapshot payload into a freshly built server and returns
+/// the snapshot's `now` and how many standing queries it had to drop.
 ///
 /// Restore order matters and mirrors how the state was built the first
 /// time: settings, logic factories and equivalences first (the
@@ -711,19 +607,23 @@ pub(crate) fn snapshot_element(cs: &ContextServer, now: VirtualTime) -> Element 
 ///
 /// # Errors
 ///
-/// Propagates codec errors and the first command-replay failure — a
-/// snapshot was written from consistent state, so any failure here
-/// means the document (or the restore path) is broken, not the data.
-/// The one exception: a standing query that no longer resolves. Its
-/// providers had all left when the snapshot was taken (a degraded
-/// configuration, waiting for a new source), and the snapshot does not
-/// carry the plan it was degraded from; it is dropped and counted
-/// rather than failing the whole recovery.
+/// [`SciError::Codec`] for a payload that is not what
+/// [`encode_snapshot`] writes (an XML-only snapshot of an earlier
+/// build included), and the first command-replay failure — a snapshot
+/// was written from consistent state, so any failure here means the
+/// payload (or the restore path) is broken, not the data. The one
+/// exception: a standing query that no longer resolves. Its providers
+/// had all left when the snapshot was taken (a degraded configuration,
+/// waiting for a new source), and the snapshot does not carry the plan
+/// it was degraded from; it is dropped and counted rather than failing
+/// the whole recovery.
 pub(crate) fn restore_snapshot(
     cs: &mut ContextServer,
-    root: &Element,
+    payload: &[u8],
     logic: &HashMap<Guid, LogicFactory>,
 ) -> SciResult<(VirtualTime, usize)> {
+    let mut r = wire::Reader::new(payload);
+    let root = &parse(r.str().map_err(frame_err)?)?;
     if root.name != "range-snapshot" {
         return Err(SciError::Codec(format!(
             "expected <range-snapshot>, got <{}>",
@@ -763,25 +663,17 @@ pub(crate) fn restore_snapshot(
         .children_named("excluded")
         .map(|x| x.require_attr("id")?.parse())
         .collect::<SciResult<Vec<Guid>>>()?;
-    // Decoded one at a time, as `import` records them: history is the
-    // bulk of a snapshot and is never held twice.
-    let history = root
-        .children_named("history")
-        .flat_map(|history| history.children_named("event"))
-        .map(qcodec::event_from_element);
-    let positions = root
-        .children_named("position")
-        .map(|p| {
-            let at = Coord::new(parsed_attr(p, "x")?, parsed_attr(p, "y")?);
-            Ok((p.require_attr("entity")?.parse()?, at))
-        })
-        .collect::<SciResult<Vec<(Guid, Coord)>>>()?;
     let stream_seqs = (
         parsed_attr(root, "delivery-seq")?,
         parsed_attr(root, "answer-seq")?,
     );
     let held = MigrationPacket::read_sections(cs.id(), root)?;
+    let positions = get_rows(&mut r, POSITION_LEN, |r| Ok((get_guid(r)?, get_coord(r)?)))?;
+    // Decoded one at a time, as `import` records them: history is the
+    // bulk of a snapshot and is never held twice.
+    let history = (0..get_count(&mut r, MIN_EVENT_LEN)?).map(|_| get_event(&mut r));
     let unresolved = cs.import(held, excluded, history, positions, stream_seqs, now)?;
+    expect_end(&r, "the snapshot's history table")?;
     Ok((now, unresolved))
 }
 
@@ -814,7 +706,7 @@ pub struct RecoveryReport {
 
 fn attach_store(cs: &mut ContextServer, store: Store, now: VirtualTime) -> SciResult<()> {
     let mut wal = RangeWal::new(store, cs.telemetry(), 0);
-    wal.write_snapshot(&snapshot_element(cs, now).to_xml())?;
+    wal.write_snapshot(encode_snapshot(cs, now))?;
     cs.put_wal(wal);
     Ok(())
 }
@@ -928,9 +820,7 @@ fn rebuild(
     let mut snapshot_applied = None;
     let mut replay_errors = 0usize;
     if let Some((applied, payload)) = held.snapshot {
-        let xml = String::from_utf8(payload)
-            .map_err(|e| SciError::Codec(format!("snapshot is not UTF-8: {e}")))?;
-        (last_now, replay_errors) = restore_snapshot(&mut cs, &parse(&xml)?, logic)?;
+        (last_now, replay_errors) = restore_snapshot(&mut cs, &payload, logic)?;
         snapshot_applied = Some(applied);
     }
     let floor = snapshot_applied.unwrap_or(0);
@@ -1078,7 +968,9 @@ pub fn durable_digest(cs: &ContextServer) -> String {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use sci_types::{EntityKind, PortSpec, Profile};
+    use crate::records::tests::{arb_event, arb_mangle, hex, mangle};
+    use proptest::prelude::*;
+    use sci_types::{ContextValue, EntityKind, PortSpec, Profile};
 
     fn ev(source: u128, t: u64) -> ContextEvent {
         ContextEvent::new(
@@ -1091,30 +983,6 @@ mod tests {
             VirtualTime::from_secs(t),
         )
         .with_seq(EventSeq(7))
-    }
-
-    #[test]
-    fn value_codec_round_trips_every_variant() {
-        let values = [
-            ContextValue::Empty,
-            ContextValue::Bool(true),
-            ContextValue::Int(-42),
-            ContextValue::Float(-0.125),
-            ContextValue::text("hello"),
-            ContextValue::Id(Guid::from_u128(0xBEEF)),
-            ContextValue::Coord(Coord::new(1.5, -2.5)),
-            ContextValue::place("L10.01"),
-            ContextValue::Time(VirtualTime::from_secs(9)),
-            ContextValue::List(vec![ContextValue::Int(1), ContextValue::Bool(false)]),
-            ContextValue::record([("k", ContextValue::text("v"))]),
-        ];
-        for v in values {
-            let mut buf = Vec::new();
-            put_value(&mut buf, &v);
-            let mut r = wire::Reader::new(&buf);
-            assert_eq!(get_value(&mut r).unwrap(), v);
-            assert_eq!(r.remaining(), 0);
-        }
     }
 
     /// The frame tag is `kind_index()` on the way out and an integer
@@ -1197,11 +1065,8 @@ mod tests {
         assert!(is_durable(&RangeCommand::Ingest(ev(1, 1))));
     }
 
-    /// Pins the `<range-snapshot>` vocabulary — element names,
-    /// attribute names and section order — so it cannot drift
-    /// unnoticed (the `<migration>` twin is in `migration.rs`).
-    #[test]
-    fn snapshot_document_is_pinned() {
+    /// A small range with one of everything a snapshot carries.
+    fn populated() -> (ContextServer, [Element; 4]) {
         let (thermo, app, query) = (
             Guid::from_u128(1),
             Guid::from_u128(0xA),
@@ -1232,15 +1097,36 @@ mod tests {
             .mode(sci_query::Mode::Profile)
             .build();
         cs.submit_query(&parked, VirtualTime::from_secs(1)).unwrap();
+        // Carried to the lobby: a last known position, and history.
+        let carried = ContextEvent::new(
+            thermo,
+            ContextType::Presence,
+            ContextValue::record([
+                ("subject", ContextValue::Id(thermo)),
+                ("to", ContextValue::text("lobby")),
+            ]),
+            VirtualTime::from_secs(2),
+        );
+        cs.ingest(&carried, VirtualTime::from_secs(2)).unwrap();
         let reading = ev(1, 2);
         cs.ingest(&reading, VirtualTime::from_secs(2)).unwrap();
-
-        let (profile, standing, parked, reading) = (
+        let sections = [
             qcodec::profile_to_element(&profile),
             qcodec::query_to_element(&standing),
             qcodec::query_to_element(&parked),
             qcodec::event_to_element(&reading),
-        );
+        ];
+        (cs, sections)
+    }
+
+    /// Pins the snapshot: the `<range-snapshot>` vocabulary — element
+    /// names, attribute names and section order — so it cannot drift
+    /// unnoticed (the `<migration>` twin is in `migration.rs`), and the
+    /// tables behind it byte for byte.
+    #[test]
+    fn snapshot_document_is_pinned() {
+        let (cs, [profile, standing, parked, reading]) = populated();
+        let (app, query) = (Guid::from_u128(0xA), Guid::from_u128(0x10));
         let expected = format!(
             "<range-snapshot now-us=\"3000000\" reuse=\"true\" auto-register=\"true\" \
              verify-plans=\"true\" delivery-seq=\"0\" answer-seq=\"0\">\
@@ -1248,18 +1134,163 @@ mod tests {
              {profile}{standing}\
              <deferred stored-at-us=\"1000000\">{parked}</deferred>\
              <delivery app=\"{app}\" query=\"{query}\">{reading}</delivery>\
-             <excluded id=\"{}\"/>\
-             <history>{reading}</history></range-snapshot>",
+             <excluded id=\"{}\"/></range-snapshot>",
             Guid::from_u128(2)
         );
-        let snapshot = snapshot_element(&cs, VirtualTime::from_secs(3));
-        assert_eq!(snapshot.to_xml(), expected);
+        let now = VirtualTime::from_secs(3);
+        assert_eq!(snapshot_element(&cs, now).to_xml(), expected);
+
+        let (payload, _) = encode_snapshot(&cs, now);
+        let mut document = Vec::new();
+        wire::put_str(&mut document, &expected);
+        let tables = payload.strip_prefix(&document[..]).unwrap();
+        let golden = concat!(
+            "00000001",                           // position table: one row
+            "00000000000000000000000000000001",   // entity
+            "4010000000000000",                   // x = 4.0
+            "3ff0000000000000",                   // y = 1.0, the lobby's centroid
+            "00000002",                           // history table: two events
+            "00000000000000000000000000000001",   // source
+            "0000000870726573656e6365",           // topic "presence"
+            "00000000001e8480",                   // timestamp, 2 s in us
+            "0000000000000000",                   // seq
+            "0a00000002",                         // record, two fields
+            "000000077375626a656374",             // "subject"
+            "0500000000000000000000000000000001", // id
+            "00000002746f",                       // "to"
+            "04000000056c6f626279",               // text "lobby"
+            "00000000000000000000000000000001",   // source
+            "0000000b74656d7065726174757265",     // topic "temperature"
+            "00000000001e8480",                   // timestamp
+            "0000000000000007",                   // seq
+            "0a00000002",                         // record, two fields
+            "000000077375626a656374",             // "subject"
+            "0500000000000000000000000000000001", // id
+            "0000000163",                         // "c"
+            "034035800000000000",                 // float 21.5
+        );
+        assert_eq!(hex(tables), golden);
 
         // And it restores: same durable state, timer included.
         let mut back = ContextServer::new(cs.id(), "r", sci_location::floorplan::capa_level10());
-        let restored = restore_snapshot(&mut back, &snapshot, &HashMap::new()).unwrap();
-        assert_eq!(restored, (VirtualTime::from_secs(3), 0));
+        let restored = restore_snapshot(&mut back, &payload, &HashMap::new()).unwrap();
+        assert_eq!(restored, (now, 0));
         assert_eq!(durable_digest(&back), durable_digest(&cs));
         assert_eq!(back.poll_timers(VirtualTime::from_secs(31)).unwrap(), 1);
+    }
+
+    fn restore(payload: &[u8]) -> SciResult<(VirtualTime, usize)> {
+        let mut cs = ContextServer::new(
+            Guid::from_u128(0xC5),
+            "r",
+            sci_location::floorplan::capa_level10(),
+        );
+        restore_snapshot(&mut cs, payload, &HashMap::new())
+    }
+
+    #[test]
+    fn bytes_after_the_last_table_are_a_codec_error() {
+        let (cs, _) = populated();
+        let (mut payload, _) = encode_snapshot(&cs, VirtualTime::from_secs(3));
+        assert!(restore(&payload).is_ok());
+        payload.push(0);
+        let refused = restore(&payload);
+        assert!(matches!(refused, Err(SciError::Codec(_))), "{refused:?}");
+    }
+
+    /// No log outlives the build that wrote it, so there is no reader
+    /// for the all-XML snapshot of earlier builds — but meeting one is
+    /// an error, not a panic.
+    #[test]
+    fn an_xml_snapshot_of_an_earlier_build_is_a_codec_error() {
+        let (cs, [.., reading]) = populated();
+        let yesterday = snapshot_element(&cs, VirtualTime::from_secs(3))
+            .with_child(Element::new("history").with_child(reading))
+            .to_xml();
+        let dir = std::env::temp_dir().join(format!("sci-xml-snapshot-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        sci_wal::write_snapshot(&dir, 0, yesterday.as_bytes()).unwrap();
+        let refused = recover(
+            cs.id(),
+            "r",
+            sci_location::floorplan::capa_level10(),
+            Registry::new(),
+            &DurabilityConfig::new(&dir),
+            &HashMap::new(),
+        );
+        assert!(matches!(refused, Err(SciError::Codec(_))));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Regressions, reproduced before the decoders were made total: a
+    /// 49-byte `ingest` record whose payload is a `List` of
+    /// `0xFFFF_FFFF` items aborted the process on a 137 GB allocation,
+    /// as did an `ingest-batch` claiming as many events; a record of
+    /// nothing but nested `List` tags overflowed the stack.
+    #[test]
+    fn hostile_ingest_records_are_codec_errors() {
+        let header = |tag: usize| {
+            let mut p = Vec::new();
+            wire::put_u64(&mut p, 1); // now
+            if tag == 8 {
+                wire::put_u128(&mut p, 5); // source
+                wire::put_str(&mut p, ""); // topic
+                wire::put_u64(&mut p, 1); // timestamp
+                wire::put_u64(&mut p, 0); // seq
+            }
+            p
+        };
+        let mut huge_list = header(8);
+        wire::put_u8(&mut huge_list, 9);
+        wire::put_u32(&mut huge_list, u32::MAX);
+        assert_eq!(huge_list.len(), 49);
+        let mut huge_batch = header(9);
+        wire::put_u32(&mut huge_batch, u32::MAX);
+        let mut nested = header(8);
+        for _ in 0..2_000_000 {
+            wire::put_u8(&mut nested, 9);
+            wire::put_u32(&mut nested, 1);
+        }
+        for (tag, payload) in [(8, huge_list), (9, huge_batch), (8, nested)] {
+            let refused = decode_command(&Frame::new(tag, payload), &HashMap::new());
+            assert!(matches!(refused, Err(SciError::Codec(_))), "tag {tag}");
+        }
+    }
+
+    proptest! {
+        /// Totality of the two decoders that read a range's own disk:
+        /// arbitrary bytes under every command tag, a valid `ingest`
+        /// record gone wrong, and a snapshot whose tables have — none
+        /// may panic, hang or over-allocate.
+        #[test]
+        fn codec_log_decoders_survive_arbitrary_bytes(
+            tag in 0u8..24,
+            noise in prop::collection::vec(any::<u8>(), 0..256),
+            event in arb_event(),
+            how in arb_mangle(),
+        ) {
+            let logic = HashMap::new();
+            let _ = decode_command(&Frame::new(tag, noise.clone()), &logic);
+            let _ = restore(&noise);
+
+            let ingest = encode_command(&RangeCommand::Ingest(event.clone()), VirtualTime::ZERO);
+            for tag in [8, 9] {
+                let spoiled = mangle(ingest.payload.clone(), how.clone());
+                let _ = decode_command(&Frame::new(tag, spoiled), &logic);
+            }
+
+            let mut document = Vec::new();
+            wire::put_str(&mut document, "<range-snapshot now-us=\"0\" reuse=\"true\" \
+                auto-register=\"true\" verify-plans=\"true\" delivery-seq=\"0\" answer-seq=\"0\"/>");
+            let mut tables = Vec::new();
+            wire::put_u32(&mut tables, 1);
+            wire::put_u128(&mut tables, 9);
+            put_coord(&mut tables, sci_types::Coord::new(1.0, 2.0));
+            wire::put_u32(&mut tables, 1);
+            put_event(&mut tables, &event);
+            let intact = [&document[..], &tables[..]].concat();
+            prop_assert!(restore(&intact).is_ok());
+            let _ = restore(&[document, mangle(tables, how)].concat());
+        }
     }
 }

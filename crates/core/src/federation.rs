@@ -39,7 +39,9 @@ use sci_types::{ContextEvent, Guid, SciError, SciResult, VirtualTime};
 use crate::context_server::ContextServer;
 use crate::relay::RelayCore;
 
-pub use crate::records::{answer_element, answer_from_element, answer_from_xml, answer_to_xml};
+pub use crate::records::{
+    answer_element, answer_from_element, answer_from_xml, answer_to_xml, event_relay_payload,
+};
 pub use crate::relay::{FederatedAnswer, RELAY_RETRIES, RETRY_BACKOFF_BASE_US};
 
 /// A set of ranges joined through a simulated SCINET, each executed

@@ -91,11 +91,7 @@ impl MigrationPacket {
                 .with_attr("stored-at-us", stored_at.as_micros().to_string())
                 .with_child(qcodec::query_to_element(query))
         }));
-        out.extend(
-            self.deliveries
-                .iter()
-                .map(|d| delivery_element("delivery", d)),
-        );
+        out.extend(self.deliveries.iter().map(delivery_element));
         out.extend(
             self.answers
                 .iter()

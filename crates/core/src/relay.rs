@@ -60,12 +60,13 @@ use sci_types::{
     FederationModel, FreshnessBound, Guid, MessageClassModel, RangeModel, RetryModel, RouteClaim,
     SciError, SciResult, VirtualDuration, VirtualTime,
 };
+use sci_wal::codec::wire;
 
 use crate::context_server::{AppDelivery, ContextServer, DeferredAnswer, QueryAnswer, RangeReply};
 use crate::migration::MigrationPacket;
 use crate::records::{
     answer_from_element, answer_to_xml, deferred_answer_element, deferred_answer_from_element,
-    delivery_element, delivery_from_element, parsed_attr,
+    event_relay_payload, expect_end, get_delivery, get_envelope, parsed_attr,
 };
 use crate::runtime::RangeCommand;
 use crate::seen::{SeenEnvelopes, SEQ_NS_SHIFT};
@@ -497,7 +498,7 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
             .with_child(parse(&xml)?)
             .to_xml();
         self.migrate_started.insert((src, seq), started);
-        self.relay(src, dst, MessageKind::Migrate, payload, now)
+        self.relay(src, dst, MessageKind::Migrate, payload.into_bytes(), now)
     }
 
     /// Builds the degraded answer for a query whose target range could
@@ -737,8 +738,9 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
 
     /// Routes one application delivery produced at `node` under its
     /// server-minted envelope sequence: local-home traffic lands in the
-    /// inbox, cross-range traffic travels the overlay in an
-    /// exactly-once `(origin, seq)` envelope. Local traffic passes the
+    /// inbox, cross-range traffic travels the overlay as a binary
+    /// record behind its exactly-once `(origin, seq)` envelope header
+    /// ([`event_relay_payload`]). Local traffic passes the
     /// same `seen_relays` filter the overlay path uses, so a
     /// WAL-recovered range re-streaming traffic it already handed over
     /// before the crash deduplicates to exactly-once on both paths.
@@ -758,10 +760,7 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
             }
             return Ok(());
         }
-        let payload = delivery_element("relay", &d)
-            .with_attr("origin", node.to_string())
-            .with_attr("seq", seq.to_string())
-            .to_xml();
+        let payload = event_relay_payload((node, seq), &d);
         self.metrics.relay_events.inc();
         self.relay(node, home, MessageKind::EventRelay, payload, now)
     }
@@ -794,20 +793,26 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
             .with_attr("seq", seq.to_string())
             .to_xml();
         self.metrics.relay_answers.inc();
-        self.relay(node, home, MessageKind::QueryResponse, payload, now)
+        self.relay(
+            node,
+            home,
+            MessageKind::QueryResponse,
+            payload.into_bytes(),
+            now,
+        )
     }
 
-    /// Wraps a serialised envelope document in a fresh overlay message
-    /// and sends it reliably.
+    /// Wraps a serialised envelope in a fresh overlay message and
+    /// sends it reliably.
     fn relay(
         &mut self,
         src: Guid,
         dst: Guid,
         kind: MessageKind,
-        payload: String,
+        payload: Vec<u8>,
         now: VirtualTime,
     ) -> SciResult<()> {
-        let payload = Bytes::from(payload.into_bytes());
+        let payload = Bytes::from(payload);
         let msg = Message::new(self.ids.next_guid(), src, dst, kind, payload);
         self.send_reliable(msg, now)
     }
@@ -911,20 +916,25 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
     ///
     /// # Errors
     ///
-    /// [`SciError::Codec`] for an undecodable relay; migration replay
-    /// failures from the target range.
+    /// [`SciError::Codec`] for an undecodable relay, counted in
+    /// `federation.relay.undecodable`; migration replay failures from
+    /// the target range.
     fn absorb(&mut self, m: Message, arrival: VirtualTime) -> SciResult<()> {
-        // `doc` deliberately lives until the relay has been handed
-        // over: freeing its many small strings before the inbox
-        // allocates fragments the heap, measurably (control_churn +4 %).
-        let Some(doc) = relay_document(&m).map_err(as_codec)? else {
-            return Ok(());
+        let (envelope, relayed) = match decode_relay(&m, &self.seen_relays) {
+            Ok(Landed::Relay(envelope, relayed)) => (envelope, relayed),
+            Ok(Landed::Duplicate) => {
+                self.metrics.relay_dedup_hits.inc();
+                return Ok(());
+            }
+            Ok(Landed::Stranger) => return Ok(()),
+            Err(e) => {
+                self.metrics.relay_undecodable.inc();
+                return Err(match e {
+                    SciError::Codec(_) => e,
+                    other => SciError::Codec(other.to_string()),
+                });
+            }
         };
-        let (envelope, relayed) = decode_relay(m.kind, &doc).map_err(as_codec)?;
-        if self.seen_relays.contains(envelope) {
-            self.metrics.relay_dedup_hits.inc();
-            return Ok(());
-        }
         match relayed {
             Relayed::Delivery(d) => {
                 self.seen_relays.insert(envelope);
@@ -1061,56 +1071,66 @@ enum Relayed {
     Migration(MigrationPacket),
 }
 
-/// Parses the payload of an overlay message that may be a relay and
-/// checks its root element. Total: any payload yields a value or an
-/// error, never a panic. `Ok(None)` is traffic that is not a relay at
-/// all — other message kinds, and the bare `<answer>` of a query
-/// round-trip whose submission already degraded.
-fn relay_document(m: &Message) -> SciResult<Option<Element>> {
+/// What an overlay message turned out to carry.
+enum Landed {
+    /// Not a relay at all: other message kinds, and the bare `<answer>`
+    /// of a query round-trip whose submission already degraded.
+    Stranger,
+    /// A relay whose envelope `seen` has already recorded.
+    Duplicate,
+    /// A relay not seen before, under its `(origin, seq)` envelope.
+    Relay((Guid, u64), Relayed),
+}
+
+/// Decodes the payload of an overlay message that may be a relay.
+/// Total: any payload yields a value or an error, never a panic.
+///
+/// An event relay is a binary record; `seen` is consulted on its
+/// envelope header before the body is decoded, so a retransmission
+/// costs 24 bytes of reading. Answers and migration packets are the
+/// documents the paper exchanges between ranges and stay XML.
+fn decode_relay(m: &Message, seen: &SeenEnvelopes) -> SciResult<Landed> {
     let root = match m.kind {
-        MessageKind::EventRelay => "relay",
+        MessageKind::EventRelay => {
+            let mut r = wire::Reader::new(&m.payload);
+            let envelope = get_envelope(&mut r)?;
+            if seen.contains(envelope) {
+                return Ok(Landed::Duplicate);
+            }
+            let delivery = get_delivery(&mut r)?;
+            expect_end(&r, "an event relay")?;
+            return Ok(Landed::Relay(envelope, Relayed::Delivery(delivery)));
+        }
         MessageKind::QueryResponse => "answer-relay",
         MessageKind::Migrate => "migrate",
-        _ => return Ok(None),
+        _ => return Ok(Landed::Stranger),
     };
     let text = std::str::from_utf8(&m.payload)
         .map_err(|_| SciError::Codec(format!("{root} payload is not UTF-8")))?;
     let doc = parse(text)?;
-    if doc.name == root {
-        Ok(Some(doc))
-    } else if m.kind == MessageKind::QueryResponse && doc.name == "answer" {
-        Ok(None)
-    } else {
-        Err(SciError::Codec(format!(
+    if m.kind == MessageKind::QueryResponse && doc.name == "answer" {
+        return Ok(Landed::Stranger);
+    }
+    if doc.name != root {
+        return Err(SciError::Codec(format!(
             "expected <{root}>, found <{}>",
             doc.name
-        )))
+        )));
     }
-}
-
-/// Decodes a relay document of the given kind into its envelope and
-/// body (total, like [`relay_document`]).
-fn decode_relay(kind: MessageKind, doc: &Element) -> SciResult<((Guid, u64), Relayed)> {
     let envelope = (
         doc.require_attr("origin")?.parse()?,
-        parsed_attr(doc, "seq")?,
+        parsed_attr(&doc, "seq")?,
     );
-    let relayed = match kind {
-        MessageKind::EventRelay => Relayed::Delivery(delivery_from_element(doc)?),
-        MessageKind::QueryResponse => Relayed::Answer(deferred_answer_from_element(doc, "app")?),
+    let relayed = match m.kind {
+        MessageKind::QueryResponse => Relayed::Answer(deferred_answer_from_element(&doc, "app")?),
         _ => Relayed::Migration(MigrationPacket::from_element(
             doc.require_child("migration")?,
         )?),
     };
-    Ok((envelope, relayed))
-}
-
-/// Every way a relay payload can fail to decode is a wire codec error.
-fn as_codec(e: SciError) -> SciError {
-    match e {
-        SciError::Codec(_) => e,
-        other => SciError::Codec(other.to_string()),
+    if seen.contains(envelope) {
+        return Ok(Landed::Duplicate);
     }
+    Ok(Landed::Relay(envelope, relayed))
 }
 
 /// The cross-range message classes the relay exchanges, with their

@@ -211,14 +211,14 @@ impl ContextServer {
             _ => false,
         };
         let reply = self.handle_inner(cmd, now);
-        // Snapshot *after* applying: the document captures the
+        // Snapshot *after* applying: the payload captures the
         // command's effects (outbox included), and its applied index
         // covers the command's own record. A failed write leaves the
         // due-counter alone, so the next logged command retries.
         if logged && self.wal_mut().is_some_and(|wal| wal.applied()) {
-            let doc = crate::durability::snapshot_element(self, now).to_xml();
+            let snapshot = crate::durability::encode_snapshot(self, now);
             if let Some(wal) = self.wal_mut() {
-                let _ = wal.write_snapshot(&doc);
+                let _ = wal.write_snapshot(snapshot);
             }
         }
         self.metrics().record_command(idx, elapsed_us(started));

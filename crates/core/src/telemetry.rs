@@ -48,6 +48,7 @@
 //! | `federation.retry.parked` | counter | relays parked for a later pump after exhausting in-call retries |
 //! | `federation.answers.partial` | counter | degraded partial answers returned for unreachable ranges |
 //! | `federation.relay.unknown_app` | counter | deliveries/answers for apps with no recorded home range (homed locally, no longer silently) |
+//! | `federation.relay.undecodable` | counter | relay payloads refused with a codec error (nothing delivered, envelope not recorded) |
 //! | `federation.stream.events` | counter | deliveries drained from per-range relay streams |
 //! | `federation.stream.answers` | counter | deferred answers drained from per-range relay streams |
 //! | `federation.stream.pump_us` | histogram | time per free-running `pump_streams` pass |
@@ -60,7 +61,8 @@
 //! | `wal.fsync_us` | histogram | time spent in explicit WAL fsyncs |
 //! | `wal.bytes` | counter | bytes appended to the WAL |
 //! | `wal.segments` | gauge | live WAL segment files after snapshot GC |
-//! | `wal.snapshot_us` | histogram | time per periodic registry snapshot |
+//! | `wal.snapshot.encode_us` | histogram | time to serialise one snapshot payload |
+//! | `wal.snapshot_us` | histogram | time to store one snapshot (write, fsync, prune) |
 //! | `wal.recover_us` | histogram | time per crash recovery (snapshot restore + replay) |
 //! | `wal.torn_tail` | counter | torn bytes truncated from the log tail at recovery |
 
@@ -211,6 +213,7 @@ pub(crate) struct FedMetrics {
     pub(crate) relay_stale_drops: Counter,
     pub(crate) relay_dedup_hits: Counter,
     pub(crate) relay_unknown_app: Counter,
+    pub(crate) relay_undecodable: Counter,
     pub(crate) retry_attempts: Counter,
     pub(crate) retry_parked: Counter,
     pub(crate) partial_answers: Counter,
@@ -233,6 +236,7 @@ impl FedMetrics {
             relay_stale_drops: registry.counter("federation.relay.stale_drops"),
             relay_dedup_hits: registry.counter("federation.relay.dedup_hits"),
             relay_unknown_app: registry.counter("federation.relay.unknown_app"),
+            relay_undecodable: registry.counter("federation.relay.undecodable"),
             retry_attempts: registry.counter("federation.retry.attempts"),
             retry_parked: registry.counter("federation.retry.parked"),
             partial_answers: registry.counter("federation.answers.partial"),

@@ -2,10 +2,14 @@
 //! `RelayCore` over `FaultyTransport<SimNetwork>` whose hosts are bare
 //! `ContextServer`s.
 //!
-//! * **Decoder totality.** Every way an `EventRelay`, `QueryResponse`
-//!   or `Migrate` payload can be mangled — not UTF-8, not XML, wrong
-//!   root element, a missing `app`/`query`/`origin`/`seq`, a
-//!   non-numeric `seq`, a missing body — yields `SciError::Codec`:
+//! * **Decoder totality.** Every way a relay payload can be mangled —
+//!   for the `QueryResponse` and `Migrate` documents: not UTF-8, not
+//!   XML, wrong root element, a missing `app`/`query`/`origin`/`seq`,
+//!   a non-numeric `seq`, a missing body; for the binary `EventRelay`
+//!   record: cut at any byte, an unknown value tag, a hostile count,
+//!   nesting past the bound, a non-UTF-8 topic, trailing garbage,
+//!   the XML `<relay>` of an earlier protocol version — yields
+//!   `SciError::Codec` and a `federation.relay.undecodable` count:
 //!   never a panic, and never a poisoned exactly-once entry that would
 //!   mask the well-formed retransmission of the same envelope.
 //! * **Exactly-once under faults.** Under drop, duplicate and ack-loss
@@ -20,8 +24,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use bytes::Bytes;
-use sci_core::context_server::{ContextServer, QueryAnswer};
-use sci_core::federation::answer_element;
+use sci_core::context_server::{AppDelivery, ContextServer, QueryAnswer};
+use sci_core::federation::{answer_element, event_relay_payload};
 use sci_core::relay::RelayCore;
 use sci_core::MigrationPacket;
 use sci_location::floorplan::FloorPlan;
@@ -94,15 +98,16 @@ fn core_of(n: usize, seed: u64) -> (Core, Vec<Guid>, Vec<Guid>) {
 const APP: Guid = Guid::from_u128(0xA99);
 const QUERY: Guid = Guid::from_u128(0x200);
 
-/// One relay class: its message kind, a well-formed envelope document
-/// for `(origin, seq)`, and how many times its effect has been observed
-/// at the receiving end.
+/// Mangled payloads, each with what was done to it.
+type Manglings = Vec<(String, Vec<u8>)>;
+
+/// One relay class: its message kind, a well-formed payload for
+/// envelope `(origin, seq)`, every mangling of that payload, and how
+/// many times its effect has been observed at the receiving end.
 struct Class {
     kind: MessageKind,
-    body: &'static str,
-    /// `app`/`query` ride on the envelope (not on a migration's).
-    addressed: bool,
-    doc: fn(Guid, u64) -> Element,
+    good: fn(Guid, u64) -> Vec<u8>,
+    manglings: fn(Guid, u64) -> Manglings,
     landed: fn(&mut Core, u64) -> usize,
 }
 
@@ -114,46 +119,53 @@ fn enveloped(root: &str, origin: Guid, seq: u64) -> Element {
         .with_attr("seq", seq.to_string())
 }
 
+fn event_relay(origin: Guid, seq: u64) -> Vec<u8> {
+    let delivery = AppDelivery {
+        app: APP,
+        query: QUERY,
+        event: presence(origin, seq),
+    };
+    event_relay_payload((origin, seq), &delivery)
+}
+
+fn answer_relay(origin: Guid, seq: u64) -> Element {
+    enveloped("answer-relay", origin, seq).with_child(answer_element(&QueryAnswer::Deferred))
+}
+
 /// The entity a scripted migration with envelope `seq` carries.
 fn migrant(seq: u64) -> Guid {
     Guid::from_u128(0x3000 + u128::from(seq))
 }
 
+fn migrate(origin: Guid, seq: u64) -> Element {
+    let mut packet = MigrationPacket::new(migrant(seq));
+    packet
+        .profiles
+        .push(Profile::builder(migrant(seq), EntityKind::Person, "migrant").build());
+    Element::new("migrate")
+        .with_attr("entity", migrant(seq).to_string())
+        .with_attr("origin", origin.to_string())
+        .with_attr("seq", seq.to_string())
+        .with_child(packet.to_element())
+}
+
 const CLASSES: [Class; 3] = [
     Class {
         kind: MessageKind::EventRelay,
-        body: "event",
-        addressed: true,
-        doc: |origin, seq| {
-            enveloped("relay", origin, seq).with_child(event_to_element(&presence(origin, seq)))
-        },
+        good: event_relay,
+        manglings: binary_manglings,
         landed: |core, _| core.deliveries_for(APP).len(),
     },
     Class {
         kind: MessageKind::QueryResponse,
-        body: "answer",
-        addressed: true,
-        doc: |origin, seq| {
-            enveloped("answer-relay", origin, seq)
-                .with_child(answer_element(&QueryAnswer::Deferred))
-        },
+        good: |origin, seq| answer_relay(origin, seq).to_xml().into_bytes(),
+        manglings: |origin, seq| xml_manglings("answer", true, &answer_relay(origin, seq)),
         landed: |core, _| core.answers_for(APP).len(),
     },
     Class {
         kind: MessageKind::Migrate,
-        body: "migration",
-        addressed: false,
-        doc: |origin, seq| {
-            let mut packet = MigrationPacket::new(migrant(seq));
-            packet
-                .profiles
-                .push(Profile::builder(migrant(seq), EntityKind::Person, "migrant").build());
-            Element::new("migrate")
-                .with_attr("entity", migrant(seq).to_string())
-                .with_attr("origin", origin.to_string())
-                .with_attr("seq", seq.to_string())
-                .with_child(packet.to_element())
-        },
+        good: |origin, seq| migrate(origin, seq).to_xml().into_bytes(),
+        manglings: |origin, seq| xml_manglings("migration", false, &migrate(origin, seq)),
         landed: |core, seq| {
             let target = core.host("range-1").unwrap();
             usize::from(target.registrar().is_registered(migrant(seq)))
@@ -161,8 +173,52 @@ const CLASSES: [Class; 3] = [
     },
 ];
 
-/// Every mangling of a well-formed document, as payload bytes.
-fn manglings(class: &Class, good: &Element) -> Vec<(&'static str, Vec<u8>)> {
+/// Every mangling of a well-formed binary event relay: the wire twin
+/// of the log's crash-at-any-byte sweep, then what a hostile peer
+/// would put behind a valid envelope and event header.
+fn binary_manglings(origin: Guid, seq: u64) -> Manglings {
+    let good = event_relay(origin, seq);
+    let find = |needle: &[u8]| {
+        good.windows(needle.len())
+            .position(|w| w == needle)
+            .unwrap()
+    };
+    let topic = find(b"presence");
+    // Envelope, addressing and the event up to its sequence number:
+    // what precedes the event's value.
+    let front = &good[..topic + "presence".len() + 8 + 8];
+    let behind_front = |value: &[u8]| [front, value].concat();
+    let mut cases: Manglings = (0..good.len())
+        .map(|cut| (format!("cut at byte {cut}"), good[..cut].to_vec()))
+        .collect();
+    let mut bad_topic = good.clone();
+    bad_topic[topic] = 0xff;
+    cases.extend([
+        ("unknown value tag".into(), behind_front(&[0x7f])),
+        (
+            "hostile count".into(),
+            behind_front(&[9, 0xff, 0xff, 0xff, 0xff]),
+        ),
+        (
+            "nesting past the bound".into(),
+            behind_front(&[9, 0, 0, 0, 1].repeat(10_000)),
+        ),
+        ("non-UTF-8 topic".into(), bad_topic),
+        ("trailing garbage".into(), [&good[..], &[0]].concat()),
+        (
+            "the XML <relay> of protocol version 2".into(),
+            enveloped("relay", origin, seq)
+                .with_child(event_to_element(&presence(origin, seq)))
+                .to_xml()
+                .into_bytes(),
+        ),
+    ]);
+    cases
+}
+
+/// Every mangling of a well-formed envelope document whose body is a
+/// `<{body}>` child, as payload bytes.
+fn xml_manglings(body: &str, addressed: bool, good: &Element) -> Manglings {
     let without = |key: &str| {
         let mut doc = good.clone();
         doc.attrs.retain(|(k, _)| k != key);
@@ -183,7 +239,7 @@ fn manglings(class: &Class, good: &Element) -> Vec<(&'static str, Vec<u8>)> {
         }
     }
     let mut no_body = good.clone();
-    no_body.children.retain(|c| c.name != class.body);
+    no_body.children.retain(|c| c.name != body);
     let xml = good.to_xml();
     let mut cases = vec![
         ("not UTF-8", vec![0xff, 0xfe, 0x00, 0xc3]),
@@ -196,11 +252,14 @@ fn manglings(class: &Class, good: &Element) -> Vec<(&'static str, Vec<u8>)> {
         ("malformed origin", bad_origin.to_xml().into_bytes()),
         ("missing body", no_body.to_xml().into_bytes()),
     ];
-    if class.addressed {
+    if addressed {
         cases.push(("missing app", without("app")));
         cases.push(("missing query", without("query")));
     }
     cases
+        .into_iter()
+        .map(|(what, payload)| (what.to_owned(), payload))
+        .collect()
 }
 
 #[test]
@@ -213,21 +272,28 @@ fn hostile_payloads_are_codec_errors_and_never_mask_the_retransmission() {
         core.transport_mut().send(msg).unwrap();
     };
     let now = VirtualTime::from_secs(1);
+    let undecodable = |core: &Core| core.snapshot().counter("federation.relay.undecodable");
     let mut seq = 0u64;
 
     for class in &CLASSES {
-        for (what, payload) in manglings(class, &(class.doc)(src, seq + 1)) {
+        // Each mangling spoils its own envelope: an event relay's is
+        // checked against the exactly-once filter before its body is
+        // looked at, so a spent one would be a duplicate, not an error.
+        for case in 0..(class.manglings)(src, 0).len() {
             seq += 1;
-            let good = (class.doc)(src, seq).to_xml().into_bytes();
+            let (what, payload) = (class.manglings)(src, seq).swap_remove(case);
+            let good = (class.good)(src, seq);
             let label = format!("{:?} / {what}", class.kind);
 
-            // The mangled copy is refused, delivers nothing …
+            // The mangled copy is refused and counted, delivers nothing …
+            let refusals = undecodable(&core);
             inject(&mut core, class.kind, payload);
             let refused = core.pump(now);
             assert!(
                 matches!(refused, Err(SciError::Codec(_))),
                 "{label}: expected a codec error, got {refused:?}"
             );
+            assert_eq!(undecodable(&core), refusals + 1, "{label}: not counted");
             assert_eq!((class.landed)(&mut core, seq), 0, "{label}: delivered");
 
             // … and the well-formed retransmission of the very same
@@ -245,7 +311,7 @@ fn hostile_payloads_are_codec_errors_and_never_mask_the_retransmission() {
     assert_eq!(core.pending_relay_count(), 0);
     assert_eq!(
         core.snapshot().counter("range.migrate.in"),
-        manglings(&CLASSES[2], &(CLASSES[2].doc)(src, 0)).len() as u64,
+        (CLASSES[2].manglings)(src, 0).len() as u64,
         "each migration replayed exactly once"
     );
 }
@@ -255,13 +321,9 @@ fn a_hostile_payload_does_not_strand_the_traffic_drained_beside_it() {
     let (mut core, nodes, _) = core_of(2, 1);
     let (src, dst) = (nodes[0], nodes[1]);
     let class = &CLASSES[0];
-    for (i, payload) in [
-        (class.doc)(src, 1).to_xml().into_bytes(),
-        vec![0xff],
-        (class.doc)(src, 2).to_xml().into_bytes(),
-    ]
-    .into_iter()
-    .enumerate()
+    for (i, payload) in [(class.good)(src, 1), vec![0xff], (class.good)(src, 2)]
+        .into_iter()
+        .enumerate()
     {
         let id = Guid::from_u128(0x900 + i as u128);
         let msg = Message::new(id, src, dst, class.kind, Bytes::from(payload));

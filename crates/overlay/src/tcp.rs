@@ -56,8 +56,10 @@ use crate::transport::Transport;
 
 /// Protocol version spoken by this build; a handshake between
 /// different versions is rejected. Version 2 added the `SYNC_DONE`
-/// frame a dialer waits for, which a version-1 acceptor never sends.
-pub const TCP_PROTOCOL_VERSION: u32 = 2;
+/// frame a dialer waits for, which a version-1 acceptor never sends;
+/// version 3 made the `EventRelay` payload a binary record, which a
+/// version-2 relay would refuse as malformed XML.
+pub const TCP_PROTOCOL_VERSION: u32 = 3;
 
 // Control-frame tags sit above the 0–8 range MessageKind occupies, so
 // a frame's role is readable from its tag alone.

@@ -27,6 +27,7 @@ pub const METRICS: &[&str] = &[
     "federation.relay.dedup_hits",
     "federation.relay.events",
     "federation.relay.stale_drops",
+    "federation.relay.undecodable",
     "federation.relay.unknown_app",
     "federation.relay_us",
     "federation.retry.attempts",
@@ -73,6 +74,7 @@ pub const METRICS: &[&str] = &[
     "wal.fsync_us",
     "wal.recover_us",
     "wal.segments",
+    "wal.snapshot.encode_us",
     "wal.snapshot_us",
     "wal.torn_tail",
 ];

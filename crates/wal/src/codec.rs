@@ -126,12 +126,18 @@ pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
 
 /// Appends the encoded frame to `out`.
 pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
-    let len = frame.payload.len() as u32 + 1;
+    encode_frame_of(frame.tag, &frame.payload, out);
+}
+
+/// [`encode_frame`] for a payload the caller only borrows: frames
+/// `tag` + `payload` into `out` without building a [`Frame`] first.
+pub fn encode_frame_of(tag: u8, payload: &[u8], out: &mut Vec<u8>) {
+    let len = payload.len() as u32 + 1;
     out.extend_from_slice(&len.to_be_bytes());
-    out.push(frame.tag);
-    out.extend_from_slice(&frame.payload);
-    let mut crc = crc32_update(0xFFFF_FFFF, &[frame.tag]);
-    crc = crc32_update(crc, &frame.payload) ^ 0xFFFF_FFFF;
+    out.push(tag);
+    out.extend_from_slice(payload);
+    let mut crc = crc32_update(0xFFFF_FFFF, &[tag]);
+    crc = crc32_update(crc, payload) ^ 0xFFFF_FFFF;
     out.extend_from_slice(&crc.to_be_bytes());
 }
 

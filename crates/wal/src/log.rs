@@ -31,7 +31,9 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use crate::codec::{encode_frame, CodecError, Frame, FrameReader};
+use crate::codec::{
+    decode_frame, encode_frame, encode_frame_of, CodecError, Frame, FrameReader, FRAME_OVERHEAD,
+};
 
 const SEGMENT_MAGIC: &[u8; 8] = b"SCIWAL01";
 const SNAPSHOT_MAGIC: &[u8; 8] = b"SCISNP01";
@@ -435,9 +437,9 @@ pub fn write_snapshot(
     fs::create_dir_all(dir).map_err(|e| io_err(format!("creating {}", dir.display()), e))?;
     let tmp = dir.join(format!("snap-{applied_index:016x}.tmp"));
     let fin = dir.join(format!("snap-{applied_index:016x}.snap"));
-    let mut bytes = Vec::with_capacity(payload.len() + 32);
+    let mut bytes = Vec::with_capacity(SNAPSHOT_MAGIC.len() + FRAME_OVERHEAD + payload.len());
     bytes.extend_from_slice(SNAPSHOT_MAGIC);
-    encode_frame(&Frame::new(0, payload.to_vec()), &mut bytes);
+    encode_frame_of(0, payload, &mut bytes);
     let mut file =
         File::create(&tmp).map_err(|e| io_err(format!("creating {}", tmp.display()), e))?;
     file.write_all(&bytes)
@@ -479,35 +481,28 @@ pub fn read_latest_snapshot(dir: impl AsRef<Path>) -> Result<(LatestSnapshot, us
         let path = dir.join(format!("snap-{applied:016x}.snap"));
         let bytes =
             fs::read(&path).map_err(|e| io_err(format!("reading {}", path.display()), e))?;
-        let intact = bytes.len() > 8
-            && &bytes[..8] == SNAPSHOT_MAGIC
-            && matches!(
-                crate::codec::decode_frame(&bytes[8..]),
-                Ok((_, used)) if used == bytes.len() - 8
-            );
-        if !intact {
-            skipped += 1;
-            continue;
-        }
-        if let Ok((frame, _)) = crate::codec::decode_frame(&bytes[8..]) {
-            return Ok((Some((applied, frame.payload)), skipped));
+        // Intact: the magic, then exactly one frame that checks out.
+        match bytes.strip_prefix(SNAPSHOT_MAGIC).map(decode_frame) {
+            Some(Ok((frame, used))) if used == bytes.len() - SNAPSHOT_MAGIC.len() => {
+                return Ok((Some((applied, frame.payload)), skipped));
+            }
+            _ => skipped += 1,
         }
     }
     Ok((None, skipped))
 }
 
-/// Deletes every snapshot older than the newest intact one. Returns
-/// how many files were removed.
+/// Deletes every snapshot whose applied index is below `keep` — the
+/// index of a snapshot [`write_snapshot`] has just put in place, which
+/// is intact by construction (synced before its rename), so no file is
+/// read. Returns how many files were removed.
 ///
 /// # Errors
 ///
-/// [`WalError::Io`] when a delete fails.
-pub fn prune_snapshots(dir: impl AsRef<Path>) -> Result<usize, WalError> {
+/// [`WalError::Io`] when the directory cannot be listed or a delete
+/// fails.
+pub fn prune_snapshots(dir: impl AsRef<Path>, keep: u64) -> Result<usize, WalError> {
     let dir = dir.as_ref();
-    let (latest, _) = read_latest_snapshot(dir)?;
-    let Some((keep, _)) = latest else {
-        return Ok(0);
-    };
     let mut removed = 0;
     for entry in fs::read_dir(dir).map_err(|e| io_err(format!("listing {}", dir.display()), e))? {
         let Ok(entry) = entry else { continue };
@@ -694,7 +689,7 @@ mod tests {
         // Pruning keeps only the newest *intact* snapshot... after
         // restoring the damaged file so 30 is best again.
         write_snapshot(&dir, 30, b"state at 30").unwrap();
-        let removed = prune_snapshots(&dir).unwrap();
+        let removed = prune_snapshots(&dir, 30).unwrap();
         assert_eq!(removed, 1);
         let (best, _) = read_latest_snapshot(&dir).unwrap();
         assert_eq!(best, Some((30, b"state at 30".to_vec())));

@@ -154,6 +154,11 @@ fn parallel_federation_snapshot_agrees_with_oracles() {
         "every delivery was homed in another range"
     );
     assert_eq!(snap.counter("federation.relay.stale_drops"), 0);
+    assert_eq!(
+        snap.counter("federation.relay.undecodable"),
+        0,
+        "every relay the core encoded, the core decoded"
+    );
     // The overlay saw each relay plus the query forward/response pairs.
     assert_eq!(
         snap.counter("net.delivered"),
@@ -173,6 +178,25 @@ fn parallel_federation_snapshot_agrees_with_oracles() {
     let back = sci::core::snapshot_from_xml(&xml).unwrap();
     assert_eq!(snap, back);
     fed.shutdown();
+}
+
+/// A snapshot has two halves — serialising the payload and storing it
+/// — timed apart so neither hides the other: `wal.snapshot.encode_us`
+/// and `wal.snapshot_us` count the same snapshots, the one `attach`
+/// seeds the log with and one per 256 logged commands after it.
+#[test]
+fn both_halves_of_every_snapshot_are_timed() {
+    let mut ids = GuidGenerator::seeded(29);
+    let (mut cs, sensor) = server(0, &mut ids);
+    sci::core::durability::attach_memory(&mut cs, VirtualTime::ZERO);
+    for k in 0..600u64 {
+        let t = VirtualTime::from_millis(k + 1);
+        cs.ingest(&presence(sensor, u128::from(k), t), t).unwrap();
+    }
+    let snap = cs.snapshot();
+    let encoded = snap.histogram("wal.snapshot.encode_us").unwrap().count;
+    let stored = snap.histogram("wal.snapshot_us").unwrap().count;
+    assert_eq!((encoded, stored), (3, 3));
 }
 
 /// A panic inside one range's worker increments `range.panics` exactly
@@ -274,6 +298,9 @@ fn every_snapshot_name_is_catalogued() {
     names.sort_unstable();
     names.dedup();
     assert!(!names.is_empty());
+    for live in ["federation.relay.undecodable", "wal.snapshot.encode_us"] {
+        assert!(names.contains(&live), "{live} is not registered");
+    }
     let strays: Vec<&str> = names
         .into_iter()
         .filter(|n| !catalogue::contains(n))
