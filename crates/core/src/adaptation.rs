@@ -7,24 +7,39 @@
 //! of environment changes, thus improving service and fault tolerance
 //! while minimising user intervention" (Section 6).
 //!
-//! This module implements that loop:
+//! Which sources feed an input is decided in one place, the resolver's
+//! [`sources_for`]; every source-fed input is recorded on its consumer
+//! as a [`Need`] when the plan first wires it. Adapting is keeping the
+//! two equal — a standing query is a view over the provider registry,
+//! maintained, not re-derived per kind of event:
 //!
-//! 1. **Detection** — the Event Mediator tracks liveness of source CEs
-//!    that declared a `max-silence-us` QoS attribute;
-//!    [`detect_and_repair`] turns silence into failure.
-//! 2. **Repair** — [`repair_source`] rewires every affected
-//!    configuration: subscriptions to the failed CE are dropped and
-//!    replaced by subscriptions to surviving providers of the same
-//!    context type, *without any application involvement* — the contrast
-//!    with the Context Toolkit (static wiring) and Solar (explicit
-//!    graphs) baselines measured in experiment E6.
+//! * `reconcile` brings one consumer's subscriptions for one need to
+//!   the rule's answer;
+//! * `rewire` does so for every need a change can affect. It is what a
+//!   source's **arrival** (`Register`), its **departure**
+//!   (`Deregister`, `MigrateOut`), its **failure** ([`repair_source`])
+//!   and a **declared equivalence** (`DeclareEquivalence`) each are —
+//!   *without any application involvement*, the contrast with the
+//!   Context Toolkit (static wiring) and Solar (explicit graphs)
+//!   baselines measured in experiment E6.
+//!
+//! Failure is detected by the Event Mediator, which tracks liveness of
+//! source CEs that declared a `max-silence-us` QoS attribute;
+//! [`detect_and_repair`] turns silence into failure, and
+//! [`detect_and_repair_governed`] bounds how often it may.
 
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::collections::HashMap;
 
-use sci_event::Topic;
-use sci_types::{ContextType, Guid, VirtualDuration, VirtualTime};
+use sci_event::bus::SubId;
+use sci_event::{EventMediator, Topic};
+use sci_types::{ContextType, Guid, Profile, VirtualDuration, VirtualTime};
 
+use crate::configuration::{input_topic, Configuration};
 use crate::context_server::ContextServer;
+use crate::profile_manager::ProfileManager;
+use crate::resolver::{sources_for, Need};
 
 /// What a repair pass did to one configuration.
 #[derive(Clone, Debug)]
@@ -33,7 +48,8 @@ pub struct RepairReport {
     pub query: Guid,
     /// The failed CE that was removed.
     pub failed: Guid,
-    /// Replacement providers that were wired in (may repeat per edge).
+    /// Sources newly wired in to take its place (sorted; empty when
+    /// the survivors were feeding the configuration already).
     pub replacements: Vec<Guid>,
     /// When the repair happened.
     pub at: VirtualTime,
@@ -41,297 +57,219 @@ pub struct RepairReport {
     pub degraded: bool,
 }
 
+/// The context types a profile's outputs carry — what [`rewire`] is
+/// told has changed when the entity arrives, leaves or fails.
+pub(crate) fn output_types(profile: &Profile) -> Vec<ContextType> {
+    profile.outputs().iter().map(|o| o.ty.clone()).collect()
+}
+
+/// Brings one consumer's subscriptions for one need to `sources`, the
+/// rule's answer for it: of the `subs` that serve the need, those to a
+/// source the rule no longer names are unsubscribed; the sources it
+/// newly names are subscribed, in its order. Returns what was dropped
+/// and what was added.
+fn reconcile(
+    (mediator, profiles): (&mut EventMediator, &ProfileManager),
+    (subscriber, one_time): (Guid, bool),
+    subs: &mut Vec<SubId>,
+    need: &Need,
+    sources: &[(Guid, ContextType)],
+) -> (Vec<SubId>, Vec<SubId>) {
+    // A consumer's inputs of compatible types about the same subject
+    // were resolved alike, so no subscription to an instance is among
+    // the ones that serve a need.
+    let serves = |topic: &Topic| {
+        let ty = topic.ty();
+        topic.subject() == need.subject && ty.is_some_and(|ty| profiles.compatible(ty, &need.ty))
+    };
+    let mut held = vec![false; sources.len()];
+    let mut dropped = Vec::new();
+    subs.retain(|&sub| {
+        let Some(topic) = mediator.bus().topic_of(sub).filter(|t| serves(t)) else {
+            return true;
+        };
+        let named = |(source, ty): &(Guid, ContextType)| {
+            topic.source() == Some(*source) && topic.ty() == Some(ty)
+        };
+        let at = sources.iter().position(named);
+        match at {
+            Some(at) => held[at] = true,
+            None => dropped.push(sub),
+        }
+        at.is_some()
+    });
+    for &sub in &dropped {
+        let _ = mediator.unsubscribe(sub);
+    }
+    let missing = sources.iter().zip(held).filter(|(_, held)| !held);
+    let added: Vec<SubId> = missing
+        .map(|((source, ty), _)| {
+            let topic = input_topic(Some(ty.clone()), *source, need.subject);
+            mediator.subscribe(subscriber, topic, one_time)
+        })
+        .collect();
+    subs.extend(&added);
+    (dropped, added)
+}
+
+/// The one adaptation pass. `changed` are the output types of a source
+/// that arrived, left or failed (or two types just declared
+/// equivalent); every need they are compatible with is reconciled —
+/// hosted instances first, in GUID order, then the applications fed by
+/// sources directly, in query-id order. Subscription order is delivery
+/// order, so a replay of the same commands rewires, and later
+/// delivers, identically. An input fed by another instance is nobody's
+/// need: it stays derived-fed.
+///
+/// After first wiring this pass (with [`unwire`]'s raw half) is the
+/// only writer of a configuration's `sources`, `root_producers` and
+/// `caa_subs`, and of the server's index of the latter. Returns, for
+/// each configuration now fed by other sources than before, the ones
+/// that are new to it.
+pub(crate) fn rewire(cs: &mut ContextServer, changed: &[ContextType]) -> Vec<(Guid, Vec<Guid>)> {
+    let (profiles, excluded, instances) = (&cs.profiles, &cs.excluded, &mut cs.instances);
+    let concerns = |need: &Need| changed.iter().any(|ty| profiles.compatible(ty, &need.ty));
+    // Without predicates the rule's answer depends on the equivalence
+    // class of the type alone: one per changed type, worked out when a
+    // need first asks, serves the whole pass.
+    let plain: Vec<OnceCell<Vec<(Guid, ContextType)>>> = vec![OnceCell::new(); changed.len()];
+    let rule = |need: &Need| {
+        let same =
+            |ty: &ContextType| need.predicates.is_empty() && profiles.compatible(ty, &need.ty);
+        match changed.iter().position(same) {
+            Some(at) => Cow::Borrowed(
+                &plain[at].get_or_init(|| sources_for(profiles, &changed[at], &[], excluded))[..],
+            ),
+            None => Cow::Owned(sources_for(profiles, &need.ty, &need.predicates, excluded)),
+        }
+    };
+
+    let mut hosts: Vec<Guid> = instances
+        .iter()
+        .filter(|state| state.needs.iter().any(concerns))
+        .map(|state| state.instance)
+        .collect();
+    hosts.sort_unstable();
+    for &host in &hosts {
+        let Some(state) = instances.get_mut(host) else {
+            continue;
+        };
+        for need in state.needs.iter().filter(|need| concerns(need)) {
+            let bus = (&mut cs.mediator, profiles);
+            reconcile(bus, (host, false), &mut state.subs, need, &rule(need));
+        }
+    }
+
+    let mut affected: Vec<&mut Configuration> = cs
+        .configurations
+        .values_mut()
+        .filter(|config| {
+            let hosted = |i: &Guid| hosts.binary_search(i).is_ok();
+            config.source_need().is_some_and(concerns) || config.instances.iter().any(hosted)
+        })
+        .collect();
+    affected.sort_unstable_by_key(|config| config.query_id);
+    let mut report = Vec::new();
+    for config in affected {
+        // What the rule names for its own need, or for its instances'.
+        let mut sources: Vec<Guid> = Vec::new();
+        if let Some(need) = config.need.as_ref().filter(|_| config.instances.is_empty()) {
+            let (bus, feeding) = ((&mut cs.mediator, profiles), rule(need));
+            let subscriber = (config.owner, config.one_time);
+            let (dropped, added) = reconcile(bus, subscriber, &mut config.caa_subs, need, &feeding);
+            for sub in &dropped {
+                cs.caa_sub_index.remove(sub);
+            }
+            let query = config.query_id;
+            cs.caa_sub_index
+                .extend(added.iter().map(|&sub| (sub, query)));
+            sources.extend(feeding.iter().map(|(source, _)| *source));
+            config.root_producers.clone_from(&sources);
+        } else {
+            let hosted = config.instances.iter().filter_map(|&i| instances.get(i));
+            for need in hosted.flat_map(|state| &state.needs) {
+                sources.extend(rule(need).iter().map(|(source, _)| *source));
+            }
+        }
+        sources.sort_unstable();
+        sources.dedup();
+        let before = std::mem::replace(&mut config.sources, sources);
+        if config.sources != before {
+            let new = |source: &&Guid| !before.contains(source);
+            let replacements = config.sources.iter().filter(new).copied().collect();
+            report.push((config.query_id, replacements));
+        }
+    }
+    report
+}
+
+/// A producer is gone — it left, or it failed: [`rewire`] for what its
+/// `outputs` fed (an entity without outputs fed no need), and the raw
+/// `Kind`/`Named` subscriptions that selected it drop it. A raw
+/// subscription has no need, so nothing takes the producer's place.
+/// Returns [`rewire`]'s report and the raw configurations, which have
+/// no replacements.
+pub(crate) fn unwire(
+    cs: &mut ContextServer,
+    gone: Guid,
+    outputs: &[ContextType],
+) -> Vec<(Guid, Vec<Guid>)> {
+    let mut report = match outputs {
+        [] => Vec::new(),
+        outputs => rewire(cs, outputs),
+    };
+    let selected = |c: &&mut Configuration| c.need.is_none() && c.root_producers.contains(&gone);
+    for config in cs.configurations.values_mut().filter(selected) {
+        config.root_producers.retain(|&producer| producer != gone);
+        let names_it =
+            |sub: &SubId| cs.mediator.bus().topic_of(*sub).and_then(Topic::source) == Some(gone);
+        let (subs, kept) = std::mem::take(&mut config.caa_subs)
+            .into_iter()
+            .partition(names_it);
+        config.caa_subs = kept;
+        for sub in subs {
+            let _ = cs.mediator.unsubscribe(sub);
+            cs.caa_sub_index.remove(&sub);
+        }
+        report.push((config.query_id, Vec::new()));
+    }
+    report
+}
+
 /// Marks `failed` as failed and rewires every live configuration that
 /// depended on it. Returns one report per affected configuration.
 pub fn repair_source(cs: &mut ContextServer, failed: Guid, now: VirtualTime) -> Vec<RepairReport> {
+    let outputs = cs.profiles().get(failed).map(output_types);
     cs.mark_failed(failed);
-    let mut reports = Vec::new();
-
-    let (instances, mediator, profiles, configurations, excluded, caa_sub_index) =
-        cs.parts_for_repair();
-
-    // Replacement providers per context type are the surviving sources
-    // of that type or of any semantically equivalent type. Each comes
-    // with the concrete output type to subscribe on.
-    let surviving_sources = |ty: &ContextType| -> Vec<(Guid, ContextType)> {
-        profiles
-            .providers_of_compatible(ty)
-            .into_iter()
-            .filter(|p| p.is_source() && p.id() != failed && !excluded.contains(&p.id()))
-            .filter_map(|p| {
-                p.outputs()
-                    .iter()
-                    .map(|port| port.ty.clone())
-                    .find(|t| profiles.compatible(t, ty))
-                    .map(|t| (p.id(), t))
-            })
-            .collect()
-    };
-
-    // Repairs subscribe, and subscription order is delivery order:
-    // walk configurations in query-id order, not in the map's, so a
-    // replay of the same commands rewires (and later delivers)
-    // identically.
-    let mut configurations: Vec<_> = configurations.values_mut().collect();
-    configurations.sort_unstable_by_key(|c| c.query_id);
-
-    // --- Repair hosted instances (each exactly once, even if shared). ---
-    let mut repaired_instances: Vec<Guid> = Vec::new();
-    let affected: Vec<Guid> = configurations
-        .iter()
-        .filter(|c| c.sources.contains(&failed) || c.root_producers.contains(&failed))
-        .flat_map(|c| c.instances.iter().copied())
-        .collect();
-
-    for instance_id in affected {
-        if repaired_instances.contains(&instance_id) {
-            continue;
-        }
-        repaired_instances.push(instance_id);
-        let Some(state) = instances.get_mut(instance_id) else {
-            continue;
-        };
-        // Find this instance's subscriptions to the failed CE.
-        let broken: Vec<(sci_event::bus::SubId, Option<ContextType>, Option<Guid>)> = state
-            .subs
-            .iter()
-            .filter_map(|&sub| {
-                let topic = mediator.bus().topic_of(sub)?;
-                (topic.source() == Some(failed))
-                    .then(|| (sub, topic.ty().cloned(), topic.subject()))
-            })
-            .collect();
-        if broken.is_empty() {
-            continue;
-        }
-        for (sub, ty, about) in broken {
-            let _ = mediator.unsubscribe(sub);
-            state.subs.retain(|&s| s != sub);
-            let Some(ty) = ty else { continue };
-            // Sources this instance already listens to for a compatible
-            // type.
-            let already: Vec<Guid> = state
-                .subs
-                .iter()
-                .filter_map(|&s| {
-                    let t = mediator.bus().topic_of(s)?;
-                    let compatible = t
-                        .ty()
-                        .map(|sub_ty| profiles.compatible(sub_ty, &ty))
-                        .unwrap_or(false);
-                    compatible.then(|| t.source()).flatten()
-                })
-                .collect();
-            for (replacement, concrete_ty) in surviving_sources(&ty) {
-                if already.contains(&replacement) {
-                    continue;
-                }
-                let mut topic = Topic::of_type(concrete_ty).from(replacement);
-                if let Some(subject) = about {
-                    topic = topic.about(subject);
-                }
-                state
-                    .subs
-                    .push(mediator.subscribe(instance_id, topic, false));
-            }
-        }
-    }
-
-    // --- Repair direct CAA subscriptions and per-config bookkeeping. ---
-    for config in configurations {
-        if !(config.sources.contains(&failed) || config.root_producers.contains(&failed)) {
-            continue;
-        }
-        let mut replacements_used = Vec::new();
-
-        let broken_caa: Vec<(sci_event::bus::SubId, Option<ContextType>, Option<Guid>)> = config
-            .caa_subs
-            .iter()
-            .filter_map(|&sub| {
-                let topic = mediator.bus().topic_of(sub)?;
-                (topic.source() == Some(failed))
-                    .then(|| (sub, topic.ty().cloned(), topic.subject()))
-            })
-            .collect();
-        for (sub, ty, about) in broken_caa {
-            let _ = mediator.unsubscribe(sub);
-            caa_sub_index.remove(&sub);
-            config.caa_subs.retain(|&s| s != sub);
-            let Some(ty) = ty else { continue };
-            let already: Vec<Guid> = config
-                .caa_subs
-                .iter()
-                .filter_map(|&s| mediator.bus().topic_of(s).and_then(|t| t.source()))
-                .collect();
-            for (replacement, concrete_ty) in surviving_sources(&ty) {
-                if already.contains(&replacement) {
-                    continue;
-                }
-                let mut topic = Topic::of_type(concrete_ty).from(replacement);
-                if let Some(subject) = about {
-                    topic = topic.about(subject);
-                }
-                let new_sub = mediator.subscribe(config.owner, topic, config.one_time);
-                caa_sub_index.insert(new_sub, config.query_id);
-                config.caa_subs.push(new_sub);
-                replacements_used.push(replacement);
-                config.root_producers.push(replacement);
-            }
-        }
-        config.root_producers.retain(|&g| g != failed);
-
-        // Update the dependency set and collect instance-level
-        // replacements into the report.
-        config.sources.retain(|&g| g != failed);
-        for &instance_id in &config.instances {
-            if let Some(state) = instances.get(instance_id) {
-                for &s in &state.subs {
-                    if let Some(topic) = mediator.bus().topic_of(s) {
-                        if let Some(src) = topic.source() {
-                            if !config.sources.contains(&src) && !instances.contains(src) {
-                                config.sources.push(src);
-                                replacements_used.push(src);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // Degraded if an instance ended up with no subscriptions at all,
-        // or the CAA lost its only producer.
-        let degraded = config.root_producers.is_empty()
-            || config
-                .instances
-                .iter()
-                .any(|&i| instances.get(i).map(|s| s.subs.is_empty()).unwrap_or(false));
-
-        replacements_used.sort();
-        replacements_used.dedup();
-        reports.push(RepairReport {
-            query: config.query_id,
-            failed,
-            replacements: replacements_used,
-            at: now,
-            degraded,
-        });
-    }
-
-    reports
-}
-
-/// Wires a newly registered source CE into every live configuration
-/// whose demands it can satisfy — the positive direction of adaptivity:
-/// new capability arrives, running applications benefit immediately.
-/// Returns the number of subscriptions created.
-pub fn wire_new_source(cs: &mut ContextServer, source: Guid, outputs: &[ContextType]) -> usize {
-    let (instances, mediator, profiles, configurations, _excluded, caa_sub_index) =
-        cs.parts_for_repair();
-    let mut wired = 0;
-    let mut wired_instances: Vec<Guid> = Vec::new();
-
-    // Subscription order is delivery order: wire instances and
-    // configurations in GUID order, not in their maps', so a replay of
-    // the same commands delivers identically.
-    let mut states: Vec<_> = instances.iter_mut().collect();
-    states.sort_unstable_by_key(|state| state.instance);
-    for state in states {
-        for (ty, subject) in state.needs.clone() {
-            // A compatible output (same type or semantic equivalent).
-            let Some(concrete_ty) = outputs.iter().find(|t| profiles.compatible(t, &ty)) else {
-                continue;
-            };
-            let already = state.subs.iter().any(|&s| {
-                mediator
-                    .bus()
-                    .topic_of(s)
-                    .map(|t| t.source() == Some(source))
-                    .unwrap_or(false)
+    unwire(cs, failed, &outputs.unwrap_or_default())
+        .into_iter()
+        .map(|(query, replacements)| {
+            // Degraded if an instance ended up with no subscriptions at
+            // all, or the application lost its only producer.
+            let degraded = cs.configuration(query).is_some_and(|config| {
+                let starved = |&i: &Guid| cs.instances().get(i).is_some_and(|s| s.subs.is_empty());
+                config.root_producers.is_empty() || config.instances.iter().any(starved)
             });
-            if already {
-                continue;
+            RepairReport {
+                query,
+                failed,
+                replacements,
+                at: now,
+                degraded,
             }
-            let mut topic = source_topic(concrete_ty.clone(), source);
-            if let Some(s) = subject {
-                topic = topic.about(s);
-            }
-            state
-                .subs
-                .push(mediator.subscribe(state.instance, topic, false));
-            wired_instances.push(state.instance);
-            wired += 1;
-        }
-    }
-
-    let mut configurations: Vec<_> = configurations.values_mut().collect();
-    configurations.sort_unstable_by_key(|c| c.query_id);
-    for config in configurations {
-        // Instance-level wiring: record the new dependency.
-        if config.instances.iter().any(|i| wired_instances.contains(i))
-            && !config.sources.contains(&source)
-        {
-            config.sources.push(source);
-        }
-        // Direct-source roots: the CAA itself subscribes to sources.
-        let direct_roots = !config.plan.roots.is_empty()
-            && config
-                .plan
-                .roots
-                .iter()
-                .all(|&r| config.plan.nodes[r].kind == crate::resolver::NodeKind::Source);
-        let Some(concrete_ty) = outputs
-            .iter()
-            .find(|t| profiles.compatible(t, &config.requested))
-        else {
-            continue;
-        };
-        if !direct_roots {
-            continue;
-        }
-        let already = config.caa_subs.iter().any(|&s| {
-            mediator
-                .bus()
-                .topic_of(s)
-                .map(|t| t.source() == Some(source))
-                .unwrap_or(false)
-        });
-        if already {
-            continue;
-        }
-        let mut topic = source_topic(concrete_ty.clone(), source);
-        if let Some(s) = config.root_subject {
-            topic = topic.about(s);
-        }
-        let sub = mediator.subscribe(config.owner, topic, config.one_time);
-        caa_sub_index.insert(sub, config.query_id);
-        config.caa_subs.push(sub);
-        config.root_producers.push(source);
-        if !config.sources.contains(&source) {
-            config.sources.push(source);
-        }
-        wired += 1;
-    }
-    wired
-}
-
-fn source_topic(ty: ContextType, source: Guid) -> Topic {
-    Topic::of_type(ty).from(source)
+        })
+        .collect()
 }
 
 /// Runs failure detection (mediator liveness) and repairs everything
-/// that fell silent. Returns the repair reports.
+/// that fell silent — [`detect_and_repair_governed`] without a bound.
+/// Returns the repair reports.
 pub fn detect_and_repair(cs: &mut ContextServer, now: VirtualTime) -> Vec<RepairReport> {
-    let silent: Vec<Guid> = cs
-        .mediator()
-        .silent_publishers(now)
-        .into_iter()
-        .map(|(g, _)| g)
-        .collect();
-    let mut reports = Vec::new();
-    for ce in silent {
-        reports.extend(repair_source(cs, ce, now));
-    }
-    reports
+    let unbounded = AdaptationPolicy {
+        max_repairs_per_window: usize::MAX,
+        ..AdaptationPolicy::default()
+    };
+    detect_and_repair_governed(cs, &mut AdaptationGovernor::new(unbounded), now)
 }
 
 /// Bounds on acceptable adaptation (paper §6, open issue 3): "the
@@ -341,8 +279,12 @@ pub fn detect_and_repair(cs: &mut ContextServer, now: VirtualTime) -> Vec<Repair
 /// indefinitely.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct AdaptationPolicy {
-    /// Maximum repairs per configuration inside one window; further
-    /// repairs are suppressed until the window slides past.
+    /// Maximum repairs charged to one configuration inside one window.
+    /// A failure is one rewire — repaired for every configuration the
+    /// source fed, or for none — so this bounds how often a
+    /// configuration can be the reason for one: a failure is left
+    /// unrepaired, and counted as suppressed, only when every
+    /// configuration it affects has spent its budget.
     pub max_repairs_per_window: usize,
     /// The sliding window length.
     pub window: VirtualDuration,
@@ -415,69 +357,58 @@ impl AdaptationGovernor {
         *count >= self.policy.flap_threshold
     }
 
-    /// Asks whether a configuration may be repaired at `now`; if yes,
-    /// the repair is recorded against the window.
-    pub fn admit_repair(&mut self, config: Guid, now: VirtualTime) -> bool {
+    /// Whether a configuration has repair budget left in the window
+    /// ending at `now` (repairs that slid out of it are forgotten).
+    fn has_budget(&mut self, config: Guid, now: VirtualTime) -> bool {
         let history = self.repairs.entry(config).or_default();
         history.retain(|&t| now.saturating_since(t) <= self.policy.window);
-        if history.len() >= self.policy.max_repairs_per_window {
-            self.suppressed += 1;
-            false
+        history.len() < self.policy.max_repairs_per_window
+    }
+
+    /// Asks whether a configuration may be repaired at `now`; if yes,
+    /// the repair is recorded against the window, if not, counted as
+    /// suppressed.
+    pub fn admit_repair(&mut self, config: Guid, now: VirtualTime) -> bool {
+        let admitted = self.has_budget(config, now);
+        if admitted {
+            self.repairs.entry(config).or_default().push(now);
         } else {
-            history.push(now);
-            true
+            self.suppressed += 1;
         }
+        admitted
     }
 }
 
 /// [`detect_and_repair`] under an [`AdaptationGovernor`]: failures are
-/// recorded (flapping CEs quarantined), and configurations that already
-/// hit their repair budget this window are left alone — degraded but
-/// stable — instead of churning. Returns the reports of the repairs
-/// that were admitted.
+/// recorded (flapping CEs quarantined), and a failure whose every
+/// dependent configuration has already spent its repair budget this
+/// window is left unrepaired — degraded but stable — instead of
+/// churning. Returns the reports of the repairs that were made.
 pub fn detect_and_repair_governed(
     cs: &mut ContextServer,
     governor: &mut AdaptationGovernor,
     now: VirtualTime,
 ) -> Vec<RepairReport> {
-    let silent: Vec<Guid> = cs
-        .mediator()
-        .silent_publishers(now)
-        .into_iter()
-        .map(|(g, _)| g)
-        .collect();
     let mut reports = Vec::new();
-    for ce in silent {
+    for (ce, _) in cs.mediator().silent_publishers(now) {
         governor.record_failure(ce);
-        // Which configurations would be touched?
-        let affected: Vec<Guid> = {
-            let (_, _, _, configurations, _, _) = cs.parts_for_repair();
-            configurations
-                .values()
-                .filter(|c| c.sources.contains(&ce) || c.root_producers.contains(&ce))
-                .map(|c| c.query_id)
-                .collect()
-        };
-        let admitted: Vec<Guid> = affected
-            .into_iter()
-            .filter(|&q| governor.admit_repair(q, now))
-            .collect();
-        if admitted.is_empty() {
-            // Nothing to repair (or everything suppressed) — still mark
-            // the CE failed so resolution avoids it.
-            cs.mark_failed(ce);
-            continue;
+        let (in_budget, spent): (Vec<Guid>, Vec<Guid>) = cs
+            .configurations()
+            .filter(|c| c.sources.contains(&ce) || c.root_producers.contains(&ce))
+            .map(|c| c.query_id)
+            .partition(|&q| governor.has_budget(q, now));
+        // One rewire repairs it for everything it fed, charged to every
+        // window that has room. When none has — or nothing depends on
+        // it — each refusal is counted and the CE is only marked
+        // failed, so resolution avoids it.
+        let repair = !in_budget.is_empty();
+        for query in if repair { in_budget } else { spent } {
+            governor.admit_repair(query, now);
         }
-        // Repair, then keep only admitted configurations' reports. The
-        // others were not rewired because repair_source touches every
-        // affected config; to honour the budget we repair selectively by
-        // filtering afterwards and restoring is impractical — instead we
-        // accept the repair but count it, which keeps behaviour simple
-        // and the budget conservative.
-        for report in repair_source(cs, ce, now) {
-            if admitted.contains(&report.query) {
-                reports.push(report);
-            }
+        if repair {
+            reports.extend(repair_source(cs, ce, now));
+        } else {
+            cs.mark_failed(ce);
         }
     }
     reports
@@ -712,6 +643,81 @@ mod tests {
         assert!(reports.is_empty(), "second repair suppressed");
         assert!(governor.suppressed() >= 1);
         assert_eq!(governor.failure_count(r.doors[0]), 2);
+    }
+
+    /// The mixed case: the failed door feeds one configuration that has
+    /// spent its budget and one that has not. One rewire repairs both,
+    /// so both are reported and nothing counts as suppressed.
+    #[test]
+    fn a_repair_that_was_made_is_reported_whatever_the_budget() {
+        let mut r = rig(3);
+        let (bob, john) = (r.ids.next_guid(), r.ids.next_guid());
+        let spent = subscribe_location(&mut r, bob);
+        let fresh = subscribe_location(&mut r, john);
+        let mut governor = AdaptationGovernor::new(AdaptationPolicy {
+            max_repairs_per_window: 1,
+            window: VirtualDuration::from_secs(10_000),
+            flap_threshold: 100,
+        });
+        assert!(governor.admit_repair(spent, sci_types::VirtualTime::from_secs(1)));
+
+        for door in &r.doors[1..] {
+            r.cs.heartbeat(*door, sci_types::VirtualTime::from_secs(11))
+                .unwrap();
+        }
+        let reports = detect_and_repair_governed(
+            &mut r.cs,
+            &mut governor,
+            sci_types::VirtualTime::from_secs(11),
+        );
+        let mut repaired: Vec<Guid> = reports.iter().map(|rep| rep.query).collect();
+        repaired.sort();
+        let mut both = vec![spent, fresh];
+        both.sort();
+        assert_eq!(repaired, both, "both rewired, both reported");
+        assert_eq!(governor.suppressed(), 0, "no failure was left unrepaired");
+        for query in both {
+            let sources = &r.cs.configuration(query).unwrap().sources;
+            assert!(!sources.contains(&r.doors[0]), "{query} is off the door");
+        }
+    }
+
+    /// The oracle for `reconcile`: first wiring follows the plan, the
+    /// plan follows the rule, so a rewire straight after it — for every
+    /// door's outputs, over shared and unshared instances — finds
+    /// nothing to do: same subscriptions, same ids, same topics.
+    #[test]
+    fn a_rewire_straight_after_first_wiring_is_a_no_op() {
+        for doors in 1..=4 {
+            let mut r = rig(doors);
+            let (bob, john) = (r.ids.next_guid(), r.ids.next_guid());
+            subscribe_location(&mut r, bob);
+            subscribe_location(&mut r, bob);
+            subscribe_location(&mut r, john);
+            assert_eq!(r.cs.instance_count(), 2, "bob's is shared, john's is not");
+            let app = r.ids.next_guid();
+            let direct = Query::builder(r.ids.next_guid(), app)
+                .info(ContextType::Presence)
+                .mode(Mode::Subscribe)
+                .build();
+            r.cs.submit_query(&direct, sci_types::VirtualTime::ZERO)
+                .unwrap();
+
+            let wiring = |cs: &ContextServer| -> Vec<String> {
+                let bus = cs.mediator().bus();
+                bus.iter()
+                    .map(|s| format!("{} {} {}", s.id, s.subscriber, s.topic))
+                    .collect()
+            };
+            let as_wired = wiring(&r.cs);
+            assert_eq!(as_wired.len(), 2 * doors + 3 + doors);
+            for door in r.doors.clone() {
+                let outputs = output_types(r.cs.profiles().get(door).unwrap());
+                assert!(rewire(&mut r.cs, &outputs).is_empty(), "{doors} doors");
+            }
+            assert_eq!(wiring(&r.cs), as_wired, "{doors} doors");
+            assert!(r.cs.audit_configurations().is_clean());
+        }
     }
 
     #[test]

@@ -9,18 +9,20 @@
 //! * [`ProfileSource`] for [`ProfileManager`] — profile lookup plus the
 //!   range's semantic-equivalence classes as type compatibility;
 //! * [`expected_subscriptions`] — the subscription records a live
-//!   [`Configuration`] implies, for fleet drift detection against the
+//!   [`Configuration`] requires, for fleet drift detection against the
 //!   Event Mediator's actual table ([`record_of`] reduces a live
 //!   [`sci_event::Topic`] to the same shape).
+
+use std::collections::HashSet;
 
 use sci_analysis::fleet::SubscriptionRecord;
 use sci_analysis::{GraphEdge, GraphNode, NodeRole, PlanGraph, ProfileSource};
 use sci_event::bus::SubscriptionView;
 use sci_types::{ContextType, Guid, Profile};
 
-use crate::configuration::Configuration;
+use crate::configuration::{Configuration, InstanceStore};
 use crate::profile_manager::ProfileManager;
-use crate::resolver::{ConfigurationPlan, NodeKind};
+use crate::resolver::{sources_for, ConfigurationPlan, Need, NodeKind};
 
 impl ProfileSource for ProfileManager {
     fn profile(&self, ce: Guid) -> Option<&Profile> {
@@ -62,62 +64,87 @@ pub fn plan_graph(plan: &ConfigurationPlan) -> PlanGraph {
     }
 }
 
-/// The subscriptions a live configuration requires, reconstructed from
-/// its retained plan.
+/// The subscriptions a live configuration requires.
 ///
 /// Instantiation assigns each plan node the GUID its events carry:
 /// source nodes publish as the registered CE itself, derived nodes as
 /// the (possibly shared) instance created for them — recorded in
-/// [`Configuration::instances`] in plan-node order. Walking the plan
-/// with that mapping reproduces exactly the topics `instantiate` wired:
-/// one subscription per producer of each derived edge, plus the owning
-/// application's subscription to each root.
+/// [`Configuration::instances`] in plan-node order. The edges between
+/// derived nodes, and the owning application's subscription to a
+/// derived root, are the retained plan's for the configuration's life.
+/// A source-fed input — an instance's [`Need`]s, or the application's
+/// own ([`Configuration::source_need`]) — requires one subscription
+/// per source [`sources_for`] names now, the rule first wiring and
+/// every later rewire follow. A raw (Kind/Named) configuration has no
+/// plan: the application holds a source-only topic per selected
+/// producer.
 ///
 /// Returns `None` when the mapping is inconsistent (fewer recorded
-/// instances than derived nodes, or a root index outside the plan) —
-/// states the single-plan analyzer would itself reject.
-pub fn expected_subscriptions(config: &Configuration) -> Option<Vec<SubscriptionRecord>> {
+/// instances than derived nodes, a dead instance, or an index outside
+/// the plan) — states the single-plan analyzer would itself reject.
+pub fn expected_subscriptions(
+    config: &Configuration,
+    instances: &InstanceStore,
+    profiles: &ProfileManager,
+    excluded: &HashSet<Guid>,
+) -> Option<Vec<SubscriptionRecord>> {
     let plan = &config.plan;
+    let mut hosted = config.instances.iter();
     let mut producer_guid: Vec<Guid> = Vec::with_capacity(plan.nodes.len());
-    let mut instances = config.instances.iter();
     for node in &plan.nodes {
         match node.kind {
             NodeKind::Source => producer_guid.push(node.ce),
-            NodeKind::Derived => producer_guid.push(*instances.next()?),
+            NodeKind::Derived => producer_guid.push(*hosted.next()?),
+        }
+    }
+    let fed = |consumer: Guid, need: &Need| {
+        let subject = need.subject;
+        sources_for(profiles, &need.ty, &need.predicates, excluded)
+            .into_iter()
+            .map(move |(source, ty)| {
+                SubscriptionRecord::new(consumer, Some(ty), Some(source), subject)
+            })
+    };
+
+    let mut records = Vec::new();
+    for (node, &instance) in plan.nodes.iter().zip(&producer_guid) {
+        if node.kind == NodeKind::Source {
+            continue;
+        }
+        for edge in &node.inputs {
+            for &p in &edge.producers {
+                if plan.nodes.get(p)?.kind == NodeKind::Derived {
+                    records.push(SubscriptionRecord::new(
+                        instance,
+                        Some(plan.nodes[p].output.clone()),
+                        Some(producer_guid[p]),
+                        edge.subject,
+                    ));
+                }
+            }
+        }
+        for need in &instances.get(instance)?.needs {
+            records.extend(fed(instance, need));
         }
     }
 
-    let mut records = Vec::new();
-    for (idx, node) in plan.nodes.iter().enumerate() {
-        for edge in &node.inputs {
-            for &p in &edge.producers {
-                if p >= plan.nodes.len() {
-                    return None;
-                }
+    match config.source_need() {
+        Some(need) => records.extend(fed(config.owner, need)),
+        None => {
+            let subject = config.need.as_ref().and_then(|need| need.subject);
+            for (i, &producer) in config.root_producers.iter().enumerate() {
+                let ty = match plan.roots.get(i) {
+                    Some(&root) => Some(plan.nodes.get(root)?.output.clone()),
+                    None => None,
+                };
                 records.push(SubscriptionRecord::new(
-                    producer_guid[idx],
-                    Some(plan.nodes[p].output.clone()),
-                    Some(producer_guid[p]),
-                    edge.subject,
+                    config.owner,
+                    ty,
+                    Some(producer),
+                    subject,
                 ));
             }
         }
-    }
-
-    // The owning application's root subscriptions. Raw (Kind/Named)
-    // configurations have no plan: the CAA subscribes to each selected
-    // producer with a source-only topic.
-    for (i, &producer) in config.root_producers.iter().enumerate() {
-        let ty = match plan.roots.get(i) {
-            Some(&root) => Some(plan.nodes.get(root)?.output.clone()),
-            None => None,
-        };
-        records.push(SubscriptionRecord::new(
-            config.owner,
-            ty,
-            Some(producer),
-            config.root_subject,
-        ));
     }
     Some(records)
 }

@@ -25,7 +25,7 @@ use sci_event::{EventMediator, Topic};
 use sci_types::{ContextType, EventSeq, Guid, Metadata, SciError, SciResult};
 
 use crate::logic::{EntityLogic, LogicFactory};
-use crate::resolver::{ConfigurationPlan, NodeKind};
+use crate::resolver::{ConfigurationPlan, Need, NodeKind};
 
 /// A hosted logic instance for one configuration node.
 pub struct InstanceState {
@@ -43,10 +43,27 @@ pub struct InstanceState {
     pub seq: EventSeq,
     /// Input subscriptions held by this instance.
     pub subs: Vec<SubId>,
-    /// The typed demands this instance needs satisfied, independent of
-    /// which producers currently satisfy them — the record that lets a
-    /// newly arrived source be wired in.
-    pub needs: Vec<(ContextType, Option<Guid>)>,
+    /// The inputs the plan resolved to sources, independent of which
+    /// sources feed them at the moment — what adaptation keeps at the
+    /// rule's answer as sources come and go. An input fed by another
+    /// instance is not listed: it stays derived-fed.
+    pub needs: Vec<Need>,
+}
+
+/// The topic an input subscribes on: `producer`'s events of its
+/// concrete output type `ty` — a semantically equivalent provider
+/// emits its own type, not the demanded one; a raw subscription names
+/// none — about `subject` if the input is scoped. First wiring and
+/// adaptation build their topics here, so they compare equal.
+pub(crate) fn input_topic(ty: Option<ContextType>, producer: Guid, subject: Option<Guid>) -> Topic {
+    let topic = match ty {
+        Some(ty) => Topic::of_type(ty).from(producer),
+        None => Topic::from_source(producer),
+    };
+    match subject {
+        Some(subject) => topic.about(subject),
+        None => topic,
+    }
 }
 
 fn binding_key(binding: &Metadata) -> String {
@@ -78,8 +95,6 @@ pub struct Configuration {
     pub query_id: Guid,
     /// The subscribing CAA.
     pub owner: Guid,
-    /// The context type delivered to the CAA.
-    pub requested: ContextType,
     /// Producers the CAA is subscribed to (instance GUIDs, or source CE
     /// GUIDs when the demand resolved directly to sensors).
     pub root_producers: Vec<Guid>,
@@ -89,17 +104,30 @@ pub struct Configuration {
     pub caa_subs: Vec<SubId>,
     /// Whether the paper's "one-time subscription" mode applies.
     pub one_time: bool,
-    /// Source CEs the configuration ultimately depends on.
+    /// Source CEs the configuration ultimately depends on, sorted.
     pub sources: Vec<Guid>,
-    /// The plan, retained for failure repair.
+    /// The plan as first resolved. Its derived nodes and the edges
+    /// between them stand for the configuration's life; its source
+    /// leaves are the sources of that moment — `sources` is current.
     pub plan: ConfigurationPlan,
-    /// Subject scope of the root demand, if the query constrained one
-    /// (used when wiring newly arrived sources into direct-source
-    /// configurations).
-    pub root_subject: Option<Guid>,
+    /// What the query asked for at the root of the plan (`None` for a
+    /// raw `Kind`/`Named` subscription): its subject scopes the
+    /// application's own subscriptions, and see
+    /// [`Configuration::source_need`].
+    pub need: Option<Need>,
     /// Quality-of-context contract: maximum acceptable event age at
     /// delivery time, if the query demanded one (`qoc-max-age-us`).
     pub max_age: Option<sci_types::VirtualDuration>,
+}
+
+impl Configuration {
+    /// The need the application itself consumes from sources: the root
+    /// demand, when the plan resolved it straight to sensors. With a
+    /// derived CE at the root the application is fed by that instance,
+    /// and stays so.
+    pub fn source_need(&self) -> Option<&Need> {
+        self.need.as_ref().filter(|_| self.instances.is_empty())
+    }
 }
 
 impl InstanceStore {
@@ -148,16 +176,11 @@ impl InstanceStore {
         self.instances.values()
     }
 
-    /// Mutable iteration (used by failure repair).
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut InstanceState> {
-        self.instances.values_mut()
-    }
-
     /// Instantiates a plan: creates (or reuses) instances bottom-up and
     /// wires their input subscriptions through the mediator.
     ///
-    /// Returns the configuration record; the caller adds the CAA's own
-    /// subscriptions to `caa_subs`.
+    /// Returns the configuration record; the caller states the root
+    /// `need` and adds the CAA's own subscriptions to `caa_subs`.
     ///
     /// # Errors
     ///
@@ -207,21 +230,19 @@ impl InstanceStore {
                     let mut subs = Vec::new();
                     let mut needs = Vec::new();
                     for edge in &node.inputs {
-                        let need = (edge.ty.clone(), edge.subject);
-                        if !needs.contains(&need) {
+                        let source = |&p: &usize| plan.nodes[p].kind == NodeKind::Source;
+                        let need = Need {
+                            ty: edge.ty.clone(),
+                            subject: edge.subject,
+                            predicates: Vec::new(),
+                        };
+                        if edge.producers.iter().all(source) && !needs.contains(&need) {
                             needs.push(need);
                         }
                         for &p in &edge.producers {
                             debug_assert!(p < idx, "children precede parents");
-                            // Subscribe with the *producer's* concrete
-                            // output type: a semantically equivalent
-                            // provider emits its own type, not the
-                            // demanded one.
-                            let mut topic =
-                                Topic::of_type(plan.nodes[p].output.clone()).from(producer_guid[p]);
-                            if let Some(subject) = edge.subject {
-                                topic = topic.about(subject);
-                            }
+                            let ty = Some(plan.nodes[p].output.clone());
+                            let topic = input_topic(ty, producer_guid[p], edge.subject);
                             subs.push(mediator.subscribe(instance, topic, false));
                         }
                     }
@@ -247,17 +268,18 @@ impl InstanceStore {
             }
         }
 
+        let mut sources = plan.source_ces();
+        sources.sort_unstable();
         Ok(Configuration {
             query_id,
             owner,
-            requested: plan.output.clone(),
             root_producers: plan.roots.iter().map(|&r| producer_guid[r]).collect(),
             instances: used_instances,
             caa_subs: Vec::new(),
             one_time,
-            sources: plan.source_ces(),
+            sources,
             plan: plan.clone(),
-            root_subject: None,
+            need: None,
             max_age: None,
         })
     }
@@ -401,7 +423,7 @@ mod tests {
         let mut sources = config.sources.clone();
         sources.sort();
         assert_eq!(sources, f.doors);
-        assert_eq!(config.requested, ContextType::Path);
+        assert_eq!(config.plan.output, ContextType::Path);
         let _ = (f.path_ce, f.obj_loc);
     }
 

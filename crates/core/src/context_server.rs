@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use sci_event::bus::SubId;
 use sci_event::sim::Scheduler;
-use sci_event::{EventMediator, Topic};
+use sci_event::EventMediator;
 use sci_location::floorplan::FloorPlan;
 use sci_query::{Mode, Query, What, When, Where, Which};
 use sci_types::guid::GuidGenerator;
@@ -40,7 +40,7 @@ use sci_types::{
 
 use sci_analysis::fleet::{diff_subscriptions, SubscriptionRecord};
 
-use crate::configuration::{Configuration, InstanceStore};
+use crate::configuration::{input_topic, Configuration, InstanceStore};
 use crate::durability::RangeWal;
 use crate::history::ContextStore;
 use crate::location_service::LocationService;
@@ -50,7 +50,8 @@ use crate::profile_manager::ProfileManager;
 use crate::registrar::Registrar;
 use sci_telemetry::{Registry, TelemetrySnapshot, Tracer};
 
-use crate::resolver::{plan_configuration, Demand};
+use crate::adaptation::{output_types, rewire, unwire};
+use crate::resolver::{plan_need, Need};
 use crate::runtime::RangeCommand;
 use crate::telemetry::{elapsed_us, CsMetrics};
 
@@ -70,23 +71,24 @@ pub struct ContextServer {
     id: Guid,
     name: String,
     registrar: Registrar,
-    profiles: ProfileManager,
-    mediator: EventMediator,
+    // `pub(crate)`: the six tables `adaptation::rewire` works on.
+    pub(crate) profiles: ProfileManager,
+    pub(crate) mediator: EventMediator,
     location: LocationService,
-    instances: InstanceStore,
+    pub(crate) instances: InstanceStore,
     factories: HashMap<Guid, LogicFactory>,
     advertisements: HashMap<Guid, Vec<Advertisement>>,
-    configurations: HashMap<Guid, Configuration>,
+    pub(crate) configurations: HashMap<Guid, Configuration>,
     /// The original query behind each live configuration, kept so a
     /// migrating owner's subscriptions can be replayed verbatim at its
     /// new home range (a `Configuration` no longer holds the query).
     origin_queries: HashMap<Guid, Query>,
-    caa_sub_index: HashMap<SubId, Guid>,
+    pub(crate) caa_sub_index: HashMap<SubId, Guid>,
     deferred: Vec<DeferredQuery>,
     timers: Scheduler<Guid>,
     outbox: Vec<AppDelivery>,
     answers: Vec<(Guid, Guid, QueryAnswer)>,
-    excluded: HashSet<Guid>,
+    pub(crate) excluded: HashSet<Guid>,
     ids: GuidGenerator,
     auto_register_people: bool,
     stale_drops: u64,
@@ -339,14 +341,12 @@ impl ContextServer {
         }
         // A repaired CE re-registering stops being excluded.
         self.excluded.remove(&profile.id());
-        let id = profile.id();
-        let outputs: Vec<ContextType> = profile.outputs().iter().map(|p| p.ty.clone()).collect();
-        let is_source = profile.is_source();
+        let outputs = profile.is_source().then(|| output_types(&profile));
         self.profiles.insert(profile)?;
         // New sensing capability benefits running configurations
         // immediately (positive adaptivity).
-        if is_source {
-            crate::adaptation::wire_new_source(self, id, &outputs);
+        if let Some(outputs) = outputs {
+            rewire(self, &outputs);
         }
         Ok(())
     }
@@ -370,7 +370,9 @@ impl ContextServer {
     }
 
     pub(crate) fn declare_equivalence_impl(&mut self, a: ContextType, b: ContextType) {
-        self.profiles.declare_equivalence(a, b);
+        self.profiles.declare_equivalence(a.clone(), b.clone());
+        // Sources of either type now feed needs for the other.
+        rewire(self, &[a, b]);
     }
 
     /// Records a liveness heartbeat from a tracked source CE without an
@@ -434,8 +436,6 @@ impl ContextServer {
         now: VirtualTime,
     ) -> SciResult<EntityDescriptor> {
         let (descriptor, held) = self.evict(id, now)?;
-        // Departure behaves like failure for dependent configurations.
-        self.excluded.insert(id);
         // Its registrations and queries go with it; what was already
         // produced for it stays queued until somebody drains it.
         self.outbox.extend(held.deliveries);
@@ -484,9 +484,11 @@ impl ContextServer {
     }
 
     /// The taker: removes everything this range holds on behalf of
-    /// `id` and hands it back. Dependent configurations repair as for
-    /// any departure, but leaving is not failing: the entity is *not*
-    /// excluded from future plans.
+    /// `id` and hands it back, and rewires what its outputs fed.
+    /// Leaving is not failing: the entity is *not* marked excluded, and
+    /// a mark it carried goes with it — the wiring rule reads
+    /// registered profiles only and `register` clears the mark, so on
+    /// an absent entity nothing could ever read it.
     ///
     /// # Errors
     ///
@@ -505,7 +507,8 @@ impl ContextServer {
             }
         };
         let held = self.held(Some(id));
-        if self.profiles.remove(id).is_err() {
+        let outputs = self.profiles.remove(id).map(|p| output_types(&p));
+        if outputs.is_err() {
             // Registered but profile-less: at least counted.
             self.metrics.record_deregister_unknown();
         }
@@ -521,8 +524,8 @@ impl ContextServer {
         }
         self.outbox.retain(|d| d.app != id);
         self.answers.retain(|a| a.1 != id);
-        let _ = crate::adaptation::repair_source(self, id, now);
         self.excluded.remove(&id);
+        unwire(self, id, &outputs.unwrap_or_default());
         Ok((descriptor, held))
     }
 
@@ -664,7 +667,6 @@ impl ContextServer {
         if self.registrar.is_registered(entity) {
             let _ = self.deregister_impl(entity, now);
         }
-        self.excluded.remove(&entity);
         let adopted = self.adopt(packet, Vec::new(), now);
         self.metrics.record_migrate_in();
         match adopted? {
@@ -812,19 +814,14 @@ impl ContextServer {
         one_time: bool,
         _now: VirtualTime,
     ) -> SciResult<QueryAnswer> {
-        let mut config = match &query.what {
-            What::Information { ty, constraints } => {
-                let subject = constraints
-                    .iter()
-                    .find(|c| c.attr == "subject")
-                    .and_then(|c| c.value.as_id());
-                let demand = Demand {
-                    ty: ty.clone(),
-                    subject,
-                };
+        let need = match &query.what {
+            What::Information { ty, constraints } => Some(Need::stated(ty, constraints)),
+            What::Kind(_) | What::Named(_) => None,
+        };
+        let mut config = match &need {
+            Some(need) => {
                 let plan_started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
-                let planned =
-                    plan_configuration(&self.profiles, &demand, constraints, &self.excluded);
+                let planned = plan_need(&self.profiles, need, &self.excluded);
                 self.metrics.record_plan_attempt(elapsed_us(plan_started));
                 let plan = planned?;
                 self.metrics.record_plan_shape(
@@ -852,13 +849,12 @@ impl ContextServer {
                     &self.factories,
                 )?
             }
-            What::Kind(_) | What::Named(_) => {
+            None => {
                 // Subscribe to raw events from the selected entities.
                 let selected = self.select_entities(query)?;
                 Configuration {
                     query_id: query.id,
                     owner: query.owner,
-                    requested: ContextType::custom("raw"),
                     root_producers: selected,
                     instances: Vec::new(),
                     caa_subs: Vec::new(),
@@ -869,33 +865,24 @@ impl ContextServer {
                         roots: Vec::new(),
                         output: ContextType::custom("raw"),
                     },
-                    root_subject: None,
+                    need: None,
                     max_age: None,
                 }
             }
         };
-        if let What::Information { constraints, .. } = &query.what {
-            config.root_subject = constraints
-                .iter()
-                .find(|c| c.attr == "subject")
-                .and_then(|c| c.value.as_id());
-        }
+        let subject = need.as_ref().and_then(|n| n.subject);
+        config.need = need;
         config.max_age = query.max_age();
 
-        // Subscribe the CAA to each root producer, using the producer's
-        // concrete output type (which may be a semantic equivalent of
-        // the demanded type).
+        // Subscribe the CAA to each root producer (Kind/Named
+        // subscriptions have no plan, so no root: raw events).
         for (i, &producer) in config.root_producers.iter().enumerate() {
-            let mut topic = match config.plan.roots.get(i) {
-                Some(&root) => {
-                    Topic::of_type(config.plan.nodes[root].output.clone()).from(producer)
-                }
-                // Kind/Named subscriptions have no plan: raw events.
-                None => Topic::from_source(producer),
-            };
-            if let Some(subject) = config.root_subject {
-                topic = topic.about(subject);
-            }
+            let root = config
+                .plan
+                .roots
+                .get(i)
+                .map(|&root| &config.plan.nodes[root]);
+            let topic = input_topic(root.map(|node| node.output.clone()), producer, subject);
             let sub = self.mediator.subscribe(query.owner, topic, one_time);
             config.caa_subs.push(sub);
             self.caa_sub_index.insert(sub, query.id);
@@ -1101,8 +1088,6 @@ impl ContextServer {
                 if self.registrar.is_registered(subject) {
                     // Graceful departure of a sensed person.
                     let _ = self.deregister_impl(subject, now);
-                    // Departure is not failure: do not exclude them.
-                    self.excluded.remove(&subject);
                 }
             }
             _ => {
@@ -1338,31 +1323,8 @@ impl ContextServer {
             .max()
     }
 
-    // ------------------------------------------------------------------
-    // Internal access for the adaptation and federation modules
-    // ------------------------------------------------------------------
-
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn parts_for_repair(
-        &mut self,
-    ) -> (
-        &mut InstanceStore,
-        &mut EventMediator,
-        &ProfileManager,
-        &mut HashMap<Guid, Configuration>,
-        &HashSet<Guid>,
-        &mut HashMap<SubId, Guid>,
-    ) {
-        (
-            &mut self.instances,
-            &mut self.mediator,
-            &self.profiles,
-            &mut self.configurations,
-            &self.excluded,
-            &mut self.caa_sub_index,
-        )
-    }
-
+    /// Marks a CE failed: the wiring rule stops naming it until it
+    /// registers again, and its liveness is no longer tracked.
     pub(crate) fn mark_failed(&mut self, ce: Guid) {
         self.excluded.insert(ce);
         self.mediator.untrack_publisher(ce);
@@ -1505,14 +1467,19 @@ impl ContextServer {
     }
 
     /// Fleet-mode drift audit: compares the subscriptions every live
-    /// configuration's analyzed plan requires against the Event
-    /// Mediator's actual table.
+    /// configuration requires — the edges between derived CEs its
+    /// analyzed plan fixed, and for every source-fed input the sources
+    /// the wiring rule names *now* — against the Event Mediator's
+    /// actual table.
     ///
     /// * `SCI-A101` (error) — a required subscription is missing, so an
-    ///   analyzed edge no longer delivers;
-    /// * `SCI-A102` (warning) — configuration wiring no retained plan
-    ///   accounts for. Adaptive repairs that wired a newly arrived
-    ///   source into a running configuration legitimately show up here.
+    ///   edge no longer delivers;
+    /// * `SCI-A102` (warning) — configuration wiring nothing accounts
+    ///   for.
+    ///
+    /// Both are drift: adaptation rewires to the same rule, so neither
+    /// fires after a departure, a failure, an arrival or a declared
+    /// equivalence.
     ///
     /// Subscriptions unrelated to configurations (nothing in this
     /// server creates them today) are ignored.
@@ -1520,7 +1487,12 @@ impl ContextServer {
         let mut report = AnalysisReport::new();
         let mut expected: Vec<SubscriptionRecord> = Vec::new();
         for config in self.configurations.values() {
-            match crate::analysis_bridge::expected_subscriptions(config) {
+            match crate::analysis_bridge::expected_subscriptions(
+                config,
+                &self.instances,
+                &self.profiles,
+                &self.excluded,
+            ) {
                 Some(records) => expected.extend(records),
                 None => report.push(Diagnostic::new(
                     DiagCode::DanglingEdge,
@@ -1552,6 +1524,7 @@ impl ContextServer {
 mod tests {
     use super::*;
     use crate::logic::{factory, ObjLocationLogic, PathLogic};
+    use sci_event::Topic;
     use sci_location::floorplan::capa_level10;
     use sci_query::{Predicate, Subject};
     use sci_types::PortSpec;
@@ -2246,6 +2219,95 @@ mod tests {
         assert_eq!(r.cs.instance_count(), instances_before);
         let audit = r.cs.audit_configurations();
         assert!(audit.is_clean(), "{audit}");
-        assert!(r.cs.excluded().contains(&app), "departure reads as failure");
+        assert!(!r.cs.excluded().contains(&app), "leaving is not failing");
+    }
+
+    fn subscribe_path(r: &mut Rig) -> Guid {
+        let (app, bob, john) = (r.ids.next_guid(), r.ids.next_guid(), r.ids.next_guid());
+        let q = Query::builder(r.ids.next_guid(), app)
+            .info_matching(
+                ContextType::Path,
+                vec![
+                    Predicate::eq("from", ContextValue::Id(bob)),
+                    Predicate::eq("to", ContextValue::Id(john)),
+                ],
+            )
+            .mode(Mode::Subscribe)
+            .build();
+        r.cs.submit_query(&q, VirtualTime::ZERO).unwrap();
+        q.id
+    }
+
+    fn wiring(cs: &ContextServer) -> Vec<String> {
+        let bus = cs.mediator.bus();
+        bus.iter()
+            .map(|s| format!("{} {}", s.id, s.topic))
+            .collect()
+    }
+
+    /// R4: `pathCE`'s `from` and `to` inputs are fed by `objLocationCE`
+    /// instances. A `Location` *source* arriving later was wired to the
+    /// `from` input beside the instance already feeding it — a fan-in
+    /// the resolver never plans.
+    #[test]
+    fn a_derived_fed_input_stays_derived_fed() {
+        let mut r = rig();
+        subscribe_path(&mut r);
+        let before = wiring(&r.cs);
+        r.cs.register(
+            Profile::builder(r.ids.next_guid(), EntityKind::Device, "gps")
+                .output(PortSpec::new("fix", ContextType::Location))
+                .build(),
+            VirtualTime::from_secs(1),
+        )
+        .unwrap();
+        assert_eq!(wiring(&r.cs), before, "no input changes its feed");
+        let audit = r.cs.audit_configurations();
+        assert!(audit.is_clean(), "{audit}");
+    }
+
+    /// R5: the range's own audit reported `SCI-A101` after a clean
+    /// departure (until the door came back) and `SCI-A102` after an
+    /// arrival. It compares the bus against what the rule names now,
+    /// so neither fires after an adaptation.
+    #[test]
+    fn the_audit_is_clean_after_every_adaptation() {
+        let mut r = rig();
+        let query = subscribe_path(&mut r);
+        let door = |id: Guid| {
+            Profile::builder(id, EntityKind::Device, format!("door-{id}"))
+                .output(PortSpec::new("presence", ContextType::Presence))
+                .build()
+        };
+        let (left, newcomer, failed) = (door(r.doors[0]), door(r.ids.next_guid()), r.doors[2]);
+        let feeding = |cs: &ContextServer| {
+            let mut sources = cs.configuration(query).unwrap().sources.clone();
+            sources.sort();
+            sources
+        };
+        let clean = |cs: &ContextServer, after: &str| {
+            let audit = cs.audit_configurations();
+            assert!(audit.is_clean(), "after {after}: {audit}");
+        };
+
+        r.cs.deregister(left.id(), VirtualTime::from_secs(1))
+            .unwrap();
+        clean(&r.cs, "a clean departure");
+        let mut expected = vec![r.doors[1], r.doors[2]];
+        expected.sort();
+        assert_eq!(feeding(&r.cs), expected);
+
+        r.cs.register(newcomer.clone(), VirtualTime::from_secs(2))
+            .unwrap();
+        clean(&r.cs, "an arrival");
+
+        crate::adaptation::repair_source(&mut r.cs, failed, VirtualTime::from_secs(3));
+        clean(&r.cs, "a failure");
+
+        r.cs.register(left, VirtualTime::from_secs(4)).unwrap();
+        clean(&r.cs, "the return");
+        let mut expected = vec![r.doors[0], r.doors[1], newcomer.id()];
+        expected.sort();
+        assert_eq!(feeding(&r.cs), expected);
     }
 }

@@ -1066,7 +1066,7 @@ mod tests {
     }
 
     /// A small range with one of everything a snapshot carries.
-    fn populated() -> (ContextServer, [Element; 4]) {
+    fn populated() -> (ContextServer, [Element; 5]) {
         let (thermo, app, query) = (
             Guid::from_u128(1),
             Guid::from_u128(0xA),
@@ -1082,10 +1082,9 @@ mod tests {
             .build();
         cs.register(profile.clone(), VirtualTime::ZERO).unwrap();
         cs.declare_equivalence(ContextType::Temperature, ContextType::custom("temp"));
-        let gone = Profile::builder(Guid::from_u128(2), EntityKind::Device, "gone").build();
-        cs.register(gone, VirtualTime::ZERO).unwrap();
-        cs.deregister(Guid::from_u128(2), VirtualTime::ZERO)
-            .unwrap();
+        let broken = Profile::builder(Guid::from_u128(2), EntityKind::Device, "broken").build();
+        cs.register(broken.clone(), VirtualTime::ZERO).unwrap();
+        crate::adaptation::repair_source(&mut cs, broken.id(), VirtualTime::ZERO);
         let standing = Query::builder(query, app)
             .info(ContextType::Temperature)
             .mode(sci_query::Mode::Subscribe)
@@ -1112,6 +1111,7 @@ mod tests {
         cs.ingest(&reading, VirtualTime::from_secs(2)).unwrap();
         let sections = [
             qcodec::profile_to_element(&profile),
+            qcodec::profile_to_element(&broken),
             qcodec::query_to_element(&standing),
             qcodec::query_to_element(&parked),
             qcodec::event_to_element(&reading),
@@ -1125,13 +1125,13 @@ mod tests {
     /// tables behind it byte for byte.
     #[test]
     fn snapshot_document_is_pinned() {
-        let (cs, [profile, standing, parked, reading]) = populated();
+        let (cs, [profile, broken, standing, parked, reading]) = populated();
         let (app, query) = (Guid::from_u128(0xA), Guid::from_u128(0x10));
         let expected = format!(
             "<range-snapshot now-us=\"3000000\" reuse=\"true\" auto-register=\"true\" \
              verify-plans=\"true\" delivery-seq=\"0\" answer-seq=\"0\">\
              <equivalence><member name=\"temp\"/><member name=\"temperature\"/></equivalence>\
-             {profile}{standing}\
+             {profile}{broken}{standing}\
              <deferred stored-at-us=\"1000000\">{parked}</deferred>\
              <delivery app=\"{app}\" query=\"{query}\">{reading}</delivery>\
              <excluded id=\"{}\"/></range-snapshot>",

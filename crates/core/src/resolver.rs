@@ -49,13 +49,81 @@ impl Demand {
     }
 }
 
-impl fmt::Display for Demand {
+/// What an input needs: a [`Demand`] and the attribute predicates its
+/// providers must satisfy. The resolver plans for one; where the plan
+/// feeds it from sources it is recorded on its consumer, independent of
+/// which sources satisfy it at the moment — [`sources_for`] says which
+/// do, and adaptation keeps the consumer's subscriptions at that answer
+/// as sources come and go.
+#[derive(Clone, PartialEq, Debug)]
+pub struct Need {
+    /// The context type required.
+    pub ty: ContextType,
+    /// The entity the context must be about, if constrained.
+    pub subject: Option<Guid>,
+    /// Attribute predicates a source must satisfy ("in degrees
+    /// Celsius"). Only a query's What clause states any; the inputs of
+    /// a derived CE have none.
+    pub predicates: Vec<Predicate>,
+}
+
+impl Need {
+    /// What a What clause asks for: the reserved Id-valued `subject`
+    /// constraint scopes the need, delivery-time quality contracts
+    /// (the `qoc-` prefix) are not the provider's business, and the
+    /// rest are attribute predicates.
+    pub fn stated(ty: &ContextType, constraints: &[Predicate]) -> Need {
+        let mut predicates = sci_query::matcher::attribute_constraints(constraints);
+        predicates.retain(|c| !(c.attr == "subject" && matches!(c.value, ContextValue::Id(_))));
+        Need {
+            ty: ty.clone(),
+            subject: constraints
+                .iter()
+                .find(|c| c.attr == "subject")
+                .and_then(|c| c.value.as_id()),
+            predicates,
+        }
+    }
+}
+
+impl fmt::Display for Need {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.subject {
             Some(s) => write!(f, "{} of {s}", self.ty),
             None => write!(f, "{}", self.ty),
         }
     }
+}
+
+/// The wiring rule: the sources that feed a need for `ty` — every
+/// registered, non-excluded source CE with an output compatible with
+/// `ty` (the same type or a declared equivalent, paper §6 open issue
+/// 2) whose attributes satisfy `predicates`, each with the concrete
+/// output type to subscribe on, in registration order per equivalent
+/// type. The resolver plans with it and adaptation rewires to it;
+/// nothing else decides which sources feed what.
+pub fn sources_for(
+    pm: &ProfileManager,
+    ty: &ContextType,
+    predicates: &[Predicate],
+    excluded: &HashSet<Guid>,
+) -> Vec<(Guid, ContextType)> {
+    pm.providers_of_compatible(ty)
+        .into_iter()
+        .filter(|p| p.is_source() && !excluded.contains(&p.id()))
+        .filter(|p| eval_all(predicates, p.attributes()))
+        .filter_map(|p| Some((p.id(), output_for(pm, p, ty)?)))
+        .collect()
+}
+
+/// The concrete output type `provider` contributes to a demand for
+/// `ty`: its first output compatible with it.
+fn output_for(pm: &ProfileManager, provider: &Profile, ty: &ContextType) -> Option<ContextType> {
+    let port = provider
+        .outputs()
+        .iter()
+        .find(|o| pm.compatible(&o.ty, ty))?;
+    Some(port.ty.clone())
 }
 
 /// Index of a node within a [`ConfigurationPlan`].
@@ -191,28 +259,31 @@ pub fn plan_configuration(
     constraints: &[Predicate],
     excluded: &HashSet<Guid>,
 ) -> SciResult<ConfigurationPlan> {
-    // `subject` with an Id value is the reserved scoping constraint —
-    // it is already captured in `demand.subject`, not an attribute of
-    // the provider. Delivery-time quality contracts (the `qoc-` prefix)
-    // are filtered out by the shared matcher helper.
-    let constraints: Vec<Predicate> = sci_query::matcher::attribute_constraints(constraints)
-        .into_iter()
-        .filter(|c| !(c.attr == "subject" && matches!(c.value, ContextValue::Id(_))))
-        .collect();
-    let mut nodes = Vec::new();
-    let mut path = Vec::new();
-    let roots = resolve_demand(pm, demand, &constraints, excluded, &mut nodes, &mut path, 0)?;
+    let need = Need {
+        subject: demand.subject,
+        ..Need::stated(&demand.ty, constraints)
+    };
+    plan_need(pm, &need, excluded)
+}
+
+/// [`plan_configuration`] for a need already stated.
+pub(crate) fn plan_need(
+    pm: &ProfileManager,
+    need: &Need,
+    excluded: &HashSet<Guid>,
+) -> SciResult<ConfigurationPlan> {
+    let (mut nodes, mut path) = (Vec::new(), Vec::new());
+    let roots = resolve_need(pm, need, excluded, &mut nodes, &mut path, 0)?;
     Ok(ConfigurationPlan {
         nodes,
         roots,
-        output: demand.ty.clone(),
+        output: need.ty.clone(),
     })
 }
 
-fn resolve_demand(
+fn resolve_need(
     pm: &ProfileManager,
-    demand: &Demand,
-    constraints: &[Predicate],
+    need: &Need,
     excluded: &HashSet<Guid>,
     nodes: &mut Vec<PlanNode>,
     path: &mut Vec<Guid>,
@@ -220,52 +291,23 @@ fn resolve_demand(
 ) -> SciResult<Vec<NodeId>> {
     if depth > MAX_DEPTH {
         return Err(SciError::Unresolvable(format!(
-            "composition deeper than {MAX_DEPTH} while resolving {demand}"
+            "composition deeper than {MAX_DEPTH} while resolving {need}"
         )));
     }
-    // Providers of the demanded type *or any semantically equivalent
-    // type* (paper §6 open issue 2) are candidates.
-    let providers: Vec<&Profile> = pm
-        .providers_of_compatible(&demand.ty)
-        .into_iter()
-        .filter(|p| !excluded.contains(&p.id()) && !path.contains(&p.id()))
-        .collect();
-    // The concrete output type a provider contributes for this demand.
-    // Candidates come from `providers_of_compatible`, so a compatible
-    // output exists; the fallback keeps the closure total regardless.
-    let output_of = |p: &Profile| -> ContextType {
-        p.outputs()
-            .iter()
-            .map(|port| port.ty.clone())
-            .find(|t| pm.compatible(t, &demand.ty))
-            .unwrap_or_else(|| demand.ty.clone())
-    };
-
     // Source CEs first: the search terminates at the sensor/data level.
-    // Sources must also satisfy the attribute predicates (e.g.
-    // "temperature in degrees Celsius" filters thermometers by unit).
-    let sources: Vec<&Profile> = providers
-        .iter()
-        .copied()
-        .filter(|p| {
-            p.is_source() && {
-                let (_, predicates) = split_constraints(p, constraints);
-                predicates.iter().all(|c| c.eval(p.attributes()))
-            }
-        })
-        .collect();
+    let sources = sources_for(pm, &need.ty, &need.predicates, excluded);
     if !sources.is_empty() {
         let mut ids = Vec::with_capacity(sources.len());
-        for source in sources {
+        for (ce, output) in sources {
             // Reuse an existing leaf node for the same CE within this plan.
             let existing = nodes
                 .iter()
-                .position(|n| n.kind == NodeKind::Source && n.ce == source.id());
+                .position(|n| n.kind == NodeKind::Source && n.ce == ce);
             let id = existing.unwrap_or_else(|| {
                 nodes.push(PlanNode {
-                    ce: source.id(),
+                    ce,
                     kind: NodeKind::Source,
-                    output: output_of(source),
+                    output,
                     binding: Metadata::new(),
                     inputs: Vec::new(),
                 });
@@ -279,7 +321,11 @@ fn resolve_demand(
     // Derived providers: deterministic preference order — fewer inputs
     // first (cheaper graphs), then by name for stability. Attribute
     // predicates must hold on the provider.
-    let mut derived: Vec<&Profile> = providers.into_iter().filter(|p| !p.is_source()).collect();
+    let mut derived: Vec<&Profile> = pm
+        .providers_of_compatible(&need.ty)
+        .into_iter()
+        .filter(|p| !p.is_source() && !excluded.contains(&p.id()) && !path.contains(&p.id()))
+        .collect();
     derived.sort_by(|a, b| {
         a.inputs()
             .len()
@@ -289,11 +335,8 @@ fn resolve_demand(
 
     let mut last_error = None;
     for provider in derived {
-        let (port_bindings, predicates) = split_constraints(provider, constraints);
-        if !eval_all(
-            &predicates.iter().map(|&p| p.clone()).collect::<Vec<_>>(),
-            provider.attributes(),
-        ) {
+        let (port_bindings, predicates) = split_constraints(provider, &need.predicates);
+        if !predicates.iter().all(|p| p.eval(provider.attributes())) {
             continue;
         }
 
@@ -302,7 +345,7 @@ fn resolve_demand(
         path.push(provider.id());
         let attempt = (|| -> SciResult<PlanNode> {
             let mut binding = Metadata::new();
-            if let Some(subject) = demand.subject {
+            if let Some(subject) = need.subject {
                 binding.set("subject", ContextValue::Id(subject));
             }
             for (port, id) in &port_bindings {
@@ -316,12 +359,13 @@ fn resolve_demand(
                     .iter()
                     .find(|(name, _)| *name == port.name)
                     .map(|&(_, id)| id)
-                    .or(demand.subject);
-                let child = Demand {
+                    .or(need.subject);
+                let child = Need {
                     ty: port.ty.clone(),
                     subject,
+                    predicates: Vec::new(),
                 };
-                let producers = resolve_demand(pm, &child, &[], excluded, nodes, path, depth + 1)?;
+                let producers = resolve_need(pm, &child, excluded, nodes, path, depth + 1)?;
                 edges.push(PlanEdge {
                     port: port.name.clone(),
                     ty: port.ty.clone(),
@@ -332,7 +376,9 @@ fn resolve_demand(
             Ok(PlanNode {
                 ce: provider.id(),
                 kind: NodeKind::Derived,
-                output: output_of(provider),
+                // Candidates come from `providers_of_compatible`, so a
+                // compatible output exists.
+                output: output_for(pm, provider, &need.ty).unwrap_or_else(|| need.ty.clone()),
                 binding,
                 inputs: edges,
             })
@@ -351,9 +397,8 @@ fn resolve_demand(
         }
     }
 
-    Err(last_error.unwrap_or_else(|| {
-        SciError::Unresolvable(format!("no registered entity provides {demand}"))
-    }))
+    Err(last_error
+        .unwrap_or_else(|| SciError::Unresolvable(format!("no registered entity provides {need}"))))
 }
 
 #[cfg(test)]

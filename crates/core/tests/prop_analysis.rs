@@ -14,7 +14,7 @@ use sci_core::analysis_bridge::{expected_subscriptions, plan_graph, record_of};
 use sci_core::configuration::InstanceStore;
 use sci_core::logic::{factory, LogicFactory, ObjLocationLogic, PathLogic};
 use sci_core::profile_manager::ProfileManager;
-use sci_core::resolver::{plan_configuration, Demand};
+use sci_core::resolver::{plan_configuration, Demand, Need};
 use sci_event::{EventMediator, Topic};
 use sci_location::floorplan::capa_level10;
 use sci_query::Predicate;
@@ -145,23 +145,27 @@ proptest! {
                 &reg.factories,
             )
             .expect("verified plan must instantiate");
-        config.root_subject = demand.subject;
+        config.need = Some(Need {
+            subject: demand.subject,
+            ..Need::stated(&demand.ty, &constraints)
+        });
 
         // ...and after adding the application's root subscriptions the
         // live table matches the plan-implied records exactly.
         for (i, &producer) in config.root_producers.iter().enumerate() {
             let root = config.plan.roots[i];
             let mut topic = Topic::of_type(config.plan.nodes[root].output.clone()).from(producer);
-            if let Some(s) = config.root_subject {
+            if let Some(s) = demand.subject {
                 topic = topic.about(s);
             }
             config.caa_subs.push(mediator.subscribe(owner, topic, false));
         }
 
-        let expected: HashSet<SubscriptionRecord> = expected_subscriptions(&config)
-            .expect("consistent configuration")
-            .into_iter()
-            .collect();
+        let expected: HashSet<SubscriptionRecord> =
+            expected_subscriptions(&config, &store, &reg.pm, &HashSet::new())
+                .expect("consistent configuration")
+                .into_iter()
+                .collect();
         let actual: HashSet<SubscriptionRecord> =
             mediator.bus().iter().map(|v| record_of(&v)).collect();
         prop_assert_eq!(expected, actual);

@@ -365,6 +365,79 @@ fn truncation_at_any_byte_prefix_recovers_the_oracle_state() {
     let _ = std::fs::remove_dir_all(&record_dir);
 }
 
+/// R6: a log replay and a snapshot restore wire by the same rule. The
+/// declaration comes *after* the subscription it affects; replaying
+/// the four records used to leave the subscription on the door alone
+/// while a snapshot of the same four re-planned it onto both sources.
+#[test]
+fn a_replay_and_a_snapshot_recover_the_same_wiring() {
+    let badge_sighting = ContextType::custom("badge-sighting");
+    let query = Guid::from_u128(0x100);
+    let history = || {
+        vec![
+            RangeCommand::Register(Box::new(
+                Profile::builder(Guid::from_u128(DOOR), EntityKind::Device, "door")
+                    .output(PortSpec::new("presence", ContextType::Presence))
+                    .build(),
+            )),
+            RangeCommand::Register(Box::new(
+                Profile::builder(Guid::from_u128(BADGE), EntityKind::Device, "badge-reader")
+                    .output(PortSpec::new("sight", badge_sighting.clone()))
+                    .build(),
+            )),
+            RangeCommand::Submit(Box::new(
+                Query::builder(query, Guid::from_u128(APP_A))
+                    .info(ContextType::Presence)
+                    .mode(Mode::Subscribe)
+                    .build(),
+            )),
+            RangeCommand::DeclareEquivalence(ContextType::Presence, badge_sighting.clone()),
+        ]
+    };
+    let wiring = |cs: &ContextServer| -> Vec<String> {
+        let bus = cs.mediator().bus();
+        let mut topics: Vec<String> = bus.iter().map(|s| s.topic.to_string()).collect();
+        topics.sort();
+        topics
+    };
+
+    let mut recovered = Vec::new();
+    for snapshot_every in [0, 4] {
+        let dir = tmpdir("wiring");
+        let config = DurabilityConfig {
+            snapshot_every,
+            ..DurabilityConfig::new(&dir)
+        };
+        let mut cs = ContextServer::new(Guid::from_u128(RANGE_ID), "r", capa_level10());
+        durability::attach(&mut cs, &config, t(0)).unwrap();
+        for (step, cmd) in history().into_iter().enumerate() {
+            cs.handle(cmd, t(step as u64)).unwrap();
+        }
+        cs.sync_wal().unwrap();
+        let live = wiring(&cs);
+        assert_eq!(live.len(), 2, "door and badge reader: {live:?}");
+        drop(cs);
+        let (back, report) = durability::recover(
+            Guid::from_u128(RANGE_ID),
+            "r",
+            capa_level10(),
+            Registry::new(),
+            &config,
+            &HashMap::new(),
+        )
+        .unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(
+            report.snapshot_applied.is_some_and(|applied| applied > 0),
+            snapshot_every > 0
+        );
+        assert_eq!(wiring(&back), live, "snapshot_every {snapshot_every}");
+        assert!(back.audit_configurations().is_clean());
+        recovered.push(back.configuration(query).unwrap().sources.len());
+    }
+    assert_eq!(recovered, [2, 2]);
+}
+
 // ---------------------------------------------------------------------------
 // Scenario 2: federation kill/recover with exactly-once redelivery.
 // ---------------------------------------------------------------------------

@@ -229,3 +229,155 @@ fn total_source_loss_degrades_but_recovers_on_new_sensor() {
     r.cs.ingest(&ev, VirtualTime::from_secs(4)).unwrap();
     assert_eq!(r.cs.drain_outbox().len(), 1, "newcomer feeds the config");
 }
+
+// ---------------------------------------------------------------------
+// The What clause's attribute predicates outlive the first wiring: the
+// paper's own example, "temperature in degrees Celsius".
+// ---------------------------------------------------------------------
+
+struct Thermometers {
+    cs: ContextServer,
+    celsius: [Guid; 2],
+    fahrenheit: Guid,
+    query: Guid,
+}
+
+fn thermometer(id: Guid, name: &str, unit: &str) -> Profile {
+    Profile::builder(id, EntityKind::Device, name)
+        .output(PortSpec::new("t", ContextType::Temperature))
+        .attribute("unit", ContextValue::text(unit))
+        .build()
+}
+
+fn reading(source: Guid, degrees: f64, now: VirtualTime) -> ContextEvent {
+    ContextEvent::new(
+        source,
+        ContextType::Temperature,
+        ContextValue::record([("value", ContextValue::Float(degrees))]),
+        now,
+    )
+}
+
+/// Two Celsius thermometers, and an application subscribed to
+/// "temperature in degrees Celsius". The Fahrenheit thermometer is
+/// registered before the subscription unless it is the `latecomer`.
+fn thermometers(fahrenheit_is_late: bool) -> Thermometers {
+    let mut ids = GuidGenerator::seeded(62);
+    let mut cs = ContextServer::new(ids.next_guid(), "level-ten", capa_level10());
+    let celsius = [ids.next_guid(), ids.next_guid()];
+    let fahrenheit = ids.next_guid();
+    for (i, &id) in celsius.iter().enumerate() {
+        cs.register(
+            thermometer(id, &format!("celsius-{i}"), "celsius"),
+            VirtualTime::ZERO,
+        )
+        .unwrap();
+    }
+    if !fahrenheit_is_late {
+        cs.register(
+            thermometer(fahrenheit, "fahrenheit", "fahrenheit"),
+            VirtualTime::ZERO,
+        )
+        .unwrap();
+    }
+    let q = Query::builder(ids.next_guid(), ids.next_guid())
+        .info_matching(
+            ContextType::Temperature,
+            vec![Predicate::eq("unit", ContextValue::text("celsius"))],
+        )
+        .mode(Mode::Subscribe)
+        .build();
+    cs.submit_query(&q, VirtualTime::ZERO).unwrap();
+    Thermometers {
+        cs,
+        celsius,
+        fahrenheit,
+        query: q.id,
+    }
+}
+
+impl Thermometers {
+    /// How many deliveries one reading from `source` produces.
+    fn delivered_from(&mut self, source: Guid, at: u64) -> usize {
+        let now = VirtualTime::from_secs(at);
+        self.cs.ingest(&reading(source, 21.5, now), now).unwrap();
+        self.cs.drain_outbox().len()
+    }
+
+    fn feeding(&self) -> Vec<Guid> {
+        let mut sources = self.cs.configuration(self.query).unwrap().sources.clone();
+        sources.sort();
+        sources
+    }
+}
+
+/// R1: a Fahrenheit thermometer that registers *after* the subscription
+/// is not wired to it; a Celsius latecomer is.
+#[test]
+fn a_late_source_is_wired_only_if_it_satisfies_the_what_clause() {
+    let mut t = thermometers(true);
+    t.cs.register(
+        thermometer(t.fahrenheit, "fahrenheit", "fahrenheit"),
+        VirtualTime::from_secs(1),
+    )
+    .unwrap();
+    assert_eq!(
+        t.delivered_from(t.fahrenheit, 2),
+        0,
+        "wrong unit: not wired"
+    );
+    let mut expected = t.celsius.to_vec();
+    expected.sort();
+    assert_eq!(t.feeding(), expected);
+
+    let late = Guid::from_u128(0xce1);
+    t.cs.register(
+        thermometer(late, "celsius-late", "celsius"),
+        VirtualTime::from_secs(3),
+    )
+    .unwrap();
+    assert_eq!(t.delivered_from(late, 4), 1, "right unit: wired on arrival");
+    assert_eq!(t.delivered_from(t.celsius[0], 5), 1);
+}
+
+/// R2: one of two Celsius thermometers leaves cleanly; the Fahrenheit
+/// one does not take its place, the other Celsius one keeps delivering.
+#[test]
+fn a_departure_is_not_replaced_by_a_source_of_the_wrong_unit() {
+    let mut t = thermometers(false);
+    t.cs.deregister(t.celsius[0], VirtualTime::from_secs(1))
+        .unwrap();
+    assert_eq!(
+        t.delivered_from(t.fahrenheit, 2),
+        0,
+        "wrong unit: not wired"
+    );
+    assert_eq!(t.delivered_from(t.celsius[1], 3), 1, "survivor delivers");
+    assert_eq!(t.feeding(), vec![t.celsius[1]]);
+}
+
+/// R3: the same when the thermometer fails instead of leaving.
+#[test]
+fn a_failure_is_not_repaired_with_a_source_of_the_wrong_unit() {
+    let mut t = thermometers(false);
+    let reports = adaptation::repair_source(&mut t.cs, t.celsius[0], VirtualTime::from_secs(1));
+    assert_eq!(reports.len(), 1);
+    assert_eq!(reports[0].query, t.query);
+    assert!(
+        !reports[0].replacements.contains(&t.fahrenheit),
+        "a Fahrenheit thermometer is no replacement for a Celsius one"
+    );
+    assert!(!reports[0].degraded, "a Celsius survivor exists");
+    assert_eq!(
+        t.delivered_from(t.fahrenheit, 2),
+        0,
+        "wrong unit: not wired"
+    );
+    assert_eq!(t.delivered_from(t.celsius[0], 3), 0, "failed: cut off");
+    assert_eq!(t.delivered_from(t.celsius[1], 4), 1, "survivor delivers");
+    assert_eq!(t.feeding(), vec![t.celsius[1]]);
+
+    // And a thermometer that was never feeding it fails unnoticed.
+    let reports = adaptation::repair_source(&mut t.cs, t.fahrenheit, VirtualTime::from_secs(5));
+    assert!(reports.is_empty(), "{reports:?}");
+}

@@ -195,3 +195,44 @@ fn late_equivalent_source_is_wired_into_live_configs() {
     assert_eq!(cs.drain_outbox().len(), 1, "late door feeds the pipeline");
     let _ = scanners;
 }
+
+/// R6: `DeclareEquivalence` changes which sources feed a running
+/// subscription's inputs, exactly as it would for an identical query
+/// submitted a moment later — the declaration rewires.
+#[test]
+fn a_late_declaration_rewires_running_subscriptions() {
+    let (mut cs, mut ids, scanners) = rig_with_badge_scanners(1);
+    let door = ids.next_guid();
+    cs.register(
+        Profile::builder(door, EntityKind::Device, "door")
+            .output(PortSpec::new("presence", ContextType::Presence))
+            .build(),
+        VirtualTime::ZERO,
+    )
+    .unwrap();
+    let (app, bob) = (ids.next_guid(), ids.next_guid());
+    let running = location_query(&mut ids, app, bob);
+    cs.submit_query(&running, VirtualTime::ZERO).unwrap();
+    assert_eq!(cs.configuration(running.id).unwrap().sources, vec![door]);
+
+    cs.declare_equivalence(ContextType::Presence, ContextType::custom("badge-scan"));
+    let twin = location_query(&mut ids, app, bob);
+    cs.submit_query(&twin, VirtualTime::from_secs(1)).unwrap();
+    let feeding = |id: Guid| {
+        let mut sources = cs.configuration(id).unwrap().sources.clone();
+        sources.sort();
+        sources
+    };
+    assert_eq!(feeding(running.id), feeding(twin.id));
+    assert_eq!(feeding(running.id).len(), 2, "door and scanner");
+    cs.cancel_query(twin.id).unwrap();
+
+    let t = VirtualTime::from_secs(2);
+    cs.ingest(&badge_event(scanners[0], bob, "L10.01", t), t)
+        .unwrap();
+    let out = cs.drain_outbox();
+    assert_eq!(out.len(), 1, "the now-equivalent scanner feeds it");
+    assert_eq!(out[0].query, running.id);
+    let audit = cs.audit_configurations();
+    assert!(audit.is_clean(), "{audit}");
+}
