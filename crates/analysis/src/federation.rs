@@ -3,16 +3,16 @@
 //! A live federation exports a pure
 //! [`FederationModel`] — ranges, links,
 //! declared partitions, retry/backoff constants, restart budgets,
-//! freshness bounds, place-directory beliefs, message classes and
+//! freshness bounds, each node's believed coverers, message classes and
 //! which command kinds a range's log records. [`verify_federation`] checks
 //! the model *before* the runtime is trusted with traffic:
 //!
-//! * **SCI-A201** — every relay route the place directories imply must
+//! * **SCI-A201** — every relay route the nodes' place claims imply must
 //!   be routable: linked in the declared topology and not crossing a
 //!   named partition boundary (both the query's forward leg and the
 //!   answer's return leg).
 //! * **SCI-A202** — the per-place forwarding chains implied by
-//!   disagreeing directories must be acyclic; a cycle means a relay
+//!   disagreeing replicas must be acyclic; a cycle means a relay
 //!   could bounce between ranges forever.
 //! * **SCI-A203** — the worst-case retry backoff
 //!   (`base * (2^retries - 1)`, accounted in virtual time) must fit
@@ -33,7 +33,7 @@
 //!   (no envelope), or never receive it at all (no class).
 //! * **SCI-A207** — when the transport declares its wire-level
 //!   peerings (a socket transport, as opposed to an in-process one),
-//!   every directory-implied relay route must ride on a live or
+//!   every claim-implied relay route must ride on a live or
 //!   dialable peering in both directions; a route with no wire
 //!   underneath it fails only at runtime, with traffic in flight.
 
@@ -58,7 +58,7 @@ pub fn verify_federation(model: &FederationModel) -> AnalysisReport {
     report
 }
 
-/// SCI-A201: every directory-implied relay route must be linked and
+/// SCI-A201: every claim-implied relay route must be linked and
 /// partition-free, in both directions (query out, answer home).
 fn check_routability(model: &FederationModel, report: &mut AnalysisReport) {
     let mut flagged: HashSet<(Guid, Guid)> = HashSet::new();
@@ -271,7 +271,7 @@ fn check_migration(model: &FederationModel, report: &mut AnalysisReport) {
     }
 }
 
-/// SCI-A207: every directory-implied relay route must have wire
+/// SCI-A207: every claim-implied relay route must have wire
 /// underneath it — a live or dialable peering, in both directions —
 /// whenever the transport declares its peerings at all. In-process
 /// transports (`transport_links == None`) reach anything and are

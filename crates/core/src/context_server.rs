@@ -461,7 +461,12 @@ impl ContextServer {
         let mine = |owner: Guid| who.is_none_or(|who| who == owner);
         let mut held = MigrationPacket {
             entity: who.unwrap_or(self.id),
-            profiles: pick(self.profiles.iter(), |p| mine(p.id())),
+            // One entity's profile is a lookup, not a scan of everyone's:
+            // a handoff must not cost in proportion to the range.
+            profiles: match who {
+                Some(who) => self.profiles.get(who).cloned().into_iter().collect(),
+                None => self.profiles.iter().cloned().collect(),
+            },
             advertisements: pick(self.advertisements.values().flatten(), |ad| {
                 mine(ad.provider())
             }),

@@ -16,7 +16,9 @@
 //! [`crate::runtime::ParallelFederation`]; both dereference to the
 //! core, so `submit_from`, `migrate_entity`, `pump`, `deliveries_for`,
 //! `protocol_model`, `snapshot` and the relay counters are the same
-//! code on either.
+//! code on either. "Identifies" is a lookup in the lobby node's own
+//! replica of the registration state (`range/{name}`, `place/{room}`;
+//! [`RelayCore::range_covering_from`]), not in a table the driver keeps.
 //!
 //! All messages genuinely cross the binary wire codec and the overlay's
 //! hop-by-hop routing, so experiment E7's latency and load numbers
@@ -28,13 +30,9 @@
 
 use std::ops::{Deref, DerefMut};
 
-use bytes::Bytes;
-
-use sci_overlay::message::{Message, MessageKind};
 use sci_overlay::net::SimNetwork;
 use sci_overlay::transport::Transport;
-use sci_query::xml::{parse, Element};
-use sci_types::{ContextEvent, Guid, SciError, SciResult, VirtualTime};
+use sci_types::{ContextEvent, Guid, SciResult, VirtualTime};
 
 use crate::context_server::ContextServer;
 use crate::relay::RelayCore;
@@ -108,62 +106,6 @@ impl<T: Transport> Federation<T> {
         self.core.net
     }
 
-    /// Every range advertises its covered rooms to every other node as
-    /// `RangeAdvert` messages routed over the overlay, building each
-    /// node's local place directory — "it may be desirable to group
-    /// relevant Ranges together … in order to control access and
-    /// increase performance" (paper, Section 3). Returns the number of
-    /// adverts delivered.
-    ///
-    /// # Errors
-    ///
-    /// Propagates routing and codec failures.
-    pub fn broadcast_adverts(&mut self) -> SciResult<usize> {
-        let core = &mut self.core;
-        let nodes: Vec<Guid> = core.hosts.keys().copied().collect();
-        let mut delivered = 0usize;
-        for &src in &nodes {
-            let mut advert = Element::new("range-advert").with_attr("node", src.to_string());
-            for room in core.hosts[&src].location().plan().rooms() {
-                advert =
-                    advert.with_child(Element::new("room").with_attr("name", room.name.clone()));
-            }
-            let payload = advert.to_xml();
-            for &dst in &nodes {
-                if dst == src {
-                    continue;
-                }
-                let msg = Message::new(
-                    core.ids.next_guid(),
-                    src,
-                    dst,
-                    MessageKind::RangeAdvert,
-                    Bytes::from(payload.clone().into_bytes()),
-                );
-                core.net.send(msg)?;
-                let messages = core.net.drain(dst);
-                for m in messages {
-                    if m.kind != MessageKind::RangeAdvert {
-                        continue;
-                    }
-                    let doc = parse(
-                        std::str::from_utf8(&m.payload)
-                            .map_err(|_| SciError::Codec("advert not UTF-8".into()))?,
-                    )?;
-                    let origin: Guid = doc.require_attr("node")?.parse()?;
-                    let directory = core.directories.entry(dst).or_default();
-                    for room in doc.children_named("room") {
-                        if let Some(name) = room.attr("name") {
-                            directory.entry(name.to_owned()).or_insert(origin);
-                        }
-                    }
-                    delivered += 1;
-                }
-            }
-        }
-        Ok(delivered)
-    }
-
     /// Joins `node` through `bootstrap` using the discovery protocol
     /// (use [`RelayCore::connect_full`] to skip it).
     ///
@@ -205,7 +147,7 @@ impl<T: Transport> Federation<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`SciError::UnknownLocation`] for unknown ranges;
+    /// Returns [`SciError::UnknownLocation`](sci_types::SciError::UnknownLocation) for unknown ranges;
     /// propagates ingestion and pump failures.
     pub fn ingest_at(
         &mut self,
@@ -269,7 +211,9 @@ mod tests {
     use sci_location::floorplan::capa_level10;
     use sci_query::{Mode, Query};
     use sci_types::guid::GuidGenerator;
-    use sci_types::{ContextType, ContextValue, EntityKind, PortSpec, Profile, VirtualDuration};
+    use sci_types::{
+        ContextType, ContextValue, EntityKind, PortSpec, Profile, SciError, VirtualDuration,
+    };
 
     fn two_range_federation() -> (Federation, Guid, Guid) {
         let mut fed = Federation::new(1);

@@ -7,19 +7,19 @@
 //! queue length changes with every status event) so Which-clause
 //! selection sees current state.
 //!
-//! At city scale a Range holds 100k–1M entities, so the store is
-//! sharded by entity GUID ([`sci_types::ShardMap`]) and the per-type
+//! At city scale a Range holds 100k–1M entities, so the per-type
 //! provider index keeps registration order in a serial-keyed
 //! `ProviderSet` instead of a `Vec` — deregistering one entity is
 //! O(log n) per provided type, not a scan over every provider of that
-//! type. The public API is byte-for-byte the pre-sharding one; the
-//! original single-`HashMap` implementation survives as
+//! type. The original `Vec`-per-type implementation survives as
 //! [`oracle::UnshardedProfileManager`] so property tests can prove the
 //! two observably equivalent under churn.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use sci_types::{ContextType, ContextValue, Guid, Profile, SciError, SciResult, ShardMap};
+use sci_types::{
+    ContextType, ContextValue, DeterministicState, Guid, Profile, SciError, SciResult,
+};
 
 /// Registration-ordered set of providers of one context type.
 ///
@@ -62,8 +62,8 @@ impl ProviderSet {
 /// Storage and indexing for Context Entity profiles.
 #[derive(Clone, Debug, Default)]
 pub struct ProfileManager {
-    /// Primary store, sharded by entity GUID.
-    profiles: ShardMap<Guid, Profile>,
+    /// Primary store, by entity GUID.
+    profiles: HashMap<Guid, Profile, DeterministicState>,
     /// Provided-type → registration-ordered provider set.
     by_output: HashMap<ContextType, ProviderSet>,
     /// Semantic-equivalence classes over context types (paper §6, open
@@ -267,23 +267,18 @@ impl ProfileManager {
     pub fn is_empty(&self) -> bool {
         self.profiles.is_empty()
     }
-
-    /// Per-shard profile counts of the primary store, for balance
-    /// diagnostics and the mobility bench.
-    pub fn shard_lens(&self) -> Vec<usize> {
-        self.profiles.shard_lens()
-    }
 }
 
-/// The pre-sharding implementation, retained verbatim as the
-/// equivalence oracle for property tests (`prop_profile_shards`): one
-/// `HashMap` for the store, one `Vec<Guid>` per provided type.
+/// The first implementation, retained verbatim as the equivalence
+/// oracle for property tests (`prop_profile_shards`): one `HashMap` for
+/// the store, one `Vec<Guid>` per provided type.
 pub mod oracle {
     use super::*;
 
-    /// Single-`HashMap` profile store with `Vec`-based provider lists —
-    /// the behaviourally-authoritative reference the sharded
-    /// [`ProfileManager`] is property-tested against.
+    /// Profile store with `Vec`-based provider lists and scanned
+    /// equivalence classes — the behaviourally-authoritative reference
+    /// [`ProfileManager`]'s provider and class indexes are
+    /// property-tested against.
     #[derive(Clone, Debug, Default)]
     pub struct UnshardedProfileManager {
         profiles: HashMap<Guid, Profile>,
@@ -565,6 +560,5 @@ mod tests {
             .collect();
         let expected: Vec<u128> = (1..=50).filter(|r| (r - 1) % 3 != 0).collect();
         assert_eq!(survivors, expected, "registration order must survive");
-        assert_eq!(pm.shard_lens().iter().sum::<usize>(), pm.len());
     }
 }

@@ -3,12 +3,20 @@
 //!
 //! The paper joins Ranges through a single overlay, the SCINET, with a
 //! Context Server per Range behind it (Section 3). [`RelayCore`] is
-//! that protocol and all of its state: the transport, the place
-//! directories, application home ranges and their inboxes, the
-//! exactly-once `(origin, seq)` filter, parked relays and the
-//! `federation.*` instruments. It owns the only copy of query
-//! forwarding, event/answer relay, entity migration, retry/backoff,
-//! park-and-re-fire and receiver-side dedup.
+//! that protocol and all of its state: the transport, application home
+//! ranges and their inboxes, the exactly-once `(origin, seq)` filter,
+//! parked relays and the `federation.*` instruments. It owns the only
+//! copy of query forwarding, event/answer relay, entity migration,
+//! retry/backoff, park-and-re-fire and receiver-side dedup.
+//!
+//! What it does **not** hold is where ranges and places live. That is
+//! the transport's replicated registration state
+//! ([`sci_overlay::sync::SyncStore`]): a range claims `range/{name}` and
+//! `place/{room}` when it is admitted ([`RelayCore::add_range`], the one
+//! writer), and every lookup asks the replica of the node that needs to
+//! know ([`RelayCore::range_covering_from`], the forward target in
+//! [`RelayCore::submit_from`]) — a node routes by what it has learned,
+//! not by what the coordinator's memory holds.
 //!
 //! What the two drivers differ in is *how a range executes*: inline in
 //! the caller's thread ([`crate::federation::Federation`], whose hosts
@@ -42,7 +50,7 @@
 //! it: a packet that finds no live host is parked like an unroutable
 //! one and re-fired every pump until the range is back.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::time::Instant;
 
 use bytes::Bytes;
@@ -190,12 +198,6 @@ pub struct RelayCore<T: Transport, H: RangeHost> {
     app_home: HashMap<Guid, Guid>,
     inbox: HashMap<Guid, Vec<AppDelivery>>,
     answers: HashMap<Guid, Vec<(Guid, QueryAnswer)>>,
-    /// Bootstrap place directory: place name → covering range node
-    /// (first range to advertise a place keeps it).
-    pub(crate) places: HashMap<String, Guid>,
-    /// Per-node place directories learned from `RangeAdvert` messages,
-    /// consulted before the bootstrap directory.
-    pub(crate) directories: HashMap<Guid, HashMap<String, Guid>>,
     /// Freshness bounds per query, recorded at submission so relay
     /// staleness can be judged without asking the producing range.
     relay_max_age: HashMap<Guid, VirtualDuration>,
@@ -229,8 +231,6 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
             app_home: HashMap::new(),
             inbox: HashMap::new(),
             answers: HashMap::new(),
-            places: HashMap::new(),
-            directories: HashMap::new(),
             relay_max_age: HashMap::new(),
             seen_relays: SeenEnvelopes::default(),
             pending_relays: Vec::new(),
@@ -242,26 +242,44 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
         }
     }
 
-    /// Adds a range: it becomes an overlay node and the rooms of its
-    /// floor plan join the place directory (the first range to
-    /// advertise a place keeps it).
+    /// Admits a range: it becomes an overlay node (unless the transport
+    /// already knows it — a killed range coming back under its
+    /// identity), claims `range/{name}` and every room of its floor plan
+    /// that its own replica of the registration state shows unclaimed,
+    /// and is served from now on. On a transport whose nodes share one
+    /// replica the first range to claim a room therefore keeps it; on
+    /// one replica per node, contested claims meet when the nodes do
+    /// and the store's one conflict rule settles them identically
+    /// everywhere.
     ///
     /// # Errors
     ///
-    /// Rejects duplicate node GUIDs or range names.
+    /// * [`SciError::Internal`] if the range is already being served,
+    ///   or its name is registered under a different GUID;
+    /// * the transport's refusal of a duplicate GUID.
     pub fn add_range(&mut self, host: H) -> SciResult<Guid> {
         let id = host.id();
-        self.net.add_node(id, host.name())?;
-        // Replicate the range's registrations through the transport's
-        // anti-entropy store (a no-op on in-process transports), so a
-        // socket federation's late joiners converge on coverage during
-        // the peering handshake.
-        self.net
-            .publish_registration(id, &format!("range/{}", host.name()), &id.to_string())?;
-        for room in host.plan().rooms() {
-            self.places.entry(room.name.clone()).or_insert(id);
-            self.net
-                .publish_registration(id, &format!("place/{}", room.name), &id.to_string())?;
+        if self.hosts.contains_key(&id) {
+            return Err(SciError::Internal(format!(
+                "range {id} is already being served"
+            )));
+        }
+        match self.net.find_by_name(host.name()) {
+            Some(existing) if existing == id => {}
+            Some(existing) => {
+                return Err(SciError::Internal(format!(
+                    "range name `{}` belongs to node {existing}, not {id}",
+                    host.name()
+                )));
+            }
+            None => self.net.add_node(id, host.name())?,
+        }
+        let keys = std::iter::once(format!("range/{}", host.name()))
+            .chain(host.plan().rooms().iter().map(|room| place_key(&room.name)));
+        for key in keys {
+            if self.registered_at(id, &key).is_none() {
+                self.net.publish_registration(id, &key, &id.to_string())?;
+            }
         }
         self.hosts.insert(id, host);
         Ok(id)
@@ -304,8 +322,8 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
     }
 
     /// Stops serving a range and hands back its host. The overlay node,
-    /// the place directory and application homes stay registered, so a
-    /// replacement host can rejoin under the same identity.
+    /// its registrations and application homes stay, so a replacement
+    /// host can rejoin under the same identity.
     ///
     /// # Errors
     ///
@@ -329,21 +347,17 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
             .ok_or_else(|| SciError::Internal(format!("node {node} has no live host")))
     }
 
-    /// The range node advertising coverage of `place`, if any —
-    /// consulted at `at_node`'s local directory first (what that node
-    /// learned from `RangeAdvert` messages), falling back to the
-    /// bootstrap directory.
+    /// The range node covering `place` as far as `at_node` knows: the
+    /// `place/{place}` registration in that node's own replica.
     pub fn range_covering_from(&self, at_node: Guid, place: &str) -> Option<Guid> {
-        self.directories
-            .get(&at_node)
-            .and_then(|d| d.get(place).copied())
-            .or_else(|| self.range_covering(place))
+        self.registered_at(at_node, &place_key(place))
     }
 
-    /// The range node advertising coverage of `place`, if any (bootstrap
-    /// directory view).
-    pub fn range_covering(&self, place: &str) -> Option<Guid> {
-        self.places.get(place).copied()
+    /// The node GUID registered under `key` in `at_node`'s replica. A
+    /// value that is not a GUID — anything a peer cares to replicate —
+    /// reads as no registration.
+    fn registered_at(&self, at_node: Guid, key: &str) -> Option<Guid> {
+        self.net.registration(at_node, key)?.parse().ok()
     }
 
     /// Gives every node full overlay knowledge.
@@ -376,7 +390,8 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
     /// Exports the pure protocol model of this federation: ranges,
     /// links, the transport's declared fault schedule, retry/backoff
     /// constants, the supervision budget, the freshness bounds recorded
-    /// at submission and every place-directory belief.
+    /// at submission and, for every range, which node its own replica
+    /// says covers each room a served range claims.
     /// `sci_analysis::federation::verify_federation` checks the model
     /// (SCI-A201..A207) before the runtime is trusted with traffic.
     pub fn protocol_model(&self) -> FederationModel {
@@ -411,19 +426,23 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
             .collect();
         freshness.sort_by_key(|f| f.query);
 
+        let rooms: BTreeSet<&str> = self
+            .hosts
+            .values()
+            .flat_map(|host| host.plan().rooms().iter().map(|room| room.name.as_str()))
+            .collect();
         let mut routes = Vec::new();
         for r in &ranges {
-            for place in self.places.keys() {
+            for &place in &rooms {
                 if let Some(coverer) = self.range_covering_from(r.id, place) {
                     routes.push(RouteClaim {
                         at: r.id,
-                        place: place.clone(),
+                        place: place.to_owned(),
                         coverer,
                     });
                 }
             }
         }
-        routes.sort_by(|a, b| (a.at, &a.place).cmp(&(b.at, &b.place)));
 
         FederationModel {
             ranges,
@@ -557,13 +576,12 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
             .and_then(expect_answer);
 
         // Decide where the query must go: an explicit Forward answer, or
-        // an UnknownLocation error resolved through the place directory
-        // (the lobby CS does not cover L10.01; the directory says
-        // level-ten does).
+        // an UnknownLocation error, either resolved through what the
+        // home node has learned (the lobby CS does not cover L10.01; its
+        // replica says level-ten does).
         let dst = match local {
             Ok(QueryAnswer::Forward { range: target }) => self
-                .net
-                .find_by_name(&target)
+                .registered_at(home, &format!("range/{target}"))
                 .ok_or(SciError::UnknownLocation(target))?,
             Ok(answer) => {
                 return Ok(FederatedAnswer {
@@ -1054,6 +1072,11 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
     }
 }
 
+/// The registration key of a room's coverage claim.
+fn place_key(place: &str) -> String {
+    format!("place/{place}")
+}
+
 fn expect_answer(reply: RangeReply) -> SciResult<QueryAnswer> {
     match reply {
         RangeReply::Answer(answer) => Ok(answer),
@@ -1136,9 +1159,8 @@ fn decode_relay(m: &Message, seen: &SeenEnvelopes) -> SciResult<Landed> {
 /// The cross-range message classes the relay exchanges, with their
 /// delivery discipline: the retried classes (event and answer relays,
 /// migration packets) carry the `(origin, seq)` dedup envelope; the
-/// synchronous query round-trip and the idempotent advert broadcast
-/// are fire-once and travel bare. SCI-A205 holds every retried class
-/// to the envelope.
+/// synchronous query round-trip is fire-once and travels bare.
+/// SCI-A205 holds every retried class to the envelope.
 fn relay_message_classes() -> Vec<MessageClassModel> {
     let class = |name: &str, retried: bool, enveloped: bool| MessageClassModel {
         name: name.to_owned(),
@@ -1149,7 +1171,6 @@ fn relay_message_classes() -> Vec<MessageClassModel> {
     vec![
         class("query-forward", false, false),
         class("query-response", false, false),
-        class("range-advert", false, false),
         class("event-relay", true, true),
         class("answer-relay", true, true),
         class("migrate", true, true),
@@ -1249,6 +1270,40 @@ mod tests {
         assert_eq!(core.pending_relay_count(), 0);
         assert_eq!(core.host("b").unwrap().calls, ["migrate-in"; 3]);
         assert_eq!((core.retry_parked(), core.relay_dedup_hits()), (2, 0));
+    }
+
+    #[test]
+    fn a_registration_that_names_no_node_reads_as_not_covered() {
+        let mut lobby = Scripted::new(1, "a");
+        for _ in 0..2 {
+            lobby
+                .replies
+                .push_back(Err(SciError::UnknownLocation("x".into())));
+        }
+        let mut core = core_of([lobby, Scripted::new(2, "b")]);
+        let at = core.node_named("a").unwrap();
+        let query = Query::builder(Guid::from_u128(0x9), Guid::from_u128(0xa))
+            .kind(sci_types::EntityKind::Device)
+            .in_place("x")
+            .build();
+
+        // Whatever a peer replicated, then a tombstone: both are "not
+        // covered", and the submission says so instead of panicking.
+        let net = core.transport_mut();
+        net.publish_registration(at, "place/x", "not-a-guid")
+            .unwrap();
+        for retract in [false, true] {
+            if retract {
+                core.transport_mut()
+                    .retract_registration(at, "place/x")
+                    .unwrap();
+            }
+            assert_eq!(core.range_covering_from(at, "x"), None);
+            assert!(matches!(
+                core.submit_from("a", &query, VirtualTime::ZERO),
+                Err(SciError::UnknownLocation(place)) if place == "x"
+            ));
+        }
     }
 
     #[test]

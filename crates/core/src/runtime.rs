@@ -492,8 +492,8 @@ pub struct RangeRuntime {
     /// registry outlives a panicked worker.
     registry: Registry,
     metrics: RuntimeMetrics,
-    /// The range's floor plan (the relay core's place directory reads
-    /// it without a round trip).
+    /// The range's floor plan (admission claims its rooms without a
+    /// round trip).
     plan: FloorPlan,
     policy: RestartPolicy,
     /// Mailbox discipline, kept so a supervised restart rebuilds the
@@ -834,9 +834,9 @@ impl RangeHost for RangeRuntime {
 /// worker thread: the threaded driver of the [`RelayCore`].
 ///
 /// The core keeps what must be globally consistent — the SCINET
-/// routing fabric, the place directory, application home ranges and
-/// their inboxes, the relay protocol — and everything per-range lives
-/// behind a mailbox. Sensor ingest is pipelined
+/// routing fabric, application home ranges and their inboxes, the
+/// relay protocol — and everything per-range lives behind a mailbox.
+/// Sensor ingest is pipelined
 /// ([`RangeRuntime::cast`]): [`ParallelFederation::ingest_at`] (or, one
 /// send for N events, [`ParallelFederation::ingest_batch_at`]) returns
 /// as soon as the event is enqueued, so N ranges chew their streams
@@ -940,13 +940,13 @@ impl<T: Transport> ParallelFederation<T> {
         RangeRuntime::spawn_with(cs, restarts, self.mailbox_policy, true)
     }
 
-    /// Adds a range: its rooms join the place directory, its Context
-    /// Server moves onto a fresh worker thread under the federation's
-    /// restart policy.
+    /// Adds a range: its Context Server moves onto a fresh worker
+    /// thread under the federation's restart policy and is admitted
+    /// through [`RelayCore::add_range`].
     ///
     /// # Errors
     ///
-    /// Rejects duplicate node GUIDs or range names.
+    /// As for [`RelayCore::add_range`].
     pub fn add_range(&mut self, cs: ContextServer) -> SciResult<Guid> {
         let worker = self.spawn(cs);
         self.core.add_range(worker)
@@ -1038,8 +1038,8 @@ impl<T: Transport> ParallelFederation<T> {
     /// Simulates a whole-process crash of the named range: the worker
     /// is stopped without a graceful handover and its in-memory server
     /// state is discarded — only what the range's write-ahead log and
-    /// snapshots persisted survives. The fabric node, place directory
-    /// and application homes stay registered so a durably recovered
+    /// snapshots persisted survives. The fabric node, its registrations
+    /// and application homes stay so a durably recovered
     /// replacement ([`crate::durability::recover`]) can rejoin under
     /// the same identity via
     /// [`ParallelFederation::recover_range`]; a migration packet that
@@ -1068,39 +1068,16 @@ impl<T: Transport> ParallelFederation<T> {
     /// policies, and the worker's initial stream flush re-offers any
     /// WAL-restored outbox traffic — which the `(origin, seq)`
     /// exactly-once filter squashes to the deliveries the crash
-    /// actually lost. Also accepts a brand-new range whose fabric node
-    /// was never registered.
+    /// actually lost. Admission is [`RelayCore::add_range`]'s, which
+    /// takes a returning identity and a brand-new one alike, so this is
+    /// [`ParallelFederation::add_range`] under the name a recovery
+    /// reads by.
     ///
     /// # Errors
     ///
-    /// * [`SciError::Internal`] if the range is still running, or if
-    ///   the server's name is registered under a different GUID;
-    /// * fabric registration failures for brand-new nodes.
+    /// As for [`RelayCore::add_range`].
     pub fn recover_range(&mut self, cs: ContextServer) -> SciResult<Guid> {
-        let id = cs.id();
-        if self.core.hosts.contains_key(&id) {
-            return Err(SciError::Internal(format!(
-                "range {id} is still running; kill it before recovering"
-            )));
-        }
-        match self.core.net.find_by_name(cs.name()) {
-            Some(existing) if existing == id => {}
-            Some(existing) => {
-                return Err(SciError::Internal(format!(
-                    "range name `{}` belongs to node {existing}, not {id}",
-                    cs.name()
-                )));
-            }
-            None => {
-                self.core.net.add_node(id, cs.name())?;
-            }
-        }
-        for room in cs.location().plan().rooms() {
-            self.core.places.entry(room.name.clone()).or_insert(id);
-        }
-        let worker = self.spawn(cs);
-        self.core.hosts.insert(id, worker);
-        Ok(id)
+        self.add_range(cs)
     }
 
     /// The deterministic barrier: [`RelayCore::pump`], but each range's

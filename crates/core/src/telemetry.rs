@@ -70,6 +70,7 @@ use sci_overlay::stats::LoadStats;
 use sci_query::xml::{parse, Element};
 use sci_telemetry::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, TelemetrySnapshot, Tracer,
+    HISTOGRAM_BUCKETS,
 };
 use sci_types::{SciError, SciResult};
 
@@ -372,7 +373,14 @@ pub fn snapshot_from_xml(xml: &str) -> SciResult<TelemetrySnapshot> {
         ));
     }
     for el in doc.children_named("histogram") {
+        // The length sizes an allocation and comes from the peer: no
+        // histogram has more buckets than ours.
         let len: usize = parsed_attr(el, "buckets")?;
+        if len > HISTOGRAM_BUCKETS {
+            return Err(SciError::Codec(format!(
+                "histogram of {len} buckets exceeds {HISTOGRAM_BUCKETS}"
+            )));
+        }
         let mut buckets = vec![0u64; len];
         for b in el.children_named("bucket") {
             let i: usize = parsed_attr(b, "i")?;
@@ -432,6 +440,15 @@ mod tests {
         let oob = "<telemetry><histogram name=\"h\" count=\"1\" sum=\"1\" buckets=\"2\">\
                    <bucket i=\"9\" n=\"1\"/></histogram></telemetry>";
         assert!(snapshot_from_xml(oob).is_err());
+        // A length no histogram has: 2^60 overflowed the allocation's
+        // capacity and panicked, 2^40 asked for 8 TB.
+        for len in [1u64 << 60, 1 << 40] {
+            let huge = format!(
+                "<telemetry><histogram name=\"h\" count=\"1\" sum=\"1\" \
+                 buckets=\"{len}\"/></telemetry>"
+            );
+            assert!(matches!(snapshot_from_xml(&huge), Err(SciError::Codec(_))));
+        }
     }
 
     #[test]

@@ -46,15 +46,19 @@
 //!   immediately after its first delivery, before `publish`
 //!   returns — identical to the linear bus.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::Hash;
 
 use sci_telemetry::Registry;
-use sci_types::{ContextEvent, ContextType, Guid, SciError, SciResult, ShardMap};
+use sci_types::{ContextEvent, ContextType, DeterministicState, Guid, SciError, SciResult};
 
 use crate::telemetry::BusTelemetry;
 use crate::topic::Topic;
+
+/// One candidate family. The hasher is fixed, so iteration order — where
+/// it leaks at all — is the same on every run.
+type Index<K, V> = HashMap<K, V, DeterministicState>;
 
 /// Identifier of a subscription issued by a bus.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -141,17 +145,16 @@ pub struct EventBus {
     /// All live entries, ordered by id — doubles as the `SubId → slot`
     /// map that makes `unsubscribe`/`is_live`/`topic_of` O(log n).
     entries: BTreeMap<SubId, Entry>,
-    /// Candidate families, sharded by entity GUID (and by type for the
-    /// type family) so a city-scale Range's subscription tables never
-    /// live in one giant `HashMap` with stop-the-world rehashes.
-    by_type: ShardMap<ContextType, Vec<SubId>>,
-    by_source: ShardMap<Guid, Vec<SubId>>,
-    by_subject: ShardMap<Guid, Vec<SubId>>,
+    /// Candidate families, keyed by entity GUID (and by type for the
+    /// type family).
+    by_type: Index<ContextType, Vec<SubId>>,
+    by_source: Index<Guid, Vec<SubId>>,
+    by_subject: Index<Guid, Vec<SubId>>,
     /// Topics naming both a source and a subject: per source, the lists
     /// of its subjects.
-    by_pair: ShardMap<Guid, BTreeMap<Guid, Vec<SubId>>>,
+    by_pair: Index<Guid, BTreeMap<Guid, Vec<SubId>>>,
     wildcard: Vec<SubId>,
-    by_subscriber: ShardMap<Guid, Vec<SubId>>,
+    by_subscriber: Index<Guid, Vec<SubId>>,
     next_id: u64,
     telemetry: Option<BusTelemetry>,
 }
@@ -182,26 +185,17 @@ impl EventBus {
         match IndexKey::for_topic(&topic) {
             IndexKey::Pair(source, subject) => self
                 .by_pair
-                .get_or_insert_with(source, BTreeMap::new)
+                .entry(source)
+                .or_default()
                 .entry(subject)
                 .or_default()
                 .push(id),
-            IndexKey::Source(source) => {
-                self.by_source.get_or_insert_with(source, Vec::new).push(id)
-            }
-            IndexKey::Subject(subject) => self
-                .by_subject
-                .get_or_insert_with(subject, Vec::new)
-                .push(id),
-            IndexKey::Type(ty) => self
-                .by_type
-                .get_or_insert_with(ty.clone(), Vec::new)
-                .push(id),
+            IndexKey::Source(source) => self.by_source.entry(source).or_default().push(id),
+            IndexKey::Subject(subject) => self.by_subject.entry(subject).or_default().push(id),
+            IndexKey::Type(ty) => self.by_type.entry(ty.clone()).or_default().push(id),
             IndexKey::Wildcard => self.wildcard.push(id),
         }
-        self.by_subscriber
-            .get_or_insert_with(subscriber, Vec::new)
-            .push(id);
+        self.by_subscriber.entry(subscriber).or_default().push(id);
         self.entries.insert(
             id,
             Entry {
@@ -390,7 +384,7 @@ fn drop_id(ids: &mut Vec<SubId>, id: SubId) -> bool {
 
 /// Removes `id` from the list filed under `key`, and the list with it
 /// if that was its last.
-fn drop_from<K: Hash + Eq>(lists: &mut ShardMap<K, Vec<SubId>>, key: &K, id: SubId) {
+fn drop_from<K: Hash + Eq>(lists: &mut Index<K, Vec<SubId>>, key: &K, id: SubId) {
     if lists.get_mut(key).is_some_and(|ids| drop_id(ids, id)) {
         lists.remove(key);
     }
@@ -682,7 +676,7 @@ mod tests {
         // unsubscribe_all: leaves both doors; the second door's map empties.
         assert_eq!(bus.unsubscribe_all(leaver), 2);
         assert!(!bus.is_live(l1) && !bus.is_live(l2));
-        assert!(bus.by_pair.get(&other_door).is_none());
+        assert!(!bus.by_pair.contains_key(&other_door));
         assert_eq!(fired(&mut bus, &presence(10, 20)), [b]);
 
         // one-time completion unlinks the pair.

@@ -351,6 +351,10 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         self.inner.retract_registration(node, key)
     }
 
+    fn registration(&self, node: Guid, key: &str) -> Option<String> {
+        self.inner.registration(node, key)
+    }
+
     fn registration_digest(&self, node: Guid) -> Option<u64> {
         self.inner.registration_digest(node)
     }

@@ -19,8 +19,11 @@
 //!   arranged as a b-ary tree routed through lowest common ancestors,
 //!   whose root is the bottleneck the overlay is supposed to avoid.
 //! * [`message`] — the binary wire codec (built on `bytes`) for
-//!   inter-range messages: query forwarding, responses, range adverts,
+//!   inter-range messages: query forwarding, responses, event relays,
 //!   liveness pings.
+//! * [`sync::SyncStore`] — the replicated registration state: which
+//!   node serves a range name and covers a place, read by every node
+//!   from its own replica.
 //! * [`fault::FaultyTransport`] — a seeded fault-injection decorator
 //!   over any [`transport::Transport`]: per-link drops, delays,
 //!   duplicates, reorders and named partitions, all replayable from a
@@ -40,6 +43,7 @@ pub mod message;
 pub mod net;
 pub mod routing;
 pub mod stats;
+pub mod sync;
 pub mod tcp;
 pub mod transport;
 
@@ -49,5 +53,6 @@ pub use message::{Message, MessageKind};
 pub use net::{RouteOutcome, SimNetwork};
 pub use routing::RoutingTable;
 pub use stats::LoadStats;
-pub use tcp::{SyncEntry, SyncStore, TcpTransport, TCP_PROTOCOL_VERSION};
+pub use sync::{SyncEntry, SyncStore};
+pub use tcp::{TcpTransport, TCP_PROTOCOL_VERSION};
 pub use transport::Transport;

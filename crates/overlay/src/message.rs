@@ -35,8 +35,6 @@ pub enum MessageKind {
     QueryForward,
     /// A response carrying context back to the querying range.
     QueryResponse,
-    /// A range advertising its name and coverage to the SCINET.
-    RangeAdvert,
     /// Liveness probe.
     Ping,
     /// Liveness reply.
@@ -53,10 +51,9 @@ pub enum MessageKind {
 
 impl MessageKind {
     /// All message kinds.
-    pub const ALL: [MessageKind; 9] = [
+    pub const ALL: [MessageKind; 8] = [
         MessageKind::QueryForward,
         MessageKind::QueryResponse,
-        MessageKind::RangeAdvert,
         MessageKind::Ping,
         MessageKind::Pong,
         MessageKind::FindNode,
@@ -67,12 +64,13 @@ impl MessageKind {
 
     /// The kind's wire tag (0–8). Shared by the message header and the
     /// TCP transport's frame tags, so a frame's kind is readable before
-    /// the payload is parsed.
+    /// the payload is parsed. Tag 2 belongs to no kind: coverage is
+    /// replicated state ([`crate::sync::SyncStore`]), not a message, and
+    /// the tag stays reserved and refused on decode.
     pub fn to_wire(self) -> u8 {
         match self {
             MessageKind::QueryForward => 0,
             MessageKind::QueryResponse => 1,
-            MessageKind::RangeAdvert => 2,
             MessageKind::Ping => 3,
             MessageKind::Pong => 4,
             MessageKind::FindNode => 5,
@@ -86,7 +84,8 @@ impl MessageKind {
     ///
     /// # Errors
     ///
-    /// Returns [`SciError::Codec`] for tags outside 0–8.
+    /// Returns [`SciError::Codec`] for tags outside 0–8 and for the
+    /// reserved tag 2.
     pub fn from_wire(byte: u8) -> SciResult<MessageKind> {
         MessageKind::ALL
             .into_iter()
@@ -257,9 +256,12 @@ mod tests {
         bad_version[2] = 99;
         assert!(Message::decode(Bytes::from(bad_version)).is_err());
 
-        let mut bad_kind = good.to_vec();
-        bad_kind[3] = 250;
-        assert!(Message::decode(Bytes::from(bad_kind)).is_err());
+        // Never a kind, and the reserved one.
+        for kind in [250, 2] {
+            let mut bad_kind = good.to_vec();
+            bad_kind[3] = kind;
+            assert!(Message::decode(Bytes::from(bad_kind)).is_err());
+        }
 
         let truncated = good.slice(0..30);
         assert!(Message::decode(truncated).is_err());

@@ -14,6 +14,7 @@ use sci_types::{Guid, SciError, SciResult, VirtualDuration};
 use crate::message::{Message, MessageKind};
 use crate::routing::RoutingTable;
 use crate::stats::LoadStats;
+use crate::sync::SyncStore;
 
 /// One overlay node: the SCINET face of a Range's Context Server.
 #[derive(Clone, Debug)]
@@ -75,6 +76,9 @@ pub struct SimNetwork {
     nodes: HashMap<Guid, NodeState>,
     by_name: HashMap<String, Guid>,
     stats: LoadStats,
+    /// The registration state. These nodes share memory, so they share
+    /// one replica: a write is visible to every node at once.
+    registrations: SyncStore,
     bucket_capacity: usize,
     hop_latency: VirtualDuration,
 }
@@ -87,6 +91,7 @@ impl SimNetwork {
             nodes: HashMap::new(),
             by_name: HashMap::new(),
             stats: LoadStats::new(),
+            registrations: SyncStore::new(),
             bucket_capacity: crate::routing::DEFAULT_BUCKET_CAPACITY,
             hop_latency: VirtualDuration::from_millis(1),
         }
@@ -174,6 +179,21 @@ impl SimNetwork {
     /// Resolves a range name to its node GUID.
     pub fn find_by_name(&self, name: &str) -> Option<Guid> {
         self.by_name.get(name).copied()
+    }
+
+    /// `node`'s replica of the registration state: the shared store,
+    /// for any node of this network.
+    pub(crate) fn replica(&self, node: Guid) -> Option<&SyncStore> {
+        self.nodes
+            .contains_key(&node)
+            .then_some(&self.registrations)
+    }
+
+    /// [`SimNetwork::replica`], for writing.
+    pub(crate) fn replica_mut(&mut self, node: Guid) -> Option<&mut SyncStore> {
+        self.nodes
+            .contains_key(&node)
+            .then_some(&mut self.registrations)
     }
 
     /// All node GUIDs, unordered.

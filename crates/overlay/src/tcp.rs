@@ -35,7 +35,7 @@
 //! The transport binds every listener to `127.0.0.1:0` (the kernel
 //! picks a free port), so parallel test runs never collide.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -52,6 +52,7 @@ use sci_wal::codec::{encode_frame, wire, CodecError, Frame, StreamDecoder};
 use crate::message::Message;
 use crate::net::RouteOutcome;
 use crate::stats::LoadStats;
+use crate::sync::{SyncEntry, SyncStore, SyncSummary};
 use crate::transport::Transport;
 
 /// Protocol version spoken by this build; a handshake between
@@ -92,170 +93,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 fn codec_err(e: CodecError) -> SciError {
     SciError::Codec(e.to_string())
-}
-
-// ---------------------------------------------------------------------
-// Replicated registration state (anti-entropy store)
-// ---------------------------------------------------------------------
-
-/// One replicated registration entry: a key/value pair stamped with a
-/// Lamport version and its publishing node, tombstoned on retraction.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct SyncEntry {
-    /// Registration key (e.g. `place/L10.01`).
-    pub key: String,
-    /// Registration value (e.g. the covering range's GUID rendering).
-    pub value: String,
-    /// Lamport stamp; higher wins, ties broken by `origin`.
-    pub version: u64,
-    /// The node that published this write.
-    pub origin: Guid,
-    /// `true` for a tombstone: the key is retracted but the fact of
-    /// retraction still replicates.
-    pub deleted: bool,
-}
-
-/// Per-entry summary exchanged in a sync `OFFER`: key, version, origin.
-pub type SyncSummary = (String, u64, Guid);
-
-/// A grow-only last-writer-wins map with tombstones — the node-local
-/// replica of the federation's registration state.
-#[derive(Clone, Debug, Default)]
-pub struct SyncStore {
-    entries: BTreeMap<String, SyncEntry>,
-    clock: u64,
-}
-
-impl SyncStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        SyncStore::default()
-    }
-
-    /// Publishes `key = value`, stamping it past everything seen.
-    pub fn publish(&mut self, key: &str, value: &str, origin: Guid) -> SyncEntry {
-        self.clock += 1;
-        let entry = SyncEntry {
-            key: key.to_owned(),
-            value: value.to_owned(),
-            version: self.clock,
-            origin,
-            deleted: false,
-        };
-        self.entries.insert(entry.key.clone(), entry.clone());
-        entry
-    }
-
-    /// Tombstones `key`; the retraction replicates like any write.
-    pub fn retract(&mut self, key: &str, origin: Guid) -> SyncEntry {
-        self.clock += 1;
-        let entry = SyncEntry {
-            key: key.to_owned(),
-            value: String::new(),
-            version: self.clock,
-            origin,
-            deleted: true,
-        };
-        self.entries.insert(entry.key.clone(), entry.clone());
-        entry
-    }
-
-    /// Merges a remote entry, last-writer-wins on `(version, origin)`.
-    /// Returns whether the entry was applied (i.e. it was news).
-    pub fn merge(&mut self, entry: SyncEntry) -> bool {
-        self.clock = self.clock.max(entry.version);
-        match self.entries.get(&entry.key) {
-            Some(cur) if (cur.version, cur.origin) >= (entry.version, entry.origin) => false,
-            _ => {
-                self.entries.insert(entry.key.clone(), entry);
-                true
-            }
-        }
-    }
-
-    /// The live (non-tombstoned) value of `key`.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.entries
-            .get(key)
-            .filter(|e| !e.deleted)
-            .map(|e| e.value.as_str())
-    }
-
-    /// Number of entries, tombstones included.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the store holds no entries at all.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// FNV-1a 64 digest over the canonical (sorted) encoding of every
-    /// entry, tombstones included. Equal digests ⇒ converged replicas.
-    pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        for e in self.entries.values() {
-            eat(e.key.as_bytes());
-            eat(&[0xFF]);
-            eat(e.value.as_bytes());
-            eat(&e.version.to_be_bytes());
-            eat(&e.origin.as_u128().to_be_bytes());
-            eat(&[u8::from(e.deleted)]);
-        }
-        h
-    }
-
-    /// Per-entry summaries for a sync `OFFER`.
-    pub fn summaries(&self) -> Vec<SyncSummary> {
-        self.entries
-            .values()
-            .map(|e| (e.key.clone(), e.version, e.origin))
-            .collect()
-    }
-
-    /// Given the remote side's summaries: the entries to send (ours
-    /// that the remote lacks or holds older) and the keys to request
-    /// (theirs that we lack or hold older).
-    pub fn delta_for(&self, remote: &[SyncSummary]) -> (Vec<SyncEntry>, Vec<String>) {
-        let theirs: HashMap<&str, (u64, Guid)> = remote
-            .iter()
-            .map(|(k, v, o)| (k.as_str(), (*v, *o)))
-            .collect();
-        let send = self
-            .entries
-            .values()
-            .filter(|e| match theirs.get(e.key.as_str()) {
-                None => true,
-                Some(&(v, o)) => (v, o) < (e.version, e.origin),
-            })
-            .cloned()
-            .collect();
-        let want = remote
-            .iter()
-            .filter(|(k, v, o)| match self.entries.get(k) {
-                None => true,
-                Some(cur) => (cur.version, cur.origin) < (*v, *o),
-            })
-            .map(|(k, _, _)| k.clone())
-            .collect();
-        (send, want)
-    }
-
-    /// Full entries for `keys`, for answering a `DELTA` want-list.
-    pub fn entries_for(&self, keys: &[String]) -> Vec<SyncEntry> {
-        keys.iter()
-            .filter_map(|k| self.entries.get(k).cloned())
-            .collect()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -669,10 +506,12 @@ fn handle_frame(
         TAG_HELLO | TAG_WELCOME | TAG_REJECT | TAG_SYNC_OFFER | TAG_SYNC_DONE => true,
         tag if tag <= 8 => {
             let mut r = wire::Reader::new(&frame.payload);
+            // The tag is the kind of the message inside, so a tag no
+            // kind owns (the reserved 2) can never match.
             let parsed = r.u64().ok().and_then(|seq| {
                 let raw = r.bytes().ok()?;
                 let msg = Message::decode(Bytes::from(raw.to_vec())).ok()?;
-                Some((seq, msg))
+                (msg.kind.to_wire() == tag).then_some((seq, msg))
             });
             match parsed {
                 Some((seq, msg)) => {
@@ -973,13 +812,6 @@ impl TcpTransport {
             .unwrap_or(0)
     }
 
-    /// The live value of a replicated registration entry at `node`.
-    pub fn registration_value(&self, node: Guid, key: &str) -> Option<String> {
-        self.nodes
-            .get(&node)
-            .and_then(|n| lock(&n.shared.store).get(key).map(str::to_owned))
-    }
-
     fn conn_to(&self, src: &Arc<NodeShared>, dst: Guid) -> Option<Arc<Conn>> {
         let _ = self;
         lock(&src.conns).get(&dst).cloned()
@@ -1193,6 +1025,12 @@ impl Transport for TcpTransport {
         Ok(())
     }
 
+    fn registration(&self, node: Guid, key: &str) -> Option<String> {
+        self.nodes
+            .get(&node)
+            .and_then(|n| lock(&n.shared.store).get(key).map(str::to_owned))
+    }
+
     fn registration_digest(&self, node: Guid) -> Option<u64> {
         self.nodes
             .get(&node)
@@ -1367,11 +1205,11 @@ mod tests {
             "handshake anti-entropy converges the late joiner"
         );
         assert_eq!(
-            t.registration_value(b, "place/L10.01").as_deref(),
+            t.registration(b, "place/L10.01").as_deref(),
             Some("range-a")
         );
         assert_eq!(
-            t.registration_value(b, "place/lobby"),
+            t.registration(b, "place/lobby"),
             None,
             "tombstones replicate as absence"
         );
@@ -1395,7 +1233,7 @@ mod tests {
         t.publish_registration(a, "place/L10.02", "range-a")
             .unwrap();
         assert!(
-            wait_until(|| t.registration_value(b, "place/L10.02").is_some()),
+            wait_until(|| t.registration(b, "place/L10.02").is_some()),
             "live delta reaches the connected peer"
         );
         assert!(
@@ -1434,27 +1272,31 @@ mod tests {
     }
 
     #[test]
-    fn sync_store_merge_is_lww_with_tombstones() {
-        let origin_a = Guid::from_u128(1);
-        let origin_b = Guid::from_u128(2);
-        let mut s = SyncStore::new();
-        s.publish("k", "old", origin_a);
-        let newer = SyncEntry {
-            key: "k".into(),
-            value: "new".into(),
-            version: 9,
-            origin: origin_b,
-            deleted: false,
+    fn a_data_frame_under_a_tag_no_kind_owns_is_corrupt_not_a_panic() {
+        let mut t = TcpTransport::new();
+        let a = Guid::from_u128(0xa);
+        t.add_node(a, "a").unwrap();
+        // A peer that handshakes properly, then sends a well-formed
+        // message under the reserved tag 2.
+        let mut peer = TcpStream::connect(t.listener_addr(a).unwrap()).unwrap();
+        let forged = PeerInfo {
+            guid: Guid::from_u128(0xb),
+            name: "b".into(),
+            addr: peer.local_addr().unwrap(),
         };
-        assert!(s.merge(newer.clone()));
-        assert!(!s.merge(newer), "replays are idempotent");
-        assert_eq!(s.get("k"), Some("new"));
-        // A publish after merging version 9 must stamp past it.
-        let e = s.publish("k2", "v", origin_a);
-        assert!(e.version > 9, "lamport clock advanced by merge");
-        s.retract("k", origin_a);
-        assert_eq!(s.get("k"), None);
-        assert_eq!(s.len(), 2, "tombstone still replicates");
+        let hello = hello_frame(TCP_PROTOCOL_VERSION, &forged, SyncStore::new().digest());
+        write_frame_direct(&mut peer, &hello, &t.counters).unwrap();
+        let mut payload = Vec::new();
+        wire::put_u64(&mut payload, 1);
+        wire::put_bytes(&mut payload, &msg(1, forged.guid, a).encode());
+        write_frame_direct(&mut peer, &Frame::new(2, payload), &t.counters).unwrap();
+
+        let corrupt = || {
+            let snap = t.telemetry().unwrap().snapshot();
+            snap.counter("net.tcp.corrupt_frames")
+        };
+        assert!(wait_until(|| corrupt() == 1), "the frame is counted");
+        assert!(t.drain(a).is_empty(), "and nothing was delivered");
     }
 
     #[test]

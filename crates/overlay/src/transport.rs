@@ -1,10 +1,15 @@
 //! Transport abstraction over the SCINET.
 //!
-//! The federation layer needs exactly three capabilities from the
-//! overlay: *route* a message to a destination range (accounting hops
-//! and latency), let the destination *deliver* (drain) what arrived,
-//! and expose routing *stats*. [`Transport`] captures that surface so
-//! drivers can swap the wire:
+//! The federation layer needs four capabilities from the overlay:
+//! *route* a message to a destination range (accounting hops and
+//! latency), let the destination *deliver* (drain) what arrived, expose
+//! routing *stats*, and keep each node's replica of the *registration
+//! state* — which node serves a range name and covers a place
+//! ([`crate::sync`]), written by `publish_registration` /
+//! `retract_registration` and read, always on behalf of one node, by
+//! `registration`. Every implementation provides all of them; there is
+//! no default that quietly keeps nothing. [`Transport`] captures that
+//! surface so drivers can swap the wire:
 //!
 //! * [`crate::net::SimNetwork`] — the deterministic single-threaded
 //!   simulation every experiment runs on;
@@ -13,14 +18,16 @@
 //! * [`crate::fault::FaultyTransport`] — a seeded fault-injecting
 //!   decorator over either.
 
-use sci_types::{Guid, SciResult};
+use sci_types::{Guid, SciError, SciResult};
 
 use crate::message::Message;
 use crate::net::{RouteOutcome, SimNetwork};
 use crate::stats::LoadStats;
+use crate::sync::SyncStore;
 
 /// The overlay surface the federation layer depends on: route +
-/// deliver + stats, plus the topology bootstrap calls.
+/// deliver + stats + registration state, plus the topology bootstrap
+/// calls.
 pub trait Transport {
     /// Adds a node (one per range).
     ///
@@ -77,37 +84,36 @@ pub trait Transport {
         None
     }
 
-    /// Publishes one entry of `node`'s replicated registration state
-    /// (range adverts, place coverage) into the transport's
-    /// anti-entropy store, if it keeps one. In-process transports
-    /// share memory, so replication is a no-op for them.
+    /// Publishes `key = value` into `node`'s replica of the federation's
+    /// registration state ([`crate::sync::SyncStore`]: `range/{name}` and
+    /// `place/{room}`, valued with the covering node's GUID), stamped
+    /// with `node` as its origin. How and when other replicas learn of
+    /// it is the transport's business — never a message through
+    /// [`Transport::send`].
     ///
     /// # Errors
     ///
-    /// Transport-specific; the defaults never fail.
-    fn publish_registration(&mut self, node: Guid, key: &str, value: &str) -> SciResult<()> {
-        let _ = (node, key, value);
-        Ok(())
-    }
+    /// [`SciError::UnknownRange`] if the transport has no replica for
+    /// `node`.
+    fn publish_registration(&mut self, node: Guid, key: &str, value: &str) -> SciResult<()>;
 
-    /// Tombstones a previously published registration entry so peers
-    /// converge on its absence. No-op for in-process transports.
+    /// Tombstones `key` in `node`'s replica so peers converge on its
+    /// absence.
     ///
     /// # Errors
     ///
-    /// Transport-specific; the defaults never fail.
-    fn retract_registration(&mut self, node: Guid, key: &str) -> SciResult<()> {
-        let _ = (node, key);
-        Ok(())
-    }
+    /// As for [`Transport::publish_registration`].
+    fn retract_registration(&mut self, node: Guid, key: &str) -> SciResult<()>;
 
-    /// A digest over `node`'s replicated registration state — equal
-    /// digests mean converged stores. `None` when the transport keeps
-    /// no anti-entropy store.
-    fn registration_digest(&self, node: Guid) -> Option<u64> {
-        let _ = node;
-        None
-    }
+    /// The live value of `key` in **`node`'s** replica — the one reader
+    /// of the registration state, and the only way the federation asks
+    /// where a range or a place lives. `None` for a key the node has
+    /// not learned, a retracted one, or a node without a replica.
+    fn registration(&self, node: Guid, key: &str) -> Option<String>;
+
+    /// A digest over `node`'s replica — equal digests mean converged
+    /// replicas. `None` for a node without one.
+    fn registration_digest(&self, node: Guid) -> Option<u64>;
 
     /// The wire-level peerings this transport holds or can open, for
     /// the [`FederationModel`](sci_types::FederationModel)'s SCI-A207
@@ -147,6 +153,26 @@ impl Transport for SimNetwork {
 
     fn stats(&self) -> &LoadStats {
         SimNetwork::stats(self)
+    }
+
+    fn publish_registration(&mut self, node: Guid, key: &str, value: &str) -> SciResult<()> {
+        let replica = self.replica_mut(node).ok_or(SciError::UnknownRange(node))?;
+        replica.publish(key, value, node);
+        Ok(())
+    }
+
+    fn retract_registration(&mut self, node: Guid, key: &str) -> SciResult<()> {
+        let replica = self.replica_mut(node).ok_or(SciError::UnknownRange(node))?;
+        replica.retract(key, node);
+        Ok(())
+    }
+
+    fn registration(&self, node: Guid, key: &str) -> Option<String> {
+        self.replica(node)?.get(key).map(str::to_owned)
+    }
+
+    fn registration_digest(&self, node: Guid) -> Option<u64> {
+        self.replica(node).map(SyncStore::digest)
     }
 }
 

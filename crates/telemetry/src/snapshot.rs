@@ -3,6 +3,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::metrics::HISTOGRAM_BUCKETS;
+
 /// Frozen state of one [`Histogram`](crate::Histogram).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
@@ -26,6 +28,40 @@ impl HistogramSnapshot {
             self.sum as f64 / self.count as f64
         }
     }
+
+    /// The `p`-quantile (`p` in `0.0..=1.0`) to the resolution the
+    /// log₂ buckets keep: the largest value the bucket holding the
+    /// `p`-th sample can hold — `0` for bucket 0, `2^i - 1` for bucket
+    /// `i`, and `None` for the last bucket, which is open-ended (the
+    /// sample is at least `2^(HISTOGRAM_BUCKETS-2)`, nothing more is
+    /// known). Ranks count the buckets' own samples, so a merged
+    /// snapshot reads as the union of what was merged. An empty
+    /// histogram reads `Some(0)`, like its mean.
+    pub fn percentile(&self, p: f64) -> Option<u64> {
+        let total = self.buckets.iter().fold(0u64, |t, &n| t.saturating_add(n));
+        // The p-th of `total` samples, counting from one.
+        let rank = ((p * total as f64).ceil() as u64).clamp(1, total.max(1));
+        let mut below = 0u64;
+        for (i, &n) in self.buckets.iter().enumerate() {
+            below = below.saturating_add(n);
+            if below >= rank {
+                return bucket_bound(i);
+            }
+        }
+        Some(0)
+    }
+
+    /// The bound of the highest bucket holding a sample: the 100th
+    /// percentile, as close to the maximum as the buckets remember.
+    pub fn max_bound(&self) -> Option<u64> {
+        self.percentile(1.0)
+    }
+}
+
+/// The largest value bucket `i` can hold; `None` for the last,
+/// open-ended one.
+fn bucket_bound(i: usize) -> Option<u64> {
+    (i + 1 < HISTOGRAM_BUCKETS).then(|| (1u64 << i) - 1)
 }
 
 /// Point-in-time freeze of a [`Registry`](crate::Registry), or the
@@ -110,7 +146,10 @@ impl TelemetrySnapshot {
 
     /// Render as a deterministic single JSON object (the same
     /// hand-rolled JSON-line convention the benches use for
-    /// `BENCH_*.json`). Bucket arrays are elided for empty histograms.
+    /// `BENCH_*.json`). A non-empty histogram also prints its `p50`,
+    /// `p90`, `p99` and `max` bucket bounds
+    /// ([`HistogramSnapshot::percentile`]); `null` is the open-ended
+    /// last bucket.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         out.push_str("\"counters\": {");
@@ -134,12 +173,25 @@ impl TelemetrySnapshot {
             }
             let _ = write!(
                 out,
-                "\"{}\": {{\"count\": {}, \"sum\": {}, \"mean\": {:.2}}}",
+                "\"{}\": {{\"count\": {}, \"sum\": {}, \"mean\": {:.2}",
                 escape_json(&h.name),
                 h.count,
                 h.sum,
                 h.mean()
             );
+            if h.count > 0 {
+                let bounds = [
+                    ("p50", h.percentile(0.5)),
+                    ("p90", h.percentile(0.9)),
+                    ("p99", h.percentile(0.99)),
+                    ("max", h.max_bound()),
+                ];
+                for (label, bound) in bounds {
+                    let bound = bound.map_or_else(|| "null".to_owned(), |v| v.to_string());
+                    let _ = write!(out, ", \"{label}\": {bound}");
+                }
+            }
+            out.push('}');
         }
         out.push_str("}}");
         out
@@ -219,6 +271,61 @@ mod tests {
         let json = snap.to_json();
         assert_eq!(json, snap.to_json());
         assert!(json.contains("\"a\\\"b\": 1"));
-        assert!(json.contains("\"lat\": {\"count\": 1, \"sum\": 10, \"mean\": 10.00}"));
+        assert!(json.contains(
+            "\"lat\": {\"count\": 1, \"sum\": 10, \"mean\": 10.00, \
+             \"p50\": 15, \"p90\": 15, \"p99\": 15, \"max\": 15}"
+        ));
+        reg.histogram("idle");
+        reg.histogram("lat").record(u64::MAX);
+        let json = reg.snapshot().to_json();
+        assert!(json.contains("\"idle\": {\"count\": 0, \"sum\": 0, \"mean\": 0.00}"));
+        assert!(json.contains("\"p50\": 15, \"p90\": null, \"p99\": null, \"max\": null}"));
+    }
+
+    #[test]
+    fn percentiles_read_the_bucket_holding_the_ranked_sample() {
+        // 100 samples: 50 zeros, 40 in [4, 8), 9 in [512, 1024), one
+        // beyond the last bucket's floor.
+        let reg = Registry::new();
+        let h = reg.histogram("h");
+        let samples = [(0, 50), (5, 40), (700, 9), (u64::MAX, 1)];
+        for (v, n) in samples {
+            for _ in 0..n {
+                h.record(v);
+            }
+        }
+        let snap = reg.snapshot();
+        let h = snap.histogram("h").unwrap();
+        assert_eq!(h.percentile(0.0), Some(0));
+        assert_eq!(h.percentile(0.5), Some(0));
+        assert_eq!(h.percentile(0.51), Some(7));
+        assert_eq!(h.percentile(0.9), Some(7));
+        assert_eq!(h.percentile(0.99), Some(1023));
+        assert_eq!(h.percentile(1.0), None, "the last bucket is open-ended");
+        assert_eq!(h.max_bound(), None);
+
+        let empty = Registry::new();
+        empty.histogram("h");
+        let empty = empty.snapshot();
+        assert_eq!(empty.histogram("h").unwrap().percentile(0.99), Some(0));
+    }
+
+    #[test]
+    fn percentiles_of_a_merge_are_those_of_the_union() {
+        let (a, b, union) = (Registry::new(), Registry::new(), Registry::new());
+        for v in 0..300u64 {
+            let part = if v % 3 == 0 { &a } else { &b };
+            part.histogram("h").record(v * v);
+            union.histogram("h").record(v * v);
+        }
+        let mut merged = a.snapshot();
+        merged.merge(&b.snapshot());
+        let union = union.snapshot();
+        let merged = merged.histogram("h").unwrap();
+        let union = union.histogram("h").unwrap();
+        for p in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(merged.percentile(p), union.percentile(p), "p = {p}");
+        }
+        assert_eq!(merged.max_bound(), Some((1 << 17) - 1), "299^2 < 2^17");
     }
 }

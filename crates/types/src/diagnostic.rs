@@ -64,12 +64,12 @@ pub enum DiagCode {
     /// `SCI-A102`: the live subscription table holds a configuration
     /// subscription no analyzed plan accounts for.
     OrphanSubscription,
-    /// `SCI-A201`: a relay route the federation's place directories
-    /// imply crosses a declared partition boundary (or a missing
+    /// `SCI-A201`: a relay route the nodes' place claims imply
+    /// crosses a declared partition boundary (or a missing
     /// link), so the relay is unroutable by construction.
     PartitionUnroutable,
     /// `SCI-A202`: the per-place forwarding chains implied by
-    /// disagreeing place directories contain a cycle — a relay could
+    /// nodes' disagreeing place claims contain a cycle — a relay could
     /// bounce between ranges forever without reaching a coverer.
     RelayCycle,
     /// `SCI-A203`: the worst-case relay retry backoff (in virtual
@@ -89,7 +89,7 @@ pub enum DiagCode {
     /// migration message class is missing, unenveloped or unretried —
     /// a mid-move entity could lose or double its packaged state.
     MigrationUnenveloped,
-    /// `SCI-A207`: a relay route the place directories imply has no
+    /// `SCI-A207`: a relay route the nodes' place claims imply has no
     /// wire underneath it — the socket transport declares neither a
     /// live peering nor a dialable listener address for the directed
     /// pair, so the relay would fail at connect time, not route time.

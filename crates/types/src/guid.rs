@@ -8,13 +8,24 @@
 //! prefix-oriented helpers here ([`Guid::leading_equal_bits`],
 //! [`Guid::xor_distance`]) are the primitives the routing layer builds on.
 
+use std::collections::hash_map::DefaultHasher;
 use std::fmt;
+use std::hash::BuildHasherDefault;
 use std::str::FromStr;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::error::SciError;
+
+/// The fixed-seed hasher for maps whose iteration order can reach a
+/// reply or a log.
+///
+/// `std`'s default `RandomState` seeds per process, which would make
+/// any iteration order that leaks nondeterministic across runs —
+/// unacceptable for the seed-exact chaos replays.
+/// `DefaultHasher::default()` is fixed.
+pub type DeterministicState = BuildHasherDefault<DefaultHasher>;
 
 /// A 128-bit globally unique identifier.
 ///

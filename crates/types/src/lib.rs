@@ -50,7 +50,6 @@ pub mod guid;
 pub mod metadata;
 pub mod profile;
 pub mod protocol;
-pub mod shard;
 pub mod time;
 pub mod value;
 
@@ -60,13 +59,12 @@ pub use diagnostic::{AnalysisReport, DiagCode, Diagnostic, Severity};
 pub use entity::{EntityDescriptor, EntityKind};
 pub use error::{SciError, SciResult};
 pub use event::{ContextEvent, EventSeq};
-pub use guid::Guid;
+pub use guid::{DeterministicState, Guid};
 pub use metadata::Metadata;
 pub use profile::{PortSpec, Profile, ProfileBuilder};
 pub use protocol::{
     FaultModel, FaultSchedule, FederationModel, FreshnessBound, LinkFaultModel, MessageClassModel,
     RangeModel, RetryModel, RouteClaim, TransportLinkModel,
 };
-pub use shard::ShardMap;
 pub use time::{VirtualDuration, VirtualTime};
 pub use value::{ContextType, ContextValue, Coord};

@@ -108,8 +108,8 @@ pub struct FreshnessBound {
     pub max_age_us: u64,
 }
 
-/// One entry of a node's place directory: what `at` believes about who
-/// covers `place`.
+/// One `place/…` registration as one node's replica holds it: what `at`
+/// believes about who covers `place`.
 #[derive(Clone, PartialEq, Debug)]
 pub struct RouteClaim {
     /// The node holding the belief.

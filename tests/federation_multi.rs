@@ -189,41 +189,6 @@ fn deferred_timer_queries_answer_through_the_federation() {
 }
 
 #[test]
-fn range_adverts_build_per_node_directories() {
-    let mut r = rig(3);
-    // Before any adverts, nodes rely on the bootstrap directory.
-    assert_eq!(
-        r.fed.range_covering_from(r.nodes[0], "hall-2"),
-        Some(r.nodes[2]),
-        "bootstrap fallback works"
-    );
-    let delivered = r.fed.broadcast_adverts().unwrap();
-    assert_eq!(delivered, 6, "3 nodes x 2 peers each");
-    // Every node now knows every place locally.
-    for &node in &r.nodes {
-        for j in 0..3 {
-            assert_eq!(
-                r.fed.range_covering_from(node, &format!("hall-{j}")),
-                Some(r.nodes[j])
-            );
-        }
-    }
-    // The adverts really crossed the overlay.
-    assert!(r.fed.network_stats().delivered() >= 6);
-
-    // Forwarding by place still works after adverts.
-    let app = r.ids.next_guid();
-    let q = Query::builder(r.ids.next_guid(), app)
-        .kind(EntityKind::Device)
-        .in_place("hall-2")
-        .all()
-        .mode(Mode::Profile)
-        .build();
-    let fa = r.fed.submit_from("range-0", &q, VirtualTime::ZERO).unwrap();
-    assert!(matches!(fa.answer, QueryAnswer::Profiles(_)));
-}
-
-#[test]
 fn relayed_deliveries_respect_freshness_bounds() {
     // Regression for pump() ignoring its `now` argument: a relayed
     // event must be dropped when overlay latency pushes its arrival
@@ -276,10 +241,13 @@ fn relayed_deliveries_respect_freshness_bounds() {
 #[test]
 fn place_directory_routes_queries_by_room_name() {
     let mut r = rig(3);
-    // hall-1 is advertised by range-1 only; an app in range-0 querying
-    // that place gets forwarded automatically via the directory (the
-    // local CS has never heard of hall-1).
-    assert_eq!(r.fed.range_covering("hall-1"), Some(r.nodes[1]));
+    // hall-1 is claimed by range-1 only; an app in range-0 querying
+    // that place gets forwarded automatically via what range-0 has
+    // learned (its own CS has never heard of hall-1).
+    assert_eq!(
+        r.fed.range_covering_from(r.nodes[0], "hall-1"),
+        Some(r.nodes[1])
+    );
     let app = r.ids.next_guid();
     let q = Query::builder(r.ids.next_guid(), app)
         .kind(EntityKind::Device)

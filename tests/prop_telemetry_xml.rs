@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use sci::core::{snapshot_from_xml, snapshot_to_xml};
 use sci::prelude::*;
-use sci::telemetry::HistogramSnapshot;
+use sci::telemetry::{HistogramSnapshot, HISTOGRAM_BUCKETS};
 
 /// Metric names as they appear on the wire (XML attribute values);
 /// half the cases contain characters the codec must escape.
@@ -26,7 +26,7 @@ fn arb_histogram() -> impl Strategy<Value = HistogramSnapshot> {
         arb_name(),
         arb_value(),
         arb_value(),
-        prop::collection::vec(prop_oneof![Just(0u64), 1..100u64], 0..30),
+        prop::collection::vec(prop_oneof![Just(0u64), 1..100u64], 0..HISTOGRAM_BUCKETS + 1),
     )
         .prop_map(|(name, count, sum, buckets)| HistogramSnapshot {
             name,
@@ -76,5 +76,17 @@ proptest! {
         snap.merge(&reg.snapshot());
         let back = snapshot_from_xml(&snapshot_to_xml(&snap)).unwrap();
         prop_assert_eq!(snap, back);
+    }
+
+    /// The `buckets` attribute sizes an allocation and comes from the
+    /// peer: any length a histogram cannot have is an error, never a
+    /// panic or a terabyte.
+    #[test]
+    fn any_bucket_count_is_read_or_refused(len in arb_value()) {
+        let doc = format!(
+            "<telemetry><histogram name=\"h\" count=\"1\" sum=\"1\" buckets=\"{len}\"/></telemetry>"
+        );
+        let fits = usize::try_from(len).is_ok_and(|len| len <= HISTOGRAM_BUCKETS);
+        prop_assert_eq!(snapshot_from_xml(&doc).is_ok(), fits);
     }
 }

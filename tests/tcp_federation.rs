@@ -199,14 +199,23 @@ fn version_mismatch_is_rejected_at_the_handshake() {
 /// A late joiner converges through anti-entropy: it bootstraps off one
 /// peer, digests disagree, deltas flow, and afterwards every node's
 /// registration digest is identical — including the ranges it never
-/// dialled directly, once the federation re-wires.
+/// dialled directly, once the federation re-wires. What a node routes
+/// by is its own replica, so the routing follows the same steps: a node
+/// resolves a hall exactly when the claim has reached it.
 #[test]
 fn late_joiner_converges_through_anti_entropy() {
     let mut ids = GuidGenerator::seeded(0xfeed);
     let mut fed: Federation<TcpTransport> = Federation::with_transport(tcp(), 7);
     let mut nodes = Vec::new();
     for i in 0..2usize {
-        let cs = ContextServer::new(ids.next_guid(), format!("range-{i}"), range_plan(i));
+        let mut cs = ContextServer::new(ids.next_guid(), format!("range-{i}"), range_plan(i));
+        cs.register(
+            Profile::builder(ids.next_guid(), EntityKind::Device, format!("sensor-{i}"))
+                .attribute("room", ContextValue::place(format!("hall-{i}")))
+                .build(),
+            VirtualTime::ZERO,
+        )
+        .unwrap();
         nodes.push(fed.add_range(cs).unwrap());
     }
     fed.connect_full();
@@ -220,6 +229,14 @@ fn late_joiner_converges_through_anti_entropy() {
         fed.transport().registration_digest(nodes[0]),
         "digests must disagree before anti-entropy runs"
     );
+    assert_eq!(
+        (
+            fed.range_covering_from(late, "hall-0"),
+            fed.range_covering_from(nodes[0], "hall-9")
+        ),
+        (None, None),
+        "nobody routes by a claim that has not reached them"
+    );
 
     fed.join_discovery(late, nodes[0], 7).unwrap();
     assert_eq!(
@@ -228,15 +245,40 @@ fn late_joiner_converges_through_anti_entropy() {
         "bootstrap pair must converge during the join handshake"
     );
     assert_eq!(
-        fed.transport().registration_value(late, "range/range-0"),
+        fed.transport().registration(late, "range/range-0"),
         Some(nodes[0].to_string()),
         "the joiner must have learned the elder range's registration"
     );
     assert_eq!(
-        fed.transport()
-            .registration_value(nodes[0], "range/range-late"),
+        fed.transport().registration(nodes[0], "range/range-late"),
         Some(late.to_string()),
         "the elder must have learned the joiner's registration"
+    );
+    assert_eq!(
+        (
+            fed.range_covering_from(late, "hall-0"),
+            fed.range_covering_from(nodes[0], "hall-9")
+        ),
+        (Some(nodes[0]), Some(late)),
+        "the bootstrap pair routes by what the handshake taught it"
+    );
+    let q = Query::builder(ids.next_guid(), ids.next_guid())
+        .kind(EntityKind::Device)
+        .in_place("hall-0")
+        .all()
+        .mode(Mode::Profile)
+        .build();
+    let fa = fed
+        .submit_from("range-late", &q, VirtualTime::ZERO)
+        .unwrap();
+    match fa.answer {
+        QueryAnswer::Profiles(ps) => assert_eq!(ps[0].name(), "sensor-0"),
+        other => panic!("the elder range must answer for its hall, got {other:?}"),
+    }
+    assert_eq!(
+        fed.range_covering_from(nodes[1], "hall-9"),
+        None,
+        "range-1 has not met the joiner yet"
     );
 
     // Re-wiring the full mesh dials only the missing pairs; the sync
@@ -247,6 +289,134 @@ fn late_joiner_converges_through_anti_entropy() {
         fed.transport().registration_digest(late),
         "all nodes must agree after the mesh closes"
     );
+    assert_eq!(fed.range_covering_from(nodes[1], "hall-9"), Some(late));
+}
+
+/// One directory, one conflict rule: three ranges that all claim
+/// `atrium` resolve it to the same coverer at every node — and that is
+/// the coverer the protocol model declares for SCI-A201/A202. Where
+/// the nodes share one replica the first claim stands; where each has
+/// its own, the claims meet at `connect_full` and the highest
+/// `(version, origin)` wins everywhere.
+fn contested_room_coverers<T: Transport>(inner: T) -> (Vec<Guid>, Guid) {
+    let mut ids = GuidGenerator::seeded(0xfeed);
+    let mut fed: Federation<T> = Federation::with_transport(inner, 7);
+    let mut nodes = Vec::new();
+    for i in 0..3usize {
+        let rect = Rect::with_size(Coord::new(0.0, 0.0), 20.0, 10.0);
+        let plan = FloorPlan::builder("campus")
+            .zone(format!("wing-{i}"))
+            .room(format!("hall-{i}"), rect)
+            .room("atrium", rect)
+            .build()
+            .unwrap();
+        let mut cs = ContextServer::new(ids.next_guid(), format!("range-{i}"), plan);
+        cs.register(
+            Profile::builder(ids.next_guid(), EntityKind::Device, format!("sensor-{i}"))
+                .attribute("room", ContextValue::place(format!("hall-{i}")))
+                .build(),
+            VirtualTime::ZERO,
+        )
+        .unwrap();
+        nodes.push(fed.add_range(cs).unwrap());
+    }
+    fed.connect_full();
+
+    let coverer = fed
+        .range_covering_from(nodes[0], "atrium")
+        .expect("somebody covers the atrium");
+    let routes = fed.protocol_model().routes;
+    for &at in &nodes {
+        assert_eq!(fed.range_covering_from(at, "atrium"), Some(coverer));
+        for (j, &owner) in nodes.iter().enumerate() {
+            assert_eq!(
+                fed.range_covering_from(at, &format!("hall-{j}")),
+                Some(owner),
+                "every node knows every uncontested hall"
+            );
+        }
+        let declared: Vec<Guid> = routes
+            .iter()
+            .filter(|r| r.at == at && r.place == "atrium")
+            .map(|r| r.coverer)
+            .collect();
+        assert_eq!(
+            declared,
+            [coverer],
+            "the model declares what {at} routes by"
+        );
+    }
+
+    // A query by place is forwarded to where the asking node says.
+    let q = Query::builder(ids.next_guid(), ids.next_guid())
+        .kind(EntityKind::Device)
+        .in_place("hall-2")
+        .all()
+        .mode(Mode::Profile)
+        .build();
+    let fa = fed.submit_from("range-0", &q, VirtualTime::ZERO).unwrap();
+    match fa.answer {
+        QueryAnswer::Profiles(ps) => assert_eq!(ps[0].name(), "sensor-2"),
+        other => panic!("unexpected {other:?}"),
+    }
+    (nodes, coverer)
+}
+
+#[test]
+fn a_contested_room_has_one_coverer_at_every_node_on_both_transports() {
+    let (nodes, coverer) = contested_room_coverers(SimNetwork::new());
+    assert_eq!(
+        coverer, nodes[0],
+        "one shared replica: the first claim stands"
+    );
+    let (nodes, coverer) = contested_room_coverers(tcp());
+    assert_eq!(
+        Some(coverer),
+        nodes.iter().copied().max(),
+        "a replica per node: equal versions, so the highest origin wins"
+    );
+}
+
+/// A range that enters through `recover_range` is admitted like any
+/// other: its claims are in its own replica at once and in its peers'
+/// once they have met.
+#[test]
+fn a_range_admitted_through_recover_range_is_in_every_replica() {
+    let mut ids = GuidGenerator::seeded(0xfeed);
+    let mut fed: ParallelFederation<TcpTransport> = ParallelFederation::with_transport(tcp(), 7);
+    let elder = fed
+        .add_range(ContextServer::new(
+            ids.next_guid(),
+            "range-0".to_owned(),
+            range_plan(0),
+        ))
+        .unwrap();
+    let newcomer = fed
+        .recover_range(ContextServer::new(
+            ids.next_guid(),
+            "range-new".to_owned(),
+            range_plan(7),
+        ))
+        .unwrap();
+    let claims = [("range/range-new", newcomer), ("place/hall-7", newcomer)];
+    for (key, owner) in claims {
+        assert_eq!(
+            fed.fabric().registration(newcomer, key),
+            Some(owner.to_string()),
+            "`{key}` must be in the newcomer's own replica"
+        );
+        assert_eq!(fed.fabric().registration(elder, key), None);
+    }
+    fed.connect_full();
+    for (key, owner) in claims {
+        assert_eq!(
+            fed.fabric().registration(elder, key),
+            Some(owner.to_string()),
+            "`{key}` must reach the elder's replica"
+        );
+    }
+    assert_eq!(fed.range_covering_from(elder, "hall-7"), Some(newcomer));
+    fed.shutdown();
 }
 
 /// Chaos parity, on the pinned seed matrix: the identical chaos
