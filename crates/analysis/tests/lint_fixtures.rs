@@ -6,7 +6,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use sci_analysis::lint::{
-    check_command_kinds, check_metric_names, check_nondeterminism, Catalogue,
+    check_back_doors, check_command_kinds, check_metric_names, check_nondeterminism, Catalogue,
 };
 use sci_types::DiagCode;
 
@@ -38,6 +38,10 @@ fn clean_fixture_passes_every_pass() {
     assert!(
         check_metric_names("clean.rs", &src, &catalogue).is_empty(),
         "A302 findings in the clean fixture"
+    );
+    assert!(
+        check_back_doors("clean.rs", &src).is_empty(),
+        "A304 findings in the clean fixture"
     );
 }
 
@@ -80,6 +84,20 @@ fn kind_drift_fixture_is_rejected() {
         rendered.contains("3 variants but `KINDS` lists 2"),
         "{rendered}"
     );
+}
+
+#[test]
+fn back_door_fixture_is_rejected() {
+    let src = fixture("back_door.rs");
+    let findings = check_back_doors("back_door.rs", &src);
+    assert_eq!(findings.len(), 2, "{findings:?}");
+    assert!(findings
+        .iter()
+        .all(|d| d.code == DiagCode::BackDoorMutation));
+    let rendered = format!("{findings:?}");
+    for call in ["mark_failed", "ingest_impl"] {
+        assert!(rendered.contains(call), "missing {call}: {rendered}");
+    }
 }
 
 #[test]

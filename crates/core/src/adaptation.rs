@@ -17,15 +17,19 @@
 //!   the rule's answer;
 //! * `rewire` does so for every need a change can affect. It is what a
 //!   source's **arrival** (`Register`), its **departure**
-//!   (`Deregister`, `MigrateOut`), its **failure** ([`repair_source`])
-//!   and a **declared equivalence** (`DeclareEquivalence`) each are —
-//!   *without any application involvement*, the contrast with the
-//!   Context Toolkit (static wiring) and Solar (explicit graphs)
+//!   (`Deregister`, `MigrateOut`), its **failure** (`Fail`), a
+//!   **declared equivalence** (`DeclareEquivalence`) and a status
+//!   event that **changes an attribute** a need tests (`Ingest`) each
+//!   are — *without any application involvement*, the contrast with
+//!   the Context Toolkit (static wiring) and Solar (explicit graphs)
 //!   baselines measured in experiment E6.
 //!
-//! Failure is detected by the Event Mediator, which tracks liveness of
-//! source CEs that declared a `max-silence-us` QoS attribute;
-//! [`detect_and_repair`] turns silence into failure, and
+//! Every one of those is a logged command, so a range rebuilt from its
+//! log is wired as the live one was. Failure is *detected* by the Event
+//! Mediator, which tracks liveness of source CEs that declared a
+//! `max-silence-us` QoS attribute — a read; the public functions here
+//! turn it into the decision: [`repair_source`] issues one `Fail`,
+//! [`detect_and_repair`] one per silent source, and
 //! [`detect_and_repair_governed`] bounds how often it may.
 
 use std::borrow::Cow;
@@ -34,28 +38,15 @@ use std::collections::HashMap;
 
 use sci_event::bus::SubId;
 use sci_event::{EventMediator, Topic};
-use sci_types::{ContextType, Guid, Profile, VirtualDuration, VirtualTime};
+use sci_types::{ContextType, Guid, Profile, RangeReply, VirtualDuration, VirtualTime};
 
 use crate::configuration::{input_topic, Configuration};
 use crate::context_server::ContextServer;
 use crate::profile_manager::ProfileManager;
 use crate::resolver::{sources_for, Need};
+use crate::runtime::RangeCommand;
 
-/// What a repair pass did to one configuration.
-#[derive(Clone, Debug)]
-pub struct RepairReport {
-    /// The configuration's query id.
-    pub query: Guid,
-    /// The failed CE that was removed.
-    pub failed: Guid,
-    /// Sources newly wired in to take its place (sorted; empty when
-    /// the survivors were feeding the configuration already).
-    pub replacements: Vec<Guid>,
-    /// When the repair happened.
-    pub at: VirtualTime,
-    /// `true` if some edge was left without any producer.
-    pub degraded: bool,
-}
+pub use sci_types::RepairReport;
 
 /// The context types a profile's outputs carry — what [`rewire`] is
 /// told has changed when the entity arrives, leaves or fails.
@@ -236,29 +227,16 @@ pub(crate) fn unwire(
     report
 }
 
-/// Marks `failed` as failed and rewires every live configuration that
-/// depended on it. Returns one report per affected configuration.
+/// Fails `failed` — [`RangeCommand::Fail`], like every other mutation a
+/// command through [`ContextServer::handle`] — and returns one report
+/// per configuration it was feeding. Nothing happens, and nothing is
+/// reported, for a CE that is already failed, has departed or was never
+/// registered, or when the range's log refuses the record.
 pub fn repair_source(cs: &mut ContextServer, failed: Guid, now: VirtualTime) -> Vec<RepairReport> {
-    let outputs = cs.profiles().get(failed).map(output_types);
-    cs.mark_failed(failed);
-    unwire(cs, failed, &outputs.unwrap_or_default())
-        .into_iter()
-        .map(|(query, replacements)| {
-            // Degraded if an instance ended up with no subscriptions at
-            // all, or the application lost its only producer.
-            let degraded = cs.configuration(query).is_some_and(|config| {
-                let starved = |&i: &Guid| cs.instances().get(i).is_some_and(|s| s.subs.is_empty());
-                config.root_producers.is_empty() || config.instances.iter().any(starved)
-            });
-            RepairReport {
-                query,
-                failed,
-                replacements,
-                at: now,
-                degraded,
-            }
-        })
-        .collect()
+    match cs.handle(RangeCommand::Fail(failed), now) {
+        Ok(RangeReply::Repaired(reports)) => reports,
+        _ => Vec::new(),
+    }
 }
 
 /// Runs failure detection (mediator liveness) and repairs everything
@@ -288,9 +266,6 @@ pub struct AdaptationPolicy {
     pub max_repairs_per_window: usize,
     /// The sliding window length.
     pub window: VirtualDuration,
-    /// A CE observed failing this many times is quarantined: it stays
-    /// excluded even if it re-registers, until explicitly pardoned.
-    pub flap_threshold: usize,
 }
 
 impl Default for AdaptationPolicy {
@@ -298,7 +273,6 @@ impl Default for AdaptationPolicy {
         AdaptationPolicy {
             max_repairs_per_window: 4,
             window: VirtualDuration::from_secs(300),
-            flap_threshold: 3,
         }
     }
 }
@@ -338,23 +312,9 @@ impl AdaptationGovernor {
         self.failures.get(&ce).copied().unwrap_or(0)
     }
 
-    /// Returns `true` if the CE has crossed the flap threshold and is
-    /// quarantined.
-    pub fn is_quarantined(&self, ce: Guid) -> bool {
-        self.failure_count(ce) >= self.policy.flap_threshold
-    }
-
-    /// Pardons a quarantined CE (operator intervention).
-    pub fn pardon(&mut self, ce: Guid) {
-        self.failures.remove(&ce);
-    }
-
-    /// Records a failure observation; returns `true` if the CE is now
-    /// quarantined.
-    pub fn record_failure(&mut self, ce: Guid) -> bool {
-        let count = self.failures.entry(ce).or_insert(0);
-        *count += 1;
-        *count >= self.policy.flap_threshold
+    /// Records a failure observation.
+    pub fn record_failure(&mut self, ce: Guid) {
+        *self.failures.entry(ce).or_insert(0) += 1;
     }
 
     /// Whether a configuration has repair budget left in the window
@@ -379,11 +339,13 @@ impl AdaptationGovernor {
     }
 }
 
-/// [`detect_and_repair`] under an [`AdaptationGovernor`]: failures are
-/// recorded (flapping CEs quarantined), and a failure whose every
-/// dependent configuration has already spent its repair budget this
-/// window is left unrepaired — degraded but stable — instead of
-/// churning. Returns the reports of the repairs that were made.
+/// [`detect_and_repair`] under an [`AdaptationGovernor`], a caller-side
+/// policy that decides which failures to issue: every silent source is
+/// recorded as a failure observation, and one whose every dependent
+/// configuration has already spent its repair budget this window is
+/// *not* failed — it stays wired and tracked, degraded but stable,
+/// instead of churning, and is seen again by the next pass. Returns the
+/// reports of the repairs that were made.
 pub fn detect_and_repair_governed(
     cs: &mut ContextServer,
     governor: &mut AdaptationGovernor,
@@ -398,17 +360,15 @@ pub fn detect_and_repair_governed(
             .map(|c| c.query_id)
             .partition(|&q| governor.has_budget(q, now));
         // One rewire repairs it for everything it fed, charged to every
-        // window that has room. When none has — or nothing depends on
-        // it — each refusal is counted and the CE is only marked
-        // failed, so resolution avoids it.
-        let repair = !in_budget.is_empty();
+        // window that has room; with nothing depending on it the
+        // failure costs nobody anything. When every dependent has spent
+        // its budget each refusal is counted and no `Fail` is issued.
+        let repair = !in_budget.is_empty() || spent.is_empty();
         for query in if repair { in_budget } else { spent } {
             governor.admit_repair(query, now);
         }
         if repair {
             reports.extend(repair_source(cs, ce, now));
-        } else {
-            cs.mark_failed(ce);
         }
     }
     reports
@@ -565,7 +525,6 @@ mod tests {
         let policy = AdaptationPolicy {
             max_repairs_per_window: 2,
             window: VirtualDuration::from_secs(100),
-            flap_threshold: 3,
         };
         let mut governor = AdaptationGovernor::new(policy);
         let config = Guid::from_u128(1);
@@ -583,21 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn governor_quarantines_flapping_ces() {
-        let mut governor = AdaptationGovernor::new(AdaptationPolicy {
-            flap_threshold: 2,
-            ..AdaptationPolicy::default()
-        });
-        let flappy = Guid::from_u128(9);
-        assert!(!governor.record_failure(flappy));
-        assert!(governor.record_failure(flappy), "second strike quarantines");
-        assert!(governor.is_quarantined(flappy));
-        governor.pardon(flappy);
-        assert!(!governor.is_quarantined(flappy));
-        assert_eq!(governor.failure_count(flappy), 0);
-    }
-
-    #[test]
     fn governed_detection_suppresses_churn() {
         // A flapping door: fails (silence), repairs, is re-registered,
         // fails again… with a budget of 1 repair per window the second
@@ -608,7 +552,6 @@ mod tests {
         let mut governor = AdaptationGovernor::new(AdaptationPolicy {
             max_repairs_per_window: 1,
             window: VirtualDuration::from_secs(10_000),
-            flap_threshold: 100,
         });
 
         // Round 1: door 0 silent at t=11 → repaired.
@@ -657,7 +600,6 @@ mod tests {
         let mut governor = AdaptationGovernor::new(AdaptationPolicy {
             max_repairs_per_window: 1,
             window: VirtualDuration::from_secs(10_000),
-            flap_threshold: 100,
         });
         assert!(governor.admit_repair(spent, sci_types::VirtualTime::from_secs(1)));
 

@@ -34,8 +34,8 @@ use sci_query::{Mode, Query, What, When, Where, Which};
 use sci_types::guid::GuidGenerator;
 use sci_types::{
     Advertisement, AnalysisReport, ContextEvent, ContextType, ContextValue, Coord, DiagCode,
-    Diagnostic, EntityDescriptor, EntityKind, Guid, Profile, SciError, SciResult, VirtualDuration,
-    VirtualTime,
+    Diagnostic, EntityDescriptor, EntityKind, Guid, Profile, RepairReport, SciError, SciResult,
+    VirtualDuration, VirtualTime,
 };
 
 use sci_analysis::fleet::{diff_subscriptions, SubscriptionRecord};
@@ -48,7 +48,7 @@ use crate::logic::LogicFactory;
 use crate::migration::MigrationPacket;
 use crate::profile_manager::ProfileManager;
 use crate::registrar::Registrar;
-use sci_telemetry::{Registry, TelemetrySnapshot, Tracer};
+use sci_telemetry::{Registry, Span, TelemetrySnapshot, Tracer};
 
 use crate::adaptation::{output_types, rewire, unwire};
 use crate::resolver::{plan_need, Need};
@@ -60,6 +60,9 @@ pub use sci_types::{AppDelivery, DeferredAnswer, QueryAnswer, RangeReply};
 /// Default liveness window for source CEs that declare a
 /// `max-silence-us` attribute without a value the mediator can read.
 const DEFAULT_MAX_SILENCE: VirtualDuration = VirtualDuration::from_secs(60);
+
+/// A liveness-table row: `(publisher, last heard, declared window)`.
+pub(crate) type LivenessRow = (Guid, VirtualTime, VirtualDuration);
 
 struct DeferredQuery {
     query: Query,
@@ -583,7 +586,9 @@ impl ContextServer {
     }
 
     /// Snapshot restore: [`ContextServer::adopt`] for everyone, then
-    /// the range-only tables — history in export order, last known
+    /// the range-only tables — when each tracked source was last heard
+    /// (`None`, a snapshot that predates the table, leaves what the
+    /// registrations seeded), history in export order, last known
     /// positions (over whatever the registrations seeded) and the
     /// stream sequence counters, fast-forwarded and never rewound so a
     /// rebuilt server cannot re-mint envelope seqs the federation has
@@ -597,11 +602,16 @@ impl ContextServer {
         held: MigrationPacket,
         excluded: Vec<Guid>,
         history: impl Iterator<Item = SciResult<ContextEvent>>,
-        positions: Vec<(Guid, Coord)>,
+        (positions, liveness): (Vec<(Guid, Coord)>, Option<Vec<LivenessRow>>),
         (delivery_seq, answer_seq): (u64, u64),
         now: VirtualTime,
     ) -> SciResult<usize> {
         let unresolved = self.adopt(held, excluded, now)?;
+        // `adopt` re-registered every tracked source as first heard
+        // `now` (a failed one included); the table says when each was.
+        if let Some(liveness) = liveness {
+            self.mediator.restore_liveness(liveness);
+        }
         for event in history {
             self.history.record(&event?);
         }
@@ -1108,17 +1118,28 @@ impl ContextServer {
     }
 
     /// Keeps profile attributes current from device status events so
-    /// Which-clause selection sees live state (printer queues, paper).
+    /// Which-clause selection sees live state (printer queues, paper) —
+    /// and, when a value changed, so does every recorded need that
+    /// tests it: "a printer with paper" is rewired on a refill.
     fn refresh_profile_from_event(&mut self, event: &ContextEvent) {
         if event.topic != ContextType::PrinterStatus {
             return;
         }
+        let mut changed = false;
         for key in ["queue", "paper", "room", "restricted"] {
             if let Some(value) = event.payload.field(key) {
-                let _ = self
+                let update = self
                     .profiles
                     .update_attribute(event.source, key, value.clone());
+                changed |= update.is_ok_and(|before| before.as_ref() != Some(value));
             }
+        }
+        if !changed {
+            return;
+        }
+        let outputs = self.profiles.get(event.source).map(output_types);
+        if let Some(outputs) = outputs.filter(|outputs| !outputs.is_empty()) {
+            rewire(self, &outputs);
         }
     }
 
@@ -1183,7 +1204,7 @@ impl ContextServer {
     /// Never currently errs; kept fallible for future trigger kinds.
     pub fn poll_timers(&mut self, now: VirtualTime) -> SciResult<usize> {
         match self.handle(RangeCommand::PollTimers, now)? {
-            RangeReply::Fired(n) => Ok(n),
+            RangeReply::Fired { fired, .. } => Ok(fired),
             other => Err(SciError::Internal(format!(
                 "poll_timers expected `fired` reply, got `{}`",
                 other.kind()
@@ -1330,9 +1351,55 @@ impl ContextServer {
 
     /// Marks a CE failed: the wiring rule stops naming it until it
     /// registers again, and its liveness is no longer tracked.
-    pub(crate) fn mark_failed(&mut self, ce: Guid) {
+    fn mark_failed(&mut self, ce: Guid) {
         self.excluded.insert(ce);
         self.mediator.untrack_publisher(ce);
+    }
+
+    /// The `Fail` arm, the one place a source fails: marks `ce` failed
+    /// and rewires every live configuration it fed, one report each. A
+    /// CE that is already failed, has departed or was never here is
+    /// left alone, so a record replayed over a snapshot that already
+    /// holds the exclusion changes nothing.
+    pub(crate) fn fail_impl(
+        &mut self,
+        ce: Guid,
+        now: VirtualTime,
+        span: &mut Span<'_>,
+    ) -> Vec<RepairReport> {
+        span.field("ce", ce);
+        let outputs = match self.profiles.get(ce) {
+            Some(profile) if !self.excluded.contains(&ce) => output_types(profile),
+            _ => return Vec::new(),
+        };
+        if self.metrics.tracer().enabled() {
+            let silent = self.mediator.silent_publishers(now);
+            let silence = silent.iter().find(|(id, _)| *id == ce);
+            span.field("silence_us", silence.map_or(0, |(_, d)| d.as_micros()));
+        }
+        self.mark_failed(ce);
+        let rewired = unwire(self, ce, &outputs);
+        self.metrics.record_source_failed();
+        span.field("rewired", rewired.len());
+        rewired
+            .into_iter()
+            .map(|(query, replacements)| {
+                // Degraded if an instance ended up with no subscriptions
+                // at all, or the application lost its only producer.
+                let degraded = self.configurations.get(&query).is_some_and(|config| {
+                    let starved =
+                        |&i: &Guid| self.instances.get(i).is_some_and(|s| s.subs.is_empty());
+                    config.root_producers.is_empty() || config.instances.iter().any(starved)
+                });
+                RepairReport {
+                    query,
+                    failed: ce,
+                    replacements,
+                    at: now,
+                    degraded,
+                }
+            })
+            .collect()
     }
 
     // ------------------------------------------------------------------

@@ -78,7 +78,9 @@ use sci_query::codec as qcodec;
 use sci_query::xml::{parse, Element};
 use sci_query::Query;
 use sci_telemetry::{Counter, Gauge, Histogram, Registry};
-use sci_types::{ContextEvent, ContextType, EventSeq, Guid, SciError, SciResult, VirtualTime};
+use sci_types::{
+    ContextEvent, ContextType, EventSeq, Guid, SciError, SciResult, VirtualDuration, VirtualTime,
+};
 use sci_wal::codec::wire;
 use sci_wal::log::LatestSnapshot;
 use sci_wal::{
@@ -151,7 +153,8 @@ pub fn encode_command(cmd: &RangeCommand, now: VirtualTime) -> Frame {
         | RangeCommand::Deregister(g)
         | RangeCommand::Cancel(g)
         | RangeCommand::DrainOutboxFor(g)
-        | RangeCommand::MigrateOut(g) => wire::put_u128(&mut p, g.as_u128()),
+        | RangeCommand::MigrateOut(g)
+        | RangeCommand::Fail(g) => wire::put_u128(&mut p, g.as_u128()),
         RangeCommand::Advertise(ad) => {
             wire::put_str(&mut p, &qcodec::advertisement_to_element(ad).to_xml());
         }
@@ -234,6 +237,7 @@ pub fn decode_command(
         20 => RangeCommand::MigrateIn(Box::new(MigrationPacket::from_xml(
             r.str().map_err(frame_err)?,
         )?)),
+        21 => RangeCommand::Fail(get_guid(&mut r)?),
         other => {
             return Err(SciError::Codec(format!(
                 "unknown command frame tag {other}"
@@ -534,8 +538,9 @@ impl RangeWal {
 /// The document half of a snapshot: a `<range-snapshot>` element with
 /// a header of settings, what the range holds on behalf of everyone
 /// (the sections a [`MigrationPacket`] carries for one entity) and the
-/// small range-only tables — logic keys, equivalences, exclusions and,
-/// on the root, the stream sequence counters. Every collection is
+/// small range-only tables — logic keys, equivalences, exclusions, when
+/// each liveness-tracked source was last heard and, on the root, the
+/// stream sequence counters. Every collection is
 /// emitted in a deterministic order so identical states produce
 /// identical bytes.
 pub(crate) fn snapshot_element(cs: &ContextServer, now: VirtualTime) -> Element {
@@ -564,7 +569,22 @@ pub(crate) fn snapshot_element(cs: &ContextServer, now: VirtualTime) -> Element 
     for id in excluded {
         e = e.with_child(Element::new("excluded").with_attr("id", id.to_string()));
     }
-    e
+    // Present even when empty: its absence is how a snapshot that
+    // predates the table is told from one with nothing tracked.
+    let liveness = Element::new("liveness");
+    e.with_child(liveness_rows(cs, "source").fold(liveness, Element::with_child))
+}
+
+/// One `<name id=… last-seen-us=… max-silence-us=…/>` per
+/// liveness-tracked source, ascending GUID.
+fn liveness_rows<'a>(cs: &ContextServer, name: &'a str) -> impl Iterator<Item = Element> + 'a {
+    let rows = cs.mediator().liveness().into_iter();
+    rows.map(move |(id, last_seen, max_silence)| {
+        Element::new(name)
+            .with_attr("id", id.to_string())
+            .with_attr("last-seen-us", last_seen.as_micros().to_string())
+            .with_attr("max-silence-us", max_silence.as_micros().to_string())
+    })
 }
 
 /// Serialises the durable state of a server at `now` into a snapshot
@@ -663,6 +683,19 @@ pub(crate) fn restore_snapshot(
         .children_named("excluded")
         .map(|x| x.require_attr("id")?.parse())
         .collect::<SciResult<Vec<Guid>>>()?;
+    let liveness = root
+        .child("liveness")
+        .map(|table| {
+            let row = |s: &Element| {
+                Ok((
+                    s.require_attr("id")?.parse()?,
+                    VirtualTime::from_micros(parsed_attr(s, "last-seen-us")?),
+                    VirtualDuration::from_micros(parsed_attr(s, "max-silence-us")?),
+                ))
+            };
+            table.children_named("source").map(row).collect()
+        })
+        .transpose()?;
     let stream_seqs = (
         parsed_attr(root, "delivery-seq")?,
         parsed_attr(root, "answer-seq")?,
@@ -672,7 +705,8 @@ pub(crate) fn restore_snapshot(
     // Decoded one at a time, as `import` records them: history is the
     // bulk of a snapshot and is never held twice.
     let history = (0..get_count(&mut r, MIN_EVENT_LEN)?).map(|_| get_event(&mut r));
-    let unresolved = cs.import(held, excluded, history, positions, stream_seqs, now)?;
+    let tables = (positions, liveness);
+    let unresolved = cs.import(held, excluded, history, tables, stream_seqs, now)?;
     expect_end(&r, "the snapshot's history table")?;
     Ok((now, unresolved))
 }
@@ -880,9 +914,8 @@ fn normalized_event(cs: &ContextServer, event: &ContextEvent) -> Element {
 /// durable-state observer.
 ///
 /// Deliberately excluded: instance counts, telemetry, stale-drop and
-/// rejected-plan tallies, registrar timestamps, mediator liveness
-/// bookkeeping, and (per the module docs) logic-instance GUIDs, which
-/// are normalised away.
+/// rejected-plan tallies, registrar timestamps, and (per the module
+/// docs) logic-instance GUIDs, which are normalised away.
 pub fn durable_digest(cs: &ContextServer) -> String {
     let (delivery_seq, answer_seq) = cs.stream_seqs();
     let mut e = Element::new("durable-digest")
@@ -911,6 +944,7 @@ pub fn durable_digest(cs: &ContextServer) -> String {
     for id in excluded {
         e = e.with_child(Element::new("excluded").with_attr("id", id.to_string()));
     }
+    e = liveness_rows(cs, "tracked").fold(e, Element::with_child);
     let mut providers: Vec<&Guid> = cs.advertisements_all().keys().collect();
     providers.sort_unstable();
     for provider in providers {
@@ -1025,6 +1059,7 @@ mod tests {
             RangeCommand::Audit,
             RangeCommand::MigrateOut(Guid::from_u128(8)),
             RangeCommand::MigrateIn(Box::new(MigrationPacket::new(Guid::from_u128(9)))),
+            RangeCommand::Fail(Guid::from_u128(13)),
         ];
         let mut visited = Vec::new();
         for cmd in cmds {
@@ -1079,6 +1114,7 @@ mod tests {
         );
         let profile = Profile::builder(thermo, EntityKind::Device, "thermo")
             .output(PortSpec::new("t", ContextType::Temperature))
+            .attribute("max-silence-us", ContextValue::Int(60_000_000))
             .build();
         cs.register(profile.clone(), VirtualTime::ZERO).unwrap();
         cs.declare_equivalence(ContextType::Temperature, ContextType::custom("temp"));
@@ -1134,8 +1170,11 @@ mod tests {
              {profile}{broken}{standing}\
              <deferred stored-at-us=\"1000000\">{parked}</deferred>\
              <delivery app=\"{app}\" query=\"{query}\">{reading}</delivery>\
-             <excluded id=\"{}\"/></range-snapshot>",
-            Guid::from_u128(2)
+             <excluded id=\"{}\"/>\
+             <liveness><source id=\"{}\" last-seen-us=\"2000000\" \
+             max-silence-us=\"60000000\"/></liveness></range-snapshot>",
+            Guid::from_u128(2),
+            Guid::from_u128(1)
         );
         let now = VirtualTime::from_secs(3);
         assert_eq!(snapshot_element(&cs, now).to_xml(), expected);

@@ -190,15 +190,14 @@ impl<T: Transport> Federation<T> {
         first_error.map_or(Ok(()), Err)
     }
 
-    /// Fires due timers in every range, then pumps.
+    /// Fires due timers in every range and fails the sources each
+    /// range reports silent past their window, then pumps.
     ///
     /// # Errors
     ///
     /// Propagates pump failures.
     pub fn poll_timers(&mut self, now: VirtualTime) -> SciResult<()> {
-        for cs in self.core.hosts.values_mut() {
-            let _ = cs.poll_timers(now);
-        }
+        self.core.poll_ranges(now);
         self.core.pump(now)
     }
 }

@@ -166,10 +166,14 @@ impl RangeHost for ContextServer {
     /// sequences.
     fn drain_stream(&mut self) -> Stream {
         let mut stream = Stream::default();
-        for d in self.drain_outbox_impl() {
+        // Not through `handle`: a drain is not logged (`durability`),
+        // and this one runs on every pump of every range.
+        let deliveries = self.drain_outbox_impl(); // sci-lint: allow(back-door): drains are not logged
+        for d in deliveries {
             stream.0.push((self.next_stream_delivery_seq(), d));
         }
-        for a in self.drain_answers_impl() {
+        let answers = self.drain_answers_impl(); // sci-lint: allow(back-door): drains are not logged
+        for a in answers {
             stream.1.push((self.next_stream_answer_seq(), a));
         }
         stream
@@ -734,6 +738,26 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
             self.metrics.relay_us.record(elapsed_us(started));
         }
         self.sweep(now)
+    }
+
+    /// Fires due timers in every range, in GUID order, and fails each
+    /// source a range's reply names as silent past its window: the
+    /// liveness check is the range's read, the `Fail` the driver's
+    /// decision, logged by the range like any command. A range that is
+    /// down is skipped; the caller pumps afterwards.
+    pub(crate) fn poll_ranges(&mut self, now: VirtualTime) {
+        for node in self.node_ids() {
+            let Some(host) = self.hosts.get_mut(&node) else {
+                continue;
+            };
+            let Ok(RangeReply::Fired { silent, .. }) = host.call(RangeCommand::PollTimers, now)
+            else {
+                continue;
+            };
+            for (ce, _) in silent {
+                let _ = host.call(RangeCommand::Fail(ce), now);
+            }
+        }
     }
 
     /// The home range of `app`. An app with no recorded home is *not*

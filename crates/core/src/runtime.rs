@@ -37,7 +37,7 @@ use sci_types::{
     Advertisement, ContextEvent, ContextType, Guid, Profile, SciError, SciResult, VirtualTime,
 };
 
-use sci_telemetry::Registry;
+use sci_telemetry::{Registry, Span};
 
 use crate::context_server::{ContextServer, RangeReply};
 use crate::logic::LogicFactory;
@@ -103,6 +103,13 @@ pub enum RangeCommand {
     MigrateOut(Guid),
     /// Replay a migrated entity's packaged state at its new home range.
     MigrateIn(Box<MigrationPacket>),
+    /// A source CE has failed: the wiring rule stops naming it until it
+    /// registers again, and everything it fed is rewired. The
+    /// *decision* is the command — who took it (a liveness poll, an
+    /// [`crate::adaptation::AdaptationGovernor`], an operator) and on
+    /// what evidence is not the range's state. A no-op for a CE that
+    /// is already failed, has departed or was never here.
+    Fail(Guid),
 }
 
 impl RangeCommand {
@@ -114,7 +121,7 @@ impl RangeCommand {
     /// Append-only, never reorder: a command's index here is its frame
     /// tag in the write-ahead log ([`crate::durability::encode_command`]),
     /// so the table is the on-disk format.
-    pub const KINDS: [&'static str; 21] = [
+    pub const KINDS: [&'static str; 22] = [
         "register",
         "register-logic",
         "declare-equivalence",
@@ -136,6 +143,7 @@ impl RangeCommand {
         "audit",
         "migrate-out",
         "migrate-in",
+        "fail",
     ];
 
     /// Dense index of this variant within [`RangeCommand::KINDS`].
@@ -162,6 +170,7 @@ impl RangeCommand {
             RangeCommand::Audit => 18,
             RangeCommand::MigrateOut(_) => 19,
             RangeCommand::MigrateIn(_) => 20,
+            RangeCommand::Fail(_) => 21,
         }
     }
 
@@ -193,7 +202,7 @@ impl ContextServer {
     pub fn handle(&mut self, cmd: RangeCommand, now: VirtualTime) -> SciResult<RangeReply> {
         let idx = cmd.kind_index();
         let tracer = self.metrics().tracer().clone();
-        let _span = tracer.span(cmd.kind());
+        let mut span = tracer.span(cmd.kind());
         let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
 
         // Durability: append-before-apply. The log stays inside the
@@ -210,7 +219,7 @@ impl ContextServer {
             }
             _ => false,
         };
-        let reply = self.handle_inner(cmd, now);
+        let reply = self.handle_inner(cmd, now, &mut span);
         // Snapshot *after* applying: the payload captures the
         // command's effects (outbox included), and its applied index
         // covers the command's own record. A failed write leaves the
@@ -225,7 +234,12 @@ impl ContextServer {
         reply
     }
 
-    fn handle_inner(&mut self, cmd: RangeCommand, now: VirtualTime) -> SciResult<RangeReply> {
+    fn handle_inner(
+        &mut self,
+        cmd: RangeCommand,
+        now: VirtualTime,
+        span: &mut Span<'_>,
+    ) -> SciResult<RangeReply> {
         match cmd {
             RangeCommand::Register(profile) => {
                 self.register_impl(*profile, now).map(|()| RangeReply::Ack)
@@ -266,7 +280,11 @@ impl ContextServer {
                     None => Ok(RangeReply::Ingested(applied)),
                 }
             }
-            RangeCommand::PollTimers => self.poll_timers_impl(now).map(RangeReply::Fired),
+            RangeCommand::PollTimers => {
+                let fired = self.poll_timers_impl(now)?;
+                let silent = self.mediator().silent_publishers(now);
+                Ok(RangeReply::Fired { fired, silent })
+            }
             RangeCommand::ExpireHistory => Ok(RangeReply::Expired(self.expire_history_impl(now))),
             RangeCommand::DrainOutbox => Ok(RangeReply::Deliveries(self.drain_outbox_impl())),
             RangeCommand::DrainOutboxFor(app) => {
@@ -292,6 +310,7 @@ impl ContextServer {
             RangeCommand::MigrateIn(packet) => {
                 self.migrate_in_impl(*packet, now).map(|()| RangeReply::Ack)
             }
+            RangeCommand::Fail(ce) => Ok(RangeReply::Repaired(self.fail_impl(ce, now, span))),
         }
     }
 }
@@ -1141,17 +1160,14 @@ impl<T: Transport> ParallelFederation<T> {
         pumped
     }
 
-    /// Fires due timers in every range, then syncs.
+    /// Fires due timers in every range and fails the sources each
+    /// range reports silent past their window, then syncs.
     ///
     /// # Errors
     ///
     /// As for [`ParallelFederation::sync`].
     pub fn poll_timers(&mut self, now: VirtualTime) -> SciResult<()> {
-        for node in self.core.node_ids() {
-            if let Some(worker) = self.core.hosts.get_mut(&node) {
-                let _ = worker.cast(RangeCommand::PollTimers, now);
-            }
-        }
+        self.core.poll_ranges(now);
         self.sync(now)
     }
 

@@ -29,6 +29,7 @@
 //! | `range.stale_drops` | counter | in-range deliveries dropped as stale |
 //! | `range.app.deliveries` | counter | deliveries handed to applications |
 //! | `range.deregister.unknown` | counter | deregisters whose target had no profile (or no registration at all) |
+//! | `range.source.failed` | counter | source CEs failed by a `Fail` command (no-ops on an already-failed, departed or unknown CE not counted) |
 //! | `range.migrate.out` | counter | entities packaged and handed off to another range |
 //! | `range.migrate.in` | counter | migration packets replayed into this range |
 //! | `range.migrate.inflight_us` | histogram | coordinator wall time between packaging and replay of one migration |
@@ -95,6 +96,7 @@ pub(crate) struct CsMetrics {
     deregister_unknown: Counter,
     migrate_out: Counter,
     migrate_in: Counter,
+    source_failed: Counter,
 }
 
 impl CsMetrics {
@@ -125,6 +127,7 @@ impl CsMetrics {
             deregister_unknown: registry.counter("range.deregister.unknown"),
             migrate_out: registry.counter("range.migrate.out"),
             migrate_in: registry.counter("range.migrate.in"),
+            source_failed: registry.counter("range.source.failed"),
             tracer: Tracer::noop(),
             registry,
         }
@@ -198,6 +201,11 @@ impl CsMetrics {
     #[inline]
     pub(crate) fn record_migrate_in(&self) {
         self.migrate_in.inc();
+    }
+
+    /// Records a source CE failed by a `Fail` command.
+    pub(crate) fn record_source_failed(&self) {
+        self.source_failed.inc();
     }
 }
 

@@ -143,6 +143,35 @@ impl EventMediator {
         silent
     }
 
+    /// The liveness table — `(publisher, last heard, declared window)`
+    /// per tracked publisher, ascending GUID: what a range's snapshot
+    /// carries so a restored range detects silence as the live one would.
+    pub fn liveness(&self) -> Vec<(Guid, VirtualTime, VirtualDuration)> {
+        let mut rows: Vec<_> = self
+            .publishers
+            .iter()
+            .map(|(&id, st)| (id, st.last_seen, st.max_silence))
+            .collect();
+        rows.sort_by_key(|&(id, ..)| id);
+        rows
+    }
+
+    /// Replaces the liveness table with `rows` (see
+    /// [`EventMediator::liveness`]): exactly these publishers are
+    /// tracked afterwards, each last heard when its row says.
+    pub fn restore_liveness(&mut self, rows: Vec<(Guid, VirtualTime, VirtualDuration)>) {
+        self.publishers = rows
+            .into_iter()
+            .map(|(id, last_seen, max_silence)| {
+                let state = PublisherState {
+                    last_seen,
+                    max_silence,
+                };
+                (id, state)
+            })
+            .collect();
+    }
+
     /// Read access to the underlying subscription table.
     pub fn bus(&self) -> &EventBus {
         &self.bus

@@ -63,6 +63,7 @@ pub const METRICS: &[&str] = &[
     "range.panics",
     "range.restart.replay_errors",
     "range.restarts",
+    "range.source.failed",
     "range.stale_drops",
     "resolver.plan.count",
     "resolver.plan.edges",

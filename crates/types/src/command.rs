@@ -17,6 +17,7 @@ use crate::entity::EntityDescriptor;
 use crate::event::ContextEvent;
 use crate::guid::Guid;
 use crate::profile::Profile;
+use crate::time::{VirtualDuration, VirtualTime};
 
 /// The answer to a submitted query.
 #[derive(Clone, Debug)]
@@ -79,6 +80,22 @@ pub struct AppDelivery {
 /// A deferred answer: `(query, owner, answer)`.
 pub type DeferredAnswer = (Guid, Guid, QueryAnswer);
 
+/// What a source's failure did to one configuration it fed.
+#[derive(Clone, Debug)]
+pub struct RepairReport {
+    /// The configuration's query id.
+    pub query: Guid,
+    /// The failed CE that was removed.
+    pub failed: Guid,
+    /// Sources newly wired in to take its place (sorted; empty when
+    /// the survivors were feeding the configuration already).
+    pub replacements: Vec<Guid>,
+    /// When the repair happened.
+    pub at: VirtualTime,
+    /// `true` if some edge was left without any producer.
+    pub degraded: bool,
+}
+
 /// The result of processing one range command.
 ///
 /// Every mutating Context Server entry point maps to exactly one reply
@@ -95,8 +112,19 @@ pub enum RangeReply {
     Deregistered(EntityDescriptor),
     /// `IngestBatch` applied this many events.
     Ingested(usize),
-    /// `PollTimers` fired this many deferred queries.
-    Fired(usize),
+    /// `PollTimers` fired this many deferred queries, and these
+    /// liveness-tracked sources have been silent past their declared
+    /// window (ascending GUID, with the silence observed) — a read:
+    /// failing one is the caller's decision, issued as `Fail`.
+    Fired {
+        /// Deferred queries fired.
+        fired: usize,
+        /// Tracked sources silent past their window.
+        silent: Vec<(Guid, VirtualDuration)>,
+    },
+    /// `Fail` rewired these configurations; empty when the CE fed none,
+    /// or was already failed, departed or unknown.
+    Repaired(Vec<RepairReport>),
     /// `ExpireHistory` evicted this many history entries.
     Expired(usize),
     /// `DrainOutbox`/`DrainOutboxFor`: pending application deliveries.
@@ -118,7 +146,8 @@ impl RangeReply {
             RangeReply::Answer(_) => "answer",
             RangeReply::Deregistered(_) => "deregistered",
             RangeReply::Ingested(_) => "ingested",
-            RangeReply::Fired(_) => "fired",
+            RangeReply::Fired { .. } => "fired",
+            RangeReply::Repaired(_) => "repaired",
             RangeReply::Expired(_) => "expired",
             RangeReply::Deliveries(_) => "deliveries",
             RangeReply::Answers(_) => "answers",
@@ -138,7 +167,12 @@ mod tests {
             RangeReply::Ack.kind(),
             RangeReply::Answer(QueryAnswer::Deferred).kind(),
             RangeReply::Ingested(0).kind(),
-            RangeReply::Fired(0).kind(),
+            RangeReply::Fired {
+                fired: 0,
+                silent: Vec::new(),
+            }
+            .kind(),
+            RangeReply::Repaired(Vec::new()).kind(),
             RangeReply::Expired(0).kind(),
             RangeReply::Deliveries(Vec::new()).kind(),
             RangeReply::Answers(Vec::new()).kind(),

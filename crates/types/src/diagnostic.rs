@@ -104,6 +104,11 @@ pub enum DiagCode {
     /// `SCI-A303`: `RangeCommand::KINDS` and the enum's variants have
     /// drifted apart (count, order, or kebab-case naming).
     CommandKindDrift,
+    /// `SCI-A304`: code outside the range dispatcher calls one of a
+    /// Context Server's `*_impl` methods (or `mark_failed`) directly —
+    /// a mutation its command log never sees, so a recovered range
+    /// differs from the live one.
+    BackDoorMutation,
 }
 
 impl DiagCode {
@@ -128,6 +133,7 @@ impl DiagCode {
             DiagCode::NondeterministicCall => "SCI-A301",
             DiagCode::MetricNameDrift => "SCI-A302",
             DiagCode::CommandKindDrift => "SCI-A303",
+            DiagCode::BackDoorMutation => "SCI-A304",
         }
     }
 
@@ -149,7 +155,8 @@ impl DiagCode {
             | DiagCode::TransportLinkMissing
             | DiagCode::NondeterministicCall
             | DiagCode::MetricNameDrift
-            | DiagCode::CommandKindDrift => Severity::Error,
+            | DiagCode::CommandKindDrift
+            | DiagCode::BackDoorMutation => Severity::Error,
             DiagCode::UnreachableNode | DiagCode::OrphanSubscription => Severity::Warning,
         }
     }
@@ -325,6 +332,7 @@ mod tests {
             DiagCode::NondeterministicCall,
             DiagCode::MetricNameDrift,
             DiagCode::CommandKindDrift,
+            DiagCode::BackDoorMutation,
         ];
         let mut codes: Vec<&str> = all.iter().map(DiagCode::code).collect();
         codes.sort_unstable();

@@ -54,7 +54,7 @@ pub mod time;
 pub mod value;
 
 pub use advertisement::{Advertisement, Operation};
-pub use command::{AppDelivery, DeferredAnswer, QueryAnswer, RangeReply};
+pub use command::{AppDelivery, DeferredAnswer, QueryAnswer, RangeReply, RepairReport};
 pub use diagnostic::{AnalysisReport, DiagCode, Diagnostic, Severity};
 pub use entity::{EntityDescriptor, EntityKind};
 pub use error::{SciError, SciResult};

@@ -439,6 +439,194 @@ fn a_replay_and_a_snapshot_recover_the_same_wiring() {
 }
 
 // ---------------------------------------------------------------------------
+// A failure is in the log (R7), and so is when a source was last heard.
+// ---------------------------------------------------------------------------
+
+const DOORS: [u128; 2] = [0xD0, 0xD1];
+
+fn tracked_door(i: usize) -> Profile {
+    Profile::builder(
+        Guid::from_u128(DOORS[i]),
+        EntityKind::Device,
+        format!("door-{i}"),
+    )
+    .output(PortSpec::new("presence", ContextType::Presence))
+    .attribute("max-silence-us", ContextValue::Int(15_000_000))
+    .build()
+}
+
+/// A durable range with two liveness-tracked doors and one `Presence`
+/// subscription, every registration in its log.
+fn tracked_range(config: &DurabilityConfig) -> ContextServer {
+    let mut cs = ContextServer::new(Guid::from_u128(RANGE_ID), "r", capa_level10());
+    durability::attach(&mut cs, config, t(0)).unwrap();
+    for i in 0..DOORS.len() {
+        cs.register(tracked_door(i), t(0)).unwrap();
+    }
+    let subscribe = Query::builder(Guid::from_u128(0x100), Guid::from_u128(APP_A))
+        .info(ContextType::Presence)
+        .mode(Mode::Subscribe)
+        .build();
+    cs.submit_query(&subscribe, t(0)).unwrap();
+    cs
+}
+
+fn recover_tracked(config: &DurabilityConfig) -> (ContextServer, RecoveryReport) {
+    durability::recover(
+        Guid::from_u128(RANGE_ID),
+        "r",
+        capa_level10(),
+        Registry::new(),
+        config,
+        &HashMap::new(),
+    )
+    .unwrap()
+}
+
+/// One reading per door; how many the subscription is delivered.
+fn delivered_of_one_reading_per_door(cs: &mut ContextServer, at: VirtualTime) -> usize {
+    for door in DOORS {
+        cs.ingest(&presence(Guid::from_u128(door), 0xB0B, at), at)
+            .unwrap();
+    }
+    cs.drain_outbox().len()
+}
+
+/// R7: door 0 falls silent past its window, `detect_and_repair` fails
+/// it, and the range is rebuilt — by a full replay, from snapshots that
+/// fall before the failure and after it, and by the supervised-restart
+/// path. Every rebuilt range still excludes the door.
+#[test]
+fn a_recovered_range_remembers_a_failure() {
+    use sci::core::adaptation::detect_and_repair;
+    for snapshot_every in [0, 1, 2, 3, 4, 5, 6] {
+        let dir = tmpdir("r7");
+        let config = DurabilityConfig {
+            snapshot_every,
+            ..DurabilityConfig::new(&dir)
+        };
+        let mut live = tracked_range(&config);
+        live.heartbeat(Guid::from_u128(DOORS[1]), t(20)).unwrap();
+        assert_eq!(detect_and_repair(&mut live, t(20)).len(), 1);
+        for door in DOORS {
+            live.ingest(&presence(Guid::from_u128(door), 0xB0B, t(21)), t(21))
+                .unwrap();
+        }
+        live.sync_wal().unwrap();
+        let live_digest = durable_digest(&live);
+        assert_eq!(live.excluded().len(), 1);
+        assert_eq!(live.drain_outbox().len(), 1, "door 0 is cut off");
+
+        let (mut recovered, report) = recover_tracked(&config);
+        assert_eq!(report.replay_errors, 0, "{report:?}");
+        assert_eq!(
+            durable_digest(&recovered),
+            live_digest,
+            "snapshot_every {snapshot_every}"
+        );
+        assert_eq!(recovered.excluded(), live.excluded());
+        assert_eq!(recovered.drain_outbox().len(), 1, "regenerated");
+        drop(recovered);
+
+        // What a supervised worker restart runs, on the live range.
+        let delivered = delivered_of_one_reading_per_door(&mut live, t(22));
+        assert_eq!(delivered, 1);
+        let (mut restarted, report) = durability::restart(live).unwrap();
+        assert_eq!(report.replay_errors, 0, "{report:?}");
+        assert_eq!(restarted.excluded().len(), 1);
+        restarted.drain_outbox();
+        assert_eq!(
+            delivered_of_one_reading_per_door(&mut restarted, t(23)),
+            1,
+            "snapshot_every {snapshot_every}: a restart re-admitted the dead door"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// R6's shape once more: a restore re-registers every source as heard
+/// at the snapshot's instant, a replay reproduces when each really was.
+/// The same log recovered both ways names the same silent sources.
+#[test]
+fn a_restored_range_remembers_when_it_last_heard_each_source() {
+    let mut silent = Vec::new();
+    for snapshot_every in [0, 3] {
+        let dir = tmpdir("liveness");
+        let config = DurabilityConfig {
+            snapshot_every,
+            ..DurabilityConfig::new(&dir)
+        };
+        let mut cs = tracked_range(&config);
+        cs.heartbeat(Guid::from_u128(DOORS[0]), t(10)).unwrap();
+        cs.heartbeat(Guid::from_u128(DOORS[1]), t(12)).unwrap();
+        // Record 6: with `snapshot_every` 3 the snapshot is taken here.
+        cs.poll_timers(t(14)).unwrap();
+        cs.sync_wal().unwrap();
+        let live = cs.mediator().silent_publishers(t(26));
+        assert_eq!(live.len(), 1, "door 0: 16 s of silence, door 1: 14 s");
+        let live_digest = durable_digest(&cs);
+        drop(cs);
+
+        let (recovered, report) = recover_tracked(&config);
+        assert_eq!(report.snapshot_applied, Some(snapshot_every * 2));
+        assert_eq!(recovered.mediator().silent_publishers(t(26)), live);
+        assert_eq!(durable_digest(&recovered), live_digest);
+        silent.push(live);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert_eq!(silent[0], silent[1]);
+}
+
+/// A log written by the build before `fail` and the liveness table
+/// existed (commit 7870285: tags 0-20, a snapshot without
+/// `<liveness>`) recovers to the state that build saw.
+#[test]
+fn a_log_written_before_the_fail_command_recovers_unchanged() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/log-7870285");
+    let dir = tmpdir("parent-log");
+    std::fs::create_dir_all(&dir).unwrap();
+    for name in ["wal-0000000000000000.seg", "snap-0000000000000008.snap"] {
+        std::fs::copy(fixture.join(name), dir.join(name)).unwrap();
+    }
+    let obj_loc = Guid::from_u128(0x0B);
+    let plan = capa_level10();
+    let logic = HashMap::from([(
+        obj_loc,
+        factory(move || ObjLocationLogic::new(plan.clone())),
+    )]);
+    let (recovered, report) = durability::recover(
+        Guid::from_u128(0xF1),
+        "level-ten",
+        capa_level10(),
+        Registry::new(),
+        &DurabilityConfig::new(&dir),
+        &logic,
+    )
+    .unwrap();
+    assert_eq!(report.snapshot_applied, Some(8));
+    assert_eq!(
+        (report.replayed, report.replay_errors),
+        (4, 0),
+        "{report:?}"
+    );
+    assert_eq!(report.torn_bytes, 0);
+
+    // The digest that build wrote beside its log, which has no
+    // `<tracked>` rows: the one tracked door is compared apart.
+    let mut digest = sci::query::xml::parse(&durable_digest(&recovered)).unwrap();
+    digest.children.retain(|c| c.name != "tracked");
+    let written = std::fs::read_to_string(fixture.join("digest.xml")).unwrap();
+    assert_eq!(digest.to_xml(), written);
+    // Heard in the replayed tail? No: restored as heard at the
+    // snapshot's instant (t = 4 s), as that build would have.
+    let liveness = recovered.mediator().liveness();
+    assert_eq!(liveness.len(), 1, "door 1 left in the replayed tail");
+    assert_eq!(liveness[0].0, Guid::from_u128(0xD0));
+    assert_eq!(liveness[0].1, t(4));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
 // Scenario 2: federation kill/recover with exactly-once redelivery.
 // ---------------------------------------------------------------------------
 

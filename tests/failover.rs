@@ -2,10 +2,13 @@
 //! automatically; the Context Toolkit and Solar baselines starve on the
 //! identical event stream.
 
+use std::sync::Arc;
+
 use sci::baselines::toolkit::Interpreter;
 use sci::baselines::{GraphSpec, SolarEngine, SpecNode, ToolkitPipeline};
-use sci::core::adaptation;
+use sci::core::adaptation::{self, AdaptationGovernor, AdaptationPolicy};
 use sci::prelude::*;
+use sci::telemetry::{Subscriber, TraceRecord};
 
 fn presence(source: Guid, subject: Guid, to: &str, now: VirtualTime) -> ContextEvent {
     ContextEvent::new(
@@ -27,21 +30,23 @@ struct Rig {
     app: Guid,
 }
 
-fn sci_rig(door_count: usize) -> Rig {
+fn door(id: Guid, i: usize) -> Profile {
+    Profile::builder(id, EntityKind::Device, format!("door-{i}"))
+        .output(PortSpec::new("presence", ContextType::Presence))
+        .attribute("max-silence-us", ContextValue::Int(15_000_000))
+        .build()
+}
+
+/// The range — liveness-tracked doors and `objLocationCE` — and the
+/// subscription "where is Bob", not yet submitted.
+fn door_range(door_count: usize) -> (Rig, Query) {
     let plan = capa_level10();
     let mut ids = GuidGenerator::seeded(61);
     let mut cs = ContextServer::new(ids.next_guid(), "level-ten", plan.clone());
     let doors: Vec<Guid> = (0..door_count)
         .map(|i| {
             let id = ids.next_guid();
-            cs.register(
-                Profile::builder(id, EntityKind::Device, format!("door-{i}"))
-                    .output(PortSpec::new("presence", ContextType::Presence))
-                    .attribute("max-silence-us", ContextValue::Int(15_000_000))
-                    .build(),
-                VirtualTime::ZERO,
-            )
-            .unwrap();
+            cs.register(door(id, i), VirtualTime::ZERO).unwrap();
             id
         })
         .collect();
@@ -66,13 +71,19 @@ fn sci_rig(door_count: usize) -> Rig {
         )
         .mode(Mode::Subscribe)
         .build();
-    cs.submit_query(&q, VirtualTime::ZERO).unwrap();
-    Rig {
+    let rig = Rig {
         cs,
         doors,
         bob,
         app,
-    }
+    };
+    (rig, q)
+}
+
+fn sci_rig(door_count: usize) -> Rig {
+    let (mut rig, q) = door_range(door_count);
+    rig.cs.submit_query(&q, VirtualTime::ZERO).unwrap();
+    rig
 }
 
 #[test]
@@ -380,4 +391,249 @@ fn a_failure_is_not_repaired_with_a_source_of_the_wrong_unit() {
     // And a thermometer that was never feeding it fails unnoticed.
     let reports = adaptation::repair_source(&mut t.cs, t.fahrenheit, VirtualTime::from_secs(5));
     assert!(reports.is_empty(), "{reports:?}");
+}
+
+// ---------------------------------------------------------------------
+// A failure is a command: every driver takes it through the same door,
+// and a range rebuilt from its log remembers it.
+// ---------------------------------------------------------------------
+
+/// What the silent-door scenario leaves behind: who is excluded, what
+/// feeds the subscription, and what one reading per door then delivers.
+#[derive(PartialEq, Debug)]
+struct Repaired {
+    excluded: Vec<Guid>,
+    feeding: Vec<Guid>,
+    delivered: Vec<String>,
+}
+
+fn repaired(cs: &ContextServer, query: Guid, deliveries: Vec<AppDelivery>) -> Repaired {
+    let mut excluded: Vec<Guid> = cs.excluded().iter().copied().collect();
+    excluded.sort();
+    let mut delivered: Vec<String> = deliveries
+        .iter()
+        .map(|d| format!("{} {} {}", d.query, d.event.topic, d.event.payload))
+        .collect();
+    delivered.sort();
+    Repaired {
+        excluded,
+        feeding: cs.configuration(query).unwrap().sources.clone(),
+        delivered,
+    }
+}
+
+const T_POLL: VirtualTime = VirtualTime::from_secs(20);
+const T_READ: VirtualTime = VirtualTime::from_secs(21);
+
+/// Door 0 has been silent since it registered, past its 15 s window;
+/// door 1 heartbeats. The poll is `detect_and_repair` on a bare server
+/// and `poll_timers` — nothing else — on either federation driver.
+#[test]
+fn a_silent_door_is_repaired_identically_on_every_driver() {
+    let readings = |r: &Rig| {
+        let to = ["L10.01", "L10.02"];
+        [0, 1].map(|i| presence(r.doors[i], r.bob, to[i], T_READ))
+    };
+
+    let (mut r, q) = door_range(2);
+    r.cs.submit_query(&q, VirtualTime::ZERO).unwrap();
+    r.cs.heartbeat(r.doors[1], T_POLL).unwrap();
+    let reports = adaptation::detect_and_repair(&mut r.cs, T_POLL);
+    assert_eq!(reports.len(), 1);
+    assert_eq!((reports[0].query, reports[0].failed), (q.id, r.doors[0]));
+    for ev in readings(&r) {
+        r.cs.ingest(&ev, T_READ).unwrap();
+    }
+    let deliveries = r.cs.drain_outbox();
+    let bare = repaired(&r.cs, q.id, deliveries);
+    assert_eq!(bare.excluded, vec![r.doors[0]]);
+    assert_eq!(bare.feeding, vec![r.doors[1]]);
+    assert_eq!(bare.delivered.len(), 1, "the failed door is cut off");
+
+    let (r, q) = door_range(2);
+    let events = readings(&r);
+    let mut fed = Federation::new(7);
+    fed.add_range(r.cs).unwrap();
+    fed.submit_from("level-ten", &q, VirtualTime::ZERO).unwrap();
+    let cs = fed.server_mut("level-ten").unwrap();
+    cs.heartbeat(r.doors[1], T_POLL).unwrap();
+    fed.poll_timers(T_POLL).unwrap();
+    for ev in &events {
+        fed.ingest_at("level-ten", ev, T_READ).unwrap();
+    }
+    let deliveries = fed.deliveries_for(r.app);
+    let serial = repaired(fed.server("level-ten").unwrap(), q.id, deliveries);
+    assert_eq!(serial, bare, "serial federation");
+
+    let (r, q) = door_range(2);
+    let mut fed = ParallelFederation::new(7);
+    fed.add_range(r.cs).unwrap();
+    fed.submit_from("level-ten", &q, VirtualTime::ZERO).unwrap();
+    fed.command("level-ten", RangeCommand::Heartbeat(r.doors[1]), T_POLL)
+        .unwrap();
+    fed.poll_timers(T_POLL).unwrap();
+    for ev in &events {
+        fed.ingest_at("level-ten", ev, T_READ).unwrap();
+    }
+    fed.sync(T_READ).unwrap();
+    let deliveries = fed.deliveries_for(r.app);
+    let servers = fed.shutdown();
+    let threaded = repaired(&servers[0], q.id, deliveries);
+    assert_eq!(threaded, bare, "threaded federation");
+}
+
+/// Panics when the `audit` command's span closes: a way to kill a
+/// range's worker from outside.
+struct PanicOnAudit;
+
+impl Subscriber for PanicOnAudit {
+    fn record(&self, rec: TraceRecord) {
+        if rec.name() == "audit" {
+            panic!("audit tracing exploded")
+        }
+    }
+}
+
+/// R7 on a supervised worker: the restart rebuilds the range from its
+/// (in-memory) log, and the failure is in it.
+#[test]
+fn a_worker_that_panics_after_a_failure_still_excludes_the_source() {
+    let mut r = sci_rig(2);
+    r.cs.set_tracer(Tracer::new(Arc::new(PanicOnAudit)));
+    let mut rt = RangeRuntime::spawn_supervised(r.cs, RestartPolicy::bounded(1));
+    let failed = rt.call(RangeCommand::Fail(r.doors[0]), T_POLL).unwrap();
+    assert!(matches!(&failed, RangeReply::Repaired(reports) if reports.len() == 1));
+    let audit = rt.call(RangeCommand::Audit, T_POLL);
+    assert!(matches!(audit, Err(SciError::RangeDown(_))), "{audit:?}");
+    assert_eq!(rt.restarts(), 1);
+
+    for (i, to) in ["L10.01", "L10.02"].into_iter().enumerate() {
+        let ev = presence(r.doors[i], r.bob, to, T_READ);
+        rt.call(RangeCommand::Ingest(ev), T_READ).unwrap();
+    }
+    let mut live = rt.shutdown().unwrap();
+    assert!(live.excluded().contains(&r.doors[0]));
+    assert_eq!(live.drain_outbox().len(), 1, "door 0 stays cut off");
+    // Once live, once more when the restart replayed the record.
+    assert_eq!(live.snapshot().counter("range.source.failed"), 2);
+}
+
+#[test]
+fn failing_what_is_not_there_to_fail_changes_nothing() {
+    let mut r = sci_rig(2);
+    let wiring = |cs: &ContextServer| -> Vec<String> {
+        let bus = cs.mediator().bus();
+        bus.iter()
+            .map(|s| format!("{} {}", s.id, s.topic))
+            .collect()
+    };
+    let t = VirtualTime::from_secs(1);
+
+    let before = wiring(&r.cs);
+    let stranger = Guid::from_u128(0xdead);
+    assert!(adaptation::repair_source(&mut r.cs, stranger, t).is_empty());
+    assert!(r.cs.excluded().is_empty(), "an unknown CE is not marked");
+    assert_eq!(wiring(&r.cs), before);
+
+    assert_eq!(adaptation::repair_source(&mut r.cs, r.doors[0], t).len(), 1);
+    let once = wiring(&r.cs);
+    assert!(adaptation::repair_source(&mut r.cs, r.doors[0], t).is_empty());
+    assert_eq!(wiring(&r.cs), once, "already failed");
+
+    r.cs.deregister(r.doors[1], t).unwrap();
+    let departed = wiring(&r.cs);
+    assert!(adaptation::repair_source(&mut r.cs, r.doors[1], t).is_empty());
+    assert!(!r.cs.excluded().contains(&r.doors[1]), "it has left");
+    assert_eq!(wiring(&r.cs), departed);
+    assert_eq!(r.cs.snapshot().counter("range.source.failed"), 1);
+    assert_eq!(r.cs.snapshot().counter("range.cmd.fail.count"), 4);
+}
+
+/// A source that keeps failing is wired again every time it registers
+/// again: nothing in a range remembers how often (the governor counts
+/// observations, for its caller). What bounds the churn is the
+/// per-configuration repair budget.
+#[test]
+fn a_source_that_failed_twice_is_wired_again_when_it_registers_again() {
+    let mut r = sci_rig(2);
+    let mut governor = AdaptationGovernor::new(AdaptationPolicy::default());
+    for round in 0..2u64 {
+        let t = VirtualTime::from_secs(100 * (round + 1));
+        r.cs.heartbeat(r.doors[1], t).unwrap();
+        let reports = adaptation::detect_and_repair_governed(&mut r.cs, &mut governor, t);
+        assert_eq!(reports.len(), 1, "round {round}");
+        assert!(r.cs.excluded().contains(&r.doors[0]));
+
+        r.cs.deregister(r.doors[0], t).unwrap();
+        r.cs.register(door(r.doors[0], 0), t).unwrap();
+        assert!(r.cs.excluded().is_empty());
+        let ev = presence(r.doors[0], r.bob, "L10.01", t);
+        r.cs.ingest(&ev, t).unwrap();
+        assert_eq!(r.cs.drain_outbox().len(), 1, "wired again, round {round}");
+    }
+    assert_eq!(governor.failure_count(r.doors[0]), 2);
+    assert!(r.cs.audit_configurations().is_clean());
+}
+
+// ---------------------------------------------------------------------
+// CAPA's "a printer with paper": an attribute a standing query tests
+// changes under it.
+// ---------------------------------------------------------------------
+
+fn printer(id: Guid, name: &str, paper: bool) -> Profile {
+    Profile::builder(id, EntityKind::Device, name)
+        .output(PortSpec::new("status", ContextType::PrinterStatus))
+        .attribute("paper", ContextValue::Bool(paper))
+        .build()
+}
+
+#[test]
+fn a_refill_wires_a_printer_and_running_dry_unwires_it() {
+    let mut ids = GuidGenerator::seeded(63);
+    let mut cs = ContextServer::new(ids.next_guid(), "level-ten", capa_level10());
+    let (p1, p2) = (ids.next_guid(), ids.next_guid());
+    cs.register(printer(p1, "p1", true), VirtualTime::ZERO)
+        .unwrap();
+    cs.register(printer(p2, "p2", false), VirtualTime::ZERO)
+        .unwrap();
+    let app = ids.next_guid();
+    let with_paper = |id: Guid| {
+        Query::builder(id, app)
+            .info_matching(
+                ContextType::PrinterStatus,
+                vec![Predicate::eq("paper", ContextValue::Bool(true))],
+            )
+            .mode(Mode::Subscribe)
+            .build()
+    };
+    let standing = with_paper(ids.next_guid());
+    cs.submit_query(&standing, VirtualTime::ZERO).unwrap();
+
+    // What feeds the standing query, and what feeds one submitted now.
+    let mut fed_as_twin = |cs: &mut ContextServer, now: VirtualTime| {
+        let twin = with_paper(ids.next_guid());
+        cs.submit_query(&twin, now).unwrap();
+        let fresh = cs.configuration(twin.id).unwrap().sources.clone();
+        cs.cancel_query(twin.id).unwrap();
+        assert_eq!(cs.configuration(standing.id).unwrap().sources, fresh);
+        fresh
+    };
+    let mut both = vec![p1, p2];
+    both.sort();
+    assert_eq!(fed_as_twin(&mut cs, VirtualTime::ZERO), vec![p1]);
+
+    let status = |source: Guid, paper: bool, now: VirtualTime| {
+        let payload = ContextValue::record([("paper", ContextValue::Bool(paper))]);
+        ContextEvent::new(source, ContextType::PrinterStatus, payload, now)
+    };
+    let t1 = VirtualTime::from_secs(1);
+    cs.ingest(&status(p2, true, t1), t1).unwrap();
+    assert_eq!(fed_as_twin(&mut cs, t1), both, "refilled: wired");
+    assert_eq!(cs.drain_outbox().len(), 1, "and its report is delivered");
+
+    let t2 = VirtualTime::from_secs(2);
+    cs.ingest(&status(p2, false, t2), t2).unwrap();
+    assert_eq!(fed_as_twin(&mut cs, t2), vec![p1], "ran dry: unwired");
+    assert!(cs.drain_outbox().is_empty());
+    assert!(cs.audit_configurations().is_clean());
 }
