@@ -2,10 +2,10 @@
 //!
 //! A live federation exports a pure
 //! [`FederationModel`] — ranges, links,
-//! declared partitions, retry/backoff constants, restart budgets,
-//! freshness bounds, each node's believed coverers, message classes and
-//! which command kinds a range's log records. [`verify_federation`] checks
-//! the model *before* the runtime is trusted with traffic:
+//! declared partitions, retry/backoff constants, freshness bounds, each
+//! node's believed coverers and the transport's wire peerings.
+//! [`verify_federation`] checks the model *before* the runtime is
+//! trusted with traffic:
 //!
 //! * **SCI-A201** — every relay route the nodes' place claims imply must
 //!   be routable: linked in the declared topology and not crossing a
@@ -18,42 +18,32 @@
 //!   (`base * (2^retries - 1)`, accounted in virtual time) must fit
 //!   inside every `qoc-max-age-us` bound; a tighter bound makes every
 //!   fully-retried relay *guaranteed* stale.
-//! * **SCI-A204** — a crashed range is rebuilt by replaying its
-//!   command log, so every graph-shaping `RangeCommand` kind *and* the
-//!   kind that erases what it built must be logged: an unlogged
-//!   builder is state the rebuild drops, an unlogged eraser is state
-//!   it resurrects.
-//! * **SCI-A205** — every retried cross-range message class must
-//!   carry the `(origin, seq)` dedup envelope, or retransmission
-//!   duplicates deliveries.
-//! * **SCI-A206** — a federation whose ranges log `migrate-in` must
-//!   declare a cross-range `migrate` message class
-//!   that is retried *and* enveloped; anything less and a mid-move
-//!   entity can lose its packaged state (no retry), double-replay it
-//!   (no envelope), or never receive it at all (no class).
 //! * **SCI-A207** — when the transport declares its wire-level
 //!   peerings (a socket transport, as opposed to an in-process one),
 //!   every claim-implied relay route must ride on a live or
 //!   dialable peering in both directions; a route with no wire
 //!   underneath it fails only at runtime, with traffic in flight.
+//!
+//! Every input here can differ between two running federations. What
+//! the code fixes once for all of them — which command kinds a range
+//! logs, which message classes carry the `(origin, seq)` envelope — is
+//! not modelled: the unit tests beside that code pin it (retired
+//! SCI-A204–A206, `docs/analysis.md`).
 
 use std::collections::{HashMap, HashSet};
 
 use sci_types::{AnalysisReport, DiagCode, Diagnostic, FederationModel, Guid};
 
 /// Verifies a federation protocol model, returning one diagnostic per
-/// defect (codes SCI-A201..A207). A clean report means the declared
-/// topology, retry discipline, command-log coverage and envelope
-/// discipline are consistent — it does not prove liveness under
-/// faults, only the absence of statically-visible protocol defects.
+/// defect (codes SCI-A201, A202, A203, A207). A clean report means the
+/// declared topology, directories, retry discipline and wire peerings
+/// are consistent — it does not prove liveness under faults, only the
+/// absence of statically-visible protocol defects.
 pub fn verify_federation(model: &FederationModel) -> AnalysisReport {
     let mut report = AnalysisReport::new();
     check_routability(model, &mut report);
     check_relay_cycles(model, &mut report);
     check_freshness(model, &mut report);
-    check_command_log(model, &mut report);
-    check_envelopes(model, &mut report);
-    check_migration(model, &mut report);
     check_transport_links(model, &mut report);
     report
 }
@@ -176,101 +166,6 @@ fn check_freshness(model: &FederationModel, report: &mut AnalysisReport) {
     }
 }
 
-/// The `RangeCommand` kinds that build per-entity graph state, each
-/// with the kind that erases what it built.
-const ERASED_BY: [(&str, &str); 5] = [
-    ("register", "deregister"),
-    ("register-logic", "deregister"),
-    ("advertise", "deregister"),
-    ("submit", "cancel"),
-    ("migrate-in", "migrate-out"),
-];
-
-/// SCI-A204: shaping kinds and their erasers must both be logged.
-fn check_command_log(model: &FederationModel, report: &mut AnalysisReport) {
-    let logged: HashMap<&str, bool> = model
-        .logged_kinds
-        .iter()
-        .map(|(kind, logged)| (kind.as_str(), *logged))
-        .collect();
-    for (kind, eraser) in ERASED_BY {
-        if !logged.contains_key(kind) {
-            continue; // the modelled ranges have no such command
-        }
-        for (name, loss) in [
-            (kind, "silently drop the state it builds"),
-            (eraser, "resurrect the state it erases"),
-        ] {
-            let defect = match logged.get(name) {
-                Some(true) => continue,
-                Some(false) => format!(
-                    "command kind `{name}` is not logged: a range rebuilt from its \
-                     log would {loss}"
-                ),
-                None => format!(
-                    "command kind `{kind}` is erased by `{name}`, which is not a \
-                     known command kind"
-                ),
-            };
-            report.push(Diagnostic::new(DiagCode::ReplayLeak, defect));
-        }
-    }
-}
-
-/// SCI-A205: retried cross-range classes must carry the envelope.
-fn check_envelopes(model: &FederationModel, report: &mut AnalysisReport) {
-    for class in &model.messages {
-        if class.crosses_ranges && class.retried && !class.enveloped {
-            report.push(Diagnostic::new(
-                DiagCode::EnvelopeMissing,
-                format!(
-                    "message class `{}` is retried across ranges without the \
-                     (origin, seq) dedup envelope: retransmission duplicates \
-                     deliveries",
-                    class.name,
-                ),
-            ));
-        }
-    }
-}
-
-/// SCI-A206: a federation that accepts `migrate-in` commands needs a
-/// retried, enveloped cross-range `migrate` message class to carry the
-/// packets.
-fn check_migration(model: &FederationModel, report: &mut AnalysisReport) {
-    let accepts_migration = model
-        .logged_kinds
-        .iter()
-        .any(|(kind, logged)| kind == "migrate-in" && *logged);
-    if !accepts_migration {
-        return;
-    }
-    let class = model.messages.iter().find(|c| c.name == "migrate");
-    let defect = match class {
-        None => Some("declares no `migrate` message class to carry the packets".to_owned()),
-        Some(c) if !c.crosses_ranges => {
-            Some("its `migrate` message class does not cross ranges".to_owned())
-        }
-        Some(c) if !c.retried => Some(
-            "its `migrate` message class is not retried: a dropped packet loses \
-             the entity's packaged state"
-                .to_owned(),
-        ),
-        Some(c) if !c.enveloped => Some(
-            "its `migrate` message class lacks the (origin, seq) dedup envelope: \
-             a retransmitted packet replays the entity twice"
-                .to_owned(),
-        ),
-        Some(_) => None,
-    };
-    if let Some(defect) = defect {
-        report.push(Diagnostic::new(
-            DiagCode::MigrationUnenveloped,
-            format!("the federation accepts `migrate-in` commands but {defect}"),
-        ));
-    }
-}
-
 /// SCI-A207: every claim-implied relay route must have wire
 /// underneath it — a live or dialable peering, in both directions —
 /// whenever the transport declares its peerings at all. In-process
@@ -314,17 +209,14 @@ fn check_transport_links(model: &FederationModel, report: &mut AnalysisReport) {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use sci_types::{
-        FaultSchedule, FreshnessBound, MessageClassModel, RangeModel, RetryModel, RouteClaim,
-    };
+    use sci_types::{FaultSchedule, FreshnessBound, RangeModel, RetryModel, RouteClaim};
 
     fn g(raw: u128) -> Guid {
         Guid::from_u128(raw)
     }
 
-    /// A two-range model with consistent directories, feasible
-    /// freshness, a fully logged command pair and enveloped relays — the
-    /// passing fixture every check accepts.
+    /// A two-range model with consistent directories and feasible
+    /// freshness — the passing fixture every check accepts.
     fn healthy() -> FederationModel {
         let (a, b) = (g(1), g(2));
         FederationModel {
@@ -345,7 +237,6 @@ mod tests {
                 retries: 4,
                 backoff_base_us: 500,
             },
-            restart_budget: Some(2),
             freshness: vec![FreshnessBound {
                 query: g(77),
                 max_age_us: 10_000,
@@ -362,21 +253,6 @@ mod tests {
                     coverer: b,
                 },
             ],
-            messages: vec![
-                MessageClassModel {
-                    name: "event-relay".into(),
-                    crosses_ranges: true,
-                    retried: true,
-                    enveloped: true,
-                },
-                MessageClassModel {
-                    name: "query-forward".into(),
-                    crosses_ranges: true,
-                    retried: false,
-                    enveloped: false,
-                },
-            ],
-            logged_kinds: vec![("register".into(), true), ("deregister".into(), true)],
         }
     }
 
@@ -391,7 +267,6 @@ mod tests {
         let mut model = healthy();
         model.faults = Some(FaultSchedule {
             partitions: vec![(g(2), "island".into())],
-            ..FaultSchedule::default()
         });
         let report = verify_federation(&model);
         assert!(report.has_code(DiagCode::PartitionUnroutable), "{report}");
@@ -410,7 +285,6 @@ mod tests {
         model.links.push((g(3), g(1)));
         model.faults = Some(FaultSchedule {
             partitions: vec![(g(3), "island".into())],
-            ..FaultSchedule::default()
         });
         assert!(verify_federation(&model).is_clean());
     }
@@ -457,101 +331,6 @@ mod tests {
         let report = verify_federation(&model);
         assert!(report.has_code(DiagCode::FreshnessInfeasible), "{report}");
         assert_eq!(report.errors().count(), 1, "the 10ms bound stays clean");
-    }
-
-    #[test]
-    fn a204_unlogged_eraser_resurrects_state() {
-        let mut model = healthy();
-        model.logged_kinds[1].1 = false;
-        let report = verify_federation(&model);
-        assert!(report.has_code(DiagCode::ReplayLeak), "{report}");
-        assert!(report.to_string().contains("resurrect"), "{report}");
-    }
-
-    #[test]
-    fn a204_unknown_eraser_is_drift() {
-        let mut model = healthy();
-        model.logged_kinds.truncate(1);
-        let report = verify_federation(&model);
-        assert!(report.has_code(DiagCode::ReplayLeak), "{report}");
-        assert!(report.to_string().contains("not a known"), "{report}");
-    }
-
-    #[test]
-    fn a204_unlogged_shaping_kind_is_dropped_state() {
-        let mut model = healthy();
-        model.logged_kinds[0].1 = false;
-        let report = verify_federation(&model);
-        assert!(report.has_code(DiagCode::ReplayLeak), "{report}");
-        assert!(report.to_string().contains("drop"), "{report}");
-    }
-
-    /// The healthy fixture, extended with logged `migrate-in` /
-    /// `migrate-out` kinds and a well-formed `migrate` message class.
-    fn migratory() -> FederationModel {
-        let mut model = healthy();
-        model.logged_kinds.push(("migrate-in".into(), true));
-        model.logged_kinds.push(("migrate-out".into(), true));
-        model.messages.push(MessageClassModel {
-            name: "migrate".into(),
-            crosses_ranges: true,
-            retried: true,
-            enveloped: true,
-        });
-        model
-    }
-
-    #[test]
-    fn a206_well_formed_migration_is_clean() {
-        let report = verify_federation(&migratory());
-        assert!(report.is_clean(), "unexpected findings:\n{report}");
-    }
-
-    #[test]
-    fn a206_migration_without_a_message_class() {
-        let mut model = migratory();
-        model.messages.retain(|c| c.name != "migrate");
-        let report = verify_federation(&model);
-        assert!(report.has_code(DiagCode::MigrationUnenveloped), "{report}");
-    }
-
-    #[test]
-    fn a206_unretried_migrate_class_loses_packets() {
-        let mut model = migratory();
-        model
-            .messages
-            .iter_mut()
-            .find(|c| c.name == "migrate")
-            .unwrap()
-            .retried = false;
-        let report = verify_federation(&model);
-        assert!(report.has_code(DiagCode::MigrationUnenveloped), "{report}");
-        let rendered = report.to_string();
-        assert!(rendered.contains("not retried"), "{rendered}");
-    }
-
-    #[test]
-    fn a206_unenveloped_migrate_class_doubles_entities() {
-        let mut model = migratory();
-        model
-            .messages
-            .iter_mut()
-            .find(|c| c.name == "migrate")
-            .unwrap()
-            .enveloped = false;
-        let report = verify_federation(&model);
-        assert!(report.has_code(DiagCode::MigrationUnenveloped), "{report}");
-        // A205 flags the bare retried class too; A206 adds the
-        // migration-specific consequence.
-        assert!(report.has_code(DiagCode::EnvelopeMissing), "{report}");
-    }
-
-    #[test]
-    fn a206_silent_without_migration_support() {
-        // The base fixture has no migrate-in kind: no `migrate` class
-        // required.
-        let report = verify_federation(&healthy());
-        assert!(!report.has_code(DiagCode::MigrationUnenveloped), "{report}");
     }
 
     #[test]
@@ -608,15 +387,5 @@ mod tests {
         let report = verify_federation(&model);
         assert!(report.has_code(DiagCode::TransportLinkMissing), "{report}");
         assert_eq!(report.errors().count(), 2, "both legs flagged");
-    }
-
-    #[test]
-    fn a205_retried_class_without_envelope() {
-        let mut model = healthy();
-        model.messages[0].enveloped = false;
-        let report = verify_federation(&model);
-        assert!(report.has_code(DiagCode::EnvelopeMissing), "{report}");
-        // The unretried query-forward class stays acceptable bare.
-        assert_eq!(report.errors().count(), 1);
     }
 }

@@ -24,11 +24,11 @@
 //! * [`federation::verify_federation`] — protocol-model checking of an
 //!   exported [`FederationModel`](sci_types::FederationModel)
 //!   (`SCI-A2xx`: routability under partitions, relay cycles,
-//!   freshness feasibility, command-log coverage, envelope
-//!   coverage);
+//!   freshness feasibility, wire under every route);
 //! * [`lint`] — the dependency-free `sci-lint` source pass
 //!   (`SCI-A3xx`: nondeterminism in seeded paths, metric-name drift,
-//!   command-kind drift), also available as the `sci-lint` binary.
+//!   mutation behind the command log), also available as the
+//!   `sci-lint` binary.
 //!
 //! The crate depends only on `sci-types`; `sci-core` converts its
 //! `ConfigurationPlan` into the [`PlanGraph`] mirror model and feeds

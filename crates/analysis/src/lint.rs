@@ -3,7 +3,7 @@
 //!
 //! The federation's chaos suite and seed-replay tests only hold if the
 //! seeded paths really are deterministic and the telemetry names
-//! really match the central catalogue. Four textual passes keep those
+//! really match the central catalogue. Three textual passes keep those
 //! invariants from rotting:
 //!
 //! * **SCI-A301** — nondeterministic sources (`Instant::now`,
@@ -15,11 +15,13 @@
 //!   `.gauge("…")` or `.histogram("…")` that the central catalogue
 //!   (`sci-telemetry::catalogue`) does not list. Dynamically built
 //!   names (`format!`) are out of scope by construction.
-//! * **SCI-A303** — drift between the `RangeCommand` enum's variants
-//!   and its `KINDS` name table (count, order, or kebab-case naming).
 //! * **SCI-A304** — a call to a Context Server `*_impl` method or to
 //!   `mark_failed` outside the dispatcher's two files: a mutation the
 //!   range's command log never sees.
+//!
+//! SCI-A303 (drift between `RangeCommand`'s variants and its `KINDS`
+//! table) is retired: `KINDS` is the on-disk tag table, and
+//! `durability`'s `command_codec_round_trips` pins it entry by entry.
 //!
 //! The pass is deliberately textual, not syntactic: it runs from the
 //! `sci-lint` binary in CI with zero dependencies beyond `std`, and
@@ -424,103 +426,6 @@ pub fn check_metric_names(file: &str, source: &str, catalogue: &Catalogue) -> Ve
 }
 
 // ---------------------------------------------------------------------
-// SCI-A303 — RangeCommand kind drift
-// ---------------------------------------------------------------------
-
-/// Kebab-cases a Rust variant identifier (`DrainOutboxFor` →
-/// `drain-outbox-for`).
-fn kebab(variant: &str) -> String {
-    let mut out = String::with_capacity(variant.len() + 4);
-    for (i, c) in variant.chars().enumerate() {
-        if c.is_ascii_uppercase() {
-            if i > 0 {
-                out.push('-');
-            }
-            out.push(c.to_ascii_lowercase());
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
-/// The variant identifiers of `pub enum RangeCommand` in `source`, in
-/// declaration order.
-fn range_command_variants(source: &str) -> Vec<String> {
-    let scrubbed = scrub(source, false);
-    let Some(start) = scrubbed.find("enum RangeCommand") else {
-        return Vec::new();
-    };
-    let body = &scrubbed[start..];
-    let Some(open) = body.find('{') else {
-        return Vec::new();
-    };
-    let mut variants = Vec::new();
-    let mut depth = 0i32;
-    for line in body[open + 1..].lines() {
-        let trimmed = line.trim();
-        if depth == 0 {
-            if trimmed.starts_with('}') {
-                break;
-            }
-            if trimmed
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_ascii_uppercase())
-            {
-                let ident: String = trimmed
-                    .chars()
-                    .take_while(|c| c.is_ascii_alphanumeric())
-                    .collect();
-                variants.push(ident);
-            }
-        }
-        depth += line.matches(['{', '(']).count() as i32;
-        depth -= line.matches(['}', ')']).count() as i32;
-    }
-    variants
-}
-
-/// SCI-A303: verifies that `RangeCommand::KINDS` and the enum's
-/// variants agree in count, order and kebab-case naming. `source` is
-/// the text of the file declaring both (`crates/core/src/runtime.rs`).
-pub fn check_command_kinds(file: &str, source: &str) -> Vec<Diagnostic> {
-    let variants = range_command_variants(source);
-    let kinds = const_table_strings(source, "const KINDS");
-    let mut findings = Vec::new();
-    if variants.is_empty() || kinds.is_empty() {
-        findings.push(Diagnostic::new(
-            DiagCode::CommandKindDrift,
-            format!("{file}: could not locate `enum RangeCommand` and its `KINDS` table"),
-        ));
-        return findings;
-    }
-    if variants.len() != kinds.len() {
-        findings.push(Diagnostic::new(
-            DiagCode::CommandKindDrift,
-            format!(
-                "{file}: `RangeCommand` declares {} variants but `KINDS` lists {} names",
-                variants.len(),
-                kinds.len(),
-            ),
-        ));
-    }
-    for (i, (variant, kind)) in variants.iter().zip(kinds.iter()).enumerate() {
-        let expected = kebab(variant);
-        if &expected != kind {
-            findings.push(Diagnostic::new(
-                DiagCode::CommandKindDrift,
-                format!(
-                    "{file}: KINDS[{i}] is `{kind}` but variant #{i} `{variant}` \
-                     kebab-cases to `{expected}` (order or naming drift)",
-                ),
-            ));
-        }
-    }
-    findings
-}
-
-// ---------------------------------------------------------------------
 // SCI-A304 — mutation behind the command log
 // ---------------------------------------------------------------------
 
@@ -573,7 +478,7 @@ pub fn check_back_doors(file: &str, source: &str) -> Vec<Diagnostic> {
 // Workspace walk
 // ---------------------------------------------------------------------
 
-/// Runs all four passes over the workspace rooted at `root`
+/// Runs all three passes over the workspace rooted at `root`
 /// (expected layout: `crates/*/src/**/*.rs`; `vendor/` and `target/`
 /// are never visited). Returns the aggregate report.
 pub fn lint_workspace(root: &Path) -> io::Result<AnalysisReport> {
@@ -622,22 +527,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<AnalysisReport> {
                 report.push(finding);
             }
         }
-    }
-
-    let runtime_path = root.join("crates/core/src/runtime.rs");
-    match fs::read_to_string(&runtime_path) {
-        Ok(source) => {
-            for finding in check_command_kinds("crates/core/src/runtime.rs", &source) {
-                report.push(finding);
-            }
-        }
-        Err(_) => report.push(Diagnostic::new(
-            DiagCode::CommandKindDrift,
-            format!(
-                "{}: unreadable — cannot audit KINDS",
-                runtime_path.display()
-            ),
-        )),
     }
     Ok(report)
 }
@@ -733,41 +622,6 @@ mod tests {
     }
 
     #[test]
-    fn a303_accepts_matching_enum_and_kinds() {
-        let src = "pub enum RangeCommand {\n    Register(Box<Profile>),\n    DrainOutboxFor(Guid),\n}\n\
-                   impl RangeCommand {\n    pub const KINDS: [&'static str; 2] = [\n        \"register\",\n        \"drain-outbox-for\",\n    ];\n}\n";
-        assert!(check_command_kinds("r.rs", src).is_empty());
-    }
-
-    #[test]
-    fn a303_flags_count_and_order_drift() {
-        let swapped = "pub enum RangeCommand {\n    Register,\n    Cancel,\n}\n\
-                       const KINDS: [&'static str; 2] = [\"cancel\", \"register\"];\n";
-        let findings = check_command_kinds("r.rs", swapped);
-        assert_eq!(findings.len(), 2, "{findings:?}");
-        assert!(findings
-            .iter()
-            .all(|d| d.code == DiagCode::CommandKindDrift));
-
-        let missing = "pub enum RangeCommand {\n    Register,\n    Cancel,\n}\n\
-                       const KINDS: [&'static str; 1] = [\"register\"];\n";
-        let findings = check_command_kinds("r.rs", missing);
-        assert!(findings
-            .iter()
-            .any(|d| d.message.contains("2 variants but `KINDS` lists 1")));
-    }
-
-    #[test]
-    fn a303_variant_parser_skips_struct_fields() {
-        let src = "pub enum RangeCommand {\n    Alpha {\n        Weird: u32,\n    },\n    BetaGamma,\n}\n\
-                   const KINDS: [&'static str; 2] = [\"alpha\", \"beta-gamma\"];\n";
-        assert!(
-            check_command_kinds("r.rs", src).is_empty(),
-            "field lines are not variants"
-        );
-    }
-
-    #[test]
     fn a304_flags_impl_calls_outside_the_dispatcher() {
         let src = "fn repair(cs: &mut ContextServer) {\n    cs.mark_failed(ce);\n    \
                    cs.ingest_impl(&ev, now);\n    cs.ingest(&ev, now);\n}\n\
@@ -783,13 +637,5 @@ mod tests {
 
         let allowed = "let d = self.drain_outbox_impl(); // sci-lint: allow(back-door): drain\n";
         assert!(check_back_doors("crates/core/src/relay.rs", allowed).is_empty());
-    }
-
-    #[test]
-    fn kebab_matches_the_runtime_convention() {
-        assert_eq!(kebab("Register"), "register");
-        assert_eq!(kebab("DrainOutboxFor"), "drain-outbox-for");
-        assert_eq!(kebab("SetAutoRegisterPeople"), "set-auto-register-people");
-        assert_eq!(kebab("PollTimers"), "poll-timers");
     }
 }

@@ -699,6 +699,11 @@ impl ContextServer {
 
     /// Submits a query to this range's Context Server.
     ///
+    /// A query whose id is already live here — an application whose
+    /// answer was lost on the way home can only find out by asking again
+    /// — is answered from what is live (its configuration, or
+    /// `Deferred`) and wires nothing a second time.
+    ///
     /// # Errors
     ///
     /// * [`SciError::Unresolvable`] when no configuration satisfies it.
@@ -725,6 +730,15 @@ impl ContextServer {
                     range: range.clone(),
                 });
             }
+        }
+        if let Some(live) = self.configurations.get(&query.id) {
+            return Ok(QueryAnswer::Subscribed {
+                configuration: query.id,
+                producers: live.root_producers.clone(),
+            });
+        }
+        if self.deferred.iter().any(|d| d.query.id == query.id) {
+            return Ok(QueryAnswer::Deferred);
         }
         // Places this server must know about: an explicit Where place
         // and any When trigger place (we cannot hear a door we do not
@@ -2164,6 +2178,48 @@ mod tests {
         r.cs.cancel_query(q.id).unwrap();
         assert_eq!(r.cs.instance_count(), 0);
         assert!(r.cs.cancel_query(q.id).is_err(), "second cancel errors");
+    }
+
+    /// Regression: a resubmitted live id replaced the configuration entry
+    /// and left the first one's subscriptions wired, so every event
+    /// delivered twice (the audit compares subscriptions as sets and read
+    /// clean). It is answered from what is live instead.
+    #[test]
+    fn a_resubmitted_live_query_is_answered_not_wired_again() {
+        let mut r = rig();
+        let bob = r.ids.next_guid();
+        let app = r.ids.next_guid();
+        let q = Query::builder(r.ids.next_guid(), app)
+            .info_matching(
+                ContextType::Location,
+                vec![Predicate::eq("subject", ContextValue::Id(bob))],
+            )
+            .mode(Mode::Subscribe)
+            .build();
+        let first = r.cs.submit_query(&q, VirtualTime::ZERO).unwrap();
+        let (instances, subscriptions) = (r.cs.instance_count(), r.cs.mediator.bus().len());
+        let again = r.cs.submit_query(&q, VirtualTime::from_secs(1)).unwrap();
+        assert_eq!(format!("{again:?}"), format!("{first:?}"));
+        assert_eq!(r.cs.instance_count(), instances);
+        assert_eq!(r.cs.mediator.bus().len(), subscriptions, "wired twice");
+        assert_eq!(r.cs.configuration_count(), 1);
+        r.cs.cancel_query(q.id).unwrap();
+        assert_eq!(r.cs.instance_count(), 0);
+
+        // A deferred one stays deferred once, so it fires once.
+        let later = Query::builder(r.ids.next_guid(), app)
+            .info_matching(
+                ContextType::Location,
+                vec![Predicate::eq("subject", ContextValue::Id(bob))],
+            )
+            .when(When::After(VirtualDuration::from_secs(30)))
+            .mode(Mode::Subscribe)
+            .build();
+        for _ in 0..2 {
+            let answer = r.cs.submit_query(&later, VirtualTime::ZERO).unwrap();
+            assert!(matches!(answer, QueryAnswer::Deferred));
+        }
+        assert_eq!(r.cs.deferred_count(), 1);
     }
 
     /// An application registered in `r`'s range, ready to move.

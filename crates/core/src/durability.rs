@@ -114,16 +114,6 @@ fn kind_is_logged(kind: &str) -> bool {
     )
 }
 
-/// Every [`RangeCommand`] kind with whether the range's command log
-/// records it — [`is_durable`] as a table, for the protocol model
-/// (SCI-A204 / SCI-A206 read it).
-pub fn logged_kinds() -> Vec<(String, bool)> {
-    RangeCommand::KINDS
-        .iter()
-        .map(|kind| ((*kind).to_owned(), kind_is_logged(kind)))
-        .collect()
-}
-
 fn wal_err(e: WalError) -> SciError {
     SciError::Internal(format!("wal: {e}"))
 }
@@ -1021,9 +1011,37 @@ mod tests {
 
     /// The frame tag is `kind_index()` on the way out and an integer
     /// match arm on the way back: every kind must survive the trip, or
-    /// the two have drifted.
+    /// the two have drifted. The tag table itself is pinned: a record's
+    /// tag is its kind's index in `KINDS`, so renaming or reordering an
+    /// entry (even together with the enum and `kind_index`) breaks every
+    /// log already on disk.
     #[test]
     fn command_codec_round_trips() {
+        const ON_DISK_TAGS: [&str; 22] = [
+            "register",
+            "register-logic",
+            "declare-equivalence",
+            "heartbeat",
+            "advertise",
+            "deregister",
+            "submit",
+            "cancel",
+            "ingest",
+            "ingest-batch",
+            "poll-timers",
+            "expire-history",
+            "drain-outbox",
+            "drain-outbox-for",
+            "drain-answers",
+            "set-reuse",
+            "set-auto-register-people",
+            "set-plan-verification",
+            "audit",
+            "migrate-out",
+            "migrate-in",
+            "fail",
+        ];
+        assert_eq!(RangeCommand::KINDS, ON_DISK_TAGS);
         let now = VirtualTime::from_secs(3);
         let ce = Guid::from_u128(0xCE);
         let occupancy = || crate::logic::factory(crate::logic::OccupancyLogic::new);
@@ -1063,6 +1081,7 @@ mod tests {
         ];
         let mut visited = Vec::new();
         for cmd in cmds {
+            assert_eq!(cmd.kind(), ON_DISK_TAGS[visited.len()], "{cmd:?} moved");
             let frame = encode_command(&cmd, now);
             let (back, back_now) = decode_command(&frame, &logic).unwrap();
             assert_eq!(back.kind_index(), cmd.kind_index());
@@ -1090,6 +1109,10 @@ mod tests {
         assert_eq!(cmd.kind(), "register-logic");
     }
 
+    /// What the log records: no drain and not the audit, but every
+    /// kind that shapes a range's graph state *and* the kind that erases
+    /// it — an unlogged builder is state a rebuild drops, an unlogged
+    /// eraser is state it resurrects.
     #[test]
     fn drains_are_not_durable() {
         assert!(!is_durable(&RangeCommand::DrainOutbox));
@@ -1098,6 +1121,43 @@ mod tests {
         assert!(!is_durable(&RangeCommand::Audit));
         assert!(is_durable(&RangeCommand::PollTimers));
         assert!(is_durable(&RangeCommand::Ingest(ev(1, 1))));
+        let g = Guid::from_u128(1);
+        let logic = crate::logic::factory(crate::logic::OccupancyLogic::new);
+        let query = Query::builder(g, g).info(ContextType::Temperature).build();
+        let advert = sci_types::Advertisement::new(g, "heat");
+        for (shaper, eraser) in [
+            (
+                RangeCommand::Register(Box::new(
+                    Profile::builder(g, EntityKind::Device, "d").build(),
+                )),
+                RangeCommand::Deregister(g),
+            ),
+            (
+                RangeCommand::RegisterLogic(g, logic),
+                RangeCommand::Deregister(g),
+            ),
+            (
+                RangeCommand::Advertise(Box::new(advert)),
+                RangeCommand::Deregister(g),
+            ),
+            (
+                RangeCommand::Submit(Box::new(query)),
+                RangeCommand::Cancel(g),
+            ),
+            (
+                RangeCommand::MigrateIn(Box::new(MigrationPacket::new(g))),
+                RangeCommand::MigrateOut(g),
+            ),
+        ] {
+            assert!(
+                is_durable(&shaper),
+                "{shaper:?} unlogged: a rebuild drops it"
+            );
+            assert!(
+                is_durable(&eraser),
+                "{eraser:?} unlogged: a rebuild resurrects {shaper:?}"
+            );
+        }
     }
 
     /// A small range with one of everything a snapshot carries.

@@ -65,8 +65,8 @@ use sci_query::Query;
 use sci_telemetry::{Registry, TelemetrySnapshot, Tracer};
 use sci_types::guid::GuidGenerator;
 use sci_types::{
-    FederationModel, FreshnessBound, Guid, MessageClassModel, RangeModel, RetryModel, RouteClaim,
-    SciError, SciResult, VirtualDuration, VirtualTime,
+    FederationModel, FreshnessBound, Guid, RangeModel, RetryModel, RouteClaim, SciError, SciResult,
+    VirtualDuration, VirtualTime,
 };
 use sci_wal::codec::wire;
 
@@ -199,6 +199,10 @@ pub struct RelayCore<T: Transport, H: RangeHost> {
     pub(crate) net: T,
     /// The ranges currently being served, by node GUID.
     pub(crate) hosts: HashMap<Guid, H>,
+    /// The name of every range ever admitted, served or not: what a
+    /// range that is down is called in its `RangeDown` error and in a
+    /// degraded answer.
+    names: HashMap<Guid, String>,
     app_home: HashMap<Guid, Guid>,
     inbox: HashMap<Guid, Vec<AppDelivery>>,
     answers: HashMap<Guid, Vec<(Guid, QueryAnswer)>>,
@@ -212,15 +216,15 @@ pub struct RelayCore<T: Transport, H: RangeHost> {
     /// host); re-fired first on every pump, so eventual connectivity
     /// means eventual delivery.
     pending_relays: Vec<Message>,
+    /// The first failure among strays a submission drained beside its
+    /// own round trip; the next pump returns it.
+    stray_error: Option<SciError>,
     /// Per-origin migration envelope counters.
     migrate_seq: HashMap<Guid, u64>,
     /// Wall-clock start of each in-flight migration, keyed by its
     /// envelope: timed into `range.migrate.inflight_us` when the packet
     /// is applied at its target.
     migrate_started: HashMap<(Guid, u64), Instant>,
-    /// The supervision budget the driver declares in the protocol
-    /// model, if it restarts ranges at all.
-    pub(crate) restart_budget: Option<u32>,
     pub(crate) ids: GuidGenerator,
     pub(crate) metrics: FedMetrics,
 }
@@ -232,15 +236,16 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
         RelayCore {
             net,
             hosts: HashMap::new(),
+            names: HashMap::new(),
             app_home: HashMap::new(),
             inbox: HashMap::new(),
             answers: HashMap::new(),
             relay_max_age: HashMap::new(),
             seen_relays: SeenEnvelopes::default(),
             pending_relays: Vec::new(),
+            stray_error: None,
             migrate_seq: HashMap::new(),
             migrate_started: HashMap::new(),
-            restart_budget: None,
             ids: GuidGenerator::seeded(seed),
             metrics: FedMetrics::new(),
         }
@@ -285,6 +290,7 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
                 self.net.publish_registration(id, &key, &id.to_string())?;
             }
         }
+        self.names.insert(id, host.name().to_owned());
         self.hosts.insert(id, host);
         Ok(id)
     }
@@ -319,7 +325,7 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
     /// # Errors
     ///
     /// [`SciError::UnknownLocation`] for unknown range names;
-    /// [`SciError::Internal`] for a known range nobody is serving.
+    /// [`SciError::RangeDown`] for a known range nobody is serving.
     pub fn host_mut(&mut self, range: &str) -> SciResult<&mut H> {
         let id = self.node_named(range)?;
         self.host_at(id)
@@ -336,7 +342,7 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
         let id = self.node_named(range)?;
         self.hosts
             .remove(&id)
-            .ok_or_else(|| SciError::Internal(format!("node {id} has no live host")))
+            .ok_or_else(|| SciError::RangeDown(range.to_owned()))
     }
 
     fn node_named(&self, range: &str) -> SciResult<Guid> {
@@ -345,10 +351,13 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
             .ok_or_else(|| SciError::UnknownLocation(range.to_owned()))
     }
 
+    /// The host serving `node`; [`SciError::RangeDown`], naming the
+    /// range, when nobody is.
     fn host_at(&mut self, node: Guid) -> SciResult<&mut H> {
+        let names = &self.names;
         self.hosts
             .get_mut(&node)
-            .ok_or_else(|| SciError::Internal(format!("node {node} has no live host")))
+            .ok_or_else(|| SciError::RangeDown(range_name(names, node)))
     }
 
     /// The range node covering `place` as far as `at_node` knows: the
@@ -392,12 +401,12 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
     }
 
     /// Exports the pure protocol model of this federation: ranges,
-    /// links, the transport's declared fault schedule, retry/backoff
-    /// constants, the supervision budget, the freshness bounds recorded
-    /// at submission and, for every range, which node its own replica
-    /// says covers each room a served range claims.
+    /// links, the transport's declared partitions and wire peerings,
+    /// retry/backoff constants, the freshness bounds recorded at
+    /// submission and, for every range, which node its own replica says
+    /// covers each room a served range claims.
     /// `sci_analysis::federation::verify_federation` checks the model
-    /// (SCI-A201..A207) before the runtime is trusted with traffic.
+    /// (SCI-A201..A203, A207) before the runtime is trusted with traffic.
     pub fn protocol_model(&self) -> FederationModel {
         let mut ranges: Vec<RangeModel> = self
             .hosts
@@ -457,11 +466,8 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
                 retries: RELAY_RETRIES,
                 backoff_base_us: RETRY_BACKOFF_BASE_US,
             },
-            restart_budget: self.restart_budget,
             freshness,
             routes,
-            messages: relay_message_classes(),
-            logged_kinds: crate::durability::logged_kinds(),
         }
     }
 
@@ -528,11 +534,7 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
     /// not be consulted, counting it in `federation.answers.partial`.
     fn degraded(&mut self, missing: Guid, reason: &str) -> FederatedAnswer {
         self.metrics.partial_answers.inc();
-        let missing_range = self
-            .hosts
-            .get(&missing)
-            .map(|h| h.name().to_owned())
-            .unwrap_or_else(|| missing.to_string());
+        let missing_range = range_name(&self.names, missing);
         FederatedAnswer {
             answer: QueryAnswer::Partial {
                 answer: Box::new(QueryAnswer::Forward {
@@ -555,7 +557,9 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
     /// submission does **not** error. It returns a
     /// [`QueryAnswer::Partial`] naming the missing range, so the caller
     /// can distinguish "nothing matched" from "somebody could not be
-    /// asked". Unknown range names still error.
+    /// asked". Unknown range names still error. Resubmitting a query
+    /// after a partial answer is safe: a range answers an id it already
+    /// holds from what is live, and wires nothing twice.
     ///
     /// # Errors
     ///
@@ -609,8 +613,9 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
         };
 
         // Forward the query over the overlay (real codec, real routing).
+        let fwd_id = self.ids.next_guid();
         let fwd = Message::new(
-            self.ids.next_guid(),
+            fwd_id,
             home,
             dst,
             MessageKind::QueryForward,
@@ -623,37 +628,29 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
         };
         let arrival = now.saturating_add(out_fwd.latency);
 
-        // The destination processes its inbox. Unrelated traffic (late
-        // relay envelopes released by a fault layer) is absorbed rather
-        // than discarded.
-        let mut answer = None;
-        for msg in self.net.drain(dst) {
-            if msg.kind != MessageKind::QueryForward {
-                self.absorb(msg, arrival)?;
-                continue;
-            }
-            let xml = std::str::from_utf8(&msg.payload)
-                .map_err(|_| SciError::Codec("query payload is not UTF-8".into()))?;
-            let remote_query = qcodec::from_xml(xml)?;
-            answer = Some(
-                match self
-                    .host_at(dst)?
-                    .call(RangeCommand::Submit(Box::new(remote_query)), arrival)
-                    .and_then(expect_answer)
-                {
-                    Ok(a) => a,
-                    // Nobody is serving the target: degrade rather than
-                    // fail the whole submission.
-                    Err(SciError::RangeDown(_)) => return Ok(self.degraded(dst, "range-down")),
-                    Err(e) => return Err(e),
-                },
-            );
-        }
-        let answer = answer.ok_or_else(|| SciError::Internal("forwarded query vanished".into()))?;
+        // The destination executes this forward, once.
+        let fwd = self
+            .take_landed(dst, fwd_id, arrival)
+            .ok_or_else(|| SciError::Internal("forwarded query vanished".into()))?;
+        let xml = std::str::from_utf8(&fwd.payload)
+            .map_err(|_| SciError::Codec("query payload is not UTF-8".into()))?;
+        let remote_query = qcodec::from_xml(xml)?;
+        let answer = match self
+            .host_at(dst)
+            .and_then(|host| host.call(RangeCommand::Submit(Box::new(remote_query)), arrival))
+            .and_then(expect_answer)
+        {
+            Ok(a) => a,
+            // Nobody is serving the target: degrade rather than fail the
+            // whole submission.
+            Err(SciError::RangeDown(_)) => return Ok(self.degraded(dst, "range-down")),
+            Err(e) => return Err(e),
+        };
 
         // Route the response back.
+        let resp_id = self.ids.next_guid();
         let resp = Message::new(
-            self.ids.next_guid(),
+            resp_id,
             dst,
             home,
             MessageKind::QueryResponse,
@@ -662,26 +659,18 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
         let out_resp = match self.net.send(resp) {
             Ok(o) => o,
             // The remote range answered (a subscription it created stays
-            // live) but the answer could not travel home: degrade.
+            // live, and a resubmission is answered from it) but the
+            // answer could not travel home: degrade.
             Err(SciError::Unroutable { .. }) => return Ok(self.degraded(dst, "unroutable")),
             Err(e) => return Err(e),
         };
         let latency = out_fwd.latency + out_resp.latency;
-        let resp_arrival = now.saturating_add(latency);
-        let mut decoded = None;
-        for msg in self.net.drain(home) {
-            if msg.kind == MessageKind::QueryResponse {
-                let text = std::str::from_utf8(&msg.payload)
-                    .map_err(|_| SciError::Codec("answer payload is not UTF-8".into()))?;
-                let doc = parse(text)?;
-                if doc.name == "answer" {
-                    decoded = Some(answer_from_element(&doc)?);
-                    continue;
-                }
-            }
-            self.absorb(msg, resp_arrival)?;
-        }
-        let decoded = decoded.ok_or_else(|| SciError::Internal("response vanished".into()))?;
+        let resp = self
+            .take_landed(home, resp_id, now.saturating_add(latency))
+            .ok_or_else(|| SciError::Internal("response vanished".into()))?;
+        let text = std::str::from_utf8(&resp.payload)
+            .map_err(|_| SciError::Codec("answer payload is not UTF-8".into()))?;
+        let decoded = answer_from_element(&parse(text)?)?;
 
         Ok(FederatedAnswer {
             answer: decoded,
@@ -704,7 +693,8 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
     /// # Errors
     ///
     /// Propagates non-routing failures (codec errors, dead inner
-    /// transports). Routing failures are retried, not propagated.
+    /// transports), including those of traffic a submission drained
+    /// since the last pump. Routing failures are retried, not propagated.
     pub fn pump(&mut self, now: VirtualTime) -> SciResult<()> {
         self.pump_settling(now, |_| {})
     }
@@ -737,7 +727,8 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
             }
             self.metrics.relay_us.record(elapsed_us(started));
         }
-        self.sweep(now)
+        self.sweep(now)?;
+        self.stray_error.take().map_or(Ok(()), Err)
     }
 
     /// Fires due timers in every range, in GUID order, and fails each
@@ -931,18 +922,43 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
         Ok(())
     }
 
-    /// Absorbs everything in `node`'s overlay inbox. Every message is
-    /// attempted — one undecodable payload must not strand the
-    /// well-formed traffic drained beside it — and the first failure is
-    /// returned afterwards.
+    /// Absorbs everything in `node`'s overlay inbox.
     fn absorb_landed(&mut self, node: Guid, arrival: VirtualTime) -> SciResult<()> {
+        let landed = self.net.drain(node);
+        self.absorb_all(landed, arrival)
+    }
+
+    /// Absorbs drained messages. Every message is attempted — one
+    /// undecodable payload must not strand the well-formed traffic
+    /// drained beside it — and the first failure is returned afterwards.
+    fn absorb_all(&mut self, landed: Vec<Message>, arrival: VirtualTime) -> SciResult<()> {
         let mut first_error = None;
-        for m in self.net.drain(node) {
+        for m in landed {
             if let Err(e) = self.absorb(m, arrival) {
                 first_error.get_or_insert(e);
             }
         }
         first_error.map_or(Ok(()), Err)
+    }
+
+    /// The first copy of message `id` to land at `node`: the half of a
+    /// round trip [`RelayCore::submit_from`] minted. Everything drained
+    /// beside it goes through [`RelayCore::absorb_all`]: a duplicate
+    /// copy, or a forward or answer stranded by an earlier degraded
+    /// submission, is a stranger; a relay is delivered. A stray's
+    /// failure is not this round trip's, so the submission still
+    /// answers; it is kept for the next pump to return, as if the stray
+    /// had landed then.
+    fn take_landed(&mut self, node: Guid, id: Guid, arrival: VirtualTime) -> Option<Message> {
+        let mut landed = self.net.drain(node);
+        let mine = landed
+            .iter()
+            .position(|m| m.id == id)
+            .map(|at| landed.remove(at));
+        if let Err(e) = self.absorb_all(landed, arrival) {
+            self.stray_error.get_or_insert(e);
+        }
+        mine
     }
 
     /// Delivers one overlay message to its application behind the
@@ -1096,6 +1112,14 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
     }
 }
 
+/// What `node` was admitted as, or its GUID if it never was.
+fn range_name(names: &HashMap<Guid, String>, node: Guid) -> String {
+    names
+        .get(&node)
+        .cloned()
+        .unwrap_or_else(|| node.to_string())
+}
+
 /// The registration key of a room's coverage claim.
 fn place_key(place: &str) -> String {
     format!("place/{place}")
@@ -1178,27 +1202,6 @@ fn decode_relay(m: &Message, seen: &SeenEnvelopes) -> SciResult<Landed> {
         return Ok(Landed::Duplicate);
     }
     Ok(Landed::Relay(envelope, relayed))
-}
-
-/// The cross-range message classes the relay exchanges, with their
-/// delivery discipline: the retried classes (event and answer relays,
-/// migration packets) carry the `(origin, seq)` dedup envelope; the
-/// synchronous query round-trip is fire-once and travels bare.
-/// SCI-A205 holds every retried class to the envelope.
-fn relay_message_classes() -> Vec<MessageClassModel> {
-    let class = |name: &str, retried: bool, enveloped: bool| MessageClassModel {
-        name: name.to_owned(),
-        crosses_ranges: true,
-        retried,
-        enveloped,
-    };
-    vec![
-        class("query-forward", false, false),
-        class("query-response", false, false),
-        class("event-relay", true, true),
-        class("answer-relay", true, true),
-        class("migrate", true, true),
-    ]
 }
 
 #[cfg(test)]

@@ -879,10 +879,10 @@ impl RangeHost for RangeRuntime {
 ///
 /// [`sync`]: ParallelFederation::sync
 pub struct ParallelFederation<T: Transport = SimNetwork> {
-    /// Also holds the supervision budget applied to every worker
-    /// spawned by [`ParallelFederation::add_range`] (it is declared in
-    /// the protocol model).
     core: RelayCore<T, RangeRuntime>,
+    /// Supervision applied to every worker spawned by
+    /// [`ParallelFederation::add_range`].
+    restart_policy: RestartPolicy,
     /// Mailbox backpressure discipline applied to every worker spawned
     /// by [`ParallelFederation::add_range`].
     mailbox_policy: MailboxPolicy,
@@ -924,18 +924,18 @@ impl<T: Transport> ParallelFederation<T> {
     pub fn with_transport(fabric: T, seed: u64) -> Self {
         ParallelFederation {
             core: RelayCore::with_transport(fabric, seed),
+            restart_policy: RestartPolicy::NONE,
             mailbox_policy: MailboxPolicy::Unbounded,
         }
     }
 
     /// Sets the supervision policy applied to ranges added *after*
-    /// this call (builder style: chain before [`add_range`]); the
-    /// budget is declared in the protocol model.
+    /// this call (builder style: chain before [`add_range`]).
     ///
     /// [`add_range`]: ParallelFederation::add_range
     #[must_use]
     pub fn with_restart_policy(mut self, policy: RestartPolicy) -> Self {
-        self.core.restart_budget = (policy.max_restarts > 0).then_some(policy.max_restarts);
+        self.restart_policy = policy;
         self
     }
 
@@ -955,8 +955,7 @@ impl<T: Transport> ParallelFederation<T> {
     }
 
     fn spawn(&self, cs: ContextServer) -> RangeRuntime {
-        let restarts = RestartPolicy::bounded(self.core.restart_budget.unwrap_or(0));
-        RangeRuntime::spawn_with(cs, restarts, self.mailbox_policy, true)
+        RangeRuntime::spawn_with(cs, self.restart_policy, self.mailbox_policy, true)
     }
 
     /// Adds a range: its Context Server moves onto a fresh worker
@@ -1069,7 +1068,7 @@ impl<T: Transport> ParallelFederation<T> {
     /// # Errors
     ///
     /// * [`SciError::UnknownLocation`] for unknown ranges;
-    /// * [`SciError::Internal`] if the range has no live runtime (e.g.
+    /// * [`SciError::RangeDown`] if the range has no live runtime (e.g.
     ///   killed twice).
     pub fn kill_range(&mut self, range: &str) -> SciResult<Registry> {
         let worker = self.core.retire(range)?;

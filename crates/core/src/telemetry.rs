@@ -11,61 +11,10 @@
 //! can freeze per-range state without a round-trip command — the
 //! counters are atomics.
 //!
-//! # Metric catalogue
-//!
-//! | Name | Kind | Meaning |
-//! |------|------|---------|
-//! | `bus.publish.count` | counter | events published on the range bus |
-//! | `bus.deliver.count` | counter | deliveries matched |
-//! | `bus.fanout` | histogram | deliveries per publish |
-//! | `bus.publish.latency_us` | histogram | publish→deliver match time |
-//! | `range.cmd.<kind>.count` | counter | commands dispatched, per [`crate::runtime::RangeCommand`] kind |
-//! | `range.cmd.<kind>.latency_us` | histogram | command execution time |
-//! | `resolver.plan.count` | counter | configuration plans attempted |
-//! | `resolver.plan.latency_us` | histogram | plan build time |
-//! | `resolver.plan.nodes` | histogram | nodes per successful plan |
-//! | `resolver.plan.edges` | histogram | configuration edges per successful plan |
-//! | `resolver.plan.rejected` | counter | plans refused by the verification gate |
-//! | `range.stale_drops` | counter | in-range deliveries dropped as stale |
-//! | `range.app.deliveries` | counter | deliveries handed to applications |
-//! | `range.deregister.unknown` | counter | deregisters whose target had no profile (or no registration at all) |
-//! | `range.source.failed` | counter | source CEs failed by a `Fail` command (no-ops on an already-failed, departed or unknown CE not counted) |
-//! | `range.migrate.out` | counter | entities packaged and handed off to another range |
-//! | `range.migrate.in` | counter | migration packets replayed into this range |
-//! | `range.migrate.inflight_us` | histogram | coordinator wall time between packaging and replay of one migration |
-//! | `range.mailbox.depth` | gauge | commands enqueued, not yet executed |
-//! | `range.mailbox.highwater` | gauge | deepest mailbox observed since spawn (backpressure watermark) |
-//! | `range.mailbox.shed` | counter | casts dropped by a full `Shed`-policy mailbox |
-//! | `range.call.wait_us` | histogram | call-barrier wait at the coordinator |
-//! | `range.panics` | counter | worker panics isolated |
-//! | `federation.cast_us` | histogram | pipelined ingest enqueue time |
-//! | `federation.barrier_us` | histogram | per-range drain time in `sync` |
-//! | `federation.relay_us` | histogram | per-range cross-range relay time |
-//! | `federation.relay.events` | counter | deliveries relayed over the fabric |
-//! | `federation.relay.answers` | counter | deferred answers relayed |
-//! | `federation.relay.stale_drops` | counter | relays dropped as stale |
-//! | `federation.relay.dedup_hits` | counter | duplicate relay envelopes discarded by receiver-side dedup |
-//! | `federation.retry.attempts` | counter | relay retransmissions (every send after a message's first) |
-//! | `federation.retry.parked` | counter | relays parked for a later pump after exhausting in-call retries |
-//! | `federation.answers.partial` | counter | degraded partial answers returned for unreachable ranges |
-//! | `federation.relay.unknown_app` | counter | deliveries/answers for apps with no recorded home range (homed locally, no longer silently) |
-//! | `federation.relay.undecodable` | counter | relay payloads refused with a codec error (nothing delivered, envelope not recorded) |
-//! | `federation.stream.events` | counter | deliveries drained from per-range relay streams |
-//! | `federation.stream.answers` | counter | deferred answers drained from per-range relay streams |
-//! | `federation.stream.pump_us` | histogram | time per free-running `pump_streams` pass |
-//! | `range.restarts` | counter | supervised worker restarts after a panic |
-//! | `range.restart.replay_errors` | counter | logged commands that returned an error when a supervised restart replayed them |
-//! | `fault.drops` / `fault.delays` / `fault.dups` / `fault.reorders` / `fault.partition_blocks` | counter | faults injected by `sci_overlay::fault::FaultyTransport` |
-//! | `net.delivered` / `net.failed` / `net.recoveries` | counter | overlay routing outcomes |
-//! | `net.hops` | histogram | hops per delivered overlay message |
-//! | `wal.append_us` | histogram | per-command write-ahead log append time |
-//! | `wal.fsync_us` | histogram | time spent in explicit WAL fsyncs |
-//! | `wal.bytes` | counter | bytes appended to the WAL |
-//! | `wal.segments` | gauge | live WAL segment files after snapshot GC |
-//! | `wal.snapshot.encode_us` | histogram | time to serialise one snapshot payload |
-//! | `wal.snapshot_us` | histogram | time to store one snapshot (write, fsync, prune) |
-//! | `wal.recover_us` | histogram | time per crash recovery (snapshot restore + replay) |
-//! | `wal.torn_tail` | counter | torn bytes truncated from the log tail at recovery |
+//! Every name registered here is listed in
+//! `sci_telemetry::catalogue` (`sci-lint` SCI-A302 checks the code
+//! against it) and described in `docs/observability.md`, the one
+//! metric reference (the catalogue's unit tests check the doc).
 
 use sci_overlay::stats::LoadStats;
 use sci_query::xml::{parse, Element};

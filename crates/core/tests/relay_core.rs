@@ -16,6 +16,11 @@
 //!   schedules over 32 pinned seeds, the delivered multiset equals the
 //!   unfaulted one, duplicates are caught by the `(origin, seq)`
 //!   filter, and parked relays drain to zero once the faults clear.
+//! * **The query round trip.** `submit_from` executes its own forward
+//!   once and reads its own response: a duplicated forward, a stray
+//!   answer at home and an undecodable or unappliable stray at the
+//!   target change nothing about the submission; the stray's error is
+//!   the next pump's.
 //!
 //! The serial-vs-parallel parity tests in `tests/parallel_federation.rs`
 //! then isolate what they were written for: inline vs threaded
@@ -489,4 +494,144 @@ fn delivered_multiset_survives_drop_duplicate_and_ack_loss_schedules() {
             assert!(retried, "{name}: no seed ever retried");
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// (c) The query round trip answers itself and nothing else
+// ---------------------------------------------------------------------
+
+/// A profile query for the devices of `range-1`, asked from `range-0`.
+fn profile_probe(id: u128) -> Query {
+    Query::builder(Guid::from_u128(id), APP)
+        .kind(EntityKind::Device)
+        .in_range("range-1")
+        .all()
+        .mode(Mode::Profile)
+        .build()
+}
+
+/// Regression: `submit_from` executed every forward it drained, so a
+/// duplicated one subscribed twice and one event delivered twice.
+#[test]
+fn a_duplicated_forward_is_executed_once() {
+    let (mut core, _, sensors) = core_of(2, 1);
+    let q = Query::builder(Guid::from_u128(0x201), APP)
+        .info(ContextType::Presence)
+        .in_range("range-1")
+        .mode(Mode::Subscribe)
+        .build();
+    core.transport_mut().set_default_probs(FaultProbs {
+        duplicate: 1.0,
+        ..FaultProbs::NONE
+    });
+    let fa = core.submit_from("range-0", &q, VirtualTime::ZERO).unwrap();
+    assert!(matches!(fa.answer, QueryAnswer::Subscribed { .. }));
+    core.transport_mut().heal();
+    let target = core.host_mut("range-1").unwrap();
+    let submits = target
+        .telemetry()
+        .snapshot()
+        .counter("range.cmd.submit.count");
+    assert_eq!(submits, 1, "the duplicate forward was executed");
+    target
+        .ingest(&presence(sensors[1], 0), VirtualTime::from_secs(1))
+        .unwrap();
+    core.pump(VirtualTime::from_secs(1)).unwrap();
+    assert_eq!(core.deliveries_for(APP).len(), 1);
+}
+
+/// Regression: the last `<answer>` drained at home won, so a stray one
+/// reordered behind the real response answered a profile query.
+#[test]
+fn a_stray_answer_at_home_does_not_answer_the_submission() {
+    let (mut core, nodes, _) = core_of(2, 1);
+    let stray = answer_element(&QueryAnswer::Deferred).to_xml();
+    let msg = Message::new(
+        Guid::from_u128(0x900),
+        nodes[1],
+        nodes[0],
+        MessageKind::QueryResponse,
+        Bytes::from(stray),
+    );
+    core.transport_mut().send(msg).unwrap();
+    core.transport_mut().set_default_probs(FaultProbs {
+        reorder: 1.0,
+        ..FaultProbs::NONE
+    });
+    let fa = core
+        .submit_from("range-0", &profile_probe(0x202), VirtualTime::ZERO)
+        .unwrap();
+    assert!(
+        matches!(&fa.answer, QueryAnswer::Profiles(ps) if ps.len() == 1),
+        "{:?}",
+        fa.answer
+    );
+}
+
+/// Regression: the first undecodable stray drained at the target failed
+/// an unrelated submission with its codec error and dropped the forward
+/// beside it.
+#[test]
+fn a_hostile_stray_does_not_fail_an_unrelated_submission() {
+    let (mut core, nodes, _) = core_of(2, 1);
+    let msg = Message::new(
+        Guid::from_u128(0x900),
+        nodes[0],
+        nodes[1],
+        MessageKind::EventRelay,
+        Bytes::from(vec![0xff]),
+    );
+    core.transport_mut().send(msg).unwrap();
+    let fa = core
+        .submit_from("range-0", &profile_probe(0x203), VirtualTime::ZERO)
+        .unwrap();
+    assert!(matches!(&fa.answer, QueryAnswer::Profiles(ps) if ps.len() == 1));
+    let undecodable = core.snapshot().counter("federation.relay.undecodable");
+    assert_eq!(undecodable, 1, "the stray is counted");
+    let pumped = core.pump(VirtualTime::ZERO);
+    assert!(matches!(pumped, Err(SciError::Codec(_))), "{pumped:?}");
+    core.pump(VirtualTime::ZERO).unwrap();
+}
+
+/// A stray that decodes but cannot be applied — a migration whose
+/// standing query finds no provider at the target — does not fail the
+/// submission it lands beside, and is not lost either: the next pump
+/// returns its error, once.
+#[test]
+fn a_migration_that_fails_beside_a_submission_is_reported_by_the_next_pump() {
+    let (mut core, nodes, _) = core_of(2, 1);
+    let mut packet = MigrationPacket::new(migrant(1));
+    packet
+        .profiles
+        .push(Profile::builder(migrant(1), EntityKind::Person, "migrant").build());
+    packet.standing.push(
+        Query::builder(Guid::from_u128(0x205), migrant(1))
+            .info(ContextType::Temperature)
+            .mode(Mode::Subscribe)
+            .build(),
+    );
+    let doc = Element::new("migrate")
+        .with_attr("entity", migrant(1).to_string())
+        .with_attr("origin", nodes[0].to_string())
+        .with_attr("seq", "1")
+        .with_child(packet.to_element());
+    let msg = Message::new(
+        Guid::from_u128(0x900),
+        nodes[0],
+        nodes[1],
+        MessageKind::Migrate,
+        Bytes::from(doc.to_xml()),
+    );
+    core.transport_mut().send(msg).unwrap();
+    let fa = core
+        .submit_from("range-0", &profile_probe(0x204), VirtualTime::ZERO)
+        .unwrap();
+    assert!(matches!(&fa.answer, QueryAnswer::Profiles(ps) if ps.len() == 1));
+    assert_eq!(core.snapshot().counter("range.migrate.in"), 1);
+    let pumped = core.pump(VirtualTime::ZERO);
+    assert!(
+        matches!(pumped, Err(SciError::Unresolvable(_))),
+        "{pumped:?}"
+    );
+    core.pump(VirtualTime::ZERO).unwrap();
 }

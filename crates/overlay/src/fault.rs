@@ -44,7 +44,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use sci_telemetry::{Counter, Registry};
-use sci_types::{FaultModel, FaultSchedule, Guid, LinkFaultModel, SciError, SciResult};
+use sci_types::{FaultSchedule, Guid, SciError, SciResult};
 
 use crate::message::Message;
 use crate::net::RouteOutcome;
@@ -364,40 +364,13 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     }
 
     fn fault_model(&self) -> Option<FaultSchedule> {
-        let mut link_probs: Vec<LinkFaultModel> = self
-            .link_probs
-            .iter()
-            .map(|(&(src, dst), &p)| LinkFaultModel {
-                src,
-                dst,
-                probs: export_probs(p),
-            })
-            .collect();
-        link_probs.sort_by_key(|l| (l.src, l.dst));
         let mut partitions: Vec<(Guid, String)> = self
             .partitions
             .iter()
             .map(|(&n, g)| (n, g.clone()))
             .collect();
         partitions.sort();
-        Some(FaultSchedule {
-            seed: self.seed,
-            default_probs: export_probs(self.default_probs),
-            link_probs,
-            partitions,
-        })
-    }
-}
-
-/// Converts the overlay's [`FaultProbs`] into the dependency-free
-/// mirror `sci-analysis` consumes.
-fn export_probs(p: FaultProbs) -> FaultModel {
-    FaultModel {
-        drop: p.drop,
-        delay: p.delay,
-        duplicate: p.duplicate,
-        reorder: p.reorder,
-        ack_loss: p.ack_loss,
+        Some(FaultSchedule { partitions })
     }
 }
 
@@ -559,16 +532,10 @@ mod tests {
         t.set_link_probs(a, b, FaultProbs::NONE);
         t.partition("island", &[b]);
         let model = t.fault_model().expect("fault layer declares itself");
-        assert_eq!(model.seed, 11);
-        assert_eq!(model.default_probs.drop, 0.25);
-        assert_eq!(model.link_probs.len(), 1);
-        assert_eq!(model.link_probs[0].src, a);
-        assert_eq!(model.link_probs[0].probs.drop, 0.0);
         assert_eq!(model.partitions, vec![(b, "island".to_owned())]);
         t.heal();
         let healed = t.fault_model().expect("still declared after heal");
         assert!(healed.partitions.is_empty());
-        assert_eq!(healed.default_probs.drop, 0.0);
     }
 
     #[test]

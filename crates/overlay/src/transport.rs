@@ -75,8 +75,8 @@ pub trait Transport {
         None
     }
 
-    /// The transport's declared fault schedule (seed, probabilities,
-    /// named partitions), if it injects faults. Federations fold this
+    /// The transport's declared fault schedule (its named partition
+    /// groups), if it injects faults. Federations fold this
     /// into the [`FederationModel`](sci_types::FederationModel) that
     /// `sci-analysis` checks before runtime. Default: none — the
     /// transport is fault-free as far as static analysis can tell.

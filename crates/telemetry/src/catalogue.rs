@@ -132,4 +132,21 @@ mod tests {
         );
         assert!(!contains("made.up.metric"));
     }
+
+    /// `docs/observability.md` is the one metric reference: every name
+    /// and family catalogued here is spelled out there in full.
+    #[test]
+    fn the_reference_lists_every_name() {
+        let reference = include_str!("../../../docs/observability.md");
+        let missing: Vec<&str> = METRICS
+            .iter()
+            .chain(METRIC_PATTERNS)
+            .copied()
+            .filter(|name| !reference.contains(&format!("`{name}`")))
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "docs/observability.md lacks {missing:?}"
+        );
+    }
 }

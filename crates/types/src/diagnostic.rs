@@ -76,19 +76,8 @@ pub enum DiagCode {
     /// time) exceeds a configuration's `qoc-max-age-us` bound, so a
     /// retried relay is guaranteed stale on arrival.
     FreshnessInfeasible,
-    /// `SCI-A204`: a graph-shaping `RangeCommand` kind, or the kind
-    /// that erases what it built, is missing from the range's command
-    /// log, so a range rebuilt from the log would drop or resurrect
-    /// state.
-    ReplayLeak,
-    /// `SCI-A205`: a retried cross-range message class does not carry
-    /// the `(origin, seq)` dedup envelope — retransmission would
-    /// duplicate deliveries.
-    EnvelopeMissing,
-    /// `SCI-A206`: the federation accepts `migrate-in` commands but its
-    /// migration message class is missing, unenveloped or unretried —
-    /// a mid-move entity could lose or double its packaged state.
-    MigrationUnenveloped,
+    // SCI-A204, A205, A206 and A303 are retired (they re-checked
+    // constants the code fixes); a retired code is never reused.
     /// `SCI-A207`: a relay route the nodes' place claims imply has no
     /// wire underneath it — the socket transport declares neither a
     /// live peering nor a dialable listener address for the directed
@@ -101,9 +90,6 @@ pub enum DiagCode {
     /// `SCI-A302`: a metric name passed to a telemetry registry does
     /// not appear in the central metric catalogue.
     MetricNameDrift,
-    /// `SCI-A303`: `RangeCommand::KINDS` and the enum's variants have
-    /// drifted apart (count, order, or kebab-case naming).
-    CommandKindDrift,
     /// `SCI-A304`: code outside the range dispatcher calls one of a
     /// Context Server's `*_impl` methods (or `mark_failed`) directly —
     /// a mutation its command log never sees, so a recovered range
@@ -126,13 +112,9 @@ impl DiagCode {
             DiagCode::PartitionUnroutable => "SCI-A201",
             DiagCode::RelayCycle => "SCI-A202",
             DiagCode::FreshnessInfeasible => "SCI-A203",
-            DiagCode::ReplayLeak => "SCI-A204",
-            DiagCode::EnvelopeMissing => "SCI-A205",
-            DiagCode::MigrationUnenveloped => "SCI-A206",
             DiagCode::TransportLinkMissing => "SCI-A207",
             DiagCode::NondeterministicCall => "SCI-A301",
             DiagCode::MetricNameDrift => "SCI-A302",
-            DiagCode::CommandKindDrift => "SCI-A303",
             DiagCode::BackDoorMutation => "SCI-A304",
         }
     }
@@ -149,13 +131,9 @@ impl DiagCode {
             | DiagCode::PartitionUnroutable
             | DiagCode::RelayCycle
             | DiagCode::FreshnessInfeasible
-            | DiagCode::ReplayLeak
-            | DiagCode::EnvelopeMissing
-            | DiagCode::MigrationUnenveloped
             | DiagCode::TransportLinkMissing
             | DiagCode::NondeterministicCall
             | DiagCode::MetricNameDrift
-            | DiagCode::CommandKindDrift
             | DiagCode::BackDoorMutation => Severity::Error,
             DiagCode::UnreachableNode | DiagCode::OrphanSubscription => Severity::Warning,
         }
@@ -325,13 +303,9 @@ mod tests {
             DiagCode::PartitionUnroutable,
             DiagCode::RelayCycle,
             DiagCode::FreshnessInfeasible,
-            DiagCode::ReplayLeak,
-            DiagCode::EnvelopeMissing,
-            DiagCode::MigrationUnenveloped,
             DiagCode::TransportLinkMissing,
             DiagCode::NondeterministicCall,
             DiagCode::MetricNameDrift,
-            DiagCode::CommandKindDrift,
             DiagCode::BackDoorMutation,
         ];
         let mut codes: Vec<&str> = all.iter().map(DiagCode::code).collect();

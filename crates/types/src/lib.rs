@@ -63,8 +63,8 @@ pub use guid::{DeterministicState, Guid};
 pub use metadata::Metadata;
 pub use profile::{PortSpec, Profile, ProfileBuilder};
 pub use protocol::{
-    FaultModel, FaultSchedule, FederationModel, FreshnessBound, LinkFaultModel, MessageClassModel,
-    RangeModel, RetryModel, RouteClaim, TransportLinkModel,
+    FaultSchedule, FederationModel, FreshnessBound, RangeModel, RetryModel, RouteClaim,
+    TransportLinkModel,
 };
 pub use time::{VirtualDuration, VirtualTime};
 pub use value::{ContextType, ContextValue, Coord};

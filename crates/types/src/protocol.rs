@@ -3,12 +3,15 @@
 //! A live federation (`sci-core::Federation`, `ParallelFederation`)
 //! and its fault layer (`sci-overlay::FaultyTransport`) export a
 //! [`FederationModel`] — a transport-free description of the ranges,
-//! links, declared partitions, fault probabilities, retry/backoff
-//! constants, restart budgets and freshness bounds the runtime is
+//! links, declared partitions, retry/backoff constants, freshness
+//! bounds, place-directory beliefs and wire peerings the runtime is
 //! about to operate under. `sci-analysis::federation` checks the
 //! model *before* runtime: routability under partitions (SCI-A201),
-//! relay-path cycles (SCI-A202), freshness feasibility (SCI-A203),
-//! command-log coverage (SCI-A204) and envelope coverage (SCI-A205).
+//! relay-path cycles (SCI-A202), freshness feasibility (SCI-A203) and
+//! wire under every route (SCI-A207). The model holds only what can
+//! differ between two federations; what the code fixes (which command
+//! kinds are logged, which message classes carry the dedup envelope)
+//! is pinned by the unit tests beside it, not re-declared here.
 //!
 //! The model lives in `sci-types` so the exporters (core, overlay)
 //! and the verifier (analysis) share it without depending on each
@@ -25,43 +28,10 @@ pub struct RangeModel {
     pub name: String,
 }
 
-/// Fault probabilities of one link (mirror of the overlay's
-/// `FaultProbs`, kept dependency-free here).
-#[derive(Clone, Copy, PartialEq, Debug, Default)]
-pub struct FaultModel {
-    /// Probability a send reports failure.
-    pub drop: f64,
-    /// Probability a send is held back until a flush.
-    pub delay: f64,
-    /// Probability a successful send delivers twice.
-    pub duplicate: f64,
-    /// Probability a drained batch of two or more is reversed.
-    pub reorder: f64,
-    /// Given a drop, the probability of delivery-despite-failure.
-    pub ack_loss: f64,
-}
-
-/// Fault-probability override for one directed link.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct LinkFaultModel {
-    /// Sending node.
-    pub src: Guid,
-    /// Receiving node.
-    pub dst: Guid,
-    /// The override applied to `src → dst`.
-    pub probs: FaultModel,
-}
-
-/// The declared fault schedule of a transport: seed, default and
-/// per-link probabilities, and named partition groups.
+/// The declared fault schedule of a transport: its named partition
+/// groups.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct FaultSchedule {
-    /// The PRNG seed the schedule replays from.
-    pub seed: u64,
-    /// Probabilities applied to links without an override.
-    pub default_probs: FaultModel,
-    /// Per-link overrides, sorted by `(src, dst)`.
-    pub link_probs: Vec<LinkFaultModel>,
     /// Node → named partition group, sorted by node. Nodes absent from
     /// the list share the implicit default group `""`.
     pub partitions: Vec<(Guid, String)>,
@@ -139,19 +109,6 @@ pub struct TransportLinkModel {
     pub established: bool,
 }
 
-/// One class of cross-range message the protocol exchanges.
-#[derive(Clone, PartialEq, Debug)]
-pub struct MessageClassModel {
-    /// Protocol-level name (e.g. `"event-relay"`).
-    pub name: String,
-    /// Whether instances travel between ranges over the overlay.
-    pub crosses_ranges: bool,
-    /// Whether the sender retransmits on failure (at-least-once).
-    pub retried: bool,
-    /// Whether instances carry the `(origin, seq)` dedup envelope.
-    pub enveloped: bool,
-}
-
 /// The pure, checkable model of a federation's protocol configuration.
 ///
 /// Built by `Federation::protocol_model()` /
@@ -175,20 +132,11 @@ pub struct FederationModel {
     pub transport_links: Option<Vec<TransportLinkModel>>,
     /// The relay retry discipline.
     pub retry: RetryModel,
-    /// Restarts each supervised range may perform (`None`: fail-stop,
-    /// no supervision).
-    pub restart_budget: Option<u32>,
     /// Freshness bounds live configurations impose on relays.
     pub freshness: Vec<FreshnessBound>,
     /// Every place-directory belief held by any node (local overrides
     /// and bootstrap fallbacks alike).
     pub routes: Vec<RouteClaim>,
-    /// The cross-range message classes the protocol exchanges.
-    pub messages: Vec<MessageClassModel>,
-    /// Every `RangeCommand` kind (kebab-case) with whether a range's
-    /// command log records it — the log a crashed range is rebuilt
-    /// from, by supervised restart and by disk recovery alike.
-    pub logged_kinds: Vec<(String, bool)>,
 }
 
 impl FederationModel {
@@ -264,7 +212,6 @@ mod tests {
         assert_eq!(model.partition_group(a), "");
         model.faults = Some(FaultSchedule {
             partitions: vec![(b, "island".into())],
-            ..FaultSchedule::default()
         });
         assert_eq!(model.partition_group(a), "");
         assert_eq!(model.partition_group(b), "island");

@@ -17,15 +17,15 @@
 //! (`tests/tcp_federation.rs`) can run the identical logic over
 //! [`TcpTransport`]; here it runs over the in-process [`SimNetwork`].
 //!
-//! The fixed-seed matrix honours `SCI_CHAOS_SEEDS` (comma-separated
-//! `u64`s) so CI can pin the schedule set; failures always print the
-//! seed that provoked them.
+//! The fixed-seed matrix, and the faults-during-submission case,
+//! honour `SCI_CHAOS_SEEDS` (comma-separated `u64`s) so CI can pin the
+//! schedule set; failures always print the seed that provoked them.
 
 mod support;
 
 use proptest::prelude::*;
 use sci::prelude::*;
-use support::chaos::{collect, matrix_seeds, range_plan, run_with, Outcome};
+use support::chaos::{collect, matrix_seeds, range_plan, run_subscribing_under, run_with, Outcome};
 
 type ChaosFed = Federation<FaultyTransport<SimNetwork>>;
 
@@ -234,4 +234,29 @@ fn snapshot_unifies_fault_and_recovery_counters() {
         chaos.counter("federation.retry.attempts"),
         "exactly-once accounting surfaces through telemetry too"
     );
+}
+
+/// Faults *during* submission, not only after it: drops, ack losses,
+/// duplicates and reorders are on while the app subscribes across
+/// ranges, and it resubmits on a partial answer until subscribed. A
+/// duplicated or stranded forward must not wire a second subscription,
+/// a resubmission must not either, and a stray answer must not stand in
+/// for the real one — so the delivery multiset is the fault-free run's.
+#[test]
+fn faults_during_submission_keep_exactly_once() {
+    let probs = FaultProbs {
+        drop: 0.3,
+        duplicate: 0.5,
+        reorder: 0.5,
+        ack_loss: 0.5,
+        ..FaultProbs::NONE
+    };
+    for seed in matrix_seeds() {
+        let clean = run(seed, FaultProbs::NONE);
+        let chaos = run_subscribing_under(SimNetwork::new(), seed, probs, probs);
+        assert_eq!(
+            chaos.deliveries, clean.deliveries,
+            "seed {seed}: faults during submission changed the delivery multiset"
+        );
+    }
 }

@@ -246,3 +246,65 @@ fn crashed_range_yields_range_down_partial_answer() {
     let survivors = fed.shutdown();
     assert_eq!(survivors.len(), 2);
 }
+
+/// Regression: a range stopped with `kill_range` made a forwarded query
+/// fail with `Internal("… has no live host")` instead of degrading, and
+/// a submission *from* it was `Internal` too. A known range nobody is
+/// serving is `RangeDown`, named; after `recover_range` it answers.
+#[test]
+fn a_killed_range_degrades_and_answers_again_once_recovered() {
+    let mut ids = GuidGenerator::seeded(71);
+    let mut fed = ParallelFederation::new(3);
+    let mut identity = None;
+    for i in 0..2 {
+        let (cs, sensor) = server(i, &mut ids);
+        identity = Some((cs.id(), sensor));
+        fed.add_range(cs).unwrap();
+    }
+    fed.connect_full();
+    let app = ids.next_guid();
+    let probe = Query::builder(ids.next_guid(), app)
+        .kind(EntityKind::Device)
+        .in_range("range-1")
+        .all()
+        .mode(Mode::Profile)
+        .build();
+
+    fed.kill_range("range-1").unwrap();
+    let fa = fed
+        .submit_from("range-0", &probe, VirtualTime::from_secs(1))
+        .unwrap();
+    match &fa.answer {
+        QueryAnswer::Partial {
+            missing_range,
+            reason,
+            ..
+        } => assert_eq!(
+            (missing_range.as_str(), reason.as_str()),
+            ("range-1", "range-down")
+        ),
+        other => panic!("expected a partial answer, got {other:?}"),
+    }
+    assert_eq!(fed.snapshot().counter("federation.answers.partial"), 1);
+    assert!(matches!(
+        fed.submit_from("range-1", &probe, VirtualTime::from_secs(1)),
+        Err(SciError::RangeDown(name)) if name == "range-1"
+    ));
+
+    // The same identity back, with what its log would have rebuilt.
+    let (id, sensor) = identity.unwrap();
+    let mut cs = ContextServer::new(id, "range-1", range_plan(1));
+    cs.register(
+        Profile::builder(sensor, EntityKind::Device, "sensor-1")
+            .output(PortSpec::new("presence", ContextType::Presence))
+            .build(),
+        VirtualTime::ZERO,
+    )
+    .unwrap();
+    fed.recover_range(cs).unwrap();
+    let fa = fed
+        .submit_from("range-0", &probe, VirtualTime::from_secs(2))
+        .unwrap();
+    assert!(matches!(&fa.answer, QueryAnswer::Profiles(ps) if ps.len() == 1));
+    fed.shutdown();
+}

@@ -6,9 +6,7 @@
 //! * partitioning a range that place directories route through is
 //!   SCI-A201 (`PartitionUnroutable`);
 //! * a `qoc-max-age-us` bound tighter than the worst-case relay
-//!   backoff is SCI-A203 (`FreshnessInfeasible`);
-//! * the live logged-command table and relay message classes satisfy
-//!   SCI-A204/SCI-A205 by construction.
+//!   backoff is SCI-A203 (`FreshnessInfeasible`).
 //!
 //! Also the parked-relay determinism regression: two same-seed chaos
 //! runs must re-fire parked relays in an identical order, so their
@@ -73,8 +71,7 @@ fn healthy_serial_federation_verifies_clean() {
 
     assert_eq!(model.ranges.len(), 3);
     assert_eq!(model.links.len(), 6, "directed full mesh over 3 ranges");
-    let faults = model.faults.as_ref().expect("fault layer is installed");
-    assert_eq!(faults.seed, 11);
+    assert!(model.faults.is_some(), "fault layer is installed");
     assert!(model.retry.retries > 0, "relays are retried");
     assert_eq!(
         model.freshness.len(),
@@ -86,8 +83,6 @@ fn healthy_serial_federation_verifies_clean() {
         .routes
         .iter()
         .any(|r| r.place == "hall-1" && r.coverer == nodes[1]));
-    assert!(!model.messages.is_empty());
-    assert!(!model.logged_kinds.is_empty());
 
     let report = verify_federation(&model);
     assert!(report.is_clean(), "{report}");
@@ -114,7 +109,6 @@ fn healthy_parallel_federation_verifies_clean() {
 
     let model = fed.protocol_model();
     assert_eq!(model.ranges.len(), 3);
-    assert_eq!(model.restart_budget, Some(2), "supervision is declared");
     assert_eq!(model.freshness.len(), 1);
     let report = verify_federation(&model);
     assert!(report.is_clean(), "{report}");

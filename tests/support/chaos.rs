@@ -60,6 +60,18 @@ pub fn collect<T: Transport>(
 /// `range-2`; 20 events ingested under `probs`, then the transport
 /// heals and the federation pumps to quiescence.
 pub fn run_with<T: Transport>(inner: T, seed: u64, probs: FaultProbs) -> Outcome {
+    run_subscribing_under(inner, seed, FaultProbs::NONE, probs)
+}
+
+/// [`run_with`], but the app subscribes under `subscribe_probs`, and
+/// resubmits on a partial answer until it is subscribed, as an
+/// application would.
+pub fn run_subscribing_under<T: Transport>(
+    inner: T,
+    seed: u64,
+    subscribe_probs: FaultProbs,
+    probs: FaultProbs,
+) -> Outcome {
     let mut ids = GuidGenerator::seeded(0xc0ffee);
     let mut fed: Federation<FaultyTransport<T>> =
         Federation::with_transport(FaultyTransport::new(inner, seed), 7);
@@ -79,7 +91,8 @@ pub fn run_with<T: Transport>(inner: T, seed: u64, probs: FaultProbs) -> Outcome
     }
     fed.connect_full();
 
-    // Clean phase: the app subscribes across the overlay.
+    // The app subscribes across the overlay (clean, unless asked).
+    fed.transport_mut().set_default_probs(subscribe_probs);
     let app = ids.next_guid();
     for target in ["range-1", "range-2"] {
         let q = Query::builder(ids.next_guid(), app)
@@ -87,10 +100,17 @@ pub fn run_with<T: Transport>(inner: T, seed: u64, probs: FaultProbs) -> Outcome
             .in_range(target)
             .mode(Mode::Subscribe)
             .build();
-        let fa = fed.submit_from("range-0", &q, VirtualTime::ZERO).unwrap();
+        let mut attempts = 0;
+        let fa = loop {
+            let fa = fed.submit_from("range-0", &q, VirtualTime::ZERO).unwrap();
+            attempts += 1;
+            if !fa.answer.is_degraded() || attempts == 64 {
+                break fa;
+            }
+        };
         assert!(
             matches!(fa.answer, QueryAnswer::Subscribed { .. }),
-            "seed {seed}: subscription failed before any fault was injected"
+            "seed {seed}: subscription failed ({attempts} attempts)"
         );
     }
 
