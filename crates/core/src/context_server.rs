@@ -1211,11 +1211,13 @@ impl ContextServer {
     }
 
     /// Fires timer-based deferred queries (`When::At` / `When::After`)
-    /// that are due.
+    /// that are due. Sources silent past their window are not failed:
+    /// a driver's `poll_timers` (`RelayCore::poll_ranges`) does that.
     ///
     /// # Errors
     ///
-    /// Never currently errs; kept fallible for future trigger kinds.
+    /// A failed write-ahead-log append on a durable server (`PollTimers`
+    /// is a logged command).
     pub fn poll_timers(&mut self, now: VirtualTime) -> SciResult<usize> {
         match self.handle(RangeCommand::PollTimers, now)? {
             RangeReply::Fired { fired, .. } => Ok(fired),

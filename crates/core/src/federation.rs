@@ -14,11 +14,13 @@
 //! caller's thread, so ingest is synchronous and each call pumps its
 //! own relays. The driver with one worker thread per range is
 //! [`crate::runtime::ParallelFederation`]; both dereference to the
-//! core, so `submit_from`, `migrate_entity`, `pump`, `deliveries_for`,
-//! `protocol_model`, `snapshot` and the relay counters are the same
-//! code on either. "Identifies" is a lookup in the lobby node's own
-//! replica of the registration state (`range/{name}`, `place/{room}`;
-//! [`RelayCore::range_covering_from`]), not in a table the driver keeps.
+//! core, so `command`, `submit_from`, `migrate_entity`, `pump`,
+//! `deliveries_for`, `protocol_model`, `snapshot` and the relay
+//! counters are the same code on either. "Identifies" is a lookup in
+//! the lobby node's own replica of the registration state
+//! (`range/{name}`, `place/{room}`; [`RelayCore::range_covering_from`]),
+//! not in a table the driver keeps. A single range is a federation of
+//! one ([`crate::logic::register_world`] configures it).
 //!
 //! All messages genuinely cross the binary wire codec and the overlay's
 //! hop-by-hop routing, so experiment E7's latency and load numbers
@@ -78,17 +80,6 @@ impl Federation {
     /// overlay; `seed` drives message-id minting.
     pub fn new(seed: u64) -> Self {
         Federation::with_transport(SimNetwork::new(), seed)
-    }
-
-    /// The overlay (read access, for stats).
-    pub fn network(&self) -> &SimNetwork {
-        self.core.transport()
-    }
-
-    /// Mutable access to the overlay, for failure injection (node kills,
-    /// partitions) in experiments.
-    pub fn network_mut(&mut self) -> &mut SimNetwork {
-        self.core.transport_mut()
     }
 }
 

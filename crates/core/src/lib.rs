@@ -69,7 +69,6 @@ pub mod analysis_bridge;
 pub mod capa;
 pub mod configuration;
 pub mod context_server;
-pub mod driver;
 pub mod durability;
 pub mod entity_rt;
 pub mod federation;
@@ -89,7 +88,6 @@ pub mod telemetry;
 
 pub use configuration::Configuration;
 pub use context_server::{ContextServer, QueryAnswer, RangeReply};
-pub use driver::Deployment;
 pub use durability::{DurabilityConfig, RecoveryReport};
 pub use federation::Federation;
 pub use location_service::LocationService;

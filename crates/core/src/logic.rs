@@ -20,6 +20,10 @@
 //!   path stream.
 //! * [`AggregateLogic`] — a windowed numeric aggregator (mean), the
 //!   Context-Toolkit-style "aggregator" role.
+//!
+//! [`register_world`] and [`install_standard_logic`] configure a range
+//! from a simulated world through [`RelayCore::command`], on either
+//! federation driver.
 
 use std::collections::HashMap;
 
@@ -27,7 +31,17 @@ use sci_location::convert::{trilaterate, PathLossModel, SignalReading};
 use sci_location::floorplan::FloorPlan;
 use sci_location::language::LocationExpr;
 use sci_location::pathfind::Route;
-use sci_types::{ContextEvent, ContextType, ContextValue, Coord, Guid, Metadata, VirtualTime};
+use sci_overlay::transport::Transport;
+use sci_sensors::printer::Access;
+use sci_sensors::world::World;
+use sci_types::guid::GuidGenerator;
+use sci_types::{
+    Advertisement, ContextEvent, ContextType, ContextValue, Coord, EntityKind, Guid, Metadata,
+    PortSpec, Profile, SciResult, VirtualTime,
+};
+
+use crate::relay::{RangeHost, RelayCore};
+use crate::runtime::RangeCommand;
 
 /// The concrete behaviour of a derived Context Entity.
 ///
@@ -367,11 +381,176 @@ impl EntityLogic for AggregateLogic {
     }
 }
 
+/// Registers every device of `world` as a source CE of `range`: door
+/// sensors (`Presence`), base stations (`SignalStrength`, `Presence`),
+/// thermometers (`Temperature`) and printers (`PrinterStatus`, with live
+/// `queue`/`paper`/`restricted`/`room` attributes and a `printing`
+/// advertisement).
+///
+/// # Errors
+///
+/// As for [`RelayCore::command`]: unknown or down ranges, and
+/// registration failures (duplicate GUIDs).
+pub fn register_world<T: Transport, H: RangeHost>(
+    core: &mut RelayCore<T, H>,
+    range: &str,
+    world: &World,
+    now: VirtualTime,
+) -> SciResult<()> {
+    let doors = world.door_sensors().iter().map(|d| {
+        let name = format!("doorSensor-{}", d.door());
+        Profile::builder(d.id(), EntityKind::Device, name)
+            .output(PortSpec::new("presence", ContextType::Presence))
+            .attribute("door", ContextValue::text(d.door()))
+    });
+    let stations = world.base_stations().iter().map(|b| {
+        Profile::builder(b.id(), EntityKind::Device, b.name())
+            .output(PortSpec::new("rssi", ContextType::SignalStrength))
+            .output(PortSpec::new("presence", ContextType::Presence))
+    });
+    let thermometers = world.thermometers().iter().map(|t| {
+        Profile::builder(t.id(), EntityKind::Device, format!("thermo-{}", t.room()))
+            .output(PortSpec::new("t", ContextType::Temperature))
+            .attribute("unit", ContextValue::text("celsius"))
+            .attribute("room", ContextValue::place(t.room()))
+    });
+    for profile in doors.chain(stations).chain(thermometers) {
+        let profile = Box::new(profile.build());
+        core.command(range, RangeCommand::Register(profile), now)?;
+    }
+    for p in world.printers() {
+        let restricted = matches!(p.access(), Access::Restricted(_));
+        let profile = Profile::builder(p.id(), EntityKind::Device, p.name())
+            .output(PortSpec::new("status", ContextType::PrinterStatus))
+            .attribute("service", ContextValue::text("printing"))
+            .attribute("room", ContextValue::place(p.room()))
+            .attribute("queue", ContextValue::Int(p.queue_len() as i64))
+            .attribute("paper", ContextValue::Bool(p.has_paper()))
+            .attribute("restricted", ContextValue::Bool(restricted))
+            .build();
+        core.command(range, RangeCommand::Register(Box::new(profile)), now)?;
+        let ad = Advertisement::new(p.id(), "printing");
+        core.command(range, RangeCommand::Advertise(Box::new(ad)), now)?;
+    }
+    Ok(())
+}
+
+/// Registers the standard derived-CE classes in `range`, each with its
+/// logic over the range's floor plan: Figure 3's `objLocationCE`
+/// (presence → location), the W-LAN location provider (signal strength
+/// → location), Figure 3's `pathCE` (two locations → path) and the
+/// occupancy aggregator (presence → per-room counts). Their GUIDs are
+/// minted from `ids` in that order.
+///
+/// # Errors
+///
+/// As for [`register_world`].
+pub fn install_standard_logic<T: Transport, H: RangeHost>(
+    core: &mut RelayCore<T, H>,
+    range: &str,
+    ids: &mut GuidGenerator,
+    now: VirtualTime,
+) -> SciResult<()> {
+    use ContextType::{Location, Occupancy, Path, Presence, SignalStrength};
+    let plan = core.host_mut(range)?.plan().clone();
+    let port = PortSpec::new;
+    let (obj, wlan, path) = (plan.clone(), plan.clone(), plan);
+    let classes = [
+        (
+            "objLocationCE",
+            vec![port("presence", Presence)],
+            port("location", Location),
+            factory(move || ObjLocationLogic::new(obj.clone())),
+        ),
+        (
+            "wlanLocationCE",
+            vec![port("rssi", SignalStrength)],
+            port("location", Location),
+            factory(move || WlanLocationLogic::new(wlan.clone())),
+        ),
+        (
+            "pathCE",
+            vec![port("from", Location), port("to", Location)],
+            port("path", Path),
+            factory(move || PathLogic::new(path.clone())),
+        ),
+        (
+            "occupancyCE",
+            vec![port("presence", Presence)],
+            port("occupancy", Occupancy),
+            factory(OccupancyLogic::new),
+        ),
+    ];
+    for (name, inputs, output, logic) in classes {
+        let ce = ids.next_guid();
+        let mut profile = Profile::builder(ce, EntityKind::Software, name).output(output);
+        for input in inputs {
+            profile = profile.input(input);
+        }
+        let profile = Box::new(profile.build());
+        core.command(range, RangeCommand::Register(profile), now)?;
+        core.command(range, RangeCommand::RegisterLogic(ce, logic), now)?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::context_server::ContextServer;
+    use crate::federation::Federation;
     use sci_location::floorplan::capa_level10;
+    use sci_query::{Mode, Predicate, Query};
+    use sci_sensors::mobility::{Leg, MovementPlan};
+    use sci_sensors::person::SimPerson;
+    use sci_sensors::workload::capa_world;
+    use sci_types::VirtualDuration;
+
+    #[test]
+    fn a_world_and_the_standard_classes_configure_a_federation_of_one() {
+        let mut ids = GuidGenerator::seeded(301);
+        let bob = ids.next_guid();
+        // capa_world installs door sensors itself.
+        let (mut world, _) = capa_world(&mut ids, &[bob]);
+        world
+            .spawn_person(SimPerson::new(bob, "Bob", Coord::new(4.0, 1.0)).with_plan(
+                MovementPlan::scripted([Leg::new("L10.01", VirtualDuration::from_secs(60))]),
+            ))
+            .unwrap();
+        let mut fed = Federation::new(301);
+        let cs = ContextServer::new(ids.next_guid(), "level-ten", capa_level10());
+        fed.add_range(cs).unwrap();
+        register_world(&mut fed, "level-ten", &world, VirtualTime::ZERO).unwrap();
+        install_standard_logic(&mut fed, "level-ten", &mut ids, VirtualTime::ZERO).unwrap();
+
+        // 4 doors + 4 printers + 4 derived classes (+0 stations).
+        assert_eq!(fed.server("level-ten").unwrap().registrar().len(), 12);
+
+        // Subscribe to Bob's location and run the world.
+        let app = ids.next_guid();
+        let q = Query::builder(ids.next_guid(), app)
+            .info_matching(
+                ContextType::Location,
+                vec![Predicate::eq("subject", ContextValue::Id(bob))],
+            )
+            .mode(Mode::Subscribe)
+            .build();
+        fed.submit_from("level-ten", &q, VirtualTime::ZERO).unwrap();
+        let (dt, mut now, mut locations) = (VirtualDuration::from_secs(2), VirtualTime::ZERO, 0);
+        for _ in 0..60 {
+            now += dt;
+            let events = world.tick(now, dt).unwrap();
+            fed.ingest_batch_at("level-ten", &events, now).unwrap();
+            fed.poll_timers(now).unwrap();
+            locations += fed
+                .deliveries_for(app)
+                .iter()
+                .filter(|d| d.event.topic == ContextType::Location)
+                .count();
+        }
+        assert!(locations >= 2, "walk produced location updates");
+    }
 
     fn presence(subject: Guid, to: &str) -> ContextEvent {
         ContextEvent::new(

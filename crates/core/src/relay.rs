@@ -331,6 +331,20 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
         self.host_at(id)
     }
 
+    /// Sends one command to the named range and waits for its reply.
+    ///
+    /// # Errors
+    ///
+    /// As for [`RelayCore::host_mut`], then whatever the command returns.
+    pub fn command(
+        &mut self,
+        range: &str,
+        cmd: RangeCommand,
+        now: VirtualTime,
+    ) -> SciResult<RangeReply> {
+        self.host_mut(range)?.call(cmd, now)
+    }
+
     /// Stops serving a range and hands back its host. The overlay node,
     /// its registrations and application homes stay, so a replacement
     /// host can rejoin under the same identity.

@@ -975,34 +975,6 @@ impl<T: Transport> ParallelFederation<T> {
         self.core.host(range).map(RangeRuntime::restarts)
     }
 
-    /// Read access to the transport fabric.
-    pub fn fabric(&self) -> &T {
-        self.core.transport()
-    }
-
-    /// Mutable access to the transport fabric, for fault injection
-    /// through a [`sci_overlay::fault::FaultyTransport`] wrapper.
-    pub fn fabric_mut(&mut self) -> &mut T {
-        self.core.transport_mut()
-    }
-
-    /// Sends an arbitrary command to the named range and waits for the
-    /// reply — the generic actor entry point.
-    ///
-    /// # Errors
-    ///
-    /// * [`SciError::UnknownLocation`] for unknown ranges;
-    /// * [`SciError::RangeDown`] if that range's worker died;
-    /// * whatever the command returns.
-    pub fn command(
-        &mut self,
-        range: &str,
-        cmd: RangeCommand,
-        now: VirtualTime,
-    ) -> SciResult<RangeReply> {
-        self.core.host_mut(range)?.call(cmd, now)
-    }
-
     /// Pipelines one command into the named range, timing the enqueue
     /// in `federation.cast_us`.
     fn cast(&mut self, range: &str, cmd: RangeCommand, now: VirtualTime) -> SciResult<()> {

@@ -1,6 +1,8 @@
 //! A building occupancy dashboard: twenty random-waypoint walkers, door
 //! sensors everywhere, and one subscription to `Occupancy` context —
-//! built with the `Deployment` facade in a handful of calls.
+//! one range run as a federation of one: `register_world` and
+//! `install_standard_logic` configure it, and each step ticks the
+//! world, ingests its events and fires timers.
 //!
 //! Run with: `cargo run --example occupancy`
 
@@ -20,11 +22,15 @@ fn main() -> SciResult<()> {
         dwell: VirtualDuration::from_secs(20),
         seed: 9,
     };
-    let (world, people) = populate(office_floor(8), &config, &mut ids)?;
-    let cs = ContextServer::new(ids.next_guid(), "floor", world.plan().clone());
-    let mut dep = Deployment::new(world, cs);
-    dep.register_world(VirtualTime::ZERO)?;
-    dep.install_standard_logic(&mut ids, VirtualTime::ZERO)?;
+    let (mut world, people) = populate(office_floor(8), &config, &mut ids)?;
+    let mut fed = Federation::new(2026);
+    fed.add_range(ContextServer::new(
+        ids.next_guid(),
+        "floor",
+        world.plan().clone(),
+    ))?;
+    register_world(&mut fed, "floor", &world, VirtualTime::ZERO)?;
+    install_standard_logic(&mut fed, "floor", &mut ids, VirtualTime::ZERO)?;
 
     // The dashboard subscribes to occupancy context.
     let dashboard = ids.next_guid();
@@ -32,16 +38,20 @@ fn main() -> SciResult<()> {
         .info(ContextType::Occupancy)
         .mode(Mode::Subscribe)
         .build();
-    dep.cs.submit_query(&q, VirtualTime::ZERO)?;
+    fed.submit_from("floor", &q, VirtualTime::ZERO)?;
 
     // Run twenty simulated minutes.
+    let dt = VirtualDuration::from_secs(2);
+    let mut now = VirtualTime::ZERO;
     let mut latest: BTreeMap<String, i64> = BTreeMap::new();
     let mut updates = 0usize;
     for _ in 0..600 {
-        for d in dep.step(VirtualDuration::from_secs(2))? {
-            if d.app != dashboard {
-                continue;
-            }
+        now += dt;
+        let events = world.tick(now, dt)?;
+        fed.ingest_batch_at("floor", &events, now)?;
+        // Fires timers and fails any source silent past its window.
+        fed.poll_timers(now)?;
+        for d in fed.deliveries_for(dashboard) {
             let room = d
                 .event
                 .payload
@@ -59,7 +69,7 @@ fn main() -> SciResult<()> {
         }
     }
 
-    println!("occupancy after {} of simulated movement:", dep.now());
+    println!("occupancy after {now} of simulated movement:");
     let mut sensed_total = 0;
     for (room, count) in &latest {
         println!("  {room:<10} {count:>3} {}", "#".repeat(*count as usize));

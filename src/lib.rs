@@ -84,7 +84,6 @@ pub mod prelude {
     pub use sci_analysis::{analyze, PlanGraph, ProfileSource, ProfileTable};
     pub use sci_core::capa::CapaApp;
     pub use sci_core::context_server::{AppDelivery, ContextServer, QueryAnswer, RangeReply};
-    pub use sci_core::driver::{Deployment, StandardCes};
     pub use sci_core::durability::{durable_digest, DurabilityConfig, RecoveryReport};
     pub use sci_core::entity_rt::{
         start_caa, start_ce, CaaHandle, CeHandle, ConsumeInterface, RegisterInterface,
@@ -92,8 +91,8 @@ pub mod prelude {
     };
     pub use sci_core::federation::{FederatedAnswer, Federation};
     pub use sci_core::logic::{
-        factory, AggregateLogic, EntityLogic, ObjLocationLogic, OccupancyLogic, PathLogic,
-        WlanLocationLogic,
+        factory, install_standard_logic, register_world, AggregateLogic, EntityLogic,
+        ObjLocationLogic, OccupancyLogic, PathLogic, WlanLocationLogic,
     };
     pub use sci_core::range_service::RangeService;
     pub use sci_core::runtime::{

@@ -7,7 +7,62 @@ use std::collections::HashMap;
 use sci::prelude::*;
 use sci::sensors::workload::{office_floor, populate, Population};
 
-fn run_deployment(seed: u64) -> (Vec<String>, usize) {
+/// Which federation driver runs a scenario's one range.
+#[derive(Clone, Copy, Debug)]
+enum Driver {
+    Serial,
+    Parallel,
+}
+
+/// One range's scenario loop, written once for both drivers: they share
+/// `RelayCore` through `Deref`, but `ingest_batch_at` and `poll_timers`
+/// are each driver's own. Registers `$world`'s devices and the standard
+/// classes, subscribes one app to each `(type, constraints)` of
+/// `$wants`, then runs `$steps` two-second steps — tick, ingest, fire
+/// timers (failing silent sources) — and returns the app's deliveries.
+macro_rules! run_range {
+    ($fed:expr, $world:expr, $ids:expr, $wants:expr, $steps:expr) => {{
+        let (mut fed, mut world, ids) = ($fed, $world, $ids);
+        let cs = ContextServer::new(ids.next_guid(), "floor", world.plan().clone());
+        fed.add_range(cs).unwrap();
+        register_world(&mut fed, "floor", &world, VirtualTime::ZERO).unwrap();
+        install_standard_logic(&mut fed, "floor", ids, VirtualTime::ZERO).unwrap();
+        let app = ids.next_guid();
+        for (ty, constraints) in $wants {
+            let q = Query::builder(ids.next_guid(), app)
+                .info_matching(ty, constraints)
+                .mode(Mode::Subscribe)
+                .build();
+            fed.submit_from("floor", &q, VirtualTime::ZERO).unwrap();
+        }
+        let dt = VirtualDuration::from_secs(2);
+        let mut now = VirtualTime::ZERO;
+        let mut deliveries = Vec::new();
+        for _ in 0..$steps {
+            now += dt;
+            let events = world.tick(now, dt).unwrap();
+            fed.ingest_batch_at("floor", &events, now).unwrap();
+            fed.poll_timers(now).unwrap();
+            deliveries.extend(fed.deliveries_for(app));
+        }
+        deliveries
+    }};
+}
+
+fn run_on(
+    driver: Driver,
+    world: World,
+    ids: &mut GuidGenerator,
+    wants: Vec<(ContextType, Vec<Predicate>)>,
+    steps: usize,
+) -> Vec<AppDelivery> {
+    match driver {
+        Driver::Serial => run_range!(Federation::new(1), world, ids, wants, steps),
+        Driver::Parallel => run_range!(ParallelFederation::new(1), world, ids, wants, steps),
+    }
+}
+
+fn run_deployment(seed: u64, driver: Driver) -> (Vec<String>, usize) {
     let mut ids = GuidGenerator::seeded(seed);
     let config = Population {
         people: 12,
@@ -17,37 +72,15 @@ fn run_deployment(seed: u64) -> (Vec<String>, usize) {
         seed,
     };
     let (world, people) = populate(office_floor(6), &config, &mut ids).unwrap();
-    let cs = ContextServer::new(ids.next_guid(), "floor", world.plan().clone());
-    let mut dep = Deployment::new(world, cs);
-    dep.register_world(VirtualTime::ZERO).unwrap();
-    dep.install_standard_logic(&mut ids, VirtualTime::ZERO)
-        .unwrap();
-
-    let app = ids.next_guid();
     // Subscribe to occupancy and to one person's location.
-    dep.cs
-        .submit_query(
-            &Query::builder(ids.next_guid(), app)
-                .info(ContextType::Occupancy)
-                .mode(Mode::Subscribe)
-                .build(),
-            VirtualTime::ZERO,
-        )
-        .unwrap();
-    dep.cs
-        .submit_query(
-            &Query::builder(ids.next_guid(), app)
-                .info_matching(
-                    ContextType::Location,
-                    vec![Predicate::eq("subject", ContextValue::Id(people[0]))],
-                )
-                .mode(Mode::Subscribe)
-                .build(),
-            VirtualTime::ZERO,
-        )
-        .unwrap();
-
-    let deliveries = dep.run(VirtualDuration::from_secs(2), 200).unwrap();
+    let wants = vec![
+        (ContextType::Occupancy, Vec::new()),
+        (
+            ContextType::Location,
+            vec![Predicate::eq("subject", ContextValue::Id(people[0]))],
+        ),
+    ];
+    let deliveries = run_on(driver, world, &mut ids, wants, 200);
     let log: Vec<String> = deliveries
         .iter()
         .map(|d| format!("{} {} {}", d.query, d.event.topic, d.event.payload))
@@ -57,14 +90,20 @@ fn run_deployment(seed: u64) -> (Vec<String>, usize) {
 
 #[test]
 fn identical_seeds_produce_identical_delivery_logs() {
-    let (a, na) = run_deployment(77);
-    let (b, nb) = run_deployment(77);
+    let (a, na) = run_deployment(77, Driver::Serial);
+    let (b, nb) = run_deployment(77, Driver::Serial);
     assert_eq!(na, nb);
     assert_eq!(a, b, "full middleware stack is deterministic");
     assert!(na > 10, "the scenario actually produced traffic ({na})");
 
-    let (c, _) = run_deployment(78);
+    let (c, _) = run_deployment(78, Driver::Serial);
     assert_ne!(a, c, "different seeds genuinely differ");
+
+    let (p, _) = run_deployment(77, Driver::Parallel);
+    assert_eq!(
+        a, p,
+        "the threaded driver delivers what the serial one does"
+    );
 }
 
 #[test]
@@ -78,26 +117,10 @@ fn per_source_sequence_numbers_are_monotone_at_consumers() {
         seed: 99,
     };
     let (world, _) = populate(office_floor(4), &config, &mut ids).unwrap();
-    let cs = ContextServer::new(ids.next_guid(), "floor", world.plan().clone());
-    let mut dep = Deployment::new(world, cs);
-    dep.register_world(VirtualTime::ZERO).unwrap();
-    dep.install_standard_logic(&mut ids, VirtualTime::ZERO)
-        .unwrap();
-
-    let app = ids.next_guid();
-    for ty in [ContextType::Occupancy, ContextType::Temperature] {
-        dep.cs
-            .submit_query(
-                &Query::builder(ids.next_guid(), app)
-                    .info(ty)
-                    .mode(Mode::Subscribe)
-                    .build(),
-                VirtualTime::ZERO,
-            )
-            .unwrap();
-    }
-
-    let deliveries = dep.run(VirtualDuration::from_secs(2), 150).unwrap();
+    let wants = [ContextType::Occupancy, ContextType::Temperature]
+        .map(|ty| (ty, Vec::new()))
+        .to_vec();
+    let deliveries = run_on(Driver::Serial, world, &mut ids, wants, 150);
     assert!(!deliveries.is_empty());
     let mut last_seq: HashMap<Guid, u64> = HashMap::new();
     let mut last_time: HashMap<Guid, VirtualTime> = HashMap::new();

@@ -132,7 +132,7 @@ fn partition_degrades_forwarding_until_healed() {
     // Split range-2 away at the overlay level: forwarding degrades to
     // a partial answer naming the unreachable range, rather than
     // erroring — graceful degradation with QoC metadata.
-    r.fed.network_mut().set_partition(r.nodes[2], 1).unwrap();
+    r.fed.transport_mut().set_partition(r.nodes[2], 1).unwrap();
     let fa = r
         .fed
         .submit_from("range-0", &q, VirtualTime::from_secs(1))
@@ -152,7 +152,7 @@ fn partition_degrades_forwarding_until_healed() {
     assert_eq!(r.fed.partial_answers(), 1);
 
     // Healing restores full service.
-    r.fed.network_mut().heal_partitions();
+    r.fed.transport_mut().heal_partitions();
     let fa = r
         .fed
         .submit_from("range-0", &q, VirtualTime::from_secs(2))
@@ -221,7 +221,7 @@ fn relayed_deliveries_respect_freshness_bounds() {
     // latency) exceeds event timestamp + 50 ms, so the relay must be
     // dropped and counted.
     r.fed
-        .network_mut()
+        .transport_mut()
         .set_hop_latency(VirtualDuration::from_millis(100));
     let t2 = VirtualTime::from_secs(2);
     let stale = ContextEvent::new(

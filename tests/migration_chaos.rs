@@ -397,7 +397,7 @@ fn migration_into_a_killed_range_lands_once_it_recovers() {
     // The target dies; the move happens anyway, over a link that
     // delivers every packet twice.
     let registry = fed.kill_range("range-1").unwrap();
-    fed.fabric_mut().set_default_probs(FaultProbs {
+    fed.transport_mut().set_default_probs(FaultProbs {
         duplicate: 1.0,
         ..FaultProbs::NONE
     });
@@ -410,7 +410,7 @@ fn migration_into_a_killed_range_lands_once_it_recovers() {
         "both copies of the packet wait for the dead range"
     );
     assert_eq!(fed.retry_parked(), 2);
-    fed.fabric_mut().heal();
+    fed.transport_mut().heal();
     fed.sync(now).unwrap();
     assert_eq!(
         fed.pending_relay_count(),

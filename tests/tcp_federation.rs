@@ -401,16 +401,16 @@ fn a_range_admitted_through_recover_range_is_in_every_replica() {
     let claims = [("range/range-new", newcomer), ("place/hall-7", newcomer)];
     for (key, owner) in claims {
         assert_eq!(
-            fed.fabric().registration(newcomer, key),
+            fed.transport().registration(newcomer, key),
             Some(owner.to_string()),
             "`{key}` must be in the newcomer's own replica"
         );
-        assert_eq!(fed.fabric().registration(elder, key), None);
+        assert_eq!(fed.transport().registration(elder, key), None);
     }
     fed.connect_full();
     for (key, owner) in claims {
         assert_eq!(
-            fed.fabric().registration(elder, key),
+            fed.transport().registration(elder, key),
             Some(owner.to_string()),
             "`{key}` must reach the elder's replica"
         );
