@@ -36,12 +36,14 @@
 //! Deliveries and answers take theirs from the producing server's
 //! durable stream counters, so a WAL-recovered range re-offers its
 //! unrelayed traffic under the *same* envelopes; each traffic class
-//! counts in its own high-bit namespace. The sender retries a failed
-//! relay up to [`RELAY_RETRIES`] times with exponential backoff
-//! accounted in virtual time, then parks it for the next pump — so a
-//! relay survives any outage that eventually heals. The receiver
-//! discards envelopes it has already seen (local-home traffic passes
-//! the same filter). Together that turns the transport's at-least-once
+//! counts in its own high-bit namespace. A pump hands each range's
+//! cross-range stream to [`Transport::send_all`] in batches of up to
+//! `MAX_RELAY_BATCH`. The sender retries a failed relay up to
+//! [`RELAY_RETRIES`] times with exponential backoff accounted in
+//! virtual time, then parks it for the next pump — so a relay survives
+//! any outage that eventually heals. The receiver discards envelopes it
+//! has already seen (local-home traffic passes the same filter).
+//! Together that turns the transport's at-least-once
 //! behaviour (retransmissions, ack loss, duplication faults) into
 //! exactly-once delivery, counted by `federation.retry.attempts` and
 //! `federation.relay.dedup_hits`.
@@ -90,6 +92,11 @@ pub const RELAY_RETRIES: u32 = 4;
 /// (the arrival time of a retried relay is pushed back by
 /// `base * (2^attempt - 1)`).
 pub const RETRY_BACKOFF_BASE_US: u64 = 500;
+
+/// The most relays one [`Transport::send_all`] carries. A batch sits
+/// whole in its receivers' inboxes until the relay drains them, so a
+/// range streaming a backlog is relayed in batches of this size.
+const MAX_RELAY_BATCH: usize = 256;
 
 /// Envelope-sequence namespace bit for deferred-answer relays. Servers
 /// mint delivery and answer sequences from *separate* durable
@@ -541,7 +548,8 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
             .with_child(parse(&xml)?)
             .to_xml();
         self.migrate_started.insert((src, seq), started);
-        self.relay(src, dst, MessageKind::Migrate, payload.into_bytes(), now)
+        let packet = self.envelope(src, dst, MessageKind::Migrate, payload.into_bytes());
+        self.send_reliable(packet, 0, now)
     }
 
     /// Builds the degraded answer for a query whose target range could
@@ -731,14 +739,22 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
             settle(host);
             let (deliveries, answers) = host.drain_stream();
             let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
+            let mut batch = Vec::new();
             for (seq, d) in deliveries {
                 self.metrics.stream_events.inc();
-                self.route_delivery(node, seq, d, now)?;
+                batch.extend(self.route_delivery(node, seq, d));
+                if batch.len() == MAX_RELAY_BATCH {
+                    self.send_batch(std::mem::take(&mut batch), now)?;
+                }
             }
             for (seq, a) in answers {
                 self.metrics.stream_answers.inc();
-                self.route_answer(node, seq, a, now)?;
+                batch.extend(self.route_answer(node, seq, a));
+                if batch.len() == MAX_RELAY_BATCH {
+                    self.send_batch(std::mem::take(&mut batch), now)?;
+                }
             }
+            self.send_batch(batch, now)?;
             self.metrics.relay_us.record(elapsed_us(started));
         }
         self.sweep(now)?;
@@ -785,19 +801,13 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
 
     /// Routes one application delivery produced at `node` under its
     /// server-minted envelope sequence: local-home traffic lands in the
-    /// inbox, cross-range traffic travels the overlay as a binary
-    /// record behind its exactly-once `(origin, seq)` envelope header
-    /// ([`event_relay_payload`]). Local traffic passes the
+    /// inbox, cross-range traffic is returned for the range's batch as
+    /// a binary record behind its exactly-once `(origin, seq)` envelope
+    /// header ([`event_relay_payload`]). Local traffic passes the
     /// same `seen_relays` filter the overlay path uses, so a
     /// WAL-recovered range re-streaming traffic it already handed over
     /// before the crash deduplicates to exactly-once on both paths.
-    fn route_delivery(
-        &mut self,
-        node: Guid,
-        seq: u64,
-        d: AppDelivery,
-        now: VirtualTime,
-    ) -> SciResult<()> {
+    fn route_delivery(&mut self, node: Guid, seq: u64, d: AppDelivery) -> Option<Message> {
         let home = self.home_of(d.app, node);
         if home == node {
             if self.seen_relays.insert((node, seq)) {
@@ -805,11 +815,11 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
             } else {
                 self.metrics.relay_dedup_hits.inc();
             }
-            return Ok(());
+            return None;
         }
         let payload = event_relay_payload((node, seq), &d);
         self.metrics.relay_events.inc();
-        self.relay(node, home, MessageKind::EventRelay, payload, now)
+        Some(self.envelope(node, home, MessageKind::EventRelay, payload))
     }
 
     /// Routes one deferred answer produced at `node` — the
@@ -817,13 +827,7 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
     /// lobby→Level-Ten pattern in reverse). The server-minted sequence
     /// is shifted into the answer namespace so answer and delivery
     /// counters cannot collide in the shared `(origin, seq)` filter.
-    fn route_answer(
-        &mut self,
-        node: Guid,
-        seq: u64,
-        deferred: DeferredAnswer,
-        now: VirtualTime,
-    ) -> SciResult<()> {
+    fn route_answer(&mut self, node: Guid, seq: u64, deferred: DeferredAnswer) -> Option<Message> {
         let seq = seq | ANSWER_SEQ_NS;
         let home = self.home_of(deferred.1, node);
         if home == node {
@@ -833,51 +837,59 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
             } else {
                 self.metrics.relay_dedup_hits.inc();
             }
-            return Ok(());
+            return None;
         }
         let payload = deferred_answer_element("answer-relay", "app", &deferred)
             .with_attr("origin", node.to_string())
             .with_attr("seq", seq.to_string())
             .to_xml();
         self.metrics.relay_answers.inc();
-        self.relay(
-            node,
-            home,
-            MessageKind::QueryResponse,
-            payload.into_bytes(),
-            now,
-        )
+        Some(self.envelope(node, home, MessageKind::QueryResponse, payload.into_bytes()))
     }
 
-    /// Wraps a serialised envelope in a fresh overlay message and
-    /// sends it reliably.
-    fn relay(
-        &mut self,
-        src: Guid,
-        dst: Guid,
-        kind: MessageKind,
-        payload: Vec<u8>,
-        now: VirtualTime,
-    ) -> SciResult<()> {
-        let payload = Bytes::from(payload);
-        let msg = Message::new(self.ids.next_guid(), src, dst, kind, payload);
-        self.send_reliable(msg, now)
+    /// Wraps a serialised envelope in a fresh overlay message.
+    fn envelope(&mut self, src: Guid, dst: Guid, kind: MessageKind, payload: Vec<u8>) -> Message {
+        Message::new(self.ids.next_guid(), src, dst, kind, Bytes::from(payload))
     }
 
-    /// Sends a relay envelope with up to [`RELAY_RETRIES`]
-    /// retransmissions under exponential backoff (accounted in virtual
-    /// time: each retry pushes the arrival stamp back by the
-    /// accumulated wait). An envelope that exhausts its retries is
-    /// parked in `pending_relays` for the next pump, so any outage that
+    /// Sends relays with one [`Transport::send_all`]: each that lands is
+    /// absorbed at its arrival, each that does not enters
+    /// [`RelayCore::send_reliable`] at its first retransmission; then
+    /// returns the first non-routing failure.
+    fn send_batch(&mut self, batch: Vec<Message>, now: VirtualTime) -> SciResult<()> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        let outcomes = self.net.send_all(&batch);
+        let mut first_error = None;
+        for (msg, outcome) in batch.into_iter().zip(outcomes) {
+            let handled = match outcome {
+                Ok(o) => self.absorb_landed(msg.dst, now.saturating_add(o.latency)),
+                Err(SciError::Unroutable { .. }) => self.send_reliable(msg, 1, now),
+                Err(e) => Err(e),
+            };
+            if let Err(e) = handled {
+                first_error.get_or_insert(e);
+            }
+        }
+        first_error.map_or(Ok(()), Err)
+    }
+
+    /// Sends a relay envelope from attempt `first` (0 is the first
+    /// transmission) up to [`RELAY_RETRIES`] retransmissions under
+    /// exponential backoff (accounted in virtual time: each retry
+    /// pushes the arrival stamp back by the accumulated wait). An
+    /// envelope that exhausts its retries is parked in
+    /// `pending_relays` for the next pump, so any outage that
     /// eventually heals cannot lose it.
     ///
     /// # Errors
     ///
     /// Propagates non-routing transport failures.
-    fn send_reliable(&mut self, msg: Message, now: VirtualTime) -> SciResult<()> {
+    fn send_reliable(&mut self, msg: Message, first: u32, now: VirtualTime) -> SciResult<()> {
         let mut backoff = VirtualDuration::ZERO;
         let mut wait = RETRY_BACKOFF_BASE_US;
-        for attempt in 0..=RELAY_RETRIES {
+        for attempt in first..=RELAY_RETRIES {
             if attempt > 0 {
                 self.metrics.retry_attempts.inc();
                 backoff += VirtualDuration::from_micros(wait);
@@ -1276,12 +1288,88 @@ mod tests {
     }
 
     fn core_of(hosts: [Scripted; 2]) -> RelayCore<SimNetwork, Scripted> {
-        let mut core = RelayCore::with_transport(SimNetwork::new(), 7);
+        core_over(SimNetwork::new(), hosts)
+    }
+
+    fn core_over<T: Transport>(net: T, hosts: [Scripted; 2]) -> RelayCore<T, Scripted> {
+        let mut core = RelayCore::with_transport(net, 7);
         for host in hosts {
             core.add_range(host).unwrap();
         }
         core.connect_full();
         core
+    }
+
+    /// A `SimNetwork` that records the size of every batch it is handed.
+    struct Batching(SimNetwork, Vec<usize>);
+
+    impl Transport for Batching {
+        fn add_node(&mut self, guid: Guid, name: &str) -> SciResult<()> {
+            Transport::add_node(&mut self.0, guid, name)
+        }
+        fn find_by_name(&self, name: &str) -> Option<Guid> {
+            Transport::find_by_name(&self.0, name)
+        }
+        fn connect_full(&mut self) {
+            self.0.connect_full();
+        }
+        fn join(&mut self, node: Guid, bootstrap: Guid, seed: u64) -> SciResult<()> {
+            self.0.join(node, bootstrap, seed)
+        }
+        fn send(&mut self, message: Message) -> SciResult<sci_overlay::net::RouteOutcome> {
+            Transport::send(&mut self.0, message)
+        }
+        fn send_all(
+            &mut self,
+            batch: &[Message],
+        ) -> Vec<SciResult<sci_overlay::net::RouteOutcome>> {
+            self.1.push(batch.len());
+            self.0.send_all(batch)
+        }
+        fn drain(&mut self, node: Guid) -> Vec<Message> {
+            self.0.drain(node)
+        }
+        fn stats(&self) -> &LoadStats {
+            Transport::stats(&self.0)
+        }
+        fn publish_registration(&mut self, node: Guid, key: &str, value: &str) -> SciResult<()> {
+            self.0.publish_registration(node, key, value)
+        }
+        fn retract_registration(&mut self, node: Guid, key: &str) -> SciResult<()> {
+            self.0.retract_registration(node, key)
+        }
+        fn registration(&self, node: Guid, key: &str) -> Option<String> {
+            self.0.registration(node, key)
+        }
+        fn registration_digest(&self, node: Guid) -> Option<u64> {
+            self.0.registration_digest(node)
+        }
+    }
+
+    #[test]
+    fn a_backlog_is_relayed_in_bounded_batches() {
+        let app = Guid::from_u128(0xa);
+        let backlog = (0..600)
+            .map(|k| {
+                let event = ContextEvent::new(
+                    Guid::from_u128(0x5),
+                    ContextType::Presence,
+                    ContextValue::Int(k),
+                    VirtualTime::from_secs(1),
+                );
+                let query = Guid::from_u128(0x9);
+                (k as u64, AppDelivery { app, query, event })
+            })
+            .collect();
+        let mut producer = Scripted::new(1, "a");
+        producer.streams.push_back((backlog, Vec::new()));
+        let net = Batching(SimNetwork::new(), Vec::new());
+        let mut core = core_over(net, [producer, Scripted::new(2, "b")]);
+        core.app_home.insert(app, core.node_named("b").unwrap());
+
+        core.pump(VirtualTime::from_secs(1)).unwrap();
+        assert_eq!(core.deliveries_for(app).len(), 600);
+        assert_eq!(core.transport().1, [256, 256, 88]);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!
 //! Fault model, decided per [`Transport::send`] in a fixed draw order
 //! (four PRNG draws per send, taken unconditionally, so the schedule
-//! depends only on the seed and the call sequence):
+//! depends only on the seed and the call sequence; a batch takes the
+//! provided [`Transport::send_all`], one `send` per message, so the
+//! schedule is the same over every inner transport):
 //!
 //! 1. **partition** — if source and destination sit in different named
 //!    partition groups, the send fails outright (no PRNG draw).

@@ -25,10 +25,13 @@
 //!   waits for that, so a returned dial means both stores converged
 //!   and late joiners hold the federation's replicated registration
 //!   state when `join` returns.
-//! * **Acked sends**: [`Transport::send`] writes the frame and blocks
-//!   until the receiver acknowledges *enqueue* into its inbox. The
-//!   inbox observed by any [`Transport::drain`] is therefore a pure
-//!   function of the call sequence — which is exactly the property
+//! * **Acked sends**: [`Transport::send_all`] writes each peer's share
+//!   of a batch in coalesced writes of at most 64 KiB, and the reader
+//!   *enqueues* every frame of a read pass before one cumulative ACK
+//!   for the highest sequence number (`send` is a batch of one). A
+//!   message is `Ok` exactly when it is drainable, so the inbox
+//!   observed by any [`Transport::drain`] is a pure function of the call
+//!   sequence — which is exactly the property
 //!   [`crate::fault::FaultyTransport`] needs for seed-exact chaos
 //!   replay over real sockets.
 //!
@@ -59,7 +62,8 @@ use crate::transport::Transport;
 /// different versions is rejected. Version 2 added the `SYNC_DONE`
 /// frame a dialer waits for, which a version-1 acceptor never sends;
 /// version 3 made the `EventRelay` payload a binary record, which a
-/// version-2 relay would refuse as malformed XML.
+/// version-2 relay would refuse as malformed XML. Cumulative ACKs kept
+/// version 3: every version-3 sender reads an ACK as cumulative.
 pub const TCP_PROTOCOL_VERSION: u32 = 3;
 
 // Control-frame tags sit above the 0–8 range MessageKind occupies, so
@@ -81,6 +85,13 @@ const ACCEPT_POLL: Duration = Duration::from_millis(2);
 const HANDSHAKE_ATTEMPTS: u32 = 200;
 /// How long a send waits for the receiver's enqueue acknowledgement.
 const ACK_TIMEOUT: Duration = Duration::from_secs(2);
+/// The most bytes one coalesced write carries before its sender waits
+/// for their ACK (a larger frame goes alone), and the reader's read
+/// size. It stays below the kernel's socket buffers, so a write never
+/// waits on its peer: two nodes sending large batches to each other
+/// would otherwise deadlock, each reader's ACK behind its own node's
+/// blocked data write.
+const MAX_COALESCED_WRITE: usize = 64 * 1024;
 
 /// Locks a mutex, recovering the guard if a panicking thread poisoned
 /// it — counters and connection maps stay usable either way.
@@ -423,45 +434,27 @@ fn finish_conn(shared: &Arc<NodeShared>, stream: TcpStream, dec: StreamDecoder, 
     shared.counters.handshakes.inc();
     if let Some(read_stream) = read_half {
         let reader_shared = shared.clone();
-        thread::spawn(move || run_reader(&reader_shared, &conn, &ack_tx, read_stream, dec));
+        thread::spawn(move || run_reader(&reader_shared, peer, &conn, &ack_tx, read_stream, dec));
     }
 }
 
 /// Per-connection reader: reassembles frames from the byte stream and
-/// routes them — data to the inbox (acked on enqueue), acks to the
-/// sender's channel, sync deltas into the registration store. Exits on
-/// EOF, shutdown, I/O error or a corrupt frame.
+/// routes them — data to the inbox, acks to the sender's channel, sync
+/// deltas into the registration store. However it exits, it shuts the
+/// socket down and takes the connection out of `conns`, so the next
+/// send to `peer` redials instead of waiting out a dead socket.
 fn run_reader(
     shared: &Arc<NodeShared>,
+    peer: Guid,
     conn: &Arc<Conn>,
     ack_tx: &mpsc::Sender<u64>,
     mut stream: TcpStream,
     mut dec: StreamDecoder,
 ) {
-    let mut buf = [0u8; 8192];
-    loop {
-        loop {
-            match dec.next_frame() {
-                Ok(Some(frame)) => {
-                    shared.counters.frames_recv.inc();
-                    if !handle_frame(shared, conn, ack_tx, frame) {
-                        return;
-                    }
-                }
-                Ok(None) => break,
-                Err(CodecError::Incomplete { .. }) => break,
-                Err(CodecError::Corrupt { .. }) => {
-                    shared.counters.corrupt_frames.inc();
-                    let _ = lock(&conn.stream).shutdown(Shutdown::Both);
-                    return;
-                }
-            }
-        }
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
+    let mut buf = vec![0u8; MAX_COALESCED_WRITE];
+    while read_pass(shared, conn, ack_tx, &mut dec) && !shared.shutdown.load(Ordering::Relaxed) {
         match stream.read(&mut buf) {
-            Ok(0) => return,
+            Ok(0) => break,
             Ok(n) => {
                 shared.counters.bytes_recv.add(n as u64);
                 dec.extend(&buf[..n]);
@@ -469,18 +462,55 @@ fn run_reader(
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(_) => return,
+            Err(_) => break,
         }
+    }
+    let _ = lock(&conn.stream).shutdown(Shutdown::Both);
+    let mut conns = lock(&shared.conns);
+    // A redial may already have replaced this connection.
+    if conns.get(&peer).is_some_and(|c| Arc::ptr_eq(c, conn)) {
+        conns.remove(&peer);
     }
 }
 
-/// Dispatches one reassembled frame; returns `false` when the
-/// connection should close.
+/// Handles every whole frame the decoder holds, then acks the data
+/// frames among them, all already enqueued, with one cumulative ACK.
+/// Returns `false` when the connection should close.
+fn read_pass(
+    shared: &NodeShared,
+    conn: &Conn,
+    ack_tx: &mpsc::Sender<u64>,
+    dec: &mut StreamDecoder,
+) -> bool {
+    let mut enqueued = None;
+    let open = loop {
+        match dec.next_frame() {
+            Ok(Some(frame)) => {
+                shared.counters.frames_recv.inc();
+                if !handle_frame(shared, ack_tx, frame, &mut enqueued) {
+                    break false;
+                }
+            }
+            Ok(None) | Err(CodecError::Incomplete { .. }) => break true,
+            Err(CodecError::Corrupt { .. }) => {
+                shared.counters.corrupt_frames.inc();
+                break false;
+            }
+        }
+    };
+    if let Some(seq) = enqueued {
+        let _ = write_frame(&conn.stream, &ack_frame(seq), &shared.counters);
+    }
+    open
+}
+
+/// Dispatches one reassembled frame, noting an enqueued data frame's
+/// sequence number in `enqueued`; returns `false` to close.
 fn handle_frame(
-    shared: &Arc<NodeShared>,
-    conn: &Arc<Conn>,
+    shared: &NodeShared,
     ack_tx: &mpsc::Sender<u64>,
     frame: Frame,
+    enqueued: &mut Option<u64>,
 ) -> bool {
     match frame.tag {
         TAG_ACK => {
@@ -519,7 +549,7 @@ fn handle_frame(
                     // `send` returned Ok is guaranteed the message is
                     // already drainable at the destination.
                     let _ = shared.inbox_tx.send(msg);
-                    let _ = write_frame(&conn.stream, &ack_frame(seq), &shared.counters);
+                    *enqueued = Some(seq);
                     true
                 }
                 None => {
@@ -818,6 +848,57 @@ impl TcpTransport {
     }
 }
 
+/// Writes one peer's messages in order, in chunks of at most
+/// [`MAX_COALESCED_WRITE`] bytes, each followed by a wait for an ACK
+/// covering its last frame (one below its first is stale, from a send
+/// that timed out). Returns how many the peer acked: always a prefix.
+fn send_coalesced(conn: &Conn, share: Vec<&Message>, counters: &NetCounters) -> usize {
+    let write_chunk = |chunk: &[u8], first: u64, frames: usize| -> usize {
+        if lock(&conn.stream).write_all(chunk).is_err() {
+            return 0;
+        }
+        counters.bytes_sent.add(chunk.len() as u64);
+        counters.frames_sent.add(frames as u64);
+        let last = first + frames as u64 - 1;
+        let rx = lock(&conn.ack_rx);
+        let mut high = 0;
+        while high < last {
+            match rx.recv_timeout(ACK_TIMEOUT) {
+                Ok(seq) => high = high.max(seq),
+                Err(_) => {
+                    counters.ack_timeouts.inc();
+                    break;
+                }
+            }
+        }
+        (high + 1).saturating_sub(first).min(frames as u64) as usize
+    };
+    let (mut acked, mut frames, mut first) = (0, 0, 0);
+    let mut chunk = Vec::new();
+    for m in share {
+        let seq = conn.next_seq.fetch_add(1, Ordering::Relaxed);
+        let frame = data_frame(seq, m);
+        if frames > 0 && chunk.len() + frame.encoded_len() > MAX_COALESCED_WRITE {
+            let got = write_chunk(&chunk, first, frames);
+            acked += got;
+            if got < frames {
+                return acked;
+            }
+            chunk.clear();
+            frames = 0;
+        }
+        if frames == 0 {
+            first = seq;
+        }
+        encode_frame(&frame, &mut chunk);
+        frames += 1;
+    }
+    if frames > 0 {
+        acked += write_chunk(&chunk, first, frames);
+    }
+    acked
+}
+
 impl Default for TcpTransport {
     fn default() -> Self {
         TcpTransport::new()
@@ -927,63 +1008,59 @@ impl Transport for TcpTransport {
     }
 
     fn send(&mut self, message: Message) -> SciResult<RouteOutcome> {
-        let (src, dst) = (message.src, message.dst);
-        let unroutable = SciError::Unroutable { from: src, to: dst };
-        let Some(node) = self.nodes.get(&src) else {
-            self.stats.record_failure();
-            return Err(unroutable);
-        };
-        let shared = node.shared.clone();
-        // A live connection, or a lazy dial through the directory.
-        let conn = match self.conn_to(&shared, dst) {
-            Some(c) => c,
-            None => {
-                let addr = lock(&shared.directory).get(&dst).map(|p| p.addr);
-                let dialed = match addr {
-                    Some(a) => dial(&shared, a)
-                        .ok()
-                        .and_then(|_| self.conn_to(&shared, dst)),
-                    None => None,
-                };
-                match dialed {
-                    Some(c) => c,
-                    None => {
+        let (from, to) = (message.src, message.dst);
+        self.send_all(&[message])
+            .pop()
+            .unwrap_or(Err(SciError::Unroutable { from, to }))
+    }
+
+    /// One coalesced stream per `(src, dst)` pair, in batch order; a
+    /// message is `Ok` exactly when the peer acked it.
+    fn send_all(&mut self, batch: &[Message]) -> Vec<SciResult<RouteOutcome>> {
+        let mut pairs: Vec<((Guid, Guid), Vec<&Message>)> = Vec::new();
+        for m in batch {
+            match pairs.iter_mut().find(|(pair, _)| *pair == (m.src, m.dst)) {
+                Some((_, share)) => share.push(m),
+                None => pairs.push(((m.src, m.dst), vec![m])),
+            }
+        }
+        let mut acked: HashMap<(Guid, Guid), usize> = HashMap::new();
+        for ((src, dst), share) in pairs {
+            let Some(shared) = self.nodes.get(&src).map(|n| n.shared.clone()) else {
+                continue;
+            };
+            // A live connection, or a lazy dial through the directory.
+            let conn = self.conn_to(&shared, dst).or_else(|| {
+                let addr = lock(&shared.directory).get(&dst)?.addr;
+                dial(&shared, addr).ok()?;
+                self.conn_to(&shared, dst)
+            });
+            if let Some(conn) = conn {
+                acked.insert((src, dst), send_coalesced(&conn, share, &shared.counters));
+            }
+        }
+        batch
+            .iter()
+            .map(|m| {
+                let (src, dst) = (m.src, m.dst);
+                match acked.get_mut(&(src, dst)) {
+                    Some(left) if *left > 0 => {
+                        *left -= 1;
+                        self.stats.record_forward(src);
+                        self.stats.record_delivery(1);
+                        Ok(RouteOutcome {
+                            path: vec![src, dst],
+                            hops: 1,
+                            latency: self.hop_latency,
+                        })
+                    }
+                    _ => {
                         self.stats.record_failure();
-                        return Err(unroutable);
+                        Err(SciError::Unroutable { from: src, to: dst })
                     }
                 }
-            }
-        };
-        let seq = conn.next_seq.fetch_add(1, Ordering::Relaxed);
-        if write_frame(&conn.stream, &data_frame(seq, &message), &shared.counters).is_err() {
-            self.stats.record_failure();
-            return Err(unroutable);
-        }
-        // Block until the receiver acked enqueue. Acks are per-conn and
-        // monotonic, so anything below `seq` is a stale ack from a send
-        // that already timed out — skip it.
-        let acked = {
-            let rx = lock(&conn.ack_rx);
-            loop {
-                match rx.recv_timeout(ACK_TIMEOUT) {
-                    Ok(s) if s >= seq => break true,
-                    Ok(_) => {}
-                    Err(_) => break false,
-                }
-            }
-        };
-        if !acked {
-            shared.counters.ack_timeouts.inc();
-            self.stats.record_failure();
-            return Err(unroutable);
-        }
-        self.stats.record_forward(src);
-        self.stats.record_delivery(1);
-        Ok(RouteOutcome {
-            path: vec![src, dst],
-            hops: 1,
-            latency: self.hop_latency,
-        })
+            })
+            .collect()
     }
 
     fn drain(&mut self, node: Guid) -> Vec<Message> {
@@ -1271,13 +1348,9 @@ mod tests {
             .any(|l| l.src == c && l.dst == b && l.established));
     }
 
-    #[test]
-    fn a_data_frame_under_a_tag_no_kind_owns_is_corrupt_not_a_panic() {
-        let mut t = TcpTransport::new();
-        let a = Guid::from_u128(0xa);
-        t.add_node(a, "a").unwrap();
-        // A peer that handshakes properly, then sends a well-formed
-        // message under the reserved tag 2.
+    /// A hand-driven peer `0xb` of node `a`: the socket has sent its
+    /// `HELLO`, and `a` will answer `WELCOME` and register the link.
+    fn forged_peer(t: &TcpTransport, a: Guid) -> (TcpStream, Guid) {
         let mut peer = TcpStream::connect(t.listener_addr(a).unwrap()).unwrap();
         let forged = PeerInfo {
             guid: Guid::from_u128(0xb),
@@ -1286,17 +1359,114 @@ mod tests {
         };
         let hello = hello_frame(TCP_PROTOCOL_VERSION, &forged, SyncStore::new().digest());
         write_frame_direct(&mut peer, &hello, &t.counters).unwrap();
+        (peer, forged.guid)
+    }
+
+    fn counter(t: &TcpTransport, name: &str) -> u64 {
+        t.telemetry().unwrap().snapshot().counter(name)
+    }
+
+    #[test]
+    fn a_data_frame_under_a_tag_no_kind_owns_is_corrupt_not_a_panic() {
+        let mut t = TcpTransport::new();
+        let a = Guid::from_u128(0xa);
+        t.add_node(a, "a").unwrap();
+        // A peer that handshakes properly, then sends a well-formed
+        // message under the reserved tag 2.
+        let (mut peer, b) = forged_peer(&t, a);
         let mut payload = Vec::new();
         wire::put_u64(&mut payload, 1);
-        wire::put_bytes(&mut payload, &msg(1, forged.guid, a).encode());
+        wire::put_bytes(&mut payload, &msg(1, b, a).encode());
         write_frame_direct(&mut peer, &Frame::new(2, payload), &t.counters).unwrap();
 
-        let corrupt = || {
-            let snap = t.telemetry().unwrap().snapshot();
-            snap.counter("net.tcp.corrupt_frames")
-        };
+        let corrupt = || counter(&t, "net.tcp.corrupt_frames");
         assert!(wait_until(|| corrupt() == 1), "the frame is counted");
         assert!(t.drain(a).is_empty(), "and nothing was delivered");
+        assert!(
+            wait_until(|| t.connections_of(a) == 0),
+            "the reader took its connection with it"
+        );
+    }
+
+    #[test]
+    fn a_batch_is_coalesced_per_peer_and_acked_cumulatively() {
+        let mut t = TcpTransport::new();
+        let [a, b, c] = [0xa, 0xb, 0xc].map(Guid::from_u128);
+        for (node, name) in [(a, "a"), (b, "b"), (c, "c")] {
+            t.add_node(node, name).unwrap();
+        }
+        t.connect_full();
+        let ids = |messages: &[Message]| messages.iter().map(|m| m.id).collect::<Vec<_>>();
+
+        // 200 KiB: several capped writes, each acked before the next.
+        let kib = Bytes::from(vec![7u8; 1024]);
+        let batch: Vec<Message> = (0..200u128)
+            .map(|i| Message::new(Guid::from_u128(i), a, b, MessageKind::Ping, kib.clone()))
+            .collect();
+        let frames_before = counter(&t, "net.tcp.frames.sent");
+        let out = t.send_all(&batch);
+        assert_eq!(out.len(), 200);
+        assert!(out.iter().all(Result::is_ok));
+        assert_eq!(
+            ids(&t.drain(b)),
+            ids(&batch),
+            "drainable, in order, on return"
+        );
+        let frames = counter(&t, "net.tcp.frames.sent") - frames_before;
+        assert!(
+            frames < 400,
+            "200 data frames took {frames} frames: not one ACK each"
+        );
+
+        // Two peers in one batch: each keeps its own order.
+        let mixed: Vec<Message> = (0..60u128)
+            .map(|i| msg(1_000 + i, a, if i % 3 == 0 { c } else { b }))
+            .collect();
+        assert!(t.send_all(&mixed).iter().all(Result::is_ok));
+        for dst in [b, c] {
+            let sent: Vec<Message> = mixed.iter().filter(|m| m.dst == dst).cloned().collect();
+            assert_eq!(ids(&t.drain(dst)), ids(&sent));
+        }
+    }
+
+    #[test]
+    fn an_ack_short_of_the_batch_leaves_the_unacked_suffix_unroutable() {
+        let mut t = TcpTransport::new();
+        let a = Guid::from_u128(0xa);
+        t.add_node(a, "a").unwrap();
+        // A peer that reads five data frames, acks the third, then
+        // goes quiet with the socket open.
+        let (mut peer, b) = forged_peer(&t, a);
+        let counters = t.counters.clone();
+        let (quiet_tx, quiet_rx) = mpsc::channel::<()>();
+        let quiet_peer = thread::spawn(move || {
+            let (mut dec, mut buf, mut seqs) = (StreamDecoder::new(), [0u8; 4096], Vec::new());
+            loop {
+                while let Some(frame) = dec.next_frame().unwrap() {
+                    if frame.tag <= 8 {
+                        seqs.push(wire::Reader::new(&frame.payload).u64().unwrap());
+                    }
+                }
+                if seqs.len() == 5 {
+                    break;
+                }
+                let n = peer.read(&mut buf).unwrap();
+                dec.extend(&buf[..n]);
+            }
+            write_frame_direct(&mut peer, &ack_frame(seqs[2]), &counters).unwrap();
+            let _ = quiet_rx.recv();
+        });
+        assert!(wait_until(|| t.connections_of(a) == 1));
+
+        let timeouts = counter(&t, "net.tcp.ack_timeouts");
+        let batch: Vec<Message> = (0..5u128).map(|i| msg(i, a, b)).collect();
+        let out = t.send_all(&batch);
+        let acked: Vec<bool> = out.iter().map(Result::is_ok).collect();
+        assert_eq!(acked, [true, true, true, false, false]);
+        assert!(matches!(out[3], Err(SciError::Unroutable { .. })));
+        assert_eq!(counter(&t, "net.tcp.ack_timeouts"), timeouts + 1);
+        quiet_tx.send(()).unwrap();
+        quiet_peer.join().unwrap();
     }
 
     #[test]

@@ -58,6 +58,14 @@ pub trait Transport {
     /// routing failure.
     fn send(&mut self, message: Message) -> SciResult<RouteOutcome>;
 
+    /// Sends a batch, returning one outcome per message in batch order,
+    /// each meaning what [`Transport::send`]'s would. The provided body
+    /// sends each message in turn; a transport that can coalesce the
+    /// traffic bound for one peer overrides it.
+    fn send_all(&mut self, batch: &[Message]) -> Vec<SciResult<RouteOutcome>> {
+        batch.iter().map(|m| self.send(m.clone())).collect()
+    }
+
     /// Removes and returns everything delivered to `node`'s mailbox.
     fn drain(&mut self, node: Guid) -> Vec<Message>;
 
