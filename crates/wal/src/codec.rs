@@ -87,8 +87,11 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `[0]` is the classic byte table, and `[k][b]`
+/// is the CRC of byte `b` followed by `k` zero bytes, so eight table
+/// reads advance the state by eight bytes at once.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -101,13 +104,23 @@ const fn crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
 /// CRC-32 (IEEE 802.3) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
@@ -116,10 +129,24 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// Feeds more bytes into a running CRC state (pre- and post-inversion
 /// are the caller's concern; see [`crc32`] for the one-shot form).
+/// Eight bytes per step, then a byte at a time for the tail.
 pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = state;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     crc
 }
@@ -472,11 +499,39 @@ pub mod wire {
 mod tests {
     use super::*;
 
+    /// The byte-at-a-time CRC the slicing tables must agree with.
+    fn crc32_update_bytewise(state: u32, bytes: &[u8]) -> u32 {
+        let table = &CRC_TABLES[0];
+        let mut crc = state;
+        for &b in bytes {
+            crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xFF) as usize];
+        }
+        crc
+    }
+
     #[test]
     fn crc_known_vector() {
         // The canonical IEEE check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn slicing_crc_equals_the_bytewise_crc_at_every_length_offset_and_split() {
+        let buf: Vec<u8> = (0..308u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for start in 0..8 {
+            for len in 0..=300 {
+                let bytes = &buf[start..start + len];
+                let want = crc32_update_bytewise(0xFFFF_FFFF, bytes);
+                for split in 0..=len {
+                    let (head, tail) = bytes.split_at(split);
+                    let got = crc32_update(crc32_update(0xFFFF_FFFF, head), tail);
+                    assert_eq!(got, want, "start {start}, len {len}, split {split}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! files:
 //!
 //! ```text
-//! wal-0000000000000000.seg     frames for records [0, n)
-//! wal-000000000000002a.seg     frames for records [42, ...)   (active)
 //! snap-0000000000000030.snap   state covering records [0, 48)
+//! wal-0000000000000030.seg     frames for records [48, 90)
+//! wal-000000000000005a.seg     frames for records [90, ...)   (active)
 //! ```
 //!
 //! Each segment starts with a 16-byte header (`SCIWAL01` magic + the
@@ -14,7 +14,10 @@
 //! [`Frame`]s. Records are identified by a monotonically increasing
 //! *index*; a snapshot file named `snap-<i>` replaces replay of every
 //! record below `i`, which is what lets [`SegmentLog::prune_below`]
-//! delete old segments.
+//! delete old segments. A snapshot of everything logged closes the
+//! active segment first, so after it the directory holds the snapshot
+//! and a segment starting at its index: a reopen reads only the records
+//! the snapshot does not cover.
 //!
 //! Recovery semantics on [`SegmentLog::open`]:
 //!
@@ -124,13 +127,40 @@ pub struct Appended {
     pub synced: bool,
 }
 
+/// Makes the directory's own entries durable: a file created or
+/// renamed in it survives a power cut only once the directory is
+/// synced, and an unlink synced later may otherwise survive it alone.
+fn sync_dir(dir: &Path) -> Result<(), WalError> {
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err(format!("syncing {}", dir.display()), e))
+}
+
 fn segment_path(dir: &Path, first_index: u64) -> PathBuf {
     dir.join(format!("wal-{first_index:016x}.seg"))
+}
+
+fn snapshot_path(dir: &Path, applied_index: u64) -> PathBuf {
+    dir.join(format!("snap-{applied_index:016x}.snap"))
 }
 
 fn parse_numbered(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
     let rest = name.strip_prefix(prefix)?.strip_suffix(suffix)?;
     u64::from_str_radix(rest, 16).ok()
+}
+
+/// The indices of the files in `dir` named `<prefix><hex><suffix>`,
+/// ascending.
+fn list_numbered(dir: &Path, prefix: &str, suffix: &str) -> Result<Vec<u64>, WalError> {
+    let mut indices: Vec<u64> = fs::read_dir(dir)
+        .map_err(|e| io_err(format!("listing {}", dir.display()), e))?
+        .filter_map(|entry| {
+            let name = entry.ok()?.file_name();
+            parse_numbered(&name.to_string_lossy(), prefix, suffix)
+        })
+        .collect();
+    indices.sort_unstable();
+    Ok(indices)
 }
 
 /// An append-only log of tagged frames split across segment files.
@@ -167,14 +197,7 @@ impl SegmentLog {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|e| io_err(format!("creating {}", dir.display()), e))?;
 
-        let mut firsts: Vec<u64> = fs::read_dir(&dir)
-            .map_err(|e| io_err(format!("listing {}", dir.display()), e))?
-            .filter_map(|entry| {
-                let name = entry.ok()?.file_name();
-                parse_numbered(&name.to_string_lossy(), "wal-", ".seg")
-            })
-            .collect();
-        firsts.sort_unstable();
+        let firsts = list_numbered(&dir, "wal-", ".seg")?;
 
         let mut frames = Vec::new();
         let mut torn_bytes = 0u64;
@@ -245,14 +268,7 @@ impl SegmentLog {
         }
 
         // Re-list: a fully-torn trailing segment may have been removed.
-        let mut segment_firsts: Vec<u64> = fs::read_dir(&dir)
-            .map_err(|e| io_err(format!("listing {}", dir.display()), e))?
-            .filter_map(|entry| {
-                let name = entry.ok()?.file_name();
-                parse_numbered(&name.to_string_lossy(), "wal-", ".seg")
-            })
-            .collect();
-        segment_firsts.sort_unstable();
+        let mut segment_firsts = list_numbered(&dir, "wal-", ".seg")?;
 
         // An empty (possibly pruned) log resumes at its newest
         // segment's base index rather than restarting from zero.
@@ -388,28 +404,38 @@ impl SegmentLog {
         Ok(())
     }
 
-    /// Deletes closed segments whose records all precede `index`
-    /// (i.e. are fully covered by a snapshot at `index`). The active
-    /// segment is never deleted. Returns how many files were removed.
+    /// Deletes the segments whose records all precede `index` (i.e.
+    /// are fully covered by a snapshot at `index`). A snapshot of
+    /// everything logged — `index` at [`SegmentLog::next_index`] —
+    /// first closes an active segment that holds frames, so what it
+    /// covers goes too and the log is left one empty segment starting
+    /// at `index`. Returns how many files were removed.
     ///
     /// # Errors
     ///
-    /// [`WalError::Io`] when a delete fails.
+    /// [`WalError::Io`] when the rotation, the directory sync or a
+    /// delete fails.
     pub fn prune_below(&mut self, index: u64) -> Result<usize, WalError> {
-        let mut removed = 0;
-        while self.segment_firsts.len() > 1 {
-            // The first segment's records end where the second begins.
-            let end = self.segment_firsts[1];
-            if end > index {
-                break;
-            }
+        if index >= self.next_index && self.active_len > HEADER_LEN {
+            self.rotate()?;
+        }
+        // A segment's records end where the next one's begin.
+        let covered = self
+            .segment_firsts
+            .windows(2)
+            .take_while(|pair| pair[1] <= index)
+            .count();
+        if covered > 0 {
+            // Rename and rotation first: an unlink must not outlive them.
+            sync_dir(&self.dir)?;
+        }
+        for _ in 0..covered {
             let victim = segment_path(&self.dir, self.segment_firsts[0]);
             fs::remove_file(&victim)
                 .map_err(|e| io_err(format!("pruning {}", victim.display()), e))?;
             self.segment_firsts.remove(0);
-            removed += 1;
         }
-        Ok(removed)
+        Ok(covered)
     }
 }
 
@@ -436,7 +462,7 @@ pub fn write_snapshot(
     let dir = dir.as_ref();
     fs::create_dir_all(dir).map_err(|e| io_err(format!("creating {}", dir.display()), e))?;
     let tmp = dir.join(format!("snap-{applied_index:016x}.tmp"));
-    let fin = dir.join(format!("snap-{applied_index:016x}.snap"));
+    let fin = snapshot_path(dir, applied_index);
     let mut bytes = Vec::with_capacity(SNAPSHOT_MAGIC.len() + FRAME_OVERHEAD + payload.len());
     bytes.extend_from_slice(SNAPSHOT_MAGIC);
     encode_frame_of(0, payload, &mut bytes);
@@ -468,17 +494,9 @@ pub fn read_latest_snapshot(dir: impl AsRef<Path>) -> Result<(LatestSnapshot, us
     if !dir.exists() {
         return Ok((None, 0));
     }
-    let mut indices: Vec<u64> = fs::read_dir(dir)
-        .map_err(|e| io_err(format!("listing {}", dir.display()), e))?
-        .filter_map(|entry| {
-            let name = entry.ok()?.file_name();
-            parse_numbered(&name.to_string_lossy(), "snap-", ".snap")
-        })
-        .collect();
-    indices.sort_unstable();
     let mut skipped = 0;
-    for &applied in indices.iter().rev() {
-        let path = dir.join(format!("snap-{applied:016x}.snap"));
+    for applied in list_numbered(dir, "snap-", ".snap")?.into_iter().rev() {
+        let path = snapshot_path(dir, applied);
         let bytes =
             fs::read(&path).map_err(|e| io_err(format!("reading {}", path.display()), e))?;
         // Intact: the magic, then exactly one frame that checks out.
@@ -499,23 +517,22 @@ pub fn read_latest_snapshot(dir: impl AsRef<Path>) -> Result<(LatestSnapshot, us
 ///
 /// # Errors
 ///
-/// [`WalError::Io`] when the directory cannot be listed or a delete
-/// fails.
+/// [`WalError::Io`] when the directory cannot be listed or synced, or
+/// a delete fails.
 pub fn prune_snapshots(dir: impl AsRef<Path>, keep: u64) -> Result<usize, WalError> {
     let dir = dir.as_ref();
-    let mut removed = 0;
-    for entry in fs::read_dir(dir).map_err(|e| io_err(format!("listing {}", dir.display()), e))? {
-        let Ok(entry) = entry else { continue };
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if let Some(idx) = parse_numbered(&name, "snap-", ".snap") {
-            if idx < keep {
-                fs::remove_file(entry.path())
-                    .map_err(|e| io_err(format!("pruning snapshot {name}"), e))?;
-                removed += 1;
-            }
-        }
+    let mut victims = list_numbered(dir, "snap-", ".snap")?;
+    victims.retain(|&applied| applied < keep);
+    if !victims.is_empty() {
+        // The newer snapshot's rename first: an unlink must not outlive it.
+        sync_dir(dir)?;
     }
-    Ok(removed)
+    for &applied in &victims {
+        let path = snapshot_path(dir, applied);
+        fs::remove_file(&path)
+            .map_err(|e| io_err(format!("pruning snapshot {}", path.display()), e))?;
+    }
+    Ok(victims.len())
 }
 
 #[cfg(test)]
@@ -633,26 +650,59 @@ mod tests {
         }
     }
 
+    fn segment_files(dir: &Path) -> Vec<u64> {
+        list_numbered(dir, "wal-", ".seg").unwrap()
+    }
+
     #[test]
-    fn prune_below_keeps_covering_segments() {
+    fn prune_below_the_next_index_leaves_one_empty_segment_there() {
         let dir = tmpdir("prune");
         let (mut log, _) = SegmentLog::open(&dir, FsyncPolicy::Never, 64).unwrap();
         for i in 0..40 {
             log.append(&frame(i)).unwrap();
         }
-        log.sync().unwrap();
         let before = log.segment_count();
         assert!(before >= 3);
-        let removed = log.prune_below(log.next_index()).unwrap();
-        assert_eq!(log.segment_count(), before - removed);
-        assert!(log.segment_count() >= 1, "active segment survives");
-        // Everything still on disk replays cleanly.
+        assert_eq!(log.prune_below(40).unwrap(), before, "the active one too");
+        assert_eq!(log.segment_count(), 1);
+        assert_eq!(segment_files(&dir), [40]);
+        drop(log);
+        let (mut log, rec) = SegmentLog::open(&dir, FsyncPolicy::Never, 64).unwrap();
+        assert!(rec.frames.is_empty());
+        assert_eq!(log.next_index(), 40);
+        assert_eq!(log.append(&frame(40)).unwrap().index, 40);
+        log.sync().unwrap();
         drop(log);
         let (_, rec) = SegmentLog::open(&dir, FsyncPolicy::Never, 64).unwrap();
-        assert!(!rec.frames.is_empty());
-        let first = rec.frames[0].0;
+        assert_eq!(rec.frames, [(40, frame(40))]);
+    }
+
+    #[test]
+    fn prune_below_an_older_index_keeps_the_segments_it_does_not_cover() {
+        let dir = tmpdir("prune-older");
+        let (mut log, _) = SegmentLog::open(&dir, FsyncPolicy::Never, 64).unwrap();
+        for i in 0..40 {
+            log.append(&frame(i)).unwrap();
+        }
+        log.sync().unwrap();
+        let firsts = segment_files(&dir);
+        let cover = firsts[2];
+        assert_eq!(log.prune_below(cover).unwrap(), 2);
+        assert_eq!(segment_files(&dir), firsts[2..]);
+        // An index inside a segment covers it only in part: it stays.
+        assert_eq!(log.prune_below(cover + 1).unwrap(), 0);
+        drop(log);
+        let (_, rec) = SegmentLog::open(&dir, FsyncPolicy::Never, 64).unwrap();
         let indices: Vec<u64> = rec.frames.iter().map(|(i, _)| *i).collect();
-        assert_eq!(indices, (first..40).collect::<Vec<_>>());
+        assert_eq!(indices, (cover..40).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn prune_below_an_empty_active_segment_changes_nothing() {
+        let dir = tmpdir("prune-empty");
+        let (mut log, _) = SegmentLog::open(&dir, FsyncPolicy::Never, 64).unwrap();
+        assert_eq!(log.prune_below(0).unwrap(), 0);
+        assert_eq!(segment_files(&dir), [0]);
     }
 
     #[test]

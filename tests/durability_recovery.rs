@@ -278,31 +278,42 @@ fn crash_points(total: u64) -> Vec<u64> {
     pts
 }
 
-#[test]
-fn truncation_at_any_byte_prefix_recovers_the_oracle_state() {
-    let record_dir = tmpdir("record");
+/// The recording run: every command of the script goes through a WAL
+/// that snapshots every `snapshot_every` commands (0: only `attach`'s
+/// seed), in 2 KiB segments that force rotation. Returns its config.
+fn record_script(snapshot_every: u64) -> DurabilityConfig {
     let config = DurabilityConfig {
-        dir: record_dir.clone(),
+        dir: tmpdir("record"),
         fsync: FsyncPolicy::Always,
         segment_bytes: 2048,
-        snapshot_every: 9,
+        snapshot_every,
     };
-
-    // Recording run: every durable command goes through the WAL; small
-    // segments force rotation, the snapshot cadence forces snapshots
-    // and segment GC mid-history.
-    let script = durable_script();
-    let n = script.len();
-    {
-        let mut cs = ContextServer::new(Guid::from_u128(RANGE_ID), "durable-range", capa_level10());
-        durability::attach(&mut cs, &config, VirtualTime::ZERO).unwrap();
-        for (i, (cmd, now)) in script.into_iter().enumerate() {
-            let kind = cmd.kind();
-            cs.handle(cmd, now)
-                .unwrap_or_else(|e| panic!("script command {i} ({kind}) failed: {e}"));
-        }
-        cs.sync_wal().unwrap();
+    let mut cs = ContextServer::new(Guid::from_u128(RANGE_ID), "durable-range", capa_level10());
+    durability::attach(&mut cs, &config, VirtualTime::ZERO).unwrap();
+    for (i, (cmd, now)) in durable_script().into_iter().enumerate() {
+        let kind = cmd.kind();
+        cs.handle(cmd, now)
+            .unwrap_or_else(|e| panic!("script command {i} ({kind}) failed: {e}"));
     }
+    cs.sync_wal().unwrap();
+    config
+}
+
+/// A snapshot closes the segment it covers, so a crash can only cut
+/// what the newest snapshot does not cover. The matrix runs once over
+/// the whole history (no snapshot but the seed) and once over the tail
+/// behind a snapshot taken two-thirds of the way in.
+#[test]
+fn truncation_at_any_byte_prefix_recovers_the_oracle_state() {
+    for snapshot_every in [0, 20] {
+        crash_matrix(snapshot_every);
+    }
+}
+
+fn crash_matrix(snapshot_every: u64) {
+    let config = record_script(snapshot_every);
+    let record_dir = config.dir.clone();
+    let n = durable_script().len();
 
     let total: u64 = segment_files(&record_dir).iter().map(|(_, len)| len).sum();
     assert!(total > 0, "recording run produced no log bytes");
@@ -363,6 +374,48 @@ fn truncation_at_any_byte_prefix_recovers_the_oracle_state() {
     }
     assert!(torn_seen, "the crash matrix never exercised a torn tail");
     let _ = std::fs::remove_dir_all(&record_dir);
+}
+
+/// First index of every file in `dir` named `<prefix><hex index><suffix>`.
+fn numbered_files(dir: &Path, prefix: &str, suffix: &str) -> Vec<u64> {
+    let mut found: Vec<u64> = std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| {
+            let name = e.ok()?.file_name().to_string_lossy().into_owned();
+            let hex = name.strip_prefix(prefix)?.strip_suffix(suffix)?;
+            u64::from_str_radix(hex, 16).ok()
+        })
+        .collect();
+    found.sort_unstable();
+    found
+}
+
+/// After several snapshots the directory holds what the in-memory
+/// store holds: the newest snapshot, and segments starting at or past
+/// its index — so a restore reads only the records it does not cover.
+#[test]
+fn a_snapshot_leaves_no_segment_it_covers_on_disk() {
+    let config = record_script(5);
+    let snaps = numbered_files(&config.dir, "snap-", ".snap");
+    assert_eq!(snaps, [25], "snapshots at 5, 10, …, 25: the newest alone");
+    let segments = numbered_files(&config.dir, "wal-", ".seg");
+    assert_eq!(segments.first(), Some(&25), "{segments:?}");
+    let (recovered, report) = durability::recover(
+        Guid::from_u128(RANGE_ID),
+        "durable-range",
+        capa_level10(),
+        Registry::new(),
+        &config,
+        &logic_resolver(),
+    )
+    .unwrap();
+    assert_eq!(report.snapshot_applied, Some(25));
+    assert_eq!(report.replayed, durable_script().len() - 25);
+    assert_eq!(
+        durable_digest(&recovered),
+        oracle_digest(durable_script().len())
+    );
+    let _ = std::fs::remove_dir_all(&config.dir);
 }
 
 /// R6: a log replay and a snapshot restore wire by the same rule. The
@@ -594,12 +647,18 @@ fn a_log_written_before_the_fail_command_recovers_unchanged() {
         obj_loc,
         factory(move || ObjLocationLogic::new(plan.clone())),
     )]);
-    let (recovered, report) = durability::recover(
+    // That build left the records its snapshot covers in the active
+    // segment, [0, 12) behind `snap-8`.
+    let config = DurabilityConfig {
+        snapshot_every: 5,
+        ..DurabilityConfig::new(&dir)
+    };
+    let (mut recovered, report) = durability::recover(
         Guid::from_u128(0xF1),
         "level-ten",
         capa_level10(),
         Registry::new(),
-        &DurabilityConfig::new(&dir),
+        &config,
         &logic,
     )
     .unwrap();
@@ -623,6 +682,13 @@ fn a_log_written_before_the_fail_command_recovers_unchanged() {
     assert_eq!(liveness.len(), 1, "door 1 left in the replayed tail");
     assert_eq!(liveness[0].0, Guid::from_u128(0xD0));
     assert_eq!(liveness[0].1, t(4));
+
+    // Four replayed and one more logged make five: the snapshot that
+    // takes closes that segment, and it goes.
+    assert_eq!(numbered_files(&dir, "wal-", ".seg"), [0]);
+    recovered.heartbeat(Guid::from_u128(0xD0), t(5)).unwrap();
+    assert_eq!(numbered_files(&dir, "snap-", ".snap"), [13]);
+    assert_eq!(numbered_files(&dir, "wal-", ".seg"), [13]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
