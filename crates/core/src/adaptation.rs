@@ -8,21 +8,26 @@
 //! while minimising user intervention" (Section 6).
 //!
 //! Which sources feed an input is decided in one place, the resolver's
-//! [`sources_for`]; every source-fed input is recorded on its consumer
-//! as a [`Need`] when the plan first wires it. Adapting is keeping the
-//! two equal — a standing query is a view over the provider registry,
-//! maintained, not re-derived per kind of event:
+//! wiring rule ([`sources_for`](crate::resolver::sources_for); for one
+//! entity, [`feeds`]); every source-fed input is recorded on its
+//! consumer as a [`Need`] when the plan first wires it. Adapting is
+//! keeping the two equal — a standing query is a view over the provider
+//! registry, maintained, not re-derived per kind of event.
 //!
-//! * `reconcile` brings one consumer's subscriptions for one need to
-//!   the rule's answer;
-//! * `rewire` does so for every need a change can affect. It is what a
-//!   source's **arrival** (`Register`), its **departure**
-//!   (`Deregister`, `MigrateOut`), its **failure** (`Fail`), a
-//!   **declared equivalence** (`DeclareEquivalence`) and a status
-//!   event that **changes an attribute** a need tests (`Ingest`) each
-//!   are — *without any application involvement*, the contrast with
-//!   the Context Toolkit (static wiring) and Solar (explicit graphs)
-//!   baselines measured in experiment E6.
+//! The rule names *every* source that satisfies a need, so a need's
+//! answer changes by exactly the source that changed, and the one pass,
+//! `rewire`, is per source. It is what a source's **arrival**
+//! (`Register`), its **departure** (`Deregister`, `MigrateOut`), its
+//! **failure** (`Fail`) and a status event that **changes an
+//! attribute** a need tests (`Ingest`) each are; a **declared
+//! equivalence** (`DeclareEquivalence`) is the pass once per source of
+//! the merged class. The pass visits only the needs the source's outputs
+//! can feed, asks [`feeds`] whether it feeds each now, and finds the
+//! consumer's subscriptions to it in the bus's own index
+//! ([`EventBus::naming`](sci_event::EventBus::naming)) — *without any
+//! application involvement*, the contrast with the Context Toolkit
+//! (static wiring) and Solar (explicit graphs) baselines measured in
+//! experiment E6.
 //!
 //! Every one of those is a logged command, so a range rebuilt from its
 //! log is wired as the live one was. Failure is *detected* by the Event
@@ -32,183 +37,169 @@
 //! [`detect_and_repair`] one per silent source, and
 //! [`detect_and_repair_governed`] bounds how often it may.
 
-use std::borrow::Cow;
-use std::cell::OnceCell;
 use std::collections::HashMap;
 
-use sci_event::bus::SubId;
+use sci_event::bus::{SubId, SubscriptionView};
 use sci_event::{EventMediator, Topic};
 use sci_types::{ContextType, Guid, Profile, RangeReply, VirtualDuration, VirtualTime};
 
 use crate::configuration::{input_topic, Configuration};
 use crate::context_server::ContextServer;
 use crate::profile_manager::ProfileManager;
-use crate::resolver::{sources_for, Need};
+use crate::resolver::{feeds, Need};
 use crate::runtime::RangeCommand;
 
 pub use sci_types::RepairReport;
 
-/// The context types a profile's outputs carry — what [`rewire`] is
-/// told has changed when the entity arrives, leaves or fails.
+/// The context types a source's outputs carry — what [`rewire`] is told
+/// the entity can feed when it arrives, leaves or fails. Empty for
+/// anything else: a derived CE feeds no need itself, its instances do,
+/// and the plan wires those.
 pub(crate) fn output_types(profile: &Profile) -> Vec<ContextType> {
-    profile.outputs().iter().map(|o| o.ty.clone()).collect()
+    match profile.is_source() {
+        true => profile.outputs().iter().map(|o| o.ty.clone()).collect(),
+        false => Vec::new(),
+    }
 }
 
-/// Brings one consumer's subscriptions for one need to `sources`, the
-/// rule's answer for it: of the `subs` that serve the need, those to a
-/// source the rule no longer names are unsubscribed; the sources it
-/// newly names are subscribed, in its order. Returns what was dropped
-/// and what was added.
-fn reconcile(
+/// Brings one consumer's subscriptions for one need to `wanted`, the
+/// output type the rule says `source` feeds the need on (`None`: it
+/// does not). Of the `subs` that name `source` and the need's subject
+/// and serve the need, those on `wanted` stay and the rest are
+/// unsubscribed; when `wanted` names a type none of them is on, one is
+/// subscribed. Returns what was dropped and what was added.
+fn follow(
     (mediator, profiles): (&mut EventMediator, &ProfileManager),
-    (subscriber, one_time): (Guid, bool),
+    (consumer, one_time): (Guid, bool),
     subs: &mut Vec<SubId>,
     need: &Need,
-    sources: &[(Guid, ContextType)],
-) -> (Vec<SubId>, Vec<SubId>) {
+    (source, wanted): (Guid, Option<ContextType>),
+) -> (Vec<SubId>, Option<SubId>) {
     // A consumer's inputs of compatible types about the same subject
-    // were resolved alike, so no subscription to an instance is among
-    // the ones that serve a need.
-    let serves = |topic: &Topic| {
-        let ty = topic.ty();
-        topic.subject() == need.subject && ty.is_some_and(|ty| profiles.compatible(ty, &need.ty))
+    // are fed alike, so each of its subscriptions to `source` about the
+    // subject in a compatible type serves the need.
+    let serves = |view: &SubscriptionView<'_>| {
+        let compatible = |ty: &ContextType| profiles.compatible(ty, &need.ty);
+        subs.contains(&view.id) && view.topic.ty().is_some_and(compatible)
     };
-    let mut held = vec![false; sources.len()];
-    let mut dropped = Vec::new();
-    subs.retain(|&sub| {
-        let Some(topic) = mediator.bus().topic_of(sub).filter(|t| serves(t)) else {
-            return true;
-        };
-        let named = |(source, ty): &(Guid, ContextType)| {
-            topic.source() == Some(*source) && topic.ty() == Some(ty)
-        };
-        let at = sources.iter().position(named);
-        match at {
-            Some(at) => held[at] = true,
-            None => dropped.push(sub),
+    let (mut held, mut dropped) = (false, Vec::new());
+    for view in mediator.bus().naming(source, need.subject).filter(serves) {
+        match view.topic.ty() == wanted.as_ref() {
+            true => held = true,
+            false => dropped.push(view.id),
         }
-        at.is_some()
-    });
+    }
     for &sub in &dropped {
         let _ = mediator.unsubscribe(sub);
     }
-    let missing = sources.iter().zip(held).filter(|(_, held)| !held);
-    let added: Vec<SubId> = missing
-        .map(|((source, ty), _)| {
-            let topic = input_topic(Some(ty.clone()), *source, need.subject);
-            mediator.subscribe(subscriber, topic, one_time)
-        })
-        .collect();
-    subs.extend(&added);
+    let added = wanted.filter(|_| !held).map(|ty| {
+        let topic = input_topic(Some(ty), source, need.subject);
+        mediator.subscribe(consumer, topic, one_time)
+    });
+    subs.retain(|sub| !dropped.contains(sub));
+    subs.extend(added);
     (dropped, added)
 }
 
-/// The one adaptation pass. `changed` are the output types of a source
-/// that arrived, left or failed (or two types just declared
-/// equivalent); every need they are compatible with is reconciled —
+/// The one adaptation pass. `source`, whose outputs carry `outputs`,
+/// arrived, left, failed or changed an attribute: every need those
+/// outputs can feed is brought to the rule's answer for `source` —
 /// hosted instances first, in GUID order, then the applications fed by
-/// sources directly, in query-id order. Subscription order is delivery
-/// order, so a replay of the same commands rewires, and later
-/// delivers, identically. An input fed by another instance is nobody's
-/// need: it stays derived-fed.
+/// sources directly, in query-id order. The rule's answer for every
+/// other source is what it was, so nothing else is read. Subscription
+/// order is delivery order, so a replay of the same commands rewires,
+/// and later delivers, identically. An input fed by another instance is
+/// nobody's need: it stays derived-fed.
 ///
 /// After first wiring this pass (with [`unwire`]'s raw half) is the
 /// only writer of a configuration's `sources`, `root_producers` and
-/// `caa_subs`, and of the server's index of the latter. Returns, for
-/// each configuration now fed by other sources than before, the ones
-/// that are new to it.
-pub(crate) fn rewire(cs: &mut ContextServer, changed: &[ContextType]) -> Vec<(Guid, Vec<Guid>)> {
-    let (profiles, excluded, instances) = (&cs.profiles, &cs.excluded, &mut cs.instances);
-    let concerns = |need: &Need| changed.iter().any(|ty| profiles.compatible(ty, &need.ty));
-    // Without predicates the rule's answer depends on the equivalence
-    // class of the type alone: one per changed type, worked out when a
-    // need first asks, serves the whole pass.
-    let plain: Vec<OnceCell<Vec<(Guid, ContextType)>>> = vec![OnceCell::new(); changed.len()];
-    let rule = |need: &Need| {
-        let same =
-            |ty: &ContextType| need.predicates.is_empty() && profiles.compatible(ty, &need.ty);
-        match changed.iter().position(same) {
-            Some(at) => Cow::Borrowed(
-                &plain[at].get_or_init(|| sources_for(profiles, &changed[at], &[], excluded))[..],
-            ),
-            None => Cow::Owned(sources_for(profiles, &need.ty, &need.predicates, excluded)),
-        }
-    };
+/// `caa_subs`, and of the server's index of the latter. Returns the
+/// configurations `source` started or stopped feeding, in query-id
+/// order.
+pub(crate) fn rewire(cs: &mut ContextServer, source: Guid, outputs: &[ContextType]) -> Vec<Guid> {
+    if outputs.is_empty() {
+        return Vec::new();
+    }
+    let (profiles, excluded) = (&cs.profiles, &cs.excluded);
+    let concerns = |need: &Need| outputs.iter().any(|ty| profiles.compatible(ty, &need.ty));
+    // A source that left is registered no more, and feeds nothing.
+    let profile = profiles.get(source);
+    let rule = |need: &Need| feeds(profiles, profile?, need, excluded);
 
-    let mut hosts: Vec<Guid> = instances
-        .iter()
+    // Every instance with a need `source` can feed, and whether it does.
+    let mut hosts: Vec<(Guid, bool)> = (cs.instances.iter())
         .filter(|state| state.needs.iter().any(concerns))
-        .map(|state| state.instance)
+        .map(|state| (state.instance, false))
         .collect();
     hosts.sort_unstable();
-    for &host in &hosts {
-        let Some(state) = instances.get_mut(host) else {
+    for (host, fed) in &mut hosts {
+        let Some(state) = cs.instances.get_mut(*host) else {
             continue;
         };
         for need in state.needs.iter().filter(|need| concerns(need)) {
+            let wanted = rule(need);
+            *fed |= wanted.is_some();
             let bus = (&mut cs.mediator, profiles);
-            reconcile(bus, (host, false), &mut state.subs, need, &rule(need));
+            follow(bus, (*host, false), &mut state.subs, need, (source, wanted));
         }
     }
 
-    let mut affected: Vec<&mut Configuration> = cs
-        .configurations
-        .values_mut()
+    let fed_by = |i: &Guid| {
+        let at = hosts.binary_search_by_key(i, |&(host, _)| host).ok()?;
+        Some(hosts[at].1)
+    };
+    let mut affected: Vec<&mut Configuration> = (cs.configurations.values_mut())
         .filter(|config| {
-            let hosted = |i: &Guid| hosts.binary_search(i).is_ok();
+            let hosted = |i: &Guid| fed_by(i).is_some();
             config.source_need().is_some_and(concerns) || config.instances.iter().any(hosted)
         })
         .collect();
     affected.sort_unstable_by_key(|config| config.query_id);
-    let mut report = Vec::new();
+    let mut changed = Vec::new();
     for config in affected {
-        // What the rule names for its own need, or for its instances'.
-        let mut sources: Vec<Guid> = Vec::new();
-        if let Some(need) = config.need.as_ref().filter(|_| config.instances.is_empty()) {
-            let (bus, feeding) = ((&mut cs.mediator, profiles), rule(need));
-            let subscriber = (config.owner, config.one_time);
-            let (dropped, added) = reconcile(bus, subscriber, &mut config.caa_subs, need, &feeding);
-            for sub in &dropped {
-                cs.caa_sub_index.remove(sub);
+        let fed = match config.need.as_ref().filter(|_| config.instances.is_empty()) {
+            Some(need) => {
+                let (wanted, query) = (rule(need), config.query_id);
+                let fed = wanted.is_some();
+                let bus = (&mut cs.mediator, profiles);
+                let subscriber = (config.owner, config.one_time);
+                let change = (source, wanted);
+                let (dropped, added) = follow(bus, subscriber, &mut config.caa_subs, need, change);
+                for sub in &dropped {
+                    cs.caa_sub_index.remove(sub);
+                }
+                cs.caa_sub_index.extend(added.map(|sub| (sub, query)));
+                let at = config.root_producers.iter().position(|&p| p == source);
+                match (at, fed) {
+                    (None, true) => config.root_producers.push(source),
+                    (Some(at), false) => {
+                        config.root_producers.remove(at);
+                    }
+                    _ => {}
+                }
+                fed
             }
-            let query = config.query_id;
-            cs.caa_sub_index
-                .extend(added.iter().map(|&sub| (sub, query)));
-            sources.extend(feeding.iter().map(|(source, _)| *source));
-            config.root_producers.clone_from(&sources);
-        } else {
-            let hosted = config.instances.iter().filter_map(|&i| instances.get(i));
-            for need in hosted.flat_map(|state| &state.needs) {
-                sources.extend(rule(need).iter().map(|(source, _)| *source));
+            None => config.instances.iter().any(|i| fed_by(i) == Some(true)),
+        };
+        match (config.sources.binary_search(&source), fed) {
+            (Err(at), true) => config.sources.insert(at, source),
+            (Ok(at), false) => {
+                config.sources.remove(at);
             }
+            _ => continue,
         }
-        sources.sort_unstable();
-        sources.dedup();
-        let before = std::mem::replace(&mut config.sources, sources);
-        if config.sources != before {
-            let new = |source: &&Guid| !before.contains(source);
-            let replacements = config.sources.iter().filter(new).copied().collect();
-            report.push((config.query_id, replacements));
-        }
+        changed.push(config.query_id);
     }
-    report
+    changed
 }
 
 /// A producer is gone — it left, or it failed: [`rewire`] for what its
 /// `outputs` fed (an entity without outputs fed no need), and the raw
 /// `Kind`/`Named` subscriptions that selected it drop it. A raw
 /// subscription has no need, so nothing takes the producer's place.
-/// Returns [`rewire`]'s report and the raw configurations, which have
-/// no replacements.
-pub(crate) fn unwire(
-    cs: &mut ContextServer,
-    gone: Guid,
-    outputs: &[ContextType],
-) -> Vec<(Guid, Vec<Guid>)> {
-    let mut report = match outputs {
-        [] => Vec::new(),
-        outputs => rewire(cs, outputs),
-    };
+/// Returns the configurations it fed: [`rewire`]'s, then the raw ones.
+pub(crate) fn unwire(cs: &mut ContextServer, gone: Guid, outputs: &[ContextType]) -> Vec<Guid> {
+    let mut fed = rewire(cs, gone, outputs);
     let selected = |c: &&mut Configuration| c.need.is_none() && c.root_producers.contains(&gone);
     for config in cs.configurations.values_mut().filter(selected) {
         config.root_producers.retain(|&producer| producer != gone);
@@ -222,9 +213,9 @@ pub(crate) fn unwire(
             let _ = cs.mediator.unsubscribe(sub);
             cs.caa_sub_index.remove(&sub);
         }
-        report.push((config.query_id, Vec::new()));
+        fed.push(config.query_id);
     }
-    report
+    fed
 }
 
 /// Fails `failed` — [`RangeCommand::Fail`], like every other mutation a
@@ -378,6 +369,7 @@ pub fn detect_and_repair_governed(
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::configuration::InstanceState;
     use crate::context_server::QueryAnswer;
     use crate::logic::{factory, ObjLocationLogic};
     use sci_location::floorplan::capa_level10;
@@ -624,40 +616,111 @@ mod tests {
         }
     }
 
-    /// The oracle for `reconcile`: first wiring follows the plan, the
-    /// plan follows the rule, so a rewire straight after it — for every
-    /// door's outputs, over shared and unshared instances — finds
-    /// nothing to do: same subscriptions, same ids, same topics.
-    #[test]
-    fn a_rewire_straight_after_first_wiring_is_a_no_op() {
-        for doors in 1..=4 {
-            let mut r = rig(doors);
-            let (bob, john) = (r.ids.next_guid(), r.ids.next_guid());
-            subscribe_location(&mut r, bob);
-            subscribe_location(&mut r, bob);
-            subscribe_location(&mut r, john);
-            assert_eq!(r.cs.instance_count(), 2, "bob's is shared, john's is not");
+    /// `doors` doors; bob's location twice (one shared instance),
+    /// john's, and straight from the sources every door's presence and
+    /// the presence of bob — a consumer beside bob's instance on each
+    /// door's `(door, bob)` topic.
+    fn wired(doors: usize) -> Rig {
+        let mut r = rig(doors);
+        let (bob, john) = (r.ids.next_guid(), r.ids.next_guid());
+        subscribe_location(&mut r, bob);
+        subscribe_location(&mut r, bob);
+        subscribe_location(&mut r, john);
+        assert_eq!(r.cs.instance_count(), 2, "bob's is shared, john's is not");
+        let about_bob = vec![Predicate::eq("subject", ContextValue::Id(bob))];
+        for constraints in [Vec::new(), about_bob] {
             let app = r.ids.next_guid();
             let direct = Query::builder(r.ids.next_guid(), app)
-                .info(ContextType::Presence)
+                .info_matching(ContextType::Presence, constraints)
                 .mode(Mode::Subscribe)
                 .build();
             r.cs.submit_query(&direct, sci_types::VirtualTime::ZERO)
                 .unwrap();
+        }
+        r
+    }
 
-            let wiring = |cs: &ContextServer| -> Vec<String> {
-                let bus = cs.mediator().bus();
-                bus.iter()
-                    .map(|s| format!("{} {} {}", s.id, s.subscriber, s.topic))
-                    .collect()
-            };
+    /// Every live subscription as `(id, subscriber, topic)`, in id
+    /// order.
+    fn wiring(cs: &ContextServer) -> Vec<(SubId, Guid, Topic)> {
+        let bus = cs.mediator().bus();
+        bus.iter()
+            .map(|s| (s.id, s.subscriber, s.topic.clone()))
+            .collect()
+    }
+
+    /// The oracle for the pass: first wiring follows the plan, the plan
+    /// follows the rule, so the pass straight after it — for each door,
+    /// over shared and unshared instances — finds nothing to do: same
+    /// subscriptions, same ids, same topics.
+    #[test]
+    fn a_rewire_straight_after_first_wiring_is_a_no_op() {
+        for doors in 1..=4 {
+            let mut r = wired(doors);
             let as_wired = wiring(&r.cs);
-            assert_eq!(as_wired.len(), 2 * doors + 3 + doors);
+            assert_eq!(as_wired.len(), 2 * doors + 3 + 2 * doors);
             for door in r.doors.clone() {
                 let outputs = output_types(r.cs.profiles().get(door).unwrap());
-                assert!(rewire(&mut r.cs, &outputs).is_empty(), "{doors} doors");
+                let changed = rewire(&mut r.cs, door, &outputs);
+                assert!(changed.is_empty(), "{doors} doors");
             }
             assert_eq!(wiring(&r.cs), as_wired, "{doors} doors");
+            assert!(r.cs.audit_configurations().is_clean());
+        }
+    }
+
+    /// A door leaves and rejoins: the pass touches only what names it.
+    /// Every other subscription keeps its id and topic; the door's come
+    /// back one per need — instances in GUID order, then the
+    /// applications fed straight from sources in query-id order — and
+    /// the audit is clean at both steps.
+    #[test]
+    fn a_leave_and_rejoin_rewires_only_what_names_the_door() {
+        for doors in 1..=4 {
+            let mut r = wired(doors);
+            let door = r.doors[doors / 2];
+            let profile = r.cs.profiles().get(door).unwrap().clone();
+            let split = |cs: &ContextServer| -> (Vec<_>, Vec<_>) {
+                let others = |(_, _, topic): &(SubId, Guid, Topic)| topic.source() != Some(door);
+                wiring(cs).into_iter().partition(others)
+            };
+            let (rest, before) = split(&r.cs);
+            assert_eq!(before.len(), 4, "two instances and two applications");
+
+            let t = VirtualTime::from_secs(1);
+            r.cs.deregister(door, t).unwrap();
+            assert_eq!(wiring(&r.cs), rest, "{doors} doors: only the door's go");
+            assert!(r.cs.configurations().all(|c| !c.sources.contains(&door)));
+            assert!(r.cs.audit_configurations().is_clean());
+
+            r.cs.register(profile, t).unwrap();
+            let (kept, back) = split(&r.cs);
+            assert_eq!(kept, rest, "{doors} doors: the others keep ids and topics");
+            assert!(back
+                .iter()
+                .all(|(id, ..)| rest.iter().all(|(old, ..)| id > old)));
+            let mut hosts: Vec<&InstanceState> = r.cs.instances().iter().collect();
+            hosts.sort_by_key(|state| state.instance);
+            let mut direct: Vec<&Configuration> = r.cs.configurations().collect();
+            direct.retain(|config| config.source_need().is_some());
+            direct.sort_by_key(|config| config.query_id);
+            let needs = hosts
+                .iter()
+                .flat_map(|state| state.needs.iter().map(|need| (state.instance, need)))
+                .chain(
+                    direct
+                        .iter()
+                        .filter_map(|c| Some((c.owner, c.source_need()?))),
+                );
+            let expected: Vec<(Guid, Topic)> = needs
+                .map(|(consumer, need)| {
+                    let topic = input_topic(Some(ContextType::Presence), door, need.subject);
+                    (consumer, topic)
+                })
+                .collect();
+            let back: Vec<(Guid, Topic)> = back.into_iter().map(|(_, s, t)| (s, t)).collect();
+            assert_eq!(back, expected, "{doors} doors");
+            assert!(r.cs.configurations().all(|c| c.sources.contains(&door)));
             assert!(r.cs.audit_configurations().is_clean());
         }
     }

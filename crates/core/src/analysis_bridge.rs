@@ -99,7 +99,7 @@ pub fn expected_subscriptions(
     }
     let fed = |consumer: Guid, need: &Need| {
         let subject = need.subject;
-        sources_for(profiles, &need.ty, &need.predicates, excluded)
+        sources_for(profiles, need, excluded)
             .into_iter()
             .map(move |(source, ty)| {
                 SubscriptionRecord::new(consumer, Some(ty), Some(source), subject)

@@ -96,7 +96,8 @@ pub struct Configuration {
     /// The subscribing CAA.
     pub owner: Guid,
     /// Producers the CAA is subscribed to (instance GUIDs, or source CE
-    /// GUIDs when the demand resolved directly to sensors).
+    /// GUIDs when the demand resolved directly to sensors), in the order
+    /// they were wired.
     pub root_producers: Vec<Guid>,
     /// Derived instances this configuration holds a reference on.
     pub instances: Vec<Guid>,

@@ -344,13 +344,11 @@ impl ContextServer {
         }
         // A repaired CE re-registering stops being excluded.
         self.excluded.remove(&profile.id());
-        let outputs = profile.is_source().then(|| output_types(&profile));
+        let (id, outputs) = (profile.id(), output_types(&profile));
         self.profiles.insert(profile)?;
         // New sensing capability benefits running configurations
         // immediately (positive adaptivity).
-        if let Some(outputs) = outputs {
-            rewire(self, &outputs);
-        }
+        rewire(self, id, &outputs);
         Ok(())
     }
 
@@ -373,9 +371,14 @@ impl ContextServer {
     }
 
     pub(crate) fn declare_equivalence_impl(&mut self, a: ContextType, b: ContextType) {
-        self.profiles.declare_equivalence(a.clone(), b.clone());
-        // Sources of either type now feed needs for the other.
-        rewire(self, &[a, b]);
+        self.profiles.declare_equivalence(a.clone(), b);
+        // A source of any type in the merged class may now feed needs
+        // for the others (classes merge, so not only `a`'s and `b`'s).
+        let providers = self.profiles.providers_of_compatible(&a).into_iter();
+        let sources: Vec<_> = providers.map(|p| (p.id(), output_types(p))).collect();
+        for (source, outputs) in sources {
+            rewire(self, source, &outputs);
+        }
     }
 
     /// Records a liveness heartbeat from a tracked source CE without an
@@ -1152,9 +1155,7 @@ impl ContextServer {
             return;
         }
         let outputs = self.profiles.get(event.source).map(output_types);
-        if let Some(outputs) = outputs.filter(|outputs| !outputs.is_empty()) {
-            rewire(self, &outputs);
-        }
+        rewire(self, event.source, &outputs.unwrap_or_default());
     }
 
     fn check_triggers(&mut self, event: &ContextEvent, now: VirtualTime) -> SciResult<()> {
@@ -1399,7 +1400,7 @@ impl ContextServer {
         span.field("rewired", rewired.len());
         rewired
             .into_iter()
-            .map(|(query, replacements)| {
+            .map(|query| {
                 // Degraded if an instance ended up with no subscriptions
                 // at all, or the application lost its only producer.
                 let degraded = self.configurations.get(&query).is_some_and(|config| {
@@ -1410,7 +1411,6 @@ impl ContextServer {
                 RepairReport {
                     query,
                     failed: ce,
-                    replacements,
                     at: now,
                     degraded,
                 }

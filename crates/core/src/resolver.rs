@@ -95,25 +95,38 @@ impl fmt::Display for Need {
     }
 }
 
-/// The wiring rule: the sources that feed a need for `ty` — every
-/// registered, non-excluded source CE with an output compatible with
-/// `ty` (the same type or a declared equivalent, paper §6 open issue
-/// 2) whose attributes satisfy `predicates`, each with the concrete
-/// output type to subscribe on, in registration order per equivalent
-/// type. The resolver plans with it and adaptation rewires to it;
-/// nothing else decides which sources feed what.
+/// The wiring rule: the sources that feed `need` — every entity
+/// [`feeds`] it, each with the concrete output type to subscribe on,
+/// in registration order per equivalent type. The resolver plans with
+/// it, adaptation rewires to it one source at a time and the audit
+/// expects it; nothing else decides which sources feed what.
 pub fn sources_for(
     pm: &ProfileManager,
-    ty: &ContextType,
-    predicates: &[Predicate],
+    need: &Need,
     excluded: &HashSet<Guid>,
 ) -> Vec<(Guid, ContextType)> {
-    pm.providers_of_compatible(ty)
+    pm.providers_of_compatible(&need.ty)
         .into_iter()
-        .filter(|p| p.is_source() && !excluded.contains(&p.id()))
-        .filter(|p| eval_all(predicates, p.attributes()))
-        .filter_map(|p| Some((p.id(), output_for(pm, p, ty)?)))
+        .filter_map(|p| Some((p.id(), feeds(pm, p, need, excluded)?)))
         .collect()
+}
+
+/// The wiring rule for one registered entity: the output type `source`
+/// feeds `need` on, if it does — it is a non-excluded source CE with an
+/// output compatible with the need's type (the same type or a declared
+/// equivalent, paper §6 open issue 2; its first such output) whose
+/// attributes satisfy the need's predicates.
+pub fn feeds(
+    pm: &ProfileManager,
+    source: &Profile,
+    need: &Need,
+    excluded: &HashSet<Guid>,
+) -> Option<ContextType> {
+    let feeding = source.is_source() && !excluded.contains(&source.id());
+    if !feeding || !eval_all(&need.predicates, source.attributes()) {
+        return None;
+    }
+    output_for(pm, source, &need.ty)
 }
 
 /// The concrete output type `provider` contributes to a demand for
@@ -295,7 +308,7 @@ fn resolve_need(
         )));
     }
     // Source CEs first: the search terminates at the sensor/data level.
-    let sources = sources_for(pm, &need.ty, &need.predicates, excluded);
+    let sources = sources_for(pm, need, excluded);
     if !sources.is_empty() {
         let mut ids = Vec::with_capacity(sources.len());
         for (ce, output) in sources {

@@ -120,6 +120,17 @@ struct Entry {
     one_time: bool,
 }
 
+impl Entry {
+    fn view(&self, id: SubId) -> SubscriptionView<'_> {
+        SubscriptionView {
+            id,
+            subscriber: self.subscriber,
+            topic: &self.topic,
+            one_time: self.one_time,
+        }
+    }
+}
+
 /// A deterministic, indexed pub/sub subscription table.
 ///
 /// # Example
@@ -327,12 +338,26 @@ impl EventBus {
     /// Static fleet analysis walks this to compare the actual wiring
     /// against what analyzed plans require.
     pub fn iter(&self) -> impl Iterator<Item = SubscriptionView<'_>> {
-        self.entries.iter().map(|(id, e)| SubscriptionView {
-            id: *id,
-            subscriber: e.subscriber,
-            topic: &e.topic,
-            one_time: e.one_time,
-        })
+        self.entries.iter().map(|(&id, e)| e.view(id))
+    }
+
+    /// The live subscriptions whose topic names `source` and exactly
+    /// `subject` (`None`: about no one), in subscription order — one
+    /// read of the candidate list they are filed under (the
+    /// `(source, subject)` pair's, or the source's), so adaptation finds
+    /// a consumer's subscriptions to one source without reading every
+    /// subscription the consumer holds.
+    pub fn naming(
+        &self,
+        source: Guid,
+        subject: Option<Guid>,
+    ) -> impl Iterator<Item = SubscriptionView<'_>> {
+        let ids = match subject {
+            Some(subject) => self.by_pair.get(&source).and_then(|s| s.get(&subject)),
+            None => self.by_source.get(&source),
+        };
+        let named = ids.into_iter().flatten();
+        named.filter_map(|id| Some(self.entries.get(id)?.view(*id)))
     }
 
     /// Unfiles a live subscription; `false` if `id` was not live.

@@ -4,7 +4,8 @@
 //! in the same order — for arbitrary interleavings of subscribe,
 //! targeted unsubscribe, subscriber purge and publish, over topics that
 //! exercise every index key family (wildcard, type, source, subject,
-//! the `(source, subject)` pair and the other conjunctions). A second
+//! the `(source, subject)` pair and the other conjunctions) — and
+//! `EventBus::naming` reads what the oracle's topics name. A second
 //! property crowds one source with the shape composition produces —
 //! scores of topics differing only by subject — before running the same
 //! kind of schedule over it.
@@ -128,6 +129,9 @@ impl Buses {
                 let b = self.oracle.subscribe(subscriber, topic, one_time);
                 prop_assert_eq!(a, b, "id allocation agrees");
                 self.issued.push(a);
+                if let Some(source) = source {
+                    self.check_naming(source, subject)?;
+                }
             }
             Op::Unsubscribe { nth } => {
                 if self.issued.is_empty() {
@@ -169,6 +173,7 @@ impl Buses {
                     self.oracle.publish(&event),
                     "delivery sequences agree"
                 );
+                self.check_naming(source, subject)?;
             }
         }
         prop_assert_eq!(self.indexed.len(), self.oracle.len(), "live counts agree");
@@ -176,6 +181,22 @@ impl Buses {
             prop_assert_eq!(self.indexed.is_live(id), self.oracle.is_live(id));
             prop_assert_eq!(self.indexed.topic_of(id), self.oracle.topic_of(id));
         }
+        Ok(())
+    }
+}
+
+impl Buses {
+    /// `naming` reads exactly the live subscriptions whose topic names
+    /// `source` and exactly `subject`, in id order.
+    fn check_naming(&self, source: u8, subject: Option<u8>) -> Result<(), TestCaseError> {
+        let (source, subject) = (source_of(source), subject.map(subject_of));
+        let named = |id: &&SubId| {
+            let topic = self.oracle.topic_of(**id);
+            topic.is_some_and(|t| t.source() == Some(source) && t.subject() == subject)
+        };
+        let expected: Vec<SubId> = self.issued.iter().filter(named).copied().collect();
+        let read = self.indexed.naming(source, subject).map(|view| view.id);
+        prop_assert_eq!(read.collect::<Vec<SubId>>(), expected);
         Ok(())
     }
 }

@@ -85,11 +85,10 @@ pub type DeferredAnswer = (Guid, Guid, QueryAnswer);
 pub struct RepairReport {
     /// The configuration's query id.
     pub query: Guid,
-    /// The failed CE that was removed.
+    /// The failed CE that was removed. Nothing is wired in to take its
+    /// place: every survivor the wiring rule names was feeding the
+    /// configuration already.
     pub failed: Guid,
-    /// Sources newly wired in to take its place (sorted; empty when
-    /// the survivors were feeding the configuration already).
-    pub replacements: Vec<Guid>,
     /// When the repair happened.
     pub at: VirtualTime,
     /// `true` if some edge was left without any producer.

@@ -117,10 +117,8 @@ fn main() -> SciResult<()> {
     let reports = adaptation::detect_and_repair(&mut cs, failure_noticed);
     for r in &reports {
         println!(
-            "  sci repaired configuration {} (replacements: {}, degraded: {})",
-            r.query,
-            r.replacements.len(),
-            r.degraded
+            "  sci repaired configuration {} (degraded: {})",
+            r.query, r.degraded
         );
     }
 

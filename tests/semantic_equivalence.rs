@@ -110,8 +110,8 @@ fn equivalence_makes_foreign_sources_usable() {
 
 #[test]
 fn repair_crosses_the_equivalence_boundary() {
-    // Presence door sensors fail; equivalent badge scanners survive and
-    // are wired in as replacements.
+    // Presence door sensors fail; the equivalent badge scanners, which
+    // were feeding alongside them all along, survive and keep feeding.
     let plan = capa_level10();
     let mut ids = GuidGenerator::seeded(89);
     let mut cs = ContextServer::new(ids.next_guid(), "level-ten", plan.clone());
