@@ -47,6 +47,7 @@ use crate::location_service::LocationService;
 use crate::logic::LogicFactory;
 use crate::migration::MigrationPacket;
 use crate::profile_manager::ProfileManager;
+use crate::records::EventHead;
 use crate::registrar::Registrar;
 use sci_telemetry::{Registry, Span, TelemetrySnapshot, Tracer};
 
@@ -591,7 +592,8 @@ impl ContextServer {
     /// Snapshot restore: [`ContextServer::adopt`] for everyone, then
     /// the range-only tables — when each tracked source was last heard
     /// (`None`, a snapshot that predates the table, leaves what the
-    /// registrations seeded), history in export order, last known
+    /// registrations seeded), history records in export order (adopted
+    /// as they are, not decoded), last known
     /// positions (over whatever the registrations seeded) and the
     /// stream sequence counters, fast-forwarded and never rewound so a
     /// rebuilt server cannot re-mint envelope seqs the federation has
@@ -599,12 +601,12 @@ impl ContextServer {
     ///
     /// # Errors
     ///
-    /// [`ContextServer::adopt`]'s, or a history event's own.
-    pub(crate) fn import(
+    /// [`ContextServer::adopt`]'s, or a history record's own.
+    pub(crate) fn import<'a>(
         &mut self,
         held: MigrationPacket,
         excluded: Vec<Guid>,
-        history: impl Iterator<Item = SciResult<ContextEvent>>,
+        history: impl Iterator<Item = SciResult<(EventHead<'a>, &'a [u8])>>,
         (positions, liveness): (Vec<(Guid, Coord)>, Option<Vec<LivenessRow>>),
         (delivery_seq, answer_seq): (u64, u64),
         now: VirtualTime,
@@ -615,8 +617,9 @@ impl ContextServer {
         if let Some(liveness) = liveness {
             self.mediator.restore_liveness(liveness);
         }
-        for event in history {
-            self.history.record(&event?);
+        for entry in history {
+            let (head, record) = entry?;
+            self.history.adopt(&head, record);
         }
         for (entity, at) in positions {
             self.location.set_position(entity, at);
@@ -1159,31 +1162,23 @@ impl ContextServer {
     }
 
     fn check_triggers(&mut self, event: &ContextEvent, now: VirtualTime) -> SciResult<()> {
-        if event.topic != ContextType::Presence {
+        if self.deferred.is_empty() || event.topic != ContextType::Presence {
             return Ok(());
         }
         let Some(subject) = event.subject() else {
             return Ok(());
         };
-        let to = event
-            .payload
-            .field("to")
-            .and_then(ContextValue::as_text)
-            .map(str::to_owned);
-        let from = event
-            .payload
-            .field("from")
-            .and_then(ContextValue::as_text)
-            .map(str::to_owned);
+        let to = event.payload.field("to").and_then(ContextValue::as_text);
+        let from = event.payload.field("from").and_then(ContextValue::as_text);
 
         let mut fired = Vec::new();
         self.deferred.retain(|d| {
             let hit = match &d.query.when {
                 When::OnEnter { entity, place } => {
-                    entity.resolve(d.query.owner) == subject && to.as_deref() == Some(place)
+                    entity.resolve(d.query.owner) == subject && to == Some(place.as_str())
                 }
                 When::OnLeave { entity, place } => {
-                    entity.resolve(d.query.owner) == subject && from.as_deref() == Some(place)
+                    entity.resolve(d.query.owner) == subject && from == Some(place.as_str())
                 }
                 _ => false,
             };

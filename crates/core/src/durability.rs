@@ -32,7 +32,11 @@
 //!   exchanges as documents, then the position and history tables in
 //!   the binary record form of `records.rs` — and written
 //!   atomically via [`sci_wal::write_snapshot`]; fully covered closed
-//!   segments and older snapshots are pruned.
+//!   segments and older snapshots are pruned. The context store keeps
+//!   its history in that record form already, so the history table —
+//!   the bulk of a snapshot — is the stored bytes copied, and a restore
+//!   checks each record (`records.rs`' `skim_event`) and adopts
+//!   it as it is: history is neither re-encoded nor decoded.
 //! * **Exactly-once across restarts.** Stream envelope sequences are
 //!   durable counters on the server (snapshotted, never rewound), so a
 //!   recovered range re-streams regenerated deliveries under the *same*
@@ -92,7 +96,7 @@ use crate::logic::LogicFactory;
 use crate::migration::MigrationPacket;
 use crate::records::{
     answer_to_xml, expect_end, frame_err, get_coord, get_count, get_event, get_guid, get_rows,
-    parsed_attr, put_coord, put_event, MIN_EVENT_LEN,
+    parsed_attr, put_coord, put_event, skim_event, MIN_EVENT_LEN,
 };
 use crate::runtime::RangeCommand;
 use crate::telemetry::elapsed_us;
@@ -583,23 +587,24 @@ fn liveness_rows<'a>(cs: &ContextServer, name: &'a str) -> impl Iterator<Item = 
 /// The payload is the [`snapshot_element`] document as one
 /// length-prefixed string, then two counted tables of binary records:
 /// last known positions (`entity`, `x`, `y`) and the history in export
-/// order. The history is the bulk of a range's state and goes last, so
-/// a restore can stream it; nothing follows it.
+/// order ([`crate::history::ContextStore::write_records`]: the records
+/// the store holds, copied). The history is the bulk of a range's state
+/// and goes last, so a restore can stream it; nothing follows it.
 pub(crate) fn encode_snapshot(cs: &ContextServer, now: VirtualTime) -> (Vec<u8>, u64) {
     let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
-    let mut p = Vec::new();
-    wire::put_str(&mut p, &snapshot_element(cs, now).to_xml());
+    let document = snapshot_element(cs, now).to_xml();
     let positions = cs.location().export_positions();
+    let history = cs.history();
+    // Sized once: the history table is the stored records, copied.
+    let len = 4 + document.len() + 4 + positions.len() * POSITION_LEN + 4 + history.record_bytes();
+    let mut p = Vec::with_capacity(len);
+    wire::put_str(&mut p, &document);
     wire::put_u32(&mut p, positions.len() as u32);
     for (entity, at) in positions {
         wire::put_u128(&mut p, entity.as_u128());
         put_coord(&mut p, at);
     }
-    let history = cs.history().export();
-    wire::put_u32(&mut p, history.len() as u32);
-    for event in &history {
-        put_event(&mut p, event);
-    }
+    history.write_records(&mut p);
     (p, elapsed_us(started))
 }
 
@@ -692,9 +697,14 @@ pub(crate) fn restore_snapshot(
     );
     let held = MigrationPacket::read_sections(cs.id(), root)?;
     let positions = get_rows(&mut r, POSITION_LEN, |r| Ok((get_guid(r)?, get_coord(r)?)))?;
-    // Decoded one at a time, as `import` records them: history is the
-    // bulk of a snapshot and is never held twice.
-    let history = (0..get_count(&mut r, MIN_EVENT_LEN)?).map(|_| get_event(&mut r));
+    // Skimmed one at a time, as `import` adopts them: history is the
+    // bulk of a snapshot, is never held twice and is never decoded —
+    // each record is checked, filed, and copied as it is.
+    let history = (0..get_count(&mut r, MIN_EVENT_LEN)?).map(|_| {
+        let at = payload.len() - r.remaining();
+        let head = skim_event(&mut r)?;
+        Ok((head, &payload[at..payload.len() - r.remaining()]))
+    });
     let tables = (positions, liveness);
     let unresolved = cs.import(held, excluded, history, tables, stream_seqs, now)?;
     expect_end(&r, "the snapshot's history table")?;
@@ -1276,6 +1286,45 @@ mod tests {
         assert_eq!(restored, (now, 0));
         assert_eq!(durable_digest(&back), durable_digest(&cs));
         assert_eq!(back.poll_timers(VirtualTime::from_secs(31)).unwrap(), 1);
+    }
+
+    /// The history table copies the records the store holds: byte for
+    /// byte what encoding its decoded export writes, which is how the
+    /// table was built before the store kept records — so the format
+    /// is unchanged. Several subjects, and buckets past their depth.
+    #[test]
+    fn snapshot_equals_the_encoded_export() {
+        let (mut cs, _) = populated();
+        for t in 3..45 {
+            for source in 1..5 {
+                let now = VirtualTime::from_secs(t);
+                cs.ingest(&ev(source, t).with_seq(EventSeq(t)), now)
+                    .unwrap();
+            }
+        }
+        let now = VirtualTime::from_secs(45);
+        let history = cs.history().export();
+        assert!(history.len() > 4 * 32, "some bucket filled up");
+        let mut expected = Vec::new();
+        wire::put_str(&mut expected, &snapshot_element(&cs, now).to_xml());
+        let positions = cs.location().export_positions();
+        wire::put_u32(&mut expected, positions.len() as u32);
+        for (entity, at) in positions {
+            wire::put_u128(&mut expected, entity.as_u128());
+            put_coord(&mut expected, at);
+        }
+        wire::put_u32(&mut expected, history.len() as u32);
+        for event in &history {
+            put_event(&mut expected, event);
+        }
+        let (payload, _) = encode_snapshot(&cs, now);
+        assert_eq!(payload.capacity(), payload.len(), "sized once");
+        assert_eq!(hex(&payload), hex(&expected));
+
+        let mut back = ContextServer::new(cs.id(), "r", sci_location::floorplan::capa_level10());
+        restore_snapshot(&mut back, &payload, &HashMap::new()).unwrap();
+        assert_eq!(back.history().export(), history);
+        assert_eq!(encode_snapshot(&back, now).0, payload);
     }
 
     fn restore(payload: &[u8]) -> SciResult<(VirtualTime, usize)> {

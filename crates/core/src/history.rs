@@ -6,10 +6,21 @@
 //! their CE to determine previous behaviour". [`ContextStore`] is that
 //! storage: a bounded, queryable history of the context events a range
 //! has seen, indexed by type and subject, with per-key retention.
+//!
+//! History is kept in its record form: each event is held as the
+//! binary record of `records.rs` — the bytes a write-ahead `ingest`
+//! record and the snapshot's history table carry — encoded once when
+//! it is recorded and decoded only when it is read back. Each (type,
+//! subject) key keeps its records back to back in one buffer, so a
+//! durability snapshot copies the stored bytes a key at a time, and a
+//! restore adopts them without building a single event.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use sci_types::{ContextEvent, ContextType, Guid, VirtualDuration, VirtualTime};
+use sci_wal::codec::wire;
+
+use crate::records::{get_event, put_event, EventHead};
 
 /// Key under which history is kept: the context type plus the subject
 /// entity (if the payload names one).
@@ -19,10 +30,72 @@ struct HistoryKey {
     subject: Option<Guid>,
 }
 
+/// One key's history: its records back to back in insertion order,
+/// `bytes[head..]`, and each one's timestamp (which retention reads)
+/// and length. Evicting the oldest advances `head`; the dead prefix is
+/// reclaimed once it outgrows the live records, so a bucket at depth
+/// stops allocating and its records never mix with small heap objects.
+#[derive(Clone, Debug, Default)]
+struct Bucket {
+    bytes: Vec<u8>,
+    head: usize,
+    spans: VecDeque<(VirtualTime, usize)>,
+}
+
+impl Bucket {
+    /// Appends the record `write` writes, evicting the oldest first if
+    /// the bucket holds `depth` already.
+    fn push(&mut self, depth: usize, at: VirtualTime, write: impl FnOnce(&mut Vec<u8>)) {
+        if self.spans.len() == depth {
+            if let Some((_, len)) = self.spans.pop_front() {
+                self.head += len;
+            }
+        }
+        if self.head > self.bytes.len() - self.head {
+            self.bytes.drain(..self.head);
+            self.head = 0;
+        }
+        let start = self.bytes.len();
+        write(&mut self.bytes);
+        self.spans.push_back((at, self.bytes.len() - start));
+    }
+
+    /// Each record with its timestamp, oldest first.
+    fn records(&self) -> impl Iterator<Item = (VirtualTime, &[u8])> {
+        let mut start = self.head;
+        self.spans.iter().map(move |&(at, len)| {
+            start += len;
+            (at, &self.bytes[start - len..start])
+        })
+    }
+
+    /// Keeps the records whose timestamp passes `keep`; how many went.
+    fn retain(&mut self, keep: impl Fn(VirtualTime) -> bool) -> usize {
+        if self.spans.iter().all(|&(at, _)| keep(at)) {
+            return 0;
+        }
+        let mut kept = Bucket::default();
+        for (at, record) in self.records().filter(|&(at, _)| keep(at)) {
+            kept.bytes.extend_from_slice(record);
+            kept.spans.push_back((at, record.len()));
+        }
+        let evicted = self.spans.len() - kept.spans.len();
+        *self = kept;
+        evicted
+    }
+}
+
+/// The event back. Every stored record passed `get_event`'s checks —
+/// `put_event` wrote it, or `skim_event` accepted it — so none is ever
+/// skipped.
+fn decode((_, record): (VirtualTime, &[u8])) -> Option<ContextEvent> {
+    get_event(&mut wire::Reader::new(record)).ok()
+}
+
 /// A bounded per-range context history.
 #[derive(Clone, Debug)]
 pub struct ContextStore {
-    entries: HashMap<HistoryKey, Vec<ContextEvent>>,
+    entries: HashMap<HistoryKey, Bucket>,
     /// Maximum events retained per key.
     depth: usize,
     /// Maximum age retained.
@@ -45,18 +118,31 @@ impl ContextStore {
         }
     }
 
-    /// Records one event.
+    /// Records one event, encoded straight into its bucket.
     pub fn record(&mut self, event: &ContextEvent) {
-        let key = HistoryKey {
-            ty: event.topic.clone(),
-            subject: event.subject(),
-        };
-        let bucket = self.entries.entry(key).or_default();
-        bucket.push(event.clone());
-        if bucket.len() > self.depth {
-            let excess = bucket.len() - self.depth;
-            bucket.drain(..excess);
-        }
+        let (ty, subject) = (event.topic.clone(), event.subject());
+        self.push(ty, subject, event.timestamp, |out| put_event(out, event));
+    }
+
+    /// Records one event already in record form, filed under what
+    /// `skim_event` read off it — a snapshot restore, which builds no
+    /// event.
+    pub(crate) fn adopt(&mut self, head: &EventHead<'_>, record: &[u8]) {
+        let ty = ContextType::from_name(head.topic);
+        self.push(ty, head.subject, head.timestamp, |out| {
+            out.extend_from_slice(record);
+        });
+    }
+
+    fn push(
+        &mut self,
+        ty: ContextType,
+        subject: Option<Guid>,
+        at: VirtualTime,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) {
+        let bucket = self.entries.entry(HistoryKey { ty, subject }).or_default();
+        bucket.push(self.depth, at, write);
     }
 
     /// Drops entries older than the retention window, measured from
@@ -65,23 +151,25 @@ impl ContextStore {
         let retention = self.retention;
         let mut evicted = 0;
         self.entries.retain(|_, bucket| {
-            let before = bucket.len();
-            bucket.retain(|e| now.saturating_since(e.timestamp) <= retention);
-            evicted += before - bucket.len();
-            !bucket.is_empty()
+            evicted += bucket.retain(|at| now.saturating_since(at) <= retention);
+            !bucket.spans.is_empty()
         });
         evicted
     }
 
+    fn bucket(&self, ty: &ContextType, subject: Option<Guid>) -> Option<&Bucket> {
+        self.entries.get(&HistoryKey {
+            ty: ty.clone(),
+            subject,
+        })
+    }
+
     /// The most recent stored event of `ty` about `subject` (`None`
     /// subject = events that named no subject).
-    pub fn last(&self, ty: &ContextType, subject: Option<Guid>) -> Option<&ContextEvent> {
-        self.entries
-            .get(&HistoryKey {
-                ty: ty.clone(),
-                subject,
-            })
-            .and_then(|b| b.last())
+    pub fn last(&self, ty: &ContextType, subject: Option<Guid>) -> Option<ContextEvent> {
+        self.bucket(ty, subject)
+            .and_then(|b| b.records().last())
+            .and_then(decode)
     }
 
     /// All stored events of `ty` about `subject` since `since`, oldest
@@ -91,13 +179,14 @@ impl ContextStore {
         ty: &ContextType,
         subject: Option<Guid>,
         since: VirtualTime,
-    ) -> Vec<&ContextEvent> {
-        self.entries
-            .get(&HistoryKey {
-                ty: ty.clone(),
-                subject,
+    ) -> Vec<ContextEvent> {
+        self.bucket(ty, subject)
+            .map(|b| {
+                b.records()
+                    .filter(|&(at, _)| at >= since)
+                    .filter_map(decode)
+                    .collect()
             })
-            .map(|b| b.iter().filter(|e| e.timestamp >= since).collect())
             .unwrap_or_default()
     }
 
@@ -113,25 +202,46 @@ impl ContextStore {
         out
     }
 
+    /// Every bucket, in [`ContextStore::export`] order.
+    fn in_order(&self) -> impl Iterator<Item = &Bucket> {
+        let mut buckets: Vec<(&HistoryKey, &Bucket)> = self.entries.iter().collect();
+        buckets.sort_by(|(a, _), (b, _)| (a.ty.name(), a.subject).cmp(&(b.ty.name(), b.subject)));
+        buckets.into_iter().map(|(_, bucket)| bucket)
+    }
+
     /// Every stored event in a deterministic order: buckets sorted by
     /// (type name, subject), events within a bucket in insertion order.
     /// Re-`record`ing the export into an empty store reproduces the
-    /// same per-key buckets — the durability snapshot relies on that.
+    /// same per-key buckets.
     pub fn export(&self) -> Vec<ContextEvent> {
-        let mut keys: Vec<&HistoryKey> = self.entries.keys().collect();
-        keys.sort_by(|a, b| (a.ty.name(), a.subject).cmp(&(b.ty.name(), b.subject)));
-        let mut out = Vec::with_capacity(self.len());
-        for key in keys {
-            if let Some(bucket) = self.entries.get(key) {
-                out.extend(bucket.iter().cloned());
-            }
+        self.in_order()
+            .flat_map(Bucket::records)
+            .filter_map(decode)
+            .collect()
+    }
+
+    /// Appends the history table of a durability snapshot to `out`: a
+    /// `u32` count, then every stored record in [`ContextStore::export`]
+    /// order — the bytes `put_event` would write for the export, copied
+    /// a bucket at a time rather than re-encoded.
+    /// [`ContextStore::adopt`]ing them in order into an empty store
+    /// reproduces the same per-key buckets.
+    pub(crate) fn write_records(&self, out: &mut Vec<u8>) {
+        wire::put_u32(out, self.len() as u32);
+        for bucket in self.in_order() {
+            out.extend_from_slice(&bucket.bytes[bucket.head..]);
         }
-        out
     }
 
     /// Total stored events.
     pub fn len(&self) -> usize {
-        self.entries.values().map(Vec::len).sum()
+        self.entries.values().map(|b| b.spans.len()).sum()
+    }
+
+    /// Total bytes of the stored records: what
+    /// [`ContextStore::write_records`] appends, less its count.
+    pub(crate) fn record_bytes(&self) -> usize {
+        self.entries.values().map(|b| b.bytes.len() - b.head).sum()
     }
 
     /// Returns `true` if nothing is stored.
@@ -151,6 +261,7 @@ impl Default for ContextStore {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::records::skim_event;
     use sci_types::ContextValue;
 
     fn ev(ty: ContextType, subject: Option<Guid>, t: u64, tag: i64) -> ContextEvent {
@@ -213,6 +324,24 @@ mod tests {
         assert!(store.is_empty());
     }
 
+    /// Retention goes by timestamp, not arrival: expiring from the
+    /// middle of a bucket keeps the rest in insertion order.
+    #[test]
+    fn retention_expiry_out_of_order() {
+        let mut store = ContextStore::new(100, VirtualDuration::from_secs(10));
+        for t in [30, 5, 25, 8, 40] {
+            store.record(&ev(ContextType::Occupancy, None, t, t as i64));
+        }
+        assert_eq!(store.expire(VirtualTime::from_secs(15)), 0);
+        assert_eq!(store.expire(VirtualTime::from_secs(36)), 3);
+        let events = store.since(&ContextType::Occupancy, None, VirtualTime::ZERO);
+        let tags: Vec<i64> = events.iter().filter_map(|e| e.payload.as_int()).collect();
+        assert_eq!(tags, [30, 40]);
+        let mut table = Vec::new();
+        store.write_records(&mut table);
+        assert_eq!(table.len(), 4 + store.record_bytes());
+    }
+
     #[test]
     fn subjects_kept_separate() {
         let mut store = ContextStore::default();
@@ -222,10 +351,71 @@ mod tests {
         assert_eq!(
             store
                 .last(&ContextType::Location, Some(a))
-                .and_then(|e| e.payload.field("tag"))
-                .and_then(ContextValue::as_int),
+                .and_then(|e| e.payload.field("tag").and_then(ContextValue::as_int)),
             Some(10)
         );
         assert_eq!(store.subjects_of(&ContextType::Location), vec![a, b]);
+    }
+
+    fn recorded(events: &[ContextEvent], depth: usize) -> ContextStore {
+        let mut store = ContextStore::new(depth, VirtualDuration::from_secs(1_000_000));
+        for event in events {
+            store.record(event);
+        }
+        store
+    }
+
+    /// What a snapshot restore does with `from`'s history table: files
+    /// each record as `skim_event` reads it and adopts its bytes.
+    fn adopted(from: &ContextStore, depth: usize) -> ContextStore {
+        let mut table = Vec::new();
+        from.write_records(&mut table);
+        assert_eq!(table.len(), 4 + from.record_bytes());
+        let mut r = wire::Reader::new(&table);
+        let mut store = ContextStore::new(depth, VirtualDuration::from_secs(1_000_000));
+        for _ in 0..r.u32().unwrap() {
+            let at = table.len() - r.remaining();
+            let head = skim_event(&mut r).unwrap();
+            store.adopt(&head, &table[at..table.len() - r.remaining()]);
+        }
+        assert_eq!(r.remaining(), 0);
+        store
+    }
+
+    fn assert_same(a: &ContextStore, b: &ContextStore, keys: &[(ContextType, Option<Guid>)]) {
+        let (mut bytes_a, mut bytes_b) = (Vec::new(), Vec::new());
+        a.write_records(&mut bytes_a);
+        b.write_records(&mut bytes_b);
+        assert_eq!(bytes_a, bytes_b);
+        assert_eq!(a.export(), b.export());
+        for (ty, subject) in keys {
+            let all = |s: &ContextStore| s.since(ty, *subject, VirtualTime::ZERO);
+            assert_eq!(all(a), all(b), "{ty} {subject:?}");
+        }
+    }
+
+    #[test]
+    fn adopting_written_records_rebuilds_what_recording_built() {
+        let (a, b) = (Guid::from_u128(1), Guid::from_u128(2));
+        let badge = ContextType::custom("badge");
+        let keys = [
+            (ContextType::Location, Some(a)),
+            (badge.clone(), Some(b)),
+            (ContextType::Temperature, None),
+        ];
+        let events: Vec<ContextEvent> = (0..10)
+            .flat_map(|t| {
+                keys.clone()
+                    .map(|(ty, subject)| ev(ty, subject, t, t as i64))
+            })
+            .collect();
+        let live = recorded(&events, 4);
+        assert_eq!(live.len(), 12, "recording kept each key's newest 4");
+        assert_same(&adopted(&live, 4), &live, &keys);
+        // Adopting evicts by the same rule: a shallower store keeps
+        // each key's newest 2, as re-recording the export does.
+        let shallow = adopted(&live, 2);
+        assert_eq!(shallow.len(), 6);
+        assert_same(&shallow, &recorded(&live.export(), 2), &keys);
     }
 }

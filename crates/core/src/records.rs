@@ -13,7 +13,9 @@
 //! wire and the snapshot's history table. The decoders are total: any
 //! byte string yields a value or a [`SciError::Codec`], with nesting
 //! bounded by [`MAX_VALUE_DEPTH`] and every allocation bounded by the
-//! bytes actually present.
+//! bytes actually present. [`skim_event`] accepts exactly what
+//! [`get_event`] accepts and reads only what the context store files a
+//! record under, so a snapshot's history is restored without decoding.
 
 use sci_query::codec as qcodec;
 use sci_query::xml::{parse, Element};
@@ -201,6 +203,83 @@ pub(crate) fn get_event(r: &mut wire::Reader<'_>) -> SciResult<ContextEvent> {
     let seq = EventSeq(r.u64().map_err(frame_err)?);
     let payload = get_value(r)?;
     Ok(ContextEvent::new(source, topic, payload, timestamp).with_seq(seq))
+}
+
+/// What the context store files an event record under, read off the
+/// record without building the event.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct EventHead<'a> {
+    pub topic: &'a str,
+    /// [`ContextEvent::subject`]: the first top-level `"subject"`
+    /// field, if it is an `Id`.
+    pub subject: Option<Guid>,
+    pub timestamp: VirtualTime,
+}
+
+/// [`get_event`] without the event: checks every byte `get_event`
+/// checks — lengths, UTF-8, tags and the nesting bound — consumes the
+/// same bytes, and allocates nothing.
+pub(crate) fn skim_event<'a>(r: &mut wire::Reader<'a>) -> SciResult<EventHead<'a>> {
+    get_guid(r)?;
+    let topic = r.str().map_err(frame_err)?;
+    let timestamp = VirtualTime::from_micros(r.u64().map_err(frame_err)?);
+    r.u64().map_err(frame_err)?;
+    let subject = match r.u8().map_err(frame_err)? {
+        10 => skim_fields(r, 0)?,
+        tag => {
+            skim_body(r, tag, 0)?;
+            None
+        }
+    };
+    Ok(EventHead {
+        topic,
+        subject,
+        timestamp,
+    })
+}
+
+/// Walks one value as [`get_value_at`] reads it; the GUID if it is an
+/// `Id`.
+fn skim_value_at(r: &mut wire::Reader<'_>, depth: usize) -> SciResult<Option<Guid>> {
+    if depth > MAX_VALUE_DEPTH {
+        return Err(SciError::Codec(format!(
+            "value nested deeper than {MAX_VALUE_DEPTH}"
+        )));
+    }
+    let tag = r.u8().map_err(frame_err)?;
+    skim_body(r, tag, depth)
+}
+
+/// A value's bytes after its `tag`.
+fn skim_body(r: &mut wire::Reader<'_>, tag: u8, depth: usize) -> SciResult<Option<Guid>> {
+    match tag {
+        0 => {}
+        1 => r.u8().map(drop).map_err(frame_err)?,
+        2 | 3 | 8 => r.u64().map(drop).map_err(frame_err)?,
+        4 | 7 => r.str().map(drop).map_err(frame_err)?,
+        5 => return get_guid(r).map(Some),
+        6 => get_coord(r).map(drop)?,
+        9 => {
+            for _ in 0..get_count(r, MIN_VALUE_LEN)? {
+                skim_value_at(r, depth + 1)?;
+            }
+        }
+        10 => skim_fields(r, depth).map(drop)?,
+        other => return Err(SciError::Codec(format!("unknown value tag {other}"))),
+    }
+    Ok(None)
+}
+
+/// A `Record`'s fields after its tag; the first `"subject"` field's
+/// GUID, if that field is an `Id`.
+fn skim_fields(r: &mut wire::Reader<'_>, depth: usize) -> SciResult<Option<Guid>> {
+    let mut subject = None;
+    for _ in 0..get_count(r, 4 + MIN_VALUE_LEN)? {
+        let key = r.str().map_err(frame_err)?;
+        let id = skim_value_at(r, depth + 1)?;
+        subject = subject.or(Some(id).filter(|_| key == "subject"));
+    }
+    Ok(subject.flatten())
 }
 
 /// A delivery as `app`, `query`, event.
@@ -536,6 +615,18 @@ pub(crate) mod tests {
             })
     }
 
+    /// Events whose payload is a record that may hold several
+    /// `"subject"` fields, `Id` or not: what the subject rule is about.
+    fn arb_subject_event() -> impl Strategy<Value = ContextEvent> {
+        let key = prop_oneof![Just("subject".to_owned()), ".{0,8}"];
+        let value = prop_oneof![arb_guid().prop_map(ContextValue::Id), arb_value()];
+        let fields = prop::collection::vec((key, value), 0..4).prop_map(ContextValue::Record);
+        (arb_event(), fields).prop_map(|(ev, payload)| ContextEvent {
+            payload: payload.into(),
+            ..ev
+        })
+    }
+
     fn arb_delivery() -> impl Strategy<Value = AppDelivery> {
         (arb_guid(), arb_guid(), arb_event()).prop_map(|(app, query, event)| AppDelivery {
             app,
@@ -625,8 +716,39 @@ pub(crate) mod tests {
             for bytes in [&noise, &mangled] {
                 let _ = get_value(&mut wire::Reader::new(bytes));
                 let _ = get_event(&mut wire::Reader::new(bytes));
+                let _ = skim_event(&mut wire::Reader::new(bytes));
                 let _ = get_delivery(&mut wire::Reader::new(bytes));
                 let _ = get_envelope(&mut wire::Reader::new(bytes));
+            }
+        }
+    }
+
+    proptest! {
+        /// `skim_event` is `get_event` without the event: on every
+        /// valid encoding and every mutation of one, it accepts exactly
+        /// when `get_event` does, consumes the same bytes, and reads the
+        /// decoded event's topic, subject and timestamp.
+        #[test]
+        fn codec_skim_agrees_with_get_event(
+            ev in prop_oneof![arb_event(), arb_subject_event()],
+            how in arb_mangle(),
+        ) {
+            let intact = encoded_event(&ev);
+            for bytes in [intact.clone(), mangle(intact, how)] {
+                let (mut full, mut skim) = (wire::Reader::new(&bytes), wire::Reader::new(&bytes));
+                match (get_event(&mut full), skim_event(&mut skim)) {
+                    (Ok(event), Ok(head)) => {
+                        let expected = EventHead {
+                            topic: event.topic.name(),
+                            subject: event.subject(),
+                            timestamp: event.timestamp,
+                        };
+                        prop_assert_eq!(head, expected);
+                        prop_assert_eq!(skim.remaining(), full.remaining());
+                    }
+                    (Err(_), Err(_)) => {}
+                    (event, head) => prop_assert!(false, "get {event:?} but skim {head:?}"),
+                }
             }
         }
     }

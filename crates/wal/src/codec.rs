@@ -153,19 +153,21 @@ pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
 
 /// Appends the encoded frame to `out`.
 pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
-    encode_frame_of(frame.tag, &frame.payload, out);
+    out.extend_from_slice(&frame_head(frame.tag, &frame.payload));
+    out.extend_from_slice(&frame.payload);
+    out.extend_from_slice(&frame_tail(frame.tag, &frame.payload));
 }
 
-/// [`encode_frame`] for a payload the caller only borrows: frames
-/// `tag` + `payload` into `out` without building a [`Frame`] first.
-pub fn encode_frame_of(tag: u8, payload: &[u8], out: &mut Vec<u8>) {
-    let len = payload.len() as u32 + 1;
-    out.extend_from_slice(&len.to_be_bytes());
-    out.push(tag);
-    out.extend_from_slice(payload);
-    let mut crc = crc32_update(0xFFFF_FFFF, &[tag]);
-    crc = crc32_update(crc, payload) ^ 0xFFFF_FFFF;
-    out.extend_from_slice(&crc.to_be_bytes());
+/// What precedes `payload` in its frame: the length, then `tag`.
+pub(crate) fn frame_head(tag: u8, payload: &[u8]) -> [u8; 5] {
+    let len = (payload.len() as u32 + 1).to_be_bytes();
+    [len[0], len[1], len[2], len[3], tag]
+}
+
+/// What follows `payload` in its frame: the CRC over `tag` + `payload`.
+pub(crate) fn frame_tail(tag: u8, payload: &[u8]) -> [u8; 4] {
+    let crc = crc32_update(0xFFFF_FFFF, &[tag]);
+    (crc32_update(crc, payload) ^ 0xFFFF_FFFF).to_be_bytes()
 }
 
 /// Decodes one frame from the front of `buf`.

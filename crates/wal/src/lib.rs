@@ -27,10 +27,7 @@
 pub mod codec;
 pub mod log;
 
-pub use codec::{
-    crc32, decode_frame, encode_frame, encode_frame_of, CodecError, Frame, FrameReader,
-    StreamDecoder,
-};
+pub use codec::{crc32, decode_frame, encode_frame, CodecError, Frame, FrameReader, StreamDecoder};
 pub use log::{
     prune_snapshots, read_latest_snapshot, write_snapshot, Appended, FsyncPolicy, Recovered,
     SegmentLog, WalError,

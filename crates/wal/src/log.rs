@@ -35,7 +35,8 @@ use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use crate::codec::{
-    decode_frame, encode_frame, encode_frame_of, CodecError, Frame, FrameReader, FRAME_OVERHEAD,
+    decode_frame, encode_frame, frame_head, frame_tail, CodecError, Frame, FrameReader,
+    FRAME_OVERHEAD,
 };
 
 const SEGMENT_MAGIC: &[u8; 8] = b"SCIWAL01";
@@ -463,18 +464,20 @@ pub fn write_snapshot(
     fs::create_dir_all(dir).map_err(|e| io_err(format!("creating {}", dir.display()), e))?;
     let tmp = dir.join(format!("snap-{applied_index:016x}.tmp"));
     let fin = snapshot_path(dir, applied_index);
-    let mut bytes = Vec::with_capacity(SNAPSHOT_MAGIC.len() + FRAME_OVERHEAD + payload.len());
-    bytes.extend_from_slice(SNAPSHOT_MAGIC);
-    encode_frame_of(0, payload, &mut bytes);
     let mut file =
         File::create(&tmp).map_err(|e| io_err(format!("creating {}", tmp.display()), e))?;
-    file.write_all(&bytes)
-        .map_err(|e| io_err(format!("writing {}", tmp.display()), e))?;
+    // The frame is written around the caller's payload, not copied
+    // into a buffer of its own: the payload is most of a snapshot.
+    let (head, tail) = (frame_head(0, payload), frame_tail(0, payload));
+    for part in [&SNAPSHOT_MAGIC[..], &head, payload, &tail] {
+        file.write_all(part)
+            .map_err(|e| io_err(format!("writing {}", tmp.display()), e))?;
+    }
     file.sync_data()
         .map_err(|e| io_err(format!("syncing {}", tmp.display()), e))?;
     drop(file);
     fs::rename(&tmp, &fin).map_err(|e| io_err(format!("renaming to {}", fin.display()), e))?;
-    Ok(bytes.len() as u64)
+    Ok((SNAPSHOT_MAGIC.len() + FRAME_OVERHEAD + payload.len()) as u64)
 }
 
 /// The newest intact snapshot, if any: its `(applied_index, payload)`.
@@ -722,7 +725,13 @@ mod tests {
     fn snapshot_roundtrip_prune_and_damage_skip() {
         let dir = tmpdir("snap");
         assert!(read_latest_snapshot(&dir).unwrap().0.is_none());
-        write_snapshot(&dir, 10, b"state at 10").unwrap();
+        let written = write_snapshot(&dir, 10, b"state at 10").unwrap();
+        // The file is the magic and one frame, written around the
+        // payload rather than through a copy of it.
+        let mut image = SNAPSHOT_MAGIC.to_vec();
+        encode_frame(&Frame::new(0, b"state at 10".to_vec()), &mut image);
+        assert_eq!(fs::read(snapshot_path(&dir, 10)).unwrap(), image);
+        assert_eq!(written, image.len() as u64);
         write_snapshot(&dir, 30, b"state at 30").unwrap();
         let (best, skipped) = read_latest_snapshot(&dir).unwrap();
         assert_eq!(best, Some((30, b"state at 30".to_vec())));
