@@ -6,11 +6,11 @@
 //! durability snapshot's document), the `<answer-relay>` envelope, and
 //! the `<answer>` document itself.
 //!
-//! **The event stream** is binary: a [`ContextValue`], a
-//! [`ContextEvent`], an [`AppDelivery`] and the relay's `(origin, seq)`
-//! envelope header have the one big-endian form below, shared by the
-//! write-ahead log's `ingest` records, the `EventRelay` payload on the
-//! wire and the snapshot's history table. The decoders are total: any
+//! **The event stream** is binary: a [`ContextValue`] and a
+//! [`ContextEvent`] have the one big-endian form below, shared by the
+//! write-ahead log's `ingest` records, the snapshot's history table and
+//! the `EventRelay` payload, which carries one event once for several
+//! deliveries ([`event_relay_group`]). The decoders are total: any
 //! byte string yields a value or a [`SciError::Codec`], with nesting
 //! bounded by [`MAX_VALUE_DEPTH`] and every allocation bounded by the
 //! bytes actually present. [`skim_event`] accepts exactly what
@@ -282,35 +282,43 @@ fn skim_fields(r: &mut wire::Reader<'_>, depth: usize) -> SciResult<Option<Guid>
     Ok(subject.flatten())
 }
 
-/// A delivery as `app`, `query`, event.
-pub(crate) fn put_delivery(out: &mut Vec<u8>, d: &AppDelivery) {
-    wire::put_u128(out, d.app.as_u128());
-    wire::put_u128(out, d.query.as_u128());
-    put_event(out, &d.event);
-}
+/// One delivery of an `EventRelay`: its envelope `seq`, `app`, `query`.
+pub type RelayRow = (u64, Guid, Guid);
 
-pub(crate) fn get_delivery(r: &mut wire::Reader<'_>) -> SciResult<AppDelivery> {
-    Ok(AppDelivery {
-        app: get_guid(r)?,
-        query: get_guid(r)?,
-        event: get_event(r)?,
-    })
-}
+/// Bytes one [`RelayRow`] takes on the wire.
+const RELAY_ROW_LEN: usize = 8 + 16 + 16;
 
-/// The exactly-once envelope header `(origin, seq)` that opens an
-/// `EventRelay` payload.
-pub(crate) fn get_envelope(r: &mut wire::Reader<'_>) -> SciResult<(Guid, u64)> {
-    Ok((get_guid(r)?, r.u64().map_err(frame_err)?))
-}
-
-/// The payload of a [`sci_overlay::message::MessageKind::EventRelay`]
-/// message: the `(origin, seq)` envelope header, then the delivery.
-pub fn event_relay_payload((origin, seq): (Guid, u64), d: &AppDelivery) -> Vec<u8> {
+/// The payload of a [`sci_overlay::message::MessageKind::EventRelay`]:
+/// `origin`, a count, one row per delivery of `event` to one home range
+/// (`(origin, seq)` is its exactly-once envelope), the event once.
+pub fn event_relay_group(origin: Guid, rows: &[RelayRow], event: &ContextEvent) -> Vec<u8> {
     let mut out = Vec::new();
     wire::put_u128(&mut out, origin.as_u128());
-    wire::put_u64(&mut out, seq);
-    put_delivery(&mut out, d);
+    wire::put_u32(&mut out, rows.len() as u32);
+    for &(seq, app, query) in rows {
+        wire::put_u64(&mut out, seq);
+        wire::put_u128(&mut out, app.as_u128());
+        wire::put_u128(&mut out, query.as_u128());
+    }
+    put_event(&mut out, event);
     out
+}
+
+/// The `EventRelay` of one delivery: [`event_relay_group`] with one row.
+pub fn event_relay_payload((origin, seq): (Guid, u64), d: &AppDelivery) -> Vec<u8> {
+    event_relay_group(origin, &[(seq, d.app, d.query)], &d.event)
+}
+
+/// Reads an `EventRelay`'s origin and its rows, of which there are some.
+pub(crate) fn get_relay_head(r: &mut wire::Reader<'_>) -> SciResult<(Guid, Vec<RelayRow>)> {
+    let origin = get_guid(r)?;
+    let rows = get_rows(r, RELAY_ROW_LEN, |r| {
+        Ok((r.u64().map_err(frame_err)?, get_guid(r)?, get_guid(r)?))
+    })?;
+    if rows.is_empty() {
+        return Err(SciError::Codec("an event relay with no rows".into()));
+    }
+    Ok((origin, rows))
 }
 
 // ---------------------------------------------------------------------
@@ -683,25 +691,34 @@ pub(crate) mod tests {
             );
         }
 
+        /// A one-delivery relay reads back as that delivery, which the
+        /// XML `<delivery>` section agrees with.
         #[test]
         fn codec_delivery_round_trips_and_agrees_with_xml(d in arb_delivery()) {
-            let mut bytes = Vec::new();
-            put_delivery(&mut bytes, &d);
-            let mut r = wire::Reader::new(&bytes);
-            let back = get_delivery(&mut r).unwrap();
-            prop_assert_eq!(r.remaining(), 0);
+            let relay = event_relay_payload((d.app, 7), &d);
+            let (origin, rows, event) = read_relay(&relay).unwrap();
+            prop_assert_eq!((origin, rows), (d.app, vec![(7, d.app, d.query)]));
+            let back = AppDelivery { app: d.app, query: d.query, event };
             prop_assert!(same_delivery(&back, &d), "{back:?} != {d:?}");
             let via_xml = delivery_from_element(&delivery_element(&d)).unwrap();
             prop_assert!(
                 same_delivery(&via_xml, &back) || has_nan(&d.event.payload),
                 "xml {via_xml:?} != binary {back:?}"
             );
-            // The relay payload is the envelope header, then this.
-            let relay = event_relay_payload((d.app, 7), &d);
-            let mut r = wire::Reader::new(&relay);
-            prop_assert_eq!(get_envelope(&mut r).unwrap(), (d.app, 7));
-            prop_assert!(same_delivery(&get_delivery(&mut r).unwrap(), &d));
-            prop_assert_eq!(r.remaining(), 0);
+        }
+
+        /// A group reads back as its origin, every row in order and the
+        /// event, with nothing after it.
+        #[test]
+        fn codec_relay_group_round_trips(
+            origin in arb_guid(),
+            rows in prop::collection::vec((any::<u64>(), arb_guid(), arb_guid()), 1..9),
+            ev in arb_event(),
+        ) {
+            let relay = event_relay_group(origin, &rows, &ev);
+            let (back_origin, back_rows, back) = read_relay(&relay).unwrap();
+            prop_assert_eq!((back_origin, back_rows), (origin, rows));
+            prop_assert!(same_event(&back, &ev), "{back:?} != {ev:?}");
         }
 
         /// Totality: no byte string panics, hangs or over-allocates a
@@ -710,17 +727,29 @@ pub(crate) mod tests {
         fn codec_decoders_survive_arbitrary_bytes(
             noise in prop::collection::vec(any::<u8>(), 0..256),
             d in arb_delivery(),
+            rows in prop::collection::vec((any::<u64>(), arb_guid(), arb_guid()), 0..9),
             how in arb_mangle(),
         ) {
-            let mangled = mangle(event_relay_payload((d.app, 1), &d), how);
-            for bytes in [&noise, &mangled] {
+            let mangled = mangle(event_relay_payload((d.app, 1), &d), how.clone());
+            let group = mangle(event_relay_group(d.app, &rows, &d.event), how);
+            for bytes in [&noise, &mangled, &group] {
                 let _ = get_value(&mut wire::Reader::new(bytes));
                 let _ = get_event(&mut wire::Reader::new(bytes));
                 let _ = skim_event(&mut wire::Reader::new(bytes));
-                let _ = get_delivery(&mut wire::Reader::new(bytes));
-                let _ = get_envelope(&mut wire::Reader::new(bytes));
+                let _ = get_relay_head(&mut wire::Reader::new(bytes));
+                let _ = read_relay(bytes);
             }
         }
+    }
+
+    /// An `EventRelay` payload as the relay reads it: the head, then the
+    /// event, then nothing.
+    fn read_relay(bytes: &[u8]) -> SciResult<(Guid, Vec<RelayRow>, ContextEvent)> {
+        let mut r = wire::Reader::new(bytes);
+        let (origin, rows) = get_relay_head(&mut r)?;
+        let event = get_event(&mut r)?;
+        expect_end(&r, "an event relay")?;
+        Ok((origin, rows, event))
     }
 
     proptest! {
@@ -810,10 +839,38 @@ pub(crate) mod tests {
         }
     }
 
-    /// Pins the `EventRelay` payload byte for byte: what crosses the
-    /// wire between two builds of one protocol version.
+    /// A relay claiming `u32::MAX` rows is refused by the count check,
+    /// before a row is read or a table sized.
     #[test]
-    fn event_relay_payload_is_pinned() {
+    fn codec_a_hostile_row_count_is_a_codec_error_not_an_allocation() {
+        let mut bytes = Vec::new();
+        wire::put_u128(&mut bytes, 0xC0D);
+        wire::put_u32(&mut bytes, u32::MAX);
+        bytes.extend_from_slice(&[0; RELAY_ROW_LEN]);
+        let refused = get_relay_head(&mut wire::Reader::new(&bytes));
+        assert!(matches!(refused, Err(SciError::Codec(_))), "{refused:?}");
+    }
+
+    /// A relay with no rows is refused, not read as a relay whose every
+    /// row has been seen.
+    #[test]
+    fn codec_a_relay_with_no_rows_is_a_codec_error() {
+        let event = ContextEvent::new(
+            Guid::from_u128(0x5E),
+            ContextType::Presence,
+            ContextValue::Empty,
+            VirtualTime::from_secs(2),
+        );
+        let empty = event_relay_group(Guid::from_u128(0xC0D), &[], &event);
+        let refused = get_relay_head(&mut wire::Reader::new(&empty));
+        assert!(matches!(refused, Err(SciError::Codec(_))), "{refused:?}");
+    }
+
+    /// Pins the `EventRelay` payload byte for byte: what crosses the
+    /// wire between two builds of one protocol version. The relay of one
+    /// delivery is the one-row case of the same form.
+    #[test]
+    fn codec_event_relay_payload_is_pinned() {
         let d = AppDelivery {
             app: Guid::from_u128(0xA99),
             query: Guid::from_u128(0x200),
@@ -828,11 +885,16 @@ pub(crate) mod tests {
             )
             .with_seq(EventSeq(7)),
         };
+        let second = (10, Guid::from_u128(0xA9A), Guid::from_u128(0x201));
         let golden = concat!(
             "00000000000000000000000000000c0d",   // origin
+            "00000002",                           // two rows
             "0000000000000009",                   // seq
             "00000000000000000000000000000a99",   // app
             "00000000000000000000000000000200",   // query
+            "000000000000000a",                   // seq
+            "00000000000000000000000000000a9a",   // app
+            "00000000000000000000000000000201",   // query
             "0000000000000000000000000000005e",   // event source
             "0000000870726573656e6365",           // topic "presence"
             "00000000001e8480",                   // timestamp, 2 s in us
@@ -843,7 +905,10 @@ pub(crate) mod tests {
             "00000002746f",                       // "to"
             "04000000056c6f626279",               // text "lobby"
         );
-        let payload = event_relay_payload((Guid::from_u128(0xC0D), 9), &d);
-        assert_eq!(hex(&payload), golden);
+        let origin = Guid::from_u128(0xC0D);
+        let rows = [(9, d.app, d.query), second];
+        assert_eq!(hex(&event_relay_group(origin, &rows, &d.event)), golden);
+        let one = event_relay_group(origin, &rows[..1], &d.event);
+        assert_eq!(event_relay_payload((origin, 9), &d), one);
     }
 }

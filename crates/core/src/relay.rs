@@ -30,23 +30,24 @@
 //!
 //! # Reliable relay protocol
 //!
-//! Cross-range relays ride an *envelope*: every relayed delivery,
-//! deferred answer or migration packet carries the producing node's
-//! GUID (`origin`) and a per-origin monotonic sequence number (`seq`).
+//! Cross-range traffic rides *envelopes*: every delivery, deferred
+//! answer or migration packet is named by the producing node's GUID
+//! (`origin`) and a per-origin monotonic sequence number (`seq`).
 //! Deliveries and answers take theirs from the producing server's
 //! durable stream counters, so a WAL-recovered range re-offers its
 //! unrelayed traffic under the *same* envelopes; each traffic class
-//! counts in its own high-bit namespace. A pump hands each range's
-//! cross-range stream to [`Transport::send_all`] in batches of up to
-//! `MAX_RELAY_BATCH`. The sender retries a failed relay up to
-//! [`RELAY_RETRIES`] times with exponential backoff accounted in
-//! virtual time, then parks it for the next pump — so a relay survives
-//! any outage that eventually heals. The receiver discards envelopes it
-//! has already seen (local-home traffic passes the same filter).
-//! Together that turns the transport's at-least-once
-//! behaviour (retransmissions, ack loss, duplication faults) into
-//! exactly-once delivery, counted by `federation.retry.attempts` and
-//! `federation.relay.dedup_hits`.
+//! counts in its own high-bit namespace. One published event's remote
+//! deliveries cross as one `EventRelay` per home range: one `(seq, app,
+//! query)` row each, the event once. A pump hands each range's relays
+//! to [`Transport::send_all`] in batches of up to `MAX_RELAY_BATCH`.
+//! The sender retries a failed relay up to [`RELAY_RETRIES`] times
+//! with exponential backoff accounted in virtual time, then parks it
+//! for the next pump — so a relay survives any outage that eventually
+//! heals. The receiver discards envelopes it has already seen (local
+//! traffic passes the same filter). Together that turns the
+//! transport's at-least-once behaviour (retransmissions, ack loss,
+//! duplication faults) into exactly-once delivery, counted by
+//! `federation.retry.attempts` and `federation.relay.dedup_hits`.
 //!
 //! A migration packet is marked seen only once its target has applied
 //! it: a packet that finds no live host is parked like an unroutable
@@ -67,8 +68,8 @@ use sci_query::Query;
 use sci_telemetry::{Registry, TelemetrySnapshot, Tracer};
 use sci_types::guid::GuidGenerator;
 use sci_types::{
-    FederationModel, FreshnessBound, Guid, RangeModel, RetryModel, RouteClaim, SciError, SciResult,
-    VirtualDuration, VirtualTime,
+    ContextEvent, FederationModel, FreshnessBound, Guid, RangeModel, RetryModel, RouteClaim,
+    SciError, SciResult, VirtualDuration, VirtualTime,
 };
 use sci_wal::codec::wire;
 
@@ -76,7 +77,7 @@ use crate::context_server::{AppDelivery, ContextServer, DeferredAnswer, QueryAns
 use crate::migration::MigrationPacket;
 use crate::records::{
     answer_from_element, answer_to_xml, deferred_answer_element, deferred_answer_from_element,
-    event_relay_payload, expect_end, get_delivery, get_envelope, parsed_attr,
+    event_relay_group, expect_end, get_event, get_relay_head, parsed_attr, RelayRow,
 };
 use crate::runtime::RangeCommand;
 use crate::seen::{SeenEnvelopes, SEQ_NS_SHIFT};
@@ -93,9 +94,9 @@ pub const RELAY_RETRIES: u32 = 4;
 /// `base * (2^attempt - 1)`).
 pub const RETRY_BACKOFF_BASE_US: u64 = 500;
 
-/// The most relays one [`Transport::send_all`] carries. A batch sits
-/// whole in its receivers' inboxes until the relay drains them, so a
-/// range streaming a backlog is relayed in batches of this size.
+/// The most relays one [`Transport::send_all`] carries (bar the last
+/// event's). A batch sits whole in its receivers' inboxes until the
+/// relay drains them, so a backlog is relayed in batches of this size.
 const MAX_RELAY_BATCH: usize = 256;
 
 /// Envelope-sequence namespace bit for deferred-answer relays. Servers
@@ -117,6 +118,9 @@ pub(crate) type Sequenced<T> = Vec<(u64, T)>;
 /// asked: application deliveries, then deferred answers, each in
 /// production order.
 pub(crate) type Stream = (Sequenced<AppDelivery>, Sequenced<DeferredAnswer>);
+
+/// One published event and its remote deliveries' rows, by home range.
+type Grouped = (ContextEvent, Vec<(Guid, Vec<RelayRow>)>);
 
 // Public so it can bound the public core; declared in a private module
 // so nothing outside the crate can name or implement it.
@@ -740,12 +744,31 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
             let (deliveries, answers) = host.drain_stream();
             let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
             let mut batch = Vec::new();
+            let mut open: Option<Grouped> = None;
             for (seq, d) in deliveries {
                 self.metrics.stream_events.inc();
-                batch.extend(self.route_delivery(node, seq, d));
-                if batch.len() == MAX_RELAY_BATCH {
-                    self.send_batch(std::mem::take(&mut batch), now)?;
+                let home = self.home_of(d.app, node);
+                // The overlay's filter: a recovered range may re-stream.
+                if home == node {
+                    if self.seen_relays.insert((node, seq)) {
+                        self.inbox.entry(d.app).or_default().push(d);
+                    } else {
+                        self.metrics.relay_dedup_hits.inc();
+                    }
+                    continue;
                 }
+                self.metrics.relay_events.inc();
+                if let Some(done) = open.take_if(|(e, _)| !same_publish(e, &d.event)) {
+                    self.relay_event(node, done, &mut batch, now)?;
+                }
+                let (_, groups) = open.get_or_insert_with(|| (d.event, Vec::new()));
+                match groups.iter_mut().find(|(at, _)| *at == home) {
+                    Some((_, rows)) => rows.push((seq, d.app, d.query)),
+                    None => groups.push((home, vec![(seq, d.app, d.query)])),
+                }
+            }
+            if let Some(done) = open {
+                self.relay_event(node, done, &mut batch, now)?;
             }
             for (seq, a) in answers {
                 self.metrics.stream_answers.inc();
@@ -799,31 +822,26 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
         }
     }
 
-    /// Routes one application delivery produced at `node` under its
-    /// server-minted envelope sequence: local-home traffic lands in the
-    /// inbox, cross-range traffic is returned for the range's batch as
-    /// a binary record behind its exactly-once `(origin, seq)` envelope
-    /// header ([`event_relay_payload`]). Local traffic passes the
-    /// same `seen_relays` filter the overlay path uses, so a
-    /// WAL-recovered range re-streaming traffic it already handed over
-    /// before the crash deduplicates to exactly-once on both paths.
-    fn route_delivery(&mut self, node: Guid, seq: u64, d: AppDelivery) -> Option<Message> {
-        let home = self.home_of(d.app, node);
-        if home == node {
-            if self.seen_relays.insert((node, seq)) {
-                self.inbox.entry(d.app).or_default().push(d);
-            } else {
-                self.metrics.relay_dedup_hits.inc();
-            }
-            return None;
+    /// Queues one [`event_relay_group`] per home range, sending a full batch.
+    fn relay_event(
+        &mut self,
+        node: Guid,
+        (event, groups): Grouped,
+        batch: &mut Vec<Message>,
+        now: VirtualTime,
+    ) -> SciResult<()> {
+        for (home, rows) in groups {
+            let payload = event_relay_group(node, &rows, &event);
+            batch.push(self.envelope(node, home, MessageKind::EventRelay, payload));
         }
-        let payload = event_relay_payload((node, seq), &d);
-        self.metrics.relay_events.inc();
-        Some(self.envelope(node, home, MessageKind::EventRelay, payload))
+        if batch.len() < MAX_RELAY_BATCH {
+            return Ok(());
+        }
+        self.send_batch(std::mem::take(batch), now)
     }
 
-    /// Routes one deferred answer produced at `node` — the
-    /// `route_delivery` twin for the `answer-relay` envelope (the CAPA
+    /// Routes one deferred answer produced at `node` as the pump does a
+    /// delivery, one `answer-relay` envelope each (the CAPA
     /// lobby→Level-Ten pattern in reverse). The server-minted sequence
     /// is shifted into the answer namespace so answer and delivery
     /// counters cannot collide in the shared `(origin, seq)` filter.
@@ -987,12 +1005,12 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
         mine
     }
 
-    /// Delivers one overlay message to its application behind the
-    /// exactly-once filter: an envelope `(origin, seq)` already seen is
-    /// counted in `federation.relay.dedup_hits` and discarded. Event
-    /// relays are additionally checked against their query's freshness
-    /// bound at `arrival`. Non-relay traffic (stray query forwards and
-    /// answers from degraded submissions) is dropped.
+    /// Delivers one overlay message behind the exactly-once filter: an
+    /// envelope `(origin, seq)` already seen is discarded, and a relay
+    /// that carried one counts once in `federation.relay.dedup_hits`.
+    /// Each new event row is checked against its query's freshness bound
+    /// at `arrival`. Non-relay traffic (stray query forwards and answers
+    /// from degraded submissions) is dropped.
     ///
     /// An envelope is recorded only once its payload has decoded, so a
     /// mangled copy cannot mask the well-formed retransmission; a
@@ -1006,6 +1024,24 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
     fn absorb(&mut self, m: Message, arrival: VirtualTime) -> SciResult<()> {
         let (envelope, relayed) = match decode_relay(&m, &self.seen_relays) {
             Ok(Landed::Relay(envelope, relayed)) => (envelope, relayed),
+            Ok(Landed::Event(origin, mut rows, event)) => {
+                let carried = rows.len();
+                rows.retain(|&(seq, ..)| self.seen_relays.insert((origin, seq)));
+                if rows.len() < carried {
+                    self.metrics.relay_dedup_hits.inc();
+                }
+                let age = arrival.saturating_since(event.timestamp);
+                for (_, app, query) in rows {
+                    if self.relay_max_age.get(&query).is_some_and(|&max| age > max) {
+                        self.metrics.relay_stale_drops.inc();
+                        continue;
+                    }
+                    let event = event.clone();
+                    let delivery = AppDelivery { app, query, event };
+                    self.inbox.entry(app).or_default().push(delivery);
+                }
+                return Ok(());
+            }
             Ok(Landed::Duplicate) => {
                 self.metrics.relay_dedup_hits.inc();
                 return Ok(());
@@ -1020,19 +1056,6 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
             }
         };
         match relayed {
-            Relayed::Delivery(d) => {
-                self.seen_relays.insert(envelope);
-                let stale = self
-                    .relay_max_age
-                    .get(&d.query)
-                    .is_some_and(|&max| arrival.saturating_since(d.event.timestamp) > max);
-                if stale {
-                    self.metrics.relay_stale_drops.inc();
-                } else {
-                    self.inbox.entry(d.app).or_default().push(d);
-                }
-                Ok(())
-            }
             Relayed::Answer((query, app, answer)) => {
                 self.seen_relays.insert(envelope);
                 self.answers.entry(app).or_default().push((query, answer));
@@ -1151,6 +1174,12 @@ fn place_key(place: &str) -> String {
     format!("place/{place}")
 }
 
+/// Whether two deliveries carry what one bus fan-out published.
+fn same_publish(a: &ContextEvent, b: &ContextEvent) -> bool {
+    (a.source, a.seq, a.timestamp, &a.topic) == (b.source, b.seq, b.timestamp, &b.topic)
+        && std::sync::Arc::ptr_eq(&a.payload, &b.payload)
+}
+
 fn expect_answer(reply: RangeReply) -> SciResult<QueryAnswer> {
     match reply {
         RangeReply::Answer(answer) => Ok(answer),
@@ -1161,9 +1190,8 @@ fn expect_answer(reply: RangeReply) -> SciResult<QueryAnswer> {
     }
 }
 
-/// The decoded body of one enveloped relay message.
+/// The decoded body of one enveloped relay document.
 enum Relayed {
-    Delivery(AppDelivery),
     Answer(DeferredAnswer),
     Migration(MigrationPacket),
 }
@@ -1173,30 +1201,32 @@ enum Landed {
     /// Not a relay at all: other message kinds, and the bare `<answer>`
     /// of a query round-trip whose submission already degraded.
     Stranger,
-    /// A relay whose envelope `seen` has already recorded.
+    /// A relay whose every envelope `seen` has already recorded.
     Duplicate,
     /// A relay not seen before, under its `(origin, seq)` envelope.
     Relay((Guid, u64), Relayed),
+    /// An event relay from `origin` with a row not seen before.
+    Event(Guid, Vec<RelayRow>, ContextEvent),
 }
 
 /// Decodes the payload of an overlay message that may be a relay.
 /// Total: any payload yields a value or an error, never a panic.
 ///
-/// An event relay is a binary record; `seen` is consulted on its
-/// envelope header before the body is decoded, so a retransmission
-/// costs 24 bytes of reading. Answers and migration packets are the
-/// documents the paper exchanges between ranges and stay XML.
+/// An event relay is a binary record; `seen` is consulted on its rows
+/// before the event is decoded, so a retransmission costs only its
+/// rows of reading. Answers and migration packets are the documents the
+/// paper exchanges between ranges and stay XML.
 fn decode_relay(m: &Message, seen: &SeenEnvelopes) -> SciResult<Landed> {
     let root = match m.kind {
         MessageKind::EventRelay => {
             let mut r = wire::Reader::new(&m.payload);
-            let envelope = get_envelope(&mut r)?;
-            if seen.contains(envelope) {
+            let (origin, rows) = get_relay_head(&mut r)?;
+            if rows.iter().all(|&(seq, ..)| seen.contains((origin, seq))) {
                 return Ok(Landed::Duplicate);
             }
-            let delivery = get_delivery(&mut r)?;
+            let event = get_event(&mut r)?;
             expect_end(&r, "an event relay")?;
-            return Ok(Landed::Relay(envelope, Relayed::Delivery(delivery)));
+            return Ok(Landed::Event(origin, rows, event));
         }
         MessageKind::QueryResponse => "answer-relay",
         MessageKind::Migrate => "migrate",
@@ -1370,6 +1400,50 @@ mod tests {
         core.pump(VirtualTime::from_secs(1)).unwrap();
         assert_eq!(core.deliveries_for(app).len(), 600);
         assert_eq!(core.transport().1, [256, 256, 88]);
+    }
+
+    #[test]
+    fn one_event_crosses_once_per_home_range() {
+        let (near, far, local) = (
+            Guid::from_u128(0xa),
+            Guid::from_u128(0xb),
+            Guid::from_u128(0xc),
+        );
+        let event = |k: i64| {
+            let at = VirtualTime::from_secs(1);
+            ContextEvent::new(
+                Guid::from_u128(0x5),
+                ContextType::Presence,
+                ContextValue::Int(k),
+                at,
+            )
+        };
+        let (first, second) = (event(1), event(2));
+        let to = |app, event: &ContextEvent| AppDelivery {
+            app,
+            query: Guid::from_u128(0x9),
+            event: event.clone(),
+        };
+        // One fan-out of `first` with a local delivery between its two
+        // remote ones, then `second`, whose payload is its own.
+        let stream = vec![
+            (0, to(near, &first)),
+            (1, to(local, &first)),
+            (2, to(far, &first)),
+            (3, to(near, &second)),
+        ];
+        let mut producer = Scripted::new(1, "a");
+        producer.streams.push_back((stream, Vec::new()));
+        let net = Batching(SimNetwork::new(), Vec::new());
+        let mut core = core_over(net, [producer, Scripted::new(2, "b")]);
+        let (a, b) = (core.node_named("a").unwrap(), core.node_named("b").unwrap());
+        core.app_home.extend([(near, b), (far, b), (local, a)]);
+
+        core.pump(VirtualTime::from_secs(1)).unwrap();
+        assert_eq!(core.transport().1, [2], "one relay per published event");
+        let got = [near, far, local].map(|app| core.deliveries_for(app).len());
+        assert_eq!(got, [2, 1, 1]);
+        assert_eq!(core.metrics.relay_events.get(), 3);
     }
 
     #[test]

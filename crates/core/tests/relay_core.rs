@@ -6,12 +6,17 @@
 //!   for the `QueryResponse` and `Migrate` documents: not UTF-8, not
 //!   XML, wrong root element, a missing `app`/`query`/`origin`/`seq`,
 //!   a non-numeric `seq`, a missing body; for the binary `EventRelay`
-//!   record: cut at any byte, an unknown value tag, a hostile count,
-//!   nesting past the bound, a non-UTF-8 topic, trailing garbage,
-//!   the XML `<relay>` of an earlier protocol version — yields
-//!   `SciError::Codec` and a `federation.relay.undecodable` count:
-//!   never a panic, and never a poisoned exactly-once entry that would
-//!   mask the well-formed retransmission of the same envelope.
+//!   record: cut at any byte, no rows, a hostile row count, an unknown
+//!   value tag, a hostile count, nesting past the bound, a non-UTF-8
+//!   topic, trailing garbage, the XML `<relay>` of an earlier protocol
+//!   version — yields `SciError::Codec` and a
+//!   `federation.relay.undecodable` count: never a panic, and never a
+//!   poisoned exactly-once entry that would mask the well-formed
+//!   retransmission of the same envelope.
+//! * **One relay, several rows.** An event relay carries the event
+//!   once and one `(seq, app, query)` row per delivery; exactly-once
+//!   holds row by row — for a partly seen group, a mangled group and
+//!   its retransmission, and a row repeated inside one relay.
 //! * **Exactly-once under faults.** Under drop, duplicate and ack-loss
 //!   schedules over 32 pinned seeds, the delivered multiset equals the
 //!   unfaulted one, duplicates are caught by the `(origin, seq)`
@@ -30,7 +35,7 @@
 
 use bytes::Bytes;
 use sci_core::context_server::{AppDelivery, ContextServer, QueryAnswer};
-use sci_core::federation::{answer_element, event_relay_payload};
+use sci_core::federation::{answer_element, event_relay_group, event_relay_payload, RelayRow};
 use sci_core::relay::RelayCore;
 use sci_core::MigrationPacket;
 use sci_location::floorplan::FloorPlan;
@@ -189,8 +194,8 @@ fn binary_manglings(origin: Guid, seq: u64) -> Manglings {
             .unwrap()
     };
     let topic = find(b"presence");
-    // Envelope, addressing and the event up to its sequence number:
-    // what precedes the event's value.
+    // Origin, the row and the event up to its sequence number: what
+    // precedes the event's value.
     let front = &good[..topic + "presence".len() + 8 + 8];
     let behind_front = |value: &[u8]| [front, value].concat();
     let mut cases: Manglings = (0..good.len())
@@ -198,7 +203,17 @@ fn binary_manglings(origin: Guid, seq: u64) -> Manglings {
         .collect();
     let mut bad_topic = good.clone();
     bad_topic[topic] = 0xff;
+    // Origin, row count, one 40-byte row: where the event record starts.
+    let (count, event) = (16, 16 + 4 + 40);
     cases.extend([
+        (
+            "no rows".into(),
+            [&good[..count], &[0; 4], &good[event..]].concat(),
+        ),
+        (
+            "hostile row count".into(),
+            [&good[..count], &[0xff; 4], &good[count + 4..]].concat(),
+        ),
         ("unknown value tag".into(), behind_front(&[0x7f])),
         (
             "hostile count".into(),
@@ -361,6 +376,75 @@ fn strangers_are_dropped_without_a_trace() {
     core.pump(VirtualTime::from_secs(1)).unwrap();
     assert!(core.answers_for(APP).is_empty());
     assert_eq!(core.relay_dedup_hits(), 0);
+}
+
+// ---------------------------------------------------------------------
+// One event relay, several rows
+// ---------------------------------------------------------------------
+
+const APP2: Guid = Guid::from_u128(0xA9A);
+
+/// Sends one `EventRelay` from `range-0` to `range-1` carrying one
+/// event under `rows` of `(seq, app)`, its last `cut` bytes cut off,
+/// then pumps it in.
+fn relay_group(core: &mut Core, rows: &[(u64, Guid)], cut: usize) -> Result<(), SciError> {
+    let node = |name| core.transport().find_by_name(name).unwrap();
+    let (src, dst) = (node("range-0"), node("range-1"));
+    let rows: Vec<RelayRow> = rows.iter().map(|&(seq, app)| (seq, app, QUERY)).collect();
+    let mut payload = event_relay_group(src, &rows, &presence(src, 0));
+    payload.truncate(payload.len() - cut);
+    let id = Guid::from_u128(0x900);
+    let msg = Message::new(id, src, dst, MessageKind::EventRelay, Bytes::from(payload));
+    core.transport_mut().send(msg).unwrap();
+    core.pump(VirtualTime::from_secs(1))
+}
+
+/// How many deliveries `APP` and `APP2` have received since last asked.
+fn landed(core: &mut Core) -> (usize, usize) {
+    (
+        core.deliveries_for(APP).len(),
+        core.deliveries_for(APP2).len(),
+    )
+}
+
+/// A relay re-grouped around a row already delivered (what a
+/// recovered range re-streaming its outbox may produce) delivers its
+/// other rows, and counts once as a duplicate.
+#[test]
+fn a_partly_seen_group_delivers_exactly_its_unseen_rows() {
+    let (mut core, _, _) = core_of(2, 1);
+    relay_group(&mut core, &[(1, APP)], 0).unwrap();
+    assert_eq!(landed(&mut core), (1, 0));
+    relay_group(&mut core, &[(1, APP), (2, APP2), (3, APP)], 0).unwrap();
+    assert_eq!(landed(&mut core), (1, 1));
+    assert_eq!(core.relay_dedup_hits(), 1);
+    relay_group(&mut core, &[(2, APP2), (3, APP)], 0).unwrap();
+    assert_eq!(landed(&mut core), (0, 0));
+    assert_eq!(core.relay_dedup_hits(), 2);
+}
+
+/// Rows are recorded only once the event has decoded: a mangled group
+/// masks none of them, and its intact retransmission delivers each once.
+#[test]
+fn a_mangled_group_then_its_retransmission_delivers_every_row_once() {
+    let (mut core, _, _) = core_of(2, 1);
+    let rows = [(1, APP), (2, APP2)];
+    let refused = relay_group(&mut core, &rows, 1);
+    assert!(matches!(refused, Err(SciError::Codec(_))), "{refused:?}");
+    assert_eq!(landed(&mut core), (0, 0));
+    relay_group(&mut core, &rows, 0).unwrap();
+    assert_eq!(landed(&mut core), (1, 1));
+    assert_eq!(core.relay_dedup_hits(), 0);
+}
+
+/// A row repeated inside one relay is one delivery, and the relay
+/// counts once as a duplicate.
+#[test]
+fn a_row_repeated_inside_one_relay_is_delivered_once() {
+    let (mut core, _, _) = core_of(2, 1);
+    relay_group(&mut core, &[(1, APP), (1, APP), (2, APP)], 0).unwrap();
+    assert_eq!(landed(&mut core), (2, 0));
+    assert_eq!(core.relay_dedup_hits(), 1);
 }
 
 // ---------------------------------------------------------------------

@@ -63,8 +63,9 @@ use crate::transport::Transport;
 /// frame a dialer waits for, which a version-1 acceptor never sends;
 /// version 3 made the `EventRelay` payload a binary record, which a
 /// version-2 relay would refuse as malformed XML. Cumulative ACKs kept
-/// version 3: every version-3 sender reads an ACK as cumulative.
-pub const TCP_PROTOCOL_VERSION: u32 = 3;
+/// version 3: every version-3 sender reads an ACK as cumulative. In
+/// version 4 an `EventRelay` carries rows of deliveries, not one.
+pub const TCP_PROTOCOL_VERSION: u32 = 4;
 
 // Control-frame tags sit above the 0–8 range MessageKind occupies, so
 // a frame's role is readable from its tag alone.

@@ -25,7 +25,9 @@ mod support;
 
 use proptest::prelude::*;
 use sci::prelude::*;
-use support::chaos::{collect, matrix_seeds, range_plan, run_subscribing_under, run_with, Outcome};
+use support::chaos::{
+    collect, matrix_seeds, range_plan, run_grouped, run_subscribing_under, run_with, Outcome,
+};
 
 type ChaosFed = Federation<FaultyTransport<SimNetwork>>;
 
@@ -98,6 +100,50 @@ fn dedup_hits_equal_retransmissions_under_total_ack_loss() {
     );
 }
 
+/// Relays of two rows, on the pinned seed matrix: a second app follows
+/// `range-1`, so every fault there hits a real group. Under chaos the
+/// delivery multiset is the fault-free run's, and a seed replays its
+/// outcome, counters included.
+#[test]
+fn grouped_relays_match_the_fault_free_run_and_replay_from_their_seed() {
+    for seed in matrix_seeds() {
+        let clean = run_grouped(SimNetwork::new(), seed, FaultProbs::NONE);
+        assert_eq!(clean.deliveries.len(), 30, "seed {seed}");
+        assert_eq!((clean.dedup_hits, clean.retry_attempts), (0, 0));
+        let chaos = run_grouped(SimNetwork::new(), seed, FaultProbs::lossy(0.3));
+        assert_eq!(
+            chaos.deliveries, clean.deliveries,
+            "seed {seed}: grouped delivery multiset diverged under chaos"
+        );
+        let again = run_grouped(SimNetwork::new(), seed, FaultProbs::lossy(0.3));
+        assert_eq!(again, chaos, "seed {seed}: grouped run did not replay");
+    }
+}
+
+/// The acceptance invariant with groups: a copy of a relay counts one
+/// dedup hit however many rows it carries, so with `ack_loss = 1.0`
+/// dedup hits still equal retransmissions exactly.
+#[test]
+fn grouped_dedup_hits_equal_retransmissions_under_total_ack_loss() {
+    let probs = FaultProbs {
+        drop: 0.4,
+        ack_loss: 1.0,
+        ..FaultProbs::NONE
+    };
+    let mut exercised = false;
+    for seed in matrix_seeds() {
+        let chaos = run_grouped(SimNetwork::new(), seed, probs);
+        assert_eq!(
+            chaos.dedup_hits, chaos.retry_attempts,
+            "seed {seed}: dedup hits must equal retransmissions exactly"
+        );
+        let clean = run_grouped(SimNetwork::new(), seed, FaultProbs::NONE);
+        assert_eq!(chaos.deliveries, clean.deliveries, "seed {seed}");
+        exercised |= chaos.retry_attempts > 0;
+    }
+    assert!(exercised, "at 40% drop some seed must retransmit a group");
+}
+
 /// A named partition isolates a producing range mid-stream; its relays
 /// park instead of vanishing, and delivery completes after the heal.
 #[test]
@@ -154,7 +200,7 @@ fn partitioned_relays_park_and_deliver_after_heal() {
                 );
                 fed.ingest_at(target, &ev, now).unwrap();
             }
-            collect(&mut fed, app, &mut deliveries);
+            collect(&mut fed, &[app], &mut deliveries);
         }
         assert!(
             fed.retry_parked() > 0,
@@ -167,10 +213,10 @@ fn partitioned_relays_park_and_deliver_after_heal() {
                 break;
             }
             fed.pump(VirtualTime::from_secs(100 + step)).unwrap();
-            collect(&mut fed, app, &mut deliveries);
+            collect(&mut fed, &[app], &mut deliveries);
         }
         fed.pump(VirtualTime::from_secs(200)).unwrap();
-        collect(&mut fed, app, &mut deliveries);
+        collect(&mut fed, &[app], &mut deliveries);
 
         deliveries.sort_unstable();
         assert_eq!(

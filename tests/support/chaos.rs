@@ -41,13 +41,13 @@ pub fn range_plan(i: usize) -> FloorPlan {
         .unwrap()
 }
 
-/// Drains the app's deliveries into a comparable string multiset.
+/// Drains the apps' deliveries into a comparable string multiset.
 pub fn collect<T: Transport>(
     fed: &mut Federation<FaultyTransport<T>>,
-    app: Guid,
+    apps: &[Guid],
     into: &mut Vec<String>,
 ) {
-    for d in fed.deliveries_for(app) {
+    for d in apps.iter().flat_map(|&app| fed.deliveries_for(app)) {
         into.push(format!(
             "{}|{}|{}|{:?}",
             d.app, d.query, d.event.timestamp, d.event.payload
@@ -63,6 +63,13 @@ pub fn run_with<T: Transport>(inner: T, seed: u64, probs: FaultProbs) -> Outcome
     run_subscribing_under(inner, seed, FaultProbs::NONE, probs)
 }
 
+/// [`run_with`], but a second app homed in `range-0` also follows
+/// `range-1`: each of `range-1`'s events crosses as one relay of two
+/// rows, so faults hit real groups.
+pub fn run_grouped<T: Transport>(inner: T, seed: u64, probs: FaultProbs) -> Outcome {
+    run_scenario(inner, seed, FaultProbs::NONE, probs, true)
+}
+
 /// [`run_with`], but the app subscribes under `subscribe_probs`, and
 /// resubmits on a partial answer until it is subscribed, as an
 /// application would.
@@ -71,6 +78,45 @@ pub fn run_subscribing_under<T: Transport>(
     seed: u64,
     subscribe_probs: FaultProbs,
     probs: FaultProbs,
+) -> Outcome {
+    run_scenario(inner, seed, subscribe_probs, probs, false)
+}
+
+/// Subscribes `app`, homed in `range-0`, to presence in `target`,
+/// resubmitting on a partial answer.
+fn follow<T: Transport>(
+    fed: &mut Federation<FaultyTransport<T>>,
+    query: Guid,
+    app: Guid,
+    target: &str,
+    seed: u64,
+) {
+    let q = Query::builder(query, app)
+        .info(ContextType::Presence)
+        .in_range(target)
+        .mode(Mode::Subscribe)
+        .build();
+    let mut attempts = 0;
+    let fa = loop {
+        let fa = fed.submit_from("range-0", &q, VirtualTime::ZERO).unwrap();
+        attempts += 1;
+        if !fa.answer.is_degraded() || attempts == 64 {
+            break fa;
+        }
+    };
+    assert!(
+        matches!(fa.answer, QueryAnswer::Subscribed { .. }),
+        "seed {seed}: subscription failed ({attempts} attempts)"
+    );
+}
+
+/// The scenario; `grouped` adds [`run_grouped`]'s second app.
+fn run_scenario<T: Transport>(
+    inner: T,
+    seed: u64,
+    subscribe_probs: FaultProbs,
+    probs: FaultProbs,
+    grouped: bool,
 ) -> Outcome {
     let mut ids = GuidGenerator::seeded(0xc0ffee);
     let mut fed: Federation<FaultyTransport<T>> =
@@ -95,23 +141,13 @@ pub fn run_subscribing_under<T: Transport>(
     fed.transport_mut().set_default_probs(subscribe_probs);
     let app = ids.next_guid();
     for target in ["range-1", "range-2"] {
-        let q = Query::builder(ids.next_guid(), app)
-            .info(ContextType::Presence)
-            .in_range(target)
-            .mode(Mode::Subscribe)
-            .build();
-        let mut attempts = 0;
-        let fa = loop {
-            let fa = fed.submit_from("range-0", &q, VirtualTime::ZERO).unwrap();
-            attempts += 1;
-            if !fa.answer.is_degraded() || attempts == 64 {
-                break fa;
-            }
-        };
-        assert!(
-            matches!(fa.answer, QueryAnswer::Subscribed { .. }),
-            "seed {seed}: subscription failed ({attempts} attempts)"
-        );
+        follow(&mut fed, ids.next_guid(), app, target, seed);
+    }
+    let mut apps = vec![app];
+    if grouped {
+        let second = ids.next_guid();
+        follow(&mut fed, ids.next_guid(), second, "range-1", seed);
+        apps.push(second);
     }
 
     // Chaos phase: every relay now crosses a faulty link.
@@ -131,7 +167,7 @@ pub fn run_subscribing_under<T: Transport>(
             );
             fed.ingest_at(target, &ev, now).unwrap();
         }
-        collect(&mut fed, app, &mut deliveries);
+        collect(&mut fed, &apps, &mut deliveries);
     }
 
     // Eventual connectivity: heal and pump to quiescence.
@@ -141,7 +177,7 @@ pub fn run_subscribing_under<T: Transport>(
             break;
         }
         fed.pump(VirtualTime::from_secs(100 + step)).unwrap();
-        collect(&mut fed, app, &mut deliveries);
+        collect(&mut fed, &apps, &mut deliveries);
     }
     assert_eq!(
         fed.pending_relay_count(),
@@ -150,7 +186,7 @@ pub fn run_subscribing_under<T: Transport>(
     );
     // One last pump so the final sweep lands everything.
     fed.pump(VirtualTime::from_secs(200)).unwrap();
-    collect(&mut fed, app, &mut deliveries);
+    collect(&mut fed, &apps, &mut deliveries);
 
     deliveries.sort_unstable();
     Outcome {

@@ -12,8 +12,8 @@
 //! * **chaos parity** — the seeded fault proxy wrapped around sockets
 //!   replays the same injected schedule as around the simulator, so
 //!   the whole chaos outcome (deliveries *and* retry/dedup counters)
-//!   matches field for field, and the same seed replays identically
-//!   on real sockets;
+//!   matches field for field, for relays of one row and of two, and
+//!   the same seed replays identically on real sockets;
 //! * **wire-only behaviour** — peering version negotiation rejects
 //!   mismatched nodes, and a late joiner converges its registration
 //!   store through anti-entropy rather than a full-state push.
@@ -25,7 +25,7 @@ mod support;
 
 use sci::overlay::TCP_PROTOCOL_VERSION;
 use sci::prelude::*;
-use support::chaos::{parity_seeds, range_plan, run_with, Outcome};
+use support::chaos::{parity_seeds, range_plan, run_grouped, run_with, Outcome};
 use support::net::{assert_loopback_ephemeral, tcp};
 
 /// A 4-range federation over a bare transport: an app homed in
@@ -433,6 +433,21 @@ fn chaos_outcome_matches_simnetwork_under_the_same_seed() {
             over_tcp, over_sim,
             "seed {seed}: chaos outcome diverged between sockets and simulator"
         );
+        // Relays of two rows: the same outcome on both wires, the
+        // fault-free multiset, and exact dedup accounting at total ack
+        // loss.
+        let grouped = run_grouped(tcp(), seed, probs);
+        assert_eq!(grouped, run_grouped(SimNetwork::new(), seed, probs));
+        let clean = run_grouped(SimNetwork::new(), seed, FaultProbs::NONE);
+        assert_eq!(grouped.deliveries, clean.deliveries, "seed {seed}");
+        let acks_lost = FaultProbs {
+            drop: 0.4,
+            ack_loss: 1.0,
+            ..FaultProbs::NONE
+        };
+        let lossy = run_grouped(tcp(), seed, acks_lost);
+        assert_eq!(lossy.dedup_hits, lossy.retry_attempts, "seed {seed}");
+        assert_eq!(lossy.deliveries, clean.deliveries, "seed {seed}");
     }
 }
 
