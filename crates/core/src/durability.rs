@@ -27,8 +27,9 @@
 //!   below).
 //! * **Snapshots bound replay.** Every [`DurabilityConfig::snapshot_every`]
 //!   logged commands, the post-command state is serialised — a
-//!   `<range-snapshot>` document (the same `Element` conventions as
-//!   [`crate::migration::MigrationPacket`]) for what the paper
+//!   `<range-snapshot>` document (the sections of
+//!   [`crate::migration::MigrationPacket`], written by the same
+//!   `XmlWriter` straight into the payload) for what the paper
 //!   exchanges as documents, then the position and history tables in
 //!   the binary record form of `records.rs` — and written
 //!   atomically via [`sci_wal::write_snapshot`]; fully covered closed
@@ -79,7 +80,7 @@ use std::time::Instant;
 
 use sci_location::floorplan::FloorPlan;
 use sci_query::codec as qcodec;
-use sci_query::xml::{parse, Element};
+use sci_query::xml::{document, parse, Element, XmlWriter};
 use sci_query::Query;
 use sci_telemetry::{Counter, Gauge, Histogram, Registry};
 use sci_types::{
@@ -96,7 +97,7 @@ use crate::logic::LogicFactory;
 use crate::migration::MigrationPacket;
 use crate::records::{
     answer_to_xml, expect_end, frame_err, get_coord, get_count, get_event, get_guid, get_rows,
-    parsed_attr, put_coord, put_event, skim_event, MIN_EVENT_LEN,
+    parsed_attr, put_coord, put_event, skim_event, write_deferred, MIN_EVENT_LEN,
 };
 use crate::runtime::RangeCommand;
 use crate::telemetry::elapsed_us;
@@ -129,14 +130,15 @@ fn wal_err(e: WalError) -> SciError {
 /// Encodes one durable command as a WAL frame: tag =
 /// [`RangeCommand::kind_index`], payload = `[u64 now-us]` followed by
 /// the variant body. Structured bodies (profiles, advertisements,
-/// queries, migration packets) reuse the existing XML wire codecs;
-/// GUIDs, flags and events are binary (`records.rs`).
+/// queries, migration packets) are their XML documents as
+/// length-prefixed strings, written in place; GUIDs, flags and events
+/// are binary (`records.rs`).
 pub fn encode_command(cmd: &RangeCommand, now: VirtualTime) -> Frame {
     let mut p = Vec::new();
     wire::put_u64(&mut p, now.as_micros());
     match cmd {
         RangeCommand::Register(profile) => {
-            wire::put_str(&mut p, &qcodec::profile_to_element(profile).to_xml());
+            put_document(&mut p, |w| qcodec::write_profile(w, profile))
         }
         RangeCommand::RegisterLogic(ce, _factory) => wire::put_u128(&mut p, ce.as_u128()),
         RangeCommand::DeclareEquivalence(a, b) => {
@@ -149,10 +151,8 @@ pub fn encode_command(cmd: &RangeCommand, now: VirtualTime) -> Frame {
         | RangeCommand::DrainOutboxFor(g)
         | RangeCommand::MigrateOut(g)
         | RangeCommand::Fail(g) => wire::put_u128(&mut p, g.as_u128()),
-        RangeCommand::Advertise(ad) => {
-            wire::put_str(&mut p, &qcodec::advertisement_to_element(ad).to_xml());
-        }
-        RangeCommand::Submit(query) => wire::put_str(&mut p, &qcodec::to_xml(query)),
+        RangeCommand::Advertise(ad) => put_document(&mut p, |w| qcodec::write_advertisement(w, ad)),
+        RangeCommand::Submit(query) => put_document(&mut p, |w| qcodec::write_query(w, query)),
         RangeCommand::Ingest(event) => put_event(&mut p, event),
         RangeCommand::IngestBatch(events) => {
             wire::put_u32(&mut p, events.len() as u32);
@@ -168,9 +168,20 @@ pub fn encode_command(cmd: &RangeCommand, now: VirtualTime) -> Frame {
         RangeCommand::SetReuse(b)
         | RangeCommand::SetAutoRegisterPeople(b)
         | RangeCommand::SetPlanVerification(b) => wire::put_u8(&mut p, u8::from(*b)),
-        RangeCommand::MigrateIn(packet) => wire::put_str(&mut p, &packet.to_xml()),
+        RangeCommand::MigrateIn(packet) => put_document(&mut p, |w| packet.write(w)),
     }
     Frame::new(cmd.kind_index() as u8, p)
+}
+
+/// Appends the document `write` writes as a length-prefixed string
+/// (`wire::put_str`'s bytes), written in place: a length placeholder,
+/// the document, then the length.
+fn put_document(out: &mut Vec<u8>, write: impl FnOnce(&mut XmlWriter<'_>)) {
+    let at = out.len();
+    wire::put_u32(out, 0);
+    write(&mut XmlWriter::new(out));
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_be_bytes());
 }
 
 /// Decodes a WAL frame back into `(command, now)`.
@@ -529,62 +540,72 @@ impl RangeWal {
 // Snapshot codec
 // ---------------------------------------------------------------------
 
-/// The document half of a snapshot: a `<range-snapshot>` element with
-/// a header of settings, what the range holds on behalf of everyone
-/// (the sections a [`MigrationPacket`] carries for one entity) and the
-/// small range-only tables — logic keys, equivalences, exclusions, when
-/// each liveness-tracked source was last heard and, on the root, the
-/// stream sequence counters. Every collection is
+/// Writes the document half of a snapshot: a `<range-snapshot>` element
+/// with a header of settings, what the range holds on behalf of
+/// everyone (the sections a [`MigrationPacket`] carries for one entity)
+/// and the small range-only tables — logic keys, equivalences,
+/// exclusions, when each liveness-tracked source was last heard and, on
+/// the root, the stream sequence counters. Every collection is
 /// emitted in a deterministic order so identical states produce
 /// identical bytes.
-pub(crate) fn snapshot_element(cs: &ContextServer, now: VirtualTime) -> Element {
-    let (delivery_seq, answer_seq) = cs.stream_seqs();
-    let mut e = Element::new("range-snapshot")
-        .with_attr("now-us", now.as_micros().to_string())
-        .with_attr("reuse", cs.instances().reuse_enabled().to_string())
-        .with_attr("auto-register", cs.auto_register_people().to_string())
-        .with_attr("verify-plans", cs.plan_verification().to_string())
-        .with_attr("delivery-seq", delivery_seq.to_string())
-        .with_attr("answer-seq", answer_seq.to_string());
+fn write_snapshot_document(w: &mut XmlWriter<'_>, cs: &ContextServer, now: VirtualTime) {
+    w.element("range-snapshot", |w| {
+        w.attr("now-us", now.as_micros());
+        write_settings(w, cs);
+        cs.held(None).write_sections(w);
+        write_excluded(w, cs);
+        // Present even when empty: its absence is how a snapshot that
+        // predates the table is told from one with nothing tracked.
+        w.element("liveness", |w| write_liveness_rows(w, cs, "source"));
+    });
+}
 
+/// The attributes and children a snapshot and the digest both open
+/// with: settings and stream counters, logic keys, equivalence classes.
+fn write_settings(w: &mut XmlWriter<'_>, cs: &ContextServer) {
+    let (delivery_seq, answer_seq) = cs.stream_seqs();
+    w.attr("reuse", cs.instances().reuse_enabled());
+    w.attr("auto-register", cs.auto_register_people());
+    w.attr("verify-plans", cs.plan_verification());
+    w.attr("delivery-seq", delivery_seq);
+    w.attr("answer-seq", answer_seq);
     for ce in cs.logic_keys() {
-        e = e.with_child(Element::new("logic").with_attr("ce", ce.to_string()));
+        w.element("logic", |w| w.attr("ce", ce));
     }
     for class in cs.profiles().equivalence_classes() {
-        let mut eq = Element::new("equivalence");
-        for member in class {
-            eq = eq.with_child(Element::new("member").with_attr("name", member.name()));
-        }
-        e = e.with_child(eq);
+        w.element("equivalence", |w| {
+            for member in class {
+                w.element("member", |w| w.attr("name", member.name()));
+            }
+        });
     }
-    e = cs.held(None).write_sections(e);
+}
+
+/// One `<excluded id=…/>` per excluded source, ascending GUID.
+fn write_excluded(w: &mut XmlWriter<'_>, cs: &ContextServer) {
     let mut excluded: Vec<Guid> = cs.excluded().iter().copied().collect();
     excluded.sort_unstable();
     for id in excluded {
-        e = e.with_child(Element::new("excluded").with_attr("id", id.to_string()));
+        w.element("excluded", |w| w.attr("id", id));
     }
-    // Present even when empty: its absence is how a snapshot that
-    // predates the table is told from one with nothing tracked.
-    let liveness = Element::new("liveness");
-    e.with_child(liveness_rows(cs, "source").fold(liveness, Element::with_child))
 }
 
 /// One `<name id=… last-seen-us=… max-silence-us=…/>` per
 /// liveness-tracked source, ascending GUID.
-fn liveness_rows<'a>(cs: &ContextServer, name: &'a str) -> impl Iterator<Item = Element> + 'a {
-    let rows = cs.mediator().liveness().into_iter();
-    rows.map(move |(id, last_seen, max_silence)| {
-        Element::new(name)
-            .with_attr("id", id.to_string())
-            .with_attr("last-seen-us", last_seen.as_micros().to_string())
-            .with_attr("max-silence-us", max_silence.as_micros().to_string())
-    })
+fn write_liveness_rows(w: &mut XmlWriter<'_>, cs: &ContextServer, name: &str) {
+    for (id, last_seen, max_silence) in cs.mediator().liveness() {
+        w.element(name, |w| {
+            w.attr("id", id);
+            w.attr("last-seen-us", last_seen.as_micros());
+            w.attr("max-silence-us", max_silence.as_micros());
+        });
+    }
 }
 
 /// Serialises the durable state of a server at `now` into a snapshot
 /// payload, and times it: `(payload, microseconds spent encoding)`.
 ///
-/// The payload is the [`snapshot_element`] document as one
+/// The payload is the [`write_snapshot_document`] document as one
 /// length-prefixed string, then two counted tables of binary records:
 /// last known positions (`entity`, `x`, `y`) and the history in export
 /// order ([`crate::history::ContextStore::write_records`]: the records
@@ -592,13 +613,13 @@ fn liveness_rows<'a>(cs: &ContextServer, name: &'a str) -> impl Iterator<Item = 
 /// and goes last, so a restore can stream it; nothing follows it.
 pub(crate) fn encode_snapshot(cs: &ContextServer, now: VirtualTime) -> (Vec<u8>, u64) {
     let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
-    let document = snapshot_element(cs, now).to_xml();
+    let mut p = Vec::new();
+    put_document(&mut p, |w| write_snapshot_document(w, cs, now));
     let positions = cs.location().export_positions();
     let history = cs.history();
-    // Sized once: the history table is the stored records, copied.
-    let len = 4 + document.len() + 4 + positions.len() * POSITION_LEN + 4 + history.record_bytes();
-    let mut p = Vec::with_capacity(len);
-    wire::put_str(&mut p, &document);
+    // The tables are sized once: the history table is the stored
+    // records, copied.
+    p.reserve_exact(4 + positions.len() * POSITION_LEN + 4 + history.record_bytes());
     wire::put_u32(&mut p, positions.len() as u32);
     for (entity, at) in positions {
         wire::put_u128(&mut p, entity.as_u128());
@@ -895,17 +916,18 @@ fn rebuild(
 // State digest (test oracle)
 // ---------------------------------------------------------------------
 
-/// Scrubs the non-durable identity of derived events: a source that is
-/// not a registered profile is a logic-instance GUID, whose mint order
-/// (and per-instance sequence numbering) legitimately differs between
-/// an uninterrupted timeline and a recovered one.
-fn normalized_event(cs: &ContextServer, event: &ContextEvent) -> Element {
-    let mut ev = event.clone();
+/// Writes an event with the non-durable identity of derived events
+/// scrubbed: a source that is not a registered profile is a
+/// logic-instance GUID, whose mint order (and per-instance sequence
+/// numbering) legitimately differs between an uninterrupted timeline
+/// and a recovered one.
+fn write_normalized_event(w: &mut XmlWriter<'_>, cs: &ContextServer, event: ContextEvent) {
+    let mut ev = event;
     if cs.profiles().get(ev.source).is_none() {
         ev.source = Guid::NIL;
         ev.seq = EventSeq(0);
     }
-    qcodec::event_to_element(&ev)
+    qcodec::write_event(w, &ev);
 }
 
 /// A deterministic serialisation of everything [`recover`] promises to
@@ -913,89 +935,65 @@ fn normalized_event(cs: &ContextServer, event: &ContextEvent) -> Element {
 /// suite. Two servers with equal digests are indistinguishable to any
 /// durable-state observer.
 ///
+/// The document is written straight into the string it returns, one
+/// history event decoded at a time, so building it holds little more
+/// than the string.
+///
 /// Deliberately excluded: instance counts, telemetry, stale-drop and
 /// rejected-plan tallies, registrar timestamps, and (per the module
 /// docs) logic-instance GUIDs, which are normalised away.
 pub fn durable_digest(cs: &ContextServer) -> String {
-    let (delivery_seq, answer_seq) = cs.stream_seqs();
-    let mut e = Element::new("durable-digest")
-        .with_attr("reuse", cs.instances().reuse_enabled().to_string())
-        .with_attr("auto-register", cs.auto_register_people().to_string())
-        .with_attr("verify-plans", cs.plan_verification().to_string())
-        .with_attr("delivery-seq", delivery_seq.to_string())
-        .with_attr("answer-seq", answer_seq.to_string());
-    for ce in cs.logic_keys() {
-        e = e.with_child(Element::new("logic").with_attr("ce", ce.to_string()));
-    }
-    for class in cs.profiles().equivalence_classes() {
-        let mut eq = Element::new("equivalence");
-        for member in class {
-            eq = eq.with_child(Element::new("member").with_attr("name", member.name()));
-        }
-        e = e.with_child(eq);
-    }
+    document(|w| w.element("durable-digest", |w| write_digest(w, cs)))
+}
+
+fn write_digest(w: &mut XmlWriter<'_>, cs: &ContextServer) {
+    write_settings(w, cs);
     let mut profiles: Vec<_> = cs.profiles().iter().collect();
     profiles.sort_by_key(|p| p.id());
     for p in profiles {
-        e = e.with_child(qcodec::profile_to_element(p));
+        qcodec::write_profile(w, p);
     }
-    let mut excluded: Vec<Guid> = cs.excluded().iter().copied().collect();
-    excluded.sort_unstable();
-    for id in excluded {
-        e = e.with_child(Element::new("excluded").with_attr("id", id.to_string()));
-    }
-    e = liveness_rows(cs, "tracked").fold(e, Element::with_child);
-    let mut providers: Vec<&Guid> = cs.advertisements_all().keys().collect();
-    providers.sort_unstable();
-    for provider in providers {
-        if let Some(ads) = cs.advertisements_all().get(provider) {
-            for ad in ads {
-                e = e.with_child(qcodec::advertisement_to_element(ad));
-            }
-        }
+    write_excluded(w, cs);
+    write_liveness_rows(w, cs, "tracked");
+    let mut providers: Vec<(&Guid, &Vec<_>)> = cs.advertisements_all().iter().collect();
+    providers.sort_unstable_by_key(|(provider, _)| **provider);
+    for ad in providers.into_iter().flat_map(|(_, ads)| ads) {
+        qcodec::write_advertisement(w, ad);
     }
     let mut standing: Vec<(&Guid, &Query)> = cs.origin_queries().iter().collect();
     standing.sort_by_key(|(id, _)| **id);
     for (_, q) in standing {
-        e = e.with_child(qcodec::query_to_element(q));
+        qcodec::write_query(w, q);
     }
     for (q, stored_at) in cs.deferred_entries() {
-        e = e.with_child(
-            Element::new("deferred")
-                .with_attr("stored-at-us", stored_at.as_micros().to_string())
-                .with_child(qcodec::query_to_element(&q)),
-        );
+        write_deferred(w, &q, stored_at);
     }
     for d in cs.outbox_ref() {
-        e = e.with_child(
-            Element::new("delivery")
-                .with_attr("app", d.app.to_string())
-                .with_attr("query", d.query.to_string())
-                .with_child(normalized_event(cs, &d.event)),
-        );
+        w.element("delivery", |w| {
+            w.attr("app", d.app);
+            w.attr("query", d.query);
+            write_normalized_event(w, cs, d.event.clone());
+        });
     }
     for (query, owner, answer) in cs.answers_ref() {
-        e = e.with_child(
-            Element::new("deferred-answer")
-                .with_attr("query", query.to_string())
-                .with_attr("owner", owner.to_string())
-                .with_child(Element::text_node("answer-xml", answer_to_xml(answer))),
-        );
+        w.element("deferred-answer", |w| {
+            w.attr("query", query);
+            w.attr("owner", owner);
+            w.leaf("answer-xml", answer_to_xml(answer));
+        });
     }
-    let mut history = Element::new("history");
-    for event in cs.history().export() {
-        history = history.with_child(normalized_event(cs, &event));
-    }
-    e = e.with_child(history);
+    w.element("history", |w| {
+        for event in cs.history().events() {
+            write_normalized_event(w, cs, event);
+        }
+    });
     for (entity, at) in cs.location().export_positions() {
-        e = e.with_child(
-            Element::new("position")
-                .with_attr("entity", entity.to_string())
-                .with_attr("x", at.x.to_string())
-                .with_attr("y", at.y.to_string()),
-        );
+        w.element("position", |w| {
+            w.attr("entity", entity);
+            w.attr("x", at.x);
+            w.attr("y", at.y);
+        });
     }
-    e.to_xml()
 }
 
 #[cfg(test)]
@@ -1170,8 +1168,9 @@ mod tests {
         }
     }
 
-    /// A small range with one of everything a snapshot carries.
-    fn populated() -> (ContextServer, [Element; 5]) {
+    /// A small range with one of everything a snapshot carries, and the
+    /// documents of its profiles, queries and reading.
+    fn populated() -> (ContextServer, [String; 5]) {
         let (thermo, app, query) = (
             Guid::from_u128(1),
             Guid::from_u128(0xA),
@@ -1216,13 +1215,17 @@ mod tests {
         let reading = ev(1, 2);
         cs.ingest(&reading, VirtualTime::from_secs(2)).unwrap();
         let sections = [
-            qcodec::profile_to_element(&profile),
-            qcodec::profile_to_element(&broken),
-            qcodec::query_to_element(&standing),
-            qcodec::query_to_element(&parked),
-            qcodec::event_to_element(&reading),
+            document(|w| qcodec::write_profile(w, &profile)),
+            document(|w| qcodec::write_profile(w, &broken)),
+            qcodec::to_xml(&standing),
+            qcodec::to_xml(&parked),
+            document(|w| qcodec::write_event(w, &reading)),
         ];
         (cs, sections)
+    }
+
+    fn snapshot_document(cs: &ContextServer, now: VirtualTime) -> String {
+        document(|w| write_snapshot_document(w, cs, now))
     }
 
     /// Pins the snapshot: the `<range-snapshot>` vocabulary — element
@@ -1247,7 +1250,7 @@ mod tests {
             Guid::from_u128(1)
         );
         let now = VirtualTime::from_secs(3);
-        assert_eq!(snapshot_element(&cs, now).to_xml(), expected);
+        assert_eq!(snapshot_document(&cs, now), expected);
 
         let (payload, _) = encode_snapshot(&cs, now);
         let mut document = Vec::new();
@@ -1306,7 +1309,7 @@ mod tests {
         let history = cs.history().export();
         assert!(history.len() > 4 * 32, "some bucket filled up");
         let mut expected = Vec::new();
-        wire::put_str(&mut expected, &snapshot_element(&cs, now).to_xml());
+        wire::put_str(&mut expected, &snapshot_document(&cs, now));
         let positions = cs.location().export_positions();
         wire::put_u32(&mut expected, positions.len() as u32);
         for (entity, at) in positions {
@@ -1325,6 +1328,175 @@ mod tests {
         restore_snapshot(&mut back, &payload, &HashMap::new()).unwrap();
         assert_eq!(back.history().export(), history);
         assert_eq!(encode_snapshot(&back, now).0, payload);
+    }
+
+    /// [`populated`] with markup, multi-byte text and every value kind
+    /// in names, attributes and payloads; parked queries of every
+    /// section variant; a source that left (its history is normalised
+    /// in the digest); a fired timer's deferred answer. Also the
+    /// commands that carry a document, to encode.
+    fn rich() -> (ContextServer, VirtualTime, Vec<RangeCommand>) {
+        use sci_query::{CmpOp, Mode, Predicate, Subject, When, Where, Which};
+        use sci_types::{Advertisement, Coord, Operation};
+        let (mut cs, _) = populated();
+        let app = Guid::from_u128(0xA);
+        let t3 = VirtualTime::from_secs(3);
+        let tricky = "a<b>&\"c\"'d \u{e9}\u{1F600} \t;";
+        let every = ContextValue::record([
+            ("subject", ContextValue::Id(Guid::from_u128(3))),
+            ("empty", ContextValue::Empty),
+            ("bool", ContextValue::Bool(false)),
+            ("int", ContextValue::Int(-7)),
+            ("float", ContextValue::Float(-0.1)),
+            ("big", ContextValue::Float(1e300)),
+            ("nan", ContextValue::Float(f64::NAN)),
+            ("text", ContextValue::text(tricky)),
+            ("blank", ContextValue::text("")),
+            ("id", ContextValue::Id(Guid::from_u128(0xFEED))),
+            ("coord", ContextValue::Coord(Coord::new(1.5, -2.25))),
+            ("place", ContextValue::place("L10.01 & <lobby>")),
+            ("time", ContextValue::Time(VirtualTime::from_micros(99))),
+            (
+                tricky,
+                ContextValue::List(vec![ContextValue::Int(1), ContextValue::List(vec![])]),
+            ),
+        ]);
+        let doors = Profile::builder(Guid::from_u128(3), EntityKind::Device, tricky)
+            .input(PortSpec::new("in<", ContextType::custom("x&y")))
+            .output(PortSpec::new("t", ContextType::Temperature))
+            .attribute("every", every.clone())
+            .attribute("max-silence-us", ContextValue::Int(90_000_000))
+            .build();
+        let ad = Advertisement::new(Guid::from_u128(3), "iface\"<")
+            .with_operation(Operation::new(
+                "op&",
+                [ContextType::Identity, ContextType::custom("d'oc")],
+                Some(ContextType::custom("ret")),
+            ))
+            .with_operation(Operation::new("bare", [], None))
+            .with_attribute("every", every.clone());
+        let queries = [
+            Query::builder(Guid::from_u128(0x20), app)
+                .info_matching(
+                    ContextType::custom("blob"),
+                    vec![Predicate::eq("payload", every.clone())],
+                )
+                .where_(Where::Within {
+                    center: Subject::Owner,
+                    radius_m: 12.5,
+                })
+                .which(Which::Filtered {
+                    predicates: vec![
+                        Predicate::exists("paper"),
+                        Predicate::new("queue", CmpOp::Le, ContextValue::Int(0)),
+                    ],
+                    then: Box::new(Which::MaxAttr("q\"".into())),
+                })
+                .at(VirtualTime::from_secs(1000))
+                .mode(Mode::Subscribe)
+                .build(),
+            Query::builder(Guid::from_u128(0x21), app)
+                .named(Guid::from_u128(3))
+                .in_range("level<ten>")
+                .min_attr("queue")
+                .after(VirtualDuration::from_secs(5000))
+                .mode(Mode::Profile)
+                .build(),
+            Query::builder(Guid::from_u128(0x22), app)
+                .kind(EntityKind::Person)
+                .where_(Where::ClosestTo(Subject::Entity(Guid::from_u128(9))))
+                .all()
+                .when(When::OnLeave {
+                    entity: Subject::Entity(Guid::from_u128(9)),
+                    place: "lobby".into(),
+                })
+                .mode(Mode::Advertisement)
+                .build(),
+            Query::builder(Guid::from_u128(0x23), app)
+                .kind(EntityKind::Device)
+                .in_place("L10.01")
+                .which(Which::Any)
+                .at(VirtualTime::from_secs(2000))
+                .mode(Mode::Profile)
+                .build(),
+        ];
+        let mut cmds = vec![
+            RangeCommand::Register(Box::new(doors.clone())),
+            RangeCommand::Advertise(Box::new(ad.clone())),
+        ];
+        cs.register(doors, t3).unwrap();
+        cs.advertise(ad).unwrap();
+        for q in &queries {
+            let _ = cs.submit_query(q, t3);
+            cmds.push(RangeCommand::Submit(Box::new(q.clone())));
+        }
+        for t in 4..7 {
+            let now = VirtualTime::from_secs(t);
+            let reading = ContextEvent::new(
+                Guid::from_u128(3),
+                ContextType::Temperature,
+                every.clone(),
+                now,
+            )
+            .with_seq(EventSeq(t));
+            cs.ingest(&reading, now).unwrap();
+            cs.ingest(&ev(1, t), now).unwrap();
+        }
+        cs.deregister(Guid::from_u128(1), VirtualTime::from_secs(7))
+            .unwrap();
+        let now = VirtualTime::from_secs(31);
+        assert_eq!(cs.poll_timers(now).unwrap(), 1);
+        cmds.push(RangeCommand::MigrateIn(Box::new(cs.held(None))));
+        (cs, now, cmds)
+    }
+
+    /// The documents are written, not built, and the bytes did not
+    /// move: each is pinned by its length and CRC-32 as the tree-built
+    /// serialisers wrote it for the same state — the digest, the whole
+    /// snapshot payload, the migration packet, every command that
+    /// carries a document, and a telemetry export.
+    #[test]
+    fn written_documents_keep_the_tree_built_bytes() {
+        let (small, _) = populated();
+        let (cs, now, cmds) = rich();
+        assert!(!cs.answers_ref().is_empty() && !cs.outbox_ref().is_empty());
+        let reg = Registry::new();
+        reg.counter("a<b").add(3);
+        reg.gauge("g&").set(-2);
+        let h = reg.histogram("h\"");
+        for v in [1, 5, 5, 900, 1 << 40] {
+            h.record(v);
+        }
+        let mut written = vec![
+            ("digest", durable_digest(&small).into_bytes()),
+            ("digest", durable_digest(&cs).into_bytes()),
+            ("snapshot", encode_snapshot(&cs, now).0),
+            ("packet", cs.held(None).to_xml().into_bytes()),
+        ];
+        for cmd in &cmds {
+            written.push((cmd.kind(), encode_command(cmd, now).payload));
+        }
+        let telemetry = crate::telemetry::snapshot_to_xml(&reg.snapshot());
+        written.push(("telemetry", telemetry.into_bytes()));
+        let pins: Vec<(&str, usize, u32)> = written
+            .iter()
+            .map(|(what, bytes)| (*what, bytes.len(), sci_wal::codec::crc32(bytes)))
+            .collect();
+        let golden = [
+            ("digest", 2219, 0x5b91_1fc3),
+            ("digest", 16425, 0x9d1b_3a17),
+            ("snapshot", 11307, 0x04e3_4923),
+            ("packet", 9562, 0x3a68_61c8),
+            ("register", 1643, 0xb515_23f8),
+            ("advertise", 1611, 0x015d_88a1),
+            ("submit", 1812, 0x8392_de1c),
+            ("submit", 342, 0x2f6d_5c3e),
+            ("submit", 396, 0xbbcf_c985),
+            ("submit", 284, 0xed2c_b1f6),
+            ("migrate-in", 9574, 0xc7d0_6ede),
+            ("telemetry", 257, 0xe223_f7ea),
+        ];
+        assert_eq!(pins, golden);
     }
 
     fn restore(payload: &[u8]) -> SciResult<(VirtualTime, usize)> {
@@ -1352,8 +1524,9 @@ mod tests {
     #[test]
     fn an_xml_snapshot_of_an_earlier_build_is_a_codec_error() {
         let (cs, [.., reading]) = populated();
-        let yesterday = snapshot_element(&cs, VirtualTime::from_secs(3))
-            .with_child(Element::new("history").with_child(reading))
+        let yesterday = parse(&snapshot_document(&cs, VirtualTime::from_secs(3)))
+            .unwrap()
+            .with_child(Element::new("history").with_child(parse(&reading).unwrap()))
             .to_xml();
         let dir = std::env::temp_dir().join(format!("sci-xml-snapshot-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

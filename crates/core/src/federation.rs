@@ -40,8 +40,8 @@ use crate::context_server::ContextServer;
 use crate::relay::RelayCore;
 
 pub use crate::records::{
-    answer_element, answer_from_element, answer_from_xml, answer_to_xml, event_relay_group,
-    event_relay_payload, RelayRow,
+    answer_from_element, answer_from_xml, answer_to_xml, event_relay_group, event_relay_payload,
+    RelayRow,
 };
 pub use crate::relay::{FederatedAnswer, RELAY_RETRIES, RETRY_BACKOFF_BASE_US};
 

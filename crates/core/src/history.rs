@@ -214,10 +214,13 @@ impl ContextStore {
     /// Re-`record`ing the export into an empty store reproduces the
     /// same per-key buckets.
     pub fn export(&self) -> Vec<ContextEvent> {
-        self.in_order()
-            .flat_map(Bucket::records)
-            .filter_map(decode)
-            .collect()
+        self.events().collect()
+    }
+
+    /// [`ContextStore::export`] one event at a time, each decoded when
+    /// it is reached.
+    pub(crate) fn events(&self) -> impl Iterator<Item = ContextEvent> + '_ {
+        self.in_order().flat_map(Bucket::records).filter_map(decode)
     }
 
     /// Appends the history table of a durability snapshot to `out`: a

@@ -17,15 +17,15 @@
 //! through time, applied by the same code.
 
 use sci_query::codec as qcodec;
-use sci_query::xml::{parse, Element};
+use sci_query::xml::{document, parse, Element, XmlWriter};
 use sci_query::Query;
 use sci_types::{
     Advertisement, AppDelivery, DeferredAnswer, Guid, Profile, SciError, SciResult, VirtualTime,
 };
 
 use crate::records::{
-    deferred_answer_element, deferred_answer_from_element, delivery_element, delivery_from_element,
-    parsed_attr,
+    deferred_answer_from_element, delivery_from_element, parsed_attr, write_deferred,
+    write_deferred_answer, write_delivery,
 };
 
 /// What a range holds on behalf of an entity, packaged to be adopted
@@ -68,36 +68,37 @@ impl MigrationPacket {
 
     /// Serialises the packet to its `<migration>` document.
     pub fn to_xml(&self) -> String {
-        self.to_element().to_xml()
+        document(|w| self.write(w))
     }
 
-    /// Builds the `<migration>` element.
-    pub fn to_element(&self) -> Element {
-        self.write_sections(Element::new("migration").with_attr("entity", self.entity.to_string()))
+    /// Writes the `<migration>` element.
+    pub(crate) fn write(&self, w: &mut XmlWriter<'_>) {
+        w.element("migration", |w| {
+            w.attr("entity", self.entity);
+            self.write_sections(w);
+        });
     }
 
-    /// Appends the six sections to `e` as children, in field order.
-    pub(crate) fn write_sections(&self, mut e: Element) -> Element {
-        let out = &mut e.children;
-        out.extend(self.profiles.iter().map(qcodec::profile_to_element));
-        out.extend(
-            self.advertisements
-                .iter()
-                .map(qcodec::advertisement_to_element),
-        );
-        out.extend(self.standing.iter().map(qcodec::query_to_element));
-        out.extend(self.deferred.iter().map(|(query, stored_at)| {
-            Element::new("deferred")
-                .with_attr("stored-at-us", stored_at.as_micros().to_string())
-                .with_child(qcodec::query_to_element(query))
-        }));
-        out.extend(self.deliveries.iter().map(delivery_element));
-        out.extend(
-            self.answers
-                .iter()
-                .map(|a| deferred_answer_element("deferred-answer", "owner", a)),
-        );
-        e
+    /// Writes the six sections as children, in field order.
+    pub(crate) fn write_sections(&self, w: &mut XmlWriter<'_>) {
+        for p in &self.profiles {
+            qcodec::write_profile(w, p);
+        }
+        for ad in &self.advertisements {
+            qcodec::write_advertisement(w, ad);
+        }
+        for query in &self.standing {
+            qcodec::write_query(w, query);
+        }
+        for (query, stored_at) in &self.deferred {
+            write_deferred(w, query, *stored_at);
+        }
+        for d in &self.deliveries {
+            write_delivery(w, d);
+        }
+        for a in &self.answers {
+            write_deferred_answer(w, "deferred-answer", "owner", a, |_| {});
+        }
     }
 
     /// Parses a `<migration>` document.
@@ -250,7 +251,7 @@ mod tests {
                 d = d.with_attr("stored-at-us", at);
             }
             if query {
-                d = d.with_child(qcodec::query_to_element(&deferred.0));
+                d = d.with_child(parse(&qcodec::to_xml(&deferred.0)).unwrap());
             }
             Element::new("migration")
                 .with_attr("entity", deferred.0.owner.to_string())
@@ -301,10 +302,10 @@ mod tests {
         });
         packet.answers.push((query, entity, QueryAnswer::Deferred));
 
-        let q = qcodec::query_to_element(&packet.standing[0]);
-        let profile = qcodec::profile_to_element(&packet.profiles[0]);
-        let ad = qcodec::advertisement_to_element(&packet.advertisements[0]);
-        let event = qcodec::event_to_element(&packet.deliveries[0].event);
+        let q = qcodec::to_xml(&packet.standing[0]);
+        let profile = document(|w| qcodec::write_profile(w, &packet.profiles[0]));
+        let ad = document(|w| qcodec::write_advertisement(w, &packet.advertisements[0]));
+        let event = document(|w| qcodec::write_event(w, &packet.deliveries[0].event));
         let expected = format!(
             "<migration entity=\"{entity}\">{profile}{ad}{q}\
              <deferred stored-at-us=\"2000000\">{q}</deferred>\

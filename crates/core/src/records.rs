@@ -4,7 +4,8 @@
 //! queued delivery and a deferred answer as sections of a
 //! [`crate::migration::MigrationPacket`] (and through it of the
 //! durability snapshot's document), the `<answer-relay>` envelope, and
-//! the `<answer>` document itself.
+//! the `<answer>` document itself. Each is written by an `XmlWriter`
+//! straight into the buffer that carries it; none is built as a tree.
 //!
 //! **The event stream** is binary: a [`ContextValue`] and a
 //! [`ContextEvent`] have the one big-endian form below, shared by the
@@ -18,7 +19,8 @@
 //! record under, so a snapshot's history is restored without decoding.
 
 use sci_query::codec as qcodec;
-use sci_query::xml::{parse, Element};
+use sci_query::xml::{document, parse, Element, XmlWriter};
+use sci_query::Query;
 use sci_types::{
     AppDelivery, ContextEvent, ContextType, ContextValue, Coord, DeferredAnswer, EventSeq, Guid,
     QueryAnswer, SciError, SciResult, VirtualTime,
@@ -332,16 +334,28 @@ pub(crate) fn parsed_attr<T: std::str::FromStr>(e: &Element, key: &str) -> SciRe
         .map_err(|_| SciError::Codec(format!("bad {key} `{raw}` in <{}>", e.name)))
 }
 
-/// A queued delivery as the `<delivery app=… query=…><event/></delivery>`
-/// section of a migration packet.
-pub(crate) fn delivery_element(d: &AppDelivery) -> Element {
-    Element::new("delivery")
-        .with_attr("app", d.app.to_string())
-        .with_attr("query", d.query.to_string())
-        .with_child(qcodec::event_to_element(&d.event))
+/// Writes a parked query as the
+/// `<deferred stored-at-us=…><query/></deferred>` section of a
+/// migration packet.
+pub(crate) fn write_deferred(w: &mut XmlWriter<'_>, query: &Query, stored_at: VirtualTime) {
+    w.element("deferred", |w| {
+        w.attr("stored-at-us", stored_at.as_micros());
+        qcodec::write_query(w, query);
+    });
 }
 
-/// Reads what [`delivery_element`] wrote.
+/// Writes a queued delivery as the
+/// `<delivery app=… query=…><event/></delivery>` section of a migration
+/// packet.
+pub(crate) fn write_delivery(w: &mut XmlWriter<'_>, d: &AppDelivery) {
+    w.element("delivery", |w| {
+        w.attr("app", d.app);
+        w.attr("query", d.query);
+        qcodec::write_event(w, &d.event);
+    });
+}
+
+/// Reads what [`write_delivery`] wrote.
 pub(crate) fn delivery_from_element(e: &Element) -> SciResult<AppDelivery> {
     Ok(AppDelivery {
         app: e.require_attr("app")?.parse()?,
@@ -350,21 +364,26 @@ pub(crate) fn delivery_from_element(e: &Element) -> SciResult<AppDelivery> {
     })
 }
 
-/// A deferred answer as `<{name} {owner_key}=… query=…><answer/></{name}>`:
-/// a `<deferred-answer owner=…>` section, or the body of an
-/// `<answer-relay app=…>` envelope.
-pub(crate) fn deferred_answer_element(
+/// Writes a deferred answer as
+/// `<{name} {owner_key}=… query=… …><answer/></{name}>`: a
+/// `<deferred-answer owner=…>` section, or an `<answer-relay app=…>`
+/// envelope, whose `origin` and `seq` `envelope` writes.
+pub(crate) fn write_deferred_answer(
+    w: &mut XmlWriter<'_>,
     name: &str,
     owner_key: &str,
     (query, owner, answer): &DeferredAnswer,
-) -> Element {
-    Element::new(name)
-        .with_attr(owner_key, owner.to_string())
-        .with_attr("query", query.to_string())
-        .with_child(answer_element(answer))
+    envelope: impl FnOnce(&mut XmlWriter<'_>),
+) {
+    w.element(name, |w| {
+        w.attr(owner_key, owner);
+        w.attr("query", query);
+        envelope(w);
+        write_answer(w, answer);
+    });
 }
 
-/// Reads what [`deferred_answer_element`] wrote.
+/// Reads what [`write_deferred_answer`] wrote.
 pub(crate) fn deferred_answer_from_element(
     e: &Element,
     owner_key: &str,
@@ -378,53 +397,51 @@ pub(crate) fn deferred_answer_from_element(
 
 /// Serialises a [`QueryAnswer`] to its `<answer>` document.
 pub fn answer_to_xml(answer: &QueryAnswer) -> String {
-    answer_element(answer).to_xml()
+    document(|w| write_answer(w, answer))
 }
 
-/// Builds the `<answer>` element for a [`QueryAnswer`] (recursive, so
+/// Writes the `<answer>` element for a [`QueryAnswer`] (recursive, so
 /// a partial answer nests the answer it degrades).
-pub fn answer_element(answer: &QueryAnswer) -> Element {
-    match answer {
+fn write_answer(w: &mut XmlWriter<'_>, answer: &QueryAnswer) {
+    w.element("answer", |w| match answer {
         QueryAnswer::Profiles(ps) => {
-            let mut e = Element::new("answer").with_attr("kind", "profiles");
+            w.attr("kind", "profiles");
             for p in ps {
-                e = e.with_child(qcodec::profile_to_element(p));
+                qcodec::write_profile(w, p);
             }
-            e
         }
         QueryAnswer::Advertisements(ads) => {
-            let mut e = Element::new("answer").with_attr("kind", "advertisements");
+            w.attr("kind", "advertisements");
             for ad in ads {
-                e = e.with_child(qcodec::advertisement_to_element(ad));
+                qcodec::write_advertisement(w, ad);
             }
-            e
         }
         QueryAnswer::Subscribed {
             configuration,
             producers,
         } => {
-            let mut e = Element::new("answer")
-                .with_attr("kind", "subscribed")
-                .with_attr("configuration", configuration.to_string());
+            w.attr("kind", "subscribed");
+            w.attr("configuration", configuration);
             for p in producers {
-                e = e.with_child(Element::new("producer").with_attr("id", p.to_string()));
+                w.element("producer", |w| w.attr("id", p));
             }
-            e
         }
-        QueryAnswer::Deferred => Element::new("answer").with_attr("kind", "deferred"),
-        QueryAnswer::Forward { range } => Element::new("answer")
-            .with_attr("kind", "forward")
-            .with_attr("range", range.clone()),
+        QueryAnswer::Deferred => w.attr("kind", "deferred"),
+        QueryAnswer::Forward { range } => {
+            w.attr("kind", "forward");
+            w.attr("range", range);
+        }
         QueryAnswer::Partial {
             answer,
             missing_range,
             reason,
-        } => Element::new("answer")
-            .with_attr("kind", "partial")
-            .with_attr("missing-range", missing_range.clone())
-            .with_attr("reason", reason.clone())
-            .with_child(answer_element(answer)),
-    }
+        } => {
+            w.attr("kind", "partial");
+            w.attr("missing-range", missing_range);
+            w.attr("reason", reason);
+            write_answer(w, answer);
+        }
+    });
 }
 
 /// Parses an `<answer>` document.
@@ -438,7 +455,7 @@ pub fn answer_from_xml(xml: &str) -> SciResult<QueryAnswer> {
 }
 
 /// Parses an `<answer>` element (recursive counterpart of
-/// [`answer_element`]).
+/// [`answer_to_xml`]).
 ///
 /// # Errors
 ///
@@ -684,7 +701,8 @@ pub(crate) mod tests {
             let back = get_event(&mut r).unwrap();
             prop_assert_eq!(r.remaining(), 0);
             prop_assert!(same_event(&back, &ev), "{back:?} != {ev:?}");
-            let via_xml = qcodec::event_from_element(&qcodec::event_to_element(&ev)).unwrap();
+            let written = document(|w| qcodec::write_event(w, &ev));
+            let via_xml = qcodec::event_from_element(&parse(&written).unwrap()).unwrap();
             prop_assert!(
                 same_event(&via_xml, &back) || has_nan(&ev.payload),
                 "xml {via_xml:?} != binary {back:?}"
@@ -700,7 +718,8 @@ pub(crate) mod tests {
             prop_assert_eq!((origin, rows), (d.app, vec![(7, d.app, d.query)]));
             let back = AppDelivery { app: d.app, query: d.query, event };
             prop_assert!(same_delivery(&back, &d), "{back:?} != {d:?}");
-            let via_xml = delivery_from_element(&delivery_element(&d)).unwrap();
+            let written = document(|w| write_delivery(w, &d));
+            let via_xml = delivery_from_element(&parse(&written).unwrap()).unwrap();
             prop_assert!(
                 same_delivery(&via_xml, &back) || has_nan(&d.event.payload),
                 "xml {via_xml:?} != binary {back:?}"

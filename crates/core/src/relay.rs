@@ -63,7 +63,7 @@ use sci_overlay::message::{Message, MessageKind};
 use sci_overlay::stats::LoadStats;
 use sci_overlay::transport::Transport;
 use sci_query::codec as qcodec;
-use sci_query::xml::{parse, Element};
+use sci_query::xml::{document, parse};
 use sci_query::Query;
 use sci_telemetry::{Registry, TelemetrySnapshot, Tracer};
 use sci_types::guid::GuidGenerator;
@@ -76,8 +76,8 @@ use sci_wal::codec::wire;
 use crate::context_server::{AppDelivery, ContextServer, DeferredAnswer, QueryAnswer, RangeReply};
 use crate::migration::MigrationPacket;
 use crate::records::{
-    answer_from_element, answer_to_xml, deferred_answer_element, deferred_answer_from_element,
-    event_relay_group, expect_end, get_event, get_relay_head, parsed_attr, RelayRow,
+    answer_from_element, answer_to_xml, deferred_answer_from_element, event_relay_group,
+    expect_end, get_event, get_relay_head, parsed_attr, write_deferred_answer, RelayRow,
 };
 use crate::runtime::RangeCommand;
 use crate::seen::{SeenEnvelopes, SEQ_NS_SHIFT};
@@ -545,12 +545,15 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
         let counter = self.migrate_seq.entry(src).or_insert(0);
         *counter += 1;
         let seq = *counter | MIGRATE_SEQ_NS;
-        let payload = Element::new("migrate")
-            .with_attr("entity", entity.to_string())
-            .with_attr("origin", src.to_string())
-            .with_attr("seq", seq.to_string())
-            .with_child(parse(&xml)?)
-            .to_xml();
+        // The packet document goes in as the source range wrote it.
+        let payload = document(|w| {
+            w.element("migrate", |w| {
+                w.attr("entity", entity);
+                w.attr("origin", src);
+                w.attr("seq", seq);
+                w.raw(&xml);
+            })
+        });
         self.migrate_started.insert((src, seq), started);
         let packet = self.envelope(src, dst, MessageKind::Migrate, payload.into_bytes());
         self.send_reliable(packet, 0, now)
@@ -857,10 +860,12 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
             }
             return None;
         }
-        let payload = deferred_answer_element("answer-relay", "app", &deferred)
-            .with_attr("origin", node.to_string())
-            .with_attr("seq", seq.to_string())
-            .to_xml();
+        let payload = document(|w| {
+            write_deferred_answer(w, "answer-relay", "app", &deferred, |w| {
+                w.attr("origin", node);
+                w.attr("seq", seq);
+            })
+        });
         self.metrics.relay_answers.inc();
         Some(self.envelope(node, home, MessageKind::QueryResponse, payload.into_bytes()))
     }

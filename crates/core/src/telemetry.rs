@@ -16,8 +16,10 @@
 //! against it) and described in `docs/observability.md`, the one
 //! metric reference (the catalogue's unit tests check the doc).
 
+use std::fmt;
+
 use sci_overlay::stats::LoadStats;
-use sci_query::xml::{parse, Element};
+use sci_query::xml::{document, parse, XmlWriter};
 use sci_telemetry::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, TelemetrySnapshot, Tracer,
     HISTOGRAM_BUCKETS,
@@ -264,43 +266,40 @@ pub(crate) fn fold_load_stats(stats: &LoadStats) -> TelemetrySnapshot {
 }
 
 /// Serialises a snapshot with the workspace XML conventions (the same
-/// `Element` machinery the federation wire codec uses). Histogram
-/// buckets are written sparsely: only non-zero buckets appear, with the
-/// original bucket count preserved in the `buckets` attribute.
+/// [`XmlWriter`] every document is written with). Histogram buckets are
+/// written sparsely: only non-zero buckets appear, with the original
+/// bucket count preserved in the `buckets` attribute.
 pub fn snapshot_to_xml(snap: &TelemetrySnapshot) -> String {
-    let mut root = Element::new("telemetry");
-    for (name, v) in &snap.counters {
-        root = root.with_child(
-            Element::new("counter")
-                .with_attr("name", name.clone())
-                .with_attr("value", v.to_string()),
-        );
-    }
-    for (name, v) in &snap.gauges {
-        root = root.with_child(
-            Element::new("gauge")
-                .with_attr("name", name.clone())
-                .with_attr("value", v.to_string()),
-        );
-    }
-    for h in &snap.histograms {
-        let mut el = Element::new("histogram")
-            .with_attr("name", h.name.clone())
-            .with_attr("count", h.count.to_string())
-            .with_attr("sum", h.sum.to_string())
-            .with_attr("buckets", h.buckets.len().to_string());
-        for (i, &n) in h.buckets.iter().enumerate() {
-            if n != 0 {
-                el = el.with_child(
-                    Element::new("bucket")
-                        .with_attr("i", i.to_string())
-                        .with_attr("n", n.to_string()),
-                );
+    let named = |w: &mut XmlWriter<'_>, kind: &str, name: &str, value: &dyn fmt::Display| {
+        w.element(kind, |w| {
+            w.attr("name", name);
+            w.attr("value", value);
+        });
+    };
+    document(|w| {
+        w.element("telemetry", |w| {
+            for (name, v) in &snap.counters {
+                named(w, "counter", name, v);
             }
-        }
-        root = root.with_child(el);
-    }
-    root.to_xml()
+            for (name, v) in &snap.gauges {
+                named(w, "gauge", name, v);
+            }
+            for h in &snap.histograms {
+                w.element("histogram", |w| {
+                    w.attr("name", &h.name);
+                    w.attr("count", h.count);
+                    w.attr("sum", h.sum);
+                    w.attr("buckets", h.buckets.len());
+                    for (i, &n) in h.buckets.iter().enumerate().filter(|(_, &n)| n != 0) {
+                        w.element("bucket", |w| {
+                            w.attr("i", i);
+                            w.attr("n", n);
+                        });
+                    }
+                });
+            }
+        });
+    })
 }
 
 /// Parses a snapshot serialised by [`snapshot_to_xml`].

@@ -35,7 +35,7 @@
 
 use bytes::Bytes;
 use sci_core::context_server::{AppDelivery, ContextServer, QueryAnswer};
-use sci_core::federation::{answer_element, event_relay_group, event_relay_payload, RelayRow};
+use sci_core::federation::{answer_to_xml, event_relay_group, event_relay_payload, RelayRow};
 use sci_core::relay::RelayCore;
 use sci_core::MigrationPacket;
 use sci_location::floorplan::FloorPlan;
@@ -43,7 +43,7 @@ use sci_location::Rect;
 use sci_overlay::message::{Message, MessageKind};
 use sci_overlay::{FaultProbs, FaultyTransport, SimNetwork, Transport};
 use sci_query::codec::event_to_element;
-use sci_query::xml::Element;
+use sci_query::xml::{parse, Element};
 use sci_query::{Mode, Query};
 use sci_types::guid::GuidGenerator;
 use sci_types::{
@@ -139,7 +139,8 @@ fn event_relay(origin: Guid, seq: u64) -> Vec<u8> {
 }
 
 fn answer_relay(origin: Guid, seq: u64) -> Element {
-    enveloped("answer-relay", origin, seq).with_child(answer_element(&QueryAnswer::Deferred))
+    let answer = parse(&answer_to_xml(&QueryAnswer::Deferred)).unwrap();
+    enveloped("answer-relay", origin, seq).with_child(answer)
 }
 
 /// The entity a scripted migration with envelope `seq` carries.
@@ -156,7 +157,7 @@ fn migrate(origin: Guid, seq: u64) -> Element {
         .with_attr("entity", migrant(seq).to_string())
         .with_attr("origin", origin.to_string())
         .with_attr("seq", seq.to_string())
-        .with_child(packet.to_element())
+        .with_child(parse(&packet.to_xml()).unwrap())
 }
 
 const CLASSES: [Class; 3] = [
@@ -360,7 +361,7 @@ fn strangers_are_dropped_without_a_trace() {
     // round-trip whose submission already degraded, are not relays.
     let (mut core, nodes, _) = core_of(2, 1);
     let (src, dst) = (nodes[0], nodes[1]);
-    let stray = answer_element(&QueryAnswer::Deferred).to_xml().into_bytes();
+    let stray = answer_to_xml(&QueryAnswer::Deferred).into_bytes();
     for (i, (kind, payload)) in [
         (MessageKind::QueryResponse, stray),
         (MessageKind::QueryForward, vec![0xff]),
@@ -629,7 +630,7 @@ fn a_duplicated_forward_is_executed_once() {
 #[test]
 fn a_stray_answer_at_home_does_not_answer_the_submission() {
     let (mut core, nodes, _) = core_of(2, 1);
-    let stray = answer_element(&QueryAnswer::Deferred).to_xml();
+    let stray = answer_to_xml(&QueryAnswer::Deferred);
     let msg = Message::new(
         Guid::from_u128(0x900),
         nodes[1],
@@ -698,7 +699,7 @@ fn a_migration_that_fails_beside_a_submission_is_reported_by_the_next_pump() {
         .with_attr("entity", migrant(1).to_string())
         .with_attr("origin", nodes[0].to_string())
         .with_attr("seq", "1")
-        .with_child(packet.to_element());
+        .with_child(parse(&packet.to_xml()).unwrap());
     let msg = Message::new(
         Guid::from_u128(0x900),
         nodes[0],

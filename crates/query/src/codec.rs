@@ -17,6 +17,8 @@
 //! [`to_xml`] ∘ [`from_xml`] is the identity, which the property tests in
 //! `tests/prop_codec.rs` check.
 
+use std::fmt;
+
 use sci_types::{
     ContextType, ContextValue, Coord, EntityKind, Guid, SciError, SciResult, VirtualDuration,
     VirtualTime,
@@ -24,11 +26,11 @@ use sci_types::{
 
 use crate::ast::{Mode, Query, Subject, What, When, Where, Which};
 use crate::predicate::{CmpOp, Predicate};
-use crate::xml::{parse, Element};
+use crate::xml::{document, parse, Element, XmlWriter};
 
 /// Serialises a query to its XML document form.
 pub fn to_xml(query: &Query) -> String {
-    query_to_element(query).to_xml()
+    document(|w| write_query(w, query))
 }
 
 /// Parses a query from its XML document form.
@@ -43,16 +45,17 @@ pub fn from_xml(xml: &str) -> SciResult<Query> {
     query_from_element(&root)
 }
 
-/// Builds the root `<query>` element for a query.
-pub fn query_to_element(query: &Query) -> Element {
-    Element::new("query")
-        .with_child(Element::text_node("query_id", query.id.to_string()))
-        .with_child(Element::text_node("owner_id", query.owner.to_string()))
-        .with_child(what_to_element(&query.what))
-        .with_child(where_to_element(&query.where_))
-        .with_child(when_to_element(&query.when))
-        .with_child(which_to_element(&query.which))
-        .with_child(Element::text_node("mode", query.mode.name()))
+/// Writes the `<query>` element for a query.
+pub fn write_query(w: &mut XmlWriter<'_>, query: &Query) {
+    w.element("query", |w| {
+        w.leaf("query_id", query.id);
+        w.leaf("owner_id", query.owner);
+        write_what(w, &query.what);
+        write_where(w, &query.where_);
+        write_when(w, &query.when);
+        w.element("which", |w| write_which_variant(w, &query.which));
+        w.leaf("mode", query.mode.name());
+    });
 }
 
 /// Reconstructs a query from a `<query>` element.
@@ -93,19 +96,17 @@ fn single_child(parent: &Element) -> SciResult<&Element> {
     }
 }
 
-fn what_to_element(what: &What) -> Element {
-    let inner = match what {
-        What::Kind(kind) => Element::text_node("kind", kind.name()),
-        What::Named(id) => Element::text_node("named", id.to_string()),
-        What::Information { ty, constraints } => {
-            let mut e = Element::new("info").with_attr("type", ty.name());
+fn write_what(w: &mut XmlWriter<'_>, what: &What) {
+    w.element("what", |w| match what {
+        What::Kind(kind) => w.leaf("kind", kind.name()),
+        What::Named(id) => w.leaf("named", id),
+        What::Information { ty, constraints } => w.element("info", |w| {
+            w.attr("type", ty.name());
             for p in constraints {
-                e = e.with_child(predicate_to_element(p));
+                write_predicate(w, p);
             }
-            e
-        }
-    };
-    Element::new("what").with_child(inner)
+        }),
+    });
 }
 
 fn what_from_element(e: &Element) -> SciResult<What> {
@@ -128,13 +129,6 @@ fn what_from_element(e: &Element) -> SciResult<What> {
     }
 }
 
-fn subject_to_string(s: Subject) -> String {
-    match s {
-        Subject::Owner => "me".to_owned(),
-        Subject::Entity(id) => id.to_string(),
-    }
-}
-
 fn subject_from_str(s: &str) -> SciResult<Subject> {
     if s == "me" {
         Ok(Subject::Owner)
@@ -143,18 +137,17 @@ fn subject_from_str(s: &str) -> SciResult<Subject> {
     }
 }
 
-fn where_to_element(where_: &Where) -> Element {
-    let inner = match where_ {
-        Where::Anywhere => Element::new("anywhere"),
-        Where::Place(p) => Element::text_node("place", p.clone()),
-        Where::Range(r) => Element::text_node("range", r.clone()),
-        Where::ClosestTo(s) => Element::text_node("closest-to", subject_to_string(*s)),
-        Where::Within { center, radius_m } => {
-            Element::text_node("within", subject_to_string(*center))
-                .with_attr("radius", format_f64(*radius_m))
-        }
-    };
-    Element::new("where").with_child(inner)
+fn write_where(w: &mut XmlWriter<'_>, where_: &Where) {
+    w.element("where", |w| match where_ {
+        Where::Anywhere => w.element("anywhere", |_| {}),
+        Where::Place(p) => w.leaf("place", p),
+        Where::Range(r) => w.leaf("range", r),
+        Where::ClosestTo(s) => w.leaf("closest-to", s),
+        Where::Within { center, radius_m } => w.element("within", |w| {
+            w.attr("radius", radius_m);
+            w.text(center);
+        }),
+    });
 }
 
 fn where_from_element(e: &Element) -> SciResult<Where> {
@@ -175,19 +168,22 @@ fn where_from_element(e: &Element) -> SciResult<Where> {
     }
 }
 
-fn when_to_element(when: &When) -> Element {
-    let inner = match when {
-        When::Immediate => Element::new("immediate"),
-        When::At(t) => Element::new("at").with_attr("us", t.as_micros().to_string()),
-        When::After(d) => Element::new("after").with_attr("us", d.as_micros().to_string()),
-        When::OnEnter { entity, place } => Element::new("on-enter")
-            .with_attr("entity", subject_to_string(*entity))
-            .with_child(Element::text_node("place", place.clone())),
-        When::OnLeave { entity, place } => Element::new("on-leave")
-            .with_attr("entity", subject_to_string(*entity))
-            .with_child(Element::text_node("place", place.clone())),
-    };
-    Element::new("when").with_child(inner)
+fn write_when(w: &mut XmlWriter<'_>, when: &When) {
+    w.element("when", |w| match when {
+        When::Immediate => w.element("immediate", |_| {}),
+        When::At(t) => w.element("at", |w| w.attr("us", t.as_micros())),
+        When::After(d) => w.element("after", |w| w.attr("us", d.as_micros())),
+        When::OnEnter { entity, place } | When::OnLeave { entity, place } => {
+            let name = match when {
+                When::OnEnter { .. } => "on-enter",
+                _ => "on-leave",
+            };
+            w.element(name, |w| {
+                w.attr("entity", entity);
+                w.leaf("place", place);
+            });
+        }
+    });
 }
 
 fn when_from_element(e: &Element) -> SciResult<When> {
@@ -214,24 +210,19 @@ fn when_from_element(e: &Element) -> SciResult<When> {
     }
 }
 
-fn which_to_element(which: &Which) -> Element {
-    Element::new("which").with_child(which_variant(which))
-}
-
-fn which_variant(which: &Which) -> Element {
+fn write_which_variant(w: &mut XmlWriter<'_>, which: &Which) {
     match which {
-        Which::Any => Element::new("any"),
-        Which::All => Element::new("all"),
-        Which::Closest => Element::new("closest"),
-        Which::MinAttr(a) => Element::new("min").with_attr("attr", a.clone()),
-        Which::MaxAttr(a) => Element::new("max").with_attr("attr", a.clone()),
-        Which::Filtered { predicates, then } => {
-            let mut e = Element::new("filter");
+        Which::Any => w.element("any", |_| {}),
+        Which::All => w.element("all", |_| {}),
+        Which::Closest => w.element("closest", |_| {}),
+        Which::MinAttr(a) => w.element("min", |w| w.attr("attr", a)),
+        Which::MaxAttr(a) => w.element("max", |w| w.attr("attr", a)),
+        Which::Filtered { predicates, then } => w.element("filter", |w| {
             for p in predicates {
-                e = e.with_child(predicate_to_element(p));
+                write_predicate(w, p);
             }
-            e.with_child(Element::new("then").with_child(which_variant(then)))
-        }
+            w.element("then", |w| write_which_variant(w, then));
+        }),
     }
 }
 
@@ -263,15 +254,15 @@ fn which_from_variant(inner: &Element) -> SciResult<Which> {
     }
 }
 
-/// Encodes a predicate as `<pred attr="…" op="…">value?</pred>`.
-pub fn predicate_to_element(p: &Predicate) -> Element {
-    let mut e = Element::new("pred")
-        .with_attr("attr", p.attr.clone())
-        .with_attr("op", p.op.name());
-    if p.op != CmpOp::Exists {
-        e = e.with_child(value_to_element(&p.value));
-    }
-    e
+/// Writes a predicate as `<pred attr="…" op="…">value?</pred>`.
+fn write_predicate(w: &mut XmlWriter<'_>, p: &Predicate) {
+    w.element("pred", |w| {
+        w.attr("attr", &p.attr);
+        w.attr("op", p.op.name());
+        if p.op != CmpOp::Exists {
+            write_value(w, &p.value);
+        }
+    });
 }
 
 /// Decodes a `<pred>` element.
@@ -288,48 +279,47 @@ pub fn predicate_from_element(e: &Element) -> SciResult<Predicate> {
     Ok(Predicate { attr, op, value })
 }
 
-/// Encodes a context value as a `<value kind="…">` element.
+/// Writes a context value as a `<value kind="…">` element.
 ///
-/// All [`ContextValue`] variants are supported, recursively.
-pub fn value_to_element(v: &ContextValue) -> Element {
-    match v {
-        ContextValue::Empty => Element::new("value").with_attr("kind", "empty"),
-        ContextValue::Bool(b) => {
-            Element::text_node("value", b.to_string()).with_attr("kind", "bool")
+/// All [`ContextValue`] variants are supported, recursively. A float is
+/// written as Rust prints it, which parses back to the same bits.
+fn write_value(w: &mut XmlWriter<'_>, v: &ContextValue) {
+    w.element("value", |w| match v {
+        ContextValue::Empty => w.attr("kind", "empty"),
+        ContextValue::Bool(b) => scalar(w, "bool", b),
+        ContextValue::Int(i) => scalar(w, "int", i),
+        ContextValue::Float(x) => scalar(w, "float", x),
+        ContextValue::Text(s) => scalar(w, "text", s),
+        ContextValue::Id(g) => scalar(w, "id", g),
+        ContextValue::Coord(c) => {
+            w.attr("kind", "coord");
+            w.attr("x", c.x);
+            w.attr("y", c.y);
         }
-        ContextValue::Int(i) => Element::text_node("value", i.to_string()).with_attr("kind", "int"),
-        ContextValue::Float(x) => {
-            Element::text_node("value", format_f64(*x)).with_attr("kind", "float")
-        }
-        ContextValue::Text(s) => Element::text_node("value", s.clone()).with_attr("kind", "text"),
-        ContextValue::Id(g) => Element::text_node("value", g.to_string()).with_attr("kind", "id"),
-        ContextValue::Coord(c) => Element::new("value")
-            .with_attr("kind", "coord")
-            .with_attr("x", format_f64(c.x))
-            .with_attr("y", format_f64(c.y)),
-        ContextValue::Place(p) => Element::text_node("value", p.clone()).with_attr("kind", "place"),
-        ContextValue::Time(t) => {
-            Element::text_node("value", t.as_micros().to_string()).with_attr("kind", "time")
-        }
+        ContextValue::Place(p) => scalar(w, "place", p),
+        ContextValue::Time(t) => scalar(w, "time", t.as_micros()),
         ContextValue::List(items) => {
-            let mut e = Element::new("value").with_attr("kind", "list");
+            w.attr("kind", "list");
             for item in items {
-                e = e.with_child(value_to_element(item));
+                write_value(w, item);
             }
-            e
         }
         ContextValue::Record(fields) => {
-            let mut e = Element::new("value").with_attr("kind", "record");
+            w.attr("kind", "record");
             for (k, fv) in fields {
-                e = e.with_child(
-                    Element::new("field")
-                        .with_attr("name", k.clone())
-                        .with_child(value_to_element(fv)),
-                );
+                w.element("field", |w| {
+                    w.attr("name", k);
+                    write_value(w, fv);
+                });
             }
-            e
         }
-    }
+    });
+}
+
+/// The body of a `<value>` held as text.
+fn scalar(w: &mut XmlWriter<'_>, kind: &str, text: impl fmt::Display) {
+    w.attr("kind", kind);
+    w.text(text);
 }
 
 /// Decodes a `<value>` element.
@@ -391,14 +381,13 @@ pub fn value_from_element(e: &Element) -> SciResult<ContextValue> {
 
 use sci_types::{Advertisement, ContextEvent, EventSeq, Metadata, Operation, PortSpec, Profile};
 
-fn metadata_to_elements(meta: &Metadata) -> Vec<Element> {
-    meta.iter()
-        .map(|(k, v)| {
-            Element::new("attr")
-                .with_attr("name", k)
-                .with_child(value_to_element(v))
-        })
-        .collect()
+fn write_metadata(w: &mut XmlWriter<'_>, meta: &Metadata) {
+    for (k, v) in meta.iter() {
+        w.element("attr", |w| {
+            w.attr("name", k);
+            write_value(w, v);
+        });
+    }
 }
 
 fn metadata_from_children(e: &Element) -> SciResult<Vec<(String, ContextValue)>> {
@@ -411,31 +400,23 @@ fn metadata_from_children(e: &Element) -> SciResult<Vec<(String, ContextValue)>>
         .collect()
 }
 
-/// Encodes a profile as a `<profile>` document (used when profiles cross
+/// Writes a profile as a `<profile>` document (used when profiles cross
 /// ranges in query responses).
-pub fn profile_to_element(p: &Profile) -> Element {
-    let mut e = Element::new("profile")
-        .with_attr("id", p.id().to_string())
-        .with_attr("kind", p.kind().name())
-        .with_attr("name", p.name());
-    for port in p.inputs() {
-        e = e.with_child(
-            Element::new("input")
-                .with_attr("name", port.name.clone())
-                .with_attr("type", port.ty.name()),
-        );
-    }
-    for port in p.outputs() {
-        e = e.with_child(
-            Element::new("output")
-                .with_attr("name", port.name.clone())
-                .with_attr("type", port.ty.name()),
-        );
-    }
-    for attr in metadata_to_elements(p.attributes()) {
-        e = e.with_child(attr);
-    }
-    e
+pub fn write_profile(w: &mut XmlWriter<'_>, p: &Profile) {
+    w.element("profile", |w| {
+        w.attr("id", p.id());
+        w.attr("kind", p.kind().name());
+        w.attr("name", p.name());
+        for (name, ports) in [("input", p.inputs()), ("output", p.outputs())] {
+            for port in ports {
+                w.element(name, |w| {
+                    w.attr("name", &port.name);
+                    w.attr("type", port.ty.name());
+                });
+            }
+        }
+        write_metadata(w, p.attributes());
+    });
 }
 
 /// Decodes a `<profile>` document.
@@ -467,25 +448,24 @@ pub fn profile_from_element(e: &Element) -> SciResult<Profile> {
     Ok(builder.build())
 }
 
-/// Encodes an advertisement as an `<advertisement>` document.
-pub fn advertisement_to_element(ad: &Advertisement) -> Element {
-    let mut e = Element::new("advertisement")
-        .with_attr("provider", ad.provider().to_string())
-        .with_attr("interface", ad.interface());
-    for op in ad.operations() {
-        let mut oe = Element::new("operation").with_attr("name", op.name.clone());
-        for param in &op.params {
-            oe = oe.with_child(Element::new("param").with_attr("type", param.name()));
+/// Writes an advertisement as an `<advertisement>` document.
+pub fn write_advertisement(w: &mut XmlWriter<'_>, ad: &Advertisement) {
+    w.element("advertisement", |w| {
+        w.attr("provider", ad.provider());
+        w.attr("interface", ad.interface());
+        for op in ad.operations() {
+            w.element("operation", |w| {
+                w.attr("name", &op.name);
+                for param in &op.params {
+                    w.element("param", |w| w.attr("type", param.name()));
+                }
+                if let Some(ret) = &op.returns {
+                    w.element("returns", |w| w.attr("type", ret.name()));
+                }
+            });
         }
-        if let Some(ret) = &op.returns {
-            oe = oe.with_child(Element::new("returns").with_attr("type", ret.name()));
-        }
-        e = e.with_child(oe);
-    }
-    for attr in metadata_to_elements(ad.attributes()) {
-        e = e.with_child(attr);
-    }
-    e
+        write_metadata(w, ad.attributes());
+    });
 }
 
 /// Decodes an `<advertisement>` document.
@@ -518,15 +498,25 @@ pub fn advertisement_from_element(e: &Element) -> SciResult<Advertisement> {
     Ok(ad)
 }
 
-/// Encodes a context event as an `<event>` document (used when events
-/// are relayed between ranges).
+/// Writes a context event as an `<event>` document.
+pub fn write_event(w: &mut XmlWriter<'_>, ev: &ContextEvent) {
+    w.element("event", |w| {
+        w.attr("source", ev.source);
+        w.attr("type", ev.topic.name());
+        w.attr("us", ev.timestamp.as_micros());
+        w.attr("seq", ev.seq.0);
+        write_value(w, &ev.payload);
+    });
+}
+
+/// The `<event>` document as a tree, for callers that compose
+/// documents out of [`Element`]s: [`write_event`]'s bytes, parsed.
+///
+/// # Panics
+///
+/// If the payload nests deeper than the parser reads.
 pub fn event_to_element(ev: &ContextEvent) -> Element {
-    Element::new("event")
-        .with_attr("source", ev.source.to_string())
-        .with_attr("type", ev.topic.name())
-        .with_attr("us", ev.timestamp.as_micros().to_string())
-        .with_attr("seq", ev.seq.0.to_string())
-        .with_child(value_to_element(&ev.payload))
+    parse(&document(|w| write_event(w, ev))).expect("a written event parses")
 }
 
 /// Decodes an `<event>` document.
@@ -555,13 +545,6 @@ pub fn event_from_element(e: &Element) -> SciResult<ContextEvent> {
         VirtualTime::from_micros(us),
     )
     .with_seq(EventSeq(seq)))
-}
-
-/// Formats an `f64` so that parsing it back yields the identical bits
-/// (uses enough precision; `format!("{}")` on f64 is round-trip exact in
-/// Rust).
-fn format_f64(x: f64) -> String {
-    format!("{x}")
 }
 
 fn parse_f64(s: &str) -> SciResult<f64> {
@@ -704,7 +687,7 @@ mod tests {
             .attribute("version", ContextValue::Int(2))
             .attribute("room", ContextValue::place("L10.01"))
             .build();
-        let e = profile_to_element(&p);
+        let e = parse(&document(|w| write_profile(w, &p))).unwrap();
         let back = profile_from_element(&e).unwrap();
         assert_eq!(back, p);
         assert!(profile_from_element(&Element::new("nope")).is_err());
@@ -720,7 +703,8 @@ mod tests {
             ))
             .with_operation(Operation::new("cancel-job", [ContextType::Identity], None))
             .with_attribute("ppm", ContextValue::Int(24));
-        let back = advertisement_from_element(&advertisement_to_element(&ad)).unwrap();
+        let xml = document(|w| write_advertisement(w, &ad));
+        let back = advertisement_from_element(&parse(&xml).unwrap()).unwrap();
         assert_eq!(back, ad);
     }
 

@@ -6,8 +6,11 @@
 //! standard character entities, self-closing tags, comments and an
 //! optional `<?xml …?>` declaration. It does **not** support namespaces,
 //! DTDs, CDATA or processing instructions other than the declaration.
+//!
+//! Documents are written by [`XmlWriter`] straight into a byte buffer;
+//! [`Element`] is the tree [`parse`] reads one back into.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use sci_types::{SciError, SciResult};
 
@@ -97,33 +100,21 @@ impl Element {
 
     /// Serialises the element (no declaration, no pretty-printing).
     pub fn to_xml(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
+        document(|w| self.write(w))
     }
 
-    fn write(&self, out: &mut String) {
-        out.push('<');
-        out.push_str(&self.name);
-        for (k, v) in &self.attrs {
-            out.push(' ');
-            out.push_str(k);
-            out.push_str("=\"");
-            escape_into(v, out);
-            out.push('"');
-        }
-        if self.children.is_empty() && self.text.is_empty() {
-            out.push_str("/>");
-            return;
-        }
-        out.push('>');
-        escape_into(&self.text, out);
-        for child in &self.children {
-            child.write(out);
-        }
-        out.push_str("</");
-        out.push_str(&self.name);
-        out.push('>');
+    /// Writes the element: its attributes, then its text, then its
+    /// children.
+    fn write(&self, w: &mut XmlWriter<'_>) {
+        w.element(&self.name, |w| {
+            for (k, v) in &self.attrs {
+                w.attr(k, v);
+            }
+            w.text(&self.text);
+            for child in &self.children {
+                child.write(w);
+            }
+        });
     }
 }
 
@@ -133,17 +124,131 @@ impl fmt::Display for Element {
     }
 }
 
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            other => out.push(other),
+/// Writes a document straight into a byte buffer — the one serialiser
+/// behind every document the workspace emits, [`Element::to_xml`]
+/// included, so a document written here is byte for byte the one a
+/// tree of the same elements serialises to, without the tree.
+///
+/// [`XmlWriter::element`] opens an element; its body writes the
+/// attributes first, then text or child elements. The start tag closes
+/// as `/>` when the body wrote neither. Attribute values and text are
+/// escaped with the five standard entities.
+pub struct XmlWriter<'a> {
+    out: &'a mut Vec<u8>,
+    /// A start tag is open: `<name attr…` is written, its `>` is not.
+    open: bool,
+}
+
+impl<'a> XmlWriter<'a> {
+    /// A writer appending to `out`.
+    pub fn new(out: &'a mut Vec<u8>) -> Self {
+        XmlWriter { out, open: false }
+    }
+
+    /// Writes one element: its start tag, what `body` writes, its end.
+    pub fn element(&mut self, name: &str, body: impl FnOnce(&mut Self)) {
+        self.close_start();
+        self.out.push(b'<');
+        self.out.extend_from_slice(name.as_bytes());
+        self.open = true;
+        body(self);
+        if std::mem::take(&mut self.open) {
+            self.out.extend_from_slice(b"/>");
+        } else {
+            self.out.extend_from_slice(b"</");
+            self.out.extend_from_slice(name.as_bytes());
+            self.out.push(b'>');
         }
     }
+
+    /// Writes an attribute of the element being opened: before any
+    /// text or child.
+    pub fn attr(&mut self, key: &str, value: impl fmt::Display) {
+        debug_assert!(self.open, "attribute `{key}` written after content");
+        self.out.push(b' ');
+        self.out.extend_from_slice(key.as_bytes());
+        self.out.extend_from_slice(b"=\"");
+        let _ = write!(Escaped(self.out), "{value}");
+        self.out.push(b'"');
+    }
+
+    /// Writes text content; empty text leaves an element empty.
+    pub fn text(&mut self, text: impl fmt::Display) {
+        let _ = write!(Text(self), "{text}");
+    }
+
+    /// Writes `<name>text</name>`, or `<name/>` for empty text.
+    pub fn leaf(&mut self, name: &str, text: impl fmt::Display) {
+        self.element(name, |w| w.text(text));
+    }
+
+    /// Writes `xml` as the next child as it is: an element this
+    /// writer's rules wrote, which is what parsing and re-serialising
+    /// it would write too.
+    pub fn raw(&mut self, xml: &str) {
+        self.close_start();
+        self.out.extend_from_slice(xml.as_bytes());
+    }
+
+    fn close_start(&mut self) {
+        if std::mem::take(&mut self.open) {
+            self.out.push(b'>');
+        }
+    }
+}
+
+/// The document `write` writes, as a string. (A writer only appends
+/// whole `&str`s, so the bytes are UTF-8.)
+pub fn document(write: impl FnOnce(&mut XmlWriter<'_>)) -> String {
+    let mut out = Vec::new();
+    write(&mut XmlWriter::new(&mut out));
+    String::from_utf8(out).expect("an XmlWriter appends whole UTF-8 strings")
+}
+
+/// Escapes into the buffer, for attribute values.
+struct Escaped<'b>(&'b mut Vec<u8>);
+
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        escape_into(s, self.0);
+        Ok(())
+    }
+}
+
+/// Escapes into the writer, closing an open start tag before the first
+/// character of text.
+struct Text<'w, 'a>(&'w mut XmlWriter<'a>);
+
+impl fmt::Write for Text<'_, '_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        if !s.is_empty() {
+            self.0.close_start();
+            escape_into(s, self.0.out);
+        }
+        Ok(())
+    }
+}
+
+/// Appends `s` with `<`, `>`, `&`, `"` and `'` as entities. They are
+/// ASCII, so runs of other bytes — whole UTF-8 sequences — are copied
+/// as they are.
+fn escape_into(s: &str, out: &mut Vec<u8>) {
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    for (i, b) in bytes.iter().enumerate() {
+        let entity: &[u8] = match b {
+            b'<' => b"&lt;",
+            b'>' => b"&gt;",
+            b'&' => b"&amp;",
+            b'"' => b"&quot;",
+            b'\'' => b"&apos;",
+            _ => continue,
+        };
+        out.extend_from_slice(&bytes[run..i]);
+        out.extend_from_slice(entity);
+        run = i + 1;
+    }
+    out.extend_from_slice(&bytes[run..]);
 }
 
 /// Parses a document containing exactly one root element.
@@ -398,6 +503,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn roundtrip_simple() {
@@ -458,6 +564,100 @@ mod tests {
     fn single_quoted_attributes_are_rejected() {
         // The subset is deliberate: attributes use double quotes only.
         assert!(parse("<a k='v'/>").is_err());
+    }
+
+    /// The serialiser the writer replaced, kept as the oracle: a tree
+    /// written attributes, text, children.
+    fn tree_xml(e: &Element, out: &mut String) {
+        fn escaped(s: &str, out: &mut String) {
+            for c in s.chars() {
+                match c {
+                    '<' => out.push_str("&lt;"),
+                    '>' => out.push_str("&gt;"),
+                    '&' => out.push_str("&amp;"),
+                    '"' => out.push_str("&quot;"),
+                    '\'' => out.push_str("&apos;"),
+                    other => out.push(other),
+                }
+            }
+        }
+        out.push('<');
+        out.push_str(&e.name);
+        for (k, v) in &e.attrs {
+            out.push_str(&format!(" {k}=\""));
+            escaped(v, out);
+            out.push('"');
+        }
+        if e.children.is_empty() && e.text.is_empty() {
+            out.push_str("/>");
+            return;
+        }
+        out.push('>');
+        escaped(&e.text, out);
+        for child in &e.children {
+            tree_xml(child, out);
+        }
+        out.push_str(&format!("</{}>", e.name));
+    }
+
+    fn arb_element() -> impl Strategy<Value = Element> {
+        let text = "[<>&\"' aé€]{0,3}.{0,4}";
+        let leaf = (
+            "[a-z][a-z0-9-]{0,5}",
+            prop::collection::vec(("[a-z]{1,4}", text), 0..3),
+        )
+            .prop_map(|(name, attrs)| Element {
+                attrs,
+                ..Element::new(name)
+            });
+        leaf.prop_recursive(4, 24, 4, move |inner| {
+            (inner.clone(), text, prop::collection::vec(inner, 0..4)).prop_map(
+                |(e, text, children)| Element {
+                    text,
+                    children,
+                    ..e
+                },
+            )
+        })
+    }
+
+    proptest! {
+        /// The writer writes what the tree serialiser wrote, byte for
+        /// byte — markup in attributes and text, multi-byte characters,
+        /// empty text and empty elements included — and what it writes
+        /// parses back to the same tree wherever the tree has no mixed
+        /// content.
+        #[test]
+        fn writer_bytes_equal_the_tree_serialiser(e in arb_element()) {
+            let mut expected = String::new();
+            tree_xml(&e, &mut expected);
+            let written = e.to_xml();
+            prop_assert_eq!(&written, &expected);
+            let back = parse(&written).unwrap();
+            prop_assert_eq!(back.to_xml(), written);
+        }
+    }
+
+    #[test]
+    fn writer_closes_empty_elements_and_embeds_raw_children() {
+        let xml = document(|w| {
+            w.element("a", |w| {
+                w.attr("k", "<&>\"'");
+                w.attr("n", 42);
+                w.leaf("empty", "");
+                w.leaf("t", 'x');
+                w.raw("<r/>");
+                w.element("e", |w| w.text(""));
+            })
+        });
+        assert_eq!(
+            xml,
+            "<a k=\"&lt;&amp;&gt;&quot;&apos;\" n=\"42\"><empty/><t>x</t><r/><e/></a>"
+        );
+        assert_eq!(
+            document(|w| w.leaf("solo", "é & ü")),
+            "<solo>é &amp; ü</solo>"
+        );
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! the same documents, so any change to these strings is a wire-format
 //! break and must be deliberate.
 
-use sci_query::codec::{event_to_element, from_xml, profile_to_element, to_xml};
+use sci_query::codec::{event_to_element, from_xml, to_xml, write_profile};
+use sci_query::xml::document;
 use sci_query::{CmpOp, Mode, Predicate, Query, Subject, What, When, Where, Which};
 use sci_types::{
     ContextEvent, ContextType, ContextValue, EntityKind, EventSeq, Guid, PortSpec, Profile,
@@ -71,7 +72,7 @@ fn profile_document_is_stable() {
         "<attr name=\"version\"><value kind=\"int\">1</value></attr>",
         "</profile>",
     );
-    assert_eq!(profile_to_element(&p).to_xml(), expected);
+    assert_eq!(document(|w| write_profile(w, &p)), expected);
 }
 
 #[test]
