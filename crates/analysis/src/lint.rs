@@ -18,6 +18,10 @@
 //! * **SCI-A304** — a call to a Context Server `*_impl` method or to
 //!   `mark_failed` outside the dispatcher's two files: a mutation the
 //!   range's command log never sees.
+//! * **SCI-A305** — in `sci-types`, `sci-event`, `sci-core` and
+//!   `sci-overlay`, a map or set built on `std`'s per-process hasher
+//!   (`HashMap::new(`, `HashSet::with_capacity(`, …, `RandomState`,
+//!   `DefaultHasher`) instead of `sci_types`' fixed-seed one.
 //!
 //! SCI-A303 (drift between `RangeCommand`'s variants and its `KINDS`
 //! table) is retired: `KINDS` is the on-disk tag table, and
@@ -475,10 +479,66 @@ pub fn check_back_doors(file: &str, source: &str) -> Vec<Diagnostic> {
 }
 
 // ---------------------------------------------------------------------
+// SCI-A305 — a map outside the one hasher
+// ---------------------------------------------------------------------
+
+/// The crates whose every map uses `sci_types::{HashMap, HashSet}`: the
+/// event path.
+const ONE_HASHER_CRATES: &[&str] = &[
+    "crates/types/",
+    "crates/event/",
+    "crates/core/",
+    "crates/overlay/",
+];
+
+/// What only `std`'s per-process hasher offers: the constructors that
+/// exist for it alone, and its names.
+const STD_HASHER: &[&str] = &[
+    "HashMap::new(",
+    "HashSet::new(",
+    "HashMap::with_capacity(",
+    "HashSet::with_capacity(",
+    "RandomState",
+    "DefaultHasher",
+];
+
+/// SCI-A305: flags `std`-hasher constructors and names in the non-test
+/// portion of `source`, honouring [`ALLOW_MARKER`] comments. A match
+/// must stand alone: `FxHashMap::new(` or `MyRandomState` is another
+/// type. [`lint_workspace`] runs it on the four event-path crates only.
+pub fn check_std_hasher(file: &str, source: &str) -> Vec<Diagnostic> {
+    let checked = untested_prefix(source);
+    let scrubbed = scrub(checked, false);
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut findings = Vec::new();
+    for pattern in STD_HASHER {
+        for (pos, _) in scrubbed.match_indices(pattern) {
+            let end = pos + pattern.len();
+            let joined = scrubbed[..pos].ends_with(ident)
+                || (!pattern.ends_with('(') && scrubbed[end..].starts_with(ident));
+            if joined || line_text(checked, pos).contains(ALLOW_MARKER) {
+                continue;
+            }
+            findings.push(Diagnostic::new(
+                DiagCode::StdHasher,
+                format!(
+                    "{file}:{}: `{pattern}` uses std's per-process hasher; build \
+                     `sci_types::{{HashMap, HashSet}}` with `default()`, or mark \
+                     `// {ALLOW_MARKER}std-hasher): <reason>`",
+                    line_of(checked, pos),
+                ),
+            ));
+        }
+    }
+    findings.sort_by_key(|d| d.message.clone());
+    findings
+}
+
+// ---------------------------------------------------------------------
 // Workspace walk
 // ---------------------------------------------------------------------
 
-/// Runs all three passes over the workspace rooted at `root`
+/// Runs every pass over the workspace rooted at `root`
 /// (expected layout: `crates/*/src/**/*.rs`; `vendor/` and `target/`
 /// are never visited). Returns the aggregate report.
 pub fn lint_workspace(root: &Path) -> io::Result<AnalysisReport> {
@@ -521,6 +581,11 @@ pub fn lint_workspace(root: &Path) -> io::Result<AnalysisReport> {
         }
         for finding in check_back_doors(&label, &source) {
             report.push(finding);
+        }
+        if ONE_HASHER_CRATES.iter().any(|c| label.starts_with(c)) {
+            for finding in check_std_hasher(&label, &source) {
+                report.push(finding);
+            }
         }
         if !catalogue.is_empty() {
             for finding in check_metric_names(&label, &source, &catalogue) {

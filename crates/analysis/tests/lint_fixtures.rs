@@ -5,7 +5,9 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use sci_analysis::lint::{check_back_doors, check_metric_names, check_nondeterminism, Catalogue};
+use sci_analysis::lint::{
+    check_back_doors, check_metric_names, check_nondeterminism, check_std_hasher, Catalogue,
+};
 use sci_types::DiagCode;
 
 fn fixture(name: &str) -> String {
@@ -40,6 +42,10 @@ fn clean_fixture_passes_every_pass() {
     assert!(
         check_back_doors("clean.rs", &src).is_empty(),
         "A304 findings in the clean fixture"
+    );
+    assert!(
+        check_std_hasher("clean.rs", &src).is_empty(),
+        "A305 findings in the clean fixture"
     );
 }
 
@@ -80,5 +86,18 @@ fn back_door_fixture_is_rejected() {
     let rendered = format!("{findings:?}");
     for call in ["mark_failed", "ingest_impl"] {
         assert!(rendered.contains(call), "missing {call}: {rendered}");
+    }
+}
+
+#[test]
+fn std_hasher_fixture_is_rejected() {
+    let src = fixture("std_hasher.rs");
+    let findings = check_std_hasher("std_hasher.rs", &src);
+    assert_eq!(findings.len(), 4, "{findings:?}");
+    assert!(findings.iter().all(|d| d.code == DiagCode::StdHasher));
+    assert!(findings.iter().all(|d| d.is_error()));
+    let rendered = format!("{findings:?}");
+    for line in [":7:", ":16:", ":17:", ":20:"] {
+        assert!(rendered.contains(line), "missing line {line}: {rendered}");
     }
 }

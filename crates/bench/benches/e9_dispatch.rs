@@ -18,7 +18,6 @@
 //! so the rows price the instrumented configuration the middleware
 //! actually runs; the registry snapshot rides along under `telemetry`.
 
-use std::collections::HashSet;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -26,7 +25,7 @@ use sci_bench::Figure3Rig;
 use sci_core::resolver::{plan_configuration, Demand};
 use sci_event::{EventBus, LinearBus, Topic};
 use sci_telemetry::Registry;
-use sci_types::{ContextEvent, ContextType, ContextValue, Guid, VirtualTime};
+use sci_types::{ContextEvent, ContextType, ContextValue, Guid, HashSet, VirtualTime};
 
 /// Number of subscriptions that match the probe event in every table
 /// shape (the acceptance criterion fixes this while total grows).
@@ -187,7 +186,7 @@ fn measure_resolver_rows() -> Vec<ResolverRow> {
         .map(|&distractors| {
             let rig = Figure3Rig::new(8, distractors, 9);
             let demand = Demand::of(ContextType::Path);
-            let excluded = HashSet::new();
+            let excluded = HashSet::default();
             plan_configuration(rig.cs.profiles(), &demand, &[], &excluded)
                 .expect("path demand resolvable");
             ResolverRow {
@@ -300,7 +299,7 @@ fn bench_dispatch(c: &mut Criterion) {
     for distractors in [10usize, 1_000] {
         let rig = Figure3Rig::new(8, distractors, 9);
         let demand = Demand::of(ContextType::Path);
-        let excluded = HashSet::new();
+        let excluded = HashSet::default();
         group.bench_with_input(
             BenchmarkId::new("plan_path", distractors),
             &demand,

@@ -37,11 +37,9 @@
 //! [`detect_and_repair`] one per silent source, and
 //! [`detect_and_repair_governed`] bounds how often it may.
 
-use std::collections::HashMap;
-
 use sci_event::bus::{SubId, SubscriptionView};
 use sci_event::{EventMediator, Topic};
-use sci_types::{ContextType, Guid, Profile, RangeReply, VirtualDuration, VirtualTime};
+use sci_types::{ContextType, Guid, HashMap, Profile, RangeReply, VirtualDuration, VirtualTime};
 
 use crate::configuration::{input_topic, Configuration};
 use crate::context_server::ContextServer;
@@ -282,8 +280,8 @@ impl AdaptationGovernor {
     pub fn new(policy: AdaptationPolicy) -> Self {
         AdaptationGovernor {
             policy,
-            repairs: HashMap::new(),
-            failures: HashMap::new(),
+            repairs: HashMap::default(),
+            failures: HashMap::default(),
             suppressed: 0,
         }
     }

@@ -13,12 +13,10 @@
 //!   Event Mediator's actual table ([`record_of`] reduces a live
 //!   [`sci_event::Topic`] to the same shape).
 
-use std::collections::HashSet;
-
 use sci_analysis::fleet::SubscriptionRecord;
 use sci_analysis::{GraphEdge, GraphNode, NodeRole, PlanGraph, ProfileSource};
 use sci_event::bus::SubscriptionView;
-use sci_types::{ContextType, Guid, Profile};
+use sci_types::{ContextType, Guid, HashSet, Profile};
 
 use crate::configuration::{Configuration, InstanceStore};
 use crate::profile_manager::ProfileManager;

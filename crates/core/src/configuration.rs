@@ -18,11 +18,9 @@
 //! applications asking for the path between Bob and John drive one
 //! `pathCE` instance, not two. Experiment E8 ablates exactly this flag.
 
-use std::collections::HashMap;
-
 use sci_event::bus::SubId;
 use sci_event::{EventMediator, Topic};
-use sci_types::{ContextType, EventSeq, Guid, Metadata, SciError, SciResult};
+use sci_types::{ContextType, EventSeq, Guid, HashMap, Metadata, SciError, SciResult};
 
 use crate::logic::{EntityLogic, LogicFactory};
 use crate::resolver::{ConfigurationPlan, Need, NodeKind};
@@ -135,8 +133,8 @@ impl InstanceStore {
     /// Creates a store; `reuse` enables subgraph sharing.
     pub fn new(reuse: bool) -> Self {
         InstanceStore {
-            instances: HashMap::new(),
-            cache: HashMap::new(),
+            instances: HashMap::default(),
+            cache: HashMap::default(),
             reuse,
         }
     }
@@ -321,8 +319,8 @@ mod tests {
     use sci_location::floorplan::capa_level10;
     use sci_query::Predicate;
     use sci_types::guid::GuidGenerator;
+    use sci_types::HashSet;
     use sci_types::{ContextValue, EntityKind, PortSpec, Profile};
-    use std::collections::HashSet;
 
     struct Fixture {
         pm: ProfileManager,
@@ -337,7 +335,7 @@ mod tests {
     fn fixture() -> Fixture {
         let plan = capa_level10();
         let mut pm = ProfileManager::new();
-        let mut factories: HashMap<Guid, LogicFactory> = HashMap::new();
+        let mut factories: HashMap<Guid, LogicFactory> = HashMap::default();
         let path_ce = Guid::from_u128(0x100);
         pm.insert(
             Profile::builder(path_ce, EntityKind::Software, "pathCE")
@@ -390,7 +388,7 @@ mod tests {
                 Predicate::eq("from", ContextValue::Id(bob)),
                 Predicate::eq("to", ContextValue::Id(john)),
             ],
-            &HashSet::new(),
+            &HashSet::default(),
         )
         .unwrap()
     }

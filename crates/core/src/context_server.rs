@@ -23,7 +23,7 @@
 //! [`crate::runtime::ParallelFederation`]) ship the same commands over a
 //! mailbox instead.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::time::Instant;
 
 use sci_event::bus::SubId;
@@ -34,8 +34,8 @@ use sci_query::{Mode, Query, What, When, Where, Which};
 use sci_types::guid::GuidGenerator;
 use sci_types::{
     Advertisement, AnalysisReport, ContextEvent, ContextType, ContextValue, Coord, DiagCode,
-    Diagnostic, EntityDescriptor, EntityKind, Guid, Profile, RepairReport, SciError, SciResult,
-    VirtualDuration, VirtualTime,
+    Diagnostic, EntityDescriptor, EntityKind, Guid, HashMap, HashSet, Profile, RepairReport,
+    SciError, SciResult, VirtualDuration, VirtualTime,
 };
 
 use sci_analysis::fleet::{diff_subscriptions, SubscriptionRecord};
@@ -158,16 +158,16 @@ impl ContextServer {
             mediator,
             location: LocationService::new(plan),
             instances: InstanceStore::new(true),
-            factories: HashMap::new(),
-            advertisements: HashMap::new(),
-            configurations: HashMap::new(),
-            origin_queries: HashMap::new(),
-            caa_sub_index: HashMap::new(),
+            factories: HashMap::default(),
+            advertisements: HashMap::default(),
+            configurations: HashMap::default(),
+            origin_queries: HashMap::default(),
+            caa_sub_index: HashMap::default(),
             deferred: Vec::new(),
             timers: Scheduler::new(),
             outbox: Vec::new(),
             answers: Vec::new(),
-            excluded: HashSet::new(),
+            excluded: HashSet::default(),
             ids: GuidGenerator::seeded(id.as_u128() as u64),
             auto_register_people: true,
             stale_drops: 0,
@@ -2109,7 +2109,7 @@ mod tests {
                 Predicate::eq("from", ContextValue::Id(bob)),
                 Predicate::eq("to", ContextValue::Id(john)),
             ],
-            &HashSet::new(),
+            &HashSet::default(),
         )
         .unwrap();
         let report = r.cs.analyze_plan(&plan);

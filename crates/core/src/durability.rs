@@ -75,6 +75,7 @@
 //! intact command prefix (plus a reported torn tail).
 
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -196,9 +197,9 @@ fn put_document(out: &mut Vec<u8>, write: impl FnOnce(&mut XmlWriter<'_>)) {
 /// [`SciError::Codec`] for malformed payloads or unknown tags,
 /// [`SciError::Internal`] when a `register-logic` record has no
 /// matching resolver.
-pub fn decode_command(
+pub fn decode_command<S: BuildHasher>(
     frame: &Frame,
-    logic: &HashMap<Guid, LogicFactory>,
+    logic: &HashMap<Guid, LogicFactory, S>,
 ) -> SciResult<(RangeCommand, VirtualTime)> {
     let mut r = wire::Reader::new(&frame.payload);
     let now = VirtualTime::from_micros(r.u64().map_err(frame_err)?);
@@ -653,10 +654,10 @@ const POSITION_LEN: usize = 16 + 8 + 8;
 /// waiting for a new source), and the snapshot does not carry the plan
 /// it was degraded from; it is dropped and counted rather than failing
 /// the whole recovery.
-pub(crate) fn restore_snapshot(
+pub(crate) fn restore_snapshot<S: BuildHasher>(
     cs: &mut ContextServer,
     payload: &[u8],
-    logic: &HashMap<Guid, LogicFactory>,
+    logic: &HashMap<Guid, LogicFactory, S>,
 ) -> SciResult<(VirtualTime, usize)> {
     let mut r = wire::Reader::new(payload);
     let root = &parse(r.str().map_err(frame_err)?)?;
@@ -808,6 +809,8 @@ pub fn attach_memory(cs: &mut ContextServer, now: VirtualTime) {
 ///
 /// Passing the predecessor's telemetry `registry` preserves counter
 /// continuity across the restart, exactly like supervised restarts do.
+/// `logic` is the embedding program's map, on whatever hasher it was
+/// built with.
 /// Replayed commands *do* re-record command metrics — the counters
 /// describe work this process performed, and replay is work.
 ///
@@ -818,13 +821,13 @@ pub fn attach_memory(cs: &mut ContextServer, now: VirtualTime) {
 /// malformed snapshot/frame payloads, or a missing logic resolver.
 /// Commands that replay with an error are *not* errors here — they
 /// failed the first time too (see [`RecoveryReport::replay_errors`]).
-pub fn recover(
+pub fn recover<S: BuildHasher>(
     id: Guid,
     name: impl Into<String>,
     plan: FloorPlan,
     registry: Registry,
     config: &DurabilityConfig,
-    logic: &HashMap<Guid, LogicFactory>,
+    logic: &HashMap<Guid, LogicFactory, S>,
 ) -> SciResult<(ContextServer, RecoveryReport)> {
     let fresh = (id, name.into(), plan, registry);
     rebuild(fresh, || Store::open_dir(config), logic)
@@ -861,10 +864,10 @@ pub fn restart(wreck: ContextServer) -> SciResult<(ContextServer, RecoveryReport
 /// restores the newest intact snapshot `open` finds into a fresh
 /// server of the given identity, replays every record past it through
 /// [`ContextServer::handle`], and attaches the opened store.
-fn rebuild(
+fn rebuild<S: BuildHasher>(
     (id, name, plan, registry): (Guid, String, FloorPlan, Registry),
     open: impl FnOnce() -> SciResult<(Store, Held)>,
-    logic: &HashMap<Guid, LogicFactory>,
+    logic: &HashMap<Guid, LogicFactory, S>,
 ) -> SciResult<(ContextServer, RecoveryReport)> {
     let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
                                   // Store first, server second: the server's many small allocations

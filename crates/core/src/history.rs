@@ -15,9 +15,9 @@
 //! durability snapshot copies the stored bytes a key at a time, and a
 //! restore adopts them without building a single event.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use sci_types::{ContextEvent, ContextType, Guid, VirtualDuration, VirtualTime};
+use sci_types::{ContextEvent, ContextType, Guid, HashMap, VirtualDuration, VirtualTime};
 use sci_wal::codec::wire;
 
 use crate::records::{get_event, put_event, EventHead};
@@ -112,7 +112,7 @@ impl ContextStore {
     pub fn new(depth: usize, retention: VirtualDuration) -> Self {
         assert!(depth > 0, "history depth must be positive");
         ContextStore {
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             depth,
             retention,
         }

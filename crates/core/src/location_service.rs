@@ -9,14 +9,13 @@
 //! position"). Both paths feed the same model, demonstrating the
 //! interoperation the paper's Section 3.3 calls for.
 
-use std::collections::HashMap;
-
 use sci_location::convert::{trilaterate, PathLossModel, SignalReading};
 use sci_location::floorplan::FloorPlan;
 use sci_location::geometric::GeometricModel;
 use sci_location::language::{LocationExpr, ResolvedLocation};
 use sci_types::{
-    ContextEvent, ContextType, ContextValue, Coord, Guid, SciResult, VirtualDuration, VirtualTime,
+    ContextEvent, ContextType, ContextValue, Coord, Guid, HashMap, SciResult, VirtualDuration,
+    VirtualTime,
 };
 
 /// How long a signal reading stays usable for trilateration.
@@ -46,7 +45,7 @@ impl LocationService {
         LocationService {
             plan,
             tracker,
-            readings: HashMap::new(),
+            readings: HashMap::default(),
             radio: PathLossModel::INDOOR,
         }
     }

@@ -25,8 +25,6 @@
 //! from a simulated world through [`RelayCore::command`], on either
 //! federation driver.
 
-use std::collections::HashMap;
-
 use sci_location::convert::{trilaterate, PathLossModel, SignalReading};
 use sci_location::floorplan::FloorPlan;
 use sci_location::language::LocationExpr;
@@ -36,8 +34,8 @@ use sci_sensors::printer::Access;
 use sci_sensors::world::World;
 use sci_types::guid::GuidGenerator;
 use sci_types::{
-    Advertisement, ContextEvent, ContextType, ContextValue, Coord, EntityKind, Guid, Metadata,
-    PortSpec, Profile, SciResult, VirtualTime,
+    Advertisement, ContextEvent, ContextType, ContextValue, Coord, EntityKind, Guid, HashMap,
+    Metadata, PortSpec, Profile, SciResult, VirtualTime,
 };
 
 use crate::relay::{RangeHost, RelayCore};
@@ -136,7 +134,7 @@ impl WlanLocationLogic {
         WlanLocationLogic {
             plan,
             radio: PathLossModel::INDOOR,
-            readings: HashMap::new(),
+            readings: HashMap::default(),
         }
     }
 }
@@ -206,7 +204,7 @@ impl PathLogic {
     pub fn new(plan: FloorPlan) -> Self {
         PathLogic {
             plan,
-            last: HashMap::new(),
+            last: HashMap::default(),
         }
     }
 }

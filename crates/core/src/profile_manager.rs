@@ -15,11 +15,9 @@
 //! [`oracle::UnshardedProfileManager`] so property tests can prove the
 //! two observably equivalent under churn.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
-use sci_types::{
-    ContextType, ContextValue, DeterministicState, Guid, Profile, SciError, SciResult,
-};
+use sci_types::{ContextType, ContextValue, Guid, HashMap, HashSet, Profile, SciError, SciResult};
 
 /// Registration-ordered set of providers of one context type.
 ///
@@ -63,7 +61,7 @@ impl ProviderSet {
 #[derive(Clone, Debug, Default)]
 pub struct ProfileManager {
     /// Primary store, by entity GUID.
-    profiles: HashMap<Guid, Profile, DeterministicState>,
+    profiles: HashMap<Guid, Profile>,
     /// Provided-type → registration-ordered provider set.
     by_output: HashMap<ContextType, ProviderSet>,
     /// Semantic-equivalence classes over context types (paper §6, open
@@ -241,7 +239,7 @@ impl ProfileManager {
     /// Providers of `ty` or of any type declared equivalent to it, in
     /// registration order per class member.
     pub fn providers_of_compatible(&self, ty: &ContextType) -> Vec<&Profile> {
-        let mut seen = HashSet::new();
+        let mut seen = HashSet::default();
         let mut out = Vec::new();
         for t in self.equivalents(ty) {
             for p in self.providers_of(&t) {
@@ -415,7 +413,7 @@ pub mod oracle {
 
         /// Providers of `ty` or any equivalent type, deduplicated.
         pub fn providers_of_compatible(&self, ty: &ContextType) -> Vec<&Profile> {
-            let mut seen = HashSet::new();
+            let mut seen = HashSet::default();
             let mut out = Vec::new();
             for t in self.equivalents(ty) {
                 for p in self.providers_of(&t) {

@@ -4,9 +4,7 @@
 //! (paper, Section 3.1). "All CE's are registered within a range when
 //! they arrive and deregistered upon departure."
 
-use std::collections::HashMap;
-
-use sci_types::{EntityDescriptor, EntityKind, Guid, SciError, SciResult, VirtualTime};
+use sci_types::{EntityDescriptor, EntityKind, Guid, HashMap, SciError, SciResult, VirtualTime};
 
 /// One entry in the registrar's arrival/departure log.
 #[derive(Clone, PartialEq, Eq, Debug)]

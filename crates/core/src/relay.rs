@@ -53,7 +53,7 @@
 //! it: a packet that finds no live host is parked like an unroutable
 //! one and re-fired every pump until the range is back.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::time::Instant;
 
 use bytes::Bytes;
@@ -68,8 +68,8 @@ use sci_query::Query;
 use sci_telemetry::{Registry, TelemetrySnapshot, Tracer};
 use sci_types::guid::GuidGenerator;
 use sci_types::{
-    ContextEvent, FederationModel, FreshnessBound, Guid, RangeModel, RetryModel, RouteClaim,
-    SciError, SciResult, VirtualDuration, VirtualTime,
+    ContextEvent, FederationModel, FreshnessBound, Guid, HashMap, RangeModel, RetryModel,
+    RouteClaim, SciError, SciResult, VirtualDuration, VirtualTime,
 };
 use sci_wal::codec::wire;
 
@@ -246,17 +246,17 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
     pub fn with_transport(net: T, seed: u64) -> Self {
         RelayCore {
             net,
-            hosts: HashMap::new(),
-            names: HashMap::new(),
-            app_home: HashMap::new(),
-            inbox: HashMap::new(),
-            answers: HashMap::new(),
-            relay_max_age: HashMap::new(),
+            hosts: HashMap::default(),
+            names: HashMap::default(),
+            app_home: HashMap::default(),
+            inbox: HashMap::default(),
+            answers: HashMap::default(),
+            relay_max_age: HashMap::default(),
             seen_relays: SeenEnvelopes::default(),
             pending_relays: Vec::new(),
             stray_error: None,
-            migrate_seq: HashMap::new(),
-            migrate_started: HashMap::new(),
+            migrate_seq: HashMap::default(),
+            migrate_started: HashMap::default(),
             ids: GuidGenerator::seeded(seed),
             metrics: FedMetrics::new(),
         }
@@ -318,8 +318,8 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
 
     /// The ranges being served, in GUID order. Sorted iteration keeps
     /// the fault layer's PRNG draw sequence — and with it a whole chaos
-    /// schedule — a pure function of the seed (`HashMap` order is
-    /// randomised per process).
+    /// schedule — a pure function of the seed, not of the hash map's
+    /// layout.
     pub(crate) fn node_ids(&self) -> Vec<Guid> {
         let mut ids: Vec<Guid> = self.hosts.keys().copied().collect();
         ids.sort_unstable();

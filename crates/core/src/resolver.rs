@@ -16,12 +16,11 @@
 //! `objLocationCE` instance, whose `Presence` input is satisfied by all
 //! registered door-sensor source CEs.
 
-use std::collections::HashSet;
 use std::fmt;
 
 use sci_query::predicate::eval_all;
 use sci_query::Predicate;
-use sci_types::{ContextType, ContextValue, Guid, Metadata, Profile, SciError, SciResult};
+use sci_types::{ContextType, ContextValue, Guid, HashSet, Metadata, Profile, SciError, SciResult};
 
 use crate::profile_manager::ProfileManager;
 
@@ -467,7 +466,7 @@ mod tests {
             &pm,
             &Demand::of(ContextType::Path),
             &constraints,
-            &HashSet::new(),
+            &HashSet::default(),
         )
         .unwrap();
 
@@ -523,7 +522,7 @@ mod tests {
             &pm,
             &Demand::of(ContextType::Presence),
             &[],
-            &HashSet::new(),
+            &HashSet::default(),
         )
         .unwrap();
         assert_eq!(plan.roots.len(), doors.len());
@@ -537,7 +536,7 @@ mod tests {
             &pm,
             &Demand::of(ContextType::Occupancy),
             &[],
-            &HashSet::new(),
+            &HashSet::default(),
         )
         .unwrap_err();
         assert!(matches!(err, SciError::Unresolvable(_)));
@@ -546,7 +545,7 @@ mod tests {
     #[test]
     fn excluded_ces_are_avoided() {
         let (pm, _, _, doors) = pm_with_figure3_entities();
-        let mut excluded = HashSet::new();
+        let mut excluded = HashSet::default();
         excluded.insert(doors[0]);
         let plan = plan_configuration(
             &pm,
@@ -584,7 +583,7 @@ mod tests {
             &pm,
             &Demand::of(ContextType::Temperature),
             &constraints,
-            &HashSet::new(),
+            &HashSet::default(),
         )
         .unwrap();
         assert_eq!(plan.source_ces(), vec![Guid::from_u128(1)]);
@@ -605,7 +604,7 @@ mod tests {
             &pm,
             &Demand::of(ContextType::Location),
             &[],
-            &HashSet::new(),
+            &HashSet::default(),
         )
         .unwrap_err();
         assert!(matches!(err, SciError::Unresolvable(_)));
@@ -637,8 +636,13 @@ mod tests {
                 .build(),
         )
         .unwrap();
-        let plan =
-            plan_configuration(&pm, &Demand::of(ContextType::Path), &[], &HashSet::new()).unwrap();
+        let plan = plan_configuration(
+            &pm,
+            &Demand::of(ContextType::Path),
+            &[],
+            &HashSet::default(),
+        )
+        .unwrap();
         let root = &plan.nodes[plan.roots[0]];
         assert_eq!(root.ce, Guid::from_u128(2), "resolver backtracked");
         // The dead-end attempt left no orphan nodes behind.

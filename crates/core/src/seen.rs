@@ -11,9 +11,9 @@
 //! own above it until the gap fills and the two merge. Memory is
 //! proportional to the gaps outstanding, not to the traffic passed.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-use sci_types::Guid;
+use sci_types::{Guid, HashMap};
 
 /// Envelope sequences carry their traffic class in the top two bits
 /// (deliveries `0`, answers `1`, migrations `2`): each class counts from

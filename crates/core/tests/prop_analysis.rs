@@ -5,8 +5,6 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::{HashMap, HashSet};
-
 use proptest::prelude::*;
 use sci_analysis::analyze;
 use sci_analysis::fleet::SubscriptionRecord;
@@ -19,7 +17,7 @@ use sci_event::{EventMediator, Topic};
 use sci_location::floorplan::capa_level10;
 use sci_query::Predicate;
 use sci_types::guid::GuidGenerator;
-use sci_types::{ContextType, ContextValue, EntityKind, Guid, PortSpec, Profile};
+use sci_types::{ContextType, ContextValue, EntityKind, Guid, HashMap, HashSet, PortSpec, Profile};
 
 struct Registry {
     pm: ProfileManager,
@@ -32,7 +30,7 @@ struct Registry {
 fn registry(doors: usize, dual_obj_loc: bool) -> Registry {
     let plan = capa_level10();
     let mut pm = ProfileManager::new();
-    let mut factories: HashMap<Guid, LogicFactory> = HashMap::new();
+    let mut factories: HashMap<Guid, LogicFactory> = HashMap::default();
 
     let path_ce = Guid::from_u128(0x100);
     pm.insert(
@@ -118,7 +116,7 @@ proptest! {
         // Not every random demand resolves (that is the resolver's
         // concern, not the analyzer's); the property quantifies over
         // the plans that do.
-        let Ok(plan) = plan_configuration(&reg.pm, &demand, &constraints, &HashSet::new()) else {
+        let Ok(plan) = plan_configuration(&reg.pm, &demand, &constraints, &HashSet::default()) else {
             return Ok(());
         };
 
@@ -162,7 +160,7 @@ proptest! {
         }
 
         let expected: HashSet<SubscriptionRecord> =
-            expected_subscriptions(&config, &store, &reg.pm, &HashSet::new())
+            expected_subscriptions(&config, &store, &reg.pm, &HashSet::default())
                 .expect("consistent configuration")
                 .into_iter()
                 .collect();

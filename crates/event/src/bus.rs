@@ -27,10 +27,19 @@
 //! door sensor (paper §3.2, Figure 3), so a Range holds many topics
 //! sharing one source and differing only by subject. Filed under the
 //! source alone, every badge read would examine all of them to find the
-//! one or two that match. Each source instead keeps an ordered map from
-//! subject to that pair's list, so a publish reads one list and a
-//! subscribe pays one small-map lookup on top of what the other
-//! families pay.
+//! one or two that match. The family is instead one map keyed by the
+//! `(source, subject)` pair, so a publish reads one list with one
+//! lookup.
+//!
+//! # Hash-indexed
+//!
+//! Every table here — the live entries by [`SubId`], the candidate
+//! families and the per-subscriber lists — is a [`sci_types::HashMap`]
+//! over the library's one fixed-seed hasher, so a publish pays one
+//! lookup per family and one per candidate, each two multiplies for a
+//! GUID key. No order is read from a map: candidates are sorted by id,
+//! the lists are kept in id order, and [`EventBus::iter`] sorts the
+//! entries by id.
 //!
 //! # Invariants
 //!
@@ -46,19 +55,14 @@
 //!   immediately after its first delivery, before `publish`
 //!   returns — identical to the linear bus.
 
-use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::Hash;
 
 use sci_telemetry::Registry;
-use sci_types::{ContextEvent, ContextType, DeterministicState, Guid, SciError, SciResult};
+use sci_types::{ContextEvent, ContextType, Guid, HashMap, SciError, SciResult};
 
 use crate::telemetry::BusTelemetry;
 use crate::topic::Topic;
-
-/// One candidate family. The hasher is fixed, so iteration order — where
-/// it leaks at all — is the same on every run.
-type Index<K, V> = HashMap<K, V, DeterministicState>;
 
 /// Identifier of a subscription issued by a bus.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -153,19 +157,21 @@ impl Entry {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct EventBus {
-    /// All live entries, ordered by id — doubles as the `SubId → slot`
-    /// map that makes `unsubscribe`/`is_live`/`topic_of` O(log n).
-    entries: BTreeMap<SubId, Entry>,
+    /// All live entries by id: one lookup per candidate, and for
+    /// `unsubscribe`/`is_live`/`topic_of`. Boxed, a bucket is 16 bytes
+    /// rather than an entry's 144: a hash table leaves up to half its
+    /// buckets empty and grows beside its old allocation, which for
+    /// inline entries raised the churn workload's peak memory 10 %.
+    entries: HashMap<SubId, Box<Entry>>,
     /// Candidate families, keyed by entity GUID (and by type for the
     /// type family).
-    by_type: Index<ContextType, Vec<SubId>>,
-    by_source: Index<Guid, Vec<SubId>>,
-    by_subject: Index<Guid, Vec<SubId>>,
-    /// Topics naming both a source and a subject: per source, the lists
-    /// of its subjects.
-    by_pair: Index<Guid, BTreeMap<Guid, Vec<SubId>>>,
+    by_type: HashMap<ContextType, Vec<SubId>>,
+    by_source: HashMap<Guid, Vec<SubId>>,
+    by_subject: HashMap<Guid, Vec<SubId>>,
+    /// Topics naming both a source and a subject, keyed by the pair.
+    by_pair: HashMap<(Guid, Guid), Vec<SubId>>,
     wildcard: Vec<SubId>,
-    by_subscriber: Index<Guid, Vec<SubId>>,
+    by_subscriber: HashMap<Guid, Vec<SubId>>,
     next_id: u64,
     telemetry: Option<BusTelemetry>,
 }
@@ -194,13 +200,9 @@ impl EventBus {
         let id = SubId(self.next_id);
         self.next_id += 1;
         match IndexKey::for_topic(&topic) {
-            IndexKey::Pair(source, subject) => self
-                .by_pair
-                .entry(source)
-                .or_default()
-                .entry(subject)
-                .or_default()
-                .push(id),
+            IndexKey::Pair(source, subject) => {
+                self.by_pair.entry((source, subject)).or_default().push(id)
+            }
             IndexKey::Source(source) => self.by_source.entry(source).or_default().push(id),
             IndexKey::Subject(subject) => self.by_subject.entry(subject).or_default().push(id),
             IndexKey::Type(ty) => self.by_type.entry(ty.clone()).or_default().push(id),
@@ -209,11 +211,11 @@ impl EventBus {
         self.by_subscriber.entry(subscriber).or_default().push(id);
         self.entries.insert(
             id,
-            Entry {
+            Box::new(Entry {
                 subscriber,
                 topic,
                 one_time,
-            },
+            }),
         );
         id
     }
@@ -264,8 +266,7 @@ impl EventBus {
             if let Some(ids) = self.by_subject.get(&subject) {
                 out.extend_from_slice(ids);
             }
-            let pairs = self.by_pair.get(&event.source);
-            if let Some(ids) = pairs.and_then(|subjects| subjects.get(&subject)) {
+            if let Some(ids) = self.by_pair.get(&(event.source, subject)) {
                 out.extend_from_slice(ids);
             }
         }
@@ -336,9 +337,12 @@ impl EventBus {
 
     /// Iterates over every live subscription, in subscription order.
     /// Static fleet analysis walks this to compare the actual wiring
-    /// against what analyzed plans require.
+    /// against what analyzed plans require; the entries are sorted by
+    /// id first, since the table is hash-indexed.
     pub fn iter(&self) -> impl Iterator<Item = SubscriptionView<'_>> {
-        self.entries.iter().map(|(&id, e)| e.view(id))
+        let mut live: Vec<_> = self.entries.iter().collect();
+        live.sort_unstable_by_key(|(&id, _)| id);
+        live.into_iter().map(|(&id, e)| e.view(id))
     }
 
     /// The live subscriptions whose topic names `source` and exactly
@@ -353,7 +357,7 @@ impl EventBus {
         subject: Option<Guid>,
     ) -> impl Iterator<Item = SubscriptionView<'_>> {
         let ids = match subject {
-            Some(subject) => self.by_pair.get(&source).and_then(|s| s.get(&subject)),
+            Some(subject) => self.by_pair.get(&(source, subject)),
             None => self.by_source.get(&source),
         };
         let named = ids.into_iter().flatten();
@@ -371,22 +375,10 @@ impl EventBus {
     }
 
     /// Removes `id` from the one candidate list its key names, dropping
-    /// the list (and the per-source pair map) it empties.
+    /// the list it empties.
     fn unlink_key(&mut self, id: SubId, key: IndexKey<'_>) {
         match key {
-            IndexKey::Pair(source, subject) => {
-                if let Some(subjects) = self.by_pair.get_mut(&source) {
-                    if subjects
-                        .get_mut(&subject)
-                        .is_some_and(|ids| drop_id(ids, id))
-                    {
-                        subjects.remove(&subject);
-                    }
-                    if subjects.is_empty() {
-                        self.by_pair.remove(&source);
-                    }
-                }
-            }
+            IndexKey::Pair(source, subject) => drop_from(&mut self.by_pair, &(source, subject), id),
             IndexKey::Source(source) => drop_from(&mut self.by_source, &source, id),
             IndexKey::Subject(subject) => drop_from(&mut self.by_subject, &subject, id),
             IndexKey::Type(ty) => drop_from(&mut self.by_type, ty, id),
@@ -409,7 +401,7 @@ fn drop_id(ids: &mut Vec<SubId>, id: SubId) -> bool {
 
 /// Removes `id` from the list filed under `key`, and the list with it
 /// if that was its last.
-fn drop_from<K: Hash + Eq>(lists: &mut Index<K, Vec<SubId>>, key: &K, id: SubId) {
+fn drop_from<K: Hash + Eq>(lists: &mut HashMap<K, Vec<SubId>>, key: &K, id: SubId) {
     if lists.get_mut(key).is_some_and(|ids| drop_id(ids, id)) {
         lists.remove(key);
     }
@@ -677,7 +669,7 @@ mod tests {
     }
 
     #[test]
-    fn pair_keyed_removal_cleans_the_per_source_map() {
+    fn pair_keyed_removal_drops_emptied_pair_lists() {
         let mut bus = EventBus::new();
         let (door, other_door) = (Guid::from_u128(10), Guid::from_u128(11));
         let pair = |door: Guid, subject: u128| {
@@ -691,27 +683,27 @@ mod tests {
         let once = bus.subscribe(app, pair(door, 21), true);
         let l1 = bus.subscribe(leaver, pair(door, 20), false);
         let l2 = bus.subscribe(leaver, pair(other_door, 20), false);
-        assert_eq!(bus.by_pair.len(), 2);
+        assert_eq!(bus.by_pair.len(), 3);
 
         // unsubscribe: the rest of the slice keeps its order.
         bus.unsubscribe(a).unwrap();
         assert!(bus.unsubscribe(a).is_err());
         assert_eq!(fired(&mut bus, &presence(10, 20)), [b, l1]);
 
-        // unsubscribe_all: leaves both doors; the second door's map empties.
+        // unsubscribe_all: leaves both doors; the second door's list empties.
         assert_eq!(bus.unsubscribe_all(leaver), 2);
         assert!(!bus.is_live(l1) && !bus.is_live(l2));
-        assert!(!bus.by_pair.contains_key(&other_door));
+        assert!(!bus.by_pair.contains_key(&(other_door, Guid::from_u128(20))));
         assert_eq!(fired(&mut bus, &presence(10, 20)), [b]);
 
         // one-time completion unlinks the pair.
         assert_eq!(fired(&mut bus, &presence(10, 21)), [once]);
         assert!(fired(&mut bus, &presence(10, 21)).is_empty());
-        assert_eq!(bus.by_pair.get(&door).map(BTreeMap::len), Some(1));
+        assert_eq!(bus.by_pair.len(), 1);
 
         bus.unsubscribe(b).unwrap();
         assert!(bus.is_empty());
-        assert!(bus.by_pair.is_empty(), "emptied pair maps are dropped");
+        assert!(bus.by_pair.is_empty(), "emptied pair lists are dropped");
         assert!(bus.by_subscriber.is_empty());
     }
 }

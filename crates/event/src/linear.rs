@@ -12,7 +12,7 @@
 
 use sci_types::{ContextEvent, Guid, SciError, SciResult};
 
-use crate::bus::{Delivery, SubId};
+use crate::bus::{Delivery, SubId, SubscriptionView};
 use crate::topic::Topic;
 
 #[derive(Clone, Debug)]
@@ -120,5 +120,15 @@ impl LinearBus {
     /// The topic of a live subscription.
     pub fn topic_of(&self, id: SubId) -> Option<&Topic> {
         self.subs.iter().find(|s| s.id == id).map(|s| &s.topic)
+    }
+
+    /// Every live subscription, in subscription order.
+    pub fn iter(&self) -> impl Iterator<Item = SubscriptionView<'_>> {
+        self.subs.iter().map(|s| SubscriptionView {
+            id: s.id,
+            subscriber: s.subscriber,
+            topic: &s.topic,
+            one_time: s.one_time,
+        })
     }
 }

@@ -13,11 +13,10 @@
 //! Traffic counts live in the telemetry registry (`bus.*`, see
 //! [`EventMediator::attach_telemetry`]), not in the mediator.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use sci_telemetry::{Histogram, Registry};
-use sci_types::{ContextEvent, Guid, SciError, SciResult, VirtualDuration, VirtualTime};
+use sci_types::{ContextEvent, Guid, HashMap, SciError, SciResult, VirtualDuration, VirtualTime};
 
 use crate::bus::{Delivery, EventBus, SubId};
 use crate::topic::Topic;

@@ -5,7 +5,9 @@
 //! targeted unsubscribe, subscriber purge and publish, over topics that
 //! exercise every index key family (wildcard, type, source, subject,
 //! the `(source, subject)` pair and the other conjunctions) — and
-//! `EventBus::naming` reads what the oracle's topics name. A second
+//! `EventBus::naming` reads what the oracle's topics name, and
+//! `EventBus::iter` yields the oracle's live subscriptions in `SubId`
+//! order, though the indexed bus keeps them in a hash map. A second
 //! property crowds one source with the shape composition produces —
 //! scores of topics differing only by subject — before running the same
 //! kind of schedule over it.
@@ -13,6 +15,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use proptest::prelude::*;
+use sci_event::bus::SubscriptionView;
 use sci_event::{EventBus, LinearBus, SubId, Topic};
 use sci_types::{ContextEvent, ContextType, ContextValue, Guid, VirtualTime};
 
@@ -181,11 +184,26 @@ impl Buses {
             prop_assert_eq!(self.indexed.is_live(id), self.oracle.is_live(id));
             prop_assert_eq!(self.indexed.topic_of(id), self.oracle.topic_of(id));
         }
-        Ok(())
+        self.check_iter()
     }
 }
 
 impl Buses {
+    /// `iter` yields every live subscription — id, subscriber, topic and
+    /// one-time flag — in ascending `SubId` order, as the append-only
+    /// oracle holds them.
+    fn check_iter(&self) -> Result<(), TestCaseError> {
+        let row = |v: SubscriptionView<'_>| (v.id, v.subscriber, v.topic.clone(), v.one_time);
+        let indexed: Vec<_> = self.indexed.iter().map(row).collect();
+        prop_assert!(
+            indexed.windows(2).all(|w| w[0].0 < w[1].0),
+            "in SubId order"
+        );
+        let oracle: Vec<_> = self.oracle.iter().map(row).collect();
+        prop_assert_eq!(indexed, oracle, "iter agrees");
+        Ok(())
+    }
+
     /// `naming` reads exactly the live subscriptions whose topic names
     /// `source` and exactly `subject`, in id order.
     fn check_naming(&self, source: u8, subject: Option<u8>) -> Result<(), TestCaseError> {

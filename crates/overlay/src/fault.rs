@@ -40,13 +40,13 @@
 //! The layer is strictly a decorator: code that does not wrap its
 //! transport pays nothing.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use sci_telemetry::{Counter, Registry};
-use sci_types::{FaultSchedule, Guid, SciError, SciResult};
+use sci_types::{FaultSchedule, Guid, HashMap, SciError, SciResult};
 
 use crate::message::Message;
 use crate::net::RouteOutcome;
@@ -165,8 +165,8 @@ impl<T: Transport> FaultyTransport<T> {
             rng: StdRng::seed_from_u64(seed),
             seed,
             default_probs: FaultProbs::NONE,
-            link_probs: HashMap::new(),
-            partitions: HashMap::new(),
+            link_probs: HashMap::default(),
+            partitions: HashMap::default(),
             delayed: VecDeque::new(),
             registry,
             counters,

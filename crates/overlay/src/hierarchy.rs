@@ -8,9 +8,7 @@
 //! whole network's traffic. Experiment E1 measures exactly that against
 //! [`crate::net::SimNetwork`].
 
-use std::collections::HashMap;
-
-use sci_types::{Guid, SciError, SciResult, VirtualDuration};
+use sci_types::{Guid, HashMap, SciError, SciResult, VirtualDuration};
 
 use crate::net::RouteOutcome;
 use crate::stats::LoadStats;

@@ -7,9 +7,7 @@
 //! neighbours are detected on use and evicted from routing tables, the
 //! overlay's stand-in for a liveness protocol.
 
-use std::collections::HashMap;
-
-use sci_types::{Guid, SciError, SciResult, VirtualDuration};
+use sci_types::{Guid, HashMap, SciError, SciResult, VirtualDuration};
 
 use crate::message::{Message, MessageKind};
 use crate::routing::RoutingTable;
@@ -88,8 +86,8 @@ impl SimNetwork {
     /// 1 ms per-hop latency model.
     pub fn new() -> Self {
         SimNetwork {
-            nodes: HashMap::new(),
-            by_name: HashMap::new(),
+            nodes: HashMap::default(),
+            by_name: HashMap::default(),
             stats: LoadStats::new(),
             registrations: SyncStore::new(),
             bucket_capacity: crate::routing::DEFAULT_BUCKET_CAPACITY,
@@ -141,9 +139,11 @@ impl SimNetwork {
 
     /// Gives every node full knowledge of every other node (subject to
     /// bucket capacities). Benchmarks use this to isolate routing
-    /// behaviour from discovery behaviour.
+    /// behaviour from discovery behaviour. Nodes are offered in GUID
+    /// order: which ones a full bucket keeps depends on it.
     pub fn populate_full(&mut self) {
-        let guids: Vec<Guid> = self.nodes.keys().copied().collect();
+        let mut guids: Vec<Guid> = self.nodes.keys().copied().collect();
+        guids.sort_unstable();
         for &a in &guids {
             let Some(node) = self.nodes.get_mut(&a) else {
                 continue;

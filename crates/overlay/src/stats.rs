@@ -5,9 +5,7 @@
 //! overlay spreads it. [`LoadStats`] counts forwards per node and
 //! aggregates hop-count distributions.
 
-use std::collections::HashMap;
-
-use sci_types::Guid;
+use sci_types::{Guid, HashMap};
 
 /// Counters for routed traffic across a network.
 #[derive(Clone, Debug, Default)]

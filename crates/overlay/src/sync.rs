@@ -19,9 +19,9 @@
 //! [`crate::net::SimNetwork`]'s nodes share memory, so they share one
 //! store and a write is visible to every node at once.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-use sci_types::Guid;
+use sci_types::{Guid, HashMap};
 
 /// One replicated registration entry: a key/value pair stamped with a
 /// Lamport version and its publishing node, tombstoned on retraction.

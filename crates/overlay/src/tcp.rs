@@ -38,7 +38,6 @@
 //! The transport binds every listener to `127.0.0.1:0` (the kernel
 //! picks a free port), so parallel test runs never collide.
 
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -49,7 +48,7 @@ use std::time::Duration;
 use bytes::Bytes;
 
 use sci_telemetry::{Counter, Registry};
-use sci_types::{Guid, SciError, SciResult, TransportLinkModel, VirtualDuration};
+use sci_types::{Guid, HashMap, SciError, SciResult, TransportLinkModel, VirtualDuration};
 use sci_wal::codec::{encode_frame, wire, CodecError, Frame, StreamDecoder};
 
 use crate::message::Message;
@@ -795,8 +794,8 @@ impl TcpTransport {
         let registry = Registry::new();
         let counters = NetCounters::new(&registry);
         TcpTransport {
-            nodes: HashMap::new(),
-            names: HashMap::new(),
+            nodes: HashMap::default(),
+            names: HashMap::default(),
             stats: LoadStats::new(),
             registry,
             counters,
@@ -937,8 +936,8 @@ impl Transport for TcpTransport {
             version: self.version,
             inbox_tx,
             store: Mutex::new(SyncStore::new()),
-            conns: Mutex::new(HashMap::new()),
-            directory: Mutex::new(HashMap::new()),
+            conns: Mutex::new(HashMap::default()),
+            directory: Mutex::new(HashMap::default()),
             shutdown: self.shutdown.clone(),
             counters: self.counters.clone(),
         });
@@ -1025,7 +1024,7 @@ impl Transport for TcpTransport {
                 None => pairs.push(((m.src, m.dst), vec![m])),
             }
         }
-        let mut acked: HashMap<(Guid, Guid), usize> = HashMap::new();
+        let mut acked: HashMap<(Guid, Guid), usize> = HashMap::default();
         for ((src, dst), share) in pairs {
             let Some(shared) = self.nodes.get(&src).map(|n| n.shared.clone()) else {
                 continue;

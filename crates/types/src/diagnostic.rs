@@ -95,6 +95,11 @@ pub enum DiagCode {
     /// a mutation its command log never sees, so a recovered range
     /// differs from the live one.
     BackDoorMutation,
+    /// `SCI-A305`: library code on the event path builds a map or set on
+    /// `std`'s per-process hasher instead of the one fixed-seed hasher
+    /// ([`crate::DeterministicState`]) — SipHash cost on every lookup,
+    /// and an iteration order that changes from run to run.
+    StdHasher,
 }
 
 impl DiagCode {
@@ -116,6 +121,7 @@ impl DiagCode {
             DiagCode::NondeterministicCall => "SCI-A301",
             DiagCode::MetricNameDrift => "SCI-A302",
             DiagCode::BackDoorMutation => "SCI-A304",
+            DiagCode::StdHasher => "SCI-A305",
         }
     }
 
@@ -134,7 +140,8 @@ impl DiagCode {
             | DiagCode::TransportLinkMissing
             | DiagCode::NondeterministicCall
             | DiagCode::MetricNameDrift
-            | DiagCode::BackDoorMutation => Severity::Error,
+            | DiagCode::BackDoorMutation
+            | DiagCode::StdHasher => Severity::Error,
             DiagCode::UnreachableNode | DiagCode::OrphanSubscription => Severity::Warning,
         }
     }
@@ -307,6 +314,7 @@ mod tests {
             DiagCode::NondeterministicCall,
             DiagCode::MetricNameDrift,
             DiagCode::BackDoorMutation,
+            DiagCode::StdHasher,
         ];
         let mut codes: Vec<&str> = all.iter().map(DiagCode::code).collect();
         codes.sort_unstable();

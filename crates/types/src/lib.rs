@@ -21,6 +21,8 @@
 //!   Mediator.
 //! * [`VirtualTime`] — the logical clock all deterministic components run
 //!   on.
+//! * [`HashMap`] / [`HashSet`] — the library's maps, over the one
+//!   fixed-seed hasher [`DeterministicState`].
 //!
 //! # Example
 //!
@@ -47,6 +49,7 @@ pub mod entity;
 pub mod error;
 pub mod event;
 pub mod guid;
+pub mod hash;
 pub mod metadata;
 pub mod profile;
 pub mod protocol;
@@ -59,7 +62,8 @@ pub use diagnostic::{AnalysisReport, DiagCode, Diagnostic, Severity};
 pub use entity::{EntityDescriptor, EntityKind};
 pub use error::{SciError, SciResult};
 pub use event::{ContextEvent, EventSeq};
-pub use guid::{DeterministicState, Guid};
+pub use guid::Guid;
+pub use hash::{DeterministicState, HashMap, HashSet};
 pub use metadata::Metadata;
 pub use profile::{PortSpec, Profile, ProfileBuilder};
 pub use protocol::{

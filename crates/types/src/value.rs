@@ -47,9 +47,13 @@ pub enum ContextType {
 }
 
 impl ContextType {
-    /// Creates a custom context type with the given name.
+    /// The context type named `name`: a built-in type's name gives that
+    /// type (`custom("location")` is [`ContextType::Location`]), any
+    /// other name a [`ContextType::Custom`]. A type is stored and sent
+    /// by its name alone, so a `Custom` spelling a built-in name would
+    /// match differently once decoded.
     pub fn custom(name: impl Into<String>) -> Self {
-        ContextType::Custom(name.into())
+        ContextType::from_name(&name.into())
     }
 
     /// A stable lowercase name, used by the query codec and in profiles.
@@ -342,6 +346,7 @@ mod tests {
         ];
         for t in all {
             assert_eq!(ContextType::from_name(t.name()), t);
+            assert_eq!(ContextType::custom(t.name()), t, "custom({})", t.name());
         }
     }
 

@@ -597,6 +597,47 @@ fn a_recovered_range_remembers_a_failure() {
     }
 }
 
+/// A type is logged by its name alone, so an event ingested as
+/// `custom("location")` is replayed as a `Location` event. It must
+/// also have been one live: the subscription it reaches, the history it
+/// lands in and the recovered digest are the same either way.
+#[test]
+fn a_custom_spelling_of_a_built_in_type_recovers_as_it_ran() {
+    let dir = tmpdir("custom-name");
+    let config = DurabilityConfig {
+        snapshot_every: 0,
+        ..DurabilityConfig::new(&dir)
+    };
+    let locator = Guid::from_u128(DOORS[0]);
+    let mut live = ContextServer::new(Guid::from_u128(RANGE_ID), "r", capa_level10());
+    durability::attach(&mut live, &config, t(0)).unwrap();
+    let profile = Profile::builder(locator, EntityKind::Device, "locator")
+        .output(PortSpec::new("where", ContextType::Location))
+        .build();
+    live.register(profile, t(0)).unwrap();
+    let subscribe = Query::builder(Guid::from_u128(0x100), Guid::from_u128(APP_A))
+        .info(ContextType::Location)
+        .mode(Mode::Subscribe)
+        .build();
+    live.submit_query(&subscribe, t(0)).unwrap();
+    let sighting = ContextEvent::new(
+        locator,
+        ContextType::custom("location"),
+        ContextValue::record([("subject", ContextValue::Id(Guid::from_u128(0xB0B)))]),
+        t(1),
+    );
+    live.ingest(&sighting, t(1)).unwrap();
+    live.sync_wal().unwrap();
+    let live_digest = durable_digest(&live);
+
+    let (mut recovered, report) = recover_tracked(&config);
+    assert_eq!(report.replay_errors, 0, "{report:?}");
+    assert_eq!(durable_digest(&recovered), live_digest);
+    assert_eq!(live.drain_outbox().len(), 1, "delivered live");
+    assert_eq!(recovered.drain_outbox().len(), 1, "regenerated");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// R6's shape once more: a restore re-registers every source as heard
 /// at the snapshot's instant, a replay reproduces when each really was.
 /// The same log recovered both ways names the same silent sources.

@@ -3,11 +3,10 @@
 //! completeness (whenever a provider chain exists, a plan is found).
 
 use proptest::prelude::*;
-use std::collections::HashSet;
-
 use sci::core::profile_manager::ProfileManager;
 use sci::core::resolver::{plan_configuration, Demand, NodeKind};
 use sci::prelude::*;
+use sci::types::HashSet;
 
 /// A randomly shaped provider universe: `depth` conversion layers above
 /// a set of sources, plus unrelated distractors.
@@ -127,7 +126,7 @@ proptest! {
     fn resolves_and_type_checks(u in arb_universe()) {
         let (pm, _) = build_universe(&u);
         let demanded = layer_type(u.depth);
-        let plan = plan_configuration(&pm, &Demand::of(demanded.clone()), &[], &HashSet::new())
+        let plan = plan_configuration(&pm, &Demand::of(demanded.clone()), &[], &HashSet::default())
             .expect("a chain exists");
         assert_sound(&plan, &pm, &demanded);
         // The chain grounds at the sensor level.
@@ -185,8 +184,8 @@ proptest! {
     fn resolution_is_deterministic(u in arb_universe()) {
         let (pm, _) = build_universe(&u);
         let demand = Demand::of(layer_type(u.depth));
-        let a = plan_configuration(&pm, &demand, &[], &HashSet::new()).expect("resolves");
-        let b = plan_configuration(&pm, &demand, &[], &HashSet::new()).expect("resolves");
+        let a = plan_configuration(&pm, &demand, &[], &HashSet::default()).expect("resolves");
+        let b = plan_configuration(&pm, &demand, &[], &HashSet::default()).expect("resolves");
         prop_assert_eq!(a, b);
     }
 }
