@@ -29,6 +29,13 @@
 //! (static wiring) and Solar (explicit graphs) baselines measured in
 //! experiment E6.
 //!
+//! The bus is the one record of who subscribes to what: no instance or
+//! configuration keeps a copy. What feeds a configuration is read off
+//! it ([`ContextServer::sources_of`]), so the pass costs the wiring it
+//! changes — the instances with a need the source can feed, and the
+//! configurations fed straight from sources — and a failure's reports
+//! are the configurations the source fed just before it failed.
+//!
 //! Every one of those is a logged command, so a range rebuilt from its
 //! log is wired as the live one was. Failure is *detected* by the Event
 //! Mediator, which tracks liveness of source CEs that declared a
@@ -41,7 +48,7 @@ use sci_event::bus::{SubId, SubscriptionView};
 use sci_event::{EventMediator, Topic};
 use sci_types::{ContextType, Guid, HashMap, Profile, RangeReply, VirtualDuration, VirtualTime};
 
-use crate::configuration::{input_topic, Configuration};
+use crate::configuration::{input_topic, InstanceState};
 use crate::context_server::ContextServer;
 use crate::profile_manager::ProfileManager;
 use crate::resolver::{feeds, Need};
@@ -62,41 +69,41 @@ pub(crate) fn output_types(profile: &Profile) -> Vec<ContextType> {
 
 /// Brings one consumer's subscriptions for one need to `wanted`, the
 /// output type the rule says `source` feeds the need on (`None`: it
-/// does not). Of the `subs` that name `source` and the need's subject
-/// and serve the need, those on `wanted` stay and the rest are
-/// unsubscribed; when `wanted` names a type none of them is on, one is
-/// subscribed. Returns what was dropped and what was added.
+/// does not). Of the subscriptions the consumer `owns` that name
+/// `source` and the need's subject and serve the need, those on
+/// `wanted` stay and the rest are unsubscribed; when `wanted` names a
+/// type none of them is on, one is subscribed. Leaves what was dropped
+/// in `dropped` (a buffer the pass reuses) and returns what was added.
 fn follow(
     (mediator, profiles): (&mut EventMediator, &ProfileManager),
     (consumer, one_time): (Guid, bool),
-    subs: &mut Vec<SubId>,
+    owns: impl Fn(&SubscriptionView<'_>) -> bool,
     need: &Need,
     (source, wanted): (Guid, Option<ContextType>),
-) -> (Vec<SubId>, Option<SubId>) {
+    dropped: &mut Vec<SubId>,
+) -> Option<SubId> {
     // A consumer's inputs of compatible types about the same subject
     // are fed alike, so each of its subscriptions to `source` about the
     // subject in a compatible type serves the need.
     let serves = |view: &SubscriptionView<'_>| {
         let compatible = |ty: &ContextType| profiles.compatible(ty, &need.ty);
-        subs.contains(&view.id) && view.topic.ty().is_some_and(compatible)
+        owns(view) && view.topic.ty().is_some_and(compatible)
     };
-    let (mut held, mut dropped) = (false, Vec::new());
+    let mut held = false;
+    dropped.clear();
     for view in mediator.bus().naming(source, need.subject).filter(serves) {
         match view.topic.ty() == wanted.as_ref() {
             true => held = true,
             false => dropped.push(view.id),
         }
     }
-    for &sub in &dropped {
+    for &sub in dropped.iter() {
         let _ = mediator.unsubscribe(sub);
     }
-    let added = wanted.filter(|_| !held).map(|ty| {
+    wanted.filter(|_| !held).map(|ty| {
         let topic = input_topic(Some(ty), source, need.subject);
         mediator.subscribe(consumer, topic, one_time)
-    });
-    subs.retain(|sub| !dropped.contains(sub));
-    subs.extend(added);
-    (dropped, added)
+    })
 }
 
 /// The one adaptation pass. `source`, whose outputs carry `outputs`,
@@ -104,19 +111,22 @@ fn follow(
 /// outputs can feed is brought to the rule's answer for `source` —
 /// hosted instances first, in GUID order, then the applications fed by
 /// sources directly, in query-id order. The rule's answer for every
-/// other source is what it was, so nothing else is read. Subscription
-/// order is delivery order, so a replay of the same commands rewires,
-/// and later delivers, identically. An input fed by another instance is
-/// nobody's need: it stays derived-fed.
+/// other source is what it was, so nothing else is read, and of the
+/// configurations only the [`direct`](ContextServer::direct) ones —
+/// those without an instance — are visited: an instance's
+/// subscriptions are the bus's, whatever configurations share it.
+/// Subscription order is delivery order, so a replay of the same
+/// commands rewires, and later delivers, identically. An input fed by
+/// another instance is nobody's need: it stays derived-fed.
 ///
 /// After first wiring this pass (with [`unwire`]'s raw half) is the
-/// only writer of a configuration's `sources`, `root_producers` and
-/// `caa_subs`, and of the server's index of the latter. Returns the
-/// configurations `source` started or stopped feeding, in query-id
-/// order.
-pub(crate) fn rewire(cs: &mut ContextServer, source: Guid, outputs: &[ContextType]) -> Vec<Guid> {
+/// only writer of a configuration's `root_producers` and `caa_subs`,
+/// and of the server's index of the latter. Which sources feed a
+/// configuration is not recorded beside the bus: see
+/// [`ContextServer::sources_of`].
+pub(crate) fn rewire(cs: &mut ContextServer, source: Guid, outputs: &[ContextType]) {
     if outputs.is_empty() {
-        return Vec::new();
+        return;
     }
     let (profiles, excluded) = (&cs.profiles, &cs.excluded);
     let concerns = |need: &Need| outputs.iter().any(|ty| profiles.compatible(ty, &need.ty));
@@ -124,82 +134,65 @@ pub(crate) fn rewire(cs: &mut ContextServer, source: Guid, outputs: &[ContextTyp
     let profile = profiles.get(source);
     let rule = |need: &Need| feeds(profiles, profile?, need, excluded);
 
-    // Every instance with a need `source` can feed, and whether it does.
-    let mut hosts: Vec<(Guid, bool)> = (cs.instances.iter())
+    let mut hosts: Vec<(Guid, &InstanceState)> = (cs.instances.iter())
         .filter(|state| state.needs.iter().any(concerns))
-        .map(|state| (state.instance, false))
+        .map(|state| (state.instance, state))
         .collect();
-    hosts.sort_unstable();
-    for (host, fed) in &mut hosts {
-        let Some(state) = cs.instances.get_mut(*host) else {
-            continue;
-        };
+    hosts.sort_unstable_by_key(|&(host, _)| host);
+    let mut dropped = Vec::new();
+    for (host, state) in hosts {
         for need in state.needs.iter().filter(|need| concerns(need)) {
-            let wanted = rule(need);
-            *fed |= wanted.is_some();
             let bus = (&mut cs.mediator, profiles);
-            follow(bus, (*host, false), &mut state.subs, need, (source, wanted));
+            let mine = |view: &SubscriptionView<'_>| view.subscriber == host;
+            let change = (source, rule(need));
+            follow(bus, (host, false), mine, need, change, &mut dropped);
         }
     }
 
-    let fed_by = |i: &Guid| {
-        let at = hosts.binary_search_by_key(i, |&(host, _)| host).ok()?;
-        Some(hosts[at].1)
-    };
-    let mut affected: Vec<&mut Configuration> = (cs.configurations.values_mut())
-        .filter(|config| {
-            let hosted = |i: &Guid| fed_by(i).is_some();
-            config.source_need().is_some_and(concerns) || config.instances.iter().any(hosted)
-        })
-        .collect();
-    affected.sort_unstable_by_key(|config| config.query_id);
-    let mut changed = Vec::new();
-    for config in affected {
-        let fed = match config.need.as_ref().filter(|_| config.instances.is_empty()) {
-            Some(need) => {
-                let (wanted, query) = (rule(need), config.query_id);
-                let fed = wanted.is_some();
-                let bus = (&mut cs.mediator, profiles);
-                let subscriber = (config.owner, config.one_time);
-                let change = (source, wanted);
-                let (dropped, added) = follow(bus, subscriber, &mut config.caa_subs, need, change);
-                for sub in &dropped {
-                    cs.caa_sub_index.remove(sub);
-                }
-                cs.caa_sub_index.extend(added.map(|sub| (sub, query)));
-                let at = config.root_producers.iter().position(|&p| p == source);
-                match (at, fed) {
-                    (None, true) => config.root_producers.push(source),
-                    (Some(at), false) => {
-                        config.root_producers.remove(at);
-                    }
-                    _ => {}
-                }
-                fed
-            }
-            None => config.instances.iter().any(|i| fed_by(i) == Some(true)),
+    for &query in &cs.direct {
+        let Some(config) = cs.configurations.get_mut(&query) else {
+            continue;
         };
-        match (config.sources.binary_search(&source), fed) {
-            (Err(at), true) => config.sources.insert(at, source),
-            (Ok(at), false) => {
-                config.sources.remove(at);
-            }
-            _ => continue,
+        let Some(need) = config.source_need().filter(|need| concerns(need)) else {
+            continue;
+        };
+        let wanted = rule(need);
+        let fed = wanted.is_some();
+        let bus = (&mut cs.mediator, profiles);
+        let subscriber = (config.owner, config.one_time);
+        let mine = |view: &SubscriptionView<'_>| config.caa_subs.contains(&view.id);
+        let change = (source, wanted);
+        let added = follow(bus, subscriber, mine, need, change, &mut dropped);
+        config.caa_subs.retain(|sub| !dropped.contains(sub));
+        config.caa_subs.extend(added);
+        for sub in &dropped {
+            cs.caa_sub_index.remove(sub);
         }
-        changed.push(config.query_id);
+        cs.caa_sub_index.extend(added.map(|sub| (sub, query)));
+        let at = config.root_producers.iter().position(|&p| p == source);
+        match (at, fed) {
+            (None, true) => config.root_producers.push(source),
+            (Some(at), false) => {
+                config.root_producers.remove(at);
+            }
+            _ => {}
+        }
     }
-    changed
 }
 
 /// A producer is gone — it left, or it failed: [`rewire`] for what its
 /// `outputs` fed (an entity without outputs fed no need), and the raw
 /// `Kind`/`Named` subscriptions that selected it drop it. A raw
 /// subscription has no need, so nothing takes the producer's place.
-/// Returns the configurations it fed: [`rewire`]'s, then the raw ones.
-pub(crate) fn unwire(cs: &mut ContextServer, gone: Guid, outputs: &[ContextType]) -> Vec<Guid> {
-    let mut fed = rewire(cs, gone, outputs);
-    let selected = |c: &&mut Configuration| c.need.is_none() && c.root_producers.contains(&gone);
-    for config in cs.configurations.values_mut().filter(selected) {
+pub(crate) fn unwire(cs: &mut ContextServer, gone: Guid, outputs: &[ContextType]) {
+    rewire(cs, gone, outputs);
+    for query in &cs.direct {
+        let Some(config) = cs.configurations.get_mut(query) else {
+            continue;
+        };
+        if config.need.is_some() || !config.root_producers.contains(&gone) {
+            continue;
+        }
         config.root_producers.retain(|&producer| producer != gone);
         let names_it =
             |sub: &SubId| cs.mediator.bus().topic_of(*sub).and_then(Topic::source) == Some(gone);
@@ -211,9 +204,7 @@ pub(crate) fn unwire(cs: &mut ContextServer, gone: Guid, outputs: &[ContextType]
             let _ = cs.mediator.unsubscribe(sub);
             cs.caa_sub_index.remove(&sub);
         }
-        fed.push(config.query_id);
     }
-    fed
 }
 
 /// Fails `failed` — [`RangeCommand::Fail`], like every other mutation a
@@ -307,11 +298,21 @@ impl AdaptationGovernor {
     }
 
     /// Whether a configuration has repair budget left in the window
-    /// ending at `now` (repairs that slid out of it are forgotten).
+    /// ending at `now`. Repairs that slid out of it are forgotten, and
+    /// so is a configuration with none left in it: only a repair
+    /// records one.
     fn has_budget(&mut self, config: Guid, now: VirtualTime) -> bool {
-        let history = self.repairs.entry(config).or_default();
-        history.retain(|&t| now.saturating_since(t) <= self.policy.window);
-        history.len() < self.policy.max_repairs_per_window
+        let spent = match self.repairs.get_mut(&config) {
+            Some(history) => {
+                history.retain(|&t| now.saturating_since(t) <= self.policy.window);
+                history.len()
+            }
+            None => 0,
+        };
+        if spent == 0 {
+            self.repairs.remove(&config);
+        }
+        spent < self.policy.max_repairs_per_window
     }
 
     /// Asks whether a configuration may be repaired at `now`; if yes,
@@ -343,11 +344,9 @@ pub fn detect_and_repair_governed(
     let mut reports = Vec::new();
     for (ce, _) in cs.mediator().silent_publishers(now) {
         governor.record_failure(ce);
-        let (in_budget, spent): (Vec<Guid>, Vec<Guid>) = cs
-            .configurations()
-            .filter(|c| c.sources.contains(&ce) || c.root_producers.contains(&ce))
-            .map(|c| c.query_id)
-            .partition(|&q| governor.has_budget(q, now));
+        let fed = cs.fed_by(ce).into_iter();
+        let (in_budget, spent): (Vec<Guid>, Vec<Guid>) =
+            fed.partition(|&q| governor.has_budget(q, now));
         // One rewire repairs it for everything it fed, charged to every
         // window that has room; with nothing depending on it the
         // failure costs nobody anything. When every dependent has spent
@@ -367,11 +366,11 @@ pub fn detect_and_repair_governed(
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::configuration::InstanceState;
+    use crate::configuration::Configuration;
     use crate::context_server::QueryAnswer;
     use crate::logic::{factory, ObjLocationLogic};
     use sci_location::floorplan::capa_level10;
-    use sci_query::{Mode, Predicate, Query};
+    use sci_query::{Mode, Predicate, Query, QueryBuilder, Which};
     use sci_types::guid::GuidGenerator;
     use sci_types::{ContextEvent, ContextValue, EntityKind, PortSpec, Profile, VirtualDuration};
 
@@ -531,6 +530,24 @@ mod tests {
         assert!(governor.admit_repair(Guid::from_u128(2), sci_types::VirtualTime::from_secs(3)));
     }
 
+    /// Only a repair records a configuration, and the record goes once
+    /// the window slides past its last repair.
+    #[test]
+    fn the_governor_forgets_a_configuration_whose_window_emptied() {
+        let mut governor = AdaptationGovernor::new(AdaptationPolicy {
+            max_repairs_per_window: 2,
+            window: VirtualDuration::from_secs(100),
+        });
+        let (repaired, asked) = (Guid::from_u128(1), Guid::from_u128(2));
+        assert!(governor.admit_repair(repaired, VirtualTime::from_secs(1)));
+        assert!(governor.has_budget(asked, VirtualTime::from_secs(1)));
+        assert!(!governor.repairs.contains_key(&asked), "only asked");
+        assert!(governor.has_budget(repaired, VirtualTime::from_secs(50)));
+        assert!(governor.repairs.contains_key(&repaired), "in the window");
+        assert!(governor.has_budget(repaired, VirtualTime::from_secs(200)));
+        assert!(governor.repairs.is_empty(), "the window slid past it");
+    }
+
     #[test]
     fn governed_detection_suppresses_churn() {
         // A flapping door: fails (silence), repairs, is re-registered,
@@ -609,7 +626,7 @@ mod tests {
         assert_eq!(repaired, both, "both rewired, both reported");
         assert_eq!(governor.suppressed(), 0, "no failure was left unrepaired");
         for query in both {
-            let sources = &r.cs.configuration(query).unwrap().sources;
+            let sources = r.cs.sources_of(query);
             assert!(!sources.contains(&r.doors[0]), "{query} is off the door");
         }
     }
@@ -627,15 +644,67 @@ mod tests {
         assert_eq!(r.cs.instance_count(), 2, "bob's is shared, john's is not");
         let about_bob = vec![Predicate::eq("subject", ContextValue::Id(bob))];
         for constraints in [Vec::new(), about_bob] {
-            let app = r.ids.next_guid();
-            let direct = Query::builder(r.ids.next_guid(), app)
-                .info_matching(ContextType::Presence, constraints)
-                .mode(Mode::Subscribe)
-                .build();
-            r.cs.submit_query(&direct, sci_types::VirtualTime::ZERO)
-                .unwrap();
+            subscribe(&mut r, |q| {
+                q.info_matching(ContextType::Presence, constraints)
+            });
         }
         r
+    }
+
+    /// A fresh application's standing query for `what`; its id.
+    fn subscribe(r: &mut Rig, what: impl FnOnce(QueryBuilder) -> QueryBuilder) -> Guid {
+        let app = r.ids.next_guid();
+        let query = what(Query::builder(r.ids.next_guid(), app))
+            .mode(Mode::Subscribe)
+            .build();
+        r.cs.submit_query(&query, VirtualTime::ZERO).unwrap();
+        query.id
+    }
+
+    /// Straight after first wiring, what feeds each configuration is
+    /// read off the bus as the plan's source leaves: for one fed from
+    /// sources directly, for one with an instance of its own, for two
+    /// sharing one, and — none — for a raw subscription.
+    #[test]
+    fn the_sources_read_off_the_bus_are_the_plans_leaves() {
+        for doors in 1..=3 {
+            let mut r = wired(doors);
+            subscribe(&mut r, |q| q.kind(EntityKind::Device).which(Which::All));
+            assert_eq!(r.cs.configuration_count(), 6);
+            for config in r.cs.configurations() {
+                let mut leaves = config.plan.source_ces();
+                leaves.sort_unstable();
+                leaves.dedup();
+                assert_eq!(r.cs.sources_of(config.query_id), leaves, "{doors} doors");
+            }
+            let raw = r.cs.configurations().find(|c| c.need.is_none()).unwrap();
+            assert!(r.cs.sources_of(raw.query_id).is_empty());
+            assert_eq!(raw.root_producers.len(), doors, "it selected every door");
+        }
+    }
+
+    /// A failed door is reported once for every configuration it fed —
+    /// through an instance, straight to the application, or selected by
+    /// a raw subscription — in query-id order.
+    #[test]
+    fn a_failure_reports_every_configuration_it_fed_in_query_id_order() {
+        let mut r = rig(2);
+        let bob = r.ids.next_guid();
+        let mut fed = vec![
+            subscribe_location(&mut r, bob),
+            subscribe(&mut r, |q| {
+                q.info_matching(ContextType::Presence, Vec::new())
+            }),
+            subscribe(&mut r, |q| q.kind(EntityKind::Device).which(Which::All)),
+        ];
+        fed.sort_unstable();
+        let reports = repair_source(&mut r.cs, r.doors[0], VirtualTime::from_secs(1));
+        let reported: Vec<Guid> = reports.iter().map(|report| report.query).collect();
+        assert_eq!(reported, fed);
+        assert!(reports.iter().all(|report| !report.degraded));
+        for query in fed {
+            assert!(!r.cs.sources_of(query).contains(&r.doors[0]));
+        }
     }
 
     /// Every live subscription as `(id, subscriber, topic)`, in id
@@ -659,8 +728,7 @@ mod tests {
             assert_eq!(as_wired.len(), 2 * doors + 3 + 2 * doors);
             for door in r.doors.clone() {
                 let outputs = output_types(r.cs.profiles().get(door).unwrap());
-                let changed = rewire(&mut r.cs, door, &outputs);
-                assert!(changed.is_empty(), "{doors} doors");
+                rewire(&mut r.cs, door, &outputs);
             }
             assert_eq!(wiring(&r.cs), as_wired, "{doors} doors");
             assert!(r.cs.audit_configurations().is_clean());
@@ -688,7 +756,8 @@ mod tests {
             let t = VirtualTime::from_secs(1);
             r.cs.deregister(door, t).unwrap();
             assert_eq!(wiring(&r.cs), rest, "{doors} doors: only the door's go");
-            assert!(r.cs.configurations().all(|c| !c.sources.contains(&door)));
+            let fed = |c: &Configuration| r.cs.sources_of(c.query_id).contains(&door);
+            assert!(r.cs.configurations().all(|c| !fed(c)));
             assert!(r.cs.audit_configurations().is_clean());
 
             r.cs.register(profile, t).unwrap();
@@ -718,7 +787,8 @@ mod tests {
                 .collect();
             let back: Vec<(Guid, Topic)> = back.into_iter().map(|(_, s, t)| (s, t)).collect();
             assert_eq!(back, expected, "{doors} doors");
-            assert!(r.cs.configurations().all(|c| c.sources.contains(&door)));
+            let fed = |c: &Configuration| r.cs.sources_of(c.query_id).contains(&door);
+            assert!(r.cs.configurations().all(fed));
             assert!(r.cs.audit_configurations().is_clean());
         }
     }

@@ -25,7 +25,9 @@ use sci_types::{ContextType, EventSeq, Guid, HashMap, Metadata, SciError, SciRes
 use crate::logic::{EntityLogic, LogicFactory};
 use crate::resolver::{ConfigurationPlan, Need, NodeKind};
 
-/// A hosted logic instance for one configuration node.
+/// A hosted logic instance for one configuration node. Its input
+/// subscriptions are the bus's record of them, held under the
+/// instance's GUID ([`EventBus::subscriptions_of`](sci_event::EventBus::subscriptions_of)).
 pub struct InstanceState {
     /// The instance's own GUID (events it emits use this as source).
     pub instance: Guid,
@@ -39,8 +41,6 @@ pub struct InstanceState {
     pub logic: Box<dyn EntityLogic>,
     /// Next output sequence number.
     pub seq: EventSeq,
-    /// Input subscriptions held by this instance.
-    pub subs: Vec<SubId>,
     /// The inputs the plan resolved to sources, independent of which
     /// sources feed them at the moment — what adaptation keeps at the
     /// rule's answer as sources come and go. An input fed by another
@@ -103,11 +103,11 @@ pub struct Configuration {
     pub caa_subs: Vec<SubId>,
     /// Whether the paper's "one-time subscription" mode applies.
     pub one_time: bool,
-    /// Source CEs the configuration ultimately depends on, sorted.
-    pub sources: Vec<Guid>,
     /// The plan as first resolved. Its derived nodes and the edges
     /// between them stand for the configuration's life; its source
-    /// leaves are the sources of that moment — `sources` is current.
+    /// leaves are the sources of that moment — the bus holds the
+    /// current ones
+    /// ([`ContextServer::sources_of`](crate::context_server::ContextServer::sources_of)).
     pub plan: ConfigurationPlan,
     /// What the query asked for at the root of the plan (`None` for a
     /// raw `Kind`/`Named` subscription): its subject scopes the
@@ -226,7 +226,6 @@ impl InstanceStore {
                         ))
                     })?;
                     let instance = ids.next_guid();
-                    let mut subs = Vec::new();
                     let mut needs = Vec::new();
                     for edge in &node.inputs {
                         let source = |&p: &usize| plan.nodes[p].kind == NodeKind::Source;
@@ -242,7 +241,7 @@ impl InstanceStore {
                             debug_assert!(p < idx, "children precede parents");
                             let ty = Some(plan.nodes[p].output.clone());
                             let topic = input_topic(ty, producer_guid[p], edge.subject);
-                            subs.push(mediator.subscribe(instance, topic, false));
+                            mediator.subscribe(instance, topic, false);
                         }
                     }
                     self.instances.insert(
@@ -254,7 +253,6 @@ impl InstanceStore {
                             refcount: 1,
                             logic: (factory)(),
                             seq: EventSeq::FIRST,
-                            subs,
                             needs,
                         },
                     );
@@ -267,8 +265,6 @@ impl InstanceStore {
             }
         }
 
-        let mut sources = plan.source_ces();
-        sources.sort_unstable();
         Ok(Configuration {
             query_id,
             owner,
@@ -276,7 +272,6 @@ impl InstanceStore {
             instances: used_instances,
             caa_subs: Vec::new(),
             one_time,
-            sources,
             plan: plan.clone(),
             need: None,
             max_age: None,
@@ -416,11 +411,16 @@ mod tests {
         assert_eq!(config.root_producers.len(), 1);
         // pathCE has 2 input subs (one per objLocation), each objLocation
         // has |doors| subs.
-        let total_subs: usize = store.iter().map(|i| i.subs.len()).sum();
+        let bus = f.mediator.bus();
+        let held = |i: &InstanceState| bus.subscriptions_of(i.instance).len();
+        let total_subs: usize = store.iter().map(held).sum();
         assert_eq!(total_subs, 2 + 2 * f.doors.len());
-        assert_eq!(f.mediator.bus().len(), total_subs);
-        let mut sources = config.sources.clone();
+        assert_eq!(bus.len(), total_subs);
+        let mut sources: Vec<Guid> = (bus.iter().filter_map(|v| v.topic.source()))
+            .filter(|&source| !store.contains(source))
+            .collect();
         sources.sort();
+        sources.dedup();
         assert_eq!(sources, f.doors);
         assert_eq!(config.plan.output, ContextType::Path);
         let _ = (f.path_ce, f.obj_loc);

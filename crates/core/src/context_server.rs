@@ -23,7 +23,7 @@
 //! [`crate::runtime::ParallelFederation`]) ship the same commands over a
 //! mailbox instead.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::time::Instant;
 
 use sci_event::bus::SubId;
@@ -75,7 +75,7 @@ pub struct ContextServer {
     id: Guid,
     name: String,
     registrar: Registrar,
-    // `pub(crate)`: the six tables `adaptation::rewire` works on.
+    // `pub(crate)`: the seven tables `adaptation::rewire` works on.
     pub(crate) profiles: ProfileManager,
     pub(crate) mediator: EventMediator,
     location: LocationService,
@@ -83,6 +83,9 @@ pub struct ContextServer {
     factories: HashMap<Guid, LogicFactory>,
     advertisements: HashMap<Guid, Vec<Advertisement>>,
     pub(crate) configurations: HashMap<Guid, Configuration>,
+    /// The live configurations without an instance — fed straight from
+    /// sources, or raw — by query id: all a rewire visits of them.
+    pub(crate) direct: BTreeSet<Guid>,
     /// The original query behind each live configuration, kept so a
     /// migrating owner's subscriptions can be replayed verbatim at its
     /// new home range (a `Configuration` no longer holds the query).
@@ -161,6 +164,7 @@ impl ContextServer {
             factories: HashMap::default(),
             advertisements: HashMap::default(),
             configurations: HashMap::default(),
+            direct: BTreeSet::new(),
             origin_queries: HashMap::default(),
             caa_sub_index: HashMap::default(),
             deferred: Vec::new(),
@@ -797,6 +801,7 @@ impl ContextServer {
     pub(crate) fn cancel_query_impl(&mut self, query_id: Guid) -> SciResult<()> {
         if let Some(config) = self.configurations.remove(&query_id) {
             self.origin_queries.remove(&query_id);
+            self.direct.remove(&query_id);
             for sub in &config.caa_subs {
                 self.caa_sub_index.remove(sub);
             }
@@ -894,7 +899,6 @@ impl ContextServer {
                     instances: Vec::new(),
                     caa_subs: Vec::new(),
                     one_time,
-                    sources: Vec::new(),
                     plan: crate::resolver::ConfigurationPlan {
                         nodes: Vec::new(),
                         roots: Vec::new(),
@@ -924,6 +928,9 @@ impl ContextServer {
         }
 
         let producers = config.root_producers.clone();
+        if config.instances.is_empty() {
+            self.direct.insert(query.id);
+        }
         self.configurations.insert(query.id, config);
         self.origin_queries.insert(query.id, query.clone());
         Ok(QueryAnswer::Subscribed {
@@ -1389,18 +1396,21 @@ impl ContextServer {
             let silence = silent.iter().find(|(id, _)| *id == ce);
             span.field("silence_us", silence.map_or(0, |(_, d)| d.as_micros()));
         }
+        // A failed source feeds nothing, so what it feeds now is what
+        // the rewire changes.
+        let rewired = self.fed_by(ce);
         self.mark_failed(ce);
-        let rewired = unwire(self, ce, &outputs);
+        unwire(self, ce, &outputs);
         self.metrics.record_source_failed();
         span.field("rewired", rewired.len());
+        let bus = self.mediator.bus();
         rewired
             .into_iter()
             .map(|query| {
                 // Degraded if an instance ended up with no subscriptions
                 // at all, or the application lost its only producer.
                 let degraded = self.configurations.get(&query).is_some_and(|config| {
-                    let starved =
-                        |&i: &Guid| self.instances.get(i).is_some_and(|s| s.subs.is_empty());
+                    let starved = |&i: &Guid| bus.subscriptions_of(i).is_empty();
                     config.root_producers.is_empty() || config.instances.iter().any(starved)
                 });
                 RepairReport {
@@ -1513,6 +1523,52 @@ impl ContextServer {
     /// The configuration of a live query, if any.
     pub fn configuration(&self, query_id: Guid) -> Option<&Configuration> {
         self.configurations.get(&query_id)
+    }
+
+    /// The live configurations without an instance, by query id.
+    pub fn direct(&self) -> &BTreeSet<Guid> {
+        &self.direct
+    }
+
+    /// The source CEs feeding a live configuration now, sorted, read
+    /// off the bus: for one fed straight from sources, the sources its
+    /// application's subscriptions name; for one with instances, those
+    /// its instances' subscriptions name that are not themselves
+    /// instances. A raw `Kind`/`Named` subscription, or a query that is
+    /// not live, has none.
+    pub fn sources_of(&self, query: Guid) -> Vec<Guid> {
+        let Some(config) = self.configurations.get(&query) else {
+            return Vec::new();
+        };
+        let bus = self.mediator.bus();
+        let subs = match config.source_need() {
+            Some(_) => config.caa_subs.clone(),
+            None => (config.instances.iter())
+                .flat_map(|&instance| bus.subscriptions_of(instance))
+                .collect(),
+        };
+        let mut sources: Vec<Guid> = (subs.into_iter())
+            .filter_map(|sub| bus.topic_of(sub)?.source())
+            .filter(|&producer| !self.instances.contains(producer))
+            .collect();
+        sources.sort_unstable();
+        sources.dedup();
+        sources
+    }
+
+    /// The live configurations `source` feeds now, in query-id order:
+    /// those whose [`sources_of`](Self::sources_of) name it, and the raw
+    /// subscriptions that selected it.
+    pub(crate) fn fed_by(&self, source: Guid) -> Vec<Guid> {
+        let feeds = |config: &&Configuration| match config.need {
+            Some(_) => self.sources_of(config.query_id).contains(&source),
+            None => config.root_producers.contains(&source),
+        };
+        let mut fed: Vec<Guid> = (self.configurations.values().filter(feeds))
+            .map(|config| config.query_id)
+            .collect();
+        fed.sort_unstable();
+        fed
     }
 
     // ------------------------------------------------------------------
@@ -2139,8 +2195,11 @@ mod tests {
         );
 
         // Sabotage 1: silently drop one instance input subscription.
-        let victim = r.cs.instances.iter().find(|i| !i.subs.is_empty()).unwrap();
-        let dropped = victim.subs[0];
+        let bus = r.cs.mediator.bus();
+        let held = |i: &crate::configuration::InstanceState| {
+            bus.subscriptions_of(i.instance).first().copied()
+        };
+        let dropped = r.cs.instances.iter().find_map(held).unwrap();
         r.cs.mediator.unsubscribe(dropped).unwrap();
         let report = r.cs.audit_configurations();
         assert!(report.has_code(DiagCode::MissingSubscription));
@@ -2405,11 +2464,6 @@ mod tests {
                 .build()
         };
         let (left, newcomer, failed) = (door(r.doors[0]), door(r.ids.next_guid()), r.doors[2]);
-        let feeding = |cs: &ContextServer| {
-            let mut sources = cs.configuration(query).unwrap().sources.clone();
-            sources.sort();
-            sources
-        };
         let clean = |cs: &ContextServer, after: &str| {
             let audit = cs.audit_configurations();
             assert!(audit.is_clean(), "after {after}: {audit}");
@@ -2420,7 +2474,7 @@ mod tests {
         clean(&r.cs, "a clean departure");
         let mut expected = vec![r.doors[1], r.doors[2]];
         expected.sort();
-        assert_eq!(feeding(&r.cs), expected);
+        assert_eq!(r.cs.sources_of(query), expected);
 
         r.cs.register(newcomer.clone(), VirtualTime::from_secs(2))
             .unwrap();
@@ -2433,6 +2487,6 @@ mod tests {
         clean(&r.cs, "the return");
         let mut expected = vec![r.doors[0], r.doors[1], newcomer.id()];
         expected.sort();
-        assert_eq!(feeding(&r.cs), expected);
+        assert_eq!(r.cs.sources_of(query), expected);
     }
 }

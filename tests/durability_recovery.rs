@@ -486,7 +486,7 @@ fn a_replay_and_a_snapshot_recover_the_same_wiring() {
         );
         assert_eq!(wiring(&back), live, "snapshot_every {snapshot_every}");
         assert!(back.audit_configurations().is_clean());
-        recovered.push(back.configuration(query).unwrap().sources.len());
+        recovered.push(back.sources_of(query).len());
     }
     assert_eq!(recovered, [2, 2]);
 }

@@ -316,9 +316,7 @@ impl Thermometers {
     }
 
     fn feeding(&self) -> Vec<Guid> {
-        let mut sources = self.cs.configuration(self.query).unwrap().sources.clone();
-        sources.sort();
-        sources
+        self.cs.sources_of(self.query)
     }
 }
 
@@ -413,7 +411,7 @@ fn repaired(cs: &ContextServer, query: Guid, deliveries: Vec<AppDelivery>) -> Re
     delivered.sort();
     Repaired {
         excluded,
-        feeding: cs.configuration(query).unwrap().sources.clone(),
+        feeding: cs.sources_of(query),
         delivered,
     }
 }
@@ -609,9 +607,9 @@ fn a_refill_wires_a_printer_and_running_dry_unwires_it() {
     let mut fed_as_twin = |cs: &mut ContextServer, now: VirtualTime| {
         let twin = with_paper(ids.next_guid());
         cs.submit_query(&twin, now).unwrap();
-        let fresh = cs.configuration(twin.id).unwrap().sources.clone();
+        let fresh = cs.sources_of(twin.id);
         cs.cancel_query(twin.id).unwrap();
-        assert_eq!(cs.configuration(standing.id).unwrap().sources, fresh);
+        assert_eq!(cs.sources_of(standing.id), fresh);
         fresh
     };
     let mut both = vec![p1, p2];

@@ -7,15 +7,18 @@
 //!
 //! Invariants checked after every operation:
 //!
-//! 1. Every live subscription in the mediator is owned by either a live
-//!    instance or a live configuration's CAA subscription list.
+//! 1. Subscription accounting, over the bus: every live subscription is
+//!    held by a live instance or is in exactly one live configuration's
+//!    CAA subscription list, and every id in such a list is live; the
+//!    server's `direct` set is exactly its configurations without an
+//!    instance.
 //! 2. Instance refcounts equal the number of configurations referencing
 //!    the instance.
 //! 3. Cancelling every configuration reclaims every instance and every
 //!    subscription (checked at the end).
 //! 4. Every running subscription is fed by exactly the sources an
 //!    identical query submitted now would be: a twin is submitted under
-//!    a fresh id, the two configurations' `sources` are compared as sets
+//!    a fresh id, the two configurations' `sources_of` are compared
 //!    (`Unresolvable` reads as the empty set) and the twin is cancelled
 //!    — through the public API only, independent of the wiring rule's
 //!    own code. No operation registers a source of a type a derived CE
@@ -258,8 +261,8 @@ impl Rig {
 
     /// What feeds a running subscription, as a set.
     fn feeding(&self, query: Guid) -> BTreeSet<Guid> {
-        let config = self.cs.configuration(query).expect("running");
-        config.sources.iter().copied().collect()
+        assert!(self.cs.configuration(query).is_some(), "running");
+        self.cs.sources_of(query).into_iter().collect()
     }
 
     /// Invariant 6, both halves: the shadow — recovered before this
@@ -415,14 +418,28 @@ fn check_invariants(r: &mut Rig) {
             state.instance, state.refcount, references
         );
     }
-    // 1: subscription accounting.
-    let instance_subs: usize = r.cs.instances().iter().map(|s| s.subs.len()).sum();
-    let caa_subs: usize = r.cs.configurations().map(|c| c.caa_subs.len()).sum();
-    assert_eq!(
-        r.cs.mediator().bus().len(),
-        instance_subs + caa_subs,
-        "orphan or missing subscriptions"
-    );
+    // 1: subscription accounting, over the bus: every subscription is
+    // held by a live instance or is one configuration's own, and the
+    // configurations a rewire visits are exactly those without an
+    // instance.
+    let bus = r.cs.mediator().bus();
+    let mut owners = HashMap::new();
+    for &sub in r.cs.configurations().flat_map(|c| &c.caa_subs) {
+        assert!(bus.is_live(sub), "configuration holds dead {sub}");
+        *owners.entry(sub).or_insert(0) += 1;
+    }
+    for view in bus.iter() {
+        let owned = owners.get(&view.id).copied().unwrap_or(0);
+        match r.cs.instances().contains(view.subscriber) {
+            true => assert_eq!(owned, 0, "instance-held {} is also owned", view.id),
+            false => assert_eq!(owned, 1, "orphan or shared {}", view.id),
+        }
+    }
+    let instanceless: BTreeSet<Guid> = (r.cs.configurations())
+        .filter(|c| c.instances.is_empty())
+        .map(|c| c.query_id)
+        .collect();
+    assert_eq!(r.cs.direct(), &instanceless);
     // 4: a running subscription and its twin submitted now are fed by
     // the same sources.
     for running in r.queries.clone() {

@@ -213,18 +213,13 @@ fn a_late_declaration_rewires_running_subscriptions() {
     let (app, bob) = (ids.next_guid(), ids.next_guid());
     let running = location_query(&mut ids, app, bob);
     cs.submit_query(&running, VirtualTime::ZERO).unwrap();
-    assert_eq!(cs.configuration(running.id).unwrap().sources, vec![door]);
+    assert_eq!(cs.sources_of(running.id), vec![door]);
 
     cs.declare_equivalence(ContextType::Presence, ContextType::custom("badge-scan"));
     let twin = location_query(&mut ids, app, bob);
     cs.submit_query(&twin, VirtualTime::from_secs(1)).unwrap();
-    let feeding = |id: Guid| {
-        let mut sources = cs.configuration(id).unwrap().sources.clone();
-        sources.sort();
-        sources
-    };
-    assert_eq!(feeding(running.id), feeding(twin.id));
-    assert_eq!(feeding(running.id).len(), 2, "door and scanner");
+    assert_eq!(cs.sources_of(running.id), cs.sources_of(twin.id));
+    assert_eq!(cs.sources_of(running.id).len(), 2, "door and scanner");
     cs.cancel_query(twin.id).unwrap();
 
     let t = VirtualTime::from_secs(2);
