@@ -47,7 +47,6 @@ use crate::location_service::LocationService;
 use crate::logic::LogicFactory;
 use crate::migration::MigrationPacket;
 use crate::profile_manager::ProfileManager;
-use crate::records::EventHead;
 use crate::registrar::Registrar;
 use sci_telemetry::{Registry, Span, TelemetrySnapshot, Tracer};
 
@@ -596,8 +595,8 @@ impl ContextServer {
     /// Snapshot restore: [`ContextServer::adopt`] for everyone, then
     /// the range-only tables — when each tracked source was last heard
     /// (`None`, a snapshot that predates the table, leaves what the
-    /// registrations seeded), history records in export order (adopted
-    /// as they are, not decoded), last known
+    /// registrations seeded), the history table (filed a run of records
+    /// at a time by [`ContextStore::import`], not decoded), last known
     /// positions (over whatever the registrations seeded) and the
     /// stream sequence counters, fast-forwarded and never rewound so a
     /// rebuilt server cannot re-mint envelope seqs the federation has
@@ -605,12 +604,12 @@ impl ContextServer {
     ///
     /// # Errors
     ///
-    /// [`ContextServer::adopt`]'s, or a history record's own.
-    pub(crate) fn import<'a>(
+    /// [`ContextServer::adopt`]'s, or the history table's.
+    pub(crate) fn import(
         &mut self,
         held: MigrationPacket,
         excluded: Vec<Guid>,
-        history: impl Iterator<Item = SciResult<(EventHead<'a>, &'a [u8])>>,
+        history: &[u8],
         (positions, liveness): (Vec<(Guid, Coord)>, Option<Vec<LivenessRow>>),
         (delivery_seq, answer_seq): (u64, u64),
         now: VirtualTime,
@@ -621,10 +620,7 @@ impl ContextServer {
         if let Some(liveness) = liveness {
             self.mediator.restore_liveness(liveness);
         }
-        for entry in history {
-            let (head, record) = entry?;
-            self.history.adopt(&head, record);
-        }
+        self.history.import(history)?;
         for (entity, at) in positions {
             self.location.set_position(entity, at);
         }

@@ -35,9 +35,16 @@
 //!   atomically via [`sci_wal::write_snapshot`]; fully covered closed
 //!   segments and older snapshots are pruned. The context store keeps
 //!   its history in that record form already, so the history table —
-//!   the bulk of a snapshot — is the stored bytes copied, and a restore
-//!   checks each record (`records.rs`' `skim_event`) and adopts
-//!   it as it is: history is neither re-encoded nor decoded.
+//!   the bulk of a snapshot — is the stored bytes copied. A restore
+//!   costs one read, one check and one copy per bucket:
+//!   [`sci_wal::read_latest_snapshot`] reads the payload straight into
+//!   the buffer it returns and checks its CRC there, and the history
+//!   table is filed from that buffer by `ContextStore::import`, which
+//!   checks each record (`records.rs`' `skim_event`) and copies each
+//!   run of one (type, subject) into its bucket at once: history is
+//!   neither re-encoded nor decoded. `wal.recover.read_us`,
+//!   `wal.recover.restore_us` and `wal.recover.replay_us` time the
+//!   three phases of a recovery.
 //! * **Exactly-once across restarts.** Stream envelope sequences are
 //!   durable counters on the server (snapshotted, never rewound), so a
 //!   recovered range re-streams regenerated deliveries under the *same*
@@ -97,8 +104,8 @@ use crate::context_server::ContextServer;
 use crate::logic::LogicFactory;
 use crate::migration::MigrationPacket;
 use crate::records::{
-    answer_to_xml, expect_end, frame_err, get_coord, get_count, get_event, get_guid, get_rows,
-    parsed_attr, put_coord, put_event, skim_event, write_deferred, MIN_EVENT_LEN,
+    answer_to_xml, frame_err, get_coord, get_event, get_guid, get_rows, parsed_attr, put_coord,
+    put_event, write_deferred, MIN_EVENT_LEN,
 };
 use crate::runtime::RangeCommand;
 use crate::telemetry::elapsed_us;
@@ -296,6 +303,10 @@ struct WalMetrics {
     snapshot_us: Histogram,
     snapshot_encode_us: Histogram,
     recover_us: Histogram,
+    /// The three phases `recover_us` sums: reading and checking the
+    /// snapshot and segments, restoring the snapshot (when there is
+    /// one), replaying the records past it.
+    recover_phases_us: [Histogram; 3],
     bytes: Counter,
     torn_tail: Counter,
     segments: Gauge,
@@ -309,6 +320,11 @@ impl WalMetrics {
             snapshot_us: registry.histogram("wal.snapshot_us"),
             snapshot_encode_us: registry.histogram("wal.snapshot.encode_us"),
             recover_us: registry.histogram("wal.recover_us"),
+            recover_phases_us: [
+                registry.histogram("wal.recover.read_us"),
+                registry.histogram("wal.recover.restore_us"),
+                registry.histogram("wal.recover.replay_us"),
+            ],
             bytes: registry.counter("wal.bytes"),
             torn_tail: registry.counter("wal.torn_tail"),
             segments: registry.gauge("wal.segments"),
@@ -719,17 +735,12 @@ pub(crate) fn restore_snapshot<S: BuildHasher>(
     );
     let held = MigrationPacket::read_sections(cs.id(), root)?;
     let positions = get_rows(&mut r, POSITION_LEN, |r| Ok((get_guid(r)?, get_coord(r)?)))?;
-    // Skimmed one at a time, as `import` adopts them: history is the
-    // bulk of a snapshot, is never held twice and is never decoded —
-    // each record is checked, filed, and copied as it is.
-    let history = (0..get_count(&mut r, MIN_EVENT_LEN)?).map(|_| {
-        let at = payload.len() - r.remaining();
-        let head = skim_event(&mut r)?;
-        Ok((head, &payload[at..payload.len() - r.remaining()]))
-    });
+    // The rest is the history table, the bulk of a snapshot: filed
+    // where it lies, a run of records at a time, checked but never
+    // decoded.
+    let history = &payload[payload.len() - r.remaining()..];
     let tables = (positions, liveness);
     let unresolved = cs.import(held, excluded, history, tables, stream_seqs, now)?;
-    expect_end(&r, "the snapshot's history table")?;
     Ok((now, unresolved))
 }
 
@@ -873,14 +884,19 @@ fn rebuild<S: BuildHasher>(
                                   // Store first, server second: the server's many small allocations
                                   // then sit together, after the log's one large read.
     let (store, held) = open()?;
+    let read_us = elapsed_us(started);
     let mut cs = ContextServer::with_registry(id, name, plan, registry);
     let mut last_now = VirtualTime::ZERO;
     let mut snapshot_applied = None;
     let mut replay_errors = 0usize;
+    let mut restore_us = None;
     if let Some((applied, payload)) = held.snapshot {
+        let restoring = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
         (last_now, replay_errors) = restore_snapshot(&mut cs, &payload, logic)?;
+        restore_us = Some(elapsed_us(restoring));
         snapshot_applied = Some(applied);
     }
+    let replaying = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
     let floor = snapshot_applied.unwrap_or(0);
     let mut replayed = 0usize;
     let frames = &held.log.frames;
@@ -896,7 +912,14 @@ fn rebuild<S: BuildHasher>(
         }
         replayed += 1;
     }
+    let replay_us = elapsed_us(replaying);
     let wal = RangeWal::new(store, cs.telemetry(), replayed as u64);
+    let [read, restore, replay] = &wal.metrics.recover_phases_us;
+    read.record(read_us);
+    if let Some(us) = restore_us {
+        restore.record(us);
+    }
+    replay.record(replay_us);
     wal.metrics.recover_us.record(elapsed_us(started));
     wal.metrics.torn_tail.add(held.log.torn_bytes);
     wal.metrics.segments.set(wal.store.segment_count() as i64);
@@ -1579,6 +1602,60 @@ mod tests {
             let refused = decode_command(&Frame::new(tag, payload), &HashMap::new());
             assert!(matches!(refused, Err(SciError::Codec(_))), "tag {tag}");
         }
+    }
+
+    /// Whether `table` reads as a history table record by record with
+    /// `get_event`: the reference a restore must agree with.
+    fn reads_as_events(table: &[u8]) -> bool {
+        let mut r = wire::Reader::new(table);
+        get_rows(&mut r, MIN_EVENT_LEN, get_event).is_ok() && r.remaining() == 0
+    }
+
+    /// Restore totality over the history table of a small range's
+    /// snapshot: cut at every byte up to the end of its third record,
+    /// or with its count inflated to `u32::MAX`, the restore is a codec
+    /// error; with any one bit of a record flipped, it restores exactly
+    /// when every record still reads with `get_event`, and is a codec
+    /// error otherwise. Nothing panics.
+    #[test]
+    fn a_mangled_history_table_is_restored_or_refused_as_get_event_reads_it() {
+        let (mut cs, _) = populated();
+        for t in 3..6 {
+            cs.ingest(&ev(3, t), VirtualTime::from_secs(t)).unwrap();
+        }
+        let (payload, _) = encode_snapshot(&cs, VirtualTime::from_secs(6));
+        let at = payload.len() - 4 - cs.history().record_bytes();
+        let mut r = wire::Reader::new(&payload[at + 4..]);
+        let ends: Vec<usize> = (0..3)
+            .map(|_| {
+                get_event(&mut r).unwrap();
+                payload.len() - r.remaining()
+            })
+            .collect();
+        let is_codec = |outcome: &SciResult<_>| matches!(outcome, Err(SciError::Codec(_)));
+        for cut in at..ends[2] {
+            assert!(is_codec(&restore(&payload[..cut])), "cut at {cut}");
+        }
+        let mut inflated = payload.clone();
+        inflated[at..at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert!(is_codec(&restore(&inflated)));
+        let (mut restored, mut refused) = (0, 0);
+        for bit in ends[0] * 8..ends[1] * 8 {
+            let mut flipped = payload.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let outcome = restore(&flipped);
+            if reads_as_events(&flipped[at..]) {
+                assert!(outcome.is_ok(), "bit {bit}: {outcome:?}");
+                restored += 1;
+            } else {
+                assert!(is_codec(&outcome), "bit {bit}: {outcome:?}");
+                refused += 1;
+            }
+        }
+        assert!(
+            restored > 0 && refused > 0,
+            "{restored} restored, {refused} refused"
+        );
     }
 
     proptest! {

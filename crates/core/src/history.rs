@@ -13,14 +13,17 @@
 //! it is recorded and decoded only when it is read back. Each (type,
 //! subject) key keeps its records back to back in one buffer, so a
 //! durability snapshot copies the stored bytes a key at a time, and a
-//! restore adopts them without building a single event.
+//! restore files them a run of records at a time, checked but never
+//! decoded.
 
 use std::collections::VecDeque;
 
-use sci_types::{ContextEvent, ContextType, Guid, HashMap, VirtualDuration, VirtualTime};
+use sci_types::{
+    ContextEvent, ContextType, Guid, HashMap, SciError, SciResult, VirtualDuration, VirtualTime,
+};
 use sci_wal::codec::wire;
 
-use crate::records::{get_event, put_event, EventHead};
+use crate::records::{get_event, put_event, skim_event, EventHead, MIN_EVENT_LEN};
 
 /// Key under which history is kept: the context type plus the subject
 /// entity (if the payload names one).
@@ -120,29 +123,87 @@ impl ContextStore {
 
     /// Records one event, encoded straight into its bucket.
     pub fn record(&mut self, event: &ContextEvent) {
-        let (ty, subject) = (event.topic.clone(), event.subject());
-        self.push(ty, subject, event.timestamp, |out| put_event(out, event));
+        let depth = self.depth;
+        let bucket = self.bucket_mut(event.topic.clone(), event.subject());
+        bucket.push(depth, event.timestamp, |out| put_event(out, event));
     }
 
-    /// Records one event already in record form, filed under what
-    /// `skim_event` read off it — a snapshot restore, which builds no
-    /// event.
-    pub(crate) fn adopt(&mut self, head: &EventHead<'_>, record: &[u8]) {
-        let ty = ContextType::from_name(head.topic);
-        self.push(ty, head.subject, head.timestamp, |out| {
-            out.extend_from_slice(record);
-        });
+    /// Files a durability snapshot's history table — what
+    /// [`ContextStore::write_records`] wrote: a `u32` count, then that
+    /// many records, then nothing — without building an event.
+    ///
+    /// Each record is checked by `skim_event`, which accepts exactly
+    /// what `get_event` accepts. `write_records` writes a bucket as one
+    /// run, so each run of records with the same (type, subject) is
+    /// filed at once: one map entry, one `ContextType::from_name` and
+    /// one copy of the run's bytes. A run deeper than the store, or one
+    /// whose bucket already holds records, is filed a record at a time,
+    /// evicting as [`ContextStore::record`] does, so the result is what
+    /// recording the same events in order builds.
+    ///
+    /// # Errors
+    ///
+    /// [`SciError::Codec`], naming the byte offset, for a count the
+    /// table cannot hold, a record `get_event` would refuse, or bytes
+    /// after the last record. Records before the failing one stay filed.
+    pub(crate) fn import(&mut self, table: &[u8]) -> SciResult<()> {
+        let refuse =
+            |what: &str, at: usize| SciError::Codec(format!("history table: {what} at byte {at}"));
+        let count = match table.first_chunk::<4>() {
+            Some(&count) => u32::from_be_bytes(count) as usize,
+            None => return Err(refuse("no record count", 0)),
+        };
+        if count > (table.len() - 4) / MIN_EVENT_LEN {
+            return Err(refuse(&format!("count {count} exceeds the bytes left"), 0));
+        }
+        // The run being read: its head, its first byte, and each
+        // record's timestamp and length.
+        let (mut run, mut start, mut at) = (None::<EventHead<'_>>, 4, 4);
+        let mut spans = Vec::new();
+        for _ in 0..count {
+            let Some((head, len)) = skim_event(&table[at..]) else {
+                return Err(refuse("a malformed event record", at));
+            };
+            let key = (head.topic, head.subject);
+            if let Some(ended) = run.filter(|run| (run.topic, run.subject) != key) {
+                self.file(&ended, &spans, &table[start..at]);
+                start = at;
+                spans.clear();
+            }
+            run = Some(head);
+            spans.push((head.timestamp, len));
+            at += len;
+        }
+        if let Some(last) = run {
+            self.file(&last, &spans, &table[start..at]);
+        }
+        match table.len() - at {
+            0 => Ok(()),
+            n => Err(refuse(&format!("{n} trailing bytes"), at)),
+        }
     }
 
-    fn push(
-        &mut self,
-        ty: ContextType,
-        subject: Option<Guid>,
-        at: VirtualTime,
-        write: impl FnOnce(&mut Vec<u8>),
-    ) {
-        let bucket = self.entries.entry(HistoryKey { ty, subject }).or_default();
-        bucket.push(self.depth, at, write);
+    /// Files one run of [`ContextStore::import`] — records of `head`'s
+    /// (type, subject), each `(at, len)` of `spans`, back to back in
+    /// `bytes` — into its bucket.
+    fn file(&mut self, head: &EventHead<'_>, spans: &[(VirtualTime, usize)], bytes: &[u8]) {
+        let depth = self.depth;
+        let bucket = self.bucket_mut(ContextType::from_name(head.topic), head.subject);
+        if bucket.spans.is_empty() && spans.len() <= depth {
+            bucket.bytes.extend_from_slice(bytes);
+            bucket.spans.extend(spans);
+            return;
+        }
+        let mut rest = bytes;
+        for &(at, len) in spans {
+            let (record, tail) = rest.split_at(len);
+            bucket.push(depth, at, |out| out.extend_from_slice(record));
+            rest = tail;
+        }
+    }
+
+    fn bucket_mut(&mut self, ty: ContextType, subject: Option<Guid>) -> &mut Bucket {
+        self.entries.entry(HistoryKey { ty, subject }).or_default()
     }
 
     /// Drops entries older than the retention window, measured from
@@ -227,8 +288,8 @@ impl ContextStore {
     /// `u32` count, then every stored record in [`ContextStore::export`]
     /// order — the bytes `put_event` would write for the export, copied
     /// a bucket at a time rather than re-encoded.
-    /// [`ContextStore::adopt`]ing them in order into an empty store
-    /// reproduces the same per-key buckets.
+    /// [`ContextStore::import`]ing them into an empty store reproduces
+    /// the same per-key buckets.
     pub(crate) fn write_records(&self, out: &mut Vec<u8>) {
         wire::put_u32(out, self.len() as u32);
         for bucket in self.in_order() {
@@ -264,7 +325,6 @@ impl Default for ContextStore {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::records::skim_event;
     use sci_types::ContextValue;
 
     fn ev(ty: ContextType, subject: Option<Guid>, t: u64, tag: i64) -> ContextEvent {
@@ -368,20 +428,13 @@ mod tests {
         store
     }
 
-    /// What a snapshot restore does with `from`'s history table: files
-    /// each record as `skim_event` reads it and adopts its bytes.
+    /// What a snapshot restore does with `from`'s history table.
     fn adopted(from: &ContextStore, depth: usize) -> ContextStore {
         let mut table = Vec::new();
         from.write_records(&mut table);
         assert_eq!(table.len(), 4 + from.record_bytes());
-        let mut r = wire::Reader::new(&table);
         let mut store = ContextStore::new(depth, VirtualDuration::from_secs(1_000_000));
-        for _ in 0..r.u32().unwrap() {
-            let at = table.len() - r.remaining();
-            let head = skim_event(&mut r).unwrap();
-            store.adopt(&head, &table[at..table.len() - r.remaining()]);
-        }
-        assert_eq!(r.remaining(), 0);
+        store.import(&table).unwrap();
         store
     }
 
@@ -420,5 +473,35 @@ mod tests {
         let shallow = adopted(&live, 2);
         assert_eq!(shallow.len(), 6);
         assert_same(&shallow, &recorded(&live.export(), 2), &keys);
+    }
+
+    /// A bucket that already holds records takes an imported run a
+    /// record at a time, as recording the run after them does.
+    #[test]
+    fn importing_into_held_buckets_evicts_as_recording_does() {
+        let (a, b) = (Guid::from_u128(1), Guid::from_u128(2));
+        let keys = [
+            (ContextType::Location, Some(a)),
+            (ContextType::Location, Some(b)),
+        ];
+        let event = |t: u64| {
+            let (ty, subject) = keys[(t % 2) as usize].clone();
+            ev(ty, subject, t, t as i64)
+        };
+        let earlier: Vec<ContextEvent> = (0..4).map(event).collect();
+        let later: Vec<ContextEvent> = (10..20).map(event).collect();
+        let mut table = Vec::new();
+        recorded(&later, 4).write_records(&mut table);
+        let mut store = recorded(&earlier, 3);
+        store.import(&table).unwrap();
+        // Recording keeps each key's newest 4 of the later events; the
+        // import re-files them into buckets of depth 3.
+        let replayed: Vec<ContextEvent> = earlier
+            .iter()
+            .cloned()
+            .chain(recorded(&later, 4).export())
+            .collect();
+        assert_same(&store, &recorded(&replayed, 3), &keys);
+        assert_eq!(store.len(), 6);
     }
 }

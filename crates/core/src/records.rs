@@ -16,7 +16,9 @@
 //! bounded by [`MAX_VALUE_DEPTH`] and every allocation bounded by the
 //! bytes actually present. [`skim_event`] accepts exactly what
 //! [`get_event`] accepts and reads only what the context store files a
-//! record under, so a snapshot's history is restored without decoding.
+//! record under, so a snapshot's history is restored without decoding;
+//! its reads return `Option`, so no error is built unless a record
+//! fails.
 
 use sci_query::codec as qcodec;
 use sci_query::xml::{document, parse, Element, XmlWriter};
@@ -218,70 +220,128 @@ pub(crate) struct EventHead<'a> {
     pub timestamp: VirtualTime,
 }
 
-/// [`get_event`] without the event: checks every byte `get_event`
-/// checks — lengths, UTF-8, tags and the nesting bound — consumes the
-/// same bytes, and allocates nothing.
-pub(crate) fn skim_event<'a>(r: &mut wire::Reader<'a>) -> SciResult<EventHead<'a>> {
-    get_guid(r)?;
-    let topic = r.str().map_err(frame_err)?;
-    let timestamp = VirtualTime::from_micros(r.u64().map_err(frame_err)?);
-    r.u64().map_err(frame_err)?;
-    let subject = match r.u8().map_err(frame_err)? {
-        10 => skim_fields(r, 0)?,
-        tag => {
-            skim_body(r, tag, 0)?;
+/// [`get_event`] without the event, over the record at the front of
+/// `bytes`: its head and its length, or `None` exactly where
+/// `get_event` fails. Every byte `get_event` checks is checked —
+/// lengths, counts, UTF-8, tags and the nesting bound — and nothing is
+/// allocated. The reads carry no error: a caller that needs one builds
+/// it once, where it knows the record's offset.
+pub(crate) fn skim_event(bytes: &[u8]) -> Option<(EventHead<'_>, usize)> {
+    let mut r = Skim { bytes, pos: 0 };
+    r.take(16)?;
+    let topic = std::str::from_utf8(r.prefixed()?).ok()?;
+    let timestamp = VirtualTime::from_micros(u64::from_be_bytes(r.array()?));
+    r.take(8)?;
+    let subject = match r.array()? {
+        [10] => r.subject()?,
+        [tag] => {
+            r.body(tag, 0)?;
             None
         }
     };
-    Ok(EventHead {
+    let head = EventHead {
         topic,
         subject,
         timestamp,
-    })
+    };
+    Some((head, r.pos))
 }
 
-/// Walks one value as [`get_value_at`] reads it; the GUID if it is an
-/// `Id`.
-fn skim_value_at(r: &mut wire::Reader<'_>, depth: usize) -> SciResult<Option<Guid>> {
-    if depth > MAX_VALUE_DEPTH {
-        return Err(SciError::Codec(format!(
-            "value nested deeper than {MAX_VALUE_DEPTH}"
-        )));
+/// [`wire::Reader`] for [`skim_event`]: a failed read is `None`, with no
+/// error built on the happy path.
+struct Skim<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Skim<'a> {
+    #[inline]
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let taken = self.bytes.get(self.pos..self.pos.checked_add(n)?)?;
+        self.pos += n;
+        Some(taken)
     }
-    let tag = r.u8().map_err(frame_err)?;
-    skim_body(r, tag, depth)
-}
 
-/// A value's bytes after its `tag`.
-fn skim_body(r: &mut wire::Reader<'_>, tag: u8, depth: usize) -> SciResult<Option<Guid>> {
-    match tag {
-        0 => {}
-        1 => r.u8().map(drop).map_err(frame_err)?,
-        2 | 3 | 8 => r.u64().map(drop).map_err(frame_err)?,
-        4 | 7 => r.str().map(drop).map_err(frame_err)?,
-        5 => return get_guid(r).map(Some),
-        6 => get_coord(r).map(drop)?,
-        9 => {
-            for _ in 0..get_count(r, MIN_VALUE_LEN)? {
-                skim_value_at(r, depth + 1)?;
-            }
+    /// The next `N` bytes: a tag, or a big-endian integer.
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let taken = *self.bytes.get(self.pos..)?.first_chunk::<N>()?;
+        self.pos += N;
+        Some(taken)
+    }
+
+    /// A `u32`-length-prefixed byte run.
+    #[inline]
+    fn prefixed(&mut self) -> Option<&'a [u8]> {
+        let len = u32::from_be_bytes(self.array()?) as usize;
+        self.take(len)
+    }
+
+    /// A length-prefixed string's bytes, checked as UTF-8 without
+    /// building the `str`: ASCII, the usual case, is checked inline.
+    #[inline]
+    fn utf8(&mut self) -> Option<&'a [u8]> {
+        self.prefixed()
+            .filter(|b| b.is_ascii() || std::str::from_utf8(b).is_ok())
+    }
+
+    /// [`get_count`]: a count the bytes left could hold.
+    #[inline]
+    fn count(&mut self, min_row_len: usize) -> Option<usize> {
+        let n = u32::from_be_bytes(self.array()?) as usize;
+        (n <= (self.bytes.len() - self.pos) / min_row_len).then_some(n)
+    }
+
+    /// One value as [`get_value_at`] reads it.
+    fn value(&mut self, depth: usize) -> Option<()> {
+        if depth > MAX_VALUE_DEPTH {
+            return None;
         }
-        10 => skim_fields(r, depth).map(drop)?,
-        other => return Err(SciError::Codec(format!("unknown value tag {other}"))),
+        let [tag] = self.array()?;
+        self.body(tag, depth)
     }
-    Ok(None)
-}
 
-/// A `Record`'s fields after its tag; the first `"subject"` field's
-/// GUID, if that field is an `Id`.
-fn skim_fields(r: &mut wire::Reader<'_>, depth: usize) -> SciResult<Option<Guid>> {
-    let mut subject = None;
-    for _ in 0..get_count(r, 4 + MIN_VALUE_LEN)? {
-        let key = r.str().map_err(frame_err)?;
-        let id = skim_value_at(r, depth + 1)?;
-        subject = subject.or(Some(id).filter(|_| key == "subject"));
+    /// A value's bytes after its `tag`.
+    fn body(&mut self, tag: u8, depth: usize) -> Option<()> {
+        match tag {
+            0 => {}
+            1 => drop(self.take(1)?),
+            2 | 3 | 8 => drop(self.take(8)?),
+            4 | 7 => drop(self.utf8()?),
+            5 | 6 => drop(self.take(16)?),
+            9 => {
+                for _ in 0..self.count(MIN_VALUE_LEN)? {
+                    self.value(depth + 1)?;
+                }
+            }
+            10 => {
+                for _ in 0..self.count(4 + MIN_VALUE_LEN)? {
+                    self.utf8()?;
+                    self.value(depth + 1)?;
+                }
+            }
+            _ => return None,
+        }
+        Some(())
     }
-    Ok(subject.flatten())
+
+    /// A top-level `Record`'s fields after its tag; the first
+    /// `"subject"` field's GUID, if that field is an `Id`.
+    fn subject(&mut self) -> Option<Option<Guid>> {
+        let mut subject = None;
+        for _ in 0..self.count(4 + MIN_VALUE_LEN)? {
+            let key = self.utf8()?;
+            if subject.is_some() || key != b"subject" {
+                self.value(1)?;
+                continue;
+            }
+            subject = Some(match self.array()? {
+                [5] => Some(Guid::from_u128(u128::from_be_bytes(self.array()?))),
+                [tag] => self.body(tag, 1).map(|()| None)?,
+            });
+        }
+        Some(subject.flatten())
+    }
 }
 
 /// One delivery of an `EventRelay`: its envelope `seq`, `app`, `query`.
@@ -754,7 +814,7 @@ pub(crate) mod tests {
             for bytes in [&noise, &mangled, &group] {
                 let _ = get_value(&mut wire::Reader::new(bytes));
                 let _ = get_event(&mut wire::Reader::new(bytes));
-                let _ = skim_event(&mut wire::Reader::new(bytes));
+                let _ = skim_event(bytes);
                 let _ = get_relay_head(&mut wire::Reader::new(bytes));
                 let _ = read_relay(bytes);
             }
@@ -783,18 +843,18 @@ pub(crate) mod tests {
         ) {
             let intact = encoded_event(&ev);
             for bytes in [intact.clone(), mangle(intact, how)] {
-                let (mut full, mut skim) = (wire::Reader::new(&bytes), wire::Reader::new(&bytes));
-                match (get_event(&mut full), skim_event(&mut skim)) {
-                    (Ok(event), Ok(head)) => {
+                let mut full = wire::Reader::new(&bytes);
+                match (get_event(&mut full), skim_event(&bytes)) {
+                    (Ok(event), Some((head, used))) => {
                         let expected = EventHead {
                             topic: event.topic.name(),
                             subject: event.subject(),
                             timestamp: event.timestamp,
                         };
                         prop_assert_eq!(head, expected);
-                        prop_assert_eq!(skim.remaining(), full.remaining());
+                        prop_assert_eq!(bytes.len() - used, full.remaining());
                     }
-                    (Err(_), Err(_)) => {}
+                    (Err(_), None) => {}
                     (event, head) => prop_assert!(false, "get {event:?} but skim {head:?}"),
                 }
             }

@@ -141,10 +141,23 @@ impl RoutingTable {
     /// Up to `n` table entries closest to `target`, ascending by
     /// distance (used by the discovery protocol's `find_node`).
     pub fn closest_n(&self, target: Guid, n: usize) -> Vec<Guid> {
-        let mut all: Vec<Guid> = self.iter().collect();
-        all.sort_by_key(|&g| g.xor_distance(target));
-        all.truncate(n);
-        all
+        // Distances to one target are distinct, so "closest" is one
+        // order: the `n` nearest are kept sorted while the table is read.
+        let mut near: Vec<(u128, Guid)> = Vec::new();
+        for bucket in &self.buckets {
+            for &g in bucket {
+                let d = g.xor_distance(target);
+                if near.len() == n {
+                    match near.last() {
+                        Some(&(farthest, _)) if d < farthest => drop(near.pop()),
+                        _ => continue,
+                    }
+                }
+                let at = near.partition_point(|&(e, _)| e < d);
+                near.insert(at, (d, g));
+            }
+        }
+        near.into_iter().map(|(_, g)| g).collect()
     }
 
     /// Iterates over every entry.

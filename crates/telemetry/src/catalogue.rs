@@ -73,6 +73,9 @@ pub const METRICS: &[&str] = &[
     "wal.append_us",
     "wal.bytes",
     "wal.fsync_us",
+    "wal.recover.read_us",
+    "wal.recover.replay_us",
+    "wal.recover.restore_us",
     "wal.recover_us",
     "wal.segments",
     "wal.snapshot.encode_us",

@@ -122,6 +122,95 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 
 static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
+/// The CRC-32 polynomial, bit-reflected.
+const POLY: u32 = 0xEDB8_8320;
+
+/// Inputs at least this long are checked in four interleaved lanes:
+/// below it, folding the lanes back together costs more than the lanes
+/// save.
+const LANE_MIN: usize = 4096;
+
+/// `a * b mod P` over GF(2), both bit-reflected (zlib's `multmodp`).
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut p = 0;
+    let mut bit = 32;
+    while bit > 0 {
+        bit -= 1;
+        // Branch-free: each mask is all ones or all zeros.
+        p ^= b & 0u32.wrapping_sub((a >> bit) & 1);
+        b = (b >> 1) ^ (POLY & 0u32.wrapping_sub(b & 1));
+    }
+    p
+}
+
+/// `x^(2^k) mod P` for every `k`: the squarings `zeros_op` multiplies.
+const fn x2n_table() -> [u32; 32] {
+    let mut table = [0u32; 32];
+    let mut p = 1u32 << 30; // x^1
+    let mut k = 0;
+    while k < 32 {
+        table[k] = p;
+        p = multmodp(p, p);
+        k += 1;
+    }
+    table
+}
+
+static X2N: [u32; 32] = x2n_table();
+
+/// `x^(8n) mod P`: multiplying a CRC state by it feeds the state `n`
+/// zero bytes (zlib's `x2nmodp(n, 3)`).
+fn zeros_op(mut n: usize) -> u32 {
+    let mut p = 1u32 << 31; // x^0
+    let mut k = 3;
+    while n != 0 {
+        if n & 1 == 1 {
+            p = multmodp(X2N[k & 31], p);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    p
+}
+
+/// One slicing-by-8 step: the state advanced past the eight bytes of
+/// `w` (little-endian).
+#[inline(always)]
+fn step8(crc: u32, w: u64) -> u32 {
+    let t = &CRC_TABLES;
+    let lo = crc ^ w as u32;
+    let hi = (w >> 32) as u32;
+    t[7][(lo & 0xFF) as usize]
+        ^ t[6][((lo >> 8) & 0xFF) as usize]
+        ^ t[5][((lo >> 16) & 0xFF) as usize]
+        ^ t[4][(lo >> 24) as usize]
+        ^ t[3][(hi & 0xFF) as usize]
+        ^ t[2][((hi >> 8) & 0xFF) as usize]
+        ^ t[1][((hi >> 16) & 0xFF) as usize]
+        ^ t[0][(hi >> 24) as usize]
+}
+
+/// The little-endian word of an 8-byte chunk.
+#[inline(always)]
+fn word(chunk: &[u8]) -> u64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(chunk);
+    u64::from_le_bytes(w)
+}
+
+/// One lane: eight bytes per step, then a byte at a time for the tail.
+fn crc32_lane(state: u32, bytes: &[u8]) -> u32 {
+    let mut words = bytes.chunks_exact(8);
+    let mut crc = state;
+    for w in &mut words {
+        crc = step8(crc, word(w));
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+    }
+    crc
+}
+
 /// CRC-32 (IEEE 802.3) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
     crc32_update(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
@@ -129,26 +218,39 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// Feeds more bytes into a running CRC state (pre- and post-inversion
 /// are the caller's concern; see [`crc32`] for the one-shot form).
-/// Eight bytes per step, then a byte at a time for the tail.
+///
+/// Slicing-by-8. An input of 4 KiB or more is cut into
+/// four equal lanes of whole words, checked side by side — four
+/// independent table chains instead of one — and folded back together
+/// the way zlib's `crc32_combine` does: the state is linear, so the CRC
+/// of `a ‖ b` is `a`'s state moved past `|b|` zero bytes (a multiply by
+/// `x^(8|b|) mod P`) xor `b`'s state from zero. The words left over
+/// after the lanes, and any shorter input, take the one-lane path.
 pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut crc = state;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][w[4] as usize]
-            ^ t[2][w[5] as usize]
-            ^ t[1][w[6] as usize]
-            ^ t[0][w[7] as usize];
+    if bytes.len() < LANE_MIN {
+        return crc32_lane(state, bytes);
     }
-    for &b in words.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+    let lane = bytes.len() / 32 * 8;
+    let (lanes, tail) = bytes.split_at(4 * lane);
+    let (a, rest) = lanes.split_at(lane);
+    let (b, rest) = rest.split_at(lane);
+    let (c, d) = rest.split_at(lane);
+    let mut crc = [state, 0, 0, 0];
+    let words = a
+        .chunks_exact(8)
+        .zip(b.chunks_exact(8))
+        .zip(c.chunks_exact(8).zip(d.chunks_exact(8)));
+    for ((wa, wb), (wc, wd)) in words {
+        crc[0] = step8(crc[0], word(wa));
+        crc[1] = step8(crc[1], word(wb));
+        crc[2] = step8(crc[2], word(wc));
+        crc[3] = step8(crc[3], word(wd));
     }
-    crc
+    let shift = zeros_op(lane);
+    let folded = crc[1..]
+        .iter()
+        .fold(crc[0], |acc, &next| multmodp(shift, acc) ^ next);
+    crc32_lane(folded, tail)
 }
 
 /// Appends the encoded frame to `out`.
@@ -170,7 +272,38 @@ pub(crate) fn frame_tail(tag: u8, payload: &[u8]) -> [u8; 4] {
     (crc32_update(crc, payload) ^ 0xFFFF_FFFF).to_be_bytes()
 }
 
-/// Decodes one frame from the front of `buf`.
+/// The payload length a frame's `len` field gives, if the field is
+/// sane: nonzero (it counts the tag) and at most [`MAX_FRAME_LEN`].
+pub(crate) fn payload_len(len: [u8; 4]) -> Result<usize, CodecError> {
+    match u32::from_be_bytes(len) {
+        len @ 1..=MAX_FRAME_LEN => Ok(len as usize - 1),
+        len => Err(CodecError::Corrupt {
+            offset: 0,
+            detail: format!("frame length {len} outside (0, {MAX_FRAME_LEN}]"),
+        }),
+    }
+}
+
+/// The frame checker: `payload` is intact when `crc`, the four bytes
+/// that followed it in its frame, is the CRC of `tag` + `payload`.
+/// Nothing is copied, so a reader checks a payload in the buffer it
+/// was read into.
+pub(crate) fn check_payload(tag: u8, payload: &[u8], crc: [u8; 4]) -> Result<(), CodecError> {
+    let (stored, computed) = (
+        u32::from_be_bytes(crc),
+        u32::from_be_bytes(frame_tail(tag, payload)),
+    );
+    if stored != computed {
+        return Err(CodecError::Corrupt {
+            offset: 0,
+            detail: format!("crc mismatch: stored {stored:#010x}, computed {computed:#010x}"),
+        });
+    }
+    Ok(())
+}
+
+/// Decodes one frame from the front of `buf`: the frame checker run
+/// where the frame lies, then the payload copied out.
 ///
 /// Returns the frame and the number of bytes consumed.
 ///
@@ -182,36 +315,17 @@ pub(crate) fn frame_tail(tag: u8, payload: &[u8]) -> [u8; 4] {
 /// the start of `buf`; callers iterating a larger buffer add their
 /// own base offset.
 pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), CodecError> {
-    if buf.len() < 4 {
+    let Some(&len) = buf.first_chunk::<4>() else {
         return Err(CodecError::Incomplete { offset: 0 });
-    }
-    let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]);
-    if len == 0 || len > MAX_FRAME_LEN {
-        return Err(CodecError::Corrupt {
-            offset: 0,
-            detail: format!("frame length {len} outside (0, {MAX_FRAME_LEN}]"),
-        });
-    }
-    let total = 4 + len as usize + 4;
-    if buf.len() < total {
+    };
+    let n = payload_len(len)?;
+    let Some(frame) = buf.get(..FRAME_OVERHEAD + n) else {
         return Err(CodecError::Incomplete { offset: 0 });
-    }
-    let tag = buf[4];
-    let payload = &buf[5..4 + len as usize];
-    let stored = u32::from_be_bytes([
-        buf[total - 4],
-        buf[total - 3],
-        buf[total - 2],
-        buf[total - 1],
-    ]);
-    let computed = crc32(&buf[4..4 + len as usize]);
-    if stored != computed {
-        return Err(CodecError::Corrupt {
-            offset: 0,
-            detail: format!("crc mismatch: stored {stored:#010x}, computed {computed:#010x}"),
-        });
-    }
-    Ok((Frame::new(tag, payload.to_vec()), total))
+    };
+    let (head, rest) = frame.split_at(5);
+    let (payload, crc) = rest.split_at(n);
+    check_payload(head[4], payload, [crc[0], crc[1], crc[2], crc[3]])?;
+    Ok((Frame::new(head[4], payload.to_vec()), frame.len()))
 }
 
 /// Iterates frames packed back-to-back in a buffer, tracking the byte
@@ -518,9 +632,13 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// Every length to 300 at every start offset and split point; then
+    /// across the lane threshold, every length within 64 bytes of it, at
+    /// odd start offsets, from nonzero running states, split where
+    /// either half is above, at or below the threshold.
     #[test]
     fn slicing_crc_equals_the_bytewise_crc_at_every_length_offset_and_split() {
-        let buf: Vec<u8> = (0..308u32)
+        let buf: Vec<u8> = (0..LANE_MIN as u32 + 80)
             .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
             .collect();
         for start in 0..8 {
@@ -534,6 +652,37 @@ mod tests {
                 }
             }
         }
+        for start in [1, 3, 5, 7] {
+            for len in LANE_MIN - 64..=LANE_MIN + 64 {
+                let bytes = &buf[start..start + len];
+                for state in [0xFFFF_FFFF, 0, 0x1234_5678, 0x8000_0001] {
+                    let want = crc32_update_bytewise(state, bytes);
+                    let splits = [0, 1, 7, 63, len / 2, len - LANE_MIN.min(len), len - 1, len];
+                    for split in splits {
+                        let (head, tail) = bytes.split_at(split);
+                        let got = crc32_update(crc32_update(state, head), tail);
+                        assert_eq!(
+                            got, want,
+                            "start {start}, len {len}, state {state:#x}, split {split}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A known answer for an input checked in lanes: the CRC-32 of a
+    /// fixed 1 MiB pattern, as zlib computes it.
+    #[test]
+    fn crc_known_answer_for_one_mebibyte() {
+        let mib: Vec<u8> = (0..1u32 << 20)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        assert_eq!(crc32(&mib), 0x4091_419D);
+        assert_eq!(
+            crc32_update(0xFFFF_FFFF, &mib),
+            crc32_update_bytewise(0xFFFF_FFFF, &mib)
+        );
     }
 
     #[test]

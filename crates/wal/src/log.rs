@@ -31,12 +31,12 @@
 
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 use crate::codec::{
-    decode_frame, encode_frame, frame_head, frame_tail, CodecError, Frame, FrameReader,
-    FRAME_OVERHEAD,
+    check_payload, encode_frame, frame_head, frame_tail, payload_len, CodecError, Frame,
+    FrameReader, FRAME_OVERHEAD,
 };
 
 const SEGMENT_MAGIC: &[u8; 8] = b"SCIWAL01";
@@ -500,17 +500,40 @@ pub fn read_latest_snapshot(dir: impl AsRef<Path>) -> Result<(LatestSnapshot, us
     let mut skipped = 0;
     for applied in list_numbered(dir, "snap-", ".snap")?.into_iter().rev() {
         let path = snapshot_path(dir, applied);
-        let bytes =
-            fs::read(&path).map_err(|e| io_err(format!("reading {}", path.display()), e))?;
-        // Intact: the magic, then exactly one frame that checks out.
-        match bytes.strip_prefix(SNAPSHOT_MAGIC).map(decode_frame) {
-            Some(Ok((frame, used))) if used == bytes.len() - SNAPSHOT_MAGIC.len() => {
-                return Ok((Some((applied, frame.payload)), skipped));
-            }
-            _ => skipped += 1,
+        match read_snapshot(&path).map_err(|e| io_err(format!("reading {}", path.display()), e))? {
+            Some(payload) => return Ok((Some((applied, payload)), skipped)),
+            None => skipped += 1,
         }
     }
     Ok((None, skipped))
+}
+
+/// The payload of the snapshot file at `path`, or `None` if the file is
+/// not intact: the magic, then exactly one frame that checks out. The
+/// head is read on its own, and the payload straight into the buffer
+/// returned, where the frame checker checks it: the payload is most of
+/// a snapshot and is never copied.
+fn read_snapshot(path: &Path) -> io::Result<Option<Vec<u8>>> {
+    let mut file = File::open(path)?;
+    let size = file.metadata()?.len();
+    let mut head = [0u8; SNAPSHOT_MAGIC.len() + 5];
+    if size < head.len() as u64 + 4 {
+        return Ok(None);
+    }
+    file.read_exact(&mut head)?;
+    let [magic @ .., l0, l1, l2, l3, tag] = head;
+    let n = match payload_len([l0, l1, l2, l3]) {
+        Ok(n) if magic == *SNAPSHOT_MAGIC && size == (head.len() + n + 4) as u64 => n,
+        _ => return Ok(None),
+    };
+    let mut payload = Vec::with_capacity(n + 4);
+    file.take(n as u64 + 4).read_to_end(&mut payload)?;
+    let crc = match payload.last_chunk::<4>() {
+        Some(&crc) if payload.len() == n + 4 => crc,
+        _ => return Ok(None), // the file shrank under the read
+    };
+    payload.truncate(n);
+    Ok(check_payload(tag, &payload, crc).is_ok().then_some(payload))
 }
 
 /// Deletes every snapshot whose applied index is below `keep` — the
@@ -752,6 +775,39 @@ mod tests {
         assert_eq!(removed, 1);
         let (best, _) = read_latest_snapshot(&dir).unwrap();
         assert_eq!(best, Some((30, b"state at 30".to_vec())));
+    }
+
+    /// A snapshot long enough for the lane CRC, with one byte flipped in
+    /// each of its four lanes or in the tail after them, is skipped as
+    /// damaged and the older intact one is read instead.
+    #[test]
+    fn a_flip_in_any_crc_lane_skips_the_snapshot() {
+        let dir = tmpdir("snap-lanes");
+        let payload: Vec<u8> = (0..10_003u32).map(|i| (i * 7 + i / 251) as u8).collect();
+        write_snapshot(&dir, 10, b"older").unwrap();
+        write_snapshot(&dir, 30, &payload).unwrap();
+        let path = snapshot_path(&dir, 30);
+        let clean = fs::read(&path).unwrap();
+        assert_eq!(
+            read_latest_snapshot(&dir).unwrap(),
+            (Some((30, payload.clone())), 0)
+        );
+        // The CRC covers the tag and the payload: four lanes of `lane`
+        // bytes from the tag on, then a tail of fewer than 32.
+        let checked = 1 + payload.len();
+        let lane = checked / 32 * 8;
+        let tag_at = SNAPSHOT_MAGIC.len() + 4;
+        let tail = checked - 4 * lane;
+        assert!(lane * 4 >= 4096 && tail > 0);
+        let flips = [0, 1, 2, 3].map(|k| k * lane + lane / 2).into_iter();
+        for at in flips.chain([4 * lane, checked - 1]) {
+            let mut bad = clean.clone();
+            bad[tag_at + at] ^= 0x04;
+            fs::write(&path, &bad).unwrap();
+            let (best, skipped) = read_latest_snapshot(&dir).unwrap();
+            assert_eq!(best, Some((10, b"older".to_vec())), "flip at {at}");
+            assert_eq!(skipped, 1, "flip at {at}");
+        }
     }
 
     #[test]

@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
-"""Inclusive shares from a scripts/sampler profile.
+"""Inclusive and exclusive shares from a scripts/sampler profile.
 
 Symbolises the stacks `libsci_sampler.so` wrote (see
 scripts/sampler/src/lib.rs) with `addr2line -f -C -i`, inlined frames
 included, and prints, over the stacks that pass through ROOT, the share
-of them each function under ROOT is on. Exits non-zero when no stack
-passes through ROOT.
+of them each function under ROOT is on. With --self it prints instead
+each stack's leaf (innermost) function as an exclusive share, beside
+the nearest frame of the workspace's own crates (`sci_*`) at or above
+it: a standard-library leaf such as `run_utf8_validation` is charged
+to the workspace function that called into it. Exits non-zero when no
+stack passes through ROOT.
 
-    scripts/profile.py SAMPLES [--root NAME] [--top N] [--show NAME ...]
+    scripts/profile.py SAMPLES [--root NAME] [--top N] [--show NAME ...] [--self]
 
 A frame matches a name when its demangled function name contains it
 (`churn::cycle` matches `sci_benchmark::churn::cycle`). The program
@@ -30,6 +34,9 @@ import subprocess
 import sys
 
 HASH = re.compile(r"::h[0-9a-f]{16}$")
+# A function of one of the workspace's crates: `sci_core::...`,
+# `<sci_core::X as Trait>::f` or `core::...::<impl sci_core::X>::f`.
+WORKSPACE = re.compile(r"^<?sci_\w+::|<impl sci_\w+::")
 
 
 def read(path):
@@ -112,20 +119,29 @@ def main():
     ap.add_argument("--root", default="main", help="only stacks through this function")
     ap.add_argument("--top", type=int, default=25, help="functions to list")
     ap.add_argument("--show", nargs="*", default=[], help="also print these functions' shares")
+    ap.add_argument(
+        "--self",
+        dest="leaf",
+        action="store_true",
+        help="exclusive (leaf) shares, each beside its nearest workspace frame",
+    )
     args = ap.parse_args()
 
     header, maps, stacks = read(args.samples)
     named = symbolise(maps, stacks)
     # Leaf first: a stack's frames up to its outermost ROOT frame are
     # what ROOT was running.
-    through = []
+    under = []
     for stack in named:
         at = [i for i, n in enumerate(stack) if args.root in n]
         if at:
-            through.append(set(stack[: at[-1] + 1]))
-    print(f"{header}\n{len(stacks)} stacks, {len(through)} through {args.root}")
-    if not through:
+            under.append(stack[: at[-1] + 1])
+    print(f"{header}\n{len(stacks)} stacks, {len(under)} through {args.root}")
+    if not under:
         return 1
+    if args.leaf:
+        return print_leaves(under, args)
+    through = [set(stack) for stack in under]
     counts = collections.Counter(n for s in through for n in s)
     print(f"{'share':>7}  function (inclusive, of the stacks through {args.root})")
     for name, count in counts.most_common(args.top):
@@ -133,6 +149,20 @@ def main():
     for wanted in args.show:
         hits = sum(1 for s in through if any(wanted in n for n in s))
         print(f"{100 * hits / len(through):6.1f}%  [{wanted}]")
+    return 0
+
+
+def print_leaves(under, args):
+    """Exclusive shares: each stack's leaf function, beside the nearest
+    workspace frame at or above it."""
+    counts = collections.Counter()
+    for stack in under:
+        owner = next((n for n in stack if WORKSPACE.search(n)), "(no workspace frame)")
+        counts[(stack[0], owner)] += 1
+    print(f"{'self':>7}  leaf function  <-  nearest workspace frame (of the stacks through {args.root})")
+    for (leaf, owner), count in counts.most_common(args.top):
+        at = "" if leaf == owner else f"  <-  {owner}"
+        print(f"{100 * count / len(under):6.1f}%  {leaf}{at}")
     return 0
 
 

@@ -3,4 +3,5 @@
 //! and compiles its own copy.
 
 pub mod chaos;
+pub mod deployment;
 pub mod net;
