@@ -11,9 +11,6 @@
 //!   be routable: linked in the declared topology and not crossing a
 //!   named partition boundary (both the query's forward leg and the
 //!   answer's return leg).
-//! * **SCI-A202** — the per-place forwarding chains implied by
-//!   disagreeing replicas must be acyclic; a cycle means a relay
-//!   could bounce between ranges forever.
 //! * **SCI-A203** — the worst-case retry backoff
 //!   (`base * (2^retries - 1)`, accounted in virtual time) must fit
 //!   inside every `qoc-max-age-us` bound; a tighter bound makes every
@@ -28,21 +25,24 @@
 //! the code fixes once for all of them — which command kinds a range
 //! logs, which message classes carry the `(origin, seq)` envelope — is
 //! not modelled: the unit tests beside that code pin it (retired
-//! SCI-A204–A206, `docs/analysis.md`).
+//! SCI-A204–A206, `docs/analysis.md`). Nor is a relay that forwards
+//! a forwarded query: `RelayCore::submit_from` forwards a query at
+//! most once and returns the coverer's answer or error as it is, so
+//! disagreeing replicas cannot make a query bounce (retired SCI-A202;
+//! the relay's own test pins the one hop).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use sci_types::{AnalysisReport, DiagCode, Diagnostic, FederationModel, Guid};
 
 /// Verifies a federation protocol model, returning one diagnostic per
-/// defect (codes SCI-A201, A202, A203, A207). A clean report means the
+/// defect (codes SCI-A201, A203, A207). A clean report means the
 /// declared topology, directories, retry discipline and wire peerings
 /// are consistent — it does not prove liveness under faults, only the
 /// absence of statically-visible protocol defects.
 pub fn verify_federation(model: &FederationModel) -> AnalysisReport {
     let mut report = AnalysisReport::new();
     check_routability(model, &mut report);
-    check_relay_cycles(model, &mut report);
     check_freshness(model, &mut report);
     check_transport_links(model, &mut report);
     report
@@ -94,55 +94,6 @@ fn check_routability(model: &FederationModel, report: &mut AnalysisReport) {
                 );
             } else {
                 flagged.remove(&(src, dst));
-            }
-        }
-    }
-}
-
-/// SCI-A202: per place, following each node's believed coverer must
-/// terminate at a self-designating node, never revisit one.
-fn check_relay_cycles(model: &FederationModel, report: &mut AnalysisReport) {
-    let mut by_place: HashMap<&str, HashMap<Guid, Guid>> = HashMap::new();
-    for claim in &model.routes {
-        by_place
-            .entry(claim.place.as_str())
-            .or_default()
-            .insert(claim.at, claim.coverer);
-    }
-    let mut places: Vec<&str> = by_place.keys().copied().collect();
-    places.sort_unstable();
-    for place in places {
-        let beliefs = &by_place[place];
-        let mut starts: Vec<Guid> = beliefs.keys().copied().collect();
-        starts.sort_unstable();
-        let mut reported = false;
-        for start in starts {
-            if reported {
-                break; // one cycle finding per place is enough
-            }
-            let mut walk: Vec<Guid> = vec![start];
-            let mut seen: HashSet<Guid> = HashSet::from([start]);
-            let mut current = start;
-            while let Some(&next) = beliefs.get(&current) {
-                if next == current {
-                    break; // reached a self-designating coverer
-                }
-                if !seen.insert(next) {
-                    let path: Vec<String> = walk.iter().map(|&g| model.range_name(g)).collect();
-                    report.push(Diagnostic::new(
-                        DiagCode::RelayCycle,
-                        format!(
-                            "place `{place}`: forwarding chain {} -> {} revisits {}",
-                            path.join(" -> "),
-                            model.range_name(next),
-                            model.range_name(next),
-                        ),
-                    ));
-                    reported = true;
-                    break;
-                }
-                walk.push(next);
-                current = next;
             }
         }
     }
@@ -297,27 +248,6 @@ mod tests {
         assert!(report.has_code(DiagCode::PartitionUnroutable), "{report}");
         let rendered = report.to_string();
         assert!(rendered.contains("no link"), "{rendered}");
-    }
-
-    #[test]
-    fn a202_disagreeing_directories_cycle() {
-        let mut model = healthy();
-        // `lobby` believes `level-ten` covers the place; `level-ten`
-        // believes `lobby` does. A relay would ping-pong forever.
-        model.routes = vec![
-            RouteClaim {
-                at: g(1),
-                place: "L10.01".into(),
-                coverer: g(2),
-            },
-            RouteClaim {
-                at: g(2),
-                place: "L10.01".into(),
-                coverer: g(1),
-            },
-        ];
-        let report = verify_federation(&model);
-        assert!(report.has_code(DiagCode::RelayCycle), "{report}");
     }
 
     #[test]

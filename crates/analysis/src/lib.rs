@@ -12,27 +12,27 @@
 //! servers for drift between what was analyzed and what is actually
 //! wired.
 //!
-//! Two entry points:
+//! Four entry points:
 //!
-//! * [`analyze`] — single-plan verification of a [`PlanGraph`] against
-//!   the registered [`Profile`]s, producing an
-//!   [`AnalysisReport`] of typed
-//!   diagnostics with stable `SCI-Axxx` codes;
+//! * [`analyze`] — single-plan verification of the resolver's
+//!   [`ConfigurationPlan`] against the registered [`Profile`]s,
+//!   producing an [`AnalysisReport`] of typed diagnostics with stable
+//!   `SCI-Axxx` codes;
 //! * [`fleet::diff_subscriptions`] — fleet-mode drift detection
 //!   between the subscriptions analyzed plans require and the live
 //!   subscription table;
 //! * [`federation::verify_federation`] — protocol-model checking of an
 //!   exported [`FederationModel`](sci_types::FederationModel)
-//!   (`SCI-A2xx`: routability under partitions, relay cycles,
-//!   freshness feasibility, wire under every route);
+//!   (`SCI-A2xx`: routability under partitions, freshness
+//!   feasibility, wire under every route);
 //! * [`lint`] — the dependency-free `sci-lint` source pass
 //!   (`SCI-A3xx`: nondeterminism in seeded paths, metric-name drift,
 //!   mutation behind the command log), also available as the
 //!   `sci-lint` binary.
 //!
-//! The crate depends only on `sci-types`; `sci-core` converts its
-//! `ConfigurationPlan` into the [`PlanGraph`] mirror model and feeds
-//! its `ProfileManager` in as a [`ProfileSource`].
+//! The crate depends only on `sci-types`, which holds the plan type
+//! the resolver builds; `sci-core` passes its plans in as they are and
+//! feeds its `ProfileManager` in as a [`ProfileSource`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,60 +43,10 @@ pub mod lint;
 
 use std::collections::{HashMap, HashSet};
 
-use sci_types::{AnalysisReport, ContextType, ContextValue, DiagCode, Diagnostic, Guid, Profile};
-
-// ---------------------------------------------------------------------
-// Graph model
-// ---------------------------------------------------------------------
-
-/// Whether a plan node produces events on its own or derives them.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum NodeRole {
-    /// A sensor/data-level CE.
-    Source,
-    /// A hosted transformation over subscribed inputs.
-    Derived,
-}
-
-/// One input edge of a derived node: a port, the type flowing into it,
-/// and the producing node indices.
-#[derive(Clone, PartialEq, Debug)]
-pub struct GraphEdge {
-    /// The consumer's input port name.
-    pub port: String,
-    /// The context type the port expects.
-    pub ty: ContextType,
-    /// Subject scope of the flow, if any.
-    pub subject: Option<Guid>,
-    /// Indices of the producing nodes.
-    pub producers: Vec<usize>,
-}
-
-/// One node of the composition graph under analysis.
-#[derive(Clone, PartialEq, Debug)]
-pub struct GraphNode {
-    /// The registered CE this node embodies.
-    pub ce: Guid,
-    /// Source or derived.
-    pub role: NodeRole,
-    /// The output type the node claims to contribute.
-    pub output: ContextType,
-    /// Input edges (empty for sources).
-    pub inputs: Vec<GraphEdge>,
-}
-
-/// A composition plan in analyzable form — the mirror of the
-/// resolver's `ConfigurationPlan`, decoupled so the analyzer can also
-/// run over hand-built or deserialized graphs.
-#[derive(Clone, PartialEq, Debug)]
-pub struct PlanGraph {
-    /// All nodes of the graph.
-    pub nodes: Vec<GraphNode>,
-    /// Indices of the nodes whose output answers the demand.
-    pub roots: Vec<usize>,
-    /// The demanded type at the root.
-    pub output: ContextType,
-}
+use sci_types::{
+    AnalysisReport, ConfigurationPlan, ContextType, ContextValue, DiagCode, Diagnostic, Guid,
+    NodeKind, PlanNode, Profile,
+};
 
 // ---------------------------------------------------------------------
 // Profile access
@@ -186,7 +136,7 @@ pub const SINGLE_INPUT_ATTR: &str = "single-input";
 /// * `SCI-A005` — the same producer wired twice into one port, or one
 ///   port appearing on two edges of a node;
 /// * `SCI-A006` — fan-in onto a port of a `single-input` profile.
-pub fn analyze(graph: &PlanGraph, profiles: &dyn ProfileSource) -> AnalysisReport {
+pub fn analyze(graph: &ConfigurationPlan, profiles: &dyn ProfileSource) -> AnalysisReport {
     let mut report = AnalysisReport::new();
     let n = graph.nodes.len();
 
@@ -209,10 +159,10 @@ pub fn analyze(graph: &PlanGraph, profiles: &dyn ProfileSource) -> AnalysisRepor
 }
 
 fn check_node(
-    graph: &PlanGraph,
+    graph: &ConfigurationPlan,
     profiles: &dyn ProfileSource,
     idx: usize,
-    node: &GraphNode,
+    node: &PlanNode,
     report: &mut AnalysisReport,
 ) {
     let profile = profiles.profile(node.ce);
@@ -361,7 +311,7 @@ fn check_node(
 
 /// Iterative three-colour depth-first search over the producer
 /// relation; a grey-on-grey edge is a cycle.
-fn check_cycles(graph: &PlanGraph, report: &mut AnalysisReport) {
+fn check_cycles(graph: &ConfigurationPlan, report: &mut AnalysisReport) {
     #[derive(Clone, Copy, PartialEq)]
     enum Mark {
         White,
@@ -425,7 +375,7 @@ fn check_cycles(graph: &PlanGraph, report: &mut AnalysisReport) {
 }
 
 /// Warns about nodes no root's producer closure reaches.
-fn check_reachability(graph: &PlanGraph, report: &mut AnalysisReport) {
+fn check_reachability(graph: &ConfigurationPlan, report: &mut AnalysisReport) {
     let n = graph.nodes.len();
     let mut reachable = vec![false; n];
     let mut frontier: Vec<usize> = graph.roots.iter().copied().filter(|&r| r < n).collect();
@@ -444,9 +394,9 @@ fn check_reachability(graph: &PlanGraph, report: &mut AnalysisReport) {
     }
     for (idx, node) in graph.nodes.iter().enumerate() {
         if !reachable[idx] {
-            let what = match node.role {
-                NodeRole::Source => "sensor leaf",
-                NodeRole::Derived => "derived node",
+            let what = match node.kind {
+                NodeKind::Source => "sensor leaf",
+                NodeKind::Derived => "derived node",
             };
             report.push(
                 Diagnostic::new(
@@ -471,7 +421,7 @@ fn list_types<'a>(types: impl Iterator<Item = &'a ContextType>) -> String {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use sci_types::{EntityKind, PortSpec};
+    use sci_types::{EntityKind, Metadata, PlanEdge, PortSpec};
 
     fn guid(raw: u128) -> Guid {
         Guid::from_u128(raw)
@@ -503,44 +453,47 @@ mod tests {
         t
     }
 
-    fn source(ce: Guid, ty: ContextType) -> GraphNode {
-        GraphNode {
+    fn source(ce: Guid, ty: ContextType) -> PlanNode {
+        PlanNode {
             ce,
-            role: NodeRole::Source,
+            kind: NodeKind::Source,
             output: ty,
+            binding: Metadata::new(),
             inputs: Vec::new(),
         }
     }
 
     /// A well-formed Figure 3 plan: doors -> objLocation -> path.
-    fn valid_plan() -> PlanGraph {
-        PlanGraph {
+    fn valid_plan() -> ConfigurationPlan {
+        ConfigurationPlan {
             nodes: vec![
                 source(guid(0x300), ContextType::Presence),
                 source(guid(0x301), ContextType::Presence),
-                GraphNode {
+                PlanNode {
                     ce: guid(0x200),
-                    role: NodeRole::Derived,
+                    kind: NodeKind::Derived,
                     output: ContextType::Location,
-                    inputs: vec![GraphEdge {
+                    binding: Metadata::new(),
+                    inputs: vec![PlanEdge {
                         port: "presence".into(),
                         ty: ContextType::Presence,
                         subject: Some(guid(0xb0b)),
                         producers: vec![0, 1],
                     }],
                 },
-                GraphNode {
+                PlanNode {
                     ce: guid(0x100),
-                    role: NodeRole::Derived,
+                    kind: NodeKind::Derived,
                     output: ContextType::Path,
+                    binding: Metadata::new(),
                     inputs: vec![
-                        GraphEdge {
+                        PlanEdge {
                             port: "from".into(),
                             ty: ContextType::Location,
                             subject: Some(guid(0xb0b)),
                             producers: vec![2],
                         },
-                        GraphEdge {
+                        PlanEdge {
                             port: "to".into(),
                             ty: ContextType::Location,
                             subject: Some(guid(0x70e)),
@@ -676,14 +629,15 @@ mod tests {
     #[test]
     fn unknown_profiles_limit_but_do_not_crash_analysis() {
         // A graph over unregistered CEs still gets structural checks.
-        let plan = PlanGraph {
+        let plan = ConfigurationPlan {
             nodes: vec![
                 source(guid(1), ContextType::Presence),
-                GraphNode {
+                PlanNode {
                     ce: guid(2),
-                    role: NodeRole::Derived,
+                    kind: NodeKind::Derived,
                     output: ContextType::Location,
-                    inputs: vec![GraphEdge {
+                    binding: Metadata::new(),
+                    inputs: vec![PlanEdge {
                         port: "presence".into(),
                         ty: ContextType::Presence,
                         subject: None,

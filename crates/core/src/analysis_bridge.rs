@@ -1,11 +1,10 @@
 //! Bridges the resolver's plan model to the `sci-analysis` verifier.
 //!
-//! `sci-analysis` deliberately depends only on `sci-types`, so this
-//! module owns the three conversions that connect it to the live
-//! middleware:
+//! `sci-analysis` deliberately depends only on `sci-types`, where the
+//! resolver's [`ConfigurationPlan`](sci_types::ConfigurationPlan) is
+//! declared, so a plan is verified as it is. This module owns the two
+//! pieces that connect the analyzer to the live middleware:
 //!
-//! * [`plan_graph`] — a [`ConfigurationPlan`] as the analyzer's
-//!   [`PlanGraph`];
 //! * [`ProfileSource`] for [`ProfileManager`] — profile lookup plus the
 //!   range's semantic-equivalence classes as type compatibility;
 //! * [`expected_subscriptions`] — the subscription records a live
@@ -14,13 +13,13 @@
 //!   [`sci_event::Topic`] to the same shape).
 
 use sci_analysis::fleet::SubscriptionRecord;
-use sci_analysis::{GraphEdge, GraphNode, NodeRole, PlanGraph, ProfileSource};
+use sci_analysis::ProfileSource;
 use sci_event::bus::SubscriptionView;
 use sci_types::{ContextType, Guid, HashSet, Profile};
 
 use crate::configuration::{Configuration, InstanceStore};
 use crate::profile_manager::ProfileManager;
-use crate::resolver::{sources_for, ConfigurationPlan, Need, NodeKind};
+use crate::resolver::{sources_for, Need, NodeKind};
 
 impl ProfileSource for ProfileManager {
     fn profile(&self, ce: Guid) -> Option<&Profile> {
@@ -29,36 +28,6 @@ impl ProfileSource for ProfileManager {
 
     fn type_compatible(&self, produced: &ContextType, consumed: &ContextType) -> bool {
         self.compatible(produced, consumed)
-    }
-}
-
-/// Converts a resolved plan into the analyzer's graph model.
-pub fn plan_graph(plan: &ConfigurationPlan) -> PlanGraph {
-    PlanGraph {
-        nodes: plan
-            .nodes
-            .iter()
-            .map(|node| GraphNode {
-                ce: node.ce,
-                role: match node.kind {
-                    NodeKind::Source => NodeRole::Source,
-                    NodeKind::Derived => NodeRole::Derived,
-                },
-                output: node.output.clone(),
-                inputs: node
-                    .inputs
-                    .iter()
-                    .map(|edge| GraphEdge {
-                        port: edge.port.clone(),
-                        ty: edge.ty.clone(),
-                        subject: edge.subject,
-                        producers: edge.producers.clone(),
-                    })
-                    .collect(),
-            })
-            .collect(),
-        roots: plan.roots.clone(),
-        output: plan.output.clone(),
     }
 }
 

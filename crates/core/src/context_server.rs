@@ -27,7 +27,6 @@ use std::collections::{BTreeSet, VecDeque};
 use std::time::Instant;
 
 use sci_event::bus::SubId;
-use sci_event::sim::Scheduler;
 use sci_event::EventMediator;
 use sci_location::floorplan::FloorPlan;
 use sci_query::{Mode, Query, What, When, Where, Which};
@@ -69,6 +68,18 @@ struct DeferredQuery {
     stored_at: VirtualTime,
 }
 
+impl DeferredQuery {
+    /// When a timed query is due: `At(t)` at `t`, `After(d)` at its
+    /// submission plus `d`. A trigger-fired query has no deadline.
+    fn deadline(&self) -> Option<VirtualTime> {
+        match self.query.when {
+            When::At(t) => Some(t),
+            When::After(d) => Some(self.stored_at.saturating_add(d)),
+            _ => None,
+        }
+    }
+}
+
 /// The governing server of one Range.
 pub struct ContextServer {
     id: Guid,
@@ -91,7 +102,6 @@ pub struct ContextServer {
     origin_queries: HashMap<Guid, Query>,
     pub(crate) caa_sub_index: HashMap<SubId, Guid>,
     deferred: Vec<DeferredQuery>,
-    timers: Scheduler<Guid>,
     outbox: Vec<AppDelivery>,
     answers: Vec<(Guid, Guid, QueryAnswer)>,
     pub(crate) excluded: HashSet<Guid>,
@@ -167,7 +177,6 @@ impl ContextServer {
             origin_queries: HashMap::default(),
             caa_sub_index: HashMap::default(),
             deferred: Vec::new(),
-            timers: Scheduler::new(),
             outbox: Vec::new(),
             answers: Vec::new(),
             excluded: HashSet::default(),
@@ -767,12 +776,6 @@ impl ContextServer {
         }
 
         if query.is_deferred() {
-            match &query.when {
-                When::At(t) => self.timers.schedule(*t, query.id),
-                When::After(d) => self.timers.schedule(now.saturating_add(*d), query.id),
-                When::OnEnter { .. } | When::OnLeave { .. } => {}
-                When::Immediate => unreachable!("is_deferred excludes Immediate"),
-            }
             self.deferred.push(DeferredQuery {
                 query: query.clone(),
                 stored_at: now,
@@ -1230,15 +1233,17 @@ impl ContextServer {
     pub(crate) fn poll_timers_impl(&mut self, now: VirtualTime) -> SciResult<usize> {
         // Periodic housekeeping: drop history past its retention window.
         self.history.expire(now);
-        let mut fired = 0;
-        while let Some((_, query_id)) = self.timers.pop_due(now) {
-            let Some(pos) = self.deferred.iter().position(|d| d.query.id == query_id) else {
-                continue; // cancelled
-            };
-            let d = self.deferred.remove(pos);
+        let (mut due, waiting): (Vec<_>, Vec<_>) = std::mem::take(&mut self.deferred)
+            .into_iter()
+            .partition(|d| d.deadline().is_some_and(|t| t <= now));
+        self.deferred = waiting;
+        // `deferred` is in submission order and the sort is stable: the
+        // due queries fire by deadline, then in the order they came.
+        due.sort_by_key(DeferredQuery::deadline);
+        let fired = due.len();
+        for d in due {
             let answer = self.execute_query(&d.query, now);
             self.record_deferred_answer(d.query, answer);
-            fired += 1;
         }
         Ok(fired)
     }
@@ -1598,7 +1603,7 @@ impl ContextServer {
     /// Statically verifies a plan against this range's registered
     /// profiles and equivalence classes, without instantiating anything.
     pub fn analyze_plan(&self, plan: &crate::resolver::ConfigurationPlan) -> AnalysisReport {
-        sci_analysis::analyze(&crate::analysis_bridge::plan_graph(plan), &self.profiles)
+        sci_analysis::analyze(plan, &self.profiles)
     }
 
     /// Fleet-mode drift audit: compares the subscriptions every live
@@ -1966,6 +1971,41 @@ mod tests {
         assert_eq!(r.cs.poll_timers(VirtualTime::from_secs(29)).unwrap(), 0);
         assert_eq!(r.cs.poll_timers(VirtualTime::from_secs(31)).unwrap(), 1);
         assert_eq!(r.cs.drain_answers().len(), 1);
+    }
+
+    /// Due timed queries fire by deadline, and those due at the same
+    /// instant in the order they were submitted.
+    #[test]
+    fn timed_queries_fire_by_deadline_then_submission() {
+        let mut r = rig();
+        let app = r.ids.next_guid();
+        let mut submit = |when: When, at: u64| {
+            let q = Query::builder(r.ids.next_guid(), app)
+                .kind(EntityKind::Device)
+                .all()
+                .when(when)
+                .mode(Mode::Profile)
+                .build();
+            r.cs.submit_query(&q, VirtualTime::from_secs(at)).unwrap();
+            q.id
+        };
+        let fired = |r: &mut Rig, now: u64| {
+            r.cs.poll_timers(VirtualTime::from_secs(now)).unwrap();
+            r.cs.drain_answers()
+                .into_iter()
+                .map(|a| a.0)
+                .collect::<Vec<_>>()
+        };
+
+        // One deadline, two spellings: submission order.
+        let first = submit(When::After(VirtualDuration::from_secs(30)), 10);
+        let second = submit(When::At(VirtualTime::from_secs(40)), 20);
+        // Submitted later, due earlier: first out.
+        let late = submit(When::At(VirtualTime::from_secs(60)), 30);
+        let early = submit(When::After(VirtualDuration::from_secs(10)), 40);
+        assert_eq!(fired(&mut r, 40), [first, second]);
+        assert_eq!(fired(&mut r, 60), [early, late]);
+        assert_eq!(r.cs.deferred_count(), 0);
     }
 
     #[test]

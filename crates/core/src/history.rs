@@ -149,13 +149,9 @@ impl ContextStore {
     pub(crate) fn import(&mut self, table: &[u8]) -> SciResult<()> {
         let refuse =
             |what: &str, at: usize| SciError::Codec(format!("history table: {what} at byte {at}"));
-        let count = match table.first_chunk::<4>() {
-            Some(&count) => u32::from_be_bytes(count) as usize,
-            None => return Err(refuse("no record count", 0)),
-        };
-        if count > (table.len() - 4) / MIN_EVENT_LEN {
-            return Err(refuse(&format!("count {count} exceeds the bytes left"), 0));
-        }
+        let count = wire::Reader::new(table)
+            .count(MIN_EVENT_LEN)
+            .map_err(|e| SciError::Codec(format!("history table: {e}")))?;
         // The run being read: its head, its first byte, and each
         // record's timestamp and length.
         let (mut run, mut start, mut at) = (None::<EventHead<'_>>, 4, 4);

@@ -54,27 +54,13 @@ pub(crate) fn frame_err(e: CodecError) -> SciError {
     SciError::Codec(format!("binary record: {e}"))
 }
 
-/// Reads a `u32` row count, refusing one the remaining bytes could not
-/// hold at `min_row_len` bytes a row — so a hostile count can neither
-/// size an allocation nor drive a long loop.
-pub(crate) fn get_count(r: &mut wire::Reader<'_>, min_row_len: usize) -> SciResult<usize> {
-    let n = r.u32().map_err(frame_err)? as usize;
-    if n > r.remaining() / min_row_len {
-        return Err(SciError::Codec(format!(
-            "count {n} exceeds the {} bytes left",
-            r.remaining()
-        )));
-    }
-    Ok(n)
-}
-
-/// Reads a counted table: [`get_count`], then that many rows.
+/// Reads a counted table: [`wire::Reader::count`], then that many rows.
 pub(crate) fn get_rows<'a, T>(
     r: &mut wire::Reader<'a>,
     min_row_len: usize,
     mut row: impl FnMut(&mut wire::Reader<'a>) -> SciResult<T>,
 ) -> SciResult<Vec<T>> {
-    let n = get_count(r, min_row_len)?;
+    let n = r.count(min_row_len).map_err(frame_err)?;
     let mut rows = Vec::with_capacity(n);
     for _ in 0..n {
         rows.push(row(r)?);
@@ -285,7 +271,7 @@ impl<'a> Skim<'a> {
             .filter(|b| b.is_ascii() || std::str::from_utf8(b).is_ok())
     }
 
-    /// [`get_count`]: a count the bytes left could hold.
+    /// [`wire::Reader::count`]: a count the bytes left could hold.
     #[inline]
     fn count(&mut self, min_row_len: usize) -> Option<usize> {
         let n = u32::from_be_bytes(self.array()?) as usize;

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use sci_analysis::analyze;
 use sci_analysis::fleet::SubscriptionRecord;
-use sci_core::analysis_bridge::{expected_subscriptions, plan_graph, record_of};
+use sci_core::analysis_bridge::{expected_subscriptions, record_of};
 use sci_core::configuration::InstanceStore;
 use sci_core::logic::{factory, LogicFactory, ObjLocationLogic, PathLogic};
 use sci_core::profile_manager::ProfileManager;
@@ -121,7 +121,7 @@ proptest! {
         };
 
         // (a) Resolver output passes static analysis without errors.
-        let report = analyze(&plan_graph(&plan), &reg.pm);
+        let report = analyze(&plan, &reg.pm);
         prop_assert!(
             !report.has_errors(),
             "resolver produced a plan the analyzer rejects: {report}"

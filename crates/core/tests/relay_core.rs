@@ -25,7 +25,10 @@
 //!   once and reads its own response: a duplicated forward, a stray
 //!   answer at home and an undecodable or unappliable stray at the
 //!   target change nothing about the submission; the stray's error is
-//!   the next pump's.
+//!   the next pump's. A forwarded query is answered where it lands,
+//!   and that answer, an error or a forward of its own, comes home as
+//!   it is: a relay never forwards twice, so replicas that disagree
+//!   about a place cannot make a query bounce between ranges.
 //!
 //! The serial-vs-parallel parity tests in `tests/parallel_federation.rs`
 //! then isolate what they were written for: inline vs threaded
@@ -719,4 +722,77 @@ fn a_migration_that_fails_beside_a_submission_is_reported_by_the_next_pump() {
         "{pumped:?}"
     );
     core.pump(VirtualTime::ZERO).unwrap();
+}
+
+/// A relay forwards a query once. Here the place directory is wrong the
+/// way no federation should be: it names `range-1` as the coverer of
+/// `ghost` and as the range called `range-2`, and `range-1` holds
+/// neither. `submit_from` sends one `QueryForward` and returns what
+/// `range-1` says, its error or its own forward answer, as it is; it
+/// never forwards again.
+#[test]
+fn a_forwarded_query_is_answered_where_it_lands_and_never_forwarded_again() {
+    let (mut core, nodes, _) = core_of(2, 1);
+    let net = core.transport_mut();
+    net.publish_registration(nodes[0], "place/ghost", &nodes[1].to_string())
+        .unwrap();
+    net.publish_registration(nodes[0], "range/range-2", &nodes[1].to_string())
+        .unwrap();
+    let submits = |core: &mut Core, range: &str| {
+        let host = core.host_mut(range).unwrap();
+        host.telemetry()
+            .snapshot()
+            .counter("range.cmd.submit.count")
+    };
+
+    // The coverer does not hold the place: its error comes back as it is.
+    let ghost = Query::builder(Guid::from_u128(0x206), APP)
+        .kind(EntityKind::Device)
+        .in_place("ghost")
+        .all()
+        .mode(Mode::Profile)
+        .build();
+    let sent = core.transport().stats().delivered();
+    let answer = core.submit_from("range-0", &ghost, VirtualTime::ZERO);
+    assert!(
+        matches!(&answer, Err(SciError::UnknownLocation(place)) if place == "ghost"),
+        "{answer:?}"
+    );
+    assert_eq!(
+        core.transport().stats().delivered() - sent,
+        1,
+        "one forward"
+    );
+    assert_eq!(
+        (submits(&mut core, "range-0"), submits(&mut core, "range-1")),
+        (1, 1)
+    );
+
+    // The coverer answers with a forward of its own: that answer comes
+    // back as it is, and nobody acts on it.
+    let elsewhere = Query::builder(Guid::from_u128(0x207), APP)
+        .kind(EntityKind::Device)
+        .in_range("range-2")
+        .all()
+        .mode(Mode::Profile)
+        .build();
+    let sent = core.transport().stats().delivered();
+    let fa = core
+        .submit_from("range-0", &elsewhere, VirtualTime::ZERO)
+        .unwrap();
+    assert!(
+        matches!(&fa.answer, QueryAnswer::Forward { range } if range == "range-2"),
+        "{:?}",
+        fa.answer
+    );
+    assert_eq!(
+        core.transport().stats().delivered() - sent,
+        2,
+        "one forward and its response"
+    );
+    core.pump(VirtualTime::ZERO).unwrap();
+    assert_eq!(
+        (submits(&mut core, "range-0"), submits(&mut core, "range-1")),
+        (2, 2)
+    );
 }

@@ -26,8 +26,8 @@
 //!
 //! The pre-index linear table is preserved as [`linear::LinearBus`] — a
 //! test oracle the bus is property-tested against (see
-//! `docs/performance.md`). Supporting pieces: [`topic::Topic`] filters
-//! and the [`sim`] virtual-time scheduler for deferred work.
+//! `docs/performance.md`). A supporting piece: [`topic::Topic`]
+//! filters.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,12 +36,10 @@ pub mod bus;
 pub mod linear;
 pub mod mediator;
 pub mod rt;
-pub mod sim;
 mod telemetry;
 pub mod topic;
 
 pub use bus::{Delivery, EventBus, SubId};
 pub use linear::LinearBus;
 pub use mediator::EventMediator;
-pub use sim::Scheduler;
 pub use topic::Topic;

@@ -38,7 +38,7 @@
 //! The transport binds every listener to `127.0.0.1:0` (the kernel
 //! picks a free port), so parallel test runs never collide.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
@@ -173,8 +173,9 @@ fn welcome_frame(version: u32, id: &PeerInfo, digest: u64, gossip: &[PeerInfo]) 
 fn parse_welcome(payload: &[u8]) -> SciResult<(PeerHello, Vec<PeerInfo>)> {
     let mut r = wire::Reader::new(payload);
     let hello = read_identity(&mut r)?;
-    let count = r.u32().map_err(codec_err)?;
-    let mut gossip = Vec::with_capacity(count as usize);
+    // A gossip row: GUID, then a name and an address, each a prefix.
+    let count = r.count(16 + 4 + 4).map_err(codec_err)?;
+    let mut gossip = Vec::with_capacity(count);
     for _ in 0..count {
         let guid = Guid::from_u128(r.u128().map_err(codec_err)?);
         let name = r.str().map_err(codec_err)?.to_owned();
@@ -214,8 +215,9 @@ fn offer_frame(summaries: &[SyncSummary]) -> Frame {
 
 fn parse_offer(payload: &[u8]) -> SciResult<Vec<SyncSummary>> {
     let mut r = wire::Reader::new(payload);
-    let count = r.u32().map_err(codec_err)?;
-    let mut out = Vec::with_capacity(count as usize);
+    // A summary row: a key's prefix, its version and its origin.
+    let count = r.count(4 + 8 + 16).map_err(codec_err)?;
+    let mut out = Vec::with_capacity(count);
     for _ in 0..count {
         let key = r.str().map_err(codec_err)?.to_owned();
         let version = r.u64().map_err(codec_err)?;
@@ -244,8 +246,9 @@ fn delta_frame(entries: &[SyncEntry], wants: &[String]) -> Frame {
 
 fn parse_delta(payload: &[u8]) -> SciResult<(Vec<SyncEntry>, Vec<String>)> {
     let mut r = wire::Reader::new(payload);
-    let count = r.u32().map_err(codec_err)?;
-    let mut entries = Vec::with_capacity(count as usize);
+    // An entry row: key and value prefixes, version, origin, tombstone.
+    let count = r.count(4 + 4 + 8 + 16 + 1).map_err(codec_err)?;
+    let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
         let key = r.str().map_err(codec_err)?.to_owned();
         let value = r.str().map_err(codec_err)?.to_owned();
@@ -260,8 +263,8 @@ fn parse_delta(payload: &[u8]) -> SciResult<(Vec<SyncEntry>, Vec<String>)> {
             deleted,
         });
     }
-    let want_count = r.u32().map_err(codec_err)?;
-    let mut wants = Vec::with_capacity(want_count as usize);
+    let want_count = r.count(4).map_err(codec_err)?;
+    let mut wants = Vec::with_capacity(want_count);
     for _ in 0..want_count {
         wants.push(r.str().map_err(codec_err)?.to_owned());
     }
@@ -287,12 +290,14 @@ fn data_frame(seq: u64, message: &Message) -> Frame {
 
 #[derive(Clone)]
 struct NetCounters {
+    accept_failures: Counter,
     accepts: Counter,
     ack_timeouts: Counter,
     bytes_recv: Counter,
     bytes_sent: Counter,
     conns: Counter,
     corrupt_frames: Counter,
+    dial_failures: Counter,
     frames_recv: Counter,
     frames_sent: Counter,
     handshake_rejected: Counter,
@@ -304,12 +309,14 @@ struct NetCounters {
 impl NetCounters {
     fn new(registry: &Registry) -> Self {
         NetCounters {
+            accept_failures: registry.counter("net.tcp.accept_failures"),
             accepts: registry.counter("net.tcp.accepts"),
             ack_timeouts: registry.counter("net.tcp.ack_timeouts"),
             bytes_recv: registry.counter("net.tcp.bytes.recv"),
             bytes_sent: registry.counter("net.tcp.bytes.sent"),
             conns: registry.counter("net.tcp.conns"),
             corrupt_frames: registry.counter("net.tcp.corrupt_frames"),
+            dial_failures: registry.counter("net.tcp.dial_failures"),
             frames_recv: registry.counter("net.tcp.frames.recv"),
             frames_sent: registry.counter("net.tcp.frames.sent"),
             handshake_rejected: registry.counter("net.tcp.handshake.rejected"),
@@ -387,6 +394,24 @@ fn write_frame(
     write_frame_direct(&mut lock(stream), frame, counters)
 }
 
+/// One socket read: the bytes read (`Some(0)` at end of stream), or
+/// `None` when the read timed out. A read a signal interrupted is
+/// restarted: a read with a timeout is not restarted by the kernel, and
+/// a profiler's timer, an attaching debugger or a stop and continue
+/// must not fail a handshake or drop a live link.
+fn read_step(stream: &mut impl Read, buf: &mut [u8]) -> std::io::Result<Option<usize>> {
+    loop {
+        match stream.read(buf) {
+            Ok(n) => return Ok(Some(n)),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return Ok(None)
+            }
+            Err(e) => return Err(e),
+        }
+    }
+}
+
 /// Reads exactly one frame during a handshake, blocking in
 /// [`READ_TIMEOUT`] slices so shutdown is noticed promptly.
 fn read_frame_sync(
@@ -403,15 +428,15 @@ fn read_frame_sync(
         if shared.shutdown.load(Ordering::Relaxed) {
             return Err(SciError::Stopped("tcp transport".into()));
         }
-        match stream.read(&mut buf) {
-            Ok(0) => return Err(SciError::Codec("connection closed during handshake".into())),
-            Ok(n) => {
+        match read_step(stream, &mut buf) {
+            Ok(Some(0)) => {
+                return Err(SciError::Codec("connection closed during handshake".into()))
+            }
+            Ok(Some(n)) => {
                 shared.counters.bytes_recv.add(n as u64);
                 dec.extend(&buf[..n]);
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
+            Ok(None) => {}
             Err(e) => return Err(SciError::Codec(format!("handshake read: {e}"))),
         }
     }
@@ -453,16 +478,13 @@ fn run_reader(
 ) {
     let mut buf = vec![0u8; MAX_COALESCED_WRITE];
     while read_pass(shared, conn, ack_tx, &mut dec) && !shared.shutdown.load(Ordering::Relaxed) {
-        match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => {
+        match read_step(&mut stream, &mut buf) {
+            Ok(Some(0)) | Err(_) => break,
+            Ok(Some(n)) => {
                 shared.counters.bytes_recv.add(n as u64);
                 dec.extend(&buf[..n]);
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(_) => break,
+            Ok(None) => {}
         }
     }
     let _ = lock(&conn.stream).shutdown(Shutdown::Both);
@@ -572,9 +594,11 @@ fn run_acceptor(shared: &Arc<NodeShared>, listener: &TcpListener) {
         match listener.accept() {
             Ok((stream, _)) => {
                 shared.counters.accepts.inc();
-                let _ = handle_accept(shared, stream);
+                if handle_accept(shared, stream).is_err() {
+                    shared.counters.accept_failures.inc();
+                }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
             Err(_) => thread::sleep(ACCEPT_POLL),
         }
     }
@@ -981,8 +1005,10 @@ impl Transport for TcpTransport {
                     continue;
                 };
                 let shared = na.shared.clone();
-                if self.conn_to(&shared, b).is_none() {
-                    let _ = dial(&shared, nb.shared.listen_addr);
+                if self.conn_to(&shared, b).is_none()
+                    && dial(&shared, nb.shared.listen_addr).is_err()
+                {
+                    shared.counters.dial_failures.inc();
                 }
             }
         }
@@ -1032,7 +1058,10 @@ impl Transport for TcpTransport {
             // A live connection, or a lazy dial through the directory.
             let conn = self.conn_to(&shared, dst).or_else(|| {
                 let addr = lock(&shared.directory).get(&dst)?.addr;
-                dial(&shared, addr).ok()?;
+                if dial(&shared, addr).is_err() {
+                    shared.counters.dial_failures.inc();
+                    return None;
+                }
                 self.conn_to(&shared, dst)
             });
             if let Some(conn) = conn {
@@ -1386,6 +1415,124 @@ mod tests {
             wait_until(|| t.connections_of(a) == 0),
             "the reader took its connection with it"
         );
+    }
+
+    /// A reader that a signal interrupts before each of its reads.
+    struct Interrupted {
+        bytes: &'static [u8],
+        signalled: bool,
+    }
+
+    impl Read for Interrupted {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.signalled = !self.signalled;
+            if self.signalled {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            let n = self.bytes.len().min(buf.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_read_a_signal_interrupts_is_restarted() {
+        let mut r = Interrupted {
+            bytes: b"hello",
+            signalled: false,
+        };
+        let mut buf = [0u8; 3];
+        assert_eq!(read_step(&mut r, &mut buf).unwrap(), Some(3));
+        assert_eq!(read_step(&mut r, &mut buf).unwrap(), Some(2));
+        assert_eq!(
+            read_step(&mut r, &mut buf).unwrap(),
+            Some(0),
+            "end of stream"
+        );
+
+        struct Failing(ErrorKind);
+        impl Read for Failing {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                Err(self.0.into())
+            }
+        }
+        for timeout in [ErrorKind::WouldBlock, ErrorKind::TimedOut] {
+            assert_eq!(read_step(&mut Failing(timeout), &mut buf).unwrap(), None);
+        }
+        assert!(read_step(&mut Failing(ErrorKind::ConnectionReset), &mut buf).is_err());
+    }
+
+    /// A payload of `head`, then a row count of `u32::MAX` and nothing
+    /// behind it.
+    fn hostile_count(head: &[u8]) -> Vec<u8> {
+        let mut p = head.to_vec();
+        wire::put_u32(&mut p, u32::MAX);
+        p
+    }
+
+    #[test]
+    fn a_hostile_row_count_is_a_codec_error_not_an_allocation() {
+        let id = PeerInfo {
+            guid: Guid::from_u128(0xa),
+            name: "a".into(),
+            addr: "127.0.0.1:1".parse().unwrap(),
+        };
+        let mut identity = Vec::new();
+        put_identity(&mut identity, TCP_PROTOCOL_VERSION, &id, 0);
+        let no_entries = 0u32.to_be_bytes();
+        let refused = [
+            ("welcome", parse_welcome(&hostile_count(&identity)).err()),
+            ("offer", parse_offer(&hostile_count(&[])).err()),
+            ("delta entries", parse_delta(&hostile_count(&[])).err()),
+            (
+                "delta wants",
+                parse_delta(&hostile_count(&no_entries)).err(),
+            ),
+        ];
+        for (what, err) in refused {
+            assert!(matches!(err, Some(SciError::Codec(_))), "{what}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn a_peer_offering_a_hostile_count_leaves_the_node_serving() {
+        let mut t = TcpTransport::new();
+        let a = Guid::from_u128(0xa);
+        t.add_node(a, "a").unwrap();
+        // A registration, so the forged peer's empty store differs and
+        // `a` reads an offer straight after the HELLO.
+        t.publish_registration(a, "place/L10.01", "range-a")
+            .unwrap();
+        let (mut peer, _) = forged_peer(&t, a);
+        let offer = Frame::new(TAG_SYNC_OFFER, hostile_count(&[]));
+        write_frame_direct(&mut peer, &offer, &t.counters).unwrap();
+        assert!(wait_until(|| counter(&t, "net.tcp.accept_failures") == 1));
+        assert_eq!(t.connections_of(a), 0);
+
+        let c = Guid::from_u128(0xc);
+        t.add_node(c, "c").unwrap();
+        t.connect_full();
+        assert_eq!(counter(&t, "net.tcp.dial_failures"), 0);
+        t.send(msg(1, c, a)).unwrap();
+        assert_eq!(t.drain(a).len(), 1, "a still accepts and delivers");
+    }
+
+    #[test]
+    fn a_dial_that_fails_is_counted() {
+        let mut t = TcpTransport::new();
+        let (a, b) = (Guid::from_u128(0xa), Guid::from_u128(0xb));
+        t.add_node(a, "a").unwrap();
+        // `b` speaks another version, so every dial between them fails.
+        t.set_protocol_version(TCP_PROTOCOL_VERSION + 1);
+        t.add_node(b, "b").unwrap();
+        t.connect_full();
+        assert_eq!(counter(&t, "net.tcp.dial_failures"), 1);
+        assert!(matches!(
+            t.send(msg(1, a, b)),
+            Err(SciError::Unroutable { .. })
+        ));
+        assert_eq!(counter(&t, "net.tcp.dial_failures"), 2, "the lazy dial too");
     }
 
     #[test]

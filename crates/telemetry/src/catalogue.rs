@@ -39,12 +39,14 @@ pub const METRICS: &[&str] = &[
     "net.failed",
     "net.hops",
     "net.recoveries",
+    "net.tcp.accept_failures",
     "net.tcp.accepts",
     "net.tcp.ack_timeouts",
     "net.tcp.bytes.recv",
     "net.tcp.bytes.sent",
     "net.tcp.conns",
     "net.tcp.corrupt_frames",
+    "net.tcp.dial_failures",
     "net.tcp.frames.recv",
     "net.tcp.frames.sent",
     "net.tcp.handshake.rejected",

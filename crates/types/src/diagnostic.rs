@@ -1,6 +1,6 @@
 //! Typed diagnostics for static plan verification.
 //!
-//! The resolver's [`ConfigurationPlan`](crate::Profile) graphs are
+//! The resolver's [`ConfigurationPlan`](crate::ConfigurationPlan) graphs are
 //! checked by `sci-analysis` *before* the Context Server instantiates
 //! them. Each finding is a [`Diagnostic`] with a stable, documented
 //! [`DiagCode`] so applications and tests can match on defect classes
@@ -68,16 +68,14 @@ pub enum DiagCode {
     /// crosses a declared partition boundary (or a missing
     /// link), so the relay is unroutable by construction.
     PartitionUnroutable,
-    /// `SCI-A202`: the per-place forwarding chains implied by
-    /// nodes' disagreeing place claims contain a cycle — a relay could
-    /// bounce between ranges forever without reaching a coverer.
-    RelayCycle,
     /// `SCI-A203`: the worst-case relay retry backoff (in virtual
     /// time) exceeds a configuration's `qoc-max-age-us` bound, so a
     /// retried relay is guaranteed stale on arrival.
     FreshnessInfeasible,
     // SCI-A204, A205, A206 and A303 are retired (they re-checked
-    // constants the code fixes); a retired code is never reused.
+    // constants the code fixes), and so is SCI-A202 (a relay forwards a
+    // query at most once, so no query can bounce between ranges); a
+    // retired code is never reused.
     /// `SCI-A207`: a relay route the nodes' place claims imply has no
     /// wire underneath it — the socket transport declares neither a
     /// live peering nor a dialable listener address for the directed
@@ -115,7 +113,6 @@ impl DiagCode {
             DiagCode::MissingSubscription => "SCI-A101",
             DiagCode::OrphanSubscription => "SCI-A102",
             DiagCode::PartitionUnroutable => "SCI-A201",
-            DiagCode::RelayCycle => "SCI-A202",
             DiagCode::FreshnessInfeasible => "SCI-A203",
             DiagCode::TransportLinkMissing => "SCI-A207",
             DiagCode::NondeterministicCall => "SCI-A301",
@@ -135,7 +132,6 @@ impl DiagCode {
             | DiagCode::FanInViolation
             | DiagCode::MissingSubscription
             | DiagCode::PartitionUnroutable
-            | DiagCode::RelayCycle
             | DiagCode::FreshnessInfeasible
             | DiagCode::TransportLinkMissing
             | DiagCode::NondeterministicCall
@@ -308,7 +304,6 @@ mod tests {
             DiagCode::MissingSubscription,
             DiagCode::OrphanSubscription,
             DiagCode::PartitionUnroutable,
-            DiagCode::RelayCycle,
             DiagCode::FreshnessInfeasible,
             DiagCode::TransportLinkMissing,
             DiagCode::NondeterministicCall,

@@ -17,6 +17,8 @@
 //!   registers with its range, used by the query resolver for type
 //!   matching.
 //! * [`Advertisement`] — the "well known" service interface description.
+//! * [`ConfigurationPlan`] — the composition plan the query resolver
+//!   builds and `sci-analysis` verifies.
 //! * [`ContextEvent`] — the typed event unit delivered by the Event
 //!   Mediator.
 //! * [`VirtualTime`] — the logical clock all deterministic components run
@@ -51,6 +53,7 @@ pub mod event;
 pub mod guid;
 pub mod hash;
 pub mod metadata;
+pub mod plan;
 pub mod profile;
 pub mod protocol;
 pub mod time;
@@ -65,6 +68,7 @@ pub use event::{ContextEvent, EventSeq};
 pub use guid::Guid;
 pub use hash::{DeterministicState, HashMap, HashSet};
 pub use metadata::Metadata;
+pub use plan::{ConfigurationPlan, NodeId, NodeKind, PlanEdge, PlanNode};
 pub use profile::{PortSpec, Profile, ProfileBuilder};
 pub use protocol::{
     FaultSchedule, FederationModel, FreshnessBound, RangeModel, RetryModel, RouteClaim,

@@ -7,11 +7,12 @@
 //! bounds, place-directory beliefs and wire peerings the runtime is
 //! about to operate under. `sci-analysis::federation` checks the
 //! model *before* runtime: routability under partitions (SCI-A201),
-//! relay-path cycles (SCI-A202), freshness feasibility (SCI-A203) and
-//! wire under every route (SCI-A207). The model holds only what can
-//! differ between two federations; what the code fixes (which command
-//! kinds are logged, which message classes carry the dedup envelope)
-//! is pinned by the unit tests beside it, not re-declared here.
+//! freshness feasibility (SCI-A203) and wire under every route
+//! (SCI-A207). The model holds only what can differ between two
+//! federations; what the code fixes (which command kinds are logged,
+//! which message classes carry the dedup envelope, that a relay
+//! forwards a query at most once) is pinned by the unit tests beside
+//! it, not re-declared here.
 //!
 //! The model lives in `sci-types` so the exporters (core, overlay)
 //! and the verifier (analysis) share it without depending on each

@@ -585,6 +585,26 @@ pub mod wire {
             Ok(u128::from_be_bytes(raw))
         }
 
+        /// Reads a `u32` row count, refusing one the bytes left could
+        /// not hold at `min_row_len` bytes a row, so a hostile count can
+        /// neither size an allocation nor drive a long loop. This is the
+        /// one count rule of every counted table on disk or on the wire.
+        ///
+        /// # Errors
+        ///
+        /// [`CodecError::Corrupt`] on short read or such a count.
+        pub fn count(&mut self, min_row_len: usize) -> Result<usize, CodecError> {
+            let at = self.pos;
+            let n = self.u32()? as usize;
+            if n > self.remaining() / min_row_len.max(1) {
+                return Err(CodecError::Corrupt {
+                    offset: at,
+                    detail: format!("count {n} exceeds the {} bytes left", self.remaining()),
+                });
+            }
+            Ok(n)
+        }
+
         /// Reads a `u32`-length-prefixed byte run.
         ///
         /// # Errors

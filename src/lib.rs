@@ -81,7 +81,7 @@ pub use sci_wal as wal;
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use sci_analysis::federation::verify_federation;
-    pub use sci_analysis::{analyze, PlanGraph, ProfileSource, ProfileTable};
+    pub use sci_analysis::{analyze, ProfileSource, ProfileTable};
     pub use sci_core::capa::CapaApp;
     pub use sci_core::context_server::{AppDelivery, ContextServer, QueryAnswer, RangeReply};
     pub use sci_core::durability::{durable_digest, DurabilityConfig, RecoveryReport};
@@ -98,7 +98,7 @@ pub mod prelude {
     pub use sci_core::runtime::{
         MailboxPolicy, ParallelFederation, RangeCommand, RangeRuntime, RestartPolicy,
     };
-    pub use sci_event::{EventBus, EventMediator, Scheduler, Topic};
+    pub use sci_event::{EventBus, EventMediator, Topic};
     pub use sci_location::floorplan::{capa_level10, FloorPlan};
     pub use sci_location::{LocationExpr, Rect, Route};
     pub use sci_overlay::{
@@ -109,9 +109,9 @@ pub mod prelude {
     pub use sci_telemetry::{Registry, RingBufferSubscriber, TelemetrySnapshot, Tracer};
     pub use sci_types::guid::GuidGenerator;
     pub use sci_types::{
-        Advertisement, AnalysisReport, ContextEvent, ContextType, ContextValue, Coord, DiagCode,
-        Diagnostic, EntityDescriptor, EntityKind, FederationModel, Guid, Metadata, PortSpec,
-        Profile, SciError, SciResult, Severity, VirtualDuration, VirtualTime,
+        Advertisement, AnalysisReport, ConfigurationPlan, ContextEvent, ContextType, ContextValue,
+        Coord, DiagCode, Diagnostic, EntityDescriptor, EntityKind, FederationModel, Guid, Metadata,
+        PortSpec, Profile, SciError, SciResult, Severity, VirtualDuration, VirtualTime,
     };
     pub use sci_wal::FsyncPolicy;
 }
