@@ -12,7 +12,7 @@
 //! servers for drift between what was analyzed and what is actually
 //! wired.
 //!
-//! Four entry points:
+//! Three entry points:
 //!
 //! * [`analyze`] — single-plan verification of the resolver's
 //!   [`ConfigurationPlan`] against the registered [`Profile`]s,
@@ -21,10 +21,6 @@
 //! * [`fleet::diff_subscriptions`] — fleet-mode drift detection
 //!   between the subscriptions analyzed plans require and the live
 //!   subscription table;
-//! * [`federation::verify_federation`] — protocol-model checking of an
-//!   exported [`FederationModel`](sci_types::FederationModel)
-//!   (`SCI-A2xx`: routability under partitions, freshness
-//!   feasibility, wire under every route);
 //! * [`lint`] — the dependency-free `sci-lint` source pass
 //!   (`SCI-A3xx`: nondeterminism in seeded paths, metric-name drift,
 //!   mutation behind the command log), also available as the
@@ -37,7 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod federation;
 pub mod fleet;
 pub mod lint;
 

@@ -526,7 +526,7 @@ impl ContextServer {
         let descriptor = match self.registrar.deregister(id, now) {
             Ok(descriptor) => descriptor,
             Err(e) => {
-                self.metrics.record_deregister_unknown();
+                self.metrics.deregister_unknown.inc();
                 return Err(e);
             }
         };
@@ -534,7 +534,7 @@ impl ContextServer {
         let outputs = self.profiles.remove(id).map(|p| output_types(&p));
         if outputs.is_err() {
             // Registered but profile-less: at least counted.
-            self.metrics.record_deregister_unknown();
+            self.metrics.deregister_unknown.inc();
         }
         self.mediator.purge_entity(id);
         self.location.forget(id);
@@ -668,7 +668,7 @@ impl ContextServer {
         now: VirtualTime,
     ) -> SciResult<MigrationPacket> {
         let (_, held) = self.evict(id, now)?;
-        self.metrics.record_migrate_out();
+        self.metrics.migrate_out.inc();
         Ok(held)
     }
 
@@ -698,7 +698,7 @@ impl ContextServer {
             let _ = self.deregister_impl(entity, now);
         }
         let adopted = self.adopt(packet, Vec::new(), now);
-        self.metrics.record_migrate_in();
+        self.metrics.migrate_in.inc();
         match adopted? {
             0 => Ok(()),
             n => Err(SciError::Unresolvable(format!(
@@ -874,7 +874,7 @@ impl ContextServer {
                     let report = self.analyze_plan(&plan);
                     if report.has_errors() {
                         self.rejected_plans += 1;
-                        self.metrics.record_plan_rejected();
+                        self.metrics.plan_rejected.inc();
                         return Err(SciError::PlanRejected(report.summary()));
                     }
                 }
@@ -1280,7 +1280,7 @@ impl ContextServer {
                         .unwrap_or(false);
                     if stale {
                         self.stale_drops += 1;
-                        self.metrics.record_stale_drop();
+                        self.metrics.stale_drops.inc();
                         if delivery.last {
                             // The one-time subscription was consumed by
                             // the (dropped) delivery; clean up anyway.
@@ -1288,7 +1288,7 @@ impl ContextServer {
                         }
                         continue;
                     }
-                    self.metrics.record_app_delivery();
+                    self.metrics.app_deliveries.inc();
                     self.outbox.push(AppDelivery {
                         app: target,
                         query,
@@ -1402,7 +1402,7 @@ impl ContextServer {
         let rewired = self.fed_by(ce);
         self.mark_failed(ce);
         unwire(self, ce, &outputs);
-        self.metrics.record_source_failed();
+        self.metrics.source_failed.inc();
         span.field("rewired", rewired.len());
         let bus = self.mediator.bus();
         rewired

@@ -15,8 +15,8 @@
 //! own relays. The driver with one worker thread per range is
 //! [`crate::runtime::ParallelFederation`]; both dereference to the
 //! core, so `command`, `submit_from`, `migrate_entity`, `pump`,
-//! `deliveries_for`, `protocol_model`, `snapshot` and the relay
-//! counters are the same code on either. "Identifies" is a lookup in
+//! `deliveries_for`, `snapshot` and the relay counters are the same
+//! code on either. "Identifies" is a lookup in
 //! the lobby node's own replica of the registration state
 //! (`range/{name}`, `place/{room}`; [`RelayCore::range_covering_from`]),
 //! not in a table the driver keeps. A single range is a federation of

@@ -53,7 +53,6 @@
 //! it: a packet that finds no live host is parked like an unroutable
 //! one and re-fired every pump until the range is back.
 
-use std::collections::BTreeSet;
 use std::time::Instant;
 
 use bytes::Bytes;
@@ -67,10 +66,7 @@ use sci_query::xml::{document, parse};
 use sci_query::Query;
 use sci_telemetry::{Registry, TelemetrySnapshot, Tracer};
 use sci_types::guid::GuidGenerator;
-use sci_types::{
-    ContextEvent, FederationModel, FreshnessBound, Guid, HashMap, RangeModel, RetryModel,
-    RouteClaim, SciError, SciResult, VirtualDuration, VirtualTime,
-};
+use sci_types::{ContextEvent, Guid, HashMap, SciError, SciResult, VirtualDuration, VirtualTime};
 use sci_wal::codec::wire;
 
 use crate::context_server::{AppDelivery, ContextServer, DeferredAnswer, QueryAnswer, RangeReply};
@@ -93,6 +89,10 @@ pub const RELAY_RETRIES: u32 = 4;
 /// (the arrival time of a retried relay is pushed back by
 /// `base * (2^attempt - 1)`).
 pub const RETRY_BACKOFF_BASE_US: u64 = 500;
+
+/// The virtual wait a relay has accumulated when its last retry fails:
+/// the sum of `send_reliable`'s backoffs, `base · (2^RELAY_RETRIES − 1)`.
+const WORST_CASE_BACKOFF_US: u64 = RETRY_BACKOFF_BASE_US * ((1 << RELAY_RETRIES) - 1);
 
 /// The most relays one [`Transport::send_all`] carries (bar the last
 /// event's). A batch sits whole in its receivers' inboxes until the
@@ -425,77 +425,6 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
         self.metrics.tracer = tracer;
     }
 
-    /// Exports the pure protocol model of this federation: ranges,
-    /// links, the transport's declared partitions and wire peerings,
-    /// retry/backoff constants, the freshness bounds recorded at
-    /// submission and, for every range, which node its own replica says
-    /// covers each room a served range claims.
-    /// `sci_analysis::federation::verify_federation` checks the model
-    /// (SCI-A201..A203, A207) before the runtime is trusted with traffic.
-    pub fn protocol_model(&self) -> FederationModel {
-        let mut ranges: Vec<RangeModel> = self
-            .hosts
-            .iter()
-            .map(|(&id, host)| RangeModel {
-                id,
-                name: host.name().to_owned(),
-            })
-            .collect();
-        ranges.sort_by_key(|r| r.id);
-
-        // The pump relays any-to-any, so the declared topology is the
-        // full mesh over ranges; partitions narrow it.
-        let mut links = Vec::new();
-        for a in &ranges {
-            for b in &ranges {
-                if a.id != b.id {
-                    links.push((a.id, b.id));
-                }
-            }
-        }
-
-        let mut freshness: Vec<FreshnessBound> = self
-            .relay_max_age
-            .iter()
-            .map(|(&query, &age)| FreshnessBound {
-                query,
-                max_age_us: age.as_micros(),
-            })
-            .collect();
-        freshness.sort_by_key(|f| f.query);
-
-        let rooms: BTreeSet<&str> = self
-            .hosts
-            .values()
-            .flat_map(|host| host.plan().rooms().iter().map(|room| room.name.as_str()))
-            .collect();
-        let mut routes = Vec::new();
-        for r in &ranges {
-            for &place in &rooms {
-                if let Some(coverer) = self.range_covering_from(r.id, place) {
-                    routes.push(RouteClaim {
-                        at: r.id,
-                        place: place.to_owned(),
-                        coverer,
-                    });
-                }
-            }
-        }
-
-        FederationModel {
-            ranges,
-            links,
-            faults: self.net.fault_model(),
-            transport_links: self.net.link_model(),
-            retry: RetryModel {
-                retries: RELAY_RETRIES,
-                backoff_base_us: RETRY_BACKOFF_BASE_US,
-            },
-            freshness,
-            routes,
-        }
-    }
-
     /// Moves an entity between ranges as one first-class operation:
     /// `migrate-out` packages its profile, advertisements, standing
     /// queries, queued deliveries and deferred answers at the source;
@@ -604,6 +533,14 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
         let home = self.node_named(range)?;
         self.app_home.insert(query.owner, home);
         if let Some(max_age) = query.max_age() {
+            // A bound below the retry backoff makes every fully retried
+            // relay stale on arrival: count it, answer as usual.
+            if max_age.as_micros() < WORST_CASE_BACKOFF_US {
+                self.metrics.freshness_infeasible.inc();
+                let mut span = self.metrics.tracer.span("federation.freshness.infeasible");
+                span.field("query", query.id);
+                span.field("max_age_us", max_age.as_micros());
+            }
             self.relay_max_age.insert(query.id, max_age);
         }
 

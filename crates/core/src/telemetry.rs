@@ -41,13 +41,13 @@ pub(crate) struct CsMetrics {
     plan_latency: Histogram,
     plan_nodes: Histogram,
     plan_edges: Histogram,
-    plan_rejected: Counter,
-    stale_drops: Counter,
-    app_deliveries: Counter,
-    deregister_unknown: Counter,
-    migrate_out: Counter,
-    migrate_in: Counter,
-    source_failed: Counter,
+    pub(crate) plan_rejected: Counter,
+    pub(crate) stale_drops: Counter,
+    pub(crate) app_deliveries: Counter,
+    pub(crate) deregister_unknown: Counter,
+    pub(crate) migrate_out: Counter,
+    pub(crate) migrate_in: Counter,
+    pub(crate) source_failed: Counter,
 }
 
 impl CsMetrics {
@@ -117,47 +117,6 @@ impl CsMetrics {
         self.plan_nodes.record(nodes as u64);
         self.plan_edges.record(edges as u64);
     }
-
-    /// Records a plan refused by the static verification gate.
-    pub(crate) fn record_plan_rejected(&self) {
-        self.plan_rejected.inc();
-    }
-
-    /// Records an in-range delivery dropped for staleness.
-    #[inline]
-    pub(crate) fn record_stale_drop(&self) {
-        self.stale_drops.inc();
-    }
-
-    /// Records a delivery handed to an application outbox.
-    #[inline]
-    pub(crate) fn record_app_delivery(&self) {
-        self.app_deliveries.inc();
-    }
-
-    /// Records a deregister whose target had no profile to remove (or
-    /// was entirely unknown to the registrar).
-    #[inline]
-    pub(crate) fn record_deregister_unknown(&self) {
-        self.deregister_unknown.inc();
-    }
-
-    /// Records an entity packaged and shipped out of this range.
-    #[inline]
-    pub(crate) fn record_migrate_out(&self) {
-        self.migrate_out.inc();
-    }
-
-    /// Records a migration packet replayed into this range.
-    #[inline]
-    pub(crate) fn record_migrate_in(&self) {
-        self.migrate_in.inc();
-    }
-
-    /// Records a source CE failed by a `Fail` command.
-    pub(crate) fn record_source_failed(&self) {
-        self.source_failed.inc();
-    }
 }
 
 /// The instruments of the relay core ([`crate::relay::RelayCore`]),
@@ -177,6 +136,7 @@ pub(crate) struct FedMetrics {
     pub(crate) retry_attempts: Counter,
     pub(crate) retry_parked: Counter,
     pub(crate) partial_answers: Counter,
+    pub(crate) freshness_infeasible: Counter,
     pub(crate) stream_events: Counter,
     pub(crate) stream_answers: Counter,
     pub(crate) stream_pump_us: Histogram,
@@ -200,6 +160,7 @@ impl FedMetrics {
             retry_attempts: registry.counter("federation.retry.attempts"),
             retry_parked: registry.counter("federation.retry.parked"),
             partial_answers: registry.counter("federation.answers.partial"),
+            freshness_infeasible: registry.counter("federation.freshness.infeasible"),
             stream_events: registry.counter("federation.stream.events"),
             stream_answers: registry.counter("federation.stream.answers"),
             stream_pump_us: registry.histogram("federation.stream.pump_us"),

@@ -46,7 +46,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use sci_telemetry::{Counter, Registry};
-use sci_types::{FaultSchedule, Guid, HashMap, SciError, SciResult};
+use sci_types::{Guid, HashMap, SciError, SciResult};
 
 use crate::message::Message;
 use crate::net::RouteOutcome;
@@ -360,20 +360,6 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     fn registration_digest(&self, node: Guid) -> Option<u64> {
         self.inner.registration_digest(node)
     }
-
-    fn link_model(&self) -> Option<Vec<sci_types::TransportLinkModel>> {
-        self.inner.link_model()
-    }
-
-    fn fault_model(&self) -> Option<FaultSchedule> {
-        let mut partitions: Vec<(Guid, String)> = self
-            .partitions
-            .iter()
-            .map(|(&n, g)| (n, g.clone()))
-            .collect();
-        partitions.sort();
-        Some(FaultSchedule { partitions })
-    }
 }
 
 #[cfg(test)]
@@ -525,19 +511,6 @@ mod tests {
         t.set_link_probs(a, b, FaultProbs::NONE);
         t.send(msg(1, a, b)).unwrap();
         assert_eq!(t.drain(b).len(), 1, "clean override on a lossy default");
-    }
-
-    #[test]
-    fn fault_model_exports_the_declared_schedule() {
-        let (mut t, a, b) = rig(11);
-        t.set_default_probs(FaultProbs::lossy(0.25));
-        t.set_link_probs(a, b, FaultProbs::NONE);
-        t.partition("island", &[b]);
-        let model = t.fault_model().expect("fault layer declares itself");
-        assert_eq!(model.partitions, vec![(b, "island".to_owned())]);
-        t.heal();
-        let healed = t.fault_model().expect("still declared after heal");
-        assert!(healed.partitions.is_empty());
     }
 
     #[test]

@@ -48,7 +48,7 @@ use std::time::Duration;
 use bytes::Bytes;
 
 use sci_telemetry::{Counter, Registry};
-use sci_types::{Guid, HashMap, SciError, SciResult, TransportLinkModel, VirtualDuration};
+use sci_types::{Guid, HashMap, SciError, SciResult, VirtualDuration};
 use sci_wal::codec::{encode_frame, wire, CodecError, Frame, StreamDecoder};
 
 use crate::message::Message;
@@ -304,6 +304,8 @@ struct NetCounters {
     handshakes: Counter,
     sync_applied: Counter,
     sync_rounds: Counter,
+    unknown_peer: Counter,
+    write_failures: Counter,
 }
 
 impl NetCounters {
@@ -323,6 +325,8 @@ impl NetCounters {
             handshakes: registry.counter("net.tcp.handshakes"),
             sync_applied: registry.counter("net.tcp.sync.applied"),
             sync_rounds: registry.counter("net.tcp.sync.rounds"),
+            unknown_peer: registry.counter("net.tcp.unknown_peer"),
+            write_failures: registry.counter("net.tcp.write_failures"),
         }
     }
 }
@@ -386,12 +390,14 @@ fn write_frame_direct(
     Ok(())
 }
 
-fn write_frame(
-    stream: &Mutex<TcpStream>,
-    frame: &Frame,
-    counters: &NetCounters,
-) -> std::io::Result<()> {
-    write_frame_direct(&mut lock(stream), frame, counters)
+/// Writes one frame a peer expects on a live connection (an ACK, a
+/// registration delta). Nobody waits on the result, so a failure is
+/// counted in `net.tcp.write_failures`; the reader sees the broken
+/// socket and drops the connection.
+fn write_frame(stream: &Mutex<TcpStream>, frame: &Frame, counters: &NetCounters) {
+    if write_frame_direct(&mut lock(stream), frame, counters).is_err() {
+        counters.write_failures.inc();
+    }
 }
 
 /// One socket read: the bytes read (`Some(0)` at end of stream), or
@@ -448,6 +454,8 @@ fn read_frame_sync(
 /// the peer pipelined frames behind the handshake).
 fn finish_conn(shared: &Arc<NodeShared>, stream: TcpStream, dec: StreamDecoder, peer: Guid) {
     let (ack_tx, ack_rx) = mpsc::channel();
+    // Without a read half no ACK ever arrives, so every send on this
+    // connection times out as unroutable: counted in `ack_timeouts`.
     let read_half = stream.try_clone().ok();
     let conn = Arc::new(Conn {
         stream: Mutex::new(stream),
@@ -487,6 +495,7 @@ fn run_reader(
             Ok(None) => {}
         }
     }
+    // The peer may have closed the socket already; either way it is shut.
     let _ = lock(&conn.stream).shutdown(Shutdown::Both);
     let mut conns = lock(&shared.conns);
     // A redial may already have replaced this connection.
@@ -521,7 +530,7 @@ fn read_pass(
         }
     };
     if let Some(seq) = enqueued {
-        let _ = write_frame(&conn.stream, &ack_frame(seq), &shared.counters);
+        write_frame(&conn.stream, &ack_frame(seq), &shared.counters);
     }
     open
 }
@@ -538,6 +547,8 @@ fn handle_frame(
         TAG_ACK => {
             let mut r = wire::Reader::new(&frame.payload);
             if let Ok(seq) = r.u64() {
+                // Cannot fail: the receiver lives in the `Conn` this
+                // reader holds.
                 let _ = ack_tx.send(seq);
             }
             true
@@ -569,7 +580,9 @@ fn handle_frame(
                 Some((seq, msg)) => {
                     // Enqueue strictly before the ack: a sender whose
                     // `send` returned Ok is guaranteed the message is
-                    // already drainable at the destination.
+                    // already drainable at the destination. It fails
+                    // only once the transport, and with it every
+                    // drainer, is dropped.
                     let _ = shared.inbox_tx.send(msg);
                     *enqueued = Some(seq);
                     true
@@ -610,6 +623,7 @@ fn handle_accept(shared: &Arc<NodeShared>, mut stream: TcpStream) -> SciResult<(
     stream
         .set_read_timeout(Some(READ_TIMEOUT))
         .map_err(io_err)?;
+    // Without TCP_NODELAY small frames wait for Nagle, but all arrive.
     let _ = stream.set_nodelay(true);
 
     let mut dec = StreamDecoder::new();
@@ -632,6 +646,8 @@ fn handle_accept(shared: &Arc<NodeShared>, mut stream: TcpStream) -> SciResult<(
                 hello.version, shared.version
             ),
         );
+        // The link is refused either way (counted above); a lost
+        // REJECT leaves the dialer to time its handshake out.
         let _ = write_frame_direct(&mut stream, &reject, &shared.counters);
         return Ok(());
     }
@@ -707,6 +723,7 @@ fn dial(local: &Arc<NodeShared>, addr: SocketAddr) -> SciResult<Guid> {
     stream
         .set_read_timeout(Some(READ_TIMEOUT))
         .map_err(io_err)?;
+    // Without TCP_NODELAY small frames wait for Nagle, but all arrive.
     let _ = stream.set_nodelay(true);
 
     let own_digest = lock(&local.store).digest();
@@ -865,11 +882,11 @@ impl TcpTransport {
             .map(|n| lock(&n.shared.conns).len())
             .unwrap_or(0)
     }
+}
 
-    fn conn_to(&self, src: &Arc<NodeShared>, dst: Guid) -> Option<Arc<Conn>> {
-        let _ = self;
-        lock(&src.conns).get(&dst).cloned()
-    }
+/// `src`'s live connection to `dst`, if it holds one.
+fn conn_to(src: &NodeShared, dst: Guid) -> Option<Arc<Conn>> {
+    lock(&src.conns).get(&dst).cloned()
 }
 
 /// Writes one peer's messages in order, in chunks of at most
@@ -1005,19 +1022,16 @@ impl Transport for TcpTransport {
                     continue;
                 };
                 let shared = na.shared.clone();
-                if self.conn_to(&shared, b).is_none()
-                    && dial(&shared, nb.shared.listen_addr).is_err()
-                {
+                if conn_to(&shared, b).is_none() && dial(&shared, nb.shared.listen_addr).is_err() {
                     shared.counters.dial_failures.inc();
                 }
             }
         }
     }
 
-    fn join(&mut self, node: Guid, bootstrap: Guid, seed: u64) -> SciResult<()> {
+    fn join(&mut self, node: Guid, bootstrap: Guid, _seed: u64) -> SciResult<()> {
         // Discovery over TCP is the peering handshake plus gossip; the
         // simulation's lookup seed has no socket equivalent.
-        let _ = seed;
         let target = self
             .nodes
             .get(&bootstrap)
@@ -1056,13 +1070,16 @@ impl Transport for TcpTransport {
                 continue;
             };
             // A live connection, or a lazy dial through the directory.
-            let conn = self.conn_to(&shared, dst).or_else(|| {
-                let addr = lock(&shared.directory).get(&dst)?.addr;
+            let conn = conn_to(&shared, dst).or_else(|| {
+                let Some(addr) = lock(&shared.directory).get(&dst).map(|p| p.addr) else {
+                    shared.counters.unknown_peer.inc();
+                    return None;
+                };
                 if dial(&shared, addr).is_err() {
                     shared.counters.dial_failures.inc();
                     return None;
                 }
-                self.conn_to(&shared, dst)
+                conn_to(&shared, dst)
             });
             if let Some(conn) = conn {
                 acked.insert((src, dst), send_coalesced(&conn, share, &shared.counters));
@@ -1142,32 +1159,6 @@ impl Transport for TcpTransport {
             .get(&node)
             .map(|n| lock(&n.shared.store).digest())
     }
-
-    fn link_model(&self) -> Option<Vec<TransportLinkModel>> {
-        let mut links = Vec::new();
-        for node in self.nodes.values() {
-            let src = node.shared.guid;
-            let live: Vec<Guid> = lock(&node.shared.conns).keys().copied().collect();
-            for &dst in &live {
-                links.push(TransportLinkModel {
-                    src,
-                    dst,
-                    established: true,
-                });
-            }
-            for &dst in lock(&node.shared.directory).keys() {
-                if dst != src && !live.contains(&dst) {
-                    links.push(TransportLinkModel {
-                        src,
-                        dst,
-                        established: false,
-                    });
-                }
-            }
-        }
-        links.sort_by_key(|l| (l.src, l.dst));
-        Some(links)
-    }
 }
 
 /// Pushes one freshly written entry to every live connection of the
@@ -1177,7 +1168,7 @@ fn broadcast_delta(shared: &Arc<NodeShared>, entry: &SyncEntry) {
     let frame = delta_frame(std::slice::from_ref(entry), &[]);
     let conns: Vec<Arc<Conn>> = lock(&shared.conns).values().cloned().collect();
     for conn in conns {
-        let _ = write_frame(&conn.stream, &frame, &shared.counters);
+        write_frame(&conn.stream, &frame, &shared.counters);
     }
 }
 
@@ -1186,6 +1177,8 @@ impl Drop for TcpTransport {
         self.shutdown.store(true, Ordering::Relaxed);
         for node in self.nodes.values_mut() {
             let conns: Vec<Arc<Conn>> = lock(&node.shared.conns).values().cloned().collect();
+            // Best effort on the way out: a socket already closed has
+            // nothing to shut, and a panicked acceptor nothing to join.
             for conn in conns {
                 let _ = lock(&conn.stream).shutdown(Shutdown::Both);
             }
@@ -1361,20 +1354,11 @@ mod tests {
         t.join(b, a, 0).unwrap();
         assert!(wait_until(|| t.connections_of(a) == 1));
         t.join(c, a, 0).unwrap();
-        let links = t.link_model().unwrap();
-        assert!(
-            links
-                .iter()
-                .any(|l| l.src == c && l.dst == b && !l.established),
-            "gossip made b dialable from c: {links:?}"
-        );
-        // The lazy dial turns the dialable link into a live one.
+        assert_eq!(t.connections_of(c), 1, "c holds only its link to a");
+        // Gossip gave c b's address, so the send dials b lazily.
         t.send(msg(9, c, b)).unwrap();
         assert_eq!(t.drain(b).len(), 1);
-        let links = t.link_model().unwrap();
-        assert!(links
-            .iter()
-            .any(|l| l.src == c && l.dst == b && l.established));
+        assert_eq!(t.connections_of(c), 2, "the lazy dial made c → b live");
     }
 
     /// A hand-driven peer `0xb` of node `a`: the socket has sent its
@@ -1627,5 +1611,11 @@ mod tests {
             Err(SciError::Unroutable { .. })
         ));
         assert_eq!(t.stats().failed(), 1);
+        assert_eq!(
+            counter(&t, "net.tcp.unknown_peer"),
+            1,
+            "counted, not dialed"
+        );
+        assert_eq!(counter(&t, "net.tcp.dial_failures"), 0);
     }
 }

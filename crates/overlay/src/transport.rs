@@ -83,15 +83,6 @@ pub trait Transport {
         None
     }
 
-    /// The transport's declared fault schedule (its named partition
-    /// groups), if it injects faults. Federations fold this
-    /// into the [`FederationModel`](sci_types::FederationModel) that
-    /// `sci-analysis` checks before runtime. Default: none — the
-    /// transport is fault-free as far as static analysis can tell.
-    fn fault_model(&self) -> Option<sci_types::FaultSchedule> {
-        None
-    }
-
     /// Publishes `key = value` into `node`'s replica of the federation's
     /// registration state ([`crate::sync::SyncStore`]: `range/{name}` and
     /// `place/{room}`, valued with the covering node's GUID), stamped
@@ -122,14 +113,6 @@ pub trait Transport {
     /// A digest over `node`'s replica — equal digests mean converged
     /// replicas. `None` for a node without one.
     fn registration_digest(&self, node: Guid) -> Option<u64>;
-
-    /// The wire-level peerings this transport holds or can open, for
-    /// the [`FederationModel`](sci_types::FederationModel)'s SCI-A207
-    /// check. `None` (the default) declares an in-process transport:
-    /// reachability is free and there is nothing to verify.
-    fn link_model(&self) -> Option<Vec<sci_types::TransportLinkModel>> {
-        None
-    }
 }
 
 impl Transport for SimNetwork {

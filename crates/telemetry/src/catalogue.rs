@@ -23,6 +23,7 @@ pub const METRICS: &[&str] = &[
     "federation.answers.partial",
     "federation.barrier_us",
     "federation.cast_us",
+    "federation.freshness.infeasible",
     "federation.relay.answers",
     "federation.relay.dedup_hits",
     "federation.relay.events",
@@ -53,6 +54,8 @@ pub const METRICS: &[&str] = &[
     "net.tcp.handshakes",
     "net.tcp.sync.applied",
     "net.tcp.sync.rounds",
+    "net.tcp.unknown_peer",
+    "net.tcp.write_failures",
     "range.app.deliveries",
     "range.call.wait_us",
     "range.deregister.unknown",

@@ -34,9 +34,9 @@ impl fmt::Display for Severity {
 /// Codes are append-only: a released code never changes meaning.
 /// `SCI-A0xx` codes come from single-plan verification, `SCI-A1xx`
 /// codes from fleet-level drift detection between analyzed plans and
-/// the live subscription table, `SCI-A2xx` codes from federation
-/// protocol-model checking, and `SCI-A3xx` codes from the `sci-lint`
-/// source-level pass.
+/// the live subscription table, and `SCI-A3xx` codes from the
+/// `sci-lint` source-level pass. The `SCI-A2xx` federation-model codes
+/// are all retired: the running relay reports what they predicted.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 #[non_exhaustive]
 pub enum DiagCode {
@@ -64,23 +64,13 @@ pub enum DiagCode {
     /// `SCI-A102`: the live subscription table holds a configuration
     /// subscription no analyzed plan accounts for.
     OrphanSubscription,
-    /// `SCI-A201`: a relay route the nodes' place claims imply
-    /// crosses a declared partition boundary (or a missing
-    /// link), so the relay is unroutable by construction.
-    PartitionUnroutable,
-    /// `SCI-A203`: the worst-case relay retry backoff (in virtual
-    /// time) exceeds a configuration's `qoc-max-age-us` bound, so a
-    /// retried relay is guaranteed stale on arrival.
-    FreshnessInfeasible,
     // SCI-A204, A205, A206 and A303 are retired (they re-checked
     // constants the code fixes), and so is SCI-A202 (a relay forwards a
-    // query at most once, so no query can bounce between ranges); a
+    // query at most once, so no query can bounce between ranges).
+    // SCI-A201, A203 and A207 are retired too: the runtime counts what
+    // they predicted (`fault.partition_blocks`,
+    // `federation.freshness.infeasible`, `net.tcp.unknown_peer`). A
     // retired code is never reused.
-    /// `SCI-A207`: a relay route the nodes' place claims imply has no
-    /// wire underneath it — the socket transport declares neither a
-    /// live peering nor a dialable listener address for the directed
-    /// pair, so the relay would fail at connect time, not route time.
-    TransportLinkMissing,
     /// `SCI-A301`: a seeded (deterministic) code path calls a
     /// nondeterministic source (`Instant::now`, `SystemTime::now`,
     /// `thread_rng`, …) outside the telemetry allowlist.
@@ -112,9 +102,6 @@ impl DiagCode {
             DiagCode::FanInViolation => "SCI-A006",
             DiagCode::MissingSubscription => "SCI-A101",
             DiagCode::OrphanSubscription => "SCI-A102",
-            DiagCode::PartitionUnroutable => "SCI-A201",
-            DiagCode::FreshnessInfeasible => "SCI-A203",
-            DiagCode::TransportLinkMissing => "SCI-A207",
             DiagCode::NondeterministicCall => "SCI-A301",
             DiagCode::MetricNameDrift => "SCI-A302",
             DiagCode::BackDoorMutation => "SCI-A304",
@@ -131,9 +118,6 @@ impl DiagCode {
             | DiagCode::DuplicateBinding
             | DiagCode::FanInViolation
             | DiagCode::MissingSubscription
-            | DiagCode::PartitionUnroutable
-            | DiagCode::FreshnessInfeasible
-            | DiagCode::TransportLinkMissing
             | DiagCode::NondeterministicCall
             | DiagCode::MetricNameDrift
             | DiagCode::BackDoorMutation
@@ -303,9 +287,6 @@ mod tests {
             DiagCode::FanInViolation,
             DiagCode::MissingSubscription,
             DiagCode::OrphanSubscription,
-            DiagCode::PartitionUnroutable,
-            DiagCode::FreshnessInfeasible,
-            DiagCode::TransportLinkMissing,
             DiagCode::NondeterministicCall,
             DiagCode::MetricNameDrift,
             DiagCode::BackDoorMutation,

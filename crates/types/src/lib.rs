@@ -55,7 +55,6 @@ pub mod hash;
 pub mod metadata;
 pub mod plan;
 pub mod profile;
-pub mod protocol;
 pub mod time;
 pub mod value;
 
@@ -70,9 +69,5 @@ pub use hash::{DeterministicState, HashMap, HashSet};
 pub use metadata::Metadata;
 pub use plan::{ConfigurationPlan, NodeId, NodeKind, PlanEdge, PlanNode};
 pub use profile::{PortSpec, Profile, ProfileBuilder};
-pub use protocol::{
-    FaultSchedule, FederationModel, FreshnessBound, RangeModel, RetryModel, RouteClaim,
-    TransportLinkModel,
-};
 pub use time::{VirtualDuration, VirtualTime};
 pub use value::{ContextType, ContextValue, Coord};

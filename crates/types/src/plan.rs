@@ -4,9 +4,8 @@
 //! The query resolver (`sci-core::resolver`) builds a
 //! [`ConfigurationPlan`], the Context Server instantiates it, and
 //! `sci-analysis` verifies the same value before anything is wired.
-//! The plan lives in `sci-types`, beside the federation
-//! [`protocol`](crate::protocol) model, so the builder and the
-//! verifier share one type without depending on each other.
+//! The plan lives in `sci-types` so the builder and the verifier share
+//! one type without depending on each other.
 
 use crate::guid::Guid;
 use crate::metadata::Metadata;

@@ -80,7 +80,6 @@ pub use sci_wal as wal;
 
 /// The most commonly used items, for glob import.
 pub mod prelude {
-    pub use sci_analysis::federation::verify_federation;
     pub use sci_analysis::{analyze, ProfileSource, ProfileTable};
     pub use sci_core::capa::CapaApp;
     pub use sci_core::context_server::{AppDelivery, ContextServer, QueryAnswer, RangeReply};
@@ -110,8 +109,8 @@ pub mod prelude {
     pub use sci_types::guid::GuidGenerator;
     pub use sci_types::{
         Advertisement, AnalysisReport, ConfigurationPlan, ContextEvent, ContextType, ContextValue,
-        Coord, DiagCode, Diagnostic, EntityDescriptor, EntityKind, FederationModel, Guid, Metadata,
-        PortSpec, Profile, SciError, SciResult, Severity, VirtualDuration, VirtualTime,
+        Coord, DiagCode, Diagnostic, EntityDescriptor, EntityKind, Guid, Metadata, PortSpec,
+        Profile, SciError, SciResult, Severity, VirtualDuration, VirtualTime,
     };
     pub use sci_wal::FsyncPolicy;
 }

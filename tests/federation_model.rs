@@ -1,17 +1,21 @@
-//! Integration: live federations export a [`FederationModel`] that the
-//! SCI-A2xx verifier accepts, and seeded misconfigurations surface as
-//! the documented diagnostics *before* any traffic flows:
+//! Integration: what the retired static federation model predicted,
+//! the running relay reports.
 //!
-//! * a healthy serial or parallel federation verifies clean;
-//! * partitioning a range that place directories route through is
-//!   SCI-A201 (`PartitionUnroutable`);
 //! * a `qoc-max-age-us` bound tighter than the worst-case relay
-//!   backoff is SCI-A203 (`FreshnessInfeasible`).
+//!   backoff is counted in `federation.freshness.infeasible` and
+//!   traced when the query is submitted (it was SCI-A203); the answer
+//!   is the same either way;
+//! * an unreachable coverer (SCI-A201) is `tests/degraded_answers.rs`'s
+//!   `Partial { reason: "unroutable" }`, and a route with no wire
+//!   (SCI-A207) is `net.tcp.unknown_peer`, pinned beside `TcpTransport`.
 //!
 //! Also the parked-relay determinism regression: two same-seed chaos
 //! runs must re-fire parked relays in an identical order, so their
 //! delivery *sequences* (not just multisets) coincide.
 
+use std::sync::Arc;
+
+use sci::core::relay::{RELAY_RETRIES, RETRY_BACKOFF_BASE_US};
 use sci::prelude::*;
 
 type ChaosFed = Federation<FaultyTransport<SimNetwork>>;
@@ -41,17 +45,18 @@ fn server(i: usize, ids: &mut GuidGenerator) -> (ContextServer, Guid) {
 }
 
 /// Three ranges over a faulty (but currently fault-free) transport,
-/// with one cross-range subscription bounded by `max_age`.
-fn rig(max_age: VirtualDuration) -> (ChaosFed, Vec<Guid>) {
+/// with one cross-range subscription bounded by `max_age`, submitted
+/// under `tracer`.
+fn rig(max_age: VirtualDuration, tracer: Tracer) -> ChaosFed {
     let mut ids = GuidGenerator::seeded(0xfed);
     let mut fed: ChaosFed =
         Federation::with_transport(FaultyTransport::new(SimNetwork::new(), 11), 7);
-    let mut nodes = Vec::new();
     for i in 0..3usize {
         let (cs, _sensor) = server(i, &mut ids);
-        nodes.push(fed.add_range(cs).unwrap());
+        fed.add_range(cs).unwrap();
     }
     fed.connect_full();
+    fed.set_tracer(tracer);
     let app = ids.next_guid();
     let q = Query::builder(ids.next_guid(), app)
         .info(ContextType::Presence)
@@ -61,90 +66,31 @@ fn rig(max_age: VirtualDuration) -> (ChaosFed, Vec<Guid>) {
         .build();
     let fa = fed.submit_from("range-0", &q, VirtualTime::ZERO).unwrap();
     assert!(matches!(fa.answer, QueryAnswer::Subscribed { .. }));
-    (fed, nodes)
+    fed
 }
 
 #[test]
-fn healthy_serial_federation_verifies_clean() {
-    let (fed, nodes) = rig(VirtualDuration::from_secs(10));
-    let model = fed.protocol_model();
-
-    assert_eq!(model.ranges.len(), 3);
-    assert_eq!(model.links.len(), 6, "directed full mesh over 3 ranges");
-    assert!(model.faults.is_some(), "fault layer is installed");
-    assert!(model.retry.retries > 0, "relays are retried");
-    assert_eq!(
-        model.freshness.len(),
-        1,
-        "one bounded configuration: {model:?}"
-    );
-    // Place directories key by room name; range-1's hall routes to it.
-    assert!(model
-        .routes
-        .iter()
-        .any(|r| r.place == "hall-1" && r.coverer == nodes[1]));
-
-    let report = verify_federation(&model);
-    assert!(report.is_clean(), "{report}");
-}
-
-#[test]
-fn healthy_parallel_federation_verifies_clean() {
-    let mut ids = GuidGenerator::seeded(0xfed);
-    let mut fed = ParallelFederation::new(11).with_restart_policy(RestartPolicy::bounded(2));
-    for i in 0..3usize {
-        let (cs, _sensor) = server(i, &mut ids);
-        fed.add_range(cs).unwrap();
-    }
-    fed.connect_full();
-    let app = ids.next_guid();
-    let q = Query::builder(ids.next_guid(), app)
-        .info(ContextType::Presence)
-        .in_range("range-2")
-        .fresh_within(VirtualDuration::from_secs(10))
-        .mode(Mode::Subscribe)
-        .build();
-    let fa = fed.submit_from("range-0", &q, VirtualTime::ZERO).unwrap();
-    assert!(matches!(fa.answer, QueryAnswer::Subscribed { .. }));
-
-    let model = fed.protocol_model();
-    assert_eq!(model.ranges.len(), 3);
-    assert_eq!(model.freshness.len(), 1);
-    let report = verify_federation(&model);
-    assert!(report.is_clean(), "{report}");
-    fed.shutdown();
-}
-
-#[test]
-fn partitioned_route_is_rejected_as_a201() {
-    let (mut fed, nodes) = rig(VirtualDuration::from_secs(10));
-    // range-1 covers the subscribed place; isolating it severs every
-    // claimed route through it.
-    fed.transport_mut().partition("island", &[nodes[1]]);
-
-    let report = verify_federation(&fed.protocol_model());
-    assert!(report.has_code(DiagCode::PartitionUnroutable), "{report}");
-    assert!(report.has_errors());
-
-    // Healing restores a clean bill.
-    fed.transport_mut().heal_partitions();
-    let report = verify_federation(&fed.protocol_model());
-    assert!(report.is_clean(), "{report}");
-}
-
-#[test]
-fn infeasible_freshness_is_rejected_as_a203() {
-    // Worst-case relay backoff is base * (2^retries - 1) virtual µs;
-    // any bound below it makes a fully retried relay dead on arrival.
-    let (fed, _nodes) = rig(VirtualDuration::from_micros(1_000));
-    let model = fed.protocol_model();
+fn a_freshness_bound_below_the_retry_backoff_is_counted() {
+    // A relay retried in full arrives base · (2^retries − 1) virtual µs
+    // late: a bound below that is stale on every full retry.
+    let backoff = RETRY_BACKOFF_BASE_US * ((1 << RELAY_RETRIES) - 1);
     assert!(
-        model.retry.worst_case_backoff_us() > 1_000,
-        "fixture bound must sit below the backoff: {:?}",
-        model.retry
+        backoff > 1_000,
+        "the tight bound must sit below {backoff} µs"
     );
-    let report = verify_federation(&model);
-    assert!(report.has_code(DiagCode::FreshnessInfeasible), "{report}");
+    let infeasible = |fed: &ChaosFed| fed.snapshot().counter("federation.freshness.infeasible");
+
+    let ring = Arc::new(RingBufferSubscriber::new(8));
+    let tight = rig(VirtualDuration::from_millis(1), Tracer::new(ring.clone()));
+    assert_eq!(infeasible(&tight), 1);
+    let traced = ring.records();
+    let spans = traced
+        .iter()
+        .filter(|r| r.name() == "federation.freshness.infeasible");
+    assert_eq!(spans.count(), 1, "{traced:?}");
+
+    let loose = rig(VirtualDuration::from_secs(10), Tracer::noop());
+    assert_eq!(infeasible(&loose), 0);
 }
 
 /// One lossy chaos run: returns the delivery keys in arrival order.
