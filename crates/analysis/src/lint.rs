@@ -15,9 +15,6 @@
 //!   `.gauge("…")` or `.histogram("…")` that the central catalogue
 //!   (`sci-telemetry::catalogue`) does not list. Dynamically built
 //!   names (`format!`) are out of scope by construction.
-//! * **SCI-A304** — a call to a Context Server `*_impl` method or to
-//!   `mark_failed` outside the dispatcher's two files: a mutation the
-//!   range's command log never sees.
 //! * **SCI-A305** — in `sci-types`, `sci-event`, `sci-core` and
 //!   `sci-overlay`, a map or set built on `std`'s per-process hasher
 //!   (`HashMap::new(`, `HashSet::with_capacity(`, …, `RandomState`,
@@ -26,6 +23,10 @@
 //! SCI-A303 (drift between `RangeCommand`'s variants and its `KINDS`
 //! table) is retired: `KINDS` is the on-disk tag table, and
 //! `durability`'s `command_codec_round_trips` pins it entry by entry.
+//! SCI-A304 (a Context Server `*_impl` arm called outside the
+//! dispatcher) is retired too: the arms are private to the module that
+//! defines `handle`, so the compiler refuses such a call in either call
+//! syntax.
 //!
 //! The pass is deliberately textual, not syntactic: it runs from the
 //! `sci-lint` binary in CI with zero dependencies beyond `std`, and
@@ -265,7 +266,7 @@ const NONDETERMINISTIC: &[&str] = &[
     "from_entropy",
 ];
 
-/// The marker prefix that exempts a line from SCI-A301 and SCI-A304,
+/// The marker prefix that exempts a line from SCI-A301 and SCI-A305,
 /// written as a trailing comment naming the exemption class and a
 /// reason:
 /// `// sci-lint: allow(wall-clock): telemetry timing` or
@@ -430,55 +431,6 @@ pub fn check_metric_names(file: &str, source: &str, catalogue: &Catalogue) -> Ve
 }
 
 // ---------------------------------------------------------------------
-// SCI-A304 — mutation behind the command log
-// ---------------------------------------------------------------------
-
-/// The two files that may call a Context Server's `*_impl` methods:
-/// the one that defines them and the one whose `handle` dispatches to
-/// them after appending the command to the range's log.
-const DISPATCHER_FILES: &[&str] = &[
-    "crates/core/src/context_server.rs",
-    "crates/core/src/runtime.rs",
-];
-
-/// SCI-A304: flags `.<name>_impl(` and `.mark_failed(` method calls in
-/// the non-test portion of `source` — a range mutated without a
-/// command, which its log cannot replay. `file` is the
-/// workspace-relative path; the dispatcher's two files are exempt, and so
-/// is a line carrying an [`ALLOW_MARKER`] comment (a drain, unlogged by
-/// design).
-pub fn check_back_doors(file: &str, source: &str) -> Vec<Diagnostic> {
-    if DISPATCHER_FILES.contains(&file) {
-        return Vec::new();
-    }
-    let checked = untested_prefix(source);
-    let scrubbed = scrub(checked, false);
-    let mut findings = Vec::new();
-    for (pos, _) in scrubbed.match_indices('(') {
-        let head = &scrubbed[..pos];
-        let ident_at = head
-            .rfind(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-            .map_or(0, |p| p + 1);
-        let ident = &head[ident_at..];
-        let is_call = head[..ident_at].ends_with('.');
-        if !is_call || !(ident.ends_with("_impl") || ident == "mark_failed") {
-            continue;
-        }
-        if line_text(checked, pos).contains(ALLOW_MARKER) {
-            continue;
-        }
-        findings.push(Diagnostic::new(
-            DiagCode::BackDoorMutation,
-            format!(
-                "{file}:{}: `{ident}` called outside the range dispatcher; build the                  `RangeCommand` and go through `handle`, or mark                  `// {ALLOW_MARKER}back-door): <reason>`",
-                line_of(checked, pos),
-            ),
-        ));
-    }
-    findings
-}
-
-// ---------------------------------------------------------------------
 // SCI-A305 — a map outside the one hasher
 // ---------------------------------------------------------------------
 
@@ -577,9 +529,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<AnalysisReport> {
             .display()
             .to_string();
         for finding in check_nondeterminism(&label, &source) {
-            report.push(finding);
-        }
-        for finding in check_back_doors(&label, &source) {
             report.push(finding);
         }
         if ONE_HASHER_CRATES.iter().any(|c| label.starts_with(c)) {
@@ -684,23 +633,5 @@ mod tests {
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("bus.typo"));
         assert_eq!(findings[0].code, DiagCode::MetricNameDrift);
-    }
-
-    #[test]
-    fn a304_flags_impl_calls_outside_the_dispatcher() {
-        let src = "fn repair(cs: &mut ContextServer) {\n    cs.mark_failed(ce);\n    \
-                   cs.ingest_impl(&ev, now);\n    cs.ingest(&ev, now);\n}\n\
-                   pub(crate) fn drain_impl(&mut self) {}\n";
-        let findings = check_back_doors("crates/core/src/adaptation.rs", src);
-        assert_eq!(findings.len(), 2, "{findings:?}");
-        assert!(findings
-            .iter()
-            .all(|d| d.code == DiagCode::BackDoorMutation));
-        assert!(findings[0].message.contains("adaptation.rs:2"));
-        assert!(findings[1].message.contains("`ingest_impl`"));
-        assert!(check_back_doors("crates/core/src/runtime.rs", src).is_empty());
-
-        let allowed = "let d = self.drain_outbox_impl(); // sci-lint: allow(back-door): drain\n";
-        assert!(check_back_doors("crates/core/src/relay.rs", allowed).is_empty());
     }
 }

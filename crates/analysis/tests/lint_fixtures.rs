@@ -5,9 +5,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use sci_analysis::lint::{
-    check_back_doors, check_metric_names, check_nondeterminism, check_std_hasher, Catalogue,
-};
+use sci_analysis::lint::{check_metric_names, check_nondeterminism, check_std_hasher, Catalogue};
 use sci_types::DiagCode;
 
 fn fixture(name: &str) -> String {
@@ -40,10 +38,6 @@ fn clean_fixture_passes_every_pass() {
         "A302 findings in the clean fixture"
     );
     assert!(
-        check_back_doors("clean.rs", &src).is_empty(),
-        "A304 findings in the clean fixture"
-    );
-    assert!(
         check_std_hasher("clean.rs", &src).is_empty(),
         "A305 findings in the clean fixture"
     );
@@ -73,20 +67,6 @@ fn metric_drift_fixture_is_rejected() {
     let rendered = format!("{findings:?}");
     assert!(rendered.contains("bus.fanout.total"));
     assert!(rendered.contains("range.mailbox.backlog"));
-}
-
-#[test]
-fn back_door_fixture_is_rejected() {
-    let src = fixture("back_door.rs");
-    let findings = check_back_doors("back_door.rs", &src);
-    assert_eq!(findings.len(), 2, "{findings:?}");
-    assert!(findings
-        .iter()
-        .all(|d| d.code == DiagCode::BackDoorMutation));
-    let rendered = format!("{findings:?}");
-    for call in ["mark_failed", "ingest_impl"] {
-        assert!(rendered.contains(call), "missing {call}: {rendered}");
-    }
 }
 
 #[test]

@@ -76,11 +76,6 @@ impl CapaApp {
         self.user
     }
 
-    /// The application's entity GUID.
-    pub fn app_id(&self) -> Guid {
-        self.app
-    }
-
     /// Current state.
     pub fn state(&self) -> &CapaState {
         &self.state

@@ -15,13 +15,17 @@
 //! events through live configurations.
 //!
 //! Every mutating entry point is a thin wrapper over the command
-//! dispatcher [`ContextServer::handle`] (see [`crate::runtime`]): the
-//! method builds a [`crate::runtime::RangeCommand`], `handle` routes it
-//! to the private implementation, and the wrapper unwraps the
-//! [`RangeReply`]. Drivers that own a server directly keep the familiar
-//! method surface; actor drivers ([`crate::runtime::RangeRuntime`],
+//! dispatcher [`ContextServer::handle`], defined here beside the private
+//! `*_impl` arms it routes to: the method builds a
+//! [`crate::runtime::RangeCommand`], `handle` logs it and routes it to
+//! its arm, and the wrapper unwraps the [`RangeReply`]. The arms are
+//! private, so no other module can call one behind the log.
+//! Drivers that own a server directly keep the familiar method surface;
+//! actor drivers ([`crate::runtime::RangeRuntime`],
 //! [`crate::runtime::ParallelFederation`]) ship the same commands over a
-//! mailbox instead.
+//! mailbox instead. The drains (`drain_outbox`, `drain_answers`) are
+//! plain methods: they hand queued output to its reader and are not
+//! commands.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::time::Instant;
@@ -40,7 +44,7 @@ use sci_types::{
 use sci_analysis::fleet::{diff_subscriptions, SubscriptionRecord};
 
 use crate::configuration::{input_topic, Configuration, InstanceStore};
-use crate::durability::RangeWal;
+use crate::durability::{encode_snapshot, is_durable, RangeWal};
 use crate::history::ContextStore;
 use crate::location_service::LocationService;
 use crate::logic::LogicFactory;
@@ -193,6 +197,133 @@ impl ContextServer {
         }
     }
 
+    // ------------------------------------------------------------------
+    // The command dispatcher: the range's one door
+    // ------------------------------------------------------------------
+
+    /// The range's command dispatcher: executes one [`RangeCommand`]
+    /// against this server at logical time `now`.
+    ///
+    /// This is the single mutation point of a range: the drains only
+    /// hand queued output to its reader. The public methods
+    /// (`register`, `submit_query`, `ingest`, …) are thin wrappers that
+    /// build the command and unwrap the reply; actor drivers ship the
+    /// same commands over a mailbox. The arms it routes to are private
+    /// to this module, so nothing else can reach them.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the underlying operation returns.
+    pub fn handle(&mut self, cmd: RangeCommand, now: VirtualTime) -> SciResult<RangeReply> {
+        let idx = cmd.kind_index();
+        let tracer = self.metrics.tracer().clone();
+        let mut span = tracer.span(cmd.kind());
+        let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
+
+        // Durability: append-before-apply. The log stays inside the
+        // server for the whole dispatch: if the apply panics, whoever
+        // catches it finds the record still marked unapplied and
+        // retires it (see `RangeWal::retire_unapplied`).
+        let logged = match self.wal.as_mut() {
+            Some(wal) if is_durable(&cmd) => {
+                if let Err(e) = wal.append(&cmd, now) {
+                    self.metrics.record_command(idx, elapsed_us(started));
+                    return Err(e);
+                }
+                true
+            }
+            _ => false,
+        };
+        let reply = self.handle_inner(cmd, now, &mut span);
+        // Snapshot *after* applying: the payload captures the
+        // command's effects (outbox included), and its applied index
+        // covers the command's own record. A failed write leaves the
+        // due-counter alone, so the next logged command retries.
+        if logged && self.wal.as_mut().is_some_and(|wal| wal.applied()) {
+            let snapshot = encode_snapshot(self, now);
+            if let Some(wal) = self.wal.as_mut() {
+                let _ = wal.write_snapshot(snapshot);
+            }
+        }
+        self.metrics.record_command(idx, elapsed_us(started));
+        reply
+    }
+
+    fn handle_inner(
+        &mut self,
+        cmd: RangeCommand,
+        now: VirtualTime,
+        span: &mut Span<'_>,
+    ) -> SciResult<RangeReply> {
+        match cmd {
+            RangeCommand::Register(profile) => {
+                self.register_impl(*profile, now).map(|()| RangeReply::Ack)
+            }
+            RangeCommand::RegisterLogic(ce, factory) => {
+                self.register_logic_impl(ce, factory);
+                Ok(RangeReply::Ack)
+            }
+            RangeCommand::DeclareEquivalence(a, b) => {
+                self.declare_equivalence_impl(a, b);
+                Ok(RangeReply::Ack)
+            }
+            RangeCommand::Heartbeat(ce) => self.heartbeat_impl(ce, now).map(|()| RangeReply::Ack),
+            RangeCommand::Advertise(ad) => self.advertise_impl(*ad).map(|()| RangeReply::Ack),
+            RangeCommand::Deregister(id) => {
+                self.deregister_impl(id, now).map(RangeReply::Deregistered)
+            }
+            RangeCommand::Submit(query) => {
+                self.submit_query_impl(&query, now).map(RangeReply::Answer)
+            }
+            RangeCommand::Cancel(query_id) => {
+                self.cancel_query_impl(query_id).map(|()| RangeReply::Ack)
+            }
+            RangeCommand::Ingest(event) => self.ingest_impl(&event, now).map(|()| RangeReply::Ack),
+            RangeCommand::IngestBatch(events) => {
+                let mut first_error = None;
+                let mut applied = 0usize;
+                for event in &events {
+                    match self.ingest_impl(event, now) {
+                        Ok(()) => applied += 1,
+                        Err(e) => {
+                            first_error.get_or_insert(e);
+                        }
+                    }
+                }
+                match first_error {
+                    Some(e) => Err(e),
+                    None => Ok(RangeReply::Ingested(applied)),
+                }
+            }
+            RangeCommand::PollTimers => {
+                let fired = self.poll_timers_impl(now)?;
+                let silent = self.mediator.silent_publishers(now);
+                Ok(RangeReply::Fired { fired, silent })
+            }
+            RangeCommand::ExpireHistory => Ok(RangeReply::Expired(self.expire_history_impl(now))),
+            RangeCommand::SetReuse(reuse) => {
+                self.set_reuse_impl(reuse);
+                Ok(RangeReply::Ack)
+            }
+            RangeCommand::SetAutoRegisterPeople(enabled) => {
+                self.set_auto_register_people_impl(enabled);
+                Ok(RangeReply::Ack)
+            }
+            RangeCommand::SetPlanVerification(enabled) => {
+                self.set_plan_verification_impl(enabled);
+                Ok(RangeReply::Ack)
+            }
+            RangeCommand::Audit => Ok(RangeReply::Report(self.audit_configurations())),
+            RangeCommand::MigrateOut(id) => self
+                .migrate_out_impl(id, now)
+                .map(|packet| RangeReply::Migrated(packet.to_xml())),
+            RangeCommand::MigrateIn(packet) => {
+                self.migrate_in_impl(*packet, now).map(|()| RangeReply::Ack)
+            }
+            RangeCommand::Fail(ce) => Ok(RangeReply::Repaired(self.fail_impl(ce, now, span))),
+        }
+    }
+
     /// The range's telemetry registry. The handle is `Arc`-shared:
     /// clone it before moving the server onto a worker thread and the
     /// clone keeps observing the live counters.
@@ -209,10 +340,6 @@ impl ContextServer {
     /// no-op — tracing costs nothing until a subscriber is attached).
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.metrics.set_tracer(tracer);
-    }
-
-    pub(crate) fn metrics(&self) -> &CsMetrics {
-        &self.metrics
     }
 
     /// The server's SCINET GUID.
@@ -240,13 +367,13 @@ impl ContextServer {
         );
     }
 
-    pub(crate) fn set_reuse_impl(&mut self, reuse: bool) {
+    fn set_reuse_impl(&mut self, reuse: bool) {
         if self.instances.is_empty() {
             self.instances = InstanceStore::new(reuse);
         }
     }
 
-    pub(crate) fn set_auto_register_people_impl(&mut self, enabled: bool) {
+    fn set_auto_register_people_impl(&mut self, enabled: bool) {
         self.auto_register_people = enabled;
     }
 
@@ -317,7 +444,7 @@ impl ContextServer {
         }
     }
 
-    pub(crate) fn expire_history_impl(&mut self, now: VirtualTime) -> usize {
+    fn expire_history_impl(&mut self, now: VirtualTime) -> usize {
         self.history.expire(now)
     }
 
@@ -339,7 +466,7 @@ impl ContextServer {
             .map(drop)
     }
 
-    pub(crate) fn register_impl(&mut self, profile: Profile, now: VirtualTime) -> SciResult<()> {
+    fn register_impl(&mut self, profile: Profile, now: VirtualTime) -> SciResult<()> {
         self.registrar.register(profile.descriptor().clone(), now)?;
         if profile.is_source() {
             if let Some(us) = profile
@@ -371,7 +498,7 @@ impl ContextServer {
         let _ = self.handle(RangeCommand::RegisterLogic(ce, factory), VirtualTime::ZERO);
     }
 
-    pub(crate) fn register_logic_impl(&mut self, ce: Guid, factory: LogicFactory) {
+    fn register_logic_impl(&mut self, ce: Guid, factory: LogicFactory) {
         self.factories.insert(ce, factory);
     }
 
@@ -383,7 +510,7 @@ impl ContextServer {
         let _ = self.handle(RangeCommand::DeclareEquivalence(a, b), VirtualTime::ZERO);
     }
 
-    pub(crate) fn declare_equivalence_impl(&mut self, a: ContextType, b: ContextType) {
+    fn declare_equivalence_impl(&mut self, a: ContextType, b: ContextType) {
         self.profiles.declare_equivalence(a.clone(), b);
         // A source of any type in the merged class may now feed needs
         // for the others (classes merge, so not only `a`'s and `b`'s).
@@ -405,7 +532,7 @@ impl ContextServer {
         self.handle(RangeCommand::Heartbeat(ce), now).map(drop)
     }
 
-    pub(crate) fn heartbeat_impl(&mut self, ce: Guid, now: VirtualTime) -> SciResult<()> {
+    fn heartbeat_impl(&mut self, ce: Guid, now: VirtualTime) -> SciResult<()> {
         self.mediator.heartbeat(ce, now)
     }
 
@@ -420,7 +547,7 @@ impl ContextServer {
             .map(drop)
     }
 
-    pub(crate) fn advertise_impl(&mut self, ad: Advertisement) -> SciResult<()> {
+    fn advertise_impl(&mut self, ad: Advertisement) -> SciResult<()> {
         if !self.registrar.is_registered(ad.provider()) {
             return Err(SciError::UnknownEntity(ad.provider()));
         }
@@ -449,11 +576,7 @@ impl ContextServer {
         }
     }
 
-    pub(crate) fn deregister_impl(
-        &mut self,
-        id: Guid,
-        now: VirtualTime,
-    ) -> SciResult<EntityDescriptor> {
+    fn deregister_impl(&mut self, id: Guid, now: VirtualTime) -> SciResult<EntityDescriptor> {
         let (descriptor, held) = self.evict(id, now)?;
         // Its registrations and queries go with it; what was already
         // produced for it stays queued until somebody drains it.
@@ -662,11 +785,7 @@ impl ContextServer {
         }
     }
 
-    pub(crate) fn migrate_out_impl(
-        &mut self,
-        id: Guid,
-        now: VirtualTime,
-    ) -> SciResult<MigrationPacket> {
+    fn migrate_out_impl(&mut self, id: Guid, now: VirtualTime) -> SciResult<MigrationPacket> {
         let (_, held) = self.evict(id, now)?;
         self.metrics.migrate_out.inc();
         Ok(held)
@@ -686,11 +805,7 @@ impl ContextServer {
             .map(drop)
     }
 
-    pub(crate) fn migrate_in_impl(
-        &mut self,
-        packet: MigrationPacket,
-        now: VirtualTime,
-    ) -> SciResult<()> {
+    fn migrate_in_impl(&mut self, packet: MigrationPacket, now: VirtualTime) -> SciResult<()> {
         let entity = packet.entity;
         // The mover may have been sensed here before its state arrived
         // and auto-registered as a skeleton; the packaged profile wins.
@@ -733,11 +848,7 @@ impl ContextServer {
         }
     }
 
-    pub(crate) fn submit_query_impl(
-        &mut self,
-        query: &Query,
-        now: VirtualTime,
-    ) -> SciResult<QueryAnswer> {
+    fn submit_query_impl(&mut self, query: &Query, now: VirtualTime) -> SciResult<QueryAnswer> {
         // Federation: a Where targeting a different range is forwarded.
         if let Where::Range(range) = &query.where_ {
             if range != &self.name {
@@ -797,7 +908,7 @@ impl ContextServer {
             .map(drop)
     }
 
-    pub(crate) fn cancel_query_impl(&mut self, query_id: Guid) -> SciResult<()> {
+    fn cancel_query_impl(&mut self, query_id: Guid) -> SciResult<()> {
         if let Some(config) = self.configurations.remove(&query_id) {
             self.origin_queries.remove(&query_id);
             self.direct.remove(&query_id);
@@ -1099,7 +1210,7 @@ impl ContextServer {
             .map(drop)
     }
 
-    pub(crate) fn ingest_impl(&mut self, event: &ContextEvent, now: VirtualTime) -> SciResult<()> {
+    fn ingest_impl(&mut self, event: &ContextEvent, now: VirtualTime) -> SciResult<()> {
         self.history.record(event);
         self.location.ingest(event);
         self.range_service_observe(event, now)?;
@@ -1230,7 +1341,7 @@ impl ContextServer {
         }
     }
 
-    pub(crate) fn poll_timers_impl(&mut self, now: VirtualTime) -> SciResult<usize> {
+    fn poll_timers_impl(&mut self, now: VirtualTime) -> SciResult<usize> {
         // Periodic housekeeping: drop history past its retention window.
         self.history.expire(now);
         let (mut due, waiting): (Vec<_>, Vec<_>) = std::mem::take(&mut self.deferred)
@@ -1310,26 +1421,12 @@ impl ContextServer {
 
     /// Removes and returns pending application deliveries.
     pub fn drain_outbox(&mut self) -> Vec<AppDelivery> {
-        match self.handle(RangeCommand::DrainOutbox, VirtualTime::ZERO) {
-            Ok(RangeReply::Deliveries(d)) => d,
-            _ => Vec::new(),
-        }
-    }
-
-    pub(crate) fn drain_outbox_impl(&mut self) -> Vec<AppDelivery> {
         std::mem::take(&mut self.outbox)
     }
 
     /// Removes and returns pending deliveries for one application,
     /// leaving other applications' deliveries queued.
     pub fn drain_outbox_for(&mut self, app: Guid) -> Vec<AppDelivery> {
-        match self.handle(RangeCommand::DrainOutboxFor(app), VirtualTime::ZERO) {
-            Ok(RangeReply::Deliveries(d)) => d,
-            _ => Vec::new(),
-        }
-    }
-
-    pub(crate) fn drain_outbox_for_impl(&mut self, app: Guid) -> Vec<AppDelivery> {
         let mut mine = Vec::new();
         let mut rest = Vec::new();
         for d in self.outbox.drain(..) {
@@ -1345,14 +1442,7 @@ impl ContextServer {
 
     /// Removes and returns answers produced by deferred queries since
     /// the last drain: `(query, owner, answer)` triples.
-    pub fn drain_answers(&mut self) -> Vec<(Guid, Guid, QueryAnswer)> {
-        match self.handle(RangeCommand::DrainAnswers, VirtualTime::ZERO) {
-            Ok(RangeReply::Answers(a)) => a,
-            _ => Vec::new(),
-        }
-    }
-
-    pub(crate) fn drain_answers_impl(&mut self) -> Vec<DeferredAnswer> {
+    pub fn drain_answers(&mut self) -> Vec<DeferredAnswer> {
         std::mem::take(&mut self.answers)
     }
 
@@ -1381,12 +1471,7 @@ impl ContextServer {
     /// CE that is already failed, has departed or was never here is
     /// left alone, so a record replayed over a snapshot that already
     /// holds the exclusion changes nothing.
-    pub(crate) fn fail_impl(
-        &mut self,
-        ce: Guid,
-        now: VirtualTime,
-        span: &mut Span<'_>,
-    ) -> Vec<RepairReport> {
+    fn fail_impl(&mut self, ce: Guid, now: VirtualTime, span: &mut Span<'_>) -> Vec<RepairReport> {
         span.field("ce", ce);
         let outputs = match self.profiles.get(ce) {
             Some(profile) if !self.excluded.contains(&ce) => output_types(profile),
@@ -1586,7 +1671,7 @@ impl ContextServer {
         );
     }
 
-    pub(crate) fn set_plan_verification_impl(&mut self, enabled: bool) {
+    fn set_plan_verification_impl(&mut self, enabled: bool) {
         self.verify_plans = enabled;
     }
 

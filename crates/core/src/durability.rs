@@ -17,14 +17,15 @@
 //!   that subsequently fail are logged anyway: replay re-runs them and
 //!   they fail identically, which keeps recovery deterministic without
 //!   the log having to know outcomes.
-//! * **Drains are not durable.** `drain-outbox`, `drain-outbox-for`,
-//!   `drain-answers` and `audit` mutate no durable state worth
-//!   reconstructing — and *not* logging drains is what makes recovery
-//!   safe: a crash after a drain but before its items reached anyone
-//!   would otherwise discard them permanently. Replay regenerates the
-//!   undrained outbox; direct callers see at-least-once redelivery, and
-//!   the federation dedups to exactly-once via stream sequences (see
-//!   below).
+//! * **Drains are not commands.** `drain_outbox`, `drain_outbox_for`
+//!   and `drain_answers` are plain methods that hand queued output to
+//!   its reader, and `audit` is the one command the log skips — and
+//!   *not* logging drains is what makes recovery safe: a crash after a
+//!   drain but before its items reached anyone would otherwise discard
+//!   them permanently. Replay regenerates the undrained outbox; direct
+//!   callers see at-least-once redelivery, and the federation dedups to
+//!   exactly-once via stream sequences (see below). Their frame tags
+//!   (12–14) are retired: `decode_command` refuses them as unknown.
 //! * **Snapshots bound replay.** Every [`DurabilityConfig::snapshot_every`]
 //!   logged commands, the post-command state is serialised — a
 //!   `<range-snapshot>` document (the sections of
@@ -110,21 +111,10 @@ use crate::records::{
 use crate::runtime::RangeCommand;
 use crate::telemetry::elapsed_us;
 
-/// Whether a command belongs in the write-ahead log.
-///
-/// Drain commands and the read-only audit are excluded: they carry no
-/// durable state, and logging drains would make replay believe queued
-/// items had safely left the range when the crash may have eaten them
-/// in transit (see the module docs).
+/// Whether a command belongs in the write-ahead log: every command
+/// but the read-only audit, which carries no durable state.
 pub fn is_durable(cmd: &RangeCommand) -> bool {
-    kind_is_logged(cmd.kind())
-}
-
-fn kind_is_logged(kind: &str) -> bool {
-    !matches!(
-        kind,
-        "drain-outbox" | "drain-outbox-for" | "drain-answers" | "audit"
-    )
+    !matches!(cmd, RangeCommand::Audit)
 }
 
 fn wal_err(e: WalError) -> SciError {
@@ -156,7 +146,6 @@ pub fn encode_command(cmd: &RangeCommand, now: VirtualTime) -> Frame {
         RangeCommand::Heartbeat(g)
         | RangeCommand::Deregister(g)
         | RangeCommand::Cancel(g)
-        | RangeCommand::DrainOutboxFor(g)
         | RangeCommand::MigrateOut(g)
         | RangeCommand::Fail(g) => wire::put_u128(&mut p, g.as_u128()),
         RangeCommand::Advertise(ad) => put_document(&mut p, |w| qcodec::write_advertisement(w, ad)),
@@ -168,11 +157,7 @@ pub fn encode_command(cmd: &RangeCommand, now: VirtualTime) -> Frame {
                 put_event(&mut p, event);
             }
         }
-        RangeCommand::PollTimers
-        | RangeCommand::ExpireHistory
-        | RangeCommand::DrainOutbox
-        | RangeCommand::DrainAnswers
-        | RangeCommand::Audit => {}
+        RangeCommand::PollTimers | RangeCommand::ExpireHistory | RangeCommand::Audit => {}
         RangeCommand::SetReuse(b)
         | RangeCommand::SetAutoRegisterPeople(b)
         | RangeCommand::SetPlanVerification(b) => wire::put_u8(&mut p, u8::from(*b)),
@@ -239,9 +224,6 @@ pub fn decode_command<S: BuildHasher>(
         9 => RangeCommand::IngestBatch(get_rows(&mut r, MIN_EVENT_LEN, get_event)?),
         10 => RangeCommand::PollTimers,
         11 => RangeCommand::ExpireHistory,
-        12 => RangeCommand::DrainOutbox,
-        13 => RangeCommand::DrainOutboxFor(get_guid(&mut r)?),
-        14 => RangeCommand::DrainAnswers,
         15 => RangeCommand::SetReuse(r.u8().map_err(frame_err)? != 0),
         16 => RangeCommand::SetAutoRegisterPeople(r.u8().map_err(frame_err)? != 0),
         17 => RangeCommand::SetPlanVerification(r.u8().map_err(frame_err)? != 0),
@@ -1045,7 +1027,7 @@ mod tests {
 
     /// The frame tag is `kind_index()` on the way out and an integer
     /// match arm on the way back: every kind must survive the trip, or
-    /// the two have drifted. The tag table itself is pinned: a record's
+    /// the two have drifted. The retired drain tags keep their names. The tag table itself is pinned: a record's
     /// tag is its kind's index in `KINDS`, so renaming or reordering an
     /// entry (even together with the enum and `kind_index`) breaks every
     /// log already on disk.
@@ -1102,9 +1084,6 @@ mod tests {
             RangeCommand::IngestBatch(vec![ev(6, 2), ev(7, 3)]),
             RangeCommand::PollTimers,
             RangeCommand::ExpireHistory,
-            RangeCommand::DrainOutbox,
-            RangeCommand::DrainOutboxFor(Guid::from_u128(12)),
-            RangeCommand::DrainAnswers,
             RangeCommand::SetReuse(false),
             RangeCommand::SetAutoRegisterPeople(true),
             RangeCommand::SetPlanVerification(false),
@@ -1115,15 +1094,40 @@ mod tests {
         ];
         let mut visited = Vec::new();
         for cmd in cmds {
-            assert_eq!(cmd.kind(), ON_DISK_TAGS[visited.len()], "{cmd:?} moved");
             let frame = encode_command(&cmd, now);
+            assert_eq!(
+                ON_DISK_TAGS[frame.tag as usize],
+                cmd.kind(),
+                "{cmd:?} moved"
+            );
             let (back, back_now) = decode_command(&frame, &logic).unwrap();
             assert_eq!(back.kind_index(), cmd.kind_index());
             assert_eq!(back_now, now);
             visited.push(cmd.kind_index());
         }
-        let every_kind: Vec<usize> = (0..RangeCommand::KINDS.len()).collect();
+        let every_kind: Vec<usize> = (0..RangeCommand::KINDS.len())
+            .filter(|tag| !RETIRED_TAGS.contains(tag))
+            .collect();
         assert_eq!(visited, every_kind, "a command kind is not round-tripped");
+    }
+
+    /// The tags of the three drains, which are no longer commands.
+    const RETIRED_TAGS: [usize; 3] = [12, 13, 14];
+
+    /// A retired tag is never reused: a frame carrying one is an
+    /// unknown tag, whatever its payload.
+    #[test]
+    fn retired_drain_tags_decode_as_unknown() {
+        for tag in RETIRED_TAGS {
+            let mut payload = Vec::new();
+            wire::put_u64(&mut payload, 0);
+            wire::put_u128(&mut payload, 7);
+            let refused = decode_command(&Frame::new(tag as u8, payload), &HashMap::new());
+            let Err(SciError::Codec(why)) = refused else {
+                panic!("tag {tag} decoded: {refused:?}");
+            };
+            assert!(why.contains("unknown command frame tag"), "{why}");
+        }
     }
 
     #[test]
@@ -1143,15 +1147,12 @@ mod tests {
         assert_eq!(cmd.kind(), "register-logic");
     }
 
-    /// What the log records: no drain and not the audit, but every
-    /// kind that shapes a range's graph state *and* the kind that erases
-    /// it — an unlogged builder is state a rebuild drops, an unlogged
-    /// eraser is state it resurrects.
+    /// What the log records: not the audit, but every kind that shapes
+    /// a range's graph state *and* the kind that erases it — an
+    /// unlogged builder is state a rebuild drops, an unlogged eraser is
+    /// state it resurrects.
     #[test]
-    fn drains_are_not_durable() {
-        assert!(!is_durable(&RangeCommand::DrainOutbox));
-        assert!(!is_durable(&RangeCommand::DrainOutboxFor(Guid::NIL)));
-        assert!(!is_durable(&RangeCommand::DrainAnswers));
+    fn only_the_audit_is_unlogged() {
         assert!(!is_durable(&RangeCommand::Audit));
         assert!(is_durable(&RangeCommand::PollTimers));
         assert!(is_durable(&RangeCommand::Ingest(ev(1, 1))));

@@ -93,11 +93,6 @@ impl<T: Transport> Federation<T> {
         }
     }
 
-    /// Consumes the federation, returning its transport.
-    pub fn into_transport(self) -> T {
-        self.core.net
-    }
-
     /// Joins `node` through `bootstrap` using the discovery protocol
     /// (use [`RelayCore::connect_full`] to skip it).
     ///

@@ -177,14 +177,10 @@ impl RangeHost for ContextServer {
     /// sequences.
     fn drain_stream(&mut self) -> Stream {
         let mut stream = Stream::default();
-        // Not through `handle`: a drain is not logged (`durability`),
-        // and this one runs on every pump of every range.
-        let deliveries = self.drain_outbox_impl(); // sci-lint: allow(back-door): drains are not logged
-        for d in deliveries {
+        for d in self.drain_outbox() {
             stream.0.push((self.next_stream_delivery_seq(), d));
         }
-        let answers = self.drain_answers_impl(); // sci-lint: allow(back-door): drains are not logged
-        for a in answers {
+        for a in self.drain_answers() {
             stream.1.push((self.next_stream_answer_seq(), a));
         }
         stream

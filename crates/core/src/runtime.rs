@@ -5,12 +5,12 @@
 //! decentralised across ranges" (Section 3). This module realises both
 //! halves:
 //!
-//! * **Centralised per range** — every mutating [`ContextServer`] entry
-//!   point is a [`RangeCommand`]; [`ContextServer::handle`] is the one
-//!   dispatcher that executes them, so a range behaves like an actor: a
-//!   serial command stream against private state, whether the commands
-//!   arrive by direct method call (the deterministic sim drivers) or
-//!   over a mailbox.
+//! * **Centralised per range** — every logged mutation of a
+//!   [`ContextServer`] is a [`RangeCommand`]; [`ContextServer::handle`]
+//!   is the one dispatcher that executes them, so a range behaves like
+//!   an actor: a serial command stream against private state, whether
+//!   the commands arrive by direct method call (the deterministic sim
+//!   drivers) or over a mailbox.
 //! * **Decentralised across ranges** — [`RangeRuntime`] moves a server
 //!   onto its own worker thread behind a command mailbox
 //!   ([`sci_event::rt::mailbox`]), and [`ParallelFederation`] drives one
@@ -37,7 +37,7 @@ use sci_types::{
     Advertisement, ContextEvent, ContextType, Guid, Profile, SciError, SciResult, VirtualTime,
 };
 
-use sci_telemetry::{Registry, Span};
+use sci_telemetry::Registry;
 
 use crate::context_server::{ContextServer, RangeReply};
 use crate::logic::LogicFactory;
@@ -48,11 +48,12 @@ use sci_location::floorplan::FloorPlan;
 
 /// One mutating operation on a range.
 ///
-/// Every public `&mut self` entry point of [`ContextServer`] has a
-/// command variant; [`ContextServer::handle`] is the single dispatcher
-/// that executes them. Read-only accessors (`profiles()`, `history()`,
-/// …) stay plain methods — an actor answers queries about itself
-/// through commands only when state changes.
+/// A command is a logged mutation ([`crate::durability::is_durable`]),
+/// with [`RangeCommand::Audit`] the one unlogged exception;
+/// [`ContextServer::handle`] is the single dispatcher that executes
+/// them. Read-only accessors (`profiles()`, `history()`, …) and the
+/// drains that hand queued output to its reader (`drain_outbox`,
+/// `drain_answers`) stay plain methods.
 pub enum RangeCommand {
     /// Register an entity with its profile.
     Register(Box<Profile>),
@@ -82,12 +83,6 @@ pub enum RangeCommand {
     PollTimers,
     /// Evict history entries past their retention window.
     ExpireHistory,
-    /// Drain pending application deliveries.
-    DrainOutbox,
-    /// Drain pending deliveries for one application.
-    DrainOutboxFor(Guid),
-    /// Drain answers produced by deferred queries.
-    DrainAnswers,
     /// Enable or disable configuration subgraph reuse.
     SetReuse(bool),
     /// Enable or disable the Range Service's person auto-registration.
@@ -120,7 +115,9 @@ impl RangeCommand {
     ///
     /// Append-only, never reorder: a command's index here is its frame
     /// tag in the write-ahead log ([`crate::durability::encode_command`]),
-    /// so the table is the on-disk format.
+    /// so the table is the on-disk format. Tags 12–14 (`drain-*`) are
+    /// retired: drains are no longer commands, and the tags are never
+    /// reused.
     pub const KINDS: [&'static str; 22] = [
         "register",
         "register-logic",
@@ -146,7 +143,7 @@ impl RangeCommand {
         "fail",
     ];
 
-    /// Dense index of this variant within [`RangeCommand::KINDS`].
+    /// Index of this variant within [`RangeCommand::KINDS`].
     pub fn kind_index(&self) -> usize {
         match self {
             RangeCommand::Register(_) => 0,
@@ -161,9 +158,6 @@ impl RangeCommand {
             RangeCommand::IngestBatch(_) => 9,
             RangeCommand::PollTimers => 10,
             RangeCommand::ExpireHistory => 11,
-            RangeCommand::DrainOutbox => 12,
-            RangeCommand::DrainOutboxFor(_) => 13,
-            RangeCommand::DrainAnswers => 14,
             RangeCommand::SetReuse(_) => 15,
             RangeCommand::SetAutoRegisterPeople(_) => 16,
             RangeCommand::SetPlanVerification(_) => 17,
@@ -184,134 +178,6 @@ impl RangeCommand {
 impl std::fmt::Debug for RangeCommand {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_tuple("RangeCommand").field(&self.kind()).finish()
-    }
-}
-
-impl ContextServer {
-    /// The range's command dispatcher: executes one [`RangeCommand`]
-    /// against this server at logical time `now`.
-    ///
-    /// This is the single mutation point of a range. The public
-    /// methods (`register`, `submit_query`, `ingest`, …) are thin
-    /// wrappers that build the command and unwrap the reply; actor
-    /// drivers ship the same commands over a mailbox.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the underlying operation returns.
-    pub fn handle(&mut self, cmd: RangeCommand, now: VirtualTime) -> SciResult<RangeReply> {
-        let idx = cmd.kind_index();
-        let tracer = self.metrics().tracer().clone();
-        let mut span = tracer.span(cmd.kind());
-        let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
-
-        // Durability: append-before-apply. The log stays inside the
-        // server for the whole dispatch: if the apply panics, whoever
-        // catches it finds the record still marked unapplied and
-        // retires it (see `RangeWal::retire_unapplied`).
-        let logged = match self.wal_mut() {
-            Some(wal) if crate::durability::is_durable(&cmd) => {
-                if let Err(e) = wal.append(&cmd, now) {
-                    self.metrics().record_command(idx, elapsed_us(started));
-                    return Err(e);
-                }
-                true
-            }
-            _ => false,
-        };
-        let reply = self.handle_inner(cmd, now, &mut span);
-        // Snapshot *after* applying: the payload captures the
-        // command's effects (outbox included), and its applied index
-        // covers the command's own record. A failed write leaves the
-        // due-counter alone, so the next logged command retries.
-        if logged && self.wal_mut().is_some_and(|wal| wal.applied()) {
-            let snapshot = crate::durability::encode_snapshot(self, now);
-            if let Some(wal) = self.wal_mut() {
-                let _ = wal.write_snapshot(snapshot);
-            }
-        }
-        self.metrics().record_command(idx, elapsed_us(started));
-        reply
-    }
-
-    fn handle_inner(
-        &mut self,
-        cmd: RangeCommand,
-        now: VirtualTime,
-        span: &mut Span<'_>,
-    ) -> SciResult<RangeReply> {
-        match cmd {
-            RangeCommand::Register(profile) => {
-                self.register_impl(*profile, now).map(|()| RangeReply::Ack)
-            }
-            RangeCommand::RegisterLogic(ce, factory) => {
-                self.register_logic_impl(ce, factory);
-                Ok(RangeReply::Ack)
-            }
-            RangeCommand::DeclareEquivalence(a, b) => {
-                self.declare_equivalence_impl(a, b);
-                Ok(RangeReply::Ack)
-            }
-            RangeCommand::Heartbeat(ce) => self.heartbeat_impl(ce, now).map(|()| RangeReply::Ack),
-            RangeCommand::Advertise(ad) => self.advertise_impl(*ad).map(|()| RangeReply::Ack),
-            RangeCommand::Deregister(id) => {
-                self.deregister_impl(id, now).map(RangeReply::Deregistered)
-            }
-            RangeCommand::Submit(query) => {
-                self.submit_query_impl(&query, now).map(RangeReply::Answer)
-            }
-            RangeCommand::Cancel(query_id) => {
-                self.cancel_query_impl(query_id).map(|()| RangeReply::Ack)
-            }
-            RangeCommand::Ingest(event) => self.ingest_impl(&event, now).map(|()| RangeReply::Ack),
-            RangeCommand::IngestBatch(events) => {
-                let mut first_error = None;
-                let mut applied = 0usize;
-                for event in &events {
-                    match self.ingest_impl(event, now) {
-                        Ok(()) => applied += 1,
-                        Err(e) => {
-                            first_error.get_or_insert(e);
-                        }
-                    }
-                }
-                match first_error {
-                    Some(e) => Err(e),
-                    None => Ok(RangeReply::Ingested(applied)),
-                }
-            }
-            RangeCommand::PollTimers => {
-                let fired = self.poll_timers_impl(now)?;
-                let silent = self.mediator().silent_publishers(now);
-                Ok(RangeReply::Fired { fired, silent })
-            }
-            RangeCommand::ExpireHistory => Ok(RangeReply::Expired(self.expire_history_impl(now))),
-            RangeCommand::DrainOutbox => Ok(RangeReply::Deliveries(self.drain_outbox_impl())),
-            RangeCommand::DrainOutboxFor(app) => {
-                Ok(RangeReply::Deliveries(self.drain_outbox_for_impl(app)))
-            }
-            RangeCommand::DrainAnswers => Ok(RangeReply::Answers(self.drain_answers_impl())),
-            RangeCommand::SetReuse(reuse) => {
-                self.set_reuse_impl(reuse);
-                Ok(RangeReply::Ack)
-            }
-            RangeCommand::SetAutoRegisterPeople(enabled) => {
-                self.set_auto_register_people_impl(enabled);
-                Ok(RangeReply::Ack)
-            }
-            RangeCommand::SetPlanVerification(enabled) => {
-                self.set_plan_verification_impl(enabled);
-                Ok(RangeReply::Ack)
-            }
-            RangeCommand::Audit => Ok(RangeReply::Report(self.audit_configurations())),
-            RangeCommand::MigrateOut(id) => self
-                .migrate_out_impl(id, now)
-                .map(|packet| RangeReply::Migrated(packet.to_xml())),
-            RangeCommand::MigrateIn(packet) => {
-                self.migrate_in_impl(*packet, now).map(|()| RangeReply::Ack)
-            }
-            RangeCommand::Fail(ce) => Ok(RangeReply::Repaired(self.fail_impl(ce, now, span))),
-        }
     }
 }
 
@@ -559,10 +425,9 @@ impl RangeRuntime {
 
     /// The fully-parameterised spawn: `mailbox` picks the backpressure
     /// discipline and `streaming` wires a relay stream the worker
-    /// drains its outbox into after every command (the continuous
-    /// alternative to `DrainOutbox`/`DrainAnswers` barrier calls,
-    /// consumed by the relay core). With streaming enabled, explicit
-    /// drain commands observe an already-empty outbox.
+    /// drains its outbox and deferred answers into after every command,
+    /// consumed by the relay core. Without streaming, the outbox stays
+    /// in the server that [`RangeRuntime::shutdown`] hands back.
     pub fn spawn_with(
         mut cs: ContextServer,
         policy: RestartPolicy,

@@ -97,11 +97,6 @@ impl GeometricModel {
         self.regions.iter().map(|(n, r)| (n.as_str(), *r))
     }
 
-    /// Number of entities with a known position.
-    pub fn tracked_entities(&self) -> usize {
-        self.positions.len()
-    }
-
     /// Every tracked entity and its position, sorted by entity id so
     /// snapshots serialise deterministically.
     pub fn positions(&self) -> Vec<(Guid, Coord)> {

@@ -183,11 +183,6 @@ impl<T: Transport> FaultyTransport<T> {
         &self.inner
     }
 
-    /// Mutable access to the wrapped transport.
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-
     /// Sets the fault probabilities applied to every link without an
     /// override.
     pub fn set_default_probs(&mut self, probs: FaultProbs) {

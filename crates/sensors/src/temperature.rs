@@ -50,12 +50,6 @@ impl TemperatureSensor {
         self
     }
 
-    /// Sets the initial reading (builder style).
-    pub fn with_initial(mut self, celsius: f64) -> Self {
-        self.celsius = celsius;
-        self
-    }
-
     /// The sensor's entity GUID.
     pub fn id(&self) -> Guid {
         self.id

@@ -21,7 +21,6 @@ pub struct BaseStation {
     id: Guid,
     name: String,
     cell: Circle,
-    radio: PathLossModel,
     associated: HashSet<Guid>,
     seq: EventSeq,
 }
@@ -33,16 +32,9 @@ impl BaseStation {
             id,
             name: name.into(),
             cell,
-            radio: PathLossModel::INDOOR,
             associated: HashSet::new(),
             seq: EventSeq::FIRST,
         }
-    }
-
-    /// Overrides the radio propagation model (builder style).
-    pub fn with_radio(mut self, radio: PathLossModel) -> Self {
-        self.radio = radio;
-        self
     }
 
     /// The station's entity GUID.
@@ -126,7 +118,7 @@ impl BaseStation {
             _ => {}
         }
         if inside {
-            let rssi = self.radio.rssi_at(self.position().distance(at));
+            let rssi = PathLossModel::INDOOR.rssi_at(self.position().distance(at));
             let seq = self.next_seq();
             events.push(
                 ContextEvent::new(

@@ -106,20 +106,9 @@ impl World {
         self.people_index.get(&id).map(|&i| &self.people[i])
     }
 
-    /// Mutable access to a person (e.g. to replace their movement plan).
-    pub fn person_mut(&mut self, id: Guid) -> Option<&mut SimPerson> {
-        let idx = *self.people_index.get(&id)?;
-        Some(&mut self.people[idx])
-    }
-
     /// All people currently in the world.
     pub fn people(&self) -> &[SimPerson] {
         &self.people
-    }
-
-    /// Installs a door sensor.
-    pub fn add_door_sensor(&mut self, sensor: DoorSensor) {
-        self.door_sensors.push(sensor);
     }
 
     /// Installs a door sensor on every door of the floor plan, minting

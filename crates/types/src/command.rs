@@ -126,10 +126,6 @@ pub enum RangeReply {
     Repaired(Vec<RepairReport>),
     /// `ExpireHistory` evicted this many history entries.
     Expired(usize),
-    /// `DrainOutbox`/`DrainOutboxFor`: pending application deliveries.
-    Deliveries(Vec<AppDelivery>),
-    /// `DrainAnswers`: answers produced by deferred queries.
-    Answers(Vec<DeferredAnswer>),
     /// `Audit`: the fleet drift report.
     Report(AnalysisReport),
     /// `MigrateOut`: the departing entity's packaged state, serialised
@@ -148,8 +144,6 @@ impl RangeReply {
             RangeReply::Fired { .. } => "fired",
             RangeReply::Repaired(_) => "repaired",
             RangeReply::Expired(_) => "expired",
-            RangeReply::Deliveries(_) => "deliveries",
-            RangeReply::Answers(_) => "answers",
             RangeReply::Report(_) => "report",
             RangeReply::Migrated(_) => "migrated",
         }
@@ -173,8 +167,6 @@ mod tests {
             .kind(),
             RangeReply::Repaired(Vec::new()).kind(),
             RangeReply::Expired(0).kind(),
-            RangeReply::Deliveries(Vec::new()).kind(),
-            RangeReply::Answers(Vec::new()).kind(),
             RangeReply::Report(AnalysisReport::new()).kind(),
             RangeReply::Migrated(String::new()).kind(),
         ];

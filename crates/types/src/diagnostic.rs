@@ -69,7 +69,9 @@ pub enum DiagCode {
     // query at most once, so no query can bounce between ranges).
     // SCI-A201, A203 and A207 are retired too: the runtime counts what
     // they predicted (`fault.partition_blocks`,
-    // `federation.freshness.infeasible`, `net.tcp.unknown_peer`). A
+    // `federation.freshness.infeasible`, `net.tcp.unknown_peer`), and
+    // SCI-A304 is retired because Rust privacy now keeps the one door:
+    // a Context Server's `*_impl` arms are private to its module. A
     // retired code is never reused.
     /// `SCI-A301`: a seeded (deterministic) code path calls a
     /// nondeterministic source (`Instant::now`, `SystemTime::now`,
@@ -78,11 +80,6 @@ pub enum DiagCode {
     /// `SCI-A302`: a metric name passed to a telemetry registry does
     /// not appear in the central metric catalogue.
     MetricNameDrift,
-    /// `SCI-A304`: code outside the range dispatcher calls one of a
-    /// Context Server's `*_impl` methods (or `mark_failed`) directly —
-    /// a mutation its command log never sees, so a recovered range
-    /// differs from the live one.
-    BackDoorMutation,
     /// `SCI-A305`: library code on the event path builds a map or set on
     /// `std`'s per-process hasher instead of the one fixed-seed hasher
     /// ([`crate::DeterministicState`]) — SipHash cost on every lookup,
@@ -104,7 +101,6 @@ impl DiagCode {
             DiagCode::OrphanSubscription => "SCI-A102",
             DiagCode::NondeterministicCall => "SCI-A301",
             DiagCode::MetricNameDrift => "SCI-A302",
-            DiagCode::BackDoorMutation => "SCI-A304",
             DiagCode::StdHasher => "SCI-A305",
         }
     }
@@ -120,7 +116,6 @@ impl DiagCode {
             | DiagCode::MissingSubscription
             | DiagCode::NondeterministicCall
             | DiagCode::MetricNameDrift
-            | DiagCode::BackDoorMutation
             | DiagCode::StdHasher => Severity::Error,
             DiagCode::UnreachableNode | DiagCode::OrphanSubscription => Severity::Warning,
         }
@@ -289,7 +284,6 @@ mod tests {
             DiagCode::OrphanSubscription,
             DiagCode::NondeterministicCall,
             DiagCode::MetricNameDrift,
-            DiagCode::BackDoorMutation,
             DiagCode::StdHasher,
         ];
         let mut codes: Vec<&str> = all.iter().map(DiagCode::code).collect();

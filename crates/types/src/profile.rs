@@ -142,22 +142,6 @@ impl Profile {
     pub fn input_named(&self, name: &str) -> Option<&PortSpec> {
         self.inputs.iter().find(|p| p.name == name)
     }
-
-    /// Returns `true` if some output of this profile can feed some
-    /// input of `consumer` under `compatible` (pass type equality when
-    /// no equivalence knowledge is available). This is the edge
-    /// predicate static plan analysis checks composition graphs with.
-    pub fn can_feed<F>(&self, consumer: &Profile, compatible: F) -> bool
-    where
-        F: Fn(&ContextType, &ContextType) -> bool,
-    {
-        self.outputs.iter().any(|out| {
-            consumer
-                .inputs
-                .iter()
-                .any(|inp| compatible(&out.ty, &inp.ty))
-        })
-    }
 }
 
 impl fmt::Display for Profile {

@@ -32,11 +32,12 @@ fn level_ten(world_sensors: &[(Guid, String)], thermometer: Guid) -> ContextServ
     cs
 }
 
-fn deliveries(reply: RangeReply) -> Vec<(Guid, Guid, ContextEvent)> {
-    match reply {
-        RangeReply::Deliveries(ds) => ds.into_iter().map(|d| (d.app, d.query, d.event)).collect(),
-        other => panic!("expected deliveries, got {other:?}"),
-    }
+fn deliveries(cs: &mut ContextServer, app: Guid) -> Vec<(Guid, Guid, ContextEvent)> {
+    let drained = cs.drain_outbox_for(app);
+    drained
+        .into_iter()
+        .map(|d| (d.app, d.query, d.event))
+        .collect()
 }
 
 #[test]
@@ -107,16 +108,17 @@ fn world_events_fan_out_across_threads() {
     assert!(produced > about_bob, "john moved too");
 
     // Each application drains exactly what the inline run delivered to
-    // it, in the same order; the call is the barrier behind the casts.
+    // it, in the same order, from the server the stopped worker hands
+    // back; collecting the replies is the barrier behind the casts.
+    range.drain_pending().unwrap();
+    assert!(range.take_errors().is_empty());
+    let mut worker = range.shutdown().expect("worker stopped cleanly");
     for (app, expected) in [(presence_app, produced), (bob_app, about_bob)] {
-        let drain = || RangeCommand::DrainOutboxFor(app);
-        let threaded = deliveries(range.call(drain(), now).unwrap());
-        assert_eq!(threaded, deliveries(inline.handle(drain(), now).unwrap()));
+        let threaded = deliveries(&mut worker, app);
+        assert_eq!(threaded, deliveries(&mut inline, app));
         assert_eq!(threaded.len(), expected);
         assert!(threaded.iter().all(|(to, ..)| *to == app));
     }
-    assert!(range.take_errors().is_empty());
-    let worker = range.shutdown().expect("worker stopped cleanly");
     assert_eq!(
         worker.snapshot().counter("bus.deliver.count"),
         inline.snapshot().counter("bus.deliver.count")
