@@ -12,7 +12,7 @@
 //! servers for drift between what was analyzed and what is actually
 //! wired.
 //!
-//! Three entry points:
+//! Two entry points:
 //!
 //! * [`analyze`] — single-plan verification of the resolver's
 //!   [`ConfigurationPlan`] against the registered [`Profile`]s,
@@ -20,11 +20,12 @@
 //!   `SCI-Axxx` codes;
 //! * [`fleet::diff_subscriptions`] — fleet-mode drift detection
 //!   between the subscriptions analyzed plans require and the live
-//!   subscription table;
-//! * [`lint`] — the dependency-free `sci-lint` source pass
-//!   (`SCI-A3xx`: nondeterminism in seeded paths, metric-name drift,
-//!   mutation behind the command log), also available as the
-//!   `sci-lint` binary.
+//!   subscription table.
+//!
+//! The source-level checks the `SCI-A3xx` codes once named are kept
+//! by the compiler and clippy instead: `clippy.toml` refuses the wall
+//! clock, entropy and `std`'s per-process hasher, and a telemetry
+//! registry only takes a catalogued `sci_telemetry::catalogue::Metric`.
 //!
 //! The crate depends only on `sci-types`, which holds the plan type
 //! the resolver builds; `sci-core` passes its plans in as they are and
@@ -34,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod fleet;
-pub mod lint;
 
 use std::collections::{HashMap, HashSet};
 

@@ -36,7 +36,7 @@ use sci_core::durability::{self, DurabilityConfig};
 use sci_core::runtime::{ParallelFederation, RangeCommand};
 use sci_location::{FloorPlan, Rect};
 use sci_query::{Mode, Query};
-use sci_telemetry::Registry;
+use sci_telemetry::{catalogue, Registry};
 use sci_types::{
     ContextEvent, ContextType, ContextValue, Coord, EntityKind, Guid, PortSpec, Profile,
     VirtualTime,
@@ -189,7 +189,7 @@ fn measure_ingest(mode: &'static str, fsync: Option<FsyncPolicy>) -> Row {
     let wal_bytes = servers
         .iter()
         .find(|cs| cs.id() == range_id)
-        .map_or(0, |cs| cs.telemetry().counter("wal.bytes").get());
+        .map_or(0, |cs| cs.telemetry().counter(catalogue::WAL_BYTES).get());
     let _ = std::fs::remove_dir_all(&dir);
 
     Row {

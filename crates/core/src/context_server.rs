@@ -218,7 +218,8 @@ impl ContextServer {
         let idx = cmd.kind_index();
         let tracer = self.metrics.tracer().clone();
         let mut span = tracer.span(cmd.kind());
-        let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
+        #[expect(clippy::disallowed_methods, reason = "telemetry timing")]
+        let started = Instant::now();
 
         // Durability: append-before-apply. The log stays inside the
         // server for the whole dispatch: if the apply panics, whoever
@@ -278,11 +279,15 @@ impl ContextServer {
             RangeCommand::Cancel(query_id) => {
                 self.cancel_query_impl(query_id).map(|()| RangeReply::Ack)
             }
-            RangeCommand::Ingest(event) => self.ingest_impl(&event, now).map(|()| RangeReply::Ack),
+            RangeCommand::Ingest(event) => {
+                trace_key(span, &event);
+                self.ingest_impl(&event, now).map(|()| RangeReply::Ack)
+            }
             RangeCommand::IngestBatch(events) => {
                 let mut first_error = None;
                 let mut applied = 0usize;
                 for event in &events {
+                    trace_key(span, event);
                     match self.ingest_impl(event, now) {
                         Ok(()) => applied += 1,
                         Err(e) => {
@@ -970,7 +975,8 @@ impl ContextServer {
         };
         let mut config = match &need {
             Some(need) => {
-                let plan_started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
+                #[expect(clippy::disallowed_methods, reason = "telemetry timing")]
+                let plan_started = Instant::now();
                 let planned = plan_need(&self.profiles, need, &self.excluded);
                 self.metrics.record_plan_attempt(elapsed_us(plan_started));
                 let plan = planned?;
@@ -1742,6 +1748,14 @@ impl ContextServer {
         }
         report
     }
+}
+
+/// Tags an ingest span with its event's trace key, `(source, seq)`,
+/// the pair the relay's `federation.deliver` event carries too. Free
+/// when the tracer is off: the span keeps no field then.
+fn trace_key(span: &mut Span<'_>, event: &ContextEvent) {
+    span.field("source", event.source);
+    span.field("seq", event.seq.0);
 }
 
 #[cfg(test)]

@@ -82,7 +82,6 @@
 //! log at *any* byte prefix recovers exactly the state of the longest
 //! intact command prefix (plus a reported torn tail).
 
-use std::collections::HashMap;
 use std::hash::BuildHasher;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -91,7 +90,7 @@ use sci_location::floorplan::FloorPlan;
 use sci_query::codec as qcodec;
 use sci_query::xml::{document, parse, Element, XmlWriter};
 use sci_query::Query;
-use sci_telemetry::{Counter, Gauge, Histogram, Registry};
+use sci_telemetry::{catalogue, Counter, Gauge, Histogram, Registry};
 use sci_types::{
     ContextEvent, ContextType, EventSeq, Guid, SciError, SciResult, VirtualDuration, VirtualTime,
 };
@@ -177,6 +176,11 @@ fn put_document(out: &mut Vec<u8>, write: impl FnOnce(&mut XmlWriter<'_>)) {
     out[at..at + 4].copy_from_slice(&len.to_be_bytes());
 }
 
+/// The logic factories a replay re-installs, by CE. The caller picks
+/// the hasher, so this table alone is `std`'s map, over any `S`.
+#[expect(clippy::disallowed_types, reason = "the caller picks the hasher")]
+type LogicTable<S> = std::collections::HashMap<Guid, LogicFactory, S>;
+
 /// Decodes a WAL frame back into `(command, now)`.
 ///
 /// Logic factories are closures and cannot live in a log;
@@ -191,7 +195,7 @@ fn put_document(out: &mut Vec<u8>, write: impl FnOnce(&mut XmlWriter<'_>)) {
 /// matching resolver.
 pub fn decode_command<S: BuildHasher>(
     frame: &Frame,
-    logic: &HashMap<Guid, LogicFactory, S>,
+    logic: &LogicTable<S>,
 ) -> SciResult<(RangeCommand, VirtualTime)> {
     let mut r = wire::Reader::new(&frame.payload);
     let now = VirtualTime::from_micros(r.u64().map_err(frame_err)?);
@@ -297,19 +301,19 @@ struct WalMetrics {
 impl WalMetrics {
     fn new(registry: &Registry) -> Self {
         WalMetrics {
-            append_us: registry.histogram("wal.append_us"),
-            fsync_us: registry.histogram("wal.fsync_us"),
-            snapshot_us: registry.histogram("wal.snapshot_us"),
-            snapshot_encode_us: registry.histogram("wal.snapshot.encode_us"),
-            recover_us: registry.histogram("wal.recover_us"),
+            append_us: registry.histogram(catalogue::WAL_APPEND_US),
+            fsync_us: registry.histogram(catalogue::WAL_FSYNC_US),
+            snapshot_us: registry.histogram(catalogue::WAL_SNAPSHOT_US),
+            snapshot_encode_us: registry.histogram(catalogue::WAL_SNAPSHOT_ENCODE_US),
+            recover_us: registry.histogram(catalogue::WAL_RECOVER_US),
             recover_phases_us: [
-                registry.histogram("wal.recover.read_us"),
-                registry.histogram("wal.recover.restore_us"),
-                registry.histogram("wal.recover.replay_us"),
+                registry.histogram(catalogue::WAL_RECOVER_READ_US),
+                registry.histogram(catalogue::WAL_RECOVER_RESTORE_US),
+                registry.histogram(catalogue::WAL_RECOVER_REPLAY_US),
             ],
-            bytes: registry.counter("wal.bytes"),
-            torn_tail: registry.counter("wal.torn_tail"),
-            segments: registry.gauge("wal.segments"),
+            bytes: registry.counter(catalogue::WAL_BYTES),
+            torn_tail: registry.counter(catalogue::WAL_TORN_TAIL),
+            segments: registry.gauge(catalogue::WAL_SEGMENTS),
         }
     }
 }
@@ -476,7 +480,8 @@ impl RangeWal {
     pub(crate) fn append(&mut self, cmd: &RangeCommand, now: VirtualTime) -> SciResult<()> {
         let frame = encode_command(cmd, now);
         let bytes = frame.encoded_len() as u64;
-        let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
+        #[expect(clippy::disallowed_methods, reason = "telemetry timing")]
+        let started = Instant::now();
         let synced = self.store.append(frame)?;
         let us = elapsed_us(started);
         self.metrics.append_us.record(us);
@@ -521,7 +526,8 @@ impl RangeWal {
     /// retries.
     pub(crate) fn write_snapshot(&mut self, (payload, encode_us): (Vec<u8>, u64)) -> SciResult<()> {
         self.metrics.snapshot_encode_us.record(encode_us);
-        let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
+        #[expect(clippy::disallowed_methods, reason = "telemetry timing")]
+        let started = Instant::now();
         self.store.write_snapshot(payload)?;
         self.since_snapshot = 0;
         self.metrics.snapshot_us.record(elapsed_us(started));
@@ -611,7 +617,8 @@ fn write_liveness_rows(w: &mut XmlWriter<'_>, cs: &ContextServer, name: &str) {
 /// the store holds, copied). The history is the bulk of a range's state
 /// and goes last, so a restore can stream it; nothing follows it.
 pub(crate) fn encode_snapshot(cs: &ContextServer, now: VirtualTime) -> (Vec<u8>, u64) {
-    let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
+    #[expect(clippy::disallowed_methods, reason = "telemetry timing")]
+    let started = Instant::now();
     let mut p = Vec::new();
     put_document(&mut p, |w| write_snapshot_document(w, cs, now));
     let positions = cs.location().export_positions();
@@ -655,7 +662,7 @@ const POSITION_LEN: usize = 16 + 8 + 8;
 pub(crate) fn restore_snapshot<S: BuildHasher>(
     cs: &mut ContextServer,
     payload: &[u8],
-    logic: &HashMap<Guid, LogicFactory, S>,
+    logic: &LogicTable<S>,
 ) -> SciResult<(VirtualTime, usize)> {
     let mut r = wire::Reader::new(payload);
     let root = &parse(r.str().map_err(frame_err)?)?;
@@ -820,7 +827,7 @@ pub fn recover<S: BuildHasher>(
     plan: FloorPlan,
     registry: Registry,
     config: &DurabilityConfig,
-    logic: &HashMap<Guid, LogicFactory, S>,
+    logic: &LogicTable<S>,
 ) -> SciResult<(ContextServer, RecoveryReport)> {
     let fresh = (id, name.into(), plan, registry);
     rebuild(fresh, || Store::open_dir(config), logic)
@@ -860,11 +867,12 @@ pub fn restart(wreck: ContextServer) -> SciResult<(ContextServer, RecoveryReport
 fn rebuild<S: BuildHasher>(
     (id, name, plan, registry): (Guid, String, FloorPlan, Registry),
     open: impl FnOnce() -> SciResult<(Store, Held)>,
-    logic: &HashMap<Guid, LogicFactory, S>,
+    logic: &LogicTable<S>,
 ) -> SciResult<(ContextServer, RecoveryReport)> {
-    let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
-                                  // Store first, server second: the server's many small allocations
-                                  // then sit together, after the log's one large read.
+    // Store first, server second: the server's many small allocations
+    // then sit together, after the log's one large read.
+    #[expect(clippy::disallowed_methods, reason = "telemetry timing")]
+    let started = Instant::now();
     let (store, held) = open()?;
     let read_us = elapsed_us(started);
     let mut cs = ContextServer::with_registry(id, name, plan, registry);
@@ -873,12 +881,14 @@ fn rebuild<S: BuildHasher>(
     let mut replay_errors = 0usize;
     let mut restore_us = None;
     if let Some((applied, payload)) = held.snapshot {
-        let restoring = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
+        #[expect(clippy::disallowed_methods, reason = "telemetry timing")]
+        let restoring = Instant::now();
         (last_now, replay_errors) = restore_snapshot(&mut cs, &payload, logic)?;
         restore_us = Some(elapsed_us(restoring));
         snapshot_applied = Some(applied);
     }
-    let replaying = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
+    #[expect(clippy::disallowed_methods, reason = "telemetry timing")]
+    let replaying = Instant::now();
     let floor = snapshot_applied.unwrap_or(0);
     let mut replayed = 0usize;
     let frames = &held.log.frames;
@@ -1010,7 +1020,7 @@ mod tests {
     use super::*;
     use crate::records::tests::{arb_event, arb_mangle, hex, mangle};
     use proptest::prelude::*;
-    use sci_types::{ContextValue, EntityKind, PortSpec, Profile};
+    use sci_types::{ContextValue, EntityKind, HashMap, PortSpec, Profile};
 
     fn ev(source: u128, t: u64) -> ContextEvent {
         ContextEvent::new(
@@ -1061,7 +1071,7 @@ mod tests {
         let now = VirtualTime::from_secs(3);
         let ce = Guid::from_u128(0xCE);
         let occupancy = || crate::logic::factory(crate::logic::OccupancyLogic::new);
-        let logic = HashMap::from([(ce, occupancy())]);
+        let logic = HashMap::from_iter([(ce, occupancy())]);
         let profile = Profile::builder(Guid::from_u128(1), EntityKind::Device, "thermo")
             .output(PortSpec::new("t", ContextType::Temperature))
             .build();
@@ -1122,7 +1132,7 @@ mod tests {
             let mut payload = Vec::new();
             wire::put_u64(&mut payload, 0);
             wire::put_u128(&mut payload, 7);
-            let refused = decode_command(&Frame::new(tag as u8, payload), &HashMap::new());
+            let refused = decode_command(&Frame::new(tag as u8, payload), &HashMap::default());
             let Err(SciError::Codec(why)) = refused else {
                 panic!("tag {tag} decoded: {refused:?}");
             };
@@ -1140,8 +1150,8 @@ mod tests {
             ),
             VirtualTime::ZERO,
         );
-        assert!(decode_command(&frame, &HashMap::new()).is_err());
-        let mut logic = HashMap::new();
+        assert!(decode_command(&frame, &HashMap::default()).is_err());
+        let mut logic = HashMap::default();
         logic.insert(ce, crate::logic::factory(crate::logic::OccupancyLogic::new));
         let (cmd, _) = decode_command(&frame, &logic).unwrap();
         assert_eq!(cmd.kind(), "register-logic");
@@ -1312,7 +1322,7 @@ mod tests {
 
         // And it restores: same durable state, timer included.
         let mut back = ContextServer::new(cs.id(), "r", sci_location::floorplan::capa_level10());
-        let restored = restore_snapshot(&mut back, &payload, &HashMap::new()).unwrap();
+        let restored = restore_snapshot(&mut back, &payload, &HashMap::default()).unwrap();
         assert_eq!(restored, (now, 0));
         assert_eq!(durable_digest(&back), durable_digest(&cs));
         assert_eq!(back.poll_timers(VirtualTime::from_secs(31)).unwrap(), 1);
@@ -1352,7 +1362,7 @@ mod tests {
         assert_eq!(hex(&payload), hex(&expected));
 
         let mut back = ContextServer::new(cs.id(), "r", sci_location::floorplan::capa_level10());
-        restore_snapshot(&mut back, &payload, &HashMap::new()).unwrap();
+        restore_snapshot(&mut back, &payload, &HashMap::default()).unwrap();
         assert_eq!(back.history().export(), history);
         assert_eq!(encode_snapshot(&back, now).0, payload);
     }
@@ -1487,13 +1497,17 @@ mod tests {
         let (small, _) = populated();
         let (cs, now, cmds) = rich();
         assert!(!cs.answers_ref().is_empty() && !cs.outbox_ref().is_empty());
+        // A registry takes catalogued names only, so the XML-hostile
+        // names are written into the snapshot itself.
         let reg = Registry::new();
-        reg.counter("a<b").add(3);
-        reg.gauge("g&").set(-2);
-        let h = reg.histogram("h\"");
+        let h = reg.histogram(catalogue::BUS_FANOUT);
         for v in [1, 5, 5, 900, 1 << 40] {
             h.record(v);
         }
+        let mut hostile = reg.snapshot();
+        hostile.histograms[0].name = "h\"".into();
+        hostile.counters.push(("a<b".into(), 3));
+        hostile.gauges.push(("g&".into(), -2));
         let mut written = vec![
             ("digest", durable_digest(&small).into_bytes()),
             ("digest", durable_digest(&cs).into_bytes()),
@@ -1503,7 +1517,7 @@ mod tests {
         for cmd in &cmds {
             written.push((cmd.kind(), encode_command(cmd, now).payload));
         }
-        let telemetry = crate::telemetry::snapshot_to_xml(&reg.snapshot());
+        let telemetry = crate::telemetry::snapshot_to_xml(&hostile);
         written.push(("telemetry", telemetry.into_bytes()));
         let pins: Vec<(&str, usize, u32)> = written
             .iter()
@@ -1532,7 +1546,7 @@ mod tests {
             "r",
             sci_location::floorplan::capa_level10(),
         );
-        restore_snapshot(&mut cs, payload, &HashMap::new())
+        restore_snapshot(&mut cs, payload, &HashMap::default())
     }
 
     #[test]
@@ -1564,7 +1578,7 @@ mod tests {
             sci_location::floorplan::capa_level10(),
             Registry::new(),
             &DurabilityConfig::new(&dir),
-            &HashMap::new(),
+            &HashMap::default(),
         );
         assert!(matches!(refused, Err(SciError::Codec(_))));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1600,7 +1614,7 @@ mod tests {
             wire::put_u32(&mut nested, 1);
         }
         for (tag, payload) in [(8, huge_list), (9, huge_batch), (8, nested)] {
-            let refused = decode_command(&Frame::new(tag, payload), &HashMap::new());
+            let refused = decode_command(&Frame::new(tag, payload), &HashMap::default());
             assert!(matches!(refused, Err(SciError::Codec(_))), "tag {tag}");
         }
     }
@@ -1671,7 +1685,7 @@ mod tests {
             event in arb_event(),
             how in arb_mangle(),
         ) {
-            let logic = HashMap::new();
+            let logic = HashMap::default();
             let _ = decode_command(&Frame::new(tag, noise.clone()), &logic);
             let _ = restore(&noise);
 

@@ -4,7 +4,7 @@
 //! (paper, Section 3.1). "All CE's are registered within a range when
 //! they arrive and deregistered upon departure."
 
-use sci_types::{EntityDescriptor, EntityKind, Guid, HashMap, SciError, SciResult, VirtualTime};
+use sci_types::{EntityDescriptor, Guid, HashMap, SciError, SciResult, VirtualTime};
 
 /// One entry in the registrar's arrival/departure log.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -18,7 +18,7 @@ pub enum RegistrarEvent {
 /// The authoritative view of which entities are in the range.
 #[derive(Clone, Debug, Default)]
 pub struct Registrar {
-    entities: HashMap<Guid, (EntityDescriptor, VirtualTime)>,
+    entities: HashMap<Guid, EntityDescriptor>,
     log: Vec<RegistrarEvent>,
 }
 
@@ -41,8 +41,7 @@ impl Registrar {
                 descriptor.id
             )));
         }
-        self.entities
-            .insert(descriptor.id, (descriptor.clone(), now));
+        self.entities.insert(descriptor.id, descriptor.clone());
         self.log.push(RegistrarEvent::Arrived(descriptor, now));
         Ok(())
     }
@@ -53,7 +52,7 @@ impl Registrar {
     ///
     /// Returns [`SciError::UnknownEntity`] if it was not registered.
     pub fn deregister(&mut self, id: Guid, now: VirtualTime) -> SciResult<EntityDescriptor> {
-        let (descriptor, _) = self
+        let descriptor = self
             .entities
             .remove(&id)
             .ok_or(SciError::UnknownEntity(id))?;
@@ -69,12 +68,7 @@ impl Registrar {
 
     /// Looks up a registered entity.
     pub fn descriptor(&self, id: Guid) -> Option<&EntityDescriptor> {
-        self.entities.get(&id).map(|(d, _)| d)
-    }
-
-    /// When the entity arrived, if registered.
-    pub fn arrival_time(&self, id: Guid) -> Option<VirtualTime> {
-        self.entities.get(&id).map(|(_, t)| *t)
+        self.entities.get(&id)
     }
 
     /// Number of registered entities.
@@ -89,16 +83,7 @@ impl Registrar {
 
     /// All registered entities (unordered).
     pub fn entities(&self) -> impl Iterator<Item = &EntityDescriptor> {
-        self.entities.values().map(|(d, _)| d)
-    }
-
-    /// Registered entities of one class.
-    pub fn entities_of_kind(&self, kind: EntityKind) -> Vec<&EntityDescriptor> {
-        self.entities
-            .values()
-            .filter(|(d, _)| d.kind == kind)
-            .map(|(d, _)| d)
-            .collect()
+        self.entities.values()
     }
 
     /// The full arrival/departure history, in order.
@@ -111,6 +96,7 @@ impl Registrar {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use sci_types::EntityKind;
 
     fn bob() -> EntityDescriptor {
         EntityDescriptor::new(Guid::from_u128(1), EntityKind::Person, "Bob")
@@ -121,7 +107,6 @@ mod tests {
         let mut r = Registrar::new();
         r.register(bob(), VirtualTime::ZERO).unwrap();
         assert!(r.is_registered(Guid::from_u128(1)));
-        assert_eq!(r.arrival_time(Guid::from_u128(1)), Some(VirtualTime::ZERO));
         assert_eq!(r.len(), 1);
 
         let d = r
@@ -158,9 +143,6 @@ mod tests {
             VirtualTime::ZERO,
         )
         .unwrap();
-        assert_eq!(r.entities_of_kind(EntityKind::Person).len(), 1);
-        assert_eq!(r.entities_of_kind(EntityKind::Device).len(), 1);
-        assert_eq!(r.entities_of_kind(EntityKind::Place).len(), 0);
         assert_eq!(r.entities().count(), 2);
     }
 

@@ -453,7 +453,8 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
         if src == dst {
             return Ok(());
         }
-        let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
+        #[expect(clippy::disallowed_methods, reason = "telemetry timing")]
+        let started = Instant::now();
         let reply = self
             .host_at(src)?
             .call(RangeCommand::MigrateOut(entity), now)?;
@@ -678,7 +679,8 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
             };
             settle(host);
             let (deliveries, answers) = host.drain_stream();
-            let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
+            #[expect(clippy::disallowed_methods, reason = "telemetry timing")]
+            let started = Instant::now();
             let mut batch = Vec::new();
             let mut open: Option<Grouped> = None;
             for (seq, d) in deliveries {
@@ -687,7 +689,7 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
                 // The overlay's filter: a recovered range may re-stream.
                 if home == node {
                     if self.seen_relays.insert((node, seq)) {
-                        self.inbox.entry(d.app).or_default().push(d);
+                        self.deliver(d, now);
                     } else {
                         self.metrics.relay_dedup_hits.inc();
                     }
@@ -943,6 +945,29 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
         mine
     }
 
+    /// Hands one delivery to its app's inbox at `at`, recording the
+    /// virtual time since the event was produced in
+    /// `e2e.delivery_latency_us` and, when the tracer is on, one
+    /// `federation.deliver` event under the event's trace key
+    /// `(source, seq)`, the pair its `ingest` span carries.
+    fn deliver(&mut self, d: AppDelivery, at: VirtualTime) {
+        let latency = at.saturating_since(d.event.timestamp);
+        self.metrics.e2e_latency.record(latency.as_micros());
+        let tracer = &self.metrics.tracer;
+        if tracer.enabled() {
+            tracer.event(
+                "federation.deliver",
+                &[
+                    ("source", d.event.source.to_string()),
+                    ("seq", d.event.seq.0.to_string()),
+                    ("app", d.app.to_string()),
+                    ("query", d.query.to_string()),
+                ],
+            );
+        }
+        self.inbox.entry(d.app).or_default().push(d);
+    }
+
     /// Delivers one overlay message behind the exactly-once filter: an
     /// envelope `(origin, seq)` already seen is discarded, and a relay
     /// that carried one counts once in `federation.relay.dedup_hits`.
@@ -975,8 +1000,7 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
                         continue;
                     }
                     let event = event.clone();
-                    let delivery = AppDelivery { app, query, event };
-                    self.inbox.entry(app).or_default().push(delivery);
+                    self.deliver(AppDelivery { app, query, event }, arrival);
                 }
                 return Ok(());
             }

@@ -37,7 +37,7 @@ use sci_types::{
     Advertisement, ContextEvent, ContextType, Guid, Profile, SciError, SciResult, VirtualTime,
 };
 
-use sci_telemetry::Registry;
+use sci_telemetry::{catalogue, Registry};
 
 use crate::context_server::{ContextServer, RangeReply};
 use crate::logic::LogicFactory;
@@ -495,9 +495,9 @@ impl RangeRuntime {
         let Ok(Ok((cs, report))) = rebuilt else {
             return;
         };
-        self.registry.counter("range.restarts").inc();
+        self.registry.counter(catalogue::RANGE_RESTARTS).inc();
         self.registry
-            .counter("range.restart.replay_errors")
+            .counter(catalogue::RANGE_RESTART_REPLAY_ERRORS)
             .add(report.replay_errors as u64);
         // The replacement worker feeds the same stream channel, so
         // traffic already drained by the dead worker stays collectable;
@@ -636,9 +636,10 @@ impl RangeRuntime {
     /// * whatever the command itself returned.
     pub fn call(&mut self, cmd: RangeCommand, now: VirtualTime) -> SciResult<RangeReply> {
         self.enqueue(cmd, now, false)?;
-        let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
-                                      // FIFO: everything before the reply we want is a pipelined
-                                      // predecessor.
+        #[expect(clippy::disallowed_methods, reason = "telemetry timing")]
+        let started = Instant::now();
+        // FIFO: everything before the reply we want is a pipelined
+        // predecessor.
         while self.pending > 1 {
             match self.rx.recv() {
                 Ok(reply) => {
@@ -843,7 +844,8 @@ impl<T: Transport> ParallelFederation<T> {
     /// Pipelines one command into the named range, timing the enqueue
     /// in `federation.cast_us`.
     fn cast(&mut self, range: &str, cmd: RangeCommand, now: VirtualTime) -> SciResult<()> {
-        let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
+        #[expect(clippy::disallowed_methods, reason = "telemetry timing")]
+        let started = Instant::now();
         let result = self.core.host_mut(range)?.cast(cmd, now);
         self.core.metrics.cast_us.record(elapsed_us(started));
         result
@@ -958,7 +960,8 @@ impl<T: Transport> ParallelFederation<T> {
         let mut first_error: Option<SciError> = None;
         let barrier_us = self.core.metrics.barrier_us.clone();
         self.core.pump_settling(now, |worker| {
-            let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
+            #[expect(clippy::disallowed_methods, reason = "telemetry timing")]
+            let started = Instant::now();
             if let Err(e) = worker.drain_pending() {
                 first_error.get_or_insert(e);
             }
@@ -990,7 +993,8 @@ impl<T: Transport> ParallelFederation<T> {
     /// Codec failures for cross-range relays (routing failures are
     /// retried, not propagated).
     pub fn pump_streams(&mut self, now: VirtualTime) -> SciResult<()> {
-        let started = Instant::now(); // sci-lint: allow(wall-clock): telemetry timing
+        #[expect(clippy::disallowed_methods, reason = "telemetry timing")]
+        let started = Instant::now();
         let pumped = self.core.pump(now);
         self.core.metrics.stream_pump_us.record(elapsed_us(started));
         pumped

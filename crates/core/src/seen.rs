@@ -72,7 +72,7 @@ impl SeenEnvelopes {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::HashSet;
+    use sci_types::HashSet;
 
     fn origin(i: usize) -> Guid {
         Guid::from_u128(0x0516 + i as u128)
@@ -126,7 +126,7 @@ mod tests {
             ops in proptest::collection::vec((0..3usize, seq_strategy()), 1..400),
         ) {
             let mut seen = SeenEnvelopes::default();
-            let mut oracle: HashSet<(Guid, u64)> = HashSet::new();
+            let mut oracle: HashSet<(Guid, u64)> = HashSet::default();
             for (o, seq) in ops {
                 let envelope = (origin(o), seq);
                 prop_assert_eq!(seen.contains(envelope), oracle.contains(&envelope), "{:?}", envelope);

@@ -11,15 +11,16 @@
 //! can freeze per-range state without a round-trip command — the
 //! counters are atomics.
 //!
-//! Every name registered here is listed in
-//! `sci_telemetry::catalogue` (`sci-lint` SCI-A302 checks the code
-//! against it) and described in `docs/observability.md`, the one
-//! metric reference (the catalogue's unit tests check the doc).
+//! Every name registered here is a `sci_telemetry::catalogue` constant
+//! (a registry takes no other name) and is described in
+//! `docs/observability.md`, the one metric reference (the catalogue's
+//! unit tests check the doc).
 
 use std::fmt;
 
 use sci_overlay::stats::LoadStats;
 use sci_query::xml::{document, parse, XmlWriter};
+use sci_telemetry::catalogue::{self, Metric};
 use sci_telemetry::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, TelemetrySnapshot, Tracer,
     HISTOGRAM_BUCKETS,
@@ -59,26 +60,26 @@ impl CsMetrics {
     pub(crate) fn with_registry(registry: Registry) -> Self {
         let cmd_count = RangeCommand::KINDS
             .iter()
-            .map(|kind| registry.counter(&format!("range.cmd.{kind}.count")))
+            .map(|kind| registry.counter(Metric::command_count(kind)))
             .collect();
         let cmd_latency = RangeCommand::KINDS
             .iter()
-            .map(|kind| registry.histogram(&format!("range.cmd.{kind}.latency_us")))
+            .map(|kind| registry.histogram(Metric::command_latency(kind)))
             .collect();
         CsMetrics {
             cmd_count,
             cmd_latency,
-            plan_count: registry.counter("resolver.plan.count"),
-            plan_latency: registry.histogram("resolver.plan.latency_us"),
-            plan_nodes: registry.histogram("resolver.plan.nodes"),
-            plan_edges: registry.histogram("resolver.plan.edges"),
-            plan_rejected: registry.counter("resolver.plan.rejected"),
-            stale_drops: registry.counter("range.stale_drops"),
-            app_deliveries: registry.counter("range.app.deliveries"),
-            deregister_unknown: registry.counter("range.deregister.unknown"),
-            migrate_out: registry.counter("range.migrate.out"),
-            migrate_in: registry.counter("range.migrate.in"),
-            source_failed: registry.counter("range.source.failed"),
+            plan_count: registry.counter(catalogue::RESOLVER_PLAN_COUNT),
+            plan_latency: registry.histogram(catalogue::RESOLVER_PLAN_LATENCY_US),
+            plan_nodes: registry.histogram(catalogue::RESOLVER_PLAN_NODES),
+            plan_edges: registry.histogram(catalogue::RESOLVER_PLAN_EDGES),
+            plan_rejected: registry.counter(catalogue::RESOLVER_PLAN_REJECTED),
+            stale_drops: registry.counter(catalogue::RANGE_STALE_DROPS),
+            app_deliveries: registry.counter(catalogue::RANGE_APP_DELIVERIES),
+            deregister_unknown: registry.counter(catalogue::RANGE_DEREGISTER_UNKNOWN),
+            migrate_out: registry.counter(catalogue::RANGE_MIGRATE_OUT),
+            migrate_in: registry.counter(catalogue::RANGE_MIGRATE_IN),
+            source_failed: registry.counter(catalogue::RANGE_SOURCE_FAILED),
             tracer: Tracer::noop(),
             registry,
         }
@@ -141,6 +142,7 @@ pub(crate) struct FedMetrics {
     pub(crate) stream_answers: Counter,
     pub(crate) stream_pump_us: Histogram,
     pub(crate) migrate_inflight: Histogram,
+    pub(crate) e2e_latency: Histogram,
 }
 
 impl FedMetrics {
@@ -148,23 +150,24 @@ impl FedMetrics {
         let registry = Registry::new();
         FedMetrics {
             tracer: Tracer::noop(),
-            cast_us: registry.histogram("federation.cast_us"),
-            barrier_us: registry.histogram("federation.barrier_us"),
-            relay_us: registry.histogram("federation.relay_us"),
-            relay_events: registry.counter("federation.relay.events"),
-            relay_answers: registry.counter("federation.relay.answers"),
-            relay_stale_drops: registry.counter("federation.relay.stale_drops"),
-            relay_dedup_hits: registry.counter("federation.relay.dedup_hits"),
-            relay_unknown_app: registry.counter("federation.relay.unknown_app"),
-            relay_undecodable: registry.counter("federation.relay.undecodable"),
-            retry_attempts: registry.counter("federation.retry.attempts"),
-            retry_parked: registry.counter("federation.retry.parked"),
-            partial_answers: registry.counter("federation.answers.partial"),
-            freshness_infeasible: registry.counter("federation.freshness.infeasible"),
-            stream_events: registry.counter("federation.stream.events"),
-            stream_answers: registry.counter("federation.stream.answers"),
-            stream_pump_us: registry.histogram("federation.stream.pump_us"),
-            migrate_inflight: registry.histogram("range.migrate.inflight_us"),
+            cast_us: registry.histogram(catalogue::FEDERATION_CAST_US),
+            barrier_us: registry.histogram(catalogue::FEDERATION_BARRIER_US),
+            relay_us: registry.histogram(catalogue::FEDERATION_RELAY_US),
+            relay_events: registry.counter(catalogue::FEDERATION_RELAY_EVENTS),
+            relay_answers: registry.counter(catalogue::FEDERATION_RELAY_ANSWERS),
+            relay_stale_drops: registry.counter(catalogue::FEDERATION_RELAY_STALE_DROPS),
+            relay_dedup_hits: registry.counter(catalogue::FEDERATION_RELAY_DEDUP_HITS),
+            relay_unknown_app: registry.counter(catalogue::FEDERATION_RELAY_UNKNOWN_APP),
+            relay_undecodable: registry.counter(catalogue::FEDERATION_RELAY_UNDECODABLE),
+            retry_attempts: registry.counter(catalogue::FEDERATION_RETRY_ATTEMPTS),
+            retry_parked: registry.counter(catalogue::FEDERATION_RETRY_PARKED),
+            partial_answers: registry.counter(catalogue::FEDERATION_ANSWERS_PARTIAL),
+            freshness_infeasible: registry.counter(catalogue::FEDERATION_FRESHNESS_INFEASIBLE),
+            stream_events: registry.counter(catalogue::FEDERATION_STREAM_EVENTS),
+            stream_answers: registry.counter(catalogue::FEDERATION_STREAM_ANSWERS),
+            stream_pump_us: registry.histogram(catalogue::FEDERATION_STREAM_PUMP_US),
+            migrate_inflight: registry.histogram(catalogue::RANGE_MIGRATE_INFLIGHT_US),
+            e2e_latency: registry.histogram(catalogue::E2E_DELIVERY_LATENCY_US),
             registry,
         }
     }
@@ -185,11 +188,11 @@ pub(crate) struct RuntimeMetrics {
 impl RuntimeMetrics {
     pub(crate) fn register(registry: &Registry) -> Self {
         RuntimeMetrics {
-            mailbox_depth: registry.gauge("range.mailbox.depth"),
-            mailbox_highwater: registry.gauge("range.mailbox.highwater"),
-            mailbox_shed: registry.counter("range.mailbox.shed"),
-            call_wait: registry.histogram("range.call.wait_us"),
-            panics: registry.counter("range.panics"),
+            mailbox_depth: registry.gauge(catalogue::RANGE_MAILBOX_DEPTH),
+            mailbox_highwater: registry.gauge(catalogue::RANGE_MAILBOX_HIGHWATER),
+            mailbox_shed: registry.counter(catalogue::RANGE_MAILBOX_SHED),
+            call_wait: registry.histogram(catalogue::RANGE_CALL_WAIT_US),
+            panics: registry.counter(catalogue::RANGE_PANICS),
         }
     }
 
@@ -216,10 +219,11 @@ pub(crate) fn elapsed_us(start: std::time::Instant) -> u64 {
 /// parallel accounting mechanism.
 pub(crate) fn fold_load_stats(stats: &LoadStats) -> TelemetrySnapshot {
     let reg = Registry::new();
-    reg.counter("net.delivered").add(stats.delivered());
-    reg.counter("net.failed").add(stats.failed());
-    reg.counter("net.recoveries").add(stats.recoveries());
-    let hops = reg.histogram("net.hops");
+    reg.counter(catalogue::NET_DELIVERED).add(stats.delivered());
+    reg.counter(catalogue::NET_FAILED).add(stats.failed());
+    reg.counter(catalogue::NET_RECOVERIES)
+        .add(stats.recoveries());
+    let hops = reg.histogram(catalogue::NET_HOPS);
     for &h in stats.hops() {
         hops.record(u64::from(h));
     }
@@ -335,10 +339,10 @@ mod tests {
     #[test]
     fn snapshot_xml_round_trips() {
         let reg = Registry::new();
-        reg.counter("range.app.deliveries").add(42);
-        reg.gauge("range.mailbox.depth").set(-3);
+        reg.counter(catalogue::RANGE_APP_DELIVERIES).add(42);
+        reg.gauge(catalogue::RANGE_MAILBOX_DEPTH).set(-3);
         for v in [0, 1, 7, 900, u64::MAX] {
-            reg.histogram("bus.fanout").record(v);
+            reg.histogram(catalogue::BUS_FANOUT).record(v);
         }
         let snap = reg.snapshot();
         let xml = snapshot_to_xml(&snap);

@@ -14,7 +14,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::collections::HashMap;
 
 use sci_core::context_server::ContextServer;
 use sci_core::durability::{attach, durable_digest, encode_command, recover, DurabilityConfig};
@@ -22,7 +21,8 @@ use sci_core::runtime::RangeCommand;
 use sci_query::{Mode, Query};
 use sci_telemetry::Registry;
 use sci_types::{
-    ContextEvent, ContextType, ContextValue, EntityKind, Guid, PortSpec, Profile, VirtualTime,
+    ContextEvent, ContextType, ContextValue, EntityKind, Guid, HashMap, PortSpec, Profile,
+    VirtualTime,
 };
 
 thread_local! {
@@ -206,7 +206,7 @@ fn a_snapshot_restore_asks_for_less_than_three_times_the_snapshot() {
         .map(|path| std::fs::metadata(path).unwrap().len())
         .sum();
     assert!(snapshot > 300_000, "{snapshot} bytes");
-    let logic = HashMap::new();
+    let logic = HashMap::default();
     let (recovered, Used { asked, .. }) =
         measured(|| recover(id, "r", plan, Registry::new(), &config, &logic));
     let (back, report) = recovered.unwrap();

@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use sci_telemetry::{Histogram, Registry};
+use sci_telemetry::{catalogue, Histogram, Registry};
 use sci_types::{ContextEvent, Guid, HashMap, SciError, SciResult, VirtualDuration, VirtualTime};
 
 use crate::bus::{Delivery, EventBus, SubId};
@@ -93,7 +93,7 @@ impl EventMediator {
     /// stays clock-free on the hot path.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
         self.bus.attach_telemetry(registry);
-        self.publish_latency = Some(registry.histogram("bus.publish.latency_us"));
+        self.publish_latency = Some(registry.histogram(catalogue::BUS_PUBLISH_LATENCY_US));
     }
 
     /// Publishes an event: matches subscriptions and advances the
@@ -104,7 +104,8 @@ impl EventMediator {
             // reading) must not make a live publisher look silent.
             state.last_seen = state.last_seen.max(event.timestamp);
         }
-        let start = self.publish_latency.as_ref().map(|_| Instant::now()); // sci-lint: allow(wall-clock): telemetry timing
+        #[expect(clippy::disallowed_methods, reason = "telemetry timing")]
+        let start = self.publish_latency.as_ref().map(|_| Instant::now());
         let deliveries = self.bus.publish(event);
         if let (Some(h), Some(start)) = (&self.publish_latency, start) {
             h.record(u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));

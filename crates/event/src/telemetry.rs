@@ -6,7 +6,7 @@
 //! [`crate::mediator::EventMediator`], where a publish already costs
 //! enough that two `Instant::now` calls disappear into the noise.
 
-use sci_telemetry::{Counter, Histogram, Registry};
+use sci_telemetry::{catalogue, Counter, Histogram, Registry};
 
 /// Counter-only bundle recorded by `EventBus::publish`.
 #[derive(Clone, Debug)]
@@ -26,10 +26,10 @@ pub(crate) struct BusTelemetry {
 impl BusTelemetry {
     pub(crate) fn register(registry: &Registry) -> Self {
         BusTelemetry {
-            published: registry.counter("bus.publish.count"),
-            candidates: registry.counter("bus.candidates.count"),
-            delivered: registry.counter("bus.deliver.count"),
-            fanout: registry.histogram("bus.fanout"),
+            published: registry.counter(catalogue::BUS_PUBLISH_COUNT),
+            candidates: registry.counter(catalogue::BUS_CANDIDATES_COUNT),
+            delivered: registry.counter(catalogue::BUS_DELIVER_COUNT),
+            fanout: registry.histogram(catalogue::BUS_FANOUT),
         }
     }
 

@@ -45,7 +45,7 @@ use std::collections::VecDeque;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use sci_telemetry::{Counter, Registry};
+use sci_telemetry::{catalogue, Counter, Registry};
 use sci_types::{Guid, HashMap, SciError, SciResult};
 
 use crate::message::Message;
@@ -114,11 +114,11 @@ struct FaultCounters {
 impl FaultCounters {
     fn new(registry: &Registry) -> Self {
         FaultCounters {
-            drops: registry.counter("fault.drops"),
-            delays: registry.counter("fault.delays"),
-            dups: registry.counter("fault.dups"),
-            reorders: registry.counter("fault.reorders"),
-            partition_blocks: registry.counter("fault.partition_blocks"),
+            drops: registry.counter(catalogue::FAULT_DROPS),
+            delays: registry.counter(catalogue::FAULT_DELAYS),
+            dups: registry.counter(catalogue::FAULT_DUPS),
+            reorders: registry.counter(catalogue::FAULT_REORDERS),
+            partition_blocks: registry.counter(catalogue::FAULT_PARTITION_BLOCKS),
         }
     }
 }
@@ -134,7 +134,6 @@ pub struct FaultyTransport<T> {
     rng: StdRng,
     seed: u64,
     default_probs: FaultProbs,
-    link_probs: HashMap<(Guid, Guid), FaultProbs>,
     /// Node → named partition group; nodes in different groups cannot
     /// exchange messages. Absent means the common default group.
     partitions: HashMap<Guid, String>,
@@ -165,7 +164,6 @@ impl<T: Transport> FaultyTransport<T> {
             rng: StdRng::seed_from_u64(seed),
             seed,
             default_probs: FaultProbs::NONE,
-            link_probs: HashMap::default(),
             partitions: HashMap::default(),
             delayed: VecDeque::new(),
             registry,
@@ -183,16 +181,9 @@ impl<T: Transport> FaultyTransport<T> {
         &self.inner
     }
 
-    /// Sets the fault probabilities applied to every link without an
-    /// override.
+    /// Sets the fault probabilities applied to every link.
     pub fn set_default_probs(&mut self, probs: FaultProbs) {
         self.default_probs = probs;
-    }
-
-    /// Overrides the fault probabilities of the directed link
-    /// `src → dst`.
-    pub fn set_link_probs(&mut self, src: Guid, dst: Guid, probs: FaultProbs) {
-        self.link_probs.insert((src, dst), probs);
     }
 
     /// Assigns `nodes` to the named partition group. Messages cannot
@@ -210,12 +201,11 @@ impl<T: Transport> FaultyTransport<T> {
         self.partitions.clear();
     }
 
-    /// Full recovery: clears partitions and link overrides, zeroes the
-    /// default probabilities, and flushes all delayed traffic — the
+    /// Full recovery: clears partitions, zeroes the fault
+    /// probabilities, and flushes all delayed traffic — the
     /// "eventual connectivity" phase of a chaos schedule.
     pub fn heal(&mut self) {
         self.partitions.clear();
-        self.link_probs.clear();
         self.default_probs = FaultProbs::NONE;
         self.flush_delayed();
     }
@@ -225,24 +215,11 @@ impl<T: Transport> FaultyTransport<T> {
         self.delayed.len()
     }
 
-    /// Injected-fault counters: `fault.drops`, `fault.delays`,
-    /// `fault.dups`, `fault.reorders`, `fault.partition_blocks`.
-    pub fn fault_registry(&self) -> &Registry {
-        &self.registry
-    }
-
     fn blocked(&self, src: Guid, dst: Guid) -> bool {
         const DEFAULT_GROUP: &str = "";
         let a = self.partitions.get(&src).map_or(DEFAULT_GROUP, |s| s);
         let b = self.partitions.get(&dst).map_or(DEFAULT_GROUP, |s| s);
         a != b
-    }
-
-    fn probs_for(&self, src: Guid, dst: Guid) -> FaultProbs {
-        self.link_probs
-            .get(&(src, dst))
-            .copied()
-            .unwrap_or(self.default_probs)
     }
 
     fn flush_delayed(&mut self) {
@@ -284,7 +261,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             self.counters.partition_blocks.inc();
             return Err(SciError::Unroutable { from: src, to: dst });
         }
-        let p = self.probs_for(src, dst);
+        let p = self.default_probs;
         // Four unconditional draws per send keep the schedule a pure
         // function of (seed, call sequence), whatever branches fire.
         let drop_roll = self.rng.gen::<f64>();
@@ -315,12 +292,9 @@ impl<T: Transport> Transport for FaultyTransport<T> {
 
     fn drain(&mut self, node: Guid) -> Vec<Message> {
         let mut messages = self.inner.drain(node);
-        if messages.len() >= 2 {
-            let p = self.probs_for(node, node);
-            if self.rng.gen::<f64>() < p.reorder {
-                self.counters.reorders.inc();
-                messages.reverse();
-            }
+        if messages.len() >= 2 && self.rng.gen::<f64>() < self.default_probs.reorder {
+            self.counters.reorders.inc();
+            messages.reverse();
         }
         messages
     }
@@ -392,7 +366,7 @@ mod tests {
             t.send(msg(i, a, b)).unwrap();
         }
         assert_eq!(t.drain(b).len(), 20);
-        let snap = t.fault_registry().snapshot();
+        let snap = t.telemetry().unwrap().snapshot();
         assert_eq!(snap.counter("fault.drops"), 0);
         assert_eq!(snap.counter("fault.dups"), 0);
     }
@@ -404,7 +378,7 @@ mod tests {
             t.set_default_probs(FaultProbs::lossy(0.4));
             let oks: Vec<bool> = (0..50u128).map(|i| t.send(msg(i, a, b)).is_ok()).collect();
             let delivered = t.drain(b).len();
-            (oks, delivered, t.fault_registry().snapshot())
+            (oks, delivered, t.telemetry().unwrap().snapshot())
         };
         assert_eq!(outcome(7), outcome(7), "seed 7 replays identically");
         assert_ne!(
@@ -458,7 +432,7 @@ mod tests {
         });
         t.send(msg(1, a, b)).unwrap();
         assert_eq!(t.drain(b).len(), 2);
-        assert_eq!(t.fault_registry().snapshot().counter("fault.dups"), 1);
+        assert_eq!(t.telemetry().unwrap().snapshot().counter("fault.dups"), 1);
     }
 
     #[test]
@@ -473,7 +447,10 @@ mod tests {
         let drained = t.drain(b);
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].id, Guid::from_u128(2), "batch reversed");
-        assert_eq!(t.fault_registry().snapshot().counter("fault.reorders"), 1);
+        assert_eq!(
+            t.telemetry().unwrap().snapshot().counter("fault.reorders"),
+            1
+        );
     }
 
     #[test]
@@ -485,7 +462,8 @@ mod tests {
             Err(SciError::Unroutable { .. })
         ));
         assert_eq!(
-            t.fault_registry()
+            t.telemetry()
+                .unwrap()
                 .snapshot()
                 .counter("fault.partition_blocks"),
             1
@@ -493,19 +471,6 @@ mod tests {
         t.heal_partitions();
         t.send(msg(2, a, b)).unwrap();
         assert_eq!(t.drain(b).len(), 1);
-    }
-
-    #[test]
-    fn link_overrides_beat_defaults() {
-        let (mut t, a, b) = rig(8);
-        t.set_default_probs(FaultProbs {
-            drop: 1.0,
-            ack_loss: 0.0,
-            ..FaultProbs::NONE
-        });
-        t.set_link_probs(a, b, FaultProbs::NONE);
-        t.send(msg(1, a, b)).unwrap();
-        assert_eq!(t.drain(b).len(), 1, "clean override on a lossy default");
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //!   node serves a range name and covers a place, read by every node
 //!   from its own replica.
 //! * [`fault::FaultyTransport`] — a seeded fault-injection decorator
-//!   over any [`transport::Transport`]: per-link drops, delays,
-//!   duplicates, reorders and named partitions, all replayable from a
-//!   single `u64` seed.
+//!   over any [`transport::Transport`]: drops, delays, duplicates,
+//!   reorders and named partitions, all replayable from a single `u64`
+//!   seed.
 //!
 //! Experiment E1 (`sci-bench`, `e1_overlay`) sweeps network size and
 //! compares hop counts and maximum per-node forwarding load across the

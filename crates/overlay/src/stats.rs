@@ -60,11 +60,6 @@ impl LoadStats {
         self.failed
     }
 
-    /// Forwarding count of one node.
-    pub fn forwards_of(&self, node: Guid) -> u64 {
-        self.forwards.get(&node).copied().unwrap_or(0)
-    }
-
     /// The most loaded node and its forward count.
     pub fn max_load(&self) -> Option<(Guid, u64)> {
         self.forwards
@@ -111,17 +106,6 @@ impl LoadStats {
     pub fn max_hops(&self) -> u32 {
         self.hops.iter().copied().max().unwrap_or(0)
     }
-
-    /// The `q`-quantile (0..=1) of the hop distribution.
-    pub fn hop_quantile(&self, q: f64) -> u32 {
-        if self.hops.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.hops.clone();
-        sorted.sort_unstable();
-        let idx = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        sorted[idx]
-    }
 }
 
 impl std::fmt::Display for LoadStats {
@@ -154,7 +138,6 @@ mod tests {
         s.record_delivery(2);
         s.record_delivery(4);
         s.record_failure();
-        assert_eq!(s.forwards_of(a), 2);
         assert_eq!(s.max_load(), Some((a, 2)));
         assert_eq!(s.mean_load(), 1.5);
         assert!((s.imbalance() - 2.0 / 1.5).abs() < 1e-12);
@@ -165,22 +148,10 @@ mod tests {
     }
 
     #[test]
-    fn quantiles() {
-        let mut s = LoadStats::new();
-        for h in [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] {
-            s.record_delivery(h);
-        }
-        assert_eq!(s.hop_quantile(0.0), 1);
-        assert_eq!(s.hop_quantile(0.5), 6);
-        assert_eq!(s.hop_quantile(1.0), 10);
-    }
-
-    #[test]
     fn empty_stats_are_calm() {
         let s = LoadStats::new();
         assert_eq!(s.mean_hops(), 0.0);
         assert_eq!(s.imbalance(), 0.0);
-        assert_eq!(s.hop_quantile(0.5), 0);
         assert!(s.max_load().is_none());
     }
 }

@@ -47,7 +47,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use sci_telemetry::{Counter, Registry};
+use sci_telemetry::{catalogue, Counter, Registry};
 use sci_types::{Guid, HashMap, SciError, SciResult, VirtualDuration};
 use sci_wal::codec::{encode_frame, wire, CodecError, Frame, StreamDecoder};
 
@@ -311,22 +311,22 @@ struct NetCounters {
 impl NetCounters {
     fn new(registry: &Registry) -> Self {
         NetCounters {
-            accept_failures: registry.counter("net.tcp.accept_failures"),
-            accepts: registry.counter("net.tcp.accepts"),
-            ack_timeouts: registry.counter("net.tcp.ack_timeouts"),
-            bytes_recv: registry.counter("net.tcp.bytes.recv"),
-            bytes_sent: registry.counter("net.tcp.bytes.sent"),
-            conns: registry.counter("net.tcp.conns"),
-            corrupt_frames: registry.counter("net.tcp.corrupt_frames"),
-            dial_failures: registry.counter("net.tcp.dial_failures"),
-            frames_recv: registry.counter("net.tcp.frames.recv"),
-            frames_sent: registry.counter("net.tcp.frames.sent"),
-            handshake_rejected: registry.counter("net.tcp.handshake.rejected"),
-            handshakes: registry.counter("net.tcp.handshakes"),
-            sync_applied: registry.counter("net.tcp.sync.applied"),
-            sync_rounds: registry.counter("net.tcp.sync.rounds"),
-            unknown_peer: registry.counter("net.tcp.unknown_peer"),
-            write_failures: registry.counter("net.tcp.write_failures"),
+            accept_failures: registry.counter(catalogue::NET_TCP_ACCEPT_FAILURES),
+            accepts: registry.counter(catalogue::NET_TCP_ACCEPTS),
+            ack_timeouts: registry.counter(catalogue::NET_TCP_ACK_TIMEOUTS),
+            bytes_recv: registry.counter(catalogue::NET_TCP_BYTES_RECV),
+            bytes_sent: registry.counter(catalogue::NET_TCP_BYTES_SENT),
+            conns: registry.counter(catalogue::NET_TCP_CONNS),
+            corrupt_frames: registry.counter(catalogue::NET_TCP_CORRUPT_FRAMES),
+            dial_failures: registry.counter(catalogue::NET_TCP_DIAL_FAILURES),
+            frames_recv: registry.counter(catalogue::NET_TCP_FRAMES_RECV),
+            frames_sent: registry.counter(catalogue::NET_TCP_FRAMES_SENT),
+            handshake_rejected: registry.counter(catalogue::NET_TCP_HANDSHAKE_REJECTED),
+            handshakes: registry.counter(catalogue::NET_TCP_HANDSHAKES),
+            sync_applied: registry.counter(catalogue::NET_TCP_SYNC_APPLIED),
+            sync_rounds: registry.counter(catalogue::NET_TCP_SYNC_ROUNDS),
+            unknown_peer: registry.counter(catalogue::NET_TCP_UNKNOWN_PEER),
+            write_failures: registry.counter(catalogue::NET_TCP_WRITE_FAILURES),
         }
     }
 }

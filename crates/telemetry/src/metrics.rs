@@ -9,6 +9,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
+use crate::catalogue::Metric;
 use crate::snapshot::{HistogramSnapshot, TelemetrySnapshot};
 
 /// Number of buckets in a [`Histogram`]: bucket `0` holds zero-valued
@@ -169,25 +170,25 @@ impl Registry {
     }
 
     /// Get or register the counter called `name`.
-    pub fn counter(&self, name: &str) -> Counter {
+    pub fn counter(&self, name: Metric) -> Counter {
         locked(&self.inner.counters)
-            .entry(name.to_string())
+            .entry(name.0.into_owned())
             .or_default()
             .clone()
     }
 
     /// Get or register the gauge called `name`.
-    pub fn gauge(&self, name: &str) -> Gauge {
+    pub fn gauge(&self, name: Metric) -> Gauge {
         locked(&self.inner.gauges)
-            .entry(name.to_string())
+            .entry(name.0.into_owned())
             .or_default()
             .clone()
     }
 
     /// Get or register the histogram called `name`.
-    pub fn histogram(&self, name: &str) -> Histogram {
+    pub fn histogram(&self, name: Metric) -> Histogram {
         locked(&self.inner.histograms)
-            .entry(name.to_string())
+            .entry(name.0.into_owned())
             .or_default()
             .clone()
     }
@@ -221,14 +222,14 @@ mod tests {
     #[test]
     fn counter_and_gauge_basics() {
         let reg = Registry::new();
-        let c = reg.counter("a");
+        let c = reg.counter(Metric::test("a"));
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
         // Same name returns the same underlying instrument.
-        assert_eq!(reg.counter("a").get(), 5);
+        assert_eq!(reg.counter(Metric::test("a")).get(), 5);
 
-        let g = reg.gauge("depth");
+        let g = reg.gauge(Metric::test("depth"));
         g.inc();
         g.inc();
         g.dec();
@@ -259,16 +260,16 @@ mod tests {
     fn registry_clones_share_instruments() {
         let reg = Registry::new();
         let clone = reg.clone();
-        reg.counter("shared").inc();
-        clone.counter("shared").add(2);
+        reg.counter(Metric::test("shared")).inc();
+        clone.counter(Metric::test("shared")).add(2);
         assert_eq!(reg.snapshot().counter("shared"), 3);
     }
 
     #[test]
     fn instruments_are_send_across_threads() {
         let reg = Registry::new();
-        let c = reg.counter("x");
-        let h = reg.histogram("h");
+        let c = reg.counter(Metric::test("x"));
+        let h = reg.histogram(Metric::test("h"));
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let c = c.clone();

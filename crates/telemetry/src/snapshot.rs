@@ -219,14 +219,15 @@ fn escape_json(s: &str) -> String {
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
+    use crate::catalogue::Metric;
     use crate::Registry;
 
     #[test]
     fn snapshot_reads_back_values() {
         let reg = Registry::new();
-        reg.counter("pub").add(7);
-        reg.gauge("depth").set(2);
-        reg.histogram("lat").record(5);
+        reg.counter(Metric::test("pub")).add(7);
+        reg.gauge(Metric::test("depth")).set(2);
+        reg.histogram(Metric::test("lat")).record(5);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("pub"), 7);
         assert_eq!(snap.gauge("depth"), 2);
@@ -239,14 +240,14 @@ mod tests {
     #[test]
     fn merge_sums_by_name_and_keeps_sorted() {
         let a = Registry::new();
-        a.counter("x").add(1);
-        a.counter("z").add(10);
-        a.histogram("h").record(4);
+        a.counter(Metric::test("x")).add(1);
+        a.counter(Metric::test("z")).add(10);
+        a.histogram(Metric::test("h")).record(4);
         let b = Registry::new();
-        b.counter("x").add(2);
-        b.counter("a").add(5);
-        b.histogram("h").record(8);
-        b.gauge("g").set(-1);
+        b.counter(Metric::test("x")).add(2);
+        b.counter(Metric::test("a")).add(5);
+        b.histogram(Metric::test("h")).record(8);
+        b.gauge(Metric::test("g")).set(-1);
 
         let mut snap = a.snapshot();
         snap.merge(&b.snapshot());
@@ -265,8 +266,8 @@ mod tests {
     #[test]
     fn json_rendering_is_deterministic_and_escaped() {
         let reg = Registry::new();
-        reg.counter("a\"b").inc();
-        reg.histogram("lat").record(10);
+        reg.counter(Metric::test("a\"b")).inc();
+        reg.histogram(Metric::test("lat")).record(10);
         let snap = reg.snapshot();
         let json = snap.to_json();
         assert_eq!(json, snap.to_json());
@@ -275,8 +276,8 @@ mod tests {
             "\"lat\": {\"count\": 1, \"sum\": 10, \"mean\": 10.00, \
              \"p50\": 15, \"p90\": 15, \"p99\": 15, \"max\": 15}"
         ));
-        reg.histogram("idle");
-        reg.histogram("lat").record(u64::MAX);
+        reg.histogram(Metric::test("idle"));
+        reg.histogram(Metric::test("lat")).record(u64::MAX);
         let json = reg.snapshot().to_json();
         assert!(json.contains("\"idle\": {\"count\": 0, \"sum\": 0, \"mean\": 0.00}"));
         assert!(json.contains("\"p50\": 15, \"p90\": null, \"p99\": null, \"max\": null}"));
@@ -287,7 +288,7 @@ mod tests {
         // 100 samples: 50 zeros, 40 in [4, 8), 9 in [512, 1024), one
         // beyond the last bucket's floor.
         let reg = Registry::new();
-        let h = reg.histogram("h");
+        let h = reg.histogram(Metric::test("h"));
         let samples = [(0, 50), (5, 40), (700, 9), (u64::MAX, 1)];
         for (v, n) in samples {
             for _ in 0..n {
@@ -305,7 +306,7 @@ mod tests {
         assert_eq!(h.max_bound(), None);
 
         let empty = Registry::new();
-        empty.histogram("h");
+        empty.histogram(Metric::test("h"));
         let empty = empty.snapshot();
         assert_eq!(empty.histogram("h").unwrap().percentile(0.99), Some(0));
     }
@@ -315,8 +316,8 @@ mod tests {
         let (a, b, union) = (Registry::new(), Registry::new(), Registry::new());
         for v in 0..300u64 {
             let part = if v % 3 == 0 { &a } else { &b };
-            part.histogram("h").record(v * v);
-            union.histogram("h").record(v * v);
+            part.histogram(Metric::test("h")).record(v * v);
+            union.histogram(Metric::test("h")).record(v * v);
         }
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());

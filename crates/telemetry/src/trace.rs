@@ -226,11 +226,12 @@ impl Tracer {
 
     /// Open a span; its duration is measured from now until the guard
     /// drops. When disabled, no clock is read and drop is free.
+    #[expect(clippy::disallowed_methods, reason = "telemetry timing")]
     pub fn span(&self, name: &'static str) -> Span<'_> {
         Span {
             tracer: self,
             name,
-            start: self.enabled().then(Instant::now), // sci-lint: allow(wall-clock): telemetry timing
+            start: self.enabled().then(Instant::now),
             fields: Vec::new(),
         }
     }

@@ -34,9 +34,10 @@ impl fmt::Display for Severity {
 /// Codes are append-only: a released code never changes meaning.
 /// `SCI-A0xx` codes come from single-plan verification, `SCI-A1xx`
 /// codes from fleet-level drift detection between analyzed plans and
-/// the live subscription table, and `SCI-A3xx` codes from the
-/// `sci-lint` source-level pass. The `SCI-A2xx` federation-model codes
-/// are all retired: the running relay reports what they predicted.
+/// the live subscription table. The `SCI-A2xx` federation-model codes
+/// are all retired, because the running relay reports what they
+/// predicted, and so are the `SCI-A3xx` source lints, because the
+/// compiler and clippy now keep what they checked.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 #[non_exhaustive]
 pub enum DiagCode {
@@ -71,20 +72,10 @@ pub enum DiagCode {
     // they predicted (`fault.partition_blocks`,
     // `federation.freshness.infeasible`, `net.tcp.unknown_peer`), and
     // SCI-A304 is retired because Rust privacy now keeps the one door:
-    // a Context Server's `*_impl` arms are private to its module. A
-    // retired code is never reused.
-    /// `SCI-A301`: a seeded (deterministic) code path calls a
-    /// nondeterministic source (`Instant::now`, `SystemTime::now`,
-    /// `thread_rng`, …) outside the telemetry allowlist.
-    NondeterministicCall,
-    /// `SCI-A302`: a metric name passed to a telemetry registry does
-    /// not appear in the central metric catalogue.
-    MetricNameDrift,
-    /// `SCI-A305`: library code on the event path builds a map or set on
-    /// `std`'s per-process hasher instead of the one fixed-seed hasher
-    /// ([`crate::DeterministicState`]) — SipHash cost on every lookup,
-    /// and an iteration order that changes from run to run.
-    StdHasher,
+    // a Context Server's `*_impl` arms are private to its module.
+    // SCI-A301 and A305 are retired to `clippy.toml`'s disallowed
+    // methods and types, and SCI-A302 to `catalogue::Metric`, the only
+    // name a registry takes. A retired code is never reused.
 }
 
 impl DiagCode {
@@ -99,9 +90,6 @@ impl DiagCode {
             DiagCode::FanInViolation => "SCI-A006",
             DiagCode::MissingSubscription => "SCI-A101",
             DiagCode::OrphanSubscription => "SCI-A102",
-            DiagCode::NondeterministicCall => "SCI-A301",
-            DiagCode::MetricNameDrift => "SCI-A302",
-            DiagCode::StdHasher => "SCI-A305",
         }
     }
 
@@ -113,10 +101,7 @@ impl DiagCode {
             | DiagCode::DanglingEdge
             | DiagCode::DuplicateBinding
             | DiagCode::FanInViolation
-            | DiagCode::MissingSubscription
-            | DiagCode::NondeterministicCall
-            | DiagCode::MetricNameDrift
-            | DiagCode::StdHasher => Severity::Error,
+            | DiagCode::MissingSubscription => Severity::Error,
             DiagCode::UnreachableNode | DiagCode::OrphanSubscription => Severity::Warning,
         }
     }
@@ -282,9 +267,6 @@ mod tests {
             DiagCode::FanInViolation,
             DiagCode::MissingSubscription,
             DiagCode::OrphanSubscription,
-            DiagCode::NondeterministicCall,
-            DiagCode::MetricNameDrift,
-            DiagCode::StdHasher,
         ];
         let mut codes: Vec<&str> = all.iter().map(DiagCode::code).collect();
         codes.sort_unstable();

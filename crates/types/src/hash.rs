@@ -11,9 +11,11 @@ use std::collections;
 use std::hash::{BuildHasher, Hasher};
 
 /// A hash map whose iteration order is the same on every run.
+#[expect(clippy::disallowed_types, reason = "the one fixed-seed map")]
 pub type HashMap<K, V> = collections::HashMap<K, V, DeterministicState>;
 
 /// A hash set whose iteration order is the same on every run.
+#[expect(clippy::disallowed_types, reason = "the one fixed-seed set")]
 pub type HashSet<T> = collections::HashSet<T, DeterministicState>;
 
 /// The odd multiplier each word is folded with: the first 64 bits of

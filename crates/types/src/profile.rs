@@ -133,11 +133,6 @@ impl Profile {
         self.inputs.is_empty() && !self.outputs.is_empty()
     }
 
-    /// Finds an output port by type.
-    pub fn output_of_type(&self, ty: &ContextType) -> Option<&PortSpec> {
-        self.outputs.iter().find(|p| p.ty == *ty)
-    }
-
     /// Finds an input port by name.
     pub fn input_named(&self, name: &str) -> Option<&PortSpec> {
         self.inputs.iter().find(|p| p.name == name)
@@ -248,10 +243,6 @@ mod tests {
             Some(ContextType::Location)
         );
         assert!(p.input_named("via").is_none());
-        assert_eq!(
-            p.output_of_type(&ContextType::Path).map(|s| s.name.clone()),
-            Some("path".to_owned())
-        );
     }
 
     #[test]

@@ -12,8 +12,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Non-test lines of the Rust source on stdin.
-nontest() { awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }'; }
+# Non-test lines of the Rust source on stdin. It reads to the end: an
+# early exit would close the pipe under `git show`, and with pipefail
+# and -e its SIGPIPE would end the whole count part-way.
+nontest() { awk '/^#\[cfg\(test\)\]/ { done = 1 } !done { n++ } END { print n + 0 }'; }
 
 if [ "${1:-}" = "--since" ]; then
     rev=${2:?usage: scripts/loc.sh --since <rev>}

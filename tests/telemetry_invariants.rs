@@ -180,6 +180,89 @@ fn parallel_federation_snapshot_agrees_with_oracles() {
     fed.shutdown();
 }
 
+/// One event followed across the federation by its own trace key: a
+/// sensor reading ingested at range-0 for an app homed in range-1. The
+/// `ingest` span on range-0's server and the relay's
+/// `federation.deliver` event carry the same `(source, seq)`, and
+/// `e2e.delivery_latency_us` holds one sample per delivery drained,
+/// each the route's latency: the event is produced, ingested and
+/// relayed at the same instant, and arrives one hop later.
+#[test]
+fn one_event_is_followed_from_ingest_to_delivery() {
+    use sci::telemetry::TraceRecord;
+    use sci::types::EventSeq;
+    use std::sync::Arc;
+
+    const HOP_US: u64 = 750;
+    let fields = |rec: &TraceRecord, keys: &[&str]| -> Vec<String> {
+        let fields = match rec {
+            TraceRecord::Span { fields, .. } | TraceRecord::Event { fields, .. } => fields,
+        };
+        keys.iter()
+            .map(|&key| {
+                let (_, value) = fields.iter().find(|(k, _)| k == key).unwrap();
+                value.clone()
+            })
+            .collect()
+    };
+
+    let mut ids = GuidGenerator::seeded(47);
+    let mut net = SimNetwork::new();
+    net.set_hop_latency(VirtualDuration::from_micros(HOP_US));
+    let mut fed = Federation::with_transport(net, 3);
+    let (cs, sensor) = server(0, &mut ids);
+    fed.add_range(cs).unwrap();
+    fed.add_range(server(1, &mut ids).0).unwrap();
+    fed.connect_full();
+    let at_range = Arc::new(RingBufferSubscriber::new(64));
+    let at_relay = Arc::new(RingBufferSubscriber::new(64));
+    fed.server_mut("range-0")
+        .unwrap()
+        .set_tracer(Tracer::new(at_range.clone()));
+    fed.set_tracer(Tracer::new(at_relay.clone()));
+
+    let app = ids.next_guid();
+    let q = Query::builder(ids.next_guid(), app)
+        .info(ContextType::Presence)
+        .in_range("range-0")
+        .mode(Mode::Subscribe)
+        .build();
+    fed.submit_from("range-1", &q, VirtualTime::ZERO).unwrap();
+    let t = VirtualTime::from_secs(3);
+    let event = presence(sensor, 900, t).with_seq(EventSeq(41));
+    fed.ingest_at("range-0", &event, t).unwrap();
+
+    let delivered = fed.deliveries_for(app);
+    assert_eq!(delivered.len(), 1);
+    let key = ["source", "seq"];
+    let ingest: Vec<_> = at_range
+        .records()
+        .iter()
+        .filter(|r| r.name() == "ingest")
+        .map(|r| fields(r, &key))
+        .collect();
+    assert_eq!(ingest, [[sensor.to_string(), "41".to_owned()]]);
+    let deliver: Vec<_> = at_relay
+        .records()
+        .iter()
+        .filter(|r| r.name() == "federation.deliver")
+        .map(|r| fields(r, &["source", "seq", "app", "query"]))
+        .collect();
+    assert_eq!(
+        deliver,
+        [[
+            sensor.to_string(),
+            "41".to_owned(),
+            app.to_string(),
+            q.id.to_string()
+        ]]
+    );
+    let e2e = fed.snapshot();
+    let e2e = e2e.histogram("e2e.delivery_latency_us").unwrap();
+    assert_eq!(e2e.count, delivered.len() as u64);
+    assert_eq!(e2e.sum, HOP_US * e2e.count, "one hop, no queueing");
+}
+
 /// A snapshot has two halves — serialising the payload and storing it
 /// — timed apart so neither hides the other: `wal.snapshot.encode_us`
 /// and `wal.snapshot_us` count the same snapshots, the one `attach`
@@ -254,10 +337,10 @@ fn panic_isolation_increments_exactly_one_counter() {
 }
 
 /// Every instrument name a live federated workload registers must be
-/// listed in the central catalogue (`sci-telemetry::catalogue`) — the
-/// same table the `sci-lint` SCI-A302 pass audits source literals
-/// against. A name in the snapshot but not the catalogue means the
-/// catalogue (or the lint) has drifted from reality.
+/// listed in the central catalogue (`sci-telemetry::catalogue`). A
+/// registry takes only a catalogued `Metric`, so the compiler already
+/// refuses a stray literal; this checks the runtime side, the
+/// `range.cmd.*` families included, against the same table.
 #[test]
 fn every_snapshot_name_is_catalogued() {
     use sci::telemetry::catalogue;
