@@ -7,12 +7,11 @@
 //! through both drivers for ranges ∈ {1, 2, 4, 8, 16} and reports
 //! end-to-end event throughput.
 //!
-//! Besides the Criterion timings, the harness writes the shape rows to
-//! `BENCH_federation.json` at the repo root — the machine-readable perf
-//! trajectory documented in `EXPERIMENTS.md` (§E10). The file records
-//! `available_cores`: the speedup ceiling is `min(ranges, cores)`, so
-//! on a single-core container the parallel driver can only show its
-//! pipelining win, not true multi-core scaling.
+//! Besides the Criterion timings, the harness prints the shape rows,
+//! discussed in `EXPERIMENTS.md` (§E10), with `available_cores`: the
+//! speedup ceiling is `min(ranges, cores)`, so on a single-core
+//! container the parallel driver can only show its pipelining win,
+//! not true multi-core scaling.
 //!
 //! Each row also carries the parallel driver's per-phase breakdown,
 //! read as histogram-sum deltas from the federation telemetry snapshot
@@ -22,16 +21,12 @@
 //! mailbox the run observed (`range.mailbox.highwater`). When the
 //! highwater pins at the mailbox capacity, `cast_us` is dominated by
 //! backpressure blocking rather than enqueue cost (see EXPERIMENTS.md
-//! §E10 on the 16-range spike). The final snapshot rides along under
-//! `telemetry`.
+//! §E10 on the 16-range spike).
 //!
-//! Two row groups are emitted. `"relay"` is the historical barrier
-//! shape (per-event `ingest_at`, one big `sync`), kept for
-//! cross-version comparability. `"stream"` is the streaming shape
+//! Two tables are printed. The first is the barrier shape (per-event
+//! `ingest_at`, one big `sync`). The second is the streaming shape
 //! (per-range `ingest_batch_at`, free-running `pump_streams` rounds, a
-//! closing `sync`) and reports `sustained_kevents_s` — the
-//! steady-state throughput the CI gate protects (a regression is a
-//! throughput *drop*, not a time increase).
+//! closing `sync`) and reports the sustained throughput.
 
 use std::time::{Duration, Instant};
 
@@ -324,8 +319,7 @@ impl StreamRow {
     }
 }
 
-fn measure_rows() -> (Vec<Row>, Vec<StreamRow>, TelemetrySnapshot) {
-    let mut last_snapshot = TelemetrySnapshot::default();
+fn measure_rows() -> (Vec<Row>, Vec<StreamRow>) {
     let mut stream_rows = Vec::new();
     let rows = RANGE_SWEEP
         .iter()
@@ -354,8 +348,8 @@ fn measure_rows() -> (Vec<Row>, Vec<StreamRow>, TelemetrySnapshot) {
             let s_before = phase_sums(&stream.fed.snapshot());
             let (stream_t, stream_n) = streaming_batch(&mut stream, EVENTS_PER_RANGE);
             assert_eq!(stream_n as u64, events, "streaming loses deliveries");
-            last_snapshot = stream.fed.snapshot();
-            let s_after = phase_sums(&last_snapshot);
+            let s_snap = stream.fed.snapshot();
+            let s_after = phase_sums(&s_snap);
             stream.fed.shutdown();
 
             stream_rows.push(StreamRow {
@@ -365,7 +359,7 @@ fn measure_rows() -> (Vec<Row>, Vec<StreamRow>, TelemetrySnapshot) {
                 stream_us: stream_t.as_secs_f64() * 1e6,
                 cast_us: s_after[0].saturating_sub(s_before[0]),
                 pump_us: s_after[3].saturating_sub(s_before[3]),
-                mailbox_highwater: last_snapshot.gauge("range.mailbox.highwater"),
+                mailbox_highwater: s_snap.gauge("range.mailbox.highwater"),
             });
 
             Row {
@@ -380,73 +374,13 @@ fn measure_rows() -> (Vec<Row>, Vec<StreamRow>, TelemetrySnapshot) {
             }
         })
         .collect();
-    (rows, stream_rows, last_snapshot)
+    (rows, stream_rows)
 }
 
 fn available_cores() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-fn write_json(rows: &[Row], stream_rows: &[StreamRow], snapshot: &TelemetrySnapshot) {
-    let mut body: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"group\": \"relay\", \"ranges\": {}, \"events\": {}, \
-                 \"serial_us\": {:.1}, \"parallel_us\": {:.1}, \"speedup\": {:.2}, \
-                 \"serial_kevents_s\": {:.1}, \"parallel_kevents_s\": {:.1}, \
-                 \"cast_us\": {}, \"barrier_us\": {}, \"relay_us\": {}, \
-                 \"mailbox_highwater\": {}}}",
-                r.ranges,
-                r.events,
-                r.serial_us,
-                r.parallel_us,
-                r.speedup(),
-                r.serial_keps(),
-                r.parallel_keps(),
-                r.cast_us,
-                r.barrier_us,
-                r.relay_us,
-                r.mailbox_highwater
-            )
-        })
-        .collect();
-    // The streaming rows ride alongside the barrier-mode rows so the
-    // perf trajectory keeps both shapes comparable across PRs.
-    body.extend(stream_rows.iter().map(|r| {
-        format!(
-            "    {{\"group\": \"stream\", \"ranges\": {}, \"events\": {}, \
-             \"rounds\": {}, \"serial_us\": {:.1}, \"stream_us\": {:.1}, \
-             \"speedup\": {:.2}, \"sustained_kevents_s\": {:.1}, \
-             \"cast_us\": {}, \"pump_us\": {}, \"mailbox_highwater\": {}}}",
-            r.ranges,
-            r.events,
-            STREAM_ROUNDS,
-            r.serial_us,
-            r.stream_us,
-            r.speedup(),
-            r.sustained_keps(),
-            r.cast_us,
-            r.pump_us,
-            r.mailbox_highwater
-        )
-    }));
-    let json = format!(
-        "{{\n  \"experiment\": \"e10_federation_parallel\",\n  \"unit\": \"us\",\n  \
-         \"available_cores\": {},\n  \"events_per_range\": {},\n  \"rows\": [\n{}\n  ],\n  \
-         \"telemetry\": {}\n}}\n",
-        available_cores(),
-        EVENTS_PER_RANGE,
-        body.join(",\n"),
-        snapshot.to_json()
-    );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_federation.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
 }
 
 fn print_shape_table(rows: &[Row]) {
@@ -520,10 +454,9 @@ fn print_stream_table(rows: &[StreamRow]) {
 }
 
 fn bench_parallel_federation(c: &mut Criterion) {
-    let (rows, stream_rows, snapshot) = measure_rows();
+    let (rows, stream_rows) = measure_rows();
     print_shape_table(&rows);
     print_stream_table(&stream_rows);
-    write_json(&rows, &stream_rows, &snapshot);
 
     let mut group = c.benchmark_group("e10_relay_batch");
     for ranges in [4usize, 8] {

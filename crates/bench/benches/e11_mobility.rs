@@ -20,10 +20,8 @@
 //!   (allocator reuse makes later rows an underestimate; the first row
 //!   is the honest one).
 //!
-//! Shape rows land in `BENCH_mobility.json` at the repo root — the
-//! machine-readable trajectory `scripts/bench_compare.py` gates
-//! (handoff p99 and sustained throughput, direction-aware), documented
-//! field-by-field in `docs/performance.md`.
+//! The rows are printed, not stored: no judged workload migrates yet,
+//! so this bench is the one migration measurement, read by hand.
 
 use std::time::{Duration, Instant};
 
@@ -249,9 +247,7 @@ fn handoff(rig: &mut MobilityRig, m: usize, to: usize) -> Duration {
 
 struct Row {
     ranges: usize,
-    entities_per_range: u64,
     moves: usize,
-    events: u64,
     handoff_p50_us: f64,
     handoff_p99_us: f64,
     sustained_kevents_s: f64,
@@ -319,9 +315,7 @@ fn measure_row(ranges: usize) -> Row {
     handoffs_us.sort_by(f64::total_cmp);
     Row {
         ranges,
-        entities_per_range: ENTITIES_PER_RANGE,
         moves: handoffs_us.len(),
-        events,
         handoff_p50_us: percentile(&handoffs_us, 0.50),
         handoff_p99_us: percentile(&handoffs_us, 0.99),
         sustained_kevents_s: events as f64 / elapsed / 1e3,
@@ -334,44 +328,6 @@ fn available_cores() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-fn write_json(rows: &[Row]) {
-    let body: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"group\": \"mobility\", \"ranges\": {}, \
-                 \"entities_per_range\": {}, \"moves\": {}, \"events\": {}, \
-                 \"handoff_p50_us\": {:.1}, \"handoff_p99_us\": {:.1}, \
-                 \"sustained_kevents_s\": {:.1}, \"bytes_per_entity\": {:.1}, \
-                 \"deliveries\": {}}}",
-                r.ranges,
-                r.entities_per_range,
-                r.moves,
-                r.events,
-                r.handoff_p50_us,
-                r.handoff_p99_us,
-                r.sustained_kevents_s,
-                r.bytes_per_entity,
-                r.deliveries
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"e11_mobility\",\n  \"unit\": \"us\",\n  \
-         \"available_cores\": {},\n  \"movers\": {},\n  \"zipf_s\": {},\n  \
-         \"rows\": [\n{}\n  ]\n}}\n",
-        available_cores(),
-        MOVERS,
-        ZIPF_S,
-        body.join(",\n")
-    );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_mobility.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
 }
 
 fn print_table(rows: &[Row]) {
@@ -410,7 +366,6 @@ fn print_table(rows: &[Row]) {
 fn bench_mobility(c: &mut Criterion) {
     let rows: Vec<Row> = RANGE_SWEEP.iter().map(|&r| measure_row(r)).collect();
     print_table(&rows);
-    write_json(&rows);
 
     // The Criterion group keeps a cheap steady-state probe: one hot
     // mover ping-ponging between two pre-built ranges.

@@ -3,78 +3,20 @@
 //! when using hierarchical infrastructures whilst achieving comparable
 //! performance."
 //!
-//! Sweeps network size, routes an identical uniform traffic matrix over
-//! the overlay and over a balanced 4-ary hierarchy, and reports hop
-//! counts (the "comparable performance" half) and maximum per-node
-//! forwarding load (the "bottleneck" half). Criterion then times routing
-//! throughput on both arrangements.
+//! The hop counts (the "comparable performance" half) and maximum
+//! per-node forwarding loads (the "bottleneck" half) of an identical
+//! uniform traffic matrix over the overlay and over a balanced 4-ary
+//! hierarchy are counts, pinned by `tests/golden.rs` in
+//! `tests/fixtures/golden/figures.txt`. This bench times routing on
+//! both arrangements over the same fixtures.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use sci_bench::{build_overlay, traffic};
 use sci_overlay::hierarchy::HierarchicalNetwork;
 use sci_overlay::net::SimNetwork;
 use sci_types::guid::GuidGenerator;
-use sci_types::Guid;
-
-const MESSAGES_PER_NODE: usize = 16;
-
-fn build_overlay(n: usize, seed: u64) -> (SimNetwork, Vec<Guid>) {
-    let mut net = SimNetwork::new();
-    let mut ids = GuidGenerator::seeded(seed);
-    let guids: Vec<Guid> = (0..n)
-        .map(|i| {
-            let g = ids.next_guid();
-            net.add_node(g, format!("r{i}")).expect("fresh");
-            g
-        })
-        .collect();
-    net.populate_full();
-    (net, guids)
-}
-
-fn traffic(guids: &[Guid]) -> Vec<(Guid, Guid)> {
-    let n = guids.len();
-    let mut pairs = Vec::with_capacity(n * MESSAGES_PER_NODE);
-    for (i, &src) in guids.iter().enumerate() {
-        for k in 1..=MESSAGES_PER_NODE {
-            let dst = guids[(i + k * 131) % n];
-            if dst != src {
-                pairs.push((src, dst));
-            }
-        }
-    }
-    pairs
-}
-
-fn print_shape_table() {
-    println!("\nE1: overlay vs hierarchy — uniform traffic, {MESSAGES_PER_NODE} msgs/node");
-    println!(
-        "{:>6} | {:>12} {:>12} | {:>10} {:>10} | {:>10} {:>10}",
-        "N", "ovl hops", "tree hops", "ovl max", "tree max", "ovl imb", "tree imb"
-    );
-    for n in [16usize, 32, 64, 128, 256, 512, 1024] {
-        let (mut net, guids) = build_overlay(n, 42);
-        let mut tree = HierarchicalNetwork::new(guids.iter().copied(), 4);
-        for (src, dst) in traffic(&guids) {
-            net.route(src, dst).expect("routable");
-            tree.route(src, dst).expect("routable");
-        }
-        println!(
-            "{:>6} | {:>12.2} {:>12.2} | {:>10} {:>10} | {:>10.2} {:>10.2}",
-            n,
-            net.stats().mean_hops(),
-            tree.stats().mean_hops(),
-            net.stats().max_load().map(|(_, c)| c).unwrap_or(0),
-            tree.stats().max_load().map(|(_, c)| c).unwrap_or(0),
-            net.stats().imbalance(),
-            tree.stats().imbalance(),
-        );
-    }
-    println!();
-}
 
 fn bench_routing(c: &mut Criterion) {
-    print_shape_table();
-
     let mut group = c.benchmark_group("e1_route");
     for n in [64usize, 256, 1024] {
         let (net, guids) = build_overlay(n, 42);

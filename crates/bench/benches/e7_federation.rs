@@ -1,88 +1,15 @@
 //! E7 — scalability across ranges (Section 3's scalability goal and the
-//! CAPA forwarding pattern): end-to-end federated query latency and hop
-//! counts as the number of ranges grows.
+//! CAPA forwarding pattern): federated query latency as the number of
+//! ranges grows. The round trips' hop counts are pinned by
+//! `tests/golden.rs` in `tests/fixtures/golden/figures.txt`, from the
+//! same fixtures.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sci_core::context_server::ContextServer;
-use sci_core::federation::Federation;
-use sci_location::{FloorPlan, Rect};
+use sci_bench::{build_federation, forward_once};
 use sci_query::{Mode, Query};
-use sci_types::guid::GuidGenerator;
-use sci_types::{ContextType, ContextValue, Coord, EntityKind, PortSpec, Profile, VirtualTime};
-
-fn build_federation(ranges: usize, seed: u64) -> (Federation, GuidGenerator) {
-    let mut ids = GuidGenerator::seeded(seed);
-    let mut fed = Federation::new(seed);
-    for i in 0..ranges {
-        let plan = FloorPlan::builder("campus")
-            .zone(format!("wing-{i}"))
-            .room(
-                format!("hall-{i}"),
-                Rect::with_size(Coord::new(0.0, 0.0), 20.0, 10.0),
-            )
-            .build()
-            .expect("static plan");
-        let mut cs = ContextServer::new(ids.next_guid(), format!("range-{i}"), plan);
-        let sensor = ids.next_guid();
-        cs.register(
-            Profile::builder(sensor, EntityKind::Device, format!("sensor-{i}"))
-                .output(PortSpec::new("p", ContextType::Presence))
-                .attribute("service", ContextValue::text("sensing"))
-                .build(),
-            VirtualTime::ZERO,
-        )
-        .expect("fresh");
-        fed.add_range(cs).expect("unique");
-    }
-    fed.connect_full();
-    (fed, ids)
-}
-
-fn forward_once(fed: &mut Federation, ids: &mut GuidGenerator, from: usize, to: usize) -> u32 {
-    let app = ids.next_guid();
-    let q = Query::builder(ids.next_guid(), app)
-        .kind(EntityKind::Device)
-        .in_range(format!("range-{to}"))
-        .all()
-        .mode(Mode::Profile)
-        .build();
-    fed.submit_from(&format!("range-{from}"), &q, VirtualTime::ZERO)
-        .expect("routes")
-        .hops
-}
-
-fn print_shape_table() {
-    println!("\nE7: federated query round-trips vs number of ranges");
-    println!(
-        "{:>8} | {:>12} {:>14}",
-        "ranges", "mean hops", "per query (us)"
-    );
-    for ranges in [2usize, 8, 32, 128] {
-        let (mut fed, mut ids) = build_federation(ranges, 17);
-        let trials = 100;
-        let mut hops = 0u32;
-        let start = std::time::Instant::now();
-        for k in 0..trials {
-            let from = k % ranges;
-            let to = (k * 13 + 1) % ranges;
-            if from == to {
-                continue;
-            }
-            hops += forward_once(&mut fed, &mut ids, from, to);
-        }
-        println!(
-            "{:>8} | {:>12.2} {:>14.1}",
-            ranges,
-            f64::from(hops) / trials as f64,
-            start.elapsed().as_micros() as f64 / trials as f64
-        );
-    }
-    println!();
-}
+use sci_types::{ContextType, ContextValue, VirtualTime};
 
 fn bench_federation(c: &mut Criterion) {
-    print_shape_table();
-
     let mut group = c.benchmark_group("e7_forwarded_query");
     for ranges in [4usize, 32, 128] {
         group.bench_with_input(BenchmarkId::from_parameter(ranges), &ranges, |b, &n| {

@@ -1383,6 +1383,20 @@ impl ContextServer {
                         let seq = instance.seq;
                         instance.seq = seq.next();
                         let derived = ContextEvent::new(target, ty, payload, now).with_seq(seq);
+                        // The derived event's trace key, joined to the
+                        // key of the event that fired it.
+                        let tracer = self.metrics.tracer();
+                        if tracer.enabled() {
+                            tracer.event(
+                                "derive",
+                                &[
+                                    ("source", target.to_string()),
+                                    ("seq", seq.0.to_string()),
+                                    ("cause_source", delivery.event.source.to_string()),
+                                    ("cause_seq", delivery.event.seq.0.to_string()),
+                                ],
+                            );
+                        }
                         self.history.record(&derived);
                         queue.push_back(derived);
                     }
@@ -1455,14 +1469,6 @@ impl ContextServer {
     /// Number of stored deferred queries.
     pub fn deferred_count(&self) -> usize {
         self.deferred.len()
-    }
-
-    /// Age of the oldest stored deferred query, if any.
-    pub fn oldest_deferred_age(&self, now: VirtualTime) -> Option<VirtualDuration> {
-        self.deferred
-            .iter()
-            .map(|d| now.saturating_since(d.stored_at))
-            .max()
     }
 
     /// Marks a CE failed: the wiring rule stops naming it until it
@@ -2490,11 +2496,6 @@ mod tests {
         let t20 = VirtualTime::from_secs(20);
         let packet = home.cs.migrate_out(app, t20).unwrap();
         away.cs.migrate_in(packet, t20).unwrap();
-        assert_eq!(
-            away.cs.oldest_deferred_age(t20),
-            Some(VirtualDuration::from_secs(20)),
-            "stored at t=0, wherever it is stored now"
-        );
         assert_eq!(away.cs.poll_timers(VirtualTime::from_secs(29)).unwrap(), 0);
         assert_eq!(away.cs.poll_timers(VirtualTime::from_secs(30)).unwrap(), 1);
         assert_eq!(home.cs.poll_timers(VirtualTime::from_secs(60)).unwrap(), 0);

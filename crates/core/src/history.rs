@@ -247,18 +247,6 @@ impl ContextStore {
             .unwrap_or_default()
     }
 
-    /// Every subject with stored history of `ty`.
-    pub fn subjects_of(&self, ty: &ContextType) -> Vec<Guid> {
-        let mut out: Vec<Guid> = self
-            .entries
-            .keys()
-            .filter(|k| k.ty == *ty)
-            .filter_map(|k| k.subject)
-            .collect();
-        out.sort();
-        out
-    }
-
     /// Every bucket, in [`ContextStore::export`] order.
     fn in_order(&self) -> impl Iterator<Item = &Bucket> {
         let mut buckets: Vec<(&HistoryKey, &Bucket)> = self.entries.iter().collect();
@@ -353,7 +341,6 @@ mod tests {
             2
         );
         assert!(store.last(&ContextType::Location, None).is_none());
-        assert_eq!(store.subjects_of(&ContextType::Location), vec![bob]);
     }
 
     #[test]
@@ -413,7 +400,6 @@ mod tests {
                 .and_then(|e| e.payload.field("tag").and_then(ContextValue::as_int)),
             Some(10)
         );
-        assert_eq!(store.subjects_of(&ContextType::Location), vec![a, b]);
     }
 
     fn recorded(events: &[ContextEvent], depth: usize) -> ContextStore {

@@ -185,7 +185,7 @@ impl EventBus {
     /// Starts recording publish/deliver counters and the fan-out
     /// distribution into `registry` (`bus.publish.count`,
     /// `bus.candidates.count`, `bus.deliver.count`, `bus.fanout`).
-    /// Deliberately counters-only: this bus is the E9 hot path, so no
+    /// Deliberately counters-only: this bus is the range's hot path, so no
     /// clocks are read here — publish latency is measured by the callers
     /// that wrap it.
     pub fn attach_telemetry(&mut self, registry: &Registry) {

@@ -6,9 +6,7 @@
 //! through its topic index — but its behaviour defines the
 //! semantics the index must reproduce. The property tests
 //! (`crates/event/tests/prop_index.rs`) drive both buses through
-//! arbitrary interleavings and require identical [`Delivery`] sequences,
-//! and the `e9_dispatch` bench uses it as the baseline the index is
-//! measured against.
+//! arbitrary interleavings and require identical [`Delivery`] sequences.
 
 use sci_types::{ContextEvent, Guid, SciError, SciResult};
 

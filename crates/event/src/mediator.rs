@@ -176,11 +176,6 @@ impl EventMediator {
     pub fn bus(&self) -> &EventBus {
         &self.bus
     }
-
-    /// Number of publishers under liveness tracking.
-    pub fn tracked_publishers(&self) -> usize {
-        self.publishers.len()
-    }
 }
 
 #[cfg(test)]
@@ -244,7 +239,6 @@ mod tests {
         m.subscribe(entity, Topic::of_type(ContextType::Path), false);
         m.track_publisher(entity, VirtualDuration::from_secs(1), VirtualTime::ZERO);
         assert_eq!(m.purge_entity(entity), 2);
-        assert_eq!(m.tracked_publishers(), 0);
         assert!(m.silent_publishers(VirtualTime::from_secs(100)).is_empty());
     }
 

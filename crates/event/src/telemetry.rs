@@ -1,7 +1,7 @@
 //! The bus's instrument bundle.
 //!
-//! [`crate::bus::EventBus`] sits on the Range hot path (E9 measures it
-//! in the hundreds of nanoseconds), so its bundle is counters-only — no
+//! [`crate::bus::EventBus`] sits on the Range hot path (a publish costs
+//! hundreds of nanoseconds), so its bundle is counters-only — no
 //! clock reads. Publish→deliver *latency* is recorded one level up, by
 //! [`crate::mediator::EventMediator`], where a publish already costs
 //! enough that two `Instant::now` calls disappear into the noise.

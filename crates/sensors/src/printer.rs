@@ -169,12 +169,6 @@ impl Printer {
         self.status_event(now)
     }
 
-    /// Reloads paper; returns a status event.
-    pub fn load_paper(&mut self, now: VirtualTime) -> ContextEvent {
-        self.has_paper = true;
-        self.status_event(now)
-    }
-
     /// Advances printing by `dt`. Emits a status event if the externally
     /// visible state changed (queue length or completion).
     pub fn tick(&mut self, now: VirtualTime, dt: VirtualDuration) -> Vec<ContextEvent> {
@@ -276,10 +270,6 @@ mod tests {
             .tick(VirtualTime::from_secs(10), VirtualDuration::from_secs(10))
             .is_empty());
         assert_eq!(p.queue_len(), 1);
-        p.load_paper(VirtualTime::from_secs(10));
-        let events = p.tick(VirtualTime::from_secs(11), VirtualDuration::from_secs(1));
-        assert_eq!(events.len(), 1);
-        assert_eq!(p.completed().len(), 1);
     }
 
     #[test]

@@ -39,17 +39,6 @@ impl TemperatureSensor {
         }
     }
 
-    /// Sets the reporting period (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero period, which would emit unboundedly.
-    pub fn with_period(mut self, period: VirtualDuration) -> Self {
-        assert!(!period.is_zero(), "reporting period must be positive");
-        self.period = period;
-        self
-    }
-
     /// The sensor's entity GUID.
     pub fn id(&self) -> Guid {
         self.id
@@ -99,8 +88,7 @@ mod tests {
 
     #[test]
     fn emits_once_per_period() {
-        let mut s = TemperatureSensor::new(Guid::from_u128(7), "L10.01")
-            .with_period(VirtualDuration::from_secs(10));
+        let mut s = TemperatureSensor::new(Guid::from_u128(7), "L10.01");
         let first = s.tick(VirtualTime::from_secs(35));
         assert_eq!(first.len(), 4, "t=0,10,20,30");
         let second = s.tick(VirtualTime::from_secs(35));
@@ -142,11 +130,5 @@ mod tests {
             Some("celsius".to_owned())
         );
         assert_eq!(ev.topic, ContextType::Temperature);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_period_rejected() {
-        let _ = TemperatureSensor::new(Guid::from_u128(1), "x").with_period(VirtualDuration::ZERO);
     }
 }

@@ -138,12 +138,6 @@ impl BaseStation {
         }
         events
     }
-
-    /// Drops a device from the association table without an event (used
-    /// when a device is despawned from the world).
-    pub fn forget(&mut self, device: Guid) {
-        self.associated.remove(&device);
-    }
 }
 
 #[cfg(test)]
@@ -215,17 +209,5 @@ mod tests {
             .and_then(ContextValue::as_float)
             .unwrap();
         assert!(near_rssi > far_rssi);
-    }
-
-    #[test]
-    fn forget_suppresses_disassociation_event() {
-        let mut bs = station();
-        let pda = Guid::from_u128(1);
-        bs.observe(pda, Coord::new(0.0, 0.0), VirtualTime::ZERO);
-        bs.forget(pda);
-        assert!(!bs.is_associated(pda));
-        // Re-entering associates again.
-        let events = bs.observe(pda, Coord::new(1.0, 0.0), VirtualTime::from_secs(1));
-        assert_eq!(events.len(), 2);
     }
 }

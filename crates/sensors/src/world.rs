@@ -77,30 +77,6 @@ impl World {
         Ok(())
     }
 
-    /// Removes a person (e.g. they left the building). Base stations
-    /// silently forget them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SciError::UnknownEntity`] if they are not present.
-    pub fn despawn_person(&mut self, id: Guid) -> SciResult<SimPerson> {
-        let idx = *self
-            .people_index
-            .get(&id)
-            .ok_or(SciError::UnknownEntity(id))?;
-        let person = self.people.remove(idx);
-        self.people_index.remove(&id);
-        // Reindex the tail.
-        for (i, p) in self.people.iter().enumerate().skip(idx) {
-            self.people_index.insert(p.id, i);
-        }
-        self.tracker.clear_position(id);
-        for bs in &mut self.stations {
-            bs.forget(id);
-        }
-        Ok(person)
-    }
-
     /// Read access to a person.
     pub fn person(&self, id: Guid) -> Option<&SimPerson> {
         self.people_index.get(&id).map(|&i| &self.people[i])
@@ -343,29 +319,6 @@ mod tests {
                 .and_then(|v| v.as_text().map(str::to_owned))
                 == Some("associate".to_owned())
         }));
-    }
-
-    #[test]
-    fn despawn_cleans_everything() {
-        let (mut world, mut ids) = world_with_sensors();
-        world.add_base_station(BaseStation::new(
-            ids.next_guid(),
-            "bs",
-            Circle::new(Coord::new(4.0, 1.0), 50.0),
-        ));
-        let bob = ids.next_guid();
-        world
-            .spawn_person(SimPerson::new(bob, "Bob", Coord::new(4.0, 1.0)))
-            .unwrap();
-        world
-            .tick(VirtualTime::ZERO, VirtualDuration::from_secs(1))
-            .unwrap();
-        assert!(world.base_stations()[0].is_associated(bob));
-        world.despawn_person(bob).unwrap();
-        assert!(world.person(bob).is_none());
-        assert!(world.position_of(bob).is_none());
-        assert!(!world.base_stations()[0].is_associated(bob));
-        assert!(world.despawn_person(bob).is_err());
     }
 
     #[test]

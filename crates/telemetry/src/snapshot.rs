@@ -1,7 +1,6 @@
 //! Frozen registry state: mergeable, comparable, serialisable.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use crate::metrics::HISTOGRAM_BUCKETS;
 
@@ -143,77 +142,6 @@ impl TelemetrySnapshot {
         }
         self.histograms = hists.into_values().collect();
     }
-
-    /// Render as a deterministic single JSON object (the same
-    /// hand-rolled JSON-line convention the benches use for
-    /// `BENCH_*.json`). A non-empty histogram also prints its `p50`,
-    /// `p90`, `p99` and `max` bucket bounds
-    /// ([`HistogramSnapshot::percentile`]); `null` is the open-ended
-    /// last bucket.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str("\"counters\": {");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{}\": {v}", escape_json(name));
-        }
-        out.push_str("}, \"gauges\": {");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{}\": {v}", escape_json(name));
-        }
-        out.push_str("}, \"histograms\": {");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "\"{}\": {{\"count\": {}, \"sum\": {}, \"mean\": {:.2}",
-                escape_json(&h.name),
-                h.count,
-                h.sum,
-                h.mean()
-            );
-            if h.count > 0 {
-                let bounds = [
-                    ("p50", h.percentile(0.5)),
-                    ("p90", h.percentile(0.9)),
-                    ("p99", h.percentile(0.99)),
-                    ("max", h.max_bound()),
-                ];
-                for (label, bound) in bounds {
-                    let bound = bound.map_or_else(|| "null".to_owned(), |v| v.to_string());
-                    let _ = write!(out, ", \"{label}\": {bound}");
-                }
-            }
-            out.push('}');
-        }
-        out.push_str("}}");
-        out
-    }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -261,26 +189,6 @@ mod tests {
         let mut sorted = names.clone();
         sorted.sort();
         assert_eq!(names, sorted);
-    }
-
-    #[test]
-    fn json_rendering_is_deterministic_and_escaped() {
-        let reg = Registry::new();
-        reg.counter(Metric::test("a\"b")).inc();
-        reg.histogram(Metric::test("lat")).record(10);
-        let snap = reg.snapshot();
-        let json = snap.to_json();
-        assert_eq!(json, snap.to_json());
-        assert!(json.contains("\"a\\\"b\": 1"));
-        assert!(json.contains(
-            "\"lat\": {\"count\": 1, \"sum\": 10, \"mean\": 10.00, \
-             \"p50\": 15, \"p90\": 15, \"p99\": 15, \"max\": 15}"
-        ));
-        reg.histogram(Metric::test("idle"));
-        reg.histogram(Metric::test("lat")).record(u64::MAX);
-        let json = reg.snapshot().to_json();
-        assert!(json.contains("\"idle\": {\"count\": 0, \"sum\": 0, \"mean\": 0.00}"));
-        assert!(json.contains("\"p50\": 15, \"p90\": null, \"p99\": null, \"max\": null}"));
     }
 
     #[test]

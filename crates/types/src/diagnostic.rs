@@ -205,11 +205,6 @@ impl AnalysisReport {
         self.diagnostics.iter().filter(|d| d.is_error())
     }
 
-    /// Warning-severity findings.
-    pub fn warnings(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics.iter().filter(|d| !d.is_error())
-    }
-
     /// Returns `true` when no findings at all were produced.
     pub fn is_clean(&self) -> bool {
         self.diagnostics.is_empty()
@@ -295,7 +290,6 @@ mod tests {
         assert!(report.has_code(DiagCode::TypeMismatch));
         assert!(!report.has_code(DiagCode::SubscriptionCycle));
         assert_eq!(report.errors().count(), 1);
-        assert_eq!(report.warnings().count(), 1);
         assert!(report.summary().starts_with("SCI-A001"));
         let rendered = report.to_string();
         assert!(rendered.contains("SCI-A004"));

@@ -880,6 +880,60 @@ fn killed_range_recovers_from_wal_and_redelivers_exactly_once() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A durable range on the streaming path — batched ingest, one WAL
+/// append per batch under the shipping `EveryN(32)`, free-running
+/// pumps and one closing sync — delivers every event to its subscriber.
+#[test]
+fn a_durable_range_streams_every_batched_event() {
+    const BATCHES: u64 = 40;
+    const BATCH: u64 = 25;
+    let dir = tmpdir("stream");
+    let config = DurabilityConfig {
+        fsync: FsyncPolicy::EveryN(32),
+        snapshot_every: 0,
+        ..DurabilityConfig::new(&dir)
+    };
+    let sensor = Guid::from_u128(0x5E76);
+    let mut cs = ContextServer::new(Guid::from_u128(0xE12), "range-0", fed_plan(0));
+    cs.register(
+        Profile::builder(sensor, EntityKind::Device, "sensor-0")
+            .output(PortSpec::new("presence", ContextType::Presence))
+            .build(),
+        VirtualTime::ZERO,
+    )
+    .unwrap();
+    durability::attach(&mut cs, &config, VirtualTime::ZERO).unwrap();
+    let mut fed = ParallelFederation::new(12);
+    fed.add_range(cs).unwrap();
+    let app = Guid::from_u128(0xA77);
+    let q = Query::builder(Guid::from_u128(0x300), app)
+        .info(ContextType::Presence)
+        .mode(Mode::Subscribe)
+        .build();
+    fed.submit_from("range-0", &q, VirtualTime::ZERO).unwrap();
+
+    let mut clock = 0;
+    for _ in 0..BATCHES {
+        let batch: Vec<ContextEvent> = (0..BATCH)
+            .map(|_| {
+                clock += 1;
+                presence(sensor, u128::from(clock), VirtualTime::from_micros(clock))
+            })
+            .collect();
+        let now = VirtualTime::from_micros(clock);
+        fed.ingest_batch_at("range-0", &batch, now).unwrap();
+        fed.pump_streams(now).unwrap();
+    }
+    fed.sync(VirtualTime::from_micros(clock)).unwrap();
+    assert_eq!(fed.deliveries_for(app).len() as u64, BATCHES * BATCH);
+    assert!(
+        fed.snapshot().counter("wal.bytes") > 0,
+        "the batches were logged"
+    );
+    fed.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // Scenario 3: one replay path — supervised restart is recovery from the
 // range's own log, on disk or in memory.

@@ -17,6 +17,14 @@
 //!   and after restoring a small seeded range from a snapshot of at
 //!   least 4 KiB (so the CRC runs in lanes).
 //!
+//! `tests/fixtures/golden/figures.txt` holds the paper's count figures
+//! as the tables `EXPERIMENTS.md` copies: E1's overlay-vs-tree hops,
+//! maximum loads and imbalance, and E7's round-trip hops, from the
+//! fixtures the `sci-bench` Criterion benches time. Beside the pin,
+//! the test asserts the shape of the paper's §3 claim. (E6's and E8's
+//! shapes are asserted by `tests/failover.rs` and by
+//! `tests/composition.rs::reuse_ablation_changes_instance_growth`.)
+//!
 //! `tests/fixtures/golden/<example>.stdout` is each example's full
 //! output. `cargo test` builds the examples; the test runs them from
 //! the target directory it was built into.
@@ -36,9 +44,12 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
 use sci::core::durability::{self, attach};
+use sci::overlay::hierarchy::HierarchicalNetwork;
+use sci::overlay::LoadStats;
 use sci::prelude::*;
 use sci::sensors::workload::{office_floor, populate, Population};
 use sci::wal::crc32;
+use sci_bench::{build_federation, build_overlay, forward_once, traffic, MESSAGES_PER_NODE};
 use support::chaos::{run_grouped, run_with};
 use support::deployment::{log_of, run_deployment, run_sequences, Driver};
 
@@ -261,10 +272,66 @@ fn outputs() -> Vec<String> {
     lines
 }
 
-/// The pinned outputs and every example's stdout, computed side by
-/// side: the examples run as processes while the rest runs here.
-fn everything() -> (Vec<String>, Vec<(&'static str, String)>) {
+/// E1's network sizes and E7's range counts.
+const E1_SIZES: [usize; 4] = [16, 64, 256, 1024];
+const E7_RANGES: [usize; 4] = [2, 8, 32, 128];
+
+/// E1 and E7 as `figures.txt`'s tables, after asserting the shape of
+/// the paper's §3 claim: the overlay's hops are no more than the
+/// tree's, and the tree's bottleneck grows against the overlay's.
+fn figures() -> String {
+    let mut e1 = format!(
+        "E1: overlay vs 4-ary tree, uniform traffic, {MESSAGES_PER_NODE} msgs/node\n\n\
+         | N | overlay hops | tree hops | overlay max load | tree max load \
+         | overlay imbalance | tree imbalance |\n\
+         |---|---|---|---|---|---|---|\n"
+    );
+    let mut load_ratios = Vec::new();
+    for n in E1_SIZES {
+        let (mut net, guids) = build_overlay(n, 42);
+        let mut tree = HierarchicalNetwork::new(guids.iter().copied(), 4);
+        for (src, dst) in traffic(&guids) {
+            net.route(src, dst).unwrap();
+            tree.route(src, dst).unwrap();
+        }
+        let (ovl, tree) = (net.stats(), tree.stats());
+        let max = |s: &LoadStats| s.max_load().map_or(0, |(_, load)| load);
+        assert!(ovl.mean_hops() <= tree.mean_hops(), "N = {n}: overlay hops");
+        load_ratios.push(max(tree) as f64 / max(ovl) as f64);
+        e1 += &format!(
+            "| {n} | {:.2} | {:.2} | {} | {} | {:.2} | {:.2} |\n",
+            ovl.mean_hops(),
+            tree.mean_hops(),
+            max(ovl),
+            max(tree),
+            ovl.imbalance(),
+            tree.imbalance()
+        );
+    }
+    assert!(
+        load_ratios.windows(2).all(|w| w[0] < w[1]),
+        "tree max load / overlay max load must rise with N: {load_ratios:?}"
+    );
+    let mut e7 = String::from(
+        "E7: a profile query forwarded to another range, 100 queries\n\n\
+         | ranges | mean round-trip hops |\n|---|---|\n",
+    );
+    for ranges in E7_RANGES {
+        // Every range count is even, so `from` and `to` always differ.
+        let (mut fed, mut ids) = build_federation(ranges, 17);
+        let hops: u32 = (0..100)
+            .map(|k| forward_once(&mut fed, &mut ids, k % ranges, (k * 13 + 1) % ranges))
+            .sum();
+        e7 += &format!("| {ranges} | {:.2} |\n", f64::from(hops) / 100.0);
+    }
+    format!("{e1}\n{e7}")
+}
+
+/// Every golden, computed side by side: the examples run as processes
+/// and the figures on a thread while the rest runs here.
+fn everything() -> (Vec<String>, String, Vec<(&'static str, String)>) {
     let examples = spawn_examples();
+    let figures = std::thread::spawn(figures);
     let lines = outputs();
     let printed = examples
         .into_iter()
@@ -278,12 +345,15 @@ fn everything() -> (Vec<String>, Vec<(&'static str, String)>) {
             (name, String::from_utf8(out.stdout).unwrap())
         })
         .collect();
-    (lines, printed)
+    let figures = figures
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+    (lines, figures, printed)
 }
 
 #[test]
 fn every_output_matches_its_golden() {
-    let (lines, printed) = everything();
+    let (lines, figures, printed) = everything();
     let dir = golden_dir();
     let mut moved = Vec::new();
     let pinned = std::fs::read_to_string(dir.join("outputs.txt")).unwrap();
@@ -299,6 +369,9 @@ fn every_output_matches_its_golden() {
             lines.len(),
             pinned.len()
         ));
+    }
+    if figures != std::fs::read_to_string(dir.join("figures.txt")).unwrap() {
+        moved.push(format!("figures.txt:\n{figures}"));
     }
     for (name, out) in &printed {
         let golden = std::fs::read_to_string(dir.join(format!("{name}.stdout"))).unwrap();
@@ -318,10 +391,11 @@ fn every_output_matches_its_golden() {
 #[test]
 #[ignore = "writes the goldens; run on purpose"]
 fn regenerate() {
-    let (lines, printed) = everything();
+    let (lines, figures, printed) = everything();
     let dir = golden_dir();
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("outputs.txt"), lines.join("\n") + "\n").unwrap();
+    std::fs::write(dir.join("figures.txt"), figures).unwrap();
     for (name, out) in printed {
         std::fs::write(dir.join(format!("{name}.stdout")), out).unwrap();
     }

@@ -2,7 +2,11 @@
 //! agree with the test oracles the middleware already exposes —
 //! counters are only trustworthy if they can be cross-checked.
 
+use std::sync::Arc;
+
 use sci::prelude::*;
+use sci::telemetry::TraceRecord;
+use sci::types::EventSeq;
 
 fn range_plan(i: usize) -> FloorPlan {
     FloorPlan::builder("campus")
@@ -180,6 +184,26 @@ fn parallel_federation_snapshot_agrees_with_oracles() {
     fed.shutdown();
 }
 
+/// The `keys` fields of every record named `name`, oldest first.
+fn traced(records: &RingBufferSubscriber, name: &str, keys: &[&str]) -> Vec<Vec<String>> {
+    records
+        .records()
+        .iter()
+        .filter(|r| r.name() == name)
+        .map(|r| {
+            let fields = match r {
+                TraceRecord::Span { fields, .. } | TraceRecord::Event { fields, .. } => fields,
+            };
+            keys.iter()
+                .map(|&key| {
+                    let (_, value) = fields.iter().find(|(k, _)| k == key).unwrap();
+                    value.clone()
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// One event followed across the federation by its own trace key: a
 /// sensor reading ingested at range-0 for an app homed in range-1. The
 /// `ingest` span on range-0's server and the relay's
@@ -189,23 +213,7 @@ fn parallel_federation_snapshot_agrees_with_oracles() {
 /// relayed at the same instant, and arrives one hop later.
 #[test]
 fn one_event_is_followed_from_ingest_to_delivery() {
-    use sci::telemetry::TraceRecord;
-    use sci::types::EventSeq;
-    use std::sync::Arc;
-
     const HOP_US: u64 = 750;
-    let fields = |rec: &TraceRecord, keys: &[&str]| -> Vec<String> {
-        let fields = match rec {
-            TraceRecord::Span { fields, .. } | TraceRecord::Event { fields, .. } => fields,
-        };
-        keys.iter()
-            .map(|&key| {
-                let (_, value) = fields.iter().find(|(k, _)| k == key).unwrap();
-                value.clone()
-            })
-            .collect()
-    };
-
     let mut ids = GuidGenerator::seeded(47);
     let mut net = SimNetwork::new();
     net.set_hop_latency(VirtualDuration::from_micros(HOP_US));
@@ -234,20 +242,13 @@ fn one_event_is_followed_from_ingest_to_delivery() {
 
     let delivered = fed.deliveries_for(app);
     assert_eq!(delivered.len(), 1);
-    let key = ["source", "seq"];
-    let ingest: Vec<_> = at_range
-        .records()
-        .iter()
-        .filter(|r| r.name() == "ingest")
-        .map(|r| fields(r, &key))
-        .collect();
+    let ingest = traced(&at_range, "ingest", &["source", "seq"]);
     assert_eq!(ingest, [[sensor.to_string(), "41".to_owned()]]);
-    let deliver: Vec<_> = at_relay
-        .records()
-        .iter()
-        .filter(|r| r.name() == "federation.deliver")
-        .map(|r| fields(r, &["source", "seq", "app", "query"]))
-        .collect();
+    let deliver = traced(
+        &at_relay,
+        "federation.deliver",
+        &["source", "seq", "app", "query"],
+    );
     assert_eq!(
         deliver,
         [[
@@ -261,6 +262,75 @@ fn one_event_is_followed_from_ingest_to_delivery() {
     let e2e = e2e.histogram("e2e.delivery_latency_us").unwrap();
     assert_eq!(e2e.count, delivered.len() as u64);
     assert_eq!(e2e.sum, HOP_US * e2e.count, "one hop, no queueing");
+}
+
+/// A derived event names its cause. Range-0's `objLocationCE` turns a
+/// door reading (seq 41) into bob's location for an app homed in
+/// range-1. The relay's `federation.deliver` carries the derived
+/// event's own key `(instance, k)`; the server's `derive` event joins
+/// that key to the door reading's, `(door, 41)`; and the `ingest` span
+/// carries `(door, 41)`.
+#[test]
+fn a_derived_delivery_joins_the_ingest_that_caused_it() {
+    let mut ids = GuidGenerator::seeded(48);
+    let mut fed = Federation::new(3);
+    let (mut cs, door) = server(0, &mut ids);
+    let obj_loc = ids.next_guid();
+    cs.register(
+        Profile::builder(obj_loc, EntityKind::Software, "objLocationCE")
+            .input(PortSpec::new("presence", ContextType::Presence))
+            .output(PortSpec::new("location", ContextType::Location))
+            .build(),
+        VirtualTime::ZERO,
+    )
+    .unwrap();
+    cs.register_logic(obj_loc, factory(|| ObjLocationLogic::new(range_plan(0))));
+    let at_range = Arc::new(RingBufferSubscriber::new(64));
+    cs.set_tracer(Tracer::new(at_range.clone()));
+    fed.add_range(cs).unwrap();
+    fed.add_range(server(1, &mut ids).0).unwrap();
+    fed.connect_full();
+    let at_relay = Arc::new(RingBufferSubscriber::new(64));
+    fed.set_tracer(Tracer::new(at_relay.clone()));
+
+    let (bob, app) = (ids.next_guid(), ids.next_guid());
+    let q = Query::builder(ids.next_guid(), app)
+        .info_matching(
+            ContextType::Location,
+            vec![Predicate::eq("subject", ContextValue::Id(bob))],
+        )
+        .in_range("range-0")
+        .mode(Mode::Subscribe)
+        .build();
+    fed.submit_from("range-1", &q, VirtualTime::ZERO).unwrap();
+    let t = VirtualTime::from_secs(3);
+    let reading = ContextValue::record([
+        ("subject", ContextValue::Id(bob)),
+        ("to", ContextValue::place("hall-0")),
+    ]);
+    let reading = ContextEvent::new(door, ContextType::Presence, reading, t).with_seq(EventSeq(41));
+    fed.ingest_at("range-0", &reading, t).unwrap();
+    assert_eq!(fed.deliveries_for(app).len(), 1);
+
+    let deliver = traced(&at_relay, "federation.deliver", &["source", "seq"]);
+    let [derived] = deliver.as_slice() else {
+        panic!("one delivery: {deliver:?}");
+    };
+    assert_ne!(derived[0], door.to_string(), "delivered: the derived event");
+    let derive = traced(
+        &at_range,
+        "derive",
+        &["source", "seq", "cause_source", "cause_seq"],
+    );
+    let causes: Vec<_> = derive
+        .iter()
+        .filter(|d| d[..2] == derived[..])
+        .map(|d| d[2..].to_vec())
+        .collect();
+    let cause = vec![door.to_string(), "41".to_owned()];
+    assert_eq!(causes, std::slice::from_ref(&cause));
+    let ingest = traced(&at_range, "ingest", &["source", "seq"]);
+    assert!(ingest.contains(&cause), "{ingest:?}");
 }
 
 /// A snapshot has two halves — serialising the payload and storing it
