@@ -760,7 +760,8 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
         }
     }
 
-    /// Queues one [`event_relay_group`] per home range, sending a full batch.
+    /// Queues one [`event_relay_group`] per home range, sending a full
+    /// batch. Each group is traced as one `federation.relay` event.
     fn relay_event(
         &mut self,
         node: Guid,
@@ -769,6 +770,7 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
         now: VirtualTime,
     ) -> SciResult<()> {
         for (home, rows) in groups {
+            self.trace_hop("federation.relay", &event, home);
             let payload = event_relay_group(node, &rows, &event);
             batch.push(self.envelope(node, home, MessageKind::EventRelay, payload));
         }
@@ -945,6 +947,22 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
         mine
     }
 
+    /// When the tracer is on, one `name` event under `event`'s trace key
+    /// `(source, seq)`, with the range at the other end of the hop.
+    fn trace_hop(&self, name: &str, event: &ContextEvent, peer: Guid) {
+        let tracer = &self.metrics.tracer;
+        if tracer.enabled() {
+            tracer.event(
+                name,
+                &[
+                    ("source", event.source.to_string()),
+                    ("seq", event.seq.0.to_string()),
+                    ("peer", peer.to_string()),
+                ],
+            );
+        }
+    }
+
     /// Hands one delivery to its app's inbox at `at`, recording the
     /// virtual time since the event was produced in
     /// `e2e.delivery_latency_us` and, when the tracer is on, one
@@ -971,6 +989,7 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
     /// Delivers one overlay message behind the exactly-once filter: an
     /// envelope `(origin, seq)` already seen is discarded, and a relay
     /// that carried one counts once in `federation.relay.dedup_hits`.
+    /// A decoded event relay is traced as one `federation.absorb` event.
     /// Each new event row is checked against its query's freshness bound
     /// at `arrival`. Non-relay traffic (stray query forwards and answers
     /// from degraded submissions) is dropped.
@@ -988,6 +1007,7 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
         let (envelope, relayed) = match decode_relay(&m, &self.seen_relays) {
             Ok(Landed::Relay(envelope, relayed)) => (envelope, relayed),
             Ok(Landed::Event(origin, mut rows, event)) => {
+                self.trace_hop("federation.absorb", &event, origin);
                 let carried = rows.len();
                 rows.retain(|&(seq, ..)| self.seen_relays.insert((origin, seq)));
                 if rows.len() < carried {

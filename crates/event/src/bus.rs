@@ -31,20 +31,27 @@
 //! `(source, subject)` pair, so a publish reads one list with one
 //! lookup.
 //!
-//! # Hash-indexed
+//! # Laid out for rewiring
 //!
-//! Every table here — the live entries by [`SubId`], the candidate
-//! families and the per-subscriber lists — is a [`sci_types::HashMap`]
-//! over the library's one fixed-seed hasher, so a publish pays one
-//! lookup per family and one per candidate, each two multiplies for a
-//! GUID key. No order is read from a map: candidates are sorted by id,
-//! the lists are kept in id order, and [`EventBus::iter`] sorts the
-//! entries by id.
+//! A live subscription sits in a slot of one slab, a `Vec` of slots
+//! with a free list, and its [`SubId`] names that slot beside the
+//! id's mint serial. Reaching an entry from an id is one indexed load
+//! and a serial check, so an id whose slot was freed and reused reads
+//! as not live. The candidate families and the per-subscriber lists
+//! are [`sci_types::HashMap`]s over the library's one fixed-seed
+//! hasher, so a publish pays one lookup per family and one indexed
+//! load per candidate. A `(source, subject)` family usually holds one
+//! subscription (one `objLocationCE` instance per person on each
+//! door), so it holds that id inline and needs a heap list only from
+//! its second. No order is read from a map or from the slab:
+//! candidates are sorted by id, the lists are kept in id order, and
+//! [`EventBus::iter`] sorts the entries by id.
 //!
 //! # Invariants
 //!
-//! * **Order preservation.** `SubId`s are allocated monotonically and
-//!   the per-key candidate lists are append-only (removals keep relative
+//! * **Order preservation.** `SubId` serials are minted monotonically
+//!   (a reused slot gets a new serial) and ids order by serial, and the
+//!   per-key candidate lists are append-only (removals keep relative
 //!   order), so sorting candidates by id reproduces exactly the delivery
 //!   order of the append-only linear table
 //!   ([`crate::linear::LinearBus`]): subscription order. The determinism
@@ -64,13 +71,69 @@ use sci_types::{ContextEvent, ContextType, Guid, HashMap, SciError, SciResult};
 use crate::telemetry::BusTelemetry;
 use crate::topic::Topic;
 
-/// Identifier of a subscription issued by a bus.
+/// Identifier of a subscription issued by a bus: its mint serial and
+/// the slab slot it lives in. Ids compare, order and hash by serial
+/// first, so sorting ids is sorting into subscription order; a serial
+/// is never minted twice, so an id outlives its slot's reuse.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct SubId(pub u64);
+pub struct SubId {
+    serial: u64,
+    slot: u32,
+}
 
 impl fmt::Display for SubId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "sub{}", self.0)
+        write!(f, "sub{}", self.serial)
+    }
+}
+
+impl SubId {
+    /// The mint serial, which [`SciError::UnknownSubscription`] carries.
+    pub(crate) fn serial(self) -> u64 {
+        self.serial
+    }
+
+    fn slot(self) -> usize {
+        self.slot as usize
+    }
+}
+
+/// Mints [`SubId`]s: serials in order, each into the slot freed last
+/// (LIFO), else a new one. [`EventBus`] and the oracle
+/// [`crate::linear::LinearBus`] mint through it and free in the same
+/// order, so both issue the same ids.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SubIds {
+    next_serial: u64,
+    slots: u32,
+    free: Vec<u32>,
+}
+
+impl SubIds {
+    pub(crate) fn mint(&mut self) -> SubId {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            let slot = self.slots;
+            self.slots = slot
+                .checked_add(1)
+                .unwrap_or_else(|| panic!("more than u32::MAX live subscriptions"));
+            slot
+        });
+        let id = SubId {
+            serial: self.next_serial,
+            slot,
+        };
+        self.next_serial += 1;
+        id
+    }
+
+    /// Returns a dead id's slot for reuse.
+    pub(crate) fn free(&mut self, id: SubId) {
+        self.free.push(id.slot);
+    }
+
+    /// Ids minted and not yet freed.
+    fn live(&self) -> usize {
+        self.slots as usize - self.free.len()
     }
 }
 
@@ -119,18 +182,58 @@ impl IndexKey<'_> {
 
 #[derive(Clone, Debug)]
 struct Entry {
+    id: SubId,
     subscriber: Guid,
     topic: Topic,
     one_time: bool,
 }
 
 impl Entry {
-    fn view(&self, id: SubId) -> SubscriptionView<'_> {
+    fn view(&self) -> SubscriptionView<'_> {
         SubscriptionView {
-            id,
+            id: self.id,
             subscriber: self.subscriber,
             topic: &self.topic,
             one_time: self.one_time,
+        }
+    }
+}
+
+/// A `(source, subject)` family: one id inline, a heap list only from
+/// the second. Kept in id order, read as a slice.
+#[derive(Clone, Debug)]
+enum PairFamily {
+    One(SubId),
+    Many(Vec<SubId>),
+}
+
+impl PairFamily {
+    fn ids(&self) -> &[SubId] {
+        match self {
+            PairFamily::One(id) => std::slice::from_ref(id),
+            PairFamily::Many(ids) => ids,
+        }
+    }
+
+    fn push(&mut self, id: SubId) {
+        match self {
+            PairFamily::One(first) => *self = PairFamily::Many(vec![*first, id]),
+            PairFamily::Many(ids) => ids.push(id),
+        }
+    }
+}
+
+impl IdList for PairFamily {
+    fn drop_id(&mut self, id: SubId) -> bool {
+        match self {
+            PairFamily::One(only) => *only == id,
+            PairFamily::Many(ids) => {
+                let emptied = ids.drop_id(id);
+                if let [only] = ids[..] {
+                    *self = PairFamily::One(only);
+                }
+                emptied
+            }
         }
     }
 }
@@ -157,22 +260,19 @@ impl Entry {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct EventBus {
-    /// All live entries by id: one lookup per candidate, and for
-    /// `unsubscribe`/`is_live`/`topic_of`. Boxed, a bucket is 16 bytes
-    /// rather than an entry's 144: a hash table leaves up to half its
-    /// buckets empty and grows beside its old allocation, which for
-    /// inline entries raised the churn workload's peak memory 10 %.
-    entries: HashMap<SubId, Box<Entry>>,
+    /// The slab: each live entry in the slot its id names, `None` in a
+    /// freed slot. Candidates are reached by index, with no hash probe.
+    slots: Vec<Option<Entry>>,
+    ids: SubIds,
     /// Candidate families, keyed by entity GUID (and by type for the
     /// type family).
     by_type: HashMap<ContextType, Vec<SubId>>,
     by_source: HashMap<Guid, Vec<SubId>>,
     by_subject: HashMap<Guid, Vec<SubId>>,
     /// Topics naming both a source and a subject, keyed by the pair.
-    by_pair: HashMap<(Guid, Guid), Vec<SubId>>,
+    by_pair: HashMap<(Guid, Guid), PairFamily>,
     wildcard: Vec<SubId>,
     by_subscriber: HashMap<Guid, Vec<SubId>>,
-    next_id: u64,
     telemetry: Option<BusTelemetry>,
 }
 
@@ -197,11 +297,13 @@ impl EventBus {
     /// `one_time` subscriptions are cancelled automatically after their
     /// first delivery — the paper's "one-time subscription" query mode.
     pub fn subscribe(&mut self, subscriber: Guid, topic: Topic, one_time: bool) -> SubId {
-        let id = SubId(self.next_id);
-        self.next_id += 1;
+        let id = self.ids.mint();
         match IndexKey::for_topic(&topic) {
             IndexKey::Pair(source, subject) => {
-                self.by_pair.entry((source, subject)).or_default().push(id)
+                let family = self.by_pair.entry((source, subject));
+                family
+                    .and_modify(|f| f.push(id))
+                    .or_insert(PairFamily::One(id));
             }
             IndexKey::Source(source) => self.by_source.entry(source).or_default().push(id),
             IndexKey::Subject(subject) => self.by_subject.entry(subject).or_default().push(id),
@@ -209,14 +311,16 @@ impl EventBus {
             IndexKey::Wildcard => self.wildcard.push(id),
         }
         self.by_subscriber.entry(subscriber).or_default().push(id);
-        self.entries.insert(
+        let entry = Some(Entry {
             id,
-            Box::new(Entry {
-                subscriber,
-                topic,
-                one_time,
-            }),
-        );
+            subscriber,
+            topic,
+            one_time,
+        });
+        match self.slots.get_mut(id.slot()) {
+            Some(slot) => *slot = entry,
+            None => self.slots.push(entry),
+        }
         id
     }
 
@@ -229,7 +333,7 @@ impl EventBus {
         if self.remove(id) {
             Ok(())
         } else {
-            Err(SciError::UnknownSubscription(id.0))
+            Err(SciError::UnknownSubscription(id.serial))
         }
     }
 
@@ -237,9 +341,9 @@ impl EventBus {
     /// entity deregisters from the range). Returns how many were removed.
     pub fn unsubscribe_all(&mut self, subscriber: Guid) -> usize {
         let ids = self.by_subscriber.remove(&subscriber).unwrap_or_default();
-        for id in &ids {
-            if let Some(entry) = self.entries.remove(id) {
-                self.unlink_key(*id, IndexKey::for_topic(&entry.topic));
+        for &id in &ids {
+            if let Some(entry) = self.take(id) {
+                self.unlink_key(id, IndexKey::for_topic(&entry.topic));
             }
         }
         ids.len()
@@ -266,8 +370,8 @@ impl EventBus {
             if let Some(ids) = self.by_subject.get(&subject) {
                 out.extend_from_slice(ids);
             }
-            if let Some(ids) = self.by_pair.get(&(event.source, subject)) {
-                out.extend_from_slice(ids);
+            if let Some(family) = self.by_pair.get(&(event.source, subject)) {
+                out.extend_from_slice(family.ids());
             }
         }
         // Single-key membership makes the families disjoint; sorting by
@@ -286,7 +390,7 @@ impl EventBus {
         let candidates = self.candidates(event, subject);
         let mut deliveries = Vec::new();
         for &id in &candidates {
-            let Some(entry) = self.entries.get(&id) else {
+            let Some(entry) = self.entry(id) else {
                 continue;
             };
             if entry.topic.matches_with_subject(event, subject) {
@@ -309,17 +413,24 @@ impl EventBus {
 
     /// Number of live subscriptions.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.ids.live()
     }
 
     /// Returns `true` if there are no live subscriptions.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Returns `true` if the subscription id is live.
     pub fn is_live(&self, id: SubId) -> bool {
-        self.entries.contains_key(&id)
+        self.entry(id).is_some()
+    }
+
+    /// The live entry `id` names: its slot's, unless the slot has been
+    /// freed or reused since.
+    fn entry(&self, id: SubId) -> Option<&Entry> {
+        let entry = self.slots.get(id.slot())?.as_ref()?;
+        (entry.id == id).then_some(entry)
     }
 
     /// Live subscriptions held by a subscriber, in subscription order.
@@ -332,17 +443,17 @@ impl EventBus {
 
     /// The topic of a live subscription.
     pub fn topic_of(&self, id: SubId) -> Option<&Topic> {
-        self.entries.get(&id).map(|e| &e.topic)
+        self.entry(id).map(|e| &e.topic)
     }
 
     /// Iterates over every live subscription, in subscription order.
     /// Static fleet analysis walks this to compare the actual wiring
     /// against what analyzed plans require; the entries are sorted by
-    /// id first, since the table is hash-indexed.
+    /// id first, since a reused slot holds a later id.
     pub fn iter(&self) -> impl Iterator<Item = SubscriptionView<'_>> {
-        let mut live: Vec<_> = self.entries.iter().collect();
-        live.sort_unstable_by_key(|(&id, _)| id);
-        live.into_iter().map(|(&id, e)| e.view(id))
+        let mut live: Vec<_> = self.slots.iter().flatten().collect();
+        live.sort_unstable_by_key(|e| e.id);
+        live.into_iter().map(Entry::view)
     }
 
     /// The live subscriptions whose topic names `source` and exactly
@@ -357,21 +468,29 @@ impl EventBus {
         subject: Option<Guid>,
     ) -> impl Iterator<Item = SubscriptionView<'_>> {
         let ids = match subject {
-            Some(subject) => self.by_pair.get(&(source, subject)),
-            None => self.by_source.get(&source),
+            Some(subject) => self.by_pair.get(&(source, subject)).map(PairFamily::ids),
+            None => self.by_source.get(&source).map(Vec::as_slice),
         };
         let named = ids.into_iter().flatten();
-        named.filter_map(|id| Some(self.entries.get(id)?.view(*id)))
+        named.filter_map(|&id| Some(self.entry(id)?.view()))
     }
 
     /// Unfiles a live subscription; `false` if `id` was not live.
     fn remove(&mut self, id: SubId) -> bool {
-        let Some(entry) = self.entries.remove(&id) else {
+        let Some(entry) = self.take(id) else {
             return false;
         };
         self.unlink_key(id, IndexKey::for_topic(&entry.topic));
         drop_from(&mut self.by_subscriber, &entry.subscriber, id);
         true
+    }
+
+    /// Empties a live entry's slot and frees it for reuse.
+    fn take(&mut self, id: SubId) -> Option<Entry> {
+        self.entry(id)?;
+        let entry = self.slots.get_mut(id.slot())?.take();
+        self.ids.free(id);
+        entry
     }
 
     /// Removes `id` from the one candidate list its key names, dropping
@@ -383,26 +502,34 @@ impl EventBus {
             IndexKey::Subject(subject) => drop_from(&mut self.by_subject, &subject, id),
             IndexKey::Type(ty) => drop_from(&mut self.by_type, ty, id),
             IndexKey::Wildcard => {
-                drop_id(&mut self.wildcard, id);
+                self.wildcard.drop_id(id);
             }
         }
     }
 }
 
-/// Removes `id` from a candidate list; returns `true` if that emptied
-/// it. The lists are append-only in id order, so a binary search finds
-/// the slot.
-fn drop_id(ids: &mut Vec<SubId>, id: SubId) -> bool {
-    if let Ok(pos) = ids.binary_search(&id) {
-        ids.remove(pos);
+/// A list of ids kept in id order: a candidate family or a
+/// subscriber's list.
+trait IdList {
+    /// Removes `id`; returns `true` if that emptied the list.
+    fn drop_id(&mut self, id: SubId) -> bool;
+}
+
+impl IdList for Vec<SubId> {
+    /// The lists are append-only in id order, so a binary search finds
+    /// the slot.
+    fn drop_id(&mut self, id: SubId) -> bool {
+        if let Ok(pos) = self.binary_search(&id) {
+            self.remove(pos);
+        }
+        self.is_empty()
     }
-    ids.is_empty()
 }
 
 /// Removes `id` from the list filed under `key`, and the list with it
 /// if that was its last.
-fn drop_from<K: Hash + Eq>(lists: &mut HashMap<K, Vec<SubId>>, key: &K, id: SubId) {
-    if lists.get_mut(key).is_some_and(|ids| drop_id(ids, id)) {
+fn drop_from<K: Hash + Eq, L: IdList>(lists: &mut HashMap<K, L>, key: &K, id: SubId) {
+    if lists.get_mut(key).is_some_and(|ids| ids.drop_id(id)) {
         lists.remove(key);
     }
 }
@@ -668,8 +795,19 @@ mod tests {
         assert!(bus.by_type.is_empty(), "emptied key lists are dropped");
     }
 
+    /// The `(source, subject)` family's ids, and whether they sit inline.
+    fn family(bus: &EventBus, source: Guid, subject: u128) -> Option<(bool, Vec<SubId>)> {
+        let family = bus.by_pair.get(&(source, Guid::from_u128(subject)))?;
+        Some((matches!(family, PairFamily::One(_)), family.ids().to_vec()))
+    }
+
+    fn named(bus: &EventBus, source: Guid, subject: u128) -> Vec<SubId> {
+        let named = bus.naming(source, Some(Guid::from_u128(subject)));
+        named.map(|view| view.id).collect()
+    }
+
     #[test]
-    fn pair_keyed_removal_drops_emptied_pair_lists() {
+    fn pair_family_goes_one_many_one_none_in_subscription_order() {
         let mut bus = EventBus::new();
         let (door, other_door) = (Guid::from_u128(10), Guid::from_u128(11));
         let pair = |door: Guid, subject: u128| {
@@ -679,31 +817,82 @@ mod tests {
         };
         let (app, leaver) = (Guid::from_u128(1), Guid::from_u128(2));
         let a = bus.subscribe(app, pair(door, 20), false);
+        assert_eq!(family(&bus, door, 20), Some((true, vec![a])), "one: inline");
         let b = bus.subscribe(app, pair(door, 20), false);
+        assert_eq!(family(&bus, door, 20), Some((false, vec![a, b])), "many");
         let once = bus.subscribe(app, pair(door, 21), true);
         let l1 = bus.subscribe(leaver, pair(door, 20), false);
         let l2 = bus.subscribe(leaver, pair(other_door, 20), false);
         assert_eq!(bus.by_pair.len(), 3);
+        assert_eq!(named(&bus, door, 20), [a, b, l1]);
 
-        // unsubscribe: the rest of the slice keeps its order.
+        // unsubscribe: the rest of the family keeps its order.
         bus.unsubscribe(a).unwrap();
         assert!(bus.unsubscribe(a).is_err());
+        assert_eq!(named(&bus, door, 20), [b, l1]);
         assert_eq!(fired(&mut bus, &presence(10, 20)), [b, l1]);
 
-        // unsubscribe_all: leaves both doors; the second door's list empties.
+        // unsubscribe_all leaves both doors: the first family is back to
+        // one, inline; the second door's empties and is dropped.
         assert_eq!(bus.unsubscribe_all(leaver), 2);
         assert!(!bus.is_live(l1) && !bus.is_live(l2));
-        assert!(!bus.by_pair.contains_key(&(other_door, Guid::from_u128(20))));
+        assert_eq!(family(&bus, door, 20), Some((true, vec![b])), "one again");
+        assert_eq!(family(&bus, other_door, 20), None);
         assert_eq!(fired(&mut bus, &presence(10, 20)), [b]);
+
+        // A later subscription reuses a freed slot and still files after b.
+        let c = bus.subscribe(app, pair(door, 20), false);
+        assert_eq!(named(&bus, door, 20), [b, c]);
+        bus.unsubscribe(c).unwrap();
 
         // one-time completion unlinks the pair.
         assert_eq!(fired(&mut bus, &presence(10, 21)), [once]);
         assert!(fired(&mut bus, &presence(10, 21)).is_empty());
+        assert_eq!(family(&bus, door, 21), None);
         assert_eq!(bus.by_pair.len(), 1);
 
         bus.unsubscribe(b).unwrap();
+        assert_eq!(family(&bus, door, 20), None, "none");
         assert!(bus.is_empty());
-        assert!(bus.by_pair.is_empty(), "emptied pair lists are dropped");
+        assert!(bus.by_pair.is_empty(), "emptied pair families are dropped");
         assert!(bus.by_subscriber.is_empty());
+    }
+
+    #[test]
+    fn a_reused_slot_answers_only_for_its_new_id() {
+        let mut bus = EventBus::new();
+        let (app_a, app_b) = (Guid::from_u128(1), Guid::from_u128(2));
+        let a = bus.subscribe(app_a, Topic::any(), false);
+        bus.unsubscribe(a).unwrap();
+        let b = bus.subscribe(app_b, Topic::of_type(ContextType::Temperature), false);
+        assert_eq!(b.slot, a.slot, "b lives in a's freed slot");
+        assert!(b > a, "and sorts after it");
+        assert!(matches!(
+            bus.unsubscribe(a),
+            Err(SciError::UnknownSubscription(0))
+        ));
+        assert!(!bus.is_live(a));
+        assert_eq!(bus.topic_of(a), None);
+        let delivered = bus.publish(&temp_event(1.0));
+        let to: Vec<_> = delivered.iter().map(|d| (d.sub, d.subscriber)).collect();
+        assert_eq!(to, [(b, app_b)]);
+        assert!(bus.is_live(b));
+        assert_eq!(bus.len(), 1);
+    }
+
+    #[test]
+    fn reused_slots_still_deliver_in_mint_order() {
+        let mut bus = EventBus::new();
+        let app = Guid::from_u128(1);
+        let [a, b, c] = [(); 3].map(|()| bus.subscribe(app, Topic::any(), false));
+        bus.unsubscribe(a).unwrap();
+        bus.unsubscribe(b).unwrap();
+        // The free list is LIFO: d takes b's slot, e takes a's.
+        let d = bus.subscribe(app, Topic::any(), false);
+        let e = bus.subscribe(app, Topic::any(), false);
+        assert_eq!((d.slot, e.slot), (b.slot, a.slot));
+        assert_eq!(fired(&mut bus, &temp_event(1.0)), [c, d, e]);
+        let iterated: Vec<SubId> = bus.iter().map(|view| view.id).collect();
+        assert_eq!(iterated, [c, d, e]);
     }
 }

@@ -7,10 +7,13 @@
 //! semantics the index must reproduce. The property tests
 //! (`crates/event/tests/prop_index.rs`) drive both buses through
 //! arbitrary interleavings and require identical [`Delivery`] sequences.
+//! It mints its ids through the bus's allocator, so both issue the same
+//! ids, but keeps its own storage and finds an id by comparing it whole:
+//! a slab slot that answered for a stale id would diverge from it.
 
 use sci_types::{ContextEvent, Guid, SciError, SciResult};
 
-use crate::bus::{Delivery, SubId, SubscriptionView};
+use crate::bus::{Delivery, SubId, SubIds, SubscriptionView};
 use crate::topic::Topic;
 
 #[derive(Clone, Debug)]
@@ -25,7 +28,7 @@ struct SubEntry {
 #[derive(Clone, Debug, Default)]
 pub struct LinearBus {
     subs: Vec<SubEntry>,
-    next_id: u64,
+    ids: SubIds,
 }
 
 impl LinearBus {
@@ -36,8 +39,7 @@ impl LinearBus {
 
     /// Registers a subscription and returns its id.
     pub fn subscribe(&mut self, subscriber: Guid, topic: Topic, one_time: bool) -> SubId {
-        let id = SubId(self.next_id);
-        self.next_id += 1;
+        let id = self.ids.mint();
         self.subs.push(SubEntry {
             id,
             subscriber,
@@ -57,8 +59,9 @@ impl LinearBus {
             .subs
             .iter()
             .position(|s| s.id == id)
-            .ok_or(SciError::UnknownSubscription(id.0))?;
+            .ok_or(SciError::UnknownSubscription(id.serial()))?;
         self.subs.remove(pos);
+        self.ids.free(id);
         Ok(())
     }
 
@@ -66,7 +69,14 @@ impl LinearBus {
     /// were removed.
     pub fn unsubscribe_all(&mut self, subscriber: Guid) -> usize {
         let before = self.subs.len();
-        self.subs.retain(|s| s.subscriber != subscriber);
+        let ids = &mut self.ids;
+        self.subs.retain(|s| {
+            let keep = s.subscriber != subscriber;
+            if !keep {
+                ids.free(s.id);
+            }
+            keep
+        });
         before - self.subs.len()
     }
 
@@ -75,6 +85,7 @@ impl LinearBus {
     /// subscription order.
     pub fn publish(&mut self, event: &ContextEvent) -> Vec<Delivery> {
         let mut deliveries = Vec::new();
+        let ids = &mut self.ids;
         self.subs.retain(|entry| {
             if entry.topic.matches(event) {
                 deliveries.push(Delivery {
@@ -83,6 +94,9 @@ impl LinearBus {
                     event: event.clone(),
                     last: entry.one_time,
                 });
+                if entry.one_time {
+                    ids.free(entry.id);
+                }
                 !entry.one_time
             } else {
                 true

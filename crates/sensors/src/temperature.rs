@@ -13,26 +13,27 @@ use sci_types::{
     ContextEvent, ContextType, ContextValue, EventSeq, Guid, VirtualDuration, VirtualTime,
 };
 
+/// Time between two readings of every sensor.
+const PERIOD: VirtualDuration = VirtualDuration::from_secs(10);
+
 /// A simulated thermometer in one room.
 #[derive(Clone, Debug)]
 pub struct TemperatureSensor {
     id: Guid,
     room: String,
     celsius: f64,
-    period: VirtualDuration,
     next_due: VirtualTime,
     rng: StdRng,
     seq: EventSeq,
 }
 
 impl TemperatureSensor {
-    /// Creates a sensor reading ~21 °C every 10 s, seeded from its GUID.
+    /// Creates a sensor reading ~21 °C every `PERIOD` (10 s), seeded from its GUID.
     pub fn new(id: Guid, room: impl Into<String>) -> Self {
         TemperatureSensor {
             id,
             room: room.into(),
             celsius: 21.0,
-            period: VirtualDuration::from_secs(10),
             next_due: VirtualTime::ZERO,
             rng: StdRng::seed_from_u64(id.as_u128() as u64),
             seq: EventSeq::FIRST,
@@ -76,7 +77,7 @@ impl TemperatureSensor {
                 )
                 .with_seq(seq),
             );
-            self.next_due = self.next_due.saturating_add(self.period);
+            self.next_due = self.next_due.saturating_add(PERIOD);
         }
         events
     }

@@ -2,8 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::metrics::HISTOGRAM_BUCKETS;
-
 /// Frozen state of one [`Histogram`](crate::Histogram).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
@@ -27,40 +25,6 @@ impl HistogramSnapshot {
             self.sum as f64 / self.count as f64
         }
     }
-
-    /// The `p`-quantile (`p` in `0.0..=1.0`) to the resolution the
-    /// log₂ buckets keep: the largest value the bucket holding the
-    /// `p`-th sample can hold — `0` for bucket 0, `2^i - 1` for bucket
-    /// `i`, and `None` for the last bucket, which is open-ended (the
-    /// sample is at least `2^(HISTOGRAM_BUCKETS-2)`, nothing more is
-    /// known). Ranks count the buckets' own samples, so a merged
-    /// snapshot reads as the union of what was merged. An empty
-    /// histogram reads `Some(0)`, like its mean.
-    pub fn percentile(&self, p: f64) -> Option<u64> {
-        let total = self.buckets.iter().fold(0u64, |t, &n| t.saturating_add(n));
-        // The p-th of `total` samples, counting from one.
-        let rank = ((p * total as f64).ceil() as u64).clamp(1, total.max(1));
-        let mut below = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            below = below.saturating_add(n);
-            if below >= rank {
-                return bucket_bound(i);
-            }
-        }
-        Some(0)
-    }
-
-    /// The bound of the highest bucket holding a sample: the 100th
-    /// percentile, as close to the maximum as the buckets remember.
-    pub fn max_bound(&self) -> Option<u64> {
-        self.percentile(1.0)
-    }
-}
-
-/// The largest value bucket `i` can hold; `None` for the last,
-/// open-ended one.
-fn bucket_bound(i: usize) -> Option<u64> {
-    (i + 1 < HISTOGRAM_BUCKETS).then(|| (1u64 << i) - 1)
 }
 
 /// Point-in-time freeze of a [`Registry`](crate::Registry), or the
@@ -189,52 +153,5 @@ mod tests {
         let mut sorted = names.clone();
         sorted.sort();
         assert_eq!(names, sorted);
-    }
-
-    #[test]
-    fn percentiles_read_the_bucket_holding_the_ranked_sample() {
-        // 100 samples: 50 zeros, 40 in [4, 8), 9 in [512, 1024), one
-        // beyond the last bucket's floor.
-        let reg = Registry::new();
-        let h = reg.histogram(Metric::test("h"));
-        let samples = [(0, 50), (5, 40), (700, 9), (u64::MAX, 1)];
-        for (v, n) in samples {
-            for _ in 0..n {
-                h.record(v);
-            }
-        }
-        let snap = reg.snapshot();
-        let h = snap.histogram("h").unwrap();
-        assert_eq!(h.percentile(0.0), Some(0));
-        assert_eq!(h.percentile(0.5), Some(0));
-        assert_eq!(h.percentile(0.51), Some(7));
-        assert_eq!(h.percentile(0.9), Some(7));
-        assert_eq!(h.percentile(0.99), Some(1023));
-        assert_eq!(h.percentile(1.0), None, "the last bucket is open-ended");
-        assert_eq!(h.max_bound(), None);
-
-        let empty = Registry::new();
-        empty.histogram(Metric::test("h"));
-        let empty = empty.snapshot();
-        assert_eq!(empty.histogram("h").unwrap().percentile(0.99), Some(0));
-    }
-
-    #[test]
-    fn percentiles_of_a_merge_are_those_of_the_union() {
-        let (a, b, union) = (Registry::new(), Registry::new(), Registry::new());
-        for v in 0..300u64 {
-            let part = if v % 3 == 0 { &a } else { &b };
-            part.histogram(Metric::test("h")).record(v * v);
-            union.histogram(Metric::test("h")).record(v * v);
-        }
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        let union = union.snapshot();
-        let merged = merged.histogram("h").unwrap();
-        let union = union.histogram("h").unwrap();
-        for p in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(merged.percentile(p), union.percentile(p), "p = {p}");
-        }
-        assert_eq!(merged.max_bound(), Some((1 << 17) - 1), "299^2 < 2^17");
     }
 }

@@ -206,10 +206,11 @@ fn traced(records: &RingBufferSubscriber, name: &str, keys: &[&str]) -> Vec<Vec<
 
 /// One event followed across the federation by its own trace key: a
 /// sensor reading ingested at range-0 for an app homed in range-1. The
-/// `ingest` span on range-0's server and the relay's
-/// `federation.deliver` event carry the same `(source, seq)`, and
-/// `e2e.delivery_latency_us` holds one sample per delivery drained,
-/// each the route's latency: the event is produced, ingested and
+/// `ingest` span on range-0's server carries `(source, seq)`, and the
+/// relay's `federation.relay` (to range-1), `federation.absorb` (from
+/// range-0) and `federation.deliver` events carry it after it, in that
+/// order. `e2e.delivery_latency_us` holds one sample per delivery
+/// drained, each the route's latency: the event is produced, ingested and
 /// relayed at the same instant, and arrives one hop later.
 #[test]
 fn one_event_is_followed_from_ingest_to_delivery() {
@@ -219,8 +220,10 @@ fn one_event_is_followed_from_ingest_to_delivery() {
     net.set_hop_latency(VirtualDuration::from_micros(HOP_US));
     let mut fed = Federation::with_transport(net, 3);
     let (cs, sensor) = server(0, &mut ids);
+    let (cs1, _) = server(1, &mut ids);
+    let (range_0, range_1) = (cs.id(), cs1.id());
     fed.add_range(cs).unwrap();
-    fed.add_range(server(1, &mut ids).0).unwrap();
+    fed.add_range(cs1).unwrap();
     fed.connect_full();
     let at_range = Arc::new(RingBufferSubscriber::new(64));
     let at_relay = Arc::new(RingBufferSubscriber::new(64));
@@ -244,6 +247,24 @@ fn one_event_is_followed_from_ingest_to_delivery() {
     assert_eq!(delivered.len(), 1);
     let ingest = traced(&at_range, "ingest", &["source", "seq"]);
     assert_eq!(ingest, [[sensor.to_string(), "41".to_owned()]]);
+    let hop = |peer: Guid| [sensor.to_string(), "41".to_owned(), peer.to_string()];
+    let key_and_peer = ["source", "seq", "peer"];
+    let relay = traced(&at_relay, "federation.relay", &key_and_peer);
+    assert_eq!(relay, [hop(range_1)], "encoded once, for range-1");
+    let absorb = traced(&at_relay, "federation.absorb", &key_and_peer);
+    assert_eq!(absorb, [hop(range_0)], "decoded once, from range-0");
+    let hops = [
+        "federation.relay",
+        "federation.absorb",
+        "federation.deliver",
+    ];
+    let order: Vec<String> = at_relay
+        .records()
+        .iter()
+        .map(|r| r.name().to_owned())
+        .filter(|name| hops.contains(&name.as_str()))
+        .collect();
+    assert_eq!(order, hops);
     let deliver = traced(
         &at_relay,
         "federation.deliver",
