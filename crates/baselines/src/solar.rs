@@ -43,32 +43,6 @@ pub struct GraphSpec {
 }
 
 impl GraphSpec {
-    /// The conventional Figure 3 graph, spelled out by hand: path
-    /// between two subjects over explicitly chosen door sensors — the
-    /// explicitness is the point of the baseline.
-    pub fn path_between(from: Guid, to: Guid, door_sensors: &[Guid]) -> Self {
-        // node 0: path; node 1: loc(from); node 2: loc(to); 3..: sources.
-        let mut nodes = vec![
-            SpecNode::PathBetween(from, to),
-            SpecNode::LocationOf(from),
-            SpecNode::LocationOf(to),
-        ];
-        let source_ids: Vec<usize> = door_sensors
-            .iter()
-            .map(|&d| {
-                nodes.push(SpecNode::Source(d));
-                nodes.len() - 1
-            })
-            .collect();
-        GraphSpec {
-            nodes,
-            children: vec![vec![1, 2], source_ids.clone(), source_ids]
-                .into_iter()
-                .chain(std::iter::repeat_with(Vec::new).take(door_sensors.len()))
-                .collect(),
-        }
-    }
-
     /// A canonical key for one subtree (used for cross-application
     /// sharing).
     fn subtree_key(&self, idx: usize) -> String {
@@ -205,11 +179,6 @@ impl SolarEngine {
         self.attach(app, spec)
     }
 
-    /// Number of live operator instances (the sharing measurable).
-    pub fn operator_count(&self) -> usize {
-        self.operators.len()
-    }
-
     /// Feeds one sensor event through every graph.
     pub fn ingest(&mut self, event: &ContextEvent, now: VirtualTime) {
         // Wavefront of (producer id, event).
@@ -323,6 +292,32 @@ mod tests {
         )
     }
 
+    /// The conventional Figure 3 graph, spelled out by hand: path
+    /// between two subjects over explicitly chosen door sensors — the
+    /// explicitness is the point of the baseline.
+    fn path_between(from: Guid, to: Guid, door_sensors: &[Guid]) -> GraphSpec {
+        // node 0: path; node 1: loc(from); node 2: loc(to); 3..: sources.
+        let mut nodes = vec![
+            SpecNode::PathBetween(from, to),
+            SpecNode::LocationOf(from),
+            SpecNode::LocationOf(to),
+        ];
+        let source_ids: Vec<usize> = door_sensors
+            .iter()
+            .map(|&d| {
+                nodes.push(SpecNode::Source(d));
+                nodes.len() - 1
+            })
+            .collect();
+        GraphSpec {
+            nodes,
+            children: vec![vec![1, 2], source_ids.clone(), source_ids]
+                .into_iter()
+                .chain(std::iter::repeat_with(Vec::new).take(door_sensors.len()))
+                .collect(),
+        }
+    }
+
     fn doors() -> Vec<Guid> {
         (0..3).map(|i| Guid::from_u128(0x100 + i)).collect()
     }
@@ -331,7 +326,7 @@ mod tests {
     fn explicit_graph_delivers_paths() {
         let mut engine = SolarEngine::new(capa_level10());
         let (bob, john, app) = (Guid::from_u128(1), Guid::from_u128(2), Guid::from_u128(3));
-        let spec = GraphSpec::path_between(bob, john, &doors());
+        let spec = path_between(bob, john, &doors());
         engine.attach(app, &spec).unwrap();
         engine.ingest(
             &presence(doors()[0], bob, "L10.01", 1),
@@ -351,15 +346,15 @@ mod tests {
     fn identical_specs_share_operators() {
         let mut engine = SolarEngine::new(capa_level10());
         let (bob, john) = (Guid::from_u128(1), Guid::from_u128(2));
-        let spec = GraphSpec::path_between(bob, john, &doors());
+        let spec = path_between(bob, john, &doors());
         engine.attach(Guid::from_u128(10), &spec).unwrap();
-        let before = engine.operator_count();
+        let before = engine.operators.len();
         engine.attach(Guid::from_u128(11), &spec).unwrap();
-        assert_eq!(engine.operator_count(), before, "no duplication");
+        assert_eq!(engine.operators.len(), before, "no duplication");
         // A different pair shares the loc(bob) subtree only.
-        let spec2 = GraphSpec::path_between(bob, Guid::from_u128(9), &doors());
+        let spec2 = path_between(bob, Guid::from_u128(9), &doors());
         engine.attach(Guid::from_u128(12), &spec2).unwrap();
-        assert_eq!(engine.operator_count(), before + 2);
+        assert_eq!(engine.operators.len(), before + 2);
     }
 
     #[test]

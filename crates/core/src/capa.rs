@@ -15,7 +15,7 @@
 //! * **service invocation** — the advertisement answer names the printer
 //!   CE to send documents to.
 
-use sci_query::{CmpOp, Mode, Predicate, Query, Subject, When, Where};
+use sci_query::{Mode, Predicate, Query, Subject, When, Where};
 use sci_types::{Advertisement, ContextValue, EntityKind, Guid, SciError, SciResult};
 
 use crate::context_server::QueryAnswer;
@@ -127,7 +127,7 @@ impl CapaApp {
             .closest()
             .mode(Mode::Advertisement);
         if self.require_no_queue {
-            builder = builder.filter(Predicate::new("queue", CmpOp::Le, ContextValue::Int(0)));
+            builder = builder.attr_int_at_most("queue", 0);
         }
         if let Some(place) = &self.target_place {
             builder = builder.when(When::OnEnter {

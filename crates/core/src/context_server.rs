@@ -280,14 +280,14 @@ impl ContextServer {
                 self.cancel_query_impl(query_id).map(|()| RangeReply::Ack)
             }
             RangeCommand::Ingest(event) => {
-                trace_key(span, &event);
+                self.metrics.trace_key(span, &event);
                 self.ingest_impl(&event, now).map(|()| RangeReply::Ack)
             }
             RangeCommand::IngestBatch(events) => {
                 let mut first_error = None;
                 let mut applied = 0usize;
                 for event in &events {
-                    trace_key(span, event);
+                    self.metrics.trace_key(span, event);
                     match self.ingest_impl(event, now) {
                         Ok(()) => applied += 1,
                         Err(e) => {
@@ -363,15 +363,6 @@ impl ContextServer {
         let _ = self.handle(RangeCommand::SetReuse(reuse), VirtualTime::ZERO);
     }
 
-    /// Disables the Range Service's automatic registration of sensed,
-    /// unknown people.
-    pub fn set_auto_register_people(&mut self, enabled: bool) {
-        let _ = self.handle(
-            RangeCommand::SetAutoRegisterPeople(enabled),
-            VirtualTime::ZERO,
-        );
-    }
-
     fn set_reuse_impl(&mut self, reuse: bool) {
         if self.instances.is_empty() {
             self.instances = InstanceStore::new(reuse);
@@ -439,14 +430,6 @@ impl ContextServer {
     /// (type, subject).
     pub fn history(&self) -> &ContextStore {
         &self.history
-    }
-
-    /// Expires history entries past their retention window.
-    pub fn expire_history(&mut self, now: VirtualTime) -> usize {
-        match self.handle(RangeCommand::ExpireHistory, now) {
-            Ok(RangeReply::Expired(n)) => n,
-            _ => 0,
-        }
     }
 
     fn expire_history_impl(&mut self, now: VirtualTime) -> usize {
@@ -986,7 +969,7 @@ impl ContextServer {
                 );
                 // Mandatory pre-instantiation gate: no subscription is
                 // wired for a plan static analysis rejects (bypassable
-                // via `set_plan_verification(false)`).
+                // via `RangeCommand::SetPlanVerification(false)`).
                 if self.verify_plans {
                     let report = self.analyze_plan(&plan);
                     if report.has_errors() {
@@ -1673,16 +1656,6 @@ impl ContextServer {
     // Static plan verification (sci-analysis)
     // ------------------------------------------------------------------
 
-    /// Enables or disables the pre-instantiation verification gate.
-    /// Verification is on by default; disabling it restores the
-    /// pre-analysis behaviour where defective plans are wired as-is.
-    pub fn set_plan_verification(&mut self, enabled: bool) {
-        let _ = self.handle(
-            RangeCommand::SetPlanVerification(enabled),
-            VirtualTime::ZERO,
-        );
-    }
-
     fn set_plan_verification_impl(&mut self, enabled: bool) {
         self.verify_plans = enabled;
     }
@@ -1754,14 +1727,6 @@ impl ContextServer {
         }
         report
     }
-}
-
-/// Tags an ingest span with its event's trace key, `(source, seq)`,
-/// the pair the relay's `federation.deliver` event carries too. Free
-/// when the tracer is off: the span keeps no field then.
-fn trace_key(span: &mut Span<'_>, event: &ContextEvent) {
-    span.field("source", event.source);
-    span.field("seq", event.seq.0);
 }
 
 #[cfg(test)]
@@ -2172,7 +2137,11 @@ mod tests {
     #[test]
     fn auto_registration_can_be_disabled() {
         let mut r = rig();
-        r.cs.set_auto_register_people(false);
+        r.cs.handle(
+            RangeCommand::SetAutoRegisterPeople(false),
+            VirtualTime::ZERO,
+        )
+        .unwrap();
         let stranger = r.ids.next_guid();
         r.cs.ingest(
             &presence(
@@ -2228,8 +2197,8 @@ mod tests {
                 .since(&ContextType::Location, Some(bob), VirtualTime::ZERO);
         assert_eq!(locations.len(), 3, "every derived event is stored");
         // Expiry trims the past.
-        let evicted = r.cs.expire_history(VirtualTime::MAX);
-        assert!(evicted >= 6);
+        let expired = r.cs.handle(RangeCommand::ExpireHistory, VirtualTime::MAX);
+        assert!(matches!(expired, Ok(RangeReply::Expired(n)) if n >= 6));
         assert!(r.cs.history().is_empty());
     }
 
@@ -2288,7 +2257,8 @@ mod tests {
         assert!(cs.mediator().bus().is_empty());
 
         // Explicit bypass restores the pre-analysis behaviour.
-        cs.set_plan_verification(false);
+        cs.handle(RangeCommand::SetPlanVerification(false), VirtualTime::ZERO)
+            .unwrap();
         assert!(!cs.plan_verification());
         assert!(cs.submit_query(&q, VirtualTime::ZERO).is_ok());
         assert!(cs.instance_count() > 0);

@@ -32,14 +32,14 @@
 //!   [`crate::migration::MigrationPacket`], written by the same
 //!   `XmlWriter` straight into the payload) for what the paper
 //!   exchanges as documents, then the position and history tables in
-//!   the binary record form of `records.rs` — and written
-//!   atomically via [`sci_wal::write_snapshot`]; fully covered closed
-//!   segments and older snapshots are pruned. The context store keeps
+//!   the binary record form of `records.rs` — and handed to
+//!   [`sci_wal::SegmentLog::snapshot`], which writes it atomically and
+//!   prunes what it covers. The context store keeps
 //!   its history in that record form already, so the history table —
 //!   the bulk of a snapshot — is the stored bytes copied. A restore
-//!   costs one read, one check and one copy per bucket:
-//!   [`sci_wal::read_latest_snapshot`] reads the payload straight into
-//!   the buffer it returns and checks its CRC there, and the history
+//!   costs one read, one check and one copy per bucket: opening the
+//!   log reads the payload straight into the buffer it returns and
+//!   checks its CRC there, and the history
 //!   table is filed from that buffer by `ContextStore::import`, which
 //!   checks each record (`records.rs`' `skim_event`) and copies each
 //!   run of one (type, subject) into its bucket at once: history is
@@ -52,13 +52,14 @@
 //!   `(origin, seq)` envelopes the federation may already have seen —
 //!   receiver-side dedup then collapses redelivery to exactly-once.
 //! * **One log per range, one rebuild.** The records and the snapshot
-//!   live in a directory ([`attach`]: survives the process) or in
-//!   memory ([`attach_memory`]: survives a worker panic — what a
-//!   supervised range without a directory is given at spawn). The
-//!   hook in `handle`, the snapshot schedule and the rebuild are the
-//!   same code over either; [`recover`] rebuilds from a directory,
-//!   [`restart`] from whichever store a dead worker's server was
-//!   attached to.
+//!   live in one [`SegmentLog`], over a directory on disk ([`attach`]:
+//!   survives the process) or the same files in memory
+//!   ([`attach_memory`]: survives a worker panic — what a supervised
+//!   range without a directory is given at spawn). The hook in
+//!   `handle`, the snapshot schedule, the log's rules and the rebuild
+//!   are the same code over either; [`recover`] rebuilds from a
+//!   directory, [`restart`] from whichever log a dead worker's server
+//!   was attached to.
 //! * **The poison rule.** A record whose apply *panicked* was appended
 //!   but never took effect, and would panic again: whoever catches the
 //!   panic has a retirement marker appended behind it, and the rebuild
@@ -95,10 +96,7 @@ use sci_types::{
     ContextEvent, ContextType, EventSeq, Guid, SciError, SciResult, VirtualDuration, VirtualTime,
 };
 use sci_wal::codec::wire;
-use sci_wal::log::LatestSnapshot;
-use sci_wal::{
-    prune_snapshots, read_latest_snapshot, Frame, FsyncPolicy, Recovered, SegmentLog, WalError,
-};
+use sci_wal::{Dir, Frame, FsyncPolicy, Recovered, SegmentLog, WalError};
 
 use crate::context_server::ContextServer;
 use crate::logic::LogicFactory;
@@ -250,11 +248,6 @@ pub fn decode_command<S: BuildHasher>(
 // Configuration and metrics
 // ---------------------------------------------------------------------
 
-/// Logged commands between snapshots unless a [`DurabilityConfig`]
-/// says otherwise — and always for the in-memory store, whose
-/// snapshots are its compaction.
-const SNAPSHOT_EVERY: u64 = 256;
-
 /// How a range's write-ahead log behaves.
 #[derive(Clone, Debug)]
 pub struct DurabilityConfig {
@@ -277,7 +270,7 @@ impl DurabilityConfig {
             dir: dir.into(),
             fsync: FsyncPolicy::EveryN(32),
             segment_bytes: 1 << 20,
-            snapshot_every: SNAPSHOT_EVERY,
+            snapshot_every: 256,
         }
     }
 }
@@ -327,133 +320,14 @@ impl WalMetrics {
 /// command tag space ([`RangeCommand::KINDS`]).
 const RETIRED: u8 = 0xFF;
 
-/// Where a range's records and snapshot are kept. Everything above
-/// this enum — the append-before-apply hook, snapshot scheduling,
-/// recovery — is the same code for both.
-enum Store {
-    /// Segment and snapshot files under `config.dir`: survives the
-    /// process.
-    Dir {
-        log: SegmentLog,
-        config: DurabilityConfig,
-    },
-    /// The same in memory: survives a worker panic, which is all a
-    /// supervised restart needs.
-    Mem(MemLog),
-}
-
-/// What a log directory holds, held in memory: the newest snapshot and
-/// every record since (a snapshot is this store's compaction).
-#[derive(Default)]
-struct MemLog {
-    frames: Vec<(u64, Frame)>,
-    next_index: u64,
-    snapshot: LatestSnapshot,
-}
-
-/// What a store holds when it is opened for recovery.
-struct Held {
-    snapshot: LatestSnapshot,
-    snapshots_skipped: usize,
-    log: Recovered,
-}
-
-impl Store {
-    fn open_dir(config: &DurabilityConfig) -> SciResult<(Store, Held)> {
-        let (log, recovered) =
-            SegmentLog::open(&config.dir, config.fsync, config.segment_bytes).map_err(wal_err)?;
-        let (snapshot, snapshots_skipped) = read_latest_snapshot(&config.dir).map_err(wal_err)?;
-        let held = Held {
-            snapshot,
-            snapshots_skipped,
-            log: recovered,
-        };
-        let config = config.clone();
-        Ok((Store::Dir { log, config }, held))
-    }
-
-    /// Reads back what the store holds, ready to append again: a
-    /// directory is closed (flushing it) and opened like any other.
-    fn reopen(self) -> SciResult<(Store, Held)> {
-        match self {
-            Store::Dir { log, config } => {
-                drop(log);
-                Store::open_dir(&config)
-            }
-            Store::Mem(mem) => {
-                let held = Held {
-                    snapshot: mem.snapshot.clone(),
-                    snapshots_skipped: 0,
-                    log: Recovered {
-                        frames: mem.frames.clone(),
-                        torn_bytes: 0,
-                        torn_detail: None,
-                    },
-                };
-                Ok((Store::Mem(mem), held))
-            }
-        }
-    }
-
-    fn snapshot_every(&self) -> u64 {
-        match self {
-            Store::Dir { config, .. } => config.snapshot_every,
-            Store::Mem(_) => SNAPSHOT_EVERY,
-        }
-    }
-
-    fn segment_count(&self) -> usize {
-        match self {
-            Store::Dir { log, .. } => log.segment_count(),
-            Store::Mem(_) => 0,
-        }
-    }
-
-    /// Appends one frame; returns whether the append ran an fsync.
-    fn append(&mut self, frame: Frame) -> SciResult<bool> {
-        match self {
-            Store::Dir { log, .. } => Ok(log.append(&frame).map_err(wal_err)?.synced),
-            Store::Mem(mem) => {
-                mem.frames.push((mem.next_index, frame));
-                mem.next_index += 1;
-                Ok(false)
-            }
-        }
-    }
-
-    /// Stores a snapshot covering every record so far and drops what
-    /// it supersedes: covered records and older snapshots.
-    fn write_snapshot(&mut self, payload: Vec<u8>) -> SciResult<()> {
-        match self {
-            Store::Dir { log, config } => {
-                let applied = log.next_index();
-                sci_wal::write_snapshot(&config.dir, applied, &payload).map_err(wal_err)?;
-                log.prune_below(applied).map_err(wal_err)?;
-                prune_snapshots(&config.dir, applied).map_err(wal_err)?;
-            }
-            Store::Mem(mem) => {
-                mem.frames.clear();
-                mem.snapshot = Some((mem.next_index, payload));
-            }
-        }
-        Ok(())
-    }
-
-    fn sync(&mut self) -> SciResult<()> {
-        match self {
-            Store::Dir { log, .. } => log.sync().map_err(wal_err),
-            Store::Mem(_) => Ok(()),
-        }
-    }
-}
-
-/// A range's attached write-ahead log: the stored records plus
-/// snapshot scheduling state. Lives inside the [`ContextServer`] and is
+/// A range's attached write-ahead log: the log plus snapshot
+/// scheduling state. Lives inside the [`ContextServer`] and is
 /// driven exclusively by [`ContextServer::handle`]; construct one via
 /// [`attach`] / [`attach_memory`] (fresh range) or [`recover`] /
 /// [`restart`] (rebuilt range).
 pub struct RangeWal {
-    store: Store,
+    log: SegmentLog,
+    snapshot_every: u64,
     since_snapshot: u64,
     /// The newest record's command has not come back from its apply.
     /// Set by [`RangeWal::append`], cleared by [`RangeWal::applied`];
@@ -464,9 +338,10 @@ pub struct RangeWal {
 }
 
 impl RangeWal {
-    fn new(store: Store, registry: &Registry, since_snapshot: u64) -> Self {
+    fn new(log: SegmentLog, snapshot_every: u64, registry: &Registry, since_snapshot: u64) -> Self {
         RangeWal {
-            store,
+            log,
+            snapshot_every,
             since_snapshot,
             unapplied: false,
             metrics: WalMetrics::new(registry),
@@ -482,14 +357,14 @@ impl RangeWal {
         let bytes = frame.encoded_len() as u64;
         #[expect(clippy::disallowed_methods, reason = "telemetry timing")]
         let started = Instant::now();
-        let synced = self.store.append(frame)?;
+        let synced = self.log.append(&frame).map_err(wal_err)?.synced;
         let us = elapsed_us(started);
         self.metrics.append_us.record(us);
         if synced {
             self.metrics.fsync_us.record(us);
         }
         self.metrics.bytes.add(bytes);
-        self.metrics.segments.set(self.store.segment_count() as i64);
+        self.metrics.segments.set(self.log.segment_count() as i64);
         self.since_snapshot += 1;
         self.unapplied = true;
         Ok(())
@@ -500,8 +375,7 @@ impl RangeWal {
     /// enough commands accumulated to warrant a snapshot.
     pub(crate) fn applied(&mut self) -> bool {
         self.unapplied = false;
-        let every = self.store.snapshot_every();
-        every > 0 && self.since_snapshot >= every
+        self.snapshot_every > 0 && self.since_snapshot >= self.snapshot_every
     }
 
     /// The poison rule: the record whose apply panicked was appended,
@@ -512,8 +386,10 @@ impl RangeWal {
     /// the tail record to be replayed.
     pub(crate) fn retire_unapplied(&mut self) -> SciResult<()> {
         if std::mem::take(&mut self.unapplied) {
-            self.store.append(Frame::new(RETIRED, Vec::new()))?;
-            self.store.sync()?;
+            self.log
+                .append(&Frame::new(RETIRED, Vec::new()))
+                .map_err(wal_err)?;
+            self.sync()?;
         }
         Ok(())
     }
@@ -528,16 +404,16 @@ impl RangeWal {
         self.metrics.snapshot_encode_us.record(encode_us);
         #[expect(clippy::disallowed_methods, reason = "telemetry timing")]
         let started = Instant::now();
-        self.store.write_snapshot(payload)?;
+        self.log.snapshot(&payload).map_err(wal_err)?;
         self.since_snapshot = 0;
         self.metrics.snapshot_us.record(elapsed_us(started));
-        self.metrics.segments.set(self.store.segment_count() as i64);
+        self.metrics.segments.set(self.log.segment_count() as i64);
         Ok(())
     }
 
     /// Flushes and fsyncs buffered appends (shutdown path).
     pub(crate) fn sync(&mut self) -> SciResult<()> {
-        self.store.sync()
+        self.log.sync().map_err(wal_err)
     }
 }
 
@@ -760,8 +636,13 @@ pub struct RecoveryReport {
     pub last_now: VirtualTime,
 }
 
-fn attach_store(cs: &mut ContextServer, store: Store, now: VirtualTime) -> SciResult<()> {
-    let mut wal = RangeWal::new(store, cs.telemetry(), 0);
+fn attach_log(
+    cs: &mut ContextServer,
+    log: SegmentLog,
+    snapshot_every: u64,
+    now: VirtualTime,
+) -> SciResult<()> {
+    let mut wal = RangeWal::new(log, snapshot_every, cs.telemetry(), 0);
     wal.write_snapshot(encode_snapshot(cs, now))?;
     cs.put_wal(wal);
     Ok(())
@@ -781,24 +662,36 @@ pub fn attach(
     config: &DurabilityConfig,
     now: VirtualTime,
 ) -> SciResult<()> {
-    let (store, held) = Store::open_dir(config)?;
-    if !held.log.frames.is_empty() || held.snapshot.is_some() {
+    let (log, held) = open(Dir::Fs(config.dir.clone()), config)?;
+    if !held.frames.is_empty() || held.snapshot.is_some() {
         return Err(SciError::Internal(format!(
             "durability dir {} already holds a log; use recover()",
             config.dir.display()
         )));
     }
-    attach_store(cs, store, now)
+    attach_log(cs, log, config.snapshot_every, now)
 }
 
-/// [`attach`], keeping the log in memory instead of a directory: the
-/// same records, the same seeding snapshot, a snapshot (which is the
-/// store's compaction) every 256 logged commands. It does not survive
-/// the process; it is what a supervised range
-/// ([`crate::runtime::RestartPolicy`]) with no disk log restarts from.
+/// [`attach`], keeping the log's files in memory instead of a
+/// directory: the same log, the same seeding snapshot, the
+/// [`DurabilityConfig`] defaults but for the fsync policy, which is
+/// `Never`. It does not survive the process; it is what a supervised
+/// range ([`crate::runtime::RestartPolicy`]) with no disk log restarts
+/// from.
 pub fn attach_memory(cs: &mut ContextServer, now: VirtualTime) {
-    // No I/O: the only fallible step of `attach_store` is a directory's.
-    let _ = attach_store(cs, Store::Mem(MemLog::default()), now);
+    let config = DurabilityConfig {
+        fsync: FsyncPolicy::Never,
+        ..DurabilityConfig::new(PathBuf::new())
+    };
+    // No I/O: only a directory on disk fails.
+    if let Ok((log, _)) = open(Dir::Mem(Default::default()), &config) {
+        let _ = attach_log(cs, log, config.snapshot_every, now);
+    }
+}
+
+/// Opens a range's log over `dir` with `config`'s policies.
+fn open(dir: Dir, config: &DurabilityConfig) -> SciResult<(SegmentLog, Recovered)> {
+    SegmentLog::open_in(dir, config.fsync, config.segment_bytes).map_err(wal_err)
 }
 
 /// Rebuilds a range from its durability directory: opens the log
@@ -830,7 +723,8 @@ pub fn recover<S: BuildHasher>(
     logic: &LogicTable<S>,
 ) -> SciResult<(ContextServer, RecoveryReport)> {
     let fresh = (id, name.into(), plan, registry);
-    rebuild(fresh, || Store::open_dir(config), logic)
+    let open_dir = || open(Dir::Fs(config.dir.clone()), config);
+    rebuild(fresh, open_dir, config.snapshot_every, logic)
 }
 
 /// Rebuilds a range from the log attached to `wreck` — what a
@@ -857,23 +751,25 @@ pub fn restart(wreck: ContextServer) -> SciResult<(ContextServer, RecoveryReport
         SciError::Internal("restart needs an attached log; see attach / attach_memory".into())
     })?;
     wal.retire_unapplied()?;
-    rebuild(fresh, || wal.store.reopen(), &logic)
+    let reopen = || wal.log.reopen().map_err(wal_err);
+    rebuild(fresh, reopen, wal.snapshot_every, &logic)
 }
 
 /// The one function that turns (snapshot, records) into a server:
 /// restores the newest intact snapshot `open` finds into a fresh
 /// server of the given identity, replays every record past it through
-/// [`ContextServer::handle`], and attaches the opened store.
+/// [`ContextServer::handle`], and attaches the opened log.
 fn rebuild<S: BuildHasher>(
     (id, name, plan, registry): (Guid, String, FloorPlan, Registry),
-    open: impl FnOnce() -> SciResult<(Store, Held)>,
+    open: impl FnOnce() -> SciResult<(SegmentLog, Recovered)>,
+    snapshot_every: u64,
     logic: &LogicTable<S>,
 ) -> SciResult<(ContextServer, RecoveryReport)> {
-    // Store first, server second: the server's many small allocations
+    // Log first, server second: the server's many small allocations
     // then sit together, after the log's one large read.
     #[expect(clippy::disallowed_methods, reason = "telemetry timing")]
     let started = Instant::now();
-    let (store, held) = open()?;
+    let (log, held) = open()?;
     let read_us = elapsed_us(started);
     let mut cs = ContextServer::with_registry(id, name, plan, registry);
     let mut last_now = VirtualTime::ZERO;
@@ -891,7 +787,7 @@ fn rebuild<S: BuildHasher>(
     let replaying = Instant::now();
     let floor = snapshot_applied.unwrap_or(0);
     let mut replayed = 0usize;
-    let frames = &held.log.frames;
+    let frames = &held.frames;
     for (i, (idx, frame)) in frames.iter().enumerate() {
         let retired = matches!(frames.get(i + 1), Some((_, next)) if next.tag == RETIRED);
         if *idx < floor || retired || frame.tag == RETIRED {
@@ -905,7 +801,7 @@ fn rebuild<S: BuildHasher>(
         replayed += 1;
     }
     let replay_us = elapsed_us(replaying);
-    let wal = RangeWal::new(store, cs.telemetry(), replayed as u64);
+    let wal = RangeWal::new(log, snapshot_every, cs.telemetry(), replayed as u64);
     let [read, restore, replay] = &wal.metrics.recover_phases_us;
     read.record(read_us);
     if let Some(us) = restore_us {
@@ -913,8 +809,8 @@ fn rebuild<S: BuildHasher>(
     }
     replay.record(replay_us);
     wal.metrics.recover_us.record(elapsed_us(started));
-    wal.metrics.torn_tail.add(held.log.torn_bytes);
-    wal.metrics.segments.set(wal.store.segment_count() as i64);
+    wal.metrics.torn_tail.add(held.torn_bytes);
+    wal.metrics.segments.set(wal.log.segment_count() as i64);
     cs.put_wal(wal);
     Ok((
         cs,
@@ -922,8 +818,8 @@ fn rebuild<S: BuildHasher>(
             snapshot_applied,
             replayed,
             replay_errors,
-            torn_bytes: held.log.torn_bytes,
-            torn_detail: held.log.torn_detail,
+            torn_bytes: held.torn_bytes,
+            torn_detail: held.torn_detail,
             snapshots_skipped: held.snapshots_skipped,
             last_now,
         },
@@ -1343,7 +1239,7 @@ mod tests {
             }
         }
         let now = VirtualTime::from_secs(45);
-        let history = cs.history().export();
+        let history: Vec<_> = cs.history().events().collect();
         assert!(history.len() > 4 * 32, "some bucket filled up");
         let mut expected = Vec::new();
         wire::put_str(&mut expected, &snapshot_document(&cs, now));
@@ -1363,7 +1259,7 @@ mod tests {
 
         let mut back = ContextServer::new(cs.id(), "r", sci_location::floorplan::capa_level10());
         restore_snapshot(&mut back, &payload, &HashMap::default()).unwrap();
-        assert_eq!(back.history().export(), history);
+        assert_eq!(back.history().events().collect::<Vec<_>>(), history);
         assert_eq!(encode_snapshot(&back, now).0, payload);
     }
 
@@ -1571,7 +1467,9 @@ mod tests {
             .to_xml();
         let dir = std::env::temp_dir().join(format!("sci-xml-snapshot-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        sci_wal::write_snapshot(&dir, 0, yesterday.as_bytes()).unwrap();
+        let (mut log, _) = SegmentLog::open(&dir, FsyncPolicy::Never, 1 << 20).unwrap();
+        log.snapshot(yesterday.as_bytes()).unwrap();
+        drop(log);
         let refused = recover(
             cs.id(),
             "r",

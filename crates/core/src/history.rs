@@ -247,29 +247,23 @@ impl ContextStore {
             .unwrap_or_default()
     }
 
-    /// Every bucket, in [`ContextStore::export`] order.
+    /// Every bucket, in [`ContextStore::events`] order.
     fn in_order(&self) -> impl Iterator<Item = &Bucket> {
         let mut buckets: Vec<(&HistoryKey, &Bucket)> = self.entries.iter().collect();
         buckets.sort_by(|(a, _), (b, _)| (a.ty.name(), a.subject).cmp(&(b.ty.name(), b.subject)));
         buckets.into_iter().map(|(_, bucket)| bucket)
     }
 
-    /// Every stored event in a deterministic order: buckets sorted by
-    /// (type name, subject), events within a bucket in insertion order.
-    /// Re-`record`ing the export into an empty store reproduces the
-    /// same per-key buckets.
-    pub fn export(&self) -> Vec<ContextEvent> {
-        self.events().collect()
-    }
-
-    /// [`ContextStore::export`] one event at a time, each decoded when
-    /// it is reached.
+    /// Every stored event in a deterministic order, each decoded when
+    /// it is reached: buckets sorted by (type name, subject), events
+    /// within a bucket in insertion order. Re-`record`ing them into an
+    /// empty store reproduces the same per-key buckets.
     pub(crate) fn events(&self) -> impl Iterator<Item = ContextEvent> + '_ {
         self.in_order().flat_map(Bucket::records).filter_map(decode)
     }
 
     /// Appends the history table of a durability snapshot to `out`: a
-    /// `u32` count, then every stored record in [`ContextStore::export`]
+    /// `u32` count, then every stored record in [`ContextStore::events`]
     /// order — the bytes `put_event` would write for the export, copied
     /// a bucket at a time rather than re-encoded.
     /// [`ContextStore::import`]ing them into an empty store reproduces
@@ -425,7 +419,10 @@ mod tests {
         a.write_records(&mut bytes_a);
         b.write_records(&mut bytes_b);
         assert_eq!(bytes_a, bytes_b);
-        assert_eq!(a.export(), b.export());
+        assert_eq!(
+            a.events().collect::<Vec<_>>(),
+            b.events().collect::<Vec<_>>()
+        );
         for (ty, subject) in keys {
             let all = |s: &ContextStore| s.since(ty, *subject, VirtualTime::ZERO);
             assert_eq!(all(a), all(b), "{ty} {subject:?}");
@@ -454,7 +451,11 @@ mod tests {
         // each key's newest 2, as re-recording the export does.
         let shallow = adopted(&live, 2);
         assert_eq!(shallow.len(), 6);
-        assert_same(&shallow, &recorded(&live.export(), 2), &keys);
+        assert_same(
+            &shallow,
+            &recorded(&live.events().collect::<Vec<_>>(), 2),
+            &keys,
+        );
     }
 
     /// A bucket that already holds records takes an imported run a
@@ -481,7 +482,7 @@ mod tests {
         let replayed: Vec<ContextEvent> = earlier
             .iter()
             .cloned()
-            .chain(recorded(&later, 4).export())
+            .chain(recorded(&later, 4).events())
             .collect();
         assert_same(&store, &recorded(&replayed, 3), &keys);
         assert_eq!(store.len(), 6);

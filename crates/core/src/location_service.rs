@@ -12,10 +12,8 @@
 use sci_location::convert::{trilaterate, PathLossModel, SignalReading};
 use sci_location::floorplan::FloorPlan;
 use sci_location::geometric::GeometricModel;
-use sci_location::language::{LocationExpr, ResolvedLocation};
 use sci_types::{
-    ContextEvent, ContextType, ContextValue, Coord, Guid, HashMap, SciResult, VirtualDuration,
-    VirtualTime,
+    ContextEvent, ContextType, ContextValue, Coord, Guid, HashMap, VirtualDuration, VirtualTime,
 };
 
 /// How long a signal reading stays usable for trilateration.
@@ -134,19 +132,6 @@ impl LocationService {
         self.tracker.place_of(entity)
     }
 
-    /// Full tri-model location of an entity.
-    ///
-    /// # Errors
-    ///
-    /// Propagates resolution failures (unknown position or a position
-    /// outside every room).
-    pub fn locate(&self, entity: Guid) -> SciResult<ResolvedLocation> {
-        let coord = self
-            .position_of(entity)
-            .ok_or(sci_types::SciError::UnknownEntity(entity))?;
-        LocationExpr::Point(coord).resolve(&self.plan)
-    }
-
     /// Returns `true` if `room` lies inside the zone named `scope`
     /// (rooms are zones too, so `scope` may be a room name).
     pub fn room_in_scope(&self, room: &str, scope: &str) -> bool {
@@ -154,13 +139,6 @@ impl LocationService {
             .logical()
             .zone_contains(scope, room)
             .unwrap_or(false)
-    }
-
-    /// Straight-line distance from an entity's position to a room's
-    /// centroid (used for "closest printer to Bob").
-    pub fn distance_to_room(&self, entity: Guid, room: &str) -> Option<f64> {
-        let p = self.position_of(entity)?;
-        self.plan.centroid(room).ok().map(|c| c.distance(p))
     }
 
     /// Every tracked entity position, sorted by entity id. Used by the
@@ -213,9 +191,6 @@ mod tests {
         assert!(ls.room_of(bob).is_none());
         ls.ingest(&presence(bob, "L10.01", VirtualTime::ZERO));
         assert_eq!(ls.room_of(bob), Some("L10.01"));
-        let loc = ls.locate(bob).unwrap();
-        assert_eq!(loc.place, "L10.01");
-        assert!(loc.zone.to_string().contains("level-ten"));
     }
 
     #[test]
@@ -294,16 +269,12 @@ mod tests {
     }
 
     #[test]
-    fn scope_and_distance_queries() {
+    fn scope_queries() {
         let mut ls = LocationService::new(capa_level10());
         let bob = Guid::from_u128(1);
         ls.ingest(&presence(bob, "L10.01", VirtualTime::ZERO));
         assert!(ls.room_in_scope("L10.01", "level-ten"));
         assert!(!ls.room_in_scope("L10.01", "L10.02"));
-        let d_near = ls.distance_to_room(bob, "L10.01").unwrap();
-        let d_far = ls.distance_to_room(bob, "bay").unwrap();
-        assert!(d_near < d_far);
-        assert!(ls.distance_to_room(Guid::from_u128(99), "bay").is_none());
     }
 
     #[test]
@@ -313,6 +284,6 @@ mod tests {
         ls.ingest(&presence(bob, "lobby", VirtualTime::ZERO));
         ls.forget(bob);
         assert!(ls.position_of(bob).is_none());
-        assert!(ls.locate(bob).is_err());
+        assert!(ls.room_of(bob).is_none());
     }
 }

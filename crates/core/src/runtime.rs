@@ -87,7 +87,8 @@ pub enum RangeCommand {
     SetReuse(bool),
     /// Enable or disable the Range Service's person auto-registration.
     SetAutoRegisterPeople(bool),
-    /// Enable or disable the pre-instantiation plan verification gate.
+    /// Enable or disable the pre-instantiation plan verification gate
+    /// (on by default; off wires a defective plan as-is).
     SetPlanVerification(bool),
     /// Run the fleet drift audit.
     Audit,

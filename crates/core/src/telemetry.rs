@@ -22,10 +22,10 @@ use sci_overlay::stats::LoadStats;
 use sci_query::xml::{document, parse, XmlWriter};
 use sci_telemetry::catalogue::{self, Metric};
 use sci_telemetry::{
-    Counter, Gauge, Histogram, HistogramSnapshot, Registry, TelemetrySnapshot, Tracer,
+    Counter, Gauge, Histogram, HistogramSnapshot, Registry, Span, TelemetrySnapshot, Tracer,
     HISTOGRAM_BUCKETS,
 };
-use sci_types::{SciError, SciResult};
+use sci_types::{ContextEvent, Guid, HashMap, SciError, SciResult};
 
 use crate::records::parsed_attr;
 use crate::runtime::RangeCommand;
@@ -49,6 +49,10 @@ pub(crate) struct CsMetrics {
     pub(crate) migrate_out: Counter,
     pub(crate) migrate_in: Counter,
     pub(crate) source_failed: Counter,
+    trace_key_repeats: Counter,
+    /// The newest `seq` each source's ingests carried, kept only while
+    /// the tracer is on.
+    last_seq: HashMap<Guid, u64>,
 }
 
 impl CsMetrics {
@@ -80,6 +84,8 @@ impl CsMetrics {
             migrate_out: registry.counter(catalogue::RANGE_MIGRATE_OUT),
             migrate_in: registry.counter(catalogue::RANGE_MIGRATE_IN),
             source_failed: registry.counter(catalogue::RANGE_SOURCE_FAILED),
+            trace_key_repeats: registry.counter(catalogue::RANGE_TRACE_KEY_REPEATS),
+            last_seq: HashMap::default(),
             tracer: Tracer::noop(),
             registry,
         }
@@ -98,6 +104,23 @@ impl CsMetrics {
     /// Replaces the tracer (default: no-op).
     pub(crate) fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
+    }
+
+    /// Tags an ingest span with its event's trace key, `(source, seq)`,
+    /// the pair the relay's `federation.deliver` event carries too, and
+    /// counts a key whose `seq` is not above the last one its source
+    /// ingested: a key that does not tell two ingests apart. Free when
+    /// the tracer is off.
+    pub(crate) fn trace_key(&mut self, span: &mut Span<'_>, event: &ContextEvent) {
+        if !self.tracer.enabled() {
+            return;
+        }
+        span.field("source", event.source);
+        span.field("seq", event.seq.0);
+        let last = self.last_seq.insert(event.source, event.seq.0);
+        if last.is_some_and(|last| event.seq.0 <= last) {
+            self.trace_key_repeats.inc();
+        }
     }
 
     /// Records one executed command of kind-index `idx`.

@@ -87,15 +87,6 @@ impl FloorPlan {
         self.regions.clone()
     }
 
-    /// Straight-line distance between two room centroids.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SciError::UnknownLocation`] for unknown rooms.
-    pub fn centroid_distance(&self, a: &str, b: &str) -> SciResult<f64> {
-        Ok(self.centroid(a)?.distance(self.centroid(b)?))
-    }
-
     // ------------------------------------------------------------------
     // Spatial relations (paper §6, open issue 4: "geometric,
     // topological, and logical spatial relations … fine grained control
@@ -109,42 +100,6 @@ impl FloorPlan {
             .neighbors(a)
             .map(|ns| ns.contains(&b))
             .unwrap_or(false)
-    }
-
-    /// Geometric relation: rooms whose region intersects the circle of
-    /// `radius_m` around `center`, in declaration order.
-    pub fn rooms_within(&self, center: Coord, radius_m: f64) -> Vec<&Room> {
-        self.rooms
-            .iter()
-            .filter(|r| r.rect.distance_to(center) <= radius_m)
-            .collect()
-    }
-
-    /// Logical relation: do both rooms lie inside the zone with the
-    /// given leaf name?
-    pub fn share_zone(&self, a: &str, b: &str, zone: &str) -> bool {
-        self.logical.zone_contains(zone, a).unwrap_or(false)
-            && self.logical.zone_contains(zone, b).unwrap_or(false)
-    }
-
-    /// Travel distance (through doors) between two rooms — the
-    /// topological counterpart of [`FloorPlan::centroid_distance`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SciError::UnknownLocation`] for unknown rooms and
-    /// [`SciError::Unresolvable`] if they are not connected.
-    pub fn travel_distance(&self, a: &str, b: &str) -> SciResult<f64> {
-        Ok(self.topo.shortest_path(a, b)?.1)
-    }
-
-    /// Geometric relation: do the two rooms physically touch (share a
-    /// boundary), whether or not a passage connects them?
-    pub fn touching(&self, a: &str, b: &str) -> bool {
-        match (self.room(a), self.room(b)) {
-            (Some(ra), Some(rb)) => ra.rect.intersects(&rb.rect),
-            _ => false,
-        }
     }
 }
 
@@ -171,7 +126,7 @@ struct DoorSpec {
 ///     .door("corridor", "L10.01", "door-L10.01")
 ///     .build()?;
 /// assert!(plan.room("L10.01").is_some());
-/// assert_eq!(plan.topology().door_between("corridor", "L10.01"), Some("door-L10.01"));
+/// assert!(plan.adjacent("corridor", "L10.01"));
 /// assert!(plan.logical().zone_contains("tower", "L10.01")?);
 /// # Ok::<(), sci_types::SciError>(())
 /// ```
@@ -185,17 +140,6 @@ impl FloorPlanBuilder {
     /// Descends into a sub-zone: rooms added afterwards live under it.
     pub fn zone(mut self, name: impl Into<String>) -> Self {
         self.zone_prefix.push(name.into());
-        self
-    }
-
-    /// Ascends out of the current zone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if already at the root zone.
-    pub fn end_zone(mut self) -> Self {
-        assert!(self.zone_prefix.len() > 1, "cannot end the root zone");
-        self.zone_prefix.pop();
         self
     }
 
@@ -377,14 +321,13 @@ mod tests {
         let plan = FloorPlan::builder("campus")
             .zone("north")
             .room("n1", Rect::with_size(Coord::new(0.0, 0.0), 1.0, 1.0))
-            .end_zone()
-            .zone("south")
-            .room("s1", Rect::with_size(Coord::new(5.0, 0.0), 1.0, 1.0))
+            .zone("wing")
+            .room("w1", Rect::with_size(Coord::new(5.0, 0.0), 1.0, 1.0))
             .build()
             .unwrap();
-        assert!(plan.logical().zone_contains("north", "n1").unwrap());
-        assert!(!plan.logical().zone_contains("north", "s1").unwrap());
-        assert!(plan.logical().zone_contains("campus", "s1").unwrap());
+        assert!(plan.logical().zone_contains("north", "w1").unwrap());
+        assert!(!plan.logical().zone_contains("wing", "n1").unwrap());
+        assert!(plan.logical().zone_contains("campus", "w1").unwrap());
     }
 
     #[test]
@@ -405,31 +348,5 @@ mod tests {
         assert!(plan.adjacent("corridor", "L10.01"));
         assert!(plan.adjacent("corridor", "bay"));
         assert!(!plan.adjacent("L10.01", "L10.02"), "no direct passage");
-        // Geometric touching is independent of passages.
-        assert!(plan.touching("L10.01", "L10.02"), "shared wall");
-        assert!(!plan.touching("lobby", "bay"));
-        // Radius queries.
-        let near_lobby = plan.rooms_within(Coord::new(4.0, 1.0), 1.5);
-        let names: Vec<&str> = near_lobby.iter().map(|r| r.name.as_str()).collect();
-        assert!(names.contains(&"lobby"));
-        assert!(!names.contains(&"bay"));
-        // Logical co-location.
-        assert!(plan.share_zone("L10.01", "bay", "level-ten"));
-        assert!(!plan.share_zone("L10.01", "nowhere", "level-ten"));
-        // Travel distance respects the door graph (longer than the
-        // straight line through the wall).
-        let travel = plan.travel_distance("L10.01", "L10.02").unwrap();
-        let direct = plan.centroid_distance("L10.01", "L10.02").unwrap();
-        assert!(travel > direct);
-        assert!(plan.travel_distance("L10.01", "mars").is_err());
-    }
-
-    #[test]
-    fn centroid_distance_symmetry() {
-        let plan = capa_level10();
-        let d1 = plan.centroid_distance("L10.01", "bay").unwrap();
-        let d2 = plan.centroid_distance("bay", "L10.01").unwrap();
-        assert_eq!(d1, d2);
-        assert!(d1 > 0.0);
     }
 }

@@ -13,7 +13,6 @@ use sci_types::Coord;
 /// let room = Rect::new(Coord::new(0.0, 0.0), Coord::new(4.0, 3.0));
 /// assert!(room.contains(Coord::new(2.0, 1.5)));
 /// assert_eq!(room.center(), Coord::new(2.0, 1.5));
-/// assert_eq!(room.area(), 12.0);
 /// ```
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct Rect {
@@ -60,11 +59,6 @@ impl Rect {
         self.max.y - self.min.y
     }
 
-    /// Area.
-    pub fn area(&self) -> f64 {
-        self.width() * self.height()
-    }
-
     /// Geometric centre.
     pub fn center(&self) -> Coord {
         Coord::new(
@@ -76,28 +70,6 @@ impl Rect {
     /// Returns `true` if `p` lies inside or on the boundary.
     pub fn contains(&self, p: Coord) -> bool {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
-    }
-
-    /// Returns `true` if the rectangles overlap (sharing a boundary
-    /// counts).
-    pub fn intersects(&self, other: &Rect) -> bool {
-        self.min.x <= other.max.x
-            && other.min.x <= self.max.x
-            && self.min.y <= other.max.y
-            && other.min.y <= self.max.y
-    }
-
-    /// The point inside the rectangle closest to `p`.
-    pub fn clamp(&self, p: Coord) -> Coord {
-        Coord::new(
-            p.x.clamp(self.min.x, self.max.x),
-            p.y.clamp(self.min.y, self.max.y),
-        )
-    }
-
-    /// Distance from `p` to the rectangle (zero when inside).
-    pub fn distance_to(&self, p: Coord) -> f64 {
-        self.clamp(p).distance(p)
     }
 }
 
@@ -144,25 +116,6 @@ mod tests {
         assert!(r.contains(Coord::new(0.0, 0.0)));
         assert!(r.contains(Coord::new(2.0, 2.0)));
         assert!(!r.contains(Coord::new(2.0001, 1.0)));
-    }
-
-    #[test]
-    fn intersection() {
-        let a = Rect::with_size(Coord::new(0.0, 0.0), 2.0, 2.0);
-        let b = Rect::with_size(Coord::new(1.0, 1.0), 2.0, 2.0);
-        let c = Rect::with_size(Coord::new(5.0, 5.0), 1.0, 1.0);
-        let edge = Rect::with_size(Coord::new(2.0, 0.0), 1.0, 1.0);
-        assert!(a.intersects(&b));
-        assert!(!a.intersects(&c));
-        assert!(a.intersects(&edge), "shared boundary counts");
-    }
-
-    #[test]
-    fn clamp_and_distance() {
-        let r = Rect::with_size(Coord::new(0.0, 0.0), 2.0, 2.0);
-        assert_eq!(r.clamp(Coord::new(5.0, 1.0)), Coord::new(2.0, 1.0));
-        assert!((r.distance_to(Coord::new(5.0, 1.0)) - 3.0).abs() < 1e-12);
-        assert_eq!(r.distance_to(Coord::new(1.0, 1.0)), 0.0);
     }
 
     #[test]

@@ -117,16 +117,7 @@ pub struct ResolvedLocation {
     pub zone: ZonePath,
 }
 
-impl ResolvedLocation {
-    /// Returns `true` if this location lies inside the zone with the
-    /// given leaf name.
-    pub fn in_zone(&self, plan: &FloorPlan, zone_leaf: &str) -> bool {
-        plan.logical()
-            .path_of(zone_leaf)
-            .map(|z| z.contains(&self.zone))
-            .unwrap_or(false)
-    }
-}
+impl ResolvedLocation {}
 
 impl fmt::Display for ResolvedLocation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -146,9 +137,7 @@ mod tests {
             .resolve(&plan)
             .unwrap();
         assert_eq!(loc.place, "L10.01");
-        assert!(loc.in_zone(&plan, "level-ten"));
-        assert!(loc.in_zone(&plan, "L10.01"));
-        assert!(!loc.in_zone(&plan, "L10.02"));
+        assert_eq!(loc.zone.leaf(), "L10.01");
     }
 
     #[test]
@@ -166,7 +155,10 @@ mod tests {
             .resolve(&plan)
             .unwrap();
         assert!(plan.room(&loc.place).is_some());
-        assert!(loc.in_zone(&plan, "level-ten"));
+        assert!(plan
+            .logical()
+            .zone_contains("level-ten", &loc.place)
+            .unwrap());
     }
 
     #[test]

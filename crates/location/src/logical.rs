@@ -53,22 +53,6 @@ impl ZonePath {
     pub fn depth(&self) -> usize {
         self.0.len()
     }
-
-    /// The deepest common ancestor with `other`, if they share a root.
-    pub fn common_ancestor(&self, other: &ZonePath) -> Option<ZonePath> {
-        let shared: Vec<String> = self
-            .0
-            .iter()
-            .zip(&other.0)
-            .take_while(|(a, b)| a == b)
-            .map(|(a, _)| a.clone())
-            .collect();
-        if shared.is_empty() {
-            None
-        } else {
-            Some(ZonePath(shared))
-        }
-    }
 }
 
 impl fmt::Display for ZonePath {
@@ -162,24 +146,6 @@ impl LogicalModel {
             .ok_or_else(|| SciError::UnknownLocation(inner.to_owned()))?;
         Ok(o.contains(i))
     }
-
-    /// All known zone leaf names (unordered).
-    pub fn zones(&self) -> impl Iterator<Item = &str> {
-        self.by_leaf.keys().map(String::as_str)
-    }
-
-    /// All leaves *strictly or loosely* inside the zone named `outer`.
-    pub fn descendants(&self, outer: &str) -> SciResult<Vec<&str>> {
-        let o = self
-            .path_of(outer)
-            .ok_or_else(|| SciError::UnknownLocation(outer.to_owned()))?;
-        Ok(self
-            .by_leaf
-            .iter()
-            .filter(|(_, p)| o.contains(p))
-            .map(|(k, _)| k.as_str())
-            .collect())
-    }
 }
 
 #[cfg(test)]
@@ -208,15 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn common_ancestor() {
-        let a: ZonePath = "campus/tower/l10/L10.01".parse().unwrap();
-        let b: ZonePath = "campus/tower/l9/L9.01".parse().unwrap();
-        assert_eq!(a.common_ancestor(&b).unwrap().to_string(), "campus/tower");
-        let c: ZonePath = "city/hall".parse().unwrap();
-        assert!(a.common_ancestor(&c).is_none());
-    }
-
-    #[test]
     fn model_registers_prefixes() {
         let mut m = LogicalModel::new();
         m.insert_path("campus/tower/l10/L10.01").unwrap();
@@ -232,18 +189,6 @@ mod tests {
         assert!(m.insert_path("campus/annex/lab").is_err());
         // Reinserting the same path is fine.
         m.insert_path("campus/tower/lab").unwrap();
-    }
-
-    #[test]
-    fn descendants_listing() {
-        let mut m = LogicalModel::new();
-        m.insert_path("campus/tower/l10/L10.01").unwrap();
-        m.insert_path("campus/tower/l10/L10.02").unwrap();
-        m.insert_path("campus/annex/a1").unwrap();
-        let mut d = m.descendants("l10").unwrap();
-        d.sort();
-        assert_eq!(d, ["L10.01", "L10.02", "l10"]);
-        assert!(m.descendants("nowhere").is_err());
     }
 
     #[test]

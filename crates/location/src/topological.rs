@@ -209,16 +209,6 @@ impl TopoGraph {
         path.reverse();
         Ok((path, total))
     }
-
-    /// The door (if any) on the direct passage between two adjacent
-    /// places.
-    pub fn door_between(&self, a: &str, b: &str) -> Option<&str> {
-        self.adjacency
-            .get(a)?
-            .iter()
-            .find(|p| p.to == b)
-            .and_then(|p| p.door.as_deref())
-    }
 }
 
 #[cfg(test)]
@@ -287,15 +277,6 @@ mod tests {
         ));
         assert!(g.passages("mars").is_err());
         assert!(TopoGraph::new().connect("a", "b", 1.0, None).is_err());
-    }
-
-    #[test]
-    fn door_lookup() {
-        let g = corridor_graph();
-        assert_eq!(g.door_between("corridor", "L10.01"), Some("door-L10.01"));
-        assert_eq!(g.door_between("L10.01", "corridor"), Some("door-L10.01"));
-        assert_eq!(g.door_between("lobby", "corridor"), None);
-        assert_eq!(g.door_between("lobby", "L10.01"), None, "not adjacent");
     }
 
     #[test]

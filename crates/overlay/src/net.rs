@@ -9,7 +9,7 @@
 
 use sci_types::{Guid, HashMap, SciError, SciResult, VirtualDuration};
 
-use crate::message::{Message, MessageKind};
+use crate::message::Message;
 use crate::routing::RoutingTable;
 use crate::stats::LoadStats;
 use crate::sync::SyncStore;
@@ -368,17 +368,6 @@ impl SimNetwork {
             .push(delivered);
         Ok(outcome)
     }
-
-    /// Convenience: send a ping from `src` to `dst` with a fresh id.
-    pub fn ping(&mut self, id: Guid, src: Guid, dst: Guid) -> SciResult<RouteOutcome> {
-        self.send(Message::new(
-            id,
-            src,
-            dst,
-            MessageKind::Ping,
-            bytes::Bytes::new(),
-        ))
-    }
 }
 
 impl Default for SimNetwork {
@@ -391,6 +380,7 @@ impl Default for SimNetwork {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::message::MessageKind;
     use sci_types::guid::GuidGenerator;
 
     fn network(n: usize, seed: u64) -> (SimNetwork, Vec<Guid>) {

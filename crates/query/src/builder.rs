@@ -2,7 +2,7 @@
 
 use sci_types::{ContextType, ContextValue, EntityKind, Guid, VirtualDuration, VirtualTime};
 
-use crate::ast::{Mode, Query, Subject, What, When, Where, Which};
+use crate::ast::{Mode, Query, What, When, Where, Which};
 use crate::predicate::{CmpOp, Predicate};
 
 /// Consuming builder for [`Query`].
@@ -102,12 +102,6 @@ impl QueryBuilder {
     /// Where: a named range.
     pub fn in_range(mut self, range: impl Into<String>) -> Self {
         self.where_ = Where::Range(range.into());
-        self
-    }
-
-    /// Where: closest to the query owner.
-    pub fn near_me(mut self) -> Self {
-        self.where_ = Where::ClosestTo(Subject::Owner);
         self
     }
 

@@ -18,14 +18,11 @@ pub struct DoorSensor {
     door: String,
     /// The two rooms the door joins.
     sides: (String, String),
-    /// Fraction of crossings the sensor misses (0.0 = perfect). Checked
-    /// against a deterministic per-event hash so runs are reproducible.
-    miss_rate: f64,
     seq: EventSeq,
 }
 
 impl DoorSensor {
-    /// Creates a perfect sensor on the door joining `a` and `b`.
+    /// Creates a sensor on the door joining `a` and `b`.
     pub fn new(
         id: Guid,
         door: impl Into<String>,
@@ -36,20 +33,8 @@ impl DoorSensor {
             id,
             door: door.into(),
             sides: (a.into(), b.into()),
-            miss_rate: 0.0,
             seq: EventSeq::FIRST,
         }
-    }
-
-    /// Sets a miss rate in `[0, 1)` (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rate is out of range.
-    pub fn with_miss_rate(mut self, rate: f64) -> Self {
-        assert!((0.0..1.0).contains(&rate), "miss rate must be in [0, 1)");
-        self.miss_rate = rate;
-        self
     }
 
     /// The sensor's entity GUID.
@@ -74,9 +59,9 @@ impl DoorSensor {
             || (t.from == self.sides.1 && t.to == self.sides.0)
     }
 
-    /// Observes a transition, producing a presence event unless the
-    /// sensor's miss model drops it. `badged` reflects whether the person
-    /// wears an ID tag — unbadged people are invisible to door sensors.
+    /// Observes a transition, producing a presence event. `badged`
+    /// reflects whether the person wears an ID tag — unbadged people are
+    /// invisible to door sensors.
     pub fn observe(
         &mut self,
         t: &RoomTransition,
@@ -85,14 +70,6 @@ impl DoorSensor {
     ) -> Option<ContextEvent> {
         if !badged || !self.covers(t) {
             return None;
-        }
-        if self.miss_rate > 0.0 {
-            // Deterministic pseudo-randomness from the event identity.
-            let h = t.person.as_u128() as u64 ^ now.as_micros() ^ self.id.as_u128() as u64;
-            let unit = (h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64 / (1u64 << 53) as f64;
-            if unit < self.miss_rate {
-                return None;
-            }
         }
         let seq = self.seq;
         self.seq = seq.next();
@@ -154,31 +131,5 @@ mod tests {
         assert!(s.observe(&other, true, VirtualTime::ZERO).is_none());
         let mine = transition(1, "corridor", "L10.01");
         assert!(s.observe(&mine, false, VirtualTime::ZERO).is_none());
-    }
-
-    #[test]
-    fn miss_rate_drops_deterministically() {
-        let mut a = sensor().with_miss_rate(0.5);
-        let mut b = sensor().with_miss_rate(0.5);
-        let mut seen_a = 0;
-        let mut seen_b = 0;
-        for i in 0..200 {
-            let t = transition(i, "corridor", "L10.01");
-            let now = VirtualTime::from_secs(i as u64);
-            if a.observe(&t, true, now).is_some() {
-                seen_a += 1;
-            }
-            if b.observe(&t, true, now).is_some() {
-                seen_b += 1;
-            }
-        }
-        assert_eq!(seen_a, seen_b, "identical sensors see identical drops");
-        assert!(seen_a > 50 && seen_a < 150, "roughly half: {seen_a}");
-    }
-
-    #[test]
-    #[should_panic(expected = "miss rate")]
-    fn invalid_miss_rate_panics() {
-        let _ = sensor().with_miss_rate(1.5);
     }
 }

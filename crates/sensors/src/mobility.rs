@@ -61,11 +61,6 @@ impl ActiveWalk {
     fn finished(&self) -> bool {
         self.next >= self.waypoints.len()
     }
-
-    /// The room this walk is heading to.
-    pub fn destination(&self) -> &str {
-        self.rooms.last().expect("routes are non-empty")
-    }
 }
 
 /// One leg of a scripted itinerary.

@@ -62,11 +62,6 @@ impl BaseStation {
         self.associated.iter().copied()
     }
 
-    /// Returns `true` if `device` is currently associated.
-    pub fn is_associated(&self, device: Guid) -> bool {
-        self.associated.contains(&device)
-    }
-
     fn next_seq(&mut self) -> EventSeq {
         let s = self.seq;
         self.seq = s.next();
@@ -172,7 +167,7 @@ mod tests {
             Some("associate".to_owned())
         );
         assert_eq!(events[1].topic, ContextType::SignalStrength);
-        assert!(bs.is_associated(pda));
+        assert!(bs.associated().any(|d| d == pda));
         // Staying: signal reading only.
         let events = bs.observe(pda, Coord::new(4.0, 0.0), VirtualTime::from_secs(2));
         assert_eq!(events.len(), 1);
@@ -187,7 +182,7 @@ mod tests {
                 .and_then(|v| v.as_text().map(str::to_owned)),
             Some("disassociate".to_owned())
         );
-        assert!(!bs.is_associated(pda));
+        assert!(!bs.associated().any(|d| d == pda));
     }
 
     #[test]

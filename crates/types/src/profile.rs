@@ -121,11 +121,6 @@ impl Profile {
         self.outputs.iter().any(|p| p.ty == *ty)
     }
 
-    /// Returns `true` if some input port consumes `ty`.
-    pub fn requires(&self, ty: &ContextType) -> bool {
-        self.inputs.iter().any(|p| p.ty == *ty)
-    }
-
     /// Returns `true` if the entity is a pure source: it has outputs but
     /// no inputs, i.e. it sits at the sensor/data level where the
     /// resolver's backward-chaining search terminates.
@@ -221,14 +216,12 @@ mod tests {
         let sensor = door_sensor();
         assert!(sensor.is_source());
         assert!(sensor.provides(&ContextType::Presence));
-        assert!(!sensor.requires(&ContextType::Presence));
 
         let derived = Profile::builder(Guid::from_u128(4), EntityKind::Software, "objLocationCE")
             .input(PortSpec::new("presence", ContextType::Presence))
             .output(PortSpec::new("location", ContextType::Location))
             .build();
         assert!(!derived.is_source());
-        assert!(derived.requires(&ContextType::Presence));
     }
 
     #[test]

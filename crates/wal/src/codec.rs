@@ -419,11 +419,6 @@ impl StreamDecoder {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Bytes buffered but not yet yielded as frames.
-    pub fn buffered(&self) -> usize {
-        self.buf.len() - self.read
-    }
-
     /// Total stream bytes consumed as complete frames so far.
     pub fn consumed(&self) -> u64 {
         self.consumed
@@ -815,7 +810,7 @@ mod tests {
             }
         }
         assert_eq!(out, frames);
-        assert_eq!(dec.buffered(), 0);
+        assert_eq!(dec.buf.len(), dec.read);
         assert_eq!(dec.consumed(), stream.len() as u64);
     }
 

@@ -8,7 +8,9 @@
 //!    record and a wire message differ only in where the bytes go.
 //! 2. **[`log`]** — an append-only segmented log with pluggable
 //!    [`log::FsyncPolicy`], torn-tail truncation on open, snapshot
-//!    files that bound replay, and segment GC.
+//!    files that bound replay, and segment GC. Every file operation
+//!    goes through one [`log::Dir`]: a directory on disk, or the same
+//!    files in memory, so a log kept in memory runs the same rules.
 //!
 //! It knows nothing about SCI's command set: `sci-core::durability`
 //! maps `RangeCommand`s onto frames, keeping this crate a leaf that
@@ -28,7 +30,4 @@ pub mod codec;
 pub mod log;
 
 pub use codec::{crc32, decode_frame, encode_frame, CodecError, Frame, FrameReader, StreamDecoder};
-pub use log::{
-    prune_snapshots, read_latest_snapshot, write_snapshot, Appended, FsyncPolicy, Recovered,
-    SegmentLog, WalError,
-};
+pub use log::{Appended, Dir, FsyncPolicy, Recovered, SegmentLog, WalError};

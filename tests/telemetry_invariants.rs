@@ -354,6 +354,42 @@ fn a_derived_delivery_joins_the_ingest_that_caused_it() {
     assert!(ingest.contains(&cause), "{ingest:?}");
 }
 
+/// An event's trace key `(source, seq)` tells ingests apart when its
+/// producer threads `seq`: a door sensor's crossings leave
+/// `range.trace_key.repeats` at 0, and ingesting one of them again
+/// reads 1. An untraced range keeps no table and counts nothing.
+#[test]
+fn a_repeated_trace_key_is_counted_at_ingest() {
+    let mut ids = GuidGenerator::seeded(31);
+    let (mut traced_cs, sensor) = server(0, &mut ids);
+    let (mut untraced_cs, _) = server(0, &mut GuidGenerator::seeded(31));
+    traced_cs.set_tracer(Tracer::new(Arc::new(RingBufferSubscriber::new(64))));
+    let mut door = DoorSensor::new(sensor, "door-0", "hall-0", "hall-1");
+    let crossings: Vec<ContextEvent> = (1..=4u64)
+        .map(|k| {
+            let walk = sci::sensors::mobility::RoomTransition {
+                person: Guid::from_u128(u128::from(k)),
+                from: "hall-1".into(),
+                to: "hall-0".into(),
+            };
+            door.observe(&walk, true, VirtualTime::from_secs(k))
+                .unwrap()
+        })
+        .collect();
+    let repeats = |cs: &ContextServer| cs.snapshot().counter("range.trace_key.repeats");
+    for cs in [&mut traced_cs, &mut untraced_cs] {
+        for event in &crossings {
+            cs.ingest(event, event.timestamp).unwrap();
+        }
+    }
+    assert_eq!(repeats(&traced_cs), 0);
+    let again = &crossings[2];
+    let later = VirtualTime::from_secs(9);
+    traced_cs.ingest(again, later).unwrap();
+    untraced_cs.ingest(again, later).unwrap();
+    assert_eq!((repeats(&traced_cs), repeats(&untraced_cs)), (1, 0));
+}
+
 /// A snapshot has two halves — serialising the payload and storing it
 /// — timed apart so neither hides the other: `wal.snapshot.encode_us`
 /// and `wal.snapshot_us` count the same snapshots, the one `attach`
