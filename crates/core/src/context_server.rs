@@ -270,9 +270,7 @@ impl ContextServer {
             }
             RangeCommand::Heartbeat(ce) => self.heartbeat_impl(ce, now).map(|()| RangeReply::Ack),
             RangeCommand::Advertise(ad) => self.advertise_impl(*ad).map(|()| RangeReply::Ack),
-            RangeCommand::Deregister(id) => {
-                self.deregister_impl(id, now).map(RangeReply::Deregistered)
-            }
+            RangeCommand::Deregister(id) => self.deregister_impl(id).map(RangeReply::Deregistered),
             RangeCommand::Submit(query) => {
                 self.submit_query_impl(&query, now).map(RangeReply::Answer)
             }
@@ -320,7 +318,7 @@ impl ContextServer {
             }
             RangeCommand::Audit => Ok(RangeReply::Report(self.audit_configurations())),
             RangeCommand::MigrateOut(id) => self
-                .migrate_out_impl(id, now)
+                .migrate_out_impl(id)
                 .map(|packet| RangeReply::Migrated(packet.to_xml())),
             RangeCommand::MigrateIn(packet) => {
                 self.migrate_in_impl(*packet, now).map(|()| RangeReply::Ack)
@@ -455,7 +453,7 @@ impl ContextServer {
     }
 
     fn register_impl(&mut self, profile: Profile, now: VirtualTime) -> SciResult<()> {
-        self.registrar.register(profile.descriptor().clone(), now)?;
+        self.registrar.register(profile.descriptor().clone())?;
         if profile.is_source() {
             if let Some(us) = profile
                 .attributes()
@@ -564,8 +562,8 @@ impl ContextServer {
         }
     }
 
-    fn deregister_impl(&mut self, id: Guid, now: VirtualTime) -> SciResult<EntityDescriptor> {
-        let (descriptor, held) = self.evict(id, now)?;
+    fn deregister_impl(&mut self, id: Guid) -> SciResult<EntityDescriptor> {
+        let (descriptor, held) = self.evict(id)?;
         // Its registrations and queries go with it; what was already
         // produced for it stays queued until somebody drains it.
         self.outbox.extend(held.deliveries);
@@ -629,12 +627,8 @@ impl ContextServer {
     ///
     /// [`SciError::UnknownEntity`] (counted) if the entity is not
     /// registered here; nothing is taken.
-    fn evict(
-        &mut self,
-        id: Guid,
-        now: VirtualTime,
-    ) -> SciResult<(EntityDescriptor, MigrationPacket)> {
-        let descriptor = match self.registrar.deregister(id, now) {
+    fn evict(&mut self, id: Guid) -> SciResult<(EntityDescriptor, MigrationPacket)> {
+        let descriptor = match self.registrar.deregister(id) {
             Ok(descriptor) => descriptor,
             Err(e) => {
                 self.metrics.deregister_unknown.inc();
@@ -773,8 +767,8 @@ impl ContextServer {
         }
     }
 
-    fn migrate_out_impl(&mut self, id: Guid, now: VirtualTime) -> SciResult<MigrationPacket> {
-        let (_, held) = self.evict(id, now)?;
+    fn migrate_out_impl(&mut self, id: Guid) -> SciResult<MigrationPacket> {
+        let (_, held) = self.evict(id)?;
         self.metrics.migrate_out.inc();
         Ok(held)
     }
@@ -798,7 +792,7 @@ impl ContextServer {
         // The mover may have been sensed here before its state arrived
         // and auto-registered as a skeleton; the packaged profile wins.
         if self.registrar.is_registered(entity) {
-            let _ = self.deregister_impl(entity, now);
+            let _ = self.deregister_impl(entity);
         }
         let adopted = self.adopt(packet, Vec::new(), now);
         self.metrics.migrate_in.inc();
@@ -1228,7 +1222,7 @@ impl ContextServer {
             "disassociate" => {
                 if self.registrar.is_registered(subject) {
                     // Graceful departure of a sensed person.
-                    let _ = self.deregister_impl(subject, now);
+                    let _ = self.deregister_impl(subject);
                 }
             }
             _ => {

@@ -222,16 +222,8 @@ impl Buses {
 /// Subjects the crowded property files on source 0 before its schedule.
 const CROWD: u8 = 72;
 
-/// `default` cases; `PROPTEST_CASES`, when set, decides.
-fn cases(default: u32) -> ProptestConfig {
-    match std::env::var_os("PROPTEST_CASES") {
-        Some(_) => ProptestConfig::default(),
-        None => ProptestConfig::with_cases(default),
-    }
-}
-
 proptest! {
-    #![proptest_config(cases(192))]
+    #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// Index and oracle stay observably identical across any schedule.
     #[test]
@@ -244,7 +236,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The composed shape: source 0 carries one `(source, subject)`
     /// topic for each of [`CROWD`] subjects, with a source-only,

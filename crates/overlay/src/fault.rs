@@ -318,10 +318,6 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         self.inner.publish_registration(node, key, value)
     }
 
-    fn retract_registration(&mut self, node: Guid, key: &str) -> SciResult<()> {
-        self.inner.retract_registration(node, key)
-    }
-
     fn registration(&self, node: Guid, key: &str) -> Option<String> {
         self.inner.registration(node, key)
     }

@@ -14,17 +14,15 @@
 //!   more bytes"; `Corrupt` closes the connection and counts
 //!   `net.tcp.corrupt_frames` — a damaged stream never yields a wrong
 //!   frame (see `crates/wal/tests/stream_reassembly.rs`).
-//! * **Peering handshake**: a dialer opens with `HELLO` (protocol
-//!   version, node GUID and name, listener address, registration
-//!   digest); the acceptor answers `WELCOME` (same fields plus a
-//!   gossip list of known peers) or `REJECT` on version mismatch.
-//!   When the two registration digests differ, a three-step
-//!   anti-entropy exchange (`OFFER` → `DELTA` → `DELTA`) runs before
-//!   either side trusts the link, and the acceptor closes it with
-//!   `SYNC_DONE` once it has merged the dialer's delta: the dialer
-//!   waits for that, so a returned dial means both stores converged
-//!   and late joiners hold the federation's replicated registration
-//!   state when `join` returns.
+//! * **Peering handshake**: one round trip. A dialer opens with
+//!   `HELLO` (protocol version, node GUID and name, listener address,
+//!   and its whole registration store); the acceptor checks the
+//!   version (`REJECT` on a mismatch), merges those entries, and only
+//!   then answers `WELCOME` (the same identity fields, a gossip list
+//!   of known peers, and its own store as it was before that merge),
+//!   which the dialer merges before the dial returns. So a returned
+//!   dial means both stores converged, and a late joiner holds the
+//!   federation's replicated registration state when `join` returns.
 //! * **Acked sends**: [`Transport::send_all`] writes each peer's share
 //!   of a batch in coalesced writes of at most 64 KiB, and the reader
 //!   *enqueues* every frame of a read pass before one cumulative ACK
@@ -54,27 +52,29 @@ use sci_wal::codec::{encode_frame, wire, CodecError, Frame, StreamDecoder};
 use crate::message::Message;
 use crate::net::RouteOutcome;
 use crate::stats::LoadStats;
-use crate::sync::{SyncEntry, SyncStore, SyncSummary};
+use crate::sync::{SyncEntry, SyncStore};
 use crate::transport::Transport;
 
 /// Protocol version spoken by this build; a handshake between
-/// different versions is rejected. Version 2 added the `SYNC_DONE`
-/// frame a dialer waits for, which a version-1 acceptor never sends;
+/// different versions is rejected. Version 2 added a frame closing the
+/// registration exchange, which a version-1 acceptor never sends;
 /// version 3 made the `EventRelay` payload a binary record, which a
 /// version-2 relay would refuse as malformed XML. Cumulative ACKs kept
 /// version 3: every version-3 sender reads an ACK as cumulative. In
-/// version 4 an `EventRelay` carries rows of deliveries, not one.
-pub const TCP_PROTOCOL_VERSION: u32 = 4;
+/// version 4 an `EventRelay` carries rows of deliveries, not one. In
+/// version 5 `HELLO` and `WELCOME` carry each side's whole registration
+/// store in place of a digest, and the digest-then-delta exchange is
+/// gone.
+pub const TCP_PROTOCOL_VERSION: u32 = 5;
 
 // Control-frame tags sit above the 0–8 range MessageKind occupies, so
-// a frame's role is readable from its tag alone.
+// a frame's role is readable from its tag alone. 0xE3 and 0xE6 closed
+// the version-4 registration exchange and stay unused.
 const TAG_HELLO: u8 = 0xE0;
 const TAG_WELCOME: u8 = 0xE1;
 const TAG_REJECT: u8 = 0xE2;
-const TAG_SYNC_OFFER: u8 = 0xE3;
 const TAG_SYNC_DELTA: u8 = 0xE4;
 const TAG_ACK: u8 = 0xE5;
-const TAG_SYNC_DONE: u8 = 0xE6;
 
 /// Socket read timeout: the granularity at which reader and acceptor
 /// threads notice shutdown.
@@ -116,7 +116,6 @@ struct PeerHello {
     guid: Guid,
     name: String,
     addr: SocketAddr,
-    digest: u64,
 }
 
 #[derive(Clone, Debug)]
@@ -126,12 +125,11 @@ struct PeerInfo {
     addr: SocketAddr,
 }
 
-fn put_identity(p: &mut Vec<u8>, version: u32, id: &PeerInfo, digest: u64) {
+fn put_identity(p: &mut Vec<u8>, version: u32, id: &PeerInfo) {
     wire::put_u32(p, version);
     wire::put_u128(p, id.guid.as_u128());
     wire::put_str(p, &id.name);
     wire::put_str(p, &id.addr.to_string());
-    wire::put_u64(p, digest);
 }
 
 fn read_identity(r: &mut wire::Reader<'_>) -> SciResult<PeerHello> {
@@ -142,35 +140,62 @@ fn read_identity(r: &mut wire::Reader<'_>) -> SciResult<PeerHello> {
     let addr = addr_str
         .parse::<SocketAddr>()
         .map_err(|e| SciError::Codec(format!("bad listener address `{addr_str}`: {e}")))?;
-    let digest = r.u64().map_err(codec_err)?;
     Ok(PeerHello {
         version,
         guid,
         name,
         addr,
-        digest,
     })
 }
 
-fn hello_frame(version: u32, id: &PeerInfo, digest: u64) -> Frame {
+/// A counted table of registration entries: the tail of `HELLO` and
+/// `WELCOME` (a whole store), and the payload of a live `SYNC_DELTA`.
+fn put_entries<'a>(p: &mut Vec<u8>, entries: impl ExactSizeIterator<Item = &'a SyncEntry>) {
+    wire::put_u32(p, entries.len() as u32);
+    for e in entries {
+        wire::put_str(p, &e.key);
+        wire::put_str(p, &e.value);
+        wire::put_u64(p, e.version);
+        wire::put_u128(p, e.origin.as_u128());
+    }
+}
+
+fn read_entries(r: &mut wire::Reader<'_>) -> SciResult<Vec<SyncEntry>> {
+    // An entry row: key and value prefixes, version, origin.
+    let count = r.count(4 + 4 + 8 + 16).map_err(codec_err)?;
+    let mut entries = Vec::with_capacity(count);
+    for _ in 0..count {
+        entries.push(SyncEntry {
+            key: r.str().map_err(codec_err)?.to_owned(),
+            value: r.str().map_err(codec_err)?.to_owned(),
+            version: r.u64().map_err(codec_err)?,
+            origin: Guid::from_u128(r.u128().map_err(codec_err)?),
+        });
+    }
+    Ok(entries)
+}
+
+fn hello_frame(version: u32, id: &PeerInfo, store: &SyncStore) -> Frame {
     let mut p = Vec::new();
-    put_identity(&mut p, version, id, digest);
+    put_identity(&mut p, version, id);
+    put_entries(&mut p, store.entries());
     Frame::new(TAG_HELLO, p)
 }
 
-fn welcome_frame(version: u32, id: &PeerInfo, digest: u64, gossip: &[PeerInfo]) -> Frame {
+fn welcome_frame(version: u32, id: &PeerInfo, gossip: &[PeerInfo], store: &SyncStore) -> Frame {
     let mut p = Vec::new();
-    put_identity(&mut p, version, id, digest);
+    put_identity(&mut p, version, id);
     wire::put_u32(&mut p, gossip.len() as u32);
     for peer in gossip {
         wire::put_u128(&mut p, peer.guid.as_u128());
         wire::put_str(&mut p, &peer.name);
         wire::put_str(&mut p, &peer.addr.to_string());
     }
+    put_entries(&mut p, store.entries());
     Frame::new(TAG_WELCOME, p)
 }
 
-fn parse_welcome(payload: &[u8]) -> SciResult<(PeerHello, Vec<PeerInfo>)> {
+fn parse_welcome(payload: &[u8]) -> SciResult<(PeerHello, Vec<PeerInfo>, Vec<SyncEntry>)> {
     let mut r = wire::Reader::new(payload);
     let hello = read_identity(&mut r)?;
     // A gossip row: GUID, then a name and an address, each a prefix.
@@ -185,7 +210,8 @@ fn parse_welcome(payload: &[u8]) -> SciResult<(PeerHello, Vec<PeerInfo>)> {
             .map_err(|e| SciError::Codec(format!("bad gossip address `{addr_str}`: {e}")))?;
         gossip.push(PeerInfo { guid, name, addr });
     }
-    Ok((hello, gossip))
+    let entries = read_entries(&mut r)?;
+    Ok((hello, gossip, entries))
 }
 
 fn reject_frame(version: u32, reason: &str) -> Frame {
@@ -202,73 +228,10 @@ fn parse_reject(payload: &[u8]) -> SciResult<(u32, String)> {
     Ok((version, reason))
 }
 
-fn offer_frame(summaries: &[SyncSummary]) -> Frame {
+fn delta_frame(entry: &SyncEntry) -> Frame {
     let mut p = Vec::new();
-    wire::put_u32(&mut p, summaries.len() as u32);
-    for (key, version, origin) in summaries {
-        wire::put_str(&mut p, key);
-        wire::put_u64(&mut p, *version);
-        wire::put_u128(&mut p, origin.as_u128());
-    }
-    Frame::new(TAG_SYNC_OFFER, p)
-}
-
-fn parse_offer(payload: &[u8]) -> SciResult<Vec<SyncSummary>> {
-    let mut r = wire::Reader::new(payload);
-    // A summary row: a key's prefix, its version and its origin.
-    let count = r.count(4 + 8 + 16).map_err(codec_err)?;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let key = r.str().map_err(codec_err)?.to_owned();
-        let version = r.u64().map_err(codec_err)?;
-        let origin = Guid::from_u128(r.u128().map_err(codec_err)?);
-        out.push((key, version, origin));
-    }
-    Ok(out)
-}
-
-fn delta_frame(entries: &[SyncEntry], wants: &[String]) -> Frame {
-    let mut p = Vec::new();
-    wire::put_u32(&mut p, entries.len() as u32);
-    for e in entries {
-        wire::put_str(&mut p, &e.key);
-        wire::put_str(&mut p, &e.value);
-        wire::put_u64(&mut p, e.version);
-        wire::put_u128(&mut p, e.origin.as_u128());
-        wire::put_u8(&mut p, u8::from(e.deleted));
-    }
-    wire::put_u32(&mut p, wants.len() as u32);
-    for key in wants {
-        wire::put_str(&mut p, key);
-    }
+    put_entries(&mut p, std::iter::once(entry));
     Frame::new(TAG_SYNC_DELTA, p)
-}
-
-fn parse_delta(payload: &[u8]) -> SciResult<(Vec<SyncEntry>, Vec<String>)> {
-    let mut r = wire::Reader::new(payload);
-    // An entry row: key and value prefixes, version, origin, tombstone.
-    let count = r.count(4 + 4 + 8 + 16 + 1).map_err(codec_err)?;
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let key = r.str().map_err(codec_err)?.to_owned();
-        let value = r.str().map_err(codec_err)?.to_owned();
-        let version = r.u64().map_err(codec_err)?;
-        let origin = Guid::from_u128(r.u128().map_err(codec_err)?);
-        let deleted = r.u8().map_err(codec_err)? != 0;
-        entries.push(SyncEntry {
-            key,
-            value,
-            version,
-            origin,
-            deleted,
-        });
-    }
-    let want_count = r.count(4).map_err(codec_err)?;
-    let mut wants = Vec::with_capacity(want_count);
-    for _ in 0..want_count {
-        wants.push(r.str().map_err(codec_err)?.to_owned());
-    }
-    Ok((entries, wants))
 }
 
 fn ack_frame(seq: u64) -> Frame {
@@ -303,7 +266,6 @@ struct NetCounters {
     handshake_rejected: Counter,
     handshakes: Counter,
     sync_applied: Counter,
-    sync_rounds: Counter,
     unknown_peer: Counter,
     write_failures: Counter,
 }
@@ -324,7 +286,6 @@ impl NetCounters {
             handshake_rejected: registry.counter(catalogue::NET_TCP_HANDSHAKE_REJECTED),
             handshakes: registry.counter(catalogue::NET_TCP_HANDSHAKES),
             sync_applied: registry.counter(catalogue::NET_TCP_SYNC_APPLIED),
-            sync_rounds: registry.counter(catalogue::NET_TCP_SYNC_ROUNDS),
             unknown_peer: registry.counter(catalogue::NET_TCP_UNKNOWN_PEER),
             write_failures: registry.counter(catalogue::NET_TCP_WRITE_FAILURES),
         }
@@ -366,6 +327,17 @@ impl NodeShared {
             guid: self.guid,
             name: self.name.clone(),
             addr: self.listen_addr,
+        }
+    }
+
+    /// Merges a peer's registration entries into this node's store,
+    /// counting each that was news in `net.tcp.sync.applied`.
+    fn merge(&self, entries: Vec<SyncEntry>) {
+        let mut store = lock(&self.store);
+        for e in entries {
+            if store.merge(e) {
+                self.counters.sync_applied.inc();
+            }
         }
     }
 }
@@ -472,8 +444,8 @@ fn finish_conn(shared: &Arc<NodeShared>, stream: TcpStream, dec: StreamDecoder, 
 }
 
 /// Per-connection reader: reassembles frames from the byte stream and
-/// routes them — data to the inbox, acks to the sender's channel, sync
-/// deltas into the registration store. However it exits, it shuts the
+/// routes them — data to the inbox, acks to the sender's channel, live
+/// registration deltas into the store. However it exits, it shuts the
 /// socket down and takes the connection out of `conns`, so the next
 /// send to `peer` redials instead of waiting out a dead socket.
 fn run_reader(
@@ -554,19 +526,14 @@ fn handle_frame(
             true
         }
         TAG_SYNC_DELTA => {
-            if let Ok((entries, _wants)) = parse_delta(&frame.payload) {
-                let mut store = lock(&shared.store);
-                for e in entries {
-                    if store.merge(e) {
-                        shared.counters.sync_applied.inc();
-                    }
-                }
+            if let Ok(entries) = read_entries(&mut wire::Reader::new(&frame.payload)) {
+                shared.merge(entries);
             }
             true
         }
         // Handshake frames never arrive after a connection is live;
         // drop them rather than corrupting connection state.
-        TAG_HELLO | TAG_WELCOME | TAG_REJECT | TAG_SYNC_OFFER | TAG_SYNC_DONE => true,
+        TAG_HELLO | TAG_WELCOME | TAG_REJECT => true,
         tag if tag <= 8 => {
             let mut r = wire::Reader::new(&frame.payload);
             // The tag is the kind of the message inside, so a tag no
@@ -652,13 +619,22 @@ fn handle_accept(shared: &Arc<NodeShared>, mut stream: TcpStream) -> SciResult<(
         return Ok(());
     }
 
-    let own_digest = lock(&shared.store).digest();
+    let entries = read_entries(&mut r)?;
     let gossip: Vec<PeerInfo> = lock(&shared.directory)
         .values()
         .filter(|p| p.guid != hello.guid)
         .cloned()
         .collect();
-    let welcome = welcome_frame(shared.version, &shared.identity(), own_digest, &gossip);
+    // WELCOME carries this store without the dialer's entries, which
+    // the dialer holds already; they are merged before it is written,
+    // so a dialer that has read WELCOME knows both stores hold both.
+    let welcome = welcome_frame(
+        shared.version,
+        &shared.identity(),
+        &gossip,
+        &lock(&shared.store),
+    );
+    shared.merge(entries);
     write_frame_direct(&mut stream, &welcome, &shared.counters)
         .map_err(|e| SciError::Codec(format!("welcome write: {e}")))?;
 
@@ -671,52 +647,12 @@ fn handle_accept(shared: &Arc<NodeShared>, mut stream: TcpStream) -> SciResult<(
         },
     );
 
-    // Anti-entropy, acceptor side: both ends compare the same digest
-    // pair (HELLO's vs WELCOME's), so they agree on whether it runs.
-    if hello.digest != own_digest {
-        let offer = read_frame_sync(&mut stream, &mut dec, shared)?;
-        if offer.tag != TAG_SYNC_OFFER {
-            return Err(SciError::Codec(format!(
-                "expected SYNC_OFFER, got tag {:#04x}",
-                offer.tag
-            )));
-        }
-        let summaries = parse_offer(&offer.payload)?;
-        let (send_entries, wants) = lock(&shared.store).delta_for(&summaries);
-        let delta = delta_frame(&send_entries, &wants);
-        write_frame_direct(&mut stream, &delta, &shared.counters)
-            .map_err(|e| SciError::Codec(format!("delta write: {e}")))?;
-        let reply = read_frame_sync(&mut stream, &mut dec, shared)?;
-        if reply.tag != TAG_SYNC_DELTA {
-            return Err(SciError::Codec(format!(
-                "expected SYNC_DELTA, got tag {:#04x}",
-                reply.tag
-            )));
-        }
-        let (entries, _wants) = parse_delta(&reply.payload)?;
-        let mut store = lock(&shared.store);
-        for e in entries {
-            if store.merge(e) {
-                shared.counters.sync_applied.inc();
-            }
-        }
-        drop(store);
-        shared.counters.sync_rounds.inc();
-        // The dialer blocks on this: "connected" implies "converged".
-        write_frame_direct(
-            &mut stream,
-            &Frame::new(TAG_SYNC_DONE, Vec::new()),
-            &shared.counters,
-        )
-        .map_err(|e| SciError::Codec(format!("sync-done write: {e}")))?;
-    }
-
     finish_conn(shared, stream, dec, hello.guid);
     Ok(())
 }
 
-/// Dials `addr` from `local`, running the client side of the handshake
-/// (and anti-entropy when digests differ). Returns the peer's GUID.
+/// Dials `addr` from `local`, running the client side of the handshake:
+/// it returns the peer's GUID once the peer's store is merged.
 fn dial(local: &Arc<NodeShared>, addr: SocketAddr) -> SciResult<Guid> {
     let io_err = |e: std::io::Error| SciError::Codec(format!("dial {addr}: {e}"));
     let mut stream = TcpStream::connect(addr).map_err(io_err)?;
@@ -726,13 +662,12 @@ fn dial(local: &Arc<NodeShared>, addr: SocketAddr) -> SciResult<Guid> {
     // Without TCP_NODELAY small frames wait for Nagle, but all arrive.
     let _ = stream.set_nodelay(true);
 
-    let own_digest = lock(&local.store).digest();
-    let hello = hello_frame(local.version, &local.identity(), own_digest);
+    let hello = hello_frame(local.version, &local.identity(), &lock(&local.store));
     write_frame_direct(&mut stream, &hello, &local.counters).map_err(io_err)?;
 
     let mut dec = StreamDecoder::new();
     let frame = read_frame_sync(&mut stream, &mut dec, local)?;
-    let (welcome, gossip) = match frame.tag {
+    let (welcome, gossip, entries) = match frame.tag {
         TAG_WELCOME => parse_welcome(&frame.payload)?,
         TAG_REJECT => {
             let (version, reason) = parse_reject(&frame.payload)?;
@@ -764,43 +699,7 @@ fn dial(local: &Arc<NodeShared>, addr: SocketAddr) -> SciResult<Guid> {
         }
     }
 
-    // Anti-entropy, dialer side.
-    if welcome.digest != own_digest {
-        let summaries = lock(&local.store).summaries();
-        write_frame_direct(&mut stream, &offer_frame(&summaries), &local.counters)
-            .map_err(io_err)?;
-        let reply = read_frame_sync(&mut stream, &mut dec, local)?;
-        if reply.tag != TAG_SYNC_DELTA {
-            return Err(SciError::Codec(format!(
-                "expected SYNC_DELTA, got tag {:#04x}",
-                reply.tag
-            )));
-        }
-        let (entries, wants) = parse_delta(&reply.payload)?;
-        let wanted = {
-            let mut store = lock(&local.store);
-            for e in entries {
-                if store.merge(e) {
-                    local.counters.sync_applied.inc();
-                }
-            }
-            store.entries_for(&wants)
-        };
-        // Always answer, even with an empty delta, so the acceptor's
-        // state machine sees a fixed three-message exchange.
-        write_frame_direct(&mut stream, &delta_frame(&wanted, &[]), &local.counters)
-            .map_err(io_err)?;
-        // The acceptor merges that delta on its own thread; wait for its
-        // word that it has, or the caller could read a stale digest.
-        let done = read_frame_sync(&mut stream, &mut dec, local)?;
-        if done.tag != TAG_SYNC_DONE {
-            return Err(SciError::Codec(format!(
-                "expected SYNC_DONE, got tag {:#04x}",
-                done.tag
-            )));
-        }
-        local.counters.sync_rounds.inc();
-    }
+    local.merge(entries);
 
     finish_conn(local, stream, dec, welcome.guid);
     Ok(welcome.guid)
@@ -1136,18 +1035,6 @@ impl Transport for TcpTransport {
         Ok(())
     }
 
-    fn retract_registration(&mut self, node: Guid, key: &str) -> SciResult<()> {
-        let shared = self
-            .nodes
-            .get(&node)
-            .ok_or(SciError::UnknownRange(node))?
-            .shared
-            .clone();
-        let entry = lock(&shared.store).retract(key, node);
-        broadcast_delta(&shared, &entry);
-        Ok(())
-    }
-
     fn registration(&self, node: Guid, key: &str) -> Option<String> {
         self.nodes
             .get(&node)
@@ -1165,7 +1052,7 @@ impl Transport for TcpTransport {
 /// publishing node, so connected peers converge without waiting for
 /// the next handshake.
 fn broadcast_delta(shared: &Arc<NodeShared>, entry: &SyncEntry) {
-    let frame = delta_frame(std::slice::from_ref(entry), &[]);
+    let frame = delta_frame(entry);
     let conns: Vec<Arc<Conn>> = lock(&shared.conns).values().cloned().collect();
     for conn in conns {
         write_frame(&conn.stream, &frame, &shared.counters);
@@ -1292,33 +1179,53 @@ mod tests {
         t.add_node(a, "a").unwrap();
         t.publish_registration(a, "place/L10.01", "range-a")
             .unwrap();
-        t.publish_registration(a, "place/lobby", "range-a").unwrap();
-        t.retract_registration(a, "place/lobby").unwrap();
 
         t.add_node(b, "b").unwrap();
+        t.publish_registration(b, "place/L10.02", "range-b")
+            .unwrap();
         assert_ne!(t.registration_digest(a), t.registration_digest(b));
         t.join(b, a, 0).unwrap();
         assert_eq!(
             t.registration_digest(a),
             t.registration_digest(b),
-            "handshake anti-entropy converges the late joiner"
+            "the handshake converges the late joiner"
         );
         assert_eq!(
             t.registration(b, "place/L10.01").as_deref(),
             Some("range-a")
         );
         assert_eq!(
-            t.registration(b, "place/lobby"),
-            None,
-            "tombstones replicate as absence"
+            t.registration(a, "place/L10.02").as_deref(),
+            Some("range-b")
         );
-        assert!(
-            t.telemetry()
-                .unwrap()
-                .snapshot()
-                .counter("net.tcp.sync.rounds")
-                >= 1
+        assert_eq!(
+            counter(&t, "net.tcp.sync.applied"),
+            2,
+            "each side merged the one entry it lacked"
         );
+    }
+
+    #[test]
+    fn connect_full_converges_two_stores_in_one_round_trip() {
+        let mut t = TcpTransport::new();
+        let (a, b) = (Guid::from_u128(0xa), Guid::from_u128(0xb));
+        t.add_node(a, "a").unwrap();
+        t.add_node(b, "b").unwrap();
+        t.publish_registration(a, "place/L10.01", &a.to_string())
+            .unwrap();
+        t.publish_registration(b, "place/L10.02", &b.to_string())
+            .unwrap();
+        assert_ne!(t.registration_digest(a), t.registration_digest(b));
+
+        t.connect_full();
+        // The acceptor counts WELCOME once its write returns, which may
+        // be after the dialer has read it.
+        let frames = || counter(&t, "net.tcp.frames.sent");
+        assert!(wait_until(|| frames() >= 2));
+        assert_eq!(frames(), 2, "HELLO and WELCOME, nothing else");
+        assert_eq!(t.registration_digest(a), t.registration_digest(b));
+        assert_eq!(t.registration(a, "place/L10.02"), Some(b.to_string()));
+        assert_eq!(t.registration(b, "place/L10.01"), Some(a.to_string()));
     }
 
     #[test]
@@ -1361,17 +1268,20 @@ mod tests {
         assert_eq!(t.connections_of(c), 2, "the lazy dial made c → b live");
     }
 
-    /// A hand-driven peer `0xb` of node `a`: the socket has sent its
-    /// `HELLO`, and `a` will answer `WELCOME` and register the link.
-    fn forged_peer(t: &TcpTransport, a: Guid) -> (TcpStream, Guid) {
+    /// A hand-driven peer `0xb` of node `a`: the socket has sent a
+    /// `HELLO` whose store table claims `entries` rows and holds none.
+    /// With 0, `a` will answer `WELCOME` and register the link.
+    fn forged_peer(t: &TcpTransport, a: Guid, entries: u32) -> (TcpStream, Guid) {
         let mut peer = TcpStream::connect(t.listener_addr(a).unwrap()).unwrap();
         let forged = PeerInfo {
             guid: Guid::from_u128(0xb),
             name: "b".into(),
             addr: peer.local_addr().unwrap(),
         };
-        let hello = hello_frame(TCP_PROTOCOL_VERSION, &forged, SyncStore::new().digest());
-        write_frame_direct(&mut peer, &hello, &t.counters).unwrap();
+        let mut hello = Vec::new();
+        put_identity(&mut hello, TCP_PROTOCOL_VERSION, &forged);
+        wire::put_u32(&mut hello, entries);
+        write_frame_direct(&mut peer, &Frame::new(TAG_HELLO, hello), &t.counters).unwrap();
         (peer, forged.guid)
     }
 
@@ -1386,7 +1296,7 @@ mod tests {
         t.add_node(a, "a").unwrap();
         // A peer that handshakes properly, then sends a well-formed
         // message under the reserved tag 2.
-        let (mut peer, b) = forged_peer(&t, a);
+        let (mut peer, b) = forged_peer(&t, a, 0);
         let mut payload = Vec::new();
         wire::put_u64(&mut payload, 1);
         wire::put_bytes(&mut payload, &msg(1, b, a).encode());
@@ -1463,43 +1373,92 @@ mod tests {
             addr: "127.0.0.1:1".parse().unwrap(),
         };
         let mut identity = Vec::new();
-        put_identity(&mut identity, TCP_PROTOCOL_VERSION, &id, 0);
-        let no_entries = 0u32.to_be_bytes();
+        put_identity(&mut identity, TCP_PROTOCOL_VERSION, &id);
+        let mut no_gossip = identity.clone();
+        wire::put_u32(&mut no_gossip, 0);
+        let entries = |payload: &[u8]| read_entries(&mut wire::Reader::new(payload)).err();
         let refused = [
-            ("welcome", parse_welcome(&hostile_count(&identity)).err()),
-            ("offer", parse_offer(&hostile_count(&[])).err()),
-            ("delta entries", parse_delta(&hostile_count(&[])).err()),
             (
-                "delta wants",
-                parse_delta(&hostile_count(&no_entries)).err(),
+                "welcome gossip",
+                parse_welcome(&hostile_count(&identity)).err(),
             ),
+            (
+                "welcome entries",
+                parse_welcome(&hostile_count(&no_gossip)).err(),
+            ),
+            ("hello or delta entries", entries(&hostile_count(&[]))),
         ];
         for (what, err) in refused {
             assert!(matches!(err, Some(SciError::Codec(_))), "{what}: {err:?}");
         }
     }
 
-    #[test]
-    fn a_peer_offering_a_hostile_count_leaves_the_node_serving() {
-        let mut t = TcpTransport::new();
-        let a = Guid::from_u128(0xa);
-        t.add_node(a, "a").unwrap();
-        // A registration, so the forged peer's empty store differs and
-        // `a` reads an offer straight after the HELLO.
-        t.publish_registration(a, "place/L10.01", "range-a")
-            .unwrap();
-        let (mut peer, _) = forged_peer(&t, a);
-        let offer = Frame::new(TAG_SYNC_OFFER, hostile_count(&[]));
-        write_frame_direct(&mut peer, &offer, &t.counters).unwrap();
-        assert!(wait_until(|| counter(&t, "net.tcp.accept_failures") == 1));
-        assert_eq!(t.connections_of(a), 0);
-
+    /// `c` joins and sends to `a`, which must still accept and deliver.
+    fn assert_still_serving(t: &mut TcpTransport, a: Guid) {
         let c = Guid::from_u128(0xc);
         t.add_node(c, "c").unwrap();
         t.connect_full();
-        assert_eq!(counter(&t, "net.tcp.dial_failures"), 0);
         t.send(msg(1, c, a)).unwrap();
         assert_eq!(t.drain(a).len(), 1, "a still accepts and delivers");
+    }
+
+    #[test]
+    fn a_hello_with_a_hostile_count_leaves_the_node_serving() {
+        let mut t = TcpTransport::new();
+        let a = Guid::from_u128(0xa);
+        t.add_node(a, "a").unwrap();
+        let _peer = forged_peer(&t, a, u32::MAX);
+        assert!(wait_until(|| counter(&t, "net.tcp.accept_failures") == 1));
+        assert_eq!(t.connections_of(a), 0);
+
+        assert_still_serving(&mut t, a);
+        assert_eq!(counter(&t, "net.tcp.dial_failures"), 0);
+    }
+
+    #[test]
+    fn a_welcome_with_a_hostile_count_leaves_the_node_serving() {
+        let mut t = TcpTransport::new();
+        let a = Guid::from_u128(0xa);
+        t.add_node(a, "a").unwrap();
+        // A forged acceptor `0xb` that answers each of two HELLOs with
+        // a WELCOME whose entry count is `u32::MAX`.
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let b = PeerInfo {
+            guid: Guid::from_u128(0xb),
+            name: "b".into(),
+            addr: listener.local_addr().unwrap(),
+        };
+        let mut welcome = Vec::new();
+        put_identity(&mut welcome, TCP_PROTOCOL_VERSION, &b);
+        wire::put_u32(&mut welcome, 0);
+        let welcome = Frame::new(TAG_WELCOME, hostile_count(&welcome));
+        let counters = t.counters.clone();
+        let forged = thread::spawn(move || {
+            for _ in 0..2 {
+                let (mut peer, _) = listener.accept().unwrap();
+                let (mut dec, mut buf) = (StreamDecoder::new(), [0u8; 4096]);
+                while dec.next_frame().unwrap().is_none() {
+                    let n = peer.read(&mut buf).unwrap();
+                    dec.extend(&buf[..n]);
+                }
+                write_frame_direct(&mut peer, &welcome, &counters).unwrap();
+            }
+        });
+
+        let err = t.peer_with(a, b.addr).expect_err("the WELCOME is refused");
+        assert!(matches!(err, SciError::Codec(_)), "{err:?}");
+        // A lazy dial through the directory counts the failure.
+        lock(&t.nodes[&a].shared.directory).insert(b.guid, b.clone());
+        assert!(matches!(
+            t.send(msg(1, a, b.guid)),
+            Err(SciError::Unroutable { .. })
+        ));
+        assert_eq!(counter(&t, "net.tcp.dial_failures"), 1);
+        assert_eq!(t.connections_of(a), 0);
+        forged.join().unwrap();
+
+        assert_still_serving(&mut t, a);
+        assert_eq!(counter(&t, "net.tcp.dial_failures"), 1);
     }
 
     #[test]
@@ -1567,7 +1526,7 @@ mod tests {
         t.add_node(a, "a").unwrap();
         // A peer that reads five data frames, acks the third, then
         // goes quiet with the socket open.
-        let (mut peer, b) = forged_peer(&t, a);
+        let (mut peer, b) = forged_peer(&t, a, 0);
         let counters = t.counters.clone();
         let (quiet_tx, quiet_rx) = mpsc::channel::<()>();
         let quiet_peer = thread::spawn(move || {

@@ -5,9 +5,8 @@
 //! latency), let the destination *deliver* (drain) what arrived, expose
 //! routing *stats*, and keep each node's replica of the *registration
 //! state* — which node serves a range name and covers a place
-//! ([`crate::sync`]), written by `publish_registration` /
-//! `retract_registration` and read, always on behalf of one node, by
-//! `registration`. Every implementation provides all of them; there is
+//! ([`crate::sync`]), written by `publish_registration` and read,
+//! always on behalf of one node, by `registration`. Every implementation provides all of them; there is
 //! no default that quietly keeps nothing. [`Transport`] captures that
 //! surface so drivers can swap the wire:
 //!
@@ -96,18 +95,10 @@ pub trait Transport {
     /// `node`.
     fn publish_registration(&mut self, node: Guid, key: &str, value: &str) -> SciResult<()>;
 
-    /// Tombstones `key` in `node`'s replica so peers converge on its
-    /// absence.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Transport::publish_registration`].
-    fn retract_registration(&mut self, node: Guid, key: &str) -> SciResult<()>;
-
     /// The live value of `key` in **`node`'s** replica — the one reader
     /// of the registration state, and the only way the federation asks
     /// where a range or a place lives. `None` for a key the node has
-    /// not learned, a retracted one, or a node without a replica.
+    /// not learned, or a node without a replica.
     fn registration(&self, node: Guid, key: &str) -> Option<String>;
 
     /// A digest over `node`'s replica — equal digests mean converged
@@ -149,12 +140,6 @@ impl Transport for SimNetwork {
     fn publish_registration(&mut self, node: Guid, key: &str, value: &str) -> SciResult<()> {
         let replica = self.replica_mut(node).ok_or(SciError::UnknownRange(node))?;
         replica.publish(key, value, node);
-        Ok(())
-    }
-
-    fn retract_registration(&mut self, node: Guid, key: &str) -> SciResult<()> {
-        let replica = self.replica_mut(node).ok_or(SciError::UnknownRange(node))?;
-        replica.retract(key, node);
         Ok(())
     }
 

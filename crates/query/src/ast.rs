@@ -203,16 +203,6 @@ impl Which {
             }
         }
     }
-
-    /// Returns `true` if this criterion can select more than one
-    /// candidate.
-    pub fn is_multi(&self) -> bool {
-        match self {
-            Which::All => true,
-            Which::Filtered { then, .. } => then.is_multi(),
-            _ => false,
-        }
-    }
 }
 
 impl fmt::Display for Which {
@@ -429,14 +419,6 @@ mod tests {
             .kind(EntityKind::Device)
             .fresh_within(VirtualDuration::from_secs(5));
         assert_eq!(kind.build().max_age(), None);
-    }
-
-    #[test]
-    fn which_multi_detection() {
-        assert!(Which::All.is_multi());
-        assert!(!Which::Closest.is_multi());
-        let filtered_all = Which::All.filtered(vec![]);
-        assert!(filtered_all.is_multi());
     }
 
     #[test]

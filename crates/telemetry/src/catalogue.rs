@@ -112,7 +112,6 @@ catalogue! {
     NET_TCP_HANDSHAKE_REJECTED = "net.tcp.handshake.rejected",
     NET_TCP_HANDSHAKES = "net.tcp.handshakes",
     NET_TCP_SYNC_APPLIED = "net.tcp.sync.applied",
-    NET_TCP_SYNC_ROUNDS = "net.tcp.sync.rounds",
     NET_TCP_UNKNOWN_PEER = "net.tcp.unknown_peer",
     NET_TCP_WRITE_FAILURES = "net.tcp.write_failures",
     RANGE_APP_DELIVERIES = "range.app.deliveries",

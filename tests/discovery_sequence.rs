@@ -53,22 +53,10 @@ fn figure5_registration_handshake() {
         .unwrap();
     assert_eq!(cs.snapshot().counter("bus.publish.count"), 1);
 
-    // Departure cleans everything up. (The published presence event
-    // also auto-registered its subject — that is the Range Service doing
-    // its job — so count only the sensor's own log entries.)
+    // Departure cleans everything up.
     cs.deregister(sensor.id, VirtualTime::from_secs(2)).unwrap();
     assert!(!cs.registrar().is_registered(sensor.id));
     assert!(cs.profiles().get(sensor.id).is_none());
-    let sensor_entries = cs
-        .registrar()
-        .log()
-        .iter()
-        .filter(|e| match e {
-            sci::core::registrar::RegistrarEvent::Arrived(d, _)
-            | sci::core::registrar::RegistrarEvent::Departed(d, _) => d.id == sensor.id,
-        })
-        .count();
-    assert_eq!(sensor_entries, 2);
 }
 
 #[test]
@@ -113,23 +101,6 @@ fn mobility_model_arrival_and_departure() {
     }
     assert!(was_registered, "association auto-registered the visitor");
     assert!(departed, "leaving the cell deregistered them");
-    // The log interleaves arrivals and departures: the visitor left the
-    // radio cell (departure) and was later re-sensed by a door sensor
-    // (re-arrival) — both transitions must appear, arrival first.
-    let mut first_arrival = None;
-    let mut first_departure = None;
-    for (i, e) in cs.registrar().log().iter().enumerate() {
-        match e {
-            sci::core::registrar::RegistrarEvent::Arrived(d, _) if d.id == visitor => {
-                first_arrival.get_or_insert(i);
-            }
-            sci::core::registrar::RegistrarEvent::Departed(d, _) if d.id == visitor => {
-                first_departure.get_or_insert(i);
-            }
-            _ => {}
-        }
-    }
-    assert!(first_arrival.unwrap() < first_departure.unwrap());
 }
 
 #[test]

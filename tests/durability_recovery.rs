@@ -1294,16 +1294,8 @@ fn check_store_parity(ops: &[Op]) -> Result<(ContextServer, ContextServer), Test
     Ok((apply(parity_server(), ops), from_dir))
 }
 
-/// `default` cases; `PROPTEST_CASES`, when set, decides.
-fn cases(default: u32) -> ProptestConfig {
-    match std::env::var_os("PROPTEST_CASES") {
-        Some(_) => ProptestConfig::default(),
-        None => ProptestConfig::with_cases(default),
-    }
-}
-
 proptest! {
-    #![proptest_config(cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Short histories: recovery is the (empty) seeding snapshot plus a
     /// replay of every record, and lands on exactly the uninterrupted
@@ -1319,7 +1311,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(cases(6))]
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Histories longer than the snapshot cadence (256): recovery
     /// starts from a snapshot taken in the middle. A snapshot drops a

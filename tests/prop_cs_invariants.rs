@@ -473,14 +473,6 @@ fn check_invariants(r: &mut Rig) {
     r.check_recovery();
 }
 
-/// 32 cases in the PR gate; `PROPTEST_CASES`, when set, decides.
-fn cases() -> ProptestConfig {
-    match std::env::var_os("PROPTEST_CASES") {
-        Some(_) => ProptestConfig::default(),
-        None => ProptestConfig::with_cases(32),
-    }
-}
-
 const ROOMS: [&str; 4] = ["lobby", "corridor", "L10.01", "L10.02"];
 
 fn run(ops: &[Op], snapshot_every: u64) {
@@ -620,7 +612,7 @@ fn run(ops: &[Op], snapshot_every: u64) {
 }
 
 proptest! {
-    #![proptest_config(cases())]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
     fn bookkeeping_survives_arbitrary_operation_sequences(

@@ -16,7 +16,8 @@
 //!   the same seed replays identically on real sockets;
 //! * **wire-only behaviour** — peering version negotiation rejects
 //!   mismatched nodes, and a late joiner converges its registration
-//!   store through anti-entropy rather than a full-state push.
+//!   store in the peering handshake's one round trip: `HELLO` and
+//!   `WELCOME` each carry their sender's whole store.
 //!
 //! Every listener binds `127.0.0.1:0` (see `support::net`), so
 //! parallel test processes never collide on a port.
@@ -196,10 +197,11 @@ fn version_mismatch_is_rejected_at_the_handshake() {
     );
 }
 
-/// A late joiner converges through anti-entropy: it bootstraps off one
-/// peer, digests disagree, deltas flow, and afterwards every node's
-/// registration digest is identical — including the ranges it never
-/// dialled directly, once the federation re-wires. What a node routes
+/// A late joiner converges in its handshakes: it bootstraps off one
+/// peer, digests disagree, the two stores cross in `HELLO` and
+/// `WELCOME`, and afterwards every node's registration digest is
+/// identical — including the ranges it never dialled directly, once the
+/// federation re-wires. What a node routes
 /// by is its own replica, so the routing follows the same steps: a node
 /// resolves a hall exactly when the claim has reached it.
 #[test]
@@ -281,8 +283,9 @@ fn late_joiner_converges_through_anti_entropy() {
         "range-1 has not met the joiner yet"
     );
 
-    // Re-wiring the full mesh dials only the missing pairs; the sync
-    // that rides each new connection brings the last node in line.
+    // Re-wiring the full mesh dials only the missing pairs; the stores
+    // each new connection's handshake carries bring the last node in
+    // line.
     fed.connect_full();
     assert_eq!(
         fed.transport().registration_digest(nodes[1]),
