@@ -511,7 +511,7 @@ pub(crate) fn encode_snapshot(cs: &ContextServer, now: VirtualTime) -> (Vec<u8>,
     (p, elapsed_us(started))
 }
 
-/// Bytes of one position row: entity GUID and two coordinates.
+/// The bytes of one position row: entity GUID and two coordinates.
 const POSITION_LEN: usize = 16 + 8 + 8;
 
 /// Replays a snapshot payload into a freshly built server and returns
@@ -625,7 +625,7 @@ pub struct RecoveryReport {
     /// not damage — plus standing queries the snapshot held that no
     /// longer resolve (every provider had left; they are dropped).
     pub replay_errors: usize,
-    /// Bytes truncated from the active segment's torn tail.
+    /// The bytes truncated from the active segment's torn tail.
     pub torn_bytes: u64,
     /// Decoder diagnosis for the torn tail, when one was cut.
     pub torn_detail: Option<String>,

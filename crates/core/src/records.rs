@@ -333,7 +333,7 @@ impl<'a> Skim<'a> {
 /// One delivery of an `EventRelay`: its envelope `seq`, `app`, `query`.
 pub type RelayRow = (u64, Guid, Guid);
 
-/// Bytes one [`RelayRow`] takes on the wire.
+/// The bytes one [`RelayRow`] takes on the wire.
 const RELAY_ROW_LEN: usize = 8 + 16 + 16;
 
 /// The payload of a [`sci_overlay::message::MessageKind::EventRelay`]:

@@ -55,8 +55,6 @@
 
 use std::time::Instant;
 
-use bytes::Bytes;
-
 use sci_location::floorplan::FloorPlan;
 use sci_overlay::message::{Message, MessageKind};
 use sci_overlay::stats::LoadStats;
@@ -582,7 +580,7 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
             home,
             dst,
             MessageKind::QueryForward,
-            Bytes::from(qcodec::to_xml(query).into_bytes()),
+            qcodec::to_xml(query),
         );
         let out_fwd = match self.net.send(fwd) {
             Ok(o) => o,
@@ -617,7 +615,7 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
             dst,
             home,
             MessageKind::QueryResponse,
-            Bytes::from(answer_to_xml(&answer).into_bytes()),
+            answer_to_xml(&answer),
         );
         let out_resp = match self.net.send(resp) {
             Ok(o) => o,
@@ -809,7 +807,7 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
 
     /// Wraps a serialised envelope in a fresh overlay message.
     fn envelope(&mut self, src: Guid, dst: Guid, kind: MessageKind, payload: Vec<u8>) -> Message {
-        Message::new(self.ids.next_guid(), src, dst, kind, Bytes::from(payload))
+        Message::new(self.ids.next_guid(), src, dst, kind, payload)
     }
 
     /// Sends relays with one [`Transport::send_all`]: each that lands is

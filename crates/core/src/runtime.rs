@@ -429,7 +429,7 @@ impl RangeRuntime {
     /// drains its outbox and deferred answers into after every command,
     /// consumed by the relay core. Without streaming, the outbox stays
     /// in the server that [`RangeRuntime::shutdown`] hands back.
-    pub fn spawn_with(
+    fn spawn_with(
         mut cs: ContextServer,
         policy: RestartPolicy,
         mailbox_policy: MailboxPolicy,

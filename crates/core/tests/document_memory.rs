@@ -26,7 +26,7 @@ use sci_types::{
 };
 
 thread_local! {
-    /// Bytes this thread allocated less those it freed (negative when
+    /// The bytes this thread allocated less those it freed (negative when
     /// it frees what another thread allocated); the most that was
     /// since the last [`measured`] began; and every byte asked for,
     /// a reallocation's whole new size included.

@@ -36,7 +36,6 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use bytes::Bytes;
 use sci_core::context_server::{AppDelivery, ContextServer, QueryAnswer};
 use sci_core::federation::{answer_to_xml, event_relay_group, event_relay_payload, RelayRow};
 use sci_core::relay::RelayCore;
@@ -292,7 +291,7 @@ fn hostile_payloads_are_codec_errors_and_never_mask_the_retransmission() {
     let (src, dst) = (nodes[0], nodes[1]);
     let mut msg_ids = GuidGenerator::seeded(0xbad);
     let mut inject = |core: &mut Core, kind: MessageKind, payload: Vec<u8>| {
-        let msg = Message::new(msg_ids.next_guid(), src, dst, kind, Bytes::from(payload));
+        let msg = Message::new(msg_ids.next_guid(), src, dst, kind, payload);
         core.transport_mut().send(msg).unwrap();
     };
     let now = VirtualTime::from_secs(1);
@@ -350,7 +349,7 @@ fn a_hostile_payload_does_not_strand_the_traffic_drained_beside_it() {
         .enumerate()
     {
         let id = Guid::from_u128(0x900 + i as u128);
-        let msg = Message::new(id, src, dst, class.kind, Bytes::from(payload));
+        let msg = Message::new(id, src, dst, class.kind, payload);
         core.transport_mut().send(msg).unwrap();
     }
     let refused = core.pump(VirtualTime::from_secs(1));
@@ -374,7 +373,7 @@ fn strangers_are_dropped_without_a_trace() {
     .enumerate()
     {
         let id = Guid::from_u128(0x900 + i as u128);
-        let msg = Message::new(id, src, dst, kind, Bytes::from(payload));
+        let msg = Message::new(id, src, dst, kind, payload);
         core.transport_mut().send(msg).unwrap();
     }
     core.pump(VirtualTime::from_secs(1)).unwrap();
@@ -398,7 +397,7 @@ fn relay_group(core: &mut Core, rows: &[(u64, Guid)], cut: usize) -> Result<(), 
     let mut payload = event_relay_group(src, &rows, &presence(src, 0));
     payload.truncate(payload.len() - cut);
     let id = Guid::from_u128(0x900);
-    let msg = Message::new(id, src, dst, MessageKind::EventRelay, Bytes::from(payload));
+    let msg = Message::new(id, src, dst, MessageKind::EventRelay, payload);
     core.transport_mut().send(msg).unwrap();
     core.pump(VirtualTime::from_secs(1))
 }
@@ -639,7 +638,7 @@ fn a_stray_answer_at_home_does_not_answer_the_submission() {
         nodes[1],
         nodes[0],
         MessageKind::QueryResponse,
-        Bytes::from(stray),
+        stray,
     );
     core.transport_mut().send(msg).unwrap();
     core.transport_mut().set_default_probs(FaultProbs {
@@ -667,7 +666,7 @@ fn a_hostile_stray_does_not_fail_an_unrelated_submission() {
         nodes[0],
         nodes[1],
         MessageKind::EventRelay,
-        Bytes::from(vec![0xff]),
+        vec![0xff],
     );
     core.transport_mut().send(msg).unwrap();
     let fa = core
@@ -708,7 +707,7 @@ fn a_migration_that_fails_beside_a_submission_is_reported_by_the_next_pump() {
         nodes[0],
         nodes[1],
         MessageKind::Migrate,
-        Bytes::from(doc.to_xml()),
+        doc.to_xml(),
     );
     core.transport_mut().send(msg).unwrap();
     let fa = core

@@ -8,15 +8,70 @@
 //! fire-and-forget `cast` is the distributed-events half, `call`
 //! (command in, typed reply back on a second mailbox) the point-to-point
 //! half. There is no second, thread-safe bus.
+//!
+//! The channels are `std::sync::mpsc`. Std splits the sending half in
+//! two (`Sender` unbounded, `SyncSender` bounded); [`Sender`] is one
+//! type over both, so a range's mailbox policy (unbounded, bounded and
+//! blocking, bounded and shedding) is a runtime value.
 
-use crossbeam::channel::{bounded, unbounded};
-pub use crossbeam::channel::{Receiver, Sender, TrySendError};
+use std::sync::mpsc::{self, SendError};
+pub use std::sync::mpsc::{Receiver, TrySendError};
+
+/// The sending half of a mailbox, unbounded or bounded.
+#[derive(Debug)]
+pub enum Sender<T> {
+    /// An unbounded mailbox's sender: `send` never blocks.
+    Unbounded(mpsc::Sender<T>),
+    /// A bounded mailbox's sender: `send` blocks while it is full.
+    Bounded(mpsc::SyncSender<T>),
+}
+
+impl<T> Clone for Sender<T> {
+    fn clone(&self) -> Self {
+        match self {
+            Sender::Unbounded(tx) => Sender::Unbounded(tx.clone()),
+            Sender::Bounded(tx) => Sender::Bounded(tx.clone()),
+        }
+    }
+}
+
+impl<T> Sender<T> {
+    /// Sends `t`, blocking while a bounded mailbox is full.
+    ///
+    /// # Errors
+    ///
+    /// [`SendError`] when the receiver is gone (a sender blocked on a
+    /// full mailbox is woken and also errors).
+    pub fn send(&self, t: T) -> Result<(), SendError<T>> {
+        match self {
+            Sender::Unbounded(tx) => tx.send(t),
+            Sender::Bounded(tx) => tx.send(t),
+        }
+    }
+
+    /// Sends `t` without blocking.
+    ///
+    /// # Errors
+    ///
+    /// [`TrySendError::Full`] when a bounded mailbox has no free slot
+    /// (an unbounded one is never full); [`TrySendError::Disconnected`]
+    /// when the receiver is gone.
+    pub fn try_send(&self, t: T) -> Result<(), TrySendError<T>> {
+        match self {
+            Sender::Unbounded(tx) => tx
+                .send(t)
+                .map_err(|SendError(t)| TrySendError::Disconnected(t)),
+            Sender::Bounded(tx) => tx.try_send(t),
+        }
+    }
+}
 
 /// Creates an unbounded actor mailbox: a multi-producer channel feeding
 /// a single consumer loop — the per-range command and reply channels of
 /// `sci-core`'s actor runtime.
 pub fn mailbox<T>() -> (Sender<T>, Receiver<T>) {
-    unbounded()
+    let (tx, rx) = mpsc::channel();
+    (Sender::Unbounded(tx), rx)
 }
 
 /// Creates a **bounded** actor mailbox holding at most `capacity`
@@ -31,7 +86,8 @@ pub fn mailbox<T>() -> (Sender<T>, Receiver<T>) {
 /// `capacity` of zero is promoted to one so a rendezvous channel cannot
 /// stall a fire-and-forget producer.
 pub fn bounded_mailbox<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-    bounded(capacity.max(1))
+    let (tx, rx) = mpsc::sync_channel(capacity.max(1));
+    (Sender::Bounded(tx), rx)
 }
 
 #[cfg(test)]

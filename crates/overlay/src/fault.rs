@@ -282,10 +282,11 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             self.delayed.push_back(message);
             return Err(SciError::Unroutable { from: src, to: dst });
         }
-        let outcome = self.inner.send(message.clone())?;
-        if dup_roll < p.duplicate {
+        let duplicate = (dup_roll < p.duplicate).then(|| message.clone());
+        let outcome = self.inner.send(message)?;
+        if let Some(duplicate) = duplicate {
             self.counters.dups.inc();
-            let _ = self.inner.send(message);
+            let _ = self.inner.send(duplicate);
         }
         Ok(outcome)
     }
@@ -333,16 +334,9 @@ mod tests {
     use super::*;
     use crate::message::MessageKind;
     use crate::net::SimNetwork;
-    use bytes::Bytes;
 
     fn msg(id: u128, src: Guid, dst: Guid) -> Message {
-        Message::new(
-            Guid::from_u128(id),
-            src,
-            dst,
-            MessageKind::Ping,
-            Bytes::new(),
-        )
+        Message::new(Guid::from_u128(id), src, dst, MessageKind::Ping, Vec::new())
     }
 
     fn rig(seed: u64) -> (FaultyTransport<SimNetwork>, Guid, Guid) {

@@ -13,14 +13,14 @@
 //! * [`routing::RoutingTable`] — Kademlia-style per-prefix buckets over
 //!   128-bit GUIDs with greedy XOR-distance forwarding.
 //! * [`net::SimNetwork`] — a simulated overlay: join/leave, hop-by-hop
-//!   routing with per-node load accounting, link latency and failure
-//!   injection.
+//!   routing with per-node load accounting, link latency and node
+//!   death; partitions are the fault layer's.
 //! * [`hierarchy::HierarchicalNetwork`] — the baseline: the same ranges
 //!   arranged as a b-ary tree routed through lowest common ancestors,
 //!   whose root is the bottleneck the overlay is supposed to avoid.
-//! * [`message`] — the binary wire codec (built on `bytes`) for
-//!   inter-range messages: query forwarding, responses, event relays,
-//!   liveness pings.
+//! * [`message`] — the binary wire codec (written and read with
+//!   `sci_wal`'s `wire` primitives) for inter-range messages: query
+//!   forwarding, responses, event relays, liveness pings.
 //! * [`sync::SyncStore`] — the replicated registration state: which
 //!   node serves a range name and covers a place, read by every node
 //!   from its own replica.

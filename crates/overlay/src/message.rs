@@ -1,7 +1,9 @@
 //! The SCINET wire format.
 //!
-//! Inter-range traffic is serialised to a compact binary frame (built on
-//! the `bytes` crate):
+//! Inter-range traffic is serialised to a compact binary frame, written
+//! and read with the WAL's big-endian primitives
+//! ([`sci_wal::codec::wire`]), so every length is read through the one
+//! bounded `Reader`:
 //!
 //! ```text
 //! magic(2) version(1) kind(1) msg_id(16) src(16) dst(16) ttl(2)
@@ -11,12 +13,8 @@
 //! Payloads are opaque to the overlay; `sci-core` puts query XML and
 //! response values inside them.
 
-use bytes::{Buf, BufMut, BytesMut};
-// Re-exported so facade users can build payloads without naming the
-// vendored crate directly.
-pub use bytes::Bytes;
-
 use sci_types::{Guid, SciError, SciResult};
+use sci_wal::codec::wire::{self, Reader};
 
 const MAGIC: u16 = 0x5C1E; // "SCI E(vent)"
 const VERSION: u8 = 1;
@@ -108,7 +106,7 @@ pub struct Message {
     /// Remaining hop budget; decremented at each forward.
     pub ttl: u16,
     /// Opaque payload.
-    pub payload: Bytes,
+    pub payload: Vec<u8>,
 }
 
 impl Message {
@@ -118,7 +116,7 @@ impl Message {
         src: Guid,
         dst: Guid,
         kind: MessageKind,
-        payload: impl Into<Bytes>,
+        payload: impl Into<Vec<u8>>,
     ) -> Self {
         Message {
             id,
@@ -131,18 +129,17 @@ impl Message {
     }
 
     /// Serialises to the wire format.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(58 + self.payload.len());
-        buf.put_u16(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u8(self.kind.to_wire());
-        buf.put_slice(&self.id.to_bytes());
-        buf.put_slice(&self.src.to_bytes());
-        buf.put_slice(&self.dst.to_bytes());
-        buf.put_u16(self.ttl);
-        buf.put_u32(self.payload.len() as u32);
-        buf.put_slice(&self.payload);
-        buf.freeze()
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(58 + self.payload.len());
+        wire::put_u16(&mut out, MAGIC);
+        wire::put_u8(&mut out, VERSION);
+        wire::put_u8(&mut out, self.kind.to_wire());
+        wire::put_u128(&mut out, self.id.as_u128());
+        wire::put_u128(&mut out, self.src.as_u128());
+        wire::put_u128(&mut out, self.dst.as_u128());
+        wire::put_u16(&mut out, self.ttl);
+        wire::put_bytes(&mut out, &self.payload);
+        out
     }
 
     /// Parses a message from the wire format.
@@ -150,41 +147,35 @@ impl Message {
     /// # Errors
     ///
     /// Returns [`SciError::Codec`] for truncated frames, bad magic,
-    /// unsupported versions, unknown kinds or oversized payloads.
-    pub fn decode(mut buf: Bytes) -> SciResult<Message> {
-        if buf.remaining() < 58 {
-            return Err(SciError::Codec(format!(
-                "frame too short: {} bytes",
-                buf.remaining()
-            )));
-        }
-        let magic = buf.get_u16();
+    /// unsupported versions, unknown kinds, oversized payloads or
+    /// trailing bytes.
+    pub fn decode(buf: impl AsRef<[u8]>) -> SciResult<Message> {
+        let codec = |e| SciError::Codec(format!("message: {e}"));
+        let mut r = Reader::new(buf.as_ref());
+        let magic = r.u16().map_err(codec)?;
         if magic != MAGIC {
             return Err(SciError::Codec(format!("bad magic {magic:#06x}")));
         }
-        let version = buf.get_u8();
+        let version = r.u8().map_err(codec)?;
         if version != VERSION {
             return Err(SciError::Codec(format!("unsupported version {version}")));
         }
-        let kind = MessageKind::from_wire(buf.get_u8())?;
-        let mut guid_bytes = [0u8; 16];
-        buf.copy_to_slice(&mut guid_bytes);
-        let id = Guid::from_bytes(guid_bytes);
-        buf.copy_to_slice(&mut guid_bytes);
-        let src = Guid::from_bytes(guid_bytes);
-        buf.copy_to_slice(&mut guid_bytes);
-        let dst = Guid::from_bytes(guid_bytes);
-        let ttl = buf.get_u16();
-        let len = buf.get_u32() as usize;
-        if len > MAX_PAYLOAD {
+        let kind = MessageKind::from_wire(r.u8().map_err(codec)?)?;
+        let id = Guid::from_u128(r.u128().map_err(codec)?);
+        let src = Guid::from_u128(r.u128().map_err(codec)?);
+        let dst = Guid::from_u128(r.u128().map_err(codec)?);
+        let ttl = r.u16().map_err(codec)?;
+        let payload = r.bytes().map_err(codec)?;
+        if payload.len() > MAX_PAYLOAD {
             return Err(SciError::Codec(format!(
-                "payload of {len} bytes exceeds cap"
+                "payload of {} bytes exceeds cap",
+                payload.len()
             )));
         }
-        if buf.remaining() != len {
+        if r.remaining() != 0 {
             return Err(SciError::Codec(format!(
-                "payload length mismatch: header says {len}, frame has {}",
-                buf.remaining()
+                "{} bytes after the payload",
+                r.remaining()
             )));
         }
         Ok(Message {
@@ -193,18 +184,15 @@ impl Message {
             dst,
             kind,
             ttl,
-            payload: buf,
+            payload: payload.to_vec(),
         })
     }
 
-    /// A copy with the TTL decremented, or `None` when the budget is
-    /// exhausted.
-    pub fn forwarded(&self) -> Option<Message> {
+    /// The message with its TTL decremented, or `None` when the budget
+    /// is exhausted.
+    pub fn forwarded(self) -> Option<Message> {
         let ttl = self.ttl.checked_sub(1)?;
-        Some(Message {
-            ttl,
-            ..self.clone()
-        })
+        Some(Message { ttl, ..self })
     }
 }
 
@@ -219,7 +207,7 @@ mod tests {
             Guid::from_u128(2),
             Guid::from_u128(3),
             kind,
-            Bytes::from_static(b"<query>...</query>"),
+            b"<query>...</query>".to_vec(),
         )
     }
 
@@ -239,7 +227,7 @@ mod tests {
             Guid::from_u128(8),
             Guid::from_u128(7),
             MessageKind::Ping,
-            Bytes::new(),
+            Vec::new(),
         );
         assert_eq!(Message::decode(m.encode()).unwrap(), m);
     }
@@ -250,28 +238,58 @@ mod tests {
 
         let mut bad_magic = good.to_vec();
         bad_magic[0] ^= 0xff;
-        assert!(Message::decode(Bytes::from(bad_magic)).is_err());
+        assert!(Message::decode(bad_magic).is_err());
 
         let mut bad_version = good.to_vec();
         bad_version[2] = 99;
-        assert!(Message::decode(Bytes::from(bad_version)).is_err());
+        assert!(Message::decode(bad_version).is_err());
 
         // Never a kind, and the reserved one.
         for kind in [250, 2] {
             let mut bad_kind = good.to_vec();
             bad_kind[3] = kind;
-            assert!(Message::decode(Bytes::from(bad_kind)).is_err());
+            assert!(Message::decode(bad_kind).is_err());
         }
 
-        let truncated = good.slice(0..30);
+        let truncated = &good[0..30];
         assert!(Message::decode(truncated).is_err());
+
+        // A length no frame could hold is refused before anything is
+        // allocated for it.
+        let mut huge = good.to_vec();
+        huge[54..58].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert!(matches!(Message::decode(huge), Err(SciError::Codec(_))));
 
         let mut extra = good.to_vec();
         extra.push(0);
-        assert!(
-            Message::decode(Bytes::from(extra)).is_err(),
-            "trailing byte"
+        assert!(Message::decode(extra).is_err(), "trailing byte");
+    }
+
+    /// Every header field non-zero and a short payload: the bytes on
+    /// the wire are pinned, whatever code writes them.
+    #[test]
+    fn encoding_is_pinned() {
+        let mut m = Message::new(
+            Guid::from_u128(0x0011_2233_4455_6677_8899_aabb_ccdd_eeff),
+            Guid::from_u128(0x0102_0304_0506_0708_090a_0b0c_0d0e_0f10),
+            Guid::from_u128(0xf0e0_d0c0_b0a0_9080_7060_5040_3020_1001),
+            MessageKind::EventRelay,
+            b"sci".to_vec(),
         );
+        m.ttl = 0x1234;
+        let hex: String = m.encode().iter().map(|b| format!("{b:02x}")).collect();
+        let want = concat!(
+            "5c1e",                             // magic
+            "01",                               // version
+            "07",                               // kind: EventRelay
+            "00112233445566778899aabbccddeeff", // id
+            "0102030405060708090a0b0c0d0e0f10", // src
+            "f0e0d0c0b0a090807060504030201001", // dst
+            "1234",                             // ttl
+            "00000003",                         // payload length
+            "736369",                           // payload: "sci"
+        );
+        assert_eq!(hex, want);
     }
 
     #[test]

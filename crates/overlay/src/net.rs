@@ -2,10 +2,11 @@
 //!
 //! [`SimNetwork`] hosts one overlay node per Range and routes messages
 //! hop-by-hop through the nodes' routing tables, accounting load and hop
-//! counts as it goes. Failure injection (node death, network partitions)
-//! exercises the robustness behaviours the paper calls for; dead
-//! neighbours are detected on use and evicted from routing tables, the
-//! overlay's stand-in for a liveness protocol.
+//! counts as it goes. Node death exercises the robustness behaviours the
+//! paper calls for; dead neighbours are detected on use and evicted from
+//! routing tables, the overlay's stand-in for a liveness protocol.
+//! Partitions are named groups in [`crate::fault::FaultyTransport`],
+//! which wraps this network or the TCP one alike.
 
 use sci_types::{Guid, HashMap, SciError, SciResult, VirtualDuration};
 
@@ -21,7 +22,6 @@ pub struct NodeState {
     name: String,
     table: RoutingTable,
     alive: bool,
-    partition: u8,
     inbox: Vec<Message>,
 }
 
@@ -129,7 +129,6 @@ impl SimNetwork {
                 name: name.clone(),
                 table: RoutingTable::with_capacity(guid, self.bucket_capacity),
                 alive: true,
-                partition: 0,
                 inbox: Vec::new(),
             },
         );
@@ -217,22 +216,6 @@ impl SimNetwork {
             .ok_or(SciError::UnknownRange(guid))
     }
 
-    /// Assigns a node to a partition group; messages cannot cross
-    /// groups. All nodes start in group 0.
-    pub fn set_partition(&mut self, guid: Guid, group: u8) -> SciResult<()> {
-        self.nodes
-            .get_mut(&guid)
-            .map(|n| n.partition = group)
-            .ok_or(SciError::UnknownRange(guid))
-    }
-
-    /// Heals all partitions.
-    pub fn heal_partitions(&mut self) {
-        for n in self.nodes.values_mut() {
-            n.partition = 0;
-        }
-    }
-
     /// Inserts `peer` into `node`'s routing table.
     pub fn link(&mut self, node: Guid, peer: Guid) -> SciResult<bool> {
         if !self.nodes.contains_key(&peer) {
@@ -254,13 +237,6 @@ impl SimNetwork {
         self.stats = LoadStats::new();
     }
 
-    fn reachable(&self, from: Guid, to: Guid) -> bool {
-        match (self.nodes.get(&from), self.nodes.get(&to)) {
-            (Some(a), Some(b)) => b.alive && a.partition == b.partition,
-            _ => false,
-        }
-    }
-
     /// Greedily computes the overlay path from `src` to `dst`, evicting
     /// dead neighbours from tables along the way, and records stats.
     ///
@@ -269,7 +245,7 @@ impl SimNetwork {
     /// * [`SciError::UnknownRange`] if either endpoint does not exist or
     ///   `src` is dead.
     /// * [`SciError::Unroutable`] on TTL exhaustion, local minima
-    ///   (insufficient table knowledge) or partition/death of `dst`.
+    ///   (insufficient table knowledge) or death of `dst`.
     pub fn route(&mut self, src: Guid, dst: Guid) -> SciResult<RouteOutcome> {
         let src_state = self.nodes.get(&src).ok_or(SciError::UnknownRange(src))?;
         if !src_state.alive {
@@ -294,7 +270,7 @@ impl SimNetwork {
             }
             ttl -= 1;
 
-            // Candidates in closeness order; skip unreachable ones and
+            // Candidates in closeness order; take the first live one and
             // evict dead ones from the table as we learn about them.
             let candidates = self.nodes[&current].table.closest_n(dst, usize::MAX);
             let my_distance = current.xor_distance(dst);
@@ -304,15 +280,11 @@ impl SimNetwork {
                 if cand.xor_distance(dst) >= my_distance {
                     break; // sorted: nothing further helps
                 }
-                let cand_alive = self.nodes.get(&cand).map(|n| n.alive).unwrap_or(false);
-                if !cand_alive {
-                    dead.push(cand);
-                    continue;
-                }
-                if self.reachable(current, cand) {
+                if self.nodes.get(&cand).is_some_and(|n| n.alive) {
                     next = Some(cand);
                     break;
                 }
+                dead.push(cand);
             }
             if !dead.is_empty() {
                 if let Some(node) = self.nodes.get_mut(&current) {
@@ -352,15 +324,14 @@ impl SimNetwork {
     ///
     /// As for [`SimNetwork::route`].
     pub fn send(&mut self, message: Message) -> SciResult<RouteOutcome> {
-        let outcome = self.route(message.src, message.dst)?;
+        let (src, dst) = (message.src, message.dst);
+        let outcome = self.route(src, dst)?;
         let mut delivered = message;
         for _ in 0..outcome.hops {
-            delivered = delivered.forwarded().ok_or(SciError::Unroutable {
-                from: delivered.src,
-                to: delivered.dst,
-            })?;
+            delivered = delivered
+                .forwarded()
+                .ok_or(SciError::Unroutable { from: src, to: dst })?;
         }
-        let (src, dst) = (delivered.src, delivered.dst);
         self.nodes
             .get_mut(&dst)
             .ok_or(SciError::Unroutable { from: src, to: dst })?
@@ -456,21 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn partitions_block_and_heal() {
-        let (mut net, guids) = network(8, 6);
-        for &g in &guids[4..] {
-            net.set_partition(g, 1).unwrap();
-        }
-        assert!(net.route(guids[0], guids[5]).is_err());
-        assert!(
-            net.route(guids[0], guids[1]).is_ok(),
-            "same side still works"
-        );
-        net.heal_partitions();
-        assert!(net.route(guids[0], guids[5]).is_ok());
-    }
-
-    #[test]
     fn send_delivers_to_inbox_with_decremented_ttl() {
         let (mut net, guids) = network(16, 7);
         let msg = Message::new(
@@ -478,7 +434,7 @@ mod tests {
             guids[0],
             guids[9],
             MessageKind::QueryForward,
-            bytes::Bytes::from_static(b"payload"),
+            b"payload".to_vec(),
         );
         let out = net.send(msg).unwrap();
         let inbox = net.node(guids[9]).unwrap().inbox();

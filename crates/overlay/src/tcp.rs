@@ -1,4 +1,4 @@
-//! Bytes-on-the-wire transport: the SCINET over real TCP sockets.
+//! The SCINET over real TCP sockets: a transport that puts bytes on the wire.
 //!
 //! Every in-process transport in this crate routes by shared memory;
 //! [`TcpTransport`] puts the same [`Transport`] contract on loopback
@@ -42,8 +42,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
-
-use bytes::Bytes;
 
 use sci_telemetry::{catalogue, Counter, Registry};
 use sci_types::{Guid, HashMap, SciError, SciResult, VirtualDuration};
@@ -355,11 +353,12 @@ fn write_frame_direct(
 ) -> std::io::Result<()> {
     let mut out = Vec::with_capacity(frame.encoded_len());
     encode_frame(frame, &mut out);
-    stream.write_all(&out)?;
-    stream.flush()?;
+    // Counted as handed to the socket: a peer may read the frame before
+    // `write_all` returns here.
     counters.bytes_sent.add(out.len() as u64);
     counters.frames_sent.inc();
-    Ok(())
+    stream.write_all(&out)?;
+    stream.flush()
 }
 
 /// Writes one frame a peer expects on a live connection (an ACK, a
@@ -540,7 +539,7 @@ fn handle_frame(
             // kind owns (the reserved 2) can never match.
             let parsed = r.u64().ok().and_then(|seq| {
                 let raw = r.bytes().ok()?;
-                let msg = Message::decode(Bytes::from(raw.to_vec())).ok()?;
+                let msg = Message::decode(raw).ok()?;
                 (msg.kind.to_wire() == tag).then_some((seq, msg))
             });
             match parsed {
@@ -794,11 +793,11 @@ fn conn_to(src: &NodeShared, dst: Guid) -> Option<Arc<Conn>> {
 /// that timed out). Returns how many the peer acked: always a prefix.
 fn send_coalesced(conn: &Conn, share: Vec<&Message>, counters: &NetCounters) -> usize {
     let write_chunk = |chunk: &[u8], first: u64, frames: usize| -> usize {
+        counters.bytes_sent.add(chunk.len() as u64);
+        counters.frames_sent.add(frames as u64);
         if lock(&conn.stream).write_all(chunk).is_err() {
             return 0;
         }
-        counters.bytes_sent.add(chunk.len() as u64);
-        counters.frames_sent.add(frames as u64);
         let last = first + frames as u64 - 1;
         let rx = lock(&conn.ack_rx);
         let mut high = 0;
@@ -1088,7 +1087,7 @@ mod tests {
             src,
             dst,
             MessageKind::EventRelay,
-            Bytes::from_static(b"payload"),
+            b"payload".to_vec(),
         )
     }
 
@@ -1218,11 +1217,11 @@ mod tests {
         assert_ne!(t.registration_digest(a), t.registration_digest(b));
 
         t.connect_full();
-        // The acceptor counts WELCOME once its write returns, which may
-        // be after the dialer has read it.
-        let frames = || counter(&t, "net.tcp.frames.sent");
-        assert!(wait_until(|| frames() >= 2));
-        assert_eq!(frames(), 2, "HELLO and WELCOME, nothing else");
+        assert_eq!(
+            counter(&t, "net.tcp.frames.sent"),
+            2,
+            "HELLO and WELCOME, nothing else"
+        );
         assert_eq!(t.registration_digest(a), t.registration_digest(b));
         assert_eq!(t.registration(a, "place/L10.02"), Some(b.to_string()));
         assert_eq!(t.registration(b, "place/L10.01"), Some(a.to_string()));
@@ -1489,7 +1488,7 @@ mod tests {
         let ids = |messages: &[Message]| messages.iter().map(|m| m.id).collect::<Vec<_>>();
 
         // 200 KiB: several capped writes, each acked before the next.
-        let kib = Bytes::from(vec![7u8; 1024]);
+        let kib = vec![7u8; 1024];
         let batch: Vec<Message> = (0..200u128)
             .map(|i| Message::new(Guid::from_u128(i), a, b, MessageKind::Ping, kib.clone()))
             .collect();

@@ -157,16 +157,9 @@ impl Transport for SimNetwork {
 mod tests {
     use super::*;
     use crate::message::MessageKind;
-    use bytes::Bytes;
 
     fn msg(id: u128, src: Guid, dst: Guid) -> Message {
-        Message::new(
-            Guid::from_u128(id),
-            src,
-            dst,
-            MessageKind::Ping,
-            Bytes::new(),
-        )
+        Message::new(Guid::from_u128(id), src, dst, MessageKind::Ping, Vec::new())
     }
 
     fn two_nodes<T: Transport>(t: &mut T) -> (Guid, Guid) {

@@ -2,7 +2,6 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use bytes::Bytes;
 use proptest::prelude::*;
 use sci_overlay::message::{Message, MessageKind};
 use sci_overlay::net::SimNetwork;
@@ -85,7 +84,7 @@ proptest! {
             Guid::from_u128(src),
             Guid::from_u128(dst),
             MessageKind::ALL[kind_pick],
-            Bytes::from(payload),
+            payload,
         );
         m.ttl = ttl;
         let decoded = Message::decode(m.encode()).unwrap();
@@ -95,6 +94,6 @@ proptest! {
     /// The decoder never panics on arbitrary bytes.
     #[test]
     fn decoder_never_panics(junk in prop::collection::vec(any::<u8>(), 0..200)) {
-        let _ = Message::decode(Bytes::from(junk));
+        let _ = Message::decode(junk);
     }
 }

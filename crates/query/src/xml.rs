@@ -41,15 +41,6 @@ impl Element {
         }
     }
 
-    /// Creates a leaf element holding text.
-    pub fn text_node(name: impl Into<String>, text: impl Into<String>) -> Self {
-        Element {
-            name: name.into(),
-            text: text.into(),
-            ..Element::default()
-        }
-    }
-
     /// Adds an attribute (builder style).
     pub fn with_attr(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
         self.attrs.push((key.into(), value.into()));
@@ -508,8 +499,14 @@ mod tests {
     #[test]
     fn roundtrip_simple() {
         let doc = Element::new("query")
-            .with_child(Element::text_node("query_id", "abc"))
-            .with_child(Element::text_node("mode", "subscribe"));
+            .with_child(Element {
+                text: "abc".into(),
+                ..Element::new("query_id")
+            })
+            .with_child(Element {
+                text: "subscribe".into(),
+                ..Element::new("mode")
+            });
         let xml = doc.to_xml();
         assert_eq!(parse(&xml).unwrap(), doc);
     }
@@ -526,7 +523,11 @@ mod tests {
 
     #[test]
     fn escaping_roundtrip() {
-        let doc = Element::text_node("t", "a < b & \"c\" > 'd'").with_attr("k", "<&>\"'");
+        let doc = Element {
+            text: "a < b & \"c\" > 'd'".into(),
+            ..Element::new("t")
+        }
+        .with_attr("k", "<&>\"'");
         let parsed = parse(&doc.to_xml()).unwrap();
         assert_eq!(parsed, doc);
     }

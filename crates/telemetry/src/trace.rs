@@ -3,14 +3,28 @@
 //! Instrumented code talks to a [`Tracer`]; where the records go is
 //! decided by the installed [`Subscriber`]. The default
 //! [`NoopSubscriber`] reports `enabled() == false`, which lets call
-//! sites skip field formatting *and* the span's clock read entirely —
+//! sites skip field formatting *and* every clock read entirely —
 //! tracing costs one `Arc` deref + one bool test when nobody listens.
+//!
+//! Every record carries the instant it was made, `at_us`, read from one
+//! process-wide clock, so the dumps of several subscribers (one per
+//! range, one for the relay) merge into one timeline by sorting on it.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::Write;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
+
+/// The trace clock: microseconds since the process's trace epoch, the
+/// clock's first reading.
+#[expect(clippy::disallowed_methods, reason = "telemetry timing")]
+fn now_us() -> u64 {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    let now = Instant::now();
+    let epoch = *EPOCH.get_or_init(|| now);
+    u64::try_from(now.duration_since(epoch).as_micros()).unwrap_or(u64::MAX)
+}
 
 /// One emitted trace record.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -19,6 +33,8 @@ pub enum TraceRecord {
     Event {
         /// Dotted-lowercase event name (e.g. `federation.relay`).
         name: String,
+        /// When it was recorded, in µs since the process's trace epoch.
+        at_us: u64,
         /// Key/value payload, in call-site order.
         fields: Vec<(String, String)>,
     },
@@ -26,6 +42,9 @@ pub enum TraceRecord {
     Span {
         /// Dotted-lowercase span name (e.g. `range.cmd.ingest`).
         name: String,
+        /// When it closed, in µs since the process's trace epoch; it
+        /// opened `elapsed_us` earlier.
+        at_us: u64,
         /// Wall-clock duration between span open and drop.
         elapsed_us: u64,
         /// Key/value payload, in call-site order.
@@ -38,6 +57,14 @@ impl TraceRecord {
     pub fn name(&self) -> &str {
         match self {
             TraceRecord::Event { name, .. } | TraceRecord::Span { name, .. } => name,
+        }
+    }
+
+    /// When the record was made, in µs since the process's trace epoch
+    /// (for a span, when it closed).
+    pub fn at_us(&self) -> u64 {
+        match self {
+            TraceRecord::Event { at_us, .. } | TraceRecord::Span { at_us, .. } => *at_us,
         }
     }
 }
@@ -92,16 +119,6 @@ impl RingBufferSubscriber {
     pub fn records(&self) -> Vec<TraceRecord> {
         locked(&self.buf).iter().cloned().collect()
     }
-
-    /// Number of buffered records.
-    pub fn len(&self) -> usize {
-        locked(&self.buf).len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl Subscriber for RingBufferSubscriber {
@@ -148,8 +165,12 @@ impl<W: Write + Send> Subscriber for LineSubscriber<W> {
     fn record(&self, rec: TraceRecord) {
         let mut out = locked(&self.out);
         let result = match rec {
-            TraceRecord::Event { name, fields } => {
-                let mut line = format!("event {name}");
+            TraceRecord::Event {
+                name,
+                at_us,
+                fields,
+            } => {
+                let mut line = format!("event {name} at_us={at_us}");
                 for (k, v) in fields {
                     line.push_str(&format!(" {k}={v}"));
                 }
@@ -157,10 +178,11 @@ impl<W: Write + Send> Subscriber for LineSubscriber<W> {
             }
             TraceRecord::Span {
                 name,
+                at_us,
                 elapsed_us,
                 fields,
             } => {
-                let mut line = format!("span {name} elapsed_us={elapsed_us}");
+                let mut line = format!("span {name} at_us={at_us} elapsed_us={elapsed_us}");
                 for (k, v) in fields {
                     line.push_str(&format!(" {k}={v}"));
                 }
@@ -216,6 +238,7 @@ impl Tracer {
         if self.enabled() {
             self.sub.record(TraceRecord::Event {
                 name: name.to_string(),
+                at_us: now_us(),
                 fields: fields
                     .iter()
                     .map(|(k, v)| ((*k).to_string(), v.clone()))
@@ -226,12 +249,11 @@ impl Tracer {
 
     /// Open a span; its duration is measured from now until the guard
     /// drops. When disabled, no clock is read and drop is free.
-    #[expect(clippy::disallowed_methods, reason = "telemetry timing")]
     pub fn span(&self, name: &'static str) -> Span<'_> {
         Span {
             tracer: self,
             name,
-            start: self.enabled().then(Instant::now),
+            start_us: self.enabled().then(now_us),
             fields: Vec::new(),
         }
     }
@@ -242,14 +264,14 @@ impl Tracer {
 pub struct Span<'t> {
     tracer: &'t Tracer,
     name: &'static str,
-    start: Option<Instant>,
+    start_us: Option<u64>,
     fields: Vec<(String, String)>,
 }
 
 impl Span<'_> {
     /// Attach a key/value field (dropped when tracing is disabled).
     pub fn field(&mut self, key: &str, value: impl fmt::Display) {
-        if self.start.is_some() {
+        if self.start_us.is_some() {
             self.fields.push((key.to_string(), value.to_string()));
         }
     }
@@ -257,11 +279,12 @@ impl Span<'_> {
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        if let Some(start) = self.start {
-            let elapsed_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        if let Some(start_us) = self.start_us {
+            let at_us = now_us();
             self.tracer.sub.record(TraceRecord::Span {
                 name: self.name.to_string(),
-                elapsed_us,
+                at_us,
+                elapsed_us: at_us.saturating_sub(start_us),
                 fields: std::mem::take(&mut self.fields),
             });
         }
@@ -282,7 +305,7 @@ mod tests {
         s.field("k", 1);
         drop(s);
         // Nothing observable — mainly checks nothing panics and no
-        // clock is read (start is None).
+        // clock is read (`start_us` is None).
     }
 
     #[test]
@@ -298,6 +321,7 @@ mod tests {
         let recs = ring.records();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].name(), "bus.publish");
+        assert!(recs[0].at_us() <= recs[1].at_us(), "one clock, in order");
         match &recs[1] {
             TraceRecord::Span { name, fields, .. } => {
                 assert_eq!(name, "range.cmd.ingest");
@@ -330,6 +354,10 @@ mod tests {
         drop(t);
         let sub = Arc::into_inner(sub).unwrap();
         let text = String::from_utf8(sub.into_inner()).unwrap();
-        assert_eq!(text, "event federation.relay events=2\n");
+        let at = text
+            .strip_prefix("event federation.relay at_us=")
+            .and_then(|rest| rest.strip_suffix(" events=2\n"))
+            .unwrap();
+        assert!(at.parse::<u64>().is_ok(), "{text}");
     }
 }

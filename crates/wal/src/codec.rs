@@ -25,7 +25,7 @@ use std::fmt;
 /// holds any snapshot this middleware produces.
 pub const MAX_FRAME_LEN: u32 = 64 << 20;
 
-/// Bytes of framing overhead around a payload (`len` + `tag` + `crc`).
+/// The bytes of framing overhead around a payload (`len` + `tag` + `crc`).
 pub const FRAME_OVERHEAD: usize = 9;
 
 /// One tagged binary frame.
@@ -465,14 +465,20 @@ impl StreamDecoder {
     }
 }
 
-/// Primitive big-endian writers shared by the codecs layered on top of
-/// frames (the WAL command codec today, the network codec later).
+/// Primitive big-endian writers and the one bounded reader shared by the
+/// codecs layered on top of frames (the WAL command and event records,
+/// the socket handshake, and the SCINET message).
 pub mod wire {
     use super::CodecError;
 
     /// Appends a `u8`.
     pub fn put_u8(out: &mut Vec<u8>, v: u8) {
         out.push(v);
+    }
+
+    /// Appends a big-endian `u16`.
+    pub fn put_u16(out: &mut Vec<u8>, v: u16) {
+        out.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Appends a big-endian `u32`.
@@ -517,7 +523,7 @@ pub mod wire {
             Reader { buf, pos: 0 }
         }
 
-        /// Bytes not yet consumed.
+        /// The bytes not yet consumed.
         pub fn remaining(&self) -> usize {
             self.buf.len() - self.pos
         }
@@ -544,6 +550,16 @@ pub mod wire {
         /// [`CodecError::Corrupt`] on short read.
         pub fn u8(&mut self) -> Result<u8, CodecError> {
             Ok(self.take(1)?[0])
+        }
+
+        /// Reads a big-endian `u16`.
+        ///
+        /// # Errors
+        ///
+        /// [`CodecError::Corrupt`] on short read.
+        pub fn u16(&mut self) -> Result<u16, CodecError> {
+            let b = self.take(2)?;
+            Ok(u16::from_be_bytes([b[0], b[1]]))
         }
 
         /// Reads a big-endian `u32`.

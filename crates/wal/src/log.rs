@@ -119,7 +119,7 @@ fn io_err(context: impl Into<String>, source: io::Error) -> WalError {
 pub struct Recovered {
     /// Intact records in index order: `(index, frame)`.
     pub frames: Vec<(u64, Frame)>,
-    /// Bytes discarded from the active segment's torn tail (0 on a
+    /// The bytes discarded from the active segment's torn tail (0 on a
     /// clean shutdown).
     pub torn_bytes: u64,
     /// Decoder diagnosis for the torn tail, when one was cut.

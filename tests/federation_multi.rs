@@ -1,6 +1,6 @@
 //! Integration test: three federated ranges over the SCINET — query
 //! forwarding, remote subscriptions with event relay, and behaviour
-//! under overlay partitions.
+//! under overlay partitions (the fault layer's named groups).
 
 use sci::prelude::*;
 
@@ -15,16 +15,20 @@ fn range_plan(i: usize) -> FloorPlan {
         .unwrap()
 }
 
-struct Rig {
-    fed: Federation,
+struct Rig<T: Transport = SimNetwork> {
+    fed: Federation<T>,
     ids: GuidGenerator,
     nodes: Vec<Guid>,
     sensors: Vec<Guid>,
 }
 
 fn rig(n: usize) -> Rig {
+    rig_over(n, SimNetwork::new())
+}
+
+fn rig_over<T: Transport>(n: usize, net: T) -> Rig<T> {
     let mut ids = GuidGenerator::seeded(71);
-    let mut fed = Federation::new(3);
+    let mut fed = Federation::with_transport(net, 3);
     let mut nodes = Vec::new();
     let mut sensors = Vec::new();
     for i in 0..n {
@@ -117,7 +121,9 @@ fn remote_subscription_streams_relayed_events() {
 
 #[test]
 fn partition_degrades_forwarding_until_healed() {
-    let mut r = rig(3);
+    // A fault layer that injects nothing (it starts at
+    // `FaultProbs::NONE`) and owns the partitions.
+    let mut r = rig_over(3, FaultyTransport::new(SimNetwork::new(), 3));
     let app = r.ids.next_guid();
     let q = Query::builder(r.ids.next_guid(), app)
         .kind(EntityKind::Device)
@@ -132,7 +138,7 @@ fn partition_degrades_forwarding_until_healed() {
     // Split range-2 away at the overlay level: forwarding degrades to
     // a partial answer naming the unreachable range, rather than
     // erroring — graceful degradation with QoC metadata.
-    r.fed.transport_mut().set_partition(r.nodes[2], 1).unwrap();
+    r.fed.transport_mut().partition("island", &[r.nodes[2]]);
     let fa = r
         .fed
         .submit_from("range-0", &q, VirtualTime::from_secs(1))

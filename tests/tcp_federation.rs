@@ -1,4 +1,4 @@
-//! Bytes-on-the-wire federation: the overlay scenarios over real
+//! Federation with bytes on the wire: the overlay scenarios over real
 //! loopback sockets.
 //!
 //! [`TcpTransport`] implements [`Transport`] over actual TCP streams

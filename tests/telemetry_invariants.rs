@@ -184,6 +184,12 @@ fn parallel_federation_snapshot_agrees_with_oracles() {
     fed.shutdown();
 }
 
+fn fields(record: &TraceRecord) -> &[(String, String)] {
+    match record {
+        TraceRecord::Span { fields, .. } | TraceRecord::Event { fields, .. } => fields,
+    }
+}
+
 /// The `keys` fields of every record named `name`, oldest first.
 fn traced(records: &RingBufferSubscriber, name: &str, keys: &[&str]) -> Vec<Vec<String>> {
     records
@@ -191,12 +197,9 @@ fn traced(records: &RingBufferSubscriber, name: &str, keys: &[&str]) -> Vec<Vec<
         .iter()
         .filter(|r| r.name() == name)
         .map(|r| {
-            let fields = match r {
-                TraceRecord::Span { fields, .. } | TraceRecord::Event { fields, .. } => fields,
-            };
             keys.iter()
                 .map(|&key| {
-                    let (_, value) = fields.iter().find(|(k, _)| k == key).unwrap();
+                    let (_, value) = fields(r).iter().find(|(k, _)| k == key).unwrap();
                     value.clone()
                 })
                 .collect()
@@ -209,7 +212,10 @@ fn traced(records: &RingBufferSubscriber, name: &str, keys: &[&str]) -> Vec<Vec<
 /// `ingest` span on range-0's server carries `(source, seq)`, and the
 /// relay's `federation.relay` (to range-1), `federation.absorb` (from
 /// range-0) and `federation.deliver` events carry it after it, in that
-/// order. `e2e.delivery_latency_us` holds one sample per delivery
+/// order. The two dumps merge into one timeline by each record's
+/// instant, and the wall-clock end-to-end time, `federation.deliver`'s
+/// instant less the `ingest` span's start, is read off it.
+/// `e2e.delivery_latency_us` holds one sample per delivery
 /// drained, each the route's latency: the event is produced, ingested and
 /// relayed at the same instant, and arrives one hop later.
 #[test]
@@ -283,6 +289,38 @@ fn one_event_is_followed_from_ingest_to_delivery() {
     let e2e = e2e.histogram("e2e.delivery_latency_us").unwrap();
     assert_eq!(e2e.count, delivered.len() as u64);
     assert_eq!(e2e.sum, HOP_US * e2e.count, "one hop, no queueing");
+
+    // One timeline from two dumps: every record of the key, by instant.
+    let mut timeline: Vec<TraceRecord> = at_range.records();
+    timeline.extend(at_relay.records());
+    timeline.sort_by_key(TraceRecord::at_us);
+    let key = [
+        ("source".to_owned(), sensor.to_string()),
+        ("seq".to_owned(), "41".to_owned()),
+    ];
+    timeline.retain(|r| key.iter().all(|kv| fields(r).contains(kv)));
+    let names: Vec<&str> = timeline.iter().map(TraceRecord::name).collect();
+    assert_eq!(
+        names,
+        [
+            "ingest",
+            "federation.relay",
+            "federation.absorb",
+            "federation.deliver"
+        ]
+    );
+    let TraceRecord::Span {
+        at_us, elapsed_us, ..
+    } = &timeline[0]
+    else {
+        panic!("ingest is a span: {:?}", timeline[0]);
+    };
+    let ingest_start_us = at_us - elapsed_us;
+    let deliver_at_us = timeline[3].at_us();
+    assert!(
+        deliver_at_us >= ingest_start_us,
+        "wall-clock e2e is not negative: ingest opened at {ingest_start_us} µs, delivered at {deliver_at_us} µs"
+    );
 }
 
 /// A derived event names its cause. Range-0's `objLocationCE` turns a
