@@ -18,6 +18,8 @@
 //! applications asking for the path between Bob and John drive one
 //! `pathCE` instance, not two. Experiment E8 ablates exactly this flag.
 
+use std::fmt::Write as _;
+
 use sci_event::bus::SubId;
 use sci_event::{EventMediator, Topic};
 use sci_types::{ContextType, EventSeq, Guid, HashMap, Metadata, SciError, SciResult};
@@ -64,10 +66,18 @@ pub(crate) fn input_topic(ty: Option<ContextType>, producer: Guid, subject: Opti
     }
 }
 
+/// The reuse cache's key for a binding: its `k=v` parts in key order,
+/// `;`-separated, written into one buffer. (Keys are unique, so key
+/// order is a canonical order.)
 fn binding_key(binding: &Metadata) -> String {
-    let mut parts: Vec<String> = binding.iter().map(|(k, v)| format!("{k}={v}")).collect();
-    parts.sort();
-    parts.join(";")
+    let mut parts: Vec<_> = binding.iter().collect();
+    parts.sort_unstable_by_key(|&(k, _)| k);
+    let mut key = String::new();
+    for (i, (k, v)) in parts.into_iter().enumerate() {
+        let sep = if i == 0 { "" } else { ";" };
+        let _ = write!(key, "{sep}{k}={v}");
+    }
+    key
 }
 
 /// The store of live logic instances, with optional subgraph reuse.

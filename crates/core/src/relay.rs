@@ -109,13 +109,18 @@ const ANSWER_SEQ_NS: u64 = 1 << SEQ_NS_SHIFT;
 /// stream traffic).
 const MIGRATE_SEQ_NS: u64 = 2 << SEQ_NS_SHIFT;
 
-/// Drained items paired with the envelope sequence their server minted.
-pub(crate) type Sequenced<T> = Vec<(u64, T)>;
+/// Application deliveries, each with its envelope sequence and the
+/// instant of the command that produced it. A range worker stamps that
+/// instant; the serial driver, which pumps at it, and an outbox a
+/// restarted worker restored stamp `VirtualTime::MAX`, which reads as
+/// the pump's instant. (The stamp fills the padding the sequence leaves
+/// beside a 16-byte-aligned delivery, so it costs no memory.)
+pub(crate) type Deliveries = Vec<(u64, VirtualTime, AppDelivery)>;
 
 /// Everything a range has produced for the relay since it was last
-/// asked: application deliveries, then deferred answers, each in
-/// production order.
-pub(crate) type Stream = (Sequenced<AppDelivery>, Sequenced<DeferredAnswer>);
+/// asked: application deliveries, then deferred answers with their
+/// envelope sequences, each in production order.
+pub(crate) type Stream = (Deliveries, Vec<(u64, DeferredAnswer)>);
 
 /// One published event and its remote deliveries' rows, by home range.
 type Grouped = (ContextEvent, Vec<(Guid, Vec<RelayRow>)>);
@@ -174,9 +179,18 @@ impl RangeHost for ContextServer {
     /// commands against the same restored counters reproduces the same
     /// sequences.
     fn drain_stream(&mut self) -> Stream {
+        self.take_stream(VirtualTime::MAX)
+    }
+}
+
+impl ContextServer {
+    /// [`RangeHost::drain_stream`], each delivery stamped `produced`.
+    pub(crate) fn take_stream(&mut self, produced: VirtualTime) -> Stream {
         let mut stream = Stream::default();
         for d in self.drain_outbox() {
-            stream.0.push((self.next_stream_delivery_seq(), d));
+            stream
+                .0
+                .push((self.next_stream_delivery_seq(), produced, d));
         }
         for a in self.drain_answers() {
             stream.1.push((self.next_stream_answer_seq(), a));
@@ -650,6 +664,9 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
     /// its query's freshness bound (`qoc-max-age-us`) it is dropped and
     /// counted in [`RelayCore::relay_stale_drops`] — the cross-range
     /// counterpart of the Context Server's local stale-drop accounting.
+    /// A delivery homed where it was produced is delivered at the
+    /// instant of the command that produced it, when its range's worker
+    /// stamped one, and at `now` otherwise.
     ///
     /// # Errors
     ///
@@ -681,13 +698,13 @@ impl<T: Transport, H: RangeHost> RelayCore<T, H> {
             let started = Instant::now();
             let mut batch = Vec::new();
             let mut open: Option<Grouped> = None;
-            for (seq, d) in deliveries {
+            for (seq, produced, d) in deliveries {
                 self.metrics.stream_events.inc();
                 let home = self.home_of(d.app, node);
                 // The overlay's filter: a recovered range may re-stream.
                 if home == node {
                     if self.seen_relays.insert((node, seq)) {
-                        self.deliver(d, now);
+                        self.deliver(d, produced.min(now));
                     } else {
                         self.metrics.relay_dedup_hits.inc();
                     }
@@ -1354,6 +1371,15 @@ mod tests {
     }
 
     #[test]
+    fn a_delivery_stamp_costs_no_memory() {
+        use std::mem::size_of;
+        assert_eq!(
+            size_of::<(u64, VirtualTime, AppDelivery)>(),
+            size_of::<(u64, AppDelivery)>()
+        );
+    }
+
+    #[test]
     fn a_backlog_is_relayed_in_bounded_batches() {
         let app = Guid::from_u128(0xa);
         let backlog = (0..600)
@@ -1365,7 +1391,11 @@ mod tests {
                     VirtualTime::from_secs(1),
                 );
                 let query = Guid::from_u128(0x9);
-                (k as u64, AppDelivery { app, query, event })
+                (
+                    k as u64,
+                    VirtualTime::MAX,
+                    AppDelivery { app, query, event },
+                )
             })
             .collect();
         let mut producer = Scripted::new(1, "a");
@@ -1404,10 +1434,10 @@ mod tests {
         // One fan-out of `first` with a local delivery between its two
         // remote ones, then `second`, whose payload is its own.
         let stream = vec![
-            (0, to(near, &first)),
-            (1, to(local, &first)),
-            (2, to(far, &first)),
-            (3, to(near, &second)),
+            (0, VirtualTime::MAX, to(near, &first)),
+            (1, VirtualTime::MAX, to(local, &first)),
+            (2, VirtualTime::MAX, to(far, &first)),
+            (3, VirtualTime::MAX, to(near, &second)),
         ];
         let mut producer = Scripted::new(1, "a");
         producer.streams.push_back((stream, Vec::new()));
@@ -1493,10 +1523,13 @@ mod tests {
         // What a WAL-recovered range does: the same envelopes again,
         // then fresh traffic under the next one.
         let mut producer = Scripted::new(1, "a");
-        let first = vec![(0, delivery(0)), (1, delivery(1))];
+        let first = vec![
+            (0, VirtualTime::MAX, delivery(0)),
+            (1, VirtualTime::MAX, delivery(1)),
+        ];
         producer.streams.push_back((first.clone(), Vec::new()));
         let mut again = first;
-        again.push((2, delivery(2)));
+        again.push((2, VirtualTime::MAX, delivery(2)));
         producer.streams.push_back((again, Vec::new()));
 
         // Once homed where it is produced, once homed across the overlay.

@@ -226,12 +226,13 @@ impl MailboxPolicy {
 /// Moves everything the last command produced out of the server and
 /// into the range's relay stream, as one batch carrying the envelope
 /// sequences the server minted (see `RangeHost::drain_stream` for
-/// [`ContextServer`]). Runs on the worker thread, *before* the
+/// [`ContextServer`]) and its deliveries stamped with the command's
+/// instant, `produced`. Runs on the worker thread, *before* the
 /// command's reply is sent, so a coordinator that has observed a
 /// barrier reply is guaranteed to find the barrier's traffic in the
 /// stream.
-fn drain_into_stream(cs: &mut ContextServer, stream: &Sender<Stream>) {
-    let batch = cs.drain_stream();
+fn drain_into_stream(cs: &mut ContextServer, stream: &Sender<Stream>, produced: VirtualTime) {
+    let batch = cs.take_stream(produced);
     if !(batch.0.is_empty() && batch.1.is_empty()) {
         let _ = stream.send(batch);
     }
@@ -289,7 +290,7 @@ fn worker_loop(
     // commands so redelivery does not wait for the next mutation.
     // No-op for fresh servers (empty outbox).
     if let Some(stream) = &stream {
-        drain_into_stream(&mut cs, stream);
+        drain_into_stream(&mut cs, stream, VirtualTime::MAX);
     }
     loop {
         match rx.recv() {
@@ -307,7 +308,7 @@ fn worker_loop(
                         // retires — even a failed command may have
                         // delivered to some applications first.
                         if let Some(stream) = &stream {
-                            drain_into_stream(&mut cs, stream);
+                            drain_into_stream(&mut cs, stream, now);
                         }
                         if tx.send(reply).is_err() {
                             // Coordinator went away; stop serving.

@@ -62,6 +62,7 @@
 //!   immediately after its first delivery, before `publish`
 //!   returns — identical to the linear bus.
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::hash::Hash;
 
@@ -272,7 +273,9 @@ pub struct EventBus {
     /// Topics naming both a source and a subject, keyed by the pair.
     by_pair: HashMap<(Guid, Guid), PairFamily>,
     wildcard: Vec<SubId>,
-    by_subscriber: HashMap<Guid, Vec<SubId>>,
+    /// A subscriber's ids: a deque, so dropping them front to back
+    /// (or back to front) moves nothing.
+    by_subscriber: HashMap<Guid, VecDeque<SubId>>,
     telemetry: Option<BusTelemetry>,
 }
 
@@ -310,7 +313,10 @@ impl EventBus {
             IndexKey::Type(ty) => self.by_type.entry(ty.clone()).or_default().push(id),
             IndexKey::Wildcard => self.wildcard.push(id),
         }
-        self.by_subscriber.entry(subscriber).or_default().push(id);
+        self.by_subscriber
+            .entry(subscriber)
+            .or_default()
+            .push_back(id);
         let entry = Some(Entry {
             id,
             subscriber,
@@ -437,8 +443,7 @@ impl EventBus {
     pub fn subscriptions_of(&self, subscriber: Guid) -> Vec<SubId> {
         self.by_subscriber
             .get(&subscriber)
-            .cloned()
-            .unwrap_or_default()
+            .map_or_else(Vec::new, |ids| ids.iter().copied().collect())
     }
 
     /// The topic of a live subscription.
@@ -518,6 +523,16 @@ trait IdList {
 impl IdList for Vec<SubId> {
     /// The lists are append-only in id order, so a binary search finds
     /// the slot.
+    fn drop_id(&mut self, id: SubId) -> bool {
+        if let Ok(pos) = self.binary_search(&id) {
+            self.remove(pos);
+        }
+        self.is_empty()
+    }
+}
+
+impl IdList for VecDeque<SubId> {
+    /// As for a `Vec`, but the removal shifts the nearer end.
     fn drop_id(&mut self, id: SubId) -> bool {
         if let Ok(pos) = self.binary_search(&id) {
             self.remove(pos);

@@ -72,8 +72,8 @@ pub fn query_from_element(root: &Element) -> SciResult<Query> {
     let where_ = where_from_element(root.require_child("where")?)?;
     let when = when_from_element(root.require_child("when")?)?;
     let which = which_from_element(root.require_child("which")?)?;
-    let mode_name = root.require_child("mode")?.trimmed_text().to_owned();
-    let mode = Mode::from_name(&mode_name)
+    let mode_name = root.require_child("mode")?.trimmed_text();
+    let mode = Mode::from_name(mode_name)
         .ok_or_else(|| SciError::Parse(format!("unknown mode `{mode_name}`")))?;
     Ok(Query {
         id,

@@ -8,7 +8,11 @@
 //! DTDs, CDATA or processing instructions other than the declaration.
 //!
 //! Documents are written by [`XmlWriter`] straight into a byte buffer;
-//! [`Element`] is the tree [`parse`] reads one back into.
+//! [`Element`] is the tree [`parse`] reads one back into. The reader
+//! scans the input's bytes: each name, attribute value and text run is
+//! sliced out of the input and copied once, a closing tag is compared
+//! as a slice, and a `char` is decoded only at a non-ASCII byte (names
+//! and whitespace are Unicode's).
 
 use std::fmt::{self, Write as _};
 
@@ -191,7 +195,8 @@ impl<'a> XmlWriter<'a> {
 /// The document `write` writes, as a string. (A writer only appends
 /// whole `&str`s, so the bytes are UTF-8.)
 pub fn document(write: impl FnOnce(&mut XmlWriter<'_>)) -> String {
-    let mut out = Vec::new();
+    // Room for a Figure 6 query (~360 bytes) without regrowing.
+    let mut out = Vec::with_capacity(512);
     write(&mut XmlWriter::new(&mut out));
     String::from_utf8(out).expect("an XmlWriter appends whole UTF-8 strings")
 }
@@ -249,241 +254,276 @@ fn escape_into(s: &str, out: &mut Vec<u8>) {
 /// Returns [`SciError::Parse`] on malformed input: unbalanced tags,
 /// unterminated strings, unknown entities, or trailing garbage.
 pub fn parse(input: &str) -> SciResult<Element> {
-    let mut p = Parser {
-        chars: input.char_indices().peekable(),
+    let mut s = Scanner {
         input,
+        pos: 0,
         depth: 0,
+        error: None,
     };
-    p.skip_prolog()?;
-    let root = p.parse_element()?;
-    p.skip_whitespace_and_comments()?;
-    if p.chars.peek().is_some() {
-        return Err(SciError::Parse(
-            "trailing content after root element".into(),
-        ));
-    }
-    Ok(root)
+    s.document()
+        .map_err(|Stop| s.error.take().expect("a stop records its error"))
 }
 
 /// Maximum element nesting the parser accepts; adversarial documents
 /// deeper than this are rejected instead of risking stack exhaustion.
 const MAX_NESTING: usize = 64;
 
-struct Parser<'a> {
-    chars: std::iter::Peekable<std::str::CharIndices<'a>>,
+/// A read that failed; the error is left in [`Scanner::error`]. (A
+/// `SciError` is 48 bytes; a zero-sized error keeps every step's result
+/// in registers.)
+struct Stop;
+
+type Scan<T> = Result<T, Stop>;
+
+/// A cursor over the input's bytes. Every delimiter is ASCII, and no
+/// byte of a multi-byte UTF-8 sequence is, so text runs are found by
+/// byte and sliced out whole; a `char` is decoded only where a name or
+/// whitespace test meets a non-ASCII byte. `pos` stays on a char
+/// boundary.
+struct Scanner<'a> {
     input: &'a str,
+    pos: usize,
     depth: usize,
+    /// What the last [`Stop`] stopped on.
+    error: Option<SciError>,
 }
 
-impl<'a> Parser<'a> {
-    fn err(&mut self, msg: &str) -> SciError {
-        let pos = self
-            .chars
-            .peek()
-            .map(|(i, _)| *i)
-            .unwrap_or(self.input.len());
-        SciError::Parse(format!("{msg} at byte {pos}"))
+impl<'a> Scanner<'a> {
+    #[cold]
+    fn fail(&mut self, error: SciError) -> Stop {
+        self.error = Some(error);
+        Stop
     }
 
-    fn skip_prolog(&mut self) -> SciResult<()> {
+    #[cold]
+    fn err(&mut self, msg: &str) -> Stop {
+        self.fail(SciError::Parse(format!("{msg} at byte {}", self.pos)))
+    }
+
+    fn document(&mut self) -> Scan<Element> {
+        self.skip_prolog()?;
+        let root = self.element()?;
         self.skip_whitespace_and_comments()?;
-        if self.input_starts_at("<?") {
-            // Skip `<?xml ... ?>`.
-            loop {
-                match self.chars.next() {
-                    Some((_, '?')) => {
-                        if matches!(self.chars.peek(), Some((_, '>'))) {
-                            self.chars.next();
-                            break;
-                        }
-                    }
-                    Some(_) => {}
-                    None => return Err(self.err("unterminated xml declaration")),
-                }
+        if self.pos < self.input.len() {
+            return Err(self.fail(SciError::Parse(
+                "trailing content after root element".into(),
+            )));
+        }
+        Ok(root)
+    }
+
+    fn rest(&self) -> &'a [u8] {
+        &self.input.as_bytes()[self.pos..]
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.input.as_bytes().get(self.pos).copied()
+    }
+
+    /// The char at the cursor, decoded only if it is not ASCII.
+    fn peek_char(&self) -> Option<char> {
+        match self.peek()? {
+            b if b.is_ascii() => Some(char::from(b)),
+            _ => self.input[self.pos..].chars().next(),
+        }
+    }
+
+    /// Moves past the chars `keep` accepts and returns them.
+    fn take_while(&mut self, keep: impl Fn(char) -> bool) -> &'a str {
+        let start = self.pos;
+        let bytes = self.input.as_bytes();
+        while let Some(&b) = bytes.get(self.pos) {
+            let c = match b.is_ascii() {
+                true => char::from(b),
+                false => self.input[self.pos..].chars().next().unwrap_or_default(),
+            };
+            if !keep(c) {
+                break;
             }
+            self.pos += c.len_utf8();
+        }
+        &self.input[start..self.pos]
+    }
+
+    fn skip_whitespace(&mut self) {
+        self.take_while(char::is_whitespace);
+    }
+
+    /// Moves past `prefix` if the input continues with it.
+    fn eat(&mut self, prefix: &[u8]) -> bool {
+        let found = self.rest().starts_with(prefix);
+        if found {
+            self.pos += prefix.len();
+        }
+        found
+    }
+
+    /// Moves past the first `end` at or after byte `from`.
+    fn skip_past(&mut self, from: usize, end: &str, unterminated: &str) -> Scan<()> {
+        match self.input[from..].find(end) {
+            Some(at) => {
+                self.pos = from + at + end.len();
+                Ok(())
+            }
+            None => {
+                self.pos = self.input.len();
+                Err(self.err(unterminated))
+            }
+        }
+    }
+
+    fn skip_prolog(&mut self) -> Scan<()> {
+        self.skip_whitespace_and_comments()?;
+        if self.rest().starts_with(b"<?") {
+            // `<?xml ... ?>`; the `?` of `<?` may be the one that ends it.
+            self.skip_past(self.pos + 1, "?>", "unterminated xml declaration")?;
             self.skip_whitespace_and_comments()?;
         }
         Ok(())
     }
 
-    fn input_starts_at(&mut self, prefix: &str) -> bool {
-        match self.chars.peek() {
-            Some((i, _)) => self.input[*i..].starts_with(prefix),
-            None => false,
-        }
-    }
-
-    fn skip_whitespace_and_comments(&mut self) -> SciResult<()> {
+    fn skip_whitespace_and_comments(&mut self) -> Scan<()> {
         loop {
-            while matches!(self.chars.peek(), Some((_, c)) if c.is_whitespace()) {
-                self.chars.next();
-            }
-            if self.input_starts_at("<!--") {
-                for _ in 0..4 {
-                    self.chars.next();
-                }
-                loop {
-                    if self.input_starts_at("-->") {
-                        for _ in 0..3 {
-                            self.chars.next();
-                        }
-                        break;
-                    }
-                    if self.chars.next().is_none() {
-                        return Err(self.err("unterminated comment"));
-                    }
-                }
-            } else {
+            self.skip_whitespace();
+            if !self.rest().starts_with(b"<!--") {
                 return Ok(());
             }
+            self.skip_past(self.pos + 4, "-->", "unterminated comment")?;
         }
     }
 
-    fn parse_name(&mut self) -> SciResult<String> {
-        let mut name = String::new();
-        while let Some((_, c)) = self.chars.peek() {
-            if c.is_alphanumeric() || matches!(c, '_' | '-' | '.' | ':') {
-                name.push(*c);
-                self.chars.next();
-            } else {
-                break;
-            }
-        }
+    fn name(&mut self) -> Scan<&'a str> {
+        let name = self.take_while(|c| c.is_alphanumeric() || matches!(c, '_' | '-' | '.' | ':'));
         if name.is_empty() {
             return Err(self.err("expected a name"));
         }
         Ok(name)
     }
 
-    fn expect(&mut self, expected: char) -> SciResult<()> {
-        match self.chars.next() {
-            Some((_, c)) if c == expected => Ok(()),
-            Some((i, c)) => Err(SciError::Parse(format!(
-                "expected `{expected}` but found `{c}` at byte {i}"
+    fn expect(&mut self, expected: u8) -> Scan<()> {
+        if self.peek() == Some(expected) {
+            self.pos += 1;
+            return Ok(());
+        }
+        let expected = char::from(expected);
+        Err(match self.peek_char() {
+            Some(c) => self.fail(SciError::Parse(format!(
+                "expected `{expected}` but found `{c}` at byte {}",
+                self.pos
             ))),
-            None => Err(SciError::Parse(format!(
+            None => self.fail(SciError::Parse(format!(
                 "expected `{expected}` but input ended"
             ))),
+        })
+    }
+
+    /// The character an entity stands for; its `&` is consumed.
+    fn entity(&mut self) -> Scan<char> {
+        const ENTITIES: [(&[u8], char); 5] = [
+            (b"lt;", '<'),
+            (b"gt;", '>'),
+            (b"amp;", '&'),
+            (b"quot;", '"'),
+            (b"apos;", '\''),
+        ];
+        match ENTITIES.iter().find(|(name, _)| self.eat(name)) {
+            Some(&(_, c)) => Ok(c),
+            None => Err(self.err("unknown or unterminated entity")),
         }
     }
 
-    fn parse_entity(&mut self) -> SciResult<char> {
-        // The leading '&' has been consumed.
-        let mut name = String::new();
-        loop {
-            match self.chars.next() {
-                Some((_, ';')) => break,
-                Some((_, c)) if name.len() < 8 => name.push(c),
-                _ => return Err(self.err("unterminated entity")),
-            }
-        }
-        match name.as_str() {
-            "lt" => Ok('<'),
-            "gt" => Ok('>'),
-            "amp" => Ok('&'),
-            "quot" => Ok('"'),
-            "apos" => Ok('\''),
-            other => Err(SciError::Parse(format!("unknown entity `&{other};`"))),
-        }
+    /// Appends the text up to the next byte `stop` accepts (or the
+    /// end) to `out`, and returns that byte.
+    fn run_into(&mut self, out: &mut String, stop: impl Fn(u8) -> bool) -> Option<u8> {
+        let start = self.pos;
+        let rest = self.rest();
+        self.pos += rest.iter().position(|&b| stop(b)).unwrap_or(rest.len());
+        out.push_str(&self.input[start..self.pos]);
+        self.peek()
     }
 
-    fn parse_attr_value(&mut self) -> SciResult<String> {
-        self.expect('"')?;
-        let mut value = String::new();
-        loop {
-            match self.chars.next() {
-                Some((_, '"')) => return Ok(value),
-                Some((_, '&')) => value.push(self.parse_entity()?),
-                Some((_, '<')) => return Err(self.err("raw `<` in attribute value")),
-                Some((_, c)) => value.push(c),
-                None => return Err(self.err("unterminated attribute value")),
-            }
-        }
-    }
-
-    fn parse_element(&mut self) -> SciResult<Element> {
+    fn element(&mut self) -> Scan<Element> {
         self.depth += 1;
         if self.depth > MAX_NESTING {
-            return Err(SciError::Parse(format!(
+            return Err(self.fail(SciError::Parse(format!(
                 "document nested deeper than {MAX_NESTING} elements"
-            )));
+            ))));
         }
-        let element = self.parse_element_inner();
+        let element = self.element_inner();
         self.depth -= 1;
         element
     }
 
-    fn parse_element_inner(&mut self) -> SciResult<Element> {
-        self.expect('<')?;
-        let name = self.parse_name()?;
-        let mut element = Element::new(name);
+    fn element_inner(&mut self) -> Scan<Element> {
+        self.expect(b'<')?;
+        let mut element = Element::new(self.name()?);
 
         // Attributes.
         loop {
-            while matches!(self.chars.peek(), Some((_, c)) if c.is_whitespace()) {
-                self.chars.next();
-            }
-            match self.chars.peek() {
-                Some((_, '/')) => {
-                    self.chars.next();
-                    self.expect('>')?;
+            self.skip_whitespace();
+            match self.peek() {
+                Some(b'/') => {
+                    self.pos += 1;
+                    self.expect(b'>')?;
                     return Ok(element);
                 }
-                Some((_, '>')) => {
-                    self.chars.next();
+                Some(b'>') => {
+                    self.pos += 1;
                     break;
                 }
                 Some(_) => {
-                    let key = self.parse_name()?;
-                    while matches!(self.chars.peek(), Some((_, c)) if c.is_whitespace()) {
-                        self.chars.next();
+                    let key = self.name()?.to_owned();
+                    self.skip_whitespace();
+                    self.expect(b'=')?;
+                    self.skip_whitespace();
+                    self.expect(b'"')?;
+                    let mut value = String::new();
+                    loop {
+                        match self.run_into(&mut value, |b| matches!(b, b'"' | b'&' | b'<')) {
+                            Some(b'"') => {
+                                self.pos += 1;
+                                break;
+                            }
+                            Some(b'&') => {
+                                self.pos += 1;
+                                value.push(self.entity()?);
+                            }
+                            Some(_) => return Err(self.err("raw `<` in attribute value")),
+                            None => return Err(self.err("unterminated attribute value")),
+                        }
                     }
-                    self.expect('=')?;
-                    while matches!(self.chars.peek(), Some((_, c)) if c.is_whitespace()) {
-                        self.chars.next();
-                    }
-                    let value = self.parse_attr_value()?;
                     element.attrs.push((key, value));
                 }
                 None => return Err(self.err("unterminated start tag")),
             }
         }
 
-        // Content.
+        // Content. Whitespace after a comment is skipped with it.
         loop {
-            if self.input_starts_at("<!--") {
-                self.skip_whitespace_and_comments()?;
-                continue;
-            }
-            if self.input_starts_at("</") {
-                self.chars.next();
-                self.chars.next();
-                let close = self.parse_name()?;
-                if close != element.name {
-                    return Err(SciError::Parse(format!(
-                        "mismatched closing tag: expected </{}>, found </{close}>",
-                        element.name
-                    )));
-                }
-                while matches!(self.chars.peek(), Some((_, c)) if c.is_whitespace()) {
-                    self.chars.next();
-                }
-                self.expect('>')?;
-                return Ok(element);
-            }
-            match self.chars.peek() {
-                Some((_, '<')) => {
-                    let child = self.parse_element()?;
-                    element.children.push(child);
-                }
-                Some((_, '&')) => {
-                    self.chars.next();
-                    let c = self.parse_entity()?;
+            match self.run_into(&mut element.text, |b| matches!(b, b'<' | b'&')) {
+                Some(b'&') => {
+                    self.pos += 1;
+                    let c = self.entity()?;
                     element.text.push(c);
                 }
-                Some((_, c)) => {
-                    element.text.push(*c);
-                    self.chars.next();
+                Some(_) if self.rest().starts_with(b"<!--") => {
+                    self.skip_whitespace_and_comments()?;
+                }
+                Some(_) if self.eat(b"</") => {
+                    let close = self.name()?;
+                    if close != element.name {
+                        return Err(self.fail(SciError::Parse(format!(
+                            "mismatched closing tag: expected </{}>, found </{close}>",
+                            element.name
+                        ))));
+                    }
+                    self.skip_whitespace();
+                    self.expect(b'>')?;
+                    return Ok(element);
+                }
+                Some(_) => {
+                    let child = self.element()?;
+                    element.children.push(child);
                 }
                 None => return Err(self.err("unterminated element content")),
             }

@@ -1,5 +1,7 @@
 //! Property tests: the query XML codec is a bijection over the AST.
 
+mod oracle;
+
 use proptest::prelude::*;
 use sci_query::codec::{from_xml, to_xml};
 use sci_query::{CmpOp, Mode, Predicate, Query, Subject, What, When, Where, Which};
@@ -177,5 +179,17 @@ proptest! {
     #[test]
     fn parser_never_panics(s in ".{0,200}") {
         let _ = from_xml(&s);
+    }
+}
+
+proptest! {
+    // Each case parses a document some 2 000 times.
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The XML reader reads every query document, each truncation and
+    /// each one-byte substitution of it as the reader it replaced did.
+    #[test]
+    fn xml_reader_agrees_with_its_oracle(q in arb_query(), shift in any::<usize>()) {
+        oracle::check_variants(&to_xml(&q), shift);
     }
 }

@@ -106,18 +106,17 @@ impl fmt::Debug for Guid {
 }
 
 impl fmt::Display for Guid {
-    /// Formats as the conventional 8-4-4-4-12 hex form.
+    /// Formats as the conventional 8-4-4-4-12 hex form: one table
+    /// lookup per nibble, into a buffer on the stack.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let b = self.0;
-        write!(
-            f,
-            "{:08x}-{:04x}-{:04x}-{:04x}-{:012x}",
-            (b >> 96) as u32,
-            (b >> 80) as u16,
-            (b >> 64) as u16,
-            (b >> 48) as u16,
-            b & 0xffff_ffff_ffff
-        )
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut text = [b'-'; 36];
+        let mut rest = self.0;
+        for i in (0..36).rev().filter(|i| ![8, 13, 18, 23].contains(i)) {
+            text[i] = HEX[(rest & 0xf) as usize];
+            rest >>= 4;
+        }
+        f.write_str(std::str::from_utf8(&text).expect("hex digits and dashes are ASCII"))
     }
 }
 
@@ -148,15 +147,23 @@ impl From<Guid> for u128 {
 impl FromStr for Guid {
     type Err = SciError;
 
-    /// Parses either the dashed 8-4-4-4-12 form or a bare hex string.
+    /// Parses either the dashed 8-4-4-4-12 form or a bare hex string:
+    /// what is left once every `-` is dropped is 1 to 32 hex digits,
+    /// or a `+` and 1 to 31 (`u128::from_str_radix`'s sign, kept).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let hex: String = s.chars().filter(|c| *c != '-').collect();
-        if hex.is_empty() || hex.len() > 32 {
-            return Err(SciError::InvalidGuid(s.to_owned()));
+        let invalid = || SciError::InvalidGuid(s.to_owned());
+        let mut left = s.bytes().filter(|&b| b != b'-').peekable();
+        let mut room = 32 - usize::from(left.next_if_eq(&b'+').is_some());
+        if left.peek().is_none() {
+            return Err(invalid());
         }
-        u128::from_str_radix(&hex, 16)
-            .map(Guid)
-            .map_err(|_| SciError::InvalidGuid(s.to_owned()))
+        let mut value = 0u128;
+        for b in left {
+            let digit = char::from(b).to_digit(16).ok_or_else(invalid)?;
+            room = room.checked_sub(1).ok_or_else(invalid)?;
+            value = value << 4 | u128::from(digit);
+        }
+        Ok(Guid(value))
     }
 }
 
@@ -205,9 +212,40 @@ impl Iterator for GuidGenerator {
     }
 }
 
+/// The text codec the table one replaced (`write!` with padded hex
+/// fields; a filtered `String` handed to `u128::from_str_radix`), kept
+/// as the oracle.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    pub fn display(g: Guid) -> String {
+        let b = g.0;
+        format!(
+            "{:08x}-{:04x}-{:04x}-{:04x}-{:012x}",
+            (b >> 96) as u32,
+            (b >> 80) as u16,
+            (b >> 64) as u16,
+            (b >> 48) as u16,
+            b & 0xffff_ffff_ffff
+        )
+    }
+
+    pub fn from_str(s: &str) -> Result<Guid, SciError> {
+        let hex: String = s.chars().filter(|c| *c != '-').collect();
+        if hex.is_empty() || hex.len() > 32 {
+            return Err(SciError::InvalidGuid(s.to_owned()));
+        }
+        u128::from_str_radix(&hex, 16)
+            .map(Guid)
+            .map_err(|_| SciError::InvalidGuid(s.to_owned()))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn display_roundtrip() {
@@ -281,5 +319,54 @@ mod tests {
     fn byte_roundtrip() {
         let g = Guid::from_u128(0xfeed_f00d_dead_beef);
         assert_eq!(Guid::from_bytes(g.to_bytes()), g);
+    }
+
+    /// Text near a GUID's: its own form, with dashes moved, dropped or
+    /// doubled, digits cut or added, a sign, upper case, and bytes that
+    /// are no hex digit (non-ASCII among them).
+    fn guidish() -> impl Strategy<Value = String> {
+        prop_oneof![
+            any::<u128>().prop_map(|raw| oracle::display(Guid(raw))),
+            "[+-]{0,2}[0-9a-fA-F-]{0,40}",
+            "[0-9a-f+-]{0,6}[g \u{e9}\u{a0}_]?[0-9a-f-]{0,30}",
+            (any::<u128>(), 0usize..36, "[+-]?").prop_map(|(raw, cut, sign)| {
+                let text = oracle::display(Guid(raw));
+                format!("{sign}{}", &text[cut..])
+            }),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn display_is_the_oracles_byte_for_byte(raw in any::<u128>()) {
+            prop_assert_eq!(Guid(raw).to_string(), oracle::display(Guid(raw)));
+        }
+
+        #[test]
+        fn from_str_accepts_what_the_oracle_did(s in guidish()) {
+            prop_assert_eq!(s.parse::<Guid>(), oracle::from_str(&s));
+        }
+    }
+
+    #[test]
+    fn from_str_keeps_a_leading_plus_and_the_32_byte_bound() {
+        for s in [
+            "+ff",
+            "-+ff",
+            "+-ff",
+            "+",
+            "++1",
+            "ff+",
+            "",
+            "-",
+            "--",
+            "+0123456789abcdef0123456789abcde",
+        ] {
+            assert_eq!(s.parse::<Guid>(), oracle::from_str(s), "{s:?}");
+        }
+        let max = "f".repeat(32);
+        assert_eq!(max.parse::<Guid>().unwrap().as_u128(), u128::MAX);
+        assert!(format!("+{max}").parse::<Guid>().is_err());
+        assert!(format!("0{max}").parse::<Guid>().is_err());
     }
 }

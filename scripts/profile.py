@@ -8,10 +8,14 @@ of them each function under ROOT is on. With --self it prints instead
 each stack's leaf (innermost) function as an exclusive share, beside
 the nearest frame of the workspace's own crates (`sci_*`) at or above
 it: a standard-library leaf such as `run_utf8_validation` is charged
-to the workspace function that called into it. Exits non-zero when no
-stack passes through ROOT.
+to the workspace function that called into it. With --busy it first
+drops the samples a thread took parked in a blocking wait (a futex
+wait, a sleep, a blocking socket read or poll: see `parked`) and prints each thread root's share of the rest: a thread's
+root is its outermost workspace function that is not a closure
+(`runtime::worker_loop`, `tcp::run_reader`, the program's `main`).
+Exits non-zero when no stack passes through ROOT.
 
-    scripts/profile.py SAMPLES [--root NAME] [--top N] [--show NAME ...] [--self]
+    scripts/profile.py SAMPLES [--root NAME] [--top N] [--show NAME ...] [--self] [--busy]
 
 A frame matches a name when its demangled function name contains it
 (`churn::cycle` matches `sci_benchmark::churn::cycle`). The program
@@ -37,6 +41,15 @@ HASH = re.compile(r"::h[0-9a-f]{16}$")
 # A function of one of the workspace's crates: `sci_core::...`,
 # `<sci_core::X as Trait>::f` or `core::...::<impl sci_core::X>::f`.
 WORKSPACE = re.compile(r"^<?sci_\w+::|<impl sci_\w+::")
+# Where a thread waits rather than runs: a blocking libc call, or a
+# futex wait. A libc leaf keeps no frame pointer, so the frame that
+# called it is missing: a channel's futex wait reads `syscall` right
+# under `Context::wait_until` (and a futex wake, which runs, under
+# `unpark`).
+BLOCKING_LEAF = re.compile(
+    r"^(__libc_)?(read|recv|recvfrom|accept4?|poll|ppoll|epoll_wait|nanosleep|clock_nanosleep)$"
+)
+FUTEX_WAITER = re.compile(r"futex_wait|wait_until|Mutex>::lock|lock_contended|Parker>::park|Condvar::wait")
 
 
 def read(path):
@@ -125,10 +138,18 @@ def main():
         action="store_true",
         help="exclusive (leaf) shares, each beside its nearest workspace frame",
     )
+    ap.add_argument(
+        "--busy",
+        action="store_true",
+        help="drop samples parked in a blocking wait; print each thread root's share",
+    )
     args = ap.parse_args()
 
     header, maps, stacks = read(args.samples)
     named = symbolise(maps, stacks)
+    print(header)
+    if args.busy:
+        named = print_thread_roots(named)
     # Leaf first: a stack's frames up to its outermost ROOT frame are
     # what ROOT was running.
     under = []
@@ -136,7 +157,7 @@ def main():
         at = [i for i, n in enumerate(stack) if args.root in n]
         if at:
             under.append(stack[: at[-1] + 1])
-    print(f"{header}\n{len(stacks)} stacks, {len(under)} through {args.root}")
+    print(f"{len(named)} stacks, {len(under)} through {args.root}")
     if not under:
         return 1
     if args.leaf:
@@ -150,6 +171,38 @@ def main():
         hits = sum(1 for s in through if any(wanted in n for n in s))
         print(f"{100 * hits / len(through):6.1f}%  [{wanted}]")
     return 0
+
+
+def print_thread_roots(named):
+    """The stacks not parked in a blocking wait, after printing the
+    share of them each thread root holds."""
+    busy = [s for s in named if not parked(s)]
+    print(f"{len(named)} stacks, {len(busy)} busy")
+    roots = collections.Counter(thread_root(stack) for stack in busy)
+    print(f"{'share':>7}  thread root (of the busy stacks)")
+    for root, count in roots.most_common():
+        print(f"{100 * count / max(len(busy), 1):6.1f}%  {root}")
+    return busy
+
+
+def parked(stack):
+    """Whether the sample was taken while its thread waited."""
+    if stack and BLOCKING_LEAF.search(stack[0]):
+        return True
+    return stack[:1] == ["syscall"] and len(stack) > 1 and bool(FUTEX_WAITER.search(stack[1]))
+
+
+def thread_root(stack):
+    """The outermost workspace function on the stack that is not a
+    closure: the function a thread was started to run."""
+    return next(
+        (
+            n
+            for n in reversed(stack)
+            if WORKSPACE.search(n) and "{{closure}}" not in n and not n.startswith("sci_sampler")
+        ),
+        "(no workspace frame)",
+    )
 
 
 def print_leaves(under, args):

@@ -207,6 +207,62 @@ fn traced(records: &RingBufferSubscriber, name: &str, keys: &[&str]) -> Vec<Vec<
         .collect()
 }
 
+/// A delivery is stamped when its range produced it, not when a driver
+/// took it: an event ingested at 1 ms for an app homed in the producing
+/// range, and taken at 10 s, reads at most one hop in
+/// `e2e.delivery_latency_us` on the serial driver (which pumps at the
+/// ingest's instant) and on the threaded one (whose worker stamps its
+/// stream with the command's instant).
+#[test]
+fn a_local_delivery_reads_when_its_range_produced_it() {
+    const HOP_US: u64 = 750;
+    let (ingested, taken) = (VirtualTime::from_millis(1), VirtualTime::from_secs(10));
+    let setup = || {
+        let mut ids = GuidGenerator::seeded(53);
+        let (cs, sensor) = server(0, &mut ids);
+        let app = ids.next_guid();
+        let q = Query::builder(ids.next_guid(), app)
+            .info(ContextType::Presence)
+            .in_range("range-0")
+            .mode(Mode::Subscribe)
+            .build();
+        let mut net = SimNetwork::new();
+        net.set_hop_latency(VirtualDuration::from_micros(HOP_US));
+        (cs, presence(sensor, 900, ingested), q, net)
+    };
+    let e2e = |snap: sci::telemetry::TelemetrySnapshot| {
+        let h = snap.histogram("e2e.delivery_latency_us").unwrap().clone();
+        (h.count, h.sum)
+    };
+
+    let (cs, event, q, net) = setup();
+    let mut serial = Federation::with_transport(net, 3);
+    serial.add_range(cs).unwrap();
+    serial
+        .submit_from("range-0", &q, VirtualTime::ZERO)
+        .unwrap();
+    serial.ingest_at("range-0", &event, ingested).unwrap();
+    serial.pump(taken).unwrap();
+    assert_eq!(serial.deliveries_for(q.owner).len(), 1);
+    let (count, sum) = e2e(serial.snapshot());
+    assert!(count == 1 && sum <= HOP_US, "serial: {sum} µs over {count}");
+
+    let (cs, event, q, net) = setup();
+    let mut threaded = ParallelFederation::with_transport(net, 3);
+    threaded.add_range(cs).unwrap();
+    threaded
+        .submit_from("range-0", &q, VirtualTime::ZERO)
+        .unwrap();
+    threaded.ingest_at("range-0", &event, ingested).unwrap();
+    threaded.sync(taken).unwrap();
+    assert_eq!(threaded.deliveries_for(q.owner).len(), 1);
+    let (count, sum) = e2e(threaded.snapshot());
+    assert!(
+        count == 1 && sum <= HOP_US,
+        "threaded: {sum} µs over {count}"
+    );
+}
+
 /// One event followed across the federation by its own trace key: a
 /// sensor reading ingested at range-0 for an app homed in range-1. The
 /// `ingest` span on range-0's server carries `(source, seq)`, and the
