@@ -7,11 +7,11 @@
 //! through both drivers for ranges ∈ {1, 2, 4, 8, 16} and reports
 //! end-to-end event throughput.
 //!
-//! Besides the Criterion timings, the harness prints the shape rows,
-//! discussed in `EXPERIMENTS.md` (§E10), with `available_cores`: the
-//! speedup ceiling is `min(ranges, cores)`, so on a single-core
-//! container the parallel driver can only show its pipelining win,
-//! not true multi-core scaling.
+//! The harness prints the shape rows, discussed in `EXPERIMENTS.md`
+//! (§E10), with `available_cores`: the speedup ceiling is
+//! `min(ranges, cores)`, so on a single-core container the parallel
+//! driver can only show its pipelining win, not true multi-core
+//! scaling.
 //!
 //! Each row also carries the parallel driver's per-phase breakdown,
 //! read as histogram-sum deltas from the federation telemetry snapshot
@@ -27,10 +27,18 @@
 //! `ingest_at`, one big `sync`). The second is the streaming shape
 //! (per-range `ingest_batch_at`, free-running `pump_streams` rounds, a
 //! closing `sync`) and reports the sustained throughput.
+//!
+//! ```text
+//! cargo bench --bench e10_federation_parallel
+//! ```
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a bench times itself with the wall clock"
+)]
 
 use std::time::{Duration, Instant};
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sci_core::context_server::ContextServer;
 use sci_core::federation::Federation;
 use sci_core::runtime::ParallelFederation;
@@ -453,32 +461,8 @@ fn print_stream_table(rows: &[StreamRow]) {
     println!();
 }
 
-fn bench_parallel_federation(c: &mut Criterion) {
+fn main() {
     let (rows, stream_rows) = measure_rows();
     print_shape_table(&rows);
     print_stream_table(&stream_rows);
-
-    let mut group = c.benchmark_group("e10_relay_batch");
-    for ranges in [4usize, 8] {
-        group.bench_with_input(BenchmarkId::new("serial", ranges), &ranges, |b, &n| {
-            let mut rig = build_serial(n, 17);
-            b.iter(|| serial_batch(&mut rig, 20));
-        });
-        group.bench_with_input(BenchmarkId::new("parallel", ranges), &ranges, |b, &n| {
-            let mut rig = build_parallel(n, 17);
-            b.iter(|| parallel_batch(&mut rig, 20));
-        });
-        group.bench_with_input(BenchmarkId::new("stream", ranges), &ranges, |b, &n| {
-            let mut rig = build_parallel(n, 17);
-            b.iter(|| streaming_batch(&mut rig, 20));
-        });
-    }
-    group.finish();
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(20);
-    targets = bench_parallel_federation
-}
-criterion_main!(benches);

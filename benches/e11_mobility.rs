@@ -21,11 +21,19 @@
 //!   is the honest one).
 //!
 //! The rows are printed, not stored: no judged workload migrates yet,
-//! so this bench is the one migration measurement, read by hand.
+//! so this bench is the one migration measurement, read by hand:
+//!
+//! ```text
+//! cargo bench --bench e11_mobility
+//! ```
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a bench times itself with the wall clock"
+)]
 
 use std::time::{Duration, Instant};
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sci_core::context_server::ContextServer;
@@ -39,8 +47,7 @@ use sci_types::{
 };
 
 const RANGE_SWEEP: [usize; 2] = [2, 4];
-/// Resident population registered in every range (the ISSUE floor is
-/// 100k+ per range).
+/// Resident population registered in every range (at least 100k).
 const ENTITIES_PER_RANGE: u64 = 100_000;
 /// Entities that actually move; each holds a standing subscription.
 const MOVERS: usize = 48;
@@ -363,28 +370,7 @@ fn print_table(rows: &[Row]) {
     println!();
 }
 
-fn bench_mobility(c: &mut Criterion) {
+fn main() {
     let rows: Vec<Row> = RANGE_SWEEP.iter().map(|&r| measure_row(r)).collect();
     print_table(&rows);
-
-    // The Criterion group keeps a cheap steady-state probe: one hot
-    // mover ping-ponging between two pre-built ranges.
-    let mut group = c.benchmark_group("e11_handoff");
-    group.bench_with_input(BenchmarkId::new("ping_pong", 2), &2usize, |b, &n| {
-        let mut rig = build(n, 23);
-        let mut next = 1usize;
-        b.iter(|| {
-            let took = handoff(&mut rig, 0, next);
-            next = (next + 1) % n;
-            took
-        });
-    });
-    group.finish();
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_mobility
-}
-criterion_main!(benches);

@@ -35,17 +35,12 @@ impl Widget {
 
     /// Returns `true` if this widget mediates the event (its sensor, its
     /// type), counting it.
-    pub fn mediates(&mut self, event: &ContextEvent) -> bool {
+    fn mediates(&mut self, event: &ContextEvent) -> bool {
         let hit = event.source == self.sensor && event.topic == self.topic;
         if hit {
             self.events_seen += 1;
         }
         hit
-    }
-
-    /// Events mediated so far.
-    pub fn events_seen(&self) -> u64 {
-        self.events_seen
     }
 }
 
@@ -91,7 +86,7 @@ impl Interpreter {
     }
 
     /// Applies the transformation.
-    pub fn interpret(&mut self, event: &ContextEvent) -> Option<(ContextType, ContextValue)> {
+    fn interpret(&mut self, event: &ContextEvent) -> Option<(ContextType, ContextValue)> {
         (self.transform)(event)
     }
 }
@@ -105,7 +100,7 @@ pub struct Aggregator {
 
 impl Aggregator {
     /// Aggregates context about one entity.
-    pub fn for_entity(subject: Guid) -> Self {
+    fn for_entity(subject: Guid) -> Self {
         Aggregator {
             subject: Some(subject),
             store: Vec::new(),
@@ -114,7 +109,7 @@ impl Aggregator {
 
     /// Offers an event; it is stored if it concerns the aggregated
     /// entity.
-    pub fn offer(&mut self, event: ContextEvent) -> bool {
+    fn offer(&mut self, event: ContextEvent) -> bool {
         let relevant = match self.subject {
             Some(s) => event.subject() == Some(s),
             None => true,
@@ -262,7 +257,7 @@ mod tests {
             VirtualTime::from_secs(1),
         );
         assert!(p.deliveries().is_empty());
-        assert_eq!(p.widgets()[0].events_seen(), 0);
+        assert_eq!(p.widgets()[0].events_seen, 0);
     }
 
     #[test]

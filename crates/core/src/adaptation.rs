@@ -282,11 +282,6 @@ impl AdaptationGovernor {
         self.policy
     }
 
-    /// Total repairs suppressed by the bounds so far.
-    pub fn suppressed(&self) -> u64 {
-        self.suppressed
-    }
-
     /// How many times a CE has been observed failing.
     pub fn failure_count(&self, ce: Guid) -> usize {
         self.failures.get(&ce).copied().unwrap_or(0)
@@ -318,7 +313,7 @@ impl AdaptationGovernor {
     /// Asks whether a configuration may be repaired at `now`; if yes,
     /// the repair is recorded against the window, if not, counted as
     /// suppressed.
-    pub fn admit_repair(&mut self, config: Guid, now: VirtualTime) -> bool {
+    fn admit_repair(&mut self, config: Guid, now: VirtualTime) -> bool {
         let admitted = self.has_budget(config, now);
         if admitted {
             self.repairs.entry(config).or_default().push(now);
@@ -523,7 +518,7 @@ mod tests {
             !governor.admit_repair(config, sci_types::VirtualTime::from_secs(3)),
             "budget exhausted inside the window"
         );
-        assert_eq!(governor.suppressed(), 1);
+        assert_eq!(governor.suppressed, 1);
         // The window slides: old repairs expire.
         assert!(governor.admit_repair(config, sci_types::VirtualTime::from_secs(200)));
         // An unrelated configuration has its own budget.
@@ -591,7 +586,7 @@ mod tests {
             sci_types::VirtualTime::from_secs(30),
         );
         assert!(reports.is_empty(), "second repair suppressed");
-        assert!(governor.suppressed() >= 1);
+        assert!(governor.suppressed >= 1);
         assert_eq!(governor.failure_count(r.doors[0]), 2);
     }
 
@@ -624,7 +619,7 @@ mod tests {
         let mut both = vec![spent, fresh];
         both.sort();
         assert_eq!(repaired, both, "both rewired, both reported");
-        assert_eq!(governor.suppressed(), 0, "no failure was left unrepaired");
+        assert_eq!(governor.suppressed, 0, "no failure was left unrepaired");
         for query in both {
             let sources = r.cs.sources_of(query);
             assert!(!sources.contains(&r.doors[0]), "{query} is off the door");

@@ -114,7 +114,6 @@ pub struct ContextServer {
     stale_drops: u64,
     history: ContextStore,
     verify_plans: bool,
-    rejected_plans: u64,
     metrics: CsMetrics,
     /// The range's command log, when one is attached (see
     /// [`crate::durability`]): on disk for a durable range, in memory
@@ -189,7 +188,6 @@ impl ContextServer {
             stale_drops: 0,
             history: ContextStore::default(),
             verify_plans: true,
-            rejected_plans: 0,
             metrics,
             wal: None,
             stream_delivery_seq: 0,
@@ -967,7 +965,6 @@ impl ContextServer {
                 if self.verify_plans {
                     let report = self.analyze_plan(&plan);
                     if report.has_errors() {
-                        self.rejected_plans += 1;
                         self.metrics.plan_rejected.inc();
                         return Err(SciError::PlanRejected(report.summary()));
                     }
@@ -1659,11 +1656,6 @@ impl ContextServer {
         self.verify_plans
     }
 
-    /// Number of subscription queries refused by the verification gate.
-    pub fn rejected_plans(&self) -> u64 {
-        self.rejected_plans
-    }
-
     /// Statically verifies a plan against this range's registered
     /// profiles and equivalence classes, without instantiating anything.
     pub fn analyze_plan(&self, plan: &crate::resolver::ConfigurationPlan) -> AnalysisReport {
@@ -2246,7 +2238,7 @@ mod tests {
             }
             other => panic!("expected PlanRejected, got {other:?}"),
         }
-        assert_eq!(cs.rejected_plans(), 1);
+        assert_eq!(cs.snapshot().counter("resolver.plan.rejected"), 1);
         assert_eq!(cs.instance_count(), 0, "gate fired before wiring");
         assert!(cs.mediator().bus().is_empty());
 

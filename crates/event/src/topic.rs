@@ -109,7 +109,7 @@ impl Topic {
     }
 
     /// Returns `true` if the topic has no constraints.
-    pub fn is_wildcard(&self) -> bool {
+    fn is_wildcard(&self) -> bool {
         self.ty.is_none() && self.source.is_none() && self.subject.is_none()
     }
 }

@@ -32,7 +32,7 @@ impl GeometricModel {
     }
 
     /// The region of a place.
-    pub fn region_of(&self, name: &str) -> Option<Rect> {
+    fn region_of(&self, name: &str) -> Option<Rect> {
         self.regions
             .iter()
             .find(|(n, _)| n == name)

@@ -53,7 +53,7 @@ impl TopoGraph {
     }
 
     /// Returns `true` if the place is known.
-    pub fn has_place(&self, name: &str) -> bool {
+    fn has_place(&self, name: &str) -> bool {
         self.adjacency.contains_key(name)
     }
 

@@ -29,9 +29,9 @@
 //!   reorders and named partitions, all replayable from a single `u64`
 //!   seed.
 //!
-//! Experiment E1 (`sci-bench`, `e1_overlay`) sweeps network size and
-//! compares hop counts and maximum per-node forwarding load across the
-//! two arrangements.
+//! Experiment E1 (`tests/support/figures.rs`, pinned by the workspace's
+//! goldens) sweeps network size and compares hop counts and maximum
+//! per-node forwarding load across the two arrangements.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

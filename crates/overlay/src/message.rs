@@ -84,7 +84,7 @@ impl MessageKind {
     ///
     /// Returns [`SciError::Codec`] for tags outside 0–8 and for the
     /// reserved tag 2.
-    pub fn from_wire(byte: u8) -> SciResult<MessageKind> {
+    fn from_wire(byte: u8) -> SciResult<MessageKind> {
         MessageKind::ALL
             .into_iter()
             .find(|k| k.to_wire() == byte)

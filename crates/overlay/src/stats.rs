@@ -103,7 +103,7 @@ impl LoadStats {
     }
 
     /// Maximum hops observed.
-    pub fn max_hops(&self) -> u32 {
+    fn max_hops(&self) -> u32 {
         self.hops.iter().copied().max().unwrap_or(0)
     }
 }

@@ -266,7 +266,7 @@ fn write_predicate(w: &mut XmlWriter<'_>, p: &Predicate) {
 }
 
 /// Decodes a `<pred>` element.
-pub fn predicate_from_element(e: &Element) -> SciResult<Predicate> {
+fn predicate_from_element(e: &Element) -> SciResult<Predicate> {
     let attr = e.require_attr("attr")?.to_owned();
     let op_name = e.require_attr("op")?;
     let op = CmpOp::from_name(op_name)
@@ -323,7 +323,7 @@ fn scalar(w: &mut XmlWriter<'_>, kind: &str, text: impl fmt::Display) {
 }
 
 /// Decodes a `<value>` element.
-pub fn value_from_element(e: &Element) -> SciResult<ContextValue> {
+fn value_from_element(e: &Element) -> SciResult<ContextValue> {
     if e.name != "value" {
         return Err(SciError::Parse(format!(
             "expected <value>, found <{}>",

@@ -13,7 +13,7 @@ use crate::predicate::{eval_all, Predicate};
 /// quality-of-context contract (the reserved `qoc-` prefix, e.g.
 /// `qoc-max-age-us`). Such constraints are enforced when events are
 /// delivered, never matched against provider attributes.
-pub fn is_qoc_constraint(attr: &str) -> bool {
+fn is_qoc_constraint(attr: &str) -> bool {
     attr.starts_with("qoc-")
 }
 

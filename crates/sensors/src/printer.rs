@@ -199,7 +199,7 @@ impl Printer {
     /// The current status as a context value (also the payload of status
     /// events). Fields: `printer`, `name`, `room`, `queue`, `paper`,
     /// `restricted`.
-    pub fn status_value(&self) -> ContextValue {
+    fn status_value(&self) -> ContextValue {
         ContextValue::record([
             ("printer", ContextValue::Id(self.id)),
             ("name", ContextValue::text(self.name.clone())),
@@ -214,7 +214,7 @@ impl Printer {
     }
 
     /// Builds a status event at `now`.
-    pub fn status_event(&mut self, now: VirtualTime) -> ContextEvent {
+    fn status_event(&mut self, now: VirtualTime) -> ContextEvent {
         let seq = self.seq;
         self.seq = seq.next();
         ContextEvent::new(

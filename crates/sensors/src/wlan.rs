@@ -57,11 +57,6 @@ impl BaseStation {
         self.cell.center
     }
 
-    /// Entities currently associated.
-    pub fn associated(&self) -> impl Iterator<Item = Guid> + '_ {
-        self.associated.iter().copied()
-    }
-
     fn next_seq(&mut self) -> EventSeq {
         let s = self.seq;
         self.seq = s.next();
@@ -167,7 +162,7 @@ mod tests {
             Some("associate".to_owned())
         );
         assert_eq!(events[1].topic, ContextType::SignalStrength);
-        assert!(bs.associated().any(|d| d == pda));
+        assert!(bs.associated.contains(&pda));
         // Staying: signal reading only.
         let events = bs.observe(pda, Coord::new(4.0, 0.0), VirtualTime::from_secs(2));
         assert_eq!(events.len(), 1);
@@ -182,7 +177,7 @@ mod tests {
                 .and_then(|v| v.as_text().map(str::to_owned)),
             Some("disassociate".to_owned())
         );
-        assert!(!bs.associated().any(|d| d == pda));
+        assert!(!bs.associated.contains(&pda));
     }
 
     #[test]

@@ -155,7 +155,7 @@ impl Diagnostic {
     }
 
     /// Returns `true` for error-severity findings.
-    pub fn is_error(&self) -> bool {
+    fn is_error(&self) -> bool {
         self.severity == Severity::Error
     }
 }

@@ -226,7 +226,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// of `a ‖ b` is `a`'s state moved past `|b|` zero bytes (a multiply by
 /// `x^(8|b|) mod P`) xor `b`'s state from zero. The words left over
 /// after the lanes, and any shorter input, take the one-lane path.
-pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
+fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
     if bytes.len() < LANE_MIN {
         return crc32_lane(state, bytes);
     }

@@ -522,11 +522,6 @@ impl SegmentLog {
         Ok((file, HEADER_LEN))
     }
 
-    /// Index the next append will receive.
-    pub fn next_index(&self) -> u64 {
-        self.next_index
-    }
-
     /// Number of segment files (including the active one).
     pub fn segment_count(&self) -> usize {
         self.segment_firsts.len()
@@ -621,7 +616,7 @@ impl SegmentLog {
 
     /// Deletes the segments whose records all precede `index` (i.e.
     /// are fully covered by a snapshot at `index`). A snapshot of
-    /// everything logged — `index` at [`SegmentLog::next_index`] —
+    /// everything logged — `index` the one the next append would get —
     /// first closes an active segment that holds frames, so what it
     /// covers goes too and the log is left one empty segment starting
     /// at `index`. Returns how many files were removed.
@@ -777,7 +772,7 @@ mod tests {
                 assert_eq!(*idx, i as u64);
                 assert_eq!(*f, frame(i as u64));
             }
-            assert_eq!(log.next_index(), 25);
+            assert_eq!(log.next_index, 25);
         }
     }
 
@@ -867,7 +862,7 @@ mod tests {
             assert_eq!(segment_files(&log), [40]);
             let (mut log, rec) = log.reopen().unwrap();
             assert!(rec.frames.is_empty());
-            assert_eq!(log.next_index(), 40);
+            assert_eq!(log.next_index, 40);
             assert_eq!(log.append(&frame(40)).unwrap().index, 40);
             let (_, rec) = log.reopen().unwrap();
             assert_eq!(rec.frames, [(40, frame(40))]);
@@ -919,8 +914,8 @@ mod tests {
     /// Appends records up to `index` and snapshots them, returning the
     /// snapshot file's bytes.
     fn snapshot_at(log: &mut SegmentLog, index: u64, payload: &[u8]) -> Vec<u8> {
-        while log.next_index() < index {
-            log.append(&frame(log.next_index())).unwrap();
+        while log.next_index < index {
+            log.append(&frame(log.next_index)).unwrap();
         }
         let written = log.snapshot(payload).unwrap();
         let bytes = contents(&log.dir, &snapshot_name(index));
@@ -1010,7 +1005,7 @@ mod tests {
     fn empty_directory_starts_at_zero() {
         for dir in dirs("empty") {
             let (log, rec) = SegmentLog::open_in(dir, FsyncPolicy::Never, 1 << 20).unwrap();
-            assert_eq!(log.next_index(), 0);
+            assert_eq!(log.next_index, 0);
             assert!(rec.frames.is_empty());
             assert!(rec.snapshot.is_none());
             assert_eq!(rec.torn_bytes, 0);

@@ -8,7 +8,9 @@
 #   scripts/loc.sh --files        also one line per file
 #   scripts/loc.sh --since <rev>  each file's non-test delta against a
 #                                 git revision (read with `git show`,
-#                                 nothing is checked out), then the sum
+#                                 nothing is checked out), then the sum,
+#                                 then the added and deleted lines of
+#                                 every other *.rs and *.toml file
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,6 +35,12 @@ if [ "${1:-}" = "--since" ]; then
         { was += $1; now += $2 }
         $1 != $2 { printf "%+6d %6d -> %6d  %s\n", $2 - $1, $1, $2, $3 }
         END { printf "crates/*/src non-test Rust lines since %s: %d -> %d (%+d)\n", rev, was, now, now - was }'
+    # Everything else that is code or build: tests, benches, examples,
+    # vendor/ and the manifests (a moved file counts only its edits).
+    git diff --numstat "$rev" -- '*.rs' '*.toml' ':(glob,exclude)crates/*/src/**' |
+        awk -v rev="$rev" '
+        { added += $1; deleted += $2 }
+        END { printf "*.rs and *.toml outside crates/*/src since %s: +%d -%d (%+d, git diff --numstat)\n", rev, added, deleted, added - deleted }'
     exit
 fi
 

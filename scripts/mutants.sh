@@ -6,8 +6,9 @@
 #                                      (`git apply --check`: nothing changes)
 #   scripts/mutants.sh --run [nn...]   for each named patch (all of them when
 #                                      none is named), apply it to HEAD in a
-#                                      detached worktree under $TMPDIR, run
-#                                      every `cargo test` line under its
+#                                      detached worktree under $TMPDIR, build
+#                                      the examples (the goldens run them),
+#                                      run every `cargo test` line under its
 #                                      "Must fail" header there in release,
 #                                      and print one row per mutant: `killed`
 #                                      when every line failed, `survived`
@@ -69,6 +70,7 @@ run() {
         git worktree remove --force "$tree" 2>/dev/null || true
         git worktree add --detach --quiet "$tree" HEAD
         git -C "$tree" apply "$root/$patch"
+        (cd "$tree" && CARGO_TARGET_DIR=$target cargo build --release --examples --quiet)
         for line in "${lines[@]}"; do
             local args
             read -ra args <<<"$line"

@@ -19,14 +19,17 @@
 //!
 //! The fixed-seed matrix, and the faults-during-submission case,
 //! honour `SCI_CHAOS_SEEDS` (comma-separated `u64`s) so CI can pin the
-//! schedule set; failures always print the seed that provoked them.
+//! schedule set; failures always print the seed that provoked them,
+//! and an assert that compares a chaotic run with the clean one also
+//! prints that run's flight-recorder trail (`support::chaos`).
 
 mod support;
 
 use proptest::prelude::*;
 use sci::prelude::*;
 use support::chaos::{
-    collect, matrix_seeds, range_plan, run_grouped, run_subscribing_under, run_with, Outcome,
+    collect, flight_recorder, matrix_seeds, range_plan, run_grouped, run_subscribing_under,
+    run_with, trail_of, trail_text, Outcome, TRAIL,
 };
 
 type ChaosFed = Federation<FaultyTransport<SimNetwork>>;
@@ -50,8 +53,9 @@ proptest! {
         prop_assert_eq!(
             &chaos.deliveries,
             &clean.deliveries,
-            "delivery multiset diverged under chaos seed {}",
-            seed
+            "delivery multiset diverged under chaos seed {}\n{}",
+            seed,
+            chaos.trail_text()
         );
         prop_assert_eq!(clean.retry_attempts, 0);
         prop_assert_eq!(clean.dedup_hits, 0);
@@ -89,8 +93,10 @@ fn dedup_hits_equal_retransmissions_under_total_ack_loss() {
         );
         let clean = run(seed, FaultProbs::NONE);
         assert_eq!(
-            chaos.deliveries, clean.deliveries,
-            "seed {seed}: zero duplicate deliveries must reach the app"
+            chaos.deliveries,
+            clean.deliveries,
+            "seed {seed}: zero duplicate deliveries must reach the app\n{}",
+            chaos.trail_text()
         );
         exercised |= chaos.retry_attempts > 0;
     }
@@ -112,8 +118,10 @@ fn grouped_relays_match_the_fault_free_run_and_replay_from_their_seed() {
         assert_eq!((clean.dedup_hits, clean.retry_attempts), (0, 0));
         let chaos = run_grouped(SimNetwork::new(), seed, FaultProbs::lossy(0.3));
         assert_eq!(
-            chaos.deliveries, clean.deliveries,
-            "seed {seed}: grouped delivery multiset diverged under chaos"
+            chaos.deliveries,
+            clean.deliveries,
+            "seed {seed}: grouped delivery multiset diverged under chaos\n{}",
+            chaos.trail_text()
         );
         let again = run_grouped(SimNetwork::new(), seed, FaultProbs::lossy(0.3));
         assert_eq!(again, chaos, "seed {seed}: grouped run did not replay");
@@ -138,7 +146,12 @@ fn grouped_dedup_hits_equal_retransmissions_under_total_ack_loss() {
             "seed {seed}: dedup hits must equal retransmissions exactly"
         );
         let clean = run_grouped(SimNetwork::new(), seed, FaultProbs::NONE);
-        assert_eq!(chaos.deliveries, clean.deliveries, "seed {seed}");
+        assert_eq!(
+            chaos.deliveries,
+            clean.deliveries,
+            "seed {seed}\n{}",
+            chaos.trail_text()
+        );
         exercised |= chaos.retry_attempts > 0;
     }
     assert!(exercised, "at 40% drop some seed must retransmit a group");
@@ -156,6 +169,7 @@ fn partitioned_relays_park_and_deliver_after_heal() {
         let mut ids = GuidGenerator::seeded(0xc0ffee);
         let mut fed: ChaosFed =
             Federation::with_transport(FaultyTransport::new(SimNetwork::new(), seed), 7);
+        let ring = flight_recorder(&mut fed);
         let mut sensors = Vec::new();
         let mut nodes = Vec::new();
         for i in 0..3usize {
@@ -220,8 +234,10 @@ fn partitioned_relays_park_and_deliver_after_heal() {
 
         deliveries.sort_unstable();
         assert_eq!(
-            deliveries, clean.deliveries,
-            "seed {seed}: partition must delay, not lose or duplicate"
+            deliveries,
+            clean.deliveries,
+            "seed {seed}: partition must delay, not lose or duplicate\n{}",
+            trail_text(&trail_of(&ring))
         );
     }
 }
@@ -301,8 +317,24 @@ fn faults_during_submission_keep_exactly_once() {
         let clean = run(seed, FaultProbs::NONE);
         let chaos = run_subscribing_under(SimNetwork::new(), seed, probs, probs);
         assert_eq!(
-            chaos.deliveries, clean.deliveries,
-            "seed {seed}: faults during submission changed the delivery multiset"
+            chaos.deliveries,
+            clean.deliveries,
+            "seed {seed}: faults during submission changed the delivery multiset\n{}",
+            chaos.trail_text()
         );
     }
+}
+
+/// The flight recorder: a lossy run's trail is the relay's own record
+/// of what it sent, bounded by the cap.
+#[test]
+fn a_lossy_runs_trail_records_its_relays_within_the_cap() {
+    let chaos = run(1, FaultProbs::lossy(0.3));
+    assert!(!chaos.trail.is_empty(), "seed 1: empty trail");
+    assert!(chaos.trail.len() <= TRAIL, "{}", chaos.trail_text());
+    assert!(
+        chaos.trail.iter().any(|r| r.name() == "federation.relay"),
+        "seed 1: no relay in the trail\n{}",
+        chaos.trail_text()
+    );
 }

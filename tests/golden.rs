@@ -18,12 +18,14 @@
 //!   least 4 KiB (so the CRC runs in lanes).
 //!
 //! `tests/fixtures/golden/figures.txt` holds the paper's count figures
-//! as the tables `EXPERIMENTS.md` copies: E1's overlay-vs-tree hops,
-//! maximum loads and imbalance, and E7's round-trip hops, from the
-//! fixtures the `sci-bench` Criterion benches time. Beside the pin,
-//! the test asserts the shape of the paper's §3 claim. (E6's and E8's
-//! shapes are asserted by `tests/failover.rs` and by
-//! `tests/composition.rs::reuse_ablation_changes_instance_growth`.)
+//! as the tables `EXPERIMENTS.md` copies, computed by
+//! `tests/support/figures.rs`: E1's overlay-vs-tree hops, maximum loads
+//! and imbalance; E3's instances and wired sources against a growing
+//! population; E4's query document sizes; E6's deliveries by SCI and
+//! the two baselines around a sensor failure; E7's round-trip hops;
+//! E8's instances with subgraph reuse on and off, and the bus
+//! publishes one event costs through shared and duplicated
+//! configurations. Beside the pin, each table asserts its claim's shape.
 //!
 //! `tests/fixtures/golden/<example>.stdout` is each example's full
 //! output. `cargo test` builds the examples; the test runs them from
@@ -37,6 +39,8 @@
 //!
 //! and names the reason in CHANGES.md.
 
+#[path = "support/figures.rs"]
+mod figures;
 mod support;
 
 use std::collections::HashMap;
@@ -44,12 +48,9 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
 use sci::core::durability::{self, attach};
-use sci::overlay::hierarchy::HierarchicalNetwork;
-use sci::overlay::LoadStats;
 use sci::prelude::*;
 use sci::sensors::workload::{office_floor, populate, Population};
 use sci::wal::crc32;
-use sci_bench::{build_federation, build_overlay, forward_once, traffic, MESSAGES_PER_NODE};
 use support::chaos::{run_grouped, run_with};
 use support::deployment::{log_of, run_deployment, run_sequences, Driver};
 
@@ -272,66 +273,11 @@ fn outputs() -> Vec<String> {
     lines
 }
 
-/// E1's network sizes and E7's range counts.
-const E1_SIZES: [usize; 4] = [16, 64, 256, 1024];
-const E7_RANGES: [usize; 4] = [2, 8, 32, 128];
-
-/// E1 and E7 as `figures.txt`'s tables, after asserting the shape of
-/// the paper's §3 claim: the overlay's hops are no more than the
-/// tree's, and the tree's bottleneck grows against the overlay's.
-fn figures() -> String {
-    let mut e1 = format!(
-        "E1: overlay vs 4-ary tree, uniform traffic, {MESSAGES_PER_NODE} msgs/node\n\n\
-         | N | overlay hops | tree hops | overlay max load | tree max load \
-         | overlay imbalance | tree imbalance |\n\
-         |---|---|---|---|---|---|---|\n"
-    );
-    let mut load_ratios = Vec::new();
-    for n in E1_SIZES {
-        let (mut net, guids) = build_overlay(n, 42);
-        let mut tree = HierarchicalNetwork::new(guids.iter().copied(), 4);
-        for (src, dst) in traffic(&guids) {
-            net.route(src, dst).unwrap();
-            tree.route(src, dst).unwrap();
-        }
-        let (ovl, tree) = (net.stats(), tree.stats());
-        let max = |s: &LoadStats| s.max_load().map_or(0, |(_, load)| load);
-        assert!(ovl.mean_hops() <= tree.mean_hops(), "N = {n}: overlay hops");
-        load_ratios.push(max(tree) as f64 / max(ovl) as f64);
-        e1 += &format!(
-            "| {n} | {:.2} | {:.2} | {} | {} | {:.2} | {:.2} |\n",
-            ovl.mean_hops(),
-            tree.mean_hops(),
-            max(ovl),
-            max(tree),
-            ovl.imbalance(),
-            tree.imbalance()
-        );
-    }
-    assert!(
-        load_ratios.windows(2).all(|w| w[0] < w[1]),
-        "tree max load / overlay max load must rise with N: {load_ratios:?}"
-    );
-    let mut e7 = String::from(
-        "E7: a profile query forwarded to another range, 100 queries\n\n\
-         | ranges | mean round-trip hops |\n|---|---|\n",
-    );
-    for ranges in E7_RANGES {
-        // Every range count is even, so `from` and `to` always differ.
-        let (mut fed, mut ids) = build_federation(ranges, 17);
-        let hops: u32 = (0..100)
-            .map(|k| forward_once(&mut fed, &mut ids, k % ranges, (k * 13 + 1) % ranges))
-            .sum();
-        e7 += &format!("| {ranges} | {:.2} |\n", f64::from(hops) / 100.0);
-    }
-    format!("{e1}\n{e7}")
-}
-
 /// Every golden, computed side by side: the examples run as processes
 /// and the figures on a thread while the rest runs here.
 fn everything() -> (Vec<String>, String, Vec<(&'static str, String)>) {
     let examples = spawn_examples();
-    let figures = std::thread::spawn(figures);
+    let figures = std::thread::spawn(figures::tables);
     let lines = outputs();
     let printed = examples
         .into_iter()

@@ -14,12 +14,24 @@
 //!   socket transport's acked sends make delivery timing a pure
 //!   function of the call sequence, which is what makes the
 //!   comparison exact rather than statistical.
+//!
+//! Each run carries a flight recorder: a bounded ring of the relay's
+//! trace records, whose `federation.*` tail a failing assert prints
+//! beside the seed.
 #![allow(dead_code)]
 
+use std::sync::Arc;
+
 use sci::prelude::*;
+use sci::telemetry::TraceRecord;
+
+/// Records the flight recorder's ring holds.
+const RING: usize = 256;
+/// The `federation.*` records an [`Outcome`] keeps, the last ones.
+pub const TRAIL: usize = 64;
 
 /// What a chaos run produced, reduced to comparable data.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Debug)]
 pub struct Outcome {
     /// Sorted multiset of final deliveries (app, query, event).
     pub deliveries: Vec<String>,
@@ -27,6 +39,47 @@ pub struct Outcome {
     pub dedup_hits: u64,
     /// Relay retransmissions attempted.
     pub retry_attempts: u64,
+    /// The run's last [`TRAIL`] `federation.*` trace records, oldest
+    /// first. They carry wall-clock `at_us`, so equality ignores them.
+    pub trail: Vec<TraceRecord>,
+}
+
+impl PartialEq for Outcome {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.deliveries, self.dedup_hits, self.retry_attempts)
+            == (&other.deliveries, other.dedup_hits, other.retry_attempts)
+    }
+}
+
+impl Eq for Outcome {}
+
+impl Outcome {
+    /// The trail, one record a line, for a failing assert's message.
+    pub fn trail_text(&self) -> String {
+        trail_text(&self.trail)
+    }
+}
+
+/// Installs a flight recorder on `fed`'s relay path.
+pub fn flight_recorder<T: Transport>(fed: &mut Federation<T>) -> Arc<RingBufferSubscriber> {
+    let ring = Arc::new(RingBufferSubscriber::new(RING));
+    fed.set_tracer(Tracer::new(ring.clone()));
+    ring
+}
+
+/// The recorder's last [`TRAIL`] `federation.*` records, oldest first.
+pub fn trail_of(ring: &RingBufferSubscriber) -> Vec<TraceRecord> {
+    let mut trail: Vec<TraceRecord> = (ring.records().into_iter())
+        .filter(|r| r.name().starts_with("federation."))
+        .collect();
+    trail.drain(..trail.len().saturating_sub(TRAIL));
+    trail
+}
+
+/// `records`, one a line, under a count.
+pub fn trail_text(records: &[TraceRecord]) -> String {
+    let lines: Vec<String> = records.iter().map(|r| format!("  {r:?}")).collect();
+    format!("trail ({} records):\n{}", records.len(), lines.join("\n"))
 }
 
 /// One wing + hall per range, disjoint per index.
@@ -121,6 +174,7 @@ fn run_scenario<T: Transport>(
     let mut ids = GuidGenerator::seeded(0xc0ffee);
     let mut fed: Federation<FaultyTransport<T>> =
         Federation::with_transport(FaultyTransport::new(inner, seed), 7);
+    let ring = flight_recorder(&mut fed);
     let mut sensors = Vec::new();
     for i in 0..3usize {
         let mut cs = ContextServer::new(ids.next_guid(), format!("range-{i}"), range_plan(i));
@@ -193,6 +247,7 @@ fn run_scenario<T: Transport>(
         deliveries,
         dedup_hits: fed.relay_dedup_hits(),
         retry_attempts: fed.retry_attempts(),
+        trail: trail_of(&ring),
     }
 }
 
