@@ -10,9 +10,12 @@
 //!
 //! The harness reports, per `ranges ∈ RANGE_SWEEP` row:
 //!
-//! * `handoff_p50_us` / `handoff_p99_us` — wall-clock latency of one
+//! * `handoff_p50_us` / `handoff_p80_us` — wall-clock latency of one
 //!   complete entity handoff (package at source, exactly-once relay,
-//!   replay at target), measured around `migrate_entity`;
+//!   replay at target), measured around `migrate_entity`, with the
+//!   number of handoffs `n` beside them. The tail is p80, the highest
+//!   whole-ten percentile with at least ten of the 64 handoffs beyond
+//!   it, so no single preempted handoff sets it;
 //! * `sustained_kevents_s` — end-to-end event throughput of the
 //!   streaming ingest that runs *while* the churn is happening;
 //! * `bytes_per_entity` — resident-set growth across population
@@ -53,6 +56,9 @@ const ENTITIES_PER_RANGE: u64 = 100_000;
 const MOVERS: usize = 48;
 /// Handoffs per measured row.
 const MOVES: usize = 64;
+/// The tail percentile reported: at least ten of `MOVES` handoffs lie
+/// beyond it.
+const TAIL: f64 = 0.80;
 /// Streaming rounds interleaved with the churn.
 const ROUNDS: usize = 4;
 /// Presence events batch-ingested into every range, every round.
@@ -256,7 +262,7 @@ struct Row {
     ranges: usize,
     moves: usize,
     handoff_p50_us: f64,
-    handoff_p99_us: f64,
+    handoff_p80_us: f64,
     sustained_kevents_s: f64,
     bytes_per_entity: f64,
     deliveries: u64,
@@ -324,7 +330,7 @@ fn measure_row(ranges: usize) -> Row {
         ranges,
         moves: handoffs_us.len(),
         handoff_p50_us: percentile(&handoffs_us, 0.50),
-        handoff_p99_us: percentile(&handoffs_us, 0.99),
+        handoff_p80_us: percentile(&handoffs_us, TAIL),
         sustained_kevents_s: events as f64 / elapsed / 1e3,
         bytes_per_entity,
         deliveries,
@@ -348,9 +354,9 @@ fn print_table(rows: &[Row]) {
     println!(
         "{:>7} | {:>6} {:>14} {:>14} | {:>21} {:>16} {:>11}",
         "ranges",
-        "moves",
+        "n",
         "handoff p50",
-        "handoff p99",
+        "handoff p80",
         "sustained (kevents/s)",
         "bytes/entity",
         "deliveries"
@@ -361,7 +367,7 @@ fn print_table(rows: &[Row]) {
             r.ranges,
             r.moves,
             r.handoff_p50_us,
-            r.handoff_p99_us,
+            r.handoff_p80_us,
             r.sustained_kevents_s,
             r.bytes_per_entity,
             r.deliveries

@@ -14,9 +14,7 @@
 //! owns the real `Topic` type) can feed it without this crate
 //! depending on `sci-event`.
 
-use std::collections::HashSet;
-
-use sci_types::{ContextType, DiagCode, Diagnostic, Guid};
+use sci_types::{ContextType, DiagCode, Diagnostic, Guid, HashSet};
 
 /// One subscription, reduced to the fields static analysis reasons
 /// about: who listens, and the type/source/subject filter they listen
@@ -86,7 +84,7 @@ pub fn diff_subscriptions(
     let actual_set: HashSet<&SubscriptionRecord> = actual.iter().collect();
     let mut findings = Vec::new();
 
-    let mut reported = HashSet::new();
+    let mut reported = HashSet::default();
     for record in expected {
         if !actual_set.contains(record) && reported.insert(record) {
             findings.push(
@@ -99,7 +97,7 @@ pub fn diff_subscriptions(
         }
     }
 
-    let mut seen = HashSet::new();
+    let mut seen = HashSet::default();
     for record in actual {
         if !expected_set.contains(record) && seen.insert(record) {
             findings.push(

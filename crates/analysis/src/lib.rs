@@ -36,11 +36,9 @@
 
 pub mod fleet;
 
-use std::collections::{HashMap, HashSet};
-
 use sci_types::{
     AnalysisReport, ConfigurationPlan, ContextType, ContextValue, DiagCode, Diagnostic, Guid,
-    NodeKind, PlanNode, Profile,
+    HashMap, NodeKind, PlanNode, Profile,
 };
 
 // ---------------------------------------------------------------------
@@ -114,6 +112,14 @@ impl ProfileSource for ProfileTable {
 /// the analyzer rejects the plan with `SCI-A006`.
 pub const SINGLE_INPUT_ATTR: &str = "single-input";
 
+/// Whether a profile declares [`SINGLE_INPUT_ATTR`]: each of its input
+/// ports accepts one producer.
+pub fn single_input(profile: &Profile) -> bool {
+    (profile.attributes().get(SINGLE_INPUT_ATTR))
+        .and_then(ContextValue::as_bool)
+        .unwrap_or(false)
+}
+
 /// Statically verifies a composition graph against the registered
 /// profiles. Returns every finding; callers decide policy (the
 /// Context Server refuses plans whose report
@@ -144,8 +150,11 @@ pub fn analyze(graph: &ConfigurationPlan, profiles: &dyn ProfileSource) -> Analy
         }
     }
 
+    // Which plan indices the edge being checked has named, reset after
+    // each edge.
+    let mut seen_producers = vec![false; n];
     for (idx, node) in graph.nodes.iter().enumerate() {
-        check_node(graph, profiles, idx, node, &mut report);
+        check_node(graph, profiles, idx, node, &mut seen_producers, &mut report);
     }
 
     check_cycles(graph, &mut report);
@@ -158,6 +167,7 @@ fn check_node(
     profiles: &dyn ProfileSource,
     idx: usize,
     node: &PlanNode,
+    seen_producers: &mut [bool],
     report: &mut AnalysisReport,
 ) {
     let profile = profiles.profile(node.ce);
@@ -181,14 +191,10 @@ fn check_node(
         }
     }
 
-    let single_input = profile
-        .and_then(|p| p.attributes().get(SINGLE_INPUT_ATTR))
-        .and_then(ContextValue::as_bool)
-        .unwrap_or(false);
+    let single_input = profile.is_some_and(single_input);
 
-    let mut seen_ports: HashSet<&str> = HashSet::new();
-    for edge in &node.inputs {
-        if !seen_ports.insert(edge.port.as_str()) {
+    for (at, edge) in node.inputs.iter().enumerate() {
+        if node.inputs[..at].iter().any(|e| e.port == edge.port) {
             report.push(
                 Diagnostic::new(
                     DiagCode::DuplicateBinding,
@@ -258,7 +264,6 @@ fn check_node(
             );
         }
 
-        let mut seen_producers: HashSet<usize> = HashSet::new();
         for &p in &edge.producers {
             if p >= graph.nodes.len() {
                 report.push(
@@ -275,7 +280,7 @@ fn check_node(
                 );
                 continue;
             }
-            if !seen_producers.insert(p) {
+            if std::mem::replace(&mut seen_producers[p], true) {
                 report.push(
                     Diagnostic::new(
                         DiagCode::DuplicateBinding,
@@ -301,6 +306,9 @@ fn check_node(
                 );
             }
         }
+        for &p in edge.producers.iter().filter(|&&p| p < graph.nodes.len()) {
+            seen_producers[p] = false;
+        }
     }
 }
 
@@ -314,14 +322,16 @@ fn check_cycles(graph: &ConfigurationPlan, report: &mut AnalysisReport) {
         Black,
     }
     let n = graph.nodes.len();
-    let producers_of = |node: usize| -> Vec<usize> {
-        graph.nodes[node]
-            .inputs
-            .iter()
-            .flat_map(|e| e.producers.iter().copied())
-            .filter(|&p| p < n)
-            .collect()
-    };
+    // Each node's in-range producers, laid out once: node `i`'s are
+    // `flat[starts[i]..starts[i + 1]]`.
+    let (mut starts, mut flat) = (Vec::with_capacity(n + 1), Vec::new());
+    for node in &graph.nodes {
+        starts.push(flat.len());
+        let producers = node.inputs.iter().flat_map(|e| e.producers.iter().copied());
+        flat.extend(producers.filter(|&p| p < n));
+    }
+    starts.push(flat.len());
+    let producers_of = |node: usize| &flat[starts[node]..starts[node + 1]];
     let mut marks = vec![Mark::White; n];
     for start in 0..n {
         if marks[start] != Mark::White {

@@ -19,6 +19,7 @@
 //! `pathCE` instance, not two. Experiment E8 ablates exactly this flag.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use sci_event::bus::SubId;
 use sci_event::{EventMediator, Topic};
@@ -113,12 +114,12 @@ pub struct Configuration {
     pub caa_subs: Vec<SubId>,
     /// Whether the paper's "one-time subscription" mode applies.
     pub one_time: bool,
-    /// The plan as first resolved. Its derived nodes and the edges
-    /// between them stand for the configuration's life; its source
-    /// leaves are the sources of that moment — the bus holds the
-    /// current ones
+    /// The plan as first resolved, shared with every configuration
+    /// attached to it. Its derived nodes and the edges between them
+    /// stand for the configuration's life; its source leaves are the
+    /// sources of that moment — the bus holds the current ones
     /// ([`ContextServer::sources_of`](crate::context_server::ContextServer::sources_of)).
-    pub plan: ConfigurationPlan,
+    pub plan: Arc<ConfigurationPlan>,
     /// What the query asked for at the root of the plan (`None` for a
     /// raw `Kind`/`Named` subscription): its subject scopes the
     /// application's own subscriptions, and see
@@ -198,7 +199,7 @@ impl InstanceStore {
     #[allow(clippy::too_many_arguments)]
     pub fn instantiate(
         &mut self,
-        plan: &ConfigurationPlan,
+        plan: impl Into<Arc<ConfigurationPlan>>,
         query_id: Guid,
         owner: Guid,
         one_time: bool,
@@ -206,6 +207,7 @@ impl InstanceStore {
         ids: &mut sci_types::guid::GuidGenerator,
         factories: &HashMap<Guid, LogicFactory>,
     ) -> SciResult<Configuration> {
+        let plan = plan.into();
         // node index → the GUID events from that node carry.
         let mut producer_guid: Vec<Guid> = vec![Guid::NIL; plan.nodes.len()];
         let mut used_instances = Vec::new();
@@ -282,10 +284,40 @@ impl InstanceStore {
             instances: used_instances,
             caa_subs: Vec::new(),
             one_time,
-            plan: plan.clone(),
+            plan,
             need: None,
             max_age: None,
         })
+    }
+
+    /// Admits a query whose need the live configuration `live` already
+    /// answers: takes one more reference on each of its instances, in
+    /// order, and shares its plan — [`InstanceStore::teardown`]'s
+    /// mirror. Nothing is planned, wired or created; the caller states
+    /// the root `need` and adds the CAA's own subscriptions.
+    pub fn attach(
+        &mut self,
+        live: &Configuration,
+        query_id: Guid,
+        owner: Guid,
+        one_time: bool,
+    ) -> Configuration {
+        for instance in &live.instances {
+            if let Some(state) = self.instances.get_mut(instance) {
+                state.refcount += 1;
+            }
+        }
+        Configuration {
+            query_id,
+            owner,
+            root_producers: live.root_producers.clone(),
+            instances: live.instances.clone(),
+            caa_subs: Vec::new(),
+            one_time,
+            plan: Arc::clone(&live.plan),
+            need: None,
+            max_age: None,
+        }
     }
 
     /// Releases a configuration's references: unsubscribes the CAA and
@@ -472,6 +504,41 @@ mod tests {
         assert_eq!(store.teardown(&c2, &mut f.mediator), 3);
         assert!(store.is_empty());
         assert!(f.mediator.bus().is_empty(), "all subscriptions cleaned up");
+    }
+
+    #[test]
+    fn attach_shares_a_live_configuration() {
+        let mut f = fixture();
+        let plan = path_plan(&f, Guid::from_u128(0xb0b), Guid::from_u128(0x70e));
+        let mut store = InstanceStore::new(true);
+        let c1 = store
+            .instantiate(
+                plan,
+                Guid::from_u128(1),
+                Guid::from_u128(11),
+                false,
+                &mut f.mediator,
+                &mut f.ids,
+                &f.factories,
+            )
+            .unwrap();
+        let subs = f.mediator.bus().len();
+        let c2 = store.attach(&c1, Guid::from_u128(2), Guid::from_u128(12), true);
+        assert_eq!(
+            (store.len(), f.mediator.bus().len()),
+            (3, subs),
+            "nothing new"
+        );
+        assert_eq!(c2.instances, c1.instances);
+        assert_eq!(c2.root_producers, c1.root_producers);
+        assert!(Arc::ptr_eq(&c1.plan, &c2.plan), "one plan, shared");
+        assert!(c2.one_time && c2.caa_subs.is_empty());
+        assert!(store.iter().all(|state| state.refcount == 2));
+        // Either query's teardown leaves the other's instances live.
+        assert_eq!(store.teardown(&c1, &mut f.mediator), 0);
+        assert_eq!(store.teardown(&c2, &mut f.mediator), 3);
+        assert!(store.is_empty());
+        assert!(f.mediator.bus().is_empty());
     }
 
     #[test]

@@ -54,7 +54,7 @@ use crate::registrar::Registrar;
 use sci_telemetry::{Registry, Span, TelemetrySnapshot, Tracer};
 
 use crate::adaptation::{output_types, rewire, unwire};
-use crate::resolver::{plan_need, Need};
+use crate::resolver::{plan_need, sources_for, Need};
 use crate::runtime::RangeCommand;
 use crate::telemetry::{elapsed_us, CsMetrics};
 
@@ -63,6 +63,16 @@ pub use sci_types::{AppDelivery, DeferredAnswer, QueryAnswer, RangeReply};
 /// Default liveness window for source CEs that declare a
 /// `max-silence-us` attribute without a value the mediator can read.
 const DEFAULT_MAX_SILENCE: VirtualDuration = VirtualDuration::from_secs(60);
+
+/// Whether a profile can stand in a plan as a derived provider: it
+/// consumes and produces context.
+fn derives(profile: &Profile) -> bool {
+    !profile.is_source() && !profile.outputs().is_empty()
+}
+
+/// What the admission index keys a need by, `(type, subject)`; its
+/// predicates are compared on a hit.
+type NeedKey = (ContextType, Option<Guid>);
 
 /// A liveness-table row: `(publisher, last heard, declared window)`.
 pub(crate) type LivenessRow = (Guid, VirtualTime, VirtualDuration);
@@ -114,6 +124,15 @@ pub struct ContextServer {
     stale_drops: u64,
     history: ContextStore,
     verify_plans: bool,
+    /// The plan generation: moved on by everything that can change a
+    /// fresh plan's derived part (see `replanning`).
+    generation: u64,
+    /// Planned configurations with a derived root, by their need's
+    /// `(type, subject)`, each with the generation it was planned at:
+    /// what a query with an equal need attaches to instead of planning.
+    /// Like `generation`, derived state: neither is logged or
+    /// snapshotted, and replayed submits rebuild both.
+    admitted: HashMap<NeedKey, Vec<(Guid, u64)>>,
     metrics: CsMetrics,
     /// The range's command log, when one is attached (see
     /// [`crate::durability`]): on disk for a durable range, in memory
@@ -188,6 +207,8 @@ impl ContextServer {
             stale_drops: 0,
             history: ContextStore::default(),
             verify_plans: true,
+            generation: 0,
+            admitted: HashMap::default(),
             metrics,
             wal: None,
             stream_delivery_seq: 0,
@@ -270,7 +291,10 @@ impl ContextServer {
             RangeCommand::Advertise(ad) => self.advertise_impl(*ad).map(|()| RangeReply::Ack),
             RangeCommand::Deregister(id) => self.deregister_impl(id).map(RangeReply::Deregistered),
             RangeCommand::Submit(query) => {
-                self.submit_query_impl(&query, now).map(RangeReply::Answer)
+                let before = self.metrics.admissions();
+                let answer = self.submit_query_impl(&query, now);
+                self.metrics.trace_admission(span, query.id, before);
+                answer.map(RangeReply::Answer)
             }
             RangeCommand::Cancel(query_id) => {
                 self.cancel_query_impl(query_id).map(|()| RangeReply::Ack)
@@ -360,6 +384,7 @@ impl ContextServer {
     }
 
     fn set_reuse_impl(&mut self, reuse: bool) {
+        self.generation += 1;
         if self.instances.is_empty() {
             self.instances = InstanceStore::new(reuse);
         }
@@ -466,10 +491,12 @@ impl ContextServer {
                 self.mediator.track_publisher(profile.id(), window, now);
             }
         }
-        // A repaired CE re-registering stops being excluded.
-        self.excluded.remove(&profile.id());
         let (id, outputs) = (profile.id(), output_types(&profile));
-        self.profiles.insert(profile)?;
+        self.replanning(derives(&profile), &outputs, |cs| {
+            // A repaired CE re-registering stops being excluded.
+            cs.excluded.remove(&id);
+            cs.profiles.insert(profile)
+        })?;
         // New sensing capability benefits running configurations
         // immediately (positive adaptivity).
         rewire(self, id, &outputs);
@@ -483,6 +510,7 @@ impl ContextServer {
     }
 
     fn register_logic_impl(&mut self, ce: Guid, factory: LogicFactory) {
+        self.generation += 1;
         self.factories.insert(ce, factory);
     }
 
@@ -495,6 +523,7 @@ impl ContextServer {
     }
 
     fn declare_equivalence_impl(&mut self, a: ContextType, b: ContextType) {
+        self.generation += 1;
         self.profiles.declare_equivalence(a.clone(), b);
         // A source of any type in the merged class may now feed needs
         // for the others (classes merge, so not only `a`'s and `b`'s).
@@ -634,8 +663,12 @@ impl ContextServer {
             }
         };
         let held = self.held(Some(id));
-        let outputs = self.profiles.remove(id).map(|p| output_types(&p));
-        if outputs.is_err() {
+        let (derived, outputs) =
+            (self.profiles.get(id)).map_or((false, Vec::new()), |p| (derives(p), output_types(p)));
+        if self
+            .replanning(derived, &outputs, |cs| cs.profiles.remove(id))
+            .is_err()
+        {
             // Registered but profile-less: at least counted.
             self.metrics.deregister_unknown.inc();
         }
@@ -652,7 +685,7 @@ impl ContextServer {
         self.outbox.retain(|d| d.app != id);
         self.answers.retain(|a| a.1 != id);
         self.excluded.remove(&id);
-        unwire(self, id, &outputs.unwrap_or_default());
+        unwire(self, id, &outputs);
         Ok((descriptor, held))
     }
 
@@ -685,6 +718,7 @@ impl ContextServer {
         for profile in held.profiles {
             note(self.register_impl(profile, now));
         }
+        self.generation += u64::from(!excluded.is_empty());
         self.excluded.extend(excluded);
         for ad in held.advertisements {
             note(self.advertise_impl(ad));
@@ -895,6 +929,15 @@ impl ContextServer {
             for sub in &config.caa_subs {
                 self.caa_sub_index.remove(sub);
             }
+            if let Some(need) = &config.need {
+                let key = (need.ty.clone(), need.subject);
+                if let Some(slot) = self.admitted.get_mut(&key) {
+                    slot.retain(|&(admitted, _)| admitted != query_id);
+                    if slot.is_empty() {
+                        self.admitted.remove(&key);
+                    }
+                }
+            }
             self.instances.teardown(&config, &mut self.mediator);
             return Ok(());
         }
@@ -948,38 +991,14 @@ impl ContextServer {
             What::Information { ty, constraints } => Some(Need::stated(ty, constraints)),
             What::Kind(_) | What::Named(_) => None,
         };
-        let mut config = match &need {
-            Some(need) => {
-                #[expect(clippy::disallowed_methods, reason = "telemetry timing")]
-                let plan_started = Instant::now();
-                let planned = plan_need(&self.profiles, need, &self.excluded);
-                self.metrics.record_plan_attempt(elapsed_us(plan_started));
-                let plan = planned?;
-                self.metrics.record_plan_shape(
-                    plan.nodes.len(),
-                    plan.nodes.iter().map(|n| n.inputs.len()).sum(),
-                );
-                // Mandatory pre-instantiation gate: no subscription is
-                // wired for a plan static analysis rejects (bypassable
-                // via `RangeCommand::SetPlanVerification(false)`).
-                if self.verify_plans {
-                    let report = self.analyze_plan(&plan);
-                    if report.has_errors() {
-                        self.metrics.plan_rejected.inc();
-                        return Err(SciError::PlanRejected(report.summary()));
-                    }
-                }
-                self.instances.instantiate(
-                    &plan,
-                    query.id,
-                    query.owner,
-                    one_time,
-                    &mut self.mediator,
-                    &mut self.ids,
-                    &self.factories,
-                )?
+        let live = need.as_ref().and_then(|need| self.attachable(need));
+        let mut config = match (&need, live.and_then(|q| self.configurations.get(&q))) {
+            (Some(_), Some(live)) => {
+                self.metrics.admit_reused.inc();
+                self.instances.attach(live, query.id, query.owner, one_time)
             }
-            None => {
+            (Some(need), None) => self.admit_planned(need, query, one_time)?,
+            (None, _) => {
                 // Subscribe to raw events from the selected entities.
                 let selected = self.select_entities(query)?;
                 Configuration {
@@ -989,11 +1008,11 @@ impl ContextServer {
                     instances: Vec::new(),
                     caa_subs: Vec::new(),
                     one_time,
-                    plan: crate::resolver::ConfigurationPlan {
+                    plan: std::sync::Arc::new(crate::resolver::ConfigurationPlan {
                         nodes: Vec::new(),
                         roots: Vec::new(),
                         output: ContextType::custom("raw"),
-                    },
+                    }),
                     need: None,
                     max_age: None,
                 }
@@ -1027,6 +1046,102 @@ impl ContextServer {
             configuration: query.id,
             producers,
         })
+    }
+
+    /// The live configuration a query for `need` attaches to instead of
+    /// planning: one planned for an equal need at the current plan
+    /// generation — so a fresh plan would have the same derived part,
+    /// and its root is derived — while the wiring rule still names no
+    /// source for the need itself. With reuse off (E8's ablation) the
+    /// index stays empty, so nothing attaches.
+    fn attachable(&self, need: &Need) -> Option<Guid> {
+        let slot = self.admitted.get(&(need.ty.clone(), need.subject))?;
+        let live = (slot.iter())
+            .filter(|&&(_, at)| at == self.generation)
+            .filter_map(|(query, _)| self.configurations.get(query))
+            .find(|live| live.need.as_ref() == Some(need))?;
+        sources_for(&self.profiles, need, &self.excluded)
+            .is_empty()
+            .then_some(live.query_id)
+    }
+
+    /// The planned admission — resolve, verify, instantiate, under one
+    /// `plan` span — indexing the configuration for [`Self::attachable`]
+    /// when its root is derived. A plan with a `single-input` node is
+    /// not indexed: the gate's fan-in check reads the sources of the
+    /// moment, which may grow without moving the generation.
+    fn admit_planned(
+        &mut self,
+        need: &Need,
+        query: &Query,
+        one_time: bool,
+    ) -> SciResult<Configuration> {
+        let tracer = self.metrics.tracer().clone();
+        let _span = tracer.span("plan");
+        #[expect(clippy::disallowed_methods, reason = "telemetry timing")]
+        let plan_started = Instant::now();
+        let planned = plan_need(&self.profiles, need, &self.excluded);
+        self.metrics.record_plan_attempt(elapsed_us(plan_started));
+        let plan = planned?;
+        self.metrics.record_plan_shape(
+            plan.nodes.len(),
+            plan.nodes.iter().map(|n| n.inputs.len()).sum(),
+        );
+        // Mandatory pre-instantiation gate: no subscription is
+        // wired for a plan static analysis rejects (bypassable
+        // via `RangeCommand::SetPlanVerification(false)`).
+        if self.verify_plans {
+            let report = self.analyze_plan(&plan);
+            if report.has_errors() {
+                self.metrics.plan_rejected.inc();
+                return Err(SciError::PlanRejected(report.summary()));
+            }
+        }
+        let single_input = (plan.nodes.iter())
+            .filter_map(|node| self.profiles.get(node.ce))
+            .any(sci_analysis::single_input);
+        let config = self.instances.instantiate(
+            plan,
+            query.id,
+            query.owner,
+            one_time,
+            &mut self.mediator,
+            &mut self.ids,
+            &self.factories,
+        )?;
+        if !config.instances.is_empty() && !single_input && self.instances.reuse_enabled() {
+            let key = (need.ty.clone(), need.subject);
+            let slot = self.admitted.entry(key).or_default();
+            slot.retain(|&(_, at)| at == self.generation);
+            slot.push((query.id, self.generation));
+        }
+        Ok(config)
+    }
+
+    /// Applies `change` — an entity arriving, leaving or failing — and
+    /// moves the plan generation on if it can change a fresh plan's
+    /// derived part: the entity is a derived CE (`derived`), or for one
+    /// of its `outputs` it flips whether any source the wiring rule may
+    /// name provides that type. So a door leaving and rejoining while
+    /// others stay moves nothing; the last door leaving does.
+    fn replanning<R>(
+        &mut self,
+        derived: bool,
+        outputs: &[ContextType],
+        change: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        let sourced = |cs: &Self| -> Vec<bool> {
+            let usable = |p: &&Profile| p.is_source() && !cs.excluded.contains(&p.id());
+            (outputs.iter())
+                .map(|ty| cs.profiles.providers_of_compatible(ty).iter().any(usable))
+                .collect()
+        };
+        let before = sourced(self);
+        let result = change(self);
+        if derived || sourced(self) != before {
+            self.generation += 1;
+        }
+        result
     }
 
     /// Applies What, Where and Which to the registered profiles,
@@ -1254,6 +1369,7 @@ impl ContextServer {
         if !changed {
             return;
         }
+        self.generation += 1;
         let outputs = self.profiles.get(event.source).map(output_types);
         rewire(self, event.source, &outputs.unwrap_or_default());
     }
@@ -1459,8 +1575,10 @@ impl ContextServer {
     /// holds the exclusion changes nothing.
     fn fail_impl(&mut self, ce: Guid, now: VirtualTime, span: &mut Span<'_>) -> Vec<RepairReport> {
         span.field("ce", ce);
-        let outputs = match self.profiles.get(ce) {
-            Some(profile) if !self.excluded.contains(&ce) => output_types(profile),
+        let (derived, outputs) = match self.profiles.get(ce) {
+            Some(profile) if !self.excluded.contains(&ce) => {
+                (derives(profile), output_types(profile))
+            }
             _ => return Vec::new(),
         };
         if self.metrics.tracer().enabled() {
@@ -1471,7 +1589,7 @@ impl ContextServer {
         // A failed source feeds nothing, so what it feeds now is what
         // the rewire changes.
         let rewired = self.fed_by(ce);
-        self.mark_failed(ce);
+        self.replanning(derived, &outputs, |cs| cs.mark_failed(ce));
         unwire(self, ce, &outputs);
         self.metrics.source_failed.inc();
         span.field("rewired", rewired.len());
@@ -1648,6 +1766,7 @@ impl ContextServer {
     // ------------------------------------------------------------------
 
     fn set_plan_verification_impl(&mut self, enabled: bool) {
+        self.generation += 1;
         self.verify_plans = enabled;
     }
 
@@ -2512,6 +2631,38 @@ mod tests {
             .build();
         r.cs.submit_query(&q, VirtualTime::ZERO).unwrap();
         q.id
+    }
+
+    /// An equal need attaches to the live configuration — its
+    /// instances, nothing planned — until a derived CE leaves, which
+    /// moves the plan generation on: the next equal query plans, and
+    /// finds no provider left.
+    #[test]
+    fn a_derived_departure_ends_attaching() {
+        let mut r = rig();
+        let live = subscribe_path(&mut r);
+        let query = r.cs.origin_queries()[&live].clone();
+        let again = |r: &mut Rig| {
+            let id = r.ids.next_guid();
+            r.cs.submit_query(
+                &Query {
+                    id,
+                    ..query.clone()
+                },
+                VirtualTime::ZERO,
+            )
+        };
+        let counts = |cs: &ContextServer| {
+            let snapshot = cs.snapshot();
+            let count = |name| snapshot.counter(name);
+            (count("resolver.plan.count"), count("resolver.admit.reused"))
+        };
+        again(&mut r).unwrap();
+        assert_eq!(counts(&r.cs), (1, 1));
+        assert_eq!(r.cs.instance_count(), 3);
+        r.cs.deregister(r.path_ce, VirtualTime::ZERO).unwrap();
+        assert!(matches!(again(&mut r), Err(SciError::Unresolvable(_))));
+        assert_eq!(counts(&r.cs), (2, 1));
     }
 
     fn wiring(cs: &ContextServer) -> Vec<String> {

@@ -195,6 +195,8 @@ pub(crate) fn plan_need(
 ) -> SciResult<ConfigurationPlan> {
     let (mut nodes, mut path) = (Vec::new(), Vec::new());
     let roots = resolve_need(pm, need, excluded, &mut nodes, &mut path, 0)?;
+    // A configuration keeps its plan for life: no growth slack.
+    nodes.shrink_to_fit();
     Ok(ConfigurationPlan {
         nodes,
         roots,

@@ -39,6 +39,7 @@ pub(crate) struct CsMetrics {
     cmd_count: Vec<Counter>,
     cmd_latency: Vec<Histogram>,
     plan_count: Counter,
+    pub(crate) admit_reused: Counter,
     plan_latency: Histogram,
     plan_nodes: Histogram,
     plan_edges: Histogram,
@@ -74,6 +75,7 @@ impl CsMetrics {
             cmd_count,
             cmd_latency,
             plan_count: registry.counter(catalogue::RESOLVER_PLAN_COUNT),
+            admit_reused: registry.counter(catalogue::RESOLVER_ADMIT_REUSED),
             plan_latency: registry.histogram(catalogue::RESOLVER_PLAN_LATENCY_US),
             plan_nodes: registry.histogram(catalogue::RESOLVER_PLAN_NODES),
             plan_edges: registry.histogram(catalogue::RESOLVER_PLAN_EDGES),
@@ -128,6 +130,28 @@ impl CsMetrics {
     pub(crate) fn record_command(&self, idx: usize, elapsed_us: u64) {
         self.cmd_count[idx].inc();
         self.cmd_latency[idx].record(elapsed_us);
+    }
+
+    /// The two admission counts, `(plans attempted, attaches)`, to tell
+    /// afterwards how a submit was admitted.
+    pub(crate) fn admissions(&self) -> (u64, u64) {
+        (self.plan_count.get(), self.admit_reused.get())
+    }
+
+    /// Tags a submit span with its `query` and, when it built a
+    /// subscription, its `admission`: `reused` if it attached to a live
+    /// configuration, `planned` if it planned (`before` is
+    /// [`Self::admissions`] at its start). Free when the tracer is off.
+    pub(crate) fn trace_admission(&self, span: &mut Span<'_>, query: Guid, before: (u64, u64)) {
+        if !self.tracer.enabled() {
+            return;
+        }
+        span.field("query", query);
+        match self.admissions() {
+            (_, reused) if reused > before.1 => span.field("admission", "reused"),
+            (planned, _) if planned > before.0 => span.field("admission", "planned"),
+            _ => {}
+        }
     }
 
     /// Records one plan attempt (successful or not) and its build time.

@@ -129,6 +129,7 @@ catalogue! {
     RANGE_SOURCE_FAILED = "range.source.failed",
     RANGE_STALE_DROPS = "range.stale_drops",
     RANGE_TRACE_KEY_REPEATS = "range.trace_key.repeats",
+    RESOLVER_ADMIT_REUSED = "resolver.admit.reused",
     RESOLVER_PLAN_COUNT = "resolver.plan.count",
     RESOLVER_PLAN_EDGES = "resolver.plan.edges",
     RESOLVER_PLAN_LATENCY_US = "resolver.plan.latency_us",

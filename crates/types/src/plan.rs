@@ -7,6 +7,8 @@
 //! The plan lives in `sci-types` so the builder and the verifier share
 //! one type without depending on each other.
 
+use std::sync::Arc;
+
 use crate::guid::Guid;
 use crate::metadata::Metadata;
 use crate::value::ContextType;
@@ -62,6 +64,14 @@ pub struct ConfigurationPlan {
     pub roots: Vec<NodeId>,
     /// The demanded type at the root.
     pub output: ContextType,
+}
+
+/// A borrowed plan is shared by cloning it once; an owned one (or an
+/// `Arc` already) moves in without a copy.
+impl From<&ConfigurationPlan> for Arc<ConfigurationPlan> {
+    fn from(plan: &ConfigurationPlan) -> Self {
+        Arc::new(plan.clone())
+    }
 }
 
 impl ConfigurationPlan {

@@ -614,3 +614,79 @@ fn every_snapshot_name_is_catalogued() {
         "instrument names missing from the central catalogue: {strays:?}"
     );
 }
+
+/// How a subscription was admitted is in the range's own trace: the
+/// first query for bob's location plans, under one `plan` span inside
+/// its `submit` span (`admission` = `planned`); an equal query attaches
+/// to that configuration, with no `plan` span (`reused`); a deferred
+/// query is admitted by neither. An untraced range records nothing.
+#[test]
+fn a_submit_span_says_how_it_was_admitted() {
+    let mut ids = GuidGenerator::seeded(57);
+    let (mut cs, _) = server(0, &mut ids);
+    let obj_loc = ids.next_guid();
+    cs.register(
+        Profile::builder(obj_loc, EntityKind::Software, "objLocationCE")
+            .input(PortSpec::new("presence", ContextType::Presence))
+            .output(PortSpec::new("location", ContextType::Location))
+            .build(),
+        VirtualTime::ZERO,
+    )
+    .unwrap();
+    cs.register_logic(obj_loc, factory(|| ObjLocationLogic::new(range_plan(0))));
+    let at_range = Arc::new(RingBufferSubscriber::new(64));
+    let bob = ids.next_guid();
+    let location_of_bob = |ids: &mut GuidGenerator| {
+        Query::builder(ids.next_guid(), ids.next_guid())
+            .info_matching(
+                ContextType::Location,
+                vec![Predicate::eq("subject", ContextValue::Id(bob))],
+            )
+            .mode(Mode::Subscribe)
+            .build()
+    };
+    let (first, second) = (location_of_bob(&mut ids), location_of_bob(&mut ids));
+    let later = Query {
+        when: When::After(VirtualDuration::from_secs(1)),
+        ..location_of_bob(&mut ids)
+    };
+    cs.set_tracer(Tracer::new(at_range.clone()));
+    for q in [&first, &second, &later] {
+        cs.submit_query(q, VirtualTime::ZERO).unwrap();
+    }
+    let records = at_range.records();
+    let field = |r: &TraceRecord, key| {
+        let (_, value) = fields(r).iter().find(|(k, _)| k == key)?;
+        Some(value.clone())
+    };
+    let admitted: Vec<_> = (records.iter())
+        .filter(|r| r.name() == "submit")
+        .map(|r| (field(r, "query"), field(r, "admission")))
+        .collect();
+    let expect =
+        |q: &Query, admission: Option<&str>| (Some(q.id.to_string()), admission.map(str::to_owned));
+    assert_eq!(
+        admitted,
+        [
+            expect(&first, Some("planned")),
+            expect(&second, Some("reused")),
+            expect(&later, None),
+        ]
+    );
+    let order: Vec<&str> = (records.iter().map(TraceRecord::name))
+        .filter(|name| matches!(*name, "plan" | "submit"))
+        .collect();
+    assert_eq!(
+        order,
+        ["plan", "submit", "submit", "submit"],
+        "one plan, in the first submit"
+    );
+    assert_eq!(cs.snapshot().counter("resolver.admit.reused"), 1);
+
+    // The tracer off: the counter still counts, and nothing is recorded.
+    cs.set_tracer(Tracer::noop());
+    cs.submit_query(&location_of_bob(&mut ids), VirtualTime::ZERO)
+        .unwrap();
+    assert_eq!(cs.snapshot().counter("resolver.admit.reused"), 2);
+    assert_eq!(at_range.records().len(), records.len());
+}
