@@ -18,10 +18,9 @@
 //! around the measured batch: `cast_us` (enqueue into per-range
 //! mailboxes), `barrier_us` (the `sync` drain), `relay_us` (cross-range
 //! event/answer relaying) — plus `mailbox_highwater`, the deepest
-//! mailbox the run observed (`range.mailbox.highwater`). When the
-//! highwater pins at the mailbox capacity, `cast_us` is dominated by
-//! backpressure blocking rather than enqueue cost (see EXPERIMENTS.md
-//! §E10 on the 16-range spike).
+//! mailbox the run observed (`range.mailbox.highwater`). The mailboxes
+//! are unbounded, so a deep highwater means workers fell behind the
+//! driver's casts (see EXPERIMENTS.md §E10 on the 16-range spike).
 //!
 //! Two tables are printed. The first is the barrier shape (per-event
 //! `ingest_at`, one big `sync`). The second is the streaming shape
@@ -282,8 +281,8 @@ struct Row {
     barrier_us: u64,
     relay_us: u64,
     /// Deepest per-range mailbox observed (`range.mailbox.highwater`):
-    /// when this sits at the mailbox capacity, `cast_us` is measuring
-    /// backpressure blocking, not enqueue cost — the §E10 spike.
+    /// how far the workers fell behind the driver's casts — the §E10
+    /// spike.
     mailbox_highwater: i64,
 }
 

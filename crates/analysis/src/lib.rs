@@ -38,7 +38,7 @@ pub mod fleet;
 
 use sci_types::{
     AnalysisReport, ConfigurationPlan, ContextType, ContextValue, DiagCode, Diagnostic, Guid,
-    HashMap, NodeKind, PlanNode, Profile,
+    NodeKind, PlanNode, Profile,
 };
 
 // ---------------------------------------------------------------------
@@ -47,9 +47,8 @@ use sci_types::{
 
 /// What the analyzer needs to know about registered Context Entities:
 /// profile lookup and type compatibility. `sci-core` implements this
-/// for its `ProfileManager` (with semantic-equivalence classes);
-/// [`ProfileTable`] is a self-contained implementation for tests and
-/// standalone use.
+/// for its `ProfileManager` (with semantic-equivalence classes), and
+/// the unit tests below for a plain map.
 pub trait ProfileSource {
     /// The registered profile of a CE, if known.
     fn profile(&self, ce: Guid) -> Option<&Profile>;
@@ -59,46 +58,6 @@ pub trait ProfileSource {
     /// semantic-equivalence knowledge widen it.
     fn type_compatible(&self, produced: &ContextType, consumed: &ContextType) -> bool {
         produced == consumed
-    }
-}
-
-/// A plain map-backed [`ProfileSource`] with optional pairwise
-/// equivalences.
-#[derive(Clone, Debug, Default)]
-pub struct ProfileTable {
-    profiles: HashMap<Guid, Profile>,
-    equivalences: Vec<(ContextType, ContextType)>,
-}
-
-impl ProfileTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        ProfileTable::default()
-    }
-
-    /// Adds a profile (replacing any previous one for the same CE).
-    pub fn insert(&mut self, profile: Profile) {
-        self.profiles.insert(profile.id(), profile);
-    }
-
-    /// Declares two types interchangeable (symmetric, not transitive —
-    /// declare each pair you need).
-    pub fn declare_equivalence(&mut self, a: ContextType, b: ContextType) {
-        self.equivalences.push((a, b));
-    }
-}
-
-impl ProfileSource for ProfileTable {
-    fn profile(&self, ce: Guid) -> Option<&Profile> {
-        self.profiles.get(&ce)
-    }
-
-    fn type_compatible(&self, produced: &ContextType, consumed: &ContextType) -> bool {
-        produced == consumed
-            || self
-                .equivalences
-                .iter()
-                .any(|(a, b)| (a == produced && b == consumed) || (b == produced && a == consumed))
     }
 }
 
@@ -426,7 +385,46 @@ fn list_types<'a>(types: impl Iterator<Item = &'a ContextType>) -> String {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use sci_types::{EntityKind, Metadata, PlanEdge, PortSpec};
+    use sci_types::{EntityKind, HashMap, Metadata, PlanEdge, PortSpec};
+
+    /// A plain map-backed [`ProfileSource`] with optional pairwise
+    /// equivalences.
+    #[derive(Clone, Debug, Default)]
+    struct ProfileTable {
+        profiles: HashMap<Guid, Profile>,
+        equivalences: Vec<(ContextType, ContextType)>,
+    }
+
+    impl ProfileTable {
+        /// An empty table.
+        fn new() -> Self {
+            ProfileTable::default()
+        }
+
+        /// Adds a profile (replacing any previous one for the same CE).
+        fn insert(&mut self, profile: Profile) {
+            self.profiles.insert(profile.id(), profile);
+        }
+
+        /// Declares two types interchangeable (symmetric, not transitive —
+        /// declare each pair you need).
+        fn declare_equivalence(&mut self, a: ContextType, b: ContextType) {
+            self.equivalences.push((a, b));
+        }
+    }
+
+    impl ProfileSource for ProfileTable {
+        fn profile(&self, ce: Guid) -> Option<&Profile> {
+            self.profiles.get(&ce)
+        }
+
+        fn type_compatible(&self, produced: &ContextType, consumed: &ContextType) -> bool {
+            produced == consumed
+                || self.equivalences.iter().any(|(a, b)| {
+                    (a == produced && b == consumed) || (b == produced && a == consumed)
+                })
+        }
+    }
 
     fn guid(raw: u128) -> Guid {
         Guid::from_u128(raw)

@@ -14,9 +14,10 @@
 //!
 //! Identical sub-graphs are shared between queries when reuse is enabled
 //! (the Solar-inspired scalability feature the paper adopts): an
-//! instance is keyed by `(CE, binding)` and reference-counted, so two
-//! applications asking for the path between Bob and John drive one
-//! `pathCE` instance, not two. Experiment E8 ablates exactly this flag.
+//! instance is keyed by its CE, its binding and what feeds each of its
+//! inputs, and reference-counted, so two applications asking for the
+//! path between Bob and John drive one `pathCE` instance, not two.
+//! Experiment E8 ablates exactly this flag.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -49,7 +50,25 @@ pub struct InstanceState {
     /// rule's answer as sources come and go. An input fed by another
     /// instance is not listed: it stays derived-fed.
     pub needs: Vec<Need>,
+    /// The reuse cache's key for this instance.
+    key: CacheKey,
 }
+
+/// What feeds one input of a derived instance, as the reuse cache
+/// tells instances apart.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Feed {
+    /// Sources, whichever the wiring rule names for this type and
+    /// subject at the moment (adaptation keeps them at its answer).
+    Sources(ContextType, Option<Guid>),
+    /// These producers, at least one of them an instance.
+    Producers(Vec<Guid>),
+}
+
+/// A derived instance's CE, binding ([`binding_key`]) and input feeds:
+/// two plan nodes share an instance only if all three are equal, so a
+/// plan that reaches a node through another provider gets its own.
+type CacheKey = (Guid, String, Vec<Feed>);
 
 /// The topic an input subscribes on: `producer`'s events of its
 /// concrete output type `ty` — a semantically equivalent provider
@@ -84,7 +103,7 @@ fn binding_key(binding: &Metadata) -> String {
 /// The store of live logic instances, with optional subgraph reuse.
 pub struct InstanceStore {
     instances: HashMap<Guid, InstanceState>,
-    cache: HashMap<(Guid, String), Guid>,
+    cache: HashMap<CacheKey, Guid>,
     reuse: bool,
 }
 
@@ -219,7 +238,18 @@ impl InstanceStore {
                     producer_guid[idx] = node.ce;
                 }
                 NodeKind::Derived => {
-                    let key = (node.ce, binding_key(&node.binding));
+                    let source = |&p: &usize| plan.nodes[p].kind == NodeKind::Source;
+                    let feeds: Vec<Feed> = (node.inputs.iter())
+                        .map(|edge| {
+                            if edge.producers.iter().all(source) {
+                                Feed::Sources(edge.ty.clone(), edge.subject)
+                            } else {
+                                let producers = edge.producers.iter().map(|&p| producer_guid[p]);
+                                Feed::Producers(producers.collect())
+                            }
+                        })
+                        .collect();
+                    let key = (node.ce, binding_key(&node.binding), feeds);
                     if self.reuse {
                         if let Some(&existing) = self.cache.get(&key) {
                             let state = self.instances.get_mut(&existing).ok_or_else(|| {
@@ -240,7 +270,6 @@ impl InstanceStore {
                     let instance = ids.next_guid();
                     let mut needs = Vec::new();
                     for edge in &node.inputs {
-                        let source = |&p: &usize| plan.nodes[p].kind == NodeKind::Source;
                         let need = Need {
                             ty: edge.ty.clone(),
                             subject: edge.subject,
@@ -256,6 +285,9 @@ impl InstanceStore {
                             mediator.subscribe(instance, topic, false);
                         }
                     }
+                    if self.reuse {
+                        self.cache.insert(key.clone(), instance);
+                    }
                     self.instances.insert(
                         instance,
                         InstanceState {
@@ -266,11 +298,9 @@ impl InstanceStore {
                             logic: (factory)(),
                             seq: EventSeq::FIRST,
                             needs,
+                            key,
                         },
                     );
-                    if self.reuse {
-                        self.cache.insert(key, instance);
-                    }
                     producer_guid[idx] = instance;
                     used_instances.push(instance);
                 }
@@ -337,7 +367,7 @@ impl InstanceStore {
             if state.refcount == 0 {
                 if let Some(state) = self.instances.remove(&instance) {
                     mediator.purge_entity(instance);
-                    self.cache.remove(&(state.ce, binding_key(&state.binding)));
+                    self.cache.remove(&state.key);
                     destroyed += 1;
                 }
             }

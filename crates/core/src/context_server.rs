@@ -246,6 +246,7 @@ impl ContextServer {
         // retires it (see `RangeWal::retire_unapplied`).
         let logged = match self.wal.as_mut() {
             Some(wal) if is_durable(&cmd) => {
+                let _append = tracer.span("wal.append");
                 if let Err(e) = wal.append(&cmd, now) {
                     self.metrics.record_command(idx, elapsed_us(started));
                     return Err(e);
@@ -260,6 +261,7 @@ impl ContextServer {
         // covers the command's own record. A failed write leaves the
         // due-counter alone, so the next logged command retries.
         if logged && self.wal.as_mut().is_some_and(|wal| wal.applied()) {
+            let _snapshot = tracer.span("wal.snapshot");
             let snapshot = encode_snapshot(self, now);
             if let Some(wal) = self.wal.as_mut() {
                 let _ = wal.write_snapshot(snapshot);
@@ -1083,10 +1085,6 @@ impl ContextServer {
         let planned = plan_need(&self.profiles, need, &self.excluded);
         self.metrics.record_plan_attempt(elapsed_us(plan_started));
         let plan = planned?;
-        self.metrics.record_plan_shape(
-            plan.nodes.len(),
-            plan.nodes.iter().map(|n| n.inputs.len()).sum(),
-        );
         // Mandatory pre-instantiation gate: no subscription is
         // wired for a plan static analysis rejects (bypassable
         // via `RangeCommand::SetPlanVerification(false)`).

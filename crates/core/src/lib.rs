@@ -95,5 +95,5 @@ pub use migration::MigrationPacket;
 pub use profile_manager::ProfileManager;
 pub use registrar::Registrar;
 pub use resolver::ConfigurationPlan;
-pub use runtime::{MailboxPolicy, ParallelFederation, RangeCommand, RangeRuntime};
+pub use runtime::{ParallelFederation, RangeCommand, RangeRuntime};
 pub use telemetry::{snapshot_from_xml, snapshot_to_xml};

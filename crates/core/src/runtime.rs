@@ -12,8 +12,8 @@
 //!   the commands arrive by direct method call (the deterministic sim
 //!   drivers) or over a mailbox.
 //! * **Decentralised across ranges** — [`RangeRuntime`] moves a server
-//!   onto its own worker thread behind a command mailbox
-//!   ([`sci_event::rt::mailbox`]), and [`ParallelFederation`] drives one
+//!   onto its own worker thread behind a command mailbox (a
+//!   `std::sync::mpsc` channel), and [`ParallelFederation`] drives one
 //!   runtime per range so N busy ranges occupy N cores instead of
 //!   stalling each other in a single loop.
 //!
@@ -26,10 +26,10 @@
 
 use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use sci_event::rt::{bounded_mailbox, mailbox, Receiver, Sender, TrySendError};
 use sci_overlay::net::SimNetwork;
 use sci_overlay::transport::Transport;
 use sci_query::Query;
@@ -187,42 +187,6 @@ enum ToWorker {
     Stop,
 }
 
-/// Backpressure discipline of a range's command mailbox.
-///
-/// The default is unbounded — sends never block and depth is only
-/// observable through the `range.mailbox.depth` gauge. Bounded
-/// policies cap how far a producer may run ahead of the worker; the
-/// deepest mailbox ever observed is tracked in
-/// `range.mailbox.highwater` under every policy.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum MailboxPolicy {
-    /// Unbounded mailbox: sends never block (the historical
-    /// behaviour).
-    #[default]
-    Unbounded,
-    /// Bounded mailbox of the given capacity: a full mailbox *blocks*
-    /// the producer until the worker frees a slot. Deadlock-free: the
-    /// single consumer always drains, and a dead worker disconnects
-    /// the channel, waking blocked producers with
-    /// [`SciError::RangeDown`].
-    Block(usize),
-    /// Bounded mailbox of the given capacity: a full mailbox *sheds*
-    /// pipelined casts — the command is dropped and accounted in
-    /// `range.mailbox.shed` instead of blocking. Request/response
-    /// [`RangeRuntime::call`]s still block: a reply must never be
-    /// silently dropped.
-    Shed(usize),
-}
-
-impl MailboxPolicy {
-    fn make_mailbox(self) -> (Sender<ToWorker>, Receiver<ToWorker>) {
-        match self {
-            MailboxPolicy::Unbounded => mailbox(),
-            MailboxPolicy::Block(cap) | MailboxPolicy::Shed(cap) => bounded_mailbox(cap),
-        }
-    }
-}
-
 /// Moves everything the last command produced out of the server and
 /// into the range's relay stream, as one batch carrying the envelope
 /// sequences the server minted (see `RangeHost::drain_stream` for
@@ -335,7 +299,6 @@ fn worker_loop(
 /// Starts a worker thread serving `cs` behind a fresh mailbox.
 fn start_worker(
     cs: ContextServer,
-    mailbox_policy: MailboxPolicy,
     metrics: RuntimeMetrics,
     stream: Option<Sender<Stream>>,
 ) -> (
@@ -343,8 +306,8 @@ fn start_worker(
     Receiver<SciResult<RangeReply>>,
     Option<JoinHandle<Exit>>,
 ) {
-    let (cmd_tx, cmd_rx) = mailbox_policy.make_mailbox();
-    let (reply_tx, reply_rx) = mailbox::<SciResult<RangeReply>>();
+    let (cmd_tx, cmd_rx) = channel();
+    let (reply_tx, reply_rx) = channel();
     let worker = std::thread::Builder::new()
         .name(format!("range-{}", cs.name()))
         .spawn(move || worker_loop(cs, cmd_rx, reply_tx, metrics, stream))
@@ -383,9 +346,6 @@ pub struct RangeRuntime {
     /// round trip).
     plan: FloorPlan,
     policy: RestartPolicy,
-    /// Mailbox discipline, kept so a supervised restart rebuilds the
-    /// same backpressure shape.
-    mailbox_policy: MailboxPolicy,
     /// The relay stream, when streaming is enabled: the coordinator
     /// holds both ends so the channel survives worker restarts; each
     /// worker gets a sender clone.
@@ -422,20 +382,15 @@ impl RangeRuntime {
     /// logged commands that return an error when replayed increment
     /// `range.restart.replay_errors`.
     pub fn spawn_supervised(cs: ContextServer, policy: RestartPolicy) -> Self {
-        RangeRuntime::spawn_with(cs, policy, MailboxPolicy::Unbounded, false)
+        RangeRuntime::spawn_with(cs, policy, false)
     }
 
-    /// The fully-parameterised spawn: `mailbox` picks the backpressure
-    /// discipline and `streaming` wires a relay stream the worker
-    /// drains its outbox and deferred answers into after every command,
-    /// consumed by the relay core. Without streaming, the outbox stays
-    /// in the server that [`RangeRuntime::shutdown`] hands back.
-    fn spawn_with(
-        mut cs: ContextServer,
-        policy: RestartPolicy,
-        mailbox_policy: MailboxPolicy,
-        streaming: bool,
-    ) -> Self {
+    /// The fully-parameterised spawn: `streaming` wires a relay stream
+    /// the worker drains its outbox and deferred answers into after
+    /// every command, consumed by the relay core. Without streaming,
+    /// the outbox stays in the server that [`RangeRuntime::shutdown`]
+    /// hands back.
+    fn spawn_with(mut cs: ContextServer, policy: RestartPolicy, streaming: bool) -> Self {
         if policy.max_restarts > 0 && cs.wal_mut().is_none() {
             // A restart rebuilds the range from its command log. With
             // no disk log attached, keep one in memory, seeded with
@@ -450,9 +405,9 @@ impl RangeRuntime {
         // The coordinator owns both stream ends: the channel survives
         // worker restarts, and every (re)spawned worker just gets a
         // fresh sender clone.
-        let stream = streaming.then(mailbox::<Stream>);
+        let stream = streaming.then(channel::<Stream>);
         let stream_tx = stream.as_ref().map(|(tx, _)| tx.clone());
-        let (tx, rx, worker) = start_worker(cs, mailbox_policy, metrics.clone(), stream_tx);
+        let (tx, rx, worker) = start_worker(cs, metrics.clone(), stream_tx);
         RangeRuntime {
             id,
             name,
@@ -466,7 +421,6 @@ impl RangeRuntime {
             metrics,
             plan,
             policy,
-            mailbox_policy,
             stream,
             restarts_used: 0,
         }
@@ -506,8 +460,7 @@ impl RangeRuntime {
         // what the rebuild regenerates re-streams under the envelope
         // sequences it had the first time.
         let stream_tx = self.stream.as_ref().map(|(tx, _)| tx.clone());
-        let (tx, rx, worker) =
-            start_worker(cs, self.mailbox_policy, self.metrics.clone(), stream_tx);
+        let (tx, rx, worker) = start_worker(cs, self.metrics.clone(), stream_tx);
         (self.tx, self.rx, self.worker) = (tx, rx, worker);
         // Commands queued for the dead worker are lost with it.
         self.pending = 0;
@@ -556,49 +509,10 @@ impl RangeRuntime {
     ///
     /// [`SciError::RangeDown`] if the worker is gone.
     pub fn cast(&mut self, cmd: RangeCommand, now: VirtualTime) -> SciResult<()> {
-        self.enqueue(cmd, now, true)
-    }
-
-    /// The shared enqueue path behind [`cast`] and [`call`].
-    ///
-    /// Under [`MailboxPolicy::Shed`] a full mailbox drops the command
-    /// (accounted in `range.mailbox.shed`) — but only when `allow_shed`
-    /// is set. A [`call`] must never shed: its reply wait would block
-    /// forever on a command that was never enqueued. Under
-    /// [`MailboxPolicy::Block`] a full mailbox blocks the sender until
-    /// the worker frees a slot; the worker always drains, so this is
-    /// backpressure, not deadlock.
-    ///
-    /// [`cast`]: RangeRuntime::cast
-    /// [`call`]: RangeRuntime::call
-    fn enqueue(&mut self, cmd: RangeCommand, now: VirtualTime, allow_shed: bool) -> SciResult<()> {
         if self.down {
             return Err(SciError::RangeDown(self.name.clone()));
         }
-        let shed = matches!(self.mailbox_policy, MailboxPolicy::Shed(_)) && allow_shed;
-        let send_result = if shed {
-            match self.tx.try_send(ToWorker::Cmd { cmd, now }) {
-                Ok(()) => Ok(()),
-                Err(TrySendError::Full(rejected)) => {
-                    // Accounted drop: the command never ran. A shed
-                    // batch sheds every event it carried — weighting
-                    // the counter by batch length keeps the
-                    // delivered + shed == sent ledger balanced.
-                    match rejected {
-                        ToWorker::Cmd {
-                            cmd: RangeCommand::IngestBatch(events),
-                            ..
-                        } => self.metrics.mailbox_shed.add(events.len() as u64),
-                        _ => self.metrics.mailbox_shed.inc(),
-                    }
-                    return Ok(());
-                }
-                Err(TrySendError::Disconnected(_)) => Err(()),
-            }
-        } else {
-            self.tx.send(ToWorker::Cmd { cmd, now }).map_err(|_| ())
-        };
-        if send_result.is_err() {
+        if self.tx.send(ToWorker::Cmd { cmd, now }).is_err() {
             return Err(self.down_error());
         }
         self.metrics.mailbox_depth.inc();
@@ -637,7 +551,7 @@ impl RangeRuntime {
     ///   waiting);
     /// * whatever the command itself returned.
     pub fn call(&mut self, cmd: RangeCommand, now: VirtualTime) -> SciResult<RangeReply> {
-        self.enqueue(cmd, now, false)?;
+        self.cast(cmd, now)?;
         #[expect(clippy::disallowed_methods, reason = "telemetry timing")]
         let started = Instant::now();
         // FIFO: everything before the reply we want is a pipelined
@@ -732,8 +646,6 @@ impl RangeHost for RangeRuntime {
 /// the core moves it over the fabric either continuously
 /// ([`ParallelFederation::pump_streams`], free-running mode) or at the
 /// [`ParallelFederation::sync`] barrier (deterministic mode).
-/// Backpressure is a [`MailboxPolicy`]: unbounded, blocking, or
-/// shedding with accounted drops.
 ///
 /// Determinism: each range still processes its own command stream in
 /// submission order against a virtual clock, so per-range outcomes are
@@ -751,9 +663,6 @@ pub struct ParallelFederation<T: Transport = SimNetwork> {
     /// Supervision applied to every worker spawned by
     /// [`ParallelFederation::add_range`].
     restart_policy: RestartPolicy,
-    /// Mailbox backpressure discipline applied to every worker spawned
-    /// by [`ParallelFederation::add_range`].
-    mailbox_policy: MailboxPolicy,
 }
 
 impl<T: Transport> Deref for ParallelFederation<T> {
@@ -793,7 +702,6 @@ impl<T: Transport> ParallelFederation<T> {
         ParallelFederation {
             core: RelayCore::with_transport(fabric, seed),
             restart_policy: RestartPolicy::NONE,
-            mailbox_policy: MailboxPolicy::Unbounded,
         }
     }
 
@@ -807,23 +715,8 @@ impl<T: Transport> ParallelFederation<T> {
         self
     }
 
-    /// Sets the mailbox backpressure discipline applied to ranges added
-    /// *after* this call (builder style: chain before [`add_range`]).
-    /// [`MailboxPolicy::Block`] makes a full mailbox block the
-    /// coordinator's cast until the worker catches up;
-    /// [`MailboxPolicy::Shed`] drops casts on a full mailbox, accounted
-    /// in `range.mailbox.shed`. Either way `range.mailbox.highwater`
-    /// records the deepest backlog seen.
-    ///
-    /// [`add_range`]: ParallelFederation::add_range
-    #[must_use]
-    pub fn with_mailbox_policy(mut self, policy: MailboxPolicy) -> Self {
-        self.mailbox_policy = policy;
-        self
-    }
-
     fn spawn(&self, cs: ContextServer) -> RangeRuntime {
-        RangeRuntime::spawn_with(cs, self.restart_policy, self.mailbox_policy, true)
+        RangeRuntime::spawn_with(cs, self.restart_policy, true)
     }
 
     /// Adds a range: its Context Server moves onto a fresh worker
@@ -923,8 +816,7 @@ impl<T: Transport> ParallelFederation<T> {
 
     /// Rejoins a recovered Context Server to the federation after a
     /// [`ParallelFederation::kill_range`]: the server goes back onto a
-    /// fresh worker thread under the federation's restart and mailbox
-    /// policies, and the worker's initial stream flush re-offers any
+    /// fresh worker thread under the federation's restart policy, and the worker's initial stream flush re-offers any
     /// WAL-restored outbox traffic — which the `(origin, seq)`
     /// exactly-once filter squashes to the deliveries the crash
     /// actually lost. Admission is [`RelayCore::add_range`]'s, which

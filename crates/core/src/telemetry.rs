@@ -41,8 +41,6 @@ pub(crate) struct CsMetrics {
     plan_count: Counter,
     pub(crate) admit_reused: Counter,
     plan_latency: Histogram,
-    plan_nodes: Histogram,
-    plan_edges: Histogram,
     pub(crate) plan_rejected: Counter,
     pub(crate) stale_drops: Counter,
     pub(crate) app_deliveries: Counter,
@@ -77,8 +75,6 @@ impl CsMetrics {
             plan_count: registry.counter(catalogue::RESOLVER_PLAN_COUNT),
             admit_reused: registry.counter(catalogue::RESOLVER_ADMIT_REUSED),
             plan_latency: registry.histogram(catalogue::RESOLVER_PLAN_LATENCY_US),
-            plan_nodes: registry.histogram(catalogue::RESOLVER_PLAN_NODES),
-            plan_edges: registry.histogram(catalogue::RESOLVER_PLAN_EDGES),
             plan_rejected: registry.counter(catalogue::RESOLVER_PLAN_REJECTED),
             stale_drops: registry.counter(catalogue::RANGE_STALE_DROPS),
             app_deliveries: registry.counter(catalogue::RANGE_APP_DELIVERIES),
@@ -159,12 +155,6 @@ impl CsMetrics {
         self.plan_count.inc();
         self.plan_latency.record(elapsed_us);
     }
-
-    /// Records the shape of a successfully built plan.
-    pub(crate) fn record_plan_shape(&self, nodes: usize, edges: usize) {
-        self.plan_nodes.record(nodes as u64);
-        self.plan_edges.record(edges as u64);
-    }
 }
 
 /// The instruments of the relay core ([`crate::relay::RelayCore`]),
@@ -227,7 +217,6 @@ impl FedMetrics {
 pub(crate) struct RuntimeMetrics {
     pub(crate) mailbox_depth: Gauge,
     pub(crate) mailbox_highwater: Gauge,
-    pub(crate) mailbox_shed: Counter,
     pub(crate) call_wait: Histogram,
     pub(crate) panics: Counter,
 }
@@ -237,7 +226,6 @@ impl RuntimeMetrics {
         RuntimeMetrics {
             mailbox_depth: registry.gauge(catalogue::RANGE_MAILBOX_DEPTH),
             mailbox_highwater: registry.gauge(catalogue::RANGE_MAILBOX_HIGHWATER),
-            mailbox_shed: registry.counter(catalogue::RANGE_MAILBOX_SHED),
             call_wait: registry.histogram(catalogue::RANGE_CALL_WAIT_US),
             panics: registry.counter(catalogue::RANGE_PANICS),
         }

@@ -4,7 +4,7 @@
 //! event implies instead of performing I/O, so the middleware built on
 //! top of it is exactly replayable — on the caller's thread or on a
 //! range worker's (`sci-core`'s `RangeRuntime` ships commands to one
-//! bus over a [`crate::rt::mailbox`]; it never runs a second bus).
+//! bus over a `std::sync::mpsc` mailbox; it never runs a second bus).
 //!
 //! # The topic index
 //!

@@ -20,9 +20,9 @@
 //!
 //! There is one bus per Range whatever the execution mode. Under real
 //! concurrency a range worker thread owns its mediator and is fed
-//! through an [`rt::mailbox`] (`sci-core`'s `RangeRuntime`: `cast` for
-//! the "distributed events" half of the paper's hybrid communication
-//! model, `call` for the point-to-point half).
+//! through a `std::sync::mpsc` mailbox (`sci-core`'s `RangeRuntime`:
+//! `cast` for the "distributed events" half of the paper's hybrid
+//! communication model, `call` for the point-to-point half).
 //!
 //! The pre-index linear table is preserved as [`linear::LinearBus`] — a
 //! test oracle the bus is property-tested against (see
@@ -35,7 +35,6 @@
 pub mod bus;
 pub mod linear;
 pub mod mediator;
-pub mod rt;
 mod telemetry;
 pub mod topic;
 

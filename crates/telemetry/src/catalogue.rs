@@ -119,7 +119,6 @@ catalogue! {
     RANGE_DEREGISTER_UNKNOWN = "range.deregister.unknown",
     RANGE_MAILBOX_DEPTH = "range.mailbox.depth",
     RANGE_MAILBOX_HIGHWATER = "range.mailbox.highwater",
-    RANGE_MAILBOX_SHED = "range.mailbox.shed",
     RANGE_MIGRATE_IN = "range.migrate.in",
     RANGE_MIGRATE_INFLIGHT_US = "range.migrate.inflight_us",
     RANGE_MIGRATE_OUT = "range.migrate.out",
@@ -131,9 +130,7 @@ catalogue! {
     RANGE_TRACE_KEY_REPEATS = "range.trace_key.repeats",
     RESOLVER_ADMIT_REUSED = "resolver.admit.reused",
     RESOLVER_PLAN_COUNT = "resolver.plan.count",
-    RESOLVER_PLAN_EDGES = "resolver.plan.edges",
     RESOLVER_PLAN_LATENCY_US = "resolver.plan.latency_us",
-    RESOLVER_PLAN_NODES = "resolver.plan.nodes",
     RESOLVER_PLAN_REJECTED = "resolver.plan.rejected",
     WAL_APPEND_US = "wal.append_us",
     WAL_BYTES = "wal.bytes",

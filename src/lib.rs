@@ -80,7 +80,7 @@ pub use sci_wal as wal;
 
 /// The most commonly used items, for glob import.
 pub mod prelude {
-    pub use sci_analysis::{analyze, ProfileSource, ProfileTable};
+    pub use sci_analysis::{analyze, ProfileSource};
     pub use sci_core::capa::CapaApp;
     pub use sci_core::context_server::{AppDelivery, ContextServer, QueryAnswer, RangeReply};
     pub use sci_core::durability::{durable_digest, DurabilityConfig, RecoveryReport};
@@ -94,9 +94,7 @@ pub mod prelude {
         ObjLocationLogic, OccupancyLogic, PathLogic, WlanLocationLogic,
     };
     pub use sci_core::range_service::RangeService;
-    pub use sci_core::runtime::{
-        MailboxPolicy, ParallelFederation, RangeCommand, RangeRuntime, RestartPolicy,
-    };
+    pub use sci_core::runtime::{ParallelFederation, RangeCommand, RangeRuntime, RestartPolicy};
     pub use sci_event::{EventBus, EventMediator, Topic};
     pub use sci_location::floorplan::{capa_level10, FloorPlan};
     pub use sci_location::{LocationExpr, Rect, Route};

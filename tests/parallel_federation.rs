@@ -277,139 +277,6 @@ fn serial_batch_ingest_matches_per_event_ingest() {
 }
 
 #[test]
-fn blocking_mailbox_applies_backpressure_without_deadlock() {
-    let mut ids = GuidGenerator::seeded(71);
-    let mut fed = ParallelFederation::new(3).with_mailbox_policy(MailboxPolicy::Block(2));
-    let (cs, sensor) = server(0, &mut ids);
-    fed.add_range(cs).unwrap();
-    fed.connect_full();
-
-    // Local subscription: every ingest becomes one delivery.
-    let app = ids.next_guid();
-    let q = Query::builder(ids.next_guid(), app)
-        .info(ContextType::Presence)
-        .mode(Mode::Subscribe)
-        .build();
-    fed.submit_from("range-0", &q, VirtualTime::ZERO).unwrap();
-
-    // Far more casts than the mailbox holds: producers must block on
-    // the full mailbox and resume as the worker drains — never
-    // deadlock, never lose a command.
-    const EVENTS: u64 = 200;
-    for k in 0..EVENTS {
-        let t = VirtualTime::from_millis(k + 1);
-        fed.ingest_at("range-0", &presence(sensor, u128::from(k), t), t)
-            .unwrap();
-    }
-    fed.sync(VirtualTime::from_millis(EVENTS)).unwrap();
-    assert_eq!(fed.deliveries_for(app).len(), EVENTS as usize);
-    let snap = fed.snapshot();
-    assert_eq!(snap.counter("range.mailbox.shed"), 0, "Block never sheds");
-    // The gauge may transiently count the command the worker has taken
-    // but not yet finished accounting, so the ceiling is capacity + 1.
-    let high = snap.gauge("range.mailbox.highwater");
-    assert!(
-        (1..=3).contains(&high),
-        "highwater {high} must stay within the bounded capacity (+1 in flight)"
-    );
-    fed.shutdown();
-}
-
-#[test]
-fn shed_mailbox_drops_are_accounted_not_deadlocks() {
-    let mut ids = GuidGenerator::seeded(71);
-    let mut fed = ParallelFederation::new(3).with_mailbox_policy(MailboxPolicy::Shed(1));
-    let (cs, sensor) = server(0, &mut ids);
-    fed.add_range(cs).unwrap();
-    fed.connect_full();
-
-    let app = ids.next_guid();
-    let q = Query::builder(ids.next_guid(), app)
-        .info(ContextType::Presence)
-        .mode(Mode::Subscribe)
-        .build();
-    // Request/response calls must never shed (their reply is awaited).
-    fed.submit_from("range-0", &q, VirtualTime::ZERO).unwrap();
-
-    // One big batch occupies the worker, then a burst of single-event
-    // casts overruns the one-slot mailbox: the overflow is shed and
-    // accounted, the run completes.
-    const BATCH: u64 = 2_000;
-    const BURST: u64 = 50;
-    let batch: Vec<ContextEvent> = (0..BATCH)
-        .map(|k| presence(sensor, u128::from(k), VirtualTime::from_millis(k + 1)))
-        .collect();
-    fed.ingest_batch_at("range-0", &batch, VirtualTime::from_millis(BATCH))
-        .unwrap();
-    for k in 0..BURST {
-        let t = VirtualTime::from_millis(BATCH + k + 1);
-        fed.ingest_at("range-0", &presence(sensor, u128::from(BATCH + k), t), t)
-            .unwrap();
-    }
-    fed.sync(VirtualTime::from_millis(BATCH + BURST)).unwrap();
-
-    let delivered = fed.deliveries_for(app).len() as u64;
-    let shed = fed.snapshot().counter("range.mailbox.shed");
-    assert_eq!(
-        delivered + shed,
-        BATCH + BURST,
-        "every event is either delivered or an accounted drop"
-    );
-    assert!(shed >= 1, "the burst must overrun a one-slot mailbox");
-    assert!(shed <= BURST, "batched events never shed (one send)");
-    fed.shutdown();
-}
-
-#[test]
-fn shed_batches_are_accounted_whole_not_as_one() {
-    let mut ids = GuidGenerator::seeded(71);
-    let mut fed = ParallelFederation::new(3).with_mailbox_policy(MailboxPolicy::Shed(1));
-    let (cs, sensor) = server(0, &mut ids);
-    fed.add_range(cs).unwrap();
-    fed.connect_full();
-
-    let app = ids.next_guid();
-    let q = Query::builder(ids.next_guid(), app)
-        .info(ContextType::Presence)
-        .mode(Mode::Subscribe)
-        .build();
-    fed.submit_from("range-0", &q, VirtualTime::ZERO).unwrap();
-
-    // A big batch occupies the worker, then a stream of whole batches
-    // overruns the one-slot mailbox. A shed batch loses *all* its
-    // events, so delivered + shed == sent only holds if the shed
-    // counter is weighted by batch length, not bumped once per drop.
-    const BIG: u64 = 4_000;
-    const MINI: u64 = 100;
-    const MINIS: u64 = 10;
-    let big: Vec<ContextEvent> = (0..BIG)
-        .map(|k| presence(sensor, u128::from(k), VirtualTime::from_millis(k + 1)))
-        .collect();
-    fed.ingest_batch_at("range-0", &big, VirtualTime::from_millis(BIG))
-        .unwrap();
-    for b in 0..MINIS {
-        let t = VirtualTime::from_millis(BIG + b + 1);
-        let mini: Vec<ContextEvent> = (0..MINI)
-            .map(|k| presence(sensor, u128::from(BIG + b * MINI + k), t))
-            .collect();
-        fed.ingest_batch_at("range-0", &mini, t).unwrap();
-    }
-    fed.sync(VirtualTime::from_millis(BIG + MINIS)).unwrap();
-
-    let delivered = fed.deliveries_for(app).len() as u64;
-    let shed = fed.snapshot().counter("range.mailbox.shed");
-    assert_eq!(
-        delivered + shed,
-        BIG + MINIS * MINI,
-        "every event is either delivered or an accounted drop, \
-         even when whole batches are shed"
-    );
-    assert_eq!(shed % MINI, 0, "sheds happen in whole batches of {MINI}");
-    assert!(shed >= MINI, "the stream must overrun a one-slot mailbox");
-    fed.shutdown();
-}
-
-#[test]
 fn unknown_app_homing_is_counted_not_silent() {
     let mut ids = GuidGenerator::seeded(71);
     let mut fed = ParallelFederation::new(3);

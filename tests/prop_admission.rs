@@ -19,6 +19,9 @@
 //! queries are one-time, and some ranges have reuse off, where nothing
 //! may attach.
 //!
+//! The fresh twin's live wiring must also pass the range's own audit
+//! after every operation.
+//!
 //! A scripted test pins the counts on the shape `control_churn` runs:
 //! standing subject-bound subscriptions, and submit/cancel cycles on
 //! their subjects with a door leaving and rejoining every tenth cycle.
@@ -526,6 +529,8 @@ fn run(ops: &[Op], reuse: bool) {
         t.queries.retain(|&q| t.reusing.configuration(q).is_some());
         check_refcounts(&t.reusing);
         check_refcounts(&t.fresh);
+        let audit = t.fresh.audit_configurations();
+        assert!(audit.is_clean(), "planned fresh: {}", audit.summary());
     }
     let queued = |cs: &mut ContextServer| {
         let mut deliveries: Vec<String> = (cs.drain_outbox().iter())
@@ -663,6 +668,28 @@ fn a_source_answering_the_need_itself_ends_attaching() {
         temperature_in_fahrenheit(0),
         Op::RegisterThermometer { celsius: false },
         temperature_in_fahrenheit(2),
+    ];
+    run(&ops, true);
+}
+
+/// A path planned through `objLocationCE`, then a badge scanner and
+/// `badgeLocationCE` arrive, and the same path is asked for again: the
+/// second plan reaches `pathCE` through the new provider, so it gets a
+/// `pathCE` instance of its own instead of sharing the first one, which
+/// `objLocationCE` still feeds.
+#[test]
+fn a_node_reached_through_another_provider_is_not_shared() {
+    let bob_to_bob = Op::SubmitPath {
+        from: 0,
+        to: 0,
+        app: 0,
+        copies: 1,
+    };
+    let ops = [
+        bob_to_bob.clone(),
+        Op::RegisterScanner,
+        Op::DerivedReturns { which: 0 },
+        bob_to_bob,
     ];
     run(&ops, true);
 }

@@ -503,6 +503,57 @@ fn both_halves_of_every_snapshot_are_timed() {
     assert_eq!((encoded, stored), (3, 3));
 }
 
+/// A durable range's log work is traced inside the command that did it:
+/// every logged ingest closes a `wal.append` span before its `ingest`
+/// span closes, and the command that makes a snapshot due (the 256th
+/// logged one after `attach` seeds the log) closes a `wal.snapshot`
+/// span too, after its append. An untraced range records nothing.
+#[test]
+fn a_durable_commands_log_work_is_traced_inside_it() {
+    const SNAPSHOT_EVERY: u64 = 256;
+    let mut ids = GuidGenerator::seeded(31);
+    let (mut cs, sensor) = server(0, &mut ids);
+    sci::core::durability::attach_memory(&mut cs, VirtualTime::ZERO);
+    let at_range = Arc::new(RingBufferSubscriber::new(1024));
+    cs.set_tracer(Tracer::new(at_range.clone()));
+    for k in 0..SNAPSHOT_EVERY {
+        let t = VirtualTime::from_millis(k + 1);
+        cs.ingest(&presence(sensor, u128::from(k), t), t).unwrap();
+    }
+    let records = at_range.records();
+    let names: Vec<&str> = records.iter().map(TraceRecord::name).collect();
+    let mut expected = ["wal.append", "ingest"].repeat(SNAPSHOT_EVERY as usize - 1);
+    expected.extend(["wal.append", "wal.snapshot", "ingest"]);
+    assert_eq!(names, expected);
+    let interval = |r: &TraceRecord| match r {
+        TraceRecord::Span {
+            at_us, elapsed_us, ..
+        } => (at_us - elapsed_us, *at_us),
+        TraceRecord::Event { at_us, .. } => (*at_us, *at_us),
+    };
+    let (ingest, snapshot) = (
+        interval(&records[names.len() - 1]),
+        interval(&records[names.len() - 2]),
+    );
+    assert!(
+        ingest.0 <= snapshot.0 && snapshot.1 <= ingest.1,
+        "{snapshot:?} inside {ingest:?}"
+    );
+
+    cs.set_tracer(Tracer::noop());
+    for k in SNAPSHOT_EVERY..2 * SNAPSHOT_EVERY {
+        let t = VirtualTime::from_millis(k + 1);
+        cs.ingest(&presence(sensor, u128::from(k), t), t).unwrap();
+    }
+    assert_eq!(at_range.records().len(), records.len());
+    let snap = cs.snapshot();
+    assert_eq!(
+        snap.histogram("wal.snapshot_us").unwrap().count,
+        3,
+        "it still snapshots"
+    );
+}
+
 /// A panic inside one range's worker increments `range.panics` exactly
 /// once — on the panicking range's registry, which survives the worker.
 #[test]
